@@ -18,7 +18,8 @@ Run with::
 from __future__ import annotations
 
 from repro.analysis.report import series
-from repro.core import Ban, ClusterContextSwitch, Fence, Spread, check_constraints
+from repro.constraints import Ban, Fence, Spread, violated_constraints
+from repro.core import ClusterContextSwitch
 from repro.model import Configuration, VirtualMachine, make_working_nodes
 from repro.model.vm import VMState
 
@@ -47,7 +48,7 @@ def main() -> None:
         Fence(["licensed"], ["node-1", "node-2"]),
     ]
     print("violated before the switch:",
-          [type(c).__name__ for c in check_constraints(configuration, constraints)])
+          [type(c).__name__ for c in violated_constraints(configuration, constraints)])
 
     switcher = ClusterContextSwitch(optimizer_timeout=5.0)
     report = switcher.compute(
@@ -67,7 +68,7 @@ def main() -> None:
 
     final = report.plan.apply()
     print("violated after the switch:",
-          [type(c).__name__ for c in check_constraints(final, constraints)])
+          [type(c).__name__ for c in violated_constraints(final, constraints)])
     print("plan cost:", report.total_cost)
 
 

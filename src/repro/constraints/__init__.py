@@ -47,6 +47,7 @@ from .checker import (
     plan_stages,
     violated_constraints,
 )
+from .domains import vm_domains
 from .filtering import CandidateFilter
 
 #: Every relation of the catalog, in documentation order.
@@ -81,5 +82,6 @@ __all__ = [
     "plan_stages",
     "violated_constraints",
     "CandidateFilter",
+    "vm_domains",
     "CATALOG",
 ]

@@ -10,9 +10,8 @@ compilation and re-validates constraints against concrete states —
   pool granularity: the state after each pool completes, plus the stateful
   transition checks such as ``Root``'s no-migrate pin against the plan's
   source);
-* :func:`violated_constraints` — the historical boolean variant kept for the
-  optimizer's fallback path (:mod:`repro.core.placement` re-exports it as
-  ``check_constraints``).
+* :func:`violated_constraints` — the boolean variant the optimizer's
+  fallback path asks (:mod:`repro.core.optimizer`).
 
 The solver-side compilation and this checker are deliberately independent
 implementations of the same semantics; the Hypothesis suite

@@ -39,19 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis / IDE resolution only
     )
     from .graph import Edge, ReconfigurationGraph
     from .optimizer import ContextSwitchOptimizer, OptimizationResult
-    from .placement import (
-        Among,
-        Ban,
-        Fence,
-        Gather,
-        Lonely,
-        MaxOnline,
-        PlacementConstraint,
-        Root,
-        RunningCapacity,
-        Spread,
-        check_constraints,
-    )
     from .plan import Pool, ReconfigurationPlan, merge_pools, plan_from_pools
     from .planner import PlannerOptions, ReconfigurationPlanner, build_plan
 
@@ -76,17 +63,6 @@ _EXPORTS = {
     "ReconfigurationGraph": "graph",
     "ContextSwitchOptimizer": "optimizer",
     "OptimizationResult": "optimizer",
-    "Among": "placement",
-    "Ban": "placement",
-    "Fence": "placement",
-    "Gather": "placement",
-    "Lonely": "placement",
-    "MaxOnline": "placement",
-    "PlacementConstraint": "placement",
-    "Root": "placement",
-    "RunningCapacity": "placement",
-    "Spread": "placement",
-    "check_constraints": "placement",
     "Pool": "plan",
     "ReconfigurationPlan": "plan",
     "merge_pools": "plan",

@@ -12,13 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
+from ..constraints import PlacementConstraint
 from ..cp.solver import SearchStatistics
 from ..model.configuration import Configuration
 from ..model.vm import VMState
 from ..obs import span
 from .cost import PlanCost, plan_cost
 from .optimizer import ContextSwitchOptimizer, OptimizationResult
-from .placement import PlacementConstraint
 from .plan import ReconfigurationPlan
 from .planner import PlannerOptions, ReconfigurationPlanner
 
@@ -53,6 +53,16 @@ class ContextSwitchReport:
         return data
 
 
+#: The composed engines: name -> (incremental repair on top?, the solving
+#: strategy underneath).  Every other name is a propagation engine of the
+#: monolithic optimizer, solved cold.
+_COMPOSED_ENGINES = {
+    "partitioned": (False, "partitioned"),
+    "repair": (True, "event"),
+    "repair-partitioned": (True, "partitioned"),
+}
+
+
 class ClusterContextSwitch:
     """Compute cluster-wide context switches between configurations."""
 
@@ -79,7 +89,8 @@ class ClusterContextSwitch:
         the partitioned engines; ``repair_halo`` tunes the dirty region's
         co-host expansion for the repair engines."""
         self.planner = ReconfigurationPlanner(planner_options)
-        if engine in ("partitioned", "repair-partitioned"):
+        repair, strategy = _COMPOSED_ENGINES.get(engine, (False, engine))
+        if strategy == "partitioned":
             # Deferred import: repro.scale builds on repro.core.
             from ..scale.parallel import ParallelOptimizer
 
@@ -89,18 +100,13 @@ class ClusterContextSwitch:
                 max_workers=max_workers,
                 zone_executor=zone_executor,
             )
-        elif engine == "repair":
-            self.optimizer = ContextSwitchOptimizer(
-                timeout=optimizer_timeout,
-                planner_options=planner_options,
-            )
         else:
             self.optimizer = ContextSwitchOptimizer(
                 timeout=optimizer_timeout,
                 planner_options=planner_options,
-                engine=engine,
+                engine=strategy,
             )
-        if engine in ("repair", "repair-partitioned"):
+        if repair:
             # Deferred import: repro.repair builds on repro.core and scale.
             from ..repair import RepairOptimizer
 
@@ -119,16 +125,12 @@ class ClusterContextSwitch:
         persistent worker-process pool across rounds.  Idempotent, and the
         switch remains usable afterwards (the next partitioned solve
         respawns the pool); a no-op for the monolithic engines."""
-        closer = getattr(self.optimizer, "close", None)
-        if closer is not None:
-            closer()
+        self.optimizer.close()
 
     def mark_dirty(self, vms) -> None:
         """Forward the round's perturbed VMs to the repair engine; a no-op
         for the cold engines (they re-solve everything anyway)."""
-        marker = getattr(self.optimizer, "mark_dirty", None)
-        if marker is not None:
-            marker(vms)
+        self.optimizer.mark_dirty(vms)
 
     def __enter__(self) -> "ClusterContextSwitch":
         return self
@@ -152,7 +154,7 @@ class ClusterContextSwitch:
         When ``use_optimizer`` is False the ``fallback_target`` (e.g. an FFD
         placement) is planned directly, reproducing the baseline behaviour of
         Section 5.1.  ``constraints`` are placement relations
-        (:mod:`repro.core.placement`) the target must honour.
+        (:mod:`repro.constraints`) the target must honour.
         """
         if self.use_optimizer:
             with span("solve", engine=self.engine) as solve_span:
@@ -165,15 +167,14 @@ class ClusterContextSwitch:
                 )
                 if result.used_fallback:
                     solve_span.set(used_fallback=True)
-            trace = getattr(result, "trace", None)
             return ContextSwitchReport(
                 current=current,
                 target=result.target,
                 plan=result.plan,
                 cost=plan_cost(result.plan),
                 used_fallback=result.used_fallback,
-                repair=trace() if callable(trace) else None,
-                statistics=getattr(result, "statistics", None),
+                repair=result.trace(),
+                statistics=result.statistics,
             )
         if fallback_target is None:
             raise ValueError(

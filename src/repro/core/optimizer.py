@@ -25,8 +25,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
+from ..constraints import PlacementConstraint, violated_constraints, vm_domains
 from ..model.configuration import Configuration
 from ..model.errors import PlanningError, SolverError
 from ..model.vm import VMState
@@ -43,7 +44,6 @@ from ..cp import (
     static_order,
 )
 from .cost import plan_cost
-from .placement import PlacementConstraint, check_constraints
 from .plan import ReconfigurationPlan
 from .planner import PlannerOptions, ReconfigurationPlanner
 
@@ -66,6 +66,14 @@ class OptimizationResult:
     used_fallback: bool = False
     statistics: Optional[SearchStatistics] = None
     improving_costs: list[int] = field(default_factory=list)
+    #: One :class:`~repro.scale.parallel.ZoneReport` per solved zone; empty
+    #: unless a partitioned engine decomposed the instance.
+    zone_reports: list = field(default_factory=list)
+
+    def trace(self) -> Optional[dict]:
+        """The repair telemetry of the solve (``None``: solved cold — see
+        :meth:`repro.repair.RepairResult.trace`)."""
+        return None
 
 
 class ContextSwitchOptimizer:
@@ -100,6 +108,15 @@ class ContextSwitchOptimizer:
     # public API                                                          #
     # ------------------------------------------------------------------ #
 
+    def close(self) -> None:
+        """Part of the surface every optimizer offers
+        :class:`~repro.core.context_switch.ClusterContextSwitch`; the
+        monolithic optimizer holds nothing to release."""
+
+    def mark_dirty(self, vms: Iterable[str]) -> None:
+        """Part of the same surface: only the repair engine uses the
+        round's perturbed VMs, a cold solve re-decides every VM anyway."""
+
     def optimize(
         self,
         current: Configuration,
@@ -124,7 +141,7 @@ class ContextSwitchOptimizer:
             Configuration to fall back to (typically the FFD solution) when
             the search finds no assignment within the timeout.
         constraints:
-            Placement relations (:mod:`repro.core.placement`) the target
+            Placement relations (:mod:`repro.constraints`) the target
             configuration must honour, e.g. spreading the VMs of a vjob over
             distinct nodes for high availability.
         pinned:
@@ -148,7 +165,7 @@ class ContextSwitchOptimizer:
                     "the optimizer found no viable assignment and no fallback "
                     "configuration was provided"
                 )
-            violated = check_constraints(fallback_target, constraints)
+            violated = violated_constraints(fallback_target, constraints)
             if violated:
                 raise PlanningError(
                     "no assignment satisfies the placement constraints "
@@ -390,63 +407,89 @@ class ContextSwitchOptimizer:
                     # the repair layer widens instead of planning onto it.
                     return None, SearchStatistics(), []
                 pins[vm_name] = pinned[vm_name]
+
+        # The model covers ``model_vms`` over ``capacities``; ``folded`` is
+        # the part of the assignment decided outside it.
+        model_vms = running_vms
+        capacities = [current.node(name).capacity.as_tuple() for name in node_names]
+        folded: dict[str, int] = {}
         if pins and not constraints:
-            # Repair fast path: fold the frozen VMs into the node capacities
-            # so the model (and the search) only covers the dirty region.
-            return self._search_folded(current, running_vms, pins)
+            # Repair fast path: the frozen VMs never enter the model — their
+            # demands are subtracted from the capacities of their pinned
+            # hosts and their (constant) movement costs are excluded from
+            # the objective — so model building and search both scale with
+            # the dirty region, not the fleet.  Only valid without placement
+            # constraints: a relational constraint (MaxOnline,
+            # RunningCapacity…) must see the frozen placements, so under a
+            # catalog they stay in the model as unary-domain variables.
+            free_capacity = [list(capacity) for capacity in capacities]
+            for vm_name, node_name in pins.items():
+                index = node_index[node_name]
+                demand = current.vm(vm_name).demand.as_tuple()
+                free_capacity[index][0] -= demand[0]
+                free_capacity[index][1] -= demand[1]
+                folded[vm_name] = index
+            if any(cpu < 0 or memory < 0 for cpu, memory in free_capacity):
+                # The frozen region alone overloads a node (post-crash slack
+                # is gone): infeasible under these pins, the repair layer
+                # widens.
+                return None, SearchStatistics(), []
+            capacities = [tuple(capacity) for capacity in free_capacity]
+            model_vms = [name for name in running_vms if name not in pins]
+            if not model_vms:
+                # Everything is frozen: the previous placement *is* the
+                # solution.
+                return folded, SearchStatistics(proven_optimal=True), [0]
 
         model = Model()
         assignment_vars: list[IntVar] = []
         tables: list[dict[int, int]] = []
         preferences: dict[str, int] = {}
+        all_nodes = list(range(len(node_names)))
+        # Unary placement constraints (Ban/Fence) shrink the domain of the
+        # assignment variable before the search even starts.
+        domains = vm_domains(current, model_vms, constraints)
 
-        for vm_name in running_vms:
-            # Unary placement constraints (Ban/Fence) shrink the domain of the
-            # assignment variable before the search even starts.
-            allowed = set(node_names)
-            for constraint in constraints:
-                restriction = constraint.allowed_nodes(vm_name, node_names, current)
-                if restriction is not None:
-                    allowed &= restriction
-            if not allowed:
-                return None, SearchStatistics(), []
+        for vm_name in model_vms:
+            allowed = domains[vm_name]
+            tables.append(self._movement_cost_table(current, vm_name))
             pin = pins.get(vm_name)
             if pin is not None:
-                if pin not in allowed:
+                if allowed is not None and pin not in allowed:
                     # The pin violates a (possibly crash-shrunken) unary
                     # constraint: refuse rather than silently unpin, so the
                     # repair layer widens its neighbourhood.
                     return None, SearchStatistics(), []
-                # With relational constraints in play the frozen VMs cannot
-                # be folded away (MaxOnline/RunningCapacity count them), so
-                # they stay in the model as unary-domain variables.
-                var = model.pinned_var(f"x({vm_name})", node_index[pin])
-                assignment_vars.append(var)
-                tables.append(self._movement_cost_table(current, vm_name))
+                assignment_vars.append(
+                    model.pinned_var(f"x({vm_name})", node_index[pin])
+                )
                 continue
-            domain = [node_index[name] for name in node_names if name in allowed]
+            domain = (
+                all_nodes
+                if allowed is None
+                else [i for i, name in enumerate(node_names) if name in allowed]
+            )
+            if not domain:
+                # Decided on the built list: a restriction may be non-empty
+                # yet name no node of this configuration.
+                return None, SearchStatistics(), []
             var = model.int_var(f"x({vm_name})", domain)
             assignment_vars.append(var)
-            tables.append(self._movement_cost_table(current, vm_name))
             state = current.state_of(vm_name)
+            preferred = None
             if state is VMState.RUNNING:
-                preferred = node_index[current.location_of(vm_name)]
-                if preferred in domain:
-                    preferences[var.name] = preferred
+                preferred = current.location_of(vm_name)
             elif state is VMState.SLEEPING:
-                image = current.image_location_of(vm_name)
-                if image is not None and node_index[image] in domain:
-                    preferences[var.name] = node_index[image]
+                preferred = current.image_location_of(vm_name)
+            if preferred is not None and (allowed is None or preferred in allowed):
+                preferences[var.name] = node_index[preferred]
 
-        demands = [current.vm(name).demand.as_tuple() for name in running_vms]
-        capacities = [current.node(name).capacity.as_tuple() for name in node_names]
+        demands = [current.vm(name).demand.as_tuple() for name in model_vms]
         model.add_constraint(VectorPacking(assignment_vars, demands, capacities))
 
         # Relational placement constraints (Spread/Gather) become solver
         # constraints over the assignment variables.
-        variables_by_vm = {
-            vm_name: assignment_vars[i] for i, vm_name in enumerate(running_vms)
-        }
+        variables_by_vm = dict(zip(model_vms, assignment_vars))
         for constraint in constraints:
             for cp_constraint in constraint.cp_constraints(variables_by_vm, node_index):
                 model.add_constraint(cp_constraint)
@@ -469,18 +512,19 @@ class ContextSwitchOptimizer:
         # First-fail flavoured ordering: the most demanding VMs first
         # (Section 4.3, following Haralick & Elliott).
         order = sorted(
-            range(len(running_vms)),
+            range(len(model_vms)),
             key=lambda i: (demands[i][0], demands[i][1]),
             reverse=True,
         )
         ordered_vars = [assignment_vars[i] for i in order]
 
-        # Seed branch-and-bound with a greedy repair of the current placement;
-        # the search then only accepts strictly cheaper assignments.  The
-        # greedy repair is unaware of relational placement constraints, so it
-        # is only used when none are requested.
+        # Seed branch-and-bound with a greedy repair of the current placement
+        # (around the pins, which it places first); the search then only
+        # accepts strictly cheaper assignments.  The greedy repair is unaware
+        # of placement constraints, so it is only used when none are
+        # requested.
         greedy = (
-            self._greedy_assignment(current, running_vms)
+            self._greedy_assignment(current, running_vms, pinned=pins)
             if self.use_greedy_bound and not constraints
             else None
         )
@@ -488,7 +532,7 @@ class ContextSwitchOptimizer:
         if greedy is not None:
             initial_bound = sum(
                 scaled_tables[i][greedy[vm_name]]
-                for i, vm_name in enumerate(running_vms)
+                for i, vm_name in enumerate(model_vms)
             )
 
         # Last-conflict intensification around the paper's static
@@ -514,130 +558,14 @@ class ContextSwitchOptimizer:
             if solution.objective is not None
         ]
         if result.best is not None:
-            assignment = {
-                vm_name: result.best[f"x({vm_name})"] for vm_name in running_vms
-            }
-            return assignment, result.statistics, improving
-        if greedy is not None:
-            # The search did not improve on (or ran out of time before
-            # matching) the greedy incumbent: use the incumbent.
-            return greedy, result.statistics, improving
-        return None, result.statistics, improving
-
-    def _search_folded(
-        self,
-        current: Configuration,
-        running_vms: list[str],
-        pins: Mapping[str, str],
-    ) -> tuple[Optional[dict[str, int]], SearchStatistics, list[int]]:
-        """Repair fast path: solve the dirty region only.
-
-        The frozen VMs never enter the model — their demands are subtracted
-        from the capacities of their pinned hosts and their (constant)
-        movement costs are excluded from the objective — so model building
-        and search both scale with the dirty region, not the fleet.  Only
-        valid without placement constraints: a relational constraint must see
-        the frozen placements (the unary-pinned-variable path covers that).
-        """
-        node_names = current.node_names
-        node_index = {name: i for i, name in enumerate(node_names)}
-        free_capacity = [
-            list(current.node(name).capacity.as_tuple()) for name in node_names
-        ]
-        pinned_assignment: dict[str, int] = {}
-        for vm_name in sorted(pins):
-            index = node_index[pins[vm_name]]
-            demand = current.vm(vm_name).demand.as_tuple()
-            free_capacity[index][0] -= demand[0]
-            free_capacity[index][1] -= demand[1]
-            pinned_assignment[vm_name] = index
-        if any(cpu < 0 or memory < 0 for cpu, memory in free_capacity):
-            # The frozen region alone overloads a node (post-crash slack is
-            # gone): infeasible under these pins, the repair layer widens.
-            return None, SearchStatistics(), []
-
-        free_vms = [name for name in running_vms if name not in pins]
-        if not free_vms:
-            # Everything is frozen: the previous placement *is* the solution.
-            return pinned_assignment, SearchStatistics(proven_optimal=True), [0]
-
-        model = Model()
-        assignment_vars: list[IntVar] = []
-        tables: list[dict[int, int]] = []
-        preferences: dict[str, int] = {}
-        all_nodes = list(range(len(node_names)))
-        for vm_name in free_vms:
-            var = model.int_var(f"x({vm_name})", all_nodes)
-            assignment_vars.append(var)
-            tables.append(self._movement_cost_table(current, vm_name))
-            state = current.state_of(vm_name)
-            if state is VMState.RUNNING:
-                preferences[var.name] = node_index[current.location_of(vm_name)]
-            elif state is VMState.SLEEPING:
-                image = current.image_location_of(vm_name)
-                if image is not None:
-                    preferences[var.name] = node_index[image]
-
-        demands = [current.vm(name).demand.as_tuple() for name in free_vms]
-        capacities = [tuple(capacity) for capacity in free_capacity]
-        model.add_constraint(VectorPacking(assignment_vars, demands, capacities))
-
-        upper = sum(max(table.values()) for table in tables)
-        scale = max(1, math.gcd(*(v for t in tables for v in t.values())) or 1)
-        if upper // scale > _MAX_OBJECTIVE_RANGE:
-            scale = max(scale, math.ceil(upper / _MAX_OBJECTIVE_RANGE))
-        scaled_tables = [
-            {k: math.ceil(v / scale) for k, v in table.items()} for table in tables
-        ]
-        scaled_upper = sum(max(table.values()) for table in scaled_tables)
-        total_var = model.interval_var("total_cost", 0, scaled_upper)
-        model.add_constraint(ElementSum(assignment_vars, scaled_tables, total_var))
-
-        order = sorted(
-            range(len(free_vms)),
-            key=lambda i: (demands[i][0], demands[i][1]),
-            reverse=True,
-        )
-        ordered_vars = [assignment_vars[i] for i in order]
-
-        greedy = (
-            self._greedy_assignment(current, running_vms, pinned=pins)
-            if self.use_greedy_bound
-            else None
-        )
-        initial_bound = None
-        if greedy is not None:
-            initial_bound = sum(
-                scaled_tables[i][greedy[vm_name]]
-                for i, vm_name in enumerate(free_vms)
-            )
-
-        solver = Solver(
-            model,
-            variable_selector=ActivityLastConflict(static_order(ordered_vars)),
-            value_selector=prefer_value(preferences),
-            engine=self.engine,
-        )
-        result = solver.solve(
-            minimize=total_var,
-            timeout=self.timeout,
-            collect_all=True,
-            first_solution_only=self.first_solution_only,
-            initial_bound=initial_bound,
-            node_limit=self.node_limit,
-        )
-        improving = [
-            solution.objective * scale
-            for solution in result.all_solutions
-            if solution.objective is not None
-        ]
-        if result.best is not None:
-            assignment = dict(pinned_assignment)
-            for vm_name in free_vms:
+            assignment = dict(folded)
+            for vm_name in model_vms:
                 assignment[vm_name] = result.best[f"x({vm_name})"]
             return assignment, result.statistics, improving
         if greedy is not None:
-            # ``greedy`` already covers the pinned VMs (placed first).
+            # The search did not improve on (or ran out of time before
+            # matching) the greedy incumbent, which already covers the
+            # folded VMs (placed first): use the incumbent.
             return greedy, result.statistics, improving
         return None, result.statistics, improving
 

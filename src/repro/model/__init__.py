@@ -1,6 +1,6 @@
 """Cluster model: nodes, VMs, vjobs, configurations and their viability."""
 
-from .columns import BACKEND_ENV, LoadColumns, numpy_enabled
+from .columns import LoadColumns
 from .configuration import Configuration, ViabilityViolation
 from .errors import (
     DuplicateElementError,
@@ -24,9 +24,7 @@ from .vjob import VJob, VJobState, index_vms_by_vjob
 from .vm import VirtualMachine, VMImage, VMState
 
 __all__ = [
-    "BACKEND_ENV",
     "LoadColumns",
-    "numpy_enabled",
     "Configuration",
     "NaiveConfiguration",
     "ViabilityViolation",

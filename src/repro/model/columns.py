@@ -3,13 +3,13 @@
 :class:`LoadColumns` is the indexed core behind
 :class:`~repro.model.configuration.Configuration`: node names are interned
 into dense integer slots, and the per-node CPU/memory usage and capacity live
-in parallel growable columns (numpy arrays when numpy is importable, plain
-Python lists otherwise — the pure-python fallback keeps the model layer
+in parallel plain Python lists (every hot call is a scalar slot update, which
+lists serve faster than array scalars, and the model layer stays
 dependency-free).  Every mutation is an O(1) slot update that also records
 the slot in a *dirty set*; the viability check then has two faces:
 
-* :meth:`overloaded_full` — scan every live slot (vectorized under numpy)
-  and resynchronize the cached overloaded set;
+* :meth:`overloaded_full` — scan every live slot and resynchronize the
+  cached overloaded set;
 * :meth:`overloaded_dirty` — O(changed): re-examine only the dirty slots,
   update the cached overloaded set, and return it.
 
@@ -23,45 +23,19 @@ usage zeroed, removed from the name map and the cached sets) and a node
 re-added under the same name gets a fresh, strictly larger slot.  Slot order
 therefore always matches the configuration's node-registration order, which
 is what keeps the incremental violation list byte-identical to the full
-scan's.
-
-Set ``REPRO_MODEL_BACKEND=python`` to force the list backend even when numpy
-is installed (exercised by the differential tests)."""
+scan's."""
 
 from __future__ import annotations
 
-import os
-from typing import Dict, List, Optional, Set, Tuple
-
-try:  # pragma: no cover - exercised via both backends in the test-suite
-    import numpy as _np
-except Exception:  # pragma: no cover - numpy is a declared dependency
-    _np = None  # type: ignore[assignment]
-
-#: Environment switch forcing the pure-python backend (differential tests
-#: run the suite under both; operators can set it to rule numpy out when
-#: debugging).
-BACKEND_ENV = "REPRO_MODEL_BACKEND"
-
-#: Initial slot capacity of a fresh column set; doubled on demand so interning
-#: a 50k-node fleet costs O(n) amortized.
-_INITIAL_CAPACITY = 16
-
-
-def numpy_enabled() -> bool:
-    """True when the numpy backend is active (importable and not disabled
-    via ``REPRO_MODEL_BACKEND=python``)."""
-    return _np is not None and os.environ.get(BACKEND_ENV, "") != "python"
+from typing import Dict, List, Set, Tuple
 
 
 class LoadColumns:
     """Interned per-node load/capacity columns plus dirty/overload caches."""
 
     __slots__ = (
-        "_numpy",
         "_index",
         "_names",
-        "_size",
         "_cpu_usage",
         "_mem_usage",
         "_cpu_cap",
@@ -76,25 +50,16 @@ class LoadColumns:
     )
 
     def __init__(self) -> None:
-        self._numpy = numpy_enabled()
         #: node name -> slot (live nodes only; tombstoned slots are unmapped).
         self._index: Dict[str, int] = {}
         #: slot -> node name (tombstoned slots keep the stale name but are
         #: never reported: they fail the alive mask).
         self._names: List[str] = []
-        self._size = 0
-        if self._numpy:
-            self._cpu_usage = _np.zeros(_INITIAL_CAPACITY, dtype=_np.int64)
-            self._mem_usage = _np.zeros(_INITIAL_CAPACITY, dtype=_np.int64)
-            self._cpu_cap = _np.zeros(_INITIAL_CAPACITY, dtype=_np.int64)
-            self._mem_cap = _np.zeros(_INITIAL_CAPACITY, dtype=_np.int64)
-            self._alive = _np.zeros(_INITIAL_CAPACITY, dtype=bool)
-        else:
-            self._cpu_usage: List[int] = []  # type: ignore[no-redef]
-            self._mem_usage: List[int] = []  # type: ignore[no-redef]
-            self._cpu_cap: List[int] = []  # type: ignore[no-redef]
-            self._mem_cap: List[int] = []  # type: ignore[no-redef]
-            self._alive: List[bool] = []  # type: ignore[no-redef]
+        self._cpu_usage: List[int] = []
+        self._mem_usage: List[int] = []
+        self._cpu_cap: List[int] = []
+        self._mem_cap: List[int] = []
+        self._alive: List[bool] = []
         #: Slots whose load changed since the last viability scan.
         self.dirty: Set[int] = set()
         #: Slots known to exceed their capacity (exact after every scan).
@@ -108,41 +73,17 @@ class LoadColumns:
     # interning                                                           #
     # ------------------------------------------------------------------ #
 
-    def _grow(self) -> None:
-        if not self._numpy:
-            return
-        capacity = len(self._cpu_usage)
-        if self._size < capacity:
-            return
-        for name in ("_cpu_usage", "_mem_usage", "_cpu_cap", "_mem_cap"):
-            old = getattr(self, name)
-            fresh = _np.zeros(capacity * 2, dtype=_np.int64)
-            fresh[:capacity] = old
-            setattr(self, name, fresh)
-        alive = _np.zeros(capacity * 2, dtype=bool)
-        alive[:capacity] = self._alive
-        self._alive = alive
-
     def add(self, name: str, cpu_capacity: int, memory_capacity: int) -> int:
         """Intern a node: assign it the next slot and record its capacity.
 
         The fresh slot is marked dirty so the next incremental scan examines
         it — a zero-capacity node is overloaded by a single busy VM."""
-        slot = self._size
-        self._grow()
-        if self._numpy:
-            self._cpu_usage[slot] = 0
-            self._mem_usage[slot] = 0
-            self._cpu_cap[slot] = cpu_capacity
-            self._mem_cap[slot] = memory_capacity
-            self._alive[slot] = True
-        else:
-            self._cpu_usage.append(0)
-            self._mem_usage.append(0)
-            self._cpu_cap.append(cpu_capacity)
-            self._mem_cap.append(memory_capacity)
-            self._alive.append(True)
-        self._size += 1
+        slot = len(self._names)
+        self._cpu_usage.append(0)
+        self._mem_usage.append(0)
+        self._cpu_cap.append(cpu_capacity)
+        self._mem_cap.append(memory_capacity)
+        self._alive.append(True)
         self._index[name] = slot
         self._names.append(name)
         self._total_cap_cpu += cpu_capacity
@@ -155,10 +96,10 @@ class LoadColumns:
         evict it from the dirty/overloaded caches so nothing stale survives
         a later re-add of the same name (which gets a *fresh* slot)."""
         slot = self._index.pop(name)
-        self._total_cap_cpu -= int(self._cpu_cap[slot])
-        self._total_cap_mem -= int(self._mem_cap[slot])
-        self._total_usage_cpu -= int(self._cpu_usage[slot])
-        self._total_usage_mem -= int(self._mem_usage[slot])
+        self._total_cap_cpu -= self._cpu_cap[slot]
+        self._total_cap_mem -= self._mem_cap[slot]
+        self._total_usage_cpu -= self._cpu_usage[slot]
+        self._total_usage_mem -= self._mem_usage[slot]
         self._cpu_usage[slot] = 0
         self._mem_usage[slot] = 0
         self._cpu_cap[slot] = 0
@@ -194,17 +135,17 @@ class LoadColumns:
 
     def usage(self, name: str) -> Tuple[int, int]:
         slot = self._index[name]
-        return (int(self._cpu_usage[slot]), int(self._mem_usage[slot]))
+        return (self._cpu_usage[slot], self._mem_usage[slot])
 
     def capacity(self, name: str) -> Tuple[int, int]:
         slot = self._index[name]
-        return (int(self._cpu_cap[slot]), int(self._mem_cap[slot]))
+        return (self._cpu_cap[slot], self._mem_cap[slot])
 
     def free(self, name: str) -> Tuple[int, int]:
         slot = self._index[name]
         return (
-            int(self._cpu_cap[slot]) - int(self._cpu_usage[slot]),
-            int(self._mem_cap[slot]) - int(self._mem_usage[slot]),
+            self._cpu_cap[slot] - self._cpu_usage[slot],
+            self._mem_cap[slot] - self._mem_usage[slot],
         )
 
     def total_usage(self) -> Tuple[int, int]:
@@ -218,12 +159,9 @@ class LoadColumns:
     # ------------------------------------------------------------------ #
 
     def _is_overloaded(self, slot: int) -> bool:
-        return bool(
-            self._alive[slot]
-            and (
-                self._cpu_usage[slot] > self._cpu_cap[slot]
-                or self._mem_usage[slot] > self._mem_cap[slot]
-            )
+        return self._alive[slot] and (
+            self._cpu_usage[slot] > self._cpu_cap[slot]
+            or self._mem_usage[slot] > self._mem_cap[slot]
         )
 
     def overloaded_full(self) -> List[int]:
@@ -231,15 +169,7 @@ class LoadColumns:
 
         Resynchronizes the cached overloaded set and clears the dirty set —
         a full scan subsumes any pending incremental work."""
-        if self._numpy and self._size:
-            used = slice(0, self._size)
-            mask = self._alive[used] & (
-                (self._cpu_usage[used] > self._cpu_cap[used])
-                | (self._mem_usage[used] > self._mem_cap[used])
-            )
-            slots = [int(s) for s in _np.nonzero(mask)[0]]
-        else:
-            slots = [s for s in range(self._size) if self._is_overloaded(s)]
+        slots = [s for s in range(len(self._names)) if self._is_overloaded(s)]
         self._overloaded = set(slots)
         self.dirty.clear()
         return slots
@@ -262,22 +192,13 @@ class LoadColumns:
 
     def copy(self) -> "LoadColumns":
         clone = LoadColumns.__new__(LoadColumns)
-        clone._numpy = self._numpy
         clone._index = dict(self._index)
         clone._names = list(self._names)
-        clone._size = self._size
-        if self._numpy:
-            clone._cpu_usage = self._cpu_usage.copy()
-            clone._mem_usage = self._mem_usage.copy()
-            clone._cpu_cap = self._cpu_cap.copy()
-            clone._mem_cap = self._mem_cap.copy()
-            clone._alive = self._alive.copy()
-        else:
-            clone._cpu_usage = list(self._cpu_usage)
-            clone._mem_usage = list(self._mem_usage)
-            clone._cpu_cap = list(self._cpu_cap)
-            clone._mem_cap = list(self._mem_cap)
-            clone._alive = list(self._alive)
+        clone._cpu_usage = list(self._cpu_usage)
+        clone._mem_usage = list(self._mem_usage)
+        clone._cpu_cap = list(self._cpu_cap)
+        clone._mem_cap = list(self._mem_cap)
+        clone._alive = list(self._alive)
         clone.dirty = set(self.dirty)
         clone._overloaded = set(self._overloaded)
         clone._total_usage_cpu = self._total_usage_cpu
@@ -287,8 +208,7 @@ class LoadColumns:
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        backend = "numpy" if self._numpy else "python"
         return (
-            f"<LoadColumns nodes={len(self._index)} slots={self._size} "
-            f"dirty={len(self.dirty)} backend={backend}>"
+            f"<LoadColumns nodes={len(self._index)} slots={len(self._names)} "
+            f"dirty={len(self.dirty)}>"
         )

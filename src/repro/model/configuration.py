@@ -9,8 +9,8 @@ image because a resume on that node is cheaper (Table 1).
 
 Since PR 10 the class is *indexed* for datacenter-tier fleets: node and VM
 names are interned, per-node loads and capacities live in columnar storage
-(:class:`~repro.model.columns.LoadColumns` — numpy-backed with a pure-python
-fallback), and every node carries its running-set and suspend-image indices.
+(:class:`~repro.model.columns.LoadColumns` — plain Python lists, no runtime
+dependency), and every node carries its running-set and suspend-image indices.
 State mutators maintain the loads incrementally and record the touched nodes
 in a dirty set, so
 
@@ -429,8 +429,8 @@ class Configuration:
 
         Both faces return the complete, current violation list:
 
-        * ``only_dirty=False`` — scan every node's load column (vectorized
-          under numpy) and resynchronize the overload cache;
+        * ``only_dirty=False`` — scan every node's load column and
+          resynchronize the overload cache;
         * ``only_dirty=True`` — O(changed): re-examine only the nodes whose
           load was mutated since the previous scan and serve the rest from
           the cache.  This is what the control loop's observe phase and the

@@ -31,6 +31,7 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Optional, Sequence, Set
 
 from ..constraints.base import PlacementConstraint
+from ..constraints.domains import vm_domains
 from ..core.optimizer import ContextSwitchOptimizer, OptimizationResult
 from ..model.configuration import Configuration
 from ..model.errors import PlanningError
@@ -121,7 +122,7 @@ def compute_dirty_set(
     the last accepted round.  Deterministic: depends only on its inputs.
     """
     running_set = set(running_vms)
-    node_names = current.node_names
+    domains = vm_domains(current, running_vms, constraints)
     dirty: Set[str] = {vm for vm in marks if vm in running_set}
     for vm in running_vms:
         if vm in dirty:
@@ -136,14 +137,12 @@ def compute_dirty_set(
             # migration): re-decide this VM rather than trusting the pin.
             dirty.add(vm)
             continue
-        for constraint in constraints:
-            allowed = constraint.allowed_nodes(vm, node_names, current)
-            if allowed is not None and host not in allowed:
-                # The placement was invalidated after the fact — typically
-                # an elastic Fence that shrank when a node crashed.  The
-                # frozen region must not pin onto a retired domain.
-                dirty.add(vm)
-                break
+        allowed = domains[vm]
+        if allowed is not None and host not in allowed:
+            # The placement was invalidated after the fact — typically an
+            # elastic Fence that shrank when a node crashed.  The frozen
+            # region must not pin onto a retired domain.
+            dirty.add(vm)
     _relational_closure(dirty, constraints, running_set)
     for _ in range(max(0, halo)):
         hosts = {
@@ -218,9 +217,7 @@ class RepairOptimizer:
         self._previous = None
 
     def close(self) -> None:
-        closer = getattr(self.inner, "close", None)
-        if callable(closer):
-            closer()
+        self.inner.close()
 
     # ------------------------------------------------------------------ #
     # solving                                                             #
@@ -443,9 +440,7 @@ class RepairOptimizer:
         values = {
             f.name: getattr(result, f.name) for f in fields(OptimizationResult)
         }
-        reused = sum(
-            1 for report in getattr(result, "zone_reports", ()) if report.reused
-        )
+        reused = sum(1 for report in result.zone_reports if report.reused)
         repaired = RepairResult(
             mode=mode,
             reason=reason,

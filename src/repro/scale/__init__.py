@@ -32,6 +32,7 @@ Quickstart::
     ).run()
 """
 
+from ..constraints.domains import vm_domains
 from .campaign import (
     CampaignPoint,
     CampaignResult,
@@ -56,7 +57,6 @@ from .partition import (
     Zone,
     partition,
     placed_vms,
-    vm_domains,
 )
 
 __all__ = [

@@ -45,8 +45,8 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass, fields
+from typing import Iterable, List, Mapping, Optional, Sequence, Union
 
 from ..constraints.base import PlacementConstraint
 from ..core.cost import plan_cost
@@ -146,12 +146,12 @@ class ZoneReport:
 class PartitionedResult(OptimizationResult):
     """An :class:`~repro.core.optimizer.OptimizationResult` plus the
     partition trace: how the instance was decomposed (``partition_method``
-    is ``"interference"``, ``"sharded"`` or ``"monolithic"``) and one
-    :class:`ZoneReport` per solved zone (empty on a monolithic fallback)."""
+    is ``"interference"``, ``"sharded"`` or ``"monolithic"``); the inherited
+    ``zone_reports`` holds one :class:`ZoneReport` per solved zone (empty on
+    a monolithic fallback)."""
 
     partition_method: str = "monolithic"
     partition_reason: str = ""
-    zone_reports: List[ZoneReport] = field(default_factory=list)
 
     @property
     def zone_count(self) -> int:
@@ -574,6 +574,9 @@ class ParallelOptimizer:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
+
+    def mark_dirty(self, vms: Iterable[str]) -> None:
+        """Optimizer surface; a cold solve re-decides every VM anyway."""
 
     def __enter__(self) -> "ParallelOptimizer":
         return self

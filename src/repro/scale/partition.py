@@ -46,11 +46,9 @@ When neither strategy yields at least two non-empty zones the result's
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import (
     AbstractSet,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -60,6 +58,7 @@ from typing import (
 )
 
 from ..constraints.base import PlacementConstraint
+from ..constraints.domains import vm_domains
 from ..model.configuration import Configuration
 from ..model.vm import VMState
 
@@ -163,97 +162,6 @@ def placed_vms(target_states: Mapping[str, VMState]) -> List[str]:
         for name, state in target_states.items()
         if state is VMState.RUNNING
     ]
-
-
-def _membership_index(
-    constraints: Sequence[PlacementConstraint],
-) -> Tuple[Dict[str, List[PlacementConstraint]], List[PlacementConstraint]]:
-    """Index the catalog by declared VM membership.
-
-    Returns ``(by_vm, universal)``: ``by_vm`` maps each VM name to the
-    constraints that declare it a member (in catalog order), ``universal``
-    holds the constraints with no declared members (``MaxOnline``,
-    ``RunningCapacity``…), which every VM must still ask.
-
-    This relies on the catalog contract that a constraint with declared
-    ``vms`` returns ``None`` from ``allowed_nodes`` for non-members (every
-    :class:`~repro.constraints.base.VMGroupConstraint` gates on ``vm_set``),
-    so non-members never need to ask it — the lazy domains below are exact,
-    which the differential suite pins against
-    :func:`repro.scale.reference.vm_domains_reference`.
-    """
-    by_vm: Dict[str, List[PlacementConstraint]] = {}
-    universal: List[PlacementConstraint] = []
-    for constraint in constraints:
-        if constraint.vms:
-            members: Iterable[str] = getattr(
-                constraint, "vm_set", None
-            ) or set(constraint.vms)
-            for vm_name in members:
-                by_vm.setdefault(vm_name, []).append(constraint)
-        else:
-            universal.append(constraint)
-    return by_vm, universal
-
-
-_NO_CONSTRAINTS: Tuple[PlacementConstraint, ...] = ()
-
-
-#: Per-call memo sentinel for "not computed yet" (``None`` is a valid value:
-#: it means "no restriction").
-_UNSET = object()
-
-
-def vm_domains(
-    current: Configuration,
-    vms: Sequence[str],
-    constraints: Sequence[PlacementConstraint],
-) -> Dict[str, Optional[AbstractSet[str]]]:
-    """The unary placement domain of every VM in ``vms``: the intersection
-    of each constraint's ``allowed_nodes``, or ``None`` when unrestricted.
-
-    Lazy on two axes: each VM only asks the constraints it is a member of
-    (plus the member-less universal ones) via :func:`_membership_index` —
-    O(total memberships), not O(VMs x constraints) — and constraints whose
-    restriction is VM-independent
-    (:attr:`~repro.constraints.base.PlacementConstraint.uniform_restriction`)
-    compute it *once* per call; their members then share one frozen domain
-    object instead of each rebuilding an O(fleet) set.  Callers must treat
-    the returned domains as read-only (the partitioner only ever reads
-    them)."""
-    node_names = current.node_names
-    by_vm, universal = _membership_index(constraints)
-    domains: Dict[str, Optional[AbstractSet[str]]] = {}
-    memo: Dict[int, Optional[AbstractSet[str]]] = {}
-    for vm_name in vms:
-        allowed: Optional[AbstractSet[str]] = None
-        for constraint in chain(
-            by_vm.get(vm_name, _NO_CONSTRAINTS), universal
-        ):
-            restriction: Optional[AbstractSet[str]]
-            if constraint.uniform_restriction:
-                cached = memo.get(id(constraint), _UNSET)
-                if cached is _UNSET:
-                    computed = constraint.allowed_nodes(
-                        vm_name, node_names, current
-                    )
-                    restriction = (
-                        None if computed is None else frozenset(computed)
-                    )
-                    memo[id(constraint)] = restriction
-                else:
-                    restriction = cached  # type: ignore[assignment]
-            else:
-                restriction = constraint.allowed_nodes(
-                    vm_name, node_names, current
-                )
-            if restriction is None:
-                continue
-            allowed = (
-                restriction if allowed is None else allowed & restriction
-            )
-        domains[vm_name] = allowed
-    return domains
 
 
 def _anchor_node(current: Configuration, vm_name: str) -> Optional[str]:

@@ -5,8 +5,14 @@ unmodified under at least two registered policies and yields comparable
 structured results.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro import ExperimentBuilder, RunResult, Scenario
 from repro.api import RecordingObserver
 from repro.model import make_working_nodes
@@ -228,3 +234,42 @@ class TestExperimentBuilder:
         assert loop.queue.all_terminated()
         assert loop.cluster.configuration.is_viable()
         assert result.metadata["final_viable"] is True
+
+
+NO_RUNTIME_DEPENDENCY_PROBE = """
+import sys
+
+from repro import Scenario
+from repro.model import make_working_nodes
+from repro.testing import make_workload
+
+result = Scenario(
+    nodes=make_working_nodes(4, cpu_capacity=2, memory_capacity=4096),
+    workloads=[
+        make_workload(f"job-{i}", vm_count=2, duration=60.0) for i in range(3)
+    ],
+    policy="consolidation",
+    engine="repair-partitioned",
+    optimizer_timeout=2.0,
+).run()
+assert result.metadata["final_viable"] is True
+assert "numpy" not in sys.modules, "a round imported numpy"
+"""
+
+
+def test_a_full_run_imports_no_third_party_runtime_dependency():
+    """The package declares no runtime dependency: a whole run through the
+    most composed engine (model layer, partitioner, repair, CP solver) must
+    not pull numpy in.  A fresh interpreter, because the test process itself
+    has it loaded (Hypothesis probes for it)."""
+    src_dir = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src_dir, env.get("PYTHONPATH")])
+    )
+    subprocess.run(
+        [sys.executable, "-c", NO_RUNTIME_DEPENDENCY_PROBE],
+        check=True,
+        env=env,
+        timeout=120,
+    )

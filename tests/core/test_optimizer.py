@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.constraints import Fence, Spread, violated_constraints
 from repro.core.optimizer import ContextSwitchOptimizer
 from repro.decision.ffd import ffd_target_configuration
 from repro.model.configuration import Configuration
@@ -131,3 +132,66 @@ class TestVJobConsistencyIntegration:
             if action.kind.value == "resume"
         }
         assert len(resume_pools) == 1
+
+
+_EVERY_VM_PINNED = {
+    "a": "node-0",
+    "b": "node-1",
+    "c": "node-2",
+    "sleepy": "node-3",
+    "newcomer": "node-3",
+}
+
+
+class TestOneModelBuilder:
+    """One builder serves the cold solve, the folded repair fast path and
+    the pinned-variable path: each must honour pins, capacities and the
+    catalog, and refuse unsatisfiable pins instead of unpinning."""
+
+    @pytest.mark.parametrize(
+        "pinned, constraints, solvable",
+        [
+            pytest.param(None, [], True, id="no-pins"),
+            pytest.param(
+                {"a": "node-0", "b": "node-1"}, [], True, id="pins-empty-catalog"
+            ),
+            pytest.param(
+                {"a": "node-0", "b": "node-1"},
+                [Fence(["newcomer", "sleepy"], ["node-1", "node-2"])],
+                True,
+                id="pins-fence",
+            ),
+            pytest.param(
+                {"a": "node-0", "c": "node-2"},
+                [Spread(["a", "newcomer", "sleepy"])],
+                True,
+                id="pins-spread",
+            ),
+            pytest.param(_EVERY_VM_PINNED, [], True, id="every-vm-pinned"),
+            pytest.param({"a": "node-9"}, [], False, id="pin-to-removed-node"),
+            pytest.param(
+                {"a": "node-0"},
+                [Fence(["a"], ["node-1", "node-2"])],
+                False,
+                id="pin-outside-its-fence",
+            ),
+        ],
+    )
+    def test_pins_capacities_and_catalog_are_honoured(
+        self, cluster, pinned, constraints, solvable
+    ):
+        states = {name: VMState.RUNNING for name in cluster.vm_names}
+        assignment, _, _ = ContextSwitchOptimizer(timeout=5).search_assignment(
+            cluster, states, constraints, pinned=pinned
+        )
+        if not solvable:
+            assert assignment is None
+            return
+        assert set(assignment) == set(cluster.vm_names)
+        for vm, node in (pinned or {}).items():
+            assert assignment[vm] == node
+        target = cluster.copy()
+        for vm, node in assignment.items():
+            target.set_running(vm, node)
+        assert target.is_viable()
+        assert violated_constraints(target, constraints) == []

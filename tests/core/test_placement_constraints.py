@@ -8,7 +8,8 @@ target configuration.
 
 import pytest
 
-from repro.core import Ban, ContextSwitchOptimizer, Fence, Gather, Spread, check_constraints
+from repro.constraints import Ban, Fence, Gather, Spread, violated_constraints
+from repro.core import ContextSwitchOptimizer
 from repro.cp import AllDifferent
 from repro.model.configuration import Configuration
 from repro.model.errors import PlanningError
@@ -53,7 +54,7 @@ class TestConstraintSemantics:
         assert not Fence(["c"], ["node-0"]).is_satisfied_by(configuration)
 
     def test_check_constraints_lists_violations(self, configuration):
-        violated = check_constraints(
+        violated = violated_constraints(
             configuration, [Spread(["a", "b"]), Ban(["c"], ["node-2"])]
         )
         assert len(violated) == 1
@@ -146,4 +147,4 @@ class TestOptimizerIntegration:
         report = switcher.compute(
             configuration, {}, constraints=[Spread(["a", "b"])]
         )
-        assert not check_constraints(report.target, [Spread(["a", "b"])])
+        assert not violated_constraints(report.target, [Spread(["a", "b"])])

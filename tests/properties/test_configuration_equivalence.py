@@ -15,25 +15,20 @@ node re-add — and asserts after *every* step that
 * ``placement()`` / ``vms_on`` / ``images_on`` / ``states()``
 
 never diverge, and that an operation raising on one side raises the same
-error on the other.  The whole suite runs under both column backends (numpy
-and the pure-python fallback).
+error on the other.
 """
 
 from __future__ import annotations
-
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.model import (
-    BACKEND_ENV,
     Configuration,
     NaiveConfiguration,
     Node,
     VirtualMachine,
 )
-from repro.model.columns import LoadColumns
 from repro.sim.faults import evict_node
 
 MEMORY_CHOICES = (256, 512, 1024)
@@ -182,38 +177,10 @@ def _run_lockstep(sequence):
     _assert_equivalent(indexed.copy(), naive)
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=225, deadline=None)
 @given(mutation_sequences())
 def test_indexed_configuration_matches_naive_oracle(sequence):
     _run_lockstep(sequence)
-
-
-@settings(max_examples=75, deadline=None)
-@given(mutation_sequences())
-def test_indexed_configuration_matches_naive_oracle_python_backend(sequence):
-    previous = os.environ.get(BACKEND_ENV)
-    os.environ[BACKEND_ENV] = "python"
-    try:
-        _run_lockstep(sequence)
-    finally:
-        if previous is None:
-            del os.environ[BACKEND_ENV]
-        else:
-            os.environ[BACKEND_ENV] = previous
-
-
-def test_python_backend_env_actually_disables_numpy():
-    previous = os.environ.get(BACKEND_ENV)
-    os.environ[BACKEND_ENV] = "python"
-    try:
-        columns = LoadColumns()
-        columns.add("n0", 2, 2048)
-        assert isinstance(columns._cpu_usage, list)
-    finally:
-        if previous is None:
-            del os.environ[BACKEND_ENV]
-        else:
-            os.environ[BACKEND_ENV] = previous
 
 
 def test_crash_evict_under_churn_never_leaves_stale_loads():

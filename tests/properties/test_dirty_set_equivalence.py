@@ -1,0 +1,175 @@
+"""The dirty-region rule reads the shared domain function — same answer.
+
+:func:`repro.repair.compute_dirty_set` used to decide "is this VM's host
+still allowed?" by asking every constraint's ``allowed_nodes`` for every
+running VM; it now tests ``host in vm_domains(...)[vm]``, the one placement
+domain the model builder and the partitioner use too.  The property holds
+the rule against a test-local oracle that keeps the per-constraint sweep,
+over random fleets under every catalog relation with a unary face — ``Fence``
+(strict, and elastic after a crash shrank it), ``Ban``, ``Among``, ``Root`` —
+plus ``Spread`` (relational closure only) and a member-less custom
+constraint (the "universal" branch of the membership index).
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings, strategies as st
+
+from repro.constraints import (
+    Among,
+    Ban,
+    Fence,
+    PlacementConstraint,
+    Root,
+    Spread,
+)
+from repro.model.configuration import Configuration
+from repro.model.node import Node
+from repro.model.vm import VirtualMachine, VMState
+from repro.repair import compute_dirty_set
+from repro.repair.engine import _relational_closure
+
+
+class Quarantine(PlacementConstraint):
+    """A custom relation with no declared members: *no* VM may run on the
+    quarantined node."""
+
+    def __init__(self, node):
+        self.node = node
+
+    def allowed_nodes(self, vm_name, node_names, configuration=None):
+        return {name for name in node_names if name != self.node}
+
+    def is_satisfied_by(self, configuration):
+        return not configuration.vms_on(self.node)
+
+
+def _dirty_set_oracle(
+    current, states, running_vms, constraints, marks, previous, halo
+):
+    """``compute_dirty_set`` with the historical invalidated-placement rule:
+    every running VM asks every constraint."""
+    running_set = set(running_vms)
+    node_names = current.node_names
+    dirty = {vm for vm in marks if vm in running_set}
+    for vm in running_vms:
+        if vm in dirty:
+            continue
+        if current.state_of(vm) is not VMState.RUNNING:
+            dirty.add(vm)
+            continue
+        host = current.location_of(vm)
+        if previous is not None and previous.get(vm) != host:
+            dirty.add(vm)
+            continue
+        for constraint in constraints:
+            allowed = constraint.allowed_nodes(vm, node_names, current)
+            if allowed is not None and host not in allowed:
+                dirty.add(vm)
+                break
+    _relational_closure(dirty, constraints, running_set)
+    for _ in range(max(0, halo)):
+        hosts = {
+            current.location_of(vm)
+            for vm in dirty
+            if current.state_of(vm) is VMState.RUNNING
+        }
+        if not hosts:
+            break
+        before = len(dirty)
+        for vm in running_vms:
+            if (
+                vm not in dirty
+                and current.state_of(vm) is VMState.RUNNING
+                and current.location_of(vm) in hosts
+            ):
+                dirty.add(vm)
+        _relational_closure(dirty, constraints, running_set)
+        if len(dirty) == before:
+            break
+    return dirty
+
+
+@st.composite
+def constrained_rounds(draw):
+    node_count = draw(st.integers(min_value=3, max_value=6))
+    nodes = [f"n{i}" for i in range(node_count)]
+    configuration = Configuration(
+        nodes=[
+            Node(name=name, cpu_capacity=4, memory_capacity=8192)
+            for name in nodes
+        ]
+    )
+    vm_count = draw(st.integers(min_value=3, max_value=9))
+    vms = [f"v{i}" for i in range(vm_count)]
+    for name in vms:
+        configuration.add_vm(VirtualMachine(name=name, memory=256, cpu_demand=0))
+        kind = draw(st.sampled_from(("running", "running", "sleeping", "waiting")))
+        host = draw(st.sampled_from(nodes))
+        if kind == "running":
+            configuration.set_running(name, host)
+        elif kind == "sleeping":
+            configuration.set_sleeping(name, host)
+
+    def some(items, min_size=1):
+        return draw(
+            st.lists(
+                st.sampled_from(items),
+                min_size=min_size,
+                max_size=len(items),
+                unique=True,
+            )
+        )
+
+    constraints = []
+    for kind in draw(
+        st.lists(
+            st.sampled_from(
+                ("fence", "shrunk", "ban", "among", "root", "spread", "custom")
+            ),
+            max_size=5,
+        )
+    ):
+        if kind == "fence":
+            constraints.append(Fence(some(vms), some(nodes)))
+        elif kind == "shrunk":
+            # An elastic fence after one of its nodes crashed: the repair
+            # hook dropped the node, members still on it are invalidated.
+            fence = Fence(some(vms), some(nodes, min_size=2), elastic=True)
+            constraints.append(
+                fence.on_node_failure(draw(st.sampled_from(sorted(fence.nodes))))
+            )
+        elif kind == "ban":
+            constraints.append(Ban(some(vms), some(nodes)))
+        elif kind == "among":
+            split = draw(st.integers(min_value=1, max_value=node_count - 1))
+            constraints.append(Among(some(vms), [nodes[:split], nodes[split:]]))
+        elif kind == "root":
+            constraints.append(Root(some(vms)))
+        elif kind == "spread":
+            constraints.append(Spread(some(vms, min_size=2)))
+        else:
+            constraints.append(Quarantine(draw(st.sampled_from(nodes))))
+
+    running_vms = some(vms)
+    states = {name: VMState.RUNNING for name in running_vms}
+    marks = draw(st.lists(st.sampled_from(vms), max_size=3, unique=True))
+    # The last accepted assignment: the observed placement, with a few hosts
+    # rewritten so the divergence rule fires too (or no history at all).
+    previous = None
+    if draw(st.booleans()):
+        previous = {
+            name: configuration.location_of(name)
+            for name in running_vms
+            if configuration.state_of(name) is VMState.RUNNING
+        }
+        for name in draw(st.lists(st.sampled_from(vms), max_size=2)):
+            previous[name] = draw(st.sampled_from(nodes))
+    halo = draw(st.integers(min_value=0, max_value=2))
+    return configuration, states, running_vms, constraints, marks, previous, halo
+
+
+@settings(max_examples=150, deadline=None)
+@given(constrained_rounds())
+def test_dirty_set_matches_the_per_constraint_sweep(round_inputs):
+    assert compute_dirty_set(*round_inputs) == _dirty_set_oracle(*round_inputs)
