@@ -17,9 +17,8 @@ control loop absorbs them:
   scenario engine's own overhead stays on the performance trajectory.
 
 Run standalone (``python benchmarks/bench_chaos_recovery.py``) for the full
-sweep, or through ``benchmarks/harness.py`` which records the results into
-``BENCH_PR3.json``.  There is also a pytest entry point
-(``bench_chaos_recovery_smoke``) covering the smallest tier.
+sweep; there is also a pytest entry point (``bench_chaos_recovery_smoke``)
+covering the smallest tier.
 """
 
 from __future__ import annotations

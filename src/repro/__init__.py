@@ -27,8 +27,7 @@ The package provides:
   FCFS + EASY backfilling baseline), all registered in :mod:`repro.api`;
 * :mod:`repro.sim` — a discrete-event cluster simulator calibrated on the
   paper's measurements (Xen/Ganglia/NFS substitute);
-* :mod:`repro.entropy` — the historical loop entry point and the
-  static-allocation baseline;
+* :mod:`repro.entropy` — the analytic static-allocation (FCFS) baseline;
 * :mod:`repro.workloads` — NASGrid-like vjobs and configuration generators;
 * :mod:`repro.analysis` — metrics and report helpers for the experiments;
 * :mod:`repro.testing` — factories shared by the test-suite and examples.

@@ -4,7 +4,7 @@ The :class:`ClusterContextSwitch` facade ties the pieces of Section 4 together:
 the decision module supplies the desired state of each VM, the optimizer picks
 a cheap viable placement, the planner sequences the actions into pools, and the
 cost model prices the resulting plan.  This is the object the Entropy control
-loop (:mod:`repro.entropy.loop`) manipulates at every iteration.
+loop (:mod:`repro.api.loop`) manipulates at every iteration.
 """
 
 from __future__ import annotations

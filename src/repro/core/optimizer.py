@@ -85,14 +85,9 @@ class ContextSwitchOptimizer:
         planner_options: Optional[PlannerOptions] = None,
         first_solution_only: bool = False,
         engine: str = "event",
-        use_greedy_bound: bool = True,
-        node_limit: Optional[int] = None,
     ) -> None:
         """``engine`` selects the propagation engine (``"event"`` or the
-        naive ``"fixpoint"`` reference); ``use_greedy_bound=False`` disables
-        the greedy incumbent so the search effort itself can be measured
-        (used by ``benchmarks/bench_solver_scaling.py``); ``node_limit``
-        caps the search-tree size deterministically."""
+        naive ``"fixpoint"`` reference)."""
         if engine not in ENGINES:
             raise SolverError(
                 f"unknown propagation engine {engine!r}; expected one of {ENGINES}"
@@ -101,8 +96,6 @@ class ContextSwitchOptimizer:
         self.planner = ReconfigurationPlanner(planner_options)
         self.first_solution_only = first_solution_only
         self.engine = engine
-        self.use_greedy_bound = use_greedy_bound
-        self.node_limit = node_limit
 
     # ------------------------------------------------------------------ #
     # public API                                                          #
@@ -525,7 +518,7 @@ class ContextSwitchOptimizer:
         # requested.
         greedy = (
             self._greedy_assignment(current, running_vms, pinned=pins)
-            if self.use_greedy_bound and not constraints
+            if not constraints
             else None
         )
         initial_bound = None
@@ -550,7 +543,6 @@ class ContextSwitchOptimizer:
             collect_all=True,
             first_solution_only=self.first_solution_only,
             initial_bound=initial_bound,
-            node_limit=self.node_limit,
         )
         improving = [
             solution.objective * scale

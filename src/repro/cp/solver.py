@@ -23,8 +23,8 @@ follows the strategy described in Section 4.3 of the paper:
 
 The previous solver generation re-propagated *every* constraint to a fixpoint
 after *every* decision; that behaviour is retained as the ``"fixpoint"``
-reference engine so equivalence can be property-tested and the speedup of the
-event engine benchmarked (``benchmarks/bench_solver_scaling.py``).
+reference engine so equivalence can be property-tested
+(``tests/properties/test_propagation_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..model.errors import InconsistencyError, SolverError
 from ..obs import NULL_SPAN, Span
@@ -398,8 +398,8 @@ class Solver:
         constraints watching a changed variable through the
         priority-bucketed queue; ``"fixpoint"`` re-propagates every
         constraint after every decision (the first-generation reference
-        behaviour, retained so equivalence can be property-tested and the
-        speedup benchmarked).  Both engines walk identical search trees.
+        behaviour, retained so equivalence can be property-tested).  Both
+        engines walk identical search trees.
 
     Effort is bounded per :meth:`solve` call via ``timeout`` (wall-clock)
     and ``node_limit`` (deterministic search-tree cap) — see
@@ -442,7 +442,6 @@ class Solver:
         first_solution_only: bool = False,
         initial_bound: Optional[int] = None,
         node_limit: Optional[int] = None,
-        assumptions: Optional[Mapping[IntVar, int]] = None,
     ) -> SearchResult:
         """Run the search.
 
@@ -470,19 +469,7 @@ class Solver:
         node_limit:
             Maximum number of search-tree nodes to expand; like the timeout,
             reaching it returns the best solution so far without an optimality
-            proof.  Handy for deterministic effort caps in benchmarks.
-        assumptions:
-            Root-level forced assignments (warm-start pins): each
-            ``var -> value`` is applied once before the initial propagation,
-            in iteration order.  An assumption whose value is no longer in
-            the variable's domain — or whose application propagates to a
-            contradiction — makes the whole search infeasible and an empty
-            result is returned immediately (no exception); the repair layer
-            reacts by widening its neighbourhood or falling back to the
-            monolithic solve.  Note that with assumptions an exhausted
-            search only proves optimality *of the assumed subproblem*;
-            callers must not surface ``proven_optimal`` as a claim about
-            the unpinned problem.
+            proof.  Handy for deterministic effort caps in tests.
         """
         # The span wraps the whole search so a trace shows the true solve
         # duration; the search counters land on it as span counters and the
@@ -498,7 +485,6 @@ class Solver:
                 first_solution_only=first_solution_only,
                 initial_bound=initial_bound,
                 node_limit=node_limit,
-                assumptions=assumptions,
                 trace_span=trace_span,
             )
             stats = result.statistics
@@ -521,7 +507,6 @@ class Solver:
         first_solution_only: bool = False,
         initial_bound: Optional[int] = None,
         node_limit: Optional[int] = None,
-        assumptions: Optional[Mapping[IntVar, int]] = None,
         trace_span: Span = NULL_SPAN,
     ) -> SearchResult:
         event = self._engine == "event"
@@ -664,20 +649,7 @@ class Solver:
                         constraint, (var.index for var in constraint.variables())
                     )
                     store.schedule(constraint)
-            feasible = True
-            if assumptions:
-                try:
-                    for pinned_var, pinned_value in assumptions.items():
-                        if pinned_value not in pinned_var:
-                            raise InconsistencyError(
-                                f"assumption {pinned_var.name}={pinned_value} "
-                                "is outside the variable's domain"
-                            )
-                        store.assign(pinned_var, pinned_value)
-                except InconsistencyError:
-                    store.clear_queue()
-                    feasible = False
-            if feasible and propagate():
+            if propagate():
                 search()
         finally:
             # Unwind every level so the model's domains are restored even when

@@ -1,25 +1,13 @@
-"""The Entropy control loop and the static-allocation baseline.
+"""The static-allocation baseline of the evaluation.
 
-The loop itself now lives in :mod:`repro.api`; this package keeps the
-historical entry points (:class:`EntropySimulation`, the consolidation-driven
-loop) and the analytic FCFS baseline (:class:`StaticAllocationSimulator`).
+The Entropy control loop lives in :mod:`repro.api`; this package keeps the
+analytic FCFS baseline it is compared against
+(:class:`StaticAllocationSimulator`).
 """
 
-from .loop import (
-    ContextSwitchRecord,
-    EntropySimulation,
-    RunResult,
-    SimulationResult,
-    UtilizationSample,
-)
 from .static import StaticAllocationSimulator, StaticRunResult
 
 __all__ = [
-    "ContextSwitchRecord",
-    "EntropySimulation",
-    "RunResult",
-    "SimulationResult",
-    "UtilizationSample",
     "StaticAllocationSimulator",
     "StaticRunResult",
 ]

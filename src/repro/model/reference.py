@@ -6,9 +6,7 @@ serves from its columnar caches.  It is the *oracle* of the differential test
 harness: the Hypothesis suite in
 ``tests/properties/test_configuration_equivalence.py`` drives an indexed
 configuration and a naive one in lockstep through random mutation sequences
-and asserts the answers never diverge, and the scale benchmark
-(``benchmarks/bench_model_scale.py``) times both paths to prove the speedup
-claimed in PERFORMANCE.md.
+and asserts the answers never diverge.
 
 The class inherits every *mutator* unchanged — state transitions are not what
 the refactor touched — and overrides only the reads, recomputing each answer

@@ -18,11 +18,9 @@ disjoint and that every zone VM's candidate nodes lie inside its zone, so
 * every relational constraint is confined to one zone, whose sub-model
   compiles and enforces it.
 
-Budgets are carved from the global budget: each zone receives a share of the
-``node_limit`` search budget proportional to its VM count, and the
-wall-clock ``timeout`` bounds the whole solve — zones that genuinely overlap
-each get the full timeout, while zones the executor runs sequentially (the
-serial executor, or more zones than workers queuing in waves on the pool)
+The wall-clock ``timeout`` bounds the whole solve — zones that genuinely
+overlap each get the full timeout, while zones the executor runs sequentially
+(the serial executor, or more zones than workers queuing in waves on the pool)
 share it, so a partitioned round stays within the per-round time budget the
 monolithic engine honours.  When the
 partitioner finds no decomposition — or any zone turns out infeasible under
@@ -100,9 +98,6 @@ class ZoneTask:
     configuration: Configuration
     engine: str = "event"
     timeout: float = 40.0
-    node_limit: Optional[int] = None
-    use_greedy_bound: bool = True
-    first_solution_only: bool = False
     #: VM -> node-name placements frozen by the repair engine (only pins
     #: whose VM *and* node lie inside the zone are carried; a zone whose VMs
     #: are all pinned never reaches a worker — see ``_solve_zones``).
@@ -211,13 +206,7 @@ def _solve_zone_traced(task: ZoneTask, zone_span: Span) -> ZoneOutcome:
         nodes=len(task.zone.nodes),
         pinned=len(task.pinned or {}),
     )
-    optimizer = ContextSwitchOptimizer(
-        timeout=task.timeout,
-        engine=task.engine,
-        use_greedy_bound=task.use_greedy_bound,
-        node_limit=task.node_limit,
-        first_solution_only=task.first_solution_only,
-    )
+    optimizer = ContextSwitchOptimizer(timeout=task.timeout, engine=task.engine)
     states = {vm: VMState.RUNNING for vm in task.zone.vms}
     started = time.monotonic()
     assignment, statistics, _ = optimizer.search_assignment(
@@ -281,21 +270,20 @@ class ParallelOptimizer:
     constraint-induced partitions are used).
     """
 
+    #: Class-level defaults: ``__del__`` runs even when the constructor
+    #: raises — for a rejected keyword, before its first statement.
+    _pool: Optional[ProcessPoolExecutor] = None
+    _pool_size = 0
+
     def __init__(
         self,
         timeout: float = 40.0,
         planner_options=None,
-        first_solution_only: bool = False,
         engine: str = "event",
-        use_greedy_bound: bool = True,
-        node_limit: Optional[int] = None,
         max_workers: Optional[int] = None,
         zone_executor: str = "auto",
         shards: int | str | None = "auto",
     ) -> None:
-        #: Set first: ``__del__`` runs even when the constructor raises.
-        self._pool: Optional[ProcessPoolExecutor] = None
-        self._pool_size = 0
         if zone_executor not in ZONE_EXECUTORS:
             raise SolverError(
                 f"unknown zone executor {zone_executor!r}; expected one of "
@@ -303,9 +291,6 @@ class ParallelOptimizer:
             )
         self.timeout = timeout
         self.engine = engine
-        self.use_greedy_bound = use_greedy_bound
-        self.node_limit = node_limit
-        self.first_solution_only = first_solution_only
         self.max_workers = max_workers
         self.zone_executor = zone_executor
         #: Fallback shard count: ``"auto"`` follows ``max_workers`` (4 when
@@ -319,10 +304,7 @@ class ParallelOptimizer:
         self.monolithic = ContextSwitchOptimizer(
             timeout=timeout,
             planner_options=planner_options,
-            first_solution_only=first_solution_only,
             engine=engine,
-            use_greedy_bound=use_greedy_bound,
-            node_limit=node_limit,
         )
 
     # ------------------------------------------------------------------ #
@@ -455,21 +437,16 @@ class ParallelOptimizer:
         waves: int = 1,
         pins_by_zone: Optional[Mapping[int, dict[str, str]]] = None,
     ) -> List[ZoneTask]:
-        """One task per zone, with the global budgets carved: each zone gets
-        the ``node_limit`` search budget proportionally to its share of the
-        placed VMs, and — when the executor cannot overlap every zone —
-        ``1/waves`` of the wall-clock ``timeout`` (``waves`` is how many
-        batches the zones queue in), so a partitioned solve never exceeds
-        the control loop's per-round time budget.  ``zones`` is a full
+        """One task per zone, with the global budget carved: when the
+        executor cannot overlap every zone, each gets ``1/waves`` of the
+        wall-clock ``timeout`` (``waves`` is how many batches the zones
+        queue in), so a partitioned solve never exceeds the control loop's
+        per-round time budget.  ``zones`` is a full
         decomposition or the subset of its zones still pending after the
         repair composition reused the fully-pinned ones."""
         zones = getattr(zones, "zones", zones)
-        total_vms = sum(zone.size for zone in zones) or 1
         tasks = []
         for zone in zones:
-            budget = None
-            if self.node_limit is not None:
-                budget = max(1, round(self.node_limit * zone.size / total_vms))
             pins = (pins_by_zone or {}).get(zone.index) or None
             tasks.append(
                 ZoneTask(
@@ -479,9 +456,6 @@ class ParallelOptimizer:
                     timeout=max(
                         _MIN_ZONE_TIMEOUT_S, self.timeout / max(1, waves)
                     ),
-                    node_limit=budget,
-                    use_greedy_bound=self.use_greedy_bound,
-                    first_solution_only=self.first_solution_only,
                     pinned=pins,
                 )
             )

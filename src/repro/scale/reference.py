@@ -11,8 +11,8 @@ partitioner's output — zone node sets, VM assignment, exactness flag, scoped
 constraints — byte-identical to the historical answer on seeded constrained
 fleets.
 
-Nothing in the production stack should call this module; it exists for tests
-and for the scale benchmark's naive timing lane.
+Nothing in the production stack should call this module; it exists for
+tests.
 """
 
 from __future__ import annotations

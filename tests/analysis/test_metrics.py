@@ -14,7 +14,7 @@ from repro.analysis.metrics import (
     resample,
     switch_statistics,
 )
-from repro.entropy.loop import ContextSwitchRecord, UtilizationSample
+from repro.api.results import ContextSwitchRecord, UtilizationSample
 
 
 def record(cost=1000, duration=60.0, migrations=1, suspends=0, resumes=0, local=0,

@@ -1,10 +1,9 @@
-"""Root-level assumptions and pinned (unary-domain) variables.
+"""Pinned (unary-domain) variables.
 
-The repair engine warm-starts a solve by freezing clean VMs: either as
-``pinned_var`` unary variables built into the model, or as root ``assumptions``
-applied before the initial propagation.  Both must behave like ordinary
-assignments — propagate, participate in constraints — and an impossible
-assumption must yield a graceful infeasible result, never an exception.
+The repair engine warm-starts a solve by freezing clean VMs as
+``pinned_var`` unary variables built into the model.  They must behave like
+ordinary assignments — propagate, participate in constraints — and an
+impossible pin must yield a graceful infeasible result, never an exception.
 """
 
 import pytest
@@ -12,12 +11,10 @@ import pytest
 from repro.cp import (
     AllDifferent,
     ElementSum,
-    LinearLessEqual,
     Model,
     Solver,
     make_pinned_var,
 )
-from repro.cp.variables import make_int_var
 from repro.model.errors import SolverError
 
 
@@ -56,58 +53,3 @@ class TestPinnedVariables:
         model.add_constraint(AllDifferent([a, b]))
         result = Solver(model).solve()
         assert not result.has_solution
-
-
-class TestAssumptions:
-    def _model(self):
-        model = Model()
-        x = model.int_var("x", [0, 1])
-        y = model.int_var("y", [0, 1])
-        model.add_constraint(AllDifferent([x, y]))
-        return model, x, y
-
-    def test_assumption_forces_the_assignment(self):
-        model, x, _y = self._model()
-        result = Solver(model).solve(assumptions={x: 0})
-        assert result.has_solution
-        assert result.best["x"] == 0
-        assert result.best["y"] == 1
-
-    def test_out_of_domain_assumption_is_infeasible(self):
-        model, x, _y = self._model()
-        result = Solver(model).solve(assumptions={x: 5})
-        assert not result.has_solution
-
-    def test_conflicting_assumptions_are_infeasible(self):
-        model, x, y = self._model()
-        result = Solver(model).solve(assumptions={x: 1, y: 1})
-        assert not result.has_solution
-
-    def test_assumptions_restrict_the_optimum_to_the_subproblem(self):
-        model = Model()
-        x = model.int_var("x", [0, 1])
-        cost = model.int_var("cost", range(0, 11))
-        model.add_constraint(ElementSum([x], [{0: 10, 1: 0}], cost))
-        free = Solver(model).solve(minimize=cost)
-        assert free.best.objective == 0
-
-        model2 = Model()
-        x2 = model2.int_var("x", [0, 1])
-        cost2 = model2.int_var("cost", range(0, 11))
-        model2.add_constraint(ElementSum([x2], [{0: 10, 1: 0}], cost2))
-        assumed = Solver(model2).solve(minimize=cost2, assumptions={x2: 0})
-        assert assumed.has_solution
-        assert assumed.best["x"] == 0
-        # the optimum of the *assumed* subproblem, worse than the free one
-        assert assumed.best.objective == 10
-
-    def test_assumption_on_constrained_capacity(self):
-        # pinning one consumer onto a full bin must fail the packing
-        model = Model()
-        x = model.int_var("x", [0, 1])
-        y = model.int_var("y", [0])
-        model.add_constraint(LinearLessEqual([x, y], [1, 1], 0))
-        result = Solver(model).solve(assumptions={x: 1})
-        assert not result.has_solution
-        unconstrained = Solver(Model()).solve()
-        assert unconstrained.has_solution  # empty model sanity

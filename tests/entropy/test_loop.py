@@ -1,8 +1,7 @@
 """Tests of the Entropy control loop simulation."""
 
-import pytest
-
-from repro.entropy.loop import EntropySimulation
+from repro import config
+from repro.api.loop import ControlLoop
 from repro.model.node import make_working_nodes
 from repro.model.vjob import VJob, VJobState
 from repro.model.vm import VirtualMachine
@@ -24,10 +23,24 @@ def simple_workload(name, vm_count=2, memory=512, duration=120.0, priority=0, id
     return VJobWorkload(vjob=vjob, traces={vm.name: trace for vm in vms})
 
 
+def consolidation_loop(nodes, workloads, **options):
+    """The loop wired to the paper's sample policy (dynamic consolidation,
+    Section 3.2) at the default decision period."""
+    period = config.DECISION_PERIOD_S
+    return ControlLoop(
+        nodes,
+        workloads,
+        policy="consolidation",
+        policy_options={"period": period},
+        period=period,
+        **options,
+    )
+
+
 class TestSingleVJob:
     def test_vjob_runs_to_completion(self):
         nodes = make_working_nodes(2, cpu_capacity=2, memory_capacity=4096)
-        simulation = EntropySimulation(
+        simulation = consolidation_loop(
             nodes, [simple_workload("j", vm_count=2, duration=100.0)],
             optimizer_timeout=2.0,
         )
@@ -46,7 +59,7 @@ class TestSingleVJob:
             simple_workload("a", vm_count=1, duration=60.0, priority=1),
             simple_workload("b", vm_count=1, duration=60.0, priority=2),
         ]
-        simulation = EntropySimulation(nodes, workloads, optimizer_timeout=2.0)
+        simulation = consolidation_loop(nodes, workloads, optimizer_timeout=2.0)
         result = simulation.run()
         assert simulation.queue.get("a").is_terminated
         assert simulation.queue.get("b").is_terminated
@@ -63,7 +76,7 @@ class TestOverloadHandling:
             simple_workload("high", vm_count=1, duration=90.0, priority=1, idle_head=60.0),
             simple_workload("low", vm_count=1, duration=90.0, priority=2, idle_head=60.0),
         ]
-        simulation = EntropySimulation(nodes, workloads, optimizer_timeout=2.0)
+        simulation = consolidation_loop(nodes, workloads, optimizer_timeout=2.0)
         result = simulation.run()
         suspends = sum(s.suspends for s in result.switches)
         resumes = sum(s.resumes for s in result.switches)
@@ -78,7 +91,7 @@ class TestOverloadHandling:
             simple_workload("a", vm_count=2, duration=80.0, priority=1, idle_head=30.0),
             simple_workload("b", vm_count=2, duration=80.0, priority=2, idle_head=30.0),
         ]
-        simulation = EntropySimulation(nodes, workloads, optimizer_timeout=2.0)
+        simulation = consolidation_loop(nodes, workloads, optimizer_timeout=2.0)
         simulation.run()
         assert simulation.cluster.configuration.is_viable()
 
@@ -86,7 +99,7 @@ class TestOverloadHandling:
 class TestRecords:
     def test_utilization_samples_are_collected(self):
         nodes = make_working_nodes(2, cpu_capacity=2, memory_capacity=4096)
-        simulation = EntropySimulation(
+        simulation = consolidation_loop(
             nodes, [simple_workload("j", vm_count=2, duration=100.0)],
             optimizer_timeout=2.0,
         )
@@ -102,7 +115,7 @@ class TestRecords:
             simple_workload("a", vm_count=2, duration=80.0, priority=1, idle_head=30.0),
             simple_workload("b", vm_count=2, duration=80.0, priority=2, idle_head=30.0),
         ]
-        simulation = EntropySimulation(nodes, workloads, optimizer_timeout=2.0)
+        simulation = consolidation_loop(nodes, workloads, optimizer_timeout=2.0)
         result = simulation.run()
         for record in result.switches:
             assert record.duration >= 0.0
@@ -114,7 +127,7 @@ class TestRecords:
         nodes = make_working_nodes(1, cpu_capacity=1, memory_capacity=512)
         # The VM can never run (not enough memory): the loop must stop anyway.
         workloads = [simple_workload("stuck", vm_count=1, memory=1024, duration=50.0)]
-        simulation = EntropySimulation(
+        simulation = consolidation_loop(
             nodes, workloads, optimizer_timeout=1.0, max_time=300.0
         )
         result = simulation.run()
@@ -126,6 +139,6 @@ class TestRecords:
         early = simple_workload("early", vm_count=1, duration=60.0, priority=1)
         late = simple_workload("late", vm_count=1, duration=60.0, priority=2)
         late.vjob.submitted_at = 120.0
-        simulation = EntropySimulation(nodes, [early, late], optimizer_timeout=2.0)
+        simulation = consolidation_loop(nodes, [early, late], optimizer_timeout=2.0)
         result = simulation.run()
         assert result.completion_times["late"] >= 120.0

@@ -9,11 +9,13 @@ version of the Section 5.2 campaign.
 
 import pytest
 
+from repro import config
 from repro.analysis.metrics import makespan_reduction, switch_statistics
+from repro.api.loop import ControlLoop
 from repro.core import ClusterContextSwitch, build_plan, plan_cost
 from repro.core.actions import ActionKind
 from repro.decision import ConsolidationDecisionModule
-from repro.entropy import EntropySimulation, StaticAllocationSimulator
+from repro.entropy import StaticAllocationSimulator
 from repro.model import Configuration, VJobQueue, VirtualMachine, VJob, make_working_nodes
 from repro.model.vm import VMState
 from repro.sim import PlanExecutor, SimulatedCluster
@@ -156,7 +158,15 @@ class TestReducedClusterCampaign:
             for i in range(4)
         ]
         nodes = make_working_nodes(4, cpu_capacity=2, memory_capacity=3584)
-        entropy = EntropySimulation(nodes, workloads, optimizer_timeout=2.0).run()
+        period = config.DECISION_PERIOD_S
+        entropy = ControlLoop(
+            nodes,
+            workloads,
+            policy="consolidation",
+            policy_options={"period": period},
+            period=period,
+            optimizer_timeout=2.0,
+        ).run()
         static = StaticAllocationSimulator(nodes, workloads).run()
         return entropy, static
 

@@ -20,7 +20,7 @@ from repro.scale import (
     solve_zone,
 )
 from repro.scale.parallel import ZoneOutcome, ZoneTask
-from repro.cp import SearchStatistics
+from repro.cp import Model, SearchStatistics, Solver
 from repro.testing import make_vm
 
 FENCE_A = ("node-0", "node-1", "node-2")
@@ -426,3 +426,31 @@ class TestPartitionedEngineWiring:
         )
         assert scenario.engine == "partitioned"
         assert scenario.max_workers == 2
+
+
+def _zone_task(**options):
+    configuration = _configuration()
+    zone = Zone(index=0, nodes=FENCE_A, vms=("vm0", "vm1", "vm2"))
+    return ZoneTask(zone=zone, configuration=configuration, **options)
+
+
+@pytest.mark.parametrize(
+    "build, option",
+    [
+        (ContextSwitchOptimizer, "use_greedy_bound"),
+        (ContextSwitchOptimizer, "node_limit"),
+        (ParallelOptimizer, "use_greedy_bound"),
+        (ParallelOptimizer, "node_limit"),
+        (ParallelOptimizer, "first_solution_only"),
+        (_zone_task, "use_greedy_bound"),
+        (_zone_task, "node_limit"),
+        (_zone_task, "first_solution_only"),
+        (Solver(Model()).solve, "assumptions"),
+    ],
+)
+def test_retired_solver_option_is_rejected(build, option):
+    """One way to bound a search (``timeout``; ``Solver.solve(node_limit=)``
+    below the optimizers) and one way to pin a VM (``Model.pinned_var``):
+    the options only the deleted perf sweeps set are gone, not ignored."""
+    with pytest.raises(TypeError, match=option):
+        build(**{option: None})

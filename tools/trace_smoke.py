@@ -32,8 +32,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
-if str(REPO_ROOT / "benchmarks") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 from repro.api import Scenario  # noqa: E402
 from repro.core.optimizer import ContextSwitchOptimizer  # noqa: E402
@@ -53,10 +51,9 @@ from repro.repair import RepairOptimizer  # noqa: E402
 from repro.workloads import (  # noqa: E402
     ChurnGenerator,
     ProblemClass,
+    TraceConfigurationGenerator,
     heterogeneous_nodes,
 )
-
-from bench_repair import HALO, build_instance  # noqa: E402
 
 #: The PR 7 churn tier the diff runs on: (VM count, churn fraction).
 DIFF_TIER = (100, 0.1)
@@ -108,14 +105,17 @@ def traced_loop_run() -> None:
 def _traced_churn_solves(repair: bool, seed: int = 1000) -> dict:
     """Replay the PR 7 churn rounds under one tracer; returns its trace."""
     vm_count, churn = DIFF_TIER
-    configuration, queue, vjob_of_vm = build_instance(vm_count, seed=seed)
+    # One generated fleet of the Section 5.1 shape: 2 VMs per node.
+    scenario = TraceConfigurationGenerator(
+        node_count=max(2, vm_count // 2), seed=seed
+    ).generate(vm_count)
+    configuration, queue = scenario.configuration, scenario.queue
+    vjob_of_vm = scenario.vjob_of_vm()
     states = dict(
         ConsolidationDecisionModule().decide(configuration, queue).vm_states
     )
     cold = ContextSwitchOptimizer(timeout=30.0, first_solution_only=True)
-    optimizer = (
-        RepairOptimizer(cold, timeout=30.0, halo=HALO) if repair else cold
-    )
+    optimizer = RepairOptimizer(cold, timeout=30.0) if repair else cold
     # Warm-up outside the trace: the repair engine's cold start is not a
     # steady-state round, and the cold side replays identical churn.
     current = optimizer.optimize(
