@@ -5,9 +5,8 @@ Hermenier, Lèbre, Menaud — INRIA RR-6929 / HPDC 2010.
 The package provides:
 
 * :mod:`repro.api` — the public experiment API: the pluggable
-  observe/decide/plan/execute control loop, the ``Scenario`` /
-  ``ExperimentBuilder`` facade, the decision-module protocol and registry,
-  and the structured ``RunResult``;
+  observe/decide/plan/execute control loop, the ``Scenario`` facade, the
+  decision-module protocol and registry, and the structured ``RunResult``;
 * :mod:`repro.model` — nodes, VMs, vjobs, configurations, viability;
 * :mod:`repro.cp` — a finite-domain constraint solver (Choco replacement);
 * :mod:`repro.constraints` — the declarative placement-constraint catalog
@@ -64,7 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis / IDE resolution only
         ControlLoop,
         Decision,
         DecisionModule,
-        ExperimentBuilder,
         FaultRecord,
         LoopObserver,
         RunResult,
@@ -116,7 +114,6 @@ _EXPORTS = {
     "ControlLoop": ".api",
     "Decision": ".api",
     "DecisionModule": ".api",
-    "ExperimentBuilder": ".api",
     "FaultRecord": ".api",
     "LoopObserver": ".api",
     "RunResult": ".api",

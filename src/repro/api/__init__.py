@@ -2,8 +2,8 @@
 
 This package is the single entry point for building and running experiments:
 
-* :class:`Scenario` / :class:`ExperimentBuilder` — declarative experiment
-  description replacing hand-wired simulation setup;
+* :class:`Scenario` — declarative experiment description replacing
+  hand-wired simulation setup;
 * :class:`ControlLoop` — the policy-agnostic observe/decide/plan/execute loop;
 * :class:`Decision` / :class:`DecisionModule` — the contract every decision
   policy implements;
@@ -40,7 +40,7 @@ from .results import (
     RunResult,
     UtilizationSample,
 )
-from .scenario import ExperimentBuilder, Scenario
+from .scenario import Scenario
 
 __all__ = [
     "FaultRecord",
@@ -62,6 +62,5 @@ __all__ = [
     "ContextSwitchRecord",
     "RunResult",
     "UtilizationSample",
-    "ExperimentBuilder",
     "Scenario",
 ]

@@ -4,7 +4,7 @@ A :class:`LoopObserver` receives a callback at each stage of the
 observe/decide/plan/execute iteration, so metrics sampling, tracing or live
 dashboards attach to a run without subclassing the loop.  The base class is a
 no-op: override only the hooks you care about and pass the instance through
-``Scenario(observers=[...])`` or ``ExperimentBuilder.observe(...)``.
+``Scenario(observers=[...])`` or ``Scenario.observe(...)``.
 """
 
 from __future__ import annotations

@@ -32,8 +32,7 @@ incremental ``"repair"`` / ``"repair-partitioned"`` engines
 (:mod:`repro.repair`).  For the repair engines the loop tracks the VMs each
 round actually perturbed — crash victims, new arrivals, members of violated
 constraints — and hands them to the planner, which freezes everything else
-and re-solves only the dirty region (``repair_halo`` widens it by that many
-rounds of co-host expansion).
+and re-solves only the dirty region.
 
 With ``constraints`` (the :mod:`repro.constraints` catalog), every planning
 round honours the declared placement relations: the optimizer compiles them
@@ -78,6 +77,10 @@ from .results import (
 
 PolicyLike = Union[str, DecisionModule]
 
+#: Consecutive rounds whose decision cannot be planned before the run is
+#: declared stuck (:class:`~repro.model.errors.PlanningError`).
+_MAX_CONSECUTIVE_PLANNING_FAILURES = 25
+
 
 def policy_label(policy: PolicyLike) -> str:
     """The display/registry label of a policy name or module instance."""
@@ -113,12 +116,9 @@ class ControlLoop:
         use_optimizer: bool = True,
         engine: str = "event",
         max_workers: Optional[int] = None,
-        repair_halo: int = 1,
         hypervisor: HypervisorModel = DEFAULT_HYPERVISOR,
-        monitoring_delay: float = config.MONITORING_DELAY_S,
         max_time: float = 24 * 3600.0,
         observers: Sequence[LoopObserver] = (),
-        max_consecutive_planning_failures: int = 25,
         fault_injector: Optional[FaultInjector] = None,
         sla_factor: Optional[float] = None,
         constraints: Sequence[PlacementConstraint] = (),
@@ -130,7 +130,6 @@ class ControlLoop:
         self.max_time = max_time
         self.hypervisor = hypervisor
         self.observers = list(observers)
-        self.max_consecutive_planning_failures = max_consecutive_planning_failures
         self.faults = fault_injector
         self.sla_factor = sla_factor
         #: Operator command queue (duck-typed: ``drain(loop, now) -> bool``),
@@ -204,14 +203,11 @@ class ControlLoop:
             use_optimizer=use_optimizer,
             engine=engine,
             max_workers=max_workers,
-            repair_halo=repair_halo,
         )
         self.executor = PlanExecutor(
             hypervisor=hypervisor, fault_injector=fault_injector
         )
-        self.monitoring = MonitoringService(
-            demand_source=self._demand_source, refresh_delay=monitoring_delay
-        )
+        self.monitoring = MonitoringService(demand_source=self._demand_source)
 
     # ------------------------------------------------------------------ #
     # workload plumbing                                                   #
@@ -413,7 +409,7 @@ class ControlLoop:
                         consecutive_failures += 1
                         if (
                             consecutive_failures
-                            >= self.max_consecutive_planning_failures
+                            >= _MAX_CONSECUTIVE_PLANNING_FAILURES
                         ):
                             # The decision is permanently unplannable: fail
                             # loudly instead of spinning until max_time and

@@ -1,4 +1,4 @@
-"""The ``Scenario`` / ``ExperimentBuilder`` facade over the control loop.
+"""The ``Scenario`` facade over the control loop.
 
 A :class:`Scenario` is a declarative description of one experiment — the
 cluster, the workloads, the decision policy (by registry name or instance)
@@ -12,8 +12,7 @@ The same scenario runs unmodified under any registered policy
 (:meth:`Scenario.with_policy`, :meth:`Scenario.compare`), and
 :meth:`Scenario.run_static` executes the analytic FCFS + static-allocation
 baseline of Section 5.2 on the identical workload for head-to-head
-comparisons.  :class:`ExperimentBuilder` is the fluent spelling of the same
-facade for incremental construction.
+comparisons.
 """
 
 from __future__ import annotations
@@ -60,8 +59,8 @@ class Scenario:
     ``"repair-partitioned"`` (:mod:`repro.repair`) replan incrementally:
     the loop tracks the VMs each round perturbed (crash victims, arrivals,
     violated-constraint members), the solver freezes everything else and
-    re-solves the dirty region only — widened by ``repair_halo`` rounds of
-    co-host expansion — falling back to the full solve on infeasibility.
+    re-solves the dirty region only, falling back to the full solve on
+    infeasibility.
 
     ``trace=True`` attaches a :class:`repro.obs.Tracer` to the run: every
     round records observe/decide/plan/solve/execute child spans (zone and
@@ -80,11 +79,8 @@ class Scenario:
     use_optimizer: bool = True
     engine: str = "event"
     max_workers: Optional[int] = None
-    repair_halo: int = 1
     hypervisor: HypervisorModel = DEFAULT_HYPERVISOR
-    monitoring_delay: float = config.MONITORING_DELAY_S
     max_time: float = 24 * 3600.0
-    max_consecutive_planning_failures: int = 25
     faults: Optional[FaultSchedule] = None
     sla_factor: Optional[float] = None
     constraints: Sequence[PlacementConstraint] = ()
@@ -177,14 +173,9 @@ class Scenario:
             use_optimizer=self.use_optimizer,
             engine=self.engine,
             max_workers=self.max_workers,
-            repair_halo=self.repair_halo,
             hypervisor=self.hypervisor,
-            monitoring_delay=self.monitoring_delay,
             max_time=self.max_time,
             observers=self.observers,
-            max_consecutive_planning_failures=(
-                self.max_consecutive_planning_failures
-            ),
             fault_injector=(
                 FaultInjector(self.faults) if self.faults is not None else None
             ),
@@ -288,116 +279,3 @@ class Scenario:
                 scenario.workloads = list(workload_factory())
             results[policy_label(policy)] = scenario.run()
         return results
-
-
-class ExperimentBuilder:
-    """Fluent builder for :class:`Scenario`.
-
-    Example::
-
-        result = (
-            ExperimentBuilder()
-            .nodes(make_working_nodes(4, cpu_capacity=2, memory_capacity=3584))
-            .workloads(workloads)
-            .policy("fcfs", backfilling="none")
-            .optimizer_timeout(2.0)
-            .observe(RecordingObserver())
-            .run()
-        )
-    """
-
-    def __init__(self) -> None:
-        # Only explicitly-set overrides are stored; Scenario owns every
-        # default, so the two construction paths cannot drift apart.
-        self._overrides: dict[str, Any] = {}
-        self._observers: list[LoopObserver] = []
-
-    def nodes(self, nodes: Sequence[Node]) -> "ExperimentBuilder":
-        self._overrides["nodes"] = nodes
-        return self
-
-    def workloads(self, workloads: Sequence[VJobWorkload]) -> "ExperimentBuilder":
-        self._overrides["workloads"] = workloads
-        return self
-
-    def policy(self, policy: PolicyLike, **options: Any) -> "ExperimentBuilder":
-        self._overrides["policy"] = policy
-        self._overrides["policy_options"] = dict(options)
-        return self
-
-    def period(self, seconds: float) -> "ExperimentBuilder":
-        self._overrides["period"] = seconds
-        return self
-
-    def optimizer_timeout(self, seconds: float) -> "ExperimentBuilder":
-        self._overrides["optimizer_timeout"] = seconds
-        return self
-
-    def use_optimizer(self, enabled: bool) -> "ExperimentBuilder":
-        self._overrides["use_optimizer"] = enabled
-        return self
-
-    def engine(self, engine: str) -> "ExperimentBuilder":
-        """Solver engine: ``"event"``, ``"fixpoint"``, ``"partitioned"``
-        (zones solved concurrently — see :mod:`repro.scale`), ``"repair"``
-        or ``"repair-partitioned"`` (incremental replanning over the
-        perturbed region only — see :mod:`repro.repair`)."""
-        self._overrides["engine"] = engine
-        return self
-
-    def max_workers(self, count: int) -> "ExperimentBuilder":
-        """Worker processes for the partitioned engine's zone solves."""
-        self._overrides["max_workers"] = count
-        return self
-
-    def repair_halo(self, rounds: int) -> "ExperimentBuilder":
-        """Co-host expansion rounds of the repair engines' dirty region."""
-        self._overrides["repair_halo"] = rounds
-        return self
-
-    def hypervisor(self, model: HypervisorModel) -> "ExperimentBuilder":
-        self._overrides["hypervisor"] = model
-        return self
-
-    def monitoring_delay(self, seconds: float) -> "ExperimentBuilder":
-        self._overrides["monitoring_delay"] = seconds
-        return self
-
-    def max_time(self, seconds: float) -> "ExperimentBuilder":
-        self._overrides["max_time"] = seconds
-        return self
-
-    def max_consecutive_planning_failures(self, count: int) -> "ExperimentBuilder":
-        self._overrides["max_consecutive_planning_failures"] = count
-        return self
-
-    def faults(self, schedule: FaultSchedule) -> "ExperimentBuilder":
-        self._overrides["faults"] = schedule
-        return self
-
-    def sla_factor(self, factor: float) -> "ExperimentBuilder":
-        self._overrides["sla_factor"] = factor
-        return self
-
-    def constraints(
-        self, *constraints: PlacementConstraint
-    ) -> "ExperimentBuilder":
-        """Attach placement constraints (cumulative across calls)."""
-        existing = list(self._overrides.get("constraints", ()))
-        self._overrides["constraints"] = [*existing, *constraints]
-        return self
-
-    def observe(self, observer: LoopObserver) -> "ExperimentBuilder":
-        self._observers.append(observer)
-        return self
-
-    def trace(self, enabled: bool = True) -> "ExperimentBuilder":
-        """Record a :mod:`repro.obs` span trace on the run's result."""
-        self._overrides["trace"] = enabled
-        return self
-
-    def build(self) -> Scenario:
-        return Scenario(observers=list(self._observers), **self._overrides)
-
-    def run(self) -> RunResult:
-        return self.build().run()

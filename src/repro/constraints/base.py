@@ -19,10 +19,11 @@ constraint system:
    constraint the chance to adapt (:meth:`PlacementConstraint.on_node_failure`)
    before fault-driven replanning re-applies the catalog to the survivors.
 
-Heuristic packers (FFD / FCFS) cannot run a CP search, so constraints also
-expose a greedy **candidate filter** (:meth:`PlacementConstraint.allows`)
-answering "may VM *v* go on node *n* given the placement built so far?" —
-see :mod:`repro.constraints.filtering`.
+Heuristic packers (FFD / FCFS) cannot run a CP search.  They read the unary
+relations through the same ``allowed_nodes`` face as the compiler, and the
+*relational* constraints also expose a greedy **candidate filter**
+(:meth:`PlacementConstraint.allows`) answering "may VM *v* join node *n*
+given the placement built so far?" — see :mod:`repro.constraints.filtering`.
 """
 
 from __future__ import annotations
@@ -137,14 +138,14 @@ class PlacementConstraint:
         vm_name: str,
         node_name: str,
         trial: "Configuration",
-        reference: Optional["Configuration"] = None,
     ) -> bool:
         """May ``vm_name`` be placed on ``node_name`` given the partial
         placement already committed to ``trial``?
 
-        Used by the heuristic packers (FFD / FCFS) to stay constraint-aware
-        without a CP search; ``reference`` is the observed configuration (for
-        ``Root``).  The default accepts every candidate.
+        The relational face of the heuristic packers (FFD / FCFS): only
+        asked of constraints with :attr:`relational` set, and only about
+        nodes inside the VM's :meth:`allowed_nodes` domain, so a unary
+        relation never overrides it.  The default accepts every candidate.
         """
         return True
 

@@ -20,8 +20,8 @@ hosted (sleeping, waiting and terminated VMs are never restricted):
 
 Every relation implements the three faces documented in
 :mod:`repro.constraints.base`: CP compilation, configuration/plan checking
-and the node-failure repair hook, plus the greedy candidate filter used by
-the heuristic packers.
+and the node-failure repair hook; the relational ones add the greedy
+candidate filter the heuristic packers probe with.
 """
 
 from __future__ import annotations
@@ -116,7 +116,6 @@ class Spread(VMGroupConstraint):
         vm_name: str,
         node_name: str,
         trial: "Configuration",
-        reference: Optional["Configuration"] = None,
     ) -> bool:
         if vm_name not in self.vm_set or node_name in self.collocation_nodes:
             return True
@@ -157,7 +156,6 @@ class Gather(VMGroupConstraint):
         vm_name: str,
         node_name: str,
         trial: "Configuration",
-        reference: Optional["Configuration"] = None,
     ) -> bool:
         if vm_name not in self.vm_set:
             return True
@@ -207,15 +205,6 @@ class Ban(VMGroupConstraint):
         if not offending:
             return None
         return f"{self.label}: banned nodes {offending} host group VMs"
-
-    def allows(
-        self,
-        vm_name: str,
-        node_name: str,
-        trial: "Configuration",
-        reference: Optional["Configuration"] = None,
-    ) -> bool:
-        return vm_name not in self.vm_set or node_name not in self.nodes
 
     def __repr__(self) -> str:
         return (
@@ -269,15 +258,6 @@ class Fence(VMGroupConstraint):
         if not outside:
             return None
         return f"{self.label}: group VMs escaped to nodes {outside}"
-
-    def allows(
-        self,
-        vm_name: str,
-        node_name: str,
-        trial: "Configuration",
-        reference: Optional["Configuration"] = None,
-    ) -> bool:
-        return vm_name not in self.vm_set or node_name in self.nodes
 
     def on_node_failure(self, node_name: str) -> Optional[PlacementConstraint]:
         if not self.elastic or node_name not in self.nodes:
@@ -359,7 +339,6 @@ class Among(VMGroupConstraint):
         vm_name: str,
         node_name: str,
         trial: "Configuration",
-        reference: Optional["Configuration"] = None,
     ) -> bool:
         if vm_name not in self.vm_set:
             return True
@@ -434,20 +413,6 @@ class Root(VMGroupConstraint):
                 moved.append(vm_name)
         return moved
 
-    def allows(
-        self,
-        vm_name: str,
-        node_name: str,
-        trial: "Configuration",
-        reference: Optional["Configuration"] = None,
-    ) -> bool:
-        if reference is None or vm_name not in self.vm_set:
-            return True
-        if not reference.has_vm(vm_name):
-            return True
-        location = reference.location_of(vm_name)
-        return location is None or location == node_name
-
 
 class MaxOnline(NodeSetConstraint):
     """At most ``maximum`` nodes of the set may host running VMs; the others
@@ -501,7 +466,6 @@ class MaxOnline(NodeSetConstraint):
         vm_name: str,
         node_name: str,
         trial: "Configuration",
-        reference: Optional["Configuration"] = None,
     ) -> bool:
         if node_name not in self.nodes:
             return True
@@ -565,7 +529,6 @@ class RunningCapacity(NodeSetConstraint):
         vm_name: str,
         node_name: str,
         trial: "Configuration",
-        reference: Optional["Configuration"] = None,
     ) -> bool:
         if node_name not in self.nodes:
             return True
@@ -624,7 +587,6 @@ class Lonely(VMGroupConstraint):
         vm_name: str,
         node_name: str,
         trial: "Configuration",
-        reference: Optional["Configuration"] = None,
     ) -> bool:
         members = set(self.vms)
         hosted = {

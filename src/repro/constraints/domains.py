@@ -1,12 +1,14 @@
 """The unary placement domain of a VM: which nodes may host it.
 
-One function answers that question for every layer a round runs — the CP
-model builder (:mod:`repro.core.optimizer`), the partitioner
+One function answers that question for every layer a round runs — the
+greedy packers of the decision modules
+(:mod:`repro.constraints.filtering`), the CP model builder
+(:mod:`repro.core.optimizer`), the partitioner
 (:mod:`repro.scale.partition`) and the repair engine's dirty rule
 (:mod:`repro.repair.engine`) — so the catalog's
 :meth:`~repro.constraints.base.PlacementConstraint.allowed_nodes` face is
-asked from this module only (plus the retained eager oracle,
-:func:`repro.scale.reference.vm_domains_reference`).
+asked from this module only (plus the eager oracle retained in
+``tests/properties/reference_partition.py``).
 """
 
 from __future__ import annotations
@@ -43,8 +45,7 @@ def _membership_index(
     ``vms`` returns ``None`` from ``allowed_nodes`` for non-members (every
     :class:`~repro.constraints.base.VMGroupConstraint` gates on ``vm_set``),
     so non-members never need to ask it — the lazy domains below are exact,
-    which the differential suite pins against
-    :func:`repro.scale.reference.vm_domains_reference`.
+    which the differential suite pins against that eager oracle.
     """
     by_vm: Dict[str, List[PlacementConstraint]] = {}
     universal: List[PlacementConstraint] = []

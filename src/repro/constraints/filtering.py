@@ -2,10 +2,13 @@
 
 The CP optimizer enforces the catalog through compiled propagators, but the
 FFD and FCFS decision modules place VMs greedily, one node probe at a time.
-:class:`CandidateFilter` adapts a constraint set to that probe loop: it
-answers "may this VM go on this node, given the placement committed so far?"
-by delegating to each constraint's :meth:`~repro.constraints.base
-.PlacementConstraint.allows` face.
+:class:`CandidateFilter` adapts a constraint set to that probe loop in two
+steps.  *Which nodes may host this VM at all* is the unary domain every
+other layer reads (:func:`~repro.constraints.domains.vm_domains`, computed
+once per filter): the packer only ever probes those.  *May it go on this
+one, given the placement committed so far* is asked, per probe, of the
+relational constraints' :meth:`~repro.constraints.base.PlacementConstraint
+.allows` face.
 
 The filter is *incomplete* by construction (a greedy packer cannot backtrack
 out of a dead end the way the solver does), but it is *sound*: every
@@ -15,44 +18,54 @@ what keeps the FFD fallback targets and the FCFS admission trials honest.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence
 
 from .base import PlacementConstraint
+from .domains import vm_domains
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model.configuration import Configuration
 
 
 class CandidateFilter:
-    """Constraint-aware node filtering for greedy placement loops."""
+    """Constraint-aware node filtering for greedy placement loops.
+
+    ``reference`` is the observed configuration the round plans from: its
+    node names are what the unary restrictions are resolved against and
+    stateful relations (``Root``) read "the current host" off it.
+    """
 
     def __init__(
         self,
         constraints: Sequence[PlacementConstraint],
-        reference: Optional["Configuration"] = None,
+        reference: "Configuration",
     ):
-        self._constraints: Tuple[PlacementConstraint, ...] = tuple(constraints)
-        #: Observed configuration, needed by stateful relations (``Root``).
+        self._constraints = tuple(constraints)
         self._reference = reference
+        self._relational = tuple(c for c in self._constraints if c.relational)
+        self._domains = vm_domains(reference, reference.vm_names, self._constraints)
 
-    @property
-    def constraints(self) -> Tuple[PlacementConstraint, ...]:
-        return self._constraints
-
-    def with_reference(
-        self, reference: Optional["Configuration"]
-    ) -> "CandidateFilter":
-        """The same filter bound to another observed configuration."""
-        return CandidateFilter(self._constraints, reference)
-
-    def __bool__(self) -> bool:
-        return bool(self._constraints)
+    def candidates(self, vm_name: str, node_names: Sequence[str]) -> Sequence[str]:
+        """``node_names`` restricted to the unary domain of ``vm_name``, in
+        the packer's own order — so the first fit is the node an unfiltered
+        scan vetoed afterwards would have reached."""
+        if vm_name not in self._domains:
+            # A VM the reference does not know (a booking probed before it
+            # was added): membership-only relations still restrict it.
+            self._domains.update(
+                vm_domains(self._reference, [vm_name], self._constraints)
+            )
+        allowed = self._domains[vm_name]
+        if allowed is None:
+            return node_names
+        return [name for name in node_names if name in allowed]
 
     def __call__(
         self, vm_name: str, node_name: str, trial: "Configuration"
     ) -> bool:
-        """May ``vm_name`` be placed on ``node_name`` in ``trial``?"""
+        """May ``vm_name`` join ``node_name`` given what ``trial`` already
+        places?  ``node_name`` must come from :meth:`candidates`."""
         return all(
-            constraint.allows(vm_name, node_name, trial, self._reference)
-            for constraint in self._constraints
+            constraint.allows(vm_name, node_name, trial)
+            for constraint in self._relational
         )

@@ -34,7 +34,8 @@ class ContextSwitchReport:
     plan: ReconfigurationPlan
     cost: PlanCost
     used_fallback: bool = False
-    #: Repair-engine trace (:meth:`repro.repair.RepairResult.trace`) when the
+    #: Repair-engine telemetry
+    #: (:attr:`~repro.core.optimizer.OptimizationResult.repair`) when the
     #: switch was computed by ``engine="repair"`` / ``"repair-partitioned"``;
     #: ``None`` for the cold engines.
     repair: Optional[dict] = None
@@ -74,7 +75,6 @@ class ClusterContextSwitch:
         engine: str = "event",
         max_workers: Optional[int] = None,
         zone_executor: str = "auto",
-        repair_halo: int = 1,
     ) -> None:
         """``engine`` selects the solving strategy: a propagation engine of
         the monolithic optimizer (``"event"`` / ``"fixpoint"``),
@@ -86,8 +86,7 @@ class ClusterContextSwitch:
         freeze the VMs outside the round's perturbed region and solve the
         dirty region only, falling back to the full solve on
         infeasibility.  ``max_workers`` / ``zone_executor`` only apply to
-        the partitioned engines; ``repair_halo`` tunes the dirty region's
-        co-host expansion for the repair engines."""
+        the partitioned engines."""
         self.planner = ReconfigurationPlanner(planner_options)
         repair, strategy = _COMPOSED_ENGINES.get(engine, (False, engine))
         if strategy == "partitioned":
@@ -111,9 +110,7 @@ class ClusterContextSwitch:
             from ..repair import RepairOptimizer
 
             self.optimizer = RepairOptimizer(
-                self.optimizer,
-                timeout=optimizer_timeout,
-                halo=repair_halo,
+                self.optimizer, timeout=optimizer_timeout
             )
         self.engine = engine
         self.use_optimizer = use_optimizer
@@ -173,7 +170,7 @@ class ClusterContextSwitch:
                 plan=result.plan,
                 cost=plan_cost(result.plan),
                 used_fallback=result.used_fallback,
-                repair=result.trace(),
+                repair=result.repair,
                 statistics=result.statistics,
             )
         if fallback_target is None:

@@ -66,14 +66,19 @@ class OptimizationResult:
     used_fallback: bool = False
     statistics: Optional[SearchStatistics] = None
     improving_costs: list[int] = field(default_factory=list)
+    #: How the instance was decomposed: ``"interference"`` or ``"sharded"``
+    #: when a partitioned engine solved it by zones, ``"monolithic"`` (with
+    #: the partitioner's ``partition_reason``, if one was asked) otherwise.
+    partition_method: str = "monolithic"
+    partition_reason: str = ""
     #: One :class:`~repro.scale.parallel.ZoneReport` per solved zone; empty
     #: unless a partitioned engine decomposed the instance.
     zone_reports: list = field(default_factory=list)
-
-    def trace(self) -> Optional[dict]:
-        """The repair telemetry of the solve (``None``: solved cold — see
-        :meth:`repro.repair.RepairResult.trace`)."""
-        return None
+    #: The repair engine's telemetry (``mode`` — ``"repair"`` for an accepted
+    #: frozen-region solve, ``"full"`` for the fallback to the full solve —
+    #: ``reason``, ``dirty_count``, ``frozen_count``, ``attempts``,
+    #: ``reused_zones``); ``None`` when the solve was cold.
+    repair: Optional[dict] = None
 
 
 class ContextSwitchOptimizer:
@@ -118,6 +123,7 @@ class ContextSwitchOptimizer:
         fallback_target: Optional[Configuration] = None,
         constraints: Sequence["PlacementConstraint"] = (),
         pinned: Optional[Mapping[str, str]] = None,
+        timeout: Optional[float] = None,
     ) -> OptimizationResult:
         """Compute an optimized target configuration and its plan.
 
@@ -143,16 +149,44 @@ class ContextSwitchOptimizer:
             the search only branches over the remaining (dirty) VMs.  An
             unsatisfiable pin makes the search fail rather than silently
             unpinning — the repair layer then widens its neighbourhood.
+        timeout:
+            Wall-clock budget of this call's search, seconds; ``None`` means
+            the constructor's ``timeout``.  The engines that carve a round's
+            budget (:mod:`repro.scale.parallel`, :mod:`repro.repair`) pass
+            what is left of it here.
         """
         states = self._complete_states(current, target_states)
-        running_vms = [name for name, state in states.items() if state is VMState.RUNNING]
-        fixed_cost = self._fixed_cost(current, states)
-
-        named_assignment, statistics, improving = self.search_assignment(
-            current, target_states, constraints, pinned=pinned
+        assignment, statistics, improving = self.search_assignment(
+            current, target_states, constraints, pinned=pinned, timeout=timeout
+        )
+        return self._finish(
+            current,
+            states,
+            assignment,
+            statistics,
+            improving,
+            vjob_of_vm,
+            fallback_target,
+            constraints,
         )
 
-        if named_assignment is None:
+    def _finish(
+        self,
+        current: Configuration,
+        states: Mapping[str, VMState],
+        assignment: Optional[Mapping[str, str]],
+        statistics: SearchStatistics,
+        improving: list[int],
+        vjob_of_vm: Optional[Mapping[str, str]],
+        fallback_target: Optional[Configuration],
+        constraints: Sequence["PlacementConstraint"],
+    ) -> OptimizationResult:
+        """Turn a search outcome into a target, a plan and its price — the
+        one path from an assignment (found by one search or merged from
+        zones) to an :class:`OptimizationResult`.  ``assignment`` is ``None``
+        when the search found nothing: the plan then goes to
+        ``fallback_target``, provided it honours the catalog."""
+        if assignment is None:
             if fallback_target is None:
                 raise PlanningError(
                     "the optimizer found no viable assignment and no fallback "
@@ -165,33 +199,25 @@ class ContextSwitchOptimizer:
                     f"({', '.join(map(repr, violated))}) and the fallback "
                     "configuration violates them too"
                 )
-            plan = self.planner.build(
-                current, fallback_target, vjob_of_vm, constraints=constraints
-            )
-            cost = plan_cost(plan).total
-            return OptimizationResult(
-                target=fallback_target,
-                plan=plan,
-                cost=cost,
-                movement_cost=cost,
-                fixed_cost=fixed_cost,
-                used_fallback=True,
-                statistics=statistics,
-            )
-
-        target = self._build_target(current, states, named_assignment)
+            target = fallback_target
+        else:
+            target = self._build_target(current, states, assignment)
         plan = self.planner.build(current, target, vjob_of_vm, constraints=constraints)
         cost = plan_cost(plan).total
-        movement = sum(
-            self.movement_cost(current, vm, named_assignment[vm])
-            for vm in running_vms
-        )
         return OptimizationResult(
             target=target,
             plan=plan,
             cost=cost,
-            movement_cost=movement,
-            fixed_cost=fixed_cost,
+            movement_cost=(
+                cost
+                if assignment is None
+                else sum(
+                    self.movement_cost(current, vm, node)
+                    for vm, node in assignment.items()
+                )
+            ),
+            fixed_cost=self._fixed_cost(current, states),
+            used_fallback=assignment is None,
             statistics=statistics,
             improving_costs=improving,
         )
@@ -202,6 +228,7 @@ class ContextSwitchOptimizer:
         target_states: Mapping[str, VMState],
         constraints: Sequence["PlacementConstraint"] = (),
         pinned: Optional[Mapping[str, str]] = None,
+        timeout: Optional[float] = None,
     ) -> tuple[Optional[dict[str, str]], SearchStatistics, list[int]]:
         """Run only the CP search and return a VM -> node *name* assignment.
 
@@ -210,13 +237,20 @@ class ContextSwitchOptimizer:
         worker processes, where each zone's assignment is merged into one
         global target before a single planner pass.  Returns ``(None,
         statistics, improving)`` when no viable assignment was found.
+        ``timeout`` is the search budget of this call (``None``: the
+        constructor's).
         """
         states = self._complete_states(current, target_states)
         running_vms = [
             name for name, state in states.items() if state is VMState.RUNNING
         ]
         assignment, statistics, improving = self._search(
-            current, states, running_vms, constraints, pinned=pinned
+            current,
+            states,
+            running_vms,
+            constraints,
+            pinned,
+            self.timeout if timeout is None else timeout,
         )
         if assignment is None:
             return None, statistics, improving
@@ -377,8 +411,9 @@ class ContextSwitchOptimizer:
         current: Configuration,
         states: Mapping[str, VMState],
         running_vms: list[str],
-        constraints: Sequence["PlacementConstraint"] = (),
-        pinned: Optional[Mapping[str, str]] = None,
+        constraints: Sequence["PlacementConstraint"],
+        pinned: Optional[Mapping[str, str]],
+        timeout: float,
     ) -> tuple[Optional[dict[str, int]], SearchStatistics, list[int]]:
         """Run the CP search; returns (assignment or None, statistics,
         improving objective values)."""
@@ -539,7 +574,7 @@ class ContextSwitchOptimizer:
         )
         result = solver.solve(
             minimize=total_var,
-            timeout=self.timeout,
+            timeout=timeout,
             collect_all=True,
             first_solution_only=self.first_solution_only,
             initial_bound=initial_bound,

@@ -39,8 +39,6 @@ class PlannerOptions:
 
     #: Regroup the suspend/resume actions of a vjob in a single pool.
     enforce_vjob_consistency: bool = True
-    #: Prefer parking the smallest VM of a cycle on a pivot node.
-    bypass_smallest_vm: bool = True
     #: Hard bound on the number of pools, as a safety net against bugs in the
     #: target configuration (a correct construction needs at most one pool per
     #: action plus one bypass per cycle).
@@ -201,12 +199,11 @@ class ReconfigurationPlanner:
         cycle_nodes = {m.source_node for m in cycle} | {
             m.destination_node for m in cycle
         }
+        # Prefer parking the smallest VM of the cycle on the pivot node.
         candidates = sorted(
             cycle,
             key=lambda m: working.vm(m.vm).memory,
         )
-        if not self.options.bypass_smallest_vm:
-            candidates = list(cycle)
 
         for migration in candidates:
             vm = working.vm(migration.vm)

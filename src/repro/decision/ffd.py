@@ -12,17 +12,13 @@ FFD is used twice in the paper:
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from ..api.decision import Decision, stop_terminated_vms
 from ..constraints import CandidateFilter, PlacementConstraint
 from ..model.configuration import Configuration
 from ..model.queue import VJobQueue
 from ..model.vm import VirtualMachine, VMState
-
-#: Constraint-awareness hook of the greedy packers: may VM (by name) go on
-#: this node given the trial configuration built so far?
-NodeFilter = Callable[[str, str, Configuration], bool]
 
 
 def ffd_order(vms: Iterable[VirtualMachine]) -> list[VirtualMachine]:
@@ -34,24 +30,30 @@ def ffd_place(
     configuration: Configuration,
     vms: Sequence[VirtualMachine],
     nodes: Optional[Sequence[str]] = None,
-    node_filter: Optional[NodeFilter] = None,
+    node_filter: Optional[CandidateFilter] = None,
 ) -> Optional[dict[str, str]]:
     """Place ``vms`` on the nodes of ``configuration`` with First-Fit
     Decreasing.
 
     The placement accounts for the VMs already running in ``configuration``
-    and for the VMs placed earlier in this very call.  ``node_filter``
-    (typically a :class:`~repro.constraints.CandidateFilter`) vetoes
-    candidate nodes a placement constraint forbids.  Returns a mapping
-    VM name -> node name, or ``None`` when at least one VM cannot be placed.
-    The input configuration is left untouched.
+    and for the VMs placed earlier in this very call.  ``node_filter`` makes
+    it constraint-aware: each VM only probes the nodes of its unary domain
+    (in the same order), and the relational constraints veto a probe against
+    the placement built so far.  Returns a mapping VM name -> node name, or
+    ``None`` when at least one VM cannot be placed.  The input configuration
+    is left untouched.
     """
     trial = configuration.copy()
     node_names = list(nodes) if nodes is not None else list(trial.node_names)
     placement: dict[str, str] = {}
     for vm in ffd_order(vms):
+        candidates = (
+            node_names
+            if node_filter is None
+            else node_filter.candidates(vm.name, node_names)
+        )
         chosen = None
-        for node in node_names:
+        for node in candidates:
             if not trial.can_host(node, vm):
                 continue
             if node_filter is not None and not node_filter(vm.name, node, trial):
@@ -75,7 +77,7 @@ def ffd_place(
 def ffd_commit(
     trial: Configuration,
     vms: Sequence[VirtualMachine],
-    node_filter: Optional[NodeFilter] = None,
+    node_filter: Optional[CandidateFilter] = None,
 ) -> Optional[dict[str, str]]:
     """Place ``vms`` on ``trial`` with FFD and commit them as running.
 

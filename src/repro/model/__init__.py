@@ -17,7 +17,6 @@ from .errors import (
     UnknownVMError,
 )
 from .node import Node, NodeRole, make_working_nodes
-from .reference import NaiveConfiguration
 from .queue import VJobQueue
 from .resources import ResourceVector, ZERO
 from .vjob import VJob, VJobState, index_vms_by_vjob
@@ -26,7 +25,6 @@ from .vm import VirtualMachine, VMImage, VMState
 __all__ = [
     "LoadColumns",
     "Configuration",
-    "NaiveConfiguration",
     "ViabilityViolation",
     "DuplicateElementError",
     "ExecutionError",

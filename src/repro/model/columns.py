@@ -16,7 +16,7 @@ the slot in a *dirty set*; the viability check then has two faces:
 Both faces return the same answer by construction — the Hypothesis suite
 (``tests/properties/test_configuration_equivalence.py``) holds them against
 each other and against the retained naive dict-walk oracle
-(:class:`repro.model.reference.NaiveConfiguration`).
+(``tests/properties/reference_configuration.py``).
 
 Slots are never reused: a dropped node tombstones its slot (capacity and
 usage zeroed, removed from the name map and the cached sets) and a node

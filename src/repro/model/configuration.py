@@ -21,8 +21,8 @@ in a dirty set, so
   re-examines only the nodes mutated since the previous scan and returns the
   *complete* current violation list, identical to the full scan.
 
-The naive dict-walk implementations are retained on
-:class:`repro.model.reference.NaiveConfiguration` as the differential-test
+The naive dict-walk implementations are retained in
+``tests/properties/reference_configuration.py`` as the differential-test
 oracle (``tests/properties/test_configuration_equivalence.py`` drives both in
 lockstep under random mutation sequences).
 """

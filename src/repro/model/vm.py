@@ -61,7 +61,11 @@ class VirtualMachine:
         return ResourceVector(self.cpu_demand, self.memory)
 
     def with_cpu_demand(self, cpu_demand: int) -> "VirtualMachine":
-        """Return a copy of the VM with an updated CPU demand."""
+        """The VM at ``cpu_demand``: a copy, or the VM itself (it is
+        immutable) when that already is its demand — the decision modules
+        ask this of every observed VM every round, mostly unchanged."""
+        if cpu_demand == self.cpu_demand:
+            return self
         return replace(self, cpu_demand=cpu_demand)
 
     def __str__(self) -> str:

@@ -15,9 +15,9 @@ is always safe to request.
   :class:`~repro.scale.parallel.ParallelOptimizer`
   (``engine="repair-partitioned"``: repair inside dirty zones only,
   untouched zones reuse their previous sub-assignment verbatim);
-* :class:`RepairResult` — an
-  :class:`~repro.core.optimizer.OptimizationResult` carrying the repair
-  trace (mode, dirty/frozen counts, attempts, fallback reason);
+* the ``repair`` entry of the returned
+  :class:`~repro.core.optimizer.OptimizationResult` — what the engine did
+  (mode, dirty/frozen counts, attempts, fallback reason);
 * :func:`compute_dirty_set` — the deterministic dirty-region rules
   (external marks, VMs needing placement, placements invalidated by
   shrunken constraints, relational closure, halo expansion), exposed for
@@ -28,10 +28,9 @@ inner optimizer's single global planner pass re-validates the whole
 constraint catalog on every intermediate state.
 """
 
-from .engine import RepairOptimizer, RepairResult, compute_dirty_set
+from .engine import RepairOptimizer, compute_dirty_set
 
 __all__ = [
     "RepairOptimizer",
-    "RepairResult",
     "compute_dirty_set",
 ]

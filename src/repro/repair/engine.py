@@ -27,7 +27,6 @@ exactly the instances the cold solve accepts.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, fields
 from typing import Iterable, Mapping, Optional, Sequence, Set
 
 from ..constraints.base import PlacementConstraint
@@ -47,36 +46,9 @@ _MIN_ATTEMPT_TIMEOUT_S = 0.05
 #: must still be able to find *a* solution.
 _FALLBACK_TIMEOUT_FRACTION = 0.1
 
-
-@dataclass
-class RepairResult(OptimizationResult):
-    """An :class:`~repro.core.optimizer.OptimizationResult` plus the repair
-    trace.  ``mode`` is ``"repair"`` when a frozen-region solve was accepted
-    and ``"full"`` when the engine fell back to the monolithic solve (cold
-    start, fleet-wide dirty region, exhausted neighbourhood schedule or
-    exhausted budget — see ``reason``)."""
-
-    mode: str = "full"
-    reason: str = ""
-    dirty_count: int = 0
-    frozen_count: int = 0
-    attempts: int = 0
-    #: Zones whose previous sub-assignment was reused verbatim (only set by
-    #: the partitioned composition, ``engine="repair-partitioned"``).
-    reused_zones: int = 0
-
-    def trace(self) -> dict:
-        """The repair telemetry attached to
-        :class:`~repro.core.context_switch.ContextSwitchReport` and
-        aggregated into ``RunResult.metadata["repair_engine"]``."""
-        return {
-            "mode": self.mode,
-            "reason": self.reason,
-            "dirty_count": self.dirty_count,
-            "frozen_count": self.frozen_count,
-            "attempts": self.attempts,
-            "reused_zones": self.reused_zones,
-        }
+#: Widening steps of the deterministic neighbourhood schedule (a quarter,
+#: then half, of the nodes released) before the full-solve fallback.
+_LNS_STEPS = 2
 
 
 def _relational_closure(
@@ -173,14 +145,14 @@ class RepairOptimizer:
     :class:`~repro.core.optimizer.ContextSwitchOptimizer`
     (``engine="repair"``) or a
     :class:`~repro.scale.parallel.ParallelOptimizer`
-    (``engine="repair-partitioned"``); both accept ``pinned`` and share the
-    mutable ``timeout`` attribute the repair engine carves per attempt.
+    (``engine="repair-partitioned"``); both accept ``pinned`` and a per-call
+    ``timeout``, through which every attempt gets what is left of this
+    engine's own ``timeout`` — the round's budget, a plain attribute a
+    driver may set between rounds.
 
     ``halo`` is the number of co-host expansion rounds applied to the dirty
     region (0 freezes everything but the directly perturbed VMs; larger
     values trade solve time for repacking freedom around the perturbation).
-    ``lns_steps`` bounds the deterministic widening schedule before the
-    full-solve fallback.
     """
 
     def __init__(
@@ -188,12 +160,10 @@ class RepairOptimizer:
         inner,
         timeout: float = 40.0,
         halo: int = 1,
-        lns_steps: int = 2,
     ) -> None:
         self.inner = inner
         self.timeout = timeout
         self.halo = halo
-        self.lns_steps = lns_steps
         self._previous: Optional[dict[str, str]] = None
         self._marks: Set[str] = set()
 
@@ -230,8 +200,9 @@ class RepairOptimizer:
         vjob_of_vm: Optional[Mapping[str, str]] = None,
         fallback_target: Optional[Configuration] = None,
         constraints: Sequence[PlacementConstraint] = (),
-    ) -> RepairResult:
-        """Same contract as :meth:`ContextSwitchOptimizer.optimize`.
+    ) -> OptimizationResult:
+        """Same contract as :meth:`ContextSwitchOptimizer.optimize`; the
+        result's ``repair`` entry says what the engine did.
 
         LNS attempts never use ``fallback_target`` — an infeasible frozen
         region must widen, not degrade to the FFD fallback — so only the
@@ -245,98 +216,7 @@ class RepairOptimizer:
             name for name, state in states.items() if state is VMState.RUNNING
         ]
         previous = self._previous
-        saved_timeout = self.inner.timeout
-        try:
-            if previous is None:
-                return self._full_solve(
-                    current,
-                    target_states,
-                    vjob_of_vm,
-                    fallback_target,
-                    constraints,
-                    deadline,
-                    reason="cold start (no previous assignment)",
-                    dirty_count=len(running_vms),
-                    attempts=0,
-                )
-            dirty = compute_dirty_set(
-                current,
-                states,
-                running_vms,
-                constraints,
-                marks,
-                previous,
-                self.halo,
-            )
-            attempts = 0
-            for level in range(self.lns_steps + 1):
-                pins = {
-                    vm: current.location_of(vm)
-                    for vm in running_vms
-                    if vm not in dirty
-                }
-                if not pins:
-                    return self._full_solve(
-                        current,
-                        target_states,
-                        vjob_of_vm,
-                        fallback_target,
-                        constraints,
-                        deadline,
-                        reason="dirty region covers the whole fleet",
-                        dirty_count=len(dirty),
-                        attempts=attempts,
-                    )
-                remaining = deadline - time.monotonic()
-                if attempts and remaining <= _MIN_ATTEMPT_TIMEOUT_S:
-                    return self._full_solve(
-                        current,
-                        target_states,
-                        vjob_of_vm,
-                        fallback_target,
-                        constraints,
-                        deadline,
-                        reason="neighbourhood budget exhausted",
-                        dirty_count=len(dirty),
-                        attempts=attempts,
-                    )
-                self.inner.timeout = max(_MIN_ATTEMPT_TIMEOUT_S, remaining)
-                attempts += 1
-                result: Optional[OptimizationResult]
-                with span(
-                    "repair-attempt",
-                    level=level,
-                    dirty=len(dirty),
-                    frozen=len(pins),
-                ) as attempt_span:
-                    try:
-                        result = self.inner.optimize(
-                            current,
-                            target_states,
-                            vjob_of_vm=vjob_of_vm,
-                            fallback_target=None,
-                            constraints=constraints,
-                            pinned=pins,
-                        )
-                    except PlanningError:
-                        result = None
-                    if result is None:
-                        attempt_span.set(failed=True)
-                if result is not None:
-                    return self._accept(
-                        result,
-                        mode="repair",
-                        reason=(
-                            "repaired within the initial region"
-                            if level == 0
-                            else f"repaired after widening {level}x"
-                        ),
-                        dirty_count=len(dirty),
-                        frozen_count=len(pins),
-                        attempts=attempts,
-                    )
-                dirty |= self._widened(current, running_vms, dirty, level + 1)
-                _relational_closure(dirty, constraints, set(running_vms))
+        if previous is None:
             return self._full_solve(
                 current,
                 target_states,
@@ -344,12 +224,99 @@ class RepairOptimizer:
                 fallback_target,
                 constraints,
                 deadline,
-                reason=f"neighbourhood schedule exhausted ({attempts} attempts)",
-                dirty_count=len(dirty),
-                attempts=attempts,
+                reason="cold start (no previous assignment)",
+                dirty_count=len(running_vms),
+                attempts=0,
             )
-        finally:
-            self.inner.timeout = saved_timeout
+        dirty = compute_dirty_set(
+            current,
+            states,
+            running_vms,
+            constraints,
+            marks,
+            previous,
+            self.halo,
+        )
+        attempts = 0
+        for level in range(_LNS_STEPS + 1):
+            pins = {
+                vm: current.location_of(vm)
+                for vm in running_vms
+                if vm not in dirty
+            }
+            if not pins:
+                return self._full_solve(
+                    current,
+                    target_states,
+                    vjob_of_vm,
+                    fallback_target,
+                    constraints,
+                    deadline,
+                    reason="dirty region covers the whole fleet",
+                    dirty_count=len(dirty),
+                    attempts=attempts,
+                )
+            remaining = deadline - time.monotonic()
+            if attempts and remaining <= _MIN_ATTEMPT_TIMEOUT_S:
+                return self._full_solve(
+                    current,
+                    target_states,
+                    vjob_of_vm,
+                    fallback_target,
+                    constraints,
+                    deadline,
+                    reason="neighbourhood budget exhausted",
+                    dirty_count=len(dirty),
+                    attempts=attempts,
+                )
+            attempts += 1
+            result: Optional[OptimizationResult]
+            with span(
+                "repair-attempt",
+                level=level,
+                dirty=len(dirty),
+                frozen=len(pins),
+            ) as attempt_span:
+                try:
+                    result = self.inner.optimize(
+                        current,
+                        target_states,
+                        vjob_of_vm=vjob_of_vm,
+                        fallback_target=None,
+                        constraints=constraints,
+                        pinned=pins,
+                        timeout=max(_MIN_ATTEMPT_TIMEOUT_S, remaining),
+                    )
+                except PlanningError:
+                    result = None
+                if result is None:
+                    attempt_span.set(failed=True)
+            if result is not None:
+                return self._accept(
+                    result,
+                    mode="repair",
+                    reason=(
+                        "repaired within the initial region"
+                        if level == 0
+                        else f"repaired after widening {level}x"
+                    ),
+                    dirty_count=len(dirty),
+                    frozen_count=len(pins),
+                    attempts=attempts,
+                )
+            dirty |= self._widened(current, running_vms, dirty, level + 1)
+            _relational_closure(dirty, constraints, set(running_vms))
+        return self._full_solve(
+            current,
+            target_states,
+            vjob_of_vm,
+            fallback_target,
+            constraints,
+            deadline,
+            reason=f"neighbourhood schedule exhausted ({attempts} attempts)",
+            dirty_count=len(dirty),
+            attempts=attempts,
+        )
 
     # ------------------------------------------------------------------ #
     # internals                                                           #
@@ -400,12 +367,11 @@ class RepairOptimizer:
         reason: str,
         dirty_count: int,
         attempts: int,
-    ) -> RepairResult:
+    ) -> OptimizationResult:
         remaining = max(
             self.timeout * _FALLBACK_TIMEOUT_FRACTION,
             deadline - time.monotonic(),
         )
-        self.inner.timeout = remaining
         with span("full-solve", reason=reason, dirty=dirty_count):
             result = self.inner.optimize(
                 current,
@@ -413,6 +379,7 @@ class RepairOptimizer:
                 vjob_of_vm=vjob_of_vm,
                 fallback_target=fallback_target,
                 constraints=constraints,
+                timeout=remaining,
             )
         return self._accept(
             result,
@@ -431,27 +398,27 @@ class RepairOptimizer:
         dirty_count: int,
         frozen_count: int,
         attempts: int,
-    ) -> RepairResult:
+    ) -> OptimizationResult:
+        """Remember the accepted assignment and attach the repair telemetry
+        (recorded on :class:`~repro.core.context_switch.ContextSwitchReport`
+        and aggregated into ``RunResult.metadata["repair_engine"]``)."""
         self._previous = {
             vm: result.target.location_of(vm)
             for vm in result.target.vm_names
             if result.target.state_of(vm) is VMState.RUNNING
         }
-        values = {
-            f.name: getattr(result, f.name) for f in fields(OptimizationResult)
+        result.repair = {
+            "mode": mode,
+            "reason": reason,
+            "dirty_count": dirty_count,
+            "frozen_count": frozen_count,
+            "attempts": attempts,
+            # Zones whose previous sub-assignment was reused verbatim (only
+            # the partitioned composition, ``engine="repair-partitioned"``).
+            "reused_zones": sum(1 for r in result.zone_reports if r.reused),
         }
-        reused = sum(1 for report in result.zone_reports if report.reused)
-        repaired = RepairResult(
-            mode=mode,
-            reason=reason,
-            dirty_count=dirty_count,
-            frozen_count=frozen_count,
-            attempts=attempts,
-            reused_zones=reused,
-            **values,
-        )
-        if mode == "repair" and frozen_count and repaired.statistics is not None:
+        if mode == "repair" and frozen_count and result.statistics is not None:
             # Exhausting the search under pins only proves optimality of the
             # frozen-region subproblem — never surface it as a global claim.
-            repaired.statistics.proven_optimal = False
-        return repaired
+            result.statistics.proven_optimal = False
+        return result

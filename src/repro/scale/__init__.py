@@ -44,7 +44,6 @@ from .campaign import (
 )
 from .parallel import (
     ParallelOptimizer,
-    PartitionedResult,
     ZoneOutcome,
     ZoneReport,
     ZoneTask,
@@ -66,7 +65,6 @@ __all__ = [
     "placed_vms",
     "vm_domains",
     "ParallelOptimizer",
-    "PartitionedResult",
     "ZoneTask",
     "ZoneOutcome",
     "ZoneReport",

@@ -1,14 +1,16 @@
 """Solving placement zones concurrently and merging the sub-plans.
 
-:class:`ParallelOptimizer` is a drop-in replacement for
-:class:`~repro.core.optimizer.ContextSwitchOptimizer`: it partitions the
-instance with :func:`repro.scale.partition.partition`, ships every zone to a
-worker (a :class:`concurrent.futures.ProcessPoolExecutor` by default — the CP
-search is pure Python, so threads would serialize on the GIL), and merges the
-per-zone assignments deterministically into one global target configuration,
-planned and priced by the *single* global planner pass.  The merged plan is
-therefore exactly as checker-validated as a monolithic one: the planner
-re-applies the whole constraint catalog to every intermediate state.
+:class:`ParallelOptimizer` is a
+:class:`~repro.core.optimizer.ContextSwitchOptimizer` whose search is
+decomposed: it partitions the instance with
+:func:`repro.scale.partition.partition`, ships every zone to a worker (a
+:class:`concurrent.futures.ProcessPoolExecutor` by default — the CP search
+is pure Python, so threads would serialize on the GIL), and merges the
+per-zone assignments deterministically into one global assignment, which the
+base class turns into a target, a plan and a price exactly as it does its
+own.  The merged plan is therefore exactly as checker-validated as a
+monolithic one: the planner re-applies the whole constraint catalog to every
+intermediate state.
 
 Why this is sound: the partitioner guarantees that zone node sets are
 disjoint and that every zone VM's candidate nodes lie inside its zone, so
@@ -18,18 +20,17 @@ disjoint and that every zone VM's candidate nodes lie inside its zone, so
 * every relational constraint is confined to one zone, whose sub-model
   compiles and enforces it.
 
-The wall-clock ``timeout`` bounds the whole solve — zones that genuinely
-overlap each get the full timeout, while zones the executor runs sequentially
-(the serial executor, or more zones than workers queuing in waves on the pool)
-share it, so a partitioned round stays within the per-round time budget the
-monolithic engine honours.  When the
-partitioner finds no decomposition — or any zone turns out infeasible under
-its carved budget — the optimizer transparently falls back to the monolithic
-:class:`~repro.core.optimizer.ContextSwitchOptimizer`, so
-``engine="partitioned"`` is always safe to request; a post-zone fallback
-only gets the wall-clock the zones left over (floored at a small fraction of
-the global timeout), so even the worst case stays near the budget instead of
-doubling it.
+The wall-clock budget of a call (its ``timeout`` argument, the constructor's
+by default) bounds the whole solve — zones that genuinely overlap each get
+the full budget, while zones the executor runs sequentially (the serial
+executor, or more zones than workers queuing in waves on the pool) share it,
+so a partitioned round stays within the per-round time budget the monolithic
+engine honours.  When the partitioner finds no decomposition — or any zone
+turns out infeasible under its carved budget — the optimizer transparently
+falls back to the inherited monolithic solve, so ``engine="partitioned"`` is
+always safe to request; a post-zone fallback only gets the wall-clock the
+zones left over (floored at a small fraction of the budget), so even the
+worst case stays near the budget instead of doubling it.
 
 Sub-problem extraction: a zone's sub-configuration contains only the zone's
 nodes and VMs.  A zone VM whose current host (or suspend image) lies outside
@@ -43,11 +44,10 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
-from typing import Iterable, List, Mapping, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import List, Mapping, Optional, Sequence, Union
 
 from ..constraints.base import PlacementConstraint
-from ..core.cost import plan_cost
 from ..core.optimizer import ContextSwitchOptimizer, OptimizationResult
 from ..cp import SearchStatistics
 from ..model.configuration import Configuration
@@ -70,7 +70,7 @@ ZONE_EXECUTORS = ("auto", "process", "serial")
 _MIN_ZONE_TIMEOUT_S = 0.05
 
 #: Floor of the monolithic fallback's carved budget, as a fraction of the
-#: global timeout: when failing zones already burned the whole round, the
+#: call's budget: when failing zones already burned the whole round, the
 #: fallback still needs room to find *a* solution, so the worst-case round
 #: is bounded at (1 + this) times the budget rather than doubling it.
 _FALLBACK_TIMEOUT_FRACTION = 0.1
@@ -127,7 +127,8 @@ class ZoneOutcome:
 
 @dataclass
 class ZoneReport:
-    """Per-zone summary attached to a :class:`PartitionedResult`."""
+    """Per-zone summary, one per solved zone in
+    :attr:`~repro.core.optimizer.OptimizationResult.zone_reports`."""
 
     index: int
     node_count: int
@@ -135,22 +136,6 @@ class ZoneReport:
     elapsed: float
     statistics: SearchStatistics
     reused: bool = False
-
-
-@dataclass
-class PartitionedResult(OptimizationResult):
-    """An :class:`~repro.core.optimizer.OptimizationResult` plus the
-    partition trace: how the instance was decomposed (``partition_method``
-    is ``"interference"``, ``"sharded"`` or ``"monolithic"``); the inherited
-    ``zone_reports`` holds one :class:`ZoneReport` per solved zone (empty on
-    a monolithic fallback)."""
-
-    partition_method: str = "monolithic"
-    partition_reason: str = ""
-
-    @property
-    def zone_count(self) -> int:
-        return len(self.zone_reports)
 
 
 def build_zone_configuration(
@@ -206,7 +191,7 @@ def _solve_zone_traced(task: ZoneTask, zone_span: Span) -> ZoneOutcome:
         nodes=len(task.zone.nodes),
         pinned=len(task.pinned or {}),
     )
-    optimizer = ContextSwitchOptimizer(timeout=task.timeout, engine=task.engine)
+    optimizer = ContextSwitchOptimizer(engine=task.engine)
     states = {vm: VMState.RUNNING for vm in task.zone.vms}
     started = time.monotonic()
     assignment, statistics, _ = optimizer.search_assignment(
@@ -214,6 +199,7 @@ def _solve_zone_traced(task: ZoneTask, zone_span: Span) -> ZoneOutcome:
         states,
         constraints=task.zone.constraints,
         pinned=task.pinned,
+        timeout=task.timeout,
     )
     return ZoneOutcome(
         index=task.zone.index,
@@ -258,7 +244,7 @@ def merge_statistics(
     return merged
 
 
-class ParallelOptimizer:
+class ParallelOptimizer(ContextSwitchOptimizer):
     """Partition the instance into zones and solve them concurrently.
 
     The constructor mirrors :class:`ContextSwitchOptimizer` and adds the
@@ -289,8 +275,9 @@ class ParallelOptimizer:
                 f"unknown zone executor {zone_executor!r}; expected one of "
                 f"{ZONE_EXECUTORS}"
             )
-        self.timeout = timeout
-        self.engine = engine
+        super().__init__(
+            timeout=timeout, planner_options=planner_options, engine=engine
+        )
         self.max_workers = max_workers
         self.zone_executor = zone_executor
         #: Fallback shard count: ``"auto"`` follows ``max_workers`` (4 when
@@ -299,13 +286,6 @@ class ParallelOptimizer:
         #: is forked lazily on the first partitioned solve and reused across
         #: rounds — see :meth:`close`.
         self.shards = (max_workers or 4) if shards == "auto" else shards
-        #: The monolithic optimizer used to plan merged targets and as the
-        #: transparent fallback when no partition exists (or a zone fails).
-        self.monolithic = ContextSwitchOptimizer(
-            timeout=timeout,
-            planner_options=planner_options,
-            engine=engine,
-        )
 
     # ------------------------------------------------------------------ #
 
@@ -317,10 +297,11 @@ class ParallelOptimizer:
         fallback_target: Optional[Configuration] = None,
         constraints: Sequence[PlacementConstraint] = (),
         pinned: Optional[Mapping[str, str]] = None,
-    ) -> PartitionedResult:
-        """Same contract as
-        :meth:`ContextSwitchOptimizer.optimize`, returning a
-        :class:`PartitionedResult` with the partition trace attached.
+        timeout: Optional[float] = None,
+    ) -> OptimizationResult:
+        """Same contract as :meth:`ContextSwitchOptimizer.optimize`; the
+        result's ``partition_method`` / ``partition_reason`` /
+        ``zone_reports`` say how the instance was decomposed.
 
         ``pinned`` composes the repair engine with partitioning: a zone
         whose VMs are all pinned short-circuits to its previous
@@ -328,8 +309,9 @@ class ParallelOptimizer:
         zone solves with its clean VMs pinned, and only pins whose node
         lies inside the zone are honoured (the partitioner anchors VMs to
         their current host's zone, so that is the common case)."""
+        budget = self.timeout if timeout is None else timeout
         started = time.monotonic()
-        states = ContextSwitchOptimizer._complete_states(current, target_states)
+        states = self._complete_states(current, target_states)
         with span("partition") as partition_span:
             decomposition = partition(
                 current, states, constraints, shards=self.shards
@@ -339,77 +321,66 @@ class ParallelOptimizer:
                 zones=len(decomposition.zones),
                 exact=decomposition.exact,
             )
-        if not decomposition.is_win:
-            return self._monolithic_result(
+        outcomes: List[ZoneOutcome] = []
+        if decomposition.is_win:
+            outcomes = sorted(
+                self._solve_zones(current, decomposition, budget, pinned=pinned),
+                key=lambda o: o.index,
+            )
+        failed = [o.index for o in outcomes if o.assignment is None]
+        if failed or not decomposition.is_win:
+            reason = decomposition.reason
+            if failed:
+                reason = f"zones {failed} found no viable assignment"
+                # The zones already consumed part of the round's budget: the
+                # transparent fallback only gets what they left (floored at a
+                # fraction of the budget so it can still find *a* solution),
+                # keeping the whole round near the per-round budget instead
+                # of doubling it.
+                budget = max(
+                    budget * _FALLBACK_TIMEOUT_FRACTION,
+                    budget - (time.monotonic() - started),
+                )
+            result = super().optimize(
                 current,
                 target_states,
-                vjob_of_vm,
-                fallback_target,
-                constraints,
-                method="monolithic",
-                reason=decomposition.reason,
+                vjob_of_vm=vjob_of_vm,
+                fallback_target=fallback_target,
+                constraints=constraints,
                 pinned=pinned,
+                timeout=budget,
             )
-
-        outcomes = self._solve_zones(current, decomposition, pinned=pinned)
-        if any(outcome.assignment is None for outcome in outcomes):
-            failed = [o.index for o in outcomes if o.assignment is None]
-            # The zones already consumed part of the round's budget: the
-            # transparent fallback only gets what they left (floored at a
-            # fraction of the global timeout so it can still find *a*
-            # solution), keeping the whole round near the per-round budget
-            # instead of doubling it.
-            remaining = max(
-                self.timeout * _FALLBACK_TIMEOUT_FRACTION,
-                self.timeout - (time.monotonic() - started),
-            )
-            return self._monolithic_result(
-                current,
-                target_states,
-                vjob_of_vm,
-                fallback_target,
-                constraints,
-                method="monolithic",
-                reason=f"zones {failed} found no viable assignment",
-                timeout_override=remaining,
-                pinned=pinned,
-            )
+            result.partition_reason = reason
+            return result
 
         # Deterministic merge: zones are index-ordered, assignments are
         # disjoint by construction.
         merged: dict[str, str] = {}
-        for outcome in sorted(outcomes, key=lambda o: o.index):
+        for outcome in outcomes:
             merged.update(outcome.assignment)
-
-        target = ContextSwitchOptimizer._build_target(current, states, merged)
-        plan = self.monolithic.planner.build(
-            current, target, vjob_of_vm, constraints=constraints
+        result = self._finish(
+            current,
+            states,
+            merged,
+            merge_statistics(outcomes, exact=decomposition.exact),
+            [],
+            vjob_of_vm,
+            fallback_target,
+            constraints,
         )
-        cost = plan_cost(plan).total
-        movement = sum(
-            ContextSwitchOptimizer.movement_cost(current, vm, merged[vm])
-            for vm in merged
-        )
-        return PartitionedResult(
-            target=target,
-            plan=plan,
-            cost=cost,
-            movement_cost=movement,
-            fixed_cost=ContextSwitchOptimizer._fixed_cost(current, states),
-            statistics=merge_statistics(outcomes, exact=decomposition.exact),
-            partition_method=decomposition.method,
-            zone_reports=[
-                ZoneReport(
-                    index=o.index,
-                    node_count=len(decomposition.zones[o.index].nodes),
-                    vm_count=len(decomposition.zones[o.index].vms),
-                    elapsed=o.elapsed,
-                    statistics=o.statistics,
-                    reused=o.reused,
-                )
-                for o in sorted(outcomes, key=lambda o: o.index)
-            ],
-        )
+        result.partition_method = decomposition.method
+        result.zone_reports = [
+            ZoneReport(
+                index=o.index,
+                node_count=len(decomposition.zones[o.index].nodes),
+                vm_count=len(decomposition.zones[o.index].vms),
+                elapsed=o.elapsed,
+                statistics=o.statistics,
+                reused=o.reused,
+            )
+            for o in outcomes
+        ]
+        return result
 
     # ------------------------------------------------------------------ #
 
@@ -434,16 +405,16 @@ class ParallelOptimizer:
         self,
         current: Configuration,
         zones: Union[PartitionResult, Sequence[Zone]],
+        budget: float,
         waves: int = 1,
         pins_by_zone: Optional[Mapping[int, dict[str, str]]] = None,
     ) -> List[ZoneTask]:
-        """One task per zone, with the global budget carved: when the
-        executor cannot overlap every zone, each gets ``1/waves`` of the
-        wall-clock ``timeout`` (``waves`` is how many batches the zones
-        queue in), so a partitioned solve never exceeds the control loop's
-        per-round time budget.  ``zones`` is a full
-        decomposition or the subset of its zones still pending after the
-        repair composition reused the fully-pinned ones."""
+        """One task per zone, with the call's ``budget`` carved: when the
+        executor cannot overlap every zone, each gets ``1/waves`` of it
+        (``waves`` is how many batches the zones queue in), so a partitioned
+        solve never exceeds the control loop's per-round time budget.
+        ``zones`` is a full decomposition or the subset of its zones still
+        pending after the repair composition reused the fully-pinned ones."""
         zones = getattr(zones, "zones", zones)
         tasks = []
         for zone in zones:
@@ -453,9 +424,7 @@ class ParallelOptimizer:
                     zone=zone,
                     configuration=build_zone_configuration(current, zone),
                     engine=self.engine,
-                    timeout=max(
-                        _MIN_ZONE_TIMEOUT_S, self.timeout / max(1, waves)
-                    ),
+                    timeout=max(_MIN_ZONE_TIMEOUT_S, budget / max(1, waves)),
                     pinned=pins,
                 )
             )
@@ -465,6 +434,7 @@ class ParallelOptimizer:
         self,
         current: Configuration,
         decomposition: PartitionResult,
+        budget: float,
         pinned: Optional[Mapping[str, str]] = None,
     ) -> List[ZoneOutcome]:
         # Repair composition: a zone whose VMs are all pinned is untouched
@@ -494,13 +464,15 @@ class ParallelOptimizer:
 
         executor = resolve_zone_executor(self.zone_executor)
         if executor == "serial" or len(pending) == 1:
-            # Zones run one after another, so they share the single global
+            # Zones run one after another, so they share the single
             # wall-clock budget: each gets what the earlier ones left over
             # (a small floor keeps every zone able to at least attempt a
             # first solution; an out-of-budget zone fails fast and triggers
             # the monolithic fallback).
-            tasks = self._zone_tasks(current, pending, pins_by_zone=pins_by_zone)
-            deadline = time.monotonic() + self.timeout
+            tasks = self._zone_tasks(
+                current, pending, budget, pins_by_zone=pins_by_zone
+            )
+            deadline = time.monotonic() + budget
             outcomes = list(reused)
             for task in tasks:
                 task.timeout = max(
@@ -510,10 +482,10 @@ class ParallelOptimizer:
             return outcomes
         wanted = self.max_workers or len(pending)
         # More zones than workers queue in ceil(zones/workers) waves on the
-        # pool; carve the budget per wave so wall-clock stays <= timeout.
+        # pool; carve the budget per wave so wall-clock stays <= budget.
         waves = -(-len(pending) // wanted)
         tasks = self._zone_tasks(
-            current, pending, waves=waves, pins_by_zone=pins_by_zone
+            current, pending, budget, waves=waves, pins_by_zone=pins_by_zone
         )
         if self._pool is not None and self._pool_size < wanted:
             # A later round partitioned into more zones than the cached pool
@@ -549,9 +521,6 @@ class ParallelOptimizer:
             self._pool.shutdown()
             self._pool = None
 
-    def mark_dirty(self, vms: Iterable[str]) -> None:
-        """Optimizer surface; a cold solve re-decides every VM anyway."""
-
     def __enter__(self) -> "ParallelOptimizer":
         return self
 
@@ -560,36 +529,3 @@ class ParallelOptimizer:
 
     def __del__(self) -> None:  # pragma: no cover - interpreter-dependent
         self.close()
-
-    def _monolithic_result(
-        self,
-        current: Configuration,
-        target_states: Mapping[str, VMState],
-        vjob_of_vm: Optional[Mapping[str, str]],
-        fallback_target: Optional[Configuration],
-        constraints: Sequence[PlacementConstraint],
-        method: str,
-        reason: str,
-        timeout_override: Optional[float] = None,
-        pinned: Optional[Mapping[str, str]] = None,
-    ) -> PartitionedResult:
-        previous = self.monolithic.timeout
-        if timeout_override is not None:
-            self.monolithic.timeout = timeout_override
-        try:
-            inner = self.monolithic.optimize(
-                current,
-                target_states,
-                vjob_of_vm=vjob_of_vm,
-                fallback_target=fallback_target,
-                constraints=constraints,
-                pinned=pinned,
-            )
-        finally:
-            self.monolithic.timeout = previous
-        values = {
-            f.name: getattr(inner, f.name) for f in fields(OptimizationResult)
-        }
-        return PartitionedResult(
-            partition_method=method, partition_reason=reason, **values
-        )

@@ -17,7 +17,7 @@ from ..core.actions import Action, Migrate, Resume, Run, Stop, Suspend
 from ..core.plan import ReconfigurationPlan
 from ..model.configuration import Configuration
 from ..model.vjob import VJob
-from ..model.vm import VirtualMachine
+from ..model.vm import VirtualMachine, VMState
 from ..sim.faults import FaultEvent, FaultKind
 from ..workloads.traces import DemandTrace, Phase, VJobWorkload
 
@@ -111,9 +111,7 @@ def capture_configuration(configuration: Configuration) -> "ConfigurationSnapsho
         nodes=configuration.nodes,
         vms=configuration.vms,
         placement=dict(configuration.placement()),
-        states={
-            name: state.value for name, state in configuration.states().items()
-        },
+        states=configuration.states(),
         viable=configuration.is_viable(),
     )
 
@@ -128,7 +126,7 @@ class ConfigurationSnapshot:
         nodes: Any,
         vms: Any,
         placement: dict[str, str],
-        states: dict[str, str],
+        states: dict[str, VMState],
         viable: bool,
     ) -> None:
         self.nodes = nodes
@@ -155,7 +153,7 @@ class ConfigurationSnapshot:
                     "memory": vm.memory,
                     "cpu_demand": vm.cpu_demand,
                     "vjob": vm.vjob,
-                    "state": self.states[vm.name],
+                    "state": self.states[vm.name].value,
                     "node": self.placement.get(vm.name),
                 }
                 for vm in self.vms

@@ -1,4 +1,4 @@
-"""Integration tests of the Scenario / ExperimentBuilder facade.
+"""Integration tests of the Scenario facade.
 
 The acceptance bar of the API redesign: the same scenario description runs
 unmodified under at least two registered policies and yields comparable
@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro import ExperimentBuilder, RunResult, Scenario
+from repro import RunResult, Scenario
 from repro.api import RecordingObserver
 from repro.model import make_working_nodes
 from repro.testing import make_workload
@@ -190,36 +190,13 @@ class TestObservers:
 
 
 class TestExperimentBuilder:
-    def test_fluent_construction_matches_scenario(self):
-        observer = RecordingObserver()
-        scenario = (
-            ExperimentBuilder()
-            .nodes(small_nodes())
-            .workloads(contended_workloads())
-            .policy("fcfs", backfilling="none")
-            .period(15.0)
-            .optimizer_timeout(1.5)
-            .max_time(3600.0)
-            .observe(observer)
-            .build()
-        )
-        assert isinstance(scenario, Scenario)
-        assert scenario.policy == "fcfs"
-        assert scenario.policy_options == {"backfilling": "none"}
-        assert scenario.period == 15.0
-        assert scenario.optimizer_timeout == 1.5
-        assert scenario.max_time == 3600.0
-        assert scenario.observers == [observer]
-
     def test_builder_run_executes_the_scenario(self):
-        result = (
-            ExperimentBuilder()
-            .nodes(small_nodes())
-            .workloads(contended_workloads())
-            .policy("consolidation")
-            .optimizer_timeout(2.0)
-            .run()
-        )
+        result = Scenario(
+            nodes=small_nodes(),
+            workloads=contended_workloads(),
+            policy="consolidation",
+            optimizer_timeout=2.0,
+        ).run()
         assert set(result.completion_times) == {"high", "mid", "low"}
 
     def test_build_exposes_the_live_loop(self):

@@ -9,6 +9,7 @@ from repro.constraints import (
     Among,
     Ban,
     CATALOG,
+    CandidateFilter,
     Fence,
     Gather,
     Lonely,
@@ -208,9 +209,13 @@ class TestRoot:
         assert root.allowed_nodes("a", nodes) is None
 
     def test_greedy_filter_uses_the_reference(self, configuration):
+        # the packers read the pin through the same face as the compiler
         root = Root(["a"])
-        assert root.allows("a", "node-0", configuration, configuration)
-        assert not root.allows("a", "node-1", configuration, configuration)
+        nodes = configuration.node_names
+        assert root.allowed_nodes("a", nodes, configuration) == {"node-0"}
+        greedy = CandidateFilter([root], configuration)
+        assert greedy.candidates("a", nodes) == ["node-0"]
+        assert greedy.candidates("b", nodes) == nodes
 
 
 class TestMaxOnline:

@@ -8,7 +8,7 @@ from __future__ import annotations
 import pytest
 
 from repro import FaultSchedule, Scenario
-from repro.api import ExperimentBuilder, RecordingObserver
+from repro.api import RecordingObserver
 from repro.constraints import (
     Ban,
     CandidateFilter,
@@ -34,7 +34,7 @@ class TestGreedyFiltering:
         configuration = Configuration(nodes=nodes(2))
         vm = make_vm("x", memory=512, cpu=1)
         configuration.add_vm(vm)
-        ban = CandidateFilter([Ban(["x"], ["node-0"])])
+        ban = CandidateFilter([Ban(["x"], ["node-0"])], configuration)
         placement = ffd_place(configuration, [vm], node_filter=ban)
         assert placement == {"x": "node-1"}
 
@@ -42,8 +42,15 @@ class TestGreedyFiltering:
         configuration = Configuration(nodes=nodes(2))
         vm = make_vm("x", memory=512, cpu=1)
         configuration.add_vm(vm)
-        everywhere = CandidateFilter([Ban(["x"], ["node-0", "node-1"])])
+        everywhere = CandidateFilter(
+            [Ban(["x"], ["node-0", "node-1"])], configuration
+        )
         assert ffd_place(configuration, [vm], node_filter=everywhere) is None
+
+    def test_candidate_filter_needs_the_observed_configuration(self):
+        # unary domains are resolved against it: there is no unbound filter
+        with pytest.raises(TypeError, match="reference"):
+            CandidateFilter([Ban(["x"], ["node-0"])])
 
     def test_ffd_module_builds_constrained_targets(self):
         configuration = Configuration(nodes=nodes(3))
@@ -101,15 +108,13 @@ class TestConstrainedScenarios:
         assert result.metadata["constraints"] == [spread.label]
 
     def test_builder_supports_constraints(self):
-        result = (
-            ExperimentBuilder()
-            .nodes(nodes(3))
-            .workloads([make_workload("w", vm_count=2, duration=60.0)])
-            .policy("ffd")
-            .constraints(Spread(["w.vm0", "w.vm1"]))
-            .max_time(3600.0)
-            .run()
-        )
+        result = Scenario(
+            nodes=nodes(3),
+            workloads=[make_workload("w", vm_count=2, duration=60.0)],
+            policy="ffd",
+            constraints=[Spread(["w.vm0", "w.vm1"])],
+            max_time=3600.0,
+        ).run()
         assert result.completed("w")
         assert result.honoured_constraints
 

@@ -3,21 +3,21 @@
 :class:`NaiveConfiguration` preserves the pre-PR-10 O(fleet) dict-walk
 implementations of every read that the indexed :class:`Configuration` now
 serves from its columnar caches.  It is the *oracle* of the differential test
-harness: the Hypothesis suite in
-``tests/properties/test_configuration_equivalence.py`` drives an indexed
+harness: the Hypothesis suite next to it
+(``test_configuration_equivalence.py``) drives an indexed
 configuration and a naive one in lockstep through random mutation sequences
 and asserts the answers never diverge.
 
 The class inherits every *mutator* unchanged — state transitions are not what
 the refactor touched — and overrides only the reads, recomputing each answer
-from the placement/state dicts exactly like the historical code did.  Nothing
-in the production stack should instantiate it.
+from the placement/state dicts exactly like the historical code did.  It
+lives with the tests because nothing in the shipped package may use it.
 """
 
 from __future__ import annotations
 
-from .configuration import Configuration, ViabilityViolation
-from .resources import ResourceVector
+from repro.model.configuration import Configuration, ViabilityViolation
+from repro.model.resources import ResourceVector
 
 
 class NaiveConfiguration(Configuration):

@@ -5,24 +5,23 @@
 interference-graph rewrite: per-VM domains intersect *every* constraint in
 the catalog, domains are welded with O(fleet) ordering comprehensions, and
 :func:`_materialize_reference` scopes the catalog with per-zone set
-intersections.  It is kept verbatim so the property suite
-(``tests/properties/test_partition_equivalence.py``) can pin the lazy
+intersections.  It is kept verbatim so the property suite next to it
+(``test_partition_pinning.py``) can pin the lazy
 partitioner's output — zone node sets, VM assignment, exactness flag, scoped
 constraints — byte-identical to the historical answer on seeded constrained
 fleets.
 
-Nothing in the production stack should call this module; it exists for
-tests.
+It lives with the tests because nothing in the shipped package may call it.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Mapping, Optional, Sequence, Set
 
-from ..constraints.base import PlacementConstraint
-from ..model.configuration import Configuration
-from ..model.vm import VMState
-from .partition import (
+from repro.constraints.base import PlacementConstraint
+from repro.model.configuration import Configuration
+from repro.model.vm import VMState
+from repro.scale.partition import (
     TIGHT_DOMAIN_FRACTION,
     PartitionResult,
     Zone,

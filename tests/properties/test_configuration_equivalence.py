@@ -4,8 +4,8 @@ PR 10 replaced every hot ``Configuration`` read with columnar caches —
 per-node load columns, running-set and suspend-image indices, a dirty set
 feeding O(changed) incremental viability.  The caches are invisible by
 construction, and this suite is the proof: Hypothesis drives an indexed
-:class:`~repro.model.Configuration` and a retained
-:class:`~repro.model.NaiveConfiguration` (the pre-index dict-walk
+:class:`~repro.model.Configuration` and the ``NaiveConfiguration`` retained
+in ``reference_configuration.py`` next to this file (the pre-index dict-walk
 implementations) in lockstep through random mutation sequences —
 add / place / migrate / sleep / terminate / demand churn / crash-evict /
 node re-add — and asserts after *every* step that
@@ -23,13 +23,10 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.model import (
-    Configuration,
-    NaiveConfiguration,
-    Node,
-    VirtualMachine,
-)
+from repro.model import Configuration, Node, VirtualMachine
 from repro.sim.faults import evict_node
+
+from reference_configuration import NaiveConfiguration
 
 MEMORY_CHOICES = (256, 512, 1024)
 NODE_MEMORY = 2048

@@ -4,7 +4,7 @@ PR 10 rewrote :func:`repro.scale.partition.partition` around a constraint
 *membership index* (per-VM buckets instead of every-VM-asks-every-constraint
 sweeps), memoized uniform restriction domains, and positional sorts instead
 of O(fleet) ordering comprehensions.  The pre-rewrite implementation is
-retained verbatim in :mod:`repro.scale.reference`; this suite asserts the
+retained verbatim in ``reference_partition.py`` next to this file; this suite asserts the
 two produce **field-identical** results — method, reason, exactness flag,
 and every zone's index / node tuple / VM tuple / scoped constraint tuple —
 on Hypothesis-generated constrained fleets and on the seeded fenced fleets
@@ -34,8 +34,9 @@ from repro.constraints import (
 from repro.model import Configuration, Node, VirtualMachine
 from repro.scale.parallel import build_zone_configuration
 from repro.scale.partition import partition
-from repro.scale.reference import partition_reference
 from repro.testing import make_large_fleet
+
+from reference_partition import partition_reference
 
 CONSTRAINT_KINDS = (
     "fence",

@@ -141,7 +141,7 @@ def test_cold_start_fallback_is_identical_to_the_monolithic_result(instance):
     assert (via_repair is None) == (monolithic is None)
     if via_repair is None:
         return
-    assert via_repair.mode == "full"
+    assert via_repair.repair["mode"] == "full"
     assert _assignment(via_repair) == _assignment(monolithic)
     assert via_repair.movement_cost == monolithic.movement_cost
 

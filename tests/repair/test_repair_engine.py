@@ -3,11 +3,12 @@
 import pytest
 
 from repro.constraints import Ban, Fence, Spread
-from repro.core.optimizer import ContextSwitchOptimizer
+from repro.core.optimizer import ContextSwitchOptimizer, OptimizationResult
+from repro.cp import Solver
 from repro.model.configuration import Configuration
 from repro.model.node import Node
 from repro.model.vm import VirtualMachine, VMState
-from repro.repair import RepairOptimizer, RepairResult, compute_dirty_set
+from repro.repair import RepairOptimizer, compute_dirty_set
 from repro.scale import ParallelOptimizer
 
 
@@ -147,9 +148,9 @@ class TestRepairOptimizer:
             ContextSwitchOptimizer(timeout=timeout), timeout=timeout, halo=halo
         )
         cold = engine.optimize(configuration, _states(names))
-        assert isinstance(cold, RepairResult)
-        assert cold.mode == "full"
-        assert "cold start" in cold.reason
+        assert isinstance(cold, OptimizationResult)
+        assert cold.repair["mode"] == "full"
+        assert "cold start" in cold.repair["reason"]
         return engine, cold.target, names
 
     def test_cold_start_falls_back_to_the_full_solve(self):
@@ -165,17 +166,28 @@ class TestRepairOptimizer:
             if current.state_of(vm) is VMState.RUNNING
         }
         result = engine.optimize(current, _states(names))
-        assert result.mode == "repair"
-        assert result.attempts == 1
-        assert result.dirty_count >= 1
-        assert result.frozen_count == len(before) - (result.dirty_count - 1)
+        repair = result.repair
+        assert set(repair) == {
+            "mode",
+            "reason",
+            "dirty_count",
+            "frozen_count",
+            "attempts",
+            "reused_zones",
+        }
+        assert repair["mode"] == "repair"
+        assert repair["attempts"] == 1
+        assert repair["dirty_count"] >= 1
+        assert repair["frozen_count"] == len(before) - (
+            repair["dirty_count"] - 1
+        )
         # every frozen VM kept its placement
         moved = [
             vm
             for vm, host in before.items()
             if result.target.location_of(vm) != host
         ]
-        assert len(moved) <= result.dirty_count
+        assert len(moved) <= repair["dirty_count"]
         assert result.target.state_of("vm0-0") is VMState.RUNNING
         # incremental solves never claim global optimality
         assert not result.statistics.proven_optimal
@@ -199,9 +211,9 @@ class TestRepairOptimizer:
         # frozen a+b leave no node with 800 MB free: the engine must widen
         # (or fall back) rather than fail
         assert result.target.state_of("c") is VMState.RUNNING
-        assert result.attempts >= 2
-        if result.mode == "repair":
-            assert "widening" in result.reason
+        assert result.repair["attempts"] >= 2
+        if result.repair["mode"] == "repair":
+            assert "widening" in result.repair["reason"]
 
     def test_previous_assignment_tracks_accepted_rounds(self):
         engine, current, names = self._warm_engine()
@@ -227,19 +239,71 @@ class TestRepairOptimizer:
             configuration.set_waiting("vm3-1")
             engine.mark_dirty(["vm0-0", "vm3-1"])
             result = engine.optimize(configuration, _states(names))
-            return result.mode, {
+            return result.repair["mode"], {
                 vm: result.target.location_of(vm) for vm in names
             }
 
         assert run() == run()
 
-    def test_timeout_attribute_is_restored_after_each_solve(self):
-        engine, current, names = self._warm_engine(timeout=5.0)
-        assert engine.inner.timeout == 5.0
-        current.set_waiting("vm0-0")
-        engine.mark_dirty(["vm0-0"])
-        engine.optimize(current, _states(names))
-        assert engine.inner.timeout == 5.0
+    @staticmethod
+    def _unpartitionable_round(engine):
+        """A cold round, then a warm one with one arrival, on a fleet the
+        partitioner cannot split (no catalog, sharding off)."""
+        configuration, names = _fleet(node_count=4, vms_per_node=1)
+        for name in ("extra-0", "extra-1"):
+            configuration.add_vm(VirtualMachine(name=name, memory=512))
+            configuration.set_running(name, "n0")
+            names.append(name)
+        current = engine.optimize(configuration, _states(names)).target
+        current.add_vm(VirtualMachine(name="arrival", memory=512))
+        names.append("arrival")
+        engine.mark_dirty(["arrival"])
+        return current, names
+
+    def test_no_engine_timeout_is_written_during_solve(self, monkeypatch):
+        inner = ParallelOptimizer(
+            timeout=5.0, shards=None, zone_executor="serial"
+        )
+        engine = RepairOptimizer(inner, timeout=5.0)
+        written = []
+
+        def spy(self, name, value):
+            if name == "timeout" and (self is engine or self is inner):
+                written.append((type(self).__name__, value))
+            object.__setattr__(self, name, value)
+
+        monkeypatch.setattr(RepairOptimizer, "__setattr__", spy, raising=False)
+        monkeypatch.setattr(
+            ContextSwitchOptimizer, "__setattr__", spy, raising=False
+        )
+        current, names = self._unpartitionable_round(engine)
+        result = engine.optimize(current, _states(names))
+        assert result.repair["mode"] == "repair"
+        # the budget travels as an argument: nothing to restore afterwards
+        assert written == []
+        assert (engine.timeout, inner.timeout) == (5.0, 5.0)
+
+    def test_attempt_fallback_gets_the_round_budget(self, monkeypatch):
+        # the partition is not a win, so the attempt is solved by the
+        # partitioned engine's monolithic path — under the round's 0.2 s,
+        # not the 10 s the inner engine was constructed with
+        engine = RepairOptimizer(
+            ParallelOptimizer(timeout=10.0, shards=None, zone_executor="serial"),
+            timeout=0.2,
+        )
+        current, names = self._unpartitionable_round(engine)
+        budgets = []
+        solve = Solver.solve
+
+        def spy(self, *args, **kwargs):
+            budgets.append(kwargs["timeout"])
+            return solve(self, *args, **kwargs)
+
+        monkeypatch.setattr(Solver, "solve", spy)
+        result = engine.optimize(current, _states(names))
+        assert result.partition_method == "monolithic"
+        assert result.repair["mode"] == "repair"
+        assert len(budgets) == 1 and 0 < budgets[0] <= 0.2
 
     def test_close_forwards_to_the_inner_optimizer(self):
         closed = []
@@ -268,15 +332,15 @@ class TestPartitionedComposition:
         cold = engine.optimize(
             configuration, _states(names), constraints=fences
         )
-        assert cold.mode == "full"
+        assert cold.repair["mode"] == "full"
         current = cold.target
         current.set_waiting("vm0-0")
         engine.mark_dirty(["vm0-0"])
         result = engine.optimize(
             current, _states(names), constraints=fences
         )
-        assert result.mode == "repair"
+        assert result.repair["mode"] == "repair"
         # the untouched fence zone was never shipped to a worker
-        assert result.reused_zones >= 1
+        assert result.repair["reused_zones"] >= 1
         for vm in zone_b:
             assert result.target.location_of(vm) == current.location_of(vm)

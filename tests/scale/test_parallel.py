@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
+from repro.api import ControlLoop, Scenario
 from repro.constraints import Ban, Fence, Spread
 from repro.constraints.checker import check_plan
+from repro.core.context_switch import ClusterContextSwitch
 from repro.core.optimizer import ContextSwitchOptimizer
+from repro.core.planner import PlannerOptions
 from repro.model.configuration import Configuration
 from repro.model.errors import SolverError
 from repro.model.node import make_working_nodes
 from repro.model.vm import VMState
+from repro.repair import RepairOptimizer
 from repro.scale import (
     ParallelOptimizer,
     Zone,
@@ -84,7 +90,7 @@ class TestParallelOptimizer:
             _states(configuration),
             constraints=_fenced_constraints(),
         )
-        assert result.zone_count == 2
+        assert len(result.zone_reports) == 2
         assert [report.vm_count for report in result.zone_reports] == [3, 3]
         assert all(r.statistics.solutions >= 1 for r in result.zone_reports)
 
@@ -281,8 +287,8 @@ class TestZoneMachinery:
             )
 
         monkeypatch.setattr(parallel_module, "solve_zone", slow_zone)
-        optimizer = ParallelOptimizer(timeout=0.3, zone_executor="serial")
-        optimizer._solve_zones(configuration, decomposition)
+        optimizer = ParallelOptimizer(zone_executor="serial")
+        optimizer._solve_zones(configuration, decomposition, 0.3)
         assert len(recorded) == 2
         # the first zone gets (about) the whole budget, the second only
         # what the first left over — not another full timeout
@@ -309,33 +315,34 @@ class TestZoneMachinery:
         monkeypatch.setattr(parallel_module, "solve_zone", failing_zone)
         optimizer = ParallelOptimizer(timeout=0.5, zone_executor="serial")
         seen = []
-        original = optimizer.monolithic.optimize
+        original = optimizer.search_assignment
 
         def spy(*args, **kwargs):
-            seen.append(optimizer.monolithic.timeout)
+            seen.append(kwargs["timeout"])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(optimizer.monolithic, "optimize", spy)
+        monkeypatch.setattr(optimizer, "search_assignment", spy)
         result = optimizer.optimize(
             configuration, states, constraints=_fenced_constraints()
         )
         assert result.partition_method == "monolithic"
+        assert "found no viable assignment" in result.partition_reason
         # the fallback ran on what the failed zones left over, not on a
-        # second full budget; the optimizer's timeout is restored after
+        # second full budget; the optimizer's own timeout was never touched
         assert seen and seen[0] < 0.5
-        assert optimizer.monolithic.timeout == 0.5
+        assert optimizer.timeout == 0.5
 
     def test_queued_waves_carve_the_timeout(self):
         configuration = _configuration()
         decomposition = partition(
             configuration, _states(configuration), _fenced_constraints()
         )
-        optimizer = ParallelOptimizer(timeout=8.0, max_workers=1)
+        optimizer = ParallelOptimizer(max_workers=1)
         # two zones on one worker queue in two waves: each gets half the
-        # global wall-clock budget, keeping the round inside the budget
-        tasks = optimizer._zone_tasks(configuration, decomposition, waves=2)
+        # call's wall-clock budget, keeping the round inside the budget
+        tasks = optimizer._zone_tasks(configuration, decomposition, 8.0, waves=2)
         assert [task.timeout for task in tasks] == [4.0, 4.0]
-        overlapped = optimizer._zone_tasks(configuration, decomposition)
+        overlapped = optimizer._zone_tasks(configuration, decomposition, 8.0)
         assert [task.timeout for task in overlapped] == [8.0, 8.0]
 
 
@@ -373,7 +380,6 @@ class TestPartitionedEngineWiring:
         switch.close()
 
     def test_control_loop_close_releases_the_partitioned_pool(self):
-        from repro.api import Scenario
         from repro.testing import make_workload
 
         loop = Scenario(
@@ -388,7 +394,6 @@ class TestPartitionedEngineWiring:
         assert loop.switcher.optimizer._pool is None
 
     def test_control_loop_run_closes_the_switcher(self, monkeypatch):
-        from repro.api import Scenario
         from repro.testing import make_workload
 
         loop = Scenario(
@@ -401,7 +406,6 @@ class TestPartitionedEngineWiring:
         assert closed
 
     def test_scenario_engine_knob_reaches_the_switcher(self):
-        from repro.api import Scenario
         from repro.scale.parallel import ParallelOptimizer as PO
         from repro.testing import make_workload
 
@@ -414,18 +418,15 @@ class TestPartitionedEngineWiring:
         assert isinstance(loop.switcher.optimizer, PO)
 
     def test_experiment_builder_engine_method(self):
-        from repro.api import ExperimentBuilder
-
-        scenario = (
-            ExperimentBuilder()
-            .nodes(make_working_nodes(2, cpu_capacity=2, memory_capacity=4096))
-            .workloads([])
-            .engine("partitioned")
-            .max_workers(2)
-            .build()
-        )
-        assert scenario.engine == "partitioned"
-        assert scenario.max_workers == 2
+        loop = Scenario(
+            nodes=make_working_nodes(2, cpu_capacity=2, memory_capacity=4096),
+            workloads=[],
+            engine="partitioned",
+            max_workers=2,
+        ).build()
+        assert loop.switcher.engine == "partitioned"
+        assert isinstance(loop.switcher.optimizer, ParallelOptimizer)
+        assert loop.switcher.optimizer.max_workers == 2
 
 
 def _zone_task(**options):
@@ -446,11 +447,25 @@ def _zone_task(**options):
         (_zone_task, "node_limit"),
         (_zone_task, "first_solution_only"),
         (Solver(Model()).solve, "assumptions"),
+        (Scenario, "repair_halo"),
+        (Scenario, "monitoring_delay"),
+        (Scenario, "max_consecutive_planning_failures"),
+        (ControlLoop, "repair_halo"),
+        (ControlLoop, "monitoring_delay"),
+        (ControlLoop, "max_consecutive_planning_failures"),
+        (ClusterContextSwitch, "repair_halo"),
+        pytest.param(
+            functools.partial(RepairOptimizer, None),
+            "lns_steps",
+            id="RepairOptimizer-lns_steps",
+        ),
+        (PlannerOptions, "bypass_smallest_vm"),
     ],
 )
 def test_retired_solver_option_is_rejected(build, option):
     """One way to bound a search (``timeout``; ``Solver.solve(node_limit=)``
     below the optimizers) and one way to pin a VM (``Model.pinned_var``):
-    the options only the deleted perf sweeps set are gone, not ignored."""
+    the options only the deleted perf sweeps set are gone, not ignored —
+    and so are the loop, repair and planner knobs nothing ever set."""
     with pytest.raises(TypeError, match=option):
         build(**{option: None})
