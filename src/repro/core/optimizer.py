@@ -24,6 +24,7 @@ configuration and a feasible plan by :mod:`repro.core.planner`.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -34,6 +35,8 @@ from ..model.vm import VMState
 from ..cp import (
     ENGINES,
     ActivityLastConflict,
+    CostTable,
+    Domain,
     ElementSum,
     IntVar,
     Model,
@@ -296,37 +299,31 @@ class ContextSwitchOptimizer:
         return total
 
     @staticmethod
+    def _movement_costs(
+        current: Configuration, vm_name: str
+    ) -> tuple[int, Optional[str], int]:
+        """Table 1 for placing ``vm_name`` in the running state, as ``(cost
+        elsewhere, home node, cost at home)``: a running VM migrates for
+        ``Dm`` or stays on its host for 0, a sleeping one resumes remotely
+        for ``2 Dm`` or on the node holding its image for ``Dm``, a waiting
+        one has no home and boots anywhere for a constant (0)."""
+        vm = current.vm(vm_name)
+        state = current.state_of(vm_name)
+        if state is VMState.RUNNING:
+            return vm.memory, current.location_of(vm_name), 0
+        if state is VMState.SLEEPING:
+            return 2 * vm.memory, current.image_location_of(vm_name), vm.memory
+        return 0, None, 0
+
+    @classmethod
     def movement_cost(
-        current: Configuration, vm_name: str, node_name: str
+        cls, current: Configuration, vm_name: str, node_name: str
     ) -> int:
         """Movement cost (Table 1) of placing ``vm_name`` running on
         ``node_name``: 0 for staying put or booting, ``Dm`` for a migration
         or local resume, ``2 Dm`` for a remote resume."""
-        vm = current.vm(vm_name)
-        state = current.state_of(vm_name)
-        if state is VMState.RUNNING:
-            return 0 if current.location_of(vm_name) == node_name else vm.memory
-        if state is VMState.SLEEPING:
-            local = current.image_location_of(vm_name) == node_name
-            return vm.memory if local else 2 * vm.memory
-        return 0
-
-    @staticmethod
-    def _movement_cost_table(current: Configuration, vm_name: str) -> dict[int, int]:
-        """Per-node movement cost of placing ``vm_name`` in the running state
-        (node indices follow ``current.node_names``)."""
-        vm = current.vm(vm_name)
-        state = current.state_of(vm_name)
-        table: dict[int, int] = {}
-        for index, node in enumerate(current.node_names):
-            if state is VMState.RUNNING:
-                table[index] = 0 if current.location_of(vm_name) == node else vm.memory
-            elif state is VMState.SLEEPING:
-                local = current.image_location_of(vm_name) == node
-                table[index] = vm.memory if local else 2 * vm.memory
-            else:  # WAITING: a run action costs a constant (0)
-                table[index] = 0
-        return table
+        elsewhere, home, at_home = cls._movement_costs(current, vm_name)
+        return at_home if node_name == home else elsewhere
 
     def _greedy_assignment(
         self,
@@ -416,7 +413,9 @@ class ContextSwitchOptimizer:
         timeout: float,
     ) -> tuple[Optional[dict[str, int]], SearchStatistics, list[int]]:
         """Run the CP search; returns (assignment or None, statistics,
-        improving objective values)."""
+        improving objective values).  ``timeout`` starts here: building the
+        model is paid out of it and the solver gets what is left."""
+        deadline = time.monotonic() + timeout
         node_names = current.node_names
         if not running_vms:
             # Nothing to place: the empty assignment is trivially optimal.
@@ -471,16 +470,23 @@ class ContextSwitchOptimizer:
 
         model = Model()
         assignment_vars: list[IntVar] = []
-        tables: list[dict[int, int]] = []
+        tables: list[CostTable] = []
         preferences: dict[str, int] = {}
-        all_nodes = list(range(len(node_names)))
         # Unary placement constraints (Ban/Fence) shrink the domain of the
-        # assignment variable before the search even starts.
+        # assignment variable before the search even starts.  ``vm_domains``
+        # hands the members of one restriction one shared set, so the node
+        # list of a restriction is built once and copied per variable.
         domains = vm_domains(current, model_vms, constraints)
+        templates: dict[int, Optional[Domain]] = {}
+        #: Every node some variable of the model can take.
+        reachable: set[int] = set()
 
         for vm_name in model_vms:
             allowed = domains[vm_name]
-            tables.append(self._movement_cost_table(current, vm_name))
+            elsewhere, home, at_home = self._movement_costs(current, vm_name)
+            tables.append(
+                CostTable(elsewhere, {} if home is None else {node_index[home]: at_home})
+            )
             pin = pins.get(vm_name)
             if pin is not None:
                 if allowed is not None and pin not in allowed:
@@ -491,28 +497,35 @@ class ContextSwitchOptimizer:
                 assignment_vars.append(
                     model.pinned_var(f"x({vm_name})", node_index[pin])
                 )
+                reachable.add(node_index[pin])
                 continue
-            domain = (
-                all_nodes
-                if allowed is None
-                else [i for i, name in enumerate(node_names) if name in allowed]
-            )
-            if not domain:
+            if id(allowed) not in templates:
+                indices = [
+                    i
+                    for i, name in enumerate(node_names)
+                    if allowed is None or name in allowed
+                ]
+                templates[id(allowed)] = Domain(indices) if indices else None
+                reachable.update(indices)
+            template = templates[id(allowed)]
+            if template is None:
                 # Decided on the built list: a restriction may be non-empty
                 # yet name no node of this configuration.
                 return None, SearchStatistics(), []
-            var = model.int_var(f"x({vm_name})", domain)
+            var = model.int_var(f"x({vm_name})", template.copy())
             assignment_vars.append(var)
-            state = current.state_of(vm_name)
-            preferred = None
-            if state is VMState.RUNNING:
-                preferred = current.location_of(vm_name)
-            elif state is VMState.SLEEPING:
-                preferred = current.image_location_of(vm_name)
-            if preferred is not None and (allowed is None or preferred in allowed):
-                preferences[var.name] = node_index[preferred]
+            if home is not None and (allowed is None or home in allowed):
+                preferences[var.name] = node_index[home]
 
         demands = [current.vm(name).demand.as_tuple() for name in model_vms]
+        for dimension in (0, 1):
+            if sum(demand[dimension] for demand in demands) > sum(
+                capacities[index][dimension] for index in reachable
+            ):
+                # Over-committed: the VMs ask for more than every node they
+                # may go to offers together.  No search can place them, and
+                # one left to find that out walks the whole tree first.
+                return None, SearchStatistics(), []
         model.add_constraint(VectorPacking(assignment_vars, demands, capacities))
 
         # Relational placement constraints (Spread/Gather) become solver
@@ -523,14 +536,20 @@ class ContextSwitchOptimizer:
                 model.add_constraint(cp_constraint)
 
         # Scale the cost tables so the objective domain stays tractable.
-        upper = sum(max(table.values()) for table in tables)
-        scale = max(1, math.gcd(*(v for t in tables for v in t.values())) or 1)
+        node_count = len(node_names)
+        costs = [table.costs(node_count) for table in tables]
+        upper = sum(map(max, costs))
+        scale = max(1, math.gcd(*(cost for row in costs for cost in row)) or 1)
         if upper // scale > _MAX_OBJECTIVE_RANGE:
             scale = max(scale, math.ceil(upper / _MAX_OBJECTIVE_RANGE))
         scaled_tables = [
-            {k: math.ceil(v / scale) for k, v in table.items()} for table in tables
+            CostTable(
+                math.ceil(table.default / scale),
+                {k: math.ceil(v / scale) for k, v in table.exceptions.items()},
+            )
+            for table in tables
         ]
-        scaled_upper = sum(max(table.values()) for table in scaled_tables)
+        scaled_upper = sum(max(table.costs(node_count)) for table in scaled_tables)
         # Interval domain: the objective spans up to _MAX_OBJECTIVE_RANGE
         # values and is only ever tightened from the outside in, so bound
         # updates must not pay for the width.
@@ -559,7 +578,7 @@ class ContextSwitchOptimizer:
         initial_bound = None
         if greedy is not None:
             initial_bound = sum(
-                scaled_tables[i][greedy[vm_name]]
+                scaled_tables[i].cost(greedy[vm_name])
                 for i, vm_name in enumerate(model_vms)
             )
 
@@ -574,7 +593,7 @@ class ContextSwitchOptimizer:
         )
         result = solver.solve(
             minimize=total_var,
-            timeout=timeout,
+            timeout=max(0.0, deadline - time.monotonic()),
             collect_all=True,
             first_solution_only=self.first_solution_only,
             initial_bound=initial_bound,

@@ -13,6 +13,7 @@ from .constraints import (
     AllEqual,
     Among,
     Constraint,
+    CostTable,
     CountInValuesAtMost,
     DisjointValues,
     ElementSum,
@@ -49,6 +50,7 @@ __all__ = [
     "AllEqual",
     "Among",
     "Constraint",
+    "CostTable",
     "CountInValuesAtMost",
     "DisjointValues",
     "ElementSum",

@@ -6,7 +6,9 @@ generic ones that keep the solver usable on its own:
 * :class:`LinearLessEqual` — a weighted sum bounded by a constant (the
   knapsack inequalities of Definition 4.1);
 * :class:`ElementSum` — a total variable equal to the sum of per-variable
-  lookup tables (the reconfiguration cost estimate of Section 4.3);
+  lookup tables (the reconfiguration cost estimate of Section 4.3), each
+  stored as a :class:`CostTable`: a default cost plus the values that cost
+  something else;
 * :class:`VectorPacking` — the 2-dimensional bin-packing constraint relating
   VM assignment variables to node capacities (Section 3.2);
 * :class:`AllDifferent` — a value-based all-different, handy for tests and
@@ -50,7 +52,7 @@ domain would become empty or a constraint is certainly violated.
 
 from __future__ import annotations
 
-from typing import Collection, Mapping, Sequence
+from typing import Collection, Mapping, NamedTuple, Sequence, Union
 
 from ..model.errors import InconsistencyError
 from .variables import IntVar
@@ -186,19 +188,49 @@ class LinearLessEqual(Constraint):
         )
 
 
+class CostTable(NamedTuple):
+    """A lookup table kept sparse: ``exceptions`` maps the values that cost
+    something else than ``default``.
+
+    Table 1 of the paper prices a VM's placement with at most three
+    distinct costs (stay / move, or local / remote resume), so a table is
+    O(1) to build and to bound whatever the number of nodes.
+    """
+
+    default: int
+    exceptions: Mapping[int, int]
+
+    def cost(self, value: int) -> int:
+        return self.exceptions.get(value, self.default)
+
+    def costs(self, universe: int) -> list[int]:
+        """The costs taken over a universe of ``universe`` values that
+        contains every exception (``default`` is one of them only when some
+        value is left to take it)."""
+        costs = list(self.exceptions.values())
+        if universe > len(costs):
+            costs.append(self.default)
+        return costs
+
+
 class ElementSum(Constraint):
     """``total = sum_i tables[i][vars[i]]``.
 
-    ``tables[i]`` maps every value of ``vars[i]``'s initial domain to a
-    non-negative cost.  Bound-consistent propagation in both directions:
+    ``tables[i]`` gives every value of ``vars[i]``'s initial domain a
+    non-negative cost, either as a :class:`CostTable` or as a plain mapping
+    that lists them all.  Bound-consistent propagation in both directions:
     the total is squeezed between the sum of per-variable minima and maxima,
     and values whose cost would push the sum above ``total.max`` are pruned.
+    A variable's cost bounds are read off the smaller of its table's
+    exceptions and its domain, so a sparse table is bounded in O(1).
 
     Event mode keeps the per-variable cost bounds and their sums as trailed
     counters: a domain event re-derives the bounds of the touched variable
-    only, and the value pruning walks each variable's costs in decreasing
-    order behind a trailed pointer, so every candidate value is examined at
-    most once per search branch however often the budget tightens.
+    only.  The value pruning is a sweep over the variables, run only when it
+    can find something: the slack ``total.max - lower`` has to be below the
+    largest per-variable regret (max - min cost) and below the slack of the
+    last sweep on this branch — minimum costs only grow along a branch, so
+    a value that survived a sweep survives every later one at the same slack.
     """
 
     priority = 1
@@ -209,13 +241,16 @@ class ElementSum(Constraint):
     def __init__(
         self,
         variables: Sequence[IntVar],
-        tables: Sequence[Mapping[int, int]],
+        tables: Sequence[Union[CostTable, Mapping[int, int]]],
         total: IntVar,
     ):
         if len(variables) != len(tables):
             raise ValueError("one table per variable is required")
         self._vars = list(variables)
-        self._tables = [dict(t) for t in tables]
+        self._tables = [
+            table if isinstance(table, CostTable) else self._listed(var, table)
+            for var, table in zip(self._vars, tables)
+        ]
         self._total = total
         #: Constraint compilation may emit degenerate models (e.g. no VM to
         #: place): with no variables the sum is 0, so the only propagation is
@@ -226,21 +261,45 @@ class ElementSum(Constraint):
         self._hi: list[int] = []
         self._lower = 0
         self._upper = 0
-        #: Per-variable (cost, value) pairs sorted by decreasing cost, plus a
-        #: trailed pruning pointer into each list.
-        self._desc: list[list[tuple[int, int]]] = [
-            sorted(((c, v) for v, c in table.items()), reverse=True)
-            for table in self._tables
-        ]
-        self._ptr: list[int] = []
+        #: Trailed: the smallest slack a pruning sweep has run at on the
+        #: current branch (the largest regret before any has).
+        self._swept = 0
+
+    @staticmethod
+    def _listed(var: IntVar, table: Mapping[int, int]) -> CostTable:
+        """A mapping that lists every value: all exceptions, no default."""
+        missing = [value for value in var.raw_values() if value not in table]
+        if missing:
+            raise ValueError(
+                f"the cost table of {var.name} has no entry for {sorted(missing)}"
+            )
+        return CostTable(0, dict(table))
 
     def variables(self) -> Sequence[IntVar]:
         return [*self._vars, self._total]
 
     def _cost_bounds(self, index: int) -> tuple[int, int]:
-        table = self._tables[index]
-        costs = [table[v] for v in self._vars[index].raw_values()]
+        default, exceptions = self._tables[index]
+        domain = self._vars[index].domain
+        if len(exceptions) < len(domain):
+            # Fewer exceptions than values: some value takes the default.
+            costs = [c for value, c in exceptions.items() if value in domain]
+            costs.append(default)
+        else:
+            costs = [exceptions.get(value, default) for value in domain.raw_values()]
         return min(costs), max(costs)
+
+    def _prune(self, store, index: int, budget: int) -> None:
+        """Remove the values of variable ``index`` that cost more than
+        ``budget``.  The minimum-cost value always survives (``lower <=
+        total.max`` implies ``lo[index] <= budget``), so the batch — one
+        event per variable — can never empty the domain."""
+        default, exceptions = self._tables[index]
+        var = self._vars[index]
+        store.remove_many(
+            var,
+            [v for v in var.raw_values() if exceptions.get(v, default) > budget],
+        )
 
     def propagate(self, store) -> None:
         if self._empty:
@@ -260,14 +319,10 @@ class ElementSum(Constraint):
         store.remove_above(self._total, upper)
 
         # Prune assignment values that would exceed the total upper bound.
-        total_max = self._total.max
-        for i, var in enumerate(self._vars):
-            others_min = lower - bounds[i][0]
-            budget = total_max - others_min
-            table = self._tables[i]
-            too_expensive = [v for v in var.raw_values() if table[v] > budget]
-            if too_expensive:
-                store.remove_many(var, too_expensive)
+        slack = self._total.max - lower
+        for i, (lo, hi) in enumerate(bounds):
+            if hi - lo > slack:
+                self._prune(store, i, slack + lo)
 
     # -- event-driven protocol -------------------------------------------------
 
@@ -278,7 +333,7 @@ class ElementSum(Constraint):
         self._hi = [b[1] for b in bounds]
         self._lower = sum(self._lo)
         self._upper = sum(self._hi)
-        self._ptr = [0] * len(self._vars)
+        self._swept = max((hi - lo for lo, hi in bounds), default=0)
 
     def _restore_bounds(self, i: int, lo: int, hi: int, d_lo: int, d_hi: int):
         def undo() -> None:
@@ -288,9 +343,9 @@ class ElementSum(Constraint):
             self._upper -= d_hi
         return undo
 
-    def _restore_ptr(self, i: int, old: int):
+    def _restore_swept(self, old: int):
         def undo() -> None:
-            self._ptr[i] = old
+            self._swept = old
         return undo
 
     def propagate_events(self, store, dirty: Collection[int]) -> None:
@@ -316,31 +371,19 @@ class ElementSum(Constraint):
         store.remove_below(total, self._lower)
         store.remove_above(total, self._upper)
 
-        budget_base = total.max - self._lower
-        lo = self._lo
-        desc = self._desc
-        ptr = self._ptr
-        for i, var in enumerate(self._vars):
-            budget = budget_base + lo[i]
-            costs = desc[i]
-            at = ptr[i]
-            if at >= len(costs) or costs[at][0] <= budget:
-                continue
-            old = at
-            too_expensive = []
-            while at < len(costs) and costs[at][0] > budget:
-                too_expensive.append(costs[at][1])
-                at += 1
-            ptr[i] = at
-            store.record_undo(self._restore_ptr(i, old))
-            # One batched event per variable: the minimum-cost value always
-            # survives (lower <= total.max implies lo[i] <= budget), so the
-            # batch can never empty the domain.
-            store.remove_many(var, too_expensive)
+        slack = total.max - self._lower
+        if slack >= self._swept:
+            return
+        store.record_undo(self._restore_swept(self._swept))
+        self._swept = slack
+        lo, hi = self._lo, self._hi
+        for i in range(len(self._vars)):
+            if hi[i] - lo[i] > slack:
+                self._prune(store, i, slack + lo[i])
 
     def is_satisfied(self) -> bool:
         return (
-            sum(self._tables[i][v.value] for i, v in enumerate(self._vars))
+            sum(self._tables[i].cost(v.value) for i, v in enumerate(self._vars))
             == self._total.value
         )
 
@@ -358,7 +401,9 @@ class VectorPacking(Constraint):
     Event mode maintains the free capacity of every node and the set of
     not-yet-committed items incrementally: committing an item on assignment
     is an O(1) load delta (undone on backtrack), and only the nodes whose
-    free capacity shrank re-check the pending items.
+    free capacity shrank re-check the pending items — and only when what is
+    left no longer fits the componentwise-largest demand, since until then
+    every pending item still fits.
     """
 
     priority = 2
@@ -377,6 +422,10 @@ class VectorPacking(Constraint):
         self._vars = list(assignments)
         self._demands = [tuple(d) for d in demands]
         self._capacities = [tuple(c) for c in capacities]
+        self._largest = (
+            max((d[0] for d in self._demands), default=0),
+            max((d[1] for d in self._demands), default=0),
+        )
         self._index_of: dict[int, int] = {}
         self._free: list[list[int]] = []
         self._pending: set[int] = set()
@@ -478,6 +527,7 @@ class VectorPacking(Constraint):
         ]
         first = not self._primed
         self._primed = True
+        largest_cpu, largest_mem = self._largest
         while worklist or first:
             changed_nodes: set[int] = (
                 set(range(len(self._capacities))) if first else set()
@@ -489,7 +539,9 @@ class VectorPacking(Constraint):
             worklist = []
             for node in changed_nodes:
                 free_cpu, free_mem = self._free[node]
-                for i in list(self._pending):
+                if largest_cpu <= free_cpu and largest_mem <= free_mem:
+                    continue
+                for i in self._pending:
                     cpu, mem = self._demands[i]
                     if cpu <= free_cpu and mem <= free_mem:
                         continue

@@ -103,7 +103,19 @@ class Domain:
         return tuple(self._values[: self._size])
 
     def copy(self) -> "Domain":
-        return Domain(self._values[: self._size])
+        """An independent domain over the current values, built without
+        re-sorting them: the model builder stamps one copy per variable off
+        a shared template."""
+        clone = Domain.__new__(Domain)
+        values = self._values[: self._size]
+        clone._values = values
+        clone._pos = dict(zip(values, range(len(values))))
+        clone._size = len(values)
+        clone._rev = 0
+        clone._minmax = self._bounds()
+        clone._minmax_rev = 0
+        clone.trail_stamp = -1
+        return clone
 
     # -- trail support --------------------------------------------------------
 

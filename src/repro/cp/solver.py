@@ -19,7 +19,17 @@ follows the strategy described in Section 4.3 of the paper:
   to reduce the number of VM movements;
 * branch-and-bound on a single objective variable: every time a solution is
   found, the search continues looking for strictly cheaper ones until the
-  optimum is proved or a timeout expires.
+  optimum is proved or a timeout expires.  The proof is free when it can be:
+  the objective's lower bound after root propagation is remembered, and a
+  solution that meets it ends the search at once (``stop == "bound"``) —
+  nothing cheaper can exist, so there is no tree left worth unwinding.
+
+The tree is walked by a loop over an explicit stack of (variable, remaining
+values) frames, not by recursion: search depth is bounded by memory, never by
+the interpreter's recursion limit, and a dive of V decisions costs O(V)
+bookkeeping — the variable selector is asked first (completeness is only
+checked when it has nothing left to offer) and :func:`static_order` keeps a
+trailed cursor instead of rescanning its order at every node.
 
 The previous solver generation re-propagated *every* constraint to a fixpoint
 after *every* decision; that behaviour is retained as the ``"fixpoint"``
@@ -33,7 +43,7 @@ import itertools
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from ..model.errors import InconsistencyError, SolverError
 from ..obs import NULL_SPAN, Span
@@ -43,6 +53,8 @@ from .variables import IntVar, make_interval_var, make_pinned_var
 
 VariableSelector = Callable[[Sequence[IntVar]], Optional[IntVar]]
 ValueSelector = Callable[[IntVar], Sequence[int]]
+#: ``_Store.record_undo`` as a selector's :meth:`bind` receives it.
+RecordUndo = Callable[[Callable[[], None]], None]
 
 #: Known propagation engines: ``"event"`` wakes only the constraints watching
 #: a changed variable; ``"fixpoint"`` re-propagates every constraint after
@@ -65,21 +77,52 @@ def first_fail(variables: Sequence[IntVar]) -> Optional[IntVar]:
     return min(candidates, key=lambda v: v.size)
 
 
-def static_order(order: Sequence[IntVar]) -> VariableSelector:
-    """Instantiate variables following a fixed order (e.g. biggest VMs
-    first, the first-fail approach of [23] used by the paper)."""
-    fixed = list(order)
+class _StaticOrder:
+    """The selector :func:`static_order` returns.
 
-    def select(variables: Sequence[IntVar]) -> Optional[IntVar]:
-        for var in fixed:
-            if not var.is_instantiated:
-                return var
+    Inside a search (:meth:`bind`) it keeps a cursor past the leading
+    instantiated variables of its order, so the selections of a dive cost
+    O(V) in total instead of one rescan per node.  Every move of the cursor
+    is recorded on the search's trail and is therefore undone exactly when
+    the domains it was read from are.  Called outside a search it scans from
+    the start.
+    """
+
+    def __init__(self, order: Sequence[IntVar]) -> None:
+        self._fixed = list(order)
+        self._cursor = 0
+        self._record_undo: Optional[RecordUndo] = None
+
+    def bind(self, record_undo: Optional[RecordUndo]) -> None:
+        """Attach to a search's trail (``None``: detach)."""
+        self._cursor = 0
+        self._record_undo = record_undo
+
+    def _restore_cursor(self, cursor: int) -> Callable[[], None]:
+        def undo() -> None:
+            self._cursor = cursor
+        return undo
+
+    def __call__(self, variables: Sequence[IntVar]) -> Optional[IntVar]:
+        fixed = self._fixed
+        start = at = self._cursor
+        while at < len(fixed) and fixed[at].is_instantiated:
+            at += 1
+        if at != start and self._record_undo is not None:
+            self._record_undo(self._restore_cursor(start))
+            self._cursor = at
+        if at < len(fixed):
+            return fixed[at]
         for var in variables:
             if not var.is_instantiated:
                 return var
         return None
 
-    return select
+
+def static_order(order: Sequence[IntVar]) -> VariableSelector:
+    """Instantiate variables following a fixed order (e.g. biggest VMs
+    first, the first-fail approach of [23] used by the paper)."""
+    return _StaticOrder(order)
 
 
 class ActivityLastConflict:
@@ -92,8 +135,9 @@ class ActivityLastConflict:
     Without a primary selector, the fallback picks the free variable with the
     highest failure activity per remaining value (a weighted first-fail).
 
-    The solver reports failures through :meth:`on_failure`; plain callables
-    without that method keep working unchanged.
+    The solver reports failures through :meth:`on_failure` and hands its
+    trail to :meth:`bind`; plain callables without those methods keep working
+    unchanged.
     """
 
     def __init__(self, primary: Optional[VariableSelector] = None):
@@ -116,6 +160,13 @@ class ActivityLastConflict:
 
     def reset(self) -> None:
         self._last_conflict = None
+
+    def bind(self, record_undo: Optional[RecordUndo]) -> None:
+        """Pass the search's trail on to a primary selector that keeps
+        trailed state (:func:`static_order`'s cursor)."""
+        bind = getattr(self._primary, "bind", None)
+        if bind is not None:
+            bind(record_undo)
 
 
 def ascending_values(var: IntVar) -> Sequence[int]:
@@ -222,6 +273,20 @@ class SearchResult:
     best: Optional[Solution]
     all_solutions: list[Solution] = field(default_factory=list)
     statistics: SearchStatistics = field(default_factory=SearchStatistics)
+    #: Why the search ended: ``"bound"`` (an accepted solution met
+    #: ``root_bound``, so it is optimal and nothing was left to prove),
+    #: ``"exhausted"`` (the whole tree was walked), ``"timeout"``,
+    #: ``"node_limit"``, or ``"first"`` (``first_solution_only`` /
+    #: ``solution_limit`` got the solutions they asked for).
+    stop: str = "exhausted"
+    #: The objective's lower bound after root propagation; ``None`` in
+    #: satisfaction mode or when the root is already inconsistent.
+    root_bound: Optional[int] = None
+    #: Seconds from the start of the solve to its first solution and to the
+    #: last improving one (``None``: no solution).  What follows the latter,
+    #: ``statistics.elapsed - best_solution_at``, is the time spent proving.
+    first_solution_at: Optional[float] = None
+    best_solution_at: Optional[float] = None
 
     @property
     def has_solution(self) -> bool:
@@ -495,6 +560,11 @@ class Solver:
             trace_span.set(
                 proven_optimal=stats.proven_optimal,
                 timed_out=stats.timed_out,
+                stop=result.stop,
+                root_bound=result.root_bound,
+                first_solution_ms=_ms(result.first_solution_at),
+                best_solution_ms=_ms(result.best_solution_at),
+                proof_ms=_ms(stats.elapsed - (result.best_solution_at or 0.0)),
             )
         return result
 
@@ -513,24 +583,28 @@ class Solver:
         store = _Store(self._watchers, event_mode=event)
         stats = SearchStatistics()
         result = SearchResult(best=None, statistics=stats)
-        deadline = None if timeout is None else time.monotonic() + timeout
         start = time.monotonic()
+        deadline = None if timeout is None else start + timeout
         best_cost: Optional[int] = initial_bound if minimize is not None else None
+        variables = self._model.variables
+        constraints = self._model.constraints
         selector = self._variable_selector
+        value_selector = self._value_selector
         notify_failure = getattr(selector, "on_failure", None)
+        bind_selector = getattr(selector, "bind", None)
         reset_selector = getattr(selector, "reset", None)
         if reset_selector is not None:
             reset_selector()
 
         def out_of_time() -> bool:
-            return deadline is not None and time.monotonic() > deadline
+            if deadline is not None and time.monotonic() > deadline:
+                stats.timed_out = True
+                result.stop = "timeout"
+                return True
+            return False
 
         def snapshot() -> Solution:
-            values = {
-                var.name: var.value
-                for var in self._model.variables
-                if var.is_instantiated
-            }
+            values = {var.name: var.value for var in variables if var.is_instantiated}
             objective = minimize.value if minimize is not None else None
             return Solution(values=values, objective=objective)
 
@@ -546,7 +620,7 @@ class Solver:
                 if minimize is not None and best_cost is not None:
                     store.remove_above(minimize, best_cost - 1)
                 if not event:
-                    for constraint in self._model.constraints:
+                    for constraint in constraints:
                         store.schedule(constraint)
                 while True:
                     constraint = store.pop_constraint()
@@ -566,90 +640,119 @@ class Solver:
                 store.clear_queue()
                 return False
 
-        def all_instantiated() -> bool:
-            return all(var.is_instantiated for var in self._model.variables)
-
         def record_failure(var: IntVar) -> None:
             stats.backtracks += 1
             var.activity += 1.0
             if notify_failure is not None:
                 notify_failure(var)
 
-        def search() -> bool:
-            """Return True when the search must stop entirely."""
+        def accept() -> bool:
+            """Record the solution the fully instantiated model holds; True
+            when the search must stop."""
             nonlocal best_cost
-            if node_limit is not None and stats.nodes >= node_limit:
-                stats.limit_reached = True
-                return True
-            stats.nodes += 1
-            if out_of_time():
-                stats.timed_out = True
-                return True
-
-            if all_instantiated():
-                stats.solutions += 1
-                solution = snapshot()
-                if collect_all:
-                    result.all_solutions.append(solution)
-                if minimize is not None:
-                    if best_cost is None or solution.objective < best_cost:
-                        best_cost = solution.objective
-                        result.best = solution
-                        trace_span.event(
-                            "improving_solution",
-                            objective=solution.objective,
-                        )
-                    if first_solution_only:
-                        return True
-                    # keep searching for a strictly better solution
-                    return False
-                result.best = result.best or solution
-                if first_solution_only:
-                    return True
-                if solution_limit is not None and stats.solutions >= solution_limit:
+            stats.solutions += 1
+            solution = snapshot()
+            now = time.monotonic() - start
+            if result.first_solution_at is None:
+                result.first_solution_at = now
+            if collect_all:
+                result.all_solutions.append(solution)
+            if minimize is None:
+                if result.best is None:
+                    result.best = solution
+                    result.best_solution_at = now
+                if first_solution_only or (
+                    solution_limit is not None and stats.solutions >= solution_limit
+                ):
+                    result.stop = "first"
                     return True
                 return False
-
-            var = selector(self._model.variables)
-            if var is None:
-                # all decision variables instantiated but some auxiliary ones
-                # are not: propagation should have fixed them, treat as failure
-                return False
-
-            for value in self._value_selector(var):
-                if value not in var:
-                    continue
-                store.push_level()
-                try:
-                    store.assign(var, value)
-                except InconsistencyError:
-                    store.clear_queue()
-                    store.pop_level()
-                    record_failure(var)
-                    continue
-                if propagate():
-                    if search():
-                        store.pop_level()
-                        return True
-                    stats.backtracks += 1
-                else:
-                    record_failure(var)
-                store.pop_level()
-                if out_of_time():
-                    stats.timed_out = True
+            if best_cost is None or solution.objective < best_cost:
+                best_cost = solution.objective
+                result.best = solution
+                result.best_solution_at = now
+                trace_span.event("improving_solution", objective=solution.objective)
+                if best_cost == result.root_bound:
+                    # Propagation never removes a feasible objective value:
+                    # nothing cheaper than the root bound exists, so every
+                    # retry would fail on ``total <= best - 1`` at once.
+                    result.stop = "bound"
                     return True
+            if first_solution_only:
+                result.stop = "first"
+                return True
+            # keep searching for a strictly better solution
             return False
+
+        def search() -> None:
+            """Depth-first walk over an explicit stack of (variable, remaining
+            values) frames, one per open decision."""
+            frames: list[tuple[Optional[IntVar], Iterator[int]]] = []
+            while True:
+                # Open a node: the root, or the child the last value led to.
+                if node_limit is not None and stats.nodes >= node_limit:
+                    stats.limit_reached = True
+                    result.stop = "node_limit"
+                    return
+                stats.nodes += 1
+                if out_of_time():
+                    return
+                var = selector(variables)
+                if var is not None:
+                    frames.append((var, iter(value_selector(var))))
+                elif all(v.is_instantiated for v in variables) and accept():
+                    return
+                else:
+                    # A leaf — a recorded solution, or an auxiliary variable
+                    # that propagation should have fixed and did not: no
+                    # value to try, so the loop below returns to the parent.
+                    frames.append((None, iter(())))
+                # Take the next value that survives propagation; a frame out
+                # of values hands over to its parent's.
+                while True:
+                    var, values = frames[-1]
+                    for value in values:
+                        if value not in var:
+                            continue
+                        store.push_level()
+                        try:
+                            store.assign(var, value)
+                        except InconsistencyError:
+                            store.clear_queue()
+                            store.pop_level()
+                            record_failure(var)
+                            continue
+                        if propagate():
+                            break
+                        record_failure(var)
+                        store.pop_level()
+                        if out_of_time():
+                            return
+                    else:
+                        frames.pop()
+                        if not frames:
+                            return  # the root is out of values
+                        stats.backtracks += 1
+                        store.pop_level()
+                        if out_of_time():
+                            return
+                        continue
+                    break
 
         store.push_level()
         try:
+            if bind_selector is not None:
+                bind_selector(store.record_undo)
             if event:
-                for constraint in self._model.constraints:
+                for constraint in constraints:
                     constraint.register(store)
                     store.mark_dirty(
                         constraint, (var.index for var in constraint.variables())
                     )
                     store.schedule(constraint)
             if propagate():
+                if minimize is not None:
+                    result.root_bound = minimize.min
                 search()
         finally:
             # Unwind every level so the model's domains are restored even when
@@ -657,17 +760,24 @@ class Solver:
             # (e.g. an unsupported interior removal on an IntervalDomain).
             while store._levels:
                 store.pop_level()
+            if bind_selector is not None:
+                bind_selector(None)
 
         stats.events = store.events
         stats.elapsed = time.monotonic() - start
-        if minimize is not None and not first_solution_only:
-            # In minimization mode the search only stops early on timeout or
-            # node limit, so exhausting the tree without either proves
-            # optimality (of the best solution found, or of the external
-            # incumbent when an initial bound was supplied and never improved).
-            stats.proven_optimal = (
-                not stats.timed_out
-                and not stats.limit_reached
+        if minimize is not None:
+            # A solution at the root bound is optimal whatever the mode.
+            # Otherwise only an exhausted tree proves anything — the
+            # optimality of the best solution found, or of the external
+            # incumbent when an initial bound was supplied and never improved
+            # — and a first-solution search does not look for the optimum.
+            stats.proven_optimal = result.stop == "bound" or (
+                result.stop == "exhausted"
+                and not first_solution_only
                 and (result.best is not None or initial_bound is not None)
             )
         return result
+
+
+def _ms(seconds: Optional[float]) -> Optional[float]:
+    return None if seconds is None else seconds * 1000.0

@@ -213,6 +213,10 @@ class span:
     def __exit__(self, exc_type, exc, tb) -> bool:
         if self._span is not None:
             assert self._tracer is not None and self._token is not None
+            if exc_type is not None:
+                # The exception goes on to the caller; the span closes with
+                # whatever subtree it had and says what cut it short.
+                self._span.set(error=exc_type.__name__)
             _ACTIVE.reset(self._token)
             self._tracer._finish_span(self._span)
             self._span = None

@@ -9,15 +9,22 @@ make_vm``).  They are also handy for quick interactive experiments.
 from __future__ import annotations
 
 import random
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
+from .constraints import Fence
 from .model.configuration import Configuration
 from .model.node import Node
 from .model.vjob import VJob
 from .model.vm import VirtualMachine
 from .workloads.traces import VJobWorkload, alternating_trace, constant_trace
 
-__all__ = ["make_vm", "make_vjob", "make_workload", "make_large_fleet"]
+__all__ = [
+    "make_vm",
+    "make_vjob",
+    "make_workload",
+    "make_large_fleet",
+    "fence_groups",
+]
 
 
 def make_vm(
@@ -117,3 +124,21 @@ def make_large_fleet(
     if cached:
         _FLEET_CACHE[key] = configuration
     return configuration
+
+
+def fence_groups(configuration: Configuration, groups: int = 8) -> List[Fence]:
+    """The catalog that goes with :func:`make_large_fleet`'s layout: each
+    ``i % groups`` VM cohort fenced onto its contiguous node-group slice, so
+    every group is one placement zone."""
+    node_names = list(configuration.node_names)
+    width = len(node_names) // groups
+    catalog = []
+    for g in range(groups):
+        stop = (g + 1) * width if g < groups - 1 else len(node_names)
+        cohort = [
+            name
+            for i, name in enumerate(configuration.vm_names)
+            if i % groups == g
+        ]
+        catalog.append(Fence(cohort, node_names[g * width : stop]))
+    return catalog

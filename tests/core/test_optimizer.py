@@ -3,14 +3,16 @@
 import pytest
 
 from repro.constraints import Fence, Spread, violated_constraints
+from repro.core.context_switch import ClusterContextSwitch
 from repro.core.optimizer import ContextSwitchOptimizer
+from repro.cp import Solver
 from repro.decision.ffd import ffd_target_configuration
 from repro.model.configuration import Configuration
 from repro.model.errors import PlanningError
 from repro.model.node import make_working_nodes
 from repro.model.vm import VMState
 
-from repro.testing import make_vm
+from repro.testing import fence_groups, make_large_fleet, make_vm
 
 
 @pytest.fixture
@@ -195,3 +197,116 @@ class TestOneModelBuilder:
             target.set_running(vm, node)
         assert target.is_viable()
         assert violated_constraints(target, constraints) == []
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The keyword arguments of every ``Solver.solve`` call made."""
+    calls = []
+    solve = Solver.solve
+
+    def spy(self, **kwargs):
+        calls.append(kwargs)
+        return solve(self, **kwargs)
+
+    monkeypatch.setattr(Solver, "solve", spy)
+    return calls
+
+
+class TestColdSolveEffort:
+    """A cold solve costs what its answer needs: one dive when the first
+    solution meets the root bound, at any depth, and no search at all for a
+    model that cannot be packed."""
+
+    @pytest.mark.parametrize("engine", ["event", "fixpoint"])
+    def test_a_cost_0_zone_is_one_dive_and_no_proof(self, engine):
+        # The zone of the round benchmark's ``fleet-cold``: 125 fenced VMs
+        # on 31 nodes, one of them restarted.
+        zone = make_large_fleet(125, groups=1, cached=False)
+        states = zone.states()
+        zone.set_waiting("vm-17")
+        assignment, statistics, improving = ContextSwitchOptimizer(
+            timeout=30, engine=engine
+        ).search_assignment(zone, states, fence_groups(zone, groups=1))
+        assert set(assignment) == set(zone.vm_names)
+        assert improving == [0]
+        # One node per variable of the model — the 125 assignments, then
+        # the leaf that fixes the cost variable — and nothing to unwind.
+        assert statistics.nodes == len(zone.vm_names) + 1
+        assert statistics.backtracks == 0
+        assert statistics.proven_optimal
+
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(
+        self, large_fleet_factory
+    ):
+        # 1 250 decisions deep: fences leave the model without a greedy
+        # incumbent, so the first dive places every VM.
+        fleet = large_fleet_factory(1250, groups=10)
+        states = fleet.states()
+        fleet.set_waiting("vm-17")
+        report = ClusterContextSwitch(engine="event", optimizer_timeout=5).compute(
+            fleet, states, constraints=fence_groups(fleet, groups=10)
+        )
+        assert report.cost.total == 0
+        assert report.plan.action_count() == 1
+        assert report.statistics.nodes == 1251
+        assert report.statistics.proven_optimal
+
+    @staticmethod
+    def _waiting_vms(cpus, node_count):
+        """VMs asking ``cpus`` in turn, all waiting, on 2-cpu nodes."""
+        configuration = Configuration(
+            nodes=make_working_nodes(node_count, cpu_capacity=2, memory_capacity=8192)
+        )
+        for i, cpu in enumerate(cpus):
+            configuration.add_vm(make_vm(f"vm{i}", memory=256, cpu=cpu))
+        return configuration, {name: VMState.RUNNING for name in configuration.vm_names}
+
+    def test_an_over_committed_model_is_refused_at_build(self, solves):
+        # The shard of the scoreboard's ``medium-faulty`` / ``partitioned``
+        # cell: 14 VMs asking 12 cpus of five 2-cpu nodes.
+        configuration, states = self._waiting_vms([1] * 12 + [0] * 2, node_count=5)
+        assignment, statistics, improving = ContextSwitchOptimizer(
+            timeout=30
+        ).search_assignment(configuration, states)
+        assert assignment is None and improving == []
+        assert statistics.nodes == 0 and not statistics.proven_optimal
+        assert solves == []
+
+    def test_capacity_is_counted_over_the_nodes_the_domains_reach(self, solves):
+        # Six nodes would do; the two the fence allows do not.
+        configuration, states = self._waiting_vms([1] * 5, node_count=6)
+        fence = Fence(list(configuration.vm_names), ["node-0", "node-1"])
+        assignment, statistics, _ = ContextSwitchOptimizer(
+            timeout=30
+        ).search_assignment(configuration, states, [fence])
+        assert assignment is None and statistics.nodes == 0
+        assert solves == []
+
+    def test_a_model_exactly_at_capacity_is_searched(self, solves):
+        configuration, states = self._waiting_vms([1] * 10, node_count=5)
+        assignment, statistics, _ = ContextSwitchOptimizer(
+            timeout=30
+        ).search_assignment(configuration, states)
+        assert len(solves) == 1
+        assert set(assignment) == set(configuration.vm_names)
+        assert statistics.proven_optimal
+
+
+class TestBudgetCoversTheModelBuild:
+    def test_the_solver_gets_what_the_build_left(self, cluster, solves):
+        ContextSwitchOptimizer(timeout=5).optimize(
+            cluster, {"sleepy": VMState.RUNNING}, constraints=[Spread(["a", "b"])]
+        )
+        assert len(solves) == 1 and 0 < solves[0]["timeout"] < 5
+
+    def test_a_zero_budget_still_builds_and_propagates_the_root(self, cluster):
+        # What the round benchmark's probe relies on to time a model build.
+        assignment, statistics, _ = ContextSwitchOptimizer(
+            timeout=0.0
+        ).search_assignment(
+            cluster, {"sleepy": VMState.RUNNING}, [Spread(["a", "b"])]
+        )
+        assert assignment is None
+        assert statistics.timed_out and statistics.propagations > 0
+        assert statistics.nodes == 1 and statistics.elapsed >= 0.0

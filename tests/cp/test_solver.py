@@ -1,5 +1,8 @@
 """Tests of the search: satisfaction, branch-and-bound, heuristics, timeout."""
 
+import inspect
+import sys
+
 import pytest
 
 from repro.cp import (
@@ -17,6 +20,7 @@ from repro.cp import (
 )
 from repro.cp.variables import value_of
 from repro.model.errors import SolverError
+from repro.obs import Tracer
 
 
 class TestModel:
@@ -264,3 +268,176 @@ class TestEngines:
         a = Solver(sparse).solve(minimize=total_sparse)
         b = Solver(dense).solve(minimize=total_dense)
         assert a.best.objective == b.best.objective == 6
+
+
+class TestIterativeSearch:
+    """The tree is walked over an explicit stack: depth costs memory, not
+    interpreter frames, and the trailed selector cursor follows the
+    backtracking."""
+
+    def test_depth_is_independent_of_the_recursion_limit(self):
+        model = Model()
+        variables = [model.int_var(f"v{i}", [0, 1]) for i in range(300)]
+        solver = Solver(model, variable_selector=static_order(variables))
+        limit = sys.getrecursionlimit()
+        # Room for the calls under one node (propagators, store, domains),
+        # nowhere near one frame per decision.
+        sys.setrecursionlimit(len(inspect.stack()) + 100)
+        try:
+            result = solver.solve(first_solution_only=True)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert result.statistics.nodes == 301
+        assert set(result.best.values.values()) == {0}
+
+    def test_static_order_cursor_follows_the_backtracking(self):
+        """A tree with dead ends below propagation-fixed variables: after
+        each backtrack the selector must offer the variables the undone
+        propagation released again, in its own order."""
+        walks = []
+        for make_selector in (static_order, rescanning_order):
+            model = Model()
+            variables = [model.int_var(f"v{i}", range(5)) for i in range(5)]
+            model.add_constraint(AllDifferent(variables))
+            model.add_constraint(LinearLessEqual(variables[:2], [1, 1], 1))
+            order = [variables[i] for i in (3, 0, 4, 1, 2)]
+            branched = []
+
+            def values(var):
+                branched.append(var.name)
+                return var.values()
+
+            result = Solver(
+                model, variable_selector=make_selector(order), value_selector=values
+            ).solve(collect_all=True)
+            walks.append(
+                (branched, [solution.values for solution in result.all_solutions])
+            )
+        assert walks[0] == walks[1]
+        assert len(walks[0][1]) == 12
+
+    def test_static_order_scans_from_the_start_outside_a_search(self):
+        a = make_int_var("a", 0, 3)
+        b = make_int_var("b", 0, 3)
+        selector = static_order([a, b])
+        a.domain.assign(1)
+        assert selector([a, b]) is b
+        a.domain.restore_to(4)
+        assert selector([a, b]) is a
+
+
+def rescanning_order(order):
+    """``static_order`` without its cursor: rescan the order at every node."""
+
+    def select(variables):
+        for var in order:
+            if not var.is_instantiated:
+                return var
+        return None
+
+    return select
+
+
+def traced_solve(solver, **options):
+    """Solve under a tracer; returns the result and the attributes of its
+    ``cp.solve`` span."""
+    tracer = Tracer(name="test")
+    with tracer.activate():
+        result = solver.solve(**options)
+    (solve_span,) = tracer.root.children
+    return result, solve_span.attributes
+
+
+class TestWhyTheSearchStopped:
+    def _ranked(self, size=4):
+        """``size`` free variables, cost = sum of their values: the root
+        bound is 0, met by the first dive in ascending value order and by
+        the last of several improvements in descending order."""
+        model = Model()
+        variables = [model.int_var(f"v{i}", range(size)) for i in range(size)]
+        total = model.interval_var("total", 0, size * size)
+        model.add_constraint(
+            ElementSum(variables, [{v: v for v in range(size)}] * size, total)
+        )
+        return model, total
+
+    def test_a_solution_at_the_root_bound_ends_the_search(self):
+        model = Model()
+        xs = [model.int_var(f"x{i}", range(6)) for i in range(6)]
+        total = model.interval_var("total", 0, 60)
+        model.add_constraint(
+            ElementSum(xs, [{v: 0 if v == i else 5 for v in range(6)} for i in range(6)], total)
+        )
+        result = Solver(
+            model,
+            variable_selector=static_order(xs),
+            value_selector=prefer_value({f"x{i}": i for i in range(6)}),
+        ).solve(minimize=total)
+        assert (result.stop, result.root_bound, result.best.objective) == ("bound", 0, 0)
+        assert result.statistics.proven_optimal
+        # one dive: a node per variable and the leaf, nothing unwound
+        assert (result.statistics.nodes, result.statistics.backtracks) == (7, 0)
+
+    def test_a_first_solution_at_the_bound_is_proven_too(self):
+        model, total = self._ranked()
+        result = Solver(model).solve(minimize=total, first_solution_only=True)
+        assert result.best.objective == result.root_bound
+        assert result.stop == "bound" and result.statistics.proven_optimal
+
+    def test_an_optimum_above_the_root_bound_takes_the_whole_tree(self):
+        model = Model()
+        x0 = model.int_var("x0", [0, 1])
+        x1 = model.int_var("x1", [0, 1])
+        total = model.interval_var("total", 0, 40)
+        # both prefer bin 0, which only holds one of them
+        model.add_constraint(
+            VectorPacking([x0, x1], [(1, 10), (1, 10)], [(1, 10), (1, 10)])
+        )
+        model.add_constraint(
+            ElementSum([x0, x1], [{0: 0, 1: 10}, {0: 0, 1: 10}], total)
+        )
+        result = Solver(model).solve(minimize=total)
+        assert (result.root_bound, result.best.objective) == (0, 10)
+        assert result.stop == "exhausted" and result.statistics.proven_optimal
+
+    def test_every_stop_reason_reaches_the_span(self):
+        def stop_of(**options):
+            model, total = self._ranked()
+            # descending values: the first dive is the worst solution
+            solver = Solver(model, value_selector=lambda var: var.values()[::-1])
+            result, attributes = traced_solve(solver, minimize=total, **options)
+            assert attributes["stop"] == result.stop
+            return attributes
+
+        assert stop_of()["stop"] == "bound"
+        assert stop_of(timeout=0.0)["stop"] == "timeout"
+        assert stop_of(node_limit=3)["stop"] == "node_limit"
+        assert stop_of(first_solution_only=True)["stop"] == "first"
+        assert stop_of(initial_bound=0)["stop"] == "exhausted"
+
+    def test_the_span_separates_first_best_and_proof_time(self):
+        model, total = self._ranked()
+        solver = Solver(model, value_selector=lambda var: var.values()[::-1])
+        result, attributes = traced_solve(solver, minimize=total)
+        assert result.statistics.solutions > 1
+        assert attributes["root_bound"] == 0
+        assert 0 <= attributes["first_solution_ms"] < attributes["best_solution_ms"]
+        assert attributes["proof_ms"] >= 0
+        assert (
+            attributes["best_solution_ms"] + attributes["proof_ms"]
+            == pytest.approx(result.statistics.elapsed * 1000.0)
+        )
+
+    def test_a_search_without_a_solution_is_all_proof(self):
+        model = Model()
+        x = model.int_var("x", [0, 1])
+        y = model.int_var("y", [0, 1])
+        model.add_constraint(AllDifferent([x, y]))
+        model.add_constraint(LinearLessEqual([x, y], [1, 1], 0))
+        result, attributes = traced_solve(Solver(model))
+        assert attributes["first_solution_ms"] is None
+        assert attributes["best_solution_ms"] is None
+        assert attributes["proof_ms"] == pytest.approx(
+            result.statistics.elapsed * 1000.0
+        )
+        assert attributes["stop"] == "exhausted" and attributes["root_bound"] is None

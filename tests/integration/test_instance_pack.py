@@ -90,46 +90,23 @@ class TestPackGoldens:
             assert report.passed, (name, report.to_dict())
 
 
-#: The baselines solved by one monolithic model.  The fifth,
-#: ``partitioned``, is all but a second of a full re-run, on one cell:
-#: ``medium-faulty`` is sharded in two, shard 1 (14 VMs / 5 nodes) is
-#: infeasible and ``solve_zone`` proves it in 200 010 backtracks before the
-#: monolithic fallback solves the round in 122 (ROADMAP items 1 and 3iv own
-#: that cliff).
-MONOLITHIC_POLICIES = tuple(p for p in BASELINE_POLICIES if p != "partitioned")
-
-DRIFTED = (
-    "baseline scoreboard drifted; if intentional, regenerate with "
-    "REPRO_UPDATE_GOLDENS=1 and review the diff"
-)
-
-
 class TestScoreboardGoldens:
     @pytest.fixture(scope="class")
     def fresh_board(self):
-        return baseline_scoreboard(policies=MONOLITHIC_POLICIES)
+        return baseline_scoreboard()
 
     def test_committed_scoreboard_matches_rerun_byte_for_byte(
         self, fresh_board
     ):
-        """Tier-1 re-runs the monolithic baselines and compares their cells;
-        the slow lane's twin below re-runs and compares the whole file."""
+        """All 15 cells (five policies on three instances) are re-run and
+        the whole file compared."""
         assert SCOREBOARD_PATH.exists(), (
             "scoreboard golden missing; run with REPRO_UPDATE_GOLDENS=1"
         )
-        committed = load_scoreboard(SCOREBOARD_PATH)
-        for entry in committed["instances"].values():
-            del entry["policies"]["partitioned"]
-        del committed["fingerprint"]
-        committed["fingerprint"] = fingerprint_of(committed)
-        assert scoreboard_to_json(fresh_board) == scoreboard_to_json(committed), DRIFTED
-
-    @pytest.mark.slow
-    def test_committed_scoreboard_matches_full_rerun_byte_for_byte(self):
-        assert (
-            scoreboard_to_json(baseline_scoreboard())
-            == SCOREBOARD_PATH.read_text()
-        ), DRIFTED
+        assert scoreboard_to_json(fresh_board) == SCOREBOARD_PATH.read_text(), (
+            "baseline scoreboard drifted; if intentional, regenerate with "
+            "REPRO_UPDATE_GOLDENS=1 and review the diff"
+        )
 
     def test_scoreboard_fingerprint_is_self_consistent(self):
         board = load_scoreboard(SCOREBOARD_PATH)

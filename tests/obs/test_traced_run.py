@@ -45,11 +45,16 @@ def traced_scenario() -> Scenario:
 
 
 def structural_shape(node: dict):
-    """A span tree with timestamps erased: what must be deterministic
-    between two identical seeded runs."""
+    """A span tree with timestamps and measured durations (the ``*_ms``
+    attributes of ``cp.solve``) erased: what must be deterministic between
+    two identical seeded runs."""
     return (
         node["name"],
-        sorted(node.get("attributes", {}).items()),
+        sorted(
+            item
+            for item in node.get("attributes", {}).items()
+            if not item[0].endswith("_ms")
+        ),
         sorted(node.get("counters", {}).items()),
         [event["name"] for event in node.get("events", [])],
         [structural_shape(child) for child in node.get("children", [])],

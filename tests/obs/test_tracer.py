@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import threading
 
+import pytest
+
 from repro.obs import (
     NULL_SPAN,
     Span,
@@ -92,6 +94,34 @@ class TestNesting:
         end = tracer.root.end
         tracer.finish()
         assert tracer.root.end == end
+
+
+class TestErrors:
+    def test_an_exception_is_named_on_every_span_it_crosses(self):
+        tracer = ticking_tracer()
+        with tracer.activate():
+            with pytest.raises(RecursionError):
+                with span("plan"):
+                    with span("solve") as solve:
+                        solve.inc("nodes", 3)
+                        with span("finished-before-the-error"):
+                            pass
+                        raise RecursionError("too deep")
+            with span("next-round"):
+                pass
+        plan, next_round = tracer.root.children
+        (solve,) = plan.children
+        assert plan.attributes["error"] == "RecursionError"
+        assert solve.attributes["error"] == "RecursionError"
+        # the partial subtree is kept, closed, and the stack is back in order
+        assert solve.counters == {"nodes": 3}
+        assert [child.name for child in solve.children] == [
+            "finished-before-the-error"
+        ]
+        assert "error" not in solve.children[0].attributes
+        assert plan.end is not None and solve.end is not None
+        assert "error" not in next_round.attributes
+        assert "error" not in tracer.root.attributes
 
 
 class TestSerialization:

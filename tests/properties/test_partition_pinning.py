@@ -34,7 +34,7 @@ from repro.constraints import (
 from repro.model import Configuration, Node, VirtualMachine
 from repro.scale.parallel import build_zone_configuration
 from repro.scale.partition import partition
-from repro.testing import make_large_fleet
+from repro.testing import fence_groups, make_large_fleet
 
 from reference_partition import partition_reference
 
@@ -150,25 +150,8 @@ def test_lazy_partition_matches_eager_reference(scenario):
     _assert_same_partition(lazy, eager)
 
 
-def _fenced_catalog(configuration, groups=8):
-    """The benchmark's layout: fence each ``i % groups`` VM cohort onto its
-    contiguous node-group slice (mirrors :func:`repro.testing.make_large_fleet`)."""
-    node_names = list(configuration.node_names)
-    width = len(node_names) // groups
-    catalog = []
-    for g in range(groups):
-        stop = (g + 1) * width if g < groups - 1 else len(node_names)
-        cohort = [
-            name
-            for i, name in enumerate(configuration.vm_names)
-            if i % groups == g
-        ]
-        catalog.append(Fence(cohort, node_names[g * width : stop]))
-    return catalog
-
-
 def _assert_fenced_fleet_pinned(configuration, groups=8):
-    constraints = _fenced_catalog(configuration, groups=groups)
+    constraints = fence_groups(configuration, groups=groups)
     target_states = configuration.states()
     lazy = partition(configuration, target_states, constraints)
     eager = partition_reference(configuration, target_states, constraints)
@@ -231,7 +214,7 @@ def test_zone_extraction_touches_only_zone_local_ids():
     for vm_name, host in fleet.placement().items():
         spy.set_running(vm_name, host)
 
-    constraints = _fenced_catalog(spy)
+    constraints = fence_groups(spy)
     decomposition = partition(spy, spy.states(), constraints)
     assert decomposition.method == "interference"
     for zone in decomposition.zones:

@@ -9,9 +9,15 @@ incremental counter or an idempotence flag is wrong.
 
 Each engine gets its own freshly built model: variables are stateful, so the
 two searches must not share domains.
+
+The instances are small enough to enumerate, so the claim a search makes when
+it stops at the root bound — ``proven_optimal`` without walking the tree — is
+also checked against the brute-force optimum.
 """
 
 from __future__ import annotations
+
+from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
@@ -161,3 +167,72 @@ def test_event_engine_explores_the_same_tree(instance):
     assert event.statistics.nodes == fixpoint.statistics.nodes
     assert event.statistics.backtracks == fixpoint.statistics.backtracks
     assert event.statistics.solutions == fixpoint.statistics.solutions
+
+
+def _brute_force_optimum(instance):
+    """The cheapest assignment satisfying every constraint ``_build`` posts,
+    by enumeration; ``None`` when there is none."""
+    capacities = instance["capacities"]
+    demands = instance["demands"]
+    best = None
+    for assignment in product(range(len(capacities)), repeat=len(demands)):
+        loads = [[0, 0] for _ in capacities]
+        for node, (cpu, memory) in zip(assignment, demands):
+            loads[node][0] += cpu
+            loads[node][1] += memory
+        if any(
+            load[0] > capacity[0] or load[1] > capacity[1]
+            for load, capacity in zip(loads, capacities)
+        ):
+            continue
+        if instance["spread"] and assignment[0] == assignment[1]:
+            continue
+        if instance["gather"] and assignment[0] != assignment[1]:
+            continue
+        if (
+            instance["linear_bound"] is not None
+            and sum(assignment) > instance["linear_bound"]
+        ):
+            continue
+        cost = sum(table[node] for table, node in zip(instance["tables"], assignment))
+        if best is None or cost < best:
+            best = cost
+    return best
+
+
+@settings(max_examples=120, deadline=None)
+@given(rjsp_instances())
+def test_a_proven_optimum_is_the_brute_force_optimum(instance):
+    """With the incumbent the instance drew and without one: what a search
+    calls proven — by exhausting the tree or by meeting the root bound — is
+    the enumerated optimum, and both engines get there by the same tree."""
+    optimum = _brute_force_optimum(instance)
+    for initial_bound in {instance["initial_bound"], None}:
+        seeded = {**instance, "initial_bound": initial_bound}
+        _, event = _solve(seeded, "event")
+        _, fixpoint = _solve(seeded, "fixpoint")
+        for result in (event, fixpoint):
+            if optimum is None or (
+                initial_bound is not None and optimum >= initial_bound
+            ):
+                # nothing (strictly better than the incumbent) exists
+                assert not result.has_solution
+                assert result.statistics.proven_optimal == (initial_bound is not None)
+            else:
+                assert result.statistics.proven_optimal
+                assert result.best.objective == optimum
+            if result.stop == "bound":
+                assert result.best.objective == result.root_bound
+        assert (
+            event.stop,
+            event.statistics.nodes,
+            event.statistics.backtracks,
+            event.statistics.solutions,
+            event.best and event.best.values,
+        ) == (
+            fixpoint.stop,
+            fixpoint.statistics.nodes,
+            fixpoint.statistics.backtracks,
+            fixpoint.statistics.solutions,
+            fixpoint.best and fixpoint.best.values,
+        )

@@ -141,10 +141,15 @@ def test_telemetry_matches_the_utilization_series(runs):
 
 
 def _span_shape(node):
-    """Span tree with timestamps erased — comparable across runs."""
+    """Span tree with timestamps and measured ``*_ms`` attributes erased —
+    comparable across runs."""
     return (
         node["name"],
-        sorted(node.get("attributes", {}).items()),
+        sorted(
+            item
+            for item in node.get("attributes", {}).items()
+            if not item[0].endswith("_ms")
+        ),
         sorted(node.get("counters", {}).items()),
         [event["name"] for event in node.get("events", [])],
         [_span_shape(child) for child in node.get("children", [])],
