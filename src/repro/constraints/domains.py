@@ -88,6 +88,8 @@ def vm_domains(
     them).  A restriction is free to name nodes that are not in
     ``current.node_names``, so "no node left" is decided on the domain a
     caller builds from it, not on the emptiness of the set."""
+    if not constraints:
+        return dict.fromkeys(vms)
     node_names = current.node_names
     by_vm, universal = _membership_index(constraints)
     domains: Dict[str, Optional[AbstractSet[str]]] = {}

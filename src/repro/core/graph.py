@@ -4,13 +4,16 @@ A reconfiguration graph is an oriented multigraph whose vertices are the
 cluster nodes and whose edges are the VM actions required to go from a current
 configuration to a target configuration.  Each edge carries the action and the
 CPU/memory demand of the manipulated VM; each vertex carries the node's
-capacities.  The graph is recomputed after every pool from the temporary
-configuration, so it always describes the *remaining* work.
+capacities.  The edges are derived once, by one scan of the two
+configurations; the planner then carries them from pool to pool
+(:meth:`ReconfigurationGraph.advance`), so the graph always describes the
+*remaining* work at the price of the actions a pool applied, not of the
+fleet.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from ..model.configuration import Configuration
@@ -42,11 +45,37 @@ class ReconfigurationGraph:
 
     current: Configuration
     target: Configuration
-    edges: list[Edge] = field(default_factory=list)
+    #: ``None`` derives the edges from the two configurations; a list —
+    #: an empty one included — *is* the remaining work.
+    edges: Optional[list[Edge]] = None
 
     def __post_init__(self) -> None:
-        if not self.edges:
+        if self.edges is None:
             self.edges = list(_derive_edges(self.current, self.target))
+
+    def advance(self, pool: Iterable[Action]) -> None:
+        """Take the actions of ``pool`` — already applied to :attr:`current`
+        — out of the remaining work, edge order kept.  An edge whose own
+        action ran is done.  A bypass migration parked its VM on a pivot
+        instead: the edge stays, rewritten to leave from the pivot."""
+        applied = {action.vm: action for action in pool}
+        remaining = []
+        for edge in self.edges:
+            action = applied.get(edge.action.vm)
+            if action is None:
+                remaining.append(edge)
+            elif action != edge.action:
+                remaining.append(
+                    Edge(
+                        action=Migrate(
+                            vm=action.vm,
+                            source_node=action.destination_node,
+                            destination_node=edge.action.destination_node,
+                        ),
+                        demand=edge.demand,
+                    )
+                )
+        self.edges = remaining
 
     # -- queries ---------------------------------------------------------------
 

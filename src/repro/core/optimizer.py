@@ -207,18 +207,22 @@ class ContextSwitchOptimizer:
             target = self._build_target(current, states, assignment)
         plan = self.planner.build(current, target, vjob_of_vm, constraints=constraints)
         cost = plan_cost(plan).total
+        if assignment is None:
+            movement = cost
+        else:
+            # A running VM that keeps its host moves for nothing: only the
+            # VMs the placement map does not already show there are priced.
+            placement = current.placement()
+            movement = sum(
+                self.movement_cost(current, vm, node)
+                for vm, node in assignment.items()
+                if placement.get(vm) != node
+            )
         return OptimizationResult(
             target=target,
             plan=plan,
             cost=cost,
-            movement_cost=(
-                cost
-                if assignment is None
-                else sum(
-                    self.movement_cost(current, vm, node)
-                    for vm, node in assignment.items()
-                )
-            ),
+            movement_cost=movement,
             fixed_cost=self._fixed_cost(current, states),
             used_fallback=assignment is None,
             statistics=statistics,
@@ -272,17 +276,15 @@ class ContextSwitchOptimizer:
     def _complete_states(
         current: Configuration, target_states: Mapping[str, VMState]
     ) -> dict[str, VMState]:
-        states: dict[str, VMState] = {}
-        for name in current.vm_names:
-            states[name] = target_states.get(name, current.state_of(name))
-            if (
-                states[name] is VMState.WAITING
-                and current.state_of(name) is VMState.RUNNING
-            ):
+        states = current.states()
+        for name, observed in states.items():
+            wanted = target_states.get(name, observed)
+            if wanted is VMState.WAITING and observed is VMState.RUNNING:
                 raise PlanningError(
                     f"VM {name!r} is running and cannot return to the Waiting "
                     "state; suspend or terminate it instead"
                 )
+            states[name] = wanted
         return states
 
     @staticmethod
@@ -435,20 +437,36 @@ class ContextSwitchOptimizer:
                     return None, SearchStatistics(), []
                 pins[vm_name] = pinned[vm_name]
 
+        # Unary placement constraints (Ban/Fence/Root) shrink the domain of
+        # the assignment variable before the search even starts.
+        # ``vm_domains`` hands the members of one restriction one shared set,
+        # so the node list of a restriction is built once and copied per
+        # variable.
+        domains = vm_domains(current, running_vms, constraints)
+        for vm_name, node_name in pins.items():
+            allowed = domains[vm_name]
+            if allowed is not None and node_name not in allowed:
+                # The pin violates a (possibly crash-shrunken) unary
+                # constraint: refuse rather than silently unpin, so the
+                # repair layer widens its neighbourhood.
+                return None, SearchStatistics(), []
+
         # The model covers ``model_vms`` over ``capacities``; ``folded`` is
         # the part of the assignment decided outside it.
         model_vms = running_vms
         capacities = [current.node(name).capacity.as_tuple() for name in node_names]
         folded: dict[str, int] = {}
-        if pins and not constraints:
+        if pins and not any(constraint.relational for constraint in constraints):
             # Repair fast path: the frozen VMs never enter the model — their
             # demands are subtracted from the capacities of their pinned
             # hosts and their (constant) movement costs are excluded from
             # the objective — so model building and search both scale with
-            # the dirty region, not the fleet.  Only valid without placement
-            # constraints: a relational constraint (MaxOnline,
-            # RunningCapacity…) must see the frozen placements, so under a
-            # catalog they stay in the model as unary-domain variables.
+            # the dirty region, not the fleet.  A unary catalog (what a
+            # fenced zone's scoped catalog is) has already had its say on
+            # every pin above and compiles to nothing but domains.  Only a
+            # relational constraint (Spread, MaxOnline, RunningCapacity…)
+            # must see the frozen placements, so under one they stay in the
+            # model as unary-domain variables.
             free_capacity = [list(capacity) for capacity in capacities]
             for vm_name, node_name in pins.items():
                 index = node_index[node_name]
@@ -472,11 +490,6 @@ class ContextSwitchOptimizer:
         assignment_vars: list[IntVar] = []
         tables: list[CostTable] = []
         preferences: dict[str, int] = {}
-        # Unary placement constraints (Ban/Fence) shrink the domain of the
-        # assignment variable before the search even starts.  ``vm_domains``
-        # hands the members of one restriction one shared set, so the node
-        # list of a restriction is built once and copied per variable.
-        domains = vm_domains(current, model_vms, constraints)
         templates: dict[int, Optional[Domain]] = {}
         #: Every node some variable of the model can take.
         reachable: set[int] = set()
@@ -489,11 +502,6 @@ class ContextSwitchOptimizer:
             )
             pin = pins.get(vm_name)
             if pin is not None:
-                if allowed is not None and pin not in allowed:
-                    # The pin violates a (possibly crash-shrunken) unary
-                    # constraint: refuse rather than silently unpin, so the
-                    # repair layer widens its neighbourhood.
-                    return None, SearchStatistics(), []
                 assignment_vars.append(
                     model.pinned_var(f"x({vm_name})", node_index[pin])
                 )
@@ -629,7 +637,15 @@ class ContextSwitchOptimizer:
         of the running VMs (also used by the partitioned optimizer to merge
         per-zone assignments into one global target)."""
         target = current.copy()
+        observed = current.states()
+        placement = current.placement()
         for name, state in states.items():
+            if state is observed[name] and (
+                state is not VMState.RUNNING
+                or placement.get(name) == assignment[name]
+            ):
+                # Already in that state — and, if running, on that node.
+                continue
             if state is VMState.RUNNING:
                 target.set_running(name, assignment[name])
             elif state is VMState.SLEEPING:

@@ -25,6 +25,7 @@ from typing import Mapping, Optional, Sequence
 
 from ..constraints.base import PlacementConstraint
 from ..constraints.checker import check_plan
+from ..constraints.domains import vm_domains
 from ..model.configuration import Configuration
 from ..model.errors import NoPivotAvailableError, PlanningError
 from ..model.resources import ResourceVector
@@ -79,20 +80,22 @@ class ReconfigurationPlanner:
         independent checker, and any violation lands on
         ``plan.constraint_violations`` — or raises
         :class:`~repro.model.errors.PlanningError` under
-        ``PlannerOptions.strict_constraints``.
+        ``PlannerOptions.strict_constraints``.  They also steer the one
+        placement the planner picks itself: the pivot of a bypass migration
+        (:meth:`_bypass_action`).
         """
         plan = ReconfigurationPlan(source=current.copy())
+        # One working configuration, mutated pool by pool, and one edge
+        # list, derived here and shortened by what each pool applied.
         working = current.copy()
+        graph = ReconfigurationGraph(working, target)
         max_pools = (
             self.options.max_pools
             if self.options.max_pools is not None
             else 2 * len(current.vm_names) + 8
         )
 
-        while True:
-            graph = ReconfigurationGraph(working.copy(), target)
-            if graph.is_empty():
-                break
+        while not graph.is_empty():
             if len(plan.pools) >= max_pools:
                 raise PlanningError(
                     f"plan construction exceeded {max_pools} pools; the target "
@@ -100,10 +103,11 @@ class ReconfigurationPlanner:
                 )
             pool = self._select_pool(working, graph)
             if not pool:
-                bypass = self._bypass_action(working, graph)
+                bypass = self._bypass_action(working, graph, constraints)
                 pool = Pool([bypass])
             plan.append_pool(pool)
-            working = self._apply_pool(working, pool)
+            apply_pool_effects(working, pool)
+            graph.advance(pool)
 
         if self.options.enforce_vjob_consistency and vjob_of_vm:
             self._regroup_vjob_resumes(plan, vjob_of_vm)
@@ -159,27 +163,27 @@ class ReconfigurationPlanner:
                 pool.add(action)
         return pool
 
-    @staticmethod
-    def _apply_pool(working: Configuration, pool: Pool) -> Configuration:
-        """Temporary configuration once every action of the pool completed."""
-        result = working.copy()
-        apply_pool_effects(result, pool)
-        return result
-
     # ------------------------------------------------------------------ #
     # inter-dependent cycles and bypass migrations                        #
     # ------------------------------------------------------------------ #
 
     def _bypass_action(
-        self, working: Configuration, graph: ReconfigurationGraph
+        self,
+        working: Configuration,
+        graph: ReconfigurationGraph,
+        constraints: Sequence[PlacementConstraint] = (),
     ) -> Migrate:
         """Break a cycle of non-feasible migrations with a bypass migration.
 
         A pivot node outside the cycle temporarily hosts one of the cycle's
         VMs; once that VM has left, at least one other migration of the cycle
-        becomes feasible.  The next planning rounds will bring the parked VM to
-        its final destination (the reconfiguration graph regenerates the
-        pending migration from the pivot).
+        becomes feasible.  The following pools bring the parked VM to its
+        final destination (its edge of the graph now leaves from the pivot).
+
+        Under ``constraints`` a pivot inside the parked VM's unary domain
+        (its fence, outside its bans) is preferred; only when none has room
+        does the VM park wherever it fits, and the checker then records the
+        transient violation on the plan.
         """
         migrations = [
             a for a in graph.actions if isinstance(a, Migrate)
@@ -204,32 +208,28 @@ class ReconfigurationPlanner:
             cycle,
             key=lambda m: working.vm(m.vm).memory,
         )
+        domains = vm_domains(working, [m.vm for m in cycle], constraints)
 
-        for migration in candidates:
-            vm = working.vm(migration.vm)
-            for node in working.node_names:
-                if node in cycle_nodes:
-                    continue
-                if working.can_host(node, vm):
-                    return Migrate(
-                        vm=migration.vm,
-                        source_node=migration.source_node,
-                        destination_node=node,
-                    )
-        # Fall back to any node (even inside the cycle) that can host a VM of
-        # the cycle: this still unlocks the cycle although the paper prefers an
-        # outside pivot.
-        for migration in candidates:
-            vm = working.vm(migration.vm)
-            for node in working.node_names:
-                if node == migration.source_node:
-                    continue
-                if working.can_host(node, vm):
-                    return Migrate(
-                        vm=migration.vm,
-                        source_node=migration.source_node,
-                        destination_node=node,
-                    )
+        for honour_domains in (True, False):
+            # A pivot outside the cycle first; failing that any node that
+            # can host a VM of the cycle, even one inside it: this still
+            # unlocks the cycle although the paper prefers an outside pivot.
+            for outside_cycle in (True, False):
+                for migration in candidates:
+                    vm = working.vm(migration.vm)
+                    excluded = cycle_nodes if outside_cycle else {migration.source_node}
+                    allowed = domains[migration.vm] if honour_domains else None
+                    for node in working.node_names:
+                        if node in excluded:
+                            continue
+                        if allowed is not None and node not in allowed:
+                            continue
+                        if working.can_host(node, vm):
+                            return Migrate(
+                                vm=migration.vm,
+                                source_node=migration.source_node,
+                                destination_node=node,
+                            )
         raise NoPivotAvailableError(
             "no node can temporarily host any VM of the migration cycle"
         )
@@ -240,35 +240,46 @@ class ReconfigurationPlanner:
 
         Returns the migrations forming the cycle, or an empty list when the
         graph is acyclic.  A depth-first search over the node graph is used,
-        keeping the migration taken to reach each node on the current stack so
-        the cycle's edges can be reported.
+        keeping the migration taken to reach each node on the current path
+        so the cycle's edges can be reported — on an explicit stack: the
+        path is as long as the longest chain of pending migrations, which
+        the interpreter's recursion limit must not bound.
         """
         outgoing: dict[str, list[Migrate]] = {}
         for migration in migrations:
             outgoing.setdefault(migration.source_node, []).append(migration)
 
         visited: set[str] = set()
-
-        def dfs(node: str, stack: list[str], path: list[Migrate]) -> list[Migrate]:
-            if node in stack:
-                # Back edge: the cycle is the suffix of ``path`` starting where
-                # ``node`` was first pushed on the stack.
-                return path[stack.index(node):]
-            if node in visited:
-                return []
-            visited.add(node)
-            stack.append(node)
-            for migration in outgoing.get(node, ()):  # explore every edge
-                found = dfs(migration.destination_node, stack, path + [migration])
-                if found:
-                    return found
-            stack.pop()
-            return []
-
-        for start in list(outgoing):
-            cycle = dfs(start, [], [])
-            if cycle:
-                return cycle
+        for start in outgoing:
+            if start in visited:
+                continue
+            visited.add(start)
+            #: The nodes of the current path in order, each with its depth
+            #: on it, and the migrations between them: ``path[i]`` leaves
+            #: the node of depth ``i``.
+            depth = {start: 0}
+            path: list[Migrate] = []
+            #: Per node of the path, its edges still to explore.
+            pending = [iter(outgoing[start])]
+            while pending:
+                migration = next(pending[-1], None)
+                if migration is None:
+                    pending.pop()
+                    depth.popitem()
+                    if path:
+                        path.pop()
+                    continue
+                node = migration.destination_node
+                if node in depth:
+                    # Back edge: the cycle is the path from where ``node``
+                    # entered it, closed by this migration.
+                    return path[depth[node]:] + [migration]
+                if node in visited:
+                    continue
+                visited.add(node)
+                depth[node] = len(depth)
+                path.append(migration)
+                pending.append(iter(outgoing.get(node, ())))
         return []
 
     # ------------------------------------------------------------------ #

@@ -17,7 +17,10 @@ from four deterministic rules (:func:`compute_dirty_set`):
    the VMs sharing a node with a dirty running VM.
 
 Everything else is *frozen*: pinned to its current host and handed to the
-inner optimizer as ``pinned``.  On infeasibility the neighbourhood widens
+inner optimizer as ``pinned``, which folds the frozen VMs into their hosts'
+residual capacities — under a catalog too, as long as it holds no
+relational constraint — so the model it builds, and the round, cost what
+changed rather than the fleet.  On infeasibility the neighbourhood widens
 deterministically (the VMs frozen on the emptiest quarter, then half, of the
 nodes are released), and the last step is always the full monolithic solve
 with the caller's real fallback target — so the repair engine accepts
@@ -238,11 +241,10 @@ class RepairOptimizer:
             self.halo,
         )
         attempts = 0
+        placement = current.placement()
         for level in range(_LNS_STEPS + 1):
             pins = {
-                vm: current.location_of(vm)
-                for vm in running_vms
-                if vm not in dirty
+                vm: placement.get(vm) for vm in running_vms if vm not in dirty
             }
             if not pins:
                 return self._full_solve(
@@ -402,11 +404,7 @@ class RepairOptimizer:
         """Remember the accepted assignment and attach the repair telemetry
         (recorded on :class:`~repro.core.context_switch.ContextSwitchReport`
         and aggregated into ``RunResult.metadata["repair_engine"]``)."""
-        self._previous = {
-            vm: result.target.location_of(vm)
-            for vm in result.target.vm_names
-            if result.target.state_of(vm) is VMState.RUNNING
-        }
+        self._previous = dict(result.target.iter_placement())
         result.repair = {
             "mode": mode,
             "reason": reason,

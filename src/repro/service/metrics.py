@@ -41,7 +41,8 @@ DEFAULT_BUCKETS = (
 
 
 def _label_key(labels: Mapping[str, str]) -> tuple[tuple[str, str], ...]:
-    return tuple(sorted(labels.items()))
+    # Most series carry no label and are updated every round.
+    return tuple(sorted(labels.items())) if labels else ()
 
 
 def _format_labels(labels: Mapping[str, str]) -> str:

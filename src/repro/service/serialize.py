@@ -104,13 +104,14 @@ def plan_to_dict(plan: ReconfigurationPlan) -> dict[str, Any]:
 def capture_configuration(configuration: Configuration) -> "ConfigurationSnapshot":
     """Capture an immutable snapshot of a live configuration — a few dict
     copies and tuples of frozen dataclasses, cheap enough for every
-    control-loop round.  JSON rendering is deferred to
+    control-loop round (``placement()`` and ``states()`` already hand out
+    fresh copies).  JSON rendering is deferred to
     :meth:`ConfigurationSnapshot.to_dict` (paid only when an operator
     actually requests ``GET /configuration``)."""
     return ConfigurationSnapshot(
         nodes=configuration.nodes,
         vms=configuration.vms,
-        placement=dict(configuration.placement()),
+        placement=configuration.placement(),
         states=configuration.states(),
         viable=configuration.is_viable(),
     )

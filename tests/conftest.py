@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cp import Solver
 from repro.model import Configuration, Node, make_working_nodes
 from repro.testing import make_large_fleet, make_vm
 
@@ -54,3 +55,17 @@ def loaded_configuration(three_nodes) -> Configuration:
     configuration.set_running("busy", "node-0")
     configuration.set_running("idle", "node-1")
     return configuration
+
+
+@pytest.fixture
+def models(monkeypatch):
+    """Every model a ``Solver`` was built over, in order."""
+    built = []
+    init = Solver.__init__
+
+    def spy(self, model, *args, **kwargs):
+        built.append(model)
+        init(self, model, *args, **kwargs)
+
+    monkeypatch.setattr(Solver, "__init__", spy)
+    return built

@@ -124,3 +124,40 @@ def test_edges_carry_vm_demand(current):
     edge = graph.edges[0]
     assert edge.demand.memory == 1024
     assert edge.demand.cpu == 1
+
+
+def test_an_explicitly_empty_remainder_is_empty(current):
+    """``edges=None`` derives the graph; a list, even an empty one, is the
+    remaining work as given."""
+    target = current.copy()
+    target.set_running("r1", "node-2")
+    assert len(ReconfigurationGraph(current, target)) == 1
+    assert ReconfigurationGraph(current, target, edges=[]).is_empty()
+
+
+def test_advance_drops_applied_edges_and_reroutes_a_parked_vm(current):
+    target = current.copy()
+    target.set_running("r1", "node-2")        # migrate
+    target.set_sleeping("r2")                 # suspend
+    target.set_running("w1", "node-1")        # run
+    working = current.copy()
+    graph = ReconfigurationGraph(working, target)
+    migrate, suspend, run = graph.actions
+    demand = graph.edges[0].demand
+
+    # The suspend ran as planned; r1 was parked on node-1 instead of going
+    # to node-2: its edge stays, first in line, and leaves from node-1 now.
+    parked = Migrate(vm="r1", source_node="node-0", destination_node="node-1")
+    for action in (suspend, parked):
+        action.apply(working)
+    graph.advance([suspend, parked])
+    assert graph.actions == [
+        Migrate(vm="r1", source_node="node-1", destination_node="node-2"),
+        run,
+    ]
+    assert graph.edges[0].demand == demand
+    assert graph.actions == ReconfigurationGraph(working.copy(), target).actions
+
+    # A migration that lands on the destination is the edge itself.
+    graph.advance([Migrate(vm="r1", source_node="node-1", destination_node="node-2"), run])
+    assert graph.is_empty()

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.constraints import Fence, Spread, violated_constraints
+from repro.constraints import (
+    Ban,
+    Fence,
+    MaxOnline,
+    Root,
+    Spread,
+    violated_constraints,
+)
 from repro.core.context_switch import ClusterContextSwitch
 from repro.core.optimizer import ContextSwitchOptimizer
 from repro.cp import Solver
@@ -145,60 +152,6 @@ _EVERY_VM_PINNED = {
 }
 
 
-class TestOneModelBuilder:
-    """One builder serves the cold solve, the folded repair fast path and
-    the pinned-variable path: each must honour pins, capacities and the
-    catalog, and refuse unsatisfiable pins instead of unpinning."""
-
-    @pytest.mark.parametrize(
-        "pinned, constraints, solvable",
-        [
-            pytest.param(None, [], True, id="no-pins"),
-            pytest.param(
-                {"a": "node-0", "b": "node-1"}, [], True, id="pins-empty-catalog"
-            ),
-            pytest.param(
-                {"a": "node-0", "b": "node-1"},
-                [Fence(["newcomer", "sleepy"], ["node-1", "node-2"])],
-                True,
-                id="pins-fence",
-            ),
-            pytest.param(
-                {"a": "node-0", "c": "node-2"},
-                [Spread(["a", "newcomer", "sleepy"])],
-                True,
-                id="pins-spread",
-            ),
-            pytest.param(_EVERY_VM_PINNED, [], True, id="every-vm-pinned"),
-            pytest.param({"a": "node-9"}, [], False, id="pin-to-removed-node"),
-            pytest.param(
-                {"a": "node-0"},
-                [Fence(["a"], ["node-1", "node-2"])],
-                False,
-                id="pin-outside-its-fence",
-            ),
-        ],
-    )
-    def test_pins_capacities_and_catalog_are_honoured(
-        self, cluster, pinned, constraints, solvable
-    ):
-        states = {name: VMState.RUNNING for name in cluster.vm_names}
-        assignment, _, _ = ContextSwitchOptimizer(timeout=5).search_assignment(
-            cluster, states, constraints, pinned=pinned
-        )
-        if not solvable:
-            assert assignment is None
-            return
-        assert set(assignment) == set(cluster.vm_names)
-        for vm, node in (pinned or {}).items():
-            assert assignment[vm] == node
-        target = cluster.copy()
-        for vm, node in assignment.items():
-            target.set_running(vm, node)
-        assert target.is_viable()
-        assert violated_constraints(target, constraints) == []
-
-
 @pytest.fixture
 def solves(monkeypatch):
     """The keyword arguments of every ``Solver.solve`` call made."""
@@ -211,6 +164,175 @@ def solves(monkeypatch):
 
     monkeypatch.setattr(Solver, "solve", spy)
     return calls
+
+
+class TestOneModelBuilder:
+    """One builder serves the cold solve, the folded repair fast path and
+    the pinned-variable path: each must honour pins, capacities and the
+    catalog, and refuse unsatisfiable pins instead of unpinning.
+
+    ``variables`` is the size of the model that reached a solver — one per
+    VM left to place plus the cost — or 0 when none was built.  Under a
+    catalog without a relational constraint the pinned VMs are folded into
+    the capacities, members of the catalog's groups included; one
+    relational constraint keeps every VM in the model."""
+
+    @pytest.mark.parametrize(
+        "pinned, constraints, variables",
+        [
+            pytest.param(None, [], 6, id="no-pins"),
+            pytest.param(
+                {"a": "node-0", "b": "node-1"}, [], 4, id="pins-empty-catalog"
+            ),
+            pytest.param(
+                {"a": "node-0", "b": "node-1"},
+                [Fence(["newcomer", "sleepy"], ["node-1", "node-2"])],
+                4,
+                id="pins-fence",
+            ),
+            pytest.param(
+                {"a": "node-0", "b": "node-1"},
+                [Fence(["a", "b", "newcomer"], ["node-0", "node-1", "node-2"])],
+                4,
+                id="pinned-fence-members",
+            ),
+            pytest.param(
+                {"a": "node-0", "c": "node-2"},
+                [Ban(["a", "sleepy"], ["node-3"])],
+                4,
+                id="pinned-ban-member",
+            ),
+            pytest.param(
+                {"a": "node-0", "b": "node-1", "c": "node-2"},
+                [Root(["a", "b"]), Fence(["c", "sleepy"], ["node-2", "node-3"])],
+                3,
+                id="pinned-root-members",
+            ),
+            pytest.param(
+                {"a": "node-0", "c": "node-2"},
+                [Spread(["a", "newcomer", "sleepy"])],
+                6,
+                id="pins-spread",
+            ),
+            pytest.param(
+                {"a": "node-0", "c": "node-2"},
+                [Fence(["a", "newcomer"], ["node-0", "node-1"]), Spread(["b", "sleepy"])],
+                6,
+                id="pins-fence-and-spread",
+            ),
+            pytest.param(_EVERY_VM_PINNED, [], 0, id="every-vm-pinned"),
+            pytest.param(
+                _EVERY_VM_PINNED,
+                [Fence(["a", "sleepy"], ["node-0", "node-3"])],
+                0,
+                id="every-vm-pinned-fence",
+            ),
+            pytest.param({"a": "node-9"}, [], None, id="pin-to-removed-node"),
+            pytest.param(
+                {"a": "node-0"},
+                [Fence(["a"], ["node-1", "node-2"])],
+                None,
+                id="pin-outside-its-fence",
+            ),
+            pytest.param(
+                {"a": "node-0"},
+                [
+                    Fence(["a", "b"], ["node-0", "node-1"], elastic=True)
+                    .on_node_failure("node-0")
+                ],
+                None,
+                id="pin-outside-its-crash-shrunken-fence",
+            ),
+            pytest.param(
+                {"a": "node-0"},
+                [Fence(["a"], ["node-1", "node-2"]), Spread(["b", "sleepy"])],
+                None,
+                id="pin-outside-its-fence-relational-catalog",
+            ),
+            pytest.param({"a": "node-3"}, [Root(["a"])], None, id="pin-off-its-root"),
+        ],
+    )
+    def test_pins_capacities_and_catalog_are_honoured(
+        self, cluster, models, pinned, constraints, variables
+    ):
+        states = {name: VMState.RUNNING for name in cluster.vm_names}
+        assignment, statistics, _ = ContextSwitchOptimizer(
+            timeout=5
+        ).search_assignment(cluster, states, constraints, pinned=pinned)
+        assert [len(model.variables) for model in models] == (
+            [variables] if variables else []
+        )
+        if variables is None:
+            assert assignment is None and statistics.nodes == 0
+            return
+        assert set(assignment) == set(cluster.vm_names)
+        for vm, node in (pinned or {}).items():
+            assert assignment[vm] == node
+        target = cluster.copy()
+        for vm, node in assignment.items():
+            target.set_running(vm, node)
+        assert target.is_viable()
+        assert violated_constraints(target, constraints) == []
+
+    def test_a_fenced_frozen_region_that_overloads_a_node_is_refused(
+        self, cluster, solves
+    ):
+        # Three cpus pinned onto the two of node-0: no search can fix what
+        # the pins alone break, so none is started.
+        states = {name: VMState.RUNNING for name in cluster.vm_names}
+        assignment, statistics, improving = ContextSwitchOptimizer(
+            timeout=5
+        ).search_assignment(
+            cluster,
+            states,
+            [Fence(["a", "b", "newcomer"], ["node-0", "node-1"])],
+            pinned={"a": "node-0", "b": "node-0", "sleepy": "node-0"},
+        )
+        assert assignment is None and improving == []
+        assert statistics.nodes == 0 and solves == []
+
+    @pytest.mark.parametrize("engine", ["event", "fixpoint"])
+    def test_folded_pins_search_like_pinned_variables(self, engine, models):
+        """The same fenced zone solved as is (its frozen VMs folded into the
+        capacities) and with a vacuous relational constraint appended, which
+        keeps them in the model as pinned variables: same tree, same
+        answer."""
+        zone = make_large_fleet(60, groups=1, cached=False)
+        states = zone.states()
+        catalog = fence_groups(zone, groups=1)
+        # One VM of node-0 now asks for ten of its twelve cpus: its three
+        # neighbours are the dirty region and two of them have to leave,
+        # at different prices — a tree with an improving solution and a
+        # proof, not one dive.
+        for name, memory, cpu in (
+            ("vm-45", 1024, 10),
+            ("vm-30", 1536, 2),
+            ("vm-0", 1024, 2),
+            ("vm-15", 2048, 1),
+        ):
+            zone.replace_vm(make_vm(name, memory=memory, cpu=cpu))
+        dirty = list(zone.vms_on("node-0"))
+        pins = {
+            name: zone.location_of(name)
+            for name in zone.vm_names
+            if name not in dirty
+        }
+        vacuous = MaxOnline(zone.node_names, maximum=len(zone.node_names))
+        optimizer = ContextSwitchOptimizer(timeout=30, engine=engine)
+        folded = optimizer.search_assignment(zone, states, catalog, pinned=pins)
+        pinned = optimizer.search_assignment(
+            zone, states, catalog + [vacuous], pinned=pins
+        )
+        assert [len(model.variables) for model in models] == [
+            len(dirty) + 1,
+            len(zone.vm_names) + 1,
+        ]
+        assert folded[0] == pinned[0] and folded[0] is not None
+        assert folded[2] == pinned[2] == [3072, 2560]
+        assert folded[1].backtracks > 0
+        for counter in ("nodes", "backtracks", "solutions", "proven_optimal"):
+            assert getattr(folded[1], counter) == getattr(pinned[1], counter)
+        assert folded[1].propagations <= pinned[1].propagations
 
 
 class TestColdSolveEffort:

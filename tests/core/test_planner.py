@@ -6,6 +6,7 @@ consistency pass and the failure modes (unreachable targets, missing pivot).
 
 import pytest
 
+from repro.constraints import Fence
 from repro.core.actions import ActionKind, Migrate, Resume, Suspend
 from repro.core.planner import PlannerOptions, ReconfigurationPlanner, build_plan
 from repro.model.configuration import Configuration
@@ -130,6 +131,54 @@ class TestInterDependentConstraints:
         plan = build_plan(configuration, target)
         plan.check_reaches(target)
         assert plan.count(ActionKind.MIGRATE) == 4
+
+
+class TestBypassHonoursUnaryConstraints:
+    """The pivot of a bypass migration is chosen inside the parked VM's
+    fence when a node there has room (ROADMAP 3iii: a cold 20-zone plan
+    parked a VM outside its fence because the pivot was picked by capacity
+    alone)."""
+
+    @staticmethod
+    def _fenced_swap(inside_memory):
+        """Two fenced VMs swapping full hosts; the first node in node order
+        is free but outside the fence, the last one is inside it."""
+        nodes = make_working_nodes(1, cpu_capacity=1, memory_capacity=2048, prefix="outside")
+        nodes += make_working_nodes(2, cpu_capacity=1, memory_capacity=2048)
+        nodes += make_working_nodes(
+            1, cpu_capacity=1, memory_capacity=inside_memory, prefix="inside"
+        )
+        configuration = Configuration(nodes=nodes)
+        configuration.add_vm(make_vm("vm1", memory=2048, cpu=0))
+        configuration.add_vm(make_vm("vm2", memory=2048, cpu=0))
+        configuration.set_running("vm1", "node-0")
+        configuration.set_running("vm2", "node-1")
+        target = configuration.copy()
+        target.set_running("vm1", "node-1")
+        target.set_running("vm2", "node-0")
+        fence = Fence(["vm1", "vm2"], ["node-0", "node-1", "inside-0"])
+        return configuration, target, fence
+
+    def test_the_pivot_is_taken_inside_the_fence(self):
+        configuration, target, fence = self._fenced_swap(inside_memory=2048)
+        plan = build_plan(configuration, target, constraints=[fence])
+        assert plan.pools[0].actions == [
+            Migrate(vm="vm1", source_node="node-0", destination_node="inside-0")
+        ]
+        assert plan.constraint_violations == []
+        plan.check_reaches(target)
+
+    def test_without_the_catalog_the_first_node_that_fits_is_the_pivot(self):
+        configuration, target, _ = self._fenced_swap(inside_memory=2048)
+        plan = build_plan(configuration, target)
+        assert plan.pools[0].actions[0].destination_node == "outside-0"
+
+    def test_no_room_inside_the_fence_parks_outside_and_records_it(self):
+        configuration, target, fence = self._fenced_swap(inside_memory=1024)
+        plan = build_plan(configuration, target, constraints=[fence])
+        assert plan.pools[0].actions[0].destination_node == "outside-0"
+        assert [v.stage for v in plan.constraint_violations] == [1, 2]
+        plan.check_reaches(target)
 
 
 class TestUnreachableTargets:

@@ -16,16 +16,20 @@ monolithic solve on randomly generated perturbed rounds:
 * **no retired pins** — with an elastic ``Fence`` that shrank, the repaired
   target never leaves a member on a node outside the shrunken domain
   (satellite: frozen placements invalidated by constraint repair become
-  dirty instead of being pinned).
+  dirty instead of being pinned);
+* **folding is invisible** — under a unary catalog the frozen VMs are
+  subtracted from the capacities instead of entering the model; the search
+  that is left walks the tree it would walk with them pinned inside it.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.constraints import Fence
+from repro.constraints import Fence, MaxOnline
 from repro.constraints.checker import check_configuration, check_plan
 from repro.core.optimizer import ContextSwitchOptimizer
+from repro.cp import ENGINES
 from repro.model.configuration import Configuration
 from repro.model.errors import PlanningError
 from repro.model.node import Node
@@ -212,3 +216,48 @@ def test_shrunken_fence_members_are_never_pinned_to_retired_nodes(instance):
         return
     for member in names[:3]:
         assert repaired.target.location_of(member) in node_names[:-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(perturbed_instances(), st.sampled_from(ENGINES))
+def test_folded_pins_search_like_pinned_variables(instance, engine):
+    """No copied oracle: a vacuous relational constraint (every node may be
+    online) switches the fold off, so the same optimizer builds the model
+    both ways."""
+    configuration, names, victims, _halo = instance
+    node_names = sorted(configuration.node_names)
+    vacuous = MaxOnline(node_names, maximum=len(node_names))
+    for victim in victims:
+        configuration.set_waiting(victim)
+    # Every other VM is fenced off the last node, unless it is frozen there
+    # (a pin outside its fence is refused before any model is built).
+    fence = Fence(
+        [
+            name
+            for name in names[::2]
+            if configuration.location_of(name) != node_names[-1]
+        ],
+        node_names[:-1],
+    )
+    pins = {
+        name: configuration.location_of(name)
+        for name in names
+        if name not in victims
+    }
+    optimizer = ContextSwitchOptimizer(timeout=10.0, engine=engine)
+    folded, folded_stats, folded_costs = optimizer.search_assignment(
+        configuration, _states(names), [fence], pinned=pins
+    )
+    pinned, pinned_stats, pinned_costs = optimizer.search_assignment(
+        configuration, _states(names), [fence, vacuous], pinned=pins
+    )
+    assert folded == pinned
+    if folded is None:
+        # Refused at build (frozen VMs overloading a node, dirty VMs
+        # over-committing what is left) or searched and failed: folding
+        # only ever notices earlier.
+        assert folded_stats.nodes <= pinned_stats.nodes
+        return
+    assert folded_costs == pinned_costs
+    for counter in ("nodes", "backtracks", "solutions", "proven_optimal"):
+        assert getattr(folded_stats, counter) == getattr(pinned_stats, counter)
