@@ -22,7 +22,6 @@ from .report import (
     format_fraction,
     format_seconds,
     format_table,
-    phase_table,
     series,
 )
 
@@ -46,6 +45,5 @@ __all__ = [
     "format_fraction",
     "format_seconds",
     "format_table",
-    "phase_table",
     "series",
 ]

@@ -76,44 +76,3 @@ def campaign_table(rows: Iterable[dict]) -> str:
         for row in materialized
     ]
     return series("Campaign results", headers, body)
-
-
-def phase_table(traces: Iterable[dict], title: str = "Phase breakdown") -> str:
-    """Render a per-phase wall-time breakdown aggregated over one or more
-    traced runs (:mod:`repro.obs` span trees — either full
-    :meth:`~repro.api.results.RunResult.to_dict` documents or bare trace
-    dicts).  Phases are sorted by total time, descending; runs without a
-    trace are skipped."""
-    from ..obs import load_trace, phase_totals
-
-    merged: dict[str, dict[str, float]] = {}
-    runs = 0
-    for trace in traces:
-        if trace is None:
-            continue
-        if "trace" in trace and trace.get("trace") is None:
-            continue  # an untraced RunResult document
-        root = load_trace(trace)
-        runs += 1
-        for name, stats in phase_totals(root).items():
-            bucket = merged.setdefault(
-                name, {"count": 0, "total_s": 0.0, "self_s": 0.0, "max_s": 0.0}
-            )
-            bucket["count"] += stats["count"]
-            bucket["total_s"] += stats["total_s"]
-            bucket["self_s"] += stats["self_s"]
-            bucket["max_s"] = max(bucket["max_s"], stats["max_s"])
-    headers = ("phase", "count", "total s", "self s", "max s")
-    body = [
-        [
-            name,
-            int(stats["count"]),
-            f"{stats['total_s']:.3f}",
-            f"{stats['self_s']:.3f}",
-            f"{stats['max_s']:.3f}",
-        ]
-        for name, stats in sorted(
-            merged.items(), key=lambda item: (-item[1]["total_s"], item[0])
-        )
-    ]
-    return series(f"{title} ({runs} traced runs)", headers, body)

@@ -23,12 +23,11 @@ next decision; slow nodes advance vjob progress more slowly; late-booting
 nodes join the configuration mid-run.  Repair latencies, SLA violations and
 wasted migrations are reported on the :class:`~repro.api.results.RunResult`.
 
-``engine`` selects how each planning round is solved: the monolithic
-optimizer's propagation engines (``"event"`` / ``"fixpoint"``),
-``"partitioned"`` — the cluster is decomposed into independent placement
-zones solved concurrently on ``max_workers`` processes
-(:mod:`repro.scale`), with a transparent monolithic fallback — or the
-incremental ``"repair"`` / ``"repair-partitioned"`` engines
+``engine`` selects how each planning round is solved: ``"event"``, the
+monolithic optimizer; ``"partitioned"`` — the cluster is decomposed into
+independent placement zones, solved on worker processes when they are big
+enough to pay for them (:mod:`repro.scale`), with a transparent monolithic
+fallback — or the incremental ``"repair"`` / ``"repair-partitioned"`` engines
 (:mod:`repro.repair`).  For the repair engines the loop tracks the VMs each
 round actually perturbed — crash victims, new arrivals, members of violated
 constraints — and hands them to the planner, which freezes everything else
@@ -50,8 +49,8 @@ from typing import Any, Mapping, Optional, Sequence, Union
 from .. import config
 from ..constraints.base import PlacementConstraint
 from ..constraints.checker import check_configuration
+from ..core.actions import ActionKind, Resume
 from ..core.context_switch import ClusterContextSwitch
-from ..core.cost import plan_cost
 from ..model.errors import PlanningError
 from ..model.node import Node
 from ..model.queue import VJobQueue
@@ -115,7 +114,6 @@ class ControlLoop:
         optimizer_timeout: float = 10.0,
         use_optimizer: bool = True,
         engine: str = "event",
-        max_workers: Optional[int] = None,
         hypervisor: HypervisorModel = DEFAULT_HYPERVISOR,
         max_time: float = 24 * 3600.0,
         observers: Sequence[LoopObserver] = (),
@@ -202,7 +200,6 @@ class ControlLoop:
             optimizer_timeout=optimizer_timeout,
             use_optimizer=use_optimizer,
             engine=engine,
-            max_workers=max_workers,
         )
         self.executor = PlanExecutor(
             hypervisor=hypervisor, fault_injector=fault_injector
@@ -437,7 +434,7 @@ class ControlLoop:
                     record = self._record_switch(now, report, execution)
                     result.switches.append(record)
                     round_span.set(switched=True, switch_cost=record.cost)
-                    statistics = getattr(report, "statistics", None)
+                    statistics = report.statistics
                     if statistics is not None:
                         # Deterministic counters only (no wall-clock fields):
                         # the HTTP-equals-in-process determinism test compares
@@ -750,8 +747,6 @@ class ControlLoop:
         when the executor actually attempts the move, so it is recorded here
         — at the attempt's start time — rather than in ``_apply_fault``.
         """
-        from ..core.actions import ActionKind
-
         for failure in execution.failures:
             if (
                 failure.action.kind is not ActionKind.MIGRATE
@@ -847,8 +842,6 @@ class ControlLoop:
         return report
 
     def _record_switch(self, now, report, execution) -> ContextSwitchRecord:
-        from ..core.actions import ActionKind, Resume
-
         local_resumes = sum(
             1
             for item in execution.actions
@@ -862,7 +855,7 @@ class ControlLoop:
         )
         return ContextSwitchRecord(
             time=now,
-            cost=plan_cost(report.plan).total,
+            cost=report.total_cost,
             duration=execution.duration,
             migrations=execution.count(ActionKind.MIGRATE),
             runs=execution.count(ActionKind.RUN),

@@ -51,11 +51,11 @@ class Scenario:
     :attr:`RunResult.constraint_violations`.
 
     ``engine`` selects the solving strategy for every planning round:
-    ``"event"`` (default) and ``"fixpoint"`` pick the monolithic optimizer's
-    propagation engine, ``"partitioned"`` decomposes the cluster into
-    independent placement zones solved concurrently on ``max_workers``
-    processes (:mod:`repro.scale`), falling back to the monolithic solve
-    whenever no decomposition exists.  ``"repair"`` and
+    ``"event"`` (default) is the monolithic optimizer, ``"partitioned"``
+    decomposes the cluster into independent placement zones — solved on
+    worker processes when they are big enough to pay for them
+    (:mod:`repro.scale`) — falling back to the monolithic solve whenever
+    no decomposition exists.  ``"repair"`` and
     ``"repair-partitioned"`` (:mod:`repro.repair`) replan incrementally:
     the loop tracks the VMs each round perturbed (crash victims, arrivals,
     violated-constraint members), the solver freezes everything else and
@@ -78,7 +78,6 @@ class Scenario:
     optimizer_timeout: float = 10.0
     use_optimizer: bool = True
     engine: str = "event"
-    max_workers: Optional[int] = None
     hypervisor: HypervisorModel = DEFAULT_HYPERVISOR
     max_time: float = 24 * 3600.0
     faults: Optional[FaultSchedule] = None
@@ -172,7 +171,6 @@ class Scenario:
             optimizer_timeout=self.optimizer_timeout,
             use_optimizer=self.use_optimizer,
             engine=self.engine,
-            max_workers=self.max_workers,
             hypervisor=self.hypervisor,
             max_time=self.max_time,
             observers=self.observers,

@@ -114,10 +114,6 @@ class ClusterSpec:
     node_spec: NodeSpec = field(default_factory=NodeSpec)
 
     @property
-    def total_cpu(self) -> int:
-        return self.node_count * self.node_spec.cpu_capacity
-
-    @property
     def total_memory(self) -> int:
         return self.node_count * self.node_spec.usable_memory
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
+from typing import Any, Mapping, Optional
 
 from ..model.configuration import Configuration
 from ..model.errors import ExecutionError
@@ -265,3 +265,63 @@ def required_resources(action: Action, configuration: Configuration) -> Resource
     if not action.consumes_resources():
         return ResourceVector(0, 0)
     return configuration.vm(action.vm).demand
+
+
+# --------------------------------------------------------------------- #
+# the JSON shape of an action (audit log, HTTP, verifier submissions)    #
+# --------------------------------------------------------------------- #
+
+
+class UnknownActionKind(ValueError):
+    """An action document whose ``kind`` is none of the five actions."""
+
+
+def action_to_dict(action: Action) -> dict[str, Any]:
+    """One VM action as a JSON-safe dict (kind + the nodes it touches)."""
+    data: dict[str, Any] = {"kind": action.kind.value, "vm": action.vm}
+    if isinstance(action, (Run, Stop, Suspend)):
+        data["node"] = action.node
+    elif isinstance(action, Migrate):
+        data["source"] = action.source_node
+        data["destination"] = action.destination_node
+    elif isinstance(action, Resume):
+        data["image_node"] = action.image_node
+        data["destination"] = action.destination_node
+    return data
+
+
+def _require(payload: Mapping[str, Any], key: str, context: str) -> Any:
+    if not isinstance(payload, Mapping) or key not in payload:
+        raise ValueError(f"{context}: missing required field {key!r}")
+    return payload[key]
+
+
+def action_from_dict(
+    payload: Mapping[str, Any], context: str = "action"
+) -> Action:
+    """Inverse of :func:`action_to_dict`.  The payload comes from outside
+    the program: a missing field raises :class:`ValueError`, a ``kind``
+    that names no action its subclass :class:`UnknownActionKind`, both
+    prefixed with ``context`` (where the document was found)."""
+    kind = _require(payload, "kind", context)
+    vm = _require(payload, "vm", context)
+    fields = f"{context} {kind}"
+    if kind == "run":
+        return Run(vm=vm, node=_require(payload, "node", fields))
+    if kind == "stop":
+        return Stop(vm=vm, node=_require(payload, "node", fields))
+    if kind == "suspend":
+        return Suspend(vm=vm, node=_require(payload, "node", fields))
+    if kind == "migrate":
+        return Migrate(
+            vm=vm,
+            source_node=_require(payload, "source", fields),
+            destination_node=_require(payload, "destination", fields),
+        )
+    if kind == "resume":
+        return Resume(
+            vm=vm,
+            image_node=payload.get("image_node"),
+            destination_node=_require(payload, "destination", fields),
+        )
+    raise UnknownActionKind(f"{context}: unknown action kind {kind!r}")

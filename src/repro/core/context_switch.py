@@ -73,20 +73,19 @@ class ClusterContextSwitch:
         planner_options: Optional[PlannerOptions] = None,
         use_optimizer: bool = True,
         engine: str = "event",
-        max_workers: Optional[int] = None,
         zone_executor: str = "auto",
     ) -> None:
-        """``engine`` selects the solving strategy: a propagation engine of
-        the monolithic optimizer (``"event"`` / ``"fixpoint"``),
-        ``"partitioned"``, which decomposes the cluster into independent
-        placement zones solved concurrently (:mod:`repro.scale.parallel`)
-        and transparently falls back to the monolithic solve when no
-        decomposition exists, or the incremental ``"repair"`` /
-        ``"repair-partitioned"`` engines (:mod:`repro.repair`), which
-        freeze the VMs outside the round's perturbed region and solve the
-        dirty region only, falling back to the full solve on
-        infeasibility.  ``max_workers`` / ``zone_executor`` only apply to
-        the partitioned engines."""
+        """``engine`` selects the solving strategy: ``"event"``, the
+        monolithic optimizer; ``"partitioned"``, which decomposes the
+        cluster into independent placement zones solved one by one or
+        concurrently (:mod:`repro.scale.parallel`) and transparently falls
+        back to the monolithic solve when no decomposition exists; or the
+        incremental ``"repair"`` / ``"repair-partitioned"`` engines
+        (:mod:`repro.repair`), which freeze the VMs outside the round's
+        perturbed region and solve the dirty region only, falling back to
+        the full solve on infeasibility.  ``zone_executor`` only applies
+        to the partitioned engines, which by default decide per solve
+        whether their zones are worth worker processes."""
         self.planner = ReconfigurationPlanner(planner_options)
         repair, strategy = _COMPOSED_ENGINES.get(engine, (False, engine))
         if strategy == "partitioned":
@@ -96,7 +95,6 @@ class ClusterContextSwitch:
             self.optimizer = ParallelOptimizer(
                 timeout=optimizer_timeout,
                 planner_options=planner_options,
-                max_workers=max_workers,
                 zone_executor=zone_executor,
             )
         else:
@@ -118,10 +116,10 @@ class ClusterContextSwitch:
     # ------------------------------------------------------------------ #
 
     def close(self) -> None:
-        """Release solver resources — the partitioned engine keeps a
-        persistent worker-process pool across rounds.  Idempotent, and the
-        switch remains usable afterwards (the next partitioned solve
-        respawns the pool); a no-op for the monolithic engines."""
+        """Release solver resources — the partitioned engine keeps the
+        worker-process pool it forked, if any, across rounds.  Idempotent,
+        and the switch remains usable afterwards (the next solve that needs
+        the pool respawns it); a no-op for the monolithic engines."""
         self.optimizer.close()
 
     def mark_dirty(self, vms) -> None:

@@ -56,6 +56,27 @@ from .planner import PlannerOptions, ReconfigurationPlanner
 #: affects tie-breaking between plans of nearly identical costs).
 _MAX_OBJECTIVE_RANGE = 120_000
 
+#: Smallest wall-clock budget one carved solve is handed, seconds — a zone
+#: run after others (:mod:`repro.scale.parallel`), a repair attempt after a
+#: failed one (:mod:`repro.repair`): enough to attempt a first solution,
+#: small enough that an exhausted budget fails fast into the fallback.
+MIN_CARVED_TIMEOUT_S = 0.05
+
+#: Floor of a fallback solve's budget, as a fraction of the round's: when the
+#: failed zones or attempts before it burned the whole round, the fallback
+#: still needs room to find *a* solution, so the worst-case round is bounded
+#: at (1 + this) times the budget rather than doubling it.
+_FALLBACK_TIMEOUT_FRACTION = 0.1
+
+
+def fallback_budget(budget: float, deadline: float) -> float:
+    """What the fallback solve of a round gets: the wall-clock the carved
+    solves before it left until ``deadline``, floored at
+    :data:`_FALLBACK_TIMEOUT_FRACTION` of the round's ``budget``."""
+    return max(
+        budget * _FALLBACK_TIMEOUT_FRACTION, deadline - time.monotonic()
+    )
+
 
 @dataclass
 class OptimizationResult:
@@ -74,8 +95,8 @@ class OptimizationResult:
     #: the partitioner's ``partition_reason``, if one was asked) otherwise.
     partition_method: str = "monolithic"
     partition_reason: str = ""
-    #: One :class:`~repro.scale.parallel.ZoneReport` per solved zone; empty
-    #: unless a partitioned engine decomposed the instance.
+    #: One :class:`~repro.scale.parallel.ZoneOutcome` per zone, in zone
+    #: order; empty unless a partitioned engine decomposed the instance.
     zone_reports: list = field(default_factory=list)
     #: The repair engine's telemetry (``mode`` — ``"repair"`` for an accepted
     #: frozen-region solve, ``"full"`` for the fallback to the full solve —

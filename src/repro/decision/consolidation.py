@@ -46,12 +46,8 @@ class ConsolidationDecisionModule:
     name = "consolidation"
 
     def __init__(
-        self,
-        period: float = 30.0,
-        constraints: Sequence[PlacementConstraint] = (),
+        self, constraints: Sequence[PlacementConstraint] = ()
     ) -> None:
-        #: Decision period in seconds (Section 3.2 uses 30 s).
-        self.period = period
         self.constraints: tuple[PlacementConstraint, ...] = tuple(constraints)
 
     def use_constraints(

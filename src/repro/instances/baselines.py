@@ -81,9 +81,9 @@ def baseline_scoreboard(
 ) -> dict[str, Any]:
     """Run the baseline grid and build the scoreboard document.
 
-    ``executor="serial"`` is the default because the partitioned engine
-    spawns its own worker pool per solve; pass ``"process"`` to spread the
-    grid itself over processes instead.
+    ``executor`` / ``max_workers`` are the campaign grid's: pass
+    ``"process"`` to spread the grid over worker processes (the pack's
+    zones are small, so the ``partitioned`` floor itself forks nothing).
     """
     from ..scale.campaign import CampaignSpec, run_campaign
 

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, Optional
 
 from ..constraints.checker import Violation, check_configuration, check_plan, plan_stages
-from ..core.actions import Action, ActionKind, Migrate, Resume, Run, Stop, Suspend
+from ..core.actions import Action, ActionKind, UnknownActionKind, action_from_dict
 from ..core.cost import plan_cost
 from ..core.plan import Pool, ReconfigurationPlan
 from ..model.configuration import Configuration
@@ -141,38 +141,6 @@ def _require(payload: Mapping[str, Any], key: str, context: str) -> Any:
     return payload[key]
 
 
-def _action_from_dict(payload: Mapping[str, Any], context: str) -> Action:
-    kind = _require(payload, "kind", context)
-    vm = _require(payload, "vm", context)
-    if kind == "run":
-        return Run(vm=vm, node=_require(payload, "node", f"{context} run"))
-    if kind == "stop":
-        return Stop(vm=vm, node=_require(payload, "node", f"{context} stop"))
-    if kind == "suspend":
-        return Suspend(
-            vm=vm, node=_require(payload, "node", f"{context} suspend")
-        )
-    if kind == "migrate":
-        return Migrate(
-            vm=vm,
-            source_node=_require(payload, "source", f"{context} migrate"),
-            destination_node=_require(
-                payload, "destination", f"{context} migrate"
-            ),
-        )
-    if kind == "resume":
-        return Resume(
-            vm=vm,
-            image_node=payload.get("image_node"),
-            destination_node=_require(
-                payload, "destination", f"{context} resume"
-            ),
-        )
-    raise SubmissionError(
-        "unknown-action", f"{context}: unknown action kind {kind!r}"
-    )
-
-
 def _decode_plan(
     payload: Mapping[str, Any], source: Configuration
 ) -> ReconfigurationPlan:
@@ -191,7 +159,12 @@ def _decode_plan(
             )
         pool = Pool()
         for action_spec in pool_spec:
-            action = _action_from_dict(action_spec, f"plan pool {index}")
+            try:
+                action = action_from_dict(action_spec, f"plan pool {index}")
+            except UnknownActionKind as exc:
+                raise SubmissionError("unknown-action", str(exc)) from None
+            except ValueError as exc:
+                raise SubmissionError("truncated-plan", str(exc)) from None
             _check_action_references(action, source, f"plan pool {index}")
             pool.add(action)
         plan.append_pool(pool)

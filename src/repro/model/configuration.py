@@ -220,13 +220,6 @@ class Configuration:
             raise UnknownNodeError(name)
         return self._columns.slot(name)
 
-    def vm_index(self, name: str) -> int:
-        """Interned id of a VM (registration rank, never reused)."""
-        try:
-            return self._vm_index[name]
-        except KeyError:
-            raise UnknownVMError(name) from None
-
     def state_of(self, vm_name: str) -> VMState:
         if vm_name not in self._vms:
             raise UnknownVMError(vm_name)
@@ -252,18 +245,6 @@ class Configuration:
     def sleeping_vms(self) -> tuple[str, ...]:
         return tuple(
             name for name, state in self._states.items() if state is VMState.SLEEPING
-        )
-
-    def waiting_vms(self) -> tuple[str, ...]:
-        return tuple(
-            name for name, state in self._states.items() if state is VMState.WAITING
-        )
-
-    def terminated_vms(self) -> tuple[str, ...]:
-        return tuple(
-            name
-            for name, state in self._states.items()
-            if state is VMState.TERMINATED
         )
 
     def vms_on(self, node_name: str) -> tuple[str, ...]:

@@ -34,20 +34,16 @@ from typing import Iterable, Mapping, Optional, Sequence, Set
 
 from ..constraints.base import PlacementConstraint
 from ..constraints.domains import vm_domains
-from ..core.optimizer import ContextSwitchOptimizer, OptimizationResult
+from ..core.optimizer import (
+    MIN_CARVED_TIMEOUT_S,
+    ContextSwitchOptimizer,
+    OptimizationResult,
+    fallback_budget,
+)
 from ..model.configuration import Configuration
 from ..model.errors import PlanningError
 from ..model.vm import VMState
 from ..obs import span
-
-#: Smallest wall-clock budget a single LNS attempt can be carved down to —
-#: mirrors the zone floor of :mod:`repro.scale.parallel`.
-_MIN_ATTEMPT_TIMEOUT_S = 0.05
-
-#: Floor of the full-solve fallback's budget, as a fraction of the global
-#: timeout: failed LNS attempts may have burned the round, but the fallback
-#: must still be able to find *a* solution.
-_FALLBACK_TIMEOUT_FRACTION = 0.1
 
 #: Widening steps of the deterministic neighbourhood schedule (a quarter,
 #: then half, of the nodes released) before the full-solve fallback.
@@ -220,26 +216,18 @@ class RepairOptimizer:
         ]
         previous = self._previous
         if previous is None:
-            return self._full_solve(
+            # Nothing to freeze: every VM is dirty.
+            dirty = set(running_vms)
+        else:
+            dirty = compute_dirty_set(
                 current,
-                target_states,
-                vjob_of_vm,
-                fallback_target,
+                states,
+                running_vms,
                 constraints,
-                deadline,
-                reason="cold start (no previous assignment)",
-                dirty_count=len(running_vms),
-                attempts=0,
+                marks,
+                previous,
+                self.halo,
             )
-        dirty = compute_dirty_set(
-            current,
-            states,
-            running_vms,
-            constraints,
-            marks,
-            previous,
-            self.halo,
-        )
         attempts = 0
         placement = current.placement()
         for level in range(_LNS_STEPS + 1):
@@ -247,30 +235,16 @@ class RepairOptimizer:
                 vm: placement.get(vm) for vm in running_vms if vm not in dirty
             }
             if not pins:
-                return self._full_solve(
-                    current,
-                    target_states,
-                    vjob_of_vm,
-                    fallback_target,
-                    constraints,
-                    deadline,
-                    reason="dirty region covers the whole fleet",
-                    dirty_count=len(dirty),
-                    attempts=attempts,
+                reason = (
+                    "cold start (no previous assignment)"
+                    if previous is None
+                    else "dirty region covers the whole fleet"
                 )
+                break
             remaining = deadline - time.monotonic()
-            if attempts and remaining <= _MIN_ATTEMPT_TIMEOUT_S:
-                return self._full_solve(
-                    current,
-                    target_states,
-                    vjob_of_vm,
-                    fallback_target,
-                    constraints,
-                    deadline,
-                    reason="neighbourhood budget exhausted",
-                    dirty_count=len(dirty),
-                    attempts=attempts,
-                )
+            if attempts and remaining <= MIN_CARVED_TIMEOUT_S:
+                reason = "neighbourhood budget exhausted"
+                break
             attempts += 1
             result: Optional[OptimizationResult]
             with span(
@@ -287,7 +261,7 @@ class RepairOptimizer:
                         fallback_target=None,
                         constraints=constraints,
                         pinned=pins,
-                        timeout=max(_MIN_ATTEMPT_TIMEOUT_S, remaining),
+                        timeout=max(MIN_CARVED_TIMEOUT_S, remaining),
                     )
                 except PlanningError:
                     result = None
@@ -308,16 +282,26 @@ class RepairOptimizer:
                 )
             dirty |= self._widened(current, running_vms, dirty, level + 1)
             _relational_closure(dirty, constraints, set(running_vms))
-        return self._full_solve(
-            current,
-            target_states,
-            vjob_of_vm,
-            fallback_target,
-            constraints,
-            deadline,
-            reason=f"neighbourhood schedule exhausted ({attempts} attempts)",
+        else:  # no break: every level of the schedule was tried
+            reason = f"neighbourhood schedule exhausted ({attempts} attempts)"
+        # The one way into the full solve: the caller's real fallback target
+        # and what the attempts left of the round's budget.
+        with span("full-solve", reason=reason, dirty=len(dirty)):
+            result = self.inner.optimize(
+                current,
+                target_states,
+                vjob_of_vm=vjob_of_vm,
+                fallback_target=fallback_target,
+                constraints=constraints,
+                timeout=fallback_budget(self.timeout, deadline),
+            )
+        return self._accept(
+            result,
+            mode="full",
+            reason=reason,
             dirty_count=len(dirty),
-            attempts=attempts,
+            frozen_count=0,
+            attempts=attempts + 1,
         )
 
     # ------------------------------------------------------------------ #
@@ -357,40 +341,6 @@ class RepairOptimizer:
             and current.state_of(vm) is VMState.RUNNING
             and current.location_of(vm) in hosts
         }
-
-    def _full_solve(
-        self,
-        current: Configuration,
-        target_states: Mapping[str, VMState],
-        vjob_of_vm: Optional[Mapping[str, str]],
-        fallback_target: Optional[Configuration],
-        constraints: Sequence[PlacementConstraint],
-        deadline: float,
-        reason: str,
-        dirty_count: int,
-        attempts: int,
-    ) -> OptimizationResult:
-        remaining = max(
-            self.timeout * _FALLBACK_TIMEOUT_FRACTION,
-            deadline - time.monotonic(),
-        )
-        with span("full-solve", reason=reason, dirty=dirty_count):
-            result = self.inner.optimize(
-                current,
-                target_states,
-                vjob_of_vm=vjob_of_vm,
-                fallback_target=fallback_target,
-                constraints=constraints,
-                timeout=remaining,
-            )
-        return self._accept(
-            result,
-            mode="full",
-            reason=reason,
-            dirty_count=dirty_count,
-            frozen_count=0,
-            attempts=attempts + 1,
-        )
 
     def _accept(
         self,

@@ -12,11 +12,11 @@ The package has three layers (see ``docs/PERFORMANCE.md`` for the guide and
    zone node sets are disjoint and every zone VM's candidates stay inside
    its zone, so per-zone solutions compose into a valid global placement.
 2. **Parallel optimizer** (:mod:`repro.scale.parallel`) — solve the zones
-   concurrently on a process pool with budgets carved from the global
-   budget, merge the assignments deterministically, and run one global
-   planner pass; falls back to the monolithic optimizer whenever
-   partitioning yields no win.  Reachable from the facade as
-   ``Scenario(engine="partitioned")``.
+   (in-process, or concurrently on a process pool when they are big enough
+   to pay for it) with budgets carved from the global budget, merge the
+   assignments deterministically, and run one global planner pass; falls
+   back to the monolithic optimizer whenever partitioning yields no win.
+   Reachable from the facade as ``Scenario(engine="partitioned")``.
 3. **Campaign runner** (:mod:`repro.scale.campaign`) — execute grids of
    scenarios (policies × fleet sizes × fault schedules × seeds) across
    worker processes with a resumable JSON-lines store and aggregation into
@@ -45,7 +45,6 @@ from .campaign import (
 from .parallel import (
     ParallelOptimizer,
     ZoneOutcome,
-    ZoneReport,
     ZoneTask,
     build_zone_configuration,
     merge_statistics,
@@ -67,7 +66,6 @@ __all__ = [
     "ParallelOptimizer",
     "ZoneTask",
     "ZoneOutcome",
-    "ZoneReport",
     "build_zone_configuration",
     "solve_zone",
     "merge_statistics",

@@ -3,14 +3,15 @@
 :class:`ParallelOptimizer` is a
 :class:`~repro.core.optimizer.ContextSwitchOptimizer` whose search is
 decomposed: it partitions the instance with
-:func:`repro.scale.partition.partition`, ships every zone to a worker (a
-:class:`concurrent.futures.ProcessPoolExecutor` by default — the CP search
-is pure Python, so threads would serialize on the GIL), and merges the
-per-zone assignments deterministically into one global assignment, which the
-base class turns into a target, a plan and a price exactly as it does its
-own.  The merged plan is therefore exactly as checker-validated as a
-monolithic one: the planner re-applies the whole constraint catalog to every
-intermediate state.
+:func:`repro.scale.partition.partition`, solves every zone — in-process one
+after another, or on a :class:`concurrent.futures.ProcessPoolExecutor` when
+the zones of this solve are big enough to pay for one (``_POOL_ZONE_VMS``;
+the CP search is pure Python, so threads would serialize on the GIL) — and
+merges the per-zone assignments deterministically into one global
+assignment, which the base class turns into a target, a plan and a price
+exactly as it does its own.  The merged plan is therefore exactly as
+checker-validated as a monolithic one: the planner re-applies the whole
+constraint catalog to every intermediate state.
 
 Why this is sound: the partitioner guarantees that zone node sets are
 disjoint and that every zone VM's candidate nodes lie inside its zone, so
@@ -42,13 +43,19 @@ planning pass.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence, Union
+from typing import List, Mapping, Optional, Sequence
 
 from ..constraints.base import PlacementConstraint
-from ..core.optimizer import ContextSwitchOptimizer, OptimizationResult
+from ..core.optimizer import (
+    MIN_CARVED_TIMEOUT_S,
+    ContextSwitchOptimizer,
+    OptimizationResult,
+    fallback_budget,
+)
 from ..cp import SearchStatistics
 from ..model.configuration import Configuration
 from ..model.errors import SolverError
@@ -56,33 +63,35 @@ from ..model.vm import VMState
 from ..obs import Span, Tracer, current_span, current_tracer, span
 from .partition import PartitionResult, Zone, partition
 
-#: Executor kinds accepted by :class:`ParallelOptimizer`. ``"serial"`` runs
-#: the zones in-process (deterministic, no pickling) — the right choice for
-#: tests, doctests and single-core machines where fork and IPC overhead is
-#: pure loss.  ``"auto"`` (the default) resolves to ``"process"`` on
-#: multi-core hosts and ``"serial"`` on single-core ones, so the partitioned
-#: engine never pays for parallelism the hardware cannot deliver.
+#: Executor kinds accepted by :class:`ParallelOptimizer`.  ``"auto"`` (the
+#: default) is decided per solve from the zones about to be solved — see
+#: :data:`_POOL_ZONE_VMS`.  ``"serial"`` always runs the zones in-process
+#: (deterministic, no pickling); ``"process"`` always ships two or more
+#: pending zones to the pool, one worker per zone.
 ZONE_EXECUTORS = ("auto", "process", "serial")
 
-#: Smallest wall-clock budget a sequentially-executed zone can be carved
-#: down to, seconds: enough to attempt a first solution, small enough that
-#: an exhausted budget fails fast into the monolithic fallback.
-_MIN_ZONE_TIMEOUT_S = 0.05
-
-#: Floor of the monolithic fallback's carved budget, as a fraction of the
-#: call's budget: when failing zones already burned the whole round, the
-#: fallback still needs room to find *a* solution, so the worst-case round
-#: is bounded at (1 + this) times the budget rather than doubling it.
-_FALLBACK_TIMEOUT_FRACTION = 0.1
-
-
-def resolve_zone_executor(zone_executor: str) -> str:
-    """Resolve ``"auto"`` against the host's CPU count."""
-    if zone_executor != "auto":
-        return zone_executor
-    import os
-
-    return "process" if (os.cpu_count() or 1) > 1 else "serial"
+#: The ``"auto"`` rule: the pool is used only when the host has more than
+#: one core *and* at least two of the zones pending in this solve each hold
+#: at least this many unpinned VMs, and it gets ``min(cores, such zones)``
+#: workers.  Shipping a zone costs a pickle of its sub-configuration both
+#: ways (and, for a one-shot solve, the fork), so small zones — every warm
+#: repair round, every fenced test fixture — lose to running in-process.
+#: Measured on a 2-core host: cold rounds of the round benchmark's fenced
+#: fleet (one restarted VM a round), p50 ms over three repetitions, serial ->
+#: pool of 2:
+#:
+#:   fleet / zone VMs (zones)  one persistent switch        a switch per solve
+#:    1 000 /   125  (8)         49-64 -> 40-64 (unresolved)  40-41 -> 47-55
+#:    2 500 /   125 (20)       129-145 -> 102-113
+#:    2 500 /   312  (8)       157-174 -> 95-120             112-113 -> 100-101
+#:    5 000 /   625  (8)       299-350 -> 250-311            260-292 -> 206-207
+#:   20 000 / 2 500  (8)     2304-2489 -> 1646-1647
+#:
+#: and the warm ``fleet-repair`` stream (about 10 pending zones of about 2
+#: unpinned VMs each) 19.8-21.2 -> 22.9-27.4 ms with a pool.  The pool starts
+#: to pay somewhere between 125- and 312-VM zones; ``docs/PERFORMANCE.md``
+#: says how to re-measure.
+_POOL_ZONE_VMS = 256
 
 
 @dataclass
@@ -110,12 +119,17 @@ class ZoneTask:
 
 @dataclass
 class ZoneOutcome:
-    """One zone's solve result, shipped back from the worker."""
+    """One zone's solve result, as the worker ships it back and as
+    :attr:`~repro.core.optimizer.OptimizationResult.zone_reports` keeps
+    it."""
 
     index: int
     assignment: Optional[dict[str, str]]
     statistics: SearchStatistics
     elapsed: float
+    #: The zone's size.
+    node_count: int = 0
+    vm_count: int = 0
     #: True when the zone was untouched by the repair round: its previous
     #: sub-assignment was reused verbatim without entering a solver.
     reused: bool = False
@@ -123,19 +137,6 @@ class ZoneOutcome:
     #: when :attr:`ZoneTask.trace` was set and the zone solved in a worker
     #: process; the parent re-parents it into its own timeline.
     trace: Optional[dict] = None
-
-
-@dataclass
-class ZoneReport:
-    """Per-zone summary, one per solved zone in
-    :attr:`~repro.core.optimizer.OptimizationResult.zone_reports`."""
-
-    index: int
-    node_count: int
-    vm_count: int
-    elapsed: float
-    statistics: SearchStatistics
-    reused: bool = False
 
 
 def build_zone_configuration(
@@ -206,6 +207,8 @@ def _solve_zone_traced(task: ZoneTask, zone_span: Span) -> ZoneOutcome:
         assignment=assignment,
         statistics=statistics,
         elapsed=time.monotonic() - started,
+        node_count=len(task.zone.nodes),
+        vm_count=len(task.zone.vms),
     )
 
 
@@ -247,12 +250,12 @@ def merge_statistics(
 class ParallelOptimizer(ContextSwitchOptimizer):
     """Partition the instance into zones and solve them concurrently.
 
-    The constructor mirrors :class:`ContextSwitchOptimizer` and adds the
-    scale-out knobs: ``max_workers`` (worker processes, also the default
-    shard count of the k-way fallback), ``zone_executor`` (``"auto"`` —
-    process pool on multi-core hosts, in-process on single-core ones — or
-    an explicit ``"process"`` / ``"serial"``) and ``shards`` (override the
-    fallback shard count; ``None`` disables sharding so only
+    The constructor mirrors :class:`ContextSwitchOptimizer` and adds
+    ``zone_executor`` (``"auto"`` decides per solve, from the pending zones
+    and the host's cores, between in-process and the worker pool and sizes
+    the pool; ``"serial"`` / ``"process"`` force one or the other — see
+    :data:`ZONE_EXECUTORS`) and ``shards`` (the shard count of the k-way
+    fallback, 4 by default; ``None`` disables sharding so only
     constraint-induced partitions are used).
     """
 
@@ -266,7 +269,6 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         timeout: float = 40.0,
         planner_options=None,
         engine: str = "event",
-        max_workers: Optional[int] = None,
         zone_executor: str = "auto",
         shards: int | str | None = "auto",
     ) -> None:
@@ -278,14 +280,12 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         super().__init__(
             timeout=timeout, planner_options=planner_options, engine=engine
         )
-        self.max_workers = max_workers
         self.zone_executor = zone_executor
-        #: Fallback shard count: ``"auto"`` follows ``max_workers`` (4 when
-        #: unset), ``None`` disables the k-way sharding fallback entirely,
-        #: an int fixes the count.  The persistent worker pool (``_pool``)
-        #: is forked lazily on the first partitioned solve and reused across
-        #: rounds — see :meth:`close`.
-        self.shards = (max_workers or 4) if shards == "auto" else shards
+        #: Fallback shard count: ``"auto"`` is 4, ``None`` disables the
+        #: k-way sharding fallback entirely, an int fixes the count.  The
+        #: persistent worker pool (``_pool``) is forked lazily by the first
+        #: solve that uses it and reused across rounds — see :meth:`close`.
+        self.shards = 4 if shards == "auto" else shards
 
     # ------------------------------------------------------------------ #
 
@@ -310,7 +310,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         lies inside the zone are honoured (the partitioner anchors VMs to
         their current host's zone, so that is the common case)."""
         budget = self.timeout if timeout is None else timeout
-        started = time.monotonic()
+        deadline = time.monotonic() + budget
         states = self._complete_states(current, target_states)
         with span("partition") as partition_span:
             decomposition = partition(
@@ -333,14 +333,10 @@ class ParallelOptimizer(ContextSwitchOptimizer):
             if failed:
                 reason = f"zones {failed} found no viable assignment"
                 # The zones already consumed part of the round's budget: the
-                # transparent fallback only gets what they left (floored at a
-                # fraction of the budget so it can still find *a* solution),
-                # keeping the whole round near the per-round budget instead
-                # of doubling it.
-                budget = max(
-                    budget * _FALLBACK_TIMEOUT_FRACTION,
-                    budget - (time.monotonic() - started),
-                )
+                # transparent fallback only gets what they left, keeping the
+                # whole round near the per-round budget instead of doubling
+                # it.
+                budget = fallback_budget(budget, deadline)
             result = super().optimize(
                 current,
                 target_states,
@@ -369,17 +365,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
             constraints,
         )
         result.partition_method = decomposition.method
-        result.zone_reports = [
-            ZoneReport(
-                index=o.index,
-                node_count=len(decomposition.zones[o.index].nodes),
-                vm_count=len(decomposition.zones[o.index].vms),
-                elapsed=o.elapsed,
-                statistics=o.statistics,
-                reused=o.reused,
-            )
-            for o in outcomes
-        ]
+        result.zone_reports = outcomes
         return result
 
     # ------------------------------------------------------------------ #
@@ -404,7 +390,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
     def _zone_tasks(
         self,
         current: Configuration,
-        zones: Union[PartitionResult, Sequence[Zone]],
+        zones: Sequence[Zone],
         budget: float,
         waves: int = 1,
         pins_by_zone: Optional[Mapping[int, dict[str, str]]] = None,
@@ -413,9 +399,8 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         executor cannot overlap every zone, each gets ``1/waves`` of it
         (``waves`` is how many batches the zones queue in), so a partitioned
         solve never exceeds the control loop's per-round time budget.
-        ``zones`` is a full decomposition or the subset of its zones still
-        pending after the repair composition reused the fully-pinned ones."""
-        zones = getattr(zones, "zones", zones)
+        ``zones`` are the zones of a decomposition still pending after the
+        repair composition reused the fully-pinned ones."""
         tasks = []
         for zone in zones:
             pins = (pins_by_zone or {}).get(zone.index) or None
@@ -424,7 +409,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
                     zone=zone,
                     configuration=build_zone_configuration(current, zone),
                     engine=self.engine,
-                    timeout=max(_MIN_ZONE_TIMEOUT_S, budget / max(1, waves)),
+                    timeout=max(MIN_CARVED_TIMEOUT_S, budget / max(1, waves)),
                     pinned=pins,
                 )
             )
@@ -453,6 +438,8 @@ class ParallelOptimizer(ContextSwitchOptimizer):
                         assignment=dict(pins),
                         statistics=SearchStatistics(),
                         elapsed=0.0,
+                        node_count=len(zone.nodes),
+                        vm_count=len(zone.vms),
                         reused=True,
                     )
                 )
@@ -462,8 +449,15 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         if not pending:
             return reused
 
-        executor = resolve_zone_executor(self.zone_executor)
-        if executor == "serial" or len(pending) == 1:
+        if self.zone_executor == "auto":
+            worth_a_worker = sum(
+                len(zone.vms) - len(pins_by_zone[zone.index]) >= _POOL_ZONE_VMS
+                for zone in pending
+            )
+            workers = min(os.cpu_count() or 1, worth_a_worker)
+        else:
+            workers = len(pending) if self.zone_executor == "process" else 1
+        if workers < 2:
             # Zones run one after another, so they share the single
             # wall-clock budget: each gets what the earlier ones left over
             # (a small floor keeps every zone able to at least attempt a
@@ -476,25 +470,24 @@ class ParallelOptimizer(ContextSwitchOptimizer):
             outcomes = list(reused)
             for task in tasks:
                 task.timeout = max(
-                    _MIN_ZONE_TIMEOUT_S, deadline - time.monotonic()
+                    MIN_CARVED_TIMEOUT_S, deadline - time.monotonic()
                 )
                 outcomes.append(solve_zone(task))
             return outcomes
-        wanted = self.max_workers or len(pending)
         # More zones than workers queue in ceil(zones/workers) waves on the
         # pool; carve the budget per wave so wall-clock stays <= budget.
-        waves = -(-len(pending) // wanted)
+        waves = -(-len(pending) // workers)
         tasks = self._zone_tasks(
             current, pending, budget, waves=waves, pins_by_zone=pins_by_zone
         )
-        if self._pool is not None and self._pool_size < wanted:
+        if self._pool is not None and self._pool_size < workers:
             # A later round partitioned into more zones than the cached pool
             # can overlap: respawn rather than silently serializing on an
             # undersized pool for the rest of the loop's lifetime.
             self.close()
         if self._pool is None:
-            self._pool = ProcessPoolExecutor(max_workers=wanted)
-            self._pool_size = wanted
+            self._pool = ProcessPoolExecutor(max_workers=workers)
+            self._pool_size = workers
         tracer = current_tracer()
         parent_span = current_span()
         if tracer is not None:

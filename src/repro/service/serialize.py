@@ -11,9 +11,9 @@ which the daemon maps to HTTP 400.
 
 from __future__ import annotations
 
-from typing import Any, Mapping, Optional
+from typing import Any, Mapping
 
-from ..core.actions import Action, Migrate, Resume, Run, Stop, Suspend
+from ..core.actions import action_to_dict
 from ..core.plan import ReconfigurationPlan
 from ..model.configuration import Configuration
 from ..model.vjob import VJob
@@ -22,8 +22,6 @@ from ..sim.faults import FaultEvent, FaultKind
 from ..workloads.traces import DemandTrace, Phase, VJobWorkload
 
 __all__ = [
-    "action_to_dict",
-    "action_from_dict",
     "plan_to_dict",
     "configuration_to_dict",
     "workload_to_dict",
@@ -40,47 +38,8 @@ def _require(payload: Mapping[str, Any], key: str, context: str) -> Any:
 
 
 # --------------------------------------------------------------------- #
-# actions and plans (the audit log's canonical plan serialization)       #
+# plans (the audit log's canonical plan serialization)                   #
 # --------------------------------------------------------------------- #
-
-
-def action_to_dict(action: Action) -> dict[str, Any]:
-    """One VM action as a JSON-safe dict (kind + the nodes it touches)."""
-    data: dict[str, Any] = {"kind": action.kind.value, "vm": action.vm}
-    if isinstance(action, (Run, Stop, Suspend)):
-        data["node"] = action.node
-    elif isinstance(action, Migrate):
-        data["source"] = action.source_node
-        data["destination"] = action.destination_node
-    elif isinstance(action, Resume):
-        data["image_node"] = action.image_node
-        data["destination"] = action.destination_node
-    return data
-
-
-def action_from_dict(payload: Mapping[str, Any]) -> Action:
-    """Inverse of :func:`action_to_dict` (used by the audit replay loader)."""
-    kind = _require(payload, "kind", "action")
-    vm = _require(payload, "vm", "action")
-    if kind == "run":
-        return Run(vm=vm, node=_require(payload, "node", "run action"))
-    if kind == "stop":
-        return Stop(vm=vm, node=_require(payload, "node", "stop action"))
-    if kind == "suspend":
-        return Suspend(vm=vm, node=_require(payload, "node", "suspend action"))
-    if kind == "migrate":
-        return Migrate(
-            vm=vm,
-            source_node=_require(payload, "source", "migrate action"),
-            destination_node=_require(payload, "destination", "migrate action"),
-        )
-    if kind == "resume":
-        return Resume(
-            vm=vm,
-            image_node=payload.get("image_node"),
-            destination_node=_require(payload, "destination", "resume action"),
-        )
-    raise ValueError(f"action: unknown kind {kind!r}")
 
 
 def plan_to_dict(plan: ReconfigurationPlan) -> dict[str, Any]:
@@ -314,9 +273,3 @@ def fault_event_from_dict(payload: Mapping[str, Any]) -> FaultEvent:
     return FaultEvent(
         time=at, kind=kind, target=target, factor=factor, duration=duration
     )
-
-
-def optional_float(payload: Mapping[str, Any], key: str) -> Optional[float]:
-    """``payload[key]`` as a float, or ``None`` when absent/null."""
-    value = payload.get(key)
-    return None if value is None else float(value)

@@ -10,6 +10,7 @@ from repro.api import (
     register_decision_module,
 )
 from repro.api import registry as registry_module
+from repro.constraints import Fence
 from repro.decision import (
     ConsolidationDecisionModule,
     FCFSDecisionModule,
@@ -54,8 +55,9 @@ class TestBuiltins:
     def test_factory_options_are_forwarded(self):
         module = get_decision_module("fcfs", backfilling="none")
         assert module.backfilling == "none"
-        module = get_decision_module("consolidation", period=15.0)
-        assert module.period == 15.0
+        fence = Fence(["a.vm0"], ["node-0"])
+        module = get_decision_module("consolidation", constraints=[fence])
+        assert module.constraints == (fence,)
 
 
 class TestErrors:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+
 import pytest
 
 from repro.cp import Solver
 from repro.model import Configuration, Node, make_working_nodes
+from repro.scale import parallel
 from repro.testing import make_large_fleet, make_vm
 
 
@@ -68,4 +71,26 @@ def models(monkeypatch):
         init(self, model, *args, **kwargs)
 
     monkeypatch.setattr(Solver, "__init__", spy)
+    return built
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Every worker pool the partitioned engine built, in order — real
+    pools, each knowing its ``workers`` and whether it was ``shut_down``."""
+    built = []
+
+    class RecordingPool(ProcessPoolExecutor):
+        shut_down = False
+
+        def __init__(self, max_workers):
+            super().__init__(max_workers=max_workers)
+            self.workers = max_workers
+            built.append(self)
+
+        def shutdown(self, *args, **kwargs):
+            super().shutdown(*args, **kwargs)
+            self.shut_down = True
+
+    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
     return built

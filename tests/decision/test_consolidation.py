@@ -1,7 +1,10 @@
 """Tests of the sample dynamic-consolidation decision module."""
 
+import inspect
+
 import pytest
 
+from repro.api import ControlLoop
 from repro.decision.consolidation import ConsolidationDecisionModule
 from repro.model.configuration import Configuration
 from repro.model.node import make_working_nodes
@@ -20,7 +23,7 @@ def vjob(name, vm_count=2, memory=512, cpu=1, priority=0):
 
 @pytest.fixture
 def module():
-    return ConsolidationDecisionModule(period=30.0)
+    return ConsolidationDecisionModule()
 
 
 class TestDecide:
@@ -93,4 +96,6 @@ class TestDecide:
         assert mapping == {"a.vm0": "a", "b.vm0": "b", "b.vm1": "b"}
 
     def test_period_default_matches_paper(self):
-        assert ConsolidationDecisionModule().period == 30.0
+        # Section 3.2 decides every 30 s; the loop steps by it, not the module
+        period = inspect.signature(ControlLoop).parameters["period"].default
+        assert period == 30.0

@@ -69,3 +69,17 @@ def test_api_reference_check_reports_missing_symbols(monkeypatch):
     )
     errors = check_docs.check_api_reference()
     assert any("NotDocumentedAnywhere" in error for error in errors)
+
+
+def test_api_reference_check_reports_stale_rows(monkeypatch):
+    # and the other way round: a row outlives the export it documents
+    import repro.scale
+
+    monkeypatch.setattr(
+        repro.scale,
+        "__all__",
+        [name for name in repro.scale.__all__ if name != "ZoneOutcome"],
+    )
+    errors = check_docs.check_api_reference()
+    assert len(errors) == 1
+    assert "`ZoneOutcome`" in errors[0] and "no documented package" in errors[0]

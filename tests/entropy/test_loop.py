@@ -31,7 +31,6 @@ def consolidation_loop(nodes, workloads, **options):
         nodes,
         workloads,
         policy="consolidation",
-        policy_options={"period": period},
         period=period,
         **options,
     )

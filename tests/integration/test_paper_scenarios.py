@@ -163,7 +163,6 @@ class TestReducedClusterCampaign:
             nodes,
             workloads,
             policy="consolidation",
-            policy_options={"period": period},
             period=period,
             optimizer_timeout=2.0,
         ).run()

@@ -179,7 +179,7 @@ class TestPartitionedTracing:
         with tracer.activate():
             with span("solve", engine="partitioned"):
                 optimizer = ParallelOptimizer(
-                    timeout=5.0, zone_executor="process", max_workers=2
+                    timeout=5.0, zone_executor="process"
                 )
                 try:
                     result = optimizer.optimize(
@@ -219,7 +219,7 @@ class TestPartitionedTracing:
     def test_untraced_process_solve_ships_no_trace(self):
         configuration, states, constraints = _fenced_instance()
         optimizer = ParallelOptimizer(
-            timeout=5.0, zone_executor="process", max_workers=2
+            timeout=5.0, zone_executor="process"
         )
         try:
             result = optimizer.optimize(

@@ -6,8 +6,10 @@ from repro.constraints import Ban, Fence, Spread
 from repro.core.optimizer import ContextSwitchOptimizer, OptimizationResult
 from repro.cp import Solver
 from repro.model.configuration import Configuration
+from repro.model.errors import PlanningError
 from repro.model.node import Node
 from repro.model.vm import VirtualMachine, VMState
+from repro.obs import Tracer
 from repro.repair import RepairOptimizer, compute_dirty_set
 from repro.scale import ParallelOptimizer
 
@@ -304,6 +306,108 @@ class TestRepairOptimizer:
         assert result.partition_method == "monolithic"
         assert result.repair["mode"] == "repair"
         assert len(budgets) == 1 and 0 < budgets[0] <= 0.2
+
+    @pytest.mark.parametrize(
+        "warm, marks, timeout, expected",
+        [
+            pytest.param(
+                False,
+                [],
+                5.0,
+                {
+                    "reason": "cold start (no previous assignment)",
+                    "attempts": 1,
+                    "dirty_count": 12,
+                },
+                id="cold-start",
+            ),
+            pytest.param(
+                True,
+                "all",
+                5.0,
+                {
+                    "reason": "dirty region covers the whole fleet",
+                    "attempts": 1,
+                    "dirty_count": 12,
+                },
+                id="dirty-region-covers-the-fleet",
+            ),
+            pytest.param(
+                True,
+                ["vm0-0"],
+                0.01,
+                {
+                    "reason": "neighbourhood budget exhausted",
+                    "attempts": 2,
+                    "dirty_count": 2,
+                },
+                id="budget-exhausted-after-an-attempt",
+            ),
+            pytest.param(
+                True,
+                ["vm0-0"],
+                5.0,
+                {
+                    "reason": "neighbourhood schedule exhausted (3 attempts)",
+                    "attempts": 4,
+                    "dirty_count": 8,
+                },
+                id="schedule-exhausted",
+            ),
+        ],
+    )
+    def test_every_way_into_the_full_solve(self, warm, marks, timeout, expected):
+        """The four ways :meth:`RepairOptimizer.optimize` reaches the full
+        solve, each with the telemetry and the ``full-solve`` span it has
+        always recorded."""
+
+        class _NoFrozenRegionFits:
+            """Refuses every pinned attempt; the full solve goes to a real
+            optimizer on its own budget, so a starved round still plans."""
+
+            def __init__(self):
+                self.full_solves = []
+
+            def optimize(self, *args, pinned=None, timeout=None, **kwargs):
+                if pinned:
+                    raise PlanningError("the frozen region is too tight")
+                self.full_solves.append(kwargs["fallback_target"])
+                return ContextSwitchOptimizer(timeout=5.0).optimize(
+                    *args, **kwargs
+                )
+
+        configuration, names = _fleet()
+        inner = _NoFrozenRegionFits()
+        engine = RepairOptimizer(inner, timeout=timeout, halo=0)
+        if warm:
+            engine._previous = dict(configuration.iter_placement())
+            configuration.set_waiting("vm0-0")
+        engine.mark_dirty(names if marks == "all" else marks)
+        fallback = configuration.copy()
+        tracer = Tracer()
+        with tracer.activate():
+            result = engine.optimize(
+                configuration, _states(names), fallback_target=fallback
+            )
+        assert result.repair == {
+            "mode": "full",
+            "frozen_count": 0,
+            "reused_zones": 0,
+            **expected,
+        }
+        # one full solve, handed the caller's real fallback target, under
+        # one span carrying the same reason and count
+        assert inner.full_solves == [fallback]
+        [full_solve] = [
+            s for s in tracer.root.walk() if s.name == "full-solve"
+        ]
+        assert full_solve.attributes == {
+            "reason": expected["reason"],
+            "dirty": expected["dirty_count"],
+        }
+        assert engine.previous_assignment == dict(
+            result.target.iter_placement()
+        )
 
     def test_close_forwards_to_the_inner_optimizer(self):
         closed = []

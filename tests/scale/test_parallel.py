@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import multiprocessing
 
 import pytest
 
@@ -12,6 +13,7 @@ from repro.constraints.checker import check_plan
 from repro.core.context_switch import ClusterContextSwitch
 from repro.core.optimizer import ContextSwitchOptimizer
 from repro.core.planner import PlannerOptions
+from repro.decision.consolidation import ConsolidationDecisionModule
 from repro.model.configuration import Configuration
 from repro.model.errors import SolverError
 from repro.model.node import make_working_nodes
@@ -25,6 +27,7 @@ from repro.scale import (
     partition,
     solve_zone,
 )
+from repro.scale import parallel as parallel_module
 from repro.scale.parallel import ZoneOutcome, ZoneTask
 from repro.cp import Model, SearchStatistics, Solver
 from repro.testing import make_vm
@@ -122,7 +125,7 @@ class TestParallelOptimizer:
         constraints = _fenced_constraints()
         states = _states(configuration)
         with ParallelOptimizer(
-            timeout=5.0, zone_executor="process", max_workers=2
+            timeout=5.0, zone_executor="process"
         ) as optimizer:
             via_process = optimizer.optimize(
                 configuration, states, constraints=constraints
@@ -337,13 +340,106 @@ class TestZoneMachinery:
         decomposition = partition(
             configuration, _states(configuration), _fenced_constraints()
         )
-        optimizer = ParallelOptimizer(max_workers=1)
+        optimizer = ParallelOptimizer()
         # two zones on one worker queue in two waves: each gets half the
         # call's wall-clock budget, keeping the round inside the budget
-        tasks = optimizer._zone_tasks(configuration, decomposition, 8.0, waves=2)
+        tasks = optimizer._zone_tasks(
+            configuration, decomposition.zones, 8.0, waves=2
+        )
         assert [task.timeout for task in tasks] == [4.0, 4.0]
-        overlapped = optimizer._zone_tasks(configuration, decomposition, 8.0)
+        overlapped = optimizer._zone_tasks(
+            configuration, decomposition.zones, 8.0
+        )
         assert [task.timeout for task in overlapped] == [8.0, 8.0]
+
+
+def _sizes(pools):
+    return [pool.workers for pool in pools]
+
+
+def _host(monkeypatch, cores, pool_zone_vms):
+    monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: cores)
+    monkeypatch.setattr(parallel_module, "_POOL_ZONE_VMS", pool_zone_vms)
+
+
+class TestExecutorIsDecidedPerSolve:
+    """``zone_executor="auto"``: the pool only for two or more pending
+    zones worth a worker each, on a host with the cores to overlap them."""
+
+    def _solve(self, pinned=None, constraints=None, **options):
+        configuration = _configuration()
+        with ParallelOptimizer(timeout=5.0, **options) as optimizer:
+            return optimizer.optimize(
+                configuration,
+                _states(configuration),
+                constraints=constraints or _fenced_constraints(),
+                pinned=pinned,
+            )
+
+    def test_small_zones_fork_nothing_by_default(self, pools):
+        before = multiprocessing.active_children()
+        result = self._solve()
+        assert result.partition_method == "interference"
+        assert pools == []
+        assert multiprocessing.active_children() == before
+
+    def test_zones_worth_a_worker_share_one_pool(self, monkeypatch, pools):
+        _host(monkeypatch, cores=4, pool_zone_vms=1)
+        pooled = self._solve()
+        assert _sizes(pools) == [2]  # min(4 cores, 2 zones)
+        serial = self._solve(zone_executor="serial")
+        assert len(pools) == 1
+        assert [o.assignment for o in pooled.zone_reports] == [
+            o.assignment for o in serial.zone_reports
+        ]
+        assert pooled.cost == serial.cost
+
+    def test_pool_is_no_wider_than_the_host(self, monkeypatch, pools):
+        _host(monkeypatch, cores=1, pool_zone_vms=1)
+        self._solve()
+        assert pools == []
+
+    @pytest.mark.parametrize(
+        "pinned, constraints",
+        [
+            # 3 + 3 VMs, one of the second zone's frozen by the repair engine
+            ({"vm3": "node-3"}, None),
+            # 4 + 2 VMs
+            (
+                None,
+                [
+                    Fence(["vm0", "vm1", "vm2", "vm3"], FENCE_A),
+                    Fence(["vm4", "vm5"], FENCE_B),
+                ],
+            ),
+        ],
+        ids=["pins-do-not-count", "one-big-zone"],
+    )
+    def test_one_zone_worth_a_worker_stays_serial(
+        self, monkeypatch, pools, pinned, constraints
+    ):
+        _host(monkeypatch, cores=4, pool_zone_vms=3)
+        result = self._solve(pinned=pinned, constraints=constraints)
+        assert len(result.zone_reports) == 2
+        assert pools == []
+
+    def test_fully_pinned_round_never_reaches_the_rule(self, monkeypatch, pools):
+        def unreachable():
+            raise AssertionError("nothing is pending: nothing to decide")
+
+        monkeypatch.setattr(parallel_module.os, "cpu_count", unreachable)
+        configuration = _configuration()
+        result = self._solve(pinned=configuration.placement())
+        assert [o.reused for o in result.zone_reports] == [True, True]
+        assert pools == []
+
+    def test_explicit_executors_override_the_rule(self, monkeypatch, pools):
+        _host(monkeypatch, cores=4, pool_zone_vms=1)
+        self._solve(zone_executor="serial")
+        assert pools == []
+        _host(monkeypatch, cores=1, pool_zone_vms=256)
+        self._solve(zone_executor="process")
+        assert _sizes(pools) == [2]  # one worker per pending zone
 
 
 class _FakePool:
@@ -422,11 +518,9 @@ class TestPartitionedEngineWiring:
             nodes=make_working_nodes(2, cpu_capacity=2, memory_capacity=4096),
             workloads=[],
             engine="partitioned",
-            max_workers=2,
         ).build()
         assert loop.switcher.engine == "partitioned"
         assert isinstance(loop.switcher.optimizer, ParallelOptimizer)
-        assert loop.switcher.optimizer.max_workers == 2
 
 
 def _zone_task(**options):
@@ -460,12 +554,19 @@ def _zone_task(**options):
             id="RepairOptimizer-lns_steps",
         ),
         (PlannerOptions, "bypass_smallest_vm"),
+        (Scenario, "max_workers"),
+        (ControlLoop, "max_workers"),
+        (ClusterContextSwitch, "max_workers"),
+        (ParallelOptimizer, "max_workers"),
+        (ConsolidationDecisionModule, "period"),
     ],
 )
 def test_retired_solver_option_is_rejected(build, option):
     """One way to bound a search (``timeout``; ``Solver.solve(node_limit=)``
     below the optimizers) and one way to pin a VM (``Model.pinned_var``):
     the options only the deleted perf sweeps set are gone, not ignored —
-    and so are the loop, repair and planner knobs nothing ever set."""
+    and so are the loop, repair and planner knobs nothing ever set, the
+    worker count the partitioned engines now work out from their zones and
+    the decision period only the loop ever stepped by."""
     with pytest.raises(TypeError, match=option):
         build(**{option: None})

@@ -6,10 +6,12 @@ worker-process pool leaked past the daemon's lifetime.  ``close()`` now asks
 the loop to stop at the next iteration boundary, joins the run thread and
 closes the loop."""
 
+import multiprocessing
 import time
 
 from repro.api.scenario import Scenario
 from repro.model.node import make_working_nodes
+from repro.scale import parallel as parallel_module
 from repro.testing import make_workload
 
 
@@ -38,12 +40,16 @@ def _wait_for(predicate, timeout=10.0):
 
 
 class TestDaemonShutdownMidRun:
-    def test_close_stops_the_loop_and_releases_the_pool(self):
-        daemon = _long_scenario(engine="partitioned", max_workers=2).serve(
+    def test_close_stops_the_loop_and_releases_the_pool(self, monkeypatch, pools):
+        # a two-VM shard is not worth a worker: lower the bar (and name the
+        # cores) so the first round really forks the pool this is about
+        monkeypatch.setattr(parallel_module, "_POOL_ZONE_VMS", 1)
+        monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: 2)
+        daemon = _long_scenario(engine="partitioned").serve(
             port=0, autostart=True
         )
         daemon.start_run()
-        assert _wait_for(lambda: daemon._loop is not None)
+        assert _wait_for(multiprocessing.active_children)
         daemon.close()
         # the run thread terminated and the loop's planning engine was
         # released — no worker-process pool survives the daemon
@@ -51,6 +57,8 @@ class TestDaemonShutdownMidRun:
         assert daemon.state in ("completed", "failed")
         optimizer = daemon._loop.switcher.optimizer
         assert getattr(optimizer, "_pool", None) is None
+        assert pools and all(pool.shut_down for pool in pools)
+        assert multiprocessing.active_children() == []
         result = daemon.result
         assert result is not None
         assert result.metadata.get("stopped_early") is True

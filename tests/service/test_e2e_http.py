@@ -123,7 +123,7 @@ def test_audit_replay_reconstructs_plans_byte_for_byte(runs):
 
 def test_plan_serialization_matches_the_audit_shape(runs):
     # Rebuilding any audited plan through the serializer round-trips.
-    from repro.service.serialize import action_from_dict, action_to_dict
+    from repro.core.actions import action_from_dict, action_to_dict
 
     for plan in runs["client"].plans():
         for pool in plan["pools"]:

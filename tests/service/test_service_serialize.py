@@ -4,10 +4,17 @@ import json
 
 import pytest
 
-from repro.core.actions import Migrate, Resume, Run, Stop, Suspend
-from repro.service.serialize import (
+from repro.core.actions import (
+    Migrate,
+    Resume,
+    Run,
+    Stop,
+    Suspend,
+    UnknownActionKind,
     action_from_dict,
     action_to_dict,
+)
+from repro.service.serialize import (
     fault_event_from_dict,
     fault_event_to_dict,
     workload_from_dict,
@@ -32,14 +39,17 @@ def test_action_round_trip(action):
 
 
 def test_action_from_dict_rejects_unknown_kind():
-    with pytest.raises(ValueError):
+    # a ValueError (the daemon's HTTP 400) the verifier can tell apart
+    with pytest.raises(ValueError) as excinfo:
         action_from_dict({"kind": "teleport", "vm": "a.vm0"})
+    assert isinstance(excinfo.value, UnknownActionKind)
 
 
 def test_action_from_dict_reports_missing_fields():
     with pytest.raises(ValueError) as excinfo:
         action_from_dict({"kind": "migrate", "vm": "a.vm0", "source": "n0"})
     assert "destination" in str(excinfo.value)
+    assert not isinstance(excinfo.value, UnknownActionKind)
 
 
 def test_workload_full_form_round_trips():

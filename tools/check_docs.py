@@ -16,7 +16,9 @@ Three passes over the repository's markdown documentation (``README.md``,
    ``repro.scale.__all__``, ``repro.service.__all__``,
    ``repro.instances.__all__``) must appear, backtick-quoted, in
    ``docs/API_REFERENCE.md``; an undocumented export fails the check (and
-   CI), so the reference index cannot silently fall behind the code.
+   CI), so the reference index cannot silently fall behind the code.  The
+   other way round, a table row in one of those packages' sections whose
+   symbol none of them exports (a deleted or moved name) fails it too.
 
 Run locally with::
 
@@ -137,10 +139,19 @@ DOCUMENTED_PACKAGES = (
 API_REFERENCE = DOCS_DIR / "API_REFERENCE.md"
 
 
+#: ``## `repro.scale` — ...``: the package a reference section documents.
+_SECTION_RE = re.compile(r"^## `(repro[\w.]*)`")
+
+#: The backtick-quoted names in the first cell of a table row.
+_ROW_RE = re.compile(r"^\| (`[^|]*`) \|")
+
+
 def check_api_reference(
     packages: tuple[str, ...] = DOCUMENTED_PACKAGES,
 ) -> list[str]:
-    """One error per public symbol missing from ``docs/API_REFERENCE.md``.
+    """One error per public symbol missing from ``docs/API_REFERENCE.md``,
+    and one per row of a documented package's section whose symbol no
+    documented package exports.
 
     A symbol counts as documented when it appears backtick-quoted in the
     reference (``` `Scenario` ``` or a dotted/called form such as
@@ -153,18 +164,36 @@ def check_api_reference(
         return [f"{API_REFERENCE.relative_to(REPO_ROOT)} is missing"]
     text = API_REFERENCE.read_text()
     errors: list[str] = []
+    every_export: set[str] = set()
     for package_name in packages:
         package = importlib.import_module(package_name)
         exported = getattr(package, "__all__", ())
         if not exported:
             errors.append(f"{package_name} exports no __all__")
             continue
+        every_export.update(exported)
         for symbol in exported:
             pattern = re.compile(rf"`[\w.]*\b{re.escape(symbol)}\b[\w.()]*`")
             if not pattern.search(text):
                 errors.append(
                     f"{API_REFERENCE.relative_to(REPO_ROOT)}: public symbol "
                     f"{package_name}.{symbol} is undocumented"
+                )
+    section = None
+    for number, line in enumerate(text.splitlines(), start=1):
+        heading = _SECTION_RE.match(line)
+        if heading:
+            section = heading.group(1)
+        row = _ROW_RE.match(line)
+        if row is None or section not in packages:
+            continue
+        for quoted in re.findall(r"`([^`]+)`", row.group(1)):
+            symbol = quoted.split("(")[0].rsplit(".", 1)[-1]
+            if symbol not in every_export:
+                errors.append(
+                    f"{API_REFERENCE.relative_to(REPO_ROOT)}:{number}: row "
+                    f"documents `{symbol}`, which no documented package "
+                    "exports"
                 )
     return errors
 
@@ -183,7 +212,8 @@ def main() -> int:
         print(error)
     print(
         f"api reference: {', '.join(DOCUMENTED_PACKAGES)} against "
-        f"{API_REFERENCE.name}, {len(api_errors)} undocumented symbols"
+        f"{API_REFERENCE.name}, {len(api_errors)} undocumented or stale "
+        "symbols"
     )
     if link_errors or doctest_errors or api_errors:
         print("documentation check FAILED")
