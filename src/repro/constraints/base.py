@@ -171,14 +171,7 @@ class PlacementConstraint:
     def _running_locations(self, configuration: "Configuration") -> List[str]:
         """Hosts of the group's running VMs (VMs absent from the
         configuration or not running are skipped)."""
-        locations = []
-        for vm_name in self.vms:
-            if not configuration.has_vm(vm_name):
-                continue
-            node = configuration.location_of(vm_name)
-            if node is not None:
-                locations.append(node)
-        return locations
+        return configuration.hosts_of(self.vms)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({', '.join(self.vms)})"

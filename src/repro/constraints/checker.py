@@ -22,7 +22,7 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, AbstractSet, Iterator, List, Optional, Sequence
 
 from .base import PlacementConstraint
 
@@ -57,6 +57,29 @@ def violated_constraints(
     return [c for c in constraints if not c.is_satisfied_by(configuration)]
 
 
+def _violation(
+    constraint: PlacementConstraint, configuration: "Configuration"
+) -> Optional[str]:
+    """The constraint's account of how ``configuration`` breaks it, ``None``
+    when it holds."""
+    if constraint.is_satisfied_by(configuration):
+        return None
+    return constraint.explain(configuration) or f"{constraint.label} is violated"
+
+
+def _transition_violation(
+    constraint: PlacementConstraint,
+    reference: "Configuration",
+    state: "Configuration",
+) -> Optional[str]:
+    if constraint.is_transition_satisfied(reference, state):
+        return None
+    return (
+        constraint.explain_transition(reference, state)
+        or f"{constraint.label} is violated by the transition"
+    )
+
+
 def check_configuration(
     configuration: "Configuration",
     constraints: Sequence[PlacementConstraint],
@@ -66,14 +89,11 @@ def check_configuration(
     constraint (empty when everything holds)."""
     violations: List[Violation] = []
     for constraint in constraints:
-        if constraint.is_satisfied_by(configuration):
-            continue
-        message = (
-            constraint.explain(configuration) or f"{constraint.label} is violated"
-        )
-        violations.append(
-            Violation(constraint=constraint.label, message=message, stage=stage)
-        )
+        message = _violation(constraint, configuration)
+        if message is not None:
+            violations.append(
+                Violation(constraint=constraint.label, message=message, stage=stage)
+            )
     return violations
 
 
@@ -96,6 +116,18 @@ def plan_stages(plan: "ReconfigurationPlan") -> Iterator["Configuration"]:
         yield current
 
 
+def _reads_only(constraint: PlacementConstraint) -> Optional[AbstractSet[str]]:
+    """The VMs whose state and host are all the constraint's checker faces
+    read, or ``None`` when they may read more.  A unary relation restricts
+    each member on its own (:attr:`PlacementConstraint.relational`), so one
+    with declared members reads them and nothing else; a relational or a
+    member-less one (``Lonely``, ``MaxOnline``, a custom quarantine) may
+    watch any VM."""
+    if constraint.relational or not constraint.vms:
+        return None
+    return getattr(constraint, "vm_set", None) or frozenset(constraint.vms)
+
+
 def check_plan(
     plan: "ReconfigurationPlan",
     constraints: Sequence[PlacementConstraint],
@@ -109,30 +141,55 @@ def check_plan(
     from the plan's source.  ``include_source`` also reports the violations
     already present *before* the plan runs — off by default, because a plan
     whose purpose is to repair a violation necessarily starts violated.
+
+    The stages are walked on one working copy of the source, and a
+    constraint no action of the plan touches (:func:`_reads_only`) is asked
+    once, on the source: nothing it reads changes from stage to stage, so
+    its answer is reported for every stage as the stage-by-stage walk
+    (:func:`plan_stages`) would report it.
     """
     if not constraints:
         return []
+    from ..core.plan import apply_pool_effects  # deferred: core imports us
+
+    source = plan.source
     violations: List[Violation] = []
-    stages = iter(plan_stages(plan))
-    source = next(stages)
     if include_source:
         violations.extend(check_configuration(source, constraints, stage=0))
-    for stage_index, state in enumerate(stages, start=1):
-        violations.extend(
-            check_configuration(state, constraints, stage=stage_index)
-        )
-        for constraint in constraints:
-            if constraint.is_transition_satisfied(source, state):
-                continue
-            message = (
-                constraint.explain_transition(source, state)
-                or f"{constraint.label} is violated by the transition"
-            )
-            violations.append(
-                Violation(
-                    constraint=constraint.label,
-                    message=message,
-                    stage=stage_index,
+    if not plan.pools:
+        return violations
+    acted = {action.vm for pool in plan.pools for action in pool}
+    #: Per constraint: ``None`` to ask it of every stage, else what it said
+    #: of the source (its violation, its transition violation).
+    settled: List[Optional[tuple[Optional[str], Optional[str]]]] = []
+    for constraint in constraints:
+        read = _reads_only(constraint)
+        if read is None or not acted.isdisjoint(read):
+            settled.append(None)
+        else:
+            settled.append(
+                (
+                    _violation(constraint, source),
+                    _transition_violation(constraint, source, source),
                 )
             )
+    state = source.copy()
+    for stage_index, pool in enumerate(plan.pools, start=1):
+        apply_pool_effects(state, pool)
+        said = [
+            kept
+            or (
+                _violation(constraint, state),
+                _transition_violation(constraint, source, state),
+            )
+            for constraint, kept in zip(constraints, settled)
+        ]
+        # Every constraint's say on the stage, then every transition's.
+        for face in (0, 1):
+            for constraint, answer in zip(constraints, said):
+                message = answer[face]
+                if message is not None:
+                    violations.append(
+                        Violation(constraint.label, message, stage_index)
+                    )
     return violations

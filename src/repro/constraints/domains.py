@@ -9,17 +9,27 @@ greedy packers of the decision modules
 :meth:`~repro.constraints.base.PlacementConstraint.allowed_nodes` face is
 asked from this module only (plus the eager oracle retained in
 ``tests/properties/reference_partition.py``).
+
+:class:`RetainedDomains` keeps those answers from one round to the next for
+as long as they provably cannot change: the same constraint objects over the
+same node names, every one of them restricting its members the same way
+whatever the placement (:attr:`uniform_restriction`, or no ``allowed_nodes``
+of its own).  Anything else — a ``Root`` pin reads the current host — is
+asked afresh every call, as :func:`vm_domains` always does.
 """
 
 from __future__ import annotations
 
 from itertools import chain
+from operator import is_
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
+    Collection,
     Dict,
     Iterable,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -71,7 +81,7 @@ _UNSET = object()
 
 def vm_domains(
     current: "Configuration",
-    vms: Sequence[str],
+    vms: Iterable[str],
     constraints: Sequence[PlacementConstraint],
 ) -> Dict[str, Optional[AbstractSet[str]]]:
     """The unary placement domain of every VM in ``vms``: the intersection
@@ -123,3 +133,95 @@ def vm_domains(
             )
         domains[vm_name] = allowed
     return domains
+
+
+def _reads_no_placement(constraint: PlacementConstraint) -> bool:
+    """True when the constraint's unary restriction is a function of the
+    constraint and the node names alone: it says so
+    (:attr:`~repro.constraints.base.PlacementConstraint.uniform_restriction`)
+    or it restricts nobody (the inherited, neutral ``allowed_nodes``)."""
+    return (
+        constraint.uniform_restriction
+        or type(constraint).allowed_nodes is PlacementConstraint.allowed_nodes
+    )
+
+
+class RetainedDomains:
+    """The answers of :func:`vm_domains`, kept while they cannot change.
+
+    One key — the constraint *objects* (identity: a repaired ``Fence`` is a
+    new object), ``node_names``, and every constraint reading no placement —
+    and one invalidation point, :meth:`_rekey`, which every call passes
+    through.  :attr:`generation` is replaced whenever what was retained is
+    dropped, so whoever derives something from these domains (the
+    partitioner's zones) keeps the generation next to it and knows it stale
+    by identity.  Nothing here holds a demand, a capacity or a placement.
+    """
+
+    _constraints: Tuple[PlacementConstraint, ...]
+    _node_names: Tuple[str, ...]
+    _domains: Dict[str, Optional[AbstractSet[str]]]
+    #: Replaced whenever what was retained is dropped.
+    generation: object
+
+    def __init__(self) -> None:
+        self.clear()
+
+    def clear(self) -> None:
+        """Drop everything retained (a new :attr:`generation`)."""
+        self._constraints = ()
+        self._node_names = ()
+        self._domains = {}
+        self.generation = object()
+
+    def holds(
+        self,
+        current: "Configuration",
+        constraints: Sequence[PlacementConstraint],
+    ) -> bool:
+        """True when what is retained answers for these inputs."""
+        return (
+            bool(self._constraints)
+            and len(constraints) == len(self._constraints)
+            and all(map(is_, constraints, self._constraints))
+            and current.node_names == self._node_names
+        )
+
+    def _rekey(
+        self,
+        current: "Configuration",
+        constraints: Sequence[PlacementConstraint],
+    ) -> bool:
+        """Make the key match the inputs, dropping what no longer answers
+        for them; False when these inputs allow nothing to be retained."""
+        if self.holds(current, constraints):
+            return True
+        if self._constraints:
+            self.clear()
+        if not constraints or not all(map(_reads_no_placement, constraints)):
+            return False
+        self._constraints = tuple(constraints)
+        self._node_names = current.node_names
+        return True
+
+    def of(
+        self,
+        current: "Configuration",
+        vms: Collection[str],
+        constraints: Sequence[PlacementConstraint],
+    ) -> Mapping[str, Optional[AbstractSet[str]]]:
+        """The domain of every VM in ``vms`` (and possibly of more VMs:
+        callers index it, none iterates it) — what :func:`vm_domains`
+        returns, computed only for the VMs not answered for yet."""
+        if not self._rekey(current, constraints):
+            return vm_domains(current, vms, constraints)
+        missing = [vm_name for vm_name in vms if vm_name not in self._domains]
+        if missing and len(self._domains) > 2 * max(len(vms), 512):
+            # Departed VMs never leave on their own: start over rather than
+            # let a churning fleet grow the map without bound.
+            self.clear()
+            self._rekey(current, constraints)
+            missing = vms
+        if missing:
+            self._domains.update(vm_domains(current, missing, constraints))
+        return self._domains

@@ -4,17 +4,17 @@ A reconfiguration graph is an oriented multigraph whose vertices are the
 cluster nodes and whose edges are the VM actions required to go from a current
 configuration to a target configuration.  Each edge carries the action and the
 CPU/memory demand of the manipulated VM; each vertex carries the node's
-capacities.  The edges are derived once, by one scan of the two
-configurations; the planner then carries them from pool to pool
-(:meth:`ReconfigurationGraph.advance`), so the graph always describes the
-*remaining* work at the price of the actions a pool applied, not of the
-fleet.
+capacities.  The edges are derived once, from the VMs whose state or host
+differs between the two configurations; the planner then carries them from
+pool to pool (:meth:`ReconfigurationGraph.advance`), so the graph always
+describes the *remaining* work at the price of the actions a pool applied,
+not of the fleet.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Collection, Iterable, Optional
 
 from ..model.configuration import Configuration
 from ..model.errors import PlanningError
@@ -48,10 +48,15 @@ class ReconfigurationGraph:
     #: ``None`` derives the edges from the two configurations; a list —
     #: an empty one included — *is* the remaining work.
     edges: Optional[list[Edge]] = None
+    #: The VMs that change, when whoever built ``target`` knows them (see
+    #: :func:`_derive_edges`).
+    changed: Optional[Collection[str]] = None
 
     def __post_init__(self) -> None:
         if self.edges is None:
-            self.edges = list(_derive_edges(self.current, self.target))
+            self.edges = list(
+                _derive_edges(self.current, self.target, self.changed)
+            )
 
     def advance(self, pool: Iterable[Action]) -> None:
         """Take the actions of ``pool`` — already applied to :attr:`current`
@@ -96,10 +101,33 @@ class ReconfigurationGraph:
         return len(self.edges)
 
 
-def _derive_edges(current: Configuration, target: Configuration) -> Iterable[Edge]:
+def changed_vms(current: Configuration, target: Configuration) -> list[str]:
+    """The VMs whose state or host differs between two configurations of
+    the same VMs, in registration order: the only ones a plan acts on."""
+    observed, wanted = current.states(), target.states()
+    if observed.keys() != wanted.keys():
+        raise PlanningError(
+            "current and target configurations do not describe the same VMs"
+        )
+    here, there = current.placement(), target.placement()
+    return [
+        name
+        for name, state in observed.items()
+        if wanted[name] is not state or here.get(name) != there.get(name)
+    ]
+
+
+def _derive_edges(
+    current: Configuration,
+    target: Configuration,
+    names: Optional[Collection[str]] = None,
+) -> Iterable[Edge]:
     """Compute the actions needed to turn ``current`` into ``target``.
 
-    One action at most is generated per VM:
+    ``names`` are the VMs to look at, in registration order — every VM whose
+    state or host changes must be among them; :func:`changed_vms` finds them
+    when the caller does not already know.  One action at most is generated
+    per VM:
 
     * Waiting -> Running: ``run`` on the target node;
     * Sleeping -> Running: ``resume`` on the target node (local or remote
@@ -109,11 +137,9 @@ def _derive_edges(current: Configuration, target: Configuration) -> Iterable[Edg
     * Running -> Terminated: ``stop``;
     * Waiting/Sleeping -> Terminated and no-op transitions produce no action.
     """
-    if set(current.vm_names) != set(target.vm_names):
-        raise PlanningError(
-            "current and target configurations do not describe the same VMs"
-        )
-    for vm_name in current.vm_names:
+    if names is None:
+        names = changed_vms(current, target)
+    for vm_name in names:
         vm = current.vm(vm_name)
         current_state = current.state_of(vm_name)
         target_state = target.state_of(vm_name)

@@ -26,9 +26,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Mapping, Optional, Sequence
 
-from ..constraints import PlacementConstraint, violated_constraints, vm_domains
+from ..constraints import PlacementConstraint, violated_constraints
+from ..constraints.domains import RetainedDomains
 from ..model.configuration import Configuration
 from ..model.errors import PlanningError, SolverError
 from ..model.vm import VMState
@@ -125,6 +127,10 @@ class ContextSwitchOptimizer:
         self.planner = ReconfigurationPlanner(planner_options)
         self.first_solution_only = first_solution_only
         self.engine = engine
+        #: The unary domains this optimizer's models, the partitioner and
+        #: the repair engine wrapped around it all read — kept across rounds
+        #: while the catalog and the node set allow it.
+        self.domains = RetainedDomains()
 
     # ------------------------------------------------------------------ #
     # public API                                                          #
@@ -179,13 +185,14 @@ class ContextSwitchOptimizer:
             budget (:mod:`repro.scale.parallel`, :mod:`repro.repair`) pass
             what is left of it here.
         """
-        states = self._complete_states(current, target_states)
+        states, changed = self._complete_states(current, target_states)
         assignment, statistics, improving = self.search_assignment(
             current, target_states, constraints, pinned=pinned, timeout=timeout
         )
         return self._finish(
             current,
             states,
+            changed,
             assignment,
             statistics,
             improving,
@@ -198,6 +205,7 @@ class ContextSwitchOptimizer:
         self,
         current: Configuration,
         states: Mapping[str, VMState],
+        changed: Sequence[str],
         assignment: Optional[Mapping[str, str]],
         statistics: SearchStatistics,
         improving: list[int],
@@ -207,8 +215,12 @@ class ContextSwitchOptimizer:
     ) -> OptimizationResult:
         """Turn a search outcome into a target, a plan and its price — the
         one path from an assignment (found by one search or merged from
-        zones) to an :class:`OptimizationResult`.  ``assignment`` is ``None``
-        when the search found nothing: the plan then goes to
+        zones) to an :class:`OptimizationResult`.  ``states`` and
+        ``changed`` are what :meth:`_complete_states` returned.  A VM that
+        must run and is absent from ``assignment`` keeps its host, so the
+        target, the plan and the price are built from the VMs that change
+        state or host, whatever the size of the fleet.  ``assignment`` is
+        ``None`` when the search found nothing: the plan then goes to
         ``fallback_target``, provided it honours the catalog."""
         if assignment is None:
             if fallback_target is None:
@@ -223,28 +235,34 @@ class ContextSwitchOptimizer:
                     f"({', '.join(map(repr, violated))}) and the fallback "
                     "configuration violates them too"
                 )
+            plan = self.planner.build(
+                current, fallback_target, vjob_of_vm, constraints=constraints
+            )
             target = fallback_target
-        else:
-            target = self._build_target(current, states, assignment)
-        plan = self.planner.build(current, target, vjob_of_vm, constraints=constraints)
-        cost = plan_cost(plan).total
-        if assignment is None:
-            movement = cost
+            cost = movement = plan_cost(plan).total
         else:
             # A running VM that keeps its host moves for nothing: only the
-            # VMs the placement map does not already show there are priced.
+            # VMs the placement map does not already show there are placed,
+            # planned and priced.
             placement = current.placement()
+            rehosted = [
+                vm for vm, node in assignment.items() if placement.get(vm) != node
+            ]
+            moved = current.in_registration_order({*changed, *rehosted})
+            target = self._build_target(current, states, assignment, moved)
+            plan = self.planner.build(
+                current, target, vjob_of_vm, constraints=constraints, changed=moved
+            )
+            cost = plan_cost(plan).total
             movement = sum(
-                self.movement_cost(current, vm, node)
-                for vm, node in assignment.items()
-                if placement.get(vm) != node
+                self.movement_cost(current, vm, assignment[vm]) for vm in rehosted
             )
         return OptimizationResult(
             target=target,
             plan=plan,
             cost=cost,
             movement_cost=movement,
-            fixed_cost=self._fixed_cost(current, states),
+            fixed_cost=self._fixed_cost(current, states, changed),
             used_fallback=assignment is None,
             statistics=statistics,
             improving_costs=improving,
@@ -268,10 +286,9 @@ class ContextSwitchOptimizer:
         ``timeout`` is the search budget of this call (``None``: the
         constructor's).
         """
-        states = self._complete_states(current, target_states)
-        running_vms = [
-            name for name, state in states.items() if state is VMState.RUNNING
-        ]
+        states, _ = self._complete_states(current, target_states)
+        running = VMState.RUNNING
+        running_vms = [name for name, state in states.items() if state is running]
         assignment, statistics, improving = self._search(
             current,
             states,
@@ -296,30 +313,41 @@ class ContextSwitchOptimizer:
     @staticmethod
     def _complete_states(
         current: Configuration, target_states: Mapping[str, VMState]
-    ) -> dict[str, VMState]:
+    ) -> tuple[dict[str, VMState], list[str]]:
+        """The state wanted of every VM of ``current`` (``keepVMState``: a
+        VM ``target_states`` does not name keeps the observed one; a name
+        ``current`` does not know is ignored), in registration order, and
+        the VMs whose wanted state is not the observed one."""
         states = current.states()
-        for name, observed in states.items():
-            wanted = target_states.get(name, observed)
-            if wanted is VMState.WAITING and observed is VMState.RUNNING:
+        changed = [
+            name
+            for name, wanted in target_states.items()
+            if states.get(name, wanted) is not wanted
+        ]
+        for name in changed:
+            wanted = target_states[name]
+            if wanted is VMState.WAITING and states[name] is VMState.RUNNING:
                 raise PlanningError(
                     f"VM {name!r} is running and cannot return to the Waiting "
                     "state; suspend or terminate it instead"
                 )
             states[name] = wanted
-        return states
+        return states, changed
 
     @staticmethod
-    def _fixed_cost(current: Configuration, states: Mapping[str, VMState]) -> int:
+    def _fixed_cost(
+        current: Configuration,
+        states: Mapping[str, VMState],
+        changed: Sequence[str],
+    ) -> int:
         """Cost of the actions whose cost does not depend on the placement:
         the suspends of the VMs that must leave the Running state."""
-        total = 0
-        for name, state in states.items():
-            if (
-                state is VMState.SLEEPING
-                and current.state_of(name) is VMState.RUNNING
-            ):
-                total += current.vm(name).memory
-        return total
+        return sum(
+            current.vm(name).memory
+            for name in changed
+            if states[name] is VMState.SLEEPING
+            and current.state_of(name) is VMState.RUNNING
+        )
 
     @staticmethod
     def _movement_costs(
@@ -445,32 +473,32 @@ class ContextSwitchOptimizer:
             return {}, SearchStatistics(proven_optimal=True), [0]
 
         node_index = {name: i for i, name in enumerate(node_names)}
-        pins: dict[str, str] = {}
+        pins: Mapping[str, str] = {}
         if pinned:
+            pins = pinned
             running_set = set(running_vms)
-            for vm_name in sorted(pinned):
-                if vm_name not in running_set:
-                    continue
-                if pinned[vm_name] not in node_index:
-                    # Pinned to a node that left the configuration — the
-                    # caller's dirty tracking missed a retirement; fail so
-                    # the repair layer widens instead of planning onto it.
-                    return None, SearchStatistics(), []
-                pins[vm_name] = pinned[vm_name]
+            if not pinned.keys() <= running_set:
+                pins = {vm: node for vm, node in pinned.items() if vm in running_set}
+            if not node_index.keys() >= set(pins.values()):
+                # Pinned to a node that left the configuration — the
+                # caller's dirty tracking missed a retirement; fail so the
+                # repair layer widens instead of planning onto it.
+                return None, SearchStatistics(), []
 
         # Unary placement constraints (Ban/Fence/Root) shrink the domain of
         # the assignment variable before the search even starts.
         # ``vm_domains`` hands the members of one restriction one shared set,
         # so the node list of a restriction is built once and copied per
         # variable.
-        domains = vm_domains(current, running_vms, constraints)
-        for vm_name, node_name in pins.items():
-            allowed = domains[vm_name]
-            if allowed is not None and node_name not in allowed:
-                # The pin violates a (possibly crash-shrunken) unary
-                # constraint: refuse rather than silently unpin, so the
-                # repair layer widens its neighbourhood.
-                return None, SearchStatistics(), []
+        domains = self.domains.of(current, running_vms, constraints)
+        if any(
+            (allowed := domains[vm_name]) is not None and node_name not in allowed
+            for vm_name, node_name in pins.items()
+        ):
+            # A pin violates a (possibly crash-shrunken) unary constraint:
+            # refuse rather than silently unpin, so the repair layer widens
+            # its neighbourhood.
+            return None, SearchStatistics(), []
 
         # The model covers ``model_vms`` over ``capacities``; ``folded`` is
         # the part of the assignment decided outside it.
@@ -488,18 +516,30 @@ class ContextSwitchOptimizer:
             # relational constraint (Spread, MaxOnline, RunningCapacity…)
             # must see the frozen placements, so under one they stay in the
             # model as unary-domain variables.
-            free_capacity = [list(capacity) for capacity in capacities]
-            for vm_name, node_name in pins.items():
-                index = node_index[node_name]
-                demand = current.vm(vm_name).demand.as_tuple()
-                free_capacity[index][0] -= demand[0]
-                free_capacity[index][1] -= demand[1]
-                folded[vm_name] = index
+            #
+            # What the pins leave of a node is read from what is *not*
+            # frozen on it: its live free capacity, plus the demand of its
+            # residents that no pin holds there, minus the demand of the VMs
+            # pinned to it from elsewhere.
+            placement = current.placement()
+            brought = [vm for vm, node in pins.items() if placement.get(vm) != node]
+            free_capacity = [
+                list(current.free_capacity(name).as_tuple()) for name in node_names
+            ]
+            released = current.load_by_host(chain(placement.keys() - pins.keys(), brought))
+            for host, (cpu, memory) in released.items():
+                free_capacity[node_index[host]][0] += cpu
+                free_capacity[node_index[host]][1] += memory
+            for vm_name in brought:
+                machine = current.vm(vm_name)
+                free_capacity[node_index[pins[vm_name]]][0] -= machine.cpu_demand
+                free_capacity[node_index[pins[vm_name]]][1] -= machine.memory
             if any(cpu < 0 or memory < 0 for cpu, memory in free_capacity):
                 # The frozen region alone overloads a node (post-crash slack
                 # is gone): infeasible under these pins, the repair layer
                 # widens.
                 return None, SearchStatistics(), []
+            folded = dict(zip(pins, map(node_index.__getitem__, pins.values())))
             capacities = [tuple(capacity) for capacity in free_capacity]
             model_vms = [name for name in running_vms if name not in pins]
             if not model_vms:
@@ -653,20 +693,14 @@ class ContextSwitchOptimizer:
         current: Configuration,
         states: Mapping[str, VMState],
         assignment: Mapping[str, str],
+        moved: Sequence[str],
     ) -> Configuration:
-        """Build the target configuration from a VM -> node-name assignment
-        of the running VMs (also used by the partitioned optimizer to merge
-        per-zone assignments into one global target)."""
+        """Build the target configuration: ``current`` with each VM of
+        ``moved`` — those whose state changes or whose ``assignment`` is not
+        their host — put in its wanted state, on its assigned node."""
         target = current.copy()
-        observed = current.states()
-        placement = current.placement()
-        for name, state in states.items():
-            if state is observed[name] and (
-                state is not VMState.RUNNING
-                or placement.get(name) == assignment[name]
-            ):
-                # Already in that state — and, if running, on that node.
-                continue
+        for name in moved:
+            state = states[name]
             if state is VMState.RUNNING:
                 target.set_running(name, assignment[name])
             elif state is VMState.SLEEPING:

@@ -21,7 +21,7 @@ apart, sorted by hostname).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Collection, Mapping, Optional, Sequence
 
 from ..constraints.base import PlacementConstraint
 from ..constraints.checker import check_plan
@@ -68,11 +68,17 @@ class ReconfigurationPlanner:
         target: Configuration,
         vjob_of_vm: Optional[Mapping[str, str]] = None,
         constraints: Sequence[PlacementConstraint] = (),
+        changed: Optional[Collection[str]] = None,
     ) -> ReconfigurationPlan:
         """Build a feasible plan from ``current`` to ``target``.
 
         ``vjob_of_vm`` maps VM names to vjob names and is only used by the
         consistency pass; omit it to plan VMs independently.
+
+        ``changed`` names, in registration order, the VMs whose state or
+        host differs between the two configurations, for a caller that
+        built ``target`` from ``current`` and so knows; without it the two
+        are compared.
 
         ``constraints`` turns on continuous-satisfaction bookkeeping: every
         intermediate state of the finished plan (pool boundaries, plus
@@ -88,7 +94,7 @@ class ReconfigurationPlanner:
         # One working configuration, mutated pool by pool, and one edge
         # list, derived here and shortened by what each pool applied.
         working = current.copy()
-        graph = ReconfigurationGraph(working, target)
+        graph = ReconfigurationGraph(working, target, changed=changed)
         max_pools = (
             self.options.max_pools
             if self.options.max_pools is not None

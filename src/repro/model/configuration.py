@@ -95,9 +95,15 @@ class Configuration:
         self._vm_index: dict[str, int] = {}
         #: Per-node columnar loads/capacities with dirty tracking.
         self._columns = LoadColumns()
-        #: node name -> names of the VMs currently RUNNING on it.
+        #: node name -> names of the VMs currently RUNNING on it.  A copy
+        #: shares these sets with its original until one of the two changes
+        #: a node (:meth:`_running_on`): a copy pays for the nodes it goes
+        #: on to touch, not for the fleet.
         self._members: Dict[str, Set[str]] = {}
-        #: node name -> names of the sleeping VMs whose image it holds.
+        #: The nodes whose running set no other configuration shares.
+        self._owned: Set[str] = set()
+        #: node name -> names of the sleeping VMs whose image it holds (only
+        #: the nodes holding one: most never do, and a copy pays per entry).
         self._image_members: Dict[str, Set[str]] = {}
         #: VM name -> placement rank: the order in which the VM *entered* the
         #: placement map (migrations keep the rank, like a dict value update
@@ -120,7 +126,7 @@ class Configuration:
         self._nodes[node.name] = node
         self._columns.add(node.name, node.cpu_capacity, node.memory_capacity)
         self._members[node.name] = set()
-        self._image_members[node.name] = set()
+        self._owned.add(node.name)
 
     def add_vm(self, vm: VirtualMachine, state: VMState = VMState.WAITING) -> None:
         if vm.name in self._vms:
@@ -160,7 +166,7 @@ class Configuration:
         """
         node = self.node(name)
         placed = self._members[name]
-        imaged = self._image_members[name]
+        imaged = self._image_members.get(name, ())
         if placed or imaged:
             raise ModelError(
                 f"node {name!r} is not empty: running VMs {sorted(placed)} / "
@@ -169,7 +175,7 @@ class Configuration:
             )
         del self._nodes[name]
         del self._members[name]
-        del self._image_members[name]
+        self._owned.discard(name)
         self._columns.drop(name)
         return node
 
@@ -237,6 +243,34 @@ class Configuration:
             raise UnknownVMError(vm_name)
         return self._images.get(vm_name)
 
+    def hosts_of(self, vm_names: Iterable[str]) -> list[str]:
+        """Hosts of the running VMs among ``vm_names``, in that order (a VM
+        that is not running, or not registered, is skipped) — one bulk read
+        for the checkers that ask it of a whole group."""
+        return [
+            host
+            for host in map(self._placement.get, vm_names)
+            if host is not None
+        ]
+
+    def load_by_host(self, vm_names: Iterable[str]) -> Dict[str, list[int]]:
+        """The ``[cpus, MB]`` the running VMs among ``vm_names`` hold on
+        each of their hosts (a VM that is not running holds nothing)."""
+        loads: Dict[str, list[int]] = {}
+        for vm_name in vm_names:
+            host = self._placement.get(vm_name)
+            if host is not None:
+                vm = self._vms[vm_name]
+                load = loads.setdefault(host, [0, 0])
+                load[0] += vm.cpu_demand
+                load[1] += vm.memory
+        return loads
+
+    def in_registration_order(self, vm_names: Iterable[str]) -> list[str]:
+        """``vm_names`` sorted the way :attr:`vm_names` lists them, in
+        O(k log k) for k names instead of a scan of the fleet."""
+        return sorted(vm_names, key=self._vm_index.__getitem__)
+
     def running_vms(self) -> tuple[str, ...]:
         return tuple(
             name for name, state in self._states.items() if state is VMState.RUNNING
@@ -265,7 +299,10 @@ class Configuration:
         if node_name not in self._nodes:
             raise UnknownNodeError(node_name)
         return tuple(
-            sorted(self._image_members[node_name], key=self._vm_index.__getitem__)
+            sorted(
+                self._image_members.get(node_name, ()),
+                key=self._vm_index.__getitem__,
+            )
         )
 
     def placement(self) -> Mapping[str, str]:
@@ -286,20 +323,32 @@ class Configuration:
     # state changes                                                       #
     # ------------------------------------------------------------------ #
 
+    def _running_on(self, node_name: str) -> Set[str]:
+        """The node's running set, to be changed: this configuration's own
+        from here on (its first change after a copy takes the set apart
+        from the one the copy still reads)."""
+        if node_name not in self._owned:
+            self._members[node_name] = set(self._members[node_name])
+            self._owned.add(node_name)
+        return self._members[node_name]
+
     def _unplace(self, vm_name: str) -> None:
         """Drop a VM from the placement map and its host's indices."""
         host = self._placement.pop(vm_name, None)
         if host is None:
             return
         vm = self._vms[vm_name]
-        self._members[host].discard(vm_name)
+        self._running_on(host).discard(vm_name)
         self._columns.add_load(host, -vm.cpu_demand, -vm.memory)
         del self._placement_rank[vm_name]
 
     def _drop_image(self, vm_name: str) -> None:
         host = self._images.pop(vm_name, None)
         if host is not None:
-            self._image_members[host].discard(vm_name)
+            held = self._image_members[host]
+            held.discard(vm_name)
+            if not held:
+                del self._image_members[host]
 
     def set_running(self, vm_name: str, node_name: str) -> None:
         """Place a VM in the RUNNING state on ``node_name``."""
@@ -310,12 +359,12 @@ class Configuration:
             self._placement[vm_name] = node_name
             self._placement_rank[vm_name] = self._rank_counter
             self._rank_counter += 1
-            self._members[node_name].add(vm_name)
+            self._running_on(node_name).add(vm_name)
             self._columns.add_load(node_name, vm.cpu_demand, vm.memory)
         elif previous != node_name:
             self._placement[vm_name] = node_name
-            self._members[previous].discard(vm_name)
-            self._members[node_name].add(vm_name)
+            self._running_on(previous).discard(vm_name)
+            self._running_on(node_name).add(vm_name)
             self._columns.add_load(previous, -vm.cpu_demand, -vm.memory)
             self._columns.add_load(node_name, vm.cpu_demand, vm.memory)
         self._states[vm_name] = VMState.RUNNING
@@ -331,7 +380,7 @@ class Configuration:
             self.node(image_node)
             self._drop_image(vm_name)
             self._images[vm_name] = image_node
-            self._image_members[image_node].add(vm_name)
+            self._image_members.setdefault(image_node, set()).add(vm_name)
         self._states[vm_name] = VMState.SLEEPING
         self._unplace(vm_name)
 
@@ -359,8 +408,8 @@ class Configuration:
             return
         vm = self._vms[vm_name]
         self._placement[vm_name] = destination
-        self._members[source].discard(vm_name)
-        self._members[destination].add(vm_name)
+        self._running_on(source).discard(vm_name)
+        self._running_on(destination).add(vm_name)
         self._columns.add_load(source, -vm.cpu_demand, -vm.memory)
         self._columns.add_load(destination, vm.cpu_demand, vm.memory)
 
@@ -457,7 +506,9 @@ class Configuration:
         clone._states = dict(self._states)
         clone._vm_index = dict(self._vm_index)
         clone._columns = self._columns.copy()
-        clone._members = {node: set(vms) for node, vms in self._members.items()}
+        # Both sides now read the same running sets: neither owns one.
+        clone._members = dict(self._members)
+        self._owned = set()
         clone._image_members = {
             node: set(vms) for node, vms in self._image_members.items()
         }

@@ -2,19 +2,28 @@
 
 The engine keeps the previous round's assignment across calls.  Each round
 it derives the *dirty region* — the VMs whose placement may have to change —
-from four deterministic rules (:func:`compute_dirty_set`):
+from four deterministic rules, each read from what moved rather than from
+the fleet (:meth:`RepairOptimizer._dirty_region`;
+:func:`compute_dirty_set` is the same rules stated over every running VM,
+kept as their oracle):
 
 1. **external marks** — VMs the control loop flagged as perturbed this round
    (crashed-node victims, new arrivals, members of violated constraints),
    handed over through :meth:`RepairOptimizer.mark_dirty`;
 2. **needs placement** — VMs that must run but are not currently running
-   (also covers resumes and failed migrations re-observed as waiting);
+   (also covers resumes and failed migrations re-observed as waiting): they
+   are among the VMs whose wanted state is not the observed one, which the
+   state completion already lists;
 3. **invalidated placements** — running VMs whose current host is no longer
    allowed by the (possibly crash-shrunken) unary constraints, or whose host
-   diverges from the previous assignment;
+   diverges from the previous assignment: one pass over ``placement()``
+   against the previous assignment and the retained unary domains
+   (:class:`~repro.constraints.domains.RetainedDomains` — recomputed only
+   when the catalog or the node set changed);
 4. **relational closure and halo** — any dirty member of a relational group
    dirties the whole group, and ``halo`` rounds of co-host expansion dirty
-   the VMs sharing a node with a dirty running VM.
+   the VMs sharing a node with a dirty running VM, read from
+   ``Configuration.vms_on(host)``.
 
 Everything else is *frozen*: pinned to its current host and handed to the
 inner optimizer as ``pinned``, which folds the frozen VMs into their hosts'
@@ -25,15 +34,22 @@ deterministically (the VMs frozen on the emptiest quarter, then half, of the
 nodes are released), and the last step is always the full monolithic solve
 with the caller's real fallback target — so the repair engine accepts
 exactly the instances the cold solve accepts.
+
+Retained across rounds: the previous assignment (owner: this engine;
+replaced by every accepted round) and the unary domains (owner:
+:attr:`RepairOptimizer.domains`, shared with the inner optimizer; key and
+invalidation in :class:`~repro.constraints.domains.RetainedDomains`).
+:meth:`RepairOptimizer.forget` drops both, and with the domains everything
+derived from them.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterable, Mapping, Optional, Sequence, Set
+from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence, Set
 
 from ..constraints.base import PlacementConstraint
-from ..constraints.domains import vm_domains
+from ..constraints.domains import RetainedDomains, vm_domains
 from ..core.optimizer import (
     MIN_CARVED_TIMEOUT_S,
     ContextSwitchOptimizer,
@@ -50,10 +66,26 @@ from ..obs import span
 _LNS_STEPS = 2
 
 
+class _MustRun:
+    """The VMs whose wanted state is Running, as a membership test over the
+    wanted states: a warm round asks it of the few VMs that moved, and only
+    a cold start or a widening step lists them."""
+
+    def __init__(self, states: Mapping[str, VMState]) -> None:
+        self._states: Mapping = states
+
+    def __contains__(self, vm_name: object) -> bool:
+        return self._states.get(vm_name) is VMState.RUNNING
+
+    def __iter__(self) -> Iterator[str]:
+        running = VMState.RUNNING
+        return (name for name, state in self._states.items() if state is running)
+
+
 def _relational_closure(
     dirty: Set[str],
     constraints: Sequence[PlacementConstraint],
-    placed: Set[str],
+    placed: Container[str],
 ) -> None:
     """Dirty any relational group with a dirty member (in place, to a
     fixpoint: ``Among`` groups may chain through shared members)."""
@@ -61,7 +93,7 @@ def _relational_closure(
     while changed:
         changed = False
         for constraint in constraints:
-            if not getattr(constraint, "relational", True):
+            if not constraint.relational:
                 # Unary constraints (Fence, Ban) restrict each member
                 # independently — a dirty member never forces the others to
                 # move; their per-VM domains are enforced by the
@@ -163,6 +195,13 @@ class RepairOptimizer:
         self.inner = inner
         self.timeout = timeout
         self.halo = halo
+        #: The unary domains the dirty rule reads: the inner optimizer's
+        #: own, so a round asks the catalog once for every layer.
+        self.domains: RetainedDomains = (
+            inner.domains
+            if isinstance(inner, ContextSwitchOptimizer)
+            else RetainedDomains()
+        )
         self._previous: Optional[dict[str, str]] = None
         self._marks: Set[str] = set()
 
@@ -182,8 +221,11 @@ class RepairOptimizer:
         return self._previous
 
     def forget(self) -> None:
-        """Drop the previous assignment: the next solve is a cold start."""
+        """Drop everything kept from earlier rounds — the previous
+        assignment, the unary domains and what the inner optimizer derived
+        from them: the next solve is a cold start."""
         self._previous = None
+        self.domains.clear()
 
     def close(self) -> None:
         self.inner.close()
@@ -210,30 +252,29 @@ class RepairOptimizer:
         marks = sorted(self._marks)
         self._marks.clear()
         deadline = time.monotonic() + self.timeout
-        states = ContextSwitchOptimizer._complete_states(current, target_states)
-        running_vms = [
-            name for name, state in states.items() if state is VMState.RUNNING
-        ]
+        states, changed = ContextSwitchOptimizer._complete_states(
+            current, target_states
+        )
+        must_run = _MustRun(states)
+        placement = current.placement()
         previous = self._previous
         if previous is None:
             # Nothing to freeze: every VM is dirty.
-            dirty = set(running_vms)
+            dirty = set(must_run)
         else:
-            dirty = compute_dirty_set(
-                current,
-                states,
-                running_vms,
-                constraints,
-                marks,
-                previous,
-                self.halo,
+            dirty = self._dirty_region(
+                current, must_run, changed, placement, constraints, marks
             )
+        # The frozen region: what runs, must keep running, and is not dirty
+        # (a clean VM that must run does, or it would need placement).
+        pins = dict(placement)
+        for vm in dirty:
+            pins.pop(vm, None)
+        for vm in changed:
+            if vm not in must_run:
+                pins.pop(vm, None)
         attempts = 0
-        placement = current.placement()
         for level in range(_LNS_STEPS + 1):
-            pins = {
-                vm: placement.get(vm) for vm in running_vms if vm not in dirty
-            }
             if not pins:
                 reason = (
                     "cold start (no previous assignment)"
@@ -280,8 +321,11 @@ class RepairOptimizer:
                     frozen_count=len(pins),
                     attempts=attempts,
                 )
-            dirty |= self._widened(current, running_vms, dirty, level + 1)
-            _relational_closure(dirty, constraints, set(running_vms))
+            region = set(dirty)
+            dirty |= self._widened(current, list(must_run), dirty, level + 1)
+            _relational_closure(dirty, constraints, must_run)
+            for vm in dirty - region:
+                pins.pop(vm, None)
         else:  # no break: every level of the schedule was tried
             reason = f"neighbourhood schedule exhausted ({attempts} attempts)"
         # The one way into the full solve: the caller's real fallback target
@@ -307,6 +351,51 @@ class RepairOptimizer:
     # ------------------------------------------------------------------ #
     # internals                                                           #
     # ------------------------------------------------------------------ #
+
+    def _dirty_region(
+        self,
+        current: Configuration,
+        must_run: Container[str],
+        changed: Sequence[str],
+        placement: Mapping[str, str],
+        constraints: Sequence[PlacementConstraint],
+        marks: Iterable[str],
+    ) -> Set[str]:
+        """The perturbed region of a warm round — the set
+        :func:`compute_dirty_set` returns, read from what moved:
+        ``must_run`` are the VMs that must run, ``changed`` the VMs whose
+        wanted state is not the observed one, ``placement`` the hosts of the
+        VMs that run."""
+        previous = self._previous
+        domains = self.domains.of(current, placement, constraints)
+        dirty = {vm for vm in marks if vm in must_run}
+        # Arrivals, resumes, crash victims: nothing to freeze.
+        dirty.update(vm for vm in changed if vm in must_run)
+        # Execution diverged from the last plan (a failed migration), or
+        # the placement was invalidated after the fact (an elastic Fence
+        # that shrank when a node crashed): re-decide the VM rather than
+        # trusting — or pinning onto a retired domain — its host.
+        dirty.update(
+            vm
+            for vm, host in placement.items()
+            if (
+                previous.get(vm) != host
+                or ((allowed := domains[vm]) is not None and host not in allowed)
+            )
+            and vm in must_run
+        )
+        _relational_closure(dirty, constraints, must_run)
+        for _ in range(max(0, self.halo)):
+            hosts = {placement[vm] for vm in dirty if vm in placement}
+            before = len(dirty)
+            for host in hosts:
+                dirty.update(
+                    vm for vm in current.vms_on(host) if vm in must_run
+                )
+            _relational_closure(dirty, constraints, must_run)
+            if len(dirty) == before:
+                break
+        return dirty
 
     def _widened(
         self,

@@ -39,6 +39,30 @@ the zone is represented as *waiting* in the sub-configuration — its true
 movement cost is then a constant (the same for every zone node), so the
 arg-min placement is unaffected and the exact cost is restored by the global
 planning pass.
+
+A warm round costs what changed.  Under ``pinned`` (the repair engine's
+frozen region) the pending zones are found from the VMs that are *not*
+pinned — a zone none of them belongs to is reused without being looked at —
+and a pending zone is *cut* rather than extracted: only its unpinned VMs
+enter the sub-configuration, over nodes whose capacity is what the frozen
+residents leave (the live free capacity plus what the unpinned residents
+hold), so extraction, model and search scale with the dirty VMs and the
+nodes of their zones.  A zone is extracted whole, pins and all, when the
+model has to see the frozen VMs (a relational constraint in its catalog) or
+to refuse them (a pin that is not the VM's current host or lies outside its
+domain, a frozen region that overloads a node).
+
+What is kept from one round to the next, each with one owner and one
+invalidation point:
+
+* the unary domains — :attr:`ParallelOptimizer.domains`, a
+  :class:`~repro.constraints.domains.RetainedDomains` (key: the constraint
+  objects, the node names, every restriction placement-independent);
+* the decomposition — :attr:`ParallelOptimizer._kept`, reused while those
+  domains stand (their ``generation``), the completed target states are the
+  same and the partition is exact (every placed VM tight, so no zone read a
+  placement, a demand or a capacity); everything else is re-cut by
+  :func:`~repro.scale.partition.partition` as before.
 """
 
 from __future__ import annotations
@@ -47,7 +71,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..constraints.base import PlacementConstraint
 from ..core.optimizer import (
@@ -59,9 +83,10 @@ from ..core.optimizer import (
 from ..cp import SearchStatistics
 from ..model.configuration import Configuration
 from ..model.errors import SolverError
+from ..model.node import Node
 from ..model.vm import VMState
 from ..obs import Span, Tracer, current_span, current_tracer, span
-from .partition import PartitionResult, Zone, partition
+from .partition import PartitionResult, Zone, partition, placed_vms
 
 #: Executor kinds accepted by :class:`ParallelOptimizer`.  ``"auto"`` (the
 #: default) is decided per solve from the zones about to be solved — see
@@ -100,16 +125,18 @@ class ZoneTask:
 
     ``configuration`` is the zone's extracted *sub*-configuration
     (:func:`build_zone_configuration`), not the full cluster — workers only
-    ever see their own zone.
+    ever see their own zone, and of a cut zone only the VMs to re-place.
     """
 
     zone: Zone
     configuration: Configuration
     engine: str = "event"
     timeout: float = 40.0
-    #: VM -> node-name placements frozen by the repair engine (only pins
-    #: whose VM *and* node lie inside the zone are carried; a zone whose VMs
-    #: are all pinned never reaches a worker — see ``_solve_zones``).
+    #: VM -> node-name placements frozen by the repair engine, for a zone
+    #: extracted whole (only pins whose VM *and* node lie inside the zone
+    #: are carried; a cut zone carries none, its frozen VMs are in the
+    #: capacities; a zone whose VMs are all pinned never reaches a worker —
+    #: see ``_solve_zones``).
     pinned: Optional[dict[str, str]] = None
     #: True when the parent solve is being traced: the worker records a
     #: local :class:`repro.obs.Tracer` and ships the span tree back in
@@ -130,8 +157,9 @@ class ZoneOutcome:
     #: The zone's size.
     node_count: int = 0
     vm_count: int = 0
-    #: True when the zone was untouched by the repair round: its previous
-    #: sub-assignment was reused verbatim without entering a solver.
+    #: True when the zone was untouched by the repair round: its VMs stay
+    #: where they are (``assignment`` names none of them) without entering a
+    #: solver.
     reused: bool = False
     #: Serialized worker-side span tree (``Tracer.to_dict()``), present only
     #: when :attr:`ZoneTask.trace` was set and the zone solved in a worker
@@ -140,15 +168,39 @@ class ZoneOutcome:
 
 
 def build_zone_configuration(
-    current: Configuration, zone: Zone
-) -> Configuration:
+    current: Configuration,
+    zone: Zone,
+    dirty: Optional[Sequence[str]] = None,
+    released: Optional[Mapping[str, Sequence[int]]] = None,
+) -> Optional[Configuration]:
     """Extract a zone's sub-configuration: its nodes plus its VMs, keeping
     each VM's current state when the relevant node is inside the zone and
     degrading to *waiting* otherwise (a constant cost offset — see the
-    module docstring)."""
-    sub = Configuration(nodes=[current.node(name) for name in zone.nodes])
+    module docstring).
+
+    With ``dirty`` — the zone's VMs this round re-places, in zone order —
+    the zone is *cut*: only they are extracted, over nodes that offer what
+    the VMs frozen on them leave, i.e. their live free capacity plus
+    ``released``, the (cpus, MB) held on each node by residents the round
+    does not freeze there (the dirty ones among them).  ``None`` when the
+    frozen residents alone overload a node: no cut can say so, the zone has
+    to be extracted whole for the model builder to refuse it."""
+    if dirty is None:
+        nodes = [current.node(name) for name in zone.nodes]
+        vms: Sequence[str] = zone.vms
+    else:
+        nodes = []
+        for name in zone.nodes:
+            free = current.free_capacity(name)
+            extra_cpu, extra_memory = (released or {}).get(name, (0, 0))
+            cpu, memory = free.cpu + extra_cpu, free.memory + extra_memory
+            if cpu < 0 or memory < 0:
+                return None
+            nodes.append(Node(name, cpu, memory, current.node(name).role))
+        vms = dirty
+    sub = Configuration(nodes=nodes)
     inside = set(zone.nodes)
-    for vm_name in zone.vms:
+    for vm_name in vms:
         sub.add_vm(current.vm(vm_name))
         state = current.state_of(vm_name)
         if state is VMState.RUNNING:
@@ -187,13 +239,14 @@ def solve_zone(task: ZoneTask) -> ZoneOutcome:
 
 
 def _solve_zone_traced(task: ZoneTask, zone_span: Span) -> ZoneOutcome:
+    extracted = task.configuration.vm_names
     zone_span.set(
         vms=len(task.zone.vms),
         nodes=len(task.zone.nodes),
-        pinned=len(task.pinned or {}),
+        pinned=len(task.pinned or ()) + len(task.zone.vms) - len(extracted),
     )
     optimizer = ContextSwitchOptimizer(engine=task.engine)
-    states = {vm: VMState.RUNNING for vm in task.zone.vms}
+    states = dict.fromkeys(extracted, VMState.RUNNING)
     started = time.monotonic()
     assignment, statistics, _ = optimizer.search_assignment(
         task.configuration,
@@ -247,6 +300,37 @@ def merge_statistics(
     return merged
 
 
+def _unfrozen(
+    decomposition: PartitionResult,
+    pinned: Mapping[str, str],
+    placement: Mapping[str, str],
+) -> Tuple[Dict[int, List[str]], Dict[int, List[str]]]:
+    """What the pins leave to decide, zone by zone, as ``(free, odd)``: the
+    placed VMs no pin holds inside their zone — the VMs the round re-places
+    — and the VMs pinned inside their zone but not frozen where they are
+    (pinned off their current host, or outside their domain), which only
+    the model builder can move or refuse."""
+    zone_of_vm = decomposition.zone_of_vm
+    zone_of_node = decomposition.zone_of_node
+    domains = decomposition.domains
+    free: Dict[int, List[str]] = {}
+    odd: Dict[int, List[str]] = {}
+    for vm in zone_of_vm.keys() - pinned.keys():
+        free.setdefault(zone_of_vm[vm], []).append(vm)
+    for vm in [
+        vm
+        for vm, node in pinned.items()
+        if placement.get(vm) != node
+        or ((allowed := domains.get(vm)) is not None and node not in allowed)
+    ]:
+        index = zone_of_vm.get(vm)
+        if index is None:
+            continue  # not a VM to place: no zone reads this pin
+        inside = zone_of_node.get(pinned[vm]) == index
+        (odd if inside else free).setdefault(index, []).append(vm)
+    return free, odd
+
+
 class ParallelOptimizer(ContextSwitchOptimizer):
     """Partition the instance into zones and solve them concurrently.
 
@@ -286,6 +370,10 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         #: persistent worker pool (``_pool``) is forked lazily by the first
         #: solve that uses it and reused across rounds — see :meth:`close`.
         self.shards = 4 if shards == "auto" else shards
+        #: The last exact decomposition, with what it is a function of: the
+        #: generation of :attr:`domains` it was cut under and the completed
+        #: target states (see :meth:`_decompose`).
+        self._kept: Optional[Tuple[object, Mapping[str, VMState], PartitionResult]] = None
 
     # ------------------------------------------------------------------ #
 
@@ -311,20 +399,27 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         their current host's zone, so that is the common case)."""
         budget = self.timeout if timeout is None else timeout
         deadline = time.monotonic() + budget
-        states = self._complete_states(current, target_states)
+        states, changed = self._complete_states(current, target_states)
         with span("partition") as partition_span:
-            decomposition = partition(
-                current, states, constraints, shards=self.shards
-            )
+            decomposition, reused = self._decompose(current, states, constraints)
             partition_span.set(
                 method=decomposition.method,
                 zones=len(decomposition.zones),
                 exact=decomposition.exact,
+                reused=reused,
             )
         outcomes: List[ZoneOutcome] = []
         if decomposition.is_win:
+            running = VMState.RUNNING
+            leaving = [
+                vm
+                for vm in changed
+                if states[vm] is not running and current.state_of(vm) is running
+            ]
             outcomes = sorted(
-                self._solve_zones(current, decomposition, budget, pinned=pinned),
+                self._solve_zones(
+                    current, decomposition, deadline, pinned=pinned, leaving=leaving
+                ),
                 key=lambda o: o.index,
             )
         failed = [o.index for o in outcomes if o.assignment is None]
@@ -350,13 +445,14 @@ class ParallelOptimizer(ContextSwitchOptimizer):
             return result
 
         # Deterministic merge: zones are index-ordered, assignments are
-        # disjoint by construction.
+        # disjoint by construction; a VM none of them names stays put.
         merged: dict[str, str] = {}
         for outcome in outcomes:
             merged.update(outcome.assignment)
         result = self._finish(
             current,
             states,
+            changed,
             merged,
             merge_statistics(outcomes, exact=decomposition.exact),
             [],
@@ -370,72 +466,82 @@ class ParallelOptimizer(ContextSwitchOptimizer):
 
     # ------------------------------------------------------------------ #
 
-    @staticmethod
-    def _zone_pins(
-        zone: Zone, pinned: Optional[Mapping[str, str]]
-    ) -> dict[str, str]:
-        """The pins relevant to one zone: its VMs pinned to its own nodes.
-        A pin targeting a node outside the zone is dropped — the VM is then
-        solved freely inside the zone, which is always sound (just less
-        incremental)."""
-        if not pinned:
-            return {}
-        inside = set(zone.nodes)
-        return {
-            vm: pinned[vm]
-            for vm in zone.vms
-            if vm in pinned and pinned[vm] in inside
-        }
+    def _decompose(
+        self,
+        current: Configuration,
+        states: Mapping[str, VMState],
+        constraints: Sequence[PlacementConstraint],
+    ) -> Tuple[PartitionResult, bool]:
+        """The round's decomposition, and whether it is the kept one.
+
+        The kept decomposition answers for this round when it is provably
+        the one :func:`partition` would cut again: the domains it read still
+        stand (same constraint objects, same node names, none of them
+        reading a placement — :class:`RetainedDomains`), the completed
+        target states are equal (so the same VMs are placed), and it was
+        exact — every placed VM tight, so no VM was anchored by its host,
+        its demand or a node's headroom."""
+        kept = self._kept
+        if (
+            kept is not None
+            and self.domains.holds(current, constraints)
+            and kept[0] is self.domains.generation
+            and kept[1] == states
+        ):
+            return kept[2], True
+        domains = self.domains.of(current, placed_vms(states), constraints)
+        decomposition = partition(
+            current, states, constraints, shards=self.shards, domains=domains
+        )
+        self._kept = None
+        if (
+            decomposition.is_win
+            and decomposition.exact
+            and self.domains.holds(current, constraints)
+        ):
+            self._kept = (self.domains.generation, states, decomposition)
+        return decomposition, False
 
     def _zone_tasks(
         self,
         current: Configuration,
-        zones: Sequence[Zone],
-        budget: float,
-        waves: int = 1,
-        pins_by_zone: Optional[Mapping[int, dict[str, str]]] = None,
-    ) -> List[ZoneTask]:
-        """One task per zone, with the call's ``budget`` carved: when the
-        executor cannot overlap every zone, each gets ``1/waves`` of it
-        (``waves`` is how many batches the zones queue in), so a partitioned
-        solve never exceeds the control loop's per-round time budget.
-        ``zones`` are the zones of a decomposition still pending after the
-        repair composition reused the fully-pinned ones."""
-        tasks = []
-        for zone in zones:
-            pins = (pins_by_zone or {}).get(zone.index) or None
-            tasks.append(
-                ZoneTask(
-                    zone=zone,
-                    configuration=build_zone_configuration(current, zone),
-                    engine=self.engine,
-                    timeout=max(MIN_CARVED_TIMEOUT_S, budget / max(1, waves)),
-                    pinned=pins,
-                )
-            )
-        return tasks
-
-    def _solve_zones(
-        self,
-        current: Configuration,
         decomposition: PartitionResult,
-        budget: float,
         pinned: Optional[Mapping[str, str]] = None,
-    ) -> List[ZoneOutcome]:
-        # Repair composition: a zone whose VMs are all pinned is untouched
-        # by this round — reuse its previous sub-assignment verbatim and
-        # never ship it to a worker.  Only the dirty zones are solved, and
-        # they keep their clean VMs pinned.
+        leaving: Sequence[str] = (),
+    ) -> Tuple[List[ZoneOutcome], List[ZoneTask]]:
+        """The outcomes of the zones the pins leave nothing to decide in,
+        and one task (its timeout still to be carved) per zone to solve.
+
+        Repair composition: a zone whose VMs are all pinned inside it is
+        untouched by this round — its VMs stay where they are and it is
+        never shipped to a worker.  The dirty zones are found from the VMs
+        that are *not* pinned, and each is cut around them
+        (:func:`build_zone_configuration`) unless the model has to see its
+        frozen VMs: under a relational constraint, or to move or refuse a
+        pin that does not freeze its VM in place.  ``leaving`` are the
+        running VMs that must not keep running: they hold capacity no
+        zone's model counts."""
+        if not pinned:
+            return [], [
+                ZoneTask(zone, build_zone_configuration(current, zone), self.engine)
+                for zone in decomposition.zones
+            ]
+        placement = current.placement()
+        free, odd = _unfrozen(decomposition, pinned, placement)
+        #: (cpus, MB) held on each node by residents this round does not
+        #: freeze there.
+        released = current.load_by_host(
+            set(leaving).union(*free.values(), *odd.values())
+        )
+        zone_of_node = decomposition.zone_of_node
         reused: List[ZoneOutcome] = []
-        pending: List[Zone] = []
-        pins_by_zone: dict[int, dict[str, str]] = {}
+        tasks: List[ZoneTask] = []
         for zone in decomposition.zones:
-            pins = self._zone_pins(zone, pinned)
-            if zone.vms and len(pins) == len(zone.vms):
+            if zone.index not in free:
                 reused.append(
                     ZoneOutcome(
                         index=zone.index,
-                        assignment=dict(pins),
+                        assignment={vm: pinned[vm] for vm in odd.get(zone.index, ())},
                         statistics=SearchStatistics(),
                         elapsed=0.0,
                         node_count=len(zone.nodes),
@@ -443,30 +549,68 @@ class ParallelOptimizer(ContextSwitchOptimizer):
                         reused=True,
                     )
                 )
-            else:
-                pending.append(zone)
-                pins_by_zone[zone.index] = pins
-        if not pending:
+                continue
+            cut = None
+            if zone.index not in odd and not any(
+                constraint.relational for constraint in zone.constraints
+            ):
+                cut = build_zone_configuration(
+                    current,
+                    zone,
+                    current.in_registration_order(free[zone.index]),
+                    released,
+                )
+            if cut is not None:
+                tasks.append(ZoneTask(zone, cut, self.engine))
+                continue
+            # Whole, with the pins inside it; one targeting a node outside
+            # the zone is dropped — the VM is then solved freely inside the
+            # zone, which is always sound (just less incremental).
+            pins = {
+                vm: pinned[vm]
+                for vm in zone.vms
+                if vm in pinned and zone_of_node.get(pinned[vm]) == zone.index
+            }
+            tasks.append(
+                ZoneTask(
+                    zone,
+                    build_zone_configuration(current, zone),
+                    self.engine,
+                    pinned=pins or None,
+                )
+            )
+        return reused, tasks
+
+    def _solve_zones(
+        self,
+        current: Configuration,
+        decomposition: PartitionResult,
+        deadline: float,
+        pinned: Optional[Mapping[str, str]] = None,
+        leaving: Sequence[str] = (),
+    ) -> List[ZoneOutcome]:
+        """Solve the zones of ``decomposition`` by ``deadline`` — the
+        round's: the partition and the extraction before the first zone are
+        paid out of the same budget."""
+        reused, tasks = self._zone_tasks(current, decomposition, pinned, leaving)
+        if not tasks:
             return reused
 
         if self.zone_executor == "auto":
             worth_a_worker = sum(
-                len(zone.vms) - len(pins_by_zone[zone.index]) >= _POOL_ZONE_VMS
-                for zone in pending
+                len(task.configuration.vm_names) - len(task.pinned or ())
+                >= _POOL_ZONE_VMS
+                for task in tasks
             )
             workers = min(os.cpu_count() or 1, worth_a_worker)
         else:
-            workers = len(pending) if self.zone_executor == "process" else 1
+            workers = len(tasks) if self.zone_executor == "process" else 1
         if workers < 2:
             # Zones run one after another, so they share the single
             # wall-clock budget: each gets what the earlier ones left over
             # (a small floor keeps every zone able to at least attempt a
             # first solution; an out-of-budget zone fails fast and triggers
             # the monolithic fallback).
-            tasks = self._zone_tasks(
-                current, pending, budget, pins_by_zone=pins_by_zone
-            )
-            deadline = time.monotonic() + budget
             outcomes = list(reused)
             for task in tasks:
                 task.timeout = max(
@@ -475,11 +619,12 @@ class ParallelOptimizer(ContextSwitchOptimizer):
                 outcomes.append(solve_zone(task))
             return outcomes
         # More zones than workers queue in ceil(zones/workers) waves on the
-        # pool; carve the budget per wave so wall-clock stays <= budget.
-        waves = -(-len(pending) // workers)
-        tasks = self._zone_tasks(
-            current, pending, budget, waves=waves, pins_by_zone=pins_by_zone
-        )
+        # pool; carve what is left of the budget per wave so wall-clock
+        # stays <= budget.
+        waves = -(-len(tasks) // workers)
+        carved = max(MIN_CARVED_TIMEOUT_S, (deadline - time.monotonic()) / waves)
+        for task in tasks:
+            task.timeout = carved
         if self._pool is not None and self._pool_size < workers:
             # A later round partitioned into more zones than the cached pool
             # can overlap: respawn rather than silently serializing on an

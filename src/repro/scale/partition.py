@@ -45,7 +45,8 @@ When neither strategy yields at least two non-empty zones the result's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import (
     AbstractSet,
     Dict,
@@ -116,12 +117,27 @@ class PartitionResult:
     method: str
     reason: str = ""
     exact: bool = False
+    #: The unary placement domain of every placed VM, as the decomposition
+    #: read it.
+    domains: Mapping[str, Optional[AbstractSet[str]]] = field(
+        default_factory=dict, repr=False
+    )
 
     @property
     def is_win(self) -> bool:
         """True when solving per zone beats the monolithic solve: at least
         two non-empty zones, so every sub-model is strictly smaller."""
         return len(self.zones) >= 2
+
+    @cached_property
+    def zone_of_vm(self) -> Dict[str, int]:
+        """Placed VM -> index of the zone that places it."""
+        return {vm: zone.index for zone in self.zones for vm in zone.vms}
+
+    @cached_property
+    def zone_of_node(self) -> Dict[str, int]:
+        """Node -> index of the zone it belongs to."""
+        return {node: zone.index for zone in self.zones for node in zone.nodes}
 
 
 class _UnionFind:
@@ -157,11 +173,8 @@ class _UnionFind:
 def placed_vms(target_states: Mapping[str, VMState]) -> List[str]:
     """The VMs the optimizer must place: those whose target state is
     RUNNING (declaration order preserved for determinism)."""
-    return [
-        name
-        for name, state in target_states.items()
-        if state is VMState.RUNNING
-    ]
+    running = VMState.RUNNING
+    return [name for name, state in target_states.items() if state is running]
 
 
 def _anchor_node(current: Configuration, vm_name: str) -> Optional[str]:
@@ -181,13 +194,16 @@ def partition(
     constraints: Sequence[PlacementConstraint] = (),
     shards: Optional[int] = None,
     tight_fraction: float = TIGHT_DOMAIN_FRACTION,
+    domains: Optional[Mapping[str, Optional[AbstractSet[str]]]] = None,
 ) -> PartitionResult:
     """Split a context-switch instance into independent placement zones.
 
     ``target_states`` must be *complete* (one entry per VM — the caller
     normally derives it with the optimizer's ``keepVMState`` completion);
     ``shards`` enables the k-way fallback when no constraint structures the
-    fleet.  See the module docstring for the decomposition rules.
+    fleet; ``domains`` are the unary domains of (at least) the placed VMs,
+    for a caller that already holds them.  See the module docstring for the
+    decomposition rules.
     """
     node_names = list(current.node_names)
     placed = placed_vms(target_states)
@@ -196,7 +212,8 @@ def partition(
             zones=[], method="monolithic", reason="nothing to decompose"
         )
 
-    domains = vm_domains(current, placed, constraints)
+    if domains is None:
+        domains = vm_domains(current, placed, constraints)
     tight_cap = max(1, int(len(node_names) * tight_fraction))
     uf = _UnionFind(node_names)
     touched: Set[str] = set()
@@ -230,13 +247,14 @@ def partition(
     # Relational constraints weld the domains of all their placed members
     # (or their watched node set) into one component.
     coupled = False
+    placed_set = set(placed) if any(c.relational for c in constraints) else set()
     for constraint in constraints:
         if not constraint.relational:
             continue
         group: Set[str] = {
             node for node in getattr(constraint, "nodes", ()) if node in uf._parent
         }
-        members = [vm for vm in constraint.vms if vm in domains]
+        members = [vm for vm in constraint.vms if vm in placed_set]
         if constraint.vms and len(members) < constraint.relational_min_members:
             members = []
         for vm_name in members:
@@ -333,7 +351,9 @@ def partition(
     # the global optimum.  A heuristically anchored loose VM is a domain
     # restriction — the merged solution stays valid but loses optimality.
     exact = all(vm_name in tight for vm_name in placed)
-    return PartitionResult(zones=zones, method="interference", exact=exact)
+    return PartitionResult(
+        zones=zones, method="interference", exact=exact, domains=domains
+    )
 
 
 def _shard(
@@ -404,7 +424,7 @@ def _shard(
             method="monolithic",
             reason="sharding left all the VMs in one shard",
         )
-    return PartitionResult(zones=zones, method="sharded")
+    return PartitionResult(zones=zones, method="sharded", domains=domains)
 
 
 def _materialize(

@@ -8,7 +8,9 @@ construction, and this suite is the proof: Hypothesis drives an indexed
 in ``reference_configuration.py`` next to this file (the pre-index dict-walk
 implementations) in lockstep through random mutation sequences —
 add / place / migrate / sleep / terminate / demand churn / crash-evict /
-node re-add — and asserts after *every* step that
+node re-add, and forks (a copy that goes on being mutated beside its
+original: the two share their per-node running sets until one of them
+changes a node) — and asserts after *every* step that
 
 * ``usage_of`` / ``free_capacity`` / ``total_usage`` / ``total_capacity``,
 * ``viability_violations`` (and ``only_dirty=True`` against the full scan),
@@ -47,6 +49,7 @@ OPS = (
     "crash_evict",
     "remove_node",
     "re_add_node",
+    "fork",
 )
 
 
@@ -160,16 +163,27 @@ def _run_lockstep(sequence):
     vm_universe = [name for name, _, _ in vms] + [
         f"extra{a}" for a in range(32)
     ]
-    for kind, a, b in ops:
-        raised_indexed = _apply(
-            indexed, kind, a, b, node_universe, vm_universe
-        )
-        raised_naive = _apply(naive, kind, a, b, node_universe, vm_universe)
-        assert raised_indexed == raised_naive, (
-            f"op {kind} diverged: indexed raised {raised_indexed}, "
-            f"naive raised {raised_naive}"
-        )
+    #: The other side of the last fork: a copy (and the oracle's copy, whose
+    #: reads never look at the shared sets) mutated in turn with its
+    #: original, so a change leaking across the fork shows on either side.
+    fork = None
+    for step, (kind, a, b) in enumerate(ops):
+        if kind == "fork":
+            fork = (indexed.copy(), naive.copy())
+        else:
+            if fork is not None and step % 2:
+                (indexed, naive), fork = fork, (indexed, naive)
+            raised_indexed = _apply(
+                indexed, kind, a, b, node_universe, vm_universe
+            )
+            raised_naive = _apply(naive, kind, a, b, node_universe, vm_universe)
+            assert raised_indexed == raised_naive, (
+                f"op {kind} diverged: indexed raised {raised_indexed}, "
+                f"naive raised {raised_naive}"
+            )
         _assert_equivalent(indexed, naive)
+        if fork is not None:
+            _assert_equivalent(*fork)
     # A copy must carry consistent caches too.
     _assert_equivalent(indexed.copy(), naive)
 

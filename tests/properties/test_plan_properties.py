@@ -3,14 +3,35 @@
 For arbitrary small scenarios the planner must always produce a plan that
 (a) reaches the requested target assignment, (b) is feasible pool after pool,
 (c) never loses a VM, and (d) regroups the resumes of a vjob in a single pool.
+
+The last section holds :func:`repro.constraints.check_plan` — one working
+copy, a constraint no action touches asked once on the source — against the
+stage-by-stage walk it replaced.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.actions import ActionKind
+from repro.constraints import (
+    Among,
+    Ban,
+    Fence,
+    Gather,
+    Lonely,
+    MaxOnline,
+    PlacementConstraint,
+    Root,
+    RunningCapacity,
+    Spread,
+    Violation,
+    check_configuration,
+    check_plan,
+    plan_stages,
+)
+from repro.core.actions import ActionKind, Migrate, Resume, Run, Stop, Suspend
 from repro.core.cost import plan_cost
+from repro.core.plan import apply_pool_effects, plan_from_pools
 from repro.core.planner import build_plan
 from repro.decision.ffd import ffd_target_configuration
 from repro.model.configuration import Configuration
@@ -164,3 +185,211 @@ def test_plan_touches_each_vm_at_most_twice(scenario):
     for action in plan.actions():
         touched[action.vm] = touched.get(action.vm, 0) + 1
     assert all(count <= 2 for count in touched.values())
+
+
+# ---------------------------------------------------------------------- #
+# the scoped checker walk                                                 #
+# ---------------------------------------------------------------------- #
+
+
+class Quarantine(PlacementConstraint):
+    """A member-less custom relation: nothing may run on the node."""
+
+    def __init__(self, node):
+        self.node = node
+
+    def is_satisfied_by(self, configuration):
+        return not (
+            configuration.has_node(self.node) and configuration.vms_on(self.node)
+        )
+
+
+def _stage_by_stage(plan, constraints, include_source=False):
+    """``check_plan`` as it was: a copy per stage, every constraint asked of
+    every stage."""
+    violations = []
+    stages = iter(plan_stages(plan))
+    source = next(stages)
+    if include_source:
+        violations.extend(check_configuration(source, constraints, stage=0))
+    for stage_index, state in enumerate(stages, start=1):
+        violations.extend(check_configuration(state, constraints, stage=stage_index))
+        for constraint in constraints:
+            if constraint.is_transition_satisfied(source, state):
+                continue
+            violations.append(
+                Violation(
+                    constraint=constraint.label,
+                    message=constraint.explain_transition(source, state)
+                    or f"{constraint.label} is violated by the transition",
+                    stage=stage_index,
+                )
+            )
+    return violations
+
+
+@st.composite
+def checked_plans(draw):
+    """A configuration, up to three pools of applicable actions over it
+    (feasibility is not the checker's business) and a catalog, some of it
+    over VMs no action touches, some of it violated before the plan runs."""
+    configuration, _ = draw(scenarios())
+    nodes = list(configuration.node_names)
+    working = configuration.copy()
+    pools = []
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        pool = []
+        for name in draw(
+            st.lists(st.sampled_from(configuration.vm_names), max_size=4, unique=True)
+        ):
+            state = working.state_of(name)
+            node = draw(st.sampled_from(nodes))
+            if state is VMState.RUNNING:
+                host = working.location_of(name)
+                action = draw(
+                    st.sampled_from(
+                        (
+                            Suspend(vm=name, node=host),
+                            Stop(vm=name, node=host),
+                            Migrate(vm=name, source_node=host, destination_node=node),
+                        )
+                    )
+                )
+                if action.kind is ActionKind.MIGRATE and node == host:
+                    continue
+            elif state is VMState.SLEEPING:
+                action = Resume(
+                    vm=name,
+                    image_node=working.image_location_of(name),
+                    destination_node=node,
+                )
+            elif state is VMState.WAITING:
+                action = Run(vm=name, node=node)
+            else:
+                continue
+            pool.append(action)
+        if pool:
+            apply_pool_effects(working, pool)
+            pools.append(pool)
+    plan = plan_from_pools(configuration, pools)
+
+    vms = list(configuration.vm_names)
+
+    def some(items, min_size=1):
+        return draw(
+            st.lists(
+                st.sampled_from(items), min_size=min_size, max_size=len(items), unique=True
+            )
+        )
+
+    catalog = []
+    for relation in draw(
+        st.lists(
+            st.sampled_from(
+                ("fence", "ban", "root", "spread", "gather", "among", "lonely",
+                 "max_online", "running_capacity", "quarantine")
+            ),
+            max_size=5,
+        )
+    ):
+        if relation == "fence":
+            catalog.append(Fence(some(vms), some(nodes)))
+        elif relation == "ban":
+            catalog.append(Ban(some(vms), some(nodes)))
+        elif relation == "root":
+            catalog.append(Root(some(vms)))
+        elif relation == "spread":
+            catalog.append(Spread(some(vms)))
+        elif relation == "gather":
+            catalog.append(Gather(some(vms)))
+        elif relation == "among":
+            catalog.append(Among(some(vms), [nodes[:1], nodes[1:]]))
+        elif relation == "lonely":
+            catalog.append(Lonely(some(vms)))
+        elif relation == "max_online":
+            catalog.append(MaxOnline(some(nodes), maximum=1))
+        elif relation == "running_capacity":
+            catalog.append(RunningCapacity(some(nodes), maximum=1))
+        else:
+            catalog.append(Quarantine(draw(st.sampled_from(nodes))))
+    return plan, catalog, draw(st.booleans())
+
+
+@settings(max_examples=200, deadline=None)
+@given(checked_plans())
+def test_the_scoped_walk_reports_what_the_stage_by_stage_walk_reports(case):
+    plan, catalog, include_source = case
+    before = plan.source.copy()
+    assert check_plan(plan, catalog, include_source) == _stage_by_stage(
+        plan, catalog, include_source
+    )
+    assert plan.source == before and plan.source.placement() == before.placement()
+
+
+def test_an_untouched_violation_and_a_root_transition_are_both_reported():
+    """A fence already broken in the source that no action touches is
+    reported for every stage, from one look at the source; a ``Root`` member
+    the plan migrates is reported from the stage it moved in."""
+    configuration = Configuration(
+        nodes=make_working_nodes(3, cpu_capacity=4, memory_capacity=4096)
+    )
+    for name, host in (("stray", "node-2"), ("rooted", "node-0"), ("other", "node-0")):
+        configuration.add_vm(VirtualMachine(name=name, memory=256))
+        configuration.set_running(name, host)
+    broken = Fence(["stray"], ["node-0"])
+    root = Root(["rooted"])
+    plan = plan_from_pools(
+        configuration,
+        [
+            [Migrate(vm="other", source_node="node-0", destination_node="node-1")],
+            [Migrate(vm="rooted", source_node="node-0", destination_node="node-1")],
+        ],
+    )
+    looked_at = []
+    satisfied = Fence.is_satisfied_by
+
+    class Watched(Fence):
+        def is_satisfied_by(self, state):
+            looked_at.append(state)
+            return satisfied(self, state)
+
+    watched = Watched(["stray"], ["node-0"])
+    violations = check_plan(plan, [watched, root])
+    assert violations == _stage_by_stage(plan, [broken, root])
+    assert [(v.stage, v.constraint) for v in violations] == [
+        (1, broken.label),
+        (2, broken.label),
+        (2, root.label),
+    ]
+    # One look, at the source — the explanation asks once more.
+    assert all(state is plan.source for state in looked_at) and looked_at
+
+
+def test_a_relation_that_watches_other_vms_is_asked_of_every_stage():
+    """``Lonely``, ``MaxOnline`` and a member-less custom relation read VMs
+    they do not name: no action touches their members, every stage still
+    has to ask them."""
+    configuration = Configuration(
+        nodes=make_working_nodes(3, cpu_capacity=4, memory_capacity=4096)
+    )
+    for name, host in (("solo", "node-1"), ("intruder", "node-0")):
+        configuration.add_vm(VirtualMachine(name=name, memory=256))
+        configuration.set_running(name, host)
+    catalog = [
+        Lonely(["solo"]),
+        MaxOnline(["node-0", "node-1", "node-2"], maximum=2),
+        Quarantine("node-2"),
+    ]
+    plan = plan_from_pools(
+        configuration,
+        [
+            [Migrate(vm="intruder", source_node="node-0", destination_node="node-2")],
+            [Migrate(vm="intruder", source_node="node-2", destination_node="node-1")],
+        ],
+    )
+    violations = check_plan(plan, catalog)
+    assert violations == _stage_by_stage(plan, catalog)
+    assert [(v.stage, v.constraint) for v in violations] == [
+        (1, catalog[2].label),
+        (2, catalog[0].label),
+    ]

@@ -1,0 +1,223 @@
+"""What an engine keeps between rounds never shows in its answers.
+
+The warm engines retain the previous assignment, the unary domains
+(:class:`repro.constraints.domains.RetainedDomains`) and — partitioned — the
+decomposition, each reused only while it is provably a function of inputs
+that did not change.  The property runs streams of rounds — restarts, demand
+changes, arrivals, departures, node crashes with the constraints' repair
+hook, catalog swaps, under every catalog relation that shapes a domain or a
+zone — through one long-lived engine and through an engine rebuilt before
+every round and handed nothing but the previous assignment, which therefore
+recomputes everything.  Round for round they must give the same target, the
+same pools action for action, the same cost, the same ``repair`` telemetry
+and the same constraint violations.
+
+The dirty region itself is held against :func:`repro.repair.compute_dirty_set`
+— the rules stated over every running VM — on every warm round.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.constraints import Among, Ban, Fence, Root, Spread
+from repro.core.optimizer import ContextSwitchOptimizer
+from repro.model.configuration import Configuration
+from repro.model.errors import PlanningError
+from repro.model.node import Node
+from repro.model.vm import VirtualMachine, VMState
+from repro.repair import RepairOptimizer, compute_dirty_set
+from repro.scale import ParallelOptimizer
+
+#: Restarts and demand changes leave the key alone — the rounds that reuse
+#: what is kept — so they come up more often than the events that break it.
+EVENTS = (
+    ("restart",) * 5
+    + ("demand",) * 3
+    + ("quiet", "arrival", "departure", "crash", "swap")
+)
+RELATIONS = ("fence", "elastic", "ban", "root", "among", "spread")
+#: VMs the catalogs may already name before they arrive (as a control
+#: loop's catalog names the VMs of every submitted vjob).
+SPARES = ("a0", "a1", "a2")
+
+
+def _engine(kind):
+    if kind == "repair":
+        inner = ContextSwitchOptimizer(timeout=5.0)
+    else:
+        inner = ParallelOptimizer(timeout=5.0, zone_executor="serial", shards=2)
+    return RepairOptimizer(inner, timeout=5.0)
+
+
+def _catalog(draw, vms, nodes):
+    def some(items, min_size=1):
+        return draw(
+            st.lists(
+                st.sampled_from(items),
+                min_size=min_size,
+                max_size=len(items),
+                unique=True,
+            )
+        )
+
+    half = len(nodes) // 2
+    catalog = []
+    relations = draw(st.lists(st.sampled_from(RELATIONS), max_size=3))
+    if draw(st.booleans()) and relations[:1] not in (["fence"], ["elastic"]):
+        # Half of the streams run on a fenced fleet: every VM tight, the
+        # shape that makes an exact decomposition, the one that is kept.
+        relations.insert(0, draw(st.sampled_from(("fence", "elastic"))))
+    for relation in relations:
+        if relation in ("fence", "elastic"):
+            # Two fences over the two halves of the fleet.
+            members = some(vms)
+            rest = [vm for vm in vms if vm not in members]
+            elastic = relation == "elastic"
+            catalog.append(Fence(members, nodes[:half], elastic=elastic))
+            if rest:
+                catalog.append(Fence(rest, nodes[half:], elastic=elastic))
+        elif relation == "ban":
+            catalog.append(Ban(some(vms), [draw(st.sampled_from(nodes))]))
+        elif relation == "root":
+            catalog.append(Root(some(vms)))
+        elif relation == "among":
+            catalog.append(Among(some(vms), [nodes[:half], nodes[half:]]))
+        else:
+            catalog.append(Spread(some(vms, min_size=2)[:3]))
+    return catalog
+
+
+def _digest(outcome):
+    if isinstance(outcome, Exception):
+        return type(outcome).__name__
+    return {
+        "placement": dict(outcome.target.iter_placement()),
+        "states": outcome.target.states(),
+        "pools": [[str(action) for action in pool] for pool in outcome.plan.pools],
+        "cost": outcome.cost,
+        "repair": outcome.repair,
+        "violations": [str(v) for v in outcome.plan.constraint_violations],
+        "fallback": outcome.used_fallback,
+    }
+
+
+def _solve(engine, current, states, catalog, marks):
+    engine.mark_dirty(marks)
+    try:
+        return engine.optimize(current.copy(), states, constraints=catalog)
+    except PlanningError as error:
+        return error
+
+
+@pytest.mark.parametrize("kind", ["repair", "repair-partitioned"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_long_lived_engine_plans_what_a_rebuilt_one_plans(kind, data):
+    draw = data.draw
+    # Even fleets split into two tight halves; five nodes make the second
+    # half loose.
+    node_count = draw(st.sampled_from((4, 4, 6, 6, 5)))
+    nodes = [f"n{i}" for i in range(node_count)]
+    current = Configuration(
+        nodes=[Node(name=name, cpu_capacity=3, memory_capacity=4096) for name in nodes]
+    )
+    vms = [f"v{i}" for i in range(draw(st.integers(min_value=4, max_value=9)))]
+    for index, name in enumerate(vms):
+        current.add_vm(
+            VirtualMachine(
+                name=name,
+                memory=draw(st.sampled_from((256, 512, 1024))),
+                cpu_demand=draw(st.integers(min_value=0, max_value=1)),
+            )
+        )
+        current.set_running(name, nodes[index % node_count])
+    states = {name: VMState.RUNNING for name in vms}
+    catalog = _catalog(draw, [*vms, *SPARES], nodes)
+
+    kept = _engine(kind)
+    arrivals = 0
+    for _ in range(draw(st.integers(min_value=3, max_value=8))):
+        nodes = list(current.node_names)
+        running = list(current.placement())
+        marks: list[str] = []
+        event = draw(st.sampled_from(EVENTS))
+        if event == "restart" and running:
+            marks = draw(
+                st.lists(st.sampled_from(running), min_size=1, max_size=2, unique=True)
+            )
+            for vm in marks:
+                current.set_waiting(vm)
+        elif event == "demand" and running:
+            vm = draw(st.sampled_from(running))
+            current.replace_vm(
+                current.vm(vm).with_cpu_demand(draw(st.integers(0, 3)))
+            )
+            marks = draw(st.sampled_from(([], [vm])))
+        elif event == "arrival" and arrivals < len(SPARES):
+            name = SPARES[arrivals]
+            arrivals += 1
+            current.add_vm(VirtualMachine(name=name, memory=512, cpu_demand=1))
+            states = {**states, name: VMState.RUNNING}
+            marks = [name]
+        elif event == "departure" and running:
+            vm = draw(st.sampled_from(running))
+            states = {
+                **states,
+                vm: draw(st.sampled_from((VMState.SLEEPING, VMState.TERMINATED))),
+            }
+        elif event == "crash" and len(nodes) > 3:
+            node = draw(st.sampled_from(nodes))
+            marks = [*current.vms_on(node), *current.images_on(node)]
+            for vm in marks:
+                current.set_waiting(vm)
+            current.remove_node(node)
+            catalog = [
+                repaired
+                for repaired in (c.on_node_failure(node) for c in catalog)
+                if repaired is not None
+            ]
+        elif event == "swap":
+            catalog = _catalog(draw, [*vms, *SPARES], nodes)
+
+        previous = kept.previous_assignment
+        rebuilt = _engine(kind)
+        if previous is not None:
+            rebuilt._previous = dict(previous)
+            running_vms = [
+                name
+                for name in current.vm_names
+                if states.get(name, current.state_of(name)) is VMState.RUNNING
+            ]
+            # The warm region, read from what moved, against the rules
+            # stated over every running VM.
+            assert kept._dirty_region(
+                current,
+                set(running_vms),
+                [
+                    name
+                    for name in current.vm_names
+                    if states.get(name, current.state_of(name))
+                    is not current.state_of(name)
+                ],
+                current.placement(),
+                catalog,
+                marks,
+            ) == compute_dirty_set(
+                current, states, running_vms, catalog, marks, previous, kept.halo
+            )
+        ours = _solve(kept, current, states, catalog, marks)
+        theirs = _solve(rebuilt, current, states, catalog, marks)
+        assert _digest(ours) == _digest(theirs)
+        if isinstance(ours, Exception):
+            # Nothing was accepted: the fleet stays as observed.
+            continue
+        current = ours.target.copy()
+        # A VM that left for good is not wanted any more.
+        states = {
+            name: state
+            for name, state in states.items()
+            if state is not VMState.TERMINATED
+            or current.state_of(name) is not VMState.TERMINATED
+        }

@@ -448,3 +448,160 @@ class TestPartitionedComposition:
         assert result.repair["reused_zones"] >= 1
         for vm in zone_b:
             assert result.target.location_of(vm) == current.location_of(vm)
+
+
+def _digest(result):
+    """Everything two engines must agree on for one round."""
+    return {
+        "placement": dict(result.target.iter_placement()),
+        "states": result.target.states(),
+        "pools": [[str(action) for action in pool] for pool in result.plan.pools],
+        "cost": result.cost,
+        "repair": result.repair,
+        "violations": [str(v) for v in result.plan.constraint_violations],
+    }
+
+
+class TestRetention:
+    """What the engine keeps between rounds is dropped by the key alone:
+    after each kind of change the long-lived engine plans the round a fresh
+    engine, handed the same previous assignment, plans."""
+
+    @staticmethod
+    def _engine():
+        return RepairOptimizer(
+            ParallelOptimizer(timeout=5.0, zone_executor="serial"), timeout=5.0
+        )
+
+    @pytest.fixture
+    def partitions(self, monkeypatch):
+        """How many times the partition body ran."""
+        from repro.scale import parallel
+
+        calls = []
+        real = parallel.partition
+
+        def spy(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(parallel, "partition", spy)
+        return calls
+
+    def _warm(self, elastic=False):
+        """A fenced fleet after a cold round and one warm round: the engine
+        holds a previous assignment, the domains and the decomposition."""
+        configuration, names = _fleet(node_count=6, vms_per_node=2, cpu=4)
+        fences = [
+            Fence(
+                [n for n in names if int(n[2]) < 3], ["n0", "n1", "n2"], elastic
+            ),
+            Fence(
+                [n for n in names if int(n[2]) >= 3], ["n3", "n4", "n5"], elastic
+            ),
+        ]
+        engine = self._engine()
+        states = _states(names)
+        current = engine.optimize(configuration, states, constraints=fences).target
+        current.set_waiting("vm4-0")
+        engine.mark_dirty(["vm4-0"])
+        warm = engine.optimize(current, states, constraints=fences)
+        assert warm.repair["mode"] == "repair"
+        return engine, warm.target, states, fences
+
+    def _assert_same_as_fresh(self, engine, current, states, fences, marks=()):
+        fresh = self._engine()
+        fresh._previous = dict(engine.previous_assignment)
+        engine.mark_dirty(marks)
+        fresh.mark_dirty(marks)
+        kept = engine.optimize(current.copy(), states, constraints=fences)
+        anew = fresh.optimize(current.copy(), states, constraints=fences)
+        assert _digest(kept) == _digest(anew)
+        return kept
+
+    def test_a_quiet_catalog_and_fleet_reuse_the_decomposition(self, partitions):
+        engine, current, states, fences = self._warm()
+        partitions.clear()
+        current.set_waiting("vm1-1")
+        result = self._assert_same_as_fresh(
+            engine, current, states, fences, marks=["vm1-1"]
+        )
+        assert result.repair["mode"] == "repair"
+        assert len(partitions) == 1  # the fresh engine's, not the kept one's
+
+    def test_a_crashed_node_recomputes(self, partitions):
+        engine, current, states, fences = self._warm()
+        victims = list(current.vms_on("n2"))
+        for vm in victims:
+            current.set_waiting(vm)
+        current.remove_node("n2")
+        partitions.clear()
+        result = self._assert_same_as_fresh(
+            engine, current, states, fences, marks=victims
+        )
+        assert len(partitions) == 2
+        assert all(result.target.location_of(vm) != "n2" for vm in victims)
+
+    def test_repaired_constraints_recompute(self, partitions):
+        engine, current, states, fences = self._warm(elastic=True)
+        victims = list(current.vms_on("n2"))
+        for vm in victims:
+            current.set_waiting(vm)
+        current.remove_node("n2")
+        repaired = [fence.on_node_failure("n2") for fence in fences]
+        assert repaired[0] is not fences[0] and repaired[1] is fences[1]
+        partitions.clear()
+        self._assert_same_as_fresh(engine, current, states, repaired, marks=victims)
+        assert len(partitions) == 2
+
+    def test_an_arriving_vm_recomputes(self, partitions):
+        engine, current, states, fences = self._warm()
+        current.add_vm(VirtualMachine(name="arrival", memory=512))
+        states = {**states, "arrival": VMState.RUNNING}
+        partitions.clear()
+        result = self._assert_same_as_fresh(
+            engine, current, states, fences, marks=["arrival"]
+        )
+        assert len(partitions) == 2
+        assert result.target.state_of("arrival") is VMState.RUNNING
+
+    def test_a_departing_vm_recomputes(self, partitions):
+        engine, current, states, fences = self._warm()
+        states = {**states, "vm5-1": VMState.TERMINATED}
+        current.set_waiting("vm0-1")
+        partitions.clear()
+        result = self._assert_same_as_fresh(
+            engine, current, states, fences, marks=["vm0-1"]
+        )
+        assert len(partitions) == 2
+        assert result.target.state_of("vm5-1") is VMState.TERMINATED
+
+    def test_a_demand_change_is_read_live(self, partitions):
+        # Nothing kept holds a demand or a free capacity: the overloaded
+        # host is solved from the live columns, under the kept zones.
+        engine, current, states, fences = self._warm()
+        host = current.location_of("vm1-0")
+        current.replace_vm(current.vm("vm1-0").with_cpu_demand(4))
+        current.replace_vm(current.vm("vm1-1").with_cpu_demand(1))
+        assert not current.is_viable()
+        partitions.clear()
+        result = self._assert_same_as_fresh(
+            engine, current, states, fences, marks=["vm1-0"]
+        )
+        assert len(partitions) == 1  # the fresh engine's only
+        assert result.target.is_viable()
+        assert result.target.location_of("vm1-1") != host
+
+    def test_forget_drops_everything(self, partitions):
+        engine, current, states, fences = self._warm()
+        generation = engine.domains.generation
+        engine.forget()
+        assert engine.previous_assignment is None
+        assert engine.domains.generation is not generation
+        partitions.clear()
+        result = engine.optimize(current, states, constraints=fences)
+        assert result.repair["reason"] == "cold start (no previous assignment)"
+        assert len(partitions) == 1
+        assert _digest(result) == _digest(
+            self._engine().optimize(current, states, constraints=fences)
+        )

@@ -1,77 +1,145 @@
 """What a warm ``repair-partitioned`` round costs, in counts, not clocks.
 
-A round that restarts two VMs of a 500-VM fenced fleet must pay for the two
-VMs, not for the fleet: the frozen VMs of a zone are folded into its
-capacities, so a solved zone's model holds its dirty VMs and the cost
-variable; the planner derives the reconfiguration graph once and keeps one
-working configuration; the fleet is copied for what has to outlive the
-round (the plan's source, the target) and for the independent checker's
-walk, and no more.  The counts are deterministic, so this runs with the
-tier-1 suite and keeps the warm path from growing back to fleet size.
+A round that restarts two VMs of a fenced fleet must pay for the two VMs,
+not for the fleet: the decomposition and the unary domains are kept from the
+round before, the dirty region is read from what moved, a dirty zone is cut
+around its dirty VMs with the frozen ones folded into the capacities, the
+target, the reconfiguration graph and the plan are built from the VMs that
+change, and the fleet is copied for what has to outlive the round (the
+plan's source, the target), for the planner's working state and for the
+independent checker's walk, and no more.  So the same two restarts cost the
+same number of per-VM reads on a fleet four times — or ten times — the
+size.  The counts are deterministic, so this runs with the tier-1 suite and
+keeps the warm path from growing back to fleet size.
 """
 
 import pytest
 
+import repro.constraints.domains
 import repro.core.graph
+import repro.scale.parallel
 from repro.core.context_switch import ClusterContextSwitch
 from repro.core.planner import ReconfigurationPlanner
+from repro.cp import Solver
 from repro.model.configuration import Configuration
 from repro.testing import fence_groups
 
-ZONES = 4
-#: One restarted VM in each of two zones (``vm-<i>`` is in zone ``i % 4``).
+#: One restarted VM in each of two zones (``vm-<i>`` is in zone ``i % zones``).
 RESTARTED = ("vm-0", "vm-1")
 
-_ZERO = {"copies": 0, "derivations": 0, "builds": 0}
+COUNTED = (
+    "copies",
+    "derivations",
+    "builds",
+    "partitions",
+    "vm reads",
+    "domains asked",
+    "edge names",
+    "vms extracted",
+    "variables",
+)
 
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Counts of the fleet-sized operations."""
-    counts = dict(_ZERO)
+    """Counts of what a round reads and builds."""
+    counts = dict.fromkeys(COUNTED, 0)
 
-    def count(owner, name, key):
+    def count(owner, name, key, amount=lambda *args, **kwargs: 1):
         original = getattr(owner, name)
 
         def spy(*args, **kwargs):
-            counts[key] += 1
+            counts[key] += amount(*args, **kwargs)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, spy)
 
     count(Configuration, "copy", "copies")
-    count(repro.core.graph, "_derive_edges", "derivations")
     count(ReconfigurationPlanner, "build", "builds")
+    count(repro.scale.parallel, "partition", "partitions")
+    for reader in ("location_of", "state_of", "vm"):
+        count(Configuration, reader, "vm reads")
+    count(Configuration, "add_vm", "vms extracted")
+    count(
+        repro.constraints.domains,
+        "vm_domains",
+        "domains asked",
+        lambda current, vms, constraints: len(vms),
+    )
+    count(
+        Solver,
+        "__init__",
+        "variables",
+        lambda self, model, *args, **kwargs: len(model.variables),
+    )
+    derive = repro.core.graph._derive_edges
+
+    def spy(current, target, names=None):
+        if names is None:
+            names = repro.core.graph.changed_vms(current, target)
+        counts["derivations"] += 1
+        counts["edge names"] += len(names)
+        return derive(current, target, names)
+
+    monkeypatch.setattr(repro.core.graph, "_derive_edges", spy)
     return counts
 
 
-def test_a_warm_round_costs_what_changed(large_fleet_factory, counted, models):
-    fleet = large_fleet_factory(500, groups=ZONES)
-    catalog = fence_groups(fleet, groups=ZONES)
+def _warm_round(fleet, zones, counted):
+    """A cold round, then the counted round that restarts ``RESTARTED``."""
+    catalog = fence_groups(fleet, groups=zones)
     states = fleet.states()
     with ClusterContextSwitch(
-        engine="repair-partitioned", zone_executor="serial", optimizer_timeout=30
+        engine="repair-partitioned", zone_executor="serial", optimizer_timeout=60
     ) as switch:
-        # The cold round that leaves the engine its previous assignment.
+        # The cold round that leaves the engine its previous assignment,
+        # the domains and the decomposition.
         current = switch.compute(fleet, states, constraints=catalog).target
         for name in RESTARTED:
             current.set_waiting(name)
         switch.mark_dirty(RESTARTED)
-        counted.update(_ZERO)
-        models.clear()
+        for key in counted:
+            counted[key] = 0
         report = switch.compute(current, states, constraints=catalog)
-
     assert report.repair["mode"] == "repair"
     assert report.repair["dirty_count"] == len(RESTARTED)
-    assert report.repair["reused_zones"] == ZONES - len(RESTARTED)
+    assert report.repair["reused_zones"] == zones - len(RESTARTED)
     assert report.plan.action_count() == len(RESTARTED)
     assert report.plan.constraint_violations == []
-    # Each solved zone: its one dirty VM and the cost (125 + 1 with the
-    # frozen VMs pinned inside the model).
-    assert [len(model.variables) for model in models] == [1 + 1] * len(RESTARTED)
-    # One plan, its graph derived once (once per pool, and once more, when
-    # the graph was rebuilt from the fleet after every pool).
-    assert counted["builds"] == counted["derivations"] == 1
+    return dict(counted)
+
+
+def _assert_costs_what_changed(counts):
+    # Each solved zone: its one dirty VM and the cost (its hundred-odd
+    # frozen VMs are in the capacities, not in the model, nor even in the
+    # zone's sub-configuration).
+    assert counts["variables"] == (1 + 1) * len(RESTARTED)
+    assert counts["vms extracted"] == len(RESTARTED)
+    # The decomposition is the kept one; nobody asks the catalog for the
+    # domain of a VM that is not being placed.
+    assert counts["partitions"] == 0
+    assert counts["domains asked"] == len(RESTARTED)
+    # One plan, its graph derived once, from the VMs that change.
+    assert counts["builds"] == counts["derivations"] == 1
+    assert counts["edge names"] == len(RESTARTED)
     # The plan's source and the planner's working state, the target, and
-    # the checker's two stages (8 with a copy per pool on top).
-    assert counted["copies"] <= 5
+    # the checker's one working copy.
+    assert counts["copies"] <= 4
+
+
+def test_a_warm_round_costs_what_changed(large_fleet_factory, counted):
+    small = _warm_round(large_fleet_factory(500, groups=4), 4, counted)
+    large = _warm_round(large_fleet_factory(2_000, groups=16), 16, counted)
+    _assert_costs_what_changed(small)
+    # Four times the fleet, in zones of the same size: not one more read of
+    # a VM's state, host or description, anywhere in the round.
+    assert large == small
+
+
+@pytest.mark.slow
+def test_a_warm_round_costs_what_changed_at_5000_vms(large_fleet_factory, counted):
+    # Zones five times as big: more nodes to cut, the same VMs to read.
+    small = _warm_round(large_fleet_factory(500, groups=4), 4, counted)
+    large = _warm_round(large_fleet_factory(5_000, groups=8), 8, counted)
+    _assert_costs_what_changed(large)
+    assert large == small

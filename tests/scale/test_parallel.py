@@ -291,11 +291,13 @@ class TestZoneMachinery:
 
         monkeypatch.setattr(parallel_module, "solve_zone", slow_zone)
         optimizer = ParallelOptimizer(zone_executor="serial")
-        optimizer._solve_zones(configuration, decomposition, 0.3)
+        optimizer._solve_zones(
+            configuration, decomposition, time_module.monotonic() + 0.3
+        )
         assert len(recorded) == 2
         # the first zone gets (about) the whole budget, the second only
         # what the first left over — not another full timeout
-        assert recorded[0] <= 0.3 + 1e-6
+        assert 0.25 < recorded[0] <= 0.3 + 1e-6
         assert recorded[1] < 0.15
 
     def test_zone_failure_fallback_gets_the_leftover_budget(self, monkeypatch):
@@ -335,22 +337,81 @@ class TestZoneMachinery:
         assert seen and seen[0] < 0.5
         assert optimizer.timeout == 0.5
 
-    def test_queued_waves_carve_the_timeout(self):
+    def test_queued_waves_carve_the_timeout(self, monkeypatch):
         configuration = _configuration()
-        decomposition = partition(
-            configuration, _states(configuration), _fenced_constraints()
+        pairs = [("node-0", "node-1"), ("node-2", "node-3"), ("node-4", "node-5")]
+        constraints = [
+            Fence([f"vm{2 * i}", f"vm{2 * i + 1}"], pair)
+            for i, pair in enumerate(pairs)
+        ]
+        recorded = _record_zone_timeouts(monkeypatch)
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _InProcessPool)
+        _host(monkeypatch, cores=2, pool_zone_vms=1)
+        with ParallelOptimizer(timeout=8.0) as optimizer:
+            result = optimizer.optimize(
+                configuration, _states(configuration), constraints=constraints
+            )
+        assert len(result.zone_reports) == 3
+        # three zones on two workers queue in two waves: each gets half of
+        # what is left of the call's wall-clock budget, keeping the round
+        # inside the budget
+        assert len(set(recorded)) == 1 and 3.9 < recorded[0] <= 4.0
+        recorded.clear()
+        _host(monkeypatch, cores=4, pool_zone_vms=1)
+        with ParallelOptimizer(timeout=8.0) as optimizer:
+            optimizer.optimize(
+                configuration, _states(configuration), constraints=constraints
+            )
+        # a worker per zone: they overlap, each gets the whole of it
+        assert len(set(recorded)) == 1 and 7.9 < recorded[0] <= 8.0
+
+    def test_the_budget_covers_the_partition(self, monkeypatch):
+        """The deadline is taken before the partition, and the serial zones
+        run against it — not against a second full budget started after the
+        partition and the extraction of every zone."""
+        import time as time_module
+
+        real = parallel_module.partition
+
+        def slow_partition(*args, **kwargs):
+            time_module.sleep(0.2)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(parallel_module, "partition", slow_partition)
+        recorded = _record_zone_timeouts(monkeypatch)
+        configuration = _configuration()
+        result = ParallelOptimizer(timeout=0.5, zone_executor="serial").optimize(
+            configuration, _states(configuration), constraints=_fenced_constraints()
         )
-        optimizer = ParallelOptimizer()
-        # two zones on one worker queue in two waves: each gets half the
-        # call's wall-clock budget, keeping the round inside the budget
-        tasks = optimizer._zone_tasks(
-            configuration, decomposition.zones, 8.0, waves=2
-        )
-        assert [task.timeout for task in tasks] == [4.0, 4.0]
-        overlapped = optimizer._zone_tasks(
-            configuration, decomposition.zones, 8.0
-        )
-        assert [task.timeout for task in overlapped] == [8.0, 8.0]
+        assert result.partition_method == "interference"
+        assert len(recorded) == 2
+        assert recorded[0] <= 0.3 + 1e-6
+
+
+class _InProcessPool:
+    """A worker pool that runs its tasks where it stands."""
+
+    def __init__(self, max_workers):
+        self.workers = max_workers
+
+    def map(self, function, tasks):
+        return [function(task) for task in tasks]
+
+    def shutdown(self):
+        pass
+
+
+def _record_zone_timeouts(monkeypatch):
+    """Every ``ZoneTask.timeout`` handed to ``solve_zone``, in order."""
+    recorded = []
+    real = parallel_module.solve_zone
+
+    def spy(task):
+        recorded.append(task.timeout)
+        return real(task)
+
+    monkeypatch.setattr(parallel_module, "solve_zone", spy)
+    return recorded
 
 
 def _sizes(pools):
