@@ -23,10 +23,10 @@ The package provides:
   canonical JSON document), cluster-trace ingestion, the
   optimizer-independent ``repro-verify`` plan verifier and baseline floors;
 * :mod:`repro.decision` — decision modules (FFD, RJSP, dynamic consolidation,
-  FCFS + EASY backfilling baseline), all registered in :mod:`repro.api`;
+  FCFS), all registered in :mod:`repro.api`, and the analytic
+  static-allocation (FCFS + EASY backfilling) baseline;
 * :mod:`repro.sim` — a discrete-event cluster simulator calibrated on the
   paper's measurements (Xen/Ganglia/NFS substitute);
-* :mod:`repro.entropy` — the analytic static-allocation (FCFS) baseline;
 * :mod:`repro.workloads` — NASGrid-like vjobs and configuration generators;
 * :mod:`repro.analysis` — metrics and report helpers for the experiments;
 * :mod:`repro.testing` — factories shared by the test-suite and examples.

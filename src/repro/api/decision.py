@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping, MutableMapping, Optional, Protocol, runtime_checkable
 
 from ..model.configuration import Configuration
-from ..model.node import Node
 from ..model.queue import VJobQueue
 from ..model.vjob import VJobState
 from ..model.vm import VMState
@@ -101,19 +100,9 @@ def needs_switch(configuration: Configuration, decision: Decision) -> bool:
 
 
 def empty_configuration(configuration: Configuration) -> Configuration:
-    """A copy of ``configuration`` with the same nodes and no VM placed —
-    the blank slate policies use for trial packings."""
-    return Configuration(
-        nodes=[
-            Node(
-                name=node.name,
-                cpu_capacity=node.cpu_capacity,
-                memory_capacity=node.memory_capacity,
-                role=node.role,
-            )
-            for node in configuration.nodes
-        ]
-    )
+    """A configuration over the same (frozen, hence shared) nodes with no VM
+    — the blank slate policies use for trial packings."""
+    return Configuration(nodes=configuration.nodes)
 
 
 def stop_terminated_vms(

@@ -36,8 +36,8 @@ from .decision import DecisionModule
 _BUILTIN_PATHS: dict[str, str] = {
     "consolidation": "repro.decision.consolidation:ConsolidationDecisionModule",
     "fcfs": "repro.decision.fcfs:FCFSDecisionModule",
-    "ffd": "repro.decision.ffd:FFDDecisionModule",
-    "rjsp": "repro.decision.rjsp:RJSPDecisionModule",
+    "ffd": "repro.decision.consolidation:FFDDecisionModule",
+    "rjsp": "repro.decision.consolidation:RJSPDecisionModule",
 }
 
 _FACTORIES: dict[str, Callable[..., DecisionModule]] = {}

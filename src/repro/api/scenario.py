@@ -222,20 +222,20 @@ class Scenario:
         static-vs-loop distinction rather than mismatched backfilling
         defaults; otherwise the paper's EASY default applies.
         """
-        from ..entropy.static import StaticAllocationSimulator
+        # Imported here: repro.decision imports this package.
+        from ..decision import FCFSDecisionModule, StaticAllocationSimulator
 
         if backfilling is None:
+            backfilling = "easy"
             if policy_label(self.policy) == "fcfs":
-                if isinstance(self.policy, str):
-                    from ..decision.fcfs import FCFSDecisionModule
-
-                    backfilling = self.policy_options.get(
-                        "backfilling", FCFSDecisionModule().backfilling
-                    )
-                else:
-                    backfilling = getattr(self.policy, "backfilling", "easy")
-            else:
-                backfilling = "easy"
+                policy = (
+                    FCFSDecisionModule
+                    if isinstance(self.policy, str)
+                    else self.policy
+                )
+                backfilling = self.policy_options.get(
+                    "backfilling", policy.backfilling
+                )
         return StaticAllocationSimulator(
             self.nodes, self.workloads, backfilling=backfilling
         ).run()

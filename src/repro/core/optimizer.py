@@ -80,6 +80,50 @@ def fallback_budget(budget: float, deadline: float) -> float:
     )
 
 
+def complete_states(
+    current: Configuration, target_states: Mapping[str, VMState]
+) -> tuple[dict[str, VMState], list[str]]:
+    """The state wanted of every VM of ``current`` (``keepVMState``: a VM
+    ``target_states`` does not name keeps the observed one; a name
+    ``current`` does not know is ignored), in registration order, and the
+    VMs whose wanted state is not the observed one."""
+    states = current.states()
+    changed = [
+        name
+        for name, wanted in target_states.items()
+        if states.get(name, wanted) is not wanted
+    ]
+    for name in changed:
+        states[name] = target_states[name]
+    return states, changed
+
+
+def apply_state(
+    target: Configuration,
+    current: Configuration,
+    name: str,
+    state: VMState,
+    assignment: Mapping[str, str],
+) -> None:
+    """Put VM ``name`` of ``target`` in its wanted ``state``: running on its
+    ``assignment``; sleeping with its image where ``current`` runs it or
+    already holds it."""
+    if state is VMState.RUNNING:
+        target.set_running(name, assignment[name])
+    elif state is VMState.SLEEPING:
+        if current.state_of(name) is VMState.RUNNING:
+            target.set_sleeping(name, current.location_of(name))
+        elif current.state_of(name) is VMState.SLEEPING:
+            target.set_sleeping(name, current.image_location_of(name))
+        else:
+            # A waiting VM cannot be suspended: it stays waiting.
+            target.set_waiting(name)
+    elif state is VMState.TERMINATED:
+        target.set_terminated(name)
+    else:
+        target.set_waiting(name)
+
+
 @dataclass
 class OptimizationResult:
     """Outcome of :meth:`ContextSwitchOptimizer.optimize`."""
@@ -314,24 +358,18 @@ class ContextSwitchOptimizer:
     def _complete_states(
         current: Configuration, target_states: Mapping[str, VMState]
     ) -> tuple[dict[str, VMState], list[str]]:
-        """The state wanted of every VM of ``current`` (``keepVMState``: a
-        VM ``target_states`` does not name keeps the observed one; a name
-        ``current`` does not know is ignored), in registration order, and
-        the VMs whose wanted state is not the observed one."""
-        states = current.states()
-        changed = [
-            name
-            for name, wanted in target_states.items()
-            if states.get(name, wanted) is not wanted
-        ]
+        """:func:`complete_states`, refusing the one change no plan makes: a
+        running VM cannot return to the Waiting state."""
+        states, changed = complete_states(current, target_states)
         for name in changed:
-            wanted = target_states[name]
-            if wanted is VMState.WAITING and states[name] is VMState.RUNNING:
+            if (
+                states[name] is VMState.WAITING
+                and current.state_of(name) is VMState.RUNNING
+            ):
                 raise PlanningError(
                     f"VM {name!r} is running and cannot return to the Waiting "
                     "state; suspend or terminate it instead"
                 )
-            states[name] = wanted
         return states, changed
 
     @staticmethod
@@ -700,19 +738,5 @@ class ContextSwitchOptimizer:
         their host — put in its wanted state, on its assigned node."""
         target = current.copy()
         for name in moved:
-            state = states[name]
-            if state is VMState.RUNNING:
-                target.set_running(name, assignment[name])
-            elif state is VMState.SLEEPING:
-                if current.state_of(name) is VMState.RUNNING:
-                    target.set_sleeping(name, current.location_of(name))
-                elif current.state_of(name) is VMState.SLEEPING:
-                    target.set_sleeping(name, current.image_location_of(name))
-                else:
-                    # A waiting VM cannot be suspended: it stays waiting.
-                    target.set_waiting(name)
-            elif state is VMState.TERMINATED:
-                target.set_terminated(name)
-            else:
-                target.set_waiting(name)
+            apply_state(target, current, name, states[name], assignment)
         return target

@@ -6,22 +6,22 @@ published in the registry (:mod:`repro.api.registry`) under its ``name``:
 """
 
 from ..api.decision import Decision
-from .consolidation import ConsolidationDecisionModule
-from .fcfs import (
+from .consolidation import (
+    ConsolidationDecisionModule,
+    FFDDecisionModule,
+    RJSPDecisionModule,
+)
+from .fcfs import FCFSDecisionModule
+from .ffd import ffd_commit, ffd_order, ffd_place, ffd_target_configuration
+from .rjsp import RJSPResult, select_running_vjobs
+from .static import (
     BatchJob,
-    FCFSDecisionModule,
     FCFSScheduler,
     JobAllocation,
     Schedule,
+    StaticAllocationSimulator,
+    StaticRunResult,
 )
-from .ffd import (
-    FFDDecisionModule,
-    ffd_commit,
-    ffd_order,
-    ffd_place,
-    ffd_target_configuration,
-)
-from .rjsp import RJSPDecisionModule, RJSPResult, select_running_vjobs
 
 __all__ = [
     "ConsolidationDecisionModule",
@@ -31,6 +31,8 @@ __all__ = [
     "FCFSScheduler",
     "JobAllocation",
     "Schedule",
+    "StaticAllocationSimulator",
+    "StaticRunResult",
     "FFDDecisionModule",
     "ffd_commit",
     "ffd_order",

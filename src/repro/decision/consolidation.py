@@ -16,6 +16,11 @@ re-placed on the surviving nodes, and a migration undone by a failure is
 re-derived on the next round (see :mod:`repro.sim.faults`).
 
 Registered as ``"consolidation"`` in :mod:`repro.api.registry`.
+
+This module holds the one policy body: ``"consolidation"``, ``"rjsp"`` and
+``"ffd"`` are the same ``decide`` and differ only in what the from-scratch
+FFD target is used as (``ffd_target_as``).  :class:`ConstraintAwarePolicy`
+is the constraint plumbing they share with :mod:`.fcfs`.
 """
 
 from __future__ import annotations
@@ -23,17 +28,43 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from ..api.decision import Decision, stop_terminated_vms
-from ..constraints import PlacementConstraint
+from ..constraints import CandidateFilter, PlacementConstraint
 from ..model.configuration import Configuration
 from ..model.queue import VJobQueue
 from ..model.vjob import index_vms_by_vjob
 from .ffd import ffd_target_configuration
 from .rjsp import select_running_vjobs
 
-__all__ = ["ConsolidationDecisionModule", "Decision"]
+class ConstraintAwarePolicy:
+    """What every built-in policy does with placement constraints: take
+    them at construction (``constraints``) or from the control loop
+    (:meth:`use_constraints`), and build one candidate filter per decision
+    for every greedy packing of the round."""
+
+    def __init__(
+        self, constraints: Sequence[PlacementConstraint] = ()
+    ) -> None:
+        self.constraints: tuple[PlacementConstraint, ...] = tuple(constraints)
+
+    def use_constraints(
+        self, constraints: Sequence[PlacementConstraint]
+    ) -> None:
+        """Control-loop hook: adopt (or replace, after a repair) the
+        placement constraints the trial packings filter their candidate
+        nodes with."""
+        self.constraints = tuple(constraints)
+
+    def node_filter(
+        self, configuration: Configuration
+    ) -> Optional[CandidateFilter]:
+        """This decision's filter over the observed ``configuration``
+        (``None`` without constraints: every node is probed)."""
+        if not self.constraints:
+            return None
+        return CandidateFilter(self.constraints, reference=configuration)
 
 
-class ConsolidationDecisionModule:
+class ConsolidationDecisionModule(ConstraintAwarePolicy):
     """FCFS-driven dynamic consolidation (the paper's sample policy).
 
     The CP optimizer enforces placement constraints itself; this module
@@ -44,18 +75,9 @@ class ConsolidationDecisionModule:
     """
 
     name = "consolidation"
-
-    def __init__(
-        self, constraints: Sequence[PlacementConstraint] = ()
-    ) -> None:
-        self.constraints: tuple[PlacementConstraint, ...] = tuple(constraints)
-
-    def use_constraints(
-        self, constraints: Sequence[PlacementConstraint]
-    ) -> None:
-        """Control-loop hook: the FFD fallback target filters its candidate
-        nodes with these placement constraints."""
-        self.constraints = tuple(constraints)
+    #: The :class:`Decision` field the from-scratch FFD target fills —
+    #: ``None``: it is not built.
+    ffd_target_as: Optional[str] = "fallback_target"
 
     def decide(
         self,
@@ -64,25 +86,61 @@ class ConsolidationDecisionModule:
         demands: Optional[dict[str, int]] = None,
     ) -> Decision:
         """Compute the target state of every VM for the next iteration."""
+        node_filter = self.node_filter(configuration)
         rjsp = select_running_vjobs(
-            configuration, queue, demands, constraints=self.constraints
+            configuration, queue, demands, node_filter=node_filter
         )
         vm_states = dict(rjsp.vm_states)
 
         # Terminated vjobs: make sure their VMs are stopped.
         stop_terminated_vms(configuration, queue, vm_states)
 
-        fallback = ffd_target_configuration(
-            configuration, vm_states, constraints=self.constraints
-        )
-        return Decision(
+        decision = Decision(
             vm_states=vm_states,
             vjob_states=dict(rjsp.vjob_states),
-            fallback_target=fallback,
             metadata={"rjsp": rjsp},
         )
+        if self.ffd_target_as is not None:
+            target = ffd_target_configuration(
+                configuration, vm_states, node_filter=node_filter
+            )
+            setattr(decision, self.ffd_target_as, target)
+        return decision
 
     @staticmethod
     def vjob_index(queue: VJobQueue) -> dict[str, str]:
         """VM -> vjob mapping for the consistency pass of the planner."""
         return index_vms_by_vjob(queue.ordered())
+
+
+class RJSPDecisionModule(ConsolidationDecisionModule):
+    """Pure Running Job Selection as a pluggable policy.
+
+    The maximum prefix-respecting set of vjobs runs, the rest sleeps or
+    waits, and the CP optimizer alone chooses the placement (no FFD
+    fallback, so an exhausted time budget raises instead of degrading to an
+    expensive plan).  Useful to isolate the contribution of the fallback in
+    ablations.  Registered as ``"rjsp"``.
+    """
+
+    name = "rjsp"
+    ffd_target_as = None
+
+
+class FFDDecisionModule(ConsolidationDecisionModule):
+    """The First-Fit-Decreasing replacement planner as a pluggable policy.
+
+    The Section 5.1 baseline: vjobs are selected exactly like the sample
+    consolidation policy (the RJSP), but the target configuration is the
+    first viable placement FFD finds when packing from scratch — without
+    trying to keep VMs where they are — so the resulting reconfiguration
+    plans are on average ~95 % more expensive than the CP optimizer's.  The
+    explicit :attr:`~repro.api.decision.Decision.target` short-circuits the
+    optimizer in the control loop.  Registered as ``"ffd"``.
+
+    When no constrained packing exists the module returns no target and the
+    loop's optimizer — or the next round — takes over.
+    """
+
+    name = "ffd"
+    ffd_target_as = "target"

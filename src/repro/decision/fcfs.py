@@ -1,279 +1,28 @@
-"""FCFS batch scheduling with EASY backfilling (Section 2.1, Figures 1 & 12).
+"""FCFS + static allocation as a control-loop policy (Section 2.1).
 
-The paper contrasts its dynamic consolidation policy with the usual way
-clusters are exploited: a Resource Management System assigning a *static* set
-of resources to each job for a bounded amount of time, scheduling the queue
-First-Come-First-Served with the EASY backfilling optimisation.  This module
-implements that baseline at the job granularity: a job books a fixed number of
-processing units (and optionally memory) for its whole duration, jobs start in
-queue order, and EASY backfilling lets a later job jump ahead when it does not
-delay the reservation of the first blocked job (based on the user estimates).
-
-The resulting allocations feed the Figure 12 allocation diagram, the Figure 13
-utilization curves and the 250-minute FCFS makespan the paper reports.
+The analytic, job-level form of the same baseline is :mod:`.static`.
+Admission packs through the one packer (:func:`~repro.decision.ffd.ffd_commit`)
+and a vjob that does not fit follows the one rule
+(:func:`~repro.decision.rjsp.reject_vjob`).
 """
 
 from __future__ import annotations
 
-import heapq
-from dataclasses import dataclass, field
-from typing import Iterable, Literal, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..api.decision import Decision, empty_configuration, stop_terminated_vms
-from ..constraints import CandidateFilter, PlacementConstraint
+from ..constraints import PlacementConstraint
 from ..model.configuration import Configuration
 from ..model.queue import VJobQueue
-from ..model.vjob import VJobState
-from ..model.vm import VMState
+from ..model.vjob import VJob, VJobState
+from ..model.vm import VirtualMachine, VMState
+from .consolidation import ConstraintAwarePolicy
+from .ffd import ffd_commit
+from .rjsp import reject_vjob
+from .static import BackfillPolicy
 
 
-@dataclass(frozen=True)
-class BatchJob:
-    """A job as seen by the batch scheduler: a static resource request."""
-
-    name: str
-    cpus: int
-    duration: float
-    memory: int = 0
-    submit_time: float = 0.0
-    estimated_duration: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.cpus <= 0:
-            raise ValueError(f"job {self.name!r}: cpus must be positive")
-        if self.duration <= 0:
-            raise ValueError(f"job {self.name!r}: duration must be positive")
-
-    @property
-    def walltime(self) -> float:
-        """User estimate used by backfilling (defaults to the real duration)."""
-        return self.estimated_duration if self.estimated_duration is not None else self.duration
-
-
-@dataclass(frozen=True)
-class JobAllocation:
-    """Where and when a job executed."""
-
-    job: BatchJob
-    start: float
-
-    @property
-    def end(self) -> float:
-        return self.start + self.job.duration
-
-    @property
-    def wait_time(self) -> float:
-        return self.start - self.job.submit_time
-
-
-@dataclass
-class Schedule:
-    """The outcome of a batch scheduling run."""
-
-    allocations: list[JobAllocation] = field(default_factory=list)
-    total_cpus: int = 0
-    total_memory: int = 0
-
-    @property
-    def makespan(self) -> float:
-        if not self.allocations:
-            return 0.0
-        return max(a.end for a in self.allocations)
-
-    def allocation_of(self, name: str) -> JobAllocation:
-        for allocation in self.allocations:
-            if allocation.job.name == name:
-                return allocation
-        raise KeyError(name)
-
-    def cpu_usage_at(self, time: float) -> int:
-        return sum(
-            a.job.cpus for a in self.allocations if a.start <= time < a.end
-        )
-
-    def memory_usage_at(self, time: float) -> int:
-        return sum(
-            a.job.memory for a in self.allocations if a.start <= time < a.end
-        )
-
-    def utilization_series(self, step: float = 60.0) -> list[tuple[float, float, float]]:
-        """(time, cpu fraction, memory MB) samples over the whole schedule."""
-        series = []
-        time = 0.0
-        horizon = self.makespan
-        while time <= horizon:
-            cpu = self.cpu_usage_at(time) / self.total_cpus if self.total_cpus else 0.0
-            series.append((time, cpu, float(self.memory_usage_at(time))))
-            time += step
-        return series
-
-
-BackfillPolicy = Literal["none", "easy"]
-
-
-class FCFSScheduler:
-    """First-Come-First-Served scheduler with optional EASY backfilling."""
-
-    def __init__(
-        self,
-        total_cpus: int,
-        total_memory: int = 0,
-        backfilling: BackfillPolicy = "easy",
-    ) -> None:
-        if total_cpus <= 0:
-            raise ValueError("total_cpus must be positive")
-        if backfilling not in ("none", "easy"):
-            raise ValueError(f"unknown backfilling policy {backfilling!r}")
-        self.total_cpus = total_cpus
-        self.total_memory = total_memory
-        self.backfilling = backfilling
-
-    # ------------------------------------------------------------------ #
-
-    def schedule(self, jobs: Iterable[BatchJob]) -> Schedule:
-        """Run the scheduling simulation and return every job's allocation."""
-        # Stable sort: jobs submitted at the same instant keep their original
-        # (queue) order, which is what FCFS means.
-        pending = sorted(jobs, key=lambda j: j.submit_time)
-        schedule = Schedule(
-            total_cpus=self.total_cpus, total_memory=self.total_memory
-        )
-        if not pending:
-            return schedule
-
-        free_cpus = self.total_cpus
-        free_memory = self.total_memory
-        #: min-heap of (end time, sequence, allocation) for running jobs
-        running: list[tuple[float, int, JobAllocation]] = []
-        queue: list[BatchJob] = []
-        sequence = 0
-
-        def fits(job: BatchJob) -> bool:
-            if job.cpus > free_cpus:
-                return False
-            if self.total_memory and job.memory > free_memory:
-                return False
-            return True
-
-        def start(job: BatchJob, time: float) -> None:
-            nonlocal free_cpus, free_memory, sequence
-            allocation = JobAllocation(job=job, start=time)
-            schedule.allocations.append(allocation)
-            free_cpus -= job.cpus
-            if self.total_memory:
-                free_memory -= job.memory
-            heapq.heappush(running, (allocation.end, sequence, allocation))
-            sequence += 1
-
-        def finish_until(time: float) -> None:
-            nonlocal free_cpus, free_memory
-            while running and running[0][0] <= time:
-                _, _, allocation = heapq.heappop(running)
-                free_cpus += allocation.job.cpus
-                if self.total_memory:
-                    free_memory += allocation.job.memory
-
-        def dispatch(time: float) -> None:
-            """Start queue-head jobs, then backfill if allowed."""
-            while queue and fits(queue[0]):
-                start(queue.pop(0), time)
-            if not queue or self.backfilling == "none":
-                return
-            head = queue[0]
-            shadow_time, spare_cpus, spare_memory = self._reservation(
-                head, time, free_cpus, free_memory, running
-            )
-            index = 1
-            while index < len(queue):
-                job = queue[index]
-                if fits(job) and self._can_backfill(
-                    job, time, shadow_time, spare_cpus, spare_memory
-                ):
-                    queue.pop(index)
-                    start(job, time)
-                    # The head reservation may improve now; recompute it.
-                    shadow_time, spare_cpus, spare_memory = self._reservation(
-                        head, time, free_cpus, free_memory, running
-                    )
-                else:
-                    index += 1
-
-        arrival_index = 0
-        time = pending[0].submit_time
-        while arrival_index < len(pending) or queue or running:
-            # Determine the next event time: a job arrival or a completion.
-            next_arrival = (
-                pending[arrival_index].submit_time
-                if arrival_index < len(pending)
-                else None
-            )
-            next_completion = running[0][0] if running else None
-            candidates = [t for t in (next_arrival, next_completion) if t is not None]
-            if not candidates:
-                break
-            time = min(candidates)
-
-            finish_until(time)
-            while (
-                arrival_index < len(pending)
-                and pending[arrival_index].submit_time <= time
-            ):
-                queue.append(pending[arrival_index])
-                arrival_index += 1
-            dispatch(time)
-
-        schedule.allocations.sort(key=lambda a: (a.start, a.job.name))
-        return schedule
-
-    # ------------------------------------------------------------------ #
-    # EASY backfilling internals                                          #
-    # ------------------------------------------------------------------ #
-
-    def _reservation(
-        self,
-        head: BatchJob,
-        now: float,
-        free_cpus: int,
-        free_memory: int,
-        running: Sequence[tuple[float, int, JobAllocation]],
-    ) -> tuple[float, int, int]:
-        """Earliest time the queue head can start (its *shadow time*) and the
-        resources that will remain spare at that time."""
-        cpus = free_cpus
-        memory = free_memory
-        if cpus >= head.cpus and (not self.total_memory or memory >= head.memory):
-            return now, cpus - head.cpus, memory - head.memory
-        for end, _, allocation in sorted(running):
-            cpus += allocation.job.cpus
-            memory += allocation.job.memory
-            if cpus >= head.cpus and (
-                not self.total_memory or memory >= head.memory
-            ):
-                return end, cpus - head.cpus, memory - head.memory
-        # Should not happen if the job fits the machine at all.
-        return float("inf"), 0, 0
-
-    def _can_backfill(
-        self,
-        job: BatchJob,
-        now: float,
-        shadow_time: float,
-        spare_cpus: int,
-        spare_memory: int,
-    ) -> bool:
-        """EASY rule: a job may start now if it terminates (per its estimate)
-        before the head's reservation, or if it only uses resources that will
-        still be spare when the head starts."""
-        if now + job.walltime <= shadow_time:
-            return True
-        if job.cpus <= spare_cpus and (
-            not self.total_memory or job.memory <= spare_memory
-        ):
-            return True
-        return False
-
-
-class FCFSDecisionModule:
+class FCFSDecisionModule(ConstraintAwarePolicy):
     """FCFS + static allocation as a pluggable control-loop policy.
 
     The Section 2.1 baseline expressed in the unified decision-module
@@ -295,26 +44,23 @@ class FCFSDecisionModule:
     """
 
     name = "fcfs"
+    #: The default, read off the class by :meth:`repro.api.Scenario.run_static`.
+    backfilling: BackfillPolicy = "none"
 
     def __init__(
         self,
-        backfilling: BackfillPolicy = "none",
+        backfilling: BackfillPolicy = backfilling,
         constraints: Sequence[PlacementConstraint] = (),
     ) -> None:
         if backfilling not in ("none", "easy"):
             raise ValueError(f"unknown backfilling policy {backfilling!r}")
+        super().__init__(constraints)
         self.backfilling = backfilling
-        self.constraints: tuple[PlacementConstraint, ...] = tuple(constraints)
-
-    def use_constraints(
-        self, constraints: Sequence[PlacementConstraint]
-    ) -> None:
-        """Control-loop hook: admission trials filter their candidate nodes
-        with these placement constraints."""
-        self.constraints = tuple(constraints)
 
     @staticmethod
-    def _booked_vm(configuration: Configuration, vm):
+    def _booked_vm(
+        configuration: Configuration, vm: VirtualMachine
+    ) -> VirtualMachine:
         """A VM at its booked demand: one full processing unit, whatever the
         embedded task currently does."""
         observed = configuration.vm(vm.name) if configuration.has_vm(vm.name) else vm
@@ -333,14 +79,8 @@ class FCFSDecisionModule:
         feasible placement exists — aggregate free capacity alone is not
         enough for the planner to succeed.
         """
-        from .ffd import ffd_commit
-
         trial = empty_configuration(configuration)
-        node_filter = (
-            CandidateFilter(self.constraints, reference=configuration)
-            if self.constraints
-            else None
-        )
+        node_filter = self.node_filter(configuration)
 
         vm_states: dict[str, VMState] = {}
         vjob_states: dict[str, VJobState] = {}
@@ -351,7 +91,7 @@ class FCFSDecisionModule:
         # booked.  Their placed VMs are mirrored at their *actual* location
         # (exact, order-independent); the stragglers of a partially-running
         # vjob only join when their booking still fits.
-        pending: list = []
+        pending: list[VJob] = []
         for vjob in queue.pending():
             if vjob.state is VJobState.RUNNING:
                 placeless = []
@@ -364,14 +104,12 @@ class FCFSDecisionModule:
                         vm_states[vm.name] = VMState.RUNNING
                     else:
                         placeless.append(booked)
-                if placeless and ffd_commit(
-                    trial, placeless, node_filter=node_filter
-                ) is not None:
+                if placeless:
+                    joined = ffd_commit(trial, placeless, node_filter) is not None
                     for vm in placeless:
-                        vm_states[vm.name] = VMState.RUNNING
-                else:
-                    for vm in placeless:
-                        vm_states[vm.name] = VMState.WAITING
+                        vm_states[vm.name] = (
+                            VMState.RUNNING if joined else VMState.WAITING
+                        )
                 vjob_states[vjob.name] = VJobState.RUNNING
             else:
                 pending.append(vjob)
@@ -389,24 +127,13 @@ class FCFSDecisionModule:
             vms = [self._booked_vm(configuration, vm) for vm in vjob.vms]
             if (
                 not blocked or self.backfilling == "easy"
-            ) and ffd_commit(trial, vms, node_filter=node_filter) is not None:
+            ) and ffd_commit(trial, vms, node_filter) is not None:
                 vjob_states[vjob.name] = VJobState.RUNNING
                 for vm in vjob.vms:
                     vm_states[vm.name] = VMState.RUNNING
             else:
                 blocked = True
-                rejected_state = (
-                    VJobState.SLEEPING
-                    if vjob.state is VJobState.SLEEPING
-                    else VJobState.WAITING
-                )
-                vjob_states[vjob.name] = rejected_state
-                for vm in vjob.vms:
-                    vm_states[vm.name] = (
-                        VMState.SLEEPING
-                        if rejected_state is VJobState.SLEEPING
-                        else VMState.WAITING
-                    )
+                reject_vjob(vjob, vjob_states, vm_states)
 
         stop_terminated_vms(configuration, queue, vm_states)
         return Decision(

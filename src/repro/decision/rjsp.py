@@ -14,14 +14,19 @@ so cluster churn needs no special casing here: nodes evicted by a crash are
 simply absent from the trial packing, late-booting nodes enlarge it, and on
 a fleet with no capacity left every vjob is rejected (the loop then waits
 for capacity instead of planning an impossible switch).
+
+The selection packs through the one packer
+(:func:`~repro.decision.ffd.ffd_commit`); :func:`reject_vjob` is the one
+statement of what a vjob that does not fit becomes (:mod:`.fcfs` applies it
+too).  The policies built on the selection live in :mod:`.consolidation`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import MutableMapping, Optional, Sequence
 
-from ..api.decision import Decision, empty_configuration, stop_terminated_vms
+from ..api.decision import empty_configuration
 from ..constraints import CandidateFilter, PlacementConstraint
 from ..model.configuration import Configuration
 from ..model.queue import VJobQueue
@@ -52,11 +57,30 @@ class RJSPResult:
         return len(self.accepted)
 
 
+def reject_vjob(
+    vjob: VJob,
+    vjob_states: MutableMapping[str, VJobState],
+    vm_states: MutableMapping[str, VMState],
+) -> None:
+    """Record what a vjob that does not fit becomes: Sleeping when it holds
+    a machine state (running or already sleeping), still Waiting otherwise;
+    its VMs follow."""
+    if vjob.state in (VJobState.RUNNING, VJobState.SLEEPING):
+        vjob_states[vjob.name] = VJobState.SLEEPING
+        vm_state = VMState.SLEEPING
+    else:
+        vjob_states[vjob.name] = VJobState.WAITING
+        vm_state = VMState.WAITING
+    for vm in vjob.vms:
+        vm_states[vm.name] = vm_state
+
+
 def select_running_vjobs(
     configuration: Configuration,
     queue: VJobQueue,
     demands: Optional[dict[str, int]] = None,
     constraints: Sequence[PlacementConstraint] = (),
+    node_filter: Optional[CandidateFilter] = None,
 ) -> RJSPResult:
     """Solve the RJSP with the FFD heuristic.
 
@@ -77,14 +101,14 @@ def select_running_vjobs(
         dead end; the greedy filter keeps the selection conservative (a
         constraint-heavy instance may reject a vjob the CP search could in
         fact place — it is then simply retried next round).
+    node_filter:
+        The round's filter over ``configuration``, when the caller already
+        built it from ``constraints``.
     """
+    if node_filter is None and constraints:
+        node_filter = CandidateFilter(constraints, reference=configuration)
     result = RJSPResult()
     trial = empty_configuration(configuration)
-    node_filter = (
-        CandidateFilter(constraints, reference=configuration)
-        if constraints
-        else None
-    )
 
     for vjob in queue.pending():
         vms = []
@@ -96,7 +120,7 @@ def select_running_vjobs(
                 observed = observed.with_cpu_demand(demands[vm.name])
             vms.append(observed)
 
-        placement = ffd_commit(trial, vms, node_filter=node_filter)
+        placement = ffd_commit(trial, vms, node_filter)
         if placement is not None:
             result.accepted.append(vjob.name)
             result.vjob_states[vjob.name] = VJobState.RUNNING
@@ -105,63 +129,5 @@ def select_running_vjobs(
                 result.trial_placement[vm.name] = placement[vm.name]
         else:
             result.rejected.append(vjob.name)
-            rejected_state = _rejection_state(vjob)
-            result.vjob_states[vjob.name] = rejected_state
-            for vm in vjob.vms:
-                result.vm_states[vm.name] = (
-                    VMState.SLEEPING
-                    if rejected_state is VJobState.SLEEPING
-                    else VMState.WAITING
-                )
+            reject_vjob(vjob, result.vjob_states, result.vm_states)
     return result
-
-
-def _rejection_state(vjob: VJob) -> VJobState:
-    """A rejected vjob becomes Sleeping when it currently holds a machine
-    state (running or already sleeping), and stays Waiting otherwise."""
-    if vjob.state in (VJobState.RUNNING, VJobState.SLEEPING):
-        return VJobState.SLEEPING
-    return VJobState.WAITING
-
-
-class RJSPDecisionModule:
-    """Pure Running Job Selection as a pluggable policy.
-
-    A thin adapter over :func:`select_running_vjobs`: the maximum
-    prefix-respecting set of vjobs runs, the rest sleeps or waits, and the CP
-    optimizer alone chooses the placement (no FFD fallback, so an exhausted
-    time budget raises instead of degrading to an expensive plan).  Useful to
-    isolate the contribution of the fallback in ablations.  Registered as
-    ``"rjsp"``.
-    """
-
-    name = "rjsp"
-
-    def __init__(
-        self, constraints: Sequence[PlacementConstraint] = ()
-    ) -> None:
-        self.constraints: tuple[PlacementConstraint, ...] = tuple(constraints)
-
-    def use_constraints(
-        self, constraints: Sequence[PlacementConstraint]
-    ) -> None:
-        """Control-loop hook: the selection's trial packing filters its
-        candidate nodes with these placement constraints."""
-        self.constraints = tuple(constraints)
-
-    def decide(
-        self,
-        configuration: Configuration,
-        queue: VJobQueue,
-        demands: Optional[dict[str, int]] = None,
-    ) -> Decision:
-        rjsp = select_running_vjobs(
-            configuration, queue, demands, constraints=self.constraints
-        )
-        vm_states = dict(rjsp.vm_states)
-        stop_terminated_vms(configuration, queue, vm_states)
-        return Decision(
-            vm_states=vm_states,
-            vjob_states=dict(rjsp.vjob_states),
-            metadata={"rjsp": rjsp},
-        )

@@ -135,6 +135,24 @@ class Configuration:
         self._vms[vm.name] = vm
         self._states[vm.name] = state
 
+    def remove_vm(self, name: str) -> VirtualMachine:
+        """Unregister the VM registered last — :meth:`add_vm` undone, its
+        host and image released: a trial packing takes back the VMs of a
+        vjob that does not fit.  Only the last one may go, so the
+        registration ranks stay dense."""
+        if name not in self._vms:
+            raise UnknownVMError(name)
+        if self._vm_index[name] != len(self._vms) - 1:
+            raise ModelError(
+                f"VM {name!r} is not the last registered: only the latest "
+                "registration can be taken back"
+            )
+        self._unplace(name)
+        self._drop_image(name)
+        del self._states[name]
+        del self._vm_index[name]
+        return self._vms.pop(name)
+
     def replace_vm(self, vm: VirtualMachine) -> None:
         """Update the description of a VM (e.g. a new CPU demand) without
         touching its placement or state."""
@@ -395,6 +413,17 @@ class Configuration:
         self._states[vm_name] = VMState.TERMINATED
         self._unplace(vm_name)
         self._drop_image(vm_name)
+
+    def enter_in_order(self, vm_names: Iterable[str]) -> None:
+        """Make the running VMs ``vm_names`` the latest to have entered the
+        placement map, in that order: :meth:`placement` and :meth:`vms_on`
+        then list them as if they had been placed one after the other (a
+        packer probes by decreasing demand but commits in the order it was
+        handed)."""
+        for name in vm_names:
+            self._placement[name] = self._placement.pop(name)
+            self._placement_rank[name] = self._rank_counter
+            self._rank_counter += 1
 
     def migrate(self, vm_name: str, destination: str) -> None:
         """Move a running VM to ``destination`` (state unchanged)."""

@@ -193,7 +193,6 @@ def partition(
     target_states: Mapping[str, VMState],
     constraints: Sequence[PlacementConstraint] = (),
     shards: Optional[int] = None,
-    tight_fraction: float = TIGHT_DOMAIN_FRACTION,
     domains: Optional[Mapping[str, Optional[AbstractSet[str]]]] = None,
 ) -> PartitionResult:
     """Split a context-switch instance into independent placement zones.
@@ -214,7 +213,7 @@ def partition(
 
     if domains is None:
         domains = vm_domains(current, placed, constraints)
-    tight_cap = max(1, int(len(node_names) * tight_fraction))
+    tight_cap = max(1, int(len(node_names) * TIGHT_DOMAIN_FRACTION))
     uf = _UnionFind(node_names)
     touched: Set[str] = set()
     # Registration position of every node, so domains weld in O(d log d)

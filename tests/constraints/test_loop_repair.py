@@ -17,7 +17,7 @@ from repro.constraints import (
     check_configuration,
 )
 from repro.decision.fcfs import FCFSDecisionModule
-from repro.decision.ffd import FFDDecisionModule, ffd_place
+from repro.decision import FFDDecisionModule, ffd_place
 from repro.model.configuration import Configuration
 from repro.model.node import make_working_nodes
 from repro.model.queue import VJobQueue

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.decision.fcfs import BatchJob, FCFSScheduler
+from repro.decision.static import BatchJob, FCFSScheduler
 
 
 class TestBatchJob:

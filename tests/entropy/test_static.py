@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.entropy.static import StaticAllocationSimulator
+from repro.decision.static import StaticAllocationSimulator
 from repro.model.node import make_working_nodes
 from repro.model.vjob import VJob
 from repro.model.vm import VirtualMachine

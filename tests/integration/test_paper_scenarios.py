@@ -15,7 +15,7 @@ from repro.api.loop import ControlLoop
 from repro.core import ClusterContextSwitch, build_plan, plan_cost
 from repro.core.actions import ActionKind
 from repro.decision import ConsolidationDecisionModule
-from repro.entropy import StaticAllocationSimulator
+from repro.decision import StaticAllocationSimulator
 from repro.model import Configuration, VJobQueue, VirtualMachine, VJob, make_working_nodes
 from repro.model.vm import VMState
 from repro.sim import PlanExecutor, SimulatedCluster

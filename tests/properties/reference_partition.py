@@ -58,7 +58,6 @@ def partition_reference(
     target_states: Mapping[str, VMState],
     constraints: Sequence[PlacementConstraint] = (),
     shards: Optional[int] = None,
-    tight_fraction: float = TIGHT_DOMAIN_FRACTION,
 ) -> PartitionResult:
     """The historical eager partitioner (see module docstring)."""
     node_names = list(current.node_names)
@@ -69,7 +68,7 @@ def partition_reference(
         )
 
     domains = vm_domains_reference(current, placed, constraints)
-    tight_cap = max(1, int(len(node_names) * tight_fraction))
+    tight_cap = max(1, int(len(node_names) * TIGHT_DOMAIN_FRACTION))
     uf = _UnionFind(node_names)
     touched: Set[str] = set()
 

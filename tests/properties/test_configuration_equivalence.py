@@ -7,8 +7,9 @@ construction, and this suite is the proof: Hypothesis drives an indexed
 :class:`~repro.model.Configuration` and the ``NaiveConfiguration`` retained
 in ``reference_configuration.py`` next to this file (the pre-index dict-walk
 implementations) in lockstep through random mutation sequences —
-add / place / migrate / sleep / terminate / demand churn / crash-evict /
-node re-add, and forks (a copy that goes on being mutated beside its
+add / take back the last registration / place / re-enter the placement map
+in a given order / migrate / sleep / terminate / demand churn / crash-evict
+/ node re-add, and forks (a copy that goes on being mutated beside its
 original: the two share their per-node running sets until one of them
 changes a node) — and asserts after *every* step that
 
@@ -40,7 +41,9 @@ MAX_VMS = 8
 #: drawn sequence stays meaningful as nodes crash and come back.
 OPS = (
     "add_vm",
+    "remove_vm",
     "set_running",
+    "enter_in_order",
     "migrate",
     "set_sleeping",
     "set_waiting",
@@ -106,8 +109,14 @@ def _apply(configuration, op, a, b, node_universe, vm_universe):
                     cpu_demand=a % 3,
                 )
             )
+        elif kind == "remove_vm":
+            # Only the last registration can be taken back: aim at it half
+            # of the time, at any VM (an error on both sides) otherwise.
+            configuration.remove_vm(configuration.vm_names[-1] if b % 2 else vm)
         elif kind == "set_running":
             configuration.set_running(vm, node)
+        elif kind == "enter_in_order":
+            configuration.enter_in_order(reversed(configuration.vms_on(node)))
         elif kind == "migrate":
             configuration.migrate(vm, node)
         elif kind == "set_sleeping":

@@ -34,7 +34,7 @@ from repro.constraints import (
     RunningCapacity,
     Spread,
 )
-from repro.decision import fcfs, ffd, rjsp
+from repro.decision import consolidation, fcfs, ffd, rjsp
 from repro.model.configuration import Configuration
 from repro.model.node import Node
 from repro.model.queue import VJobQueue
@@ -76,9 +76,11 @@ class PerProbeFilter:
 
 @contextlib.contextmanager
 def _per_probe():
-    """Swap the oracle in wherever a packer builds its filter."""
+    """Swap the oracle in wherever a filter is built: the selection and the
+    FFD target called with ``constraints=``, and the policies' one filter
+    per decision (``ConstraintAwarePolicy.node_filter``, FCFS included)."""
     with contextlib.ExitStack() as stack:
-        for module in (rjsp, ffd, fcfs):
+        for module in (rjsp, ffd, consolidation):
             stack.enter_context(
                 mock.patch.object(module, "CandidateFilter", PerProbeFilter)
             )

@@ -1,0 +1,228 @@
+"""One packer that places in place — same decisions as the copy-based ones.
+
+:func:`repro.decision.ffd.ffd_commit` used to copy the trial, pack the copy,
+throw it away and place everything a second time; the FFD target packed a
+copy of a copy.  It now places each VM once on the configuration it is
+handed and takes back (unplaces *and* unregisters) what it registered when a
+VM fits nowhere, and the three RJSP-based policies share one ``decide`` that
+builds one candidate filter for the selection and the FFD target.  Goldens,
+the scoreboard and the audit replay need the same decisions byte for byte,
+and two things nothing else pins are easy to lose on the way:
+
+* ``vms_on`` / ``placement()`` list VMs in the order they *entered* the
+  placement map, and the planner walks them — so the order a trial's or a
+  target's VMs enter it must stay what it was (the order handed, not the
+  decreasing-demand order the probes run in);
+* a rejected vjob's VMs were never registered in the trial — an undo that
+  left them registered as Waiting would show through ``has_vm`` /
+  ``vm_names`` and any ``allows`` that walks the trial.
+
+The oracle is ``reference_packing.py`` (the former bodies, verbatim).  The
+rounds are those of ``test_greedy_filter_equivalence.py``: random fleets and
+queues under catalogs of all nine relations, running vjobs with stragglers
+(the VMs FCFS's first pass mirrors into the trial before any packing), vjobs
+the observed configuration does not know, overridden demands.
+"""
+
+from __future__ import annotations
+
+import contextlib
+from unittest import mock
+
+from hypothesis import given, settings
+
+from repro.api.decision import empty_configuration
+from repro.constraints import CandidateFilter
+from repro.decision import consolidation, fcfs, ffd, rjsp
+from repro.model.configuration import Configuration
+from repro.model.node import Node
+from repro.model.queue import VJobQueue
+from repro.model.vjob import VJob
+from repro.model.vm import VirtualMachine
+
+import reference_packing
+from test_greedy_filter_equivalence import constrained_rounds
+
+
+def _readable(configuration):
+    """Everything a later probe (or the planner) can read of a
+    configuration, orders included."""
+    if configuration is None:
+        return None
+    nodes = configuration.node_names
+    return (
+        configuration.vm_names,
+        list(configuration.placement().items()),
+        list(configuration.states().items()),
+        [configuration.vms_on(node) for node in nodes],
+        [configuration.images_on(node) for node in nodes],
+        [configuration.free_capacity(node) for node in nodes],
+    )
+
+
+@contextlib.contextmanager
+def _copy_based():
+    """Swap the former packer in under the selection and the admission."""
+    with mock.patch.object(
+        rjsp, "ffd_commit", reference_packing.ffd_commit
+    ), mock.patch.object(fcfs, "ffd_commit", reference_packing.ffd_commit):
+        yield
+
+
+def _selection_and_booking(configuration, queue, demands, constraints, backfilling):
+    selection = rjsp.select_running_vjobs(
+        configuration, queue, demands, constraints=constraints
+    )
+    booking = fcfs.FCFSDecisionModule(
+        backfilling=backfilling, constraints=constraints
+    ).decide(configuration, queue, demands)
+    return (
+        list(selection.vjob_states.items()),
+        list(selection.vm_states.items()),
+        list(selection.trial_placement.items()),
+        selection.accepted,
+        selection.rejected,
+        list(booking.vm_states.items()),
+        list(booking.vjob_states.items()),
+        list(booking.metadata["trial_placement"].items()),
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(constrained_rounds())
+def test_selection_and_admission_match_the_copy_based_packer(round_inputs):
+    shipped = _selection_and_booking(*round_inputs)
+    with _copy_based():
+        copied = _selection_and_booking(*round_inputs)
+    assert shipped == copied
+
+
+@settings(max_examples=200, deadline=None)
+@given(constrained_rounds())
+def test_ffd_target_matches_the_copy_of_a_copy(round_inputs):
+    configuration, queue, demands, constraints, _ = round_inputs
+    states = rjsp.select_running_vjobs(
+        configuration, queue, demands, constraints=constraints
+    ).vm_states
+    before = _readable(configuration)
+    expected = reference_packing.ffd_target_configuration(
+        configuration, states, constraints
+    )
+    target = ffd.ffd_target_configuration(
+        configuration, states, constraints=constraints
+    )
+    assert _readable(configuration) == before
+    assert (target is None) == (expected is None)
+    if target is not None:
+        assert target.same_assignment(expected)
+    assert _readable(target) == _readable(expected)
+
+    # The one policy body hands the selection's filter to the target: the
+    # same target again, as the field each policy uses it as.
+    for module_cls, used_as in (
+        (consolidation.ConsolidationDecisionModule, "fallback_target"),
+        (consolidation.FFDDecisionModule, "target"),
+        (consolidation.RJSPDecisionModule, None),
+    ):
+        decision = module_cls(constraints=constraints).decide(
+            configuration, queue, demands
+        )
+        for field in ("target", "fallback_target"):
+            built = getattr(decision, field)
+            if field == used_as:
+                assert _readable(built) == _readable(expected)
+            else:
+                assert built is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(constrained_rounds())
+def test_trials_stay_identical_vjob_after_vjob(round_inputs):
+    """Both packers in lockstep over one queue, each on its own trial — which
+    first mirrors the running VMs where they are, like FCFS's first pass —
+    compared after every vjob: an accepted one entered both the same way, a
+    rejected one left no trace in either."""
+    configuration, queue, demands, constraints, _ = round_inputs
+    trials = (empty_configuration(configuration), empty_configuration(configuration))
+    packers = (ffd.ffd_commit, reference_packing.ffd_commit)
+    # A filter caches the domains it resolved: one each.
+    filters = [
+        CandidateFilter(constraints, reference=configuration) if constraints else None
+        for _ in trials
+    ]
+    mirrored = set()
+    for name, node in configuration.iter_placement():
+        mirrored.add(name)
+        for trial in trials:
+            trial.add_vm(configuration.vm(name))
+            trial.set_running(name, node)
+    for vjob in queue.pending():
+        vms = []
+        for vm in vjob.vms:
+            if vm.name in mirrored:
+                continue
+            if configuration.has_vm(vm.name):
+                vm = configuration.vm(vm.name)
+            if demands is not None and vm.name in demands:
+                vm = vm.with_cpu_demand(demands[vm.name])
+            vms.append(vm)
+        before = _readable(trials[0])
+        placed, expected = (
+            packer(trial, vms, node_filter)
+            for packer, trial, node_filter in zip(packers, trials, filters)
+        )
+        assert placed == expected
+        assert _readable(trials[0]) == _readable(trials[1])
+        if placed is None:
+            assert _readable(trials[0]) == before
+
+
+def _two_node_queue():
+    """Three vjobs over two 2-CPU nodes: ``a`` fits, ``b`` does not — after
+    its first VMs were placed — and ``c`` fits in what ``b`` gave back."""
+    configuration = Configuration(
+        nodes=[Node(name=f"n{i}", cpu_capacity=2, memory_capacity=2048) for i in range(2)]
+    )
+    queue = VJobQueue()
+    for name, memories in (("a", (512, 1024)), ("b", (256, 1024, 512)), ("c", (256,))):
+        queue.submit(
+            VJob(
+                name=name,
+                vms=[
+                    VirtualMachine(
+                        name=f"{name}.vm{i}", memory=memory, cpu_demand=1, vjob=name
+                    )
+                    for i, memory in enumerate(memories)
+                ],
+            )
+        )
+    return configuration, queue
+
+
+def test_a_rejected_vjob_between_accepted_ones_leaves_no_trace():
+    configuration, queue = _two_node_queue()
+    trial = empty_configuration(configuration)
+    a, b, c = (vjob.vms for vjob in queue.pending())
+
+    # Handed small-then-big, probed big-then-small, entered as handed.
+    assert ffd.ffd_commit(trial, a) == {"a.vm1": "n0", "a.vm0": "n0"}
+    assert list(trial.placement()) == ["a.vm0", "a.vm1"]
+    assert trial.vms_on("n0") == ("a.vm0", "a.vm1")
+    before = _readable(trial)
+
+    # b.vm1 and b.vm2 land on n1 before b.vm0 finds no CPU left anywhere.
+    assert ffd.ffd_commit(trial, b) is None
+    assert _readable(trial) == before
+    assert not any(trial.has_vm(vm.name) for vm in b)
+
+    assert ffd.ffd_commit(trial, c) == {"c.vm0": "n1"}
+    assert trial.vm_names == ("a.vm0", "a.vm1", "c.vm0")
+
+    selection = rjsp.select_running_vjobs(configuration, queue)
+    assert (selection.accepted, selection.rejected) == (["a", "c"], ["b"])
+    assert list(selection.trial_placement.items()) == [
+        ("a.vm0", "n0"),
+        ("a.vm1", "n0"),
+        ("c.vm0", "n1"),
+    ]
+

@@ -11,8 +11,10 @@ the operator-facing invariants end to end:
 * the audit log replays the executed plan sequence byte-for-byte against
   ``/plans``;
 * ``/configuration`` reports a viable final placement;
-* the service's own share of a run — observer hooks plus the per-iteration
-  command-queue drain, over the rest of the same run — stays below 5 %.
+* the service's own cost per round — observer hooks plus the per-iteration
+  command-queue drain — stays below 100 microseconds (its share of the rest
+  of the same run is printed, not gated: it is that cost over a run that is
+  almost all ``decide``, so it grows whenever a decision gets cheaper).
 
 Exit code 0 on success; any failure raises and exits non-zero.
 
@@ -49,23 +51,26 @@ from repro.workloads import (  # noqa: E402
     heterogeneous_nodes,
 )
 
-#: Instrumented runs the observer share is the median of.
+#: Instrumented runs the observer cost is the median of.
 SHARE_SAMPLES = 5
 #: Empty-queue drain calls timed for the per-iteration drain cost.
 DRAIN_CALLS = 20_000
-#: The service must stay invisible next to the planning work itself.
-MAX_OBSERVER_SHARE = 0.05
+#: What the service may add to a round, seconds: hooks and drain read
+#: 34-51 microseconds on the reference host, whatever the round does, so
+#: twice that is a hook that started doing per-fleet work.
+MAX_SERVICE_SECONDS_PER_ROUND = 100e-6
 
 
-def observer_share() -> float:
-    """The service's share of a run, measured from inside the run.
+def observer_cost() -> tuple[float, float]:
+    """The service's cost per round (seconds) and its share of a run, each
+    the median of ``SHARE_SAMPLES`` runs, measured from inside the run.
 
     The hooks cost tens of microseconds per round while a round takes about
     a millisecond, so a bare-vs-instrumented wall-clock A/B is dominated by
     host jitter.  Instead every :class:`ServiceObserver` hook is wrapped in
     a ``perf_counter`` accumulator and the empty command-queue drain is
-    timed separately; their sum is reported over the un-instrumented
-    remainder of the *same* run, so scheduler noise cancels.
+    timed separately; their sum is reported per round, and over the
+    un-instrumented remainder of the *same* run.
     """
     queue = LoopCommandQueue()
     started = time.perf_counter()
@@ -73,7 +78,7 @@ def observer_share() -> float:
         queue.drain(None, 0.0)  # an empty queue never touches the loop
     drain_seconds = (time.perf_counter() - started) / DRAIN_CALLS
 
-    shares = []
+    per_round, shares = [], []
     for _ in range(SHARE_SAMPLES):
         observer = ServiceObserver()
         hook_seconds = 0.0
@@ -90,7 +95,8 @@ def observer_share() -> float:
         for name in dir(observer):
             if name.startswith("on_"):
                 setattr(observer, name, timed(getattr(observer, name)))
-        # The 8-node / 16-vjob churn run the < 5 % gate was set on.
+        # An 8-node / 16-vjob churn run that never searches: about a
+        # millisecond a round, nearly all of it ``decide``.
         generator = ChurnGenerator(
             seed=23,
             mean_interarrival_s=30.0,
@@ -107,9 +113,11 @@ def observer_share() -> float:
         started = time.perf_counter()
         result = scenario.build(command_queue=LoopCommandQueue()).run()
         total = time.perf_counter() - started
-        service = hook_seconds + len(result.utilization) * drain_seconds
+        rounds = len(result.utilization)
+        service = hook_seconds + rounds * drain_seconds
+        per_round.append(service / rounds)
         shares.append(service / (total - service))
-    return statistics.median(shares)
+    return statistics.median(per_round), statistics.median(shares)
 
 
 def main() -> int:
@@ -156,9 +164,14 @@ def main() -> int:
                 f"{len(plans)} plans replayed byte-for-byte, "
                 f"{len(metrics)} metric families parsed"
             )
-    share = observer_share()
-    print(f"service observer share of a run: {share:.2%}")
-    assert share < MAX_OBSERVER_SHARE, "service instrumentation >= 5 % of a run"
+    per_round, share = observer_cost()
+    print(
+        f"service observer cost per round: {per_round * 1e6:.1f} us "
+        f"({share:.2%} of the rest of the run)"
+    )
+    assert (
+        per_round <= MAX_SERVICE_SECONDS_PER_ROUND
+    ), "service instrumentation > 100 us per round"
     return 0
 
 
