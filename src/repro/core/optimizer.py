@@ -19,6 +19,17 @@ ordering that favours each VM's current location.  The suspend costs are a
 constant offset (they do not depend on the placement) and are added after the
 search.  The best assignment found within the timeout is turned into a target
 configuration and a feasible plan by :mod:`repro.core.planner`.
+
+Incumbent first.  "Assign each running VM to its initial location in
+priority" is also a placement one can compute without a solver, and most
+rounds leave most VMs where they are.  So unless the catalog holds a
+relational constraint, the keep-in-place repair of the observed placement is
+computed *before* the model, from what the model would be built from — the
+VMs left to place, the capacities the folded pins leave, the unary domains —
+next to the trivial lower bound (every VM at the cheapest Table 1 cost its
+domain offers).  When the repair costs the bound it is returned as the proved
+optimum and no model is built; when it costs more it bounds the search from
+above and is the answer if the budget ends before anything cheaper is found.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ from ..constraints.domains import RetainedDomains
 from ..model.configuration import Configuration
 from ..model.errors import PlanningError, SolverError
 from ..model.vm import VMState
+from ..obs import span as obs_span
 from ..cp import (
     ENGINES,
     ActivityLastConflict,
@@ -42,6 +54,7 @@ from ..cp import (
     ElementSum,
     IntVar,
     Model,
+    SearchResult,
     SearchStatistics,
     Solver,
     VectorPacking,
@@ -414,83 +427,46 @@ class ContextSwitchOptimizer:
         elsewhere, home, at_home = cls._movement_costs(current, vm_name)
         return at_home if node_name == home else elsewhere
 
-    def _greedy_assignment(
-        self,
-        current: Configuration,
-        running_vms: list[str],
-        pinned: Optional[Mapping[str, str]] = None,
-    ) -> Optional[dict[str, int]]:
-        """A cheap repair of the current placement used to seed the search.
+    @staticmethod
+    def _incumbent(
+        demands: Sequence[tuple[int, int]],
+        capacities: Sequence[tuple[int, int]],
+        candidates: Sequence[Sequence[int]],
+        homes: Sequence[Optional[int]],
+    ) -> Optional[list[int]]:
+        """The keep-in-place repair of the observed placement — "assign each
+        running VM to its initial location in priority" (Section 4.3) — over
+        exactly what the model would hold: VM ``i`` asks ``demands[i]``, may
+        go to the nodes ``candidates[i]`` and comes from ``homes[i]`` (its
+        host, or the node holding its image; ``None`` when it has none or
+        may not stay there).  Every VM whose home still has room for it
+        stays, the others are packed first-fit-decreasing over their
+        candidates.  Returns the node of each VM, or ``None`` when some VM
+        fits nowhere: there is then no incumbent, which says nothing about
+        the model."""
+        free = [list(capacity) for capacity in capacities]
+        hosts = [-1] * len(demands)
 
-        Running VMs keep their host whenever possible, sleeping VMs resume on
-        the node holding their image, waiting VMs and evicted VMs are packed
-        first-fit-decreasing on the remaining space.  This mirrors the
-        "assign each running VM to its initial location in priority" strategy
-        of Section 4.3 and gives branch-and-bound a strong incumbent; the CP
-        search then tries to improve on it within its time budget.
-
-        With ``pinned``, the pinned VMs are placed first at exactly their
-        pinned host (failure to fit them means there is no incumbent under
-        these pins) — the warm start of the repair engine: clean VMs stay
-        put, dirty VMs are packed around them.
-        """
-        node_names = current.node_names
-        node_index = {name: i for i, name in enumerate(node_names)}
-        free = {
-            name: [current.node(name).capacity.cpu, current.node(name).capacity.memory]
-            for name in node_names
-        }
-        assignment: dict[str, int] = {}
-        homeless: list[str] = []
-
-        def try_place(vm_name: str, node_name: Optional[str]) -> bool:
-            if node_name is None:
+        def place(vm: int, node: int) -> bool:
+            cpu, memory = demands[vm]
+            room = free[node]
+            if cpu > room[0] or memory > room[1]:
                 return False
-            vm = current.vm(vm_name)
-            capacity = free[node_name]
-            if vm.cpu_demand <= capacity[0] and vm.memory <= capacity[1]:
-                capacity[0] -= vm.cpu_demand
-                capacity[1] -= vm.memory
-                assignment[vm_name] = node_index[node_name]
-                return True
-            return False
+            room[0] -= cpu
+            room[1] -= memory
+            hosts[vm] = node
+            return True
 
-        # Pinned VMs go exactly where the repair engine froze them.
-        if pinned:
-            for vm_name in running_vms:
-                if vm_name in pinned and not try_place(vm_name, pinned[vm_name]):
-                    return None
-
-        # Keep running VMs in place, resume sleeping VMs locally.
-        for vm_name in running_vms:
-            if pinned and vm_name in pinned:
-                continue
-            state = current.state_of(vm_name)
-            preferred = None
-            if state is VMState.RUNNING:
-                preferred = current.location_of(vm_name)
-            elif state is VMState.SLEEPING:
-                preferred = current.image_location_of(vm_name)
-            if not try_place(vm_name, preferred):
-                homeless.append(vm_name)
-
-        # Pack the rest first-fit-decreasing.
-        homeless.sort(
-            key=lambda name: (
-                current.vm(name).cpu_demand,
-                current.vm(name).memory,
-            ),
-            reverse=True,
-        )
-        for vm_name in homeless:
-            placed = False
-            for node_name in node_names:
-                if try_place(vm_name, node_name):
-                    placed = True
-                    break
-            if not placed:
+        homeless = [
+            vm
+            for vm, home in enumerate(homes)
+            if home is None or not place(vm, home)
+        ]
+        homeless.sort(key=demands.__getitem__, reverse=True)
+        for vm in homeless:
+            if not any(place(vm, node) for node in candidates[vm]):
                 return None
-        return assignment
+        return hosts
 
     def _search(
         self,
@@ -501,9 +477,11 @@ class ContextSwitchOptimizer:
         pinned: Optional[Mapping[str, str]],
         timeout: float,
     ) -> tuple[Optional[dict[str, int]], SearchStatistics, list[int]]:
-        """Run the CP search; returns (assignment or None, statistics,
-        improving objective values).  ``timeout`` starts here: building the
-        model is paid out of it and the solver gets what is left."""
+        """Answer with the keep-in-place incumbent when it costs the lower
+        bound, run the CP search otherwise; returns (assignment or None,
+        statistics, improving objective values).  ``timeout`` starts here:
+        building the model is paid out of it and the solver gets what is
+        left."""
         deadline = time.monotonic() + timeout
         node_names = current.node_names
         if not running_vms:
@@ -543,7 +521,8 @@ class ContextSwitchOptimizer:
         model_vms = running_vms
         capacities = [current.node(name).capacity.as_tuple() for name in node_names]
         folded: dict[str, int] = {}
-        if pins and not any(constraint.relational for constraint in constraints):
+        relational = any(constraint.relational for constraint in constraints)
+        if pins and not relational:
             # Repair fast path: the frozen VMs never enter the model — their
             # demands are subtracted from the capacities of their pinned
             # hosts and their (constant) movement costs are excluded from
@@ -585,46 +564,52 @@ class ContextSwitchOptimizer:
                 # solution.
                 return folded, SearchStatistics(proven_optimal=True), [0]
 
-        model = Model()
-        assignment_vars: list[IntVar] = []
+        # What the model is made of, gathered before any model exists: per
+        # VM its demand, its Table 1 costs, the nodes it may take (one list
+        # shared by the members of one restriction) and the home it may keep.
+        demands = [current.vm(name).demand.as_tuple() for name in model_vms]
         tables: list[CostTable] = []
-        preferences: dict[str, int] = {}
-        templates: dict[int, Optional[Domain]] = {}
+        homes: list[Optional[int]] = []
+        candidates: list[list[int]] = []
+        node_lists: dict[int, list[int]] = {}
         #: Every node some variable of the model can take.
         reachable: set[int] = set()
-
+        #: No placement costs less: every VM at the cheapest Table 1 cost its
+        #: domain offers (meaningless under pinned variables, and unused).
+        bound = 0
         for vm_name in model_vms:
-            allowed = domains[vm_name]
             elsewhere, home, at_home = self._movement_costs(current, vm_name)
             tables.append(
                 CostTable(elsewhere, {} if home is None else {node_index[home]: at_home})
             )
             pin = pins.get(vm_name)
             if pin is not None:
-                assignment_vars.append(
-                    model.pinned_var(f"x({vm_name})", node_index[pin])
-                )
+                # Only under a relational catalog: folded otherwise.
+                candidates.append([node_index[pin]])
+                homes.append(None)
                 reachable.add(node_index[pin])
                 continue
-            if id(allowed) not in templates:
-                indices = [
+            allowed = domains[vm_name]
+            nodes = node_lists.get(id(allowed))
+            if nodes is None:
+                nodes = node_lists[id(allowed)] = [
                     i
                     for i, name in enumerate(node_names)
                     if allowed is None or name in allowed
                 ]
-                templates[id(allowed)] = Domain(indices) if indices else None
-                reachable.update(indices)
-            template = templates[id(allowed)]
-            if template is None:
+                reachable.update(nodes)
+            if not nodes:
                 # Decided on the built list: a restriction may be non-empty
                 # yet name no node of this configuration.
                 return None, SearchStatistics(), []
-            var = model.int_var(f"x({vm_name})", template.copy())
-            assignment_vars.append(var)
+            candidates.append(nodes)
             if home is not None and (allowed is None or home in allowed):
-                preferences[var.name] = node_index[home]
+                homes.append(node_index[home])
+                bound += at_home
+            else:
+                homes.append(None)
+                bound += elsewhere
 
-        demands = [current.vm(name).demand.as_tuple() for name in model_vms]
         for dimension in (0, 1):
             if sum(demand[dimension] for demand in demands) > sum(
                 capacities[index][dimension] for index in reachable
@@ -633,6 +618,52 @@ class ContextSwitchOptimizer:
                 # may go to offers together.  No search can place them, and
                 # one left to find that out walks the whole tree first.
                 return None, SearchStatistics(), []
+
+        # Incumbent first.  Most rounds leave most VMs where they are, so
+        # the keep-in-place repair of the observed placement is usually the
+        # optimum already: when it costs the trivial lower bound — every VM
+        # at the cheapest Table 1 cost its domain offers — it is the answer,
+        # whatever budget is left, and no model is built to rediscover it.
+        # It packs and reads unary domains only, so a relational catalog
+        # gets none.
+        incumbent = (
+            None
+            if relational
+            else self._incumbent(demands, capacities, candidates, homes)
+        )
+
+        def answer(hosts: Iterable[int]) -> dict[str, int]:
+            """The whole assignment: the folded pins, then the model's VMs."""
+            return {**folded, **dict(zip(model_vms, hosts))}
+
+        if incumbent is not None:
+            cost = sum(map(CostTable.cost, tables, incumbent))
+            if cost == bound:
+                statistics = SearchStatistics(solutions=1, proven_optimal=True)
+                with obs_span("cp.solve", engine=self.engine) as trace_span:
+                    SearchResult(
+                        best=None,
+                        statistics=statistics,
+                        stop="incumbent",
+                        root_bound=bound,
+                    ).record_on(trace_span)
+                return answer(incumbent), statistics, [cost]
+
+        model = Model()
+        assignment_vars: list[IntVar] = []
+        preferences: dict[str, int] = {}
+        templates: dict[int, Domain] = {}
+        for vm_name, nodes, home in zip(model_vms, candidates, homes):
+            if vm_name in pins:
+                assignment_vars.append(model.pinned_var(f"x({vm_name})", nodes[0]))
+                continue
+            template = templates.get(id(nodes))
+            if template is None:
+                template = templates[id(nodes)] = Domain(nodes)
+            var = model.int_var(f"x({vm_name})", template.copy())
+            assignment_vars.append(var)
+            if home is not None:
+                preferences[var.name] = home
         model.add_constraint(VectorPacking(assignment_vars, demands, capacities))
 
         # Relational placement constraints (Spread/Gather) become solver
@@ -672,22 +703,11 @@ class ContextSwitchOptimizer:
         )
         ordered_vars = [assignment_vars[i] for i in order]
 
-        # Seed branch-and-bound with a greedy repair of the current placement
-        # (around the pins, which it places first); the search then only
-        # accepts strictly cheaper assignments.  The greedy repair is unaware
-        # of placement constraints, so it is only used when none are
-        # requested.
-        greedy = (
-            self._greedy_assignment(current, running_vms, pinned=pins)
-            if not constraints
-            else None
-        )
+        # An incumbent that missed the bound seeds branch-and-bound: the
+        # search only accepts strictly cheaper assignments.
         initial_bound = None
-        if greedy is not None:
-            initial_bound = sum(
-                scaled_tables[i].cost(greedy[vm_name])
-                for i, vm_name in enumerate(model_vms)
-            )
+        if incumbent is not None:
+            initial_bound = sum(map(CostTable.cost, scaled_tables, incumbent))
 
         # Last-conflict intensification around the paper's static
         # biggest-first order: after a failure the search branches on the
@@ -710,17 +730,14 @@ class ContextSwitchOptimizer:
             for solution in result.all_solutions
             if solution.objective is not None
         ]
+        # A search that did not improve on the incumbent (or ran out of time
+        # before matching it) leaves the incumbent as the answer.
+        hosts = incumbent
         if result.best is not None:
-            assignment = dict(folded)
-            for vm_name in model_vms:
-                assignment[vm_name] = result.best[f"x({vm_name})"]
-            return assignment, result.statistics, improving
-        if greedy is not None:
-            # The search did not improve on (or ran out of time before
-            # matching) the greedy incumbent, which already covers the
-            # folded VMs (placed first): use the incumbent.
-            return greedy, result.statistics, improving
-        return None, result.statistics, improving
+            hosts = [result.best[f"x({vm_name})"] for vm_name in model_vms]
+        if hosts is None:
+            return None, result.statistics, improving
+        return answer(hosts), result.statistics, improving
 
     # ------------------------------------------------------------------ #
     # target construction                                                 #

@@ -277,7 +277,10 @@ class SearchResult:
     #: ``root_bound``, so it is optimal and nothing was left to prove),
     #: ``"exhausted"`` (the whole tree was walked), ``"timeout"``,
     #: ``"node_limit"``, or ``"first"`` (``first_solution_only`` /
-    #: ``solution_limit`` got the solutions they asked for).
+    #: ``solution_limit`` got the solutions they asked for).  A sixth value,
+    #: ``"incumbent"``, is written by :mod:`repro.core.optimizer` for a solve
+    #: it answered without a search: a placement known beforehand already
+    #: cost the lower bound.
     stop: str = "exhausted"
     #: The objective's lower bound after root propagation; ``None`` in
     #: satisfaction mode or when the root is already inconsistent.
@@ -291,6 +294,25 @@ class SearchResult:
     @property
     def has_solution(self) -> bool:
         return self.best is not None
+
+    def record_on(self, trace_span: Span) -> None:
+        """Put the outcome on the ``cp.solve`` span of the solve it ends:
+        the search counters as span counters, why and when it stopped as
+        attributes."""
+        stats = self.statistics
+        trace_span.inc("nodes", stats.nodes)
+        trace_span.inc("backtracks", stats.backtracks)
+        trace_span.inc("propagations", stats.propagations)
+        trace_span.inc("solutions", stats.solutions)
+        trace_span.set(
+            proven_optimal=stats.proven_optimal,
+            timed_out=stats.timed_out,
+            stop=self.stop,
+            root_bound=self.root_bound,
+            first_solution_ms=_ms(self.first_solution_at),
+            best_solution_ms=_ms(self.best_solution_at),
+            proof_ms=_ms(stats.elapsed - (self.best_solution_at or 0.0)),
+        )
 
 
 # --------------------------------------------------------------------------- #
@@ -552,20 +574,7 @@ class Solver:
                 node_limit=node_limit,
                 trace_span=trace_span,
             )
-            stats = result.statistics
-            trace_span.inc("nodes", stats.nodes)
-            trace_span.inc("backtracks", stats.backtracks)
-            trace_span.inc("propagations", stats.propagations)
-            trace_span.inc("solutions", stats.solutions)
-            trace_span.set(
-                proven_optimal=stats.proven_optimal,
-                timed_out=stats.timed_out,
-                stop=result.stop,
-                root_bound=result.root_bound,
-                first_solution_ms=_ms(result.first_solution_at),
-                best_solution_ms=_ms(result.best_solution_at),
-                proof_ms=_ms(stats.elapsed - (result.best_solution_at or 0.0)),
-            )
+            result.record_on(trace_span)
         return result
 
     def _solve_impl(

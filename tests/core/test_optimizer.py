@@ -174,39 +174,51 @@ class TestOneModelBuilder:
     ``variables`` is the size of the model that reached a solver — one per
     VM left to place plus the cost — or 0 when none was built.  Under a
     catalog without a relational constraint the pinned VMs are folded into
-    the capacities, members of the catalog's groups included; one
-    relational constraint keeps every VM in the model."""
+    the capacities, members of the catalog's groups included, and the
+    keep-in-place incumbent answers whenever it costs the lower bound — on
+    ``cluster`` it always does (everyone stays, ``sleepy`` resumes where its
+    image is or, banned from there, anywhere), so those solves build no
+    model; on ``crowded``, where node-0 must shed a VM, the model is built
+    around the folded pins.  One relational constraint keeps every VM in
+    the model and leaves it without an incumbent."""
+
+    #: Pins and unary catalogs under which ``cluster`` is answered by the
+    #: incumbent; the last column is the model ``crowded`` needs.
+    _UNARY = [
+        pytest.param(None, [], 7, id="no-pins"),
+        pytest.param({"a": "node-0", "b": "node-1"}, [], 5, id="pins-empty-catalog"),
+        pytest.param(
+            {"a": "node-0", "b": "node-1"},
+            [Fence(["newcomer", "sleepy"], ["node-1", "node-2"])],
+            5,
+            id="pins-fence",
+        ),
+        pytest.param(
+            {"a": "node-0", "b": "node-1"},
+            [Fence(["a", "b", "newcomer"], ["node-0", "node-1", "node-2"])],
+            5,
+            id="pinned-fence-members",
+        ),
+        pytest.param(
+            {"a": "node-0", "c": "node-2"},
+            [Ban(["a", "sleepy"], ["node-3"])],
+            5,
+            id="pinned-ban-member",
+        ),
+        pytest.param(
+            {"a": "node-0", "b": "node-1", "c": "node-2"},
+            [Root(["a", "b"]), Fence(["c", "sleepy"], ["node-2", "node-3"])],
+            4,
+            id="pinned-root-members",
+        ),
+    ]
 
     @pytest.mark.parametrize(
         "pinned, constraints, variables",
         [
-            pytest.param(None, [], 6, id="no-pins"),
-            pytest.param(
-                {"a": "node-0", "b": "node-1"}, [], 4, id="pins-empty-catalog"
-            ),
-            pytest.param(
-                {"a": "node-0", "b": "node-1"},
-                [Fence(["newcomer", "sleepy"], ["node-1", "node-2"])],
-                4,
-                id="pins-fence",
-            ),
-            pytest.param(
-                {"a": "node-0", "b": "node-1"},
-                [Fence(["a", "b", "newcomer"], ["node-0", "node-1", "node-2"])],
-                4,
-                id="pinned-fence-members",
-            ),
-            pytest.param(
-                {"a": "node-0", "c": "node-2"},
-                [Ban(["a", "sleepy"], ["node-3"])],
-                4,
-                id="pinned-ban-member",
-            ),
-            pytest.param(
-                {"a": "node-0", "b": "node-1", "c": "node-2"},
-                [Root(["a", "b"]), Fence(["c", "sleepy"], ["node-2", "node-3"])],
-                3,
-                id="pinned-root-members",
+            *(
+                pytest.param(*param.values[:2], 0, id=param.id)
+                for param in _UNARY
             ),
             pytest.param(
                 {"a": "node-0", "c": "node-2"},
@@ -255,6 +267,21 @@ class TestOneModelBuilder:
     def test_pins_capacities_and_catalog_are_honoured(
         self, cluster, models, pinned, constraints, variables
     ):
+        self._assert_honoured(cluster, models, pinned, constraints, variables)
+
+    @pytest.mark.parametrize("pinned, constraints, variables", _UNARY)
+    def test_a_host_that_must_shed_a_vm_reaches_the_builder(
+        self, cluster, models, pinned, constraints, variables
+    ):
+        # ``d`` asks both cpus of node-0, where ``a`` holds one: whoever
+        # stays, the other migrates, so the incumbent costs more than the
+        # bound (0 for two running VMs) and the search has to say who.
+        cluster.add_vm(make_vm("d", memory=512, cpu=2))
+        cluster.set_running("d", "node-0")
+        self._assert_honoured(cluster, models, pinned, constraints, variables)
+
+    @staticmethod
+    def _assert_honoured(cluster, models, pinned, constraints, variables):
         states = {name: VMState.RUNNING for name in cluster.vm_names}
         assignment, statistics, _ = ContextSwitchOptimizer(
             timeout=5
@@ -265,6 +292,8 @@ class TestOneModelBuilder:
         if variables is None:
             assert assignment is None and statistics.nodes == 0
             return
+        if variables == 0:
+            assert statistics.nodes == 0 and statistics.proven_optimal
         assert set(assignment) == set(cluster.vm_names)
         for vm, node in (pinned or {}).items():
             assert assignment[vm] == node
@@ -336,24 +365,38 @@ class TestOneModelBuilder:
 
 
 class TestColdSolveEffort:
-    """A cold solve costs what its answer needs: one dive when the first
-    solution meets the root bound, at any depth, and no search at all for a
-    model that cannot be packed."""
+    """A cold solve costs what its answer needs: nothing when the
+    keep-in-place incumbent already costs the lower bound, one dive when
+    there is no incumbent and the first solution meets the root bound, at
+    any depth, and no search at all for a model that cannot be packed.
+    One ``Spread`` pair makes a catalog relational, which leaves the solve
+    without an incumbent."""
 
     @pytest.mark.parametrize("engine", ["event", "fixpoint"])
-    def test_a_cost_0_zone_is_one_dive_and_no_proof(self, engine):
+    def test_a_cost_0_zone_is_one_dive_and_no_proof(self, engine, models):
         # The zone of the round benchmark's ``fleet-cold``: 125 fenced VMs
         # on 31 nodes, one of them restarted.
         zone = make_large_fleet(125, groups=1, cached=False)
         states = zone.states()
         zone.set_waiting("vm-17")
-        assignment, statistics, improving = ContextSwitchOptimizer(
-            timeout=30, engine=engine
-        ).search_assignment(zone, states, fence_groups(zone, groups=1))
+        catalog = fence_groups(zone, groups=1)
+        optimizer = ContextSwitchOptimizer(timeout=30, engine=engine)
+        # Everyone stays and vm-17 boots for nothing: not even a dive.
+        assignment, statistics, improving = optimizer.search_assignment(
+            zone, states, catalog
+        )
         assert set(assignment) == set(zone.vm_names)
-        assert improving == [0]
-        # One node per variable of the model — the 125 assignments, then
-        # the leaf that fixes the cost variable — and nothing to unwind.
+        assert improving == [0] and models == []
+        assert (statistics.nodes, statistics.solutions) == (0, 1)
+        assert statistics.proven_optimal
+        # Without an incumbent: one node per variable of the model — the
+        # 125 assignments, then the leaf that fixes the cost variable — and
+        # nothing to unwind.
+        assignment, statistics, improving = optimizer.search_assignment(
+            zone, states, catalog + [Spread(["vm-0", "vm-1"])]
+        )
+        assert set(assignment) == set(zone.vm_names)
+        assert improving == [0] and len(models) == 1
         assert statistics.nodes == len(zone.vm_names) + 1
         assert statistics.backtracks == 0
         assert statistics.proven_optimal
@@ -361,13 +404,15 @@ class TestColdSolveEffort:
     def test_search_depth_is_not_bounded_by_the_recursion_limit(
         self, large_fleet_factory
     ):
-        # 1 250 decisions deep: fences leave the model without a greedy
+        # 1 250 decisions deep: the spread pair leaves the model without an
         # incumbent, so the first dive places every VM.
         fleet = large_fleet_factory(1250, groups=10)
         states = fleet.states()
         fleet.set_waiting("vm-17")
         report = ClusterContextSwitch(engine="event", optimizer_timeout=5).compute(
-            fleet, states, constraints=fence_groups(fleet, groups=10)
+            fleet,
+            states,
+            constraints=fence_groups(fleet, groups=10) + [Spread(["vm-0", "vm-1"])],
         )
         assert report.cost.total == 0
         assert report.plan.action_count() == 1
@@ -407,9 +452,15 @@ class TestColdSolveEffort:
 
     def test_a_model_exactly_at_capacity_is_searched(self, solves):
         configuration, states = self._waiting_vms([1] * 10, node_count=5)
-        assignment, statistics, _ = ContextSwitchOptimizer(
-            timeout=30
-        ).search_assignment(configuration, states)
+        optimizer = ContextSwitchOptimizer(timeout=30)
+        # First-fit fills the five nodes: the incumbent is the answer.
+        assignment, statistics, _ = optimizer.search_assignment(configuration, states)
+        assert solves == [] and statistics.proven_optimal
+        assert set(assignment) == set(configuration.vm_names)
+        # No incumbent: the build must let the model through to the search.
+        assignment, statistics, _ = optimizer.search_assignment(
+            configuration, states, [Spread(["vm0", "vm1"])]
+        )
         assert len(solves) == 1
         assert set(assignment) == set(configuration.vm_names)
         assert statistics.proven_optimal
@@ -432,3 +483,32 @@ class TestBudgetCoversTheModelBuild:
         assert assignment is None
         assert statistics.timed_out and statistics.propagations > 0
         assert statistics.nodes == 1 and statistics.elapsed >= 0.0
+
+    def test_a_fenced_solve_out_of_budget_answers_with_its_incumbent(self):
+        # One VM of node-0 grows until the node is a cpu short; keep-in-place
+        # leaves four of the five where they are and sends the last one, the
+        # 2 GB one, next door (2 048) where moving a 1 GB one would do.
+        # Under a catalog the search used to start without that placement:
+        # a budget too small to find one ended in the FFD target, which
+        # re-packs the whole fenced zone from scratch.
+        zone = make_large_fleet(125, groups=1, cached=False)
+        zone.replace_vm(make_vm("vm-62", memory=1024, cpu=7))
+        zone.replace_vm(make_vm("vm-124", memory=2048, cpu=1))
+        assert not zone.is_viable()
+        states = zone.states()
+        catalog = fence_groups(zone, groups=1)
+        fallback = ffd_target_configuration(zone, states, catalog)
+        optimizer = ContextSwitchOptimizer(timeout=30)
+        result = optimizer.optimize(
+            zone, states, fallback_target=fallback, constraints=catalog, timeout=0.0
+        )
+        assert result.statistics.timed_out and not result.used_fallback
+        assert result.cost == 2048 and result.plan.action_count() == 1
+        assert result.target.is_viable()
+        assert violated_constraints(result.target, catalog) == []
+        assert result.plan.constraint_violations == []
+        # With a budget, the incumbent is the bound the search prunes with.
+        result = optimizer.optimize(
+            zone, states, fallback_target=fallback, constraints=catalog
+        )
+        assert result.cost == 1024 and result.statistics.proven_optimal

@@ -19,7 +19,8 @@ monolithic solve on randomly generated perturbed rounds:
   dirty instead of being pinned);
 * **folding is invisible** — under a unary catalog the frozen VMs are
   subtracted from the capacities instead of entering the model; the search
-  that is left walks the tree it would walk with them pinned inside it.
+  that is left proves the cost it would prove with them pinned inside it,
+  and walks the same tree whenever it starts without an incumbent.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from repro.model.errors import PlanningError
 from repro.model.node import Node
 from repro.model.vm import VirtualMachine, VMState
 from repro.repair import RepairOptimizer, compute_dirty_set
+
+from test_incumbent_equivalence import placement_cost, solve_recording_bounds
 
 MEMORY_CHOICES = (256, 512, 1024)
 
@@ -223,7 +226,10 @@ def test_shrunken_fence_members_are_never_pinned_to_retired_nodes(instance):
 def test_folded_pins_search_like_pinned_variables(instance, engine):
     """No copied oracle: a vacuous relational constraint (every node may be
     online) switches the fold off, so the same optimizer builds the model
-    both ways."""
+    both ways.  It switches the keep-in-place incumbent off too, so the two
+    trees are the same only when the folded solve had no incumbent either;
+    with one it may stop earlier, or never start, on a placement that costs
+    what the pinned-variable search proves."""
     configuration, names, victims, _halo = instance
     node_names = sorted(configuration.node_names)
     vacuous = MaxOnline(node_names, maximum=len(node_names))
@@ -245,19 +251,30 @@ def test_folded_pins_search_like_pinned_variables(instance, engine):
         if name not in victims
     }
     optimizer = ContextSwitchOptimizer(timeout=10.0, engine=engine)
-    folded, folded_stats, folded_costs = optimizer.search_assignment(
-        configuration, _states(names), [fence], pinned=pins
+    folded, folded_stats, folded_costs, bounds = solve_recording_bounds(
+        optimizer, configuration, names, [fence], pins
     )
-    pinned, pinned_stats, pinned_costs = optimizer.search_assignment(
-        configuration, _states(names), [fence, vacuous], pinned=pins
+    pinned, pinned_stats, pinned_costs, _ = solve_recording_bounds(
+        optimizer, configuration, names, [fence, vacuous], pins
     )
-    assert folded == pinned
+    assert (folded is None) == (pinned is None)
     if folded is None:
         # Refused at build (frozen VMs overloading a node, dirty VMs
         # over-committing what is left) or searched and failed: folding
         # only ever notices earlier.
         assert folded_stats.nodes <= pinned_stats.nodes
         return
-    assert folded_costs == pinned_costs
-    for counter in ("nodes", "backtracks", "solutions", "proven_optimal"):
-        assert getattr(folded_stats, counter) == getattr(pinned_stats, counter)
+    assert folded_stats.proven_optimal and pinned_stats.proven_optimal
+
+    cost = placement_cost(configuration, folded)
+    assert cost == placement_cost(configuration, pinned)
+    for vm, node in pins.items():
+        assert folded[vm] == node
+    if bounds == [None]:
+        # Searched without an incumbent: the same tree.
+        assert folded == pinned and folded_costs == pinned_costs
+        for counter in ("nodes", "backtracks", "solutions"):
+            assert getattr(folded_stats, counter) == getattr(pinned_stats, counter)
+    elif not bounds:
+        # The incumbent met the bound: no solver was started.
+        assert folded_stats.nodes == 0 and folded_costs == [cost]

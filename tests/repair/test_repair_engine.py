@@ -250,14 +250,17 @@ class TestRepairOptimizer:
     @staticmethod
     def _unpartitionable_round(engine):
         """A cold round, then a warm one with one arrival, on a fleet the
-        partitioner cannot split (no catalog, sharding off)."""
+        partitioner cannot split (no catalog, sharding off).  The arrival's
+        image sleeps on the one node without room for it, so keeping it home
+        is not an answer and the attempt has to search."""
         configuration, names = _fleet(node_count=4, vms_per_node=1)
         for name in ("extra-0", "extra-1"):
             configuration.add_vm(VirtualMachine(name=name, memory=512))
             configuration.set_running(name, "n0")
             names.append(name)
         current = engine.optimize(configuration, _states(names)).target
-        current.add_vm(VirtualMachine(name="arrival", memory=512))
+        current.add_vm(VirtualMachine(name="arrival", memory=3072))
+        current.set_sleeping("arrival", "n0")
         names.append("arrival")
         engine.mark_dirty(["arrival"])
         return current, names

@@ -22,7 +22,7 @@ from repro.core.context_switch import ClusterContextSwitch
 from repro.core.planner import ReconfigurationPlanner
 from repro.cp import Solver
 from repro.model.configuration import Configuration
-from repro.testing import fence_groups
+from repro.testing import fence_groups, make_vm
 
 #: One restarted VM in each of two zones (``vm-<i>`` is in zone ``i % zones``).
 RESTARTED = ("vm-0", "vm-1")
@@ -85,8 +85,10 @@ def counted(monkeypatch):
     return counts
 
 
-def _warm_round(fleet, zones, counted):
-    """A cold round, then the counted round that restarts ``RESTARTED``."""
+def _warm_round(fleet, zones, counted, overload=False):
+    """A cold round, then the counted round that restarts ``RESTARTED`` —
+    or, with ``overload``, in which each of them asks for its whole node,
+    so that its neighbours are dirty too and have to leave."""
     catalog = fence_groups(fleet, groups=zones)
     states = fleet.states()
     with ClusterContextSwitch(
@@ -95,25 +97,33 @@ def _warm_round(fleet, zones, counted):
         # The cold round that leaves the engine its previous assignment,
         # the domains and the decomposition.
         current = switch.compute(fleet, states, constraints=catalog).target
+        dirty = list(RESTARTED)
         for name in RESTARTED:
-            current.set_waiting(name)
-        switch.mark_dirty(RESTARTED)
+            if overload:
+                host = current.location_of(name)
+                capacity = current.node(host).capacity
+                current.replace_vm(make_vm(name, memory=1024, cpu=capacity.cpu))
+                dirty += [vm for vm in current.vms_on(host) if vm != name]
+            else:
+                current.set_waiting(name)
+        switch.mark_dirty(dirty)
         for key in counted:
             counted[key] = 0
         report = switch.compute(current, states, constraints=catalog)
     assert report.repair["mode"] == "repair"
-    assert report.repair["dirty_count"] == len(RESTARTED)
+    assert report.repair["dirty_count"] == len(dirty)
     assert report.repair["reused_zones"] == zones - len(RESTARTED)
-    assert report.plan.action_count() == len(RESTARTED)
+    assert report.plan.action_count() == len(dirty) - overload * len(RESTARTED)
     assert report.plan.constraint_violations == []
-    return dict(counted)
+    return dict(counted), dirty
 
 
 def _assert_costs_what_changed(counts):
-    # Each solved zone: its one dirty VM and the cost (its hundred-odd
-    # frozen VMs are in the capacities, not in the model, nor even in the
-    # zone's sub-configuration).
-    assert counts["variables"] == (1 + 1) * len(RESTARTED)
+    # Each solved zone: its one dirty VM boots where the keep-in-place
+    # incumbent puts it, at the lower bound — no model at all (its
+    # hundred-odd frozen VMs are in the capacities, not even in the zone's
+    # sub-configuration).
+    assert counts["variables"] == 0
     assert counts["vms extracted"] == len(RESTARTED)
     # The decomposition is the kept one; nobody asks the catalog for the
     # domain of a VM that is not being placed.
@@ -128,8 +138,8 @@ def _assert_costs_what_changed(counts):
 
 
 def test_a_warm_round_costs_what_changed(large_fleet_factory, counted):
-    small = _warm_round(large_fleet_factory(500, groups=4), 4, counted)
-    large = _warm_round(large_fleet_factory(2_000, groups=16), 16, counted)
+    small, _ = _warm_round(large_fleet_factory(500, groups=4), 4, counted)
+    large, _ = _warm_round(large_fleet_factory(2_000, groups=16), 16, counted)
     _assert_costs_what_changed(small)
     # Four times the fleet, in zones of the same size: not one more read of
     # a VM's state, host or description, anywhere in the round.
@@ -139,7 +149,24 @@ def test_a_warm_round_costs_what_changed(large_fleet_factory, counted):
 @pytest.mark.slow
 def test_a_warm_round_costs_what_changed_at_5000_vms(large_fleet_factory, counted):
     # Zones five times as big: more nodes to cut, the same VMs to read.
-    small = _warm_round(large_fleet_factory(500, groups=4), 4, counted)
-    large = _warm_round(large_fleet_factory(5_000, groups=8), 8, counted)
+    small, _ = _warm_round(large_fleet_factory(500, groups=4), 4, counted)
+    large, _ = _warm_round(large_fleet_factory(5_000, groups=8), 8, counted)
     _assert_costs_what_changed(large)
     assert large == small
+
+
+@pytest.mark.parametrize("vm_count, zones", [(500, 4), (2_000, 16)])
+def test_a_warm_model_holds_the_dirty_vms_only(
+    large_fleet_factory, counted, vm_count, zones
+):
+    # A host that must shed its other VMs has no keep-in-place answer at the
+    # lower bound, so each dirty zone is searched: its model is the dirty
+    # VMs and the cost, whatever the size of the zone or of the fleet.
+    counts, dirty = _warm_round(
+        large_fleet_factory(vm_count, groups=zones), zones, counted, overload=True
+    )
+    assert counts["variables"] == len(dirty) + len(RESTARTED)
+    assert counts["vms extracted"] == len(dirty)
+    assert counts["partitions"] == 0
+    assert counts["domains asked"] == len(dirty)
+    assert counts["builds"] == counts["derivations"] == 1

@@ -95,7 +95,12 @@ class TestParallelOptimizer:
         )
         assert len(result.zone_reports) == 2
         assert [report.vm_count for report in result.zone_reports] == [3, 3]
-        assert all(r.statistics.solutions >= 1 for r in result.zone_reports)
+        # Nobody has to move: each zone is answered by its keep-in-place
+        # incumbent, which still counts as one solution, proved.
+        for report in result.zone_reports:
+            assert report.statistics.solutions == 1
+            assert report.statistics.nodes == 0
+            assert report.statistics.proven_optimal
 
     def test_monolithic_fallback_when_no_partition(self):
         configuration = _configuration()

@@ -6,6 +6,8 @@ then checks the observability pipeline end to end:
 * the run's trace records the canonical phases (round, solve, cp.solve,
   repair-attempt, execute, ...) and survives the
   :class:`~repro.api.results.RunResult` round-trip;
+* every ``cp.solve`` span says why it stopped, in a word that the ``stop``
+  row of ``docs/OBSERVABILITY.md`` documents;
 * the Chrome trace-event export parses back as JSON and passes the
   schema/nesting validator (drag-and-droppable into Perfetto);
 * the ``repro-trace`` CLI summarizes and exports the written trace file;
@@ -25,6 +27,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -34,6 +37,7 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import Scenario  # noqa: E402
+from repro.constraints import Spread  # noqa: E402
 from repro.core.optimizer import ContextSwitchOptimizer  # noqa: E402
 from repro.decision import ConsolidationDecisionModule  # noqa: E402
 from repro.model.vm import VMState  # noqa: E402
@@ -58,6 +62,29 @@ from repro.workloads import (  # noqa: E402
 #: The PR 7 churn tier the diff runs on: (VM count, churn fraction).
 DIFF_TIER = (100, 0.1)
 DIFF_ROUNDS = 3
+
+
+def documented_stops() -> set[str]:
+    """The stop reasons the ``stop`` row of the ``cp.solve`` attribute table
+    in ``docs/OBSERVABILITY.md`` lists."""
+    text = (REPO_ROOT / "docs" / "OBSERVABILITY.md").read_text()
+    (row,) = re.findall(r"^\| `stop` \|.*$", text, flags=re.MULTILINE)
+    return set(re.findall(r'`"(\w+)"`', row))
+
+
+def check_stops(document: dict) -> int:
+    """Every ``cp.solve`` span of a trace carries a documented ``stop``;
+    returns how many were checked."""
+    documented = documented_stops()
+    assert {"bound", "incumbent"} <= documented, f"misread the table: {documented}"
+    solves = [s for s in load_trace(document).walk() if s.name == "cp.solve"]
+    for solve in solves:
+        stop = solve.attributes.get("stop")
+        assert stop in documented, (
+            f"cp.solve span stopped with {stop!r}, "
+            f"docs/OBSERVABILITY.md documents {sorted(documented)}"
+        )
+    return len(solves)
 
 
 def traced_loop_run() -> None:
@@ -85,6 +112,7 @@ def traced_loop_run() -> None:
     missing = expected - phases
     assert not missing, f"trace is missing phases: {sorted(missing)}"
     assert len(phases) >= 5, f"only {len(phases)} phases recorded"
+    solves = check_stops(document)
 
     chrome = to_chrome_trace(document)
     errors = validate_chrome_trace(json.loads(json.dumps(chrome)))
@@ -98,8 +126,8 @@ def traced_loop_run() -> None:
         assert trace_cli(["export", str(trace_path), "-o", str(out)]) == 0
         exported = json.loads(out.read_text())
         assert not validate_chrome_trace(exported)
-    print(f"traced loop run ok: {len(phases)} phases, "
-          f"{len(chrome['traceEvents'])} chrome events")
+    print(f"traced loop run ok: {len(phases)} phases, {solves} cp.solve spans "
+          f"with a documented stop, {len(chrome['traceEvents'])} chrome events")
 
 
 def _traced_churn_solves(repair: bool, seed: int = 1000) -> dict:
@@ -121,6 +149,16 @@ def _traced_churn_solves(repair: bool, seed: int = 1000) -> dict:
     current = optimizer.optimize(
         configuration, states, vjob_of_vm=vjob_of_vm
     ).target
+    # One relational constraint, satisfied as things stand: without it the
+    # keep-in-place incumbent answers every one of these rounds before a
+    # model exists, cold or warm, and there is no solve phase to compare.
+    hosted = [vm for vm in current.vm_names if current.location_of(vm)]
+    apart = next(
+        vm
+        for vm in hosted
+        if current.location_of(vm) != current.location_of(hosted[0])
+    )
+    catalog = [Spread([hosted[0], apart])]
 
     rng = random.Random(seed)
     victims_per_round = max(1, math.ceil(vm_count * churn))
@@ -144,7 +182,7 @@ def _traced_churn_solves(repair: bool, seed: int = 1000) -> dict:
             with span("round", index=index):
                 with span("solve"):
                     result = optimizer.optimize(
-                        current, states, vjob_of_vm=vjob_of_vm
+                        current, states, vjob_of_vm=vjob_of_vm, constraints=catalog
                     )
             current = result.target
     return tracer.to_dict()
@@ -154,6 +192,7 @@ def churn_tier_diff() -> None:
     """``repro-trace diff`` on the PR 7 tier: cold vs repair solve time."""
     cold = _traced_churn_solves(repair=False)
     warm = _traced_churn_solves(repair=True)
+    assert check_stops(cold) and check_stops(warm)
     delta = diff_traces(cold, warm)
     solve = delta["phases"]["solve"]
     print(
