@@ -20,12 +20,17 @@ constant offset (they do not depend on the placement) and are added after the
 search.  The best assignment found within the timeout is turned into a target
 configuration and a feasible plan by :mod:`repro.core.planner`.
 
+Frozen VMs.  The repair engine (:mod:`repro.repair`) may hand a solve the
+VMs that keep the host they run on.  It owns their precondition — running,
+on a node of the configuration, inside the unary domain, not leaving — and
+nothing here checks it again.
+
 Incumbent first.  "Assign each running VM to its initial location in
 priority" is also a placement one can compute without a solver, and most
 rounds leave most VMs where they are.  So unless the catalog holds a
 relational constraint, the keep-in-place repair of the observed placement is
 computed *before* the model, from what the model would be built from — the
-VMs left to place, the capacities the folded pins leave, the unary domains —
+VMs left to place, the capacities the frozen VMs leave, the unary domains —
 next to the trivial lower bound (every VM at the cheapest Table 1 cost its
 domain offers).  When the repair costs the bound it is returned as the proved
 optimum and no model is built; when it costs more it bounds the search from
@@ -37,8 +42,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
 from ..constraints import PlacementConstraint, violated_constraints
 from ..constraints.domains import RetainedDomains
@@ -209,7 +213,7 @@ class ContextSwitchOptimizer:
         vjob_of_vm: Optional[Mapping[str, str]] = None,
         fallback_target: Optional[Configuration] = None,
         constraints: Sequence["PlacementConstraint"] = (),
-        pinned: Optional[Mapping[str, str]] = None,
+        frozen: AbstractSet[str] = frozenset(),
         timeout: Optional[float] = None,
     ) -> OptimizationResult:
         """Compute an optimized target configuration and its plan.
@@ -230,12 +234,11 @@ class ContextSwitchOptimizer:
             Placement relations (:mod:`repro.constraints`) the target
             configuration must honour, e.g. spreading the VMs of a vjob over
             distinct nodes for high availability.
-        pinned:
-            VM -> node-name placements frozen by the repair engine
-            (:mod:`repro.repair`): pinned VMs must end up exactly there, so
-            the search only branches over the remaining (dirty) VMs.  An
-            unsatisfiable pin makes the search fail rather than silently
-            unpinning — the repair layer then widens its neighbourhood.
+        frozen:
+            The VMs that keep the host they run on (the repair engine's
+            frozen region, whose precondition :mod:`repro.repair` owns), so
+            the search only branches over the others.  A frozen region that
+            overloads a node fails the search — the repair layer widens.
         timeout:
             Wall-clock budget of this call's search, seconds; ``None`` means
             the constructor's ``timeout``.  The engines that carve a round's
@@ -244,7 +247,7 @@ class ContextSwitchOptimizer:
         """
         states, changed = self._complete_states(current, target_states)
         assignment, statistics, improving = self.search_assignment(
-            current, target_states, constraints, pinned=pinned, timeout=timeout
+            current, target_states, constraints, frozen=frozen, timeout=timeout
         )
         return self._finish(
             current,
@@ -330,7 +333,7 @@ class ContextSwitchOptimizer:
         current: Configuration,
         target_states: Mapping[str, VMState],
         constraints: Sequence["PlacementConstraint"] = (),
-        pinned: Optional[Mapping[str, str]] = None,
+        frozen: AbstractSet[str] = frozenset(),
         timeout: Optional[float] = None,
     ) -> tuple[Optional[dict[str, str]], SearchStatistics, list[int]]:
         """Run only the CP search and return a VM -> node *name* assignment.
@@ -351,7 +354,7 @@ class ContextSwitchOptimizer:
             states,
             running_vms,
             constraints,
-            pinned,
+            frozen,
             self.timeout if timeout is None else timeout,
         )
         if assignment is None:
@@ -474,7 +477,7 @@ class ContextSwitchOptimizer:
         states: Mapping[str, VMState],
         running_vms: list[str],
         constraints: Sequence["PlacementConstraint"],
-        pinned: Optional[Mapping[str, str]],
+        frozen: AbstractSet[str],
         timeout: float,
     ) -> tuple[Optional[dict[str, int]], SearchStatistics, list[int]]:
         """Answer with the keep-in-place incumbent when it costs the lower
@@ -489,80 +492,55 @@ class ContextSwitchOptimizer:
             return {}, SearchStatistics(proven_optimal=True), [0]
 
         node_index = {name: i for i, name in enumerate(node_names)}
-        pins: Mapping[str, str] = {}
-        if pinned:
-            pins = pinned
-            running_set = set(running_vms)
-            if not pinned.keys() <= running_set:
-                pins = {vm: node for vm, node in pinned.items() if vm in running_set}
-            if not node_index.keys() >= set(pins.values()):
-                # Pinned to a node that left the configuration — the
-                # caller's dirty tracking missed a retirement; fail so the
-                # repair layer widens instead of planning onto it.
-                return None, SearchStatistics(), []
-
-        # Unary placement constraints (Ban/Fence/Root) shrink the domain of
-        # the assignment variable before the search even starts.
-        # ``vm_domains`` hands the members of one restriction one shared set,
-        # so the node list of a restriction is built once and copied per
-        # variable.
-        domains = self.domains.of(current, running_vms, constraints)
-        if any(
-            (allowed := domains[vm_name]) is not None and node_name not in allowed
-            for vm_name, node_name in pins.items()
-        ):
-            # A pin violates a (possibly crash-shrunken) unary constraint:
-            # refuse rather than silently unpin, so the repair layer widens
-            # its neighbourhood.
-            return None, SearchStatistics(), []
-
         # The model covers ``model_vms`` over ``capacities``; ``folded`` is
         # the part of the assignment decided outside it.
         model_vms = running_vms
         capacities = [current.node(name).capacity.as_tuple() for name in node_names]
         folded: dict[str, int] = {}
         relational = any(constraint.relational for constraint in constraints)
-        if pins and not relational:
+        if frozen and not relational:
             # Repair fast path: the frozen VMs never enter the model — their
-            # demands are subtracted from the capacities of their pinned
-            # hosts and their (constant) movement costs are excluded from
-            # the objective — so model building and search both scale with
-            # the dirty region, not the fleet.  A unary catalog (what a
-            # fenced zone's scoped catalog is) has already had its say on
-            # every pin above and compiles to nothing but domains.  Only a
-            # relational constraint (Spread, MaxOnline, RunningCapacity…)
-            # must see the frozen placements, so under one they stay in the
-            # model as unary-domain variables.
+            # demands stay in the capacities of their hosts and their (zero)
+            # movement costs are left out of the objective — so model
+            # building and search both scale with the dirty region, not the
+            # fleet.  A unary catalog (what a fenced zone's scoped catalog
+            # is) compiles to nothing but domains, which the frozen VMs sit
+            # inside by the caller's precondition.  Only a relational
+            # constraint (Spread, MaxOnline, RunningCapacity…) must see the
+            # frozen placements, so under one they stay in the model as
+            # fixed variables.
             #
-            # What the pins leave of a node is read from what is *not*
-            # frozen on it: its live free capacity, plus the demand of its
-            # residents that no pin holds there, minus the demand of the VMs
-            # pinned to it from elsewhere.
+            # What the frozen VMs leave of a node is its live free capacity
+            # plus what its unfrozen residents hold.
             placement = current.placement()
-            brought = [vm for vm, node in pins.items() if placement.get(vm) != node]
             free_capacity = [
                 list(current.free_capacity(name).as_tuple()) for name in node_names
             ]
-            released = current.load_by_host(chain(placement.keys() - pins.keys(), brought))
+            released = current.load_by_host(placement.keys() - frozen)
             for host, (cpu, memory) in released.items():
                 free_capacity[node_index[host]][0] += cpu
                 free_capacity[node_index[host]][1] += memory
-            for vm_name in brought:
-                machine = current.vm(vm_name)
-                free_capacity[node_index[pins[vm_name]]][0] -= machine.cpu_demand
-                free_capacity[node_index[pins[vm_name]]][1] -= machine.memory
             if any(cpu < 0 or memory < 0 for cpu, memory in free_capacity):
-                # The frozen region alone overloads a node (post-crash slack
-                # is gone): infeasible under these pins, the repair layer
-                # widens.
+                # The frozen region alone overloads a node (an overloaded
+                # host nobody marked dirty, post-crash slack gone):
+                # infeasible while they stay, the repair layer widens.
                 return None, SearchStatistics(), []
-            folded = dict(zip(pins, map(node_index.__getitem__, pins.values())))
+            folded = {
+                vm: node_index[host] for vm, host in placement.items() if vm in frozen
+            }
             capacities = [tuple(capacity) for capacity in free_capacity]
-            model_vms = [name for name in running_vms if name not in pins]
+            model_vms = [name for name in running_vms if name not in frozen]
             if not model_vms:
                 # Everything is frozen: the previous placement *is* the
                 # solution.
                 return folded, SearchStatistics(proven_optimal=True), [0]
+
+        # Unary placement constraints (Ban/Fence/Root) shrink the domain of
+        # the assignment variable before the search even starts.
+        # ``vm_domains`` hands the members of one restriction one shared set,
+        # so the node list of a restriction is built once and copied per
+        # variable.
+        domains = self.domains.of(current, model_vms, constraints)
 
         # What the model is made of, gathered before any model exists: per
         # VM its demand, its Table 1 costs, the nodes it may take (one list
@@ -575,19 +553,18 @@ class ContextSwitchOptimizer:
         #: Every node some variable of the model can take.
         reachable: set[int] = set()
         #: No placement costs less: every VM at the cheapest Table 1 cost its
-        #: domain offers (meaningless under pinned variables, and unused).
+        #: domain offers (meaningless under fixed variables, and unused).
         bound = 0
         for vm_name in model_vms:
             elsewhere, home, at_home = self._movement_costs(current, vm_name)
             tables.append(
                 CostTable(elsewhere, {} if home is None else {node_index[home]: at_home})
             )
-            pin = pins.get(vm_name)
-            if pin is not None:
+            if vm_name in frozen:
                 # Only under a relational catalog: folded otherwise.
-                candidates.append([node_index[pin]])
+                candidates.append([node_index[home]])
                 homes.append(None)
-                reachable.add(node_index[pin])
+                reachable.add(node_index[home])
                 continue
             allowed = domains[vm_name]
             nodes = node_lists.get(id(allowed))
@@ -633,7 +610,7 @@ class ContextSwitchOptimizer:
         )
 
         def answer(hosts: Iterable[int]) -> dict[str, int]:
-            """The whole assignment: the folded pins, then the model's VMs."""
+            """The whole assignment: the folded VMs, then the model's."""
             return {**folded, **dict(zip(model_vms, hosts))}
 
         if incumbent is not None:
@@ -654,7 +631,7 @@ class ContextSwitchOptimizer:
         preferences: dict[str, int] = {}
         templates: dict[int, Domain] = {}
         for vm_name, nodes, home in zip(model_vms, candidates, homes):
-            if vm_name in pins:
+            if vm_name in frozen:
                 assignment_vars.append(model.pinned_var(f"x({vm_name})", nodes[0]))
                 continue
             template = templates.get(id(nodes))

@@ -20,8 +20,8 @@ is always safe to request.
   (mode, dirty/frozen counts, attempts, fallback reason);
 * :func:`compute_dirty_set` — the deterministic dirty-region rules
   (external marks, VMs needing placement, placements invalidated by
-  shrunken constraints, relational closure, halo expansion), exposed for
-  property tests.
+  shrunken constraints, relational closure, halo expansion): the body the
+  engine runs, called on plain inputs.
 
 Accepted plans always pass the same checker pipeline as a cold solve: the
 inner optimizer's single global planner pass re-validates the whole

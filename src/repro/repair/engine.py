@@ -3,9 +3,8 @@
 The engine keeps the previous round's assignment across calls.  Each round
 it derives the *dirty region* — the VMs whose placement may have to change —
 from four deterministic rules, each read from what moved rather than from
-the fleet (:meth:`RepairOptimizer._dirty_region`;
-:func:`compute_dirty_set` is the same rules stated over every running VM,
-kept as their oracle):
+the fleet (:func:`dirty_region`, the one body both
+:meth:`RepairOptimizer._dirty_region` and :func:`compute_dirty_set` call):
 
 1. **external marks** — VMs the control loop flagged as perturbed this round
    (crashed-node victims, new arrivals, members of violated constraints),
@@ -25,11 +24,15 @@ kept as their oracle):
    the VMs sharing a node with a dirty running VM, read from
    ``Configuration.vms_on(host)``.
 
-Everything else is *frozen*: pinned to its current host and handed to the
-inner optimizer as ``pinned``, which folds the frozen VMs into their hosts'
-residual capacities — under a catalog too, as long as it holds no
-relational constraint — so the model it builds, and the round, cost what
-changed rather than the fleet.  On infeasibility the neighbourhood widens
+Everything else that runs and must keep running is *frozen*: it keeps the
+host it runs on, and the set is handed to the inner optimizer as ``frozen``,
+which folds those VMs into their hosts' residual capacities — under a
+catalog too, as long as it holds no relational constraint — so the model it
+builds, and the round, cost what changed rather than the fleet.  The rules
+are the one owner of what a frozen VM is: it runs, on a node of the
+configuration (rule 2 dirties whatever a crash evicted), inside its retained
+unary domain (rule 3) and is not leaving; the layers below do not check it
+again.  On infeasibility the neighbourhood widens
 deterministically (the VMs frozen on the emptiest quarter, then half, of the
 nodes are released), and the last step is always the full monolithic solve
 with the caller's real fallback target — so the repair engine accepts
@@ -69,7 +72,7 @@ _LNS_STEPS = 2
 class _MustRun:
     """The VMs whose wanted state is Running, as a membership test over the
     wanted states: a warm round asks it of the few VMs that moved, and only
-    a cold start or a widening step lists them."""
+    a cold start lists them."""
 
     def __init__(self, states: Mapping[str, VMState]) -> None:
         self._states: Mapping = states
@@ -109,6 +112,52 @@ def _relational_closure(
                 changed = True
 
 
+def dirty_region(
+    current: Configuration,
+    must_run: Container[str],
+    changed: Iterable[str],
+    placement: Mapping[str, str],
+    domains: Mapping[str, Optional[Container[str]]],
+    constraints: Sequence[PlacementConstraint],
+    marks: Iterable[str],
+    previous: Mapping[str, str],
+    halo: int,
+) -> Set[str]:
+    """The perturbed region of one round (see the module docstring rules),
+    read from what moved: ``must_run`` are the VMs that must run,
+    ``changed`` the VMs whose wanted state is not the observed one,
+    ``placement`` the hosts of the VMs that run, ``domains`` their unary
+    domains, ``marks`` the externally flagged perturbations and
+    ``previous`` the assignment of the last accepted round.
+    Deterministic: depends only on its inputs."""
+    dirty = {vm for vm in marks if vm in must_run}
+    # Arrivals, resumes, crash victims: nothing to freeze.
+    dirty.update(vm for vm in changed if vm in must_run)
+    # Execution diverged from the last plan (a failed migration), or the
+    # placement was invalidated after the fact (an elastic Fence that shrank
+    # when a node crashed): re-decide the VM rather than trusting — or
+    # freezing it on a retired domain — its host.
+    dirty.update(
+        vm
+        for vm, host in placement.items()
+        if (
+            previous.get(vm) != host
+            or ((allowed := domains[vm]) is not None and host not in allowed)
+        )
+        and vm in must_run
+    )
+    _relational_closure(dirty, constraints, must_run)
+    for _ in range(max(0, halo)):
+        hosts = {placement[vm] for vm in dirty if vm in placement}
+        before = len(dirty)
+        for host in hosts:
+            dirty.update(vm for vm in current.vms_on(host) if vm in must_run)
+        _relational_closure(dirty, constraints, must_run)
+        if len(dirty) == before:
+            break
+    return dirty
+
+
 def compute_dirty_set(
     current: Configuration,
     states: Mapping[str, VMState],
@@ -118,55 +167,21 @@ def compute_dirty_set(
     previous: Optional[Mapping[str, str]] = None,
     halo: int = 1,
 ) -> Set[str]:
-    """The perturbed region of one round (see the module docstring rules).
-
-    ``running_vms`` are the VMs whose target state is Running; ``marks``
-    the externally flagged perturbations; ``previous`` the assignment of
-    the last accepted round.  Deterministic: depends only on its inputs.
-    """
-    running_set = set(running_vms)
-    domains = vm_domains(current, running_vms, constraints)
-    dirty: Set[str] = {vm for vm in marks if vm in running_set}
-    for vm in running_vms:
-        if vm in dirty:
-            continue
-        if current.state_of(vm) is not VMState.RUNNING:
-            # Arrivals, resumes, crash victims: nothing to freeze.
-            dirty.add(vm)
-            continue
-        host = current.location_of(vm)
-        if previous is not None and previous.get(vm) != host:
-            # Execution diverged from the last plan (e.g. a failed
-            # migration): re-decide this VM rather than trusting the pin.
-            dirty.add(vm)
-            continue
-        allowed = domains[vm]
-        if allowed is not None and host not in allowed:
-            # The placement was invalidated after the fact — typically an
-            # elastic Fence that shrank when a node crashed.  The frozen
-            # region must not pin onto a retired domain.
-            dirty.add(vm)
-    _relational_closure(dirty, constraints, running_set)
-    for _ in range(max(0, halo)):
-        hosts = {
-            current.location_of(vm)
-            for vm in dirty
-            if current.state_of(vm) is VMState.RUNNING
-        }
-        if not hosts:
-            break
-        before = len(dirty)
-        for vm in running_vms:
-            if (
-                vm not in dirty
-                and current.state_of(vm) is VMState.RUNNING
-                and current.location_of(vm) in hosts
-            ):
-                dirty.add(vm)
-        _relational_closure(dirty, constraints, running_set)
-        if len(dirty) == before:
-            break
-    return dirty
+    """:func:`dirty_region` from a round's plain inputs: ``running_vms`` are
+    the VMs whose target state is Running; ``previous`` the assignment of
+    the last accepted round, ``None`` for no history (nothing diverges)."""
+    placement = current.placement()
+    return dirty_region(
+        current,
+        set(running_vms),
+        [vm for vm in running_vms if vm not in placement],
+        placement,
+        vm_domains(current, placement, constraints),
+        constraints,
+        marks,
+        placement if previous is None else previous,
+        halo,
+    )
 
 
 class RepairOptimizer:
@@ -176,7 +191,7 @@ class RepairOptimizer:
     :class:`~repro.core.optimizer.ContextSwitchOptimizer`
     (``engine="repair"``) or a
     :class:`~repro.scale.parallel.ParallelOptimizer`
-    (``engine="repair-partitioned"``); both accept ``pinned`` and a per-call
+    (``engine="repair-partitioned"``); both accept ``frozen`` and a per-call
     ``timeout``, through which every attempt gets what is left of this
     engine's own ``timeout`` — the round's budget, a plain attribute a
     driver may set between rounds.
@@ -267,15 +282,12 @@ class RepairOptimizer:
             )
         # The frozen region: what runs, must keep running, and is not dirty
         # (a clean VM that must run does, or it would need placement).
-        pins = dict(placement)
-        for vm in dirty:
-            pins.pop(vm, None)
-        for vm in changed:
-            if vm not in must_run:
-                pins.pop(vm, None)
+        leaving = [vm for vm in changed if vm not in must_run]
+        frozen = placement.keys() - dirty
+        frozen.difference_update(leaving)
         attempts = 0
         for level in range(_LNS_STEPS + 1):
-            if not pins:
+            if not frozen:
                 reason = (
                     "cold start (no previous assignment)"
                     if previous is None
@@ -292,7 +304,7 @@ class RepairOptimizer:
                 "repair-attempt",
                 level=level,
                 dirty=len(dirty),
-                frozen=len(pins),
+                frozen=len(frozen),
             ) as attempt_span:
                 try:
                     result = self.inner.optimize(
@@ -301,7 +313,7 @@ class RepairOptimizer:
                         vjob_of_vm=vjob_of_vm,
                         fallback_target=None,
                         constraints=constraints,
-                        pinned=pins,
+                        frozen=frozen,
                         timeout=max(MIN_CARVED_TIMEOUT_S, remaining),
                     )
                 except PlanningError:
@@ -318,14 +330,12 @@ class RepairOptimizer:
                         else f"repaired after widening {level}x"
                     ),
                     dirty_count=len(dirty),
-                    frozen_count=len(pins),
+                    frozen_count=len(frozen),
                     attempts=attempts,
                 )
-            region = set(dirty)
-            dirty |= self._widened(current, list(must_run), dirty, level + 1)
+            dirty |= self._widened(current, must_run, leaving, dirty, level + 1)
             _relational_closure(dirty, constraints, must_run)
-            for vm in dirty - region:
-                pins.pop(vm, None)
+            frozen = frozen - dirty
         else:  # no break: every level of the schedule was tried
             reason = f"neighbourhood schedule exhausted ({attempts} attempts)"
         # The one way into the full solve: the caller's real fallback target
@@ -361,74 +371,49 @@ class RepairOptimizer:
         constraints: Sequence[PlacementConstraint],
         marks: Iterable[str],
     ) -> Set[str]:
-        """The perturbed region of a warm round — the set
-        :func:`compute_dirty_set` returns, read from what moved:
-        ``must_run`` are the VMs that must run, ``changed`` the VMs whose
-        wanted state is not the observed one, ``placement`` the hosts of the
-        VMs that run."""
-        previous = self._previous
-        domains = self.domains.of(current, placement, constraints)
-        dirty = {vm for vm in marks if vm in must_run}
-        # Arrivals, resumes, crash victims: nothing to freeze.
-        dirty.update(vm for vm in changed if vm in must_run)
-        # Execution diverged from the last plan (a failed migration), or
-        # the placement was invalidated after the fact (an elastic Fence
-        # that shrank when a node crashed): re-decide the VM rather than
-        # trusting — or pinning onto a retired domain — its host.
-        dirty.update(
-            vm
-            for vm, host in placement.items()
-            if (
-                previous.get(vm) != host
-                or ((allowed := domains[vm]) is not None and host not in allowed)
-            )
-            and vm in must_run
+        """The perturbed region of a warm round: :func:`dirty_region` over
+        the retained domains, the previous assignment and :attr:`halo`."""
+        return dirty_region(
+            current,
+            must_run,
+            changed,
+            placement,
+            self.domains.of(current, placement, constraints),
+            constraints,
+            marks,
+            self._previous,
+            self.halo,
         )
-        _relational_closure(dirty, constraints, must_run)
-        for _ in range(max(0, self.halo)):
-            hosts = {placement[vm] for vm in dirty if vm in placement}
-            before = len(dirty)
-            for host in hosts:
-                dirty.update(
-                    vm for vm in current.vms_on(host) if vm in must_run
-                )
-            _relational_closure(dirty, constraints, must_run)
-            if len(dirty) == before:
-                break
-        return dirty
 
+    @staticmethod
     def _widened(
-        self,
         current: Configuration,
-        running_vms: Sequence[str],
+        must_run: Container[str],
+        leaving: Iterable[str],
         dirty: Set[str],
         level: int,
     ) -> Set[str]:
         """Deterministic widening: release the VMs frozen on the emptiest
         ``level``/4 of the nodes (most free memory first) — capacity relief
-        for a dirty region that does not fit between the frozen VMs."""
+        for a dirty region that does not fit between the frozen VMs.  A
+        node's room is its live free capacity plus what the ``leaving`` VMs
+        (running, not to keep running) hold there."""
         node_names = current.node_names
-        free: dict[str, list[int]] = {
-            name: list(current.node(name).capacity.as_tuple())
-            for name in node_names
-        }
-        for vm in running_vms:
-            if current.state_of(vm) is VMState.RUNNING:
-                cpu, memory = current.vm(vm).demand.as_tuple()
-                host = current.location_of(vm)
-                free[host][0] -= cpu
-                free[host][1] -= memory
+        held = current.load_by_host(leaving)
+        free: dict[str, tuple[int, int]] = {}
+        for name in node_names:
+            cpu, memory = current.free_capacity(name).as_tuple()
+            cpu_held, memory_held = held.get(name, (0, 0))
+            free[name] = (cpu + cpu_held, memory + memory_held)
         count = max(1, len(node_names) * level // 4)
         emptiest = sorted(
             node_names, key=lambda name: (-free[name][1], -free[name][0], name)
         )[:count]
-        hosts = set(emptiest)
         return {
             vm
-            for vm in running_vms
-            if vm not in dirty
-            and current.state_of(vm) is VMState.RUNNING
-            and current.location_of(vm) in hosts
+            for host in emptiest
+            for vm in current.vms_on(host)
+            if vm in must_run and vm not in dirty
         }
 
     def _accept(
@@ -455,7 +440,7 @@ class RepairOptimizer:
             "reused_zones": sum(1 for r in result.zone_reports if r.reused),
         }
         if mode == "repair" and frozen_count and result.statistics is not None:
-            # Exhausting the search under pins only proves optimality of the
-            # frozen-region subproblem — never surface it as a global claim.
+            # Exhausting the search around the frozen VMs only proves the
+            # optimum of the subproblem they leave — never a global claim.
             result.statistics.proven_optimal = False
         return result

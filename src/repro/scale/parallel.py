@@ -40,17 +40,17 @@ movement cost is then a constant (the same for every zone node), so the
 arg-min placement is unaffected and the exact cost is restored by the global
 planning pass.
 
-A warm round costs what changed.  Under ``pinned`` (the repair engine's
-frozen region) the pending zones are found from the VMs that are *not*
-pinned — a zone none of them belongs to is reused without being looked at —
-and a pending zone is *cut* rather than extracted: only its unpinned VMs
+A warm round costs what changed.  Under ``frozen`` (the repair engine's
+frozen region: VMs that keep the host they run on, inside their domain — so
+inside their zone) the pending zones are found from the VMs that are *not*
+frozen — a zone none of them belongs to is reused without being looked at —
+and a pending zone is *cut* rather than extracted: only its unfrozen VMs
 enter the sub-configuration, over nodes whose capacity is what the frozen
-residents leave (the live free capacity plus what the unpinned residents
+residents leave (the live free capacity plus what the unfrozen residents
 hold), so extraction, model and search scale with the dirty VMs and the
-nodes of their zones.  A zone is extracted whole, pins and all, when the
-model has to see the frozen VMs (a relational constraint in its catalog) or
-to refuse them (a pin that is not the VM's current host or lies outside its
-domain, a frozen region that overloads a node).
+nodes of their zones.  A zone is extracted whole, frozen VMs and all, when
+the model has to see them (a relational constraint in its catalog) or to
+refuse them (a frozen region that overloads a node).
 
 What is kept from one round to the next, each with one owner and one
 invalidation point:
@@ -71,7 +71,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..constraints.base import PlacementConstraint
 from ..core.optimizer import (
@@ -97,7 +97,7 @@ ZONE_EXECUTORS = ("auto", "process", "serial")
 
 #: The ``"auto"`` rule: the pool is used only when the host has more than
 #: one core *and* at least two of the zones pending in this solve each hold
-#: at least this many unpinned VMs, and it gets ``min(cores, such zones)``
+#: at least this many unfrozen VMs, and it gets ``min(cores, such zones)``
 #: workers.  Shipping a zone costs a pickle of its sub-configuration both
 #: ways (and, for a one-shot solve, the fork), so small zones — every warm
 #: repair round, every fenced test fixture — lose to running in-process.
@@ -113,7 +113,7 @@ ZONE_EXECUTORS = ("auto", "process", "serial")
 #:   20 000 / 2 500  (8)     2304-2489 -> 1646-1647
 #:
 #: and the warm ``fleet-repair`` stream (about 10 pending zones of about 2
-#: unpinned VMs each) 19.8-21.2 -> 22.9-27.4 ms with a pool.  The pool starts
+#: unfrozen VMs each) 19.8-21.2 -> 22.9-27.4 ms with a pool.  The pool starts
 #: to pay somewhere between 125- and 312-VM zones; ``docs/PERFORMANCE.md``
 #: says how to re-measure.
 _POOL_ZONE_VMS = 256
@@ -132,12 +132,11 @@ class ZoneTask:
     configuration: Configuration
     engine: str = "event"
     timeout: float = 40.0
-    #: VM -> node-name placements frozen by the repair engine, for a zone
-    #: extracted whole (only pins whose VM *and* node lie inside the zone
-    #: are carried; a cut zone carries none, its frozen VMs are in the
-    #: capacities; a zone whose VMs are all pinned never reaches a worker —
-    #: see ``_solve_zones``).
-    pinned: Optional[dict[str, str]] = None
+    #: The zone's VMs the repair engine froze on their hosts, for a zone
+    #: extracted whole (a cut zone carries none, its frozen VMs are in the
+    #: capacities; a zone whose VMs are all frozen never reaches a worker —
+    #: see ``_zone_tasks``).
+    frozen: AbstractSet[str] = frozenset()
     #: True when the parent solve is being traced: the worker records a
     #: local :class:`repro.obs.Tracer` and ships the span tree back in
     #: :attr:`ZoneOutcome.trace` for re-parenting.
@@ -243,7 +242,7 @@ def _solve_zone_traced(task: ZoneTask, zone_span: Span) -> ZoneOutcome:
     zone_span.set(
         vms=len(task.zone.vms),
         nodes=len(task.zone.nodes),
-        pinned=len(task.pinned or ()) + len(task.zone.vms) - len(extracted),
+        pinned=len(task.frozen) + len(task.zone.vms) - len(extracted),
     )
     optimizer = ContextSwitchOptimizer(engine=task.engine)
     states = dict.fromkeys(extracted, VMState.RUNNING)
@@ -252,7 +251,7 @@ def _solve_zone_traced(task: ZoneTask, zone_span: Span) -> ZoneOutcome:
         task.configuration,
         states,
         constraints=task.zone.constraints,
-        pinned=task.pinned,
+        frozen=task.frozen,
         timeout=task.timeout,
     )
     return ZoneOutcome(
@@ -298,37 +297,6 @@ def merge_statistics(
     )
     merged.elapsed = max((o.statistics.elapsed for o in outcomes), default=0.0)
     return merged
-
-
-def _unfrozen(
-    decomposition: PartitionResult,
-    pinned: Mapping[str, str],
-    placement: Mapping[str, str],
-) -> Tuple[Dict[int, List[str]], Dict[int, List[str]]]:
-    """What the pins leave to decide, zone by zone, as ``(free, odd)``: the
-    placed VMs no pin holds inside their zone — the VMs the round re-places
-    — and the VMs pinned inside their zone but not frozen where they are
-    (pinned off their current host, or outside their domain), which only
-    the model builder can move or refuse."""
-    zone_of_vm = decomposition.zone_of_vm
-    zone_of_node = decomposition.zone_of_node
-    domains = decomposition.domains
-    free: Dict[int, List[str]] = {}
-    odd: Dict[int, List[str]] = {}
-    for vm in zone_of_vm.keys() - pinned.keys():
-        free.setdefault(zone_of_vm[vm], []).append(vm)
-    for vm in [
-        vm
-        for vm, node in pinned.items()
-        if placement.get(vm) != node
-        or ((allowed := domains.get(vm)) is not None and node not in allowed)
-    ]:
-        index = zone_of_vm.get(vm)
-        if index is None:
-            continue  # not a VM to place: no zone reads this pin
-        inside = zone_of_node.get(pinned[vm]) == index
-        (odd if inside else free).setdefault(index, []).append(vm)
-    return free, odd
 
 
 class ParallelOptimizer(ContextSwitchOptimizer):
@@ -384,19 +352,18 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         vjob_of_vm: Optional[Mapping[str, str]] = None,
         fallback_target: Optional[Configuration] = None,
         constraints: Sequence[PlacementConstraint] = (),
-        pinned: Optional[Mapping[str, str]] = None,
+        frozen: AbstractSet[str] = frozenset(),
         timeout: Optional[float] = None,
     ) -> OptimizationResult:
         """Same contract as :meth:`ContextSwitchOptimizer.optimize`; the
         result's ``partition_method`` / ``partition_reason`` /
         ``zone_reports`` say how the instance was decomposed.
 
-        ``pinned`` composes the repair engine with partitioning: a zone
-        whose VMs are all pinned short-circuits to its previous
-        sub-assignment verbatim (no solver, no worker), a partially-dirty
-        zone solves with its clean VMs pinned, and only pins whose node
-        lies inside the zone are honoured (the partitioner anchors VMs to
-        their current host's zone, so that is the common case)."""
+        ``frozen`` composes the repair engine with partitioning: a zone
+        whose VMs are all frozen keeps them where they are (no solver, no
+        worker), a partially-dirty zone solves around its frozen VMs.  A
+        frozen VM sits inside its domain, so the partitioner put it in the
+        zone of its host."""
         budget = self.timeout if timeout is None else timeout
         deadline = time.monotonic() + budget
         states, changed = self._complete_states(current, target_states)
@@ -418,7 +385,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
             ]
             outcomes = sorted(
                 self._solve_zones(
-                    current, decomposition, deadline, pinned=pinned, leaving=leaving
+                    current, decomposition, deadline, frozen=frozen, leaving=leaving
                 ),
                 key=lambda o: o.index,
             )
@@ -438,7 +405,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
                 vjob_of_vm=vjob_of_vm,
                 fallback_target=fallback_target,
                 constraints=constraints,
-                pinned=pinned,
+                frozen=frozen,
                 timeout=budget,
             )
             result.partition_reason = reason
@@ -506,34 +473,35 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         self,
         current: Configuration,
         decomposition: PartitionResult,
-        pinned: Optional[Mapping[str, str]] = None,
+        frozen: AbstractSet[str] = frozenset(),
         leaving: Sequence[str] = (),
     ) -> Tuple[List[ZoneOutcome], List[ZoneTask]]:
-        """The outcomes of the zones the pins leave nothing to decide in,
-        and one task (its timeout still to be carved) per zone to solve.
+        """The outcomes of the zones the frozen region leaves nothing to
+        decide in, and one task (its timeout still to be carved) per zone to
+        solve.
 
-        Repair composition: a zone whose VMs are all pinned inside it is
-        untouched by this round — its VMs stay where they are and it is
-        never shipped to a worker.  The dirty zones are found from the VMs
-        that are *not* pinned, and each is cut around them
-        (:func:`build_zone_configuration`) unless the model has to see its
-        frozen VMs: under a relational constraint, or to move or refuse a
-        pin that does not freeze its VM in place.  ``leaving`` are the
-        running VMs that must not keep running: they hold capacity no
-        zone's model counts."""
-        if not pinned:
+        Repair composition: a zone whose VMs are all frozen is untouched by
+        this round — its VMs stay where they are and it is never shipped to
+        a worker.  The dirty zones are found from the VMs that are *not*
+        frozen, and each is cut around them (:func:`build_zone_configuration`)
+        unless the model has to see its frozen VMs: under a relational
+        constraint, or to refuse a frozen region that overloads a node.
+        ``leaving`` are the running VMs that must not keep running: they
+        hold capacity no zone's model counts."""
+        if not frozen:
             return [], [
                 ZoneTask(zone, build_zone_configuration(current, zone), self.engine)
                 for zone in decomposition.zones
             ]
-        placement = current.placement()
-        free, odd = _unfrozen(decomposition, pinned, placement)
+        zone_of_vm = decomposition.zone_of_vm
+        #: The VMs each zone re-places: its placed VMs the round does not
+        #: freeze.
+        free: Dict[int, List[str]] = {}
+        for vm in zone_of_vm.keys() - frozen:
+            free.setdefault(zone_of_vm[vm], []).append(vm)
         #: (cpus, MB) held on each node by residents this round does not
         #: freeze there.
-        released = current.load_by_host(
-            set(leaving).union(*free.values(), *odd.values())
-        )
-        zone_of_node = decomposition.zone_of_node
+        released = current.load_by_host(set(leaving).union(*free.values()))
         reused: List[ZoneOutcome] = []
         tasks: List[ZoneTask] = []
         for zone in decomposition.zones:
@@ -541,7 +509,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
                 reused.append(
                     ZoneOutcome(
                         index=zone.index,
-                        assignment={vm: pinned[vm] for vm in odd.get(zone.index, ())},
+                        assignment={},
                         statistics=SearchStatistics(),
                         elapsed=0.0,
                         node_count=len(zone.nodes),
@@ -551,9 +519,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
                 )
                 continue
             cut = None
-            if zone.index not in odd and not any(
-                constraint.relational for constraint in zone.constraints
-            ):
+            if not any(constraint.relational for constraint in zone.constraints):
                 cut = build_zone_configuration(
                     current,
                     zone,
@@ -563,20 +529,12 @@ class ParallelOptimizer(ContextSwitchOptimizer):
             if cut is not None:
                 tasks.append(ZoneTask(zone, cut, self.engine))
                 continue
-            # Whole, with the pins inside it; one targeting a node outside
-            # the zone is dropped — the VM is then solved freely inside the
-            # zone, which is always sound (just less incremental).
-            pins = {
-                vm: pinned[vm]
-                for vm in zone.vms
-                if vm in pinned and zone_of_node.get(pinned[vm]) == zone.index
-            }
             tasks.append(
                 ZoneTask(
                     zone,
                     build_zone_configuration(current, zone),
                     self.engine,
-                    pinned=pins or None,
+                    frozen={vm for vm in zone.vms if vm in frozen},
                 )
             )
         return reused, tasks
@@ -586,19 +544,19 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         current: Configuration,
         decomposition: PartitionResult,
         deadline: float,
-        pinned: Optional[Mapping[str, str]] = None,
+        frozen: AbstractSet[str] = frozenset(),
         leaving: Sequence[str] = (),
     ) -> List[ZoneOutcome]:
         """Solve the zones of ``decomposition`` by ``deadline`` — the
         round's: the partition and the extraction before the first zone are
         paid out of the same budget."""
-        reused, tasks = self._zone_tasks(current, decomposition, pinned, leaving)
+        reused, tasks = self._zone_tasks(current, decomposition, frozen, leaving)
         if not tasks:
             return reused
 
         if self.zone_executor == "auto":
             worth_a_worker = sum(
-                len(task.configuration.vm_names) - len(task.pinned or ())
+                len(task.configuration.vm_names) - len(task.frozen)
                 >= _POOL_ZONE_VMS
                 for task in tasks
             )

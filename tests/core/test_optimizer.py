@@ -18,6 +18,7 @@ from repro.model.configuration import Configuration
 from repro.model.errors import PlanningError
 from repro.model.node import make_working_nodes
 from repro.model.vm import VMState
+from repro.repair import compute_dirty_set
 
 from repro.testing import fence_groups, make_large_fleet, make_vm
 
@@ -143,6 +144,8 @@ class TestVJobConsistencyIntegration:
         assert len(resume_pools) == 1
 
 
+#: The last accepted round put every VM somewhere — the two that do not run
+#: included, so those are dirty (they need placement), not frozen.
 _EVERY_VM_PINNED = {
     "a": "node-0",
     "b": "node-1",
@@ -168,22 +171,28 @@ def solves(monkeypatch):
 
 class TestOneModelBuilder:
     """One builder serves the cold solve, the folded repair fast path and
-    the pinned-variable path: each must honour pins, capacities and the
-    catalog, and refuse unsatisfiable pins instead of unpinning.
+    the fixed-variable path: each must keep the frozen VMs on their hosts
+    and honour capacities and the catalog.
+
+    A case gives the host the last accepted round left some VMs on; the
+    solve is handed the frozen set the dirty rule — the one owner of what a
+    frozen VM is — leaves of them: a VM that does not run, diverged from
+    that host or sits outside its domain is dirty and re-placed, never
+    handed over frozen.
 
     ``variables`` is the size of the model that reached a solver — one per
     VM left to place plus the cost — or 0 when none was built.  Under a
-    catalog without a relational constraint the pinned VMs are folded into
+    catalog without a relational constraint the frozen VMs are folded into
     the capacities, members of the catalog's groups included, and the
     keep-in-place incumbent answers whenever it costs the lower bound — on
     ``cluster`` it always does (everyone stays, ``sleepy`` resumes where its
     image is or, banned from there, anywhere), so those solves build no
     model; on ``crowded``, where node-0 must shed a VM, the model is built
-    around the folded pins.  One relational constraint keeps every VM in
-    the model and leaves it without an incumbent."""
+    around the folded VMs.  One relational constraint keeps every VM in the
+    model and leaves it without an incumbent."""
 
-    #: Pins and unary catalogs under which ``cluster`` is answered by the
-    #: incumbent; the last column is the model ``crowded`` needs.
+    #: Previous hosts and unary catalogs under which ``cluster`` is answered
+    #: by the incumbent; the last column is the model ``crowded`` needs.
     _UNARY = [
         pytest.param(None, [], 7, id="no-pins"),
         pytest.param({"a": "node-0", "b": "node-1"}, [], 5, id="pins-empty-catalog"),
@@ -214,7 +223,7 @@ class TestOneModelBuilder:
     ]
 
     @pytest.mark.parametrize(
-        "pinned, constraints, variables",
+        "previous, constraints, variables",
         [
             *(
                 pytest.param(*param.values[:2], 0, id=param.id)
@@ -232,6 +241,8 @@ class TestOneModelBuilder:
                 6,
                 id="pins-fence-and-spread",
             ),
+            # ``a``, ``b`` and ``c`` frozen; ``sleepy`` and ``newcomer`` are
+            # placed around them.
             pytest.param(_EVERY_VM_PINNED, [], 0, id="every-vm-pinned"),
             pytest.param(
                 _EVERY_VM_PINNED,
@@ -239,11 +250,14 @@ class TestOneModelBuilder:
                 0,
                 id="every-vm-pinned-fence",
             ),
-            pytest.param({"a": "node-9"}, [], None, id="pin-to-removed-node"),
+            # The last round left ``a`` on a node that is gone: it diverged,
+            # so it is re-placed (where it runs, for nothing).
+            pytest.param({"a": "node-9"}, [], 0, id="pin-to-removed-node"),
+            # ``a`` runs outside its domain: dirty, moved into it.
             pytest.param(
                 {"a": "node-0"},
                 [Fence(["a"], ["node-1", "node-2"])],
-                None,
+                0,
                 id="pin-outside-its-fence",
             ),
             pytest.param(
@@ -252,51 +266,60 @@ class TestOneModelBuilder:
                     Fence(["a", "b"], ["node-0", "node-1"], elastic=True)
                     .on_node_failure("node-0")
                 ],
-                None,
+                0,
                 id="pin-outside-its-crash-shrunken-fence",
             ),
             pytest.param(
                 {"a": "node-0"},
                 [Fence(["a"], ["node-1", "node-2"]), Spread(["b", "sleepy"])],
-                None,
+                6,
                 id="pin-outside-its-fence-relational-catalog",
             ),
-            pytest.param({"a": "node-3"}, [Root(["a"])], None, id="pin-off-its-root"),
+            # ``a`` diverged from the last round's host: re-placed, and its
+            # root keeps it where it runs.
+            pytest.param({"a": "node-3"}, [Root(["a"])], 0, id="pin-off-its-root"),
         ],
     )
     def test_pins_capacities_and_catalog_are_honoured(
-        self, cluster, models, pinned, constraints, variables
+        self, cluster, models, previous, constraints, variables
     ):
-        self._assert_honoured(cluster, models, pinned, constraints, variables)
+        self._assert_honoured(cluster, models, previous, constraints, variables)
 
-    @pytest.mark.parametrize("pinned, constraints, variables", _UNARY)
+    @pytest.mark.parametrize("previous, constraints, variables", _UNARY)
     def test_a_host_that_must_shed_a_vm_reaches_the_builder(
-        self, cluster, models, pinned, constraints, variables
+        self, cluster, models, previous, constraints, variables
     ):
         # ``d`` asks both cpus of node-0, where ``a`` holds one: whoever
         # stays, the other migrates, so the incumbent costs more than the
         # bound (0 for two running VMs) and the search has to say who.
         cluster.add_vm(make_vm("d", memory=512, cpu=2))
         cluster.set_running("d", "node-0")
-        self._assert_honoured(cluster, models, pinned, constraints, variables)
+        self._assert_honoured(cluster, models, previous, constraints, variables)
 
     @staticmethod
-    def _assert_honoured(cluster, models, pinned, constraints, variables):
+    def _assert_honoured(cluster, models, previous, constraints, variables):
         states = {name: VMState.RUNNING for name in cluster.vm_names}
+        placement = cluster.placement()
+        previous = previous or {}
+        frozen = previous.keys() - compute_dirty_set(
+            cluster,
+            states,
+            list(states),
+            constraints,
+            previous={**placement, **previous},
+            halo=0,
+        )
         assignment, statistics, _ = ContextSwitchOptimizer(
             timeout=5
-        ).search_assignment(cluster, states, constraints, pinned=pinned)
+        ).search_assignment(cluster, states, constraints, frozen=frozen)
         assert [len(model.variables) for model in models] == (
             [variables] if variables else []
         )
-        if variables is None:
-            assert assignment is None and statistics.nodes == 0
-            return
         if variables == 0:
             assert statistics.nodes == 0 and statistics.proven_optimal
         assert set(assignment) == set(cluster.vm_names)
-        for vm, node in (pinned or {}).items():
-            assert assignment[vm] == node
+        for vm in frozen:
+            assert assignment[vm] == placement[vm]
         target = cluster.copy()
         for vm, node in assignment.items():
             target.set_running(vm, node)
@@ -306,8 +329,11 @@ class TestOneModelBuilder:
     def test_a_fenced_frozen_region_that_overloads_a_node_is_refused(
         self, cluster, solves
     ):
-        # Three cpus pinned onto the two of node-0: no search can fix what
-        # the pins alone break, so none is started.
+        # ``a`` and ``d`` ask three cpus of node-0's two, and nobody marked
+        # them dirty: no search can fix what the frozen VMs alone break, so
+        # none is started.
+        cluster.add_vm(make_vm("d", memory=512, cpu=2))
+        cluster.set_running("d", "node-0")
         states = {name: VMState.RUNNING for name in cluster.vm_names}
         assignment, statistics, improving = ContextSwitchOptimizer(
             timeout=5
@@ -315,7 +341,7 @@ class TestOneModelBuilder:
             cluster,
             states,
             [Fence(["a", "b", "newcomer"], ["node-0", "node-1"])],
-            pinned={"a": "node-0", "b": "node-0", "sleepy": "node-0"},
+            frozen={"a", "b", "d"},
         )
         assert assignment is None and improving == []
         assert statistics.nodes == 0 and solves == []
@@ -341,16 +367,12 @@ class TestOneModelBuilder:
         ):
             zone.replace_vm(make_vm(name, memory=memory, cpu=cpu))
         dirty = list(zone.vms_on("node-0"))
-        pins = {
-            name: zone.location_of(name)
-            for name in zone.vm_names
-            if name not in dirty
-        }
+        frozen = {name for name in zone.vm_names if name not in dirty}
         vacuous = MaxOnline(zone.node_names, maximum=len(zone.node_names))
         optimizer = ContextSwitchOptimizer(timeout=30, engine=engine)
-        folded = optimizer.search_assignment(zone, states, catalog, pinned=pins)
+        folded = optimizer.search_assignment(zone, states, catalog, frozen=frozen)
         pinned = optimizer.search_assignment(
-            zone, states, catalog + [vacuous], pinned=pins
+            zone, states, catalog + [vacuous], frozen=frozen
         )
         assert [len(model.variables) for model in models] == [
             len(dirty) + 1,

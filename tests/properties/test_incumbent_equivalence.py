@@ -12,14 +12,17 @@ builds the whole model, pinned VMs included, and searches it.
 On random instances — running (possibly on an overloaded host), sleeping
 and waiting VMs, all wanted running — crossed with {no catalog, ``Fence``
 strict, ``Fence`` elastic and crash-shrunken, ``Ban``, ``Root``} and {no
-pins, pins}:
+frozen VMs, a frozen region}:
 
 * **same feasibility** — one finds a placement exactly when the other does;
 * **never a worse cost** — the returned cost is never above the cost the
   reference proves, and whenever no solver was started the reference proves
   that very cost;
 * **a placement one could plan** — every returned assignment is viable,
-  honours the pins and violates nothing in the catalog.
+  keeps the frozen VMs where they run and violates nothing in the catalog.
+
+A frozen region is what the repair engine may hand over: running VMs inside
+their unary domain.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 from repro.constraints import Ban, Fence, MaxOnline, Root, violated_constraints
+from repro.constraints.domains import vm_domains
 from repro.core.optimizer import ContextSwitchOptimizer
 from repro.cp import ENGINES, Solver
 from repro.model.configuration import Configuration
@@ -42,7 +46,7 @@ CATALOGS = ("none", "fence", "elastic-fence", "ban", "root")
 
 @st.composite
 def instances(draw):
-    """A fleet, a unary catalog and the pins of a repair round."""
+    """A fleet, a unary catalog and the frozen region of a repair round."""
     node_count = draw(st.integers(min_value=3, max_value=6))
     configuration = Configuration()
     for i in range(node_count):
@@ -85,17 +89,20 @@ def instances(draw):
     else:
         catalog = []
 
-    running = [
-        name for name in names if configuration.state_of(name) is VMState.RUNNING
+    placement = configuration.placement()
+    domains = vm_domains(configuration, placement, catalog)
+    freezable = [
+        name
+        for name, host in placement.items()
+        if domains[name] is None or host in domains[name]
     ]
-    pins = {}
-    if running and draw(st.booleans()):
-        frozen = draw(st.lists(st.sampled_from(running), unique=True))
-        pins = {name: configuration.location_of(name) for name in frozen}
-    return configuration, names, catalog, pins
+    frozen = set()
+    if freezable and draw(st.booleans()):
+        frozen = set(draw(st.lists(st.sampled_from(freezable), unique=True)))
+    return configuration, names, catalog, frozen
 
 
-def solve_recording_bounds(optimizer, configuration, names, catalog, pins):
+def solve_recording_bounds(optimizer, configuration, names, catalog, frozen):
     """``search_assignment`` plus the ``initial_bound`` of every solver
     it started."""
     bounds = []
@@ -108,7 +115,7 @@ def solve_recording_bounds(optimizer, configuration, names, catalog, pins):
     states = dict.fromkeys(names, VMState.RUNNING)
     with mock.patch.object(Solver, "solve", spy):
         assignment, statistics, improving = optimizer.search_assignment(
-            configuration, states, catalog, pinned=pins
+            configuration, states, catalog, frozen=frozen
         )
     return assignment, statistics, improving, bounds
 
@@ -120,10 +127,10 @@ def placement_cost(configuration, assignment):
     )
 
 
-def _assert_plannable(configuration, names, catalog, pins, assignment):
+def _assert_plannable(configuration, names, catalog, frozen, assignment):
     assert set(assignment) == set(names)
-    for vm, node in pins.items():
-        assert assignment[vm] == node
+    for vm in frozen:
+        assert assignment[vm] == configuration.location_of(vm)
     target = configuration.copy()
     for vm, node in assignment.items():
         target.set_running(vm, node)
@@ -140,16 +147,16 @@ def _assert_plannable(configuration, names, catalog, pins, assignment):
 @settings(max_examples=150, deadline=None)
 @given(instances(), st.sampled_from(ENGINES))
 def test_incumbent_first_agrees_with_the_solve_that_always_searches(instance, engine):
-    configuration, names, catalog, pins = instance
+    configuration, names, catalog, frozen = instance
     vacuous = MaxOnline(
         configuration.node_names, maximum=len(configuration.node_names)
     )
     optimizer = ContextSwitchOptimizer(timeout=10.0, engine=engine)
     assignment, statistics, improving, bounds = solve_recording_bounds(
-        optimizer, configuration, names, catalog, pins
+        optimizer, configuration, names, catalog, frozen
     )
     reference, reference_stats, _, reference_bounds = solve_recording_bounds(
-        optimizer, configuration, names, catalog + [vacuous], pins
+        optimizer, configuration, names, catalog + [vacuous], frozen
     )
     # The reference never has an incumbent, and searches unless the build
     # already refused the instance.
@@ -159,11 +166,11 @@ def test_incumbent_first_agrees_with_the_solve_that_always_searches(instance, en
         assert statistics.nodes <= reference_stats.nodes
         return
     assert reference_stats.proven_optimal
-    _assert_plannable(configuration, names, catalog, pins, assignment)
-    _assert_plannable(configuration, names, catalog, pins, reference)
+    _assert_plannable(configuration, names, catalog, frozen, assignment)
+    _assert_plannable(configuration, names, catalog, frozen, reference)
     cost = placement_cost(configuration, assignment)
     assert cost <= placement_cost(configuration, reference)
-    if not bounds and set(pins) != set(names):
+    if not bounds and frozen != set(names):
         # The incumbent met the bound: nothing was built, nothing searched,
         # and the search proves that cost.
         assert (statistics.nodes, statistics.solutions) == (0, 1)
@@ -185,7 +192,7 @@ def test_an_incumbent_that_misses_the_bound_seeds_the_search(models):
     fence = Fence(["x", "y"], ["node-0", "node-1"])
     optimizer = ContextSwitchOptimizer(timeout=10.0)
     assignment, statistics, improving, bounds = solve_recording_bounds(
-        optimizer, configuration, ["x", "y"], [fence], {}
+        optimizer, configuration, ["x", "y"], [fence], set()
     )
     assert [len(model.variables) for model in models] == [3]
     # Costs are scaled by their gcd (512) inside the model.

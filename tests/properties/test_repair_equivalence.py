@@ -236,7 +236,7 @@ def test_folded_pins_search_like_pinned_variables(instance, engine):
     for victim in victims:
         configuration.set_waiting(victim)
     # Every other VM is fenced off the last node, unless it is frozen there
-    # (a pin outside its fence is refused before any model is built).
+    # (a frozen VM sits inside its domain).
     fence = Fence(
         [
             name
@@ -245,17 +245,13 @@ def test_folded_pins_search_like_pinned_variables(instance, engine):
         ],
         node_names[:-1],
     )
-    pins = {
-        name: configuration.location_of(name)
-        for name in names
-        if name not in victims
-    }
+    frozen = {name for name in names if name not in victims}
     optimizer = ContextSwitchOptimizer(timeout=10.0, engine=engine)
     folded, folded_stats, folded_costs, bounds = solve_recording_bounds(
-        optimizer, configuration, names, [fence], pins
+        optimizer, configuration, names, [fence], frozen
     )
     pinned, pinned_stats, pinned_costs, _ = solve_recording_bounds(
-        optimizer, configuration, names, [fence, vacuous], pins
+        optimizer, configuration, names, [fence, vacuous], frozen
     )
     assert (folded is None) == (pinned is None)
     if folded is None:
@@ -268,8 +264,8 @@ def test_folded_pins_search_like_pinned_variables(instance, engine):
 
     cost = placement_cost(configuration, folded)
     assert cost == placement_cost(configuration, pinned)
-    for vm, node in pins.items():
-        assert folded[vm] == node
+    for vm in frozen:
+        assert folded[vm] == configuration.location_of(vm)
     if bounds == [None]:
         # Searched without an incumbent: the same tree.
         assert folded == pinned and folded_costs == pinned_costs

@@ -12,8 +12,11 @@ recomputes everything.  Round for round they must give the same target, the
 same pools action for action, the same cost, the same ``repair`` telemetry
 and the same constraint violations.
 
-The dirty region itself is held against :func:`repro.repair.compute_dirty_set`
-— the rules stated over every running VM — on every warm round.
+The dirty region itself is held against the rules stated over every running
+VM (``_dirty_set_oracle``) on every warm round.  And every attempt the
+repair engine hands its inner optimizer, widened ones included, is held to
+what the layers below take on trust: each frozen VM runs, on a node of the
+configuration, inside its unary domain, and is not leaving.
 """
 
 from __future__ import annotations
@@ -22,13 +25,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.constraints import Among, Ban, Fence, Root, Spread
-from repro.core.optimizer import ContextSwitchOptimizer
+from repro.constraints.domains import RetainedDomains
+from repro.core.optimizer import ContextSwitchOptimizer, complete_states
 from repro.model.configuration import Configuration
 from repro.model.errors import PlanningError
 from repro.model.node import Node
 from repro.model.vm import VirtualMachine, VMState
-from repro.repair import RepairOptimizer, compute_dirty_set
+from repro.repair import RepairOptimizer
 from repro.scale import ParallelOptimizer
+
+from test_dirty_set_equivalence import _dirty_set_oracle
 
 #: Restarts and demand changes leave the key alone — the rounds that reuse
 #: what is kept — so they come up more often than the events that break it.
@@ -43,11 +49,32 @@ RELATIONS = ("fence", "elastic", "ban", "root", "among", "spread")
 SPARES = ("a0", "a1", "a2")
 
 
+def _assert_frozen_stays(current, target_states, constraints, frozen):
+    """The precondition the dirty rule owns and nothing below re-checks."""
+    states, _ = complete_states(current, target_states)
+    domains = RetainedDomains().of(current, frozen, constraints)
+    for vm in frozen:
+        assert current.state_of(vm) is VMState.RUNNING
+        host = current.location_of(vm)
+        assert host in current.node_names
+        assert domains[vm] is None or host in domains[vm]
+        assert states[vm] is VMState.RUNNING
+
+
 def _engine(kind):
     if kind == "repair":
         inner = ContextSwitchOptimizer(timeout=5.0)
     else:
         inner = ParallelOptimizer(timeout=5.0, zone_executor="serial", shards=2)
+    solve = inner.optimize
+
+    def checked(current, target_states, *, constraints=(), frozen=frozenset(), **kw):
+        _assert_frozen_stays(current, target_states, constraints, frozen)
+        return solve(
+            current, target_states, constraints=constraints, frozen=frozen, **kw
+        )
+
+    inner.optimize = checked
     return RepairOptimizer(inner, timeout=5.0)
 
 
@@ -204,7 +231,7 @@ def test_a_long_lived_engine_plans_what_a_rebuilt_one_plans(kind, data):
                 current.placement(),
                 catalog,
                 marks,
-            ) == compute_dirty_set(
+            ) == _dirty_set_oracle(
                 current, states, running_vms, catalog, marks, previous, kept.halo
             )
         ours = _solve(kept, current, states, catalog, marks)

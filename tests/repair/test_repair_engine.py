@@ -365,14 +365,15 @@ class TestRepairOptimizer:
         always recorded."""
 
         class _NoFrozenRegionFits:
-            """Refuses every pinned attempt; the full solve goes to a real
-            optimizer on its own budget, so a starved round still plans."""
+            """Refuses every attempt with a frozen region; the full solve
+            goes to a real optimizer on its own budget, so a starved round
+            still plans."""
 
             def __init__(self):
                 self.full_solves = []
 
-            def optimize(self, *args, pinned=None, timeout=None, **kwargs):
-                if pinned:
+            def optimize(self, *args, frozen=frozenset(), timeout=None, **kwargs):
+                if frozen:
                     raise PlanningError("the frozen region is too tight")
                 self.full_solves.append(kwargs["fallback_target"])
                 return ContextSwitchOptimizer(timeout=5.0).optimize(
@@ -411,6 +412,57 @@ class TestRepairOptimizer:
         assert engine.previous_assignment == dict(
             result.target.iter_placement()
         )
+
+    def test_widening_reads_live_room_and_counts_leaving_vms_as_free(self):
+        """Each widening step releases the VMs frozen on the emptiest
+        nodes, where a node's room is its live free capacity plus what its
+        leaving VMs hold: ``n1`` looks full (512 MB free) but ``l`` is being
+        suspended, so it is the emptiest (3 584 MB); the crowded ``n0`` is
+        the fullest and keeps its VMs frozen."""
+        configuration = Configuration()
+        for i in range(4):
+            configuration.add_node(
+                Node(name=f"n{i}", cpu_capacity=4, memory_capacity=4096)
+            )
+        for name, memory, host in (
+            ("p", 2048, "n0"),
+            ("q", 2048, "n0"),
+            ("r", 1024, "n0"),
+            ("s", 512, "n1"),
+            ("l", 3072, "n1"),
+            ("t", 2048, "n2"),
+            ("u", 1024, "n3"),
+        ):
+            configuration.add_vm(VirtualMachine(name=name, memory=memory))
+            configuration.set_running(name, host)
+        configuration.add_vm(VirtualMachine(name="w", memory=512))
+        states = {
+            **_states(configuration.vm_names),
+            "l": VMState.SLEEPING,
+        }
+        frozen_regions = []
+
+        class _Recording:
+            """Records every attempt's frozen region and refuses it."""
+
+            def optimize(self, *args, frozen=frozenset(), **kwargs):
+                if frozen:
+                    frozen_regions.append(set(frozen))
+                    raise PlanningError("the frozen region is too tight")
+                return ContextSwitchOptimizer(timeout=5.0).optimize(
+                    *args, **kwargs
+                )
+
+        engine = RepairOptimizer(_Recording(), timeout=5.0, halo=0)
+        engine._previous = dict(configuration.iter_placement())
+        result = engine.optimize(configuration, states)
+        assert frozen_regions == [
+            {"p", "q", "r", "s", "t", "u"},
+            {"p", "q", "r", "t", "u"},  # n1 (counting l) released s
+            {"p", "q", "r", "t"},  # then n3 released u
+        ]
+        assert result.repair["mode"] == "full"
+        assert result.target.is_viable()
 
     def test_close_forwards_to_the_inner_optimizer(self):
         closed = []

@@ -432,14 +432,14 @@ class TestExecutorIsDecidedPerSolve:
     """``zone_executor="auto"``: the pool only for two or more pending
     zones worth a worker each, on a host with the cores to overlap them."""
 
-    def _solve(self, pinned=None, constraints=None, **options):
+    def _solve(self, frozen=frozenset(), constraints=None, **options):
         configuration = _configuration()
         with ParallelOptimizer(timeout=5.0, **options) as optimizer:
             return optimizer.optimize(
                 configuration,
                 _states(configuration),
                 constraints=constraints or _fenced_constraints(),
-                pinned=pinned,
+                frozen=frozen,
             )
 
     def test_small_zones_fork_nothing_by_default(self, pools):
@@ -466,13 +466,13 @@ class TestExecutorIsDecidedPerSolve:
         assert pools == []
 
     @pytest.mark.parametrize(
-        "pinned, constraints",
+        "frozen, constraints",
         [
             # 3 + 3 VMs, one of the second zone's frozen by the repair engine
-            ({"vm3": "node-3"}, None),
+            ({"vm3"}, None),
             # 4 + 2 VMs
             (
-                None,
+                frozenset(),
                 [
                     Fence(["vm0", "vm1", "vm2", "vm3"], FENCE_A),
                     Fence(["vm4", "vm5"], FENCE_B),
@@ -482,10 +482,10 @@ class TestExecutorIsDecidedPerSolve:
         ids=["pins-do-not-count", "one-big-zone"],
     )
     def test_one_zone_worth_a_worker_stays_serial(
-        self, monkeypatch, pools, pinned, constraints
+        self, monkeypatch, pools, frozen, constraints
     ):
         _host(monkeypatch, cores=4, pool_zone_vms=3)
-        result = self._solve(pinned=pinned, constraints=constraints)
+        result = self._solve(frozen=frozen, constraints=constraints)
         assert len(result.zone_reports) == 2
         assert pools == []
 
@@ -495,7 +495,7 @@ class TestExecutorIsDecidedPerSolve:
 
         monkeypatch.setattr(parallel_module.os, "cpu_count", unreachable)
         configuration = _configuration()
-        result = self._solve(pinned=configuration.placement())
+        result = self._solve(frozen=set(configuration.placement()))
         assert [o.reused for o in result.zone_reports] == [True, True]
         assert pools == []
 
