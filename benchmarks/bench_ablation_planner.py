@@ -41,7 +41,6 @@ def bench_ablation_optimizer_timeout(benchmark):
                 scenario.configuration,
                 decision.vm_states,
                 vjob_of_vm=scenario.vjob_of_vm(),
-                fallback_target=decision.fallback_target,
             )
             results.append((timeout, result.cost))
         return results
@@ -77,7 +76,6 @@ def bench_ablation_first_solution_vs_optimum(benchmark):
             scenario.configuration,
             decision.vm_states,
             vjob_of_vm=scenario.vjob_of_vm(),
-            fallback_target=decision.fallback_target,
         ).cost
 
     first_cost = benchmark.pedantic(run, args=(True,), rounds=1, iterations=1)
@@ -100,7 +98,6 @@ def bench_ablation_vjob_consistency(benchmark):
         scenario.configuration,
         decision.vm_states,
         vjob_of_vm=scenario.vjob_of_vm(),
-        fallback_target=decision.fallback_target,
     )
     mapping = scenario.vjob_of_vm()
 

@@ -8,7 +8,7 @@ replaceable.  This module captures that contract:
 * :class:`Decision` is the single result type every decision module returns:
   the state each VM must reach, the matching vjob states, an optional explicit
   target configuration (for baselines that compute their own placement), an
-  optional fallback configuration for when the CP search runs out of time, and
+  optional fallback configuration for a round whose optimizing solve fails, and
   free-form metadata for policy-specific diagnostics;
 * :class:`DecisionModule` is the structural protocol a policy implements —
   a ``decide(configuration, queue, demands)`` method returning a
@@ -39,10 +39,12 @@ class Decision:
     ``vm_states`` is the authoritative output: the planner derives the
     cluster-wide context switch from it.  ``target`` short-circuits the
     optimizer with an explicit target configuration (used by the FFD baseline
-    of Section 5.1); ``fallback_target`` is only used when the CP search
-    cannot produce an assignment within its time budget.  Policy-specific
-    artefacts (e.g. the :class:`~repro.decision.rjsp.RJSPResult` behind a
-    consolidation decision) travel in ``metadata``.
+    of Section 5.1); ``fallback_target`` is planned when the optimizing solve
+    raises and it honours the catalog, or as the target with the optimizer
+    off (:meth:`~repro.core.context_switch.ClusterContextSwitch.compute`).
+    Policy-specific artefacts (e.g. the
+    :class:`~repro.decision.rjsp.RJSPResult` behind a consolidation
+    decision) travel in ``metadata``.
     """
 
     vm_states: dict[str, VMState] = field(default_factory=dict)
@@ -50,8 +52,9 @@ class Decision:
     #: Explicit target configuration; when set, the loop plans directly
     #: towards it instead of running the CP optimizer.
     target: Optional[Configuration] = None
-    #: Fallback target configuration (typically an FFD placement) used when
-    #: the CP search cannot produce an assignment in time.
+    #: Fallback target configuration (typically an FFD placement): planned
+    #: when the optimizing solve raises and it honours the catalog, or as
+    #: the target under ``use_optimizer=False``.
     fallback_target: Optional[Configuration] = None
     #: Free-form policy diagnostics (e.g. ``{"rjsp": RJSPResult}``).
     metadata: dict[str, Any] = field(default_factory=dict)

@@ -22,12 +22,14 @@ leaves its VM on the source node and is re-derived (hence retried) by the
 next decision; slow nodes advance vjob progress more slowly; late-booting
 nodes join the configuration mid-run.  Repair latencies, SLA violations and
 wasted migrations are reported on the :class:`~repro.api.results.RunResult`.
+A round whose decide or plan raises keeps its configuration and is recorded
+once (``metadata["failure_causes"]``, the phase span, a WARNING log).
 
 ``engine`` selects how each planning round is solved: ``"event"``, the
 monolithic optimizer; ``"partitioned"`` — the cluster is decomposed into
 independent placement zones, solved on worker processes when they are big
 enough to pay for them (:mod:`repro.scale`), with a transparent monolithic
-fallback — or the incremental ``"repair"`` / ``"repair-partitioned"`` engines
+re-solve — or the incremental ``"repair"`` / ``"repair-partitioned"`` engines
 (:mod:`repro.repair`).  For the repair engines the loop tracks the VMs each
 round actually perturbed — crash victims, new arrivals, members of violated
 constraints — and hands them to the planner, which freezes everything else
@@ -44,6 +46,8 @@ survivors.  Observed breaches land on the
 
 from __future__ import annotations
 
+import logging
+from collections import Counter
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from .. import config
@@ -56,7 +60,7 @@ from ..model.node import Node
 from ..model.queue import VJobQueue
 from ..model.vjob import VJobState
 from ..model.vm import VMState
-from ..obs import Tracer, span
+from ..obs import Span, Tracer, span
 from ..sim.cluster import SimulatedCluster
 from ..sim.executor import PlanExecutor
 from ..sim.faults import FaultEvent, FaultInjector, FaultKind, evict_node
@@ -76,7 +80,10 @@ from .results import (
 
 PolicyLike = Union[str, DecisionModule]
 
-#: Consecutive rounds whose decision cannot be planned before the run is
+#: The one degrade point's log (a WARNING per failed round); no handler here.
+_LOG = logging.getLogger(__name__)
+
+#: Consecutive failed rounds (decide or plan raised) before the run is
 #: declared stuck (:class:`~repro.model.errors.PlanningError`).
 _MAX_CONSECUTIVE_PLANNING_FAILURES = 25
 
@@ -165,6 +172,8 @@ class ControlLoop:
         #: arrivals, members of violated constraints) — the dirty region the
         #: repair engines re-solve; a no-op hint for the cold engines.
         self._perturbed: set[str] = set()
+        #: Rounds whose decide or plan raised, by exception type.
+        self._failures: Counter[str] = Counter()
         #: Set by :meth:`request_stop`; checked at every iteration boundary.
         self._stop_requested = False
         #: Late-booting nodes held back until their DELAYED_BOOT event fires.
@@ -314,7 +323,6 @@ class ControlLoop:
         result = RunResult(makespan=0.0, policy=self.policy_name)
         now = 0.0
         vjob_of_vm = self._vjob_of_vm()
-        planning_failures = 0
         consecutive_failures = 0
         repair_traces: list[dict] = []
         solver_rounds: list[dict] = []
@@ -367,19 +375,24 @@ class ControlLoop:
                 ):
                     break
 
-                # (ii) decide
-                with span("decide"):
-                    decision = self.decision_module.decide(
-                        self.cluster.configuration,
-                        self.queue,
-                        observation.cpu_demands,
-                    )
-                self._notify("on_decision", now, decision)
-
-                # (iii) plan and (iv) execute if something must change
+                # (ii) decide and (iii) plan.  Whatever either raises ends
+                # the round with the configuration kept, recorded; the next
+                # iteration observes fresh demands and retries.
                 switch_duration = 0.0
                 involved_nodes: set[str] = set()
-                report = None
+                report = decision = None
+                with span("decide") as decide_span:
+                    try:
+                        decision = self.decision_module.decide(
+                            self.cluster.configuration,
+                            self.queue,
+                            observation.cpu_demands,
+                        )
+                    except Exception as error:
+                        self._round_failed(decide_span, "decide", error, iteration, now)
+                failed = decision is None
+                if not failed:
+                    self._notify("on_decision", now, decision)
                 if self._perturbed:
                     # Hand this round's perturbed VMs to the repair engine (the
                     # cold engines ignore the hint).  The engine accumulates
@@ -387,40 +400,30 @@ class ControlLoop:
                     # iteration needs no switch.
                     self.switcher.mark_dirty(sorted(self._perturbed))
                     self._perturbed.clear()
-                if needs_switch(self.cluster.configuration, decision):
+                if not failed and needs_switch(self.cluster.configuration, decision):
+                    self._check_plannable(decision)
                     with span("plan") as plan_span:
                         try:
                             report = self._plan(decision, vjob_of_vm)
-                        except PlanningError:
-                            # Planning can fail transiently (e.g. a migration
-                            # cycle with no pivot node on a packed cluster).
-                            # Keep the current configuration for this round —
-                            # the next iteration observes fresh demands and
-                            # retries.
-                            planning_failures += 1
-                            plan_span.set(failed=True)
-                            report = self._fallback_plan(decision, vjob_of_vm)
-                    if report is not None:
-                        consecutive_failures = 0
-                    else:
-                        consecutive_failures += 1
-                        if (
-                            consecutive_failures
-                            >= _MAX_CONSECUTIVE_PLANNING_FAILURES
-                        ):
-                            # The decision is permanently unplannable: fail
-                            # loudly instead of spinning until max_time and
-                            # returning plausible-looking garbage.
-                            raise PlanningError(
-                                f"policy {self.policy_name!r} produced "
-                                f"{consecutive_failures} consecutive unplannable "
-                                f"decisions (last at simulated time {now:.0f}s); "
-                                "the scenario cannot make progress"
-                            )
+                        except Exception as error:
+                            failed = True
+                            self._round_failed(plan_span, "plan", error, iteration, now)
+                if failed:
+                    consecutive_failures += 1
+                    if consecutive_failures >= _MAX_CONSECUTIVE_PLANNING_FAILURES:
+                        # The decision is permanently unplannable: fail
+                        # loudly instead of spinning until max_time and
+                        # returning plausible-looking garbage.
+                        raise PlanningError(
+                            f"policy {self.policy_name!r} produced "
+                            f"{consecutive_failures} consecutive unplannable "
+                            f"decisions (last at simulated time {now:.0f}s); "
+                            "the scenario cannot make progress"
+                        )
                 else:
-                    # No switch needed is progress too: a transient failure
-                    # followed by a satisfied decision must not count towards
-                    # the consecutive-failure abort.
+                    # A switch, or no switch needed, is progress: a transient
+                    # failure followed by a satisfied decision must not count
+                    # towards the consecutive-failure abort.
                     consecutive_failures = 0
                 if report is not None:
                     execution = self.executor.execute(
@@ -485,7 +488,9 @@ class ControlLoop:
         result.sla_violations = self._sla_violations(result)
         result.metadata["final_viable"] = self.cluster.configuration.is_viable()
         result.metadata["simulated_time"] = now
-        result.metadata["planning_failures"] = planning_failures
+        result.metadata["planning_failures"] = sum(self._failures.values())
+        if self._failures:
+            result.metadata["failure_causes"] = dict(sorted(self._failures.items()))
         if self._stop_requested:
             result.metadata["stopped_early"] = True
         if solver_rounds:
@@ -797,22 +802,31 @@ class ControlLoop:
                 violations.add(vjob.name)
         return sorted(violations)
 
+    def _check_plannable(self, decision: Decision) -> None:
+        """Without the optimizer a switch needs an explicit target or a
+        fallback placement: a caller error, not a failed round."""
+        if (
+            not self.switcher.use_optimizer
+            and decision.target is None
+            and decision.fallback_target is None
+        ):
+            raise ValueError(
+                "use_optimizer=False needs the policy to supply an explicit "
+                f"target or fallback placement, but {self.policy_name!r} "
+                "returned neither — use a policy with a fallback (e.g. "
+                "'consolidation' or 'ffd') or enable the optimizer"
+            )
+
     def _plan(self, decision: Decision, vjob_of_vm: Mapping[str, str]):
         """Plan the switch: towards the policy's explicit target when it
-        computed one, through the optimizer otherwise."""
+        computed one, through :meth:`ClusterContextSwitch.compute` (which
+        owns the fallback) otherwise."""
         if decision.target is not None:
             return self.switcher.plan_to(
                 self.cluster.configuration,
                 decision.target,
                 vjob_of_vm,
                 constraints=self.constraints,
-            )
-        if not self.switcher.use_optimizer and decision.fallback_target is None:
-            raise ValueError(
-                "use_optimizer=False needs the policy to supply an explicit "
-                f"target or fallback placement, but {self.policy_name!r} "
-                "returned neither — use a policy with a fallback (e.g. "
-                "'consolidation' or 'ffd') or enable the optimizer"
             )
         return self.switcher.compute(
             self.cluster.configuration,
@@ -822,24 +836,20 @@ class ControlLoop:
             constraints=self.constraints,
         )
 
-    def _fallback_plan(self, decision: Decision, vjob_of_vm: Mapping[str, str]):
-        """Last-resort plan towards the decision's fallback target; ``None``
-        when there is no fallback or it cannot be planned either."""
-        if decision.fallback_target is None or decision.target is not None:
-            return None
-        try:
-            report = self.switcher.plan_to(
-                self.cluster.configuration,
-                decision.fallback_target,
-                vjob_of_vm,
-                constraints=self.constraints,
-            )
-        except PlanningError:
-            return None
-        # plan_to() does not know it planned a fallback; flag it so the
-        # RunResult fallback statistics stay truthful.
-        report.used_fallback = True
-        return report
+    def _round_failed(
+        self, phase_span: Span, phase: str, error: Exception, index: int, now: float
+    ) -> None:
+        """The one degrade point: round ``index`` at ``now`` ends with the
+        configuration kept because ``phase`` (``"decide"`` / ``"plan"``)
+        raised ``error``; its span, the run's tally and the log say so."""
+        cause = type(error).__name__
+        phase_span.set(failed=True, error=cause)
+        self._failures[cause] += 1
+        _LOG.warning(
+            "round %d at simulated time %.0fs: %s failed (%s: %s); configuration kept",
+            index, now, phase, cause, error,
+            exc_info=error,
+        )
 
     def _record_switch(self, now, report, execution) -> ContextSwitchRecord:
         local_resumes = sum(

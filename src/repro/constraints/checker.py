@@ -10,8 +10,8 @@ compilation and re-validates constraints against concrete states —
   pool granularity: the state after each pool completes, plus the stateful
   transition checks such as ``Root``'s no-migrate pin against the plan's
   source);
-* :func:`violated_constraints` — the boolean variant the optimizer's
-  fallback path asks (:mod:`repro.core.optimizer`).
+* :func:`violated_constraints` — the boolean variant the one degrade path
+  asks of a fallback (:mod:`repro.core.context_switch`).
 
 The solver-side compilation and this checker are deliberately independent
 implementations of the same semantics; the Hypothesis suite

@@ -290,7 +290,9 @@ def action_to_dict(action: Action) -> dict[str, Any]:
     return data
 
 
-def _require(payload: Mapping[str, Any], key: str, context: str) -> Any:
+def require_field(payload: Mapping[str, Any], key: str, context: str) -> Any:
+    """``payload[key]``; a :class:`ValueError` prefixed with ``context`` when
+    ``payload`` is not a mapping or lacks ``key``."""
     if not isinstance(payload, Mapping) or key not in payload:
         raise ValueError(f"{context}: missing required field {key!r}")
     return payload[key]
@@ -303,25 +305,25 @@ def action_from_dict(
     the program: a missing field raises :class:`ValueError`, a ``kind``
     that names no action its subclass :class:`UnknownActionKind`, both
     prefixed with ``context`` (where the document was found)."""
-    kind = _require(payload, "kind", context)
-    vm = _require(payload, "vm", context)
+    kind = require_field(payload, "kind", context)
+    vm = require_field(payload, "vm", context)
     fields = f"{context} {kind}"
     if kind == "run":
-        return Run(vm=vm, node=_require(payload, "node", fields))
+        return Run(vm=vm, node=require_field(payload, "node", fields))
     if kind == "stop":
-        return Stop(vm=vm, node=_require(payload, "node", fields))
+        return Stop(vm=vm, node=require_field(payload, "node", fields))
     if kind == "suspend":
-        return Suspend(vm=vm, node=_require(payload, "node", fields))
+        return Suspend(vm=vm, node=require_field(payload, "node", fields))
     if kind == "migrate":
         return Migrate(
             vm=vm,
-            source_node=_require(payload, "source", fields),
-            destination_node=_require(payload, "destination", fields),
+            source_node=require_field(payload, "source", fields),
+            destination_node=require_field(payload, "destination", fields),
         )
     if kind == "resume":
         return Resume(
             vm=vm,
             image_node=payload.get("image_node"),
-            destination_node=_require(payload, "destination", fields),
+            destination_node=require_field(payload, "destination", fields),
         )
     raise UnknownActionKind(f"{context}: unknown action kind {kind!r}")

@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
-from ..constraints import PlacementConstraint
+from ..constraints import PlacementConstraint, violated_constraints
 from ..cp.solver import SearchStatistics
 from ..model.configuration import Configuration
+from ..model.errors import PlanningError
 from ..model.vm import VMState
 from ..obs import span
 from .cost import PlanCost, plan_cost
-from .optimizer import ContextSwitchOptimizer, OptimizationResult
+from .optimizer import ContextSwitchOptimizer
 from .plan import ReconfigurationPlan
 from .planner import PlannerOptions, ReconfigurationPlanner
 
@@ -33,6 +34,7 @@ class ContextSwitchReport:
     target: Configuration
     plan: ReconfigurationPlan
     cost: PlanCost
+    #: The solve raised and the switch goes to the fallback target instead.
     used_fallback: bool = False
     #: Repair-engine telemetry
     #: (:attr:`~repro.core.optimizer.OptimizationResult.repair`) when the
@@ -41,7 +43,7 @@ class ContextSwitchReport:
     repair: Optional[dict] = None
     #: CP search statistics of the optimizing solve that produced the
     #: target (merged across zones for the partitioned engines); ``None``
-    #: when no search ran (:meth:`ClusterContextSwitch.plan_to`).
+    #: when no search produced it (``plan_to``, a fallback).
     statistics: Optional[SearchStatistics] = None
 
     @property
@@ -144,38 +146,48 @@ class ClusterContextSwitch:
         constraints: Sequence[PlacementConstraint] = (),
     ) -> ContextSwitchReport:
         """Derive a target configuration from desired VM states and plan the
-        switch towards it.
+        switch towards it — the one place a round degrades.
 
-        When ``use_optimizer`` is False the ``fallback_target`` (e.g. an FFD
-        placement) is planned directly, reproducing the baseline behaviour of
-        Section 5.1.  ``constraints`` are placement relations
+        Whatever the optimizing solve raises, the switch goes to
+        ``fallback_target`` (e.g. the decision's FFD placement) when one is
+        given and it honours ``constraints``: the report says
+        ``used_fallback`` (no search statistics), the ``solve`` span the
+        ``cause``.  Otherwise the error propagates, chained into a
+        :class:`~repro.model.errors.PlanningError` when the fallback breaks
+        the catalog.  When ``use_optimizer`` is False the ``fallback_target``
+        is planned directly as the intended target, the baseline of Section
+        5.1.  ``constraints`` are placement relations
         (:mod:`repro.constraints`) the target must honour.
         """
-        if self.use_optimizer:
-            with span("solve", engine=self.engine) as solve_span:
-                result: OptimizationResult = self.optimizer.optimize(
-                    current,
-                    target_states,
-                    vjob_of_vm=vjob_of_vm,
-                    fallback_target=fallback_target,
-                    constraints=constraints,
+        if not self.use_optimizer:
+            if fallback_target is None:
+                raise ValueError("use_optimizer=False needs a fallback_target")
+            return self.plan_to(current, fallback_target, vjob_of_vm, constraints)
+        with span("solve", engine=self.engine) as solve_span:
+            try:
+                result = self.optimizer.optimize(
+                    current, target_states, vjob_of_vm, constraints=constraints
                 )
-                if result.used_fallback:
-                    solve_span.set(used_fallback=True)
-            return ContextSwitchReport(
-                current=current,
-                target=result.target,
-                plan=result.plan,
-                cost=plan_cost(result.plan),
-                used_fallback=result.used_fallback,
-                repair=result.repair,
-                statistics=result.statistics,
-            )
-        if fallback_target is None:
-            raise ValueError(
-                "use_optimizer=False requires an explicit fallback_target"
-            )
-        return self.plan_to(current, fallback_target, vjob_of_vm, constraints)
+            except Exception as error:
+                if fallback_target is None:
+                    raise
+                if violated := violated_constraints(fallback_target, constraints):
+                    raise PlanningError(
+                        "the solve failed and the fallback configuration "
+                        f"violates {', '.join(map(repr, violated))}"
+                    ) from error
+                solve_span.set(used_fallback=True, cause=type(error).__name__)
+                report = self.plan_to(current, fallback_target, vjob_of_vm, constraints)
+                report.used_fallback = True
+                return report
+        return ContextSwitchReport(
+            current=current,
+            target=result.target,
+            plan=result.plan,
+            cost=plan_cost(result.plan),
+            repair=result.repair,
+            statistics=result.statistics,
+        )
 
     def plan_to(
         self,

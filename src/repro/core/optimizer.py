@@ -44,7 +44,7 @@ import time
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
 
-from ..constraints import PlacementConstraint, violated_constraints
+from ..constraints import PlacementConstraint
 from ..constraints.domains import RetainedDomains
 from ..model.configuration import Configuration
 from ..model.errors import PlanningError, SolverError
@@ -78,22 +78,23 @@ _MAX_OBJECTIVE_RANGE = 120_000
 #: Smallest wall-clock budget one carved solve is handed, seconds — a zone
 #: run after others (:mod:`repro.scale.parallel`), a repair attempt after a
 #: failed one (:mod:`repro.repair`): enough to attempt a first solution,
-#: small enough that an exhausted budget fails fast into the fallback.
+#: small enough that an exhausted budget fails fast into the whole solve.
 MIN_CARVED_TIMEOUT_S = 0.05
 
-#: Floor of a fallback solve's budget, as a fraction of the round's: when the
-#: failed zones or attempts before it burned the whole round, the fallback
-#: still needs room to find *a* solution, so the worst-case round is bounded
-#: at (1 + this) times the budget rather than doubling it.
-_FALLBACK_TIMEOUT_FRACTION = 0.1
+#: Floor of the whole solve's budget, as a fraction of the round's: when the
+#: failed zones or attempts before it burned the whole round, the whole
+#: solve still needs room to find *a* solution, so the worst-case round is
+#: bounded at (1 + this) times the budget rather than doubling it.
+_LEFTOVER_TIMEOUT_FRACTION = 0.1
 
 
-def fallback_budget(budget: float, deadline: float) -> float:
-    """What the fallback solve of a round gets: the wall-clock the carved
-    solves before it left until ``deadline``, floored at
-    :data:`_FALLBACK_TIMEOUT_FRACTION` of the round's ``budget``."""
+def leftover_budget(budget: float, deadline: float) -> float:
+    """What the whole solve that ends a carved round gets — the monolithic
+    re-solve after a failed zone, the repair engine's full solve: the
+    wall-clock the carved solves before it left until ``deadline``, floored
+    at :data:`_LEFTOVER_TIMEOUT_FRACTION` of the round's ``budget``."""
     return max(
-        budget * _FALLBACK_TIMEOUT_FRACTION, deadline - time.monotonic()
+        budget * _LEFTOVER_TIMEOUT_FRACTION, deadline - time.monotonic()
     )
 
 
@@ -150,7 +151,6 @@ class OptimizationResult:
     cost: int
     movement_cost: int
     fixed_cost: int
-    used_fallback: bool = False
     statistics: Optional[SearchStatistics] = None
     improving_costs: list[int] = field(default_factory=list)
     #: How the instance was decomposed: ``"interference"`` or ``"sharded"``
@@ -162,7 +162,7 @@ class OptimizationResult:
     #: order; empty unless a partitioned engine decomposed the instance.
     zone_reports: list = field(default_factory=list)
     #: The repair engine's telemetry (``mode`` — ``"repair"`` for an accepted
-    #: frozen-region solve, ``"full"`` for the fallback to the full solve —
+    #: frozen-region solve, ``"full"`` for the full solve —
     #: ``reason``, ``dirty_count``, ``frozen_count``, ``attempts``,
     #: ``reused_zones``); ``None`` when the solve was cold.
     repair: Optional[dict] = None
@@ -211,12 +211,14 @@ class ContextSwitchOptimizer:
         current: Configuration,
         target_states: Mapping[str, VMState],
         vjob_of_vm: Optional[Mapping[str, str]] = None,
-        fallback_target: Optional[Configuration] = None,
         constraints: Sequence["PlacementConstraint"] = (),
         frozen: AbstractSet[str] = frozenset(),
         timeout: Optional[float] = None,
     ) -> OptimizationResult:
-        """Compute an optimized target configuration and its plan.
+        """Compute an optimized target configuration and its plan; raise
+        :class:`~repro.model.errors.PlanningError` when the search finds no
+        viable assignment (whether the round then falls back is for
+        :meth:`~repro.core.context_switch.ClusterContextSwitch.compute`).
 
         Parameters
         ----------
@@ -227,9 +229,6 @@ class ContextSwitchOptimizer:
             current state (the ``keepVMState`` constraint of Definition 4.1).
         vjob_of_vm:
             VM -> vjob mapping used to regroup suspends/resumes.
-        fallback_target:
-            Configuration to fall back to (typically the FFD solution) when
-            the search finds no assignment within the timeout.
         constraints:
             Placement relations (:mod:`repro.constraints`) the target
             configuration must honour, e.g. spreading the VMs of a vjob over
@@ -249,6 +248,8 @@ class ContextSwitchOptimizer:
         assignment, statistics, improving = self.search_assignment(
             current, target_states, constraints, frozen=frozen, timeout=timeout
         )
+        if assignment is None:
+            raise PlanningError("the optimizer found no viable assignment")
         return self._finish(
             current,
             states,
@@ -257,7 +258,6 @@ class ContextSwitchOptimizer:
             statistics,
             improving,
             vjob_of_vm,
-            fallback_target,
             constraints,
         )
 
@@ -266,64 +266,39 @@ class ContextSwitchOptimizer:
         current: Configuration,
         states: Mapping[str, VMState],
         changed: Sequence[str],
-        assignment: Optional[Mapping[str, str]],
+        assignment: Mapping[str, str],
         statistics: SearchStatistics,
         improving: list[int],
         vjob_of_vm: Optional[Mapping[str, str]],
-        fallback_target: Optional[Configuration],
         constraints: Sequence["PlacementConstraint"],
     ) -> OptimizationResult:
-        """Turn a search outcome into a target, a plan and its price — the
-        one path from an assignment (found by one search or merged from
-        zones) to an :class:`OptimizationResult`.  ``states`` and
-        ``changed`` are what :meth:`_complete_states` returned.  A VM that
-        must run and is absent from ``assignment`` keeps its host, so the
-        target, the plan and the price are built from the VMs that change
-        state or host, whatever the size of the fleet.  ``assignment`` is
-        ``None`` when the search found nothing: the plan then goes to
-        ``fallback_target``, provided it honours the catalog."""
-        if assignment is None:
-            if fallback_target is None:
-                raise PlanningError(
-                    "the optimizer found no viable assignment and no fallback "
-                    "configuration was provided"
-                )
-            violated = violated_constraints(fallback_target, constraints)
-            if violated:
-                raise PlanningError(
-                    "no assignment satisfies the placement constraints "
-                    f"({', '.join(map(repr, violated))}) and the fallback "
-                    "configuration violates them too"
-                )
-            plan = self.planner.build(
-                current, fallback_target, vjob_of_vm, constraints=constraints
-            )
-            target = fallback_target
-            cost = movement = plan_cost(plan).total
-        else:
-            # A running VM that keeps its host moves for nothing: only the
-            # VMs the placement map does not already show there are placed,
-            # planned and priced.
-            placement = current.placement()
-            rehosted = [
-                vm for vm, node in assignment.items() if placement.get(vm) != node
-            ]
-            moved = current.in_registration_order({*changed, *rehosted})
-            target = self._build_target(current, states, assignment, moved)
-            plan = self.planner.build(
-                current, target, vjob_of_vm, constraints=constraints, changed=moved
-            )
-            cost = plan_cost(plan).total
-            movement = sum(
-                self.movement_cost(current, vm, assignment[vm]) for vm in rehosted
-            )
+        """Turn an assignment into a target, a plan and its price — the one
+        path from an assignment (found by one search or merged from zones)
+        to an :class:`OptimizationResult`.  ``states`` and ``changed`` are
+        what :meth:`_complete_states` returned.  A VM that must run and is
+        absent from ``assignment`` keeps its host, so the target, the plan
+        and the price are built from the VMs that change state or host,
+        whatever the size of the fleet."""
+        # A running VM that keeps its host moves for nothing: only the VMs
+        # the placement map does not already show there are placed, planned
+        # and priced.
+        placement = current.placement()
+        rehosted = [
+            vm for vm, node in assignment.items() if placement.get(vm) != node
+        ]
+        moved = current.in_registration_order({*changed, *rehosted})
+        target = self._build_target(current, states, assignment, moved)
+        plan = self.planner.build(
+            current, target, vjob_of_vm, constraints=constraints, changed=moved
+        )
         return OptimizationResult(
             target=target,
             plan=plan,
-            cost=cost,
-            movement_cost=movement,
+            cost=plan_cost(plan).total,
+            movement_cost=sum(
+                self.movement_cost(current, vm, assignment[vm]) for vm in rehosted
+            ),
             fixed_cost=self._fixed_cost(current, states, changed),
-            used_fallback=assignment is None,
             statistics=statistics,
             improving_costs=improving,
         )

@@ -118,9 +118,9 @@ class RJSPDecisionModule(ConsolidationDecisionModule):
 
     The maximum prefix-respecting set of vjobs runs, the rest sleeps or
     waits, and the CP optimizer alone chooses the placement (no FFD
-    fallback, so an exhausted time budget raises instead of degrading to an
-    expensive plan).  Useful to isolate the contribution of the fallback in
-    ablations.  Registered as ``"rjsp"``.
+    fallback, so a failed solve keeps the round's configuration instead of
+    degrading to an expensive plan).  Useful to isolate the contribution of
+    the fallback in ablations.  Registered as ``"rjsp"``.
     """
 
     name = "rjsp"

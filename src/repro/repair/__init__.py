@@ -17,7 +17,7 @@ is always safe to request.
   untouched zones reuse their previous sub-assignment verbatim);
 * the ``repair`` entry of the returned
   :class:`~repro.core.optimizer.OptimizationResult` — what the engine did
-  (mode, dirty/frozen counts, attempts, fallback reason);
+  (mode, dirty/frozen counts, attempts, the reason for a full solve);
 * :func:`compute_dirty_set` — the deterministic dirty-region rules
   (external marks, VMs needing placement, placements invalidated by
   shrunken constraints, relational closure, halo expansion): the body the

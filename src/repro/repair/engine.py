@@ -35,8 +35,8 @@ unary domain (rule 3) and is not leaving; the layers below do not check it
 again.  On infeasibility the neighbourhood widens
 deterministically (the VMs frozen on the emptiest quarter, then half, of the
 nodes are released), and the last step is always the full monolithic solve
-with the caller's real fallback target — so the repair engine accepts
-exactly the instances the cold solve accepts.
+— so the repair engine accepts exactly the instances the cold solve accepts,
+and raises where it raises.
 
 Retained across rounds: the previous assignment (owner: this engine;
 replaced by every accepted round) and the unary domains (owner:
@@ -57,7 +57,7 @@ from ..core.optimizer import (
     MIN_CARVED_TIMEOUT_S,
     ContextSwitchOptimizer,
     OptimizationResult,
-    fallback_budget,
+    leftover_budget,
 )
 from ..model.configuration import Configuration
 from ..model.errors import PlanningError
@@ -65,7 +65,7 @@ from ..model.vm import VMState
 from ..obs import span
 
 #: Widening steps of the deterministic neighbourhood schedule (a quarter,
-#: then half, of the nodes released) before the full-solve fallback.
+#: then half, of the nodes released) before the full solve.
 _LNS_STEPS = 2
 
 
@@ -254,15 +254,16 @@ class RepairOptimizer:
         current: Configuration,
         target_states: Mapping[str, VMState],
         vjob_of_vm: Optional[Mapping[str, str]] = None,
-        fallback_target: Optional[Configuration] = None,
         constraints: Sequence[PlacementConstraint] = (),
     ) -> OptimizationResult:
         """Same contract as :meth:`ContextSwitchOptimizer.optimize`; the
         result's ``repair`` entry says what the engine did.
 
-        LNS attempts never use ``fallback_target`` — an infeasible frozen
-        region must widen, not degrade to the FFD fallback — so only the
-        final full solve can set ``used_fallback``.
+        Every attempt and the full solve are the same call, which answers
+        or raises: a :class:`~repro.model.errors.PlanningError` from an
+        attempt widens the region; what the full solve raises, and anything
+        else, is the caller's.  A round that raises accepts nothing: the
+        previous assignment stays.
         """
         marks = sorted(self._marks)
         self._marks.clear()
@@ -299,7 +300,7 @@ class RepairOptimizer:
                 reason = "neighbourhood budget exhausted"
                 break
             attempts += 1
-            result: Optional[OptimizationResult]
+            result: Optional[OptimizationResult] = None
             with span(
                 "repair-attempt",
                 level=level,
@@ -311,14 +312,11 @@ class RepairOptimizer:
                         current,
                         target_states,
                         vjob_of_vm=vjob_of_vm,
-                        fallback_target=None,
                         constraints=constraints,
                         frozen=frozen,
                         timeout=max(MIN_CARVED_TIMEOUT_S, remaining),
                     )
                 except PlanningError:
-                    result = None
-                if result is None:
                     attempt_span.set(failed=True)
             if result is not None:
                 return self._accept(
@@ -338,16 +336,15 @@ class RepairOptimizer:
             frozen = frozen - dirty
         else:  # no break: every level of the schedule was tried
             reason = f"neighbourhood schedule exhausted ({attempts} attempts)"
-        # The one way into the full solve: the caller's real fallback target
-        # and what the attempts left of the round's budget.
+        # The one way into the full solve: nothing frozen, and what the
+        # attempts left of the round's budget.
         with span("full-solve", reason=reason, dirty=len(dirty)):
             result = self.inner.optimize(
                 current,
                 target_states,
                 vjob_of_vm=vjob_of_vm,
-                fallback_target=fallback_target,
                 constraints=constraints,
-                timeout=fallback_budget(self.timeout, deadline),
+                timeout=leftover_budget(self.timeout, deadline),
             )
         return self._accept(
             result,

@@ -27,11 +27,12 @@ the full budget, while zones the executor runs sequentially (the serial
 executor, or more zones than workers queuing in waves on the pool) share it,
 so a partitioned round stays within the per-round time budget the monolithic
 engine honours.  When the partitioner finds no decomposition — or any zone
-turns out infeasible under its carved budget — the optimizer transparently
-falls back to the inherited monolithic solve, so ``engine="partitioned"`` is
-always safe to request; a post-zone fallback only gets the wall-clock the
-zones left over (floored at a small fraction of the budget), so even the
-worst case stays near the budget instead of doubling it.
+turns out infeasible under its carved budget — the optimizer re-solves with
+the inherited monolithic solve, so ``engine="partitioned"`` is always safe
+to request; a post-zone re-solve only gets the wall-clock the zones left
+over (floored at a small fraction of the budget), so even the worst case
+stays near the budget instead of doubling it.  A solve that finds nothing
+raises, as the monolithic one does.
 
 Sub-problem extraction: a zone's sub-configuration contains only the zone's
 nodes and VMs.  A zone VM whose current host (or suspend image) lies outside
@@ -70,6 +71,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -78,7 +80,7 @@ from ..core.optimizer import (
     MIN_CARVED_TIMEOUT_S,
     ContextSwitchOptimizer,
     OptimizationResult,
-    fallback_budget,
+    leftover_budget,
 )
 from ..cp import SearchStatistics
 from ..model.configuration import Configuration
@@ -350,7 +352,6 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         current: Configuration,
         target_states: Mapping[str, VMState],
         vjob_of_vm: Optional[Mapping[str, str]] = None,
-        fallback_target: Optional[Configuration] = None,
         constraints: Sequence[PlacementConstraint] = (),
         frozen: AbstractSet[str] = frozenset(),
         timeout: Optional[float] = None,
@@ -395,15 +396,14 @@ class ParallelOptimizer(ContextSwitchOptimizer):
             if failed:
                 reason = f"zones {failed} found no viable assignment"
                 # The zones already consumed part of the round's budget: the
-                # transparent fallback only gets what they left, keeping the
+                # monolithic re-solve only gets what they left, keeping the
                 # whole round near the per-round budget instead of doubling
                 # it.
-                budget = fallback_budget(budget, deadline)
+                budget = leftover_budget(budget, deadline)
             result = super().optimize(
                 current,
                 target_states,
                 vjob_of_vm=vjob_of_vm,
-                fallback_target=fallback_target,
                 constraints=constraints,
                 frozen=frozen,
                 timeout=budget,
@@ -424,7 +424,6 @@ class ParallelOptimizer(ContextSwitchOptimizer):
             merge_statistics(outcomes, exact=decomposition.exact),
             [],
             vjob_of_vm,
-            fallback_target,
             constraints,
         )
         result.partition_method = decomposition.method
@@ -568,7 +567,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
             # wall-clock budget: each gets what the earlier ones left over
             # (a small floor keeps every zone able to at least attempt a
             # first solution; an out-of-budget zone fails fast and triggers
-            # the monolithic fallback).
+            # the monolithic re-solve).
             outcomes = list(reused)
             for task in tasks:
                 task.timeout = max(
@@ -597,7 +596,13 @@ class ParallelOptimizer(ContextSwitchOptimizer):
             for task in tasks:
                 task.trace = True
         submitted_at = tracer.now() if tracer is not None else 0.0
-        outcomes = list(self._pool.map(solve_zone, tasks))
+        try:
+            outcomes = list(self._pool.map(solve_zone, tasks))
+        except BrokenProcessPool:
+            # A worker died (killed, out of memory): the pool is unusable,
+            # so drop it and let the next solve that needs one respawn it.
+            self.close()
+            raise
         if tracer is not None and parent_span is not None:
             # Worker clocks are independent; aligning each zone tree to the
             # submit time is approximate (documented by the ``adopted``

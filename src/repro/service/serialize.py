@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Mapping
 
-from ..core.actions import action_to_dict
+from ..core.actions import action_to_dict, require_field
 from ..core.plan import ReconfigurationPlan
 from ..model.configuration import Configuration
 from ..model.vjob import VJob
@@ -29,12 +29,6 @@ __all__ = [
     "fault_event_to_dict",
     "fault_event_from_dict",
 ]
-
-
-def _require(payload: Mapping[str, Any], key: str, context: str) -> Any:
-    if key not in payload:
-        raise ValueError(f"{context}: missing required field {key!r}")
-    return payload[key]
 
 
 # --------------------------------------------------------------------- #
@@ -188,13 +182,13 @@ def workload_from_dict(payload: Mapping[str, Any]) -> VJobWorkload:
     """
     if "vjob" in payload:
         vjob_spec = payload["vjob"]
-        name = _require(vjob_spec, "name", "workload.vjob")
+        name = require_field(vjob_spec, "name", "workload.vjob")
         vms = []
-        for vm_spec in _require(vjob_spec, "vms", "workload.vjob"):
+        for vm_spec in require_field(vjob_spec, "vms", "workload.vjob"):
             vms.append(
                 VirtualMachine(
-                    name=_require(vm_spec, "name", "workload VM"),
-                    memory=int(_require(vm_spec, "memory", "workload VM")),
+                    name=require_field(vm_spec, "name", "workload VM"),
+                    memory=int(require_field(vm_spec, "memory", "workload VM")),
                     cpu_demand=int(vm_spec.get("cpu_demand", 0)),
                     vjob=vm_spec.get("vjob", name),
                 )
@@ -205,14 +199,14 @@ def workload_from_dict(payload: Mapping[str, Any]) -> VJobWorkload:
             priority=int(vjob_spec.get("priority", 0)),
             submitted_at=float(vjob_spec.get("submitted_at", 0.0)),
         )
-        traces_spec = _require(payload, "traces", "workload")
+        traces_spec = require_field(payload, "traces", "workload")
         traces = {
             vm_name: _trace_from_segments(segments, f"trace of {vm_name!r}")
             for vm_name, segments in traces_spec.items()
         }
         return VJobWorkload(vjob=vjob, traces=traces)
 
-    name = _require(payload, "name", "vjob spec")
+    name = require_field(payload, "name", "vjob spec")
     vm_count = int(payload.get("vm_count", 2))
     memory = int(payload.get("memory", 512))
     cpu = int(payload.get("cpu", 1))
@@ -258,7 +252,7 @@ def fault_event_from_dict(payload: Mapping[str, Any]) -> FaultEvent:
     """Build a :class:`~repro.sim.faults.FaultEvent` from its JSON form:
     ``{"kind": "node_crash", "target": "node-1", "at": 120.0}`` plus
     ``factor``/``duration`` for slowdowns."""
-    kind_value = _require(payload, "kind", "fault")
+    kind_value = require_field(payload, "kind", "fault")
     try:
         kind = FaultKind(kind_value)
     except ValueError:
@@ -266,7 +260,7 @@ def fault_event_from_dict(payload: Mapping[str, Any]) -> FaultEvent:
         raise ValueError(
             f"fault: unknown kind {kind_value!r} (expected one of: {valid})"
         ) from None
-    target = _require(payload, "target", "fault")
+    target = require_field(payload, "target", "fault")
     at = float(payload.get("at", payload.get("time", 0.0)))
     factor = float(payload.get("factor", 2.0 if kind is FaultKind.NODE_SLOWDOWN else 1.0))
     duration = float(payload.get("duration", 0.0))

@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.constraints import Spread
 from repro.core.context_switch import ClusterContextSwitch
 from repro.decision.ffd import ffd_target_configuration
 from repro.model.configuration import Configuration
+from repro.model.errors import PlanningError
 from repro.model.node import make_working_nodes
 from repro.model.vm import VMState
 
@@ -50,6 +52,63 @@ class TestCompute:
         summary = report.summary()
         assert summary["cost"] == report.total_cost == 1024
         assert summary["suspend"] == 1
+
+
+class _Raising:
+    """An optimizer whose every solve raises ``error``."""
+
+    def __init__(self, error):
+        self.error = error
+
+    def optimize(self, *args, **kwargs):
+        raise self.error
+
+
+class TestDegrade:
+    """``compute`` is the one place a failed solve falls back."""
+
+    SPREAD = [Spread(["r", "s"])]
+
+    def _fallback(self, configuration, node):
+        fallback = configuration.copy()
+        fallback.set_running("s", node)
+        return fallback
+
+    def _switcher(self, error):
+        switcher = ClusterContextSwitch()
+        switcher.optimizer = _Raising(error)
+        return switcher
+
+    def test_any_failed_solve_goes_to_a_fallback_honouring_the_catalog(
+        self, configuration
+    ):
+        fallback = self._fallback(configuration, "node-1")
+        report = self._switcher(MemoryError()).compute(
+            configuration,
+            {"s": VMState.RUNNING},
+            fallback_target=fallback,
+            constraints=self.SPREAD,
+        )
+        assert report.used_fallback and report.target is fallback
+        assert report.statistics is None and report.repair is None
+        assert report.total_cost == 512  # the local resume
+
+    def test_a_fallback_breaking_the_catalog_is_refused(self, configuration):
+        error = RuntimeError("propagator bug")
+        with pytest.raises(PlanningError, match="violates") as refused:
+            self._switcher(error).compute(
+                configuration,
+                {"s": VMState.RUNNING},
+                fallback_target=self._fallback(configuration, "node-0"),
+                constraints=self.SPREAD,
+            )
+        assert refused.value.__cause__ is error
+
+    def test_without_a_fallback_the_solve_error_propagates(self, configuration):
+        with pytest.raises(RuntimeError, match="propagator bug"):
+            self._switcher(RuntimeError("propagator bug")).compute(
+                configuration, {"s": VMState.RUNNING}
+            )
 
 
 class TestPlanTo:

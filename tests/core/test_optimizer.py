@@ -92,7 +92,7 @@ class TestOverloadResolution:
         states = {"sleepy": VMState.RUNNING, "newcomer": VMState.RUNNING}
         ffd_target = ffd_target_configuration(cluster, states)
         optimizer = ContextSwitchOptimizer(timeout=5)
-        result = optimizer.optimize(cluster, states, fallback_target=ffd_target)
+        result = optimizer.optimize(cluster, states)
         from repro.core import build_plan, plan_cost
 
         ffd_cost = plan_cost(build_plan(cluster, ffd_target)).total
@@ -511,26 +511,21 @@ class TestBudgetCoversTheModelBuild:
         # leaves four of the five where they are and sends the last one, the
         # 2 GB one, next door (2 048) where moving a 1 GB one would do.
         # Under a catalog the search used to start without that placement:
-        # a budget too small to find one ended in the FFD target, which
-        # re-packs the whole fenced zone from scratch.
+        # a budget too small to find one found nothing, and the round went
+        # to the FFD target, which re-packs the whole fenced zone.
         zone = make_large_fleet(125, groups=1, cached=False)
         zone.replace_vm(make_vm("vm-62", memory=1024, cpu=7))
         zone.replace_vm(make_vm("vm-124", memory=2048, cpu=1))
         assert not zone.is_viable()
         states = zone.states()
         catalog = fence_groups(zone, groups=1)
-        fallback = ffd_target_configuration(zone, states, catalog)
         optimizer = ContextSwitchOptimizer(timeout=30)
-        result = optimizer.optimize(
-            zone, states, fallback_target=fallback, constraints=catalog, timeout=0.0
-        )
-        assert result.statistics.timed_out and not result.used_fallback
+        result = optimizer.optimize(zone, states, constraints=catalog, timeout=0.0)
+        assert result.statistics.timed_out
         assert result.cost == 2048 and result.plan.action_count() == 1
         assert result.target.is_viable()
         assert violated_constraints(result.target, catalog) == []
         assert result.plan.constraint_violations == []
         # With a budget, the incumbent is the bound the search prunes with.
-        result = optimizer.optimize(
-            zone, states, fallback_target=fallback, constraints=catalog
-        )
+        result = optimizer.optimize(zone, states, constraints=catalog)
         assert result.cost == 1024 and result.statistics.proven_optimal

@@ -64,9 +64,7 @@ def test_optimizer_target_is_viable_and_reachable(scenario):
     fallback = ffd_target_configuration(configuration, target_states)
     optimizer = ContextSwitchOptimizer(timeout=1.0)
     try:
-        result = optimizer.optimize(
-            configuration, target_states, fallback_target=fallback
-        )
+        result = optimizer.optimize(configuration, target_states)
     except PlanningError:
         # no viable assignment exists for the requested states
         assert fallback is None
@@ -91,5 +89,5 @@ def test_optimizer_cost_never_exceeds_ffd_baseline(scenario):
         return
     ffd_cost = plan_cost(ffd_plan).total
     optimizer = ContextSwitchOptimizer(timeout=1.0)
-    result = optimizer.optimize(configuration, target_states, fallback_target=fallback)
+    result = optimizer.optimize(configuration, target_states)
     assert result.cost <= ffd_cost

@@ -126,7 +126,6 @@ def _digest(outcome):
         "cost": outcome.cost,
         "repair": outcome.repair,
         "violations": [str(v) for v in outcome.plan.constraint_violations],
-        "fallback": outcome.used_fallback,
     }
 
 

@@ -375,7 +375,7 @@ class TestRepairOptimizer:
             def optimize(self, *args, frozen=frozenset(), timeout=None, **kwargs):
                 if frozen:
                     raise PlanningError("the frozen region is too tight")
-                self.full_solves.append(kwargs["fallback_target"])
+                self.full_solves.append(timeout)
                 return ContextSwitchOptimizer(timeout=5.0).optimize(
                     *args, **kwargs
                 )
@@ -387,21 +387,19 @@ class TestRepairOptimizer:
             engine._previous = dict(configuration.iter_placement())
             configuration.set_waiting("vm0-0")
         engine.mark_dirty(names if marks == "all" else marks)
-        fallback = configuration.copy()
         tracer = Tracer()
         with tracer.activate():
-            result = engine.optimize(
-                configuration, _states(names), fallback_target=fallback
-            )
+            result = engine.optimize(configuration, _states(names))
         assert result.repair == {
             "mode": "full",
             "frozen_count": 0,
             "reused_zones": 0,
             **expected,
         }
-        # one full solve, handed the caller's real fallback target, under
+        # one full solve, handed what the attempts left of the budget, under
         # one span carrying the same reason and count
-        assert inner.full_solves == [fallback]
+        [budget] = inner.full_solves
+        assert 0 < budget <= timeout
         [full_solve] = [
             s for s in tracer.root.walk() if s.name == "full-solve"
         ]

@@ -180,17 +180,11 @@ class TestParallelOptimizer:
     def test_infeasible_zone_falls_back_to_monolithic(self):
         # vm0..vm3 fenced onto a single node that cannot host them all; the
         # zone solve fails, the global solve (without the zone restriction
-        # heuristics) must also respect the fence and use the fallback path.
+        # heuristics) must also respect the fence and answer on its own.
         configuration = _configuration(node_count=4, vm_count=4, cpu=2)
-        constraints = [Fence(["vm0", "vm1"], ["node-0"])]
         result = ParallelOptimizer(
             timeout=5.0, zone_executor="serial"
-        ).optimize(
-            configuration,
-            _states(configuration),
-            fallback_target=configuration.copy(),
-            constraints=(),
-        )
+        ).optimize(configuration, _states(configuration), constraints=())
         assert result.target.is_viable()
 
 

@@ -7,7 +7,12 @@ import pytest
 
 from repro.api.scenario import Scenario
 from repro.model.node import make_working_nodes
-from repro.service import OperatorClient, ServiceError, parse_prometheus_text
+from repro.service import (
+    OperatorClient,
+    OperatorDaemon,
+    ServiceError,
+    parse_prometheus_text,
+)
 from repro.testing import make_workload
 
 
@@ -58,6 +63,22 @@ def test_invalid_vjob_spec_is_400(client):
         client.submit_vjob({"vm_count": 2})  # no name
     assert excinfo.value.status == 400
     assert "name" in excinfo.value.message
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [{"vjob": 5}, {"vjob": {"name": "x", "vms": [5]}}],
+    ids=["vjob-not-an-object", "vm-not-an-object"],
+)
+def test_a_malformed_full_form_vjob_is_400(payload):
+    # Straight through the handler: no server, no loop.
+    daemon = OperatorDaemon(
+        Scenario(nodes=make_working_nodes(2), workloads=[], use_optimizer=False)
+    )
+    with pytest.raises(Exception) as excinfo:
+        daemon.handle_post("/vjobs", payload)
+    assert excinfo.value.status == 400
+    assert "missing required field 'name'" in excinfo.value.message
 
 
 def test_invalid_fault_kind_is_400(client):

@@ -1,0 +1,106 @@
+"""``tools/reach.py``: the reachability collector, on a toy package.
+
+The collector records the code objects its entry points enter and lists,
+per module, the functions none of them did — a never-run function once,
+with its line count, and nothing it nests.
+"""
+
+from __future__ import annotations
+
+import importlib
+import importlib.util
+import sys
+import textwrap
+import threading
+from pathlib import Path
+
+REACH = Path(__file__).resolve().parents[2] / "tools" / "reach.py"
+
+TOY = textwrap.dedent(
+    '''\
+    import functools
+
+
+    def used():
+        return helper() + Box().ran()
+
+
+    def helper():
+        return 1
+
+
+    def unused(a):
+        def inner():
+            return a
+
+        return inner
+
+
+    @functools.lru_cache
+    def decorated_unused():
+        return 2
+
+
+    class Box:
+        def ran(self):
+            return 0
+
+        def never(self):
+            return [x for x in range(3)]
+
+
+    def threaded():
+        return 3
+    '''
+)
+
+
+def _reach():
+    spec = importlib.util.spec_from_file_location("reach", REACH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_ledger_lists_what_no_entry_point_ran(tmp_path, monkeypatch):
+    reach = _reach()
+    package = tmp_path / "toy"
+    package.mkdir()
+    (package / "__init__.py").write_text("")
+    (package / "mod.py").write_text(TOY)
+    (package / "idle.py").write_text("def alone():\n    pass\n")
+    monkeypatch.syspath_prepend(str(tmp_path))
+    monkeypatch.delitem(sys.modules, "toy", raising=False)
+    monkeypatch.delitem(sys.modules, "toy.mod", raising=False)
+    toy = importlib.import_module("toy.mod")
+
+    def in_a_thread():
+        worker = threading.Thread(target=toy.threaded)
+        worker.start()
+        worker.join()
+
+    def broken():
+        raise RuntimeError("entry point bug")
+
+    entered, failures = reach.collect(
+        [("used", toy.used), ("thread", in_a_thread), ("broken", broken)]
+    )
+    assert failures == ["broken: RuntimeError: entry point bug"]
+    assert sys.gettrace() is None
+    ledger = reach.never_run(package, entered)
+    assert ledger == {
+        "toy/__init__.py": [],
+        "toy/idle.py": [(1, "alone", 2)],
+        "toy/mod.py": [
+            (12, "unused", 5),
+            (19, "decorated_unused", 3),
+            (28, "Box.never", 2),
+        ],
+    }
+    text = reach.render(ledger, ["toy ledger"])
+    assert text.splitlines()[:2] == [
+        "# toy ledger",
+        "# 4 never-run functions, 12 lines, in 2 of 3 modules.",
+    ]
+    assert "toy/mod.py  (3 functions, 10 lines)" in text
+    assert "     12     5  unused" in text
