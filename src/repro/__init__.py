@@ -15,13 +15,12 @@ The package provides:
   optimizer and checked end to end;
 * :mod:`repro.core` — the cluster-wide context switch: actions, cost model,
   reconfiguration graphs/plans, planner and CP optimizer;
-* :mod:`repro.scale` — scale-out: the interference partitioner, the
-  parallel zone optimizer (``Scenario(engine="partitioned")``) and the
-  campaign runner for grids of scenarios;
+* :mod:`repro.scale` — scale-out: the interference partitioner and the
+  parallel zone optimizer (``Scenario(engine="partitioned")``);
 * :mod:`repro.instances` — the standalone benchmark suite: versioned
   problem instances (fleet + vjobs + constraints + faults + seed as one
-  canonical JSON document), cluster-trace ingestion, the
-  optimizer-independent ``repro-verify`` plan verifier and baseline floors;
+  canonical JSON document), the optimizer-independent ``repro-verify``
+  plan verifier and baseline floors;
 * :mod:`repro.decision` — decision modules (FFD, RJSP, dynamic consolidation,
   FCFS), all registered in :mod:`repro.api`, and the analytic
   static-allocation (FCFS + EASY backfilling) baseline;

@@ -18,7 +18,6 @@ from .metrics import (
 )
 from .report import (
     banner,
-    campaign_table,
     format_fraction,
     format_seconds,
     format_table,
@@ -41,7 +40,6 @@ __all__ = [
     "resample",
     "switch_statistics",
     "banner",
-    "campaign_table",
     "format_fraction",
     "format_seconds",
     "format_table",

@@ -47,32 +47,3 @@ def series(title: str, headers: Sequence[str], rows: Iterable[Sequence[object]])
     """A titled table — the standard output of every benchmark."""
     return f"{banner(title)}\n{format_table(headers, rows)}\n"
 
-
-#: Column order of :func:`campaign_table` (key -> header).
-_CAMPAIGN_COLUMNS = (
-    ("policy", "policy"),
-    ("fleet", "fleet"),
-    ("faults", "faults"),
-    ("runs", "runs"),
-    ("mean_makespan", "makespan"),
-    ("mean_switches", "switches"),
-    ("mean_switch_cost", "switch cost"),
-    ("sla_violations", "SLA viol."),
-    ("lost_vjobs", "lost"),
-    ("mean_runtime_seconds", "runtime (s)"),
-)
-
-
-def campaign_table(rows: Iterable[dict]) -> str:
-    """Render aggregated campaign rows (see
-    :meth:`repro.scale.campaign.CampaignResult.aggregate`) as the standard
-    titled table, sorted by (policy, fleet, faults) for stable output."""
-    materialized = sorted(
-        rows, key=lambda r: (str(r["policy"]), r["fleet"], str(r["faults"]))
-    )
-    headers = [header for _, header in _CAMPAIGN_COLUMNS]
-    body = [
-        [row.get(key, "") for key, _ in _CAMPAIGN_COLUMNS]
-        for row in materialized
-    ]
-    return series("Campaign results", headers, body)

@@ -353,9 +353,9 @@ class RunResult:
         )
 
     def summary(self) -> dict[str, Any]:
-        """The flat headline-metric row shared by campaign stores and the
-        service's telemetry: one canonical flattening instead of ad-hoc row
-        building at every call site."""
+        """The flat headline-metric row the baseline scoreboard keeps a
+        subset of: one canonical flattening instead of ad-hoc row building
+        at every call site."""
         return {
             "makespan": self.makespan,
             "switches": self.switch_count,

@@ -3,10 +3,9 @@
 Three faces, in the astro-reason / BtrPlace lineage where the checker is
 independent of the compiler:
 
-* **instances** (:mod:`repro.instances.format`, :mod:`~repro.instances.ingest`)
-  — fleet + vjobs + constraints + faults + seed as one canonical JSON
-  document with a schema version and a content fingerprint; lossless round
-  trips, cluster-trace CSV ingestion and capture of generated scenarios;
+* **instances** (:mod:`repro.instances.format`) — fleet + vjobs +
+  constraints + faults + seed as one canonical JSON document with a schema
+  version and a content fingerprint; lossless round trips;
 * **verifier** (:mod:`repro.instances.verifier`, the ``repro-verify``
   entry point) — scores any submitted plan or assignment against an
   instance using only the independent checker pipeline and the Table 1
@@ -48,13 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis / IDE resolution only
         load_instance,
         save_instance,
     )
-    from .ingest import (
-        instance_from_generated,
-        instance_from_trace_csv,
-        populated_instance_from_trace_csv,
-        read_trace_rows,
-        workloads_from_trace_rows,
-    )
     from .pack import (
         PACK_DIR,
         SCOREBOARD_PATH,
@@ -86,11 +78,6 @@ _EXPORTS = {
     "SubmissionError": "verifier",
     "VerificationReport": "verifier",
     "verify_submission": "verifier",
-    "instance_from_generated": "ingest",
-    "instance_from_trace_csv": "ingest",
-    "populated_instance_from_trace_csv": "ingest",
-    "read_trace_rows": "ingest",
-    "workloads_from_trace_rows": "ingest",
     "PACK_DIR": "pack",
     "SCOREBOARD_PATH": "pack",
     "build_pack": "pack",

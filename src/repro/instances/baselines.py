@@ -1,9 +1,9 @@
 """Baseline floors: score every stock policy over the shipped pack.
 
 The scoreboard runs FFD, FCFS (+EASY backfilling), RJSP, dynamic
-consolidation and the partitioned engine over every pack instance through
-:mod:`repro.scale.campaign` and flattens the results into one canonical
-JSON document, committed next to the pack
+consolidation and the partitioned engine over every pack instance, one
+fresh scenario per cell, and flattens the results into one canonical JSON
+document, committed next to the pack
 (:data:`repro.instances.pack.SCOREBOARD_PATH`).  These numbers are the
 *floors* any submitted method must beat; the golden test additionally
 asserts the paper's headline ordering — consolidation beats the static
@@ -18,14 +18,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, TYPE_CHECKING
+from typing import Any, Mapping, Optional, Sequence
 
 from .format import fingerprint_of
 from .pack import load_pack_instance, pack_instance_names
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..api.scenario import Scenario
-    from ..scale.campaign import CampaignPoint
 
 #: The scored policies.  ``partitioned`` is the consolidation policy solved
 #: by the partitioned engine (``Scenario(engine="partitioned")``).
@@ -55,51 +51,14 @@ SCORE_KEYS = (
 )
 
 
-def scenario_for_point(point: "CampaignPoint") -> "Scenario":
-    """Campaign factory: the instance name rides the point's opaque
-    ``faults`` label, the policy axis carries the baseline name.
-    Module-level so process-pool executors can pickle it."""
-    instance = load_pack_instance(point.faults)
-    policy, engine = (
-        ("consolidation", "partitioned")
-        if point.policy == "partitioned"
-        else (point.policy, "event")
-    )
-    return instance.scenario(
-        policy=policy,
-        engine=engine,
-        optimizer_timeout=OPTIMIZER_TIMEOUT_S,
-    )
-
-
 def baseline_scoreboard(
     instances: Optional[Sequence[str]] = None,
     policies: Sequence[str] = BASELINE_POLICIES,
-    store_path: Optional[str | Path] = None,
-    executor: str = "serial",
-    max_workers: Optional[int] = None,
 ) -> dict[str, Any]:
-    """Run the baseline grid and build the scoreboard document.
-
-    ``executor`` / ``max_workers`` are the campaign grid's: pass
-    ``"process"`` to spread the grid over worker processes (the pack's
-    zones are small, so the ``partitioned`` floor itself forks nothing).
-    """
-    from ..scale.campaign import CampaignSpec, run_campaign
-
+    """Run every policy over every instance and build the scoreboard
+    document (policy-major, one freshly loaded instance per cell: a run
+    mutates vjob state)."""
     names = list(instances) if instances is not None else pack_instance_names()
-    spec = CampaignSpec(
-        scenario_factory=scenario_for_point,
-        policies=tuple(policies),
-        fleet_sizes=(1,),  # the instance fixes the fleet; one grid cell
-        fault_labels=tuple(names),
-    )
-    campaign = run_campaign(
-        spec,
-        store_path=store_path,
-        executor=executor,
-        max_workers=max_workers,
-    )
     board: dict[str, Any] = {
         "format": SCOREBOARD_FORMAT,
         "schema_version": SCOREBOARD_SCHEMA_VERSION,
@@ -114,14 +73,26 @@ def baseline_scoreboard(
             "vms": instance.vm_count,
             "policies": {},
         }
-    for record in campaign.records:
-        name = str(record["faults"])
-        policy = str(record["policy"])
-        if name not in board["instances"]:
-            continue
-        board["instances"][name]["policies"][policy] = {
-            key: record[key] for key in SCORE_KEYS if key in record
-        }
+    for policy in policies:
+        decision, engine = (
+            ("consolidation", "partitioned")
+            if policy == "partitioned"
+            else (policy, "event")
+        )
+        for name in names:
+            summary = (
+                load_pack_instance(name)
+                .scenario(
+                    policy=decision,
+                    engine=engine,
+                    optimizer_timeout=OPTIMIZER_TIMEOUT_S,
+                )
+                .run()
+                .summary()
+            )
+            board["instances"][name]["policies"][policy] = {
+                key: summary[key] for key in SCORE_KEYS
+            }
     board["fingerprint"] = fingerprint_of(board)
     return board
 

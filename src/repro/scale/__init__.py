@@ -1,6 +1,6 @@
-"""Scale-out: partitioned parallel solving and campaign orchestration.
+"""Scale-out: partitioned parallel solving.
 
-The package has three layers (see ``docs/PERFORMANCE.md`` for the guide and
+The package has two layers (see ``docs/PERFORMANCE.md`` for the guide and
 ``docs/API_REFERENCE.md`` for the symbol index):
 
 1. **Partitioner** (:mod:`repro.scale.partition`) — split a configuration
@@ -17,10 +17,6 @@ The package has three layers (see ``docs/PERFORMANCE.md`` for the guide and
    assignments deterministically, and run one global planner pass; falls
    back to the monolithic optimizer whenever partitioning yields no win.
    Reachable from the facade as ``Scenario(engine="partitioned")``.
-3. **Campaign runner** (:mod:`repro.scale.campaign`) — execute grids of
-   scenarios (policies × fleet sizes × fault schedules × seeds) across
-   worker processes with a resumable JSON-lines store and aggregation into
-   the :mod:`repro.analysis.report` tables.
 
 Quickstart::
 
@@ -33,15 +29,6 @@ Quickstart::
 """
 
 from ..constraints.domains import vm_domains
-from .campaign import (
-    CampaignPoint,
-    CampaignResult,
-    CampaignSpec,
-    CampaignStore,
-    execute_point,
-    run_campaign,
-    summarize_run,
-)
 from .parallel import (
     ParallelOptimizer,
     ZoneOutcome,
@@ -69,11 +56,4 @@ __all__ = [
     "build_zone_configuration",
     "solve_zone",
     "merge_statistics",
-    "CampaignPoint",
-    "CampaignSpec",
-    "CampaignStore",
-    "CampaignResult",
-    "run_campaign",
-    "execute_point",
-    "summarize_run",
 ]

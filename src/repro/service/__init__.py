@@ -27,12 +27,7 @@ any HTTP on top.  See ``docs/OPERATOR_GUIDE.md`` for the endpoint reference.
 from .audit import AuditLog, replay_plans
 from .client import OperatorClient, ServiceError
 from .commands import LoopCommandQueue
-from .daemon import (
-    OperatorDaemon,
-    campaign_factory_names,
-    default_campaign_factory,
-    register_campaign_factory,
-)
+from .daemon import OperatorDaemon
 from .metrics import (
     Counter,
     Gauge,
@@ -55,9 +50,6 @@ __all__ = [
     "ServiceError",
     "ServiceObserver",
     "TelemetryBuffer",
-    "campaign_factory_names",
-    "default_campaign_factory",
     "parse_prometheus_text",
-    "register_campaign_factory",
     "replay_plans",
 ]

@@ -5,9 +5,9 @@ repair, vjob submission and completion becomes one numbered entry — held in
 memory and, when a path is given, mirrored to an append-only JSON-lines file
 (one ``json.dumps(..., sort_keys=True)`` object per line, RackMind-style
 attestation).  The file survives the daemon; :meth:`AuditLog.load` reads it
-back (skipping a malformed trailing line from a crash mid-write, like the
-campaign store) and :func:`replay_plans` reconstructs the executed plan
-sequence byte-for-byte from either a live log or a loaded file.
+back (skipping a malformed trailing line from a crash mid-write) and
+:func:`replay_plans` reconstructs the executed plan sequence byte-for-byte
+from either a live log or a loaded file.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """A thin HTTP client for the operator daemon (stdlib ``urllib`` only).
 
-Used by the tests, the examples and as a remote campaign execution target;
-every method maps 1:1 onto a daemon endpoint and returns the decoded JSON
+Used by the tests, the operator guide and the service smoke tool; every
+method maps 1:1 onto a daemon endpoint and returns the decoded JSON
 payload (or, for :meth:`OperatorClient.result`, a rebuilt
 :class:`~repro.api.results.RunResult`).  Error responses raise
 :class:`ServiceError` carrying the HTTP status and the daemon's message.
@@ -175,15 +175,6 @@ class OperatorClient:
             payload = event
         return self._post_json("/faults", payload)
 
-    def start_campaign(self, spec: Mapping[str, Any]) -> Dict[str, Any]:
-        return self._post_json("/campaigns", spec)
-
-    def campaign(self, campaign_id: str) -> Dict[str, Any]:
-        return self._get_json(f"/campaigns/{campaign_id}")
-
-    def campaigns(self) -> list[Dict[str, Any]]:
-        return list(self._get_json("/campaigns")["campaigns"])
-
     # ------------------------------------------------------------------ #
     # convenience                                                         #
     # ------------------------------------------------------------------ #
@@ -199,20 +190,5 @@ class OperatorClient:
             if time.monotonic() >= deadline:
                 raise TimeoutError(
                     f"run still {state!r} after {timeout} seconds"
-                )
-            time.sleep(poll)
-
-    def wait_campaign(
-        self, campaign_id: str, timeout: float = 300.0, poll: float = 0.1
-    ) -> Dict[str, Any]:
-        """Poll a campaign until it completes or fails; returns its status."""
-        deadline = time.monotonic() + timeout
-        while True:
-            status = self.campaign(campaign_id)
-            if status["status"] in ("completed", "failed"):
-                return status
-            if time.monotonic() >= deadline:
-                raise TimeoutError(
-                    f"campaign {campaign_id} still running after {timeout} s"
                 )
             time.sleep(poll)

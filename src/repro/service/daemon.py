@@ -21,8 +21,6 @@ dependencies).  Endpoints:
 ``POST /vjobs``         submit a vjob workload (applied mid-run at the next
                         iteration boundary)
 ``POST /faults``        inject a fault (crash / slowdown / migration failure)
-``POST /campaigns``     launch a resumable :mod:`repro.scale` campaign grid
-``GET /campaigns``      poll campaign progress
 ======================  =====================================================
 
 Commands posted while the loop runs are queued on a
@@ -46,76 +44,13 @@ from ..api.loop import ControlLoop
 from ..api.results import RunResult
 from ..api.scenario import Scenario
 from ..obs import Tracer
-from ..scale.campaign import (
-    CampaignPoint,
-    CampaignSpec,
-    CampaignStore,
-    run_campaign,
-)
 from ..sim.faults import FaultSchedule
 from .audit import replay_plans
 from .commands import LoopCommandQueue
 from .observer import ServiceObserver
 from .serialize import fault_event_from_dict, workload_from_dict
 
-__all__ = [
-    "OperatorDaemon",
-    "register_campaign_factory",
-    "campaign_factory_names",
-    "default_campaign_factory",
-]
-
-
-# --------------------------------------------------------------------- #
-# campaign factories                                                     #
-# --------------------------------------------------------------------- #
-#
-# HTTP cannot ship callables, so campaigns launched over the wire name a
-# registered factory.  Factories must be module-level (picklable) when the
-# campaign uses the process executor.
-
-
-def default_campaign_factory(point: CampaignPoint) -> Scenario:
-    """The built-in demo grid: a seeded fleet of ``point.fleet`` paper-class
-    nodes running three two-VM vjobs, optionally under a node crash
-    (``faults="crash"``)."""
-    from ..model.node import make_working_nodes
-    from ..testing import make_workload
-
-    nodes = make_working_nodes(point.fleet)
-    workloads = [
-        make_workload(f"job-{index}", vm_count=2, duration=240.0 + 60.0 * index)
-        for index in range(3)
-    ]
-    faults: Optional[FaultSchedule] = None
-    if point.faults == "crash":
-        faults = FaultSchedule().node_crash(nodes[-1].name, at=120.0)
-    return Scenario(
-        nodes=nodes,
-        workloads=workloads,
-        policy=point.policy,
-        optimizer_timeout=2.0,
-        use_optimizer=False,
-        faults=faults,
-    )
-
-
-_CAMPAIGN_FACTORIES: Dict[str, Callable[[CampaignPoint], Scenario]] = {
-    "default": default_campaign_factory,
-}
-
-
-def register_campaign_factory(
-    name: str, factory: Callable[[CampaignPoint], Scenario]
-) -> None:
-    """Expose ``factory`` to ``POST /campaigns`` under ``name``.  The
-    factory must be module-level (picklable) to run under the campaign's
-    process executor; the serial executor takes any callable."""
-    _CAMPAIGN_FACTORIES[name] = factory
-
-
-def campaign_factory_names() -> list[str]:
-    return sorted(_CAMPAIGN_FACTORIES)
+__all__ = ["OperatorDaemon"]
 
 
 class _HTTPError(Exception):
@@ -166,8 +101,6 @@ class OperatorDaemon:
         #: thread as soon as it is built so :meth:`close` can stop it.
         self._loop: Optional[ControlLoop] = None
         self._closing = False
-        self._campaigns: Dict[str, Dict[str, Any]] = {}
-        self._campaign_counter = 0
         #: Completed per-request HTTP span dicts, newest last (bounded so a
         #: chatty operator cannot grow the daemon without limit).
         self._request_spans: deque = deque(maxlen=request_trace_capacity)
@@ -322,98 +255,8 @@ class OperatorDaemon:
         with self._lock:
             spans = list(self._request_spans)
         if limit is not None and limit >= 0:
-            spans = spans[-limit:]
+            spans = spans[-limit:] if limit else []
         return spans
-
-    # ------------------------------------------------------------------ #
-    # campaigns                                                           #
-    # ------------------------------------------------------------------ #
-
-    def start_campaign(self, spec: Dict[str, Any]) -> str:
-        factory_name = str(spec.get("factory", "default"))
-        factory = _CAMPAIGN_FACTORIES.get(factory_name)
-        if factory is None:
-            raise _HTTPError(
-                400,
-                f"unknown campaign factory {factory_name!r}; registered: "
-                f"{campaign_factory_names()}",
-            )
-        policies = spec.get("policies")
-        fleet_sizes = spec.get("fleet_sizes")
-        if not policies or not fleet_sizes:
-            raise _HTTPError(
-                400, "a campaign needs non-empty 'policies' and 'fleet_sizes'"
-            )
-        campaign_spec = CampaignSpec(
-            scenario_factory=factory,
-            policies=[str(p) for p in policies],
-            fleet_sizes=[int(f) for f in fleet_sizes],
-            fault_labels=[str(f) for f in spec.get("fault_labels", ("none",))],
-            seeds=[int(s) for s in spec.get("seeds", (0,))],
-        )
-        executor = str(spec.get("executor", "serial"))
-        store_path = spec.get("store_path")
-        resume = bool(spec.get("resume", True))
-        max_workers = spec.get("max_workers")
-        with self._lock:
-            self._campaign_counter += 1
-            campaign_id = f"campaign-{self._campaign_counter}"
-            status: Dict[str, Any] = {
-                "id": campaign_id,
-                "factory": factory_name,
-                "status": "running",
-                "total": len(campaign_spec.points()),
-                "completed": 0,
-                "resumed": 0,
-                "store_path": store_path,
-                "error": None,
-            }
-            self._campaigns[campaign_id] = status
-
-        def _run() -> None:
-            try:
-                result = run_campaign(
-                    campaign_spec,
-                    store_path=store_path,
-                    executor=executor,
-                    resume=resume,
-                    max_workers=(
-                        int(max_workers) if max_workers is not None else None
-                    ),
-                )
-            except Exception as error:
-                with self._lock:
-                    status["status"] = "failed"
-                    status["error"] = repr(error)
-            else:
-                with self._lock:
-                    status["status"] = "completed"
-                    status["completed"] = len(result.records)
-                    status["resumed"] = result.resumed
-                    status["aggregate"] = result.aggregate()
-
-        threading.Thread(
-            target=_run, name=f"repro-{campaign_id}", daemon=True
-        ).start()
-        return campaign_id
-
-    def campaign_status(self, campaign_id: str) -> Dict[str, Any]:
-        with self._lock:
-            status = self._campaigns.get(campaign_id)
-            if status is None:
-                raise _HTTPError(404, f"no campaign {campaign_id!r}")
-            status = dict(status)
-        # Live progress for resumable campaigns: count what reached the store.
-        if status["status"] == "running" and status.get("store_path"):
-            status["completed"] = len(
-                CampaignStore(str(status["store_path"])).load()
-            )
-        return status
-
-    def campaigns(self) -> list[Dict[str, Any]]:
-        with self._lock:
-            ids = list(self._campaigns)
-        return [self.campaign_status(campaign_id) for campaign_id in ids]
 
     # ------------------------------------------------------------------ #
     # request handling (called from HTTP threads)                         #
@@ -480,10 +323,6 @@ class OperatorDaemon:
                     for label, error in self.commands.errors
                 ],
             }
-        if path == "/campaigns":
-            return 200, {"campaigns": self.campaigns()}
-        if path.startswith("/campaigns/"):
-            return 200, self.campaign_status(path[len("/campaigns/"):])
         raise _HTTPError(404, f"unknown path {path!r}")
 
     def handle_post(self, path: str, payload: Any) -> tuple[int, Any]:
@@ -510,11 +349,6 @@ class OperatorDaemon:
                 "queued": f"{event.kind.value}:{event.target}",
                 "pending_commands": self.commands.pending,
             }
-        if path == "/campaigns":
-            campaign_id = self.start_campaign(
-                _require_object(payload, "campaign")
-            )
-            return 202, self.campaign_status(campaign_id)
         raise _HTTPError(404, f"unknown path {path!r}")
 
 
@@ -525,13 +359,16 @@ def _require_object(payload: Any, what: str) -> Dict[str, Any]:
 
 
 def _int_param(query: Dict[str, list[str]], name: str) -> Optional[int]:
+    """A non-negative integer query parameter (``None`` when absent): a
+    negative ``offset`` or ``limit`` would slice from the end."""
     values = query.get(name)
     if not values:
         return None
-    try:
-        return int(values[0])
-    except ValueError:
-        raise _HTTPError(400, f"query parameter {name!r} must be an integer")
+    if not values[0].isdecimal():
+        raise _HTTPError(
+            400, f"query parameter {name!r} must be a non-negative integer"
+        )
+    return int(values[0])
 
 
 class _Handler(BaseHTTPRequestHandler):

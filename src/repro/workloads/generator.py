@@ -127,23 +127,6 @@ class TraceConfigurationGenerator:
 
     # ------------------------------------------------------------------ #
 
-    def populate(
-        self,
-        configuration: Configuration,
-        workloads: list[VJobWorkload],
-        rng: Optional[random.Random] = None,
-    ) -> None:
-        """Draw initial states and a memory-only placement for ``workloads``
-        into ``configuration`` (which must already hold the fleet).
-
-        This is the generator's placement face on its own: trace-derived or
-        hand-built vjobs (``repro.instances.ingest``) reuse exactly the
-        Section 5.1 initial-state distribution without re-generating the
-        vjobs themselves.  ``rng`` defaults to the generator's seeded
-        stream.
-        """
-        self._populate(configuration, workloads, rng or self._rng)
-
     def _populate(
         self,
         configuration: Configuration,

@@ -11,7 +11,12 @@ from repro.api.results import (
 )
 from repro.model.node import make_working_nodes
 from repro.api.scenario import Scenario
-from repro.scale.campaign import CampaignPoint, summarize_run
+from repro.instances import load_pack_instance
+from repro.instances.baselines import (
+    OPTIMIZER_TIMEOUT_S,
+    SCORE_KEYS,
+    baseline_scoreboard,
+)
 from repro.sim.faults import FaultSchedule
 from repro.testing import make_workload
 
@@ -106,16 +111,20 @@ def test_real_run_round_trips():
 
 
 def test_summary_matches_the_campaign_row():
-    result = full_result()
-    point = CampaignPoint(policy="consolidation", fleet=5, faults="crash", seed=3)
-    record = summarize_run(point, result, 1.23456)
-    assert record["key"] == "consolidation|5|crash|3"
-    assert record["runtime_seconds"] == 1.235
-    # the campaign record is exactly the grid point + summary() + runtime
-    for key, value in result.summary().items():
-        assert record[key] == value
-    assert record["switches"] == 1
-    assert record["migrations"] == 1
-    assert record["fallback_switches"] == 1
-    assert record["planning_failures"] == 2
-    assert record["lost_vjobs"] == 1
+    # a scoreboard cell is exactly the SCORE_KEYS subset of summary()
+    summary = full_result().summary()
+    assert set(SCORE_KEYS) < set(summary)
+    assert summary["switches"] == 1
+    assert summary["migrations"] == 1
+    assert summary["fallback_switches"] == 1
+    assert summary["planning_failures"] == 2
+    assert summary["lost_vjobs"] == 1
+
+    board = baseline_scoreboard(instances=["small-spread"], policies=["ffd"])
+    cell = board["instances"]["small-spread"]["policies"]["ffd"]
+    run = (
+        load_pack_instance("small-spread")
+        .scenario(policy="ffd", optimizer_timeout=OPTIMIZER_TIMEOUT_S)
+        .run()
+    )
+    assert cell == {key: run.summary()[key] for key in SCORE_KEYS}

@@ -1,6 +1,5 @@
 """HTTP behaviour of the operator daemon (fast heuristic scenarios)."""
 
-import json
 import urllib.request
 
 import pytest
@@ -145,51 +144,47 @@ def test_second_run_is_409(client):
     assert excinfo.value.status == 409
 
 
-def test_campaign_over_http(client, tmp_path):
-    store = tmp_path / "campaign.jsonl"
-    launched = client.start_campaign(
-        {
-            "factory": "default",
-            "policies": ["consolidation"],
-            "fleet_sizes": [3],
-            "seeds": [0],
-            "executor": "serial",
-            "store_path": str(store),
-        }
-    )
-    status = client.wait_campaign(launched["id"], timeout=120.0)
-    assert status["status"] == "completed"
-    assert status["completed"] == status["total"] == 1
-    assert len(status["aggregate"]) == 1
-    # the store is resumable JSONL
-    record = json.loads(store.read_text().splitlines()[0])
-    assert record["policy"] == "consolidation"
-
-    # relaunching against the same store resumes instead of re-running
-    relaunched = client.start_campaign(
-        {
-            "factory": "default",
-            "policies": ["consolidation"],
-            "fleet_sizes": [3],
-            "seeds": [0],
-            "executor": "serial",
-            "store_path": str(store),
-        }
-    )
-    resumed = client.wait_campaign(relaunched["id"], timeout=60.0)
-    assert resumed["status"] == "completed"
-    assert resumed["resumed"] == 1
-
-
-def test_unknown_campaign_factory_is_400(client):
-    with pytest.raises(ServiceError) as excinfo:
-        client.start_campaign(
-            {"factory": "nope", "policies": ["consolidation"], "fleet_sizes": [2]}
-        )
-    assert excinfo.value.status == 400
-
-
 def test_unknown_campaign_id_is_404(client):
-    with pytest.raises(ServiceError) as excinfo:
-        client.campaign("campaign-999")
-    assert excinfo.value.status == 404
+    # one run per daemon: there are no campaign endpoints
+    for method, path in (
+        ("GET", "/campaigns"),
+        ("GET", "/campaigns/x"),
+        ("POST", "/campaigns"),
+    ):
+        with pytest.raises(ServiceError) as excinfo:
+            client._request(method, path, payload={} if method == "POST" else None)
+        assert excinfo.value.status == 404, (method, path)
+
+
+@pytest.mark.parametrize(
+    "path, query",
+    [
+        ("/audit", {"offset": ["-1"]}),
+        ("/audit", {"limit": ["-1"]}),
+        ("/trace", {"limit": ["-2"]}),
+        ("/telemetry", {"limit": ["-1"]}),
+        ("/audit", {"limit": ["two"]}),
+    ],
+)
+def test_a_negative_or_non_integer_query_parameter_is_400(path, query):
+    # Straight through the handler: a negative slice bound would read the
+    # log from its end.
+    daemon = OperatorDaemon(
+        Scenario(nodes=make_working_nodes(2), workloads=[], use_optimizer=False)
+    )
+    with pytest.raises(Exception) as excinfo:
+        daemon.handle_get(path, query)
+    assert excinfo.value.status == 400
+    assert "non-negative integer" in excinfo.value.message
+
+
+def test_trace_limit_zero_returns_no_request_spans():
+    daemon = OperatorDaemon(
+        Scenario(nodes=make_working_nodes(2), workloads=[], use_optimizer=False)
+    )
+    for index in range(3):
+        daemon.record_request_span({"name": "request", "index": index})
+    assert daemon.handle_get("/trace", {"limit": ["0"]})[1]["requests"] == []
+    assert daemon.handle_get("/telemetry", {"limit": ["0"]})[1]["samples"] == []
+    spans = daemon.handle_get("/trace", {"limit": ["2"]})[1]["requests"]
+    assert [span["index"] for span in spans] == [1, 2]

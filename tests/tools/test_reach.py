@@ -1,8 +1,11 @@
-"""``tools/reach.py``: the reachability collector, on a toy package.
+"""``tools/reach.py``: the reachability collector, on a toy package, and
+the committed ledger against ``src/repro``.
 
 The collector records the code objects its entry points enter and lists,
 per module, the functions none of them did — a never-run function once,
-with its line count, and nothing it nests.
+with its line count, and nothing it nests.  The committed ledger must name
+only modules and functions that still exist (line numbers are not compared:
+an unrelated edit does not stale it, a cut does).
 """
 
 from __future__ import annotations
@@ -14,7 +17,9 @@ import textwrap
 import threading
 from pathlib import Path
 
-REACH = Path(__file__).resolve().parents[2] / "tools" / "reach.py"
+REPO = Path(__file__).resolve().parents[2]
+REACH = REPO / "tools" / "reach.py"
+LEDGER = REPO / "tools" / "reach_ledger.txt"
 
 TOY = textwrap.dedent(
     '''\
@@ -104,3 +109,36 @@ def test_the_ledger_lists_what_no_entry_point_ran(tmp_path, monkeypatch):
     ]
     assert "toy/mod.py  (3 functions, 10 lines)" in text
     assert "     12     5  unused" in text
+
+
+def _ledger_names() -> dict[str, list[str]]:
+    """Module path (relative to ``src``) -> the qualified names the
+    committed ledger lists for it."""
+    names: dict[str, list[str]] = {}
+    for line in LEDGER.read_text().splitlines():
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith(" "):
+            names[module].append(line.split()[2])
+        else:
+            module = line.split()[0]
+            names[module] = []
+    return names
+
+
+def test_the_committed_ledger_names_only_what_exists():
+    reach = _reach()
+
+    def qualified(code):
+        for function in reach._functions(code):
+            yield function.co_qualname
+            yield from qualified(function)
+
+    ledger = _ledger_names()
+    assert ledger, "the committed ledger lists no module"
+    for module, names in ledger.items():
+        path = REPO / "src" / module
+        assert path.is_file(), f"the ledger names {module}, which is gone"
+        functions = set(qualified(compile(path.read_text(), str(path), "exec")))
+        stale = [name for name in names if name not in functions]
+        assert not stale, f"the ledger lists {stale} in {module}: rerun tools/reach.py"

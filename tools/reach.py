@@ -17,7 +17,9 @@ Entry points, in order:
   walkthroughs (module unit tests do not count as a reason to keep code);
 * ``pytest benchmarks --ignore=benchmarks/round`` — the paper figures;
 * every example, with the quick arguments its docstring names;
-* ``tools/trace_smoke.py``, ``tools/verify_smoke.py``, ``tools/check_docs.py``;
+* ``tools/trace_smoke.py``, ``tools/verify_smoke.py``, ``tools/check_docs.py``,
+  ``tools/service_smoke.py`` (the daemon, its HTTP threads and
+  ``demo_scenario``);
 * the round benchmark's ``measure(workload, seed, seconds / 10, trace=0)`` for
   each workload of ``BENCHMARK.json``.
 
@@ -58,7 +60,7 @@ EXAMPLES = (
     ("action_costs.py",),
 )
 
-TOOLS = ("trace_smoke.py", "verify_smoke.py", "check_docs.py")
+TOOLS = ("trace_smoke.py", "verify_smoke.py", "check_docs.py", "service_smoke.py")
 
 #: One entry point: a label and what to call.
 Entry = tuple[str, Callable[[], object]]
