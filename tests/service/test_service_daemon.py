@@ -164,24 +164,121 @@ def test_unknown_campaign_id_is_404(client):
         ("/trace", {"limit": ["-2"]}),
         ("/telemetry", {"limit": ["-1"]}),
         ("/audit", {"limit": ["two"]}),
+        ("/audit", {"offset": ["x"]}),
+        ("/trace", {"limit": ["1.5"]}),
+        ("/telemetry", {"limit": ["+3"]}),
+        ("/audit", {"offset": ["-0"]}),
     ],
 )
 def test_a_negative_or_non_integer_query_parameter_is_400(path, query):
     # Straight through the handler: a negative slice bound would read the
     # log from its end.
-    daemon = OperatorDaemon(
-        Scenario(nodes=make_working_nodes(2), workloads=[], use_optimizer=False)
-    )
+    daemon = _idle_daemon()
     with pytest.raises(Exception) as excinfo:
         daemon.handle_get(path, query)
     assert excinfo.value.status == 400
     assert "non-negative integer" in excinfo.value.message
 
 
-def test_trace_limit_zero_returns_no_request_spans():
-    daemon = OperatorDaemon(
-        Scenario(nodes=make_working_nodes(2), workloads=[], use_optimizer=False)
+def _idle_daemon(**options) -> OperatorDaemon:
+    """A daemon that is never started: requests go straight to its handler."""
+    return OperatorDaemon(
+        Scenario(nodes=make_working_nodes(2), workloads=[], use_optimizer=False),
+        **options,
     )
+
+
+def test_audit_pages_from_the_start_of_the_log():
+    daemon = _idle_daemon()
+    audit = daemon.observer.audit
+    audit.append("run_start", 0.0)
+    for index in range(4):
+        audit.append("plan", 30.0 * index, plan={"action_count": index})
+    audit.append("run_end", 120.0)
+
+    def seqs(**query):
+        status, body = daemon.handle_get(
+            "/audit", {key: [value] for key, value in query.items()}
+        )
+        assert status == 200
+        assert body["total"] == 6  # the whole log, whatever the page
+        return [entry["seq"] for entry in body["entries"]]
+
+    assert seqs() == [0, 1, 2, 3, 4, 5]
+    assert seqs(offset="1", limit="2") == [1, 2]
+    assert seqs(limit="0") == []
+    assert seqs(offset="9") == []
+    # the kind filter applies before the page
+    assert seqs(kind="plan", offset="3") == [4]
+    assert seqs(kind="run_end") == [5]
+
+
+@pytest.mark.parametrize("path", ["/campaigns", "/healthz", "/nope"])
+def test_a_post_to_an_unknown_path_is_404(path):
+    with pytest.raises(Exception) as excinfo:
+        _idle_daemon().handle_post(path, {})
+    assert excinfo.value.status == 404
+    assert path in excinfo.value.message
+
+
+@pytest.mark.parametrize("path", ["/run", "/vjobs", "/faults"])
+def test_a_get_on_a_write_endpoint_is_404(path):
+    daemon = _idle_daemon()
+    with pytest.raises(Exception) as excinfo:
+        daemon.handle_get(path, {})
+    assert excinfo.value.status == 404
+    # and it did not start anything
+    assert daemon.state == "idle"
+
+
+def test_a_non_object_fault_payload_is_400():
+    with pytest.raises(Exception) as excinfo:
+        _idle_daemon().handle_post("/faults", ["node_crash", "node-0"])
+    assert excinfo.value.status == 400
+    assert excinfo.value.message == "the fault payload must be a JSON object"
+
+
+def test_commands_posted_before_the_run_wait_in_the_queue():
+    daemon = _idle_daemon()
+    status, body = daemon.handle_post(
+        "/vjobs", {"name": "late", "vm_count": 1, "duration": 30.0}
+    )
+    assert (status, body) == (202, {"queued": "late", "pending_commands": 1})
+    daemon.handle_post(
+        "/faults", {"kind": "node_crash", "target": "node-0", "at": 60.0}
+    )
+    assert daemon.handle_get("/healthz", {})[1]["pending_commands"] == 2
+    commands = daemon.handle_get("/commands", {})[1]
+    assert commands == {"pending": 2, "applied": [], "errors": []}
+
+
+def test_an_idle_daemon_has_no_result_and_no_run_trace():
+    daemon = _idle_daemon()
+    with pytest.raises(Exception) as excinfo:
+        daemon.handle_get("/result", {})
+    assert excinfo.value.status == 404
+    assert excinfo.value.message == "no result yet (state: idle)"
+    assert daemon.handle_get("/trace", {})[1] == {
+        "state": "idle",
+        "trace": None,
+        "requests": [],
+    }
+    assert daemon.handle_get("/plans", {})[1] == {"plans": [], "count": 0}
+
+
+def test_the_request_span_buffer_keeps_the_newest():
+    daemon = _idle_daemon(request_trace_capacity=2)
+    for index in range(5):
+        daemon.record_request_span({"name": "request", "index": index})
+    spans = daemon.handle_get("/trace", {})[1]["requests"]
+    assert [span["index"] for span in spans] == [3, 4]
+    # a limit above what is kept returns what is kept
+    spans = daemon.handle_get("/trace", {"limit": ["10"]})[1]["requests"]
+    assert [span["index"] for span in spans] == [3, 4]
+
+
+def test_trace_limit_zero_returns_no_request_spans():
+    daemon = _idle_daemon()
     for index in range(3):
         daemon.record_request_span({"name": "request", "index": index})
     assert daemon.handle_get("/trace", {"limit": ["0"]})[1]["requests"] == []

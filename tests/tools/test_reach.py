@@ -111,6 +111,16 @@ def test_the_ledger_lists_what_no_entry_point_ran(tmp_path, monkeypatch):
     assert "     12     5  unused" in text
 
 
+def test_every_entry_point_script_exists():
+    # reach.py only finds a renamed example or tool when it runs (~10 min)
+    reach = _reach()
+    assert "service_smoke.py" in reach.TOOLS
+    for name, *_ in reach.EXAMPLES:
+        assert (REPO / "examples" / name).is_file(), name
+    for name in reach.TOOLS:
+        assert (REPO / "tools" / name).is_file(), name
+
+
 def _ledger_names() -> dict[str, list[str]]:
     """Module path (relative to ``src``) -> the qualified names the
     committed ledger lists for it."""
