@@ -10,9 +10,8 @@ The package provides:
 * :mod:`repro.model` — nodes, VMs, vjobs, configurations, viability;
 * :mod:`repro.cp` — a finite-domain constraint solver (Choco replacement);
 * :mod:`repro.constraints` — the declarative placement-constraint catalog
-  (``Spread``, ``Gather``, ``Ban``, ``Fence``, ``Among``, ``Root``,
-  ``MaxOnline``, ``RunningCapacity``, ``Lonely``), compiled into the CP
-  optimizer and checked end to end;
+  (``Spread``, ``Ban``, ``Fence``, ``RunningCapacity``), compiled into the
+  CP optimizer and checked end to end;
 * :mod:`repro.core` — the cluster-wide context switch: actions, cost model,
   reconfiguration graphs/plans, planner and CP optimizer;
 * :mod:`repro.scale` — scale-out: the interference partitioner and the
@@ -72,14 +71,9 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis / IDE resolution only
         register_decision_module,
     )
     from .constraints import (
-        Among,
         Ban,
         Fence,
-        Gather,
-        Lonely,
-        MaxOnline,
         PlacementConstraint,
-        Root,
         RunningCapacity,
         Spread,
     )
@@ -121,14 +115,9 @@ _EXPORTS = {
     "available_decision_modules": ".api",
     "get_decision_module": ".api",
     "register_decision_module": ".api",
-    "Among": ".constraints",
     "Ban": ".constraints",
     "Fence": ".constraints",
-    "Gather": ".constraints",
-    "Lonely": ".constraints",
-    "MaxOnline": ".constraints",
     "PlacementConstraint": ".constraints",
-    "Root": ".constraints",
     "RunningCapacity": ".constraints",
     "Spread": ".constraints",
     "FaultKind": ".sim.faults",

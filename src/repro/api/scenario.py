@@ -44,11 +44,11 @@ class Scenario:
     exceeds ``sla_factor`` times its ideal execution time.
 
     ``constraints`` attaches placement relations from the
-    :mod:`repro.constraints` catalog (``Spread``, ``Fence``, ``MaxOnline``,
-    ...): the optimizer compiles them into its CP model, heuristic policies
-    filter their candidate nodes with them, every plan and the live cluster
-    are checked continuously, and the violation timeline lands on
-    :attr:`RunResult.constraint_violations`.
+    :mod:`repro.constraints` catalog (``Spread``, ``Ban``, ``Fence``,
+    ``RunningCapacity``): the optimizer compiles them into its CP model,
+    heuristic policies filter their candidate nodes with them, every plan
+    and the live cluster are checked continuously, and the violation
+    timeline lands on :attr:`RunResult.constraint_violations`.
 
     ``engine`` selects the solving strategy for every planning round:
     ``"event"`` (default) is the monolithic optimizer, ``"partitioned"``

@@ -29,17 +29,7 @@ The full catalog reference lives in ``docs/SCENARIOS.md``.
 """
 
 from .base import NodeSetConstraint, PlacementConstraint, VMGroupConstraint
-from .catalog import (
-    Among,
-    Ban,
-    Fence,
-    Gather,
-    Lonely,
-    MaxOnline,
-    Root,
-    RunningCapacity,
-    Spread,
-)
+from .catalog import Ban, Fence, RunningCapacity, Spread
 from .checker import (
     Violation,
     check_configuration,
@@ -51,31 +41,16 @@ from .domains import vm_domains
 from .filtering import CandidateFilter
 
 #: Every relation of the catalog, in documentation order.
-CATALOG = (
-    Spread,
-    Gather,
-    Ban,
-    Fence,
-    Among,
-    Root,
-    MaxOnline,
-    RunningCapacity,
-    Lonely,
-)
+CATALOG = (Spread, Ban, Fence, RunningCapacity)
 
 __all__ = [
     "PlacementConstraint",
     "VMGroupConstraint",
     "NodeSetConstraint",
     "Spread",
-    "Gather",
     "Ban",
     "Fence",
-    "Among",
-    "Root",
-    "MaxOnline",
     "RunningCapacity",
-    "Lonely",
     "Violation",
     "check_configuration",
     "check_plan",

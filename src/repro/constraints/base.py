@@ -12,9 +12,7 @@ constraint system:
 2. a **checker** — the constraint validates a concrete
    :class:`~repro.model.configuration.Configuration`
    (:meth:`PlacementConstraint.is_satisfied_by`, with a human-readable
-   :meth:`PlacementConstraint.explain`) and, for stateful relations such as
-   ``Root``, a transition between two configurations
-   (:meth:`PlacementConstraint.is_transition_satisfied`);
+   :meth:`PlacementConstraint.explain`);
 3. a **repair hook** — when a node dies mid-run the control loop offers every
    constraint the chance to adapt (:meth:`PlacementConstraint.on_node_failure`)
    before fault-driven replanning re-applies the catalog to the survivors.
@@ -45,29 +43,23 @@ class PlacementConstraint:
     """
 
     #: VMs the relation is scoped to; empty for node-scoped constraints
-    #: (``MaxOnline`` / ``RunningCapacity`` watch every running VM).
+    #: (``RunningCapacity`` watches every running VM).
     vms: Tuple[str, ...] = ()
 
     #: Relational constraints couple the placement of several VMs (or of
     #: every VM against a node set) and therefore anchor all the involved
     #: nodes into a *single* placement zone when the cluster is decomposed
     #: into independent subproblems (:mod:`repro.scale.partition`).  Unary
-    #: relations (``Ban``, ``Fence``, ``Root``) restrict each VM
-    #: independently and never force zones to merge on their own.
+    #: relations (``Ban``, ``Fence``) restrict each VM independently and
+    #: never force zones to merge on their own.
     relational: bool = False
 
-    #: Minimum number of *placed* group members for the relation to actually
-    #: couple them.  ``Spread``/``Gather``/``Among`` are vacuous with a
-    #: single placed member; ``Lonely`` interferes with every other VM from
-    #: one member on.
-    relational_min_members: int = 2
-
     #: True when :meth:`allowed_nodes` returns the *same* restriction for
-    #: every member VM (``Ban`` complements, ``Fence`` node sets, ``Among``
-    #: group unions depend only on the constraint itself), letting the
-    #: partitioner compute it once per decomposition instead of once per
-    #: member.  Stateful per-VM restrictions (``Root`` pins the VM's own
-    #: host) must leave this False.
+    #: every member VM (``Ban`` complements and ``Fence`` node sets depend
+    #: only on the constraint itself), letting the partitioner compute it
+    #: once per decomposition instead of once per member.  A restriction
+    #: that reads the VM's own state (its current host, say) must leave
+    #: this False.
     uniform_restriction: bool = False
 
     # -- compiler face ---------------------------------------------------------
@@ -82,8 +74,8 @@ class PlacementConstraint:
         does not restrict that VM individually.
 
         ``configuration`` is the observed configuration the optimizer plans
-        from; stateful relations (``Root``) need it to resolve "the current
-        host".  Returning an empty set marks the VM as unplaceable.
+        from, for a restriction that depends on where the VM runs now.
+        Returning an empty set marks the VM as unplaceable.
         """
         return None
 
@@ -112,24 +104,6 @@ class PlacementConstraint:
         if self.is_satisfied_by(configuration):
             return None
         return f"{self.label} is violated"
-
-    def is_transition_satisfied(
-        self, reference: "Configuration", state: "Configuration"
-    ) -> bool:
-        """Check the relation *between* two configurations.
-
-        ``reference`` is the configuration the plan started from and
-        ``state`` an intermediate or final state.  Only stateful relations
-        (``Root``) override this; static relations are transition-neutral.
-        """
-        return True
-
-    def explain_transition(
-        self, reference: "Configuration", state: "Configuration"
-    ) -> Optional[str]:
-        if self.is_transition_satisfied(reference, state):
-            return None
-        return f"{self.label} is violated by the transition"
 
     # -- greedy candidate filter ----------------------------------------------
 

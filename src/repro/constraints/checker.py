@@ -7,9 +7,7 @@ compilation and re-validates constraints against concrete states —
   target or the live cluster after a switch;
 * :func:`check_plan` — **every intermediate state** of a
   :class:`~repro.core.plan.ReconfigurationPlan` (continuous satisfaction at
-  pool granularity: the state after each pool completes, plus the stateful
-  transition checks such as ``Root``'s no-migrate pin against the plan's
-  source);
+  pool granularity: the state after each pool completes);
 * :func:`violated_constraints` — the boolean variant the one degrade path
   asks of a fallback (:mod:`repro.core.context_switch`).
 
@@ -67,19 +65,6 @@ def _violation(
     return constraint.explain(configuration) or f"{constraint.label} is violated"
 
 
-def _transition_violation(
-    constraint: PlacementConstraint,
-    reference: "Configuration",
-    state: "Configuration",
-) -> Optional[str]:
-    if constraint.is_transition_satisfied(reference, state):
-        return None
-    return (
-        constraint.explain_transition(reference, state)
-        or f"{constraint.label} is violated by the transition"
-    )
-
-
 def check_configuration(
     configuration: "Configuration",
     constraints: Sequence[PlacementConstraint],
@@ -117,12 +102,12 @@ def plan_stages(plan: "ReconfigurationPlan") -> Iterator["Configuration"]:
 
 
 def _reads_only(constraint: PlacementConstraint) -> Optional[AbstractSet[str]]:
-    """The VMs whose state and host are all the constraint's checker faces
-    read, or ``None`` when they may read more.  A unary relation restricts
+    """The VMs whose state and host are all the constraint's checker face
+    reads, or ``None`` when it may read more.  A unary relation restricts
     each member on its own (:attr:`PlacementConstraint.relational`), so one
     with declared members reads them and nothing else; a relational or a
-    member-less one (``Lonely``, ``MaxOnline``, a custom quarantine) may
-    watch any VM."""
+    member-less one (``RunningCapacity``, a custom quarantine) may watch any
+    VM."""
     if constraint.relational or not constraint.vms:
         return None
     return getattr(constraint, "vm_set", None) or frozenset(constraint.vms)
@@ -137,10 +122,9 @@ def check_plan(
     satisfaction).
 
     Stage ``k`` (``k >= 1``) is the configuration once the first ``k`` pools
-    completed; stateful relations are additionally checked as transitions
-    from the plan's source.  ``include_source`` also reports the violations
-    already present *before* the plan runs — off by default, because a plan
-    whose purpose is to repair a violation necessarily starts violated.
+    completed.  ``include_source`` also reports the violations already
+    present *before* the plan runs — off by default, because a plan whose
+    purpose is to repair a violation necessarily starts violated.
 
     The stages are walked on one working copy of the source, and a
     constraint no action of the plan touches (:func:`_reads_only`) is asked
@@ -159,37 +143,20 @@ def check_plan(
     if not plan.pools:
         return violations
     acted = {action.vm for pool in plan.pools for action in pool}
-    #: Per constraint: ``None`` to ask it of every stage, else what it said
-    #: of the source (its violation, its transition violation).
-    settled: List[Optional[tuple[Optional[str], Optional[str]]]] = []
+    #: Per constraint: whether to ask it of every stage, else what it said
+    #: of the source.
+    asked: List[bool] = []
+    settled: List[Optional[str]] = []
     for constraint in constraints:
         read = _reads_only(constraint)
-        if read is None or not acted.isdisjoint(read):
-            settled.append(None)
-        else:
-            settled.append(
-                (
-                    _violation(constraint, source),
-                    _transition_violation(constraint, source, source),
-                )
-            )
+        ask = read is None or not acted.isdisjoint(read)
+        asked.append(ask)
+        settled.append(None if ask else _violation(constraint, source))
     state = source.copy()
     for stage_index, pool in enumerate(plan.pools, start=1):
         apply_pool_effects(state, pool)
-        said = [
-            kept
-            or (
-                _violation(constraint, state),
-                _transition_violation(constraint, source, state),
-            )
-            for constraint, kept in zip(constraints, settled)
-        ]
-        # Every constraint's say on the stage, then every transition's.
-        for face in (0, 1):
-            for constraint, answer in zip(constraints, said):
-                message = answer[face]
-                if message is not None:
-                    violations.append(
-                        Violation(constraint.label, message, stage_index)
-                    )
+        for constraint, ask, kept in zip(constraints, asked, settled):
+            message = _violation(constraint, state) if ask else kept
+            if message is not None:
+                violations.append(Violation(constraint.label, message, stage_index))
     return violations

@@ -14,7 +14,7 @@ asked from this module only (plus the eager oracle retained in
 as long as they provably cannot change: the same constraint objects over the
 same node names, every one of them restricting its members the same way
 whatever the placement (:attr:`uniform_restriction`, or no ``allowed_nodes``
-of its own).  Anything else — a ``Root`` pin reads the current host — is
+of its own).  Anything else — a restriction that reads the current host — is
 asked afresh every call, as :func:`vm_domains` always does.
 """
 
@@ -48,8 +48,8 @@ def _membership_index(
 
     Returns ``(by_vm, universal)``: ``by_vm`` maps each VM name to the
     constraints that declare it a member (in catalog order), ``universal``
-    holds the constraints with no declared members (``MaxOnline``,
-    ``RunningCapacity``…), which every VM must still ask.
+    holds the constraints with no declared members (``RunningCapacity``, a
+    custom quarantine), which every VM must still ask.
 
     This relies on the catalog contract that a constraint with declared
     ``vms`` returns ``None`` from ``allowed_nodes`` for non-members (every

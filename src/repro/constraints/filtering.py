@@ -31,8 +31,8 @@ class CandidateFilter:
     """Constraint-aware node filtering for greedy placement loops.
 
     ``reference`` is the observed configuration the round plans from: its
-    node names are what the unary restrictions are resolved against and
-    stateful relations (``Root``) read "the current host" off it.
+    node names are what the unary restrictions are resolved against, and a
+    restriction that depends on the current host reads it off it.
     """
 
     def __init__(

@@ -481,7 +481,7 @@ class ContextSwitchOptimizer:
             # fleet.  A unary catalog (what a fenced zone's scoped catalog
             # is) compiles to nothing but domains, which the frozen VMs sit
             # inside by the caller's precondition.  Only a relational
-            # constraint (Spread, MaxOnline, RunningCapacity…) must see the
+            # constraint (Spread, RunningCapacity) must see the
             # frozen placements, so under one they stay in the model as
             # fixed variables.
             #
@@ -510,7 +510,7 @@ class ContextSwitchOptimizer:
                 # solution.
                 return folded, SearchStatistics(proven_optimal=True), [0]
 
-        # Unary placement constraints (Ban/Fence/Root) shrink the domain of
+        # Unary placement constraints (Ban/Fence) shrink the domain of
         # the assignment variable before the search even starts.
         # ``vm_domains`` hands the members of one restriction one shared set,
         # so the node list of a restriction is built once and copied per
@@ -618,8 +618,8 @@ class ContextSwitchOptimizer:
                 preferences[var.name] = home
         model.add_constraint(VectorPacking(assignment_vars, demands, capacities))
 
-        # Relational placement constraints (Spread/Gather) become solver
-        # constraints over the assignment variables.
+        # Relational placement constraints (Spread/RunningCapacity) become
+        # solver constraints over the assignment variables.
         variables_by_vm = dict(zip(model_vms, assignment_vars))
         for constraint in constraints:
             for cp_constraint in constraint.cp_constraints(variables_by_vm, node_index):

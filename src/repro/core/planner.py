@@ -81,9 +81,8 @@ class ReconfigurationPlanner:
         are compared.
 
         ``constraints`` turns on continuous-satisfaction bookkeeping: every
-        intermediate state of the finished plan (pool boundaries, plus
-        stateful transition relations like ``Root``) is validated with the
-        independent checker, and any violation lands on
+        intermediate state of the finished plan (each pool boundary) is
+        validated with the independent checker, and any violation lands on
         ``plan.constraint_violations`` — or raises
         :class:`~repro.model.errors.PlanningError` under
         ``PlannerOptions.strict_constraints``.  They also steer the one

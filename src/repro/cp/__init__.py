@@ -1,7 +1,7 @@
 """A small finite-domain constraint solver (Choco 1.2 replacement).
 
-Provides integer variables, propagation-based constraints (linear sums,
-2-dimensional bin packing, table-based cost sums, all-different), depth-first
+Provides integer variables, propagation-based constraints (2-dimensional
+bin packing, table-based cost sums, all-different), depth-first
 search with pluggable variable/value ordering heuristics, and branch-and-bound
 minimization with a wall-clock timeout — the exact feature set the paper's
 optimization of the cluster-wide context switch relies on (Section 4.3).
@@ -10,16 +10,11 @@ optimization of the cluster-wide context switch relies on (Section 4.3).
 from .constraints import (
     AllDifferent,
     AllDifferentExcept,
-    AllEqual,
-    Among,
     Constraint,
     CostTable,
     CountInValuesAtMost,
-    DisjointValues,
     ElementSum,
-    LinearLessEqual,
     NotEqual,
-    UsedValuesAtMost,
     VectorPacking,
 )
 from .domain import Domain, IntervalDomain
@@ -47,16 +42,11 @@ from .variables import (
 __all__ = [
     "AllDifferent",
     "AllDifferentExcept",
-    "AllEqual",
-    "Among",
     "Constraint",
     "CostTable",
     "CountInValuesAtMost",
-    "DisjointValues",
     "ElementSum",
-    "LinearLessEqual",
     "NotEqual",
-    "UsedValuesAtMost",
     "VectorPacking",
     "Domain",
     "IntervalDomain",

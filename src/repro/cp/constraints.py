@@ -1,10 +1,8 @@
 """Constraints understood by the solver.
 
-Only the constraints the paper's model needs are provided, plus a couple of
-generic ones that keep the solver usable on its own:
+Only the constraints the paper's model needs are provided, plus a generic
+one that keeps the solver usable on its own:
 
-* :class:`LinearLessEqual` — a weighted sum bounded by a constant (the
-  knapsack inequalities of Definition 4.1);
 * :class:`ElementSum` — a total variable equal to the sum of per-variable
   lookup tables (the reconfiguration cost estimate of Section 4.3), each
   stored as a :class:`CostTable`: a default cost plus the values that cost
@@ -20,15 +18,8 @@ declarative relations into a second family of propagators:
 * :class:`NotEqual` — a cheap pairwise disequality (two-VM ``Spread``);
 * :class:`AllDifferentExcept` — all-different where a set of excepted values
   may repeat (``Spread`` with collocation-tolerant nodes);
-* :class:`AllEqual` — every variable takes one common value (``Gather``);
-* :class:`Among` — all variables land inside a single one of several value
-  groups (``Among`` over node groups / fault domains);
-* :class:`UsedValuesAtMost` — at most ``k`` distinct values of a watched set
-  may be used (``MaxOnline``);
 * :class:`CountInValuesAtMost` — at most ``k`` variables may take a value
-  from a watched set (``RunningCapacity``);
-* :class:`DisjointValues` — two variable groups never share a value
-  (``Lonely``).
+  from a watched set (``RunningCapacity``).
 
 Propagation is *event-driven*: each constraint declares a scheduling
 ``priority`` (cheap propagators drain first) and whether it is ``idempotent``
@@ -86,106 +77,6 @@ class Constraint:
     def is_satisfied(self) -> bool:
         """Check the constraint on fully instantiated variables."""
         raise NotImplementedError
-
-
-class LinearLessEqual(Constraint):
-    """``sum(coefficients[i] * vars[i]) <= bound`` with non-negative
-    coefficients.
-
-    Event mode maintains the committed lower bound ``sum(c_i * min(x_i))``
-    incrementally: a domain event only costs the delta of the touched
-    variable, and the O(n) pruning pass runs only when the lower bound grew.
-    """
-
-    priority = 0
-    # remove_above never changes a variable's min, so self-prunings cannot
-    # re-trigger this propagator.
-    idempotent = True
-
-    def __init__(self, variables: Sequence[IntVar], coefficients: Sequence[int], bound: int):
-        if len(variables) != len(coefficients):
-            raise ValueError("variables and coefficients must have the same length")
-        if any(c < 0 for c in coefficients):
-            raise ValueError("LinearLessEqual only supports non-negative coefficients")
-        self._vars = list(variables)
-        self._coefficients = list(coefficients)
-        self._bound = bound
-        self._index_of: dict[int, int] = {}
-        self._mins: list[int] = []
-        self._total_min = 0
-        self._primed = False
-
-    def variables(self) -> Sequence[IntVar]:
-        return self._vars
-
-    def propagate(self, store) -> None:
-        mins = [c * v.min for c, v in zip(self._coefficients, self._vars)]
-        total_min = sum(mins)
-        if total_min > self._bound:
-            raise InconsistencyError(
-                f"linear sum lower bound {total_min} exceeds {self._bound}"
-            )
-        for i, (coefficient, var) in enumerate(zip(self._coefficients, self._vars)):
-            if coefficient == 0:
-                continue
-            slack = self._bound - (total_min - mins[i])
-            # coefficient * value must stay <= slack
-            limit = slack // coefficient
-            if var.max > limit:
-                store.remove_above(var, limit)
-
-    # -- event-driven protocol -------------------------------------------------
-
-    def register(self, store) -> None:
-        self._index_of = {var.index: i for i, var in enumerate(self._vars)}
-        self._mins = [c * v.min for c, v in zip(self._coefficients, self._vars)]
-        self._total_min = sum(self._mins)
-        # The first propagation must run the pruning pass even though the
-        # counters were just seeded (the bound may already cut the domains).
-        self._primed = False
-
-    def _restore_min(self, i: int, old: int, delta: int):
-        def undo() -> None:
-            self._mins[i] = old
-            self._total_min -= delta
-        return undo
-
-    def propagate_events(self, store, dirty: Collection[int]) -> None:
-        grew = not self._primed
-        self._primed = True
-        for model_index in dirty:
-            i = self._index_of.get(model_index)
-            if i is None:
-                continue
-            new = self._coefficients[i] * self._vars[i].min
-            old = self._mins[i]
-            if new != old:
-                delta = new - old
-                self._mins[i] = new
-                self._total_min += delta
-                store.record_undo(self._restore_min(i, old, delta))
-                if delta > 0:
-                    grew = True
-        if self._total_min > self._bound:
-            raise InconsistencyError(
-                f"linear sum lower bound {self._total_min} exceeds {self._bound}"
-            )
-        if not grew:
-            return
-        total_min = self._total_min
-        mins = self._mins
-        for i, (coefficient, var) in enumerate(zip(self._coefficients, self._vars)):
-            if coefficient == 0:
-                continue
-            limit = (self._bound - (total_min - mins[i])) // coefficient
-            if var.max > limit:
-                store.remove_above(var, limit)
-
-    def is_satisfied(self) -> bool:
-        return (
-            sum(c * v.value for c, v in zip(self._coefficients, self._vars))
-            <= self._bound
-        )
 
 
 class CostTable(NamedTuple):
@@ -565,33 +456,6 @@ class VectorPacking(Constraint):
         )
 
 
-class AllEqual(Constraint):
-    """Every variable takes the same value (used by the Gather placement
-    constraint: all the VMs of a group share one node)."""
-
-    def __init__(self, variables: Sequence[IntVar]):
-        self._vars = list(variables)
-
-    def variables(self) -> Sequence[IntVar]:
-        return self._vars
-
-    def propagate(self, store) -> None:
-        if not self._vars:
-            return
-        common = set(self._vars[0].raw_values())
-        for var in self._vars[1:]:
-            common &= set(var.raw_values())
-        if not common:
-            raise InconsistencyError("AllEqual: no common value left")
-        for var in self._vars:
-            extra = [v for v in var.raw_values() if v not in common]
-            if extra:
-                store.remove_many(var, extra)
-
-    def is_satisfied(self) -> bool:
-        return len({v.value for v in self._vars}) <= 1
-
-
 class NotEqual(Constraint):
     """``a != b`` — the cheapest disequality, used for two-VM ``Spread``.
 
@@ -673,135 +537,17 @@ class AllDifferentExcept(Constraint):
         return True
 
 
-class Among(Constraint):
-    """Every variable takes its value inside a *single* one of the given
-    value groups (the VMs of a group stay within one node group).
-
-    Propagation keeps only the groups in which every variable still has at
-    least one candidate value, and restricts each variable's domain to the
-    union of the surviving groups.
-    """
-
-    def __init__(self, variables: Sequence[IntVar], groups: Sequence[Collection[int]]):
-        normalized = [frozenset(group) for group in groups]
-        if not normalized:
-            raise ValueError("Among requires at least one value group")
-        if any(not group for group in normalized):
-            raise ValueError("Among groups must be non-empty")
-        self._vars = list(variables)
-        self._groups = normalized
-
-    def variables(self) -> Sequence[IntVar]:
-        return self._vars
-
-    def propagate(self, store) -> None:
-        if not self._vars:
-            return
-        feasible = [
-            group
-            for group in self._groups
-            if all(self._overlaps(var, group) for var in self._vars)
-        ]
-        if not feasible:
-            raise InconsistencyError("Among: no group can host every variable")
-        union = frozenset().union(*feasible)
-        for var in self._vars:
-            extra = [value for value in var.raw_values() if value not in union]
-            if extra:
-                store.remove_many(var, extra)
-
-    @staticmethod
-    def _overlaps(var: IntVar, group: frozenset) -> bool:
-        """Does the variable's domain intersect the group?  Iterates the
-        smaller side (groups are usually tiny next to fleet-wide domains)."""
-        if len(group) < var.size:
-            return any(value in var for value in group)
-        return any(value in group for value in var.raw_values())
-
-    def is_satisfied(self) -> bool:
-        values = {var.value for var in self._vars}
-        return any(values <= group for group in self._groups)
-
-
-class _EntailmentTrail:
-    """Shared trailed-entailment machinery of the counting propagators.
-
-    Once a counting constraint has saturated its cap and pruned every value
-    that could still grow the count, it can never fail again in the current
-    subtree: ``_mark_entailed`` records that fact with an undo entry so
-    backtracking past the saturation point re-arms the propagator.
-    """
-
-    _entailed = False
-
-    def register(self, store) -> None:
-        self._entailed = False
-
-    def _mark_entailed(self, store) -> None:
-        self._entailed = True
-
-        def undo() -> None:
-            self._entailed = False
-
-        store.record_undo(undo)
-
-
-class UsedValuesAtMost(_EntailmentTrail, Constraint):
-    """At most ``maximum`` *distinct* values of ``watched`` may be used across
-    the variables (the ``MaxOnline`` compiler: cap the nodes of a set that may
-    host anything at all)."""
-
-    def __init__(
-        self, variables: Sequence[IntVar], watched: Collection[int], maximum: int
-    ):
-        if maximum < 0:
-            raise ValueError("UsedValuesAtMost needs a non-negative maximum")
-        self._vars = list(variables)
-        self._watched = frozenset(watched)
-        self._max = maximum
-        self._entailed = False
-
-    def variables(self) -> Sequence[IntVar]:
-        return self._vars
-
-    def propagate(self, store) -> None:
-        if self._entailed:
-            return
-        used = {
-            var.value
-            for var in self._vars
-            if var.is_instantiated and var.value in self._watched
-        }
-        if len(used) > self._max:
-            raise InconsistencyError(
-                f"UsedValuesAtMost: {len(used)} watched values used, "
-                f"maximum is {self._max}"
-            )
-        if len(used) == self._max:
-            forbidden = self._watched - used
-            for var in self._vars:
-                if var.is_instantiated:
-                    continue
-                clash = [v for v in var.raw_values() if v in forbidden]
-                if clash:
-                    store.remove_many(var, clash)
-            # Every remaining variable now only holds already-used (or
-            # unwatched) values: the distinct count cannot grow.
-            self._mark_entailed(store)
-
-    def is_satisfied(self) -> bool:
-        used = {var.value for var in self._vars if var.value in self._watched}
-        return len(used) <= self._max
-
-
-class CountInValuesAtMost(_EntailmentTrail, Constraint):
+class CountInValuesAtMost(Constraint):
     """At most ``maximum`` variables may take a value inside ``watched`` (the
     ``RunningCapacity`` compiler: cap how many VMs run on a node set).
 
     A variable counts as *committed* once its whole domain lies inside the
     watched set; when the committed count reaches the cap, the watched values
     are pruned from every other variable (each of which still has at least one
-    outside value, so the pruning can never empty a domain).
+    outside value, so the pruning can never empty a domain).  From then on the
+    constraint can never fail again in the current subtree: it is marked
+    *entailed* with an undo entry, so backtracking past the saturation point
+    re-arms it.
     """
 
     def __init__(
@@ -816,6 +562,17 @@ class CountInValuesAtMost(_EntailmentTrail, Constraint):
 
     def variables(self) -> Sequence[IntVar]:
         return self._vars
+
+    def register(self, store) -> None:
+        self._entailed = False
+
+    def _mark_entailed(self, store) -> None:
+        self._entailed = True
+
+        def undo() -> None:
+            self._entailed = False
+
+        store.record_undo(undo)
 
     def propagate(self, store) -> None:
         if self._entailed:
@@ -852,41 +609,6 @@ class CountInValuesAtMost(_EntailmentTrail, Constraint):
         return (
             sum(1 for var in self._vars if var.value in self._watched) <= self._max
         )
-
-
-class DisjointValues(Constraint):
-    """No value may be taken both by a ``left`` and a ``right`` variable (the
-    ``Lonely`` compiler: the group's nodes host nothing else)."""
-
-    def __init__(self, left: Sequence[IntVar], right: Sequence[IntVar]):
-        self._left = list(left)
-        self._right = list(right)
-
-    def variables(self) -> Sequence[IntVar]:
-        return [*self._left, *self._right]
-
-    def propagate(self, store) -> None:
-        left_used = {var.value for var in self._left if var.is_instantiated}
-        right_used = {var.value for var in self._right if var.is_instantiated}
-        clash = left_used & right_used
-        if clash:
-            raise InconsistencyError(
-                f"DisjointValues: values {sorted(clash)} used on both sides"
-            )
-        for used, others in ((left_used, self._right), (right_used, self._left)):
-            if not used:
-                continue
-            for var in others:
-                if var.is_instantiated:
-                    continue
-                removable = [v for v in var.raw_values() if v in used]
-                if removable:
-                    store.remove_many(var, removable)
-
-    def is_satisfied(self) -> bool:
-        left = {var.value for var in self._left}
-        right = {var.value for var in self._right}
-        return not (left & right)
 
 
 class AllDifferent(Constraint):

@@ -11,7 +11,7 @@ can detect silent drift of a committed pack.
 Canonical form: ``json.dumps(..., sort_keys=True, separators=(",", ":"))``
 over :meth:`Instance.to_dict`.  Saving, loading and saving again is
 byte-identical (the property suite holds this), because every unordered
-collection — constraint VM sets, node sets, ``Among`` groups — is serialized
+collection — constraint VM sets and node sets — is serialized
 sorted, and because :func:`save_instance` always emits the canonical bytes.
 
 The module deliberately imports only the model, the constraint catalog, the
@@ -28,18 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
-from ..constraints import (
-    Among,
-    Ban,
-    Fence,
-    Gather,
-    Lonely,
-    MaxOnline,
-    PlacementConstraint,
-    Root,
-    RunningCapacity,
-    Spread,
-)
+from ..constraints import Ban, Fence, PlacementConstraint, RunningCapacity, Spread
 from ..model.configuration import Configuration
 from ..model.node import Node, NodeRole
 from ..model.queue import VJobQueue
@@ -349,20 +338,16 @@ def _workload_from_dict(payload: Mapping[str, Any]) -> VJobWorkload:
         raise InstanceFormatError("invalid-field", f"vjob {name!r}: {exc}") from None
 
 
-#: Constraint kind -> (class, encoder).  Decoding dispatches on the same
-#: kind strings; the sorted-list encoding is what makes round trips
-#: byte-stable despite the frozensets underneath.
 def constraint_to_dict(constraint: PlacementConstraint) -> dict[str, Any]:
     """One catalog constraint as a JSON-safe dict (``kind`` + its sets,
-    every set sorted)."""
+    every set sorted: the sorted-list encoding is what makes round trips
+    byte-stable despite the frozensets underneath)."""
     if isinstance(constraint, Spread):
         return {
             "kind": "spread",
             "vms": sorted(constraint.vm_set),
             "collocation_nodes": sorted(constraint.collocation_nodes),
         }
-    if isinstance(constraint, Gather):
-        return {"kind": "gather", "vms": sorted(constraint.vm_set)}
     if isinstance(constraint, Ban):
         return {
             "kind": "ban",
@@ -376,22 +361,6 @@ def constraint_to_dict(constraint: PlacementConstraint) -> dict[str, Any]:
             "nodes": sorted(constraint.nodes),
             "elastic": constraint.elastic,
         }
-    if isinstance(constraint, Among):
-        return {
-            "kind": "among",
-            "vms": sorted(constraint.vm_set),
-            "groups": sorted(sorted(group) for group in constraint.groups),
-        }
-    if isinstance(constraint, Root):
-        return {"kind": "root", "vms": sorted(constraint.vm_set)}
-    if isinstance(constraint, Lonely):
-        return {"kind": "lonely", "vms": sorted(constraint.vm_set)}
-    if isinstance(constraint, MaxOnline):
-        return {
-            "kind": "max_online",
-            "nodes": sorted(constraint.nodes),
-            "maximum": constraint.maximum,
-        }
     if isinstance(constraint, RunningCapacity):
         return {
             "kind": "running_capacity",
@@ -404,48 +373,67 @@ def constraint_to_dict(constraint: PlacementConstraint) -> dict[str, Any]:
     )
 
 
+def _is_names(value: Any) -> bool:
+    return isinstance(value, list) and all(isinstance(n, str) for n in value)
+
+
+#: The JSON type each constraint field must hold.  The constructors take any
+#: iterable, so a bare string would split into one-letter names, and
+#: ``bool("no")`` is true.  ``bool`` is an ``int`` subclass, so an integer
+#: field refuses ``true`` explicitly.
+_FIELD_TYPES = {
+    "vms": ("an array of strings", _is_names),
+    "nodes": ("an array of strings", _is_names),
+    "collocation_nodes": ("an array of strings", _is_names),
+    "elastic": ("a boolean", lambda value: isinstance(value, bool)),
+    "maximum": (
+        "an integer",
+        lambda value: isinstance(value, int) and not isinstance(value, bool),
+    ),
+}
+
+
+def _field(
+    payload: Mapping[str, Any], key: str, kind: str, default: Any = None
+) -> Any:
+    """``payload[key]`` checked against :data:`_FIELD_TYPES`; required unless
+    a ``default`` is given."""
+    if default is None:
+        value = _require(payload, key, kind)
+    else:
+        value = payload.get(key, default)
+    expected, accepts = _FIELD_TYPES[key]
+    if not accepts(value):
+        raise InstanceFormatError(
+            "invalid-field",
+            f"constraint {kind!r}: {key!r} must be {expected}, got {value!r}",
+        )
+    return value
+
+
 def constraint_from_dict(payload: Mapping[str, Any]) -> PlacementConstraint:
     """Inverse of :func:`constraint_to_dict`; raises
     :class:`InstanceFormatError` (code ``unknown-constraint``) on an
-    unrecognized ``kind``."""
+    unrecognized ``kind`` and ``invalid-field`` on a field of the wrong
+    JSON type."""
     kind = _require(payload, "kind", "constraint")
     try:
         if kind == "spread":
             return Spread(
-                _require(payload, "vms", "spread"),
-                collocation_nodes=payload.get("collocation_nodes", ()),
+                _field(payload, "vms", kind),
+                collocation_nodes=_field(payload, "collocation_nodes", kind, []),
             )
-        if kind == "gather":
-            return Gather(_require(payload, "vms", "gather"))
         if kind == "ban":
-            return Ban(
-                _require(payload, "vms", "ban"),
-                _require(payload, "nodes", "ban"),
-            )
+            return Ban(_field(payload, "vms", kind), _field(payload, "nodes", kind))
         if kind == "fence":
             return Fence(
-                _require(payload, "vms", "fence"),
-                _require(payload, "nodes", "fence"),
-                elastic=bool(payload.get("elastic", False)),
-            )
-        if kind == "among":
-            return Among(
-                _require(payload, "vms", "among"),
-                _require(payload, "groups", "among"),
-            )
-        if kind == "root":
-            return Root(_require(payload, "vms", "root"))
-        if kind == "lonely":
-            return Lonely(_require(payload, "vms", "lonely"))
-        if kind == "max_online":
-            return MaxOnline(
-                _require(payload, "nodes", "max_online"),
-                int(_require(payload, "maximum", "max_online")),
+                _field(payload, "vms", kind),
+                _field(payload, "nodes", kind),
+                elastic=_field(payload, "elastic", kind, False),
             )
         if kind == "running_capacity":
             return RunningCapacity(
-                _require(payload, "nodes", "running_capacity"),
-                int(_require(payload, "maximum", "running_capacity")),
+                _field(payload, "nodes", kind), _field(payload, "maximum", kind)
             )
     except InstanceFormatError:
         raise

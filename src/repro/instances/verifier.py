@@ -322,16 +322,6 @@ def _verify_assignment(
     constraint_violations = tuple(
         check_configuration(target, instance.constraints)
     )
-    for constraint in instance.constraints:
-        if constraint.is_transition_satisfied(source, target):
-            continue
-        message = (
-            constraint.explain_transition(source, target)
-            or f"{constraint.label} is violated by the transition"
-        )
-        constraint_violations += (
-            Violation(constraint=constraint.label, message=message),
-        )
     return VerificationReport(
         instance=instance.name,
         fingerprint=instance.fingerprint,

@@ -91,7 +91,7 @@ def _relational_closure(
     placed: Container[str],
 ) -> None:
     """Dirty any relational group with a dirty member (in place, to a
-    fixpoint: ``Among`` groups may chain through shared members)."""
+    fixpoint: two ``Spread`` groups may chain through a shared member)."""
     changed = True
     while changed:
         changed = False

@@ -5,9 +5,9 @@ The package has two layers (see ``docs/PERFORMANCE.md`` for the guide and
 
 1. **Partitioner** (:mod:`repro.scale.partition`) — split a configuration
    plus its placement-constraint catalog into independent placement zones
-   via connected components over the interference graph (tight ``Fence``/
-   ``Among`` domains, relational ``Spread``/``Gather``/``Lonely``/
-   ``MaxOnline``/``RunningCapacity`` couplings), with a k-way node-sharding
+   via connected components over the interference graph (tight ``Fence``
+   domains, relational ``Spread``/``RunningCapacity`` couplings), with a
+   k-way node-sharding
    fallback for unconstrained fleets.  Independence holds by construction:
    zone node sets are disjoint and every zone VM's candidates stay inside
    its zone, so per-zone solutions compose into a valid global placement.

@@ -18,9 +18,8 @@ Two decomposition strategies are tried in order:
 
 1. **Interference components** — connected components over the "interference
    graph": the *tight* placement domains induced by unary relations
-   (``Fence``, ``Among``'s group union, ``Root`` pins) anchor their nodes
-   together, and every relational constraint (``Spread``, ``Gather``,
-   ``Among``, ``Lonely``, ``MaxOnline``, ``RunningCapacity`` — the catalog's
+   (``Fence`` node sets) anchor their nodes together, and every relational
+   constraint (``Spread``, ``RunningCapacity`` — the catalog's
    :attr:`~repro.constraints.base.PlacementConstraint.relational` face)
    welds the domains of all its placed members (or its watched node set)
    into one component.  Nodes not touched by any constraint form a single
@@ -244,7 +243,8 @@ def partition(
                 touched.update(ordered)
 
     # Relational constraints weld the domains of all their placed members
-    # (or their watched node set) into one component.
+    # (or their watched node set) into one component; a VM group couples
+    # nothing until two of its members are placed.
     coupled = False
     placed_set = set(placed) if any(c.relational for c in constraints) else set()
     for constraint in constraints:
@@ -254,7 +254,7 @@ def partition(
             node for node in getattr(constraint, "nodes", ()) if node in uf._parent
         }
         members = [vm for vm in constraint.vms if vm in placed_set]
-        if constraint.vms and len(members) < constraint.relational_min_members:
+        if len(members) < 2:
             members = []
         for vm_name in members:
             if vm_name not in tight:

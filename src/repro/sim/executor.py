@@ -196,7 +196,6 @@ class PlanExecutor:
         report = ExecutionReport(start=start_time)
         injector = self.fault_injector
         clock = start_time
-        reference = cluster.configuration.copy() if constraints else None
 
         for pool_index, pool in enumerate(plan.pools):
             if injector is None:
@@ -284,54 +283,20 @@ class PlanExecutor:
             report.pool_windows.append((clock, pool_end))
             clock = pool_end
 
-            if reference is not None:
-                self._watch_constraints(
-                    report, cluster, reference, constraints, pool_index, clock
-                )
-
-        return report
-
-    @staticmethod
-    def _watch_constraints(
-        report: ExecutionReport,
-        cluster: SimulatedCluster,
-        reference,
-        constraints: Sequence[PlacementConstraint],
-        pool_index: int,
-        time: float,
-    ) -> None:
-        """Record every constraint the live configuration breaks right now
-        (static checks via the shared checker, plus the stateful transition
-        relations against the execution-start reference)."""
-        state = cluster.configuration
-        flagged: set[str] = set()
-        for violation in check_configuration(state, constraints):
-            flagged.add(violation.constraint)
-            report.constraint_violations.append(
+            # Every constraint the live configuration breaks right now.
+            report.constraint_violations.extend(
                 ConstraintViolationEvent(
-                    time=time,
+                    time=clock,
                     pool_index=pool_index,
                     constraint=violation.constraint,
                     message=violation.message,
                 )
-            )
-        for constraint in constraints:
-            if constraint.label in flagged:
-                continue
-            if constraint.is_transition_satisfied(reference, state):
-                continue
-            message = (
-                constraint.explain_transition(reference, state)
-                or f"{constraint.label} is violated by the transition"
-            )
-            report.constraint_violations.append(
-                ConstraintViolationEvent(
-                    time=time,
-                    pool_index=pool_index,
-                    constraint=constraint.label,
-                    message=message,
+                for violation in check_configuration(
+                    cluster.configuration, constraints
                 )
             )
+
+        return report
 
 
 def estimate_duration(

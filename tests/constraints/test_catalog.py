@@ -1,23 +1,11 @@
-"""Semantics of the nine catalog relations: checker face, unary compile
+"""Semantics of the four catalog relations: checker face, unary compile
 face, greedy filter face and repair hooks."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.constraints import (
-    Among,
-    Ban,
-    CATALOG,
-    CandidateFilter,
-    Fence,
-    Gather,
-    Lonely,
-    MaxOnline,
-    Root,
-    RunningCapacity,
-    Spread,
-)
+from repro.constraints import CATALOG, Ban, Fence, RunningCapacity, Spread
 from repro.model.configuration import Configuration
 from repro.model.node import make_working_nodes
 from repro.testing import make_vm
@@ -38,24 +26,13 @@ def configuration():
 
 
 class TestCatalogShape:
-    def test_catalog_lists_all_nine_relations(self):
+    def test_catalog_lists_all_four_relations(self):
         names = [constraint.__name__ for constraint in CATALOG]
-        assert names == [
-            "Spread",
-            "Gather",
-            "Ban",
-            "Fence",
-            "Among",
-            "Root",
-            "MaxOnline",
-            "RunningCapacity",
-            "Lonely",
-        ]
+        assert names == ["Spread", "Ban", "Fence", "RunningCapacity"]
 
     def test_labels_are_stable_and_informative(self):
         assert Spread(["a", "b"]).label == "Spread(a, b)"
         assert "node-1" in Fence(["a"], ["node-1"]).label
-        assert "<= 2" in MaxOnline(["node-0", "node-1"], 2).label
         assert "<= 3" in RunningCapacity(["node-0"], 3).label
 
     def test_constructor_validation(self):
@@ -66,13 +43,7 @@ class TestCatalogShape:
         with pytest.raises(ValueError):
             Fence(["a"], [])
         with pytest.raises(ValueError):
-            Among(["a"], [])
-        with pytest.raises(ValueError):
-            Among(["a"], [[]])
-        with pytest.raises(ValueError):
-            MaxOnline([], 1)
-        with pytest.raises(ValueError):
-            MaxOnline(["node-0"], -1)
+            RunningCapacity([], 1)
         with pytest.raises(ValueError):
             RunningCapacity(["node-0"], -2)
 
@@ -96,18 +67,6 @@ class TestSpread:
         assert spread.allows("b", "node-2", configuration)
         # VMs outside the group are never filtered
         assert spread.allows("zzz", "node-0", configuration)
-
-
-class TestGather:
-    def test_satisfaction(self, configuration):
-        assert Gather(["a", "b"]).is_satisfied_by(configuration)
-        assert not Gather(["a", "c"]).is_satisfied_by(configuration)
-        assert "scattered" in Gather(["a", "c"]).explain(configuration)
-
-    def test_greedy_filter(self, configuration):
-        gather = Gather(["a", "d"])
-        assert gather.allows("d", "node-0", configuration)
-        assert not gather.allows("d", "node-2", configuration)
 
 
 class TestBanAndFence:
@@ -149,101 +108,6 @@ class TestBanAndFence:
         assert fence.on_node_failure("node-9") is fence
 
 
-class TestAmong:
-    def test_satisfaction(self, configuration):
-        groups = [["node-0", "node-1"], ["node-2", "node-3"]]
-        assert Among(["a", "c"], groups).is_satisfied_by(configuration)
-        straddling = Among(["a", "c"], [["node-0"], ["node-1"]])
-        assert not straddling.is_satisfied_by(configuration)
-        assert "straddle" in straddling.explain(configuration)
-
-    def test_unary_restriction_is_the_union(self, configuration):
-        among = Among(["a"], [["node-0"], ["node-2"]])
-        nodes = configuration.node_names
-        assert among.allowed_nodes("a", nodes) == {"node-0", "node-2"}
-        assert among.allowed_nodes("other", nodes) is None
-
-    def test_greedy_filter_commits_to_a_group(self, configuration):
-        among = Among(["a", "d"], [["node-0", "node-1"], ["node-2", "node-3"]])
-        # "a" runs on node-0, so "d" must stay in the first group
-        assert among.allows("d", "node-1", configuration)
-        assert not among.allows("d", "node-2", configuration)
-
-
-class TestRoot:
-    def test_static_check_is_vacuous(self, configuration):
-        assert Root(["a"]).is_satisfied_by(configuration)
-
-    def test_transition_detects_migration(self, configuration):
-        moved = configuration.copy()
-        moved.migrate("a", "node-2")
-        root = Root(["a"])
-        assert not root.is_transition_satisfied(configuration, moved)
-        assert "a" in root.explain_transition(configuration, moved)
-        assert root.is_transition_satisfied(configuration, configuration.copy())
-
-    def test_stop_and_restart_elsewhere_still_counts_as_relocation(
-        self, configuration
-    ):
-        # within one plan window, a pinned VM running at both ends must be on
-        # the same host — a stop/restart detour does not launder the move
-        rebooted = configuration.copy()
-        rebooted.set_waiting("a")
-        rebooted.set_running("a", "node-3")
-        assert not Root(["a"]).is_transition_satisfied(configuration, rebooted)
-
-    def test_a_vm_waiting_in_the_reference_may_boot_anywhere(
-        self, configuration
-    ):
-        # the crash-repair semantics: an evicted (Waiting) VM is unpinned
-        booted = configuration.copy()
-        booted.set_running("d", "node-3")
-        assert Root(["d"]).is_transition_satisfied(configuration, booted)
-
-    def test_unary_restriction_pins_running_vms(self, configuration):
-        root = Root(["a", "d"])
-        nodes = configuration.node_names
-        assert root.allowed_nodes("a", nodes, configuration) == {"node-0"}
-        # a waiting VM is free, and without a configuration nothing is known
-        assert root.allowed_nodes("d", nodes, configuration) is None
-        assert root.allowed_nodes("a", nodes) is None
-
-    def test_greedy_filter_uses_the_reference(self, configuration):
-        # the packers read the pin through the same face as the compiler
-        root = Root(["a"])
-        nodes = configuration.node_names
-        assert root.allowed_nodes("a", nodes, configuration) == {"node-0"}
-        greedy = CandidateFilter([root], configuration)
-        assert greedy.candidates("a", nodes) == ["node-0"]
-        assert greedy.candidates("b", nodes) == nodes
-
-
-class TestMaxOnline:
-    def test_satisfaction(self, configuration):
-        assert MaxOnline(["node-0", "node-1"], 2).is_satisfied_by(configuration)
-        capped = MaxOnline(["node-0", "node-1"], 1)
-        assert not capped.is_satisfied_by(configuration)
-        assert "maximum is 1" in capped.explain(configuration)
-
-    def test_greedy_filter(self, configuration):
-        capped = MaxOnline(["node-2", "node-3"], 1)
-        trial = configuration.copy()
-        trial.set_running("d", "node-2")
-        assert capped.allows("zzz", "node-2", trial)  # already-used node is free
-        assert not capped.allows("zzz", "node-3", trial)
-        assert capped.allows("zzz", "node-1", trial)  # outside the watched set
-
-    def test_greedy_filter_ignores_the_probed_vms_own_placement(
-        self, configuration
-    ):
-        # the sole occupant of a watched node may be re-placed onto the
-        # other watched node: moving it frees its current one
-        capped = MaxOnline(["node-2", "node-3"], 1)
-        trial = configuration.copy()
-        trial.set_running("d", "node-2")
-        assert capped.allows("d", "node-3", trial)
-
-
 class TestRunningCapacity:
     def test_satisfaction(self, configuration):
         assert RunningCapacity(["node-0"], 2).is_satisfied_by(configuration)
@@ -267,33 +131,11 @@ class TestRunningCapacity:
         assert not capped.allows("d", "node-1", configuration)
 
 
-class TestLonely:
-    def test_satisfaction(self, configuration):
-        assert Lonely(["a", "b"]).is_satisfied_by(configuration)
-        mixed = Lonely(["a"])
-        assert not mixed.is_satisfied_by(configuration)  # b shares node-0
-        assert "node-0" in mixed.explain(configuration)
-
-    def test_greedy_filter_blocks_both_directions(self, configuration):
-        lonely = Lonely(["a", "b", "d"])
-        # outsider may not join the group's node
-        assert not lonely.allows("c", "node-0", configuration)
-        # group member may not join an outsider's node
-        assert not lonely.allows("d", "node-1", configuration)
-        assert lonely.allows("d", "node-0", configuration)
-        assert lonely.allows("c", "node-2", configuration)
-
-
 class TestRepairHookDefaults:
     def test_default_repair_keeps_the_constraint(self):
         for constraint in (
             Spread(["a", "b"]),
-            Gather(["a", "b"]),
             Ban(["a"], ["node-0"]),
-            Among(["a"], [["node-0"]]),
-            Root(["a"]),
-            MaxOnline(["node-0"], 1),
             RunningCapacity(["node-0"], 1),
-            Lonely(["a"]),
         ):
             assert constraint.on_node_failure("node-0") is constraint

@@ -8,7 +8,6 @@ import pytest
 from repro.constraints import (
     Ban,
     Fence,
-    Root,
     Spread,
     check_configuration,
     check_plan,
@@ -95,14 +94,6 @@ class TestPlanChecks:
         assert check_plan(plan, [spread]) == []
         sourced = check_plan(plan, [spread], include_source=True)
         assert [v.stage for v in sourced] == [0]
-
-    def test_root_transition_checked_against_the_source(self, configuration):
-        target = configuration.copy()
-        target.migrate("b", "node-2")
-        plan = build_plan(configuration, target)
-        violations = check_plan(plan, [Root(["b"])])
-        assert violations
-        assert any("migrated" in v.message for v in violations)
 
     def test_checker_rejects_corrupted_plans(self, configuration):
         # hand-forge a plan that boots the waiting VM onto a banned node

@@ -5,8 +5,7 @@ import pytest
 from repro.constraints import (
     Ban,
     Fence,
-    MaxOnline,
-    Root,
+    RunningCapacity,
     Spread,
     violated_constraints,
 )
@@ -216,7 +215,11 @@ class TestOneModelBuilder:
         ),
         pytest.param(
             {"a": "node-0", "b": "node-1", "c": "node-2"},
-            [Root(["a", "b"]), Fence(["c", "sleepy"], ["node-2", "node-3"])],
+            [
+                Fence(["a"], ["node-0"]),
+                Fence(["b"], ["node-1"]),
+                Fence(["c", "sleepy"], ["node-2", "node-3"]),
+            ],
             4,
             id="pinned-root-members",
         ),
@@ -276,8 +279,10 @@ class TestOneModelBuilder:
                 id="pin-outside-its-fence-relational-catalog",
             ),
             # ``a`` diverged from the last round's host: re-placed, and its
-            # root keeps it where it runs.
-            pytest.param({"a": "node-3"}, [Root(["a"])], 0, id="pin-off-its-root"),
+            # one-node fence keeps it where it runs.
+            pytest.param(
+                {"a": "node-3"}, [Fence(["a"], ["node-0"])], 0, id="pin-off-its-root"
+            ),
         ],
     )
     def test_pins_capacities_and_catalog_are_honoured(
@@ -368,7 +373,7 @@ class TestOneModelBuilder:
             zone.replace_vm(make_vm(name, memory=memory, cpu=cpu))
         dirty = list(zone.vms_on("node-0"))
         frozen = {name for name in zone.vm_names if name not in dirty}
-        vacuous = MaxOnline(zone.node_names, maximum=len(zone.node_names))
+        vacuous = RunningCapacity(zone.node_names, maximum=len(zone.vm_names))
         optimizer = ContextSwitchOptimizer(timeout=30, engine=engine)
         folded = optimizer.search_assignment(zone, states, catalog, frozen=frozen)
         pinned = optimizer.search_assignment(

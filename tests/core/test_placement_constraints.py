@@ -1,4 +1,4 @@
-"""Tests of the placement constraints (Spread/Gather/Ban/Fence).
+"""Tests of the placement constraints (Spread/Ban/Fence).
 
 These relations are the "additional low level relations between the VMs"
 announced in the paper's conclusion (high-availability spreading was already
@@ -8,7 +8,7 @@ target configuration.
 
 import pytest
 
-from repro.constraints import Ban, Fence, Gather, Spread, violated_constraints
+from repro.constraints import Ban, Fence, Spread, violated_constraints
 from repro.core import ContextSwitchOptimizer
 from repro.cp import AllDifferent
 from repro.model.configuration import Configuration
@@ -41,10 +41,6 @@ class TestConstraintSemantics:
         configuration.set_sleeping("b")
         assert Spread(["a", "b"]).is_satisfied_by(configuration)
 
-    def test_gather_satisfaction(self, configuration):
-        assert Gather(["a", "b"]).is_satisfied_by(configuration)
-        assert not Gather(["a", "c"]).is_satisfied_by(configuration)
-
     def test_ban_satisfaction(self, configuration):
         assert Ban(["a"], ["node-2"]).is_satisfied_by(configuration)
         assert not Ban(["a"], ["node-0"]).is_satisfied_by(configuration)
@@ -75,7 +71,7 @@ class TestConstraintSemantics:
         assert Fence(["a"], ["node-1"]).allowed_nodes("a", nodes) == {"node-1"}
         assert Spread(["a", "b"]).allowed_nodes("a", nodes) is None
 
-    def test_spread_and_gather_produce_cp_constraints(self, configuration):
+    def test_spread_produces_cp_constraints(self, configuration):
         from repro.cp import NotEqual
         from repro.cp.variables import IntVar
 
@@ -86,8 +82,6 @@ class TestConstraintSemantics:
         assert len(pair) == 1 and isinstance(pair[0], NotEqual)
         spread = Spread(["a", "b", "c"]).cp_constraints(variables, {})
         assert len(spread) == 1 and isinstance(spread[0], AllDifferent)
-        gather = Gather(["a", "b"]).cp_constraints(variables, {})
-        assert len(gather) == 1
         # a single involved running VM needs no relational constraint
         assert Spread(["a", "zzz"]).cp_constraints({"a": variables["a"]}, {}) == []
 
@@ -102,13 +96,6 @@ class TestOptimizerIntegration:
         assert result.plan.apply().same_assignment(result.target)
         # spreading has a cost: one of the two VMs had to move
         assert result.cost >= 512
-
-    def test_gather_forces_colocation(self, configuration):
-        optimizer = ContextSwitchOptimizer(timeout=5)
-        result = optimizer.optimize(
-            configuration, {}, constraints=[Gather(["a", "c"])]
-        )
-        assert result.target.location_of("a") == result.target.location_of("c")
 
     def test_ban_evicts_a_node(self, configuration):
         optimizer = ContextSwitchOptimizer(timeout=5)

@@ -1,7 +1,7 @@
 """Tests of the propagators backing the placement-constraint catalog.
 
-Each propagator (NotEqual, AllDifferentExcept, Among, UsedValuesAtMost,
-CountInValuesAtMost, DisjointValues) is checked by *exhaustive enumeration*:
+Each propagator (NotEqual, AllDifferentExcept, CountInValuesAtMost) is
+checked by *exhaustive enumeration*:
 the solver's full solution set — under both the event-driven and the
 naive-fixpoint engines — must equal the brute-forced set of satisfying
 assignments.  This pins both soundness (no spurious solution) and
@@ -18,16 +18,13 @@ import itertools
 import pytest
 
 from repro.cp import (
-    Among,
     AllDifferentExcept,
     CountInValuesAtMost,
-    DisjointValues,
     ElementSum,
     ENGINES,
     Model,
     NotEqual,
     Solver,
-    UsedValuesAtMost,
     VectorPacking,
 )
 from repro.model.errors import InconsistencyError
@@ -92,44 +89,6 @@ class TestCatalogPropagators:
         expected = brute_force(domains, ok)
         assert solve_all(build, engine) == expected
 
-    def test_among(self, engine):
-        domains = [(0, 1, 2, 3)] * 3
-        groups = [{0, 1}, {2, 3}]
-
-        def build(model):
-            variables = [
-                model.int_var(f"x{i}", domain)
-                for i, domain in enumerate(domains)
-            ]
-            return variables, Among(variables, groups)
-
-        expected = brute_force(
-            domains, lambda s: any(set(s) <= group for group in groups)
-        )
-        assert solve_all(build, engine) == expected
-
-    def test_among_rejects_empty_groups(self, engine):
-        with pytest.raises(ValueError):
-            Among([], [])
-        with pytest.raises(ValueError):
-            Among([], [set()])
-
-    def test_used_values_at_most(self, engine):
-        domains = [(0, 1, 2)] * 3
-        watched = {0, 1}
-
-        def build(model):
-            variables = [
-                model.int_var(f"x{i}", domain)
-                for i, domain in enumerate(domains)
-            ]
-            return variables, UsedValuesAtMost(variables, watched, 1)
-
-        expected = brute_force(
-            domains, lambda s: len({v for v in s if v in watched}) <= 1
-        )
-        assert solve_all(build, engine) == expected
-
     def test_count_in_values_at_most(self, engine):
         domains = [(0, 1, 2)] * 3
         watched = {0, 1}
@@ -146,22 +105,6 @@ class TestCatalogPropagators:
         )
         assert solve_all(build, engine) == expected
 
-    def test_disjoint_values(self, engine):
-        domains = [(0, 1), (0, 1, 2), (1, 2)]
-
-        def build(model):
-            left = [model.int_var("l0", domains[0])]
-            right = [
-                model.int_var("r0", domains[1]),
-                model.int_var("r1", domains[2]),
-            ]
-            return [*left, *right], DisjointValues(left, right)
-
-        expected = brute_force(
-            domains, lambda s: not ({s[0]} & {s[1], s[2]})
-        )
-        assert solve_all(build, engine) == expected
-
     def test_is_satisfied_mirrors_propagation(self, engine):
         # every accepted solution must also pass the instantiated check
         domains = [(0, 1, 2)] * 3
@@ -171,7 +114,7 @@ class TestCatalogPropagators:
                 model.int_var(f"x{i}", domain)
                 for i, domain in enumerate(domains)
             ]
-            return variables, UsedValuesAtMost(variables, {0, 1, 2}, 2)
+            return variables, CountInValuesAtMost(variables, {0, 1}, 2)
 
         model = Model()
         variables, constraint = build(model)
@@ -186,7 +129,7 @@ class TestCatalogPropagators:
             check_vars = [
                 check.int_var(f"x{i}", [value]) for i, value in enumerate(values)
             ]
-            assert UsedValuesAtMost(check_vars, {0, 1, 2}, 2).is_satisfied()
+            assert CountInValuesAtMost(check_vars, {0, 1}, 2).is_satisfied()
 
 
 @pytest.mark.parametrize("engine", ENGINES)

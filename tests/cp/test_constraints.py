@@ -6,13 +6,11 @@ from repro.cp import (
     AllDifferent,
     ElementSum,
     IntVar,
-    LinearLessEqual,
     Model,
     Solver,
     VectorPacking,
     make_int_var,
 )
-from repro.cp.constraints import AllEqual
 from repro.model.errors import InconsistencyError
 
 
@@ -38,35 +36,6 @@ class _RecordingStore:
 @pytest.fixture
 def store():
     return _RecordingStore()
-
-
-class TestLinearLessEqual:
-    def test_prunes_upper_bounds(self, store):
-        x = make_int_var("x", 0, 10)
-        y = make_int_var("y", 0, 10)
-        constraint = LinearLessEqual([x, y], [2, 3], 12)
-        constraint.propagate(store)
-        assert x.max == 6 and y.max == 4
-
-    def test_detects_violation(self, store):
-        x = make_int_var("x", 5, 10)
-        y = make_int_var("y", 5, 10)
-        constraint = LinearLessEqual([x, y], [1, 1], 8)
-        with pytest.raises(InconsistencyError):
-            constraint.propagate(store)
-
-    def test_is_satisfied(self):
-        x, y = IntVar("x", [2]), IntVar("y", [3])
-        assert LinearLessEqual([x, y], [1, 2], 8).is_satisfied()
-        assert not LinearLessEqual([x, y], [1, 2], 7).is_satisfied()
-
-    def test_rejects_negative_coefficients(self):
-        with pytest.raises(ValueError):
-            LinearLessEqual([make_int_var("x", 0, 1)], [-1], 0)
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError):
-            LinearLessEqual([make_int_var("x", 0, 1)], [1, 2], 5)
 
 
 class TestElementSum:
@@ -138,32 +107,6 @@ class TestVectorPacking:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             VectorPacking([IntVar("x", [0])], [], [(1, 1)])
-
-
-class TestAllEqual:
-    def test_domains_reduced_to_common_values(self, store):
-        x = IntVar("x", [0, 1, 2])
-        y = IntVar("y", [1, 2, 3])
-        AllEqual([x, y]).propagate(store)
-        assert x.values() == (1, 2)
-        assert y.values() == (1, 2)
-
-    def test_disjoint_domains_raise(self, store):
-        x, y = IntVar("x", [0]), IntVar("y", [1])
-        with pytest.raises(InconsistencyError):
-            AllEqual([x, y]).propagate(store)
-
-    def test_is_satisfied(self):
-        assert AllEqual([IntVar("x", [2]), IntVar("y", [2])]).is_satisfied()
-        assert not AllEqual([IntVar("x", [1]), IntVar("y", [2])]).is_satisfied()
-
-    def test_solver_integration(self):
-        model = Model()
-        x = model.int_var("x", [0, 1, 2])
-        y = model.int_var("y", [2, 3])
-        model.add_constraint(AllEqual([x, y]))
-        result = Solver(model).solve()
-        assert result.best["x"] == result.best["y"] == 2
 
 
 class TestAllDifferent:

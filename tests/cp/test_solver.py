@@ -8,8 +8,8 @@ import pytest
 from repro.cp import (
     ActivityLastConflict,
     AllDifferent,
+    CountInValuesAtMost,
     ElementSum,
-    LinearLessEqual,
     Model,
     Solver,
     VectorPacking,
@@ -56,7 +56,7 @@ class TestSatisfaction:
         x = model.int_var("x", [0, 1])
         y = model.int_var("y", [0, 1])
         model.add_constraint(AllDifferent([x, y]))
-        model.add_constraint(LinearLessEqual([x, y], [1, 1], 0))
+        model.add_constraint(CountInValuesAtMost([x, y], {1}, 0))
         result = Solver(model).solve()
         assert not result.has_solution
 
@@ -299,7 +299,10 @@ class TestIterativeSearch:
             model = Model()
             variables = [model.int_var(f"v{i}", range(5)) for i in range(5)]
             model.add_constraint(AllDifferent(variables))
-            model.add_constraint(LinearLessEqual(variables[:2], [1, 1], 1))
+            # v0 and v1 both in {0, 1}.
+            model.add_constraint(
+                CountInValuesAtMost(variables[:2], {2, 3, 4}, 0)
+            )
             order = [variables[i] for i in (3, 0, 4, 1, 2)]
             branched = []
 
@@ -433,7 +436,7 @@ class TestWhyTheSearchStopped:
         x = model.int_var("x", [0, 1])
         y = model.int_var("y", [0, 1])
         model.add_constraint(AllDifferent([x, y]))
-        model.add_constraint(LinearLessEqual([x, y], [1, 1], 0))
+        model.add_constraint(CountInValuesAtMost([x, y], {1}, 0))
         result, attributes = traced_solve(Solver(model))
         assert attributes["first_solution_ms"] is None
         assert attributes["best_solution_ms"] is None

@@ -108,6 +108,18 @@ class TestNegativePaths:
         assert code == EXIT_ERROR
         assert error_code(out) == "unknown-constraint"
 
+    def test_string_where_names_are_expected(self, tmp_path, capsys):
+        document = running_instance().document()
+        document["constraints"] = [
+            {"kind": "fence", "vms": ["job0.vm0"], "nodes": "node-1", "elastic": "no"}
+        ]
+        del document["fingerprint"]
+        path = tmp_path / "string-nodes.json"
+        path.write_text(json.dumps(document))
+        code, out = run_cli(capsys, path, "--fingerprint")
+        assert code == EXIT_ERROR
+        assert error_code(out) == "invalid-field"
+
     def test_missing_submission_file(self, tmp_path, instance_path, capsys):
         code, out = run_cli(capsys, instance_path, tmp_path / "ghost.json")
         assert code == EXIT_ERROR

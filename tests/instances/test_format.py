@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.constraints import Among, Ban, Fence, Gather, Lonely, MaxOnline, Root, RunningCapacity, Spread
+from repro.constraints import Ban, Fence, RunningCapacity, Spread
 from repro.instances.format import (
     FORMAT_NAME,
     SCHEMA_VERSION,
@@ -154,13 +154,8 @@ class TestConstraintCodec:
         "constraint",
         [
             Spread(["a", "b"], collocation_nodes=["node-0"]),
-            Gather(["a", "b"]),
             Ban(["a"], ["node-0", "node-1"]),
             Fence(["a", "b"], ["node-0"], elastic=True),
-            Among(["a", "b"], [["node-0", "node-1"], ["node-2"]]),
-            Root(["a"]),
-            Lonely(["a", "b"]),
-            MaxOnline(["node-0", "node-1"], maximum=1),
             RunningCapacity(["node-0"], maximum=3),
         ],
         ids=lambda c: type(c).__name__,
@@ -176,9 +171,61 @@ class TestConstraintCodec:
             constraint_from_dict({"kind": "teleport", "vms": ["a"]})
         assert excinfo.value.code == "unknown-constraint"
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"kind": "gather", "vms": ["a", "b"]},
+            {"kind": "among", "vms": ["a", "b"], "groups": [["node-0"], ["node-1"]]},
+            {"kind": "root", "vms": ["a"]},
+            {"kind": "max_online", "nodes": ["node-0", "node-1"], "maximum": 1},
+            {"kind": "lonely", "vms": ["a", "b"]},
+        ],
+        ids=lambda payload: payload["kind"],
+    )
+    def test_removed_kind_is_rejected(self, payload):
+        with pytest.raises(InstanceFormatError) as excinfo:
+            constraint_from_dict(payload)
+        assert excinfo.value.code == "unknown-constraint"
+
     def test_invalid_arguments_surface_as_invalid_field(self):
         with pytest.raises(InstanceFormatError) as excinfo:
             constraint_from_dict({"kind": "ban", "vms": ["a"], "nodes": []})
+        assert excinfo.value.code == "invalid-field"
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            # A bare string would split into one-letter names.
+            {"kind": "spread", "vms": "db"},
+            {"kind": "spread", "vms": ["a", "b"], "collocation_nodes": "node-0"},
+            {"kind": "ban", "vms": ["a"], "nodes": "node-1"},
+            {"kind": "fence", "vms": ["a"], "nodes": "node-1"},
+            {"kind": "fence", "vms": [1, 2], "nodes": ["node-1"]},
+            # "no" is a true string, not false.
+            {"kind": "fence", "vms": ["a"], "nodes": ["node-1"], "elastic": "no"},
+            {"kind": "fence", "vms": ["a"], "nodes": ["node-1"], "elastic": 0},
+            {"kind": "running_capacity", "nodes": ["node-0"], "maximum": "3"},
+            {"kind": "running_capacity", "nodes": ["node-0"], "maximum": 2.0},
+            {"kind": "running_capacity", "nodes": ["node-0"], "maximum": True},
+        ],
+        ids=[
+            "spread-vms-string",
+            "spread-collocation-string",
+            "ban-nodes-string",
+            "fence-nodes-string",
+            "fence-vms-numbers",
+            "fence-elastic-string",
+            "fence-elastic-zero",
+            "capacity-maximum-string",
+            "capacity-maximum-float",
+            "capacity-maximum-bool",
+        ],
+    )
+    def test_field_of_the_wrong_json_type_is_invalid(self, payload):
+        document = make_instance().to_dict()
+        document["constraints"] = [payload]
+        with pytest.raises(InstanceFormatError) as excinfo:
+            instance_from_dict(document)
         assert excinfo.value.code == "invalid-field"
 
     def test_sets_are_serialized_sorted(self):

@@ -99,7 +99,7 @@ def partition_reference(
             node for node in getattr(constraint, "nodes", ()) if node in uf._parent
         }
         members = [vm for vm in constraint.vms if vm in domains]
-        if constraint.vms and len(members) < constraint.relational_min_members:
+        if len(members) < 2:
             members = []
         for vm_name in members:
             if vm_name not in tight:

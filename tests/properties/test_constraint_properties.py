@@ -6,8 +6,7 @@ properties hold them against each other on random instances with random
 constraint sets:
 
 * every placement the optimizer produces passes the independent checkers
-  (target configuration, final plan state, and — for the stateful ``Root`` —
-  the whole plan);
+  (target configuration and final plan state);
 * the checkers reject plans that were mutated behind the solver's back;
 * ``explain`` agrees with ``is_satisfied_by`` on every constraint.
 """
@@ -17,13 +16,8 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.constraints import (
-    Among,
     Ban,
     Fence,
-    Gather,
-    Lonely,
-    MaxOnline,
-    Root,
     RunningCapacity,
     Spread,
     check_configuration,
@@ -68,31 +62,28 @@ def instances(draw):
 
 
 @st.composite
-def constraint_sets(draw, names, node_names):
+def constraint_sets(draw, names, node_names, hosts):
     vm_group = st.lists(
         st.sampled_from(names), min_size=2, max_size=min(3, len(names)), unique=True
     )
     node_group = st.lists(
         st.sampled_from(node_names), min_size=1, max_size=2, unique=True
     )
+    def pin():
+        # A one-node fence: the VM stays where it runs.
+        vm = draw(st.sampled_from(names))
+        return Fence([vm], [hosts.get(vm, node_names[-1])])
+
     makers = [
         lambda: Spread(draw(vm_group)),
-        lambda: Gather(draw(vm_group)[:2]),
+        lambda: Spread(draw(vm_group), collocation_nodes=draw(node_group)),
         lambda: Ban(draw(vm_group), draw(node_group)),
         lambda: Fence(draw(vm_group), draw(node_group) + [node_names[-1]]),
-        lambda: Among(
-            draw(vm_group),
-            [list(node_names[:2]), list(node_names[2:])],
-        ),
-        lambda: Root(draw(vm_group)),
-        lambda: MaxOnline(
-            draw(node_group), draw(st.integers(min_value=1, max_value=2))
-        ),
+        pin,
         lambda: RunningCapacity(
             draw(node_group),
             draw(st.integers(min_value=1, max_value=len(names))),
         ),
-        lambda: Lonely(draw(vm_group)),
     ]
     count = draw(st.integers(min_value=1, max_value=3))
     picks = draw(
@@ -110,7 +101,9 @@ def constraint_sets(draw, names, node_names):
 def test_solver_placements_pass_the_independent_checkers(data):
     configuration, names = data.draw(instances())
     constraints = data.draw(
-        constraint_sets(names, list(configuration.node_names))
+        constraint_sets(
+            names, list(configuration.node_names), configuration.placement()
+        )
     )
     target_states = {name: VMState.RUNNING for name in names}
     optimizer = ContextSwitchOptimizer(timeout=2.0)
@@ -128,10 +121,6 @@ def test_solver_placements_pass_the_independent_checkers(data):
     final = result.plan.apply()
     assert final.same_assignment(result.target)
     assert check_configuration(final, constraints) == []
-    # the stateful pin holds continuously over the whole plan
-    roots = [c for c in constraints if isinstance(c, Root)]
-    if roots:
-        assert check_plan(result.plan, roots) == []
 
 
 @settings(max_examples=30, deadline=None)
@@ -178,7 +167,9 @@ def test_checkers_reject_mutated_plans(data):
 def test_explain_agrees_with_is_satisfied(data):
     configuration, names = data.draw(instances())
     constraints = data.draw(
-        constraint_sets(names, list(configuration.node_names))
+        constraint_sets(
+            names, list(configuration.node_names), configuration.placement()
+        )
     )
     for constraint in constraints:
         satisfied = constraint.is_satisfied_by(configuration)

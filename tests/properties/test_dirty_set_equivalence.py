@@ -6,9 +6,10 @@ running VM; it now tests ``host in vm_domains(...)[vm]``, the one placement
 domain the model builder and the partitioner use too.  The property holds
 the rule against a test-local oracle that keeps the per-constraint sweep,
 over random fleets under every catalog relation with a unary face — ``Fence``
-(strict, and elastic after a crash shrank it), ``Ban``, ``Among``, ``Root`` —
-plus ``Spread`` (relational closure only) and a member-less custom
-constraint (the "universal" branch of the membership index).
+(strict, elastic after a crash shrank it, and one-node fences that pin VMs
+where they run), ``Ban`` — plus ``Spread`` (relational closure only),
+``RunningCapacity`` and a member-less custom constraint (the "universal"
+branch of the membership index).
 """
 
 from __future__ import annotations
@@ -16,11 +17,10 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.constraints import (
-    Among,
     Ban,
     Fence,
     PlacementConstraint,
-    Root,
+    RunningCapacity,
     Spread,
 )
 from repro.model.configuration import Configuration
@@ -125,7 +125,7 @@ def constrained_rounds(draw):
     for kind in draw(
         st.lists(
             st.sampled_from(
-                ("fence", "shrunk", "ban", "among", "root", "spread", "custom")
+                ("fence", "shrunk", "ban", "capacity", "pin", "spread", "custom")
             ),
             max_size=5,
         )
@@ -141,11 +141,14 @@ def constrained_rounds(draw):
             )
         elif kind == "ban":
             constraints.append(Ban(some(vms), some(nodes)))
-        elif kind == "among":
-            split = draw(st.integers(min_value=1, max_value=node_count - 1))
-            constraints.append(Among(some(vms), [nodes[:split], nodes[split:]]))
-        elif kind == "root":
-            constraints.append(Root(some(vms)))
+        elif kind == "capacity":
+            constraints.append(
+                RunningCapacity(some(nodes), draw(st.integers(0, vm_count)))
+            )
+        elif kind == "pin":
+            for vm in some(vms):
+                host = configuration.location_of(vm) or draw(st.sampled_from(nodes))
+                constraints.append(Fence([vm], [host]))
         elif kind == "spread":
             constraints.append(Spread(some(vms, min_size=2)))
         else:

@@ -4,16 +4,17 @@
 asking *every* constraint's ``allows`` for every node FFD probed; it now
 hands the packer the VM's :func:`~repro.constraints.vm_domains` entry (in the
 packer's own node order) and asks ``allows`` of the relational constraints
-only, and ``Ban`` / ``Fence`` / ``Root`` no longer have an ``allows`` at all.
+only, and ``Ban`` / ``Fence`` no longer have an ``allows`` at all.
 Goldens and the audit replay need the *same* decisions, byte for byte, so
 the property runs the three entry points that pack greedily —
 :func:`~repro.decision.rjsp.select_running_vjobs`,
 :func:`~repro.decision.ffd.ffd_target_configuration` and
 :meth:`~repro.decision.fcfs.FCFSDecisionModule.decide` — once as shipped and
 once against a test-local filter that keeps the per-probe sweep (with copies
-of the three deleted bodies), over random fleets under catalogs of all nine
+of the deleted bodies), over random fleets under catalogs of all four
 relations: strict fences naming a dead node, elastic ones a crash shrank,
-``Root`` on running VMs, vjobs the observed configuration does not know yet.
+one-node fences pinning VMs where they run, vjobs the observed configuration
+does not know yet.
 """
 
 from __future__ import annotations
@@ -23,17 +24,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from repro.constraints import (
-    Among,
-    Ban,
-    Fence,
-    Gather,
-    Lonely,
-    MaxOnline,
-    Root,
-    RunningCapacity,
-    Spread,
-)
+from repro.constraints import Ban, Fence, RunningCapacity, Spread
 from repro.decision import consolidation, fcfs, ffd, rjsp
 from repro.model.configuration import Configuration
 from repro.model.node import Node
@@ -42,18 +33,13 @@ from repro.model.vjob import VJob, VJobState
 from repro.model.vm import VirtualMachine
 
 
-def _allows(constraint, vm_name, node_name, trial, reference):
+def _allows(constraint, vm_name, node_name, trial):
     """``constraint.allows`` as every relation answered it before the unary
     ones were folded into ``allowed_nodes``."""
     if isinstance(constraint, Ban):
         return vm_name not in constraint.vm_set or node_name not in constraint.nodes
     if isinstance(constraint, Fence):
         return vm_name not in constraint.vm_set or node_name in constraint.nodes
-    if isinstance(constraint, Root):
-        if vm_name not in constraint.vm_set or not reference.has_vm(vm_name):
-            return True
-        location = reference.location_of(vm_name)
-        return location is None or location == node_name
     return constraint.allows(vm_name, node_name, trial)
 
 
@@ -62,14 +48,13 @@ class PerProbeFilter:
 
     def __init__(self, constraints, reference):
         self._constraints = tuple(constraints)
-        self._reference = reference
 
     def candidates(self, vm_name, node_names):
         return node_names
 
     def __call__(self, vm_name, node_name, trial):
         return all(
-            _allows(constraint, vm_name, node_name, trial, self._reference)
+            _allows(constraint, vm_name, node_name, trial)
             for constraint in self._constraints
         )
 
@@ -154,18 +139,7 @@ def constrained_rounds(draw):
     for kind in draw(
         st.lists(
             st.sampled_from(
-                (
-                    "spread",
-                    "gather",
-                    "ban",
-                    "fence",
-                    "shrunk",
-                    "among",
-                    "root",
-                    "max-online",
-                    "running-capacity",
-                    "lonely",
-                )
+("spread", "ban", "fence", "shrunk", "pin", "running-capacity")
             ),
             max_size=5,
         )
@@ -179,8 +153,6 @@ def constrained_rounds(draw):
                     ),
                 )
             )
-        elif kind == "gather":
-            constraints.append(Gather(some(vms, min_size=2)))
         elif kind == "ban":
             constraints.append(Ban(some(vms), some(named)))
         elif kind == "fence":
@@ -190,23 +162,18 @@ def constrained_rounds(draw):
             constraints.append(
                 fence.on_node_failure(draw(st.sampled_from(sorted(fence.nodes))))
             )
-        elif kind == "among":
-            split = draw(st.integers(min_value=1, max_value=len(named) - 1))
-            constraints.append(Among(some(vms), [named[:split], named[split:]]))
-        elif kind == "root":
-            constraints.append(Root(some(vms)))
-        elif kind == "max-online":
-            constraints.append(
-                MaxOnline(some(named), draw(st.integers(min_value=0, max_value=2)))
-            )
-        elif kind == "running-capacity":
+        elif kind == "pin":
+            # One-node fences: where the VM runs, if it runs.
+            for vm in some(vms):
+                running = configuration.has_vm(vm) and configuration.location_of(vm)
+                host = running or draw(st.sampled_from(named))
+                constraints.append(Fence([vm], [host]))
+        else:
             constraints.append(
                 RunningCapacity(
                     some(named), draw(st.integers(min_value=0, max_value=3))
                 )
             )
-        else:
-            constraints.append(Lonely(some(vms)))
 
     demands = None
     if draw(st.booleans()):

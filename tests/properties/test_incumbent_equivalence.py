@@ -5,14 +5,14 @@ Under a catalog that compiles to unary domains only,
 observed placement before any model exists, returns it when it costs the
 trivial lower bound and seeds branch-and-bound with it otherwise.  That must
 only ever be an acceleration.  The reference needs no copied builder: one
-vacuous relational constraint (every node may be online) makes the same
+vacuous relational constraint (every VM may run on the fleet) makes the same
 optimizer take the path that has no incumbent and no fold — it always
 builds the whole model, pinned VMs included, and searches it.
 
 On random instances — running (possibly on an overloaded host), sleeping
 and waiting VMs, all wanted running — crossed with {no catalog, ``Fence``
-strict, ``Fence`` elastic and crash-shrunken, ``Ban``, ``Root``} and {no
-frozen VMs, a frozen region}:
+strict, ``Fence`` elastic and crash-shrunken, ``Ban``, one-node ``Fence``
+pins} and {no frozen VMs, a frozen region}:
 
 * **same feasibility** — one finds a placement exactly when the other does;
 * **never a worse cost** — the returned cost is never above the cost the
@@ -31,7 +31,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from repro.constraints import Ban, Fence, MaxOnline, Root, violated_constraints
+from repro.constraints import Ban, Fence, RunningCapacity, violated_constraints
 from repro.constraints.domains import vm_domains
 from repro.core.optimizer import ContextSwitchOptimizer
 from repro.cp import ENGINES, Solver
@@ -41,7 +41,7 @@ from repro.model.vm import VirtualMachine, VMState
 from repro.testing import make_vm
 
 MEMORY_CHOICES = (256, 512, 1024)
-CATALOGS = ("none", "fence", "elastic-fence", "ban", "root")
+CATALOGS = ("none", "fence", "elastic-fence", "ban", "pin")
 
 
 @st.composite
@@ -84,8 +84,13 @@ def instances(draw):
         ]
     elif kind == "ban":
         catalog = [Ban(members, node_names[:1])]
-    elif kind == "root":
-        catalog = [Root(members)]
+    elif kind == "pin":
+        # Each running member kept on its host; the others are free.
+        catalog = [
+            Fence([vm], [configuration.location_of(vm)])
+            for vm in members
+            if configuration.state_of(vm) is VMState.RUNNING
+        ]
     else:
         catalog = []
 
@@ -136,20 +141,14 @@ def _assert_plannable(configuration, names, catalog, frozen, assignment):
         target.set_running(vm, node)
     assert target.is_viable()
     assert violated_constraints(target, catalog) == []
-    for constraint in catalog:
-        if isinstance(constraint, Root):
-            # Stateful: no configuration violates it, a moved member does.
-            for vm in constraint.vms:
-                if configuration.state_of(vm) is VMState.RUNNING:
-                    assert assignment[vm] == configuration.location_of(vm)
 
 
 @settings(max_examples=150, deadline=None)
 @given(instances(), st.sampled_from(ENGINES))
 def test_incumbent_first_agrees_with_the_solve_that_always_searches(instance, engine):
     configuration, names, catalog, frozen = instance
-    vacuous = MaxOnline(
-        configuration.node_names, maximum=len(configuration.node_names)
+    vacuous = RunningCapacity(
+        configuration.node_names, maximum=len(configuration.vm_names)
     )
     optimizer = ContextSwitchOptimizer(timeout=10.0, engine=engine)
     assignment, statistics, improving, bounds = solve_recording_bounds(

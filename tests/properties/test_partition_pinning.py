@@ -21,16 +21,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.constraints import (
-    Among,
-    Ban,
-    Fence,
-    Gather,
-    MaxOnline,
-    Root,
-    RunningCapacity,
-    Spread,
-)
+from repro.constraints import Ban, Fence, RunningCapacity, Spread
 from repro.model import Configuration, Node, VirtualMachine
 from repro.scale.parallel import build_zone_configuration
 from repro.scale.partition import partition
@@ -38,16 +29,7 @@ from repro.testing import fence_groups, make_large_fleet
 
 from reference_partition import partition_reference
 
-CONSTRAINT_KINDS = (
-    "fence",
-    "ban",
-    "among",
-    "spread",
-    "gather",
-    "root",
-    "max_online",
-    "running_capacity",
-)
+CONSTRAINT_KINDS = ("fence", "ban", "spread", "pin", "running_capacity")
 
 
 def _assert_same_partition(lazy, eager):
@@ -117,20 +99,13 @@ def _build_scenario(scenario):
             constraints.append(Fence(vms, nodes))
         elif kind == "ban":
             constraints.append(Ban(vms, nodes))
-        elif kind == "among":
-            half = max(1, len(nodes) // 2)
-            groups = [nodes[:half], nodes[half:]]
-            constraints.append(
-                Among(vms, [g for g in groups if g] or [nodes])
-            )
         elif kind == "spread":
             constraints.append(Spread(vms))
-        elif kind == "gather":
-            constraints.append(Gather(vms))
-        elif kind == "root":
-            constraints.append(Root(vms))
-        elif kind == "max_online":
-            constraints.append(MaxOnline(nodes, maximum=len(nodes)))
+        elif kind == "pin":
+            # One-node fences: each VM kept on its host.
+            constraints.extend(
+                Fence([vm], [configuration.location_of(vm)]) for vm in vms
+            )
         elif kind == "running_capacity":
             constraints.append(RunningCapacity(nodes, maximum=vm_count))
     return configuration, constraints, shards

@@ -23,9 +23,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cp import (
     AllDifferent,
-    AllEqual,
+    CountInValuesAtMost,
     ElementSum,
-    LinearLessEqual,
     Model,
     Solver,
     VectorPacking,
@@ -66,24 +65,30 @@ def rjsp_instances(draw):
         for i in range(vm_count)
         if draw(st.booleans())
     }
-    # Optional relational constraints, as Spread/Gather would add.
+    # Optional relational constraints, as Spread / RunningCapacity would
+    # add: a (watched nodes, maximum) cap on the VMs hosted by a node set.
     spread = draw(st.booleans()) and vm_count >= 2
-    gather = draw(st.booleans()) and vm_count >= 2 and not spread
+    capped = draw(
+        st.one_of(
+            st.none(),
+            st.tuples(
+                st.frozensets(st.integers(0, node_count - 1), min_size=1),
+                st.integers(min_value=0, max_value=vm_count),
+            ),
+        )
+    )
     # Optional external incumbent, as the greedy repair would seed.
     initial_bound = draw(
         st.one_of(st.none(), st.integers(min_value=0, max_value=30))
     )
-    # Optional knapsack side constraint on the assignments themselves.
-    linear_bound = draw(st.one_of(st.none(), st.integers(min_value=0, max_value=3 * vm_count)))
     return {
         "capacities": capacities,
         "demands": demands,
         "tables": tables,
         "preferences": preferences,
         "spread": spread,
-        "gather": gather,
+        "capped": capped,
         "initial_bound": initial_bound,
-        "linear_bound": linear_bound,
     }
 
 
@@ -102,12 +107,8 @@ def _build(instance):
     model.add_constraint(ElementSum(assignment, instance["tables"], total))
     if instance["spread"]:
         model.add_constraint(AllDifferent(assignment[:2]))
-    if instance["gather"]:
-        model.add_constraint(AllEqual(assignment[:2]))
-    if instance["linear_bound"] is not None:
-        model.add_constraint(
-            LinearLessEqual(assignment, [1] * len(assignment), instance["linear_bound"])
-        )
+    if instance["capped"] is not None:
+        model.add_constraint(CountInValuesAtMost(assignment, *instance["capped"]))
     return model, assignment, total
 
 
@@ -187,13 +188,10 @@ def _brute_force_optimum(instance):
             continue
         if instance["spread"] and assignment[0] == assignment[1]:
             continue
-        if instance["gather"] and assignment[0] != assignment[1]:
-            continue
-        if (
-            instance["linear_bound"] is not None
-            and sum(assignment) > instance["linear_bound"]
-        ):
-            continue
+        if instance["capped"] is not None:
+            watched, maximum = instance["capped"]
+            if sum(node in watched for node in assignment) > maximum:
+                continue
         cost = sum(table[node] for table, node in zip(instance["tables"], assignment))
         if best is None or cost < best:
             best = cost

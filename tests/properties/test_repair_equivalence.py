@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.constraints import Fence, MaxOnline
+from repro.constraints import Fence, RunningCapacity
 from repro.constraints.checker import check_configuration, check_plan
 from repro.core.optimizer import ContextSwitchOptimizer
 from repro.cp import ENGINES
@@ -224,15 +224,15 @@ def test_shrunken_fence_members_are_never_pinned_to_retired_nodes(instance):
 @settings(max_examples=60, deadline=None)
 @given(perturbed_instances(), st.sampled_from(ENGINES))
 def test_folded_pins_search_like_pinned_variables(instance, engine):
-    """No copied oracle: a vacuous relational constraint (every node may be
-    online) switches the fold off, so the same optimizer builds the model
+    """No copied oracle: a vacuous relational constraint (every VM may run
+    on the fleet) switches the fold off, so the same optimizer builds the model
     both ways.  It switches the keep-in-place incumbent off too, so the two
     trees are the same only when the folded solve had no incumbent either;
     with one it may stop earlier, or never start, on a placement that costs
     what the pinned-variable search proves."""
     configuration, names, victims, _halo = instance
     node_names = sorted(configuration.node_names)
-    vacuous = MaxOnline(node_names, maximum=len(node_names))
+    vacuous = RunningCapacity(node_names, maximum=len(configuration.vm_names))
     for victim in victims:
         configuration.set_waiting(victim)
     # Every other VM is fenced off the last node, unless it is frozen there

@@ -24,7 +24,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.constraints import Among, Ban, Fence, Root, Spread
+from repro.constraints import Ban, Fence, RunningCapacity, Spread
 from repro.constraints.domains import RetainedDomains
 from repro.core.optimizer import ContextSwitchOptimizer, complete_states
 from repro.model.configuration import Configuration
@@ -43,7 +43,7 @@ EVENTS = (
     + ("demand",) * 3
     + ("quiet", "arrival", "departure", "crash", "swap")
 )
-RELATIONS = ("fence", "elastic", "ban", "root", "among", "spread")
+RELATIONS = ("fence", "elastic", "ban", "pin", "capacity", "spread")
 #: VMs the catalogs may already name before they arrive (as a control
 #: loop's catalog names the VMs of every submitted vjob).
 SPARES = ("a0", "a1", "a2")
@@ -78,7 +78,7 @@ def _engine(kind):
     return RepairOptimizer(inner, timeout=5.0)
 
 
-def _catalog(draw, vms, nodes):
+def _catalog(draw, vms, nodes, hosts):
     def some(items, min_size=1):
         return draw(
             st.lists(
@@ -107,10 +107,15 @@ def _catalog(draw, vms, nodes):
                 catalog.append(Fence(rest, nodes[half:], elastic=elastic))
         elif relation == "ban":
             catalog.append(Ban(some(vms), [draw(st.sampled_from(nodes))]))
-        elif relation == "root":
-            catalog.append(Root(some(vms)))
-        elif relation == "among":
-            catalog.append(Among(some(vms), [nodes[:half], nodes[half:]]))
+        elif relation == "pin":
+            # One-node fences: each VM kept where it runs, if it runs.
+            for vm in some(vms):
+                host = hosts.get(vm) or draw(st.sampled_from(nodes))
+                catalog.append(Fence([vm], [host]))
+        elif relation == "capacity":
+            catalog.append(
+                RunningCapacity(nodes[:half], draw(st.integers(len(vms) // 2, len(vms))))
+            )
         else:
             catalog.append(Spread(some(vms, min_size=2)[:3]))
     return catalog
@@ -160,7 +165,7 @@ def test_a_long_lived_engine_plans_what_a_rebuilt_one_plans(kind, data):
         )
         current.set_running(name, nodes[index % node_count])
     states = {name: VMState.RUNNING for name in vms}
-    catalog = _catalog(draw, [*vms, *SPARES], nodes)
+    catalog = _catalog(draw, [*vms, *SPARES], nodes, current.placement())
 
     kept = _engine(kind)
     arrivals = 0
@@ -205,7 +210,7 @@ def test_a_long_lived_engine_plans_what_a_rebuilt_one_plans(kind, data):
                 if repaired is not None
             ]
         elif event == "swap":
-            catalog = _catalog(draw, [*vms, *SPARES], nodes)
+            catalog = _catalog(draw, [*vms, *SPARES], nodes, current.placement())
 
         previous = kept.previous_assignment
         rebuilt = _engine(kind)

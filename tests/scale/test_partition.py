@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.constraints import Ban, Fence, Gather, Lonely, MaxOnline, Spread
+from repro.constraints import Ban, Fence, RunningCapacity, Spread
 from repro.model.configuration import Configuration
 from repro.model.node import make_working_nodes
 from repro.model.vm import VMState
@@ -85,41 +85,34 @@ class TestInterferencePartition:
         assert not result.is_win
         assert "unrestricted" in result.reason
 
-    def test_gather_inside_one_fence_keeps_two_zones(self):
+    def test_relational_inside_one_fence_keeps_two_zones(self):
         configuration = _configuration()
         constraints = [
             Fence(["vm0", "vm1", "vm2"], FENCE_A),
             Fence(["vm3", "vm4", "vm5"], FENCE_B),
-            Gather(["vm0", "vm1"]),
+            Spread(["vm0", "vm1"]),
         ]
         result = partition(configuration, _states(configuration), constraints)
         assert result.method == "interference"
         assert len(result.zones) == 2
-        # the Gather lands in the zone of its members only
+        # the Spread lands in the zone of its members only
         labels = [
             [type(c).__name__ for c in zone.constraints]
             for zone in result.zones
         ]
-        assert "Gather" in labels[0]
-        assert "Gather" not in labels[1]
+        assert "Spread" in labels[0]
+        assert "Spread" not in labels[1]
 
     def test_maxonline_welds_its_node_set(self):
         configuration = _configuration()
         constraints = [
             Fence(["vm0", "vm1", "vm2"], FENCE_A),
             Fence(["vm3", "vm4", "vm5"], FENCE_B),
-            MaxOnline(["node-0", "node-3"], maximum=1),
+            RunningCapacity(["node-0", "node-3"], maximum=1),
         ]
         result = partition(configuration, _states(configuration), constraints)
         # node-0 and node-3 belong to different fences -> everything welds
         assert not result.is_win
-
-    def test_lonely_couples_from_one_member(self):
-        configuration = _configuration()
-        constraints = [Lonely(["vm0"])]
-        result = partition(configuration, _states(configuration), constraints)
-        assert not result.is_win
-        assert "unrestricted" in result.reason
 
     def test_free_vms_join_residual_pool(self):
         configuration = _configuration(node_count=6, vm_count=4)

@@ -12,9 +12,10 @@ Three passes over the repository's markdown documentation (``README.md``,
    guides are written so their outputs are deterministic (seeded generators,
    generous CP budgets).
 3. **API-reference coverage** — every public symbol exported by the
-   documented packages (``repro.api.__all__``, ``repro.repair.__all__``,
-   ``repro.scale.__all__``, ``repro.service.__all__``,
-   ``repro.instances.__all__``) must appear, backtick-quoted, in
+   documented packages (``repro.api.__all__``, ``repro.constraints.__all__``,
+   ``repro.repair.__all__``, ``repro.scale.__all__``,
+   ``repro.service.__all__``, ``repro.instances.__all__``,
+   ``repro.obs.__all__``) must appear, backtick-quoted, in
    ``docs/API_REFERENCE.md``; an undocumented export fails the check (and
    CI), so the reference index cannot silently fall behind the code.  The
    other way round, a table row in one of those packages' sections whose
@@ -128,6 +129,7 @@ def run_doctests(verbose: bool = False) -> list[str]:
 #: Packages whose ``__all__`` must be fully covered by the API reference.
 DOCUMENTED_PACKAGES = (
     "repro.api",
+    "repro.constraints",
     "repro.repair",
     "repro.scale",
     "repro.service",
