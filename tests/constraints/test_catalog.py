@@ -6,9 +6,18 @@ from __future__ import annotations
 import pytest
 
 from repro.constraints import CATALOG, Ban, Fence, RunningCapacity, Spread
+from repro.cp import (
+    AllDifferent,
+    AllDifferentExcept,
+    CountInValuesAtMost,
+    IntVar,
+    NotEqual,
+)
 from repro.model.configuration import Configuration
 from repro.model.node import make_working_nodes
 from repro.testing import make_vm
+
+NODE_INDEX = {f"node-{i}": i for i in range(4)}
 
 
 @pytest.fixture
@@ -68,6 +77,41 @@ class TestSpread:
         # VMs outside the group are never filtered
         assert spread.allows("zzz", "node-0", configuration)
 
+    def test_waiting_members_are_not_checked(self, configuration):
+        # d waits: it has no host to share
+        assert Spread(["a", "d"]).is_satisfied_by(configuration)
+
+    def test_collocation_nodes_leave_nothing_to_explain(self, configuration):
+        tolerant = Spread(["a", "b", "c"], collocation_nodes=["node-0"])
+        assert tolerant.explain(configuration) is None
+
+    def test_greedy_filter_accepts_collocation_nodes(self, configuration):
+        tolerant = Spread(["a", "b"], collocation_nodes=["node-0"])
+        assert tolerant.allows("b", "node-0", configuration)
+
+    def test_two_placed_members_compile_to_not_equal(self):
+        variables = {"a": IntVar("a", [0, 1]), "b": IntVar("b", [0, 1])}
+        compiled = Spread(["a", "b"]).cp_constraints(variables, NODE_INDEX)
+        assert [type(c) for c in compiled] == [NotEqual]
+
+    def test_larger_groups_compile_to_all_different(self):
+        variables = {vm: IntVar(vm, [0, 1, 2]) for vm in ("a", "b", "c")}
+        compiled = Spread(["a", "b", "c"]).cp_constraints(variables, NODE_INDEX)
+        assert [type(c) for c in compiled] == [AllDifferent]
+
+    def test_collocation_compiles_to_all_different_except(self):
+        # both members on node-0 (index 0), which tolerates sharing
+        variables = {"a": IntVar("a", [0]), "b": IntVar("b", [0])}
+        compiled = Spread(["a", "b"], collocation_nodes=["node-0"]).cp_constraints(
+            variables, NODE_INDEX
+        )
+        assert [type(c) for c in compiled] == [AllDifferentExcept]
+        assert compiled[0].is_satisfied()
+
+    def test_a_lone_placed_member_compiles_to_nothing(self):
+        variables = {"a": IntVar("a", [0, 1])}
+        assert Spread(["a", "b"]).cp_constraints(variables, NODE_INDEX) == []
+
 
 class TestBanAndFence:
     def test_ban(self, configuration):
@@ -107,6 +151,36 @@ class TestBanAndFence:
         fence = Fence(["a"], ["node-0"], elastic=True)
         assert fence.on_node_failure("node-9") is fence
 
+    def test_non_members_and_waiting_vms_are_unrestricted(self, configuration):
+        nodes = configuration.node_names
+        assert Fence(["a"], ["node-1"]).allowed_nodes("other", nodes) is None
+        # d waits, so neither relation sees a host for it
+        assert Fence(["d"], ["node-3"]).is_satisfied_by(configuration)
+        assert Ban(["d"], ["node-0"]).is_satisfied_by(configuration)
+
+    def test_satisfied_relations_explain_nothing(self, configuration):
+        assert Ban(["a"], ["node-2"]).explain(configuration) is None
+        assert Fence(["a", "b"], ["node-0"]).explain(configuration) is None
+
+    def test_unary_relations_compile_no_propagator(self):
+        variables = {"a": IntVar("a", [0, 1])}
+        assert Ban(["a"], ["node-0"]).cp_constraints(variables, NODE_INDEX) == []
+        assert Fence(["a"], ["node-0"]).cp_constraints(variables, NODE_INDEX) == []
+
+    def test_repr_keeps_vm_order_and_sorts_nodes(self):
+        assert repr(Ban(["b", "a"], ["node-1", "node-0"])) == (
+            "Ban(b, a | node-0, node-1)"
+        )
+        assert repr(Fence(["b", "a"], ["node-1", "node-0"])) == (
+            "Fence(b, a | node-0, node-1)"
+        )
+
+    def test_flags_split_unary_from_relational(self):
+        for unary in (Ban(["a"], ["node-0"]), Fence(["a"], ["node-0"])):
+            assert unary.uniform_restriction and not unary.relational
+        for relational in (Spread(["a", "b"]), RunningCapacity(["node-0"], 1)):
+            assert relational.relational and not relational.uniform_restriction
+
 
 class TestRunningCapacity:
     def test_satisfaction(self, configuration):
@@ -129,6 +203,42 @@ class TestRunningCapacity:
         assert capped.allows("a", "node-1", configuration)
         # ...but a fourth VM is still rejected
         assert not capped.allows("d", "node-1", configuration)
+
+    def test_greedy_filter_ignores_nodes_outside_the_set(self, configuration):
+        # already over its cap, yet a node it does not watch stays open
+        capped = RunningCapacity(["node-0"], 1)
+        assert capped.allows("d", "node-3", configuration)
+
+    def test_zero_maximum_keeps_the_set_empty(self, configuration):
+        closed = RunningCapacity(["node-2"], 0)
+        assert closed.is_satisfied_by(configuration)
+        assert not closed.allows("d", "node-2", configuration)
+
+    def test_satisfied_capacity_explains_nothing_and_labels_itself(
+        self, configuration
+    ):
+        capped = RunningCapacity(["node-1", "node-0"], 3)
+        assert capped.explain(configuration) is None
+        assert repr(capped) == "RunningCapacity(node-0, node-1 <= 3)"
+
+    def test_compiles_one_count_over_every_variable(self):
+        # three VMs on node-0 or node-1 (indices 0, 1) against a cap of 2
+        variables = {
+            "a": IntVar("a", [0]),
+            "b": IntVar("b", [1]),
+            "c": IntVar("c", [1]),
+        }
+        compiled = RunningCapacity(["node-0", "node-1"], 2).cp_constraints(
+            variables, NODE_INDEX
+        )
+        assert [type(c) for c in compiled] == [CountInValuesAtMost]
+        assert not compiled[0].is_satisfied()
+
+    def test_compiles_nothing_without_a_watched_node_or_a_variable(self):
+        variables = {"a": IntVar("a", [0, 1])}
+        foreign = RunningCapacity(["node-9"], 1)
+        assert foreign.cp_constraints(variables, NODE_INDEX) == []
+        assert RunningCapacity(["node-0"], 1).cp_constraints({}, NODE_INDEX) == []
 
 
 class TestRepairHookDefaults:

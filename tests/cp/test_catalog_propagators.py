@@ -105,6 +105,48 @@ class TestCatalogPropagators:
         )
         assert solve_all(build, engine) == expected
 
+    def test_count_in_values_at_most_zero_excludes_the_watched_values(
+        self, engine
+    ):
+        domains = [(0, 1, 2), (1, 2, 3)]
+        watched = {1, 2}
+
+        def build(model):
+            variables = [
+                model.int_var(f"x{i}", domain)
+                for i, domain in enumerate(domains)
+            ]
+            return variables, CountInValuesAtMost(variables, watched, 0)
+
+        assert solve_all(build, engine) == {(0, 3)}
+
+    def test_count_in_values_at_most_with_room_for_everyone(self, engine):
+        domains = [(0, 1), (0, 1), (1, 2)]
+
+        def build(model):
+            variables = [
+                model.int_var(f"x{i}", domain)
+                for i, domain in enumerate(domains)
+            ]
+            return variables, CountInValuesAtMost(variables, {0, 1}, 3)
+
+        assert solve_all(build, engine) == brute_force(domains, lambda s: True)
+
+    def test_all_different_except_without_exceptions_is_all_different(
+        self, engine
+    ):
+        domains = [(0, 1, 2), (0, 1), (1, 2)]
+
+        def build(model):
+            variables = [
+                model.int_var(f"x{i}", domain)
+                for i, domain in enumerate(domains)
+            ]
+            return variables, AllDifferentExcept(variables, ())
+
+        expected = brute_force(domains, lambda s: len(set(s)) == len(s))
+        assert solve_all(build, engine) == expected
+
     def test_is_satisfied_mirrors_propagation(self, engine):
         # every accepted solution must also pass the instantiated check
         domains = [(0, 1, 2)] * 3

@@ -4,9 +4,12 @@ import pytest
 
 from repro.cp import (
     AllDifferent,
+    AllDifferentExcept,
+    CountInValuesAtMost,
     ElementSum,
     IntVar,
     Model,
+    NotEqual,
     Solver,
     VectorPacking,
     make_int_var,
@@ -16,6 +19,12 @@ from repro.model.errors import InconsistencyError
 
 class _RecordingStore:
     """Minimal store for exercising propagators in isolation."""
+
+    def __init__(self):
+        self.undos = []
+
+    def record_undo(self, undo):
+        self.undos.append(undo)
 
     def remove(self, var, value):
         var.domain.remove(value)
@@ -129,3 +138,117 @@ class TestAllDifferent:
         assert result.has_solution
         values = [result.best[f"v{i}"] for i in range(3)]
         assert sorted(values) == [0, 1, 2]
+
+
+class TestNotEqual:
+    def test_instantiated_side_is_pruned_from_the_other(self, store):
+        a = IntVar("a", [1])
+        b = IntVar("b", [1, 2])
+        NotEqual(a, b).propagate(store)
+        assert b.values() == (2,)
+
+    def test_pruning_works_in_both_directions(self, store):
+        a = IntVar("a", [1, 2])
+        b = IntVar("b", [2])
+        NotEqual(a, b).propagate(store)
+        assert a.values() == (1,)
+
+    def test_open_domains_are_left_alone(self, store):
+        a = IntVar("a", [1, 2])
+        b = IntVar("b", [1, 2])
+        NotEqual(a, b).propagate(store)
+        assert sorted(a.values()) == [1, 2]
+        assert sorted(b.values()) == [1, 2]
+
+    def test_equal_singletons_raise(self, store):
+        with pytest.raises(InconsistencyError):
+            NotEqual(IntVar("a", [1]), IntVar("b", [1])).propagate(store)
+
+    def test_is_satisfied(self):
+        assert NotEqual(IntVar("a", [1]), IntVar("b", [2])).is_satisfied()
+        assert not NotEqual(IntVar("a", [1]), IntVar("b", [1])).is_satisfied()
+
+
+class TestAllDifferentExcept:
+    def test_an_excepted_value_is_shared_freely(self, store):
+        x = IntVar("x", [0])
+        y = IntVar("y", [0, 1])
+        AllDifferentExcept([x, y], {0}).propagate(store)
+        assert sorted(y.values()) == [0, 1]
+
+    def test_other_values_are_pruned(self, store):
+        x = IntVar("x", [1])
+        y = IntVar("y", [0, 1])
+        AllDifferentExcept([x, y], {0}).propagate(store)
+        assert y.values() == (0,)
+
+    def test_a_clash_outside_the_exceptions_raises(self, store):
+        x, y = IntVar("x", [1]), IntVar("y", [1])
+        with pytest.raises(InconsistencyError):
+            AllDifferentExcept([x, y], {0}).propagate(store)
+
+    def test_is_satisfied(self):
+        shared = [IntVar("x", [0]), IntVar("y", [0]), IntVar("z", [1])]
+        assert AllDifferentExcept(shared, {0}).is_satisfied()
+        assert not AllDifferentExcept(shared, set()).is_satisfied()
+
+
+class TestCountInValuesAtMost:
+    def test_rejects_a_negative_maximum(self):
+        with pytest.raises(ValueError):
+            CountInValuesAtMost([IntVar("x", [0])], {0}, -1)
+
+    def test_saturation_prunes_the_watched_values_from_the_others(self, store):
+        x = IntVar("x", [0])
+        y = IntVar("y", [0, 2])
+        z = IntVar("z", [1, 2])
+        CountInValuesAtMost([x, y, z], {0, 1}, 1).propagate(store)
+        assert y.values() == (2,)
+        assert z.values() == (2,)
+
+    def test_below_the_cap_nothing_is_pruned(self, store):
+        x = IntVar("x", [0])
+        y = IntVar("y", [0, 2])
+        CountInValuesAtMost([x, y], {0, 1}, 2).propagate(store)
+        assert sorted(y.values()) == [0, 2]
+        assert store.undos == []
+
+    def test_too_many_committed_variables_raise(self, store):
+        x, y = IntVar("x", [0]), IntVar("y", [1])
+        with pytest.raises(InconsistencyError):
+            CountInValuesAtMost([x, y], {0, 1}, 1).propagate(store)
+
+    def test_a_zero_maximum_empties_the_watched_set(self, store):
+        x = IntVar("x", [0, 2])
+        y = IntVar("y", [1, 2])
+        CountInValuesAtMost([x, y], {0, 1}, 0).propagate(store)
+        assert x.values() == (2,)
+        assert y.values() == (2,)
+
+    def test_entailment_skips_propagation_until_undone(self, store):
+        x = IntVar("x", [0])
+        y = IntVar("y", [0, 2])
+        constraint = CountInValuesAtMost([x, y], {0, 1}, 1)
+        constraint.propagate(store)
+        assert len(store.undos) == 1
+        # Entailed: a second call returns before scanning anything.
+        constraint.propagate(store)
+        assert len(store.undos) == 1
+        # Backtracking past the saturation point re-arms it.
+        store.undos[0]()
+        constraint.propagate(store)
+        assert len(store.undos) == 2
+
+    def test_register_re_arms_an_entailed_constraint(self, store):
+        x = IntVar("x", [0])
+        y = IntVar("y", [0, 2])
+        constraint = CountInValuesAtMost([x, y], {0, 1}, 1)
+        constraint.propagate(store)
+        constraint.register(store)
+        constraint.propagate(store)
+        assert len(store.undos) == 2
+
+    def test_is_satisfied(self):
+        variables = [IntVar("x", [0]), IntVar("y", [1]), IntVar("z", [2])]
+        assert CountInValuesAtMost(variables, {0, 1}, 2).is_satisfied()
+        assert not CountInValuesAtMost(variables, {0, 1}, 1).is_satisfied()
