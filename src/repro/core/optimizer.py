@@ -236,8 +236,7 @@ class ContextSwitchOptimizer:
         frozen:
             The VMs that keep the host they run on (the repair engine's
             frozen region, whose precondition :mod:`repro.repair` owns), so
-            the search only branches over the others.  A frozen region that
-            overloads a node fails the search — the repair layer widens.
+            the search only branches over the others.
         timeout:
             Wall-clock budget of this call's search, seconds; ``None`` means
             the constructor's ``timeout``.  The engines that carve a round's
@@ -495,11 +494,6 @@ class ContextSwitchOptimizer:
             for host, (cpu, memory) in released.items():
                 free_capacity[node_index[host]][0] += cpu
                 free_capacity[node_index[host]][1] += memory
-            if any(cpu < 0 or memory < 0 for cpu, memory in free_capacity):
-                # The frozen region alone overloads a node (an overloaded
-                # host nobody marked dirty, post-crash slack gone):
-                # infeasible while they stay, the repair layer widens.
-                return None, SearchStatistics(), []
             folded = {
                 vm: node_index[host] for vm, host in placement.items() if vm in frozen
             }

@@ -25,6 +25,13 @@ from .summary import diff_traces, format_diff, format_summary, summarize
 __all__ = ["main"]
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def _load(path: Path) -> Dict[str, Any]:
     try:
         data = json.loads(path.read_text())
@@ -48,7 +55,7 @@ def main(argv: Optional[list] = None) -> int:
     )
     cmd.add_argument("trace", type=Path, help="trace or RunResult JSON file")
     cmd.add_argument(
-        "--limit", type=int, default=10, help="longest spans listed"
+        "--limit", type=_non_negative, default=10, help="longest spans listed"
     )
     cmd.add_argument(
         "--json", action="store_true", help="emit the summary as JSON"

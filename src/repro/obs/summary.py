@@ -92,7 +92,10 @@ def solver_totals(root: Span) -> Dict[str, int]:
 
 
 def top_spans(root: Span, limit: int = 10) -> List[Dict[str, Any]]:
-    """The ``limit`` longest spans, longest first."""
+    """The ``limit`` longest spans, longest first; a negative ``limit``
+    raises :class:`ValueError` (it would slice from the end)."""
+    if limit < 0:
+        raise ValueError(f"limit must be non-negative, got {limit}")
     ranked = sorted(
         root.walk(),
         key=lambda node: max(0.0, _span_end(node) - node.start),

@@ -2,7 +2,7 @@
 
 The engine keeps the previous round's assignment across calls.  Each round
 it derives the *dirty region* — the VMs whose placement may have to change —
-from four deterministic rules, each read from what moved rather than from
+from five deterministic rules, each read from what moved rather than from
 the fleet (:func:`dirty_region`, the one body both
 :meth:`RepairOptimizer._dirty_region` and :func:`compute_dirty_set` call):
 
@@ -22,20 +22,23 @@ the fleet (:func:`dirty_region`, the one body both
 4. **relational closure and halo** — any dirty member of a relational group
    dirties the whole group, and ``halo`` rounds of co-host expansion dirty
    the VMs sharing a node with a dirty running VM, read from
-   ``Configuration.vms_on(host)``.
+   ``Configuration.vms_on(host)``;
+5. **overloaded hosts** — every VM that must run on a node the observed
+   configuration overloads, read from the dirty-node index
+   (``viability_violations(only_dirty=True)``, O(changed)).  It seeds the
+   region with rules 1–3, so rule 4 closes over it too.
 
 Everything else that runs and must keep running is *frozen*: it keeps the
 host it runs on, and the set is handed to the inner optimizer as ``frozen``,
 which folds those VMs into their hosts' residual capacities — under a
 catalog too, as long as it holds no relational constraint — so the model it
 builds, and the round, cost what changed rather than the fleet.  The rules
-are the one owner of what a frozen VM is: it runs, on a node of the
-configuration (rule 2 dirties whatever a crash evicted), inside its retained
-unary domain (rule 3) and is not leaving; the layers below do not check it
-again.  On infeasibility the neighbourhood widens
-deterministically (the VMs frozen on the emptiest quarter, then half, of the
-nodes are released), and the last step is always the full monolithic solve
-— so the repair engine accepts exactly the instances the cold solve accepts,
+are the one owner of what a frozen VM is: it runs on a node of the
+configuration (rule 2), inside its retained unary domain (rule 3), is not
+leaving, and its host is not overloaded (rule 5); the layers below do not
+check it again.  A round makes one attempt on the dirty region; when that
+finds nothing, the full monolithic solve gets what is left of the budget —
+so the repair engine accepts exactly the instances the cold solve accepts,
 and raises where it raises.
 
 Retained across rounds: the previous assignment (owner: this engine;
@@ -63,10 +66,6 @@ from ..model.configuration import Configuration
 from ..model.errors import PlanningError
 from ..model.vm import VMState
 from ..obs import span
-
-#: Widening steps of the deterministic neighbourhood schedule (a quarter,
-#: then half, of the nodes released) before the full solve.
-_LNS_STEPS = 2
 
 
 class _MustRun:
@@ -146,6 +145,9 @@ def dirty_region(
         )
         and vm in must_run
     )
+    # An overloaded host cannot keep every VM it runs: re-decide them all.
+    for violation in current.viability_violations(only_dirty=True):
+        dirty.update(vm for vm in current.vms_on(violation.node) if vm in must_run)
     _relational_closure(dirty, constraints, must_run)
     for _ in range(max(0, halo)):
         hosts = {placement[vm] for vm in dirty if vm in placement}
@@ -192,9 +194,9 @@ class RepairOptimizer:
     (``engine="repair"``) or a
     :class:`~repro.scale.parallel.ParallelOptimizer`
     (``engine="repair-partitioned"``); both accept ``frozen`` and a per-call
-    ``timeout``, through which every attempt gets what is left of this
-    engine's own ``timeout`` — the round's budget, a plain attribute a
-    driver may set between rounds.
+    ``timeout``, through which the attempt and the full solve get what is
+    left of this engine's own ``timeout`` — the round's budget, a plain
+    attribute a driver may set between rounds.
 
     ``halo`` is the number of co-host expansion rounds applied to the dirty
     region (0 freezes everything but the directly perturbed VMs; larger
@@ -259,11 +261,11 @@ class RepairOptimizer:
         """Same contract as :meth:`ContextSwitchOptimizer.optimize`; the
         result's ``repair`` entry says what the engine did.
 
-        Every attempt and the full solve are the same call, which answers
-        or raises: a :class:`~repro.model.errors.PlanningError` from an
-        attempt widens the region; what the full solve raises, and anything
-        else, is the caller's.  A round that raises accepts nothing: the
-        previous assignment stays.
+        The attempt and the full solve are the same call, which answers or
+        raises: a :class:`~repro.model.errors.PlanningError` from the
+        attempt hands the round to the full solve; what the full solve
+        raises, and anything else, is the caller's.  A round that raises
+        accepts nothing: the previous assignment stays.
         """
         marks = sorted(self._marks)
         self._marks.clear()
@@ -273,8 +275,7 @@ class RepairOptimizer:
         )
         must_run = _MustRun(states)
         placement = current.placement()
-        previous = self._previous
-        if previous is None:
+        if self._previous is None:
             # Nothing to freeze: every VM is dirty.
             dirty = set(must_run)
         else:
@@ -283,29 +284,18 @@ class RepairOptimizer:
             )
         # The frozen region: what runs, must keep running, and is not dirty
         # (a clean VM that must run does, or it would need placement).
-        leaving = [vm for vm in changed if vm not in must_run]
         frozen = placement.keys() - dirty
-        frozen.difference_update(leaving)
-        attempts = 0
-        for level in range(_LNS_STEPS + 1):
-            if not frozen:
-                reason = (
-                    "cold start (no previous assignment)"
-                    if previous is None
-                    else "dirty region covers the whole fleet"
-                )
-                break
-            remaining = deadline - time.monotonic()
-            if attempts and remaining <= MIN_CARVED_TIMEOUT_S:
-                reason = "neighbourhood budget exhausted"
-                break
-            attempts += 1
+        frozen.difference_update(vm for vm in changed if vm not in must_run)
+        if not frozen:
+            reason = (
+                "cold start (no previous assignment)"
+                if self._previous is None
+                else "dirty region covers the whole fleet"
+            )
+        else:
             result: Optional[OptimizationResult] = None
             with span(
-                "repair-attempt",
-                level=level,
-                dirty=len(dirty),
-                frozen=len(frozen),
+                "repair-attempt", dirty=len(dirty), frozen=len(frozen)
             ) as attempt_span:
                 try:
                     result = self.inner.optimize(
@@ -314,7 +304,9 @@ class RepairOptimizer:
                         vjob_of_vm=vjob_of_vm,
                         constraints=constraints,
                         frozen=frozen,
-                        timeout=max(MIN_CARVED_TIMEOUT_S, remaining),
+                        timeout=max(
+                            MIN_CARVED_TIMEOUT_S, deadline - time.monotonic()
+                        ),
                     )
                 except PlanningError:
                     attempt_span.set(failed=True)
@@ -322,22 +314,14 @@ class RepairOptimizer:
                 return self._accept(
                     result,
                     mode="repair",
-                    reason=(
-                        "repaired within the initial region"
-                        if level == 0
-                        else f"repaired after widening {level}x"
-                    ),
+                    reason="repaired within the dirty region",
                     dirty_count=len(dirty),
                     frozen_count=len(frozen),
-                    attempts=attempts,
+                    attempts=1,
                 )
-            dirty |= self._widened(current, must_run, leaving, dirty, level + 1)
-            _relational_closure(dirty, constraints, must_run)
-            frozen = frozen - dirty
-        else:  # no break: every level of the schedule was tried
-            reason = f"neighbourhood schedule exhausted ({attempts} attempts)"
+            reason = "the repair attempt found no viable assignment"
         # The one way into the full solve: nothing frozen, and what the
-        # attempts left of the round's budget.
+        # attempt, if any, left of the round's budget.
         with span("full-solve", reason=reason, dirty=len(dirty)):
             result = self.inner.optimize(
                 current,
@@ -352,7 +336,7 @@ class RepairOptimizer:
             reason=reason,
             dirty_count=len(dirty),
             frozen_count=0,
-            attempts=attempts + 1,
+            attempts=2 if frozen else 1,
         )
 
     # ------------------------------------------------------------------ #
@@ -381,37 +365,6 @@ class RepairOptimizer:
             self._previous,
             self.halo,
         )
-
-    @staticmethod
-    def _widened(
-        current: Configuration,
-        must_run: Container[str],
-        leaving: Iterable[str],
-        dirty: Set[str],
-        level: int,
-    ) -> Set[str]:
-        """Deterministic widening: release the VMs frozen on the emptiest
-        ``level``/4 of the nodes (most free memory first) — capacity relief
-        for a dirty region that does not fit between the frozen VMs.  A
-        node's room is its live free capacity plus what the ``leaving`` VMs
-        (running, not to keep running) hold there."""
-        node_names = current.node_names
-        held = current.load_by_host(leaving)
-        free: dict[str, tuple[int, int]] = {}
-        for name in node_names:
-            cpu, memory = current.free_capacity(name).as_tuple()
-            cpu_held, memory_held = held.get(name, (0, 0))
-            free[name] = (cpu + cpu_held, memory + memory_held)
-        count = max(1, len(node_names) * level // 4)
-        emptiest = sorted(
-            node_names, key=lambda name: (-free[name][1], -free[name][0], name)
-        )[:count]
-        return {
-            vm
-            for host in emptiest
-            for vm in current.vms_on(host)
-            if vm in must_run and vm not in dirty
-        }
 
     def _accept(
         self,

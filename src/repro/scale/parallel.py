@@ -49,9 +49,9 @@ and a pending zone is *cut* rather than extracted: only its unfrozen VMs
 enter the sub-configuration, over nodes whose capacity is what the frozen
 residents leave (the live free capacity plus what the unfrozen residents
 hold), so extraction, model and search scale with the dirty VMs and the
-nodes of their zones.  A zone is extracted whole, frozen VMs and all, when
-the model has to see them (a relational constraint in its catalog) or to
-refuse them (a frozen region that overloads a node).
+nodes of their zones.  A zone is extracted whole, frozen VMs and all, only
+when the model has to see them: under a relational constraint in its
+catalog.
 
 What is kept from one round to the next, each with one owner and one
 invalidation point:
@@ -173,7 +173,7 @@ def build_zone_configuration(
     zone: Zone,
     dirty: Optional[Sequence[str]] = None,
     released: Optional[Mapping[str, Sequence[int]]] = None,
-) -> Optional[Configuration]:
+) -> Configuration:
     """Extract a zone's sub-configuration: its nodes plus its VMs, keeping
     each VM's current state when the relevant node is inside the zone and
     degrading to *waiting* otherwise (a constant cost offset — see the
@@ -183,9 +183,7 @@ def build_zone_configuration(
     the zone is *cut*: only they are extracted, over nodes that offer what
     the VMs frozen on them leave, i.e. their live free capacity plus
     ``released``, the (cpus, MB) held on each node by residents the round
-    does not freeze there (the dirty ones among them).  ``None`` when the
-    frozen residents alone overload a node: no cut can say so, the zone has
-    to be extracted whole for the model builder to refuse it."""
+    does not freeze there (the dirty ones among them)."""
     if dirty is None:
         nodes = [current.node(name) for name in zone.nodes]
         vms: Sequence[str] = zone.vms
@@ -195,8 +193,6 @@ def build_zone_configuration(
             free = current.free_capacity(name)
             extra_cpu, extra_memory = (released or {}).get(name, (0, 0))
             cpu, memory = free.cpu + extra_cpu, free.memory + extra_memory
-            if cpu < 0 or memory < 0:
-                return None
             nodes.append(Node(name, cpu, memory, current.node(name).role))
         vms = dirty
     sub = Configuration(nodes=nodes)
@@ -483,10 +479,9 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         this round — its VMs stay where they are and it is never shipped to
         a worker.  The dirty zones are found from the VMs that are *not*
         frozen, and each is cut around them (:func:`build_zone_configuration`)
-        unless the model has to see its frozen VMs: under a relational
-        constraint, or to refuse a frozen region that overloads a node.
-        ``leaving`` are the running VMs that must not keep running: they
-        hold capacity no zone's model counts."""
+        unless the model has to see its frozen VMs, under a relational
+        constraint.  ``leaving`` are the running VMs that must not keep
+        running: they hold capacity no zone's model counts."""
         if not frozen:
             return [], [
                 ZoneTask(zone, build_zone_configuration(current, zone), self.engine)
@@ -517,25 +512,14 @@ class ParallelOptimizer(ContextSwitchOptimizer):
                     )
                 )
                 continue
-            cut = None
-            if not any(constraint.relational for constraint in zone.constraints):
-                cut = build_zone_configuration(
-                    current,
-                    zone,
-                    current.in_registration_order(free[zone.index]),
-                    released,
-                )
-            if cut is not None:
-                tasks.append(ZoneTask(zone, cut, self.engine))
+            if any(constraint.relational for constraint in zone.constraints):
+                whole = build_zone_configuration(current, zone)
+                in_zone = {vm for vm in zone.vms if vm in frozen}
+                tasks.append(ZoneTask(zone, whole, self.engine, frozen=in_zone))
                 continue
-            tasks.append(
-                ZoneTask(
-                    zone,
-                    build_zone_configuration(current, zone),
-                    self.engine,
-                    frozen={vm for vm in zone.vms if vm in frozen},
-                )
-            )
+            dirty = current.in_registration_order(free[zone.index])
+            cut = build_zone_configuration(current, zone, dirty, released)
+            tasks.append(ZoneTask(zone, cut, self.engine))
         return reused, tasks
 
     def _solve_zones(

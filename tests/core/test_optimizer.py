@@ -176,8 +176,8 @@ class TestOneModelBuilder:
     A case gives the host the last accepted round left some VMs on; the
     solve is handed the frozen set the dirty rule — the one owner of what a
     frozen VM is — leaves of them: a VM that does not run, diverged from
-    that host or sits outside its domain is dirty and re-placed, never
-    handed over frozen.
+    that host, sits outside its domain or shares an overloaded host is dirty
+    and re-placed, never handed over frozen.
 
     ``variables`` is the size of the model that reached a solver — one per
     VM left to place plus the cost — or 0 when none was built.  Under a
@@ -186,31 +186,32 @@ class TestOneModelBuilder:
     keep-in-place incumbent answers whenever it costs the lower bound — on
     ``cluster`` it always does (everyone stays, ``sleepy`` resumes where its
     image is or, banned from there, anywhere), so those solves build no
-    model; on ``crowded``, where node-0 must shed a VM, the model is built
-    around the folded VMs.  One relational constraint keeps every VM in the
+    model; on ``crowded``, where node-0 must shed a VM, the dirty rule frees
+    both its residents and the model is built around the other folded VMs.
+    One relational constraint keeps every VM in the
     model and leaves it without an incumbent."""
 
     #: Previous hosts and unary catalogs under which ``cluster`` is answered
     #: by the incumbent; the last column is the model ``crowded`` needs.
     _UNARY = [
         pytest.param(None, [], 7, id="no-pins"),
-        pytest.param({"a": "node-0", "b": "node-1"}, [], 5, id="pins-empty-catalog"),
+        pytest.param({"a": "node-0", "b": "node-1"}, [], 6, id="pins-empty-catalog"),
         pytest.param(
             {"a": "node-0", "b": "node-1"},
             [Fence(["newcomer", "sleepy"], ["node-1", "node-2"])],
-            5,
+            6,
             id="pins-fence",
         ),
         pytest.param(
             {"a": "node-0", "b": "node-1"},
             [Fence(["a", "b", "newcomer"], ["node-0", "node-1", "node-2"])],
-            5,
+            6,
             id="pinned-fence-members",
         ),
         pytest.param(
             {"a": "node-0", "c": "node-2"},
             [Ban(["a", "sleepy"], ["node-3"])],
-            5,
+            6,
             id="pinned-ban-member",
         ),
         pytest.param(
@@ -220,7 +221,7 @@ class TestOneModelBuilder:
                 Fence(["b"], ["node-1"]),
                 Fence(["c", "sleepy"], ["node-2", "node-3"]),
             ],
-            4,
+            5,
             id="pinned-root-members",
         ),
     ]
@@ -297,9 +298,13 @@ class TestOneModelBuilder:
         # ``d`` asks both cpus of node-0, where ``a`` holds one: whoever
         # stays, the other migrates, so the incumbent costs more than the
         # bound (0 for two running VMs) and the search has to say who.
+        # Node-0 is overloaded, so neither is handed over frozen.
         cluster.add_vm(make_vm("d", memory=512, cpu=2))
         cluster.set_running("d", "node-0")
-        self._assert_honoured(cluster, models, previous, constraints, variables)
+        frozen = self._assert_honoured(
+            cluster, models, previous, constraints, variables
+        )
+        assert not frozen & {"a", "d"}
 
     @staticmethod
     def _assert_honoured(cluster, models, previous, constraints, variables):
@@ -330,26 +335,7 @@ class TestOneModelBuilder:
             target.set_running(vm, node)
         assert target.is_viable()
         assert violated_constraints(target, constraints) == []
-
-    def test_a_fenced_frozen_region_that_overloads_a_node_is_refused(
-        self, cluster, solves
-    ):
-        # ``a`` and ``d`` ask three cpus of node-0's two, and nobody marked
-        # them dirty: no search can fix what the frozen VMs alone break, so
-        # none is started.
-        cluster.add_vm(make_vm("d", memory=512, cpu=2))
-        cluster.set_running("d", "node-0")
-        states = {name: VMState.RUNNING for name in cluster.vm_names}
-        assignment, statistics, improving = ContextSwitchOptimizer(
-            timeout=5
-        ).search_assignment(
-            cluster,
-            states,
-            [Fence(["a", "b", "newcomer"], ["node-0", "node-1"])],
-            frozen={"a", "b", "d"},
-        )
-        assert assignment is None and improving == []
-        assert statistics.nodes == 0 and solves == []
+        return frozen
 
     @pytest.mark.parametrize("engine", ["event", "fixpoint"])
     def test_folded_pins_search_like_pinned_variables(self, engine, models):

@@ -45,6 +45,17 @@ class TestSummary:
         with pytest.raises(SystemExit, match="not valid JSON"):
             main(["summary", str(bad)])
 
+    def test_a_negative_limit_is_a_usage_error(self, trace_file, capsys):
+        # A negative limit would slice from the end of the ranking.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["summary", str(trace_file), "--limit", "-2"])
+        assert exit_info.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
+
+    def test_a_zero_limit_lists_no_span(self, trace_file, capsys):
+        assert main(["summary", str(trace_file), "--limit", "0", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["top_spans"] == []
+
     def test_traceless_document_exits_with_an_error(self, tmp_path):
         bad = tmp_path / "result.json"
         bad.write_text(json.dumps({"makespan": 1.0}))

@@ -93,6 +93,12 @@ class TestTopSpansAndSummary:
 
     def test_limit_bounds_the_span_list(self):
         assert len(summarize(_trace(), limit=1)["top_spans"]) == 1
+        assert summarize(_trace(), limit=0)["top_spans"] == []
+
+    def test_a_negative_limit_is_refused(self):
+        # ``ranked[:-2]`` would silently drop the two shortest spans.
+        with pytest.raises(ValueError, match="non-negative"):
+            top_spans(load_trace(_trace()), limit=-2)
 
 
 class TestDiff:

@@ -9,7 +9,8 @@ over random fleets under every catalog relation with a unary face — ``Fence``
 (strict, elastic after a crash shrank it, and one-node fences that pin VMs
 where they run), ``Ban`` — plus ``Spread`` (relational closure only),
 ``RunningCapacity`` and a member-less custom constraint (the "universal"
-branch of the membership index).
+branch of the membership index).  The oracle states the overload rule as a
+scan of every running VM's host; the rule reads the dirty-node index.
 """
 
 from __future__ import annotations
@@ -44,11 +45,18 @@ class Quarantine(PlacementConstraint):
         return not configuration.vms_on(self.node)
 
 
+def _overloaded(current, node):
+    """Usage above capacity on either dimension."""
+    usage, capacity = current.usage_of(node), current.node(node).capacity
+    return usage.cpu > capacity.cpu or usage.memory > capacity.memory
+
+
 def _dirty_set_oracle(
     current, states, running_vms, constraints, marks, previous, halo
 ):
-    """``compute_dirty_set`` with the historical invalidated-placement rule:
-    every running VM asks every constraint."""
+    """``compute_dirty_set`` with the historical invalidated-placement rule —
+    every running VM asks every constraint — and the overload rule as a scan
+    of every running VM's host."""
     running_set = set(running_vms)
     node_names = current.node_names
     dirty = {vm for vm in marks if vm in running_set}
@@ -60,6 +68,9 @@ def _dirty_set_oracle(
             continue
         host = current.location_of(vm)
         if previous is not None and previous.get(vm) != host:
+            dirty.add(vm)
+            continue
+        if _overloaded(current, host):
             dirty.add(vm)
             continue
         for constraint in constraints:
@@ -103,7 +114,12 @@ def constrained_rounds(draw):
     vm_count = draw(st.integers(min_value=3, max_value=9))
     vms = [f"v{i}" for i in range(vm_count)]
     for name in vms:
-        configuration.add_vm(VirtualMachine(name=name, memory=256, cpu_demand=0))
+        # Demands that sometimes overload a host (four cpus each).
+        configuration.add_vm(
+            VirtualMachine(
+                name=name, memory=256, cpu_demand=draw(st.integers(0, 2))
+            )
+        )
         kind = draw(st.sampled_from(("running", "running", "sleeping", "waiting")))
         host = draw(st.sampled_from(nodes))
         if kind == "running":

@@ -22,7 +22,7 @@ pins} and {no frozen VMs, a frozen region}:
   keeps the frozen VMs where they run and violates nothing in the catalog.
 
 A frozen region is what the repair engine may hand over: running VMs inside
-their unary domain.
+their unary domain, on hosts that are not overloaded.
 """
 
 from __future__ import annotations
@@ -96,10 +96,13 @@ def instances(draw):
 
     placement = configuration.placement()
     domains = vm_domains(configuration, placement, catalog)
+    # What the dirty rule may freeze: a VM inside its domain, on a host that
+    # is not overloaded.
+    overloaded = {v.node for v in configuration.viability_violations()}
     freezable = [
         name
         for name, host in placement.items()
-        if domains[name] is None or host in domains[name]
+        if host not in overloaded and (domains[name] is None or host in domains[name])
     ]
     frozen = set()
     if freezable and draw(st.booleans()):

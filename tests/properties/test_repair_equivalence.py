@@ -6,7 +6,7 @@ properties hold :class:`~repro.repair.RepairOptimizer` against the cold
 monolithic solve on randomly generated perturbed rounds:
 
 * **feasibility agreement** — a perturbed round is repairable exactly when
-  the cold solve can place it (the widening schedule ends in the full solve,
+  the cold solve can place it (a failed attempt ends in the full solve,
   making this an iff);
 * **fallback identity** — when the engine falls back (cold start), its
   result is exactly the monolithic result on the same instance;
@@ -245,7 +245,11 @@ def test_folded_pins_search_like_pinned_variables(instance, engine):
         ],
         node_names[:-1],
     )
-    frozen = {name for name in names if name not in victims}
+    # What the dirty rule freezes: every VM but the victims and the
+    # residents of an overloaded host.
+    frozen = set(names) - compute_dirty_set(
+        configuration, _states(names), names, [fence], halo=0
+    )
     optimizer = ContextSwitchOptimizer(timeout=10.0, engine=engine)
     folded, folded_stats, folded_costs, bounds = solve_recording_bounds(
         optimizer, configuration, names, [fence], frozen
@@ -255,9 +259,8 @@ def test_folded_pins_search_like_pinned_variables(instance, engine):
     )
     assert (folded is None) == (pinned is None)
     if folded is None:
-        # Refused at build (frozen VMs overloading a node, dirty VMs
-        # over-committing what is left) or searched and failed: folding
-        # only ever notices earlier.
+        # Refused at build (dirty VMs over-committing what the frozen ones
+        # leave) or searched and failed: folding only ever notices earlier.
         assert folded_stats.nodes <= pinned_stats.nodes
         return
     assert folded_stats.proven_optimal and pinned_stats.proven_optimal

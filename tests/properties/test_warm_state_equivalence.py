@@ -13,10 +13,10 @@ same pools action for action, the same cost, the same ``repair`` telemetry
 and the same constraint violations.
 
 The dirty region itself is held against the rules stated over every running
-VM (``_dirty_set_oracle``) on every warm round.  And every attempt the
-repair engine hands its inner optimizer, widened ones included, is held to
-what the layers below take on trust: each frozen VM runs, on a node of the
-configuration, inside its unary domain, and is not leaving.
+VM (``_dirty_set_oracle``) on every warm round.  And the attempt the repair
+engine hands its inner optimizer is held to what the layers below take on
+trust: each frozen VM runs, on a node of the configuration, inside its unary
+domain, is not leaving, and its host is not overloaded.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.model.vm import VirtualMachine, VMState
 from repro.repair import RepairOptimizer
 from repro.scale import ParallelOptimizer
 
-from test_dirty_set_equivalence import _dirty_set_oracle
+from test_dirty_set_equivalence import _dirty_set_oracle, _overloaded
 
 #: Restarts and demand changes leave the key alone — the rounds that reuse
 #: what is kept — so they come up more often than the events that break it.
@@ -59,6 +59,7 @@ def _assert_frozen_stays(current, target_states, constraints, frozen):
         assert host in current.node_names
         assert domains[vm] is None or host in domains[vm]
         assert states[vm] is VMState.RUNNING
+        assert not _overloaded(current, host)
 
 
 def _engine(kind):

@@ -1,4 +1,5 @@
-"""Unit tests of the repair engine: dirty rules, LNS schedule, composition."""
+"""Unit tests of the repair engine: dirty rules, one attempt then the full
+solve, composition."""
 
 import pytest
 
@@ -130,6 +131,21 @@ class TestComputeDirtySet:
         assert no_halo == {"vm2-0"}
         assert one_halo == {"vm2-0", "vm2-1"}  # the co-hosted sibling
 
+    def test_residents_of_an_overloaded_host_are_dirty(self):
+        # Nobody marked n3, but its two VMs ask three of its two cpus: the
+        # host cannot keep them both, so neither is frozen there.
+        configuration, names = _fleet()
+        configuration.replace_vm(configuration.vm("vm3-0").with_cpu_demand(2))
+        configuration.replace_vm(configuration.vm("vm3-1").with_cpu_demand(1))
+        dirty = compute_dirty_set(
+            configuration,
+            _states(names),
+            names,
+            previous={n: configuration.location_of(n) for n in names},
+            halo=0,
+        )
+        assert dirty == {"vm3-0", "vm3-1"}
+
     def test_deterministic(self):
         configuration, names = _fleet()
         previous = {n: configuration.location_of(n) for n in names}
@@ -194,7 +210,21 @@ class TestRepairOptimizer:
         # incremental solves never claim global optimality
         assert not result.statistics.proven_optimal
 
-    def test_widening_releases_frozen_vms_when_the_region_is_too_tight(self):
+    def test_an_unmarked_overloaded_host_is_repaired_in_one_attempt(self):
+        # A demand rises under the warm engine and nobody marks it: the
+        # dirty rule frees the residents of the overloaded host, so the one
+        # attempt repairs around the frozen rest.
+        engine, current, names = self._warm_engine()
+        current.replace_vm(current.vm("vm0-0").with_cpu_demand(2))
+        current.replace_vm(current.vm("vm0-1").with_cpu_demand(1))
+        assert not current.is_viable()
+        result = engine.optimize(current, _states(names))
+        assert result.repair["mode"] == "repair"
+        assert result.repair["attempts"] == 1
+        assert result.repair["dirty_count"] == 2
+        assert result.target.is_viable()
+
+    def test_a_region_too_tight_ends_in_the_full_solve(self):
         configuration = Configuration()
         for i in range(2):
             configuration.add_node(
@@ -210,12 +240,14 @@ class TestRepairOptimizer:
         )
         engine._previous = {"a": "n0", "b": "n1"}
         result = engine.optimize(configuration, states)
-        # frozen a+b leave no node with 800 MB free: the engine must widen
-        # (or fall back) rather than fail
+        # frozen a+b leave no node with 800 MB free: the attempt finds
+        # nothing and the full solve moves one of them
         assert result.target.state_of("c") is VMState.RUNNING
-        assert result.repair["attempts"] >= 2
-        if result.repair["mode"] == "repair":
-            assert "widening" in result.repair["reason"]
+        assert result.repair["mode"] == "full"
+        assert result.repair["attempts"] == 2
+        assert result.repair["reason"] == (
+            "the repair attempt found no viable assignment"
+        )
 
     def test_previous_assignment_tracks_accepted_rounds(self):
         engine, current, names = self._warm_engine()
@@ -338,31 +370,20 @@ class TestRepairOptimizer:
             pytest.param(
                 True,
                 ["vm0-0"],
-                0.01,
-                {
-                    "reason": "neighbourhood budget exhausted",
-                    "attempts": 2,
-                    "dirty_count": 2,
-                },
-                id="budget-exhausted-after-an-attempt",
-            ),
-            pytest.param(
-                True,
-                ["vm0-0"],
                 5.0,
                 {
-                    "reason": "neighbourhood schedule exhausted (3 attempts)",
-                    "attempts": 4,
-                    "dirty_count": 8,
+                    "reason": "the repair attempt found no viable assignment",
+                    "attempts": 2,
+                    "dirty_count": 1,
                 },
-                id="schedule-exhausted",
+                id="the-attempt-found-nothing",
             ),
         ],
     )
     def test_every_way_into_the_full_solve(self, warm, marks, timeout, expected):
-        """The four ways :meth:`RepairOptimizer.optimize` reaches the full
-        solve, each with the telemetry and the ``full-solve`` span it has
-        always recorded."""
+        """The three ways :meth:`RepairOptimizer.optimize` reaches the full
+        solve, each with the telemetry and the ``full-solve`` span it
+        records."""
 
         class _NoFrozenRegionFits:
             """Refuses every attempt with a frozen region; the full solve
@@ -396,7 +417,7 @@ class TestRepairOptimizer:
             "reused_zones": 0,
             **expected,
         }
-        # one full solve, handed what the attempts left of the budget, under
+        # one full solve, handed what the attempt left of the budget, under
         # one span carrying the same reason and count
         [budget] = inner.full_solves
         assert 0 < budget <= timeout
@@ -407,60 +428,17 @@ class TestRepairOptimizer:
             "reason": expected["reason"],
             "dirty": expected["dirty_count"],
         }
+        # a warm round's one attempt, refused
+        assert [
+            s.attributes for s in tracer.root.walk() if s.name == "repair-attempt"
+        ] == (
+            [{"dirty": 1, "frozen": 11, "failed": True}]
+            if expected["attempts"] == 2
+            else []
+        )
         assert engine.previous_assignment == dict(
             result.target.iter_placement()
         )
-
-    def test_widening_reads_live_room_and_counts_leaving_vms_as_free(self):
-        """Each widening step releases the VMs frozen on the emptiest
-        nodes, where a node's room is its live free capacity plus what its
-        leaving VMs hold: ``n1`` looks full (512 MB free) but ``l`` is being
-        suspended, so it is the emptiest (3 584 MB); the crowded ``n0`` is
-        the fullest and keeps its VMs frozen."""
-        configuration = Configuration()
-        for i in range(4):
-            configuration.add_node(
-                Node(name=f"n{i}", cpu_capacity=4, memory_capacity=4096)
-            )
-        for name, memory, host in (
-            ("p", 2048, "n0"),
-            ("q", 2048, "n0"),
-            ("r", 1024, "n0"),
-            ("s", 512, "n1"),
-            ("l", 3072, "n1"),
-            ("t", 2048, "n2"),
-            ("u", 1024, "n3"),
-        ):
-            configuration.add_vm(VirtualMachine(name=name, memory=memory))
-            configuration.set_running(name, host)
-        configuration.add_vm(VirtualMachine(name="w", memory=512))
-        states = {
-            **_states(configuration.vm_names),
-            "l": VMState.SLEEPING,
-        }
-        frozen_regions = []
-
-        class _Recording:
-            """Records every attempt's frozen region and refuses it."""
-
-            def optimize(self, *args, frozen=frozenset(), **kwargs):
-                if frozen:
-                    frozen_regions.append(set(frozen))
-                    raise PlanningError("the frozen region is too tight")
-                return ContextSwitchOptimizer(timeout=5.0).optimize(
-                    *args, **kwargs
-                )
-
-        engine = RepairOptimizer(_Recording(), timeout=5.0, halo=0)
-        engine._previous = dict(configuration.iter_placement())
-        result = engine.optimize(configuration, states)
-        assert frozen_regions == [
-            {"p", "q", "r", "s", "t", "u"},
-            {"p", "q", "r", "t", "u"},  # n1 (counting l) released s
-            {"p", "q", "r", "t"},  # then n3 released u
-        ]
-        assert result.repair["mode"] == "full"
-        assert result.target.is_viable()
 
     def test_close_forwards_to_the_inner_optimizer(self):
         closed = []

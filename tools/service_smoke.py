@@ -1,7 +1,9 @@
 """CI smoke test for the operator daemon — everything over real HTTP.
 
-Boots an :class:`repro.service.OperatorDaemon` on an ephemeral port around
-the built-in demo scenario plus one injected crash, drives a full run purely
+Runs the ``repro-operator`` entry point to completion twice (the built-in
+demo fleet, then a scenario file with a crash), each on an ephemeral port.
+Then boots an :class:`repro.service.OperatorDaemon` on another, around the
+built-in demo scenario plus one injected crash, drives a full run purely
 through the REST API with :class:`repro.service.OperatorClient`, then checks
 the operator-facing invariants end to end:
 
@@ -45,6 +47,7 @@ from repro.service import (  # noqa: E402
     replay_plans,
 )
 from repro.service.__main__ import demo_scenario  # noqa: E402
+from repro.service.__main__ import main as operator_main  # noqa: E402
 from repro.workloads import (  # noqa: E402
     ChurnGenerator,
     ProblemClass,
@@ -120,7 +123,37 @@ def observer_cost() -> tuple[float, float]:
     return statistics.median(per_round), statistics.median(shares)
 
 
+def operator_entry_point() -> None:
+    """The ``repro-operator`` console script, run to completion: on the
+    built-in demo fleet, then on a scenario file with two nodes, one
+    workload and one crash."""
+    assert operator_main(["--port", "0", "--run", "--oneshot"]) == 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenario.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "nodes": [{"name": "node-0"}, {"name": "node-1"}],
+                    "workloads": [
+                        {"name": "job-0", "vm_count": 2, "duration": 240.0}
+                    ],
+                    "optimizer_timeout": 2.0,
+                    "faults": [
+                        {"kind": "node_crash", "target": "node-1", "at": 120.0}
+                    ],
+                }
+            )
+        )
+        assert (
+            operator_main(
+                ["--port", "0", "--run", "--oneshot", "--scenario-file", str(path)]
+            )
+            == 0
+        )
+
+
 def main() -> int:
+    operator_entry_point()
     with tempfile.TemporaryDirectory() as tmp:
         audit_path = str(Path(tmp) / "audit.jsonl")
         scenario = demo_scenario()

@@ -8,6 +8,7 @@ then checks the observability pipeline end to end:
   :class:`~repro.api.results.RunResult` round-trip;
 * every ``cp.solve`` span says why it stopped, in a word that the ``stop``
   row of ``docs/OBSERVABILITY.md`` documents;
+* no ``repair-attempt`` span of the loop run (``engine="repair"``) failed;
 * the Chrome trace-event export parses back as JSON and passes the
   schema/nesting validator (drag-and-droppable into Perfetto);
 * the ``repro-trace`` CLI summarizes and exports the written trace file;
@@ -113,6 +114,15 @@ def traced_loop_run() -> None:
     assert not missing, f"trace is missing phases: {sorted(missing)}"
     assert len(phases) >= 5, f"only {len(phases)} phases recorded"
     solves = check_stops(document)
+    # Every repair attempt of this run answers: the dirty rule frees the
+    # residents of an overloaded host, whose frozen VMs used to make the
+    # attempt fail before any search.
+    failed = [
+        s
+        for s in load_trace(document).walk()
+        if s.name == "repair-attempt" and s.attributes.get("failed")
+    ]
+    assert not failed, f"{len(failed)} repair attempts found nothing"
 
     chrome = to_chrome_trace(document)
     errors = validate_chrome_trace(json.loads(json.dumps(chrome)))
