@@ -347,9 +347,7 @@ class ControlLoop:
 
                 # (i) observe
                 with span("observe") as observe_span:
-                    observation = self.monitoring.observe(
-                        now, self.cluster.configuration
-                    )
+                    observation = self.monitoring.observe(now)
                     for vm_name, demand in observation.cpu_demands.items():
                         self.cluster.update_demand(vm_name, demand)
                     # Incremental viability: only the nodes dirtied since the
@@ -741,8 +739,6 @@ class ControlLoop:
             # Every sibling VM must be replanned together (consistency of
             # Section 4.1), so the whole vjob joins the dirty region.
             self._perturbed.update(vjob.vm_names)
-        for vm in eviction.affected_vms:
-            self.cluster.images.discard(vm)
         return tuple(repaired_names)
 
     def _record_migration_faults(self, execution, result: RunResult) -> None:

@@ -21,7 +21,7 @@ from ..obs import span
 from .cost import PlanCost, plan_cost
 from .optimizer import ContextSwitchOptimizer
 from .plan import ReconfigurationPlan
-from .planner import PlannerOptions, ReconfigurationPlanner
+from .planner import ReconfigurationPlanner
 
 
 @dataclass
@@ -72,7 +72,6 @@ class ClusterContextSwitch:
     def __init__(
         self,
         optimizer_timeout: float = 40.0,
-        planner_options: Optional[PlannerOptions] = None,
         use_optimizer: bool = True,
         engine: str = "event",
         zone_executor: str = "auto",
@@ -88,22 +87,18 @@ class ClusterContextSwitch:
         the full solve on infeasibility.  ``zone_executor`` only applies
         to the partitioned engines, which by default decide per solve
         whether their zones are worth worker processes."""
-        self.planner = ReconfigurationPlanner(planner_options)
+        self.planner = ReconfigurationPlanner()
         repair, strategy = _COMPOSED_ENGINES.get(engine, (False, engine))
         if strategy == "partitioned":
             # Deferred import: repro.scale builds on repro.core.
             from ..scale.parallel import ParallelOptimizer
 
             self.optimizer = ParallelOptimizer(
-                timeout=optimizer_timeout,
-                planner_options=planner_options,
-                zone_executor=zone_executor,
+                timeout=optimizer_timeout, zone_executor=zone_executor
             )
         else:
             self.optimizer = ContextSwitchOptimizer(
-                timeout=optimizer_timeout,
-                planner_options=planner_options,
-                engine=strategy,
+                timeout=optimizer_timeout, engine=strategy
             )
         if repair:
             # Deferred import: repro.repair builds on repro.core and scale.

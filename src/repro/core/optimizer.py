@@ -67,7 +67,7 @@ from ..cp import (
 )
 from .cost import plan_cost
 from .plan import ReconfigurationPlan
-from .planner import PlannerOptions, ReconfigurationPlanner
+from .planner import ReconfigurationPlanner
 
 
 #: Maximum number of distinct values allowed in the objective domain; larger
@@ -174,7 +174,6 @@ class ContextSwitchOptimizer:
     def __init__(
         self,
         timeout: float = 40.0,
-        planner_options: Optional[PlannerOptions] = None,
         first_solution_only: bool = False,
         engine: str = "event",
     ) -> None:
@@ -185,7 +184,7 @@ class ContextSwitchOptimizer:
                 f"unknown propagation engine {engine!r}; expected one of {ENGINES}"
             )
         self.timeout = timeout
-        self.planner = ReconfigurationPlanner(planner_options)
+        self.planner = ReconfigurationPlanner()
         self.first_solution_only = first_solution_only
         self.engine = engine
         #: The unary domains this optimizer's models, the partitioner and

@@ -44,12 +44,6 @@ class PlannerOptions:
     #: target configuration (a correct construction needs at most one pool per
     #: action plus one bypass per cycle).
     max_pools: Optional[int] = None
-    #: When placement constraints are supplied to :meth:`~ReconfigurationPlanner
-    #: .build`, raise :class:`~repro.model.errors.PlanningError` on a
-    #: transiently-violating plan instead of recording the violations on
-    #: ``plan.constraint_violations`` (the default keeps the control loop
-    #: running and lets the run report the violation timeline).
-    strict_constraints: bool = False
 
 
 class ReconfigurationPlanner:
@@ -83,9 +77,8 @@ class ReconfigurationPlanner:
         ``constraints`` turns on continuous-satisfaction bookkeeping: every
         intermediate state of the finished plan (each pool boundary) is
         validated with the independent checker, and any violation lands on
-        ``plan.constraint_violations`` — or raises
-        :class:`~repro.model.errors.PlanningError` under
-        ``PlannerOptions.strict_constraints``.  They also steer the one
+        ``plan.constraint_violations`` (the control loop keeps running and
+        the run reports the violation timeline).  They also steer the one
         placement the planner picks itself: the pivot of a bypass migration
         (:meth:`_bypass_action`).
         """
@@ -118,12 +111,6 @@ class ReconfigurationPlanner:
             self._regroup_vjob_resumes(plan, vjob_of_vm)
         if constraints:
             plan.constraint_violations = check_plan(plan, constraints)
-            if plan.constraint_violations and self.options.strict_constraints:
-                details = "; ".join(str(v) for v in plan.constraint_violations)
-                raise PlanningError(
-                    f"the plan transiently violates placement constraints: "
-                    f"{details}"
-                )
         return plan
 
     # ------------------------------------------------------------------ #

@@ -20,7 +20,7 @@ from .node import Node, NodeRole, make_working_nodes
 from .queue import VJobQueue
 from .resources import ResourceVector, ZERO
 from .vjob import VJob, VJobState, index_vms_by_vjob
-from .vm import VirtualMachine, VMImage, VMState
+from .vm import VirtualMachine, VMState
 
 __all__ = [
     "LoadColumns",
@@ -48,6 +48,5 @@ __all__ = [
     "VJobState",
     "index_vms_by_vjob",
     "VirtualMachine",
-    "VMImage",
     "VMState",
 ]

@@ -10,7 +10,7 @@ allocated to the VM and the number of processing units it currently needs
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .resources import ResourceVector
 
@@ -70,21 +70,3 @@ class VirtualMachine:
 
     def __str__(self) -> str:
         return self.name
-
-
-@dataclass
-class VMImage:
-    """The persistent image produced by a ``suspend`` action.
-
-    The location matters: resuming on the node that holds the image is a
-    *local* resume, resuming anywhere else requires moving the image first and
-    costs twice as much (Table 1).
-    """
-
-    vm_name: str
-    node_name: str
-    size_mb: int
-    created_at: float = field(default=0.0)
-
-    def is_local_to(self, node_name: str) -> bool:
-        return self.node_name == node_name

@@ -317,7 +317,6 @@ class ParallelOptimizer(ContextSwitchOptimizer):
     def __init__(
         self,
         timeout: float = 40.0,
-        planner_options=None,
         engine: str = "event",
         zone_executor: str = "auto",
         shards: int | str | None = "auto",
@@ -327,9 +326,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
                 f"unknown zone executor {zone_executor!r}; expected one of "
                 f"{ZONE_EXECUTORS}"
             )
-        super().__init__(
-            timeout=timeout, planner_options=planner_options, engine=engine
-        )
+        super().__init__(timeout=timeout, engine=engine)
         self.zone_executor = zone_executor
         #: Fallback shard count: ``"auto"`` is 4, ``None`` disables the
         #: k-way sharding fallback entirely, an int fixes the count.  The

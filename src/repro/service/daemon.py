@@ -358,6 +358,13 @@ def _require_object(payload: Any, what: str) -> Dict[str, Any]:
     return payload
 
 
+def _refuse_constant(literal: str) -> Any:
+    """``NaN`` / ``Infinity`` / ``-Infinity`` are not JSON: a non-finite
+    time or duration would only resurface in a ``/result`` body that no
+    JSON parser reads."""
+    raise ValueError(f"{literal} is not a JSON number")
+
+
 def _int_param(query: Dict[str, list[str]], name: str) -> Optional[int]:
     """A non-negative integer query parameter (``None`` when absent): a
     negative ``offset`` or ``limit`` would slice from the end."""
@@ -427,8 +434,8 @@ class _Handler(BaseHTTPRequestHandler):
             raw = self.rfile.read(length) if length else b""
             if raw:
                 try:
-                    payload = json.loads(raw)
-                except json.JSONDecodeError as error:
+                    payload = json.loads(raw, parse_constant=_refuse_constant)
+                except ValueError as error:
                     raise _HTTPError(400, f"request body is not JSON: {error}")
             else:
                 payload = {}

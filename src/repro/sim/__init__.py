@@ -1,7 +1,6 @@
 """Simulated cluster substrate (Xen / Ganglia / NFS replacement)."""
 
-from .cluster import ClusterEvent, SimulatedCluster
-from .engine import EventHandle, SimulationEngine
+from .cluster import SimulatedCluster
 from .executor import (
     ActionExecution,
     ExecutionReport,
@@ -18,20 +17,22 @@ from .faults import (
     evict_node,
     random_fault_schedule,
 )
-from .hypervisor import DEFAULT_HYPERVISOR, FAST_STOP_HYPERVISOR, HypervisorModel
+from .hypervisor import (
+    DEFAULT_HYPERVISOR,
+    FAST_STOP_HYPERVISOR,
+    HypervisorModel,
+    TransferMethod,
+    remote_factor,
+)
 from .monitoring import (
     DemandSource,
     MonitoringService,
     Observation,
     constant_demands,
 )
-from .storage import ImageStore, TransferMethod, remote_factor, transfer_duration
 
 __all__ = [
-    "ClusterEvent",
     "SimulatedCluster",
-    "EventHandle",
-    "SimulationEngine",
     "ActionExecution",
     "ExecutionReport",
     "FailedAction",
@@ -47,12 +48,10 @@ __all__ = [
     "DEFAULT_HYPERVISOR",
     "FAST_STOP_HYPERVISOR",
     "HypervisorModel",
+    "TransferMethod",
+    "remote_factor",
     "DemandSource",
     "MonitoringService",
     "Observation",
     "constant_demands",
-    "ImageStore",
-    "TransferMethod",
-    "remote_factor",
-    "transfer_duration",
 ]

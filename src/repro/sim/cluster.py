@@ -1,39 +1,22 @@
-"""Simulated cluster: live configuration, suspend images and event log.
+"""Simulated cluster: the live configuration the drivers act on.
 
 This is the stand-in for the paper's 11-node Xen testbed.  The cluster holds
-the authoritative :class:`~repro.model.configuration.Configuration`, the
-location of every suspend image, and a chronological log of the driver actions
-applied to it, which the analysis layer later turns into utilization curves and
-context-switch statistics.
+the authoritative :class:`~repro.model.configuration.Configuration`, which is
+the one record of every fact a round reads: where each VM runs, which node
+holds each suspend image (``image_location_of`` / ``images_on``) and the load
+of each node.  What a switch did, and when, is the executor's
+:class:`~repro.sim.executor.ExecutionReport`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterable
 
-from ..core.actions import Action, ActionKind, Resume, Run, Stop, Suspend, Migrate
+from ..core.actions import Action
 from ..model.configuration import Configuration
 from ..model.errors import ExecutionError
 from ..model.node import Node
-from ..model.vm import VirtualMachine, VMState
-from .storage import ImageStore
-
-
-@dataclass(frozen=True)
-class ClusterEvent:
-    """One driver action applied to the cluster."""
-
-    time: float
-    kind: str
-    vm: str
-    source: Optional[str] = None
-    destination: Optional[str] = None
-    duration: float = 0.0
-
-    def __str__(self) -> str:
-        where = self.destination or self.source or "?"
-        return f"[{self.time:8.1f}s] {self.kind}({self.vm}) @ {where}"
+from ..model.vm import VirtualMachine
 
 
 class SimulatedCluster:
@@ -45,12 +28,6 @@ class SimulatedCluster:
         vms: Iterable[VirtualMachine] = (),
     ) -> None:
         self.configuration = Configuration(nodes=nodes, vms=vms)
-        self.images = ImageStore()
-        self.events: list[ClusterEvent] = []
-
-    # ------------------------------------------------------------------ #
-    # population helpers                                                  #
-    # ------------------------------------------------------------------ #
 
     def add_vm(self, vm: VirtualMachine) -> None:
         self.configuration.add_vm(vm)
@@ -61,68 +38,8 @@ class SimulatedCluster:
         if vm.cpu_demand != cpu_demand:
             self.configuration.replace_vm(vm.with_cpu_demand(cpu_demand))
 
-    # ------------------------------------------------------------------ #
-    # driver actions                                                      #
-    # ------------------------------------------------------------------ #
-
-    def apply_action(self, action: Action, time: float, duration: float) -> ClusterEvent:
-        """Apply a plan action to the live configuration and log it."""
-        configuration = self.configuration
-        if not action.is_feasible(configuration):
+    def apply_action(self, action: Action) -> None:
+        """Apply a plan action to the live configuration."""
+        if not action.is_feasible(self.configuration):
             raise ExecutionError(f"action {action} is not feasible on the cluster")
-        if isinstance(action, Suspend):
-            memory = configuration.vm(action.vm).memory
-            self.images.store(action.vm, action.node, memory, time)
-        elif isinstance(action, Resume):
-            self.images.discard(action.vm)
-        elif isinstance(action, Stop):
-            self.images.discard(action.vm)
-        action.apply(configuration)
-        event = ClusterEvent(
-            time=time,
-            kind=action.kind.value,
-            vm=action.vm,
-            source=action.source(),
-            destination=action.destination(),
-            duration=duration,
-        )
-        self.events.append(event)
-        return event
-
-    # ------------------------------------------------------------------ #
-    # views                                                               #
-    # ------------------------------------------------------------------ #
-
-    def running_vms(self) -> tuple[str, ...]:
-        return self.configuration.running_vms()
-
-    def cpu_utilization(self) -> float:
-        """Fraction of the cluster processing units used by running VMs."""
-        capacity = self.configuration.total_capacity()
-        if capacity.cpu == 0:
-            return 0.0
-        return self.configuration.total_usage().cpu / capacity.cpu
-
-    def memory_utilization_mb(self) -> int:
-        """Memory (MB) allocated to the running VMs."""
-        return self.configuration.total_usage().memory
-
-    def overloaded_nodes(self) -> list[str]:
-        """Nodes currently exceeding their capacity.
-
-        Uses the incremental O(changed) scan: the engine calls this every
-        round and only the nodes whose load changed since the previous call
-        (demand updates, migrations, faults) are re-examined."""
-        return [
-            v.node
-            for v in self.configuration.viability_violations(only_dirty=True)
-        ]
-
-    def events_between(self, start: float, end: float) -> list[ClusterEvent]:
-        return [e for e in self.events if start <= e.time < end]
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"<SimulatedCluster nodes={len(self.configuration.nodes)} "
-            f"vms={len(self.configuration.vms)} events={len(self.events)}>"
-        )
+        action.apply(self.configuration)

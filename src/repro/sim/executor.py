@@ -270,9 +270,7 @@ class PlanExecutor:
                             )
                         )
                         continue
-                    cluster.apply_action(
-                        execution.action, execution.start, execution.duration
-                    )
+                    cluster.apply_action(execution.action)
                     applied.add(id(execution))
 
             # Keep the scheduling order in the report regardless of the

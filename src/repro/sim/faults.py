@@ -28,11 +28,10 @@ Four fault kinds are modelled:
     staggered power-on, late delivery).  Until then it is absent from the
     configuration.
 
-Fault timing rides on the existing discrete-event
-:class:`~repro.sim.engine.SimulationEngine`: every scheduled event is an
-engine callback, and the control loop drains the engine up to its current
-simulated time at the start of each iteration — faults are therefore
-*detected* with the loop's monitoring granularity, like on a real cluster.
+The injector keeps the events that have not fired on a time-ordered heap,
+and the control loop takes what is due up to its current simulated time at
+the start of each iteration — faults are therefore *detected* with the
+loop's monitoring granularity, like on a real cluster.
 
 Everything stochastic flows through seeded ``random.Random`` instances:
 the same :class:`FaultSchedule` always produces the same run, which is what
@@ -44,12 +43,14 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import heapq
+import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from ..model.configuration import Configuration
-from .engine import SimulationEngine
 
 
 class FaultKind(enum.Enum):
@@ -78,6 +79,9 @@ class FaultEvent:
     duration: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("time", "factor", "duration"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"fault {name} must be finite")
         if self.time < 0:
             raise ValueError("fault time must be non-negative")
         if self.kind is FaultKind.NODE_SLOWDOWN:
@@ -117,6 +121,13 @@ class FaultSchedule:
     events: list[FaultEvent] = field(default_factory=list)
     migration_failure_rate: float = 0.0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.migration_failure_rate <= 1.0:
+            raise ValueError(
+                "migration_failure_rate must be a probability in [0, 1], "
+                f"not {self.migration_failure_rate!r}"
+            )
 
     # ------------------------------------------------------------------ #
     # fluent builders                                                     #
@@ -269,11 +280,11 @@ def evict_node(configuration: Configuration, node_name: str) -> NodeEviction:
 class FaultInjector:
     """Live state of one fault schedule during one control-loop run.
 
-    The injector schedules every event on a private
-    :class:`~repro.sim.engine.SimulationEngine`; the loop calls
-    :meth:`fire` once per iteration and applies whatever became due.  The
-    executor consults :meth:`should_fail_migration` per migration attempt and
-    the progress accounting consults :meth:`slowdown_factor` per node.
+    The injector keeps the node events that have not fired yet on a heap
+    ordered by time, then by scheduling order; the loop calls :meth:`fire`
+    once per iteration and applies whatever became due.  The executor
+    consults :meth:`should_fail_migration` per migration attempt and the
+    progress accounting consults :meth:`slowdown_factor` per node.
 
     One injector serves exactly one run — it is as stateful as the workloads.
     :meth:`Scenario.build <repro.api.scenario.Scenario.build>` therefore
@@ -282,37 +293,36 @@ class FaultInjector:
 
     def __init__(self, schedule: FaultSchedule) -> None:
         self.schedule = schedule
-        self._engine = SimulationEngine()
-        self._due: list[FaultEvent] = []
-        self.fired: list[FaultEvent] = []
+        #: Node events not fired yet, as ``(time, sequence, event)``.
+        self._pending: list[tuple[float, int, FaultEvent]] = []
+        self._sequence = itertools.count()
+        #: The latest instant :meth:`fire` was asked about.
+        self._now = 0.0
         #: One-shot scripted migration failures, armed until consumed.
         self._pending_migration_faults: list[FaultEvent] = []
-        #: Events added at runtime via :meth:`inject` (the schedule object
-        #: stays untouched — it may be shared across runs).
-        self.injected: list[FaultEvent] = []
         self._rng = random.Random(schedule.seed)
         self._slowdowns: list[FaultEvent] = []
         for event in schedule.ordered():
             if event.kind is FaultKind.MIGRATION_FAILURE:
                 self._pending_migration_faults.append(event)
-            elif event.kind is FaultKind.NODE_SLOWDOWN:
-                # Windows are queried by time, no engine round-trip needed,
-                # but the event still fires so observers see it start.
-                self._slowdowns.append(event)
-                self._schedule(event)
             else:
                 self._schedule(event)
 
     def _schedule(self, event: FaultEvent) -> None:
-        self._engine.schedule_at(event.time, lambda e=event: self._due.append(e))
+        if event.kind is FaultKind.NODE_SLOWDOWN:
+            # Windows are queried by time, but the event still fires so
+            # observers see it start.
+            self._slowdowns.append(event)
+        heapq.heappush(self._pending, (event.time, next(self._sequence), event))
 
     def inject(self, event: FaultEvent) -> None:
         """Add one fault event to a *live* injector (operator-daemon path).
 
         Scripted schedules are fixed at construction; this is the runtime
-        escape hatch the service's ``POST /faults`` endpoint uses.  An event
-        whose time is already in the simulated past is scheduled *now* — it
-        fires at the next :meth:`fire` call (you cannot crash a node
+        escape hatch the service's ``POST /faults`` endpoint uses (the
+        schedule object stays untouched — it may be shared across runs).  An
+        event whose time is already in the simulated past is scheduled *now*
+        — it fires at the next :meth:`fire` call (you cannot crash a node
         retroactively).  ``DELAYED_BOOT`` cannot be injected at runtime: the
         held-back node set is fixed when the control loop is built.
         """
@@ -321,22 +331,16 @@ class FaultInjector:
                 "delayed_boot faults cannot be injected into a running loop; "
                 "declare them on the scenario's FaultSchedule instead"
             )
-        effective = max(event.time, self._engine.now)
-        if effective != event.time:
+        if event.time < self._now:
             # Re-stamp the event at its effective time so every consumer —
             # the fault timeline, slowdown windows, repair-latency
             # attribution — sees when the fault actually happened, not the
             # stale past timestamp the operator asked for.
-            event = dataclasses.replace(event, time=effective)
-        self.injected.append(event)
+            event = dataclasses.replace(event, time=self._now)
         if event.kind is FaultKind.MIGRATION_FAILURE:
             self._pending_migration_faults.append(event)
-            return
-        if event.kind is FaultKind.NODE_SLOWDOWN:
-            self._slowdowns.append(event)
-        self._engine.schedule_at(
-            effective, lambda e=event: self._due.append(e)
-        )
+        else:
+            self._schedule(event)
 
     # ------------------------------------------------------------------ #
     # queries                                                             #
@@ -349,10 +353,12 @@ class FaultInjector:
         )
 
     def fire(self, now: float) -> list[FaultEvent]:
-        """Events that became due at or before ``now``, in schedule order."""
-        self._engine.run(until=now)
-        due, self._due = self._due, []
-        self.fired.extend(due)
+        """Events that became due at or before ``now`` and have not fired
+        yet, in time order, ties in scheduling order."""
+        self._now = max(self._now, now)
+        due = []
+        while self._pending and self._pending[0][0] <= now:
+            due.append(heapq.heappop(self._pending)[2])
         return due
 
     def slowdown_factor(self, node_name: str, time: float) -> float:
@@ -378,14 +384,3 @@ class FaultInjector:
         if self.schedule.migration_failure_rate > 0:
             return self._rng.random() < self.schedule.migration_failure_rate
         return False
-
-    @property
-    def pending_events(self) -> int:
-        """Scheduled events that have not fired yet."""
-        return self._engine.pending_events
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"<FaultInjector fired={len(self.fired)} "
-            f"pending={self.pending_events}>"
-        )

@@ -10,19 +10,42 @@ durations; this model provides them:
 * ``stop``: ~25 s clean shutdown (or a short hard destroy);
 * ``migrate``: linear in memory, ~26 s for a 2 GB VM;
 * ``suspend``/``resume``: linear in memory, with a ~2x factor when the image
-  has to be moved to/from another node (scp or rsync);
+  has to be moved to/from another node (scp or rsync, the
+  :class:`TransferMethod`; where each image lives is the configuration's
+  record, and a plan's ``Resume`` says whether it is local);
 * busy VMs co-located with an operation are slowed by ~1.3x (local operation)
   to ~1.5x (remote) while it lasts.
 """
 
 from __future__ import annotations
 
+import enum
 from dataclasses import dataclass
 
 from .. import config
 from ..model.configuration import Configuration
 from ..core.actions import Action, ActionKind, Migrate, Resume, Run, Stop, Suspend
-from .storage import TransferMethod, remote_factor
+
+
+class TransferMethod(enum.Enum):
+    """How a suspend image reaches another node."""
+
+    LOCAL = "local"    #: no transfer, the image stays on the local disk
+    SCP = "scp"
+    RSYNC = "rsync"
+
+
+#: Remote suspend/resume duration factors relative to the local operation.
+_REMOTE_FACTORS = {
+    TransferMethod.LOCAL: 1.0,
+    TransferMethod.SCP: config.SUSPEND_REMOTE_FACTOR_SCP,
+    TransferMethod.RSYNC: config.SUSPEND_REMOTE_FACTOR_RSYNC,
+}
+
+
+def remote_factor(method: TransferMethod) -> float:
+    """Duration multiplier of a remote suspend/resume using ``method``."""
+    return _REMOTE_FACTORS[method]
 
 
 @dataclass(frozen=True)

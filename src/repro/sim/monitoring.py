@@ -7,16 +7,17 @@ reconfiguration (Section 3.1).  The simulated service samples a *demand
 source* — typically the workload traces — and reproduces that staleness: an
 observation taken less than ``refresh_delay`` seconds after the previous
 reconfiguration reuses the previous values.
+
+An observation is the per-VM demands only.  The control loop writes them into
+the configuration, whose load columns are the one record of each node's load.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional
 
 from .. import config
-from ..model.configuration import Configuration
-from ..model.resources import ResourceVector
 
 
 #: A demand source maps a simulation time to per-VM CPU demands.
@@ -25,11 +26,10 @@ DemandSource = Callable[[float], Mapping[str, int]]
 
 @dataclass(frozen=True)
 class Observation:
-    """One snapshot of the cluster as seen by the monitoring service."""
+    """One snapshot of the VM demands as seen by the monitoring service."""
 
     time: float
     cpu_demands: dict[str, int]
-    node_usage: dict[str, ResourceVector] = field(default_factory=dict)
     stale: bool = False
 
     def demand_of(self, vm_name: str) -> int:
@@ -55,9 +55,7 @@ class MonitoringService:
         the previous values."""
         self._last_reconfiguration = time
 
-    def observe(
-        self, time: float, configuration: Optional[Configuration] = None
-    ) -> Observation:
+    def observe(self, time: float) -> Observation:
         """Return the demands of every VM at ``time``."""
         stale = (
             self._last_reconfiguration is not None
@@ -67,26 +65,10 @@ class MonitoringService:
         if stale:
             previous = self._last_observation
             return Observation(
-                time=time,
-                cpu_demands=dict(previous.cpu_demands),
-                node_usage=dict(previous.node_usage),
-                stale=True,
+                time=time, cpu_demands=dict(previous.cpu_demands), stale=True
             )
 
-        demands = dict(self._source(time))
-        node_usage: dict[str, ResourceVector] = {}
-        if configuration is not None:
-            for node in configuration.node_names:
-                usage = ResourceVector(0, 0)
-                for vm_name in configuration.vms_on(node):
-                    vm = configuration.vm(vm_name)
-                    usage = usage + ResourceVector(
-                        demands.get(vm_name, vm.cpu_demand), vm.memory
-                    )
-                node_usage[node] = usage
-        observation = Observation(
-            time=time, cpu_demands=demands, node_usage=node_usage, stale=False
-        )
+        observation = Observation(time=time, cpu_demands=dict(self._source(time)))
         self._last_observation = observation
         return observation
 

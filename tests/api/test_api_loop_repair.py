@@ -24,11 +24,11 @@ class TestInjectedFaultTimestamps:
         injector.inject(
             FaultEvent(time=10.0, kind=FaultKind.NODE_CRASH, target="n0")
         )
-        # the recorded event carries the time it actually fires at, not the
+        # the fired event carries the time it actually happens at, not the
         # stale past timestamp the operator asked for
-        assert injector.injected[0].time == 100.0
         due = injector.fire(130.0)
-        assert [event.time for event in due] == [100.0]
+        assert [(event.time, event.target) for event in due] == [(100.0, "n0")]
+        assert injector.fire(200.0) == []
 
     def test_future_injection_keeps_its_timestamp(self):
         injector = FaultInjector(FaultSchedule())
@@ -36,7 +36,8 @@ class TestInjectedFaultTimestamps:
         injector.inject(
             FaultEvent(time=80.0, kind=FaultKind.NODE_CRASH, target="n0")
         )
-        assert injector.injected[0].time == 80.0
+        assert injector.fire(79.0) == []
+        assert [event.time for event in injector.fire(80.0)] == [80.0]
 
     def test_retroactive_slowdown_window_starts_at_the_effective_time(self):
         injector = FaultInjector(FaultSchedule())

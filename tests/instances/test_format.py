@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -147,6 +148,33 @@ class TestValidation:
         with pytest.raises(InstanceFormatError) as excinfo:
             instance_from_dict(document)
         assert "disagree" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "faults",
+        [
+            {"events": [{"time": math.nan, "kind": "node_crash", "target": "node-1"}]},
+            {
+                "events": [
+                    {
+                        "time": 10.0,
+                        "kind": "node_slowdown",
+                        "target": "node-1",
+                        "factor": math.inf,
+                        "duration": 60.0,
+                    }
+                ]
+            },
+            {"migration_failure_rate": 7.5},
+            {"migration_failure_rate": -0.5},
+        ],
+        ids=["time-nan", "factor-inf", "rate-above-one", "rate-negative"],
+    )
+    def test_fault_value_out_of_range_is_invalid(self, faults):
+        document = make_instance().to_dict()
+        document["faults"] = faults
+        with pytest.raises(InstanceFormatError) as excinfo:
+            instance_from_dict(document)
+        assert excinfo.value.code == "invalid-field"
 
 
 class TestConstraintCodec:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.model.resources import ResourceVector
-from repro.model.vm import VirtualMachine, VMImage, VMState
+from repro.model.vm import VirtualMachine, VMState
 
 
 class TestVirtualMachine:
@@ -45,10 +45,3 @@ class TestVirtualMachine:
         assert VMState.SLEEPING.value == "sleeping"
         assert VMState.WAITING.value == "waiting"
         assert VMState.TERMINATED.value == "terminated"
-
-
-class TestVMImage:
-    def test_is_local_to(self):
-        image = VMImage(vm_name="vm1", node_name="node-3", size_mb=1024)
-        assert image.is_local_to("node-3")
-        assert not image.is_local_to("node-4")

@@ -68,12 +68,6 @@ class RebuildPerPoolPlanner(ReconfigurationPlanner):
             self._regroup_vjob_resumes(plan, vjob_of_vm)
         if constraints:
             plan.constraint_violations = check_plan(plan, constraints)
-            if plan.constraint_violations and self.options.strict_constraints:
-                details = "; ".join(str(v) for v in plan.constraint_violations)
-                raise PlanningError(
-                    f"the plan transiently violates placement constraints: "
-                    f"{details}"
-                )
         return plan
 
     @staticmethod

@@ -614,6 +614,10 @@ def _zone_task(**options):
             id="RepairOptimizer-lns_steps",
         ),
         (PlannerOptions, "bypass_smallest_vm"),
+        (PlannerOptions, "strict_constraints"),
+        (ClusterContextSwitch, "planner_options"),
+        (ContextSwitchOptimizer, "planner_options"),
+        (ParallelOptimizer, "planner_options"),
         (Scenario, "max_workers"),
         (ControlLoop, "max_workers"),
         (ClusterContextSwitch, "max_workers"),
@@ -626,7 +630,8 @@ def test_retired_solver_option_is_rejected(build, option):
     below the optimizers) and one way to pin a VM (``Model.pinned_var``):
     the options only the deleted perf sweeps set are gone, not ignored —
     and so are the loop, repair and planner knobs nothing ever set, the
-    worker count the partitioned engines now work out from their zones and
-    the decision period only the loop ever stepped by."""
+    worker count the partitioned engines now work out from their zones, the
+    decision period only the loop ever stepped by, the planner options no
+    caller passed down and the strict mode only its own test turned on."""
     with pytest.raises(TypeError, match=option):
         build(**{option: None})

@@ -80,6 +80,41 @@ def test_a_malformed_full_form_vjob_is_400(payload):
     assert "missing required field 'name'" in excinfo.value.message
 
 
+@pytest.mark.parametrize(
+    "path, body",
+    [
+        ("/faults", b'{"kind": "node_crash", "target": "node-0", "at": NaN}'),
+        ("/faults", b'{"kind": "node_crash", "target": "node-0", "at": Infinity}'),
+        ("/vjobs", b'{"name": "x", "duration": NaN}'),
+        ("/vjobs", b'{"name": "x", "duration": Infinity}'),
+    ],
+    ids=["fault-at-nan", "fault-at-infinity", "vjob-duration-nan", "vjob-duration-infinity"],
+)
+def test_a_non_finite_number_literal_is_400(daemon, path, body):
+    # Python's decoder accepts these literals; the daemon must not, or the
+    # value resurfaces as a bare NaN in a /result body that is not JSON.
+    request = urllib.request.Request(
+        daemon.url + path,
+        data=body,
+        headers={"Content-Type": "application/json"},
+        method="POST",
+    )
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        urllib.request.urlopen(request, timeout=10.0)
+    assert excinfo.value.code == 400
+    assert "not a JSON number" in excinfo.value.read().decode()
+
+
+def test_a_non_finite_fault_time_is_400_without_json():
+    # A caller that hands the handler a decoded float still gets a 400.
+    with pytest.raises(Exception) as excinfo:
+        _idle_daemon().handle_post(
+            "/faults", {"kind": "node_crash", "target": "node-0", "at": float("nan")}
+        )
+    assert excinfo.value.status == 400
+    assert "must be finite" in excinfo.value.message
+
+
 def test_invalid_fault_kind_is_400(client):
     with pytest.raises(ServiceError) as excinfo:
         client.inject_fault({"kind": "meteor_strike", "target": "node-0"})

@@ -27,40 +27,39 @@ def cluster():
 
 
 class TestSimulatedCluster:
-    def test_apply_suspend_stores_image(self, cluster):
-        event = cluster.apply_action(Suspend(vm="a", node="node-0"), time=10.0, duration=30.0)
-        assert cluster.configuration.state_of("a") is VMState.SLEEPING
-        assert cluster.images.location_of("a") == "node-0"
-        assert event.kind == "suspend" and event.time == 10.0
-
-    def test_apply_resume_discards_image(self, cluster):
-        cluster.apply_action(Suspend(vm="a", node="node-0"), time=0.0, duration=1.0)
-        cluster.apply_action(
-            Resume(vm="a", image_node="node-0", destination_node="node-0"),
-            time=5.0,
-            duration=1.0,
-        )
-        assert "a" not in cluster.images
-        assert cluster.configuration.state_of("a") is VMState.RUNNING
-
     def test_apply_infeasible_action_raises(self, cluster):
         with pytest.raises(ExecutionError):
-            cluster.apply_action(Run(vm="a", node="node-2"), time=0.0, duration=1.0)
+            cluster.apply_action(Run(vm="a", node="node-2"))
+        # nothing was applied
+        assert cluster.configuration.location_of("a") == "node-0"
 
     def test_update_demand(self, cluster):
         cluster.update_demand("a", 0)
         assert cluster.configuration.vm("a").cpu_demand == 0
 
-    def test_utilization_views(self, cluster):
-        assert cluster.cpu_utilization() == pytest.approx(2 / 6)
-        assert cluster.memory_utilization_mb() == 1536
-        assert cluster.overloaded_nodes() == []
-        assert cluster.running_vms() == ("a", "b")
+    def test_suspend_records_the_image_on_the_configuration(self, cluster):
+        assert cluster.apply_action(Suspend(vm="a", node="node-0")) is None
+        configuration = cluster.configuration
+        assert configuration.state_of("a") is VMState.SLEEPING
+        assert configuration.image_location_of("a") == "node-0"
+        assert configuration.images_on("node-0") == ("a",)
 
-    def test_events_between(self, cluster):
-        cluster.apply_action(Stop(vm="b", node="node-1"), time=50.0, duration=25.0)
-        assert len(cluster.events_between(0.0, 100.0)) == 1
-        assert cluster.events_between(60.0, 100.0) == []
+    def test_resume_clears_the_image_record(self, cluster):
+        cluster.apply_action(Suspend(vm="a", node="node-0"))
+        cluster.apply_action(
+            Resume(vm="a", image_node="node-0", destination_node="node-2")
+        )
+        configuration = cluster.configuration
+        assert configuration.location_of("a") == "node-2"
+        assert configuration.image_location_of("a") is None
+        assert configuration.images_on("node-0") == ()
+
+    def test_stop_frees_the_node_load(self, cluster):
+        cluster.apply_action(Stop(vm="b", node="node-1"))
+        configuration = cluster.configuration
+        assert configuration.state_of("b") is VMState.TERMINATED
+        assert configuration.vms_on("node-1") == ()
+        assert configuration.usage_of("node-1").cpu == 0
 
 
 class TestPlanExecutor:

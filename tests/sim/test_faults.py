@@ -3,7 +3,11 @@ eviction, executor fault hooks)."""
 
 from __future__ import annotations
 
+import dataclasses
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.actions import Migrate
 from repro.core.plan import Pool, ReconfigurationPlan
@@ -63,6 +67,25 @@ class TestFaultSchedule:
         assert FaultSchedule(migration_failure_rate=0.1)
         assert FaultSchedule().node_crash("n", at=1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["time", "factor", "duration"])
+    def test_non_finite_fields_are_rejected(self, name, value):
+        fields = dict(time=1.0, kind=FaultKind.NODE_CRASH, target="n")
+        fields[name] = value
+        with pytest.raises(ValueError, match=f"fault {name} must be finite"):
+            FaultEvent(**fields)
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.5, 7.5, math.nan])
+    def test_failure_rate_outside_the_unit_interval_is_rejected(self, rate):
+        with pytest.raises(ValueError, match="migration_failure_rate"):
+            FaultSchedule(migration_failure_rate=rate)
+
+    def test_failure_rate_bounds_are_probabilities(self):
+        never = FaultInjector(FaultSchedule(migration_failure_rate=0.0))
+        always = FaultInjector(FaultSchedule(migration_failure_rate=1.0))
+        assert not any(never.should_fail_migration("vm", 0.0) for _ in range(8))
+        assert all(always.should_fail_migration("vm", 0.0) for _ in range(8))
+
 
 class TestRandomFaultSchedule:
     def test_same_seed_same_schedule(self):
@@ -106,7 +129,7 @@ class TestFaultInjector:
         assert [e.target for e in injector.fire(20.0)] == ["a"]
         assert injector.fire(20.0) == []
         assert [e.target for e in injector.fire(100.0)] == ["b"]
-        assert injector.pending_events == 0
+        assert injector.fire(1e9) == []
 
     def test_slowdown_factor_window(self):
         schedule = FaultSchedule().node_slowdown("n", at=100.0, duration=50.0, factor=3.0)
@@ -147,6 +170,103 @@ class TestFaultInjector:
     def test_delayed_boot_nodes_listed(self):
         schedule = FaultSchedule().delayed_boot("late", until=60.0)
         assert FaultInjector(schedule).delayed_boot_nodes() == ("late",)
+
+    def test_same_instant_events_fire_in_scheduling_order(self):
+        schedule = (
+            FaultSchedule()
+            .node_crash("b", at=10.0)
+            .node_slowdown("a", at=10.0, duration=5.0)
+            .delayed_boot("c", until=5.0)
+        )
+        injector = FaultInjector(schedule)
+        assert [e.target for e in injector.fire(10.0)] == ["c", "b", "a"]
+
+    def test_injected_migration_failure_is_armed_not_fired(self):
+        injector = FaultInjector(FaultSchedule())
+        injector.fire(100.0)
+        injector.inject(
+            FaultEvent(time=0.0, kind=FaultKind.MIGRATION_FAILURE, target="vm1")
+        )
+        assert injector.fire(200.0) == []
+        # re-stamped to the last fire instant, like every past injection
+        assert not injector.should_fail_migration("vm1", 99.0)
+        assert injector.should_fail_migration("vm1", 100.0)
+
+
+_FAULT_TIMES = st.integers(0, 60).map(float)
+_INJECTABLE = [
+    FaultKind.NODE_CRASH,
+    FaultKind.NODE_SLOWDOWN,
+    FaultKind.MIGRATION_FAILURE,
+]
+
+
+def _fault(time: float, kind: FaultKind, target: str) -> FaultEvent:
+    if kind is FaultKind.NODE_SLOWDOWN:
+        return FaultEvent(time, kind, target, factor=2.0, duration=10.0)
+    return FaultEvent(time, kind, target)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    scheduled=st.lists(
+        st.tuples(
+            _FAULT_TIMES, st.sampled_from(_INJECTABLE + [FaultKind.DELAYED_BOOT])
+        ),
+        max_size=12,
+    ),
+    steps=st.lists(
+        st.one_of(
+            st.tuples(st.just("fire"), st.integers(0, 20).map(float)),
+            st.tuples(
+                st.just("inject"), _FAULT_TIMES, st.sampled_from(_INJECTABLE)
+            ),
+        ),
+        max_size=25,
+    ),
+)
+def test_every_node_event_fires_once_in_time_then_scheduling_order(
+    scheduled, steps
+):
+    """Against a sorted-list reference: a node event (not a migration
+    failure, which is armed rather than fired) fires at the first
+    ``fire(now)`` with ``now >= time``, in ``(time, scheduling order)``
+    order, and an injection into the past carries the previous ``fire``
+    instant."""
+    schedule = FaultSchedule()
+    for index, (time, kind) in enumerate(scheduled):
+        schedule.add(_fault(time, kind, f"s{index}"))
+    injector = FaultInjector(schedule)
+    node_events = [
+        e for e in schedule.ordered() if e.kind is not FaultKind.MIGRATION_FAILURE
+    ]
+    #: (effective time, scheduling order, event) of what has not fired yet
+    pending = [(e.time, order, e) for order, e in enumerate(node_events)]
+    expected_targets = {e.target for e in node_events}
+    order = len(pending)
+    now = 0.0
+    fired = []
+    for step in [*steps, ("fire", 1e6)]:
+        if step[0] == "fire":
+            now += step[1]
+            due = sorted(p for p in pending if p[0] <= now)
+            pending = [p for p in pending if p[0] > now]
+            returned = injector.fire(now)
+            assert returned == [event for _, _, event in due]
+            fired.extend(returned)
+        else:
+            _, time, kind = step
+            event = _fault(time, kind, f"i{order}")
+            injector.inject(event)
+            if kind is not FaultKind.MIGRATION_FAILURE:
+                effective = dataclasses.replace(event, time=max(time, now))
+                pending.append((effective.time, order, effective))
+                expected_targets.add(event.target)
+            order += 1
+    assert pending == []
+    targets = [event.target for event in fired]
+    assert len(targets) == len(set(targets))
+    assert set(targets) == expected_targets
 
 
 class TestEvictNode:

@@ -6,8 +6,13 @@ from repro import config
 from repro.core.actions import Migrate, Resume, Run, Stop, Suspend
 from repro.model.configuration import Configuration
 from repro.model.node import make_working_nodes
-from repro.sim.hypervisor import DEFAULT_HYPERVISOR, FAST_STOP_HYPERVISOR, HypervisorModel
-from repro.sim.storage import TransferMethod
+from repro.sim.hypervisor import (
+    DEFAULT_HYPERVISOR,
+    FAST_STOP_HYPERVISOR,
+    HypervisorModel,
+    TransferMethod,
+    remote_factor,
+)
 
 from repro.testing import make_vm
 
@@ -63,6 +68,11 @@ class TestFigure3bAnd3c:
     def test_remote_resume_of_2gb_is_in_the_minutes_range(self):
         remote = DEFAULT_HYPERVISOR.resume_duration(2048, local=False)
         assert 120.0 <= remote <= 240.0
+
+    def test_remote_factors(self):
+        assert remote_factor(TransferMethod.LOCAL) == 1.0
+        assert remote_factor(TransferMethod.SCP) == pytest.approx(2.0)
+        assert remote_factor(TransferMethod.RSYNC) > 1.0
 
     def test_rsync_transfer_is_slightly_cheaper_than_scp(self):
         scp = HypervisorModel(transfer_method=TransferMethod.SCP)

@@ -1,39 +1,17 @@
 """Tests of the monitoring service (Ganglia substitute)."""
 
-import pytest
-
-from repro.model.configuration import Configuration
-from repro.model.node import make_working_nodes
 from repro.sim.monitoring import MonitoringService, constant_demands
-
-from repro.testing import make_vm
-
-
-@pytest.fixture
-def configuration():
-    configuration = Configuration(nodes=make_working_nodes(2, cpu_capacity=2, memory_capacity=4096))
-    configuration.add_vm(make_vm("a", memory=1024, cpu=1))
-    configuration.add_vm(make_vm("b", memory=512, cpu=0))
-    configuration.set_running("a", "node-0")
-    configuration.set_running("b", "node-0")
-    return configuration
 
 
 class TestObservation:
-    def test_observe_returns_demands(self, configuration):
+    def test_observe_returns_demands(self):
         service = MonitoringService(constant_demands({"a": 1, "b": 0}))
-        observation = service.observe(0.0, configuration)
+        observation = service.observe(0.0)
+        assert observation.time == 0.0
         assert observation.demand_of("a") == 1
         assert observation.demand_of("b") == 0
         assert observation.demand_of("ghost") == 0
         assert not observation.stale
-
-    def test_node_usage_combines_demand_and_memory(self, configuration):
-        service = MonitoringService(constant_demands({"a": 1, "b": 0}))
-        observation = service.observe(0.0, configuration)
-        assert observation.node_usage["node-0"].cpu == 1
-        assert observation.node_usage["node-0"].memory == 1536
-        assert observation.node_usage["node-1"].cpu == 0
 
     def test_time_varying_source(self):
         def source(time):
@@ -43,30 +21,38 @@ class TestObservation:
         assert service.observe(0.0).demand_of("a") == 1
         assert service.observe(200.0).demand_of("a") == 0
 
+    def test_observation_keeps_the_values_it_read(self):
+        # the source may hand out a live mapping: an observation is a copy
+        values = {"a": 1}
+        observation = MonitoringService(lambda t: values).observe(0.0)
+        values["a"] = 0
+        assert observation.demand_of("a") == 1
+
 
 class TestStaleness:
-    def test_observation_right_after_reconfiguration_is_stale(self, configuration):
+    def test_observation_right_after_reconfiguration_is_stale(self):
         values = {"a": 1}
         service = MonitoringService(lambda t: values, refresh_delay=10.0)
-        service.observe(0.0, configuration)
+        service.observe(0.0)
         service.notify_reconfiguration(50.0)
         values["a"] = 0  # the real demand changed
-        stale = service.observe(55.0, configuration)
+        stale = service.observe(55.0)
         assert stale.stale
+        assert stale.time == 55.0
         assert stale.demand_of("a") == 1  # still the previous value
 
-    def test_observation_after_refresh_delay_is_fresh(self, configuration):
+    def test_observation_after_refresh_delay_is_fresh(self):
         values = {"a": 1}
         service = MonitoringService(lambda t: values, refresh_delay=10.0)
-        service.observe(0.0, configuration)
+        service.observe(0.0)
         service.notify_reconfiguration(50.0)
         values["a"] = 0
-        fresh = service.observe(61.0, configuration)
+        fresh = service.observe(61.0)
         assert not fresh.stale
         assert fresh.demand_of("a") == 0
 
-    def test_no_previous_observation_means_fresh(self, configuration):
+    def test_no_previous_observation_means_fresh(self):
         service = MonitoringService(constant_demands({"a": 1}), refresh_delay=10.0)
         service.notify_reconfiguration(0.0)
-        observation = service.observe(1.0, configuration)
+        observation = service.observe(1.0)
         assert not observation.stale

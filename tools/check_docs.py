@@ -15,7 +15,7 @@ Three passes over the repository's markdown documentation (``README.md``,
    documented packages (``repro.api.__all__``, ``repro.constraints.__all__``,
    ``repro.repair.__all__``, ``repro.scale.__all__``,
    ``repro.service.__all__``, ``repro.instances.__all__``,
-   ``repro.obs.__all__``) must appear, backtick-quoted, in
+   ``repro.obs.__all__``, ``repro.sim.__all__``) must appear, backtick-quoted, in
    ``docs/API_REFERENCE.md``; an undocumented export fails the check (and
    CI), so the reference index cannot silently fall behind the code.  The
    other way round, a table row in one of those packages' sections whose
@@ -135,6 +135,7 @@ DOCUMENTED_PACKAGES = (
     "repro.service",
     "repro.instances",
     "repro.obs",
+    "repro.sim",
 )
 
 #: The generated-style index of the public surface.
