@@ -40,8 +40,8 @@ class Decision:
     cluster-wide context switch from it.  ``target`` short-circuits the
     optimizer with an explicit target configuration (used by the FFD baseline
     of Section 5.1); ``fallback_target`` is planned when the optimizing solve
-    raises and it honours the catalog, or as the target with the optimizer
-    off (:meth:`~repro.core.context_switch.ClusterContextSwitch.compute`).
+    raises and it honours the catalog
+    (:meth:`~repro.core.context_switch.ClusterContextSwitch.compute`).
     Policy-specific artefacts (e.g. the
     :class:`~repro.decision.rjsp.RJSPResult` behind a consolidation
     decision) travel in ``metadata``.
@@ -53,8 +53,7 @@ class Decision:
     #: towards it instead of running the CP optimizer.
     target: Optional[Configuration] = None
     #: Fallback target configuration (typically an FFD placement): planned
-    #: when the optimizing solve raises and it honours the catalog, or as
-    #: the target under ``use_optimizer=False``.
+    #: when the optimizing solve raises and it honours the catalog.
     fallback_target: Optional[Configuration] = None
     #: Free-form policy diagnostics (e.g. ``{"rjsp": RJSPResult}``).
     metadata: dict[str, Any] = field(default_factory=dict)

@@ -54,11 +54,11 @@ from .. import config
 from ..constraints.base import PlacementConstraint
 from ..constraints.checker import check_configuration
 from ..core.actions import ActionKind, Resume
-from ..core.context_switch import ClusterContextSwitch
+from ..core.context_switch import ClusterContextSwitch, ContextSwitchReport
 from ..model.errors import PlanningError
 from ..model.node import Node
 from ..model.queue import VJobQueue
-from ..model.vjob import VJobState
+from ..model.vjob import VJobState, index_vms_by_vjob
 from ..model.vm import VMState
 from ..obs import Span, Tracer, span
 from ..sim.cluster import SimulatedCluster
@@ -86,6 +86,9 @@ _LOG = logging.getLogger(__name__)
 #: Consecutive failed rounds (decide or plan raised) before the run is
 #: declared stuck (:class:`~repro.model.errors.PlanningError`).
 _MAX_CONSECUTIVE_PLANNING_FAILURES = 25
+
+#: The additive search counters of ``metadata["solver"]``, in document order.
+_SOLVER_COUNTERS = ("nodes", "backtracks", "propagations", "solutions")
 
 
 def policy_label(policy: PolicyLike) -> str:
@@ -119,7 +122,6 @@ class ControlLoop:
         policy_options: Optional[Mapping[str, Any]] = None,
         period: float = config.DECISION_PERIOD_S,
         optimizer_timeout: float = 10.0,
-        use_optimizer: bool = True,
         engine: str = "event",
         hypervisor: HypervisorModel = DEFAULT_HYPERVISOR,
         max_time: float = 24 * 3600.0,
@@ -174,6 +176,10 @@ class ControlLoop:
         self._perturbed: set[str] = set()
         #: Rounds whose decide or plan raised, by exception type.
         self._failures: Counter[str] = Counter()
+        #: Per switch, for ``metadata["solver"]`` / ``["repair_engine"]``:
+        #: the search counters and the repair engine's trace.
+        self._solver_rounds: list[dict] = []
+        self._repair_traces: list[dict] = []
         #: Set by :meth:`request_stop`; checked at every iteration boundary.
         self._stop_requested = False
         #: Late-booting nodes held back until their DELAYED_BOOT event fires.
@@ -206,9 +212,7 @@ class ControlLoop:
         )
         self._offer_constraints()
         self.switcher = ClusterContextSwitch(
-            optimizer_timeout=optimizer_timeout,
-            use_optimizer=use_optimizer,
-            engine=engine,
+            optimizer_timeout=optimizer_timeout, engine=engine
         )
         self.executor = PlanExecutor(
             hypervisor=hypervisor, fault_injector=fault_injector
@@ -239,11 +243,7 @@ class ControlLoop:
                 self._perturbed.update(vjob.vm_names)
 
     def _vjob_of_vm(self) -> dict[str, str]:
-        mapping: dict[str, str] = {}
-        for workload in self.workloads:
-            for vm in workload.vjob.vm_names:
-                mapping[vm] = workload.vjob.name
-        return mapping
+        return index_vms_by_vjob(workload.vjob for workload in self.workloads)
 
     # ------------------------------------------------------------------ #
     # state synchronisation                                               #
@@ -304,176 +304,249 @@ class ControlLoop:
 
     def run(self) -> RunResult:
         try:
-            return self._run_loop()
+            if self.tracer is None:
+                return self._run_iterations()
+            with self.tracer.activate() as root:
+                root.set(policy=self.policy_name, engine=self.switcher.engine)
+                result = self._run_iterations()
+            result.trace = self.tracer.to_dict()
+            return result
         finally:
             self.close()
 
-    def _run_loop(self) -> RunResult:
-        if self.tracer is None:
-            return self._run_iterations()
-        with self.tracer.activate() as root:
-            root.set(
-                policy=self.policy_name, engine=self.switcher.engine
-            )
-            result = self._run_iterations()
-        result.trace = self.tracer.to_dict()
-        return result
-
     def _run_iterations(self) -> RunResult:
+        """The fixed tick of Section 3.1: every round runs the steps below in
+        this order; a decide or plan that raises ends the round with the
+        configuration kept (:meth:`_round_failed`) and the next one retries."""
         result = RunResult(makespan=0.0, policy=self.policy_name)
-        now = 0.0
+        now, iteration, consecutive_failures = 0.0, 0, 0
         vjob_of_vm = self._vjob_of_vm()
-        consecutive_failures = 0
-        repair_traces: list[dict] = []
-        solver_rounds: list[dict] = []
-        iteration = 0
         self._notify("on_run_start", self)
-
         while now < self.max_time and not self._stop_requested:
             with span("round", index=iteration, sim_time=now) as round_span:
-                # operator commands first: a vjob submitted or a fault injected
-                # through the command queue lands at this iteration boundary, so
-                # runs stay deterministic for a given arrival round
-                if self.commands is not None and self.commands.drain(self, now):
+                if self._drain_commands(now):
                     vjob_of_vm = self._vjob_of_vm()
-
                 self._submit_pending(now)
-
-                # exogenous events first: faults scheduled since the previous
-                # iteration are detected now (monitoring-grain detection)
-                if self.faults is not None:
-                    for event in self.faults.fire(now):
-                        self._apply_fault(event, now, result)
-
-                # (i) observe
-                with span("observe") as observe_span:
-                    observation = self.monitoring.observe(now)
-                    for vm_name, demand in observation.cpu_demands.items():
-                        self.cluster.update_demand(vm_name, demand)
-                    # Incremental viability: only the nodes dirtied since the
-                    # previous round (demand updates, migrations, faults) are
-                    # re-examined — O(changed), not O(fleet).
-                    configuration = self.cluster.configuration
-                    dirty = len(configuration.dirty_nodes())
-                    overloaded = configuration.viability_violations(
-                        only_dirty=True
-                    )
-                    observe_span.set(
-                        demand_updates=len(observation.cpu_demands),
-                        dirty_nodes=dirty,
-                        overloaded=len(overloaded),
-                    )
-                    self._notify("on_iteration", now, self.cluster.configuration)
-
-                # finished applications ask the loop to stop their vjob
+                self._fire_faults(now, result)
+                demands = self._observe(now)
                 self._mark_finished_vjobs(now, result)
-
-                if self.queue.all_terminated() and len(self._submitted) == len(
-                    self.workloads
-                ):
+                if self._all_finished():
                     break
-
-                # (ii) decide and (iii) plan.  Whatever either raises ends
-                # the round with the configuration kept, recorded; the next
-                # iteration observes fresh demands and retries.
-                switch_duration = 0.0
-                involved_nodes: set[str] = set()
-                report = decision = None
-                with span("decide") as decide_span:
-                    try:
-                        decision = self.decision_module.decide(
-                            self.cluster.configuration,
-                            self.queue,
-                            observation.cpu_demands,
-                        )
-                    except Exception as error:
-                        self._round_failed(decide_span, "decide", error, iteration, now)
-                failed = decision is None
-                if not failed:
-                    self._notify("on_decision", now, decision)
-                if self._perturbed:
-                    # Hand this round's perturbed VMs to the repair engine (the
-                    # cold engines ignore the hint).  The engine accumulates
-                    # marks until its next solve, so nothing is lost when this
-                    # iteration needs no switch.
-                    self.switcher.mark_dirty(sorted(self._perturbed))
-                    self._perturbed.clear()
-                if not failed and needs_switch(self.cluster.configuration, decision):
-                    self._check_plannable(decision)
-                    with span("plan") as plan_span:
-                        try:
-                            report = self._plan(decision, vjob_of_vm)
-                        except Exception as error:
-                            failed = True
-                            self._round_failed(plan_span, "plan", error, iteration, now)
-                if failed:
-                    consecutive_failures += 1
-                    if consecutive_failures >= _MAX_CONSECUTIVE_PLANNING_FAILURES:
-                        # The decision is permanently unplannable: fail
-                        # loudly instead of spinning until max_time and
-                        # returning plausible-looking garbage.
-                        raise PlanningError(
-                            f"policy {self.policy_name!r} produced "
-                            f"{consecutive_failures} consecutive unplannable "
-                            f"decisions (last at simulated time {now:.0f}s); "
-                            "the scenario cannot make progress"
-                        )
-                else:
-                    # A switch, or no switch needed, is progress: a transient
-                    # failure followed by a satisfied decision must not count
-                    # towards the consecutive-failure abort.
-                    consecutive_failures = 0
+                decision = self._decide(demands, iteration, now)
+                self._mark_dirty()
+                failed, report = self._plan(decision, vjob_of_vm, iteration, now)
+                # A switch, or no switch needed, is progress.
+                consecutive_failures = consecutive_failures + 1 if failed else 0
+                if consecutive_failures >= _MAX_CONSECUTIVE_PLANNING_FAILURES:
+                    # Permanently unplannable: fail loudly instead of spinning
+                    # until max_time and returning plausible-looking garbage.
+                    raise PlanningError(
+                        f"policy {self.policy_name!r} produced "
+                        f"{consecutive_failures} consecutive unplannable "
+                        f"decisions (last at simulated time {now:.0f}s); "
+                        "the scenario cannot make progress"
+                    )
+                switch_duration, involved_nodes = 0.0, set()
                 if report is not None:
-                    execution = self.executor.execute(
-                        report.plan,
-                        self.cluster,
-                        start_time=now,
+                    switch_duration, involved_nodes = self._execute(report, now, result)
+                    round_span.set(switched=True, switch_cost=report.total_cost)
+                self._record_configuration_violations(now + switch_duration, result)
+                self._sample(now, result)
+                now = self._advance(now, switch_duration, involved_nodes)
+                iteration += 1
+        return self._finish(result, now)
+
+    # ------------------------------------------------------------------ #
+    # the steps of a round, in tick order                                 #
+    # ------------------------------------------------------------------ #
+
+    def _drain_commands(self, now: float) -> bool:
+        """Operator commands first, so what the queue submits or injects
+        lands at a round boundary and runs stay deterministic.  True when a
+        command applied."""
+        return self.commands is not None and self.commands.drain(self, now)
+
+    def _fire_faults(self, now: float, result: RunResult) -> None:
+        """Faults scheduled since the previous round are detected now
+        (monitoring-grain detection)."""
+        if self.faults is not None:
+            for event in self.faults.fire(now):
+                self._apply_fault(event, now, result)
+
+    def _observe(self, now: float) -> dict[str, int]:
+        """(i) Observe: refresh every VM's CPU demand and return them.  Only
+        the nodes dirtied since the previous round (demand updates,
+        migrations, faults) are re-examined for viability."""
+        with span("observe") as observe_span:
+            demands = self.monitoring.observe(now).cpu_demands
+            for vm_name, demand in demands.items():
+                self.cluster.update_demand(vm_name, demand)
+            configuration = self.cluster.configuration
+            observe_span.set(
+                demand_updates=len(demands),
+                dirty_nodes=len(configuration.dirty_nodes()),
+                overloaded=len(configuration.viability_violations(only_dirty=True)),
+            )
+            self._notify("on_iteration", now, configuration)
+        return demands
+
+    def _all_finished(self) -> bool:
+        submitted = len(self._submitted) == len(self.workloads)
+        return submitted and self.queue.all_terminated()
+
+    def _decide(
+        self, demands: Mapping[str, int], index: int, now: float
+    ) -> Optional[Decision]:
+        """(ii) Decide: the policy's decision, or ``None`` when it raised."""
+        with span("decide") as decide_span:
+            try:
+                decision = self.decision_module.decide(
+                    self.cluster.configuration, self.queue, demands
+                )
+            except Exception as error:
+                self._round_failed(decide_span, "decide", error, index, now)
+                return None
+        self._notify("on_decision", now, decision)
+        return decision
+
+    def _mark_dirty(self) -> None:
+        """Hand the VMs perturbed since the last round to the repair engine
+        (the cold engines ignore the hint).  The engine accumulates marks
+        until its next solve, so nothing is lost when no switch follows."""
+        if self._perturbed:
+            self.switcher.mark_dirty(sorted(self._perturbed))
+            self._perturbed.clear()
+
+    def _plan(
+        self,
+        decision: Optional[Decision],
+        vjob_of_vm: Mapping[str, str],
+        index: int,
+        now: float,
+    ) -> tuple[bool, Optional[ContextSwitchReport]]:
+        """(iii) Plan: ``(failed, report)``.  The switch goes towards the
+        policy's explicit target when it computed one, through
+        :meth:`ClusterContextSwitch.compute` (which owns the fallback)
+        otherwise; no report when no switch is needed.  The round failed
+        when the decide step did, or when planning raised."""
+        if decision is None:
+            return True, None
+        configuration = self.cluster.configuration
+        if not needs_switch(configuration, decision):
+            return False, None
+        with span("plan") as plan_span:
+            try:
+                if decision.target is not None:
+                    report = self.switcher.plan_to(
+                        configuration,
+                        decision.target,
+                        vjob_of_vm,
                         constraints=self.constraints,
                     )
-                    switch_duration = execution.duration
-                    involved_nodes = execution.involved_nodes()
-                    record = self._record_switch(now, report, execution)
-                    result.switches.append(record)
-                    round_span.set(switched=True, switch_cost=record.cost)
-                    statistics = report.statistics
-                    if statistics is not None:
-                        # Deterministic counters only (no wall-clock fields):
-                        # the HTTP-equals-in-process determinism test compares
-                        # full result documents across independent runs.
-                        solver_rounds.append(
-                            {
-                                "time": now,
-                                "nodes": statistics.nodes,
-                                "backtracks": statistics.backtracks,
-                                "propagations": statistics.propagations,
-                                "solutions": statistics.solutions,
-                                "proven_optimal": statistics.proven_optimal,
-                            }
-                        )
-                    if report.repair is not None:
-                        repair_traces.append(report.repair)
-                    self._record_migration_faults(execution, result)
-                    self._record_switch_violations(now, report, execution, result)
-                    self._notify("on_switch", record, report)
-                    self.monitoring.notify_reconfiguration(now + switch_duration)
-                    self._sync_vjob_states()
-                    self._check_repairs(now + switch_duration, result)
+                else:
+                    report = self.switcher.compute(
+                        configuration,
+                        decision.vm_states,
+                        vjob_of_vm=vjob_of_vm,
+                        fallback_target=decision.fallback_target,
+                        constraints=self.constraints,
+                    )
+            except Exception as error:
+                self._round_failed(plan_span, "plan", error, index, now)
+                return True, None
+        return False, report
 
-                # constraint watchdog: the settled state of this iteration must
-                # honour the catalog, switch or not
-                self._record_configuration_violations(now + switch_duration, result)
+    def _execute(
+        self, report: ContextSwitchReport, now: float, result: RunResult
+    ) -> tuple[float, set[str]]:
+        """(iv) Execute the switch and record it; returns its duration and
+        the nodes it touched."""
+        execution = self.executor.execute(
+            report.plan, self.cluster, start_time=now, constraints=self.constraints
+        )
+        aborted = self._record_migration_faults(execution, result)
+        record = self._record_switch(now, report, execution, aborted)
+        result.switches.append(record)
+        if (statistics := report.statistics) is not None:
+            # Deterministic counters only (no wall-clock fields): the
+            # HTTP-equals-in-process determinism test compares full result
+            # documents across independent runs.
+            self._solver_rounds.append(
+                {"time": now}
+                | {key: getattr(statistics, key) for key in _SOLVER_COUNTERS}
+                | {"proven_optimal": statistics.proven_optimal}
+            )
+        if report.repair is not None:
+            self._repair_traces.append(report.repair)
+        self._record_switch_violations(now, report, execution, result)
+        self._notify("on_switch", record, report)
+        finished = now + execution.duration
+        self.monitoring.notify_reconfiguration(finished)
+        self._sync_vjob_states()
+        self._check_repairs(finished, result)
+        return execution.duration, execution.involved_nodes()
 
-                # sample utilization after the switch
-                sample = self._sample(now)
-                result.utilization.append(sample)
-                self._notify("on_sample", sample)
+    def _sample(self, now: float, result: RunResult) -> None:
+        """Sample utilization after the switch."""
+        configuration = self.cluster.configuration
+        usage = configuration.total_usage()
+        demand_units = sum(
+            trace.demand_at(self.progress[workload.vjob.name])
+            for workload in self.workloads
+            if workload.vjob.name in self._submitted and not workload.vjob.is_terminated
+            for trace in workload.traces.values()
+        )
+        sample = UtilizationSample(
+            time=now,
+            cpu_demand_units=demand_units,
+            cpu_used_units=usage.cpu,
+            cpu_capacity_units=configuration.total_capacity().cpu,
+            memory_used_mb=usage.memory,
+        )
+        result.utilization.append(sample)
+        self._notify("on_sample", sample)
 
-                # advance simulated time and the progress of the running vjobs
-                step = max(self.period, switch_duration)
-                self._advance_progress(step, switch_duration, involved_nodes, now)
-                now += step
-                iteration += 1
+    def _advance(
+        self, now: float, switch_duration: float, involved_nodes: set[str]
+    ) -> float:
+        """Advance the running vjobs by one step and return the next round's
+        time: ``period``, or the switch's duration when it took longer.
 
+        Running VMs hosted on nodes touched by the context switch are slowed
+        down during the switch window (Section 2.3 measured a 1.3-1.5x factor);
+        the remaining part of the interval progresses at full speed.  On top
+        of that, a vjob with a VM on a fault-slowed node advances the whole
+        interval ``slowdown_factor`` times slower (the worst factor across
+        its VMs' hosts).
+        """
+        step = max(self.period, switch_duration)
+        configuration = self.cluster.configuration
+        factor = config.INTERFERENCE_FACTOR_LOCAL
+        for workload in self.workloads:
+            vjob = workload.vjob
+            if vjob.state is not VJobState.RUNNING:
+                continue
+            slowed = False
+            fault_slowdown = 1.0
+            for vm_name in vjob.vm_names:
+                host = configuration.location_of(vm_name)
+                if host is None:
+                    continue
+                if switch_duration > 0 and host in involved_nodes:
+                    slowed = True
+                if self.faults is not None:
+                    fault_slowdown = max(
+                        fault_slowdown, self.faults.slowdown_factor(host, now)
+                    )
+            if slowed:
+                effective = (step - switch_duration) + switch_duration / factor
+            else:
+                effective = step
+            self.progress[vjob.name] += effective / fault_slowdown
+        return now + step
+
+    def _finish(self, result: RunResult, now: float) -> RunResult:
+        """Close the run: makespan, unfinished vjobs, SLA and the metadata."""
         result.makespan = (
             max(result.completion_times.values()) if result.completion_times else now
         )
@@ -491,38 +564,30 @@ class ControlLoop:
             result.metadata["failure_causes"] = dict(sorted(self._failures.items()))
         if self._stop_requested:
             result.metadata["stopped_early"] = True
-        if solver_rounds:
-            # Per-round CP search statistics (satellite of the tracing PR):
-            # partitioned engines report counters merged across zones, so
-            # monolithic and decomposed runs are directly comparable here.
+        if rounds := self._solver_rounds:
+            # Per-round CP search statistics: partitioned engines report
+            # counters merged across zones, so monolithic and decomposed runs
+            # are directly comparable here.
             result.metadata["solver"] = {
-                "rounds": solver_rounds,
+                "rounds": rounds,
                 "totals": {
-                    key: sum(r[key] for r in solver_rounds)
-                    for key in (
-                        "nodes",
-                        "backtracks",
-                        "propagations",
-                        "solutions",
-                    )
+                    key: sum(r[key] for r in rounds) for key in _SOLVER_COUNTERS
                 },
             }
-        if repair_traces:
+        if traces := self._repair_traces:
+            modes = Counter(t.get("mode") for t in traces)
             result.metadata["repair_engine"] = {
-                "repair_rounds": sum(
-                    1 for t in repair_traces if t.get("mode") == "repair"
-                ),
-                "full_rounds": sum(
-                    1 for t in repair_traces if t.get("mode") == "full"
-                ),
-                "dirty_vms_total": sum(t.get("dirty_count", 0) for t in repair_traces),
-                "frozen_vms_total": sum(
-                    t.get("frozen_count", 0) for t in repair_traces
-                ),
-                "attempts_total": sum(t.get("attempts", 0) for t in repair_traces),
-                "reused_zones_total": sum(
-                    t.get("reused_zones", 0) for t in repair_traces
-                ),
+                "repair_rounds": modes["repair"],
+                "full_rounds": modes["full"],
+                **{
+                    f"{name}_total": sum(t.get(key, 0) for t in traces)
+                    for name, key in (
+                        ("dirty_vms", "dirty_count"),
+                        ("frozen_vms", "frozen_count"),
+                        ("attempts", "attempts"),
+                        ("reused_zones", "reused_zones"),
+                    )
+                },
             }
         if self._declared_constraints:
             # The declared catalog (stable identity of a constrained run) and
@@ -741,19 +806,22 @@ class ControlLoop:
             self._perturbed.update(vjob.vm_names)
         return tuple(repaired_names)
 
-    def _record_migration_faults(self, execution, result: RunResult) -> None:
-        """Put every aborted migration of a switch on the fault timeline.
+    def _record_migration_faults(self, execution, result: RunResult) -> int:
+        """Put every aborted migration of a switch on the fault timeline
+        and return how many there were.
 
         Unlike the scheduled faults, a migration failure only materializes
         when the executor actually attempts the move, so it is recorded here
         — at the attempt's start time — rather than in ``_apply_fault``.
         """
+        aborted = 0
         for failure in execution.failures:
             if (
                 failure.action.kind is not ActionKind.MIGRATE
                 or failure.reason != "migration-fault"
             ):
                 continue
+            aborted += 1
             # The VM stayed on its source node, diverging from the accepted
             # plan — mark it so the repair engines replan it next round.
             self._perturbed.add(failure.action.vm)
@@ -769,6 +837,7 @@ class ControlLoop:
             )
             result.faults.append(record)
             self._notify("on_fault", record)
+        return aborted
 
     def _check_repairs(self, finish_time: float, result: RunResult) -> None:
         """Vjobs knocked out by a crash that are running again are repaired;
@@ -798,66 +867,29 @@ class ControlLoop:
                 violations.add(vjob.name)
         return sorted(violations)
 
-    def _check_plannable(self, decision: Decision) -> None:
-        """Without the optimizer a switch needs an explicit target or a
-        fallback placement: a caller error, not a failed round."""
-        if (
-            not self.switcher.use_optimizer
-            and decision.target is None
-            and decision.fallback_target is None
-        ):
-            raise ValueError(
-                "use_optimizer=False needs the policy to supply an explicit "
-                f"target or fallback placement, but {self.policy_name!r} "
-                "returned neither — use a policy with a fallback (e.g. "
-                "'consolidation' or 'ffd') or enable the optimizer"
-            )
-
-    def _plan(self, decision: Decision, vjob_of_vm: Mapping[str, str]):
-        """Plan the switch: towards the policy's explicit target when it
-        computed one, through :meth:`ClusterContextSwitch.compute` (which
-        owns the fallback) otherwise."""
-        if decision.target is not None:
-            return self.switcher.plan_to(
-                self.cluster.configuration,
-                decision.target,
-                vjob_of_vm,
-                constraints=self.constraints,
-            )
-        return self.switcher.compute(
-            self.cluster.configuration,
-            decision.vm_states,
-            vjob_of_vm=vjob_of_vm,
-            fallback_target=decision.fallback_target,
-            constraints=self.constraints,
-        )
-
     def _round_failed(
         self, phase_span: Span, phase: str, error: Exception, index: int, now: float
     ) -> None:
         """The one degrade point: round ``index`` at ``now`` ends with the
         configuration kept because ``phase`` (``"decide"`` / ``"plan"``)
-        raised ``error``; its span, the run's tally and the log say so."""
+        raised ``error``; its span, the run's tally and the log say so (one
+        WARNING line, the traceback at DEBUG)."""
         cause = type(error).__name__
         phase_span.set(failed=True, error=cause)
         self._failures[cause] += 1
         _LOG.warning(
             "round %d at simulated time %.0fs: %s failed (%s: %s); configuration kept",
             index, now, phase, cause, error,
-            exc_info=error,
         )
+        _LOG.debug("round %d: %s traceback", index, phase, exc_info=error)
 
-    def _record_switch(self, now, report, execution) -> ContextSwitchRecord:
+    def _record_switch(
+        self, now, report, execution, failed_migrations: int
+    ) -> ContextSwitchRecord:
         local_resumes = sum(
             1
             for item in execution.actions
             if isinstance(item.action, Resume) and item.action.is_local
-        )
-        failed_migrations = sum(
-            1
-            for failure in execution.failures
-            if failure.action.kind is ActionKind.MIGRATE
-            and failure.reason == "migration-fault"
         )
         return ContextSwitchRecord(
             time=now,
@@ -872,64 +904,3 @@ class ControlLoop:
             used_fallback=report.used_fallback,
             failed_migrations=failed_migrations,
         )
-
-    def _sample(self, now: float) -> UtilizationSample:
-        configuration = self.cluster.configuration
-        capacity = configuration.total_capacity()
-        usage = configuration.total_usage()
-        demand_units = 0
-        for workload in self.workloads:
-            vjob = workload.vjob
-            if vjob.name not in self._submitted or vjob.is_terminated:
-                continue
-            progress = self.progress[vjob.name]
-            demand_units += sum(
-                trace.demand_at(progress) for trace in workload.traces.values()
-            )
-        return UtilizationSample(
-            time=now,
-            cpu_demand_units=demand_units,
-            cpu_used_units=usage.cpu,
-            cpu_capacity_units=capacity.cpu,
-            memory_used_mb=usage.memory,
-        )
-
-    def _advance_progress(
-        self,
-        step: float,
-        switch_duration: float,
-        involved_nodes: set[str],
-        now: float = 0.0,
-    ) -> None:
-        """Advance the execution of the running vjobs by ``step`` seconds.
-
-        Running VMs hosted on nodes touched by the context switch are slowed
-        down during the switch window (Section 2.3 measured a 1.3-1.5x factor);
-        the remaining part of the interval progresses at full speed.  On top
-        of that, a vjob with a VM on a fault-slowed node advances the whole
-        interval ``slowdown_factor`` times slower (the worst factor across
-        its VMs' hosts).
-        """
-        configuration = self.cluster.configuration
-        factor = config.INTERFERENCE_FACTOR_LOCAL
-        for workload in self.workloads:
-            vjob = workload.vjob
-            if vjob.state is not VJobState.RUNNING:
-                continue
-            slowed = False
-            fault_slowdown = 1.0
-            for vm_name in vjob.vm_names:
-                host = configuration.location_of(vm_name)
-                if host is None:
-                    continue
-                if switch_duration > 0 and host in involved_nodes:
-                    slowed = True
-                if self.faults is not None:
-                    fault_slowdown = max(
-                        fault_slowdown, self.faults.slowdown_factor(host, now)
-                    )
-            if slowed:
-                effective = (step - switch_duration) + switch_duration / factor
-            else:
-                effective = step
-            self.progress[vjob.name] += effective / fault_slowdown

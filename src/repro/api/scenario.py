@@ -76,7 +76,6 @@ class Scenario:
     policy_options: dict[str, Any] = field(default_factory=dict)
     period: float = config.DECISION_PERIOD_S
     optimizer_timeout: float = 10.0
-    use_optimizer: bool = True
     engine: str = "event"
     hypervisor: HypervisorModel = DEFAULT_HYPERVISOR
     max_time: float = 24 * 3600.0
@@ -169,7 +168,6 @@ class Scenario:
             policy_options=self.policy_options,
             period=self.period,
             optimizer_timeout=self.optimizer_timeout,
-            use_optimizer=self.use_optimizer,
             engine=self.engine,
             hypervisor=self.hypervisor,
             max_time=self.max_time,

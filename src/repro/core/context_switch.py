@@ -72,7 +72,6 @@ class ClusterContextSwitch:
     def __init__(
         self,
         optimizer_timeout: float = 40.0,
-        use_optimizer: bool = True,
         engine: str = "event",
         zone_executor: str = "auto",
     ) -> None:
@@ -108,7 +107,6 @@ class ClusterContextSwitch:
                 self.optimizer, timeout=optimizer_timeout
             )
         self.engine = engine
-        self.use_optimizer = use_optimizer
 
     # ------------------------------------------------------------------ #
 
@@ -149,15 +147,11 @@ class ClusterContextSwitch:
         ``used_fallback`` (no search statistics), the ``solve`` span the
         ``cause``.  Otherwise the error propagates, chained into a
         :class:`~repro.model.errors.PlanningError` when the fallback breaks
-        the catalog.  When ``use_optimizer`` is False the ``fallback_target``
-        is planned directly as the intended target, the baseline of Section
-        5.1.  ``constraints`` are placement relations
-        (:mod:`repro.constraints`) the target must honour.
+        the catalog.  ``constraints`` are placement relations
+        (:mod:`repro.constraints`) the target must honour.  A policy that
+        computes its own target (the FFD baseline of Section 5.1) goes to
+        :meth:`plan_to` instead.
         """
-        if not self.use_optimizer:
-            if fallback_target is None:
-                raise ValueError("use_optimizer=False needs a fallback_target")
-            return self.plan_to(current, fallback_target, vjob_of_vm, constraints)
         with span("solve", engine=self.engine) as solve_span:
             try:
                 result = self.optimizer.optimize(

@@ -5,15 +5,17 @@ a JSON file (``--scenario-file``) or, without one, a small built-in demo
 fleet — then serves until interrupted.  ``--run`` starts the control loop
 immediately; otherwise the loop waits for ``POST /run``.
 
-Scenario file shape (every key optional except ``nodes``/``workloads``)::
+Scenario file shape (every key optional except ``nodes``/``workloads``; any
+other key is refused, and the command exits 2 naming it)::
 
     {
       "nodes": [{"name": "node-0", "cpu_capacity": 2, "memory_capacity": 3584}],
       "workloads": [{"name": "job-0", "vm_count": 2, "duration": 240.0}],
       "policy": "consolidation",
+      "policy_options": {},
       "optimizer_timeout": 10.0,
-      "use_optimizer": true,
       "sla_factor": 6.0,
+      "max_time": 86400.0,
       "faults": [{"kind": "node_crash", "target": "node-0", "at": 120.0}]
     }
 
@@ -52,9 +54,22 @@ def _nodes_from_spec(spec: Any) -> list[Node]:
     return nodes
 
 
+#: The keys of a scenario file.
+_SCENARIO_KEYS = frozenset({
+    "nodes", "workloads", "policy", "policy_options",
+    "optimizer_timeout", "sla_factor", "max_time", "faults",
+})
+
+
 def scenario_from_file(path: str) -> Scenario:
-    """Build a :class:`Scenario` from the JSON shape documented above."""
+    """Build a :class:`Scenario` from the JSON shape documented above;
+    a key outside it is a ``ValueError`` that names it."""
     payload: Mapping[str, Any] = json.loads(Path(path).read_text())
+    if unknown := sorted(set(payload) - _SCENARIO_KEYS):
+        raise ValueError(
+            f"{path}: unknown scenario key(s) {', '.join(map(repr, unknown))}; "
+            f"expected {', '.join(sorted(_SCENARIO_KEYS))}"
+        )
     faults: Optional[FaultSchedule] = None
     if payload.get("faults"):
         faults = FaultSchedule()
@@ -66,7 +81,6 @@ def scenario_from_file(path: str) -> Scenario:
         policy=payload.get("policy", "consolidation"),
         policy_options=dict(payload.get("policy_options", {})),
         optimizer_timeout=float(payload.get("optimizer_timeout", 10.0)),
-        use_optimizer=bool(payload.get("use_optimizer", True)),
         sla_factor=(
             float(payload["sla_factor"])
             if payload.get("sla_factor") is not None
@@ -78,16 +92,16 @@ def scenario_from_file(path: str) -> Scenario:
 
 
 def demo_scenario() -> Scenario:
-    """Four paper-class nodes, three two-VM vjobs — enough to watch the
-    loop consolidate on a dashboard."""
+    """Four paper-class nodes, three two-VM vjobs under the FFD baseline of
+    Section 5.1 (no search) — enough to watch the loop on a dashboard."""
     return Scenario(
         nodes=make_working_nodes(4),
         workloads=[
             make_workload(f"job-{index}", vm_count=2, duration=240.0 + 60.0 * index)
             for index in range(3)
         ],
+        policy="ffd",
         optimizer_timeout=2.0,
-        use_optimizer=False,
     )
 
 
@@ -119,11 +133,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    scenario = (
-        scenario_from_file(args.scenario_file)
-        if args.scenario_file
-        else demo_scenario()
-    )
+    if args.scenario_file:
+        try:
+            scenario = scenario_from_file(args.scenario_file)
+        except ValueError as error:
+            parser.error(str(error))
+    else:
+        scenario = demo_scenario()
     daemon = OperatorDaemon(
         scenario, host=args.host, port=args.port, audit_path=args.audit_log
     )

@@ -111,19 +111,22 @@ class _FailsOnce:
 
 class TestFaultInjection:
     def test_a_raising_decision_is_a_recorded_round(self, caplog):
-        with caplog.at_level(logging.WARNING, logger="repro.api.loop"):
+        with caplog.at_level(logging.DEBUG, logger="repro.api.loop"):
             result = _scenario(policy=_FailsOnce()).run()
         assert result.metadata["planning_failures"] == 1
         assert result.metadata["failure_causes"] == {"RuntimeError": 1}
         [failed] = [s for s in _spans(result, "decide") if s.attributes]
         assert failed.attributes == {"failed": True, "error": "RuntimeError"}
-        [record] = caplog.records
-        assert record.levelno == logging.WARNING
-        assert record.exc_info[0] is RuntimeError
-        assert record.getMessage() == (
+        [warning, traceback] = caplog.records
+        # One line at WARNING; the traceback only for whoever asks for DEBUG.
+        assert warning.levelno == logging.WARNING and warning.exc_info is None
+        assert warning.getMessage() == (
             "round 1 at simulated time 30s: decide failed "
             "(RuntimeError: decision module crashed); configuration kept"
         )
+        assert traceback.levelno == logging.DEBUG
+        assert traceback.exc_info[0] is RuntimeError
+        assert traceback.getMessage() == "round 1: decide traceback"
         _assert_recovered(result)
 
     @pytest.mark.parametrize(
@@ -263,7 +266,7 @@ class TestTheRuleExistsOnce:
             raise NoPivotAvailableError("no pivot")
 
         monkeypatch.setattr(ReconfigurationPlanner, "build", build)
-        scenario = _scenario(constraints=(), use_optimizer=False)
+        scenario = _scenario(policy="ffd", constraints=())
         with pytest.raises(PlanningError, match="25 consecutive"):
             scenario.run()
         assert len(builds) == 25

@@ -102,8 +102,8 @@ def test_real_run_round_trips():
     result = Scenario(
         nodes=make_working_nodes(3),
         workloads=[make_workload("job", vm_count=2, duration=60.0)],
+        policy="ffd",
         optimizer_timeout=2.0,
-        use_optimizer=False,
         faults=FaultSchedule().node_crash("node-2", at=30.0),
         sla_factor=6.0,
     ).run()

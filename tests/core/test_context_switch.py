@@ -4,7 +4,6 @@ import pytest
 
 from repro.constraints import Spread
 from repro.core.context_switch import ClusterContextSwitch
-from repro.decision.ffd import ffd_target_configuration
 from repro.model.configuration import Configuration
 from repro.model.errors import PlanningError
 from repro.model.node import make_working_nodes
@@ -32,19 +31,6 @@ class TestCompute:
         assert report.total_cost == 512  # local resume
         assert not report.used_fallback
         assert report.plan.apply().same_assignment(report.target)
-
-    def test_without_optimizer_requires_fallback(self, configuration):
-        switcher = ClusterContextSwitch(use_optimizer=False)
-        with pytest.raises(ValueError):
-            switcher.compute(configuration, {"s": VMState.RUNNING})
-
-    def test_without_optimizer_uses_fallback_target(self, configuration):
-        states = {"s": VMState.RUNNING}
-        fallback = ffd_target_configuration(configuration, states)
-        switcher = ClusterContextSwitch(use_optimizer=False)
-        report = switcher.compute(configuration, states, fallback_target=fallback)
-        assert report.target is fallback
-        assert report.plan.apply().same_assignment(fallback)
 
     def test_summary_contains_cost_and_counts(self, configuration):
         switcher = ClusterContextSwitch(optimizer_timeout=5)

@@ -13,8 +13,8 @@ def fast_scenario(**overrides):
     defaults = dict(
         nodes=make_working_nodes(4),
         workloads=[make_workload("base", vm_count=2, duration=120.0)],
+        policy="ffd",
         optimizer_timeout=2.0,
-        use_optimizer=False,
     )
     defaults.update(overrides)
     return Scenario(**defaults)

@@ -20,8 +20,8 @@ def daemon():
     scenario = Scenario(
         nodes=make_working_nodes(4),
         workloads=[make_workload("base", vm_count=2, duration=120.0)],
+        policy="ffd",
         optimizer_timeout=2.0,
-        use_optimizer=False,
     )
     with scenario.serve(port=0) as running:
         yield running
@@ -72,7 +72,7 @@ def test_invalid_vjob_spec_is_400(client):
 def test_a_malformed_full_form_vjob_is_400(payload):
     # Straight through the handler: no server, no loop.
     daemon = OperatorDaemon(
-        Scenario(nodes=make_working_nodes(2), workloads=[], use_optimizer=False)
+        Scenario(nodes=make_working_nodes(2), workloads=[], policy="ffd")
     )
     with pytest.raises(Exception) as excinfo:
         daemon.handle_post("/vjobs", payload)
@@ -218,7 +218,7 @@ def test_a_negative_or_non_integer_query_parameter_is_400(path, query):
 def _idle_daemon(**options) -> OperatorDaemon:
     """A daemon that is never started: requests go straight to its handler."""
     return OperatorDaemon(
-        Scenario(nodes=make_working_nodes(2), workloads=[], use_optimizer=False),
+        Scenario(nodes=make_working_nodes(2), workloads=[], policy="ffd"),
         **options,
     )
 

@@ -109,9 +109,8 @@ def observer_cost() -> tuple[float, float]:
         scenario = Scenario(
             nodes=heterogeneous_nodes(8, seed=5),
             workloads=generator.workloads(16),
-            policy="consolidation",
+            policy="ffd",
             optimizer_timeout=2.0,
-            use_optimizer=False,
         ).observe(observer)
         started = time.perf_counter()
         result = scenario.build(command_queue=LoopCommandQueue()).run()
