@@ -8,8 +8,9 @@ replaceable.  This module captures that contract:
 * :class:`Decision` is the single result type every decision module returns:
   the state each VM must reach, the matching vjob states, an optional explicit
   target configuration (for baselines that compute their own placement), an
-  optional fallback configuration for a round whose optimizing solve fails, and
-  free-form metadata for policy-specific diagnostics;
+  optional fallback configuration for a round whose optimizing solve fails
+  (built on first read), and free-form metadata for policy-specific
+  diagnostics;
 * :class:`DecisionModule` is the structural protocol a policy implements —
   a ``decide(configuration, queue, demands)`` method returning a
   :class:`Decision`;
@@ -24,7 +25,15 @@ registry (:mod:`repro.api.registry`) so scenarios can select them by name.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Mapping, MutableMapping, Optional, Protocol, runtime_checkable
+from typing import (
+    Any,
+    Callable,
+    Mapping,
+    MutableMapping,
+    Optional,
+    Protocol,
+    runtime_checkable,
+)
 
 from ..model.configuration import Configuration
 from ..model.queue import VJobQueue
@@ -41,7 +50,10 @@ class Decision:
     optimizer with an explicit target configuration (used by the FFD baseline
     of Section 5.1); ``fallback_target`` is planned when the optimizing solve
     raises and it honours the catalog
-    (:meth:`~repro.core.context_switch.ClusterContextSwitch.compute`).
+    (:meth:`~repro.core.context_switch.ClusterContextSwitch.compute`).  The
+    fallback is built on first read: a policy hands over a
+    ``fallback_builder``, the first read of ``fallback_target`` calls it and
+    keeps the result, so a round whose solve succeeds never builds it.
     Policy-specific artefacts (e.g. the
     :class:`~repro.decision.rjsp.RJSPResult` behind a consolidation
     decision) travel in ``metadata``.
@@ -52,11 +64,32 @@ class Decision:
     #: Explicit target configuration; when set, the loop plans directly
     #: towards it instead of running the CP optimizer.
     target: Optional[Configuration] = None
-    #: Fallback target configuration (typically an FFD placement): planned
-    #: when the optimizing solve raises and it honours the catalog.
-    fallback_target: Optional[Configuration] = None
+    #: Zero-argument builder of the fallback target (typically an FFD
+    #: placement), called by the first read of :attr:`fallback_target`.
+    fallback_builder: Optional[Callable[[], Optional[Configuration]]] = field(
+        default=None, repr=False, compare=False
+    )
     #: Free-form policy diagnostics (e.g. ``{"rjsp": RJSPResult}``).
     metadata: dict[str, Any] = field(default_factory=dict)
+    _fallback_target: Optional[Configuration] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def fallback_target(self) -> Optional[Configuration]:
+        """Fallback target configuration: planned when the optimizing solve
+        raises and it honours the catalog.  The first read builds it from
+        ``fallback_builder`` (once: later reads return the same object);
+        assigning it replaces the builder."""
+        if self.fallback_builder is not None:
+            self._fallback_target = self.fallback_builder()
+            self.fallback_builder = None
+        return self._fallback_target
+
+    @fallback_target.setter
+    def fallback_target(self, target: Optional[Configuration]) -> None:
+        self.fallback_builder = None
+        self._fallback_target = target
 
     @property
     def is_noop(self) -> bool:

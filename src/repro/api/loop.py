@@ -426,8 +426,9 @@ class ControlLoop:
     ) -> tuple[bool, Optional[ContextSwitchReport]]:
         """(iii) Plan: ``(failed, report)``.  The switch goes towards the
         policy's explicit target when it computed one, through
-        :meth:`ClusterContextSwitch.compute` (which owns the fallback)
-        otherwise; no report when no switch is needed.  The round failed
+        :meth:`ClusterContextSwitch.compute` (which owns the fallback, and
+        reads the decision's only when the solve raised) otherwise; no
+        report when no switch is needed.  The round failed
         when the decide step did, or when planning raised."""
         if decision is None:
             return True, None
@@ -448,7 +449,9 @@ class ControlLoop:
                         configuration,
                         decision.vm_states,
                         vjob_of_vm=vjob_of_vm,
-                        fallback_target=decision.fallback_target,
+                        # A builder: the fallback is built only if the
+                        # solve raises.
+                        fallback_target=lambda: decision.fallback_target,
                         constraints=self.constraints,
                     )
             except Exception as error:

@@ -10,7 +10,7 @@ loop (:mod:`repro.api.loop`) manipulates at every iteration.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from ..constraints import PlacementConstraint, violated_constraints
 from ..cp.solver import SearchStatistics
@@ -135,7 +135,9 @@ class ClusterContextSwitch:
         current: Configuration,
         target_states: Mapping[str, VMState],
         vjob_of_vm: Optional[Mapping[str, str]] = None,
-        fallback_target: Optional[Configuration] = None,
+        fallback_target: Union[
+            Configuration, Callable[[], Optional[Configuration]], None
+        ] = None,
         constraints: Sequence[PlacementConstraint] = (),
     ) -> ContextSwitchReport:
         """Derive a target configuration from desired VM states and plan the
@@ -147,10 +149,13 @@ class ClusterContextSwitch:
         ``used_fallback`` (no search statistics), the ``solve`` span the
         ``cause``.  Otherwise the error propagates, chained into a
         :class:`~repro.model.errors.PlanningError` when the fallback breaks
-        the catalog.  ``constraints`` are placement relations
-        (:mod:`repro.constraints`) the target must honour.  A policy that
-        computes its own target (the FFD baseline of Section 5.1) goes to
-        :meth:`plan_to` instead.
+        the catalog.  ``fallback_target`` is a configuration or a
+        zero-argument builder of one (``None``: no fallback); a builder is
+        called only when the solve raised, so a round that solves never
+        builds its fallback (the control loop passes one).
+        ``constraints`` are placement relations (:mod:`repro.constraints`)
+        the target must honour.  A policy that computes its own target (the
+        FFD baseline of Section 5.1) goes to :meth:`plan_to` instead.
         """
         with span("solve", engine=self.engine) as solve_span:
             try:
@@ -158,15 +163,18 @@ class ClusterContextSwitch:
                     current, target_states, vjob_of_vm, constraints=constraints
                 )
             except Exception as error:
-                if fallback_target is None:
+                fallback = (
+                    fallback_target() if callable(fallback_target) else fallback_target
+                )
+                if fallback is None:
                     raise
-                if violated := violated_constraints(fallback_target, constraints):
+                if violated := violated_constraints(fallback, constraints):
                     raise PlanningError(
                         "the solve failed and the fallback configuration "
                         f"violates {', '.join(map(repr, violated))}"
                     ) from error
                 solve_span.set(used_fallback=True, cause=type(error).__name__)
-                report = self.plan_to(current, fallback_target, vjob_of_vm, constraints)
+                report = self.plan_to(current, fallback, vjob_of_vm, constraints)
                 report.used_fallback = True
                 return report
         return ContextSwitchReport(

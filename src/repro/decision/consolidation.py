@@ -25,6 +25,7 @@ is the constraint plumbing they share with :mod:`.fcfs`.
 
 from __future__ import annotations
 
+import functools
 from typing import Optional, Sequence
 
 from ..api.decision import Decision, stop_terminated_vms
@@ -71,12 +72,16 @@ class ConsolidationDecisionModule(ConstraintAwarePolicy):
     needs them too (via ``constraints`` or the loop's ``use_constraints``
     hook) so the RJSP *selection* only accepts vjob sets that have a
     constrained placement, and so its FFD *fallback* target stays honest
-    when the search runs out of time.
+    when the search runs out of time.  The fallback is built only when it is
+    read — by the switch after a failed solve — from the configuration,
+    the completed VM states and the candidate filter of this decision.
     """
 
     name = "consolidation"
     #: The :class:`Decision` field the from-scratch FFD target fills —
-    #: ``None``: it is not built.
+    #: ``"target"`` builds it in ``decide``, ``"fallback_target"`` hands the
+    #: decision a builder (the fallback is built on first read), ``None``:
+    #: it is not built.
     ffd_target_as: Optional[str] = "fallback_target"
 
     def decide(
@@ -100,11 +105,14 @@ class ConsolidationDecisionModule(ConstraintAwarePolicy):
             vjob_states=dict(rjsp.vjob_states),
             metadata={"rjsp": rjsp},
         )
-        if self.ffd_target_as is not None:
-            target = ffd_target_configuration(
-                configuration, vm_states, node_filter=node_filter
-            )
-            setattr(decision, self.ffd_target_as, target)
+        build_target = functools.partial(
+            ffd_target_configuration, configuration, vm_states, node_filter=node_filter
+        )
+        if self.ffd_target_as == "target":
+            decision.target = build_target()
+        elif self.ffd_target_as == "fallback_target":
+            # Built only when read: by the switch after a failed solve.
+            decision.fallback_builder = build_target
         return decision
 
     @staticmethod

@@ -27,7 +27,8 @@ the full budget, while zones the executor runs sequentially (the serial
 executor, or more zones than workers queuing in waves on the pool) share it,
 so a partitioned round stays within the per-round time budget the monolithic
 engine honours.  When the partitioner finds no decomposition — or any zone
-turns out infeasible under its carved budget — the optimizer re-solves with
+turns out infeasible under its carved budget, or the planner cannot reach
+the merged target (a ``PlanningError``) — the optimizer re-solves with
 the inherited monolithic solve, so ``engine="partitioned"`` is always safe
 to request; a post-zone re-solve only gets the wall-clock the zones left
 over (floored at a small fraction of the budget), so even the worst case
@@ -84,7 +85,7 @@ from ..core.optimizer import (
 )
 from ..cp import SearchStatistics
 from ..model.configuration import Configuration
-from ..model.errors import SolverError
+from ..model.errors import PlanningError, SolverError
 from ..model.node import Node
 from ..model.vm import VMState
 from ..obs import Span, Tracer, current_span, current_tracer, span
@@ -384,43 +385,52 @@ class ParallelOptimizer(ContextSwitchOptimizer):
                 key=lambda o: o.index,
             )
         failed = [o.index for o in outcomes if o.assignment is None]
-        if failed or not decomposition.is_win:
-            reason = decomposition.reason
-            if failed:
-                reason = f"zones {failed} found no viable assignment"
-                # The zones already consumed part of the round's budget: the
-                # monolithic re-solve only gets what they left, keeping the
-                # whole round near the per-round budget instead of doubling
-                # it.
-                budget = leftover_budget(budget, deadline)
-            result = super().optimize(
-                current,
-                target_states,
-                vjob_of_vm=vjob_of_vm,
-                constraints=constraints,
-                frozen=frozen,
-                timeout=budget,
-            )
-            result.partition_reason = reason
-            return result
-
-        # Deterministic merge: zones are index-ordered, assignments are
-        # disjoint by construction; a VM none of them names stays put.
-        merged: dict[str, str] = {}
-        for outcome in outcomes:
-            merged.update(outcome.assignment)
-        result = self._finish(
+        reason = decomposition.reason
+        if failed:
+            reason = f"zones {failed} found no viable assignment"
+        elif decomposition.is_win:
+            # Deterministic merge: zones are index-ordered, assignments are
+            # disjoint by construction; a VM none of them names stays put.
+            merged: dict[str, str] = {}
+            for outcome in outcomes:
+                merged.update(outcome.assignment)
+            try:
+                result = self._finish(
+                    current,
+                    states,
+                    changed,
+                    merged,
+                    merge_statistics(outcomes, exact=decomposition.exact),
+                    [],
+                    vjob_of_vm,
+                    constraints,
+                )
+            except PlanningError as error:
+                # The zones answered, but the planner cannot reach their
+                # merged target (no pivot for a migration cycle, say): the
+                # monolithic search may pick a target it can.
+                reason = (
+                    "the merged assignment could not be planned "
+                    f"({type(error).__name__}: {error})"
+                )
+            else:
+                result.partition_method = decomposition.method
+                result.zone_reports = outcomes
+                return result
+        if decomposition.is_win:
+            # The zones already consumed part of the round's budget: the
+            # monolithic re-solve only gets what they left, keeping the whole
+            # round near the per-round budget instead of doubling it.
+            budget = leftover_budget(budget, deadline)
+        result = super().optimize(
             current,
-            states,
-            changed,
-            merged,
-            merge_statistics(outcomes, exact=decomposition.exact),
-            [],
-            vjob_of_vm,
-            constraints,
+            target_states,
+            vjob_of_vm=vjob_of_vm,
+            constraints=constraints,
+            frozen=frozen,
+            timeout=budget,
         )
-        result.partition_method = decomposition.method
-        result.zone_reports = outcomes
+        result.partition_reason = reason
         return result
 
     # ------------------------------------------------------------------ #

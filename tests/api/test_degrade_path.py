@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import json
 import logging
 import os
 from pathlib import Path
@@ -25,10 +26,12 @@ from repro.core.context_switch import ClusterContextSwitch
 from repro.core.planner import ReconfigurationPlanner
 from repro.cp import VectorPacking
 from repro.decision.consolidation import ConsolidationDecisionModule
+from repro.decision.ffd import ffd_target_configuration
 from repro.model import make_working_nodes
 from repro.model.errors import NoPivotAvailableError, PlanningError
 from repro.obs import load_trace
 from repro.scale import parallel as parallel_module
+from repro.service import ServiceObserver
 from repro.testing import make_workload
 
 SPREAD = Spread(["a.vm0", "a.vm1"])
@@ -234,6 +237,107 @@ class _BreaksTheSpread:
                 fallback.set_running(vm, "node-0")
             decision.fallback_target = fallback
         return decision
+
+
+class _KeepsDecisions:
+    """The consolidation policy, keeping each decision with the FFD fallback
+    an eager ``decide`` builds on the same inputs, and counting the calls of
+    the decision's fallback builder.  With ``eager``, the decision carries
+    that fallback already built."""
+
+    name = "keeps-decisions"
+
+    def __init__(self, eager=False):
+        self.inner = ConsolidationDecisionModule()
+        self.eager = eager
+        self.rounds = []
+        self.builds = 0
+
+    def use_constraints(self, constraints):
+        self.inner.use_constraints(constraints)
+
+    def decide(self, configuration, queue, demands=None):
+        decision = self.inner.decide(configuration, queue, demands)
+        eager = ffd_target_configuration(
+            configuration,
+            decision.vm_states,
+            node_filter=self.inner.node_filter(configuration),
+        )
+        build = decision.fallback_builder
+
+        def counted():
+            self.builds += 1
+            return build()
+
+        decision.fallback_builder = counted
+        if self.eager:
+            decision.fallback_target = eager
+        self.rounds.append((decision, eager))
+        return decision
+
+
+def _same_bytes(configuration, other):
+    """Registration order, states, placement and each node's ``vms_on``
+    order (the order the planner walks)."""
+    return (
+        configuration.vm_names == other.vm_names
+        and list(configuration.states().items()) == list(other.states().items())
+        and list(configuration.placement().items())
+        == list(other.placement().items())
+        and all(
+            configuration.vms_on(node) == other.vms_on(node)
+            for node in configuration.node_names
+        )
+    )
+
+
+class TestTheFallbackIsBuiltOnDemand:
+    def _run(self, monkeypatch, policy):
+        original = VectorPacking.propagate_events
+        error = _once(RuntimeError("propagator bug"))(original)
+        monkeypatch.setattr(VectorPacking, "propagate_events", error)
+        observer = ServiceObserver()
+        # ``c`` arrives later: its round solves and must not build.
+        result = _scenario(
+            policy=policy, observers=[observer], workloads=_workloads(late=True)
+        ).run()
+        monkeypatch.setattr(VectorPacking, "propagate_events", original)
+        return result, observer.audit.of_kind("plan")
+
+    def test_only_a_failed_round_builds_it_and_it_is_the_eager_one(
+        self, monkeypatch
+    ):
+        lazy = _KeepsDecisions()
+        result, audit = self._run(monkeypatch, lazy)
+        assert result.switches[0].used_fallback
+        assert len(result.switches) >= 2
+        assert not any(s.used_fallback for s in result.switches[1:])
+        # One solve raised: one build, none on the rounds that solved.
+        assert lazy.builds == 1
+        [(decision, eager)] = [
+            (decision, eager)
+            for decision, eager in lazy.rounds
+            if decision.fallback_builder is None
+        ]
+        assert _same_bytes(decision.fallback_target, eager)
+        assert lazy.builds == 1  # the read above returned the kept one
+        solve = _spans(result, "solve")[0]
+        assert solve.attributes["used_fallback"] is True
+        assert solve.attributes["cause"] == "RuntimeError"
+
+        built = _KeepsDecisions(eager=True)
+        expected, expected_audit = self._run(monkeypatch, built)
+        assert built.builds == 0
+        assert json.dumps(audit, sort_keys=True) == json.dumps(
+            expected_audit, sort_keys=True
+        )
+        assert _untraced(result) == _untraced(expected)
+
+
+def _untraced(result):
+    document = result.to_dict()
+    document.pop("trace")
+    return json.dumps(document, sort_keys=True)
 
 
 class TestTheRuleExistsOnce:

@@ -96,6 +96,37 @@ class TestDegrade:
                 configuration, {"s": VMState.RUNNING}
             )
 
+    def test_a_builder_is_called_only_when_the_solve_raises(self, configuration):
+        built = []
+
+        def build():
+            built.append(self._fallback(configuration, "node-1"))
+            return built[-1]
+
+        solved = ClusterContextSwitch(optimizer_timeout=5).compute(
+            configuration,
+            {"s": VMState.RUNNING},
+            fallback_target=build,
+            constraints=self.SPREAD,
+        )
+        assert not solved.used_fallback and built == []
+        degraded = self._switcher(MemoryError()).compute(
+            configuration,
+            {"s": VMState.RUNNING},
+            fallback_target=build,
+            constraints=self.SPREAD,
+        )
+        assert degraded.used_fallback and len(built) == 1
+        assert degraded.target is built[0]
+
+    def test_a_builder_with_no_fallback_lets_the_error_propagate(
+        self, configuration
+    ):
+        with pytest.raises(RuntimeError, match="propagator bug"):
+            self._switcher(RuntimeError("propagator bug")).compute(
+                configuration, {"s": VMState.RUNNING}, fallback_target=lambda: None
+            )
+
 
 class TestPlanTo:
     def test_plans_towards_explicit_target(self, configuration):

@@ -6,9 +6,11 @@ every VM was placed twice by each packing (on a throw-away copy of the
 trial, then on the trial), the FFD target packed a copy of a copy, the
 selection and the FFD target each built a candidate filter (a fleet-wide
 ``vm_domains`` call apiece) and the blank trial re-created every frozen
-``Node``.  One decision now builds one filter, copies the observed
-configuration once (for the FFD target, which outlives the round) and
-places each VM once.  The counts are deterministic, so this runs with the
+``Node``.  One decision now builds one filter, copies nothing and places
+each VM the selection probes once.  The FFD fallback target is built on
+its first read (a round only reads it when its solve failed): one copy of
+the observed configuration, each VM that must run placed once, and nothing
+on a second read.  The counts are deterministic, so this runs with the
 tier-1 suite and keeps the duplicates from growing back.
 """
 
@@ -105,16 +107,33 @@ def test_one_decision_builds_one_filter_and_places_each_vm_once(fleet, monkeypat
 
     selection = decision.rjsp
     assert selection.accepted == [vjob.name for vjob in running]
+    accepted = 9 * len(running)
+    probed = sum(len(vjob.vms) for vjob in queue.pending())
+    assert counts["filters"] == counts["fleet domains"] == (1 if catalog else 0)
+    # The decision copies nothing: the fallback target is not built yet.
+    assert counts["copies"] == 0
+    assert counts["nodes"] == 0
+    # Each VM the selection probes is placed at most once on the trial (a
+    # rejected vjob's are taken back, not placed again).
+    assert accepted <= counts["set_running"] <= probed
+
+    # The first read builds the fallback: one copy, each VM that must run
+    # placed once on it, no second filter.
+    counts.update(dict.fromkeys(counts, 0))
     target = decision.fallback_target
     must_run = [
         name for name, state in target.states().items() if state is VMState.RUNNING
     ]
-    assert len(must_run) == 9 * len(running)
-    probed = sum(len(vjob.vms) for vjob in queue.pending())
-    assert counts["filters"] == counts["fleet domains"] == (1 if catalog else 0)
-    assert counts["copies"] == 1
-    assert counts["nodes"] == 0
-    # Each VM the selection probes is placed at most once on the trial (a
-    # rejected vjob's are taken back, not placed again), each VM that must
-    # run once on the target.
-    assert len(must_run) <= counts["set_running"] <= probed + len(must_run)
+    assert len(must_run) == accepted
+    assert counts == {
+        "filters": 0,
+        "fleet domains": 0,
+        "copies": 1,
+        "nodes": 0,
+        "set_running": len(must_run),
+    }
+
+    # A second read returns the same configuration and builds nothing.
+    counts.update(dict.fromkeys(counts, 0))
+    assert decision.fallback_target is target
+    assert not any(counts.values())

@@ -15,7 +15,7 @@ from repro.core.optimizer import ContextSwitchOptimizer
 from repro.core.planner import PlannerOptions
 from repro.decision.consolidation import ConsolidationDecisionModule
 from repro.model.configuration import Configuration
-from repro.model.errors import SolverError
+from repro.model.errors import NoPivotAvailableError, SolverError
 from repro.model.node import make_working_nodes
 from repro.model.vm import VMState
 from repro.repair import RepairOptimizer
@@ -335,6 +335,46 @@ class TestZoneMachinery:
         # second full budget; the optimizer's own timeout was never touched
         assert seen and seen[0] < 0.5
         assert optimizer.timeout == 0.5
+
+    def test_an_unplannable_merge_goes_to_the_monolithic_solve(self, monkeypatch):
+        configuration = _configuration()
+        states = _states(configuration)
+        constraints = _fenced_constraints()
+        optimizer = ParallelOptimizer(timeout=5.0, zone_executor="serial")
+        original = optimizer.planner.build
+        merged = []
+
+        def build(current, target, *args, **kwargs):
+            # The first target planned is the zones' merged one.
+            if not merged:
+                merged.append(target)
+                raise NoPivotAvailableError("no pivot for the merged target")
+            return original(current, target, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer.planner, "build", build)
+        seen = []
+        search = optimizer.search_assignment
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs["timeout"])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "search_assignment", spy)
+        result = optimizer.optimize(configuration, states, constraints=constraints)
+        monolithic = ContextSwitchOptimizer(timeout=5.0).optimize(
+            configuration, states, constraints=constraints
+        )
+        assert len(merged) == 1
+        assert result.partition_method == "monolithic"
+        assert result.zone_reports == []
+        assert result.partition_reason == (
+            "the merged assignment could not be planned "
+            "(NoPivotAvailableError: no pivot for the merged target)"
+        )
+        assert result.target.same_assignment(monolithic.target)
+        assert result.cost == monolithic.cost
+        # the re-solve ran on what the zones left over, as after a failed zone
+        assert seen and seen[0] < 5.0
 
     def test_queued_waves_carve_the_timeout(self, monkeypatch):
         configuration = _configuration()
