@@ -111,7 +111,6 @@ class ConsolidationDecisionModule(ConstraintAwarePolicy):
         if self.ffd_target_as == "target":
             decision.target = build_target()
         elif self.ffd_target_as == "fallback_target":
-            # Built only when read: by the switch after a failed solve.
             decision.fallback_builder = build_target
         return decision
 
