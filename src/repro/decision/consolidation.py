@@ -34,7 +34,7 @@ from ..model.configuration import Configuration
 from ..model.queue import VJobQueue
 from ..model.vjob import index_vms_by_vjob
 from .ffd import ffd_target_configuration
-from .rjsp import select_running_vjobs
+from .rjsp import RetainedSelection, select_running_vjobs
 
 class ConstraintAwarePolicy:
     """What every built-in policy does with placement constraints: take
@@ -75,6 +75,18 @@ class ConsolidationDecisionModule(ConstraintAwarePolicy):
     when the search runs out of time.  The fallback is built only when it is
     read — by the switch after a failed solve — from the configuration,
     the completed VM states and the candidate filter of this decision.
+
+    The instance keeps the selection's trial packing from one decision to
+    the next (:attr:`selection`, a
+    :class:`~repro.decision.rjsp.RetainedSelection`) and re-packs only from
+    the first vjob whose observed VMs changed.  Its one invalidation point
+    is the retained object's key — the node descriptions and the constraint
+    objects — so a crash, a join, a capacity change or a constraint repair
+    starts the next decision from a blank trial, and a catalog whose
+    restriction reads the observed placement keeps nothing.  Reuse is
+    decided by value, so one instance may serve several loops one after
+    the other; concurrent ``decide`` calls on one instance are not
+    supported.
     """
 
     name = "consolidation"
@@ -83,6 +95,12 @@ class ConsolidationDecisionModule(ConstraintAwarePolicy):
     #: decision a builder (the fallback is built on first read), ``None``:
     #: it is not built.
     ffd_target_as: Optional[str] = "fallback_target"
+
+    def __init__(
+        self, constraints: Sequence[PlacementConstraint] = ()
+    ) -> None:
+        super().__init__(constraints)
+        self.selection = RetainedSelection()
 
     def decide(
         self,
@@ -93,7 +111,12 @@ class ConsolidationDecisionModule(ConstraintAwarePolicy):
         """Compute the target state of every VM for the next iteration."""
         node_filter = self.node_filter(configuration)
         rjsp = select_running_vjobs(
-            configuration, queue, demands, node_filter=node_filter
+            configuration,
+            queue,
+            demands,
+            self.constraints,
+            node_filter,
+            retained=self.selection,
         )
         vm_states = dict(rjsp.vm_states)
 

@@ -6,12 +6,18 @@ every VM was placed twice by each packing (on a throw-away copy of the
 trial, then on the trial), the FFD target packed a copy of a copy, the
 selection and the FFD target each built a candidate filter (a fleet-wide
 ``vm_domains`` call apiece) and the blank trial re-created every frozen
-``Node``.  One decision now builds one filter, copies nothing and places
+``Node``.  A cold decision now builds one filter, copies nothing and places
 each VM the selection probes once.  The FFD fallback target is built on
 its first read (a round only reads it when its solve failed): one copy of
 the observed configuration, each VM that must run placed once, and nothing
-on a second read.  The counts are deterministic, so this runs with the
-tier-1 suite and keeps the duplicates from growing back.
+on a second read.
+
+The module keeps its selection's trial between decisions: a second
+decision on unchanged inputs places and probes nothing, and after one VM's
+demand changes in vjob *k* it takes back exactly the VMs the trial placed
+for the vjobs from *k* on and re-packs only those vjobs.  The counts are
+deterministic, so this runs with the tier-1 suite and keeps the duplicates
+from growing back.
 """
 
 import pytest
@@ -57,8 +63,9 @@ def _fenced_fleet():
     return nodes, vjobs, catalog
 
 
-@pytest.mark.parametrize("fleet", [_campaign, _fenced_fleet])
-def test_one_decision_builds_one_filter_and_places_each_vm_once(fleet, monkeypatch):
+def _warm_fleet(fleet):
+    """The fleet after a first decision started what fits, as every round
+    of a loop but the first sees it."""
     nodes, vjobs, catalog = fleet()
     configuration = Configuration(nodes=nodes)
     queue = VJobQueue()
@@ -66,21 +73,33 @@ def test_one_decision_builds_one_filter_and_places_each_vm_once(fleet, monkeypat
         for vm in vjob.vms:
             configuration.add_vm(vm)
         queue.submit(vjob)
-    module = ConsolidationDecisionModule(constraints=catalog)
-
-    # A first decision starts what fits; the counted one sees that fleet
-    # running, as every round of a loop but the first does.
-    first = module.decide(configuration, queue)
+    first = ConsolidationDecisionModule(constraints=catalog).decide(
+        configuration, queue
+    )
     assert first.fallback_target is not None
-    configuration = first.fallback_target
     for vjob in vjobs:
         vjob.state = first.vjob_states[vjob.name]
-    running = [vjob for vjob in vjobs if vjob.state is VJobState.RUNNING]
-    assert 0 < len(running) < len(vjobs)
+    return first.fallback_target, queue, vjobs, catalog
 
-    counts = dict.fromkeys(
-        ("filters", "fleet domains", "copies", "nodes", "set_running"), 0
-    )
+
+KEYS = (
+    "filters",
+    "fleet domains",
+    "copies",
+    "nodes",
+    "set_running",
+    "can_host",
+    "remove_vm",
+)
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """Spy on the calls a decision makes: ``counts`` by key, plus the names
+    ``remove_vm`` took back, in call order."""
+    counts = dict.fromkeys(KEYS, 0)
+    removed = []
+    fleet_size = [0]
 
     def count(owner, name, key, counted=lambda *args, **kwargs: True):
         original = getattr(owner, name)
@@ -91,18 +110,51 @@ def test_one_decision_builds_one_filter_and_places_each_vm_once(fleet, monkeypat
 
         monkeypatch.setattr(owner, name, spy)
 
-    fleet_size = len(configuration.vm_names)
+    def reset(size):
+        counts.update(dict.fromkeys(counts, 0))
+        removed.clear()
+        fleet_size[0] = size
+
     count(CandidateFilter, "__init__", "filters")
     count(
         repro.constraints.filtering,
         "vm_domains",
         "fleet domains",
-        lambda reference, vm_names, constraints: len(vm_names) == fleet_size,
+        lambda reference, vm_names, constraints: len(vm_names) == fleet_size[0],
     )
     count(Configuration, "copy", "copies")
     count(Node, "__post_init__", "nodes")
     count(Configuration, "set_running", "set_running")
+    count(Configuration, "can_host", "can_host")
+    count(
+        Configuration,
+        "remove_vm",
+        "remove_vm",
+        lambda configuration, name: removed.append(name) is None,
+    )
+    return counts, removed, reset
 
+
+def _same_selection(ours, theirs):
+    assert list(ours.vm_states.items()) == list(theirs.vm_states.items())
+    assert list(ours.vjob_states.items()) == list(theirs.vjob_states.items())
+    assert ours.rjsp == theirs.rjsp
+    assert list(ours.rjsp.trial_placement.items()) == list(
+        theirs.rjsp.trial_placement.items()
+    )
+
+
+@pytest.mark.parametrize("fleet", [_campaign, _fenced_fleet])
+def test_one_decision_builds_one_filter_and_places_each_vm_once(
+    fleet, spies
+):
+    configuration, queue, vjobs, catalog = _warm_fleet(fleet)
+    running = [vjob for vjob in vjobs if vjob.state is VJobState.RUNNING]
+    assert 0 < len(running) < len(vjobs)
+    counts, _, reset = spies
+    module = ConsolidationDecisionModule(constraints=catalog)
+
+    reset(len(configuration.vm_names))
     decision = module.decide(configuration, queue)
 
     selection = decision.rjsp
@@ -116,24 +168,78 @@ def test_one_decision_builds_one_filter_and_places_each_vm_once(fleet, monkeypat
     # Each VM the selection probes is placed at most once on the trial (a
     # rejected vjob's are taken back, not placed again).
     assert accepted <= counts["set_running"] <= probed
+    assert counts["remove_vm"] == probed - accepted
 
     # The first read builds the fallback: one copy, each VM that must run
     # placed once on it, no second filter.
-    counts.update(dict.fromkeys(counts, 0))
+    reset(len(configuration.vm_names))
     target = decision.fallback_target
     must_run = [
         name for name, state in target.states().items() if state is VMState.RUNNING
     ]
     assert len(must_run) == accepted
-    assert counts == {
+    assert {key: counts[key] for key in ("filters", "fleet domains", "copies")} == {
         "filters": 0,
         "fleet domains": 0,
         "copies": 1,
-        "nodes": 0,
-        "set_running": len(must_run),
     }
+    assert counts["nodes"] == 0
+    assert counts["set_running"] == len(must_run)
 
     # A second read returns the same configuration and builds nothing.
-    counts.update(dict.fromkeys(counts, 0))
+    reset(len(configuration.vm_names))
     assert decision.fallback_target is target
     assert not any(counts.values())
+
+
+@pytest.mark.parametrize("fleet", [_campaign, _fenced_fleet])
+def test_a_warm_decision_packs_only_from_the_first_vjob_that_changed(
+    fleet, spies
+):
+    configuration, queue, vjobs, catalog = _warm_fleet(fleet)
+    counts, removed, reset = spies
+    module = ConsolidationDecisionModule(constraints=catalog)
+    cold = module.decide(configuration, queue)
+
+    # Unchanged inputs: the retained trial answers, nothing is probed,
+    # placed, taken back or copied; only the filter is built again.
+    reset(len(configuration.vm_names))
+    warm = module.decide(configuration, queue)
+    _same_selection(warm, cold)
+    assert counts["set_running"] == counts["can_host"] == 0
+    assert counts["remove_vm"] == counts["copies"] == counts["nodes"] == 0
+    assert counts["filters"] == (1 if catalog else 0)
+
+    # One VM of an accepted vjob k changes demand: the vjobs before k keep
+    # their packing, the trial gives back what it placed for k onwards.
+    pending = queue.pending()
+    accepted = [vjob for vjob in pending if vjob.name in cold.rjsp.accepted]
+    k = pending.index(accepted[len(accepted) // 2])
+    changed = pending[k].vms[0]
+    demands = {changed.name: 0 if changed.cpu_demand else 1}
+    reset(len(configuration.vm_names))
+    repacked = module.decide(configuration, queue, demands)
+
+    taken_back = [
+        vm.name
+        for vjob in reversed(pending[k:])
+        if vjob.name in cold.rjsp.accepted
+        for vm in reversed(vjob.vms)
+    ]
+    # Then each vjob from k on that does not fit any more takes its own
+    # VMs back, as a cold packing does.
+    rejected = [
+        vm.name
+        for vjob in pending[k:]
+        if vjob.name in repacked.rjsp.rejected
+        for vm in reversed(vjob.vms)
+    ]
+    assert removed == taken_back + rejected
+    assert 0 < counts["set_running"] <= sum(len(vjob.vms) for vjob in pending[k:])
+    assert counts["copies"] == counts["nodes"] == 0
+    _same_selection(
+        repacked,
+        ConsolidationDecisionModule(constraints=catalog).decide(
+            configuration, queue, demands
+        ),
+    )

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.decision.rjsp import select_running_vjobs
+from repro.constraints import PlacementConstraint
+from repro.decision.rjsp import RetainedSelection, select_running_vjobs
 from repro.model.configuration import Configuration
 from repro.model.node import make_working_nodes
 from repro.model.queue import VJobQueue
@@ -151,3 +152,55 @@ class TestQueueSemantics:
         result = select_running_vjobs(configuration, VJobQueue())
         assert result.accepted == [] and result.rejected == []
         assert result.accepted_count == 0
+
+
+class _Breaks(PlacementConstraint):
+    """A relational constraint whose probe raises while ``broken``."""
+
+    relational = True
+    broken = False
+
+    def allows(self, vm_name, node_name, trial):
+        if self.broken:
+            raise RuntimeError("probe failed")
+        return True
+
+    def is_satisfied_by(self, configuration):
+        return True
+
+
+class TestRetainedSelection:
+    def test_a_packing_cut_short_leaves_nothing_retained(self):
+        configuration = uniprocessor_cluster()
+        j1 = vjob("j1", vm_count=1, priority=1)
+        j2 = vjob("j2", vm_count=1, priority=2)
+        for vm in list(j1.vms) + list(j2.vms):
+            configuration.add_vm(vm)
+        queue = VJobQueue([j1, j2])
+        catalog = [_Breaks()]
+        retained = RetainedSelection()
+        first = select_running_vjobs(
+            configuration, queue, constraints=catalog, retained=retained
+        )
+        assert first.accepted == ["j1", "j2"]
+
+        # j2's VM idles: the selection re-packs from j2, and its probe
+        # raises half-way.
+        catalog[0].broken = True
+        with pytest.raises(RuntimeError):
+            select_running_vjobs(
+                configuration,
+                queue,
+                demands={"j2.vm0": 0},
+                constraints=catalog,
+                retained=retained,
+            )
+        assert retained.trial is None and retained.entries == []
+
+        catalog[0].broken = False
+        again = select_running_vjobs(
+            configuration, queue, constraints=catalog, retained=retained
+        )
+        assert again == select_running_vjobs(
+            configuration, queue, constraints=catalog
+        )
