@@ -29,7 +29,6 @@ from typing import (
     Dict,
     Iterable,
     List,
-    Mapping,
     Optional,
     Sequence,
     Tuple,
@@ -209,10 +208,13 @@ class RetainedDomains:
         current: "Configuration",
         vms: Collection[str],
         constraints: Sequence[PlacementConstraint],
-    ) -> Mapping[str, Optional[AbstractSet[str]]]:
+    ) -> Dict[str, Optional[AbstractSet[str]]]:
         """The domain of every VM in ``vms`` (and possibly of more VMs:
         callers index it, none iterates it) — what :func:`vm_domains`
-        returns, computed only for the VMs not answered for yet."""
+        returns, computed only for the VMs not answered for yet.  A
+        :class:`~repro.constraints.filtering.CandidateFilter` writes into it
+        the domain of a VM it was not asked for, which depends on the key
+        alone."""
         if not self._rekey(current, constraints):
             return vm_domains(current, vms, constraints)
         missing = [vm_name for vm_name in vms if vm_name not in self._domains]

@@ -30,6 +30,7 @@ from typing import Optional, Sequence
 
 from ..api.decision import Decision, stop_terminated_vms
 from ..constraints import CandidateFilter, PlacementConstraint
+from ..constraints.domains import RetainedDomains
 from ..model.configuration import Configuration
 from ..model.queue import VJobQueue
 from ..model.vjob import index_vms_by_vjob
@@ -40,12 +41,23 @@ class ConstraintAwarePolicy:
     """What every built-in policy does with placement constraints: take
     them at construction (``constraints``) or from the control loop
     (:meth:`use_constraints`), and build one candidate filter per decision
-    for every greedy packing of the round."""
+    for every greedy packing of the round.
+
+    The filter's unary domains are kept from one decision to the next
+    (:attr:`domains`, a :class:`~repro.constraints.domains.RetainedDomains`)
+    while its key holds: the constraint objects (identity: a repaired
+    ``Fence`` or a :meth:`use_constraints` call hands over new ones), the
+    node names, and every constraint reading no placement.  Its ``_rekey``
+    is the one invalidation point: a fence repaired after a crash, a node
+    join or a new catalog drops what was kept, and a restriction that reads
+    the placement is computed afresh for every decision.
+    """
 
     def __init__(
         self, constraints: Sequence[PlacementConstraint] = ()
     ) -> None:
         self.constraints: tuple[PlacementConstraint, ...] = tuple(constraints)
+        self.domains = RetainedDomains()
 
     def use_constraints(
         self, constraints: Sequence[PlacementConstraint]
@@ -62,7 +74,13 @@ class ConstraintAwarePolicy:
         (``None`` without constraints: every node is probed)."""
         if not self.constraints:
             return None
-        return CandidateFilter(self.constraints, reference=configuration)
+        return CandidateFilter(
+            self.constraints,
+            reference=configuration,
+            domains=self.domains.of(
+                configuration, configuration.vm_names, self.constraints
+            ),
+        )
 
 
 class ConsolidationDecisionModule(ConstraintAwarePolicy):

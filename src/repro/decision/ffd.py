@@ -35,6 +35,8 @@ def ffd_commit(
     vms: Sequence[VirtualMachine],
     node_filter: Optional[CandidateFilter] = None,
     nodes: Optional[Sequence[str]] = None,
+    *,
+    cursors: Optional[dict[tuple[int, int, int], int]] = None,
 ) -> Optional[dict[str, str]]:
     """Place ``vms`` on ``trial`` with First-Fit Decreasing, as running.
 
@@ -50,27 +52,58 @@ def ffd_commit(
     ``trial`` reads as it did before.  (A VM ``trial`` already knew is
     re-placed from where it is and stays where the probe left it: whoever
     hands such VMs over packs on a configuration it drops on failure.)
+
+    The scan skips what it already knows is full (first-fit cursors).
+    Invariant: for a demand ``(cpu_demand, memory)`` and a domain (the
+    filter's domain object; ``None``, unrestricted), every candidate before
+    the cursor failed ``can_host`` for that demand.  Packing only adds load,
+    so the next VM with that demand and domain starts its scan there.  The
+    cursor moves only past nodes without room: a node with room that a
+    relational constraint vetoed (for this VM's name) stays in the scan.
+    Load drops in three places, and each resets the cursors: re-placing a
+    VM the trial already runs clears them; a call that fails restores them
+    to what they were when it started; and a caller that takes VMs back off
+    the trial starts a fresh map.  ``cursors`` are the cursors of this
+    caller's earlier packings on this trial, with this filter and these
+    nodes (default: a map of this call's own).
     """
     node_names = trial.node_names if nodes is None else nodes
+    if cursors is None:
+        cursors = {}
+    started = dict(cursors)
+    replaced = False
     registered = [vm for vm in vms if not trial.has_vm(vm.name)]
     for vm in registered:
         trial.add_vm(vm)
     placement: dict[str, str] = {}
     for vm in ffd_order(vms):
-        candidates = (
-            node_names
-            if node_filter is None
-            else node_filter.candidates(vm.name, node_names)
-        )
-        for node in candidates:
-            if trial.can_host(node, vm) and (
-                node_filter is None or node_filter(vm.name, node, trial)
-            ):
+        if node_filter is None:
+            allowed, candidates = None, node_names
+        else:
+            allowed = node_filter.domain(vm.name)
+            candidates = node_filter.candidates(vm.name, node_names)
+        key = (id(allowed), vm.cpu_demand, vm.memory)
+        cursor = cursors.get(key, 0)
+        for position in range(cursor, len(candidates)):
+            node = candidates[position]
+            if not trial.can_host(node, vm):
+                if position == cursor:
+                    cursor += 1
+            elif node_filter is None or node_filter(vm.name, node, trial):
                 break
         else:
             for taken_back in reversed(registered):
                 trial.remove_vm(taken_back.name)
+            cursors.clear()
+            if not replaced:
+                cursors.update(started)
             return None
+        if trial.location_of(vm.name) is None:
+            cursors[key] = cursor
+        else:
+            # Its host loses its load: what the cursors learned may not hold.
+            cursors.clear()
+            replaced = True
         trial.set_running(vm.name, node)
         placement[vm.name] = node
     trial.enter_in_order(vm.name for vm in vms)

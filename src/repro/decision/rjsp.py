@@ -159,7 +159,8 @@ class RetainedSelection:
     ) -> list[_Packed]:
         """One entry per ``(vjob name, observed VMs)`` of ``pending``, in
         that order: the kept prefix, then :func:`~repro.decision.ffd
-        .ffd_commit` on the trial from the first vjob that changed."""
+        .ffd_commit` on the trial from the first vjob that changed, the
+        vjobs of this call sharing one map of first-fit cursors."""
         if self._rekey(configuration, constraints):
             trial, entries = self.trial, self.entries
         else:
@@ -177,10 +178,12 @@ class RetainedSelection:
                     for vm in reversed(entry.vms):
                         trial.remove_vm(vm.name)
             del entries[kept:]
+            # One map of first-fit cursors for the vjobs packed from here:
+            # the take-back above unloaded the trial.
+            cursors: dict[tuple[int, int, int], int] = {}
             for name, vms in pending[kept:]:
-                entries.append(
-                    _Packed(name, vms, ffd_commit(trial, vms, node_filter))
-                )
+                placement = ffd_commit(trial, vms, node_filter, cursors=cursors)
+                entries.append(_Packed(name, vms, placement))
         except BaseException:
             # A packing cut short leaves a trial no entry list describes.
             self.clear()

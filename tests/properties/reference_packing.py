@@ -6,8 +6,9 @@ itself; ``ffd_target_configuration`` emptied a copy of the observed
 configuration, let ``ffd_place`` copy it again and restated the
 ``keepVMState`` completion and the wanted-state application of
 :mod:`repro.core.optimizer`.  :func:`repro.decision.ffd.ffd_commit` now places
-each VM once, on the configuration it is handed, and takes back what it
-registered when a VM fits nowhere.  These bodies are the *oracle* of
+each VM once, on the configuration it is handed, takes back what it
+registered when a VM fits nowhere, and skips the nodes its first-fit cursors
+know are full.  These bodies are the *oracle* of
 ``test_packing_equivalence.py``, which drives both in lockstep: same
 placements, same trials (registration and placement *order* included), same
 targets.  They live with the tests because nothing in the shipped package may
@@ -65,7 +66,9 @@ def ffd_commit(
     trial: Configuration,
     vms: Sequence[VirtualMachine],
     node_filter: Optional[CandidateFilter] = None,
+    **first_fit_cursors: object,
 ) -> Optional[dict[str, str]]:
+    # The plain scan: the cursors the shipped packer is handed are ignored.
     placement = ffd_place(trial, vms, node_filter=node_filter)
     if placement is None:
         return None

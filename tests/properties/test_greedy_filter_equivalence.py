@@ -46,8 +46,11 @@ def _allows(constraint, vm_name, node_name, trial):
 class PerProbeFilter:
     """The historical filter: no domain, every constraint asked per probe."""
 
-    def __init__(self, constraints, reference):
+    def __init__(self, constraints, reference, domains=None):
         self._constraints = tuple(constraints)
+
+    def domain(self, vm_name):
+        return None
 
     def candidates(self, vm_name, node_names):
         return node_names
@@ -76,23 +79,35 @@ def _per_probe():
 def constrained_rounds(draw):
     node_count = draw(st.integers(min_value=3, max_value=5))
     nodes = [f"n{i}" for i in range(node_count)]
+    # Some small nodes fill after a VM or two, so the first-fit cursors of
+    # the packer skip them.
     configuration = Configuration(
         nodes=[
-            Node(name=name, cpu_capacity=2, memory_capacity=2048)
+            Node(
+                name=name,
+                cpu_capacity=draw(st.sampled_from((1, 2, 2))),
+                memory_capacity=draw(st.sampled_from((1024, 2048, 2048))),
+            )
             for name in nodes
         ]
     )
+    # A few demand classes, so later VMs share the cursors of earlier ones;
+    # a VM that needs a whole node often fails its vjob after its smaller
+    # siblings were placed.
+    memories = draw(
+        st.sampled_from(((512,), (256, 1024), (256, 2048), (256, 512, 1024)))
+    )
     queue = VJobQueue()
     vms: list[str] = []
-    for index in range(draw(st.integers(min_value=2, max_value=5))):
+    for index in range(draw(st.integers(min_value=2, max_value=6))):
         members = [
             VirtualMachine(
                 name=f"j{index}.vm{i}",
-                memory=draw(st.sampled_from((256, 512, 1024))),
+                memory=draw(st.sampled_from(memories)),
                 cpu_demand=draw(st.integers(min_value=0, max_value=1)),
                 vjob=f"j{index}",
             )
-            for i in range(draw(st.integers(min_value=1, max_value=3)))
+            for i in range(draw(st.integers(min_value=1, max_value=4)))
         ]
         vms.extend(vm.name for vm in members)
         # "unknown": submitted, but not yet part of the observed

@@ -17,11 +17,17 @@ and two things nothing else pins are easy to lose on the way:
   left them registered as Waiting would show through ``has_vm`` /
   ``vm_names`` and any ``allows`` that walks the trial.
 
-The oracle is ``reference_packing.py`` (the former bodies, verbatim).  The
-rounds are those of ``test_greedy_filter_equivalence.py``: random fleets and
-queues under catalogs of all nine relations, running vjobs with stragglers
-(the VMs FCFS's first pass mirrors into the trial before any packing), vjobs
-the observed configuration does not know, overridden demands.
+The packer also skips, per domain and demand, the nodes it already found
+full (first-fit cursors), and resets them wherever load drops: a VM
+re-placed off its host, a failed packing, a selection's take-back.  The
+oracle is ``reference_packing.py`` (the former bodies, verbatim: a plain
+scan from the first node).  The rounds are those of
+``test_greedy_filter_equivalence.py``: random fleets and queues under
+catalogs of the four relations, running vjobs with stragglers (the VMs
+FCFS's first pass mirrors into the trial before any packing), vjobs the
+observed configuration does not know, overridden demands, a few demand
+classes on small nodes; plus one pinned round per reset, each of which a
+packer that skipped that reset gets wrong.
 """
 
 from __future__ import annotations
@@ -29,15 +35,15 @@ from __future__ import annotations
 import contextlib
 from unittest import mock
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.api.decision import empty_configuration
-from repro.constraints import CandidateFilter
+from repro.constraints import CandidateFilter, Spread
 from repro.decision import consolidation, fcfs, ffd, rjsp
 from repro.model.configuration import Configuration
 from repro.model.node import Node
 from repro.model.queue import VJobQueue
-from repro.model.vjob import VJob
+from repro.model.vjob import VJob, VJobState
 from repro.model.vm import VirtualMachine
 
 import reference_packing
@@ -58,6 +64,57 @@ def _readable(configuration):
         [configuration.images_on(node) for node in nodes],
         [configuration.free_capacity(node) for node in nodes],
     )
+
+
+def _pinned_round(vjobs, running=(), constraints=()):
+    """A round over three 2-CPU nodes: ``vjobs`` maps each vjob name to
+    the ``(cpu, memory)`` of its VMs, in priority order; ``running`` maps
+    a VM to the node it runs on (its vjob then runs)."""
+    running = dict(running)
+    configuration = Configuration(
+        nodes=[
+            Node(name=f"n{i}", cpu_capacity=2, memory_capacity=2048)
+            for i in range(3)
+        ]
+    )
+    queue = VJobQueue()
+    for priority, (name, demands) in enumerate(vjobs.items()):
+        vjob = VJob(
+            name=name,
+            vms=[
+                VirtualMachine(
+                    name=f"{name}.vm{i}", cpu_demand=cpu, memory=memory, vjob=name
+                )
+                for i, (cpu, memory) in enumerate(demands)
+            ],
+            priority=priority,
+        )
+        for vm in vjob.vms:
+            configuration.add_vm(vm)
+            if vm.name in running:
+                configuration.set_running(vm.name, running[vm.name])
+                vjob.state = VJobState.RUNNING
+        queue.submit(vjob)
+    return configuration, queue, None, list(constraints), "none"
+
+
+#: ``b`` spreads its five 1 GB VMs over the three nodes and then fails on
+#: its 2 GB one; ``c`` fits on n0 again, unless the cursors ``b`` moved
+#: survive.
+FAILED_CALL = _pinned_round(
+    {"b": [(1, 1024)] * 5 + [(0, 2048)], "c": [(1, 1024)]}
+)
+#: ``a``'s second VM is vetoed on n0, which has room: ``b`` goes there.
+VETOED = _pinned_round(
+    {"a": [(1, 512), (1, 512)], "b": [(1, 512)]},
+    constraints=[Spread(["a.vm0", "a.vm1"])],
+)
+#: n0 runs ``r.vm0`` and ``r.vm1`` and is full: ``a``'s VM is probed
+#: there first, then ``r.vm0`` leaves it and ``r.vm1`` may stay.
+RE_PLACED = _pinned_round(
+    {"a": [(1, 512)], "r": [(1, 512), (1, 512)], "c": [(1, 512)]},
+    running={"r.vm0": "n0", "r.vm1": "n0"},
+)
 
 
 @contextlib.contextmanager
@@ -90,6 +147,8 @@ def _selection_and_booking(configuration, queue, demands, constraints, backfilli
 
 @settings(max_examples=200, deadline=None)
 @given(constrained_rounds())
+@example(FAILED_CALL)
+@example(VETOED)
 def test_selection_and_admission_match_the_copy_based_packer(round_inputs):
     shipped = _selection_and_booking(*round_inputs)
     with _copy_based():
@@ -137,11 +196,14 @@ def test_ffd_target_matches_the_copy_of_a_copy(round_inputs):
 
 @settings(max_examples=200, deadline=None)
 @given(constrained_rounds())
+@example(FAILED_CALL)
+@example(VETOED)
 def test_trials_stay_identical_vjob_after_vjob(round_inputs):
     """Both packers in lockstep over one queue, each on its own trial — which
     first mirrors the running VMs where they are, like FCFS's first pass —
     compared after every vjob: an accepted one entered both the same way, a
-    rejected one left no trace in either."""
+    rejected one left no trace in either.  The shipped packer shares one map
+    of first-fit cursors across the queue, as the selection does."""
     configuration, queue, demands, constraints, _ = round_inputs
     trials = (empty_configuration(configuration), empty_configuration(configuration))
     packers = (ffd.ffd_commit, reference_packing.ffd_commit)
@@ -150,6 +212,7 @@ def test_trials_stay_identical_vjob_after_vjob(round_inputs):
         CandidateFilter(constraints, reference=configuration) if constraints else None
         for _ in trials
     ]
+    cursors = {}
     mirrored = set()
     for name, node in configuration.iter_placement():
         mirrored.add(name)
@@ -168,13 +231,50 @@ def test_trials_stay_identical_vjob_after_vjob(round_inputs):
             vms.append(vm)
         before = _readable(trials[0])
         placed, expected = (
-            packer(trial, vms, node_filter)
+            packer(trial, vms, node_filter, cursors=cursors)
             for packer, trial, node_filter in zip(packers, trials, filters)
         )
         assert placed == expected
         assert _readable(trials[0]) == _readable(trials[1])
         if placed is None:
             assert _readable(trials[0]) == before
+
+
+@settings(max_examples=200, deadline=None)
+@given(constrained_rounds())
+@example(RE_PLACED)
+def test_re_placing_running_vms_matches_the_plain_scan(round_inputs):
+    """``ffd_place`` handed every queued VM, on the observed configuration
+    that already runs some of them: a re-placed VM unloads its host, which
+    the first-fit cursors must not skip afterwards.  The running VMs are
+    handed between two halves of the others, so a VM of the same demand is
+    probed before each and another after it."""
+    configuration, queue, _, constraints, _ = round_inputs
+    queued = [
+        configuration.vm(vm.name) if configuration.has_vm(vm.name) else vm
+        for vjob in queue.pending()
+        for vm in vjob.vms
+    ]
+    running = [
+        vm
+        for vm in queued
+        if configuration.has_vm(vm.name) and configuration.location_of(vm.name)
+    ]
+    others = [vm for vm in queued if vm not in running]
+    vms = others[::2] + running + others[1::2]
+    before = _readable(configuration)
+    placed, expected = (
+        place(
+            configuration,
+            vms,
+            node_filter=CandidateFilter(constraints, reference=configuration)
+            if constraints
+            else None,
+        )
+        for place in (ffd.ffd_place, reference_packing.ffd_place)
+    )
+    assert placed == expected
+    assert _readable(configuration) == before
 
 
 def _two_node_queue():

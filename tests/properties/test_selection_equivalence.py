@@ -4,14 +4,19 @@
 RJSP trial packing from one decision to the next
 (:class:`~repro.decision.rjsp.RetainedSelection`) and re-packs only from the
 first vjob whose observed VMs changed; the node descriptions and the
-constraint objects key what it keeps.  The property runs streams of rounds —
-demand changes (monitored and described), arrivals, terminations, vjob state
-flips between running and sleeping, node crashes with the constraints'
-repair hook, joins, a capacity change in place and catalog swaps, under
-catalogs of the four relations plus one whose restriction reads the observed
-placement — through one long-lived module and through a module built afresh
-every round.  Round for round, every field of the two selections (dict
-order included) and the decisions' VM and vjob states must be equal.
+constraint objects key what it keeps.  Its candidate filter reads the unary
+domains the policy keeps (``ConstraintAwarePolicy.domains``), keyed by the
+constraint objects and the node names.  The property runs streams of rounds
+— demand changes (monitored and described), arrivals, terminations, vjob
+state flips between running and sleeping, node crashes with the constraints'
+repair hook, joins, a node replaced by a new one (same count, other names),
+a capacity change in place and catalog swaps, under catalogs of the four
+relations plus one whose restriction reads the observed placement — through
+one long-lived module and through a module built afresh every round.  Round
+for round, every field of the two selections (dict order included) and the
+decisions' VM and vjob states must be equal, and every domain the long-lived
+module's filter reads must be what :func:`~repro.constraints.domains
+.vm_domains` computes afresh.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from dataclasses import fields
 from hypothesis import given, settings, strategies as st
 
 from repro.constraints import Ban, Fence, PlacementConstraint, RunningCapacity, Spread
+from repro.constraints.domains import vm_domains
 from repro.decision import ConsolidationDecisionModule
 from repro.model.configuration import Configuration
 from repro.model.node import Node
@@ -33,7 +39,8 @@ from repro.model.vm import VirtualMachine, VMState
 EVENTS = (
     ("quiet",) * 2
     + ("demand",) * 4
-    + ("arrival", "termination", "flip", "crash", "join", "capacity", "swap")
+    + ("arrival", "termination", "flip", "crash", "join", "replace", "replace")
+    + ("capacity", "swap")
 )
 RELATIONS = ("fence", "elastic", "ban", "spread", "capacity", "stay")
 
@@ -215,6 +222,22 @@ def test_a_long_lived_module_selects_what_a_fresh_one_selects(data):
                 [*configuration.nodes, Node(name=f"m{joins}", cpu_capacity=2)],
             )
             joins += 1
+        elif event == "replace" and len(node_names) > 2:
+            # The fleet keeps its size: only the names tell it apart.
+            dead = draw(st.sampled_from(node_names))
+            configuration = _rebuild(
+                configuration,
+                [
+                    *(n for n in configuration.nodes if n.name != dead),
+                    Node(name=f"m{joins}", cpu_capacity=2),
+                ],
+            )
+            joins += 1
+            catalog = [
+                repaired
+                for repaired in (c.on_node_failure(dead) for c in catalog)
+                if repaired is not None
+            ]
         elif event == "capacity":
             # Same names in the same order: only a capacity tells it apart.
             resized = draw(st.sampled_from(node_names))
@@ -244,3 +267,8 @@ def test_a_long_lived_module_selects_what_a_fresh_one_selects(data):
             configuration, queue, dict(demands)
         )
         assert _digest(ours) == _digest(theirs)
+        if catalog:
+            names = [vm.name for vjob in queue.ordered() for vm in vjob.vms]
+            kept_filter = kept.node_filter(configuration)
+            fresh = vm_domains(configuration, names, catalog)
+            assert {name: kept_filter.domain(name) for name in names} == fresh
