@@ -12,8 +12,7 @@ replaceable.  This module captures that contract:
   (built on first read), and free-form metadata for policy-specific
   diagnostics;
 * :class:`DecisionModule` is the structural protocol a policy implements —
-  a ``decide(configuration, queue, demands)`` method returning a
-  :class:`Decision`;
+  a ``decide(configuration, queue)`` method returning a :class:`Decision`;
 * :func:`needs_switch` and :func:`stop_terminated_vms` are the two pieces of
   logic every policy (and the loop itself) shares, factored out of the
   individual modules.
@@ -28,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
-    Mapping,
     MutableMapping,
     Optional,
     Protocol,
@@ -54,9 +52,8 @@ class Decision:
     fallback is built on first read: a policy hands over a
     ``fallback_builder``, the first read of ``fallback_target`` calls it and
     keeps the result, so a round whose solve succeeds never builds it.
-    Policy-specific artefacts (e.g. the
-    :class:`~repro.decision.rjsp.RJSPResult` behind a consolidation
-    decision) travel in ``metadata``.
+    Policy-specific artefacts travel in ``metadata`` (a consolidation
+    decision's :class:`~repro.decision.rjsp.RJSPResult` under ``"rjsp"``).
     """
 
     vm_states: dict[str, VMState] = field(default_factory=dict)
@@ -95,28 +92,21 @@ class Decision:
     def is_noop(self) -> bool:
         return not self.vm_states
 
-    @property
-    def rjsp(self):
-        """The RJSP outcome behind this decision, when the policy solved one."""
-        return self.metadata.get("rjsp")
-
 
 @runtime_checkable
 class DecisionModule(Protocol):
     """Structural protocol every pluggable decision policy implements.
 
-    A decision module observes the current configuration, the vjob queue and
-    the fresh CPU demands reported by the monitoring service, and returns the
-    :class:`Decision` driving the next cluster-wide context switch.  Policies
-    should also expose a ``name`` class attribute matching their registry key.
+    A decision module reads the observed configuration — the monitoring
+    service's fresh CPU demands are already written into it — and the vjob
+    queue, and returns the :class:`Decision` driving the next cluster-wide
+    context switch.  A constraint-aware policy also exposes
+    ``use_constraints(constraints)``: the control loop hands it the catalog
+    it plans with, at construction and after every repair.  Policies should
+    also expose a ``name`` class attribute matching their registry key.
     """
 
-    def decide(
-        self,
-        configuration: Configuration,
-        queue: VJobQueue,
-        demands: Optional[Mapping[str, int]] = None,
-    ) -> Decision:
+    def decide(self, configuration: Configuration, queue: VJobQueue) -> Decision:
         """Compute the target state of every VM for the next iteration."""
         ...
 

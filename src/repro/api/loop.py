@@ -157,12 +157,6 @@ class ControlLoop:
         #: Labels of the catalog as declared by the user — repairs mutate
         #: ``self.constraints``, the declaration is what a run is compared by.
         self._declared_constraints = [c.label for c in self.constraints]
-        #: True once the loop owns the decision module's constraint set —
-        #: repairs must keep pushing updates (including down to the empty
-        #: set, when every constraint retired).  Stays False for loops built
-        #: without constraints, so a module's own constructor-supplied
-        #: catalog is never clobbered.
-        self._constraints_managed = bool(self.constraints)
 
         self.cluster = SimulatedCluster(nodes=nodes)
         self.queue = VJobQueue()
@@ -328,11 +322,11 @@ class ControlLoop:
                     vjob_of_vm = self._vjob_of_vm()
                 self._submit_pending(now)
                 self._fire_faults(now, result)
-                demands = self._observe(now)
+                self._observe(now)
                 self._mark_finished_vjobs(now, result)
                 if self._all_finished():
                     break
-                decision = self._decide(demands, iteration, now)
+                decision = self._decide(iteration, now)
                 self._mark_dirty()
                 failed, report = self._plan(decision, vjob_of_vm, iteration, now)
                 # A switch, or no switch needed, is progress.
@@ -373,10 +367,11 @@ class ControlLoop:
             for event in self.faults.fire(now):
                 self._apply_fault(event, now, result)
 
-    def _observe(self, now: float) -> dict[str, int]:
-        """(i) Observe: refresh every VM's CPU demand and return them.  Only
-        the nodes dirtied since the previous round (demand updates,
-        migrations, faults) are re-examined for viability."""
+    def _observe(self, now: float) -> None:
+        """(i) Observe: write every VM's fresh CPU demand into the
+        configuration — the one place the decision reads it from.  Only the
+        nodes dirtied since the previous round (demand updates, migrations,
+        faults) are re-examined for viability."""
         with span("observe") as observe_span:
             demands = self.monitoring.observe(now).cpu_demands
             for vm_name, demand in demands.items():
@@ -388,20 +383,18 @@ class ControlLoop:
                 overloaded=len(configuration.viability_violations(only_dirty=True)),
             )
             self._notify("on_iteration", now, configuration)
-        return demands
 
     def _all_finished(self) -> bool:
         submitted = len(self._submitted) == len(self.workloads)
         return submitted and self.queue.all_terminated()
 
-    def _decide(
-        self, demands: Mapping[str, int], index: int, now: float
-    ) -> Optional[Decision]:
-        """(ii) Decide: the policy's decision, or ``None`` when it raised."""
+    def _decide(self, index: int, now: float) -> Optional[Decision]:
+        """(ii) Decide: the policy's decision over the observed configuration,
+        or ``None`` when it raised."""
         with span("decide") as decide_span:
             try:
                 decision = self.decision_module.decide(
-                    self.cluster.configuration, self.queue, demands
+                    self.cluster.configuration, self.queue
                 )
             except Exception as error:
                 self._round_failed(decide_span, "decide", error, index, now)
@@ -624,11 +617,11 @@ class ControlLoop:
     # ------------------------------------------------------------------ #
 
     def _offer_constraints(self) -> None:
-        """Hand the constraint set to the decision module when it is
-        constraint-aware (``use_constraints`` hook — the heuristic policies
-        filter their candidate nodes with it)."""
-        if not self._constraints_managed:
-            return
+        """Hand the loop's catalog — even an empty one — to the decision
+        module when it is constraint-aware (``use_constraints`` hook, the
+        only way a built-in policy gets a catalog: the heuristic packings
+        filter their candidate nodes with the constraints the round plans
+        and checks with)."""
         hook = getattr(self.decision_module, "use_constraints", None)
         if hook is not None:
             hook(tuple(self.constraints))

@@ -21,7 +21,7 @@ Third-party policies register themselves with
 
     @register_decision_module("greedy")
     class GreedyModule:
-        def decide(self, configuration, queue, demands=None) -> Decision:
+        def decide(self, configuration, queue) -> Decision:
             ...
 """
 

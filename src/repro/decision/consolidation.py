@@ -33,15 +33,15 @@ from ..constraints import CandidateFilter, PlacementConstraint
 from ..constraints.domains import RetainedDomains
 from ..model.configuration import Configuration
 from ..model.queue import VJobQueue
-from ..model.vjob import index_vms_by_vjob
 from .ffd import ffd_target_configuration
 from .rjsp import RetainedSelection, select_running_vjobs
 
+
 class ConstraintAwarePolicy:
     """What every built-in policy does with placement constraints: take
-    them at construction (``constraints``) or from the control loop
-    (:meth:`use_constraints`), and build one candidate filter per decision
-    for every greedy packing of the round.
+    them from the control loop (:meth:`use_constraints`, the catalog the
+    round plans and checks with), and build one candidate filter per
+    decision for every greedy packing of the round.
 
     The filter's unary domains are kept from one decision to the next
     (:attr:`domains`, a :class:`~repro.constraints.domains.RetainedDomains`)
@@ -53,10 +53,8 @@ class ConstraintAwarePolicy:
     the placement is computed afresh for every decision.
     """
 
-    def __init__(
-        self, constraints: Sequence[PlacementConstraint] = ()
-    ) -> None:
-        self.constraints: tuple[PlacementConstraint, ...] = tuple(constraints)
+    def __init__(self) -> None:
+        self.constraints: tuple[PlacementConstraint, ...] = ()
         self.domains = RetainedDomains()
 
     def use_constraints(
@@ -87,12 +85,12 @@ class ConsolidationDecisionModule(ConstraintAwarePolicy):
     """FCFS-driven dynamic consolidation (the paper's sample policy).
 
     The CP optimizer enforces placement constraints itself; this module
-    needs them too (via ``constraints`` or the loop's ``use_constraints``
-    hook) so the RJSP *selection* only accepts vjob sets that have a
-    constrained placement, and so its FFD *fallback* target stays honest
-    when the search runs out of time.  The fallback is built only when it is
-    read — by the switch after a failed solve — from the configuration,
-    the completed VM states and the candidate filter of this decision.
+    needs them too (the loop's ``use_constraints`` hook) so the RJSP
+    *selection* only accepts vjob sets that have a constrained placement,
+    and so its FFD *fallback* target stays honest when the search runs out
+    of time.  The fallback is built only when it is read — by the switch
+    after a failed solve — from the configuration, the completed VM states
+    and the candidate filter of this decision.
 
     The instance keeps the selection's trial packing from one decision to
     the next (:attr:`selection`, a
@@ -114,24 +112,16 @@ class ConsolidationDecisionModule(ConstraintAwarePolicy):
     #: it is not built.
     ffd_target_as: Optional[str] = "fallback_target"
 
-    def __init__(
-        self, constraints: Sequence[PlacementConstraint] = ()
-    ) -> None:
-        super().__init__(constraints)
+    def __init__(self) -> None:
+        super().__init__()
         self.selection = RetainedSelection()
 
-    def decide(
-        self,
-        configuration: Configuration,
-        queue: VJobQueue,
-        demands: Optional[dict[str, int]] = None,
-    ) -> Decision:
+    def decide(self, configuration: Configuration, queue: VJobQueue) -> Decision:
         """Compute the target state of every VM for the next iteration."""
         node_filter = self.node_filter(configuration)
         rjsp = select_running_vjobs(
             configuration,
             queue,
-            demands,
             self.constraints,
             node_filter,
             retained=self.selection,
@@ -154,11 +144,6 @@ class ConsolidationDecisionModule(ConstraintAwarePolicy):
         elif self.ffd_target_as == "fallback_target":
             decision.fallback_builder = build_target
         return decision
-
-    @staticmethod
-    def vjob_index(queue: VJobQueue) -> dict[str, str]:
-        """VM -> vjob mapping for the consistency pass of the planner."""
-        return index_vms_by_vjob(queue.ordered())
 
 
 class RJSPDecisionModule(ConsolidationDecisionModule):

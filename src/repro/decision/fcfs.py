@@ -8,10 +8,7 @@ and a vjob that does not fit follows the one rule
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from ..api.decision import Decision, empty_configuration, stop_terminated_vms
-from ..constraints import PlacementConstraint
 from ..model.configuration import Configuration
 from ..model.queue import VJobQueue
 from ..model.vjob import VJob, VJobState
@@ -40,21 +37,19 @@ class FCFSDecisionModule(ConstraintAwarePolicy):
     blocked queue head.  When comparing head-to-head with
     :meth:`repro.api.Scenario.run_static`, pass the *same* backfilling
     setting to both (``run_static`` defaults to ``"easy"``, this module to
-    ``"none"``).  Registered as ``"fcfs"`` in :mod:`repro.api.registry`.
+    ``"none"``).  Admission honours the catalog the loop hands over
+    (:meth:`~.consolidation.ConstraintAwarePolicy.use_constraints`).
+    Registered as ``"fcfs"`` in :mod:`repro.api.registry`.
     """
 
     name = "fcfs"
     #: The default, read off the class by :meth:`repro.api.Scenario.run_static`.
     backfilling: BackfillPolicy = "none"
 
-    def __init__(
-        self,
-        backfilling: BackfillPolicy = backfilling,
-        constraints: Sequence[PlacementConstraint] = (),
-    ) -> None:
+    def __init__(self, backfilling: BackfillPolicy = backfilling) -> None:
         if backfilling not in ("none", "easy"):
             raise ValueError(f"unknown backfilling policy {backfilling!r}")
-        super().__init__(constraints)
+        super().__init__()
         self.backfilling = backfilling
 
     @staticmethod
@@ -66,12 +61,7 @@ class FCFSDecisionModule(ConstraintAwarePolicy):
         observed = configuration.vm(vm.name) if configuration.has_vm(vm.name) else vm
         return observed.with_cpu_demand(1)
 
-    def decide(
-        self,
-        configuration: Configuration,
-        queue: VJobQueue,
-        demands: Optional[dict[str, int]] = None,
-    ) -> Decision:
+    def decide(self, configuration: Configuration, queue: VJobQueue) -> Decision:
         """Book resources FCFS-style and keep every started vjob running.
 
         Admission packs the booked VMs (1 CPU each, full memory) onto a trial

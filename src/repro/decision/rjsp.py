@@ -59,10 +59,6 @@ class RJSPResult:
     #: vjobs rejected this round, in queue order.
     rejected: list[str] = field(default_factory=list)
 
-    @property
-    def accepted_count(self) -> int:
-        return len(self.accepted)
-
 
 def reject_vjob(
     vjob: VJob,
@@ -192,27 +188,19 @@ class RetainedSelection:
 
 
 def _observed_vms(
-    configuration: Configuration,
-    vjob: VJob,
-    demands: Optional[dict[str, int]],
+    configuration: Configuration, vjob: VJob
 ) -> tuple[VirtualMachine, ...]:
     """The vjob's VMs as this round observes them: the configuration's
-    description when it knows the VM, at the monitored demand."""
-    vms = []
-    for vm in vjob.vms:
-        observed = vm
-        if configuration.has_vm(vm.name):
-            observed = configuration.vm(vm.name)
-        if demands is not None and vm.name in demands:
-            observed = observed.with_cpu_demand(demands[vm.name])
-        vms.append(observed)
-    return tuple(vms)
+    description (at the monitored demand) when it knows the VM."""
+    return tuple(
+        configuration.vm(vm.name) if configuration.has_vm(vm.name) else vm
+        for vm in vjob.vms
+    )
 
 
 def select_running_vjobs(
     configuration: Configuration,
     queue: VJobQueue,
-    demands: Optional[dict[str, int]] = None,
     constraints: Sequence[PlacementConstraint] = (),
     node_filter: Optional[CandidateFilter] = None,
     retained: Optional[RetainedSelection] = None,
@@ -222,13 +210,10 @@ def select_running_vjobs(
     Parameters
     ----------
     configuration:
-        Current configuration (provides nodes and VM descriptions).
+        Observed configuration: the nodes, and the VM descriptions at the
+        CPU demands the monitoring service reported.
     queue:
         The FCFS queue; vjobs are examined in priority order.
-    demands:
-        Optional override of the CPU demand of individual VMs (VM name ->
-        processing units), typically the fresh values reported by the
-        monitoring service.
     constraints:
         Placement constraints the trial packing must honour.  Without them
         the selection can accept a vjob set that fits capacity-wise but has
@@ -250,7 +235,7 @@ def select_running_vjobs(
     vjobs = queue.pending()
     entries = (retained or RetainedSelection()).packed(
         configuration,
-        [(vjob.name, _observed_vms(configuration, vjob, demands)) for vjob in vjobs],
+        [(vjob.name, _observed_vms(configuration, vjob)) for vjob in vjobs],
         constraints,
         node_filter,
     )

@@ -230,8 +230,7 @@ class TestPolicyCharacter:
         decision = get_decision_module("rjsp").decide(configuration, queue)
         assert decision.fallback_target is None
         assert decision.target is None
-        assert decision.rjsp is not None
-        assert decision.rjsp.accepted == ["first", "second"]
+        assert decision.metadata["rjsp"].accepted == ["first", "second"]
 
 
 class TestSharedHelpers:

@@ -105,11 +105,11 @@ class _FailsOnce:
     def use_constraints(self, constraints):
         self.inner.use_constraints(constraints)
 
-    def decide(self, configuration, queue, demands=None):
+    def decide(self, configuration, queue):
         self.calls += 1
         if self.calls == 2:
             raise RuntimeError("decision module crashed")
-        return self.inner.decide(configuration, queue, demands)
+        return self.inner.decide(configuration, queue)
 
 
 class TestFaultInjection:
@@ -229,8 +229,8 @@ class _BreaksTheSpread:
     def __init__(self):
         self.inner = ConsolidationDecisionModule()
 
-    def decide(self, configuration, queue, demands=None):
-        decision = self.inner.decide(configuration, queue, demands)
+    def decide(self, configuration, queue):
+        decision = self.inner.decide(configuration, queue)
         if decision.fallback_target is not None:
             fallback = decision.fallback_target.copy()
             for vm in SPREAD.vms:
@@ -256,8 +256,8 @@ class _KeepsDecisions:
     def use_constraints(self, constraints):
         self.inner.use_constraints(constraints)
 
-    def decide(self, configuration, queue, demands=None):
-        decision = self.inner.decide(configuration, queue, demands)
+    def decide(self, configuration, queue):
+        decision = self.inner.decide(configuration, queue)
         eager = ffd_target_configuration(
             configuration,
             decision.vm_states,

@@ -40,11 +40,11 @@ class _Scripted:
     def use_constraints(self, constraints):
         self.inner.use_constraints(constraints)
 
-    def decide(self, configuration, queue, demands=None):
+    def decide(self, configuration, queue):
         self.calls += 1
         if self.calls == 3:
             raise RuntimeError("decision module crashed")
-        decision = self.inner.decide(configuration, queue, demands)
+        decision = self.inner.decide(configuration, queue)
         if self.calls == 1:
             decision.target = decision.fallback_target.copy()
             decision.target.set_running("a.vm0", "node-0")

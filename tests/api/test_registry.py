@@ -9,6 +9,7 @@ from repro.api import (
     get_decision_module,
     register_decision_module,
 )
+from repro.api import Scenario
 from repro.api import registry as registry_module
 from repro.constraints import Fence
 from repro.decision import (
@@ -17,6 +18,8 @@ from repro.decision import (
     FFDDecisionModule,
     RJSPDecisionModule,
 )
+from repro.model import make_working_nodes
+from repro.testing import make_workload
 
 
 @pytest.fixture(autouse=True)
@@ -55,9 +58,14 @@ class TestBuiltins:
     def test_factory_options_are_forwarded(self):
         module = get_decision_module("fcfs", backfilling="none")
         assert module.backfilling == "none"
-        fence = Fence(["a.vm0"], ["node-0"])
-        module = get_decision_module("consolidation", constraints=[fence])
-        assert module.constraints == (fence,)
+
+    @pytest.mark.parametrize("name", ["consolidation", "fcfs", "ffd", "rjsp"])
+    def test_no_builtin_takes_a_catalog(self, name):
+        """A policy gets its catalog from the loop (``use_constraints``)
+        only, so the catalog it filters with is the one the round plans
+        with."""
+        with pytest.raises(TypeError, match="constraints"):
+            get_decision_module(name, constraints=[Fence(["a.vm0"], ["node-0"])])
 
 
 class TestErrors:
@@ -86,7 +94,7 @@ class TestCustomRegistration:
         class Noop:
             name = "noop"
 
-            def decide(self, configuration, queue, demands=None):
+            def decide(self, configuration, queue):
                 return Decision()
 
         register_decision_module("noop", Noop)
@@ -98,7 +106,7 @@ class TestCustomRegistration:
         class Decorated:
             name = "decorated"
 
-            def decide(self, configuration, queue, demands=None):
+            def decide(self, configuration, queue):
                 return Decision()
 
         assert isinstance(get_decision_module("decorated"), Decorated)
@@ -107,8 +115,31 @@ class TestCustomRegistration:
         class Impostor:
             name = "consolidation"
 
-            def decide(self, configuration, queue, demands=None):
+            def decide(self, configuration, queue):
                 return Decision()
 
         register_decision_module("consolidation", Impostor, overwrite=True)
         assert isinstance(get_decision_module("consolidation"), Impostor)
+
+    def test_old_style_policy_with_a_defaulted_demands_still_runs(self):
+        """A policy written against the three-argument ``decide`` keeps
+        working when its third argument has a default: the loop passes two,
+        and the demands are in the configuration."""
+        seen = []
+
+        @register_decision_module("old-style")
+        class OldStyle(ConsolidationDecisionModule):
+            name = "old-style"
+
+            def decide(self, configuration, queue, demands=None):
+                seen.append(demands)
+                return super().decide(configuration, queue)
+
+        result = Scenario(
+            nodes=make_working_nodes(1, cpu_capacity=2, memory_capacity=4096),
+            workloads=[make_workload("a", vm_count=1, duration=60.0)],
+            policy="old-style",
+            optimizer_timeout=2.0,
+        ).run()
+        assert set(result.completion_times) == {"a"}
+        assert seen and set(seen) == {None}

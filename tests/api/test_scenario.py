@@ -144,7 +144,7 @@ class TestPlanningRobustness:
         class Impossible:
             name = "impossible"
 
-            def decide(self, configuration, queue, demands=None):
+            def decide(self, configuration, queue):
                 # demand every VM running, even the ones that cannot fit
                 return Decision(
                     vm_states={

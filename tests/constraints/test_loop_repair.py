@@ -61,7 +61,7 @@ class TestGreedyFiltering:
         queue.submit(vjob)
         module = FFDDecisionModule()
         module.use_constraints([Spread(["w.vm0", "w.vm1"])])
-        decision = module.decide(configuration, queue, {})
+        decision = module.decide(configuration, queue)
         assert decision.target is not None
         assert check_configuration(
             decision.target, [Spread(["w.vm0", "w.vm1"])]
@@ -77,10 +77,9 @@ class TestGreedyFiltering:
         for vm in vjob.vms:
             configuration.add_vm(vm)
         queue.submit(vjob)
-        module = FCFSDecisionModule(
-            constraints=[Fence(["w.vm0", "w.vm1"], ["node-2"])]
-        )
-        decision = module.decide(configuration, queue, {})
+        module = FCFSDecisionModule()
+        module.use_constraints([Fence(["w.vm0", "w.vm1"], ["node-2"])])
+        decision = module.decide(configuration, queue)
         placement = decision.metadata["trial_placement"]
         assert placement["w.vm0"] == "node-2"
         assert placement["w.vm1"] == "node-2"
@@ -118,6 +117,42 @@ class TestConstrainedScenarios:
         assert result.completed("w")
         assert result.honoured_constraints
 
+    def test_a_reused_module_drops_a_catalog_the_loop_does_not_hold(self):
+        """The loop hands its catalog to the policy even when it is empty:
+        a module that filtered by a fence in an earlier run must not keep
+        filtering by it in a run that plans and checks without one."""
+        from repro.decision import ConsolidationDecisionModule
+
+        fence = Fence(["w.vm0", "w.vm1"], ["node-2"])
+        module = ConsolidationDecisionModule()
+        Scenario(
+            nodes=nodes(3),
+            workloads=[make_workload("w", vm_count=2, duration=60.0)],
+            policy=module,
+            constraints=[fence],
+        ).build()
+        assert module.constraints == (fence,)
+        loop = Scenario(
+            nodes=nodes(3),
+            workloads=[make_workload("w", vm_count=2, duration=60.0)],
+            policy=module,
+        ).build()
+        assert module.constraints == ()
+        assert loop.constraints == []
+
+    def test_a_catalog_in_the_policy_options_is_refused(self):
+        """``policy_options`` reach the policy constructor, which takes no
+        catalog: the scenario fails before its first round instead of
+        filtering by constraints the optimizer never sees."""
+        scenario = Scenario(
+            nodes=nodes(3),
+            workloads=[make_workload("w", vm_count=2, duration=60.0)],
+            policy="consolidation",
+            policy_options={"constraints": [Fence(["w.vm0", "w.vm1"], ["node-2"])]},
+        )
+        with pytest.raises(TypeError, match="constraints"):
+            scenario.build()
+
     def test_with_constraints_returns_an_independent_copy(self):
         base = Scenario(
             nodes=nodes(3),
@@ -133,7 +168,7 @@ class TestConstrainedScenarios:
 
             name = "stubborn"
 
-            def decide(self, configuration, queue, demands=None):
+            def decide(self, configuration, queue):
                 from repro.api.decision import Decision
 
                 vm_states = {}

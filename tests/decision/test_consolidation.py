@@ -5,6 +5,7 @@ import inspect
 import pytest
 
 from repro.api import ControlLoop
+from repro.core.context_switch import ClusterContextSwitch
 from repro.decision.consolidation import ConsolidationDecisionModule
 from repro.model.configuration import Configuration
 from repro.model.node import make_working_nodes
@@ -78,22 +79,46 @@ class TestDecide:
         assert decision.is_noop
 
     def test_monitoring_demands_are_used(self, module):
+        """The monitored demands reach the selection through the observed
+        configuration, where the loop's observe step writes them."""
         configuration = Configuration(
             nodes=make_working_nodes(1, cpu_capacity=1, memory_capacity=4096)
         )
         j1 = vjob("j1", vm_count=1, cpu=1, priority=1)
         j2 = vjob("j2", vm_count=1, cpu=1, priority=2)
         for vm in list(j1.vms) + list(j2.vms):
-            configuration.add_vm(vm)
-        demands = {"j1.vm0": 0, "j2.vm0": 0}
-        decision = module.decide(configuration, VJobQueue([j1, j2]), demands)
+            configuration.add_vm(vm.with_cpu_demand(0))
+        decision = module.decide(configuration, VJobQueue([j1, j2]))
         assert decision.vjob_states["j1"] is VJobState.RUNNING
         assert decision.vjob_states["j2"] is VJobState.RUNNING
 
-    def test_vjob_index_helper(self, module):
-        j1, j2 = vjob("a", 1), vjob("b", 2)
-        mapping = module.vjob_index(VJobQueue([j1, j2]))
-        assert mapping == {"a.vm0": "a", "b.vm0": "b", "b.vm1": "b"}
+    @pytest.mark.parametrize(("demand", "accepted"), [(1, 2), (2, 1)])
+    def test_selection_fallback_and_switch_read_one_cluster(
+        self, module, demand, accepted
+    ):
+        """Two 2-CPU VMs observed at ``demand`` on one 2-CPU node: the
+        selection, its FFD fallback and the optimizer all read the demand
+        from the configuration, so whatever the selection accepts, the
+        fallback places and the switch plans."""
+        configuration = Configuration(
+            nodes=make_working_nodes(1, cpu_capacity=2, memory_capacity=4096)
+        )
+        vjobs = [vjob("a", 1, cpu=2, priority=1), vjob("b", 1, cpu=2, priority=2)]
+        for j in vjobs:
+            for vm in j.vms:
+                configuration.add_vm(vm)
+                configuration.replace_vm(vm.with_cpu_demand(demand))
+        decision = module.decide(configuration, VJobQueue(vjobs))
+        assert len(decision.metadata["rjsp"].accepted) == accepted
+        assert decision.fallback_target is not None
+        report = ClusterContextSwitch(optimizer_timeout=2.0).compute(
+            configuration,
+            decision.vm_states,
+            fallback_target=decision.fallback_target,
+        )
+        assert report.target.is_viable()
+        running = [vm for vm, s in decision.vm_states.items() if s is VMState.RUNNING]
+        assert sorted(report.target.running_vms()) == sorted(running)
 
     def test_period_default_matches_paper(self):
         # Section 3.2 decides every 30 s; the loop steps by it, not the module

@@ -71,6 +71,13 @@ def _fenced_fleet():
     return nodes, vjobs, catalog
 
 
+def _policy(catalog):
+    """A consolidation policy handed ``catalog`` the way the loop hands it."""
+    module = ConsolidationDecisionModule()
+    module.use_constraints(catalog)
+    return module
+
+
 def _warm_fleet(fleet):
     """The fleet after a first decision started what fits, as every round
     of a loop but the first sees it."""
@@ -81,9 +88,7 @@ def _warm_fleet(fleet):
         for vm in vjob.vms:
             configuration.add_vm(vm)
         queue.submit(vjob)
-    first = ConsolidationDecisionModule(constraints=catalog).decide(
-        configuration, queue
-    )
+    first = _policy(catalog).decide(configuration, queue)
     assert first.fallback_target is not None
     for vjob in vjobs:
         vjob.state = first.vjob_states[vjob.name]
@@ -150,9 +155,10 @@ def spies(monkeypatch):
 def _same_selection(ours, theirs):
     assert list(ours.vm_states.items()) == list(theirs.vm_states.items())
     assert list(ours.vjob_states.items()) == list(theirs.vjob_states.items())
-    assert ours.rjsp == theirs.rjsp
-    assert list(ours.rjsp.trial_placement.items()) == list(
-        theirs.rjsp.trial_placement.items()
+    selection, expected = ours.metadata["rjsp"], theirs.metadata["rjsp"]
+    assert selection == expected
+    assert list(selection.trial_placement.items()) == list(
+        expected.trial_placement.items()
     )
 
 
@@ -169,12 +175,12 @@ def test_one_decision_builds_one_filter_and_places_each_vm_once(
     running = [vjob for vjob in vjobs if vjob.state is VJobState.RUNNING]
     assert 0 < len(running) < len(vjobs)
     counts, _, reset = spies
-    module = ConsolidationDecisionModule(constraints=catalog)
+    module = _policy(catalog)
 
     reset(len(configuration.vm_names))
     decision = module.decide(configuration, queue)
 
-    selection = decision.rjsp
+    selection = decision.metadata["rjsp"]
     assert selection.accepted == [vjob.name for vjob in running]
     accepted = 9 * len(running)
     probed = sum(len(vjob.vms) for vjob in queue.pending())
@@ -217,7 +223,7 @@ def test_a_warm_decision_packs_only_from_the_first_vjob_that_changed(
 ):
     configuration, queue, vjobs, catalog = _warm_fleet(fleet)
     counts, removed, reset = spies
-    module = ConsolidationDecisionModule(constraints=catalog)
+    module = _policy(catalog)
     cold = module.decide(configuration, queue)
 
     # Unchanged inputs: the retained trial answers, nothing is probed,
@@ -234,17 +240,19 @@ def test_a_warm_decision_packs_only_from_the_first_vjob_that_changed(
     # One VM of an accepted vjob k changes demand: the vjobs before k keep
     # their packing, the trial gives back what it placed for k onwards.
     pending = queue.pending()
-    accepted = [vjob for vjob in pending if vjob.name in cold.rjsp.accepted]
+    selected = cold.metadata["rjsp"].accepted
+    accepted = [vjob for vjob in pending if vjob.name in selected]
     k = pending.index(accepted[len(accepted) // 2])
-    changed = pending[k].vms[0]
-    demands = {changed.name: 0 if changed.cpu_demand else 1}
+    observed = configuration.copy()
+    changed = observed.vm(pending[k].vms[0].name)
+    observed.replace_vm(changed.with_cpu_demand(0 if changed.cpu_demand else 1))
     reset(len(configuration.vm_names))
-    repacked = module.decide(configuration, queue, demands)
+    repacked = module.decide(observed, queue)
 
     taken_back = [
         vm.name
         for vjob in reversed(pending[k:])
-        if vjob.name in cold.rjsp.accepted
+        if vjob.name in selected
         for vm in reversed(vjob.vms)
     ]
     # Then each vjob from k on that does not fit any more takes its own
@@ -252,18 +260,13 @@ def test_a_warm_decision_packs_only_from_the_first_vjob_that_changed(
     rejected = [
         vm.name
         for vjob in pending[k:]
-        if vjob.name in repacked.rjsp.rejected
+        if vjob.name in repacked.metadata["rjsp"].rejected
         for vm in reversed(vjob.vms)
     ]
     assert removed == taken_back + rejected
     assert 0 < counts["set_running"] <= sum(len(vjob.vms) for vjob in pending[k:])
     assert counts["copies"] == counts["nodes"] == 0
-    _same_selection(
-        repacked,
-        ConsolidationDecisionModule(constraints=catalog).decide(
-            configuration, queue, demands
-        ),
-    )
+    _same_selection(repacked, _policy(catalog).decide(observed, queue))
 
 
 def test_a_cold_fig10_decision_skips_the_nodes_it_found_full(spies):
@@ -304,7 +307,7 @@ class StayPut(PlacementConstraint):
 def test_the_policy_keeps_its_filter_domains_while_the_constraints_hold(spies):
     configuration, queue, vjobs, catalog = _warm_fleet(_fenced_fleet)
     counts, _, reset = spies
-    module = ConsolidationDecisionModule(constraints=catalog)
+    module = _policy(catalog)
 
     def fleet_domains(observed=configuration):
         reset(len(observed.vm_names))

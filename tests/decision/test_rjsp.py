@@ -134,24 +134,23 @@ class TestQueueSemantics:
         assert result.accepted == ["fat"]
         assert result.rejected == ["thin"]
 
-    def test_demand_override_changes_the_outcome(self):
+    def test_observed_demand_changes_the_outcome(self):
         configuration = uniprocessor_cluster(count=1)
         j1 = vjob("j1", vm_count=1, cpu=1, priority=1)
         j2 = vjob("j2", vm_count=1, cpu=1, priority=2)
         for vm in list(j1.vms) + list(j2.vms):
             configuration.add_vm(vm)
         queue = VJobQueue([j1, j2])
+        assert select_running_vjobs(configuration, queue).accepted == ["j1"]
         # With fresh monitoring data saying j1's VM is idle, both vjobs fit.
-        result = select_running_vjobs(
-            configuration, queue, demands={"j1.vm0": 0}
-        )
+        configuration.replace_vm(configuration.vm("j1.vm0").with_cpu_demand(0))
+        result = select_running_vjobs(configuration, queue)
         assert result.accepted == ["j1", "j2"]
 
     def test_empty_queue(self):
         configuration = uniprocessor_cluster()
         result = select_running_vjobs(configuration, VJobQueue())
         assert result.accepted == [] and result.rejected == []
-        assert result.accepted_count == 0
 
 
 class _Breaks(PlacementConstraint):
@@ -186,14 +185,12 @@ class TestRetainedSelection:
 
         # j2's VM idles: the selection re-packs from j2, and its probe
         # raises half-way.
+        idle = configuration.copy()
+        idle.replace_vm(idle.vm("j2.vm0").with_cpu_demand(0))
         catalog[0].broken = True
         with pytest.raises(RuntimeError):
             select_running_vjobs(
-                configuration,
-                queue,
-                demands={"j2.vm0": 0},
-                constraints=catalog,
-                retained=retained,
+                idle, queue, constraints=catalog, retained=retained
             )
         assert retained.trial is None and retained.entries == []
 

@@ -27,7 +27,14 @@ import pytest
 from repro.api import Scenario
 from repro.core import ClusterContextSwitch, build_plan
 from repro.decision import ConsolidationDecisionModule
-from repro.model import Configuration, VJob, VJobQueue, VirtualMachine, make_working_nodes
+from repro.model import (
+    Configuration,
+    VJob,
+    VJobQueue,
+    VirtualMachine,
+    index_vms_by_vjob,
+    make_working_nodes,
+)
 from repro.workloads import Benchmark, NASGridSpec, ProblemClass, make_nasgrid_vjob
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -120,7 +127,7 @@ class TestFigureGoldens:
         report = switcher.compute(
             configuration,
             decision.vm_states,
-            vjob_of_vm=module.vjob_index(queue),
+            vjob_of_vm=index_vms_by_vjob(queue.ordered()),
             fallback_target=decision.fallback_target,
         )
         actual = report_to_dict(report)

@@ -16,7 +16,14 @@ from repro.core import ClusterContextSwitch, build_plan, plan_cost
 from repro.core.actions import ActionKind
 from repro.decision import ConsolidationDecisionModule
 from repro.decision import StaticAllocationSimulator
-from repro.model import Configuration, VJobQueue, VirtualMachine, VJob, make_working_nodes
+from repro.model import (
+    Configuration,
+    VJobQueue,
+    VirtualMachine,
+    VJob,
+    index_vms_by_vjob,
+    make_working_nodes,
+)
 from repro.model.vm import VMState
 from repro.sim import PlanExecutor, SimulatedCluster
 from repro.workloads import (
@@ -61,7 +68,7 @@ class TestFigure6EndToEnd:
         report = switcher.compute(
             configuration,
             decision.vm_states,
-            vjob_of_vm=module.vjob_index(queue),
+            vjob_of_vm=index_vms_by_vjob(queue.ordered()),
             fallback_target=decision.fallback_target,
         )
         final = report.plan.apply()

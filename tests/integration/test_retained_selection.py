@@ -35,9 +35,9 @@ class _CountsPackings(ConsolidationDecisionModule):
         self._packed = packed
         self.rounds = []
 
-    def decide(self, configuration, queue, demands=None):
+    def decide(self, configuration, queue):
         before = len(self._packed)
-        decision = super().decide(configuration, queue, demands)
+        decision = super().decide(configuration, queue)
         self.rounds.append(len(self._packed) - before)
         return decision
 
@@ -53,10 +53,10 @@ class _RebuiltEveryRound:
     def use_constraints(self, constraints):
         self.constraints = tuple(constraints)
 
-    def decide(self, configuration, queue, demands=None):
-        return ConsolidationDecisionModule(self.constraints).decide(
-            configuration, queue, demands
-        )
+    def decide(self, configuration, queue):
+        module = ConsolidationDecisionModule()
+        module.use_constraints(self.constraints)
+        return module.decide(configuration, queue)
 
 
 def _campaign(policy, observer):

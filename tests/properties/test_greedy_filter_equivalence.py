@@ -14,7 +14,7 @@ once against a test-local filter that keeps the per-probe sweep (with copies
 of the deleted bodies), over random fleets under catalogs of all four
 relations: strict fences naming a dead node, elastic ones a crash shrank,
 one-node fences pinning VMs where they run, vjobs the observed configuration
-does not know yet.
+does not know yet, monitored demands written into the configuration.
 """
 
 from __future__ import annotations
@@ -190,28 +190,31 @@ def constrained_rounds(draw):
                 )
             )
 
-    demands = None
-    if draw(st.booleans()):
-        demands = {
-            name: draw(st.integers(min_value=0, max_value=2))
-            for name in draw(st.lists(st.sampled_from(vms), unique=True))
-        }
+    # Monitored demands, written into the configuration the way the loop's
+    # observe step writes them.
+    for name in draw(st.lists(st.sampled_from(vms), unique=True)):
+        if configuration.has_vm(name):
+            configuration.replace_vm(
+                configuration.vm(name).with_cpu_demand(
+                    draw(st.integers(min_value=0, max_value=2))
+                )
+            )
     backfilling = draw(st.sampled_from(("none", "easy")))
-    return configuration, queue, demands, constraints, backfilling
+    return configuration, queue, constraints, backfilling
 
 
-def _decisions(configuration, queue, demands, constraints, backfilling):
+def _decisions(configuration, queue, constraints, backfilling):
     """Everything the three greedy entry points decide, dict *orders*
     included (placements are replayed in insertion order)."""
     selection = rjsp.select_running_vjobs(
-        configuration, queue, demands, constraints=constraints
+        configuration, queue, constraints=constraints
     )
     target = ffd.ffd_target_configuration(
         configuration, selection.vm_states, constraints=constraints
     )
-    booking = fcfs.FCFSDecisionModule(
-        backfilling=backfilling, constraints=constraints
-    ).decide(configuration, queue, demands)
+    admission = fcfs.FCFSDecisionModule(backfilling=backfilling)
+    admission.use_constraints(constraints)
+    booking = admission.decide(configuration, queue)
     return (
         list(selection.vjob_states.items()),
         list(selection.vm_states.items()),

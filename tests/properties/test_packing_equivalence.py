@@ -25,9 +25,9 @@ scan from the first node).  The rounds are those of
 ``test_greedy_filter_equivalence.py``: random fleets and queues under
 catalogs of the four relations, running vjobs with stragglers (the VMs
 FCFS's first pass mirrors into the trial before any packing), vjobs the
-observed configuration does not know, overridden demands, a few demand
-classes on small nodes; plus one pinned round per reset, each of which a
-packer that skipped that reset gets wrong.
+observed configuration does not know, monitored demands written into the
+configuration, a few demand classes on small nodes; plus one pinned round
+per reset, each of which a packer that skipped that reset gets wrong.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ def _pinned_round(vjobs, running=(), constraints=()):
                 configuration.set_running(vm.name, running[vm.name])
                 vjob.state = VJobState.RUNNING
         queue.submit(vjob)
-    return configuration, queue, None, list(constraints), "none"
+    return configuration, queue, list(constraints), "none"
 
 
 #: ``b`` spreads its five 1 GB VMs over the three nodes and then fails on
@@ -126,13 +126,13 @@ def _copy_based():
         yield
 
 
-def _selection_and_booking(configuration, queue, demands, constraints, backfilling):
+def _selection_and_booking(configuration, queue, constraints, backfilling):
     selection = rjsp.select_running_vjobs(
-        configuration, queue, demands, constraints=constraints
+        configuration, queue, constraints=constraints
     )
-    booking = fcfs.FCFSDecisionModule(
-        backfilling=backfilling, constraints=constraints
-    ).decide(configuration, queue, demands)
+    admission = fcfs.FCFSDecisionModule(backfilling=backfilling)
+    admission.use_constraints(constraints)
+    booking = admission.decide(configuration, queue)
     return (
         list(selection.vjob_states.items()),
         list(selection.vm_states.items()),
@@ -159,9 +159,9 @@ def test_selection_and_admission_match_the_copy_based_packer(round_inputs):
 @settings(max_examples=200, deadline=None)
 @given(constrained_rounds())
 def test_ffd_target_matches_the_copy_of_a_copy(round_inputs):
-    configuration, queue, demands, constraints, _ = round_inputs
+    configuration, queue, constraints, _ = round_inputs
     states = rjsp.select_running_vjobs(
-        configuration, queue, demands, constraints=constraints
+        configuration, queue, constraints=constraints
     ).vm_states
     before = _readable(configuration)
     expected = reference_packing.ffd_target_configuration(
@@ -183,9 +183,9 @@ def test_ffd_target_matches_the_copy_of_a_copy(round_inputs):
         (consolidation.FFDDecisionModule, "target"),
         (consolidation.RJSPDecisionModule, None),
     ):
-        decision = module_cls(constraints=constraints).decide(
-            configuration, queue, demands
-        )
+        module = module_cls()
+        module.use_constraints(constraints)
+        decision = module.decide(configuration, queue)
         for field in ("target", "fallback_target"):
             built = getattr(decision, field)
             if field == used_as:
@@ -204,7 +204,7 @@ def test_trials_stay_identical_vjob_after_vjob(round_inputs):
     compared after every vjob: an accepted one entered both the same way, a
     rejected one left no trace in either.  The shipped packer shares one map
     of first-fit cursors across the queue, as the selection does."""
-    configuration, queue, demands, constraints, _ = round_inputs
+    configuration, queue, constraints, _ = round_inputs
     trials = (empty_configuration(configuration), empty_configuration(configuration))
     packers = (ffd.ffd_commit, reference_packing.ffd_commit)
     # A filter caches the domains it resolved: one each.
@@ -226,8 +226,6 @@ def test_trials_stay_identical_vjob_after_vjob(round_inputs):
                 continue
             if configuration.has_vm(vm.name):
                 vm = configuration.vm(vm.name)
-            if demands is not None and vm.name in demands:
-                vm = vm.with_cpu_demand(demands[vm.name])
             vms.append(vm)
         before = _readable(trials[0])
         placed, expected = (
@@ -249,7 +247,7 @@ def test_re_placing_running_vms_matches_the_plain_scan(round_inputs):
     the first-fit cursors must not skip afterwards.  The running VMs are
     handed between two halves of the others, so a VM of the same demand is
     probed before each and another after it."""
-    configuration, queue, _, constraints, _ = round_inputs
+    configuration, queue, constraints, _ = round_inputs
     queued = [
         configuration.vm(vm.name) if configuration.has_vm(vm.name) else vm
         for vjob in queue.pending()

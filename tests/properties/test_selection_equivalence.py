@@ -7,7 +7,7 @@ first vjob whose observed VMs changed; the node descriptions and the
 constraint objects key what it keeps.  Its candidate filter reads the unary
 domains the policy keeps (``ConstraintAwarePolicy.domains``), keyed by the
 constraint objects and the node names.  The property runs streams of rounds
-— demand changes (monitored and described), arrivals, terminations, vjob
+— demand changes (written into the observed configuration), arrivals, terminations, vjob
 state flips between running and sleeping, node crashes with the constraints'
 repair hook, joins, a node replaced by a new one (same count, other names),
 a capacity change in place and catalog swaps, under catalogs of the four
@@ -132,7 +132,7 @@ def _vjob(draw, name):
 def _digest(decision):
     """The decision's states and every field of its selection, dicts as
     item lists so their order counts."""
-    selection = decision.rjsp
+    selection = decision.metadata["rjsp"]
 
     def ordered(value):
         return list(value.items()) if isinstance(value, dict) else value
@@ -161,23 +161,22 @@ def test_a_long_lived_module_selects_what_a_fresh_one_selects(data):
         queue.submit(vjob)
     vm_names = [vm.name for vjob in queue.ordered() for vm in vjob.vms]
     catalog = _catalog(draw, vm_names, list(configuration.node_names))
-    demands: dict[str, int] = {}
 
-    kept = ConsolidationDecisionModule(constraints=catalog)
+    kept = ConsolidationDecisionModule()
     arrivals = joins = 0
     for _ in range(draw(st.integers(2, 8))):
         event = draw(st.sampled_from(EVENTS))
         pending = queue.pending()
         node_names = list(configuration.node_names)
-        if event == "demand" and pending:
-            vm = draw(st.sampled_from([vm for v in pending for vm in v.vms]))
-            demand = draw(st.integers(0, 2))
-            if not configuration.has_vm(vm.name) or draw(st.booleans()):
-                demands[vm.name] = demand
-            else:
-                configuration.replace_vm(
-                    configuration.vm(vm.name).with_cpu_demand(demand)
-                )
+        observed = [
+            vm.name for v in pending for vm in v.vms if configuration.has_vm(vm.name)
+        ]
+        if event == "demand" and observed:
+            # Monitoring reports a demand by writing it into the configuration.
+            name = draw(st.sampled_from(observed))
+            configuration.replace_vm(
+                configuration.vm(name).with_cpu_demand(draw(st.integers(0, 2)))
+            )
         elif event == "arrival":
             vjob = _vjob(draw, f"a{arrivals}")
             arrivals += 1
@@ -262,10 +261,10 @@ def test_a_long_lived_module_selects_what_a_fresh_one_selects(data):
             )
 
         kept.use_constraints(catalog)
-        ours = kept.decide(configuration, queue, dict(demands))
-        theirs = ConsolidationDecisionModule(constraints=catalog).decide(
-            configuration, queue, dict(demands)
-        )
+        ours = kept.decide(configuration, queue)
+        fresh_module = ConsolidationDecisionModule()
+        fresh_module.use_constraints(catalog)
+        theirs = fresh_module.decide(configuration, queue)
         assert _digest(ours) == _digest(theirs)
         if catalog:
             names = [vm.name for vjob in queue.ordered() for vm in vjob.vms]
