@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import AbstractSet, Iterable, Mapping, Optional, Sequence
+from typing import AbstractSet, Callable, Iterable, Mapping, Optional, Sequence
 
 from ..constraints import PlacementConstraint
 from ..constraints.domains import RetainedDomains
@@ -159,7 +159,7 @@ class OptimizationResult:
     partition_method: str = "monolithic"
     partition_reason: str = ""
     #: One :class:`~repro.scale.parallel.ZoneOutcome` per zone, in zone
-    #: order; empty unless a partitioned engine decomposed the instance.
+    #: order; empty unless a partitioned engine solved the instance by zones.
     zone_reports: list = field(default_factory=list)
     #: The repair engine's telemetry (``mode`` — ``"repair"`` for an accepted
     #: frozen-region solve, ``"full"`` for the full solve —
@@ -406,26 +406,28 @@ class ContextSwitchOptimizer:
     @staticmethod
     def _incumbent(
         demands: Sequence[tuple[int, int]],
-        capacities: Sequence[tuple[int, int]],
-        candidates: Sequence[Sequence[int]],
-        homes: Sequence[Optional[int]],
-    ) -> Optional[list[int]]:
+        capacity: Callable[[object], tuple[int, int]],
+        candidates: Sequence[Sequence],
+        homes: Sequence,
+    ) -> Optional[list]:
         """The keep-in-place repair of the observed placement — "assign each
         running VM to its initial location in priority" (Section 4.3) — over
         exactly what the model would hold: VM ``i`` asks ``demands[i]``, may
         go to the nodes ``candidates[i]`` and comes from ``homes[i]`` (its
         host, or the node holding its image; ``None`` when it has none or
-        may not stay there).  Every VM whose home still has room for it
-        stays, the others are packed first-fit-decreasing over their
-        candidates.  Returns the node of each VM, or ``None`` when some VM
-        fits nowhere: there is then no incumbent, which says nothing about
-        the model."""
-        free = [list(capacity) for capacity in capacities]
-        hosts = [-1] * len(demands)
+        may not stay there); ``capacity(node)`` is asked once per node the
+        packing reaches.  Every VM whose home still has room for it stays,
+        the others are packed first-fit-decreasing over their candidates.
+        Returns the node of each VM, or ``None`` when some VM fits nowhere:
+        there is then no incumbent, which says nothing about the model."""
+        free: dict = {}
+        hosts: list = [None] * len(demands)
 
-        def place(vm: int, node: int) -> bool:
+        def place(vm: int, node) -> bool:
             cpu, memory = demands[vm]
-            room = free[node]
+            room = free.get(node)
+            if room is None:
+                room = free[node] = list(capacity(node))
             if cpu > room[0] or memory > room[1]:
                 return False
             room[0] -= cpu
@@ -443,6 +445,21 @@ class ContextSwitchOptimizer:
             if not any(place(vm, node) for node in candidates[vm]):
                 return None
         return hosts
+
+    def _answered_by_incumbent(
+        self, bound: int, since: Optional[float] = None
+    ) -> SearchStatistics:
+        """Record a solve its incumbent answered at the lower ``bound`` (a
+        ``cp.solve`` span with ``stop="incumbent"``, from tracer time
+        ``since`` if given) and return its statistics."""
+        statistics = SearchStatistics(solutions=1, proven_optimal=True)
+        with obs_span("cp.solve", engine=self.engine) as trace_span:
+            if since is not None:
+                trace_span.start = since
+            SearchResult(
+                best=None, statistics=statistics, stop="incumbent", root_bound=bound
+            ).record_on(trace_span)
+        return statistics
 
     def _search(
         self,
@@ -574,7 +591,7 @@ class ContextSwitchOptimizer:
         incumbent = (
             None
             if relational
-            else self._incumbent(demands, capacities, candidates, homes)
+            else self._incumbent(demands, capacities.__getitem__, candidates, homes)
         )
 
         def answer(hosts: Iterable[int]) -> dict[str, int]:
@@ -584,15 +601,7 @@ class ContextSwitchOptimizer:
         if incumbent is not None:
             cost = sum(map(CostTable.cost, tables, incumbent))
             if cost == bound:
-                statistics = SearchStatistics(solutions=1, proven_optimal=True)
-                with obs_span("cp.solve", engine=self.engine) as trace_span:
-                    SearchResult(
-                        best=None,
-                        statistics=statistics,
-                        stop="incumbent",
-                        root_bound=bound,
-                    ).record_on(trace_span)
-                return answer(incumbent), statistics, [cost]
+                return answer(incumbent), self._answered_by_incumbent(bound), [cost]
 
         model = Model()
         assignment_vars: list[IntVar] = []

@@ -35,6 +35,12 @@ over (floored at a small fraction of the budget), so even the worst case
 stays near the budget instead of doubling it.  A solve that finds nothing
 raises, as the monolithic one does.
 
+Keep-in-place before the zones: on an *exact* decomposition under a unary
+catalog no home and no domain crosses a zone, so the zones' incumbents
+compose to one pass of their packer over the round's unfrozen VMs, run
+before any zone is cut.  Only a round it misses the lower bound on is solved
+by zones.
+
 Sub-problem extraction: a zone's sub-configuration contains only the zone's
 nodes and VMs.  A zone VM whose current host (or suspend image) lies outside
 the zone is represented as *waiting* in the sub-configuration — its true
@@ -358,7 +364,11 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         whose VMs are all frozen keeps them where they are (no solver, no
         worker), a partially-dirty zone solves around its frozen VMs.  A
         frozen VM sits inside its domain, so the partitioner put it in the
-        zone of its host."""
+        zone of its host.
+
+        A round :meth:`_keep_in_place` answers cuts no zone: its
+        ``zone_reports`` is empty, its ``partition`` span says
+        ``answered="incumbent"``."""
         budget = self.timeout if timeout is None else timeout
         deadline = time.monotonic() + budget
         states, changed = self._complete_states(current, target_states)
@@ -371,6 +381,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
                 reused=reused,
             )
         outcomes: List[ZoneOutcome] = []
+        kept = None
         if decomposition.is_win:
             running = VMState.RUNNING
             leaving = [
@@ -378,12 +389,17 @@ class ParallelOptimizer(ContextSwitchOptimizer):
                 for vm in changed
                 if states[vm] is not running and current.state_of(vm) is running
             ]
-            outcomes = sorted(
-                self._solve_zones(
-                    current, decomposition, deadline, frozen=frozen, leaving=leaving
-                ),
-                key=lambda o: o.index,
-            )
+            if decomposition.exact and not any(c.relational for c in constraints):
+                kept = self._keep_in_place(current, decomposition, frozen, leaving)
+            if kept is not None:
+                partition_span.set(answered="incumbent")
+            else:
+                outcomes = sorted(
+                    self._solve_zones(
+                        current, decomposition, deadline, frozen=frozen, leaving=leaving
+                    ),
+                    key=lambda o: o.index,
+                )
         failed = [o.index for o in outcomes if o.assignment is None]
         reason = decomposition.reason
         if failed:
@@ -394,13 +410,16 @@ class ParallelOptimizer(ContextSwitchOptimizer):
             merged: dict[str, str] = {}
             for outcome in outcomes:
                 merged.update(outcome.assignment)
+            statistics = merge_statistics(outcomes, exact=decomposition.exact)
+            if kept is not None:
+                merged, statistics = kept
             try:
                 result = self._finish(
                     current,
                     states,
                     changed,
                     merged,
-                    merge_statistics(outcomes, exact=decomposition.exact),
+                    statistics,
                     [],
                     vjob_of_vm,
                     constraints,
@@ -470,6 +489,55 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         ):
             self._kept = (self.domains.generation, states, decomposition)
         return decomposition, False
+
+    def _keep_in_place(
+        self,
+        current: Configuration,
+        decomposition: PartitionResult,
+        frozen: AbstractSet[str],
+        leaving: Sequence[str],
+    ) -> Optional[Tuple[Dict[str, str], SearchStatistics]]:
+        """What the zones of an exact ``decomposition`` under a unary catalog
+        merge to when each answers with its incumbent at the lower bound, else
+        ``None``: the zones' packer over the unfrozen placed VMs in
+        registration order, each domain in node order, over the capacities
+        a zone's sub-configuration offers.  Its ``cp.solve`` span covers it."""
+        tracer = current_tracer()
+        started = tracer.now() if tracer is not None else None
+        vms = current.in_registration_order(decomposition.zone_of_vm.keys() - frozen)
+        released = current.load_by_host([*leaving, *vms]) if frozen else None
+
+        def capacity(node: str) -> Tuple[int, int]:
+            if released is None:
+                return current.node(node).capacity.as_tuple()
+            free = current.free_capacity(node)
+            cpu, memory = released.get(node, (0, 0))
+            return free.cpu + cpu, free.memory + memory
+
+        demands, candidates, homes = [], [], []
+        ordered: Dict[int, List[str]] = {}
+        bound = 0
+        for vm in vms:
+            allowed = decomposition.domains[vm]
+            nodes = ordered.get(id(allowed))
+            if nodes is None:
+                nodes = ordered[id(allowed)] = sorted(allowed, key=current.node_index)
+            elsewhere, home, at_home = self._movement_costs(current, vm)
+            if home not in allowed:
+                home = None
+            machine = current.vm(vm)
+            demands.append((machine.cpu_demand, machine.memory))
+            candidates.append(nodes)
+            homes.append(home)
+            bound += elsewhere if home is None else at_home
+        hosts = self._incumbent(demands, capacity, candidates, homes)
+        # Table 1 prices a move above a stay: the bound is met exactly when
+        # every VM that may stay home does.
+        if hosts is None or any(
+            home is not None and host != home for host, home in zip(hosts, homes)
+        ):
+            return None
+        return dict(zip(vms, hosts)), self._answered_by_incumbent(bound, started)
 
     def _zone_tasks(
         self,

@@ -183,8 +183,13 @@ class TestFaultInjection:
             Fence(["a.vm0", "a.vm1", "c.vm0"], ["node-0", "node-1"]),
             Fence(["b.vm0", "b.vm1", "c.vm1"], ["node-2", "node-3"]),
         ]
+        # ``SPREAD`` couples two VMs of the first zone: under a relational
+        # constraint no keep-in-place answers a round before its zones, so
+        # every solve ships its zones to the pool.
         result = _scenario(
-            constraints=fences, engine="partitioned", workloads=_workloads(True)
+            constraints=[*fences, SPREAD],
+            engine="partitioned",
+            workloads=_workloads(True),
         ).run()
         assert os.path.exists(_KillOnce.marker)
         solves = _spans(result, "solve")

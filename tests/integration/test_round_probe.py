@@ -6,8 +6,10 @@ round's inputs: ``compute_dirty_set``, ``build_zone_configuration``,
 ``search_assignment``, the planner — reached through
 ``RepairOptimizer.inner`` / ``.halo`` / ``.previous_assignment`` and
 ``ParallelOptimizer.shards``.  A rename of any of them would otherwise only
-show in the minute-long benchmark run.  Three rounds of each engine the
-benchmark drives, on a tiny fenced fleet, must record every replay span.
+show in the minute-long benchmark run.  Four rounds of each engine the
+benchmark drives, on a tiny fenced fleet, must record every replay span:
+three restarts, which the round's keep-in-place answers before any zone,
+and an overloaded host, whose zones are solved.
 
 The probe module is loaded from its file and never written to (no bytecode
 cache is left under ``benchmarks/round/``).
@@ -23,7 +25,7 @@ import pytest
 
 from repro.core.context_switch import ClusterContextSwitch
 from repro.obs import Tracer
-from repro.testing import fence_groups, make_large_fleet
+from repro.testing import fence_groups, make_large_fleet, make_vm
 
 PROBE = Path(__file__).resolve().parents[2] / "benchmarks" / "round" / "probe.py"
 
@@ -60,13 +62,22 @@ def test_the_probe_replays_every_hidden_layer(probe, engine, replays):
     )
     tracer = Tracer()
     with tracer.activate():
-        for restarted in current.vm_names[:3]:
-            current.set_waiting(restarted)
-            switch.mark_dirty([restarted])
+        for round_index, name in enumerate(current.vm_names[:4]):
+            if round_index < 3:
+                current.set_waiting(name)
+                switch.mark_dirty([name])
+            else:
+                # A host that must shed its other VMs: the keep-in-place
+                # misses the lower bound, so the partitioned engines solve
+                # zones and the probe replays their extraction.
+                host = current.location_of(name)
+                cpu = current.node(host).capacity.cpu
+                current.replace_vm(make_vm(name, memory=1024, cpu=cpu))
+                switch.mark_dirty(current.vms_on(host))
             report = switch.compute(current, states, constraints=catalog)
             assert not report.used_fallback
             current = report.target.copy()
     recorded = [span.name for span in tracer.root.walk()]
-    assert recorded.count("bench.compute") == 3
-    assert recorded.count("bench.planner") == 3
+    assert recorded.count("bench.compute") == 4
+    assert recorded.count("bench.planner") == 4
     assert replays <= set(recorded)

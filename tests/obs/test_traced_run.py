@@ -141,13 +141,20 @@ class TestTracedControlLoop:
         assert "trace" not in result.to_dict()
 
 
-def _fenced_instance():
+def _fenced_instance(overloaded=True):
+    """Two fenced zones of three VMs; ``overloaded`` puts ``vm1`` next to a
+    ``vm0`` that fills ``node-0``, so that host must shed it: no
+    keep-in-place answers the round at its lower bound and the zones are
+    solved."""
     configuration = Configuration(
         nodes=make_working_nodes(6, cpu_capacity=2, memory_capacity=4096)
     )
     for index in range(6):
-        configuration.add_vm(make_vm(f"vm{index}", memory=1024, cpu=1))
+        cpu = 2 if overloaded and index == 0 else 1
+        configuration.add_vm(make_vm(f"vm{index}", memory=1024, cpu=cpu))
         configuration.set_running(f"vm{index}", f"node-{index % 6}")
+    if overloaded:
+        configuration.migrate("vm1", "node-0")
     states = {name: VMState.RUNNING for name in configuration.vm_names}
     constraints = [
         Fence(["vm0", "vm1", "vm2"], ("node-0", "node-1", "node-2")),
@@ -157,6 +164,26 @@ def _fenced_instance():
 
 
 class TestPartitionedTracing:
+    def test_a_round_kept_in_place_solves_no_zone(self):
+        configuration, states, constraints = _fenced_instance(overloaded=False)
+        tracer = Tracer()
+        with tracer.activate():
+            with span("solve", engine="partitioned"):
+                result = ParallelOptimizer(
+                    timeout=5.0, zone_executor="serial"
+                ).optimize(configuration, states, constraints=constraints)
+        root = load_trace(tracer.to_dict())
+        (partition_span,) = [n for n in root.walk() if n.name == "partition"]
+        # The partition span says why no zone span follows it.
+        assert partition_span.attributes["answered"] == "incumbent"
+        assert [n for n in root.walk() if n.name == "zone"] == []
+        (solve,) = [n for n in root.walk() if n.name == "cp.solve"]
+        assert solve.attributes["stop"] == "incumbent"
+        assert solve.counters["nodes"] == 0
+        assert solve.counters["solutions"] == 1
+        assert result.partition_method == "interference"
+        assert result.zone_reports == []
+
     def test_serial_zones_nest_in_process(self):
         configuration, states, constraints = _fenced_instance()
         tracer = Tracer()

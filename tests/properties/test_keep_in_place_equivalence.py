@@ -1,0 +1,236 @@
+"""The round's keep-in-place against the zones it stands for.
+
+On an exact decomposition under a catalog with no relational constraint,
+``ParallelOptimizer.optimize`` packs the round's unfrozen placed VMs once,
+keeping each in place where it can, and plans that assignment when it costs
+the lower bound — without cutting a zone.  The zones would have answered the
+same: every placed VM's domain lies inside its zone, so no home and no
+candidate crosses one, and each zone's own keep-in-place packs its VMs in
+the same order over the same capacities.  The reference is the same
+optimizer with the pass declining, which forces the zone path.
+
+Random fenced fleets, cold and warm (a frozen region the repair engine could
+hand over), with restarts (running VMs observed waiting), departures (running
+VMs wanted sleeping), sleeping VMs whose image lies inside or outside their
+fence, VMs running outside their fence and hosts overloaded by the draw:
+every assignment planned, the target placement and states, the plan pools,
+the costs and the partition outcome are identical.  Two rounds are always
+run: a warm restart that must skip a node full of frozen VMs and take one a
+departure frees, and an overload whose keep-in-place misses the bound.  A spy
+sees every call of the pass: none on a sharded decomposition, on an
+interference one with a loosely-restricted VM, or under a relational
+catalog — the draws include all three.
+"""
+
+from __future__ import annotations
+
+from unittest import mock
+
+from hypothesis import example, given, settings, strategies as st
+
+from repro.constraints import Ban, Fence, Spread
+from repro.constraints.domains import vm_domains
+from repro.model.configuration import Configuration
+from repro.model.errors import PlanningError
+from repro.model.node import Node
+from repro.model.vm import VirtualMachine, VMState
+from repro.scale import ParallelOptimizer
+
+MEMORY_CHOICES = (256, 512, 1024)
+#: Mostly fenced fleets (exact decompositions); a loose ``Ban`` on one VM
+#: (an inexact interference decomposition), a ``Spread`` inside one fence (a
+#: relational catalog) and a lone ``Ban`` (a sharded decomposition).
+CATALOGS = ("fenced",) * 5 + ("loose-member", "spread", "sharded")
+
+
+@st.composite
+def rounds(draw):
+    """A fleet, its catalog, the wanted states and a frozen region."""
+    sizes = draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
+    node_count = sum(sizes) + draw(st.integers(0, 2))
+    configuration = Configuration()
+    for i in range(node_count):
+        configuration.add_node(
+            Node(
+                name=f"n{i}",
+                cpu_capacity=draw(st.integers(1, 4)),
+                memory_capacity=draw(st.sampled_from((1024, 2048, 4096))),
+            )
+        )
+    node_names = list(configuration.node_names)
+    fences, start = [], 0
+    for size in sizes:
+        fences.append(node_names[start : start + size])
+        start += size
+    groups = [[] for _ in fences]
+    states = {}
+    for i in range(draw(st.integers(3, 10))):
+        group = draw(st.integers(0, len(fences) - 1))
+        inside = fences[group]
+        vm = VirtualMachine(
+            name=f"v{i}",
+            memory=draw(st.sampled_from(MEMORY_CHOICES)),
+            cpu_demand=draw(st.integers(0, 2)),
+        )
+        configuration.add_vm(vm)
+        groups[group].append(vm.name)
+        # Hosts and images are drawn, not probed: an overloaded node, a VM
+        # outside its fence, an image on a foreign node are all inputs.
+        nodes = draw(st.sampled_from((inside, inside, node_names)))
+        state = draw(st.sampled_from(("running",) * 3 + ("sleeping", "waiting")))
+        wanted = VMState.RUNNING
+        if state == "running":
+            configuration.set_running(vm.name, draw(st.sampled_from(nodes)))
+            if draw(st.integers(0, 2)) == 0:
+                wanted = VMState.SLEEPING  # a departure
+        elif state == "sleeping":
+            configuration.set_sleeping(vm.name, draw(st.sampled_from(nodes)))
+        states[vm.name] = wanted
+
+    kind = draw(st.sampled_from(CATALOGS))
+    if kind == "sharded":
+        catalog = [Ban(configuration.vm_names[:1], node_names[:1])]
+    else:
+        if kind == "loose-member":
+            # The first VM leaves its fence for a Ban: a domain too wide to
+            # weld, anchored to a zone by its host.
+            loose = configuration.vm_names[0]
+            groups = [[vm for vm in vms if vm != loose] for vms in groups]
+        catalog = [Fence(vms, nodes) for vms, nodes in zip(groups, fences) if vms]
+        if kind == "loose-member":
+            catalog.append(Ban([loose], node_names[:1]))
+        elif kind == "spread":
+            largest = max(groups, key=len)
+            if len(largest) >= 2:
+                catalog.append(Spread(largest[:2]))
+
+    # What the dirty rule may freeze: a VM that runs, must keep running,
+    # inside its domain, on a host that is not overloaded.
+    placement = configuration.placement()
+    domains = vm_domains(configuration, placement, catalog)
+    overloaded = {v.node for v in configuration.viability_violations()}
+    freezable = [
+        vm
+        for vm, host in placement.items()
+        if states[vm] is VMState.RUNNING
+        and host not in overloaded
+        and (domains[vm] is None or host in domains[vm])
+    ]
+    frozen = set()
+    if freezable and draw(st.integers(0, 2)):
+        # A warm round freezes most of what it may and re-places a few.
+        dirty = draw(st.lists(st.sampled_from(freezable), unique=True, max_size=3))
+        frozen = set(freezable) - set(dirty)
+    return configuration, catalog, states, frozen
+
+
+def _fenced_pair(cpu, vms):
+    """Six nodes of ``cpu`` processing units in two fences of three, and the
+    VMs ``(name, cpu, memory, host, fence)`` on them, all wanted running."""
+    configuration = Configuration()
+    for i in range(6):
+        configuration.add_node(Node(f"n{i}", cpu_capacity=cpu, memory_capacity=4096))
+    groups = ([], [])
+    for name, demand, memory, host, fence in vms:
+        configuration.add_vm(
+            VirtualMachine(name=name, memory=memory, cpu_demand=demand)
+        )
+        if host is not None:
+            configuration.set_running(name, host)
+        groups[fence].append(name)
+    catalog = [
+        Fence(groups[0], ["n0", "n1", "n2"]),
+        Fence(groups[1], ["n3", "n4", "n5"]),
+    ]
+    return configuration, catalog, dict.fromkeys(groups[0] + groups[1], VMState.RUNNING)
+
+
+def _a_warm_restart_between_full_and_freed_nodes():
+    """``v0`` is frozen on a full ``n0`` and ``v1`` leaves ``n1``: the
+    restarted ``v2`` fits on ``n1`` only in what ``v1`` releases."""
+    configuration, catalog, states = _fenced_pair(
+        2,
+        [
+            ("v0", 2, 512, "n0", 0),
+            ("v1", 2, 512, "n1", 0),
+            ("v2", 1, 512, None, 0),
+            ("v3", 1, 512, "n3", 1),
+            ("v4", 1, 512, "n4", 1),
+        ],
+    )
+    states["v1"] = VMState.SLEEPING
+    return configuration, catalog, states, {"v0", "v3", "v4"}
+
+
+def _an_overload_keeping_the_dearer_vm():
+    """``x`` and ``y`` share a one-unit ``n0``: keeping ``x`` in place moves
+    the dearer ``y``, above the bound, and the zone's search moves ``x``."""
+    configuration, catalog, states = _fenced_pair(
+        1,
+        [
+            ("x", 1, 512, "n0", 0),
+            ("y", 1, 1024, "n0", 0),
+            ("z", 1, 512, "n3", 1),
+        ],
+    )
+    return configuration, catalog, states, set()
+
+
+def _solve(instance, keep_in_place):
+    """One solve, with the pass (``keep_in_place``) or declining it, and
+    every call the pass got."""
+    configuration, catalog, states, frozen = instance
+    planned, consulted = [], []
+    real_pass = ParallelOptimizer._keep_in_place
+    real_finish = ParallelOptimizer._finish
+
+    def spy(self, current, decomposition, *args):
+        consulted.append(
+            (
+                decomposition.method,
+                decomposition.exact,
+                any(c.relational for c in catalog),
+            )
+        )
+        if keep_in_place:
+            return real_pass(self, current, decomposition, *args)
+        return None
+
+    def finish(self, current, states, changed, assignment, *args):
+        planned.append(dict(assignment))
+        return real_finish(self, current, states, changed, assignment, *args)
+
+    with mock.patch.object(
+        ParallelOptimizer, "_keep_in_place", spy
+    ), mock.patch.object(ParallelOptimizer, "_finish", finish):
+        optimizer = ParallelOptimizer(timeout=10.0, zone_executor="serial")
+        try:
+            result = optimizer.optimize(
+                configuration, states, constraints=catalog, frozen=frozen
+            )
+        except PlanningError as error:
+            return {"error": type(error).__name__, "planned": planned}, consulted
+    return {
+        "planned": planned,
+        "placement": dict(result.target.iter_placement()),
+        "states": result.target.states(),
+        "pools": [[str(action) for action in pool] for pool in result.plan.pools],
+        "cost": result.cost,
+        "movement_cost": result.movement_cost,
+        "fixed_cost": result.fixed_cost,
+        "method": result.partition_method,
+        "reason": result.partition_reason,
+    }, consulted
+
+
+@settings(max_examples=200, deadline=None)
+@given(rounds())
+@example(_a_warm_restart_between_full_and_freed_nodes())
+@example(_an_overload_keeping_the_dearer_vm())
+def test_the_keep_in_place_plans_what_the_zones_plan(instance):
+    kept, consulted = _solve(instance, keep_in_place=True)
+    zoned, _ = _solve(instance, keep_in_place=False)
+    assert kept == zoned
+    # Only an exact interference decomposition under a unary catalog.
+    for method, exact, relational in consulted:
+        assert (method, exact, relational) == ("interference", True, False)

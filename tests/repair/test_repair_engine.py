@@ -469,12 +469,15 @@ class TestPartitionedComposition:
         )
         assert cold.repair["mode"] == "full"
         current = cold.target
-        current.set_waiting("vm0-0")
+        # vm0-0 grows to fill its host, which must shed vm0-1: the round's
+        # keep-in-place misses the lower bound, so the zones are solved.
+        current.replace_vm(VirtualMachine("vm0-0", memory=4096, cpu_demand=0))
         engine.mark_dirty(["vm0-0"])
         result = engine.optimize(
             current, _states(names), constraints=fences
         )
         assert result.repair["mode"] == "repair"
+        assert result.target.location_of("vm0-1") != "n0"
         # the untouched fence zone was never shipped to a worker
         assert result.repair["reused_zones"] >= 1
         for vm in zone_b:

@@ -2,15 +2,17 @@
 
 A round that restarts two VMs of a fenced fleet must pay for the two VMs,
 not for the fleet: the decomposition and the unary domains are kept from the
-round before, the dirty region is read from what moved, a dirty zone is cut
-around its dirty VMs with the frozen ones folded into the capacities, the
-target, the reconfiguration graph and the plan are built from the VMs that
-change, and the fleet is copied for what has to outlive the round (the
+round before, the dirty region is read from what moved, the keep-in-place
+pass over the dirty VMs answers at the lower bound before any zone is cut,
+the target, the reconfiguration graph and the plan are built from the VMs
+that change, and the fleet is copied for what has to outlive the round (the
 plan's source, the target), for the planner's working state and for the
 independent checker's walk, and no more.  So the same two restarts cost the
 same number of per-VM reads on a fleet four times — or ten times — the
-size.  The counts are deterministic, so this runs with the tier-1 suite and
-keeps the warm path from growing back to fleet size.
+size.  A round the pass cannot answer (a host that must shed VMs) cuts each
+dirty zone around its dirty VMs, with the frozen ones folded into the
+capacities.  The counts are deterministic, so this runs with the tier-1
+suite and keeps the warm path from growing back to fleet size.
 """
 
 import pytest
@@ -22,6 +24,7 @@ from repro.core.context_switch import ClusterContextSwitch
 from repro.core.planner import ReconfigurationPlanner
 from repro.cp import Solver
 from repro.model.configuration import Configuration
+from repro.obs import Tracer
 from repro.testing import fence_groups, make_vm
 
 #: One restarted VM in each of two zones (``vm-<i>`` is in zone ``i % zones``).
@@ -112,23 +115,24 @@ def _warm_round(fleet, zones, counted, overload=False):
         report = switch.compute(current, states, constraints=catalog)
     assert report.repair["mode"] == "repair"
     assert report.repair["dirty_count"] == len(dirty)
-    assert report.repair["reused_zones"] == zones - len(RESTARTED)
+    # Restarts are answered before the zones, so no zone is reported; an
+    # overload solves the two dirty zones and reuses the others.
+    assert report.repair["reused_zones"] == (zones - len(RESTARTED)) * overload
+    assert len(report.repair) == 6
     assert report.plan.action_count() == len(dirty) - overload * len(RESTARTED)
     assert report.plan.constraint_violations == []
     return dict(counted), dirty
 
 
 def _assert_costs_what_changed(counts):
-    # Each solved zone: its one dirty VM boots where the keep-in-place
-    # incumbent puts it, at the lower bound — no model at all (its
-    # hundred-odd frozen VMs are in the capacities, not even in the zone's
-    # sub-configuration).
+    # Each dirty VM boots where the round's keep-in-place puts it, at the
+    # lower bound: no zone is extracted and no model built.
     assert counts["variables"] == 0
-    assert counts["vms extracted"] == len(RESTARTED)
-    # The decomposition is the kept one; nobody asks the catalog for the
-    # domain of a VM that is not being placed.
+    assert counts["vms extracted"] == 0
+    # The decomposition is the kept one, and the domains it read answer for
+    # the restarted VMs: nobody asks the catalog for a domain.
     assert counts["partitions"] == 0
-    assert counts["domains asked"] == len(RESTARTED)
+    assert counts["domains asked"] == 0
     # One plan, its graph derived once, from the VMs that change.
     assert counts["builds"] == counts["derivations"] == 1
     assert counts["edge names"] == len(RESTARTED)
@@ -153,6 +157,28 @@ def test_a_warm_round_costs_what_changed_at_5000_vms(large_fleet_factory, counte
     large, _ = _warm_round(large_fleet_factory(5_000, groups=8), 8, counted)
     _assert_costs_what_changed(large)
     assert large == small
+
+
+@pytest.mark.parametrize("engine", ["partitioned", "repair-partitioned"])
+def test_a_cold_round_cuts_no_zone(large_fleet_factory, counted, engine):
+    # A cold round of an exact fenced fleet whose optimum keeps every VM in
+    # place: one partition, then the keep-in-place answers for every zone.
+    fleet = large_fleet_factory(500, groups=4)
+    catalog = fence_groups(fleet, groups=4)
+    states = fleet.states()
+    fleet.set_waiting(RESTARTED[0])
+    tracer = Tracer()
+    with tracer.activate(), ClusterContextSwitch(
+        engine=engine, zone_executor="serial", optimizer_timeout=60
+    ) as switch:
+        report = switch.compute(fleet, states, constraints=catalog)
+    (partition_span,) = [s for s in tracer.root.walk() if s.name == "partition"]
+    assert partition_span.attributes["answered"] == "incumbent"
+    assert partition_span.attributes["exact"]
+    assert report.plan.action_count() == 1
+    assert counted["partitions"] == 1
+    assert counted["vms extracted"] == 0
+    assert counted["variables"] == 0
 
 
 @pytest.mark.parametrize("vm_count, zones", [(500, 4), (2_000, 16)])

@@ -46,6 +46,17 @@ def _configuration(node_count=6, vm_count=6, memory=1024, cpu=1):
     return configuration
 
 
+def _overloaded():
+    """``_configuration()`` with ``vm1`` moved next to a ``vm0`` that asks
+    for all of ``node-0``'s processing units: ``node-0`` must shed ``vm1``,
+    so the round's keep-in-place misses the lower bound and the zones are
+    solved (the second zone by its own incumbent)."""
+    configuration = _configuration()
+    configuration.replace_vm(make_vm("vm0", memory=1024, cpu=2))
+    configuration.migrate("vm1", "node-0")
+    return configuration
+
+
 def _states(configuration):
     return {name: VMState.RUNNING for name in configuration.vm_names}
 
@@ -86,12 +97,15 @@ class TestParallelOptimizer:
 
     def test_zone_reports_cover_every_zone(self):
         configuration = _configuration()
+        # ``vm2`` is left unfenced: its loose domain is anchored to the zone
+        # of its host, so the decomposition is not exact and no round-wide
+        # keep-in-place stands for the zones.
         result = ParallelOptimizer(
             timeout=5.0, zone_executor="serial"
         ).optimize(
             configuration,
             _states(configuration),
-            constraints=_fenced_constraints(),
+            constraints=[Fence(["vm0", "vm1"], FENCE_A), _fenced_constraints()[1]],
         )
         assert len(result.zone_reports) == 2
         assert [report.vm_count for report in result.zone_reports] == [3, 3]
@@ -304,7 +318,7 @@ class TestZoneMachinery:
 
         from repro.scale import parallel as parallel_module
 
-        configuration = _configuration()
+        configuration = _overloaded()
         states = _states(configuration)
 
         def failing_zone(task):
@@ -337,47 +351,18 @@ class TestZoneMachinery:
         assert optimizer.timeout == 0.5
 
     def test_an_unplannable_merge_goes_to_the_monolithic_solve(self, monkeypatch):
-        configuration = _configuration()
-        states = _states(configuration)
-        constraints = _fenced_constraints()
-        optimizer = ParallelOptimizer(timeout=5.0, zone_executor="serial")
-        original = optimizer.planner.build
-        merged = []
+        # An overloaded host: the zones solve and their assignments merge.
+        _assert_first_target_unplannable(monkeypatch, _overloaded())
 
-        def build(current, target, *args, **kwargs):
-            # The first target planned is the zones' merged one.
-            if not merged:
-                merged.append(target)
-                raise NoPivotAvailableError("no pivot for the merged target")
-            return original(current, target, *args, **kwargs)
-
-        monkeypatch.setattr(optimizer.planner, "build", build)
-        seen = []
-        search = optimizer.search_assignment
-
-        def spy(*args, **kwargs):
-            seen.append(kwargs["timeout"])
-            return search(*args, **kwargs)
-
-        monkeypatch.setattr(optimizer, "search_assignment", spy)
-        result = optimizer.optimize(configuration, states, constraints=constraints)
-        monolithic = ContextSwitchOptimizer(timeout=5.0).optimize(
-            configuration, states, constraints=constraints
-        )
-        assert len(merged) == 1
-        assert result.partition_method == "monolithic"
-        assert result.zone_reports == []
-        assert result.partition_reason == (
-            "the merged assignment could not be planned "
-            "(NoPivotAvailableError: no pivot for the merged target)"
-        )
-        assert result.target.same_assignment(monolithic.target)
-        assert result.cost == monolithic.cost
-        # the re-solve ran on what the zones left over, as after a failed zone
-        assert seen and seen[0] < 5.0
+    def test_an_unplannable_keep_in_place_goes_to_the_monolithic_solve(
+        self, monkeypatch
+    ):
+        # The round's keep-in-place answers before the zones; its target
+        # takes the merged assignment's way out.
+        _assert_first_target_unplannable(monkeypatch, _configuration())
 
     def test_queued_waves_carve_the_timeout(self, monkeypatch):
-        configuration = _configuration()
+        configuration = _overloaded()
         pairs = [("node-0", "node-1"), ("node-2", "node-3"), ("node-4", "node-5")]
         constraints = [
             Fence([f"vm{2 * i}", f"vm{2 * i + 1}"], pair)
@@ -418,13 +403,56 @@ class TestZoneMachinery:
 
         monkeypatch.setattr(parallel_module, "partition", slow_partition)
         recorded = _record_zone_timeouts(monkeypatch)
-        configuration = _configuration()
+        configuration = _overloaded()
         result = ParallelOptimizer(timeout=0.5, zone_executor="serial").optimize(
             configuration, _states(configuration), constraints=_fenced_constraints()
         )
         assert result.partition_method == "interference"
         assert len(recorded) == 2
         assert recorded[0] <= 0.3 + 1e-6
+
+
+def _assert_first_target_unplannable(monkeypatch, configuration):
+    """The first target the partitioned solve plans cannot be planned: the
+    round goes to the monolithic re-solve, on what the round left over."""
+    states = _states(configuration)
+    constraints = _fenced_constraints()
+    optimizer = ParallelOptimizer(timeout=5.0, zone_executor="serial")
+    original = optimizer.planner.build
+    merged = []
+
+    def build(current, target, *args, **kwargs):
+        # The first target planned is the zones' merged one (or the
+        # keep-in-place that stands for it).
+        if not merged:
+            merged.append(target)
+            raise NoPivotAvailableError("no pivot for the merged target")
+        return original(current, target, *args, **kwargs)
+
+    monkeypatch.setattr(optimizer.planner, "build", build)
+    seen = []
+    search = optimizer.search_assignment
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["timeout"])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "search_assignment", spy)
+    result = optimizer.optimize(configuration, states, constraints=constraints)
+    monolithic = ContextSwitchOptimizer(timeout=5.0).optimize(
+        configuration, states, constraints=constraints
+    )
+    assert len(merged) == 1
+    assert result.partition_method == "monolithic"
+    assert result.zone_reports == []
+    assert result.partition_reason == (
+        "the merged assignment could not be planned "
+        "(NoPivotAvailableError: no pivot for the merged target)"
+    )
+    assert result.target.same_assignment(monolithic.target)
+    assert result.cost == monolithic.cost
+    # the re-solve ran on what the zones left over, as after a failed zone
+    assert seen and seen[0] < 5.0
 
 
 class _InProcessPool:
@@ -466,8 +494,10 @@ class TestExecutorIsDecidedPerSolve:
     """``zone_executor="auto"``: the pool only for two or more pending
     zones worth a worker each, on a host with the cores to overlap them."""
 
-    def _solve(self, frozen=frozenset(), constraints=None, **options):
-        configuration = _configuration()
+    def _solve(
+        self, frozen=frozenset(), constraints=None, configuration=None, **options
+    ):
+        configuration = configuration or _overloaded()
         with ParallelOptimizer(timeout=5.0, **options) as optimizer:
             return optimizer.optimize(
                 configuration,
@@ -528,8 +558,15 @@ class TestExecutorIsDecidedPerSolve:
             raise AssertionError("nothing is pending: nothing to decide")
 
         monkeypatch.setattr(parallel_module.os, "cpu_count", unreachable)
+        # Everything frozen leaves a keep-in-place nothing to move, so a
+        # ``Spread`` inside the second zone keeps the round from being
+        # answered before the zones.
         configuration = _configuration()
-        result = self._solve(frozen=set(configuration.placement()))
+        result = self._solve(
+            frozen=set(configuration.placement()),
+            constraints=[*_fenced_constraints(), Spread(["vm3", "vm4"])],
+            configuration=configuration,
+        )
         assert [o.reused for o in result.zone_reports] == [True, True]
         assert pools == []
 
