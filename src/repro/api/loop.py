@@ -53,6 +53,7 @@ from typing import Any, Mapping, Optional, Sequence, Union
 from .. import config
 from ..constraints.base import PlacementConstraint
 from ..constraints.checker import check_configuration
+from ..constraints.domains import RetainedDomains
 from ..core.actions import ActionKind, Resume
 from ..core.context_switch import ClusterContextSwitch, ContextSwitchReport
 from ..model.errors import PlanningError
@@ -208,6 +209,12 @@ class ControlLoop:
         self.switcher = ClusterContextSwitch(
             optimizer_timeout=optimizer_timeout, engine=engine
         )
+        if isinstance(
+            getattr(self.decision_module, "domains", None), RetainedDomains
+        ):
+            # One domains memory per loop: the policy's filter reads what the
+            # switch keeps, under the same key.
+            self.decision_module.domains = self.switcher.optimizer.domains
         self.executor = PlanExecutor(
             hypervisor=hypervisor, fault_injector=fault_injector
         )

@@ -12,10 +12,12 @@ asked from this module only (plus the eager oracle retained in
 
 :class:`RetainedDomains` keeps those answers from one round to the next for
 as long as they provably cannot change: the same constraint objects over the
-same node names, every one of them restricting its members the same way
-whatever the placement (:attr:`uniform_restriction`, or no ``allowed_nodes``
-of its own).  Anything else — a restriction that reads the current host — is
-asked afresh every call, as :func:`vm_domains` always does.
+same node descriptions, every one of them restricting its members the same
+way whatever the placement (:attr:`uniform_restriction`, or no
+``allowed_nodes`` of its own).  Anything else — a restriction that reads the
+current host — is asked afresh every call, as :func:`vm_domains` always
+does.  Every structure retained beside the domains keys on the generation
+its :meth:`~RetainedDomains.key` returns.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ from .base import PlacementConstraint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model.configuration import Configuration
+    from ..model.node import Node
 
 
 def _membership_index(
@@ -148,19 +151,20 @@ def _reads_no_placement(constraint: PlacementConstraint) -> bool:
 class RetainedDomains:
     """The answers of :func:`vm_domains`, kept while they cannot change.
 
-    One key — the constraint *objects* (identity: a repaired ``Fence`` is a
-    new object), ``node_names``, and every constraint reading no placement —
-    and one invalidation point, :meth:`_rekey`, which every call passes
-    through.  :attr:`generation` is replaced whenever what was retained is
-    dropped, so whoever derives something from these domains (the
-    partitioner's zones) keeps the generation next to it and knows it stale
-    by identity.  Nothing here holds a demand, a capacity or a placement.
+    One key, derived in one place (:meth:`key`): the constraint *objects*
+    (identity: a repaired ``Fence`` is a new object), the node descriptions
+    (a capacity change counts), and every constraint reading no placement.
+    :attr:`generation` is replaced whenever the key changes, so whatever is
+    derived from the same inputs — the RJSP selection's trial, the
+    partitioner's zones — keeps the generation next to it and knows it
+    stale by identity.  A control loop has one, the switch's, which its
+    policy reads too.  Nothing here holds a demand or a placement.
     """
 
-    _constraints: Tuple[PlacementConstraint, ...]
-    _node_names: Tuple[str, ...]
+    _constraints: Optional[Tuple[PlacementConstraint, ...]]
+    _nodes: Tuple["Node", ...]
     _domains: Dict[str, Optional[AbstractSet[str]]]
-    #: Replaced whenever what was retained is dropped.
+    #: Replaced whenever the key changes or :meth:`clear` is called.
     generation: object
 
     def __init__(self) -> None:
@@ -168,40 +172,35 @@ class RetainedDomains:
 
     def clear(self) -> None:
         """Drop everything retained (a new :attr:`generation`)."""
-        self._constraints = ()
-        self._node_names = ()
+        self._constraints = None
+        self._nodes = ()
         self._domains = {}
         self.generation = object()
 
-    def holds(
+    def key(
         self,
         current: "Configuration",
         constraints: Sequence[PlacementConstraint],
-    ) -> bool:
-        """True when what is retained answers for these inputs."""
-        return (
-            bool(self._constraints)
-            and len(constraints) == len(self._constraints)
-            and all(map(is_, constraints, self._constraints))
-            and current.node_names == self._node_names
-        )
-
-    def _rekey(
-        self,
-        current: "Configuration",
-        constraints: Sequence[PlacementConstraint],
-    ) -> bool:
-        """Make the key match the inputs, dropping what no longer answers
-        for them; False when these inputs allow nothing to be retained."""
-        if self.holds(current, constraints):
-            return True
-        if self._constraints:
+    ) -> Optional[object]:
+        """The :attr:`generation` that answers for these inputs — after
+        dropping what answered for other ones — or ``None`` when a
+        constraint reads the placement and nothing may be kept.  An empty
+        catalog is keyed like any other."""
+        nodes = current.nodes
+        kept = self._constraints
+        if kept is not None:
+            if (
+                len(constraints) == len(kept)
+                and all(map(is_, constraints, kept))
+                and nodes == self._nodes
+            ):
+                return self.generation
             self.clear()
-        if not constraints or not all(map(_reads_no_placement, constraints)):
-            return False
+        if not all(map(_reads_no_placement, constraints)):
+            return None
         self._constraints = tuple(constraints)
-        self._node_names = current.node_names
-        return True
+        self._nodes = nodes
+        return self.generation
 
     def of(
         self,
@@ -215,14 +214,14 @@ class RetainedDomains:
         :class:`~repro.constraints.filtering.CandidateFilter` writes into it
         the domain of a VM it was not asked for, which depends on the key
         alone."""
-        if not self._rekey(current, constraints):
+        if self.key(current, constraints) is None:
             return vm_domains(current, vms, constraints)
         missing = [vm_name for vm_name in vms if vm_name not in self._domains]
-        if missing and len(self._domains) > 2 * max(len(vms), 512):
-            # Departed VMs never leave on their own: start over rather than
-            # let a churning fleet grow the map without bound.
-            self.clear()
-            self._rekey(current, constraints)
+        if missing and len(self._domains) > 2 * max(len(current.vm_names), 512):
+            # Departed VMs never leave on their own: start over (the key
+            # still holds) rather than let a churning fleet grow the map
+            # without bound.  The bound reads the fleet, not this call.
+            self._domains = {}
             missing = vms
         if missing:
             self._domains.update(vm_domains(current, missing, constraints))

@@ -187,9 +187,9 @@ class ContextSwitchOptimizer:
         self.planner = ReconfigurationPlanner()
         self.first_solution_only = first_solution_only
         self.engine = engine
-        #: The unary domains this optimizer's models, the partitioner and
-        #: the repair engine wrapped around it all read — kept across rounds
-        #: while the catalog and the node set allow it.
+        #: The unary domains this optimizer's models, the partitioner, the
+        #: repair engine wrapped around it and, in a control loop, the
+        #: policy all read — kept across rounds while their key holds.
         self.domains = RetainedDomains()
 
     # ------------------------------------------------------------------ #

@@ -47,10 +47,10 @@ class ConstraintAwarePolicy:
     (:attr:`domains`, a :class:`~repro.constraints.domains.RetainedDomains`)
     while its key holds: the constraint objects (identity: a repaired
     ``Fence`` or a :meth:`use_constraints` call hands over new ones), the
-    node names, and every constraint reading no placement.  Its ``_rekey``
-    is the one invalidation point: a fence repaired after a crash, a node
-    join or a new catalog drops what was kept, and a restriction that reads
-    the placement is computed afresh for every decision.
+    node descriptions, and every constraint reading no placement.  A
+    control loop replaces the policy's own memory with its switch's, so the
+    filter and the engine read one set of domains under one key; a policy
+    driven by hand keeps a private one.
     """
 
     def __init__(self) -> None:
@@ -95,14 +95,13 @@ class ConsolidationDecisionModule(ConstraintAwarePolicy):
     The instance keeps the selection's trial packing from one decision to
     the next (:attr:`selection`, a
     :class:`~repro.decision.rjsp.RetainedSelection`) and re-packs only from
-    the first vjob whose observed VMs changed.  Its one invalidation point
-    is the retained object's key — the node descriptions and the constraint
-    objects — so a crash, a join, a capacity change or a constraint repair
-    starts the next decision from a blank trial, and a catalog whose
-    restriction reads the observed placement keeps nothing.  Reuse is
-    decided by value, so one instance may serve several loops one after
-    the other; concurrent ``decide`` calls on one instance are not
-    supported.
+    the first vjob whose observed VMs changed.  The trial is kept under the
+    generation of :attr:`domains` — the filter's memory and key — so a
+    crash, a join, a capacity change or a constraint repair starts the next
+    decision from a blank trial, and a catalog whose restriction reads the
+    observed placement keeps nothing.  Reuse is decided by value, so one
+    instance may serve several loops one after the other; concurrent
+    ``decide`` calls on one instance are not supported.
     """
 
     name = "consolidation"
@@ -119,6 +118,8 @@ class ConsolidationDecisionModule(ConstraintAwarePolicy):
     def decide(self, configuration: Configuration, queue: VJobQueue) -> Decision:
         """Compute the target state of every VM for the next iteration."""
         node_filter = self.node_filter(configuration)
+        # The trial is kept under the key of the memory the filter read.
+        self.selection.domains = self.domains
         rjsp = select_running_vjobs(
             configuration,
             queue,

@@ -10,8 +10,8 @@ rejected vjobs are re-evaluated at every round — hence the whole queue is
 always reconsidered.  Reconsidered is not re-packed: the trial starts empty,
 so a vjob's outcome is a function of the nodes, the catalog and the observed
 VMs of the vjobs up to it, and a :class:`RetainedSelection` keeps the packing
-of the previous round and re-packs only from the first vjob whose inputs
-changed.
+of the previous round under the unary domains' key and re-packs only from
+the first vjob whose inputs changed.
 
 The selection packs onto whatever nodes the *current* configuration exposes,
 so cluster churn needs no special casing here: nodes evicted by a crash are
@@ -28,14 +28,12 @@ too).  The policies built on the selection live in :mod:`.consolidation`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import is_
 from typing import MutableMapping, Optional, Sequence
 
 from ..api.decision import empty_configuration
 from ..constraints import CandidateFilter, PlacementConstraint
-from ..constraints.domains import _reads_no_placement
+from ..constraints.domains import RetainedDomains
 from ..model.configuration import Configuration
-from ..model.node import Node
 from ..model.queue import VJobQueue
 from ..model.vjob import VJob, VJobState
 from ..model.vm import VirtualMachine, VMState
@@ -95,56 +93,30 @@ class RetainedSelection:
     The trial starts empty, so where a VM runs today never enters the
     packing: vjob *k*'s outcome is a function of the node descriptions, the
     candidate filter's constraints and the observed VMs of vjobs 0..*k*.
-    The key is the first two — ``configuration.nodes`` (the frozen values:
-    a capacity change counts) and the constraint *objects* (identity: a
-    repaired ``Fence`` is a new object) — and :meth:`_rekey` is the one
-    invalidation point: a crash, a join or a constraint repair drops
-    everything.  A catalog with a restriction that reads the observed
-    placement keeps nothing (the filter's domains read the hosts).  The
-    third input is compared per vjob by :meth:`packed`, which keeps the
-    longest unchanged prefix of :attr:`entries` (and drops everything when
-    a packing raises half-way).
+    The trial is kept while :attr:`domains` (the policy's memory) keys the
+    first two to the generation it was packed under, and a catalog that
+    reads the observed placement keeps nothing.  The third input is
+    compared per vjob by :meth:`packed`, which keeps the longest unchanged
+    prefix of :attr:`entries` (and drops everything when a packing raises
+    half-way).
     """
 
-    _nodes: tuple[Node, ...]
-    _constraints: tuple[PlacementConstraint, ...]
+    domains: RetainedDomains
+    _generation: Optional[object]
     #: The trial: every VM of the accepted entries, registered in queue order.
     trial: Optional[Configuration]
     #: One per packed vjob, in queue order.
     entries: list[_Packed]
 
     def __init__(self) -> None:
+        self.domains = RetainedDomains()
         self.clear()
 
     def clear(self) -> None:
         """Drop everything retained."""
-        self._nodes = ()
-        self._constraints = ()
+        self._generation = None
         self.trial = None
         self.entries = []
-
-    def _rekey(
-        self,
-        configuration: Configuration,
-        constraints: Sequence[PlacementConstraint],
-    ) -> bool:
-        """Make the key match the inputs, dropping what no longer answers
-        for them; False when these inputs allow nothing to be retained."""
-        nodes = configuration.nodes
-        if (
-            self.trial is not None
-            and nodes == self._nodes
-            and len(constraints) == len(self._constraints)
-            and all(map(is_, constraints, self._constraints))
-        ):
-            return True
-        self.clear()
-        if not all(map(_reads_no_placement, constraints)):
-            return False
-        self._nodes = nodes
-        self._constraints = tuple(constraints)
-        self.trial = empty_configuration(configuration)
-        return True
 
     def packed(
         self,
@@ -157,10 +129,16 @@ class RetainedSelection:
         that order: the kept prefix, then :func:`~repro.decision.ffd
         .ffd_commit` on the trial from the first vjob that changed, the
         vjobs of this call sharing one map of first-fit cursors."""
-        if self._rekey(configuration, constraints):
-            trial, entries = self.trial, self.entries
-        else:
+        key = self.domains.key(configuration, constraints)
+        if key is None:
+            self.clear()
             trial, entries = empty_configuration(configuration), []
+        else:
+            if key is not self._generation:
+                self.clear()
+                self._generation = key
+                self.trial = empty_configuration(configuration)
+            trial, entries = self.trial, self.entries
         kept = 0
         for (name, vms), entry in zip(pending, entries):
             if entry.name != name or entry.vms != vms:
@@ -225,9 +203,9 @@ def select_running_vjobs(
         The round's filter over ``configuration``, when the caller already
         built it from ``constraints``.
     retained:
-        The previous round's packing: kept where its inputs are unchanged,
-        re-packed from the first vjob that changed (its constraints must be
-        ``constraints``, which ``node_filter`` is built from).  Without it
+        The previous round's packing: kept while its memory's key holds
+        for ``configuration`` and ``constraints`` (which ``node_filter`` is
+        built from), re-packed from the first vjob that changed.  Without it
         the queue is packed on a blank trial.
     """
     if node_filter is None and constraints:

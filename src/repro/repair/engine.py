@@ -18,7 +18,7 @@ the fleet (:func:`dirty_region`, the one body both
    diverges from the previous assignment: one pass over ``placement()``
    against the previous assignment and the retained unary domains
    (:class:`~repro.constraints.domains.RetainedDomains` — recomputed only
-   when the catalog or the node set changed);
+   when its key says the catalog or the nodes changed);
 4. **relational closure and halo** — any dirty member of a relational group
    dirties the whole group, and ``halo`` rounds of co-host expansion dirty
    the VMs sharing a node with a dirty running VM, read from
@@ -43,10 +43,12 @@ and raises where it raises.
 
 Retained across rounds: the previous assignment (owner: this engine;
 replaced by every accepted round) and the unary domains (owner:
-:attr:`RepairOptimizer.domains`, shared with the inner optimizer; key and
-invalidation in :class:`~repro.constraints.domains.RetainedDomains`).
+:attr:`RepairOptimizer.domains`, shared with the inner optimizer and, in a
+control loop, with the policy; one key in
+:meth:`~repro.constraints.domains.RetainedDomains.key`).
 :meth:`RepairOptimizer.forget` drops both, and with the domains everything
-derived from them.
+keyed on their generation: the inner optimizer's decomposition and, in a
+loop, the policy's filter domains and its selection's trial.
 """
 
 from __future__ import annotations
@@ -239,8 +241,8 @@ class RepairOptimizer:
 
     def forget(self) -> None:
         """Drop everything kept from earlier rounds — the previous
-        assignment, the unary domains and what the inner optimizer derived
-        from them: the next solve is a cold start."""
+        assignment, the unary domains and what was derived under them (in
+        a control loop, the policy's too): the next round starts cold."""
         self._previous = None
         self.domains.clear()
 

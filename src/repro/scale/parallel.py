@@ -65,11 +65,12 @@ invalidation point:
 
 * the unary domains — :attr:`ParallelOptimizer.domains`, a
   :class:`~repro.constraints.domains.RetainedDomains` (key: the constraint
-  objects, the node names, every restriction placement-independent);
-* the decomposition — :attr:`ParallelOptimizer._kept`, reused while those
-  domains stand (their ``generation``), the completed target states are the
-  same and the partition is exact (every placed VM tight, so no zone read a
-  placement, a demand or a capacity); everything else is re-cut by
+  objects, the node descriptions, every restriction placement-independent;
+  in a control loop the policy's candidate filter reads the same one);
+* the decomposition — :attr:`ParallelOptimizer._kept`, reused while it was
+  cut under the generation that key returns, the completed target states
+  are the same and the partition is exact (every placed VM tight, so no
+  zone read a placement, a demand or a capacity); everything else is re-cut by
   :func:`~repro.scale.partition.partition` as before.
 """
 
@@ -463,31 +464,24 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         """The round's decomposition, and whether it is the kept one.
 
         The kept decomposition answers for this round when it is provably
-        the one :func:`partition` would cut again: the domains it read still
-        stand (same constraint objects, same node names, none of them
-        reading a placement — :class:`RetainedDomains`), the completed
-        target states are equal (so the same VMs are placed), and it was
-        exact — every placed VM tight, so no VM was anchored by its host,
-        its demand or a node's headroom."""
+        the one :func:`partition` would cut again: it was cut under the
+        generation the domains' key returns now (same constraint objects,
+        same node descriptions, none of them reading a placement —
+        :meth:`RetainedDomains.key`), the completed target states are equal
+        (so the same VMs are placed), and it was exact — every placed VM
+        tight, so no VM was anchored by its host, its demand or a node's
+        headroom."""
+        key = self.domains.key(current, constraints)
         kept = self._kept
-        if (
-            kept is not None
-            and self.domains.holds(current, constraints)
-            and kept[0] is self.domains.generation
-            and kept[1] == states
-        ):
+        if kept is not None and kept[0] is key and kept[1] == states:
             return kept[2], True
         domains = self.domains.of(current, placed_vms(states), constraints)
         decomposition = partition(
             current, states, constraints, shards=self.shards, domains=domains
         )
         self._kept = None
-        if (
-            decomposition.is_win
-            and decomposition.exact
-            and self.domains.holds(current, constraints)
-        ):
-            self._kept = (self.domains.generation, states, decomposition)
+        if key is not None and decomposition.is_win and decomposition.exact:
+            self._kept = (key, states, decomposition)
         return decomposition, False
 
     def _keep_in_place(

@@ -18,7 +18,8 @@ decision on unchanged inputs places and probes nothing, and after one VM's
 demand changes in vjob *k* it takes back exactly the VMs the trial placed
 for the vjobs from *k* on and re-packs only those vjobs.  The policy keeps
 its filter's domains too: a second decision under the same constraint
-objects over the same node names makes no fleet-wide ``vm_domains`` call.
+objects over the same node descriptions makes no fleet-wide
+``vm_domains`` call.
 The counts are deterministic, so this runs with the tier-1 suite and keeps
 the duplicates from growing back.
 """

@@ -168,20 +168,44 @@ class _Breaks(PlacementConstraint):
         return True
 
 
+class _StayPut(PlacementConstraint):
+    """A running member may only stay on its host: a unary restriction that
+    reads the placement."""
+
+    def __init__(self, vms):
+        self.vms = tuple(vms)
+
+    def allowed_nodes(self, vm_name, node_names, configuration=None):
+        if vm_name not in self.vms or configuration is None:
+            return None
+        host = configuration.location_of(vm_name)
+        return None if host is None else {host}
+
+    def is_satisfied_by(self, configuration):
+        return True
+
+
 class TestRetainedSelection:
-    def test_a_packing_cut_short_leaves_nothing_retained(self):
+    def _two_vjobs(self):
         configuration = uniprocessor_cluster()
         j1 = vjob("j1", vm_count=1, priority=1)
         j2 = vjob("j2", vm_count=1, priority=2)
         for vm in list(j1.vms) + list(j2.vms):
             configuration.add_vm(vm)
-        queue = VJobQueue([j1, j2])
+        return configuration, VJobQueue([j1, j2])
+
+    def test_a_packing_cut_short_leaves_nothing_retained(self):
+        configuration, queue = self._two_vjobs()
         catalog = [_Breaks()]
+        # The selection keeps its trial under its memory's key.
         retained = RetainedSelection()
+        assert retained.domains.key(configuration, catalog) is not None
         first = select_running_vjobs(
             configuration, queue, constraints=catalog, retained=retained
         )
         assert first.accepted == ["j1", "j2"]
+        assert retained.trial is not None
+        assert [entry.name for entry in retained.entries] == ["j1", "j2"]
 
         # j2's VM idles: the selection re-packs from j2, and its probe
         # raises half-way.
@@ -201,3 +225,16 @@ class TestRetainedSelection:
         assert again == select_running_vjobs(
             configuration, queue, constraints=catalog
         )
+
+    def test_a_catalog_reading_the_placement_keeps_no_trial(self):
+        configuration, queue = self._two_vjobs()
+        catalog = [_StayPut(["j1.vm0"])]
+        retained = RetainedSelection()
+        assert retained.domains.key(configuration, catalog) is None
+        result = select_running_vjobs(
+            configuration, queue, constraints=catalog, retained=retained
+        )
+        assert result == select_running_vjobs(
+            configuration, queue, constraints=catalog
+        )
+        assert retained.trial is None and retained.entries == []

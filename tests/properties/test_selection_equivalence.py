@@ -1,22 +1,32 @@
-"""What the selection keeps between rounds never shows in its answers.
+"""What the selection and the domains keep between rounds never shows.
 
 :class:`~repro.decision.consolidation.ConsolidationDecisionModule` keeps its
 RJSP trial packing from one decision to the next
 (:class:`~repro.decision.rjsp.RetainedSelection`) and re-packs only from the
-first vjob whose observed VMs changed; the node descriptions and the
-constraint objects key what it keeps.  Its candidate filter reads the unary
-domains the policy keeps (``ConstraintAwarePolicy.domains``), keyed by the
-constraint objects and the node names.  The property runs streams of rounds
-— demand changes (written into the observed configuration), arrivals, terminations, vjob
-state flips between running and sleeping, node crashes with the constraints'
-repair hook, joins, a node replaced by a new one (same count, other names),
-a capacity change in place and catalog swaps, under catalogs of the four
-relations plus one whose restriction reads the observed placement — through
-one long-lived module and through a module built afresh every round.  Round
-for round, every field of the two selections (dict order included) and the
-decisions' VM and vjob states must be equal, and every domain the long-lived
-module's filter reads must be what :func:`~repro.constraints.domains
-.vm_domains` computes afresh.
+first vjob whose observed VMs changed.  Its candidate filter reads the unary
+domains the policy keeps (``ConstraintAwarePolicy.domains``, a
+:class:`~repro.constraints.domains.RetainedDomains`), and the trial is kept
+under the generation of that memory's one key: the constraint objects, the
+node descriptions and every constraint reading no placement.  The property
+runs streams of rounds — demand changes (written into the observed
+configuration), arrivals, terminations, vjob state flips between running
+and sleeping, node crashes with the constraints' repair hook, joins, a node
+replaced by a new one (same count, other names), a capacity change in place
+and catalog swaps, under catalogs of the four relations plus one whose
+restriction reads the observed placement — through three modules: one
+long-lived module with its private memory, one long-lived module whose
+memory is the one a :class:`~repro.scale.parallel.ParallelOptimizer` reads
+between its decisions (as in a control loop: the optimizer decomposes the
+placed VMs after every decision), and a module built afresh every round.
+Round for round, every field of the three selections (dict order included)
+and the decisions' VM and vjob states must be equal, every domain a
+long-lived module's filter or the optimizer reads must be what
+:func:`~repro.constraints.domains.vm_domains` computes afresh, and every
+decomposition the optimizer returns — kept from an earlier round or not —
+must be what :func:`~repro.scale.partition.partition` cuts afresh.
+
+The capacity event is the one only the node *descriptions* tell apart: a
+key that compares node names instead must keep failing this property.
 """
 
 from __future__ import annotations
@@ -27,12 +37,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.constraints import Ban, Fence, PlacementConstraint, RunningCapacity, Spread
 from repro.constraints.domains import vm_domains
+from repro.core.optimizer import complete_states
 from repro.decision import ConsolidationDecisionModule
 from repro.model.configuration import Configuration
 from repro.model.node import Node
 from repro.model.queue import VJobQueue
 from repro.model.vjob import VJob, VJobState
 from repro.model.vm import VirtualMachine, VMState
+from repro.scale.parallel import ParallelOptimizer
+from repro.scale.partition import partition, placed_vms
 
 #: Quiet rounds and demand changes keep the key — the rounds that reuse the
 #: trial — so they come up more often than the events that break it.
@@ -42,7 +55,7 @@ EVENTS = (
     + ("arrival", "termination", "flip", "crash", "join", "replace", "replace")
     + ("capacity", "swap")
 )
-RELATIONS = ("fence", "elastic", "ban", "spread", "capacity", "stay")
+RELATIONS = ("fence", "elastic", "ban", "spread", "capacity", "stay", "halves")
 
 
 class StayPut(PlacementConstraint):
@@ -87,6 +100,12 @@ def _catalog(draw, vms, nodes):
             catalog.append(Spread(some(vms, min_size=2)[:3]))
         elif relation == "capacity":
             catalog.append(RunningCapacity(some(nodes), draw(st.integers(0, 4))))
+        elif relation == "halves":
+            # Every VM fenced into one of two halves of the fleet: the
+            # decomposition is exact while no VM outside them is placed.
+            cut = len(nodes) // 2
+            catalog.append(Fence(vms[::2], nodes[:cut]))
+            catalog.append(Fence(vms[1::2], nodes[cut:]))
         else:
             catalog.append(StayPut(some(vms)))
     return catalog
@@ -163,6 +182,9 @@ def test_a_long_lived_module_selects_what_a_fresh_one_selects(data):
     catalog = _catalog(draw, vm_names, list(configuration.node_names))
 
     kept = ConsolidationDecisionModule()
+    optimizer = ParallelOptimizer(zone_executor="serial")
+    shared = ConsolidationDecisionModule()
+    shared.domains = optimizer.domains
     arrivals = joins = 0
     for _ in range(draw(st.integers(2, 8))):
         event = draw(st.sampled_from(EVENTS))
@@ -262,12 +284,35 @@ def test_a_long_lived_module_selects_what_a_fresh_one_selects(data):
 
         kept.use_constraints(catalog)
         ours = kept.decide(configuration, queue)
+        shared.use_constraints(catalog)
+        in_loop = shared.decide(configuration, queue)
         fresh_module = ConsolidationDecisionModule()
         fresh_module.use_constraints(catalog)
         theirs = fresh_module.decide(configuration, queue)
         assert _digest(ours) == _digest(theirs)
+        assert _digest(in_loop) == _digest(theirs)
+
+        # The engine's turn: it decomposes the placed VMs over the memory
+        # the decision just read.
+        states, _ = complete_states(configuration, in_loop.vm_states)
+        placed = placed_vms(states)
+        decomposition, _ = optimizer._decompose(configuration, states, catalog)
+        expected = partition(configuration, states, catalog, shards=optimizer.shards)
+        for attribute in ("zones", "method", "reason", "exact"):
+            assert getattr(decomposition, attribute) == getattr(
+                expected, attribute
+            )
+        # A monolithic outcome records no domain.
+        assert {name: decomposition.domains.get(name) for name in placed} == {
+            name: expected.domains.get(name) for name in placed
+        }
+        engine_domains = optimizer.domains.of(configuration, placed, catalog)
+        assert {name: engine_domains[name] for name in placed} == vm_domains(
+            configuration, placed, catalog
+        )
         if catalog:
             names = [vm.name for vjob in queue.ordered() for vm in vjob.vms]
-            kept_filter = kept.node_filter(configuration)
             fresh = vm_domains(configuration, names, catalog)
-            assert {name: kept_filter.domain(name) for name in names} == fresh
+            for module in (kept, shared):
+                kept_filter = module.node_filter(configuration)
+                assert {name: kept_filter.domain(name) for name in names} == fresh
