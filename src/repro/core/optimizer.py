@@ -75,28 +75,6 @@ from .planner import ReconfigurationPlanner
 #: affects tie-breaking between plans of nearly identical costs).
 _MAX_OBJECTIVE_RANGE = 120_000
 
-#: Smallest wall-clock budget one carved solve is handed, seconds — a zone
-#: run after others (:mod:`repro.scale.parallel`), a repair attempt after a
-#: failed one (:mod:`repro.repair`): enough to attempt a first solution,
-#: small enough that an exhausted budget fails fast into the whole solve.
-MIN_CARVED_TIMEOUT_S = 0.05
-
-#: Floor of the whole solve's budget, as a fraction of the round's: when the
-#: failed zones or attempts before it burned the whole round, the whole
-#: solve still needs room to find *a* solution, so the worst-case round is
-#: bounded at (1 + this) times the budget rather than doubling it.
-_LEFTOVER_TIMEOUT_FRACTION = 0.1
-
-
-def leftover_budget(budget: float, deadline: float) -> float:
-    """What the whole solve that ends a carved round gets — the monolithic
-    re-solve after a failed zone, the repair engine's full solve: the
-    wall-clock the carved solves before it left until ``deadline``, floored
-    at :data:`_LEFTOVER_TIMEOUT_FRACTION` of the round's ``budget``."""
-    return max(
-        budget * _LEFTOVER_TIMEOUT_FRACTION, deadline - time.monotonic()
-    )
-
 
 def complete_states(
     current: Configuration, target_states: Mapping[str, VMState]
@@ -212,7 +190,7 @@ class ContextSwitchOptimizer:
         vjob_of_vm: Optional[Mapping[str, str]] = None,
         constraints: Sequence["PlacementConstraint"] = (),
         frozen: AbstractSet[str] = frozenset(),
-        timeout: Optional[float] = None,
+        deadline: Optional[float] = None,
     ) -> OptimizationResult:
         """Compute an optimized target configuration and its plan; raise
         :class:`~repro.model.errors.PlanningError` when the search finds no
@@ -236,15 +214,17 @@ class ContextSwitchOptimizer:
             The VMs that keep the host they run on (the repair engine's
             frozen region, whose precondition :mod:`repro.repair` owns), so
             the search only branches over the others.
-        timeout:
-            Wall-clock budget of this call's search, seconds; ``None`` means
-            the constructor's ``timeout``.  The engines that carve a round's
-            budget (:mod:`repro.scale.parallel`, :mod:`repro.repair`) pass
-            what is left of it here.
+        deadline:
+            The round's deadline, a :func:`time.monotonic` instant; ``None``
+            means the constructor's ``timeout`` from now.  The engines that
+            wrap this one (:mod:`repro.scale.parallel`, :mod:`repro.repair`)
+            make it once and hand every solve of the round the same value.
         """
+        if deadline is None:
+            deadline = time.monotonic() + self.timeout
         states, changed = self._complete_states(current, target_states)
         assignment, statistics, improving = self.search_assignment(
-            current, target_states, constraints, frozen=frozen, timeout=timeout
+            current, target_states, constraints, frozen=frozen, deadline=deadline
         )
         if assignment is None:
             raise PlanningError("the optimizer found no viable assignment")
@@ -307,7 +287,7 @@ class ContextSwitchOptimizer:
         target_states: Mapping[str, VMState],
         constraints: Sequence["PlacementConstraint"] = (),
         frozen: AbstractSet[str] = frozenset(),
-        timeout: Optional[float] = None,
+        deadline: Optional[float] = None,
     ) -> tuple[Optional[dict[str, str]], SearchStatistics, list[int]]:
         """Run only the CP search and return a VM -> node *name* assignment.
 
@@ -316,8 +296,7 @@ class ContextSwitchOptimizer:
         worker processes, where each zone's assignment is merged into one
         global target before a single planner pass.  Returns ``(None,
         statistics, improving)`` when no viable assignment was found.
-        ``timeout`` is the search budget of this call (``None``: the
-        constructor's).
+        ``deadline`` is when the search must stop, as in :meth:`optimize`.
         """
         states, _ = self._complete_states(current, target_states)
         running = VMState.RUNNING
@@ -328,7 +307,7 @@ class ContextSwitchOptimizer:
             running_vms,
             constraints,
             frozen,
-            self.timeout if timeout is None else timeout,
+            time.monotonic() + self.timeout if deadline is None else deadline,
         )
         if assignment is None:
             return None, statistics, improving
@@ -468,14 +447,13 @@ class ContextSwitchOptimizer:
         running_vms: list[str],
         constraints: Sequence["PlacementConstraint"],
         frozen: AbstractSet[str],
-        timeout: float,
+        deadline: float,
     ) -> tuple[Optional[dict[str, int]], SearchStatistics, list[int]]:
         """Answer with the keep-in-place incumbent when it costs the lower
         bound, run the CP search otherwise; returns (assignment or None,
-        statistics, improving objective values).  ``timeout`` starts here:
-        building the model is paid out of it and the solver gets what is
-        left."""
-        deadline = time.monotonic() + timeout
+        statistics, improving objective values).  Building the model is
+        paid out of the time left until ``deadline`` and the solver gets
+        what remains — nothing once it has passed."""
         node_names = current.node_names
         if not running_vms:
             # Nothing to place: the empty assignment is trivially optimal.

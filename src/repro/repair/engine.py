@@ -37,7 +37,7 @@ are the one owner of what a frozen VM is: it runs on a node of the
 configuration (rule 2), inside its retained unary domain (rule 3), is not
 leaving, and its host is not overloaded (rule 5); the layers below do not
 check it again.  A round makes one attempt on the dirty region; when that
-finds nothing, the full monolithic solve gets what is left of the budget —
+finds nothing, the full monolithic solve runs against the same deadline —
 so the repair engine accepts exactly the instances the cold solve accepts,
 and raises where it raises.
 
@@ -58,12 +58,7 @@ from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence, S
 
 from ..constraints.base import PlacementConstraint
 from ..constraints.domains import RetainedDomains, vm_domains
-from ..core.optimizer import (
-    MIN_CARVED_TIMEOUT_S,
-    ContextSwitchOptimizer,
-    OptimizationResult,
-    leftover_budget,
-)
+from ..core.optimizer import ContextSwitchOptimizer, OptimizationResult
 from ..model.configuration import Configuration
 from ..model.errors import PlanningError
 from ..model.vm import VMState
@@ -195,10 +190,11 @@ class RepairOptimizer:
     :class:`~repro.core.optimizer.ContextSwitchOptimizer`
     (``engine="repair"``) or a
     :class:`~repro.scale.parallel.ParallelOptimizer`
-    (``engine="repair-partitioned"``); both accept ``frozen`` and a per-call
-    ``timeout``, through which the attempt and the full solve get what is
-    left of this engine's own ``timeout`` — the round's budget, a plain
-    attribute a driver may set between rounds.
+    (``engine="repair-partitioned"``); both accept ``frozen`` and a
+    ``deadline``.  Each round makes one deadline from this engine's own
+    ``timeout`` — the round's budget, a plain attribute a driver may set
+    between rounds — and hands it to the attempt and to the full solve
+    alike.
 
     ``halo`` is the number of co-host expansion rounds applied to the dirty
     region (0 freezes everything but the directly perturbed VMs; larger
@@ -306,9 +302,7 @@ class RepairOptimizer:
                         vjob_of_vm=vjob_of_vm,
                         constraints=constraints,
                         frozen=frozen,
-                        timeout=max(
-                            MIN_CARVED_TIMEOUT_S, deadline - time.monotonic()
-                        ),
+                        deadline=deadline,
                     )
                 except PlanningError:
                     attempt_span.set(failed=True)
@@ -323,14 +317,14 @@ class RepairOptimizer:
                 )
             reason = "the repair attempt found no viable assignment"
         # The one way into the full solve: nothing frozen, and what the
-        # attempt, if any, left of the round's budget.
+        # attempt, if any, left until the round's deadline.
         with span("full-solve", reason=reason, dirty=len(dirty)):
             result = self.inner.optimize(
                 current,
                 target_states,
                 vjob_of_vm=vjob_of_vm,
                 constraints=constraints,
-                timeout=leftover_budget(self.timeout, deadline),
+                deadline=deadline,
             )
         return self._accept(
             result,

@@ -13,7 +13,7 @@ The package has two layers (see ``docs/PERFORMANCE.md`` for the guide and
    its zone, so per-zone solutions compose into a valid global placement.
 2. **Parallel optimizer** (:mod:`repro.scale.parallel`) — solve the zones
    (in-process, or concurrently on a process pool when they are big enough
-   to pay for it) with budgets carved from the global budget, merge the
+   to pay for it) by the round's one deadline, merge the
    assignments deterministically, and run one global planner pass; falls
    back to the monolithic optimizer whenever partitioning yields no win.
    Reachable from the facade as ``Scenario(engine="partitioned")``.

@@ -21,19 +21,19 @@ disjoint and that every zone VM's candidate nodes lie inside its zone, so
 * every relational constraint is confined to one zone, whose sub-model
   compiles and enforces it.
 
-The wall-clock budget of a call (its ``timeout`` argument, the constructor's
-by default) bounds the whole solve — zones that genuinely overlap each get
-the full budget, while zones the executor runs sequentially (the serial
-executor, or more zones than workers queuing in waves on the pool) share it,
-so a partitioned round stays within the per-round time budget the monolithic
-engine honours.  When the partitioner finds no decomposition — or any zone
-turns out infeasible under its carved budget, or the planner cannot reach
-the merged target (a ``PlanningError``) — the optimizer re-solves with
-the inherited monolithic solve, so ``engine="partitioned"`` is always safe
-to request; a post-zone re-solve only gets the wall-clock the zones left
-over (floored at a small fraction of the budget), so even the worst case
-stays near the budget instead of doubling it.  A solve that finds nothing
-raises, as the monolithic one does.
+One deadline bounds the whole solve: the ``deadline`` argument, or the
+constructor's ``timeout`` from the call's entry.  The partition, every zone
+and the monolithic re-solve run against it.  Zones that genuinely overlap
+each get what is left of it; zones the executor runs sequentially (the
+serial executor, or more zones than workers queuing in waves on the pool)
+share it, so a partitioned round stays within the per-round time budget the
+monolithic engine honours.  When the partitioner finds no decomposition — or
+any zone turns out infeasible by the deadline, or the planner cannot reach
+the merged target (a ``PlanningError``) — the optimizer re-solves with the
+inherited monolithic solve, so ``engine="partitioned"`` is always safe to
+request.  That re-solve gets the same deadline and nothing past it: a round
+the zones starved answers with the keep-in-place incumbent, or raises.  A
+solve that finds nothing raises, as the monolithic one does.
 
 Keep-in-place before the zones: on an *exact* decomposition under a unary
 catalog no home and no domain crosses a zone, so the zones' incumbents
@@ -84,12 +84,7 @@ from dataclasses import dataclass
 from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..constraints.base import PlacementConstraint
-from ..core.optimizer import (
-    MIN_CARVED_TIMEOUT_S,
-    ContextSwitchOptimizer,
-    OptimizationResult,
-    leftover_budget,
-)
+from ..core.optimizer import ContextSwitchOptimizer, OptimizationResult
 from ..cp import SearchStatistics
 from ..model.configuration import Configuration
 from ..model.errors import PlanningError, SolverError
@@ -136,6 +131,8 @@ class ZoneTask:
     ``configuration`` is the zone's extracted *sub*-configuration
     (:func:`build_zone_configuration`), not the full cluster — workers only
     ever see their own zone, and of a cut zone only the VMs to re-place.
+    ``timeout`` is relative, seconds from the zone's start: a
+    :func:`time.monotonic` instant means nothing in another process.
     """
 
     zone: Zone
@@ -258,7 +255,7 @@ def _solve_zone_traced(task: ZoneTask, zone_span: Span) -> ZoneOutcome:
         states,
         constraints=task.zone.constraints,
         frozen=task.frozen,
-        timeout=task.timeout,
+        deadline=started + task.timeout,
     )
     return ZoneOutcome(
         index=task.zone.index,
@@ -355,7 +352,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         vjob_of_vm: Optional[Mapping[str, str]] = None,
         constraints: Sequence[PlacementConstraint] = (),
         frozen: AbstractSet[str] = frozenset(),
-        timeout: Optional[float] = None,
+        deadline: Optional[float] = None,
     ) -> OptimizationResult:
         """Same contract as :meth:`ContextSwitchOptimizer.optimize`; the
         result's ``partition_method`` / ``partition_reason`` /
@@ -370,8 +367,8 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         A round :meth:`_keep_in_place` answers cuts no zone: its
         ``zone_reports`` is empty, its ``partition`` span says
         ``answered="incumbent"``."""
-        budget = self.timeout if timeout is None else timeout
-        deadline = time.monotonic() + budget
+        if deadline is None:
+            deadline = time.monotonic() + self.timeout
         states, changed = self._complete_states(current, target_states)
         with span("partition") as partition_span:
             decomposition, reused = self._decompose(current, states, constraints)
@@ -437,18 +434,15 @@ class ParallelOptimizer(ContextSwitchOptimizer):
                 result.partition_method = decomposition.method
                 result.zone_reports = outcomes
                 return result
-        if decomposition.is_win:
-            # The zones already consumed part of the round's budget: the
-            # monolithic re-solve only gets what they left, keeping the whole
-            # round near the per-round budget instead of doubling it.
-            budget = leftover_budget(budget, deadline)
+        # The re-solve runs against the round's deadline: it gets what the
+        # partition and the zones left, and nothing past it.
         result = super().optimize(
             current,
             target_states,
             vjob_of_vm=vjob_of_vm,
             constraints=constraints,
             frozen=frozen,
-            timeout=budget,
+            deadline=deadline,
         )
         result.partition_reason = reason
         return result
@@ -541,7 +535,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         leaving: Sequence[str] = (),
     ) -> Tuple[List[ZoneOutcome], List[ZoneTask]]:
         """The outcomes of the zones the frozen region leaves nothing to
-        decide in, and one task (its timeout still to be carved) per zone to
+        decide in, and one task (its timeout still to be set) per zone to
         solve.
 
         Repair composition: a zone whose VMs are all frozen is untouched by
@@ -616,25 +610,22 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         else:
             workers = len(tasks) if self.zone_executor == "process" else 1
         if workers < 2:
-            # Zones run one after another, so they share the single
-            # wall-clock budget: each gets what the earlier ones left over
-            # (a small floor keeps every zone able to at least attempt a
-            # first solution; an out-of-budget zone fails fast and triggers
-            # the monolithic re-solve).
+            # Zones run one after another against the one deadline: each
+            # gets what the earlier ones left, nothing once it has passed (an
+            # out-of-time zone answers with its incumbent or fails into the
+            # monolithic re-solve).
             outcomes = list(reused)
             for task in tasks:
-                task.timeout = max(
-                    MIN_CARVED_TIMEOUT_S, deadline - time.monotonic()
-                )
+                task.timeout = deadline - time.monotonic()
                 outcomes.append(solve_zone(task))
             return outcomes
         # More zones than workers queue in ceil(zones/workers) waves on the
-        # pool; carve what is left of the budget per wave so wall-clock
-        # stays <= budget.
+        # pool; each wave gets its share of what is left, so the last one
+        # ends by the deadline.
         waves = -(-len(tasks) // workers)
-        carved = max(MIN_CARVED_TIMEOUT_S, (deadline - time.monotonic()) / waves)
+        share = (deadline - time.monotonic()) / waves
         for task in tasks:
-            task.timeout = carved
+            task.timeout = share
         if self._pool is not None and self._pool_size < workers:
             # A later round partitioned into more zones than the cached pool
             # can overlap: respawn rather than silently serializing on an

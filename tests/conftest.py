@@ -6,8 +6,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
+from repro.core import optimizer
 from repro.cp import Solver
 from repro.model import Configuration, Node, make_working_nodes
+from repro.repair import engine
 from repro.scale import parallel
 from repro.testing import make_large_fleet, make_vm
 
@@ -94,3 +96,27 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
     return built
+
+
+class FakeClock:
+    """A :func:`time.monotonic` that stands still until a test advances it."""
+
+    def __init__(self, now: float = 1000.0) -> None:
+        self.now = now
+
+    def monotonic(self) -> float:
+        return self.now
+
+    def advance(self, seconds: float) -> None:
+        self.now += seconds
+
+
+@pytest.fixture
+def clock(monkeypatch):
+    """One :class:`FakeClock` read by every layer that makes or reads a
+    round's deadline — the optimizer, the partitioned engine, the repair
+    engine.  The solver keeps the real clock: it is handed a timeout."""
+    fake = FakeClock()
+    for module in (optimizer, parallel, engine):
+        monkeypatch.setattr(module, "time", fake)
+    return fake

@@ -1,5 +1,7 @@
 """Tests of the CP-based context-switch optimizer (Section 4.3)."""
 
+import time
+
 import pytest
 
 from repro.constraints import (
@@ -511,7 +513,9 @@ class TestBudgetCoversTheModelBuild:
         states = zone.states()
         catalog = fence_groups(zone, groups=1)
         optimizer = ContextSwitchOptimizer(timeout=30)
-        result = optimizer.optimize(zone, states, constraints=catalog, timeout=0.0)
+        result = optimizer.optimize(
+            zone, states, constraints=catalog, deadline=time.monotonic()
+        )
         assert result.statistics.timed_out
         assert result.cost == 2048 and result.plan.action_count() == 1
         assert result.target.is_viable()

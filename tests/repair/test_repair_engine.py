@@ -159,6 +159,28 @@ class TestComputeDirtySet:
         assert first == second
 
 
+class _NoFrozenRegionFits:
+    """Refuses every attempt with a frozen region after burning ``burn``
+    seconds of ``clock``; the full solve goes to a real optimizer under the
+    deadline it is handed.  Records the deadline of every call."""
+
+    def __init__(self, clock, burn=0.0):
+        self.clock = clock
+        self.burn = burn
+        self.attempts = []
+        self.full_solves = []
+
+    def optimize(self, *args, frozen=frozenset(), deadline=None, **kwargs):
+        if frozen:
+            self.attempts.append(deadline)
+            self.clock.advance(self.burn)
+            raise PlanningError("the frozen region is too tight")
+        self.full_solves.append(deadline)
+        return ContextSwitchOptimizer(timeout=5.0).optimize(
+            *args, deadline=deadline, **kwargs
+        )
+
+
 class TestRepairOptimizer:
     def _warm_engine(self, timeout=5.0, halo=1):
         configuration, names = _fleet()
@@ -380,35 +402,21 @@ class TestRepairOptimizer:
             ),
         ],
     )
-    def test_every_way_into_the_full_solve(self, warm, marks, timeout, expected):
+    def test_every_way_into_the_full_solve(
+        self, clock, warm, marks, timeout, expected
+    ):
         """The three ways :meth:`RepairOptimizer.optimize` reaches the full
         solve, each with the telemetry and the ``full-solve`` span it
         records."""
-
-        class _NoFrozenRegionFits:
-            """Refuses every attempt with a frozen region; the full solve
-            goes to a real optimizer on its own budget, so a starved round
-            still plans."""
-
-            def __init__(self):
-                self.full_solves = []
-
-            def optimize(self, *args, frozen=frozenset(), timeout=None, **kwargs):
-                if frozen:
-                    raise PlanningError("the frozen region is too tight")
-                self.full_solves.append(timeout)
-                return ContextSwitchOptimizer(timeout=5.0).optimize(
-                    *args, **kwargs
-                )
-
         configuration, names = _fleet()
-        inner = _NoFrozenRegionFits()
+        inner = _NoFrozenRegionFits(clock)
         engine = RepairOptimizer(inner, timeout=timeout, halo=0)
         if warm:
             engine._previous = dict(configuration.iter_placement())
             configuration.set_waiting("vm0-0")
         engine.mark_dirty(names if marks == "all" else marks)
         tracer = Tracer()
+        started = clock.now
         with tracer.activate():
             result = engine.optimize(configuration, _states(names))
         assert result.repair == {
@@ -417,10 +425,9 @@ class TestRepairOptimizer:
             "reused_zones": 0,
             **expected,
         }
-        # one full solve, handed what the attempt left of the budget, under
-        # one span carrying the same reason and count
-        [budget] = inner.full_solves
-        assert 0 < budget <= timeout
+        # one full solve, handed the round's deadline, under one span
+        # carrying the same reason and count
+        assert inner.full_solves == [started + timeout]
         [full_solve] = [
             s for s in tracer.root.walk() if s.name == "full-solve"
         ]
@@ -439,6 +446,26 @@ class TestRepairOptimizer:
         assert engine.previous_assignment == dict(
             result.target.iter_placement()
         )
+
+    def test_a_starved_attempt_leaves_the_full_solve_the_same_deadline(
+        self, clock
+    ):
+        """The attempt burns the round's budget and more: the full solve
+        gets the same deadline, not a floor on top of it, and the round
+        still answers — with the incumbent, at its bound."""
+        configuration, names = _fleet()
+        inner = _NoFrozenRegionFits(clock, burn=7.0)
+        engine = RepairOptimizer(inner, timeout=5.0, halo=0)
+        engine._previous = dict(configuration.iter_placement())
+        configuration.set_waiting("vm0-0")
+        engine.mark_dirty(["vm0-0"])
+        started = clock.now
+        result = engine.optimize(configuration, _states(names))
+        assert inner.attempts == inner.full_solves == [started + 5.0]
+        assert clock.now > inner.full_solves[0]
+        assert result.repair["mode"] == "full"
+        assert result.statistics.proven_optimal and result.cost == 0
+        assert result.target.is_viable()
 
     def test_close_forwards_to_the_inner_optimizer(self):
         closed = []

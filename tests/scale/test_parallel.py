@@ -9,7 +9,7 @@ import pytest
 
 from repro.api import ControlLoop, Scenario
 from repro.constraints import Ban, Fence, Spread
-from repro.constraints.checker import check_plan
+from repro.constraints.checker import check_plan, violated_constraints
 from repro.core.context_switch import ClusterContextSwitch
 from repro.core.optimizer import ContextSwitchOptimizer
 from repro.core.planner import PlannerOptions
@@ -30,7 +30,7 @@ from repro.scale import (
 from repro.scale import parallel as parallel_module
 from repro.scale.parallel import ZoneOutcome, ZoneTask
 from repro.cp import Model, SearchStatistics, Solver
-from repro.testing import make_vm
+from repro.testing import fence_groups, make_large_fleet, make_vm
 
 FENCE_A = ("node-0", "node-1", "node-2")
 FENCE_B = ("node-3", "node-4", "node-5")
@@ -55,6 +55,16 @@ def _overloaded():
     configuration.replace_vm(make_vm("vm0", memory=1024, cpu=2))
     configuration.migrate("vm1", "node-0")
     return configuration
+
+
+def _one_cpu_short():
+    """Two fenced zones of 125 VMs; ``node-0``, in the first, is a cpu
+    short, and its keep-in-place repair moves a 2 GB VM where moving a 1 GB
+    one would do — so only a search finds the optimum."""
+    configuration = make_large_fleet(250, groups=2, cached=False)
+    configuration.replace_vm(make_vm("vm-124", memory=1024, cpu=6))
+    configuration.replace_vm(make_vm("vm-248", memory=2048, cpu=1))
+    return configuration, fence_groups(configuration, groups=2)
 
 
 def _states(configuration):
@@ -279,11 +289,7 @@ class TestZoneMachinery:
         # an exact partition with every zone proved may claim the optimum
         assert merge_statistics([proven, proven], exact=True).proven_optimal
 
-    def test_serial_zones_share_the_wall_clock_budget(self, monkeypatch):
-        import time as time_module
-
-        from repro.scale import parallel as parallel_module
-
+    def test_serial_zones_share_the_wall_clock_budget(self, monkeypatch, clock):
         configuration = _configuration()
         constraints = _fenced_constraints()
         states = _states(configuration)
@@ -294,72 +300,90 @@ class TestZoneMachinery:
 
         def slow_zone(task):
             recorded.append(task.timeout)
-            time_module.sleep(0.2)
-            return ZoneOutcome(
-                index=task.zone.index,
-                assignment=None,
-                statistics=SearchStatistics(),
-                elapsed=0.2,
-            )
+            clock.advance(0.2)
+            return _failed(task)
 
         monkeypatch.setattr(parallel_module, "solve_zone", slow_zone)
         optimizer = ParallelOptimizer(zone_executor="serial")
-        optimizer._solve_zones(
-            configuration, decomposition, time_module.monotonic() + 0.3
-        )
-        assert len(recorded) == 2
-        # the first zone gets (about) the whole budget, the second only
-        # what the first left over — not another full timeout
-        assert 0.25 < recorded[0] <= 0.3 + 1e-6
-        assert recorded[1] < 0.15
+        optimizer._solve_zones(configuration, decomposition, clock.now + 0.3)
+        # the first zone gets the whole budget, the second only what the
+        # first left over — not another full timeout
+        assert recorded == [pytest.approx(0.3), pytest.approx(0.1)]
 
-    def test_zone_failure_fallback_gets_the_leftover_budget(self, monkeypatch):
-        import time as time_module
-
-        from repro.scale import parallel as parallel_module
-
+    def test_zone_failure_fallback_gets_the_leftover_budget(
+        self, monkeypatch, clock
+    ):
         configuration = _overloaded()
         states = _states(configuration)
 
         def failing_zone(task):
-            time_module.sleep(0.15)
-            return ZoneOutcome(
-                index=task.zone.index,
-                assignment=None,
-                statistics=SearchStatistics(),
-                elapsed=0.15,
-            )
+            clock.advance(0.15)
+            return _failed(task)
 
         monkeypatch.setattr(parallel_module, "solve_zone", failing_zone)
         optimizer = ParallelOptimizer(timeout=0.5, zone_executor="serial")
-        seen = []
-        original = optimizer.search_assignment
-
-        def spy(*args, **kwargs):
-            seen.append(kwargs["timeout"])
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(optimizer, "search_assignment", spy)
+        seen = _record_deadlines(monkeypatch, optimizer)
+        started = clock.now
         result = optimizer.optimize(
             configuration, states, constraints=_fenced_constraints()
         )
         assert result.partition_method == "monolithic"
         assert "found no viable assignment" in result.partition_reason
-        # the fallback ran on what the failed zones left over, not on a
-        # second full budget; the optimizer's own timeout was never touched
-        assert seen and seen[0] < 0.5
+        # the fallback ran on what the two failed zones left over of the
+        # round's deadline, not on a second full budget; the optimizer's own
+        # timeout was never touched
+        assert seen == [started + 0.5]
+        assert seen[0] - clock.now == pytest.approx(0.2)
         assert optimizer.timeout == 0.5
 
-    def test_an_unplannable_merge_goes_to_the_monolithic_solve(self, monkeypatch):
+    def test_a_starved_round_is_granted_nothing_past_its_deadline(
+        self, monkeypatch, clock
+    ):
+        """The first zone burns the whole budget: the second zone and the
+        monolithic re-solve get nothing more, and the round still answers,
+        with the re-solve's keep-in-place incumbent."""
+        configuration, catalog = _one_cpu_short()
+        recorded = []
+        real = parallel_module.solve_zone
+
+        def burning_zone(task):
+            recorded.append(task.timeout)
+            if len(recorded) > 1:
+                return real(task)
+            clock.advance(0.6)
+            return _failed(task)
+
+        monkeypatch.setattr(parallel_module, "solve_zone", burning_zone)
+        optimizer = ParallelOptimizer(timeout=0.5, zone_executor="serial")
+        seen = _record_deadlines(monkeypatch, optimizer)
+        started = clock.now
+        result = optimizer.optimize(
+            configuration, configuration.states(), constraints=catalog
+        )
+        assert len(recorded) == 2
+        assert recorded[0] == pytest.approx(0.5)
+        assert recorded[1] <= 0.0
+        assert seen == [started + 0.5]
+        assert result.partition_method == "monolithic"
+        # keep-in-place sends the 2 GB VM next door; with any time left the
+        # search would find the 1 GB move
+        assert result.statistics.timed_out
+        assert result.cost == 2048 and result.plan.action_count() == 1
+        assert result.target.is_viable()
+        assert violated_constraints(result.target, catalog) == []
+
+    def test_an_unplannable_merge_goes_to_the_monolithic_solve(
+        self, monkeypatch, clock
+    ):
         # An overloaded host: the zones solve and their assignments merge.
-        _assert_first_target_unplannable(monkeypatch, _overloaded())
+        _assert_first_target_unplannable(monkeypatch, _overloaded(), clock)
 
     def test_an_unplannable_keep_in_place_goes_to_the_monolithic_solve(
-        self, monkeypatch
+        self, monkeypatch, clock
     ):
         # The round's keep-in-place answers before the zones; its target
         # takes the merged assignment's way out.
-        _assert_first_target_unplannable(monkeypatch, _configuration())
+        _assert_first_target_unplannable(monkeypatch, _configuration(), clock)
 
     def test_queued_waves_carve_the_timeout(self, monkeypatch):
         configuration = _overloaded()
@@ -389,16 +413,14 @@ class TestZoneMachinery:
         # a worker per zone: they overlap, each gets the whole of it
         assert len(set(recorded)) == 1 and 7.9 < recorded[0] <= 8.0
 
-    def test_the_budget_covers_the_partition(self, monkeypatch):
+    def test_the_budget_covers_the_partition(self, monkeypatch, clock):
         """The deadline is taken before the partition, and the serial zones
         run against it — not against a second full budget started after the
         partition and the extraction of every zone."""
-        import time as time_module
-
         real = parallel_module.partition
 
         def slow_partition(*args, **kwargs):
-            time_module.sleep(0.2)
+            clock.advance(0.2)
             return real(*args, **kwargs)
 
         monkeypatch.setattr(parallel_module, "partition", slow_partition)
@@ -408,11 +430,33 @@ class TestZoneMachinery:
             configuration, _states(configuration), constraints=_fenced_constraints()
         )
         assert result.partition_method == "interference"
-        assert len(recorded) == 2
-        assert recorded[0] <= 0.3 + 1e-6
+        assert recorded == [pytest.approx(0.3)] * 2
 
 
-def _assert_first_target_unplannable(monkeypatch, configuration):
+def _failed(task):
+    """The outcome of a zone that found nothing."""
+    return ZoneOutcome(
+        index=task.zone.index,
+        assignment=None,
+        statistics=SearchStatistics(),
+        elapsed=0.0,
+    )
+
+
+def _record_deadlines(monkeypatch, optimizer):
+    """Every ``deadline`` the monolithic solve of ``optimizer`` is handed."""
+    seen = []
+    search = optimizer.search_assignment
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["deadline"])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(optimizer, "search_assignment", spy)
+    return seen
+
+
+def _assert_first_target_unplannable(monkeypatch, configuration, clock):
     """The first target the partitioned solve plans cannot be planned: the
     round goes to the monolithic re-solve, on what the round left over."""
     states = _states(configuration)
@@ -423,21 +467,16 @@ def _assert_first_target_unplannable(monkeypatch, configuration):
 
     def build(current, target, *args, **kwargs):
         # The first target planned is the zones' merged one (or the
-        # keep-in-place that stands for it).
+        # keep-in-place that stands for it); planning it takes a second.
         if not merged:
             merged.append(target)
+            clock.advance(1.0)
             raise NoPivotAvailableError("no pivot for the merged target")
         return original(current, target, *args, **kwargs)
 
     monkeypatch.setattr(optimizer.planner, "build", build)
-    seen = []
-    search = optimizer.search_assignment
-
-    def spy(*args, **kwargs):
-        seen.append(kwargs["timeout"])
-        return search(*args, **kwargs)
-
-    monkeypatch.setattr(optimizer, "search_assignment", spy)
+    seen = _record_deadlines(monkeypatch, optimizer)
+    started = clock.now
     result = optimizer.optimize(configuration, states, constraints=constraints)
     monolithic = ContextSwitchOptimizer(timeout=5.0).optimize(
         configuration, states, constraints=constraints
@@ -451,8 +490,10 @@ def _assert_first_target_unplannable(monkeypatch, configuration):
     )
     assert result.target.same_assignment(monolithic.target)
     assert result.cost == monolithic.cost
-    # the re-solve ran on what the zones left over, as after a failed zone
-    assert seen and seen[0] < 5.0
+    # the re-solve ran on what the zones and the failed plan left over of
+    # the round's deadline, as after a failed zone
+    assert seen == [started + 5.0]
+    assert seen[0] - clock.now == pytest.approx(4.0)
 
 
 class _InProcessPool:
