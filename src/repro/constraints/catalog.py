@@ -134,9 +134,7 @@ class Ban(VMGroupConstraint):
         return {n for n in node_names if n not in self.nodes}
 
     def is_satisfied_by(self, configuration: "Configuration") -> bool:
-        return not any(
-            node in self.nodes for node in self._running_locations(configuration)
-        )
+        return self.nodes.isdisjoint(self._running_locations(configuration))
 
     def explain(self, configuration: "Configuration") -> Optional[str]:
         offending = sorted(
@@ -187,9 +185,7 @@ class Fence(VMGroupConstraint):
         return {n for n in node_names if n in self.nodes}
 
     def is_satisfied_by(self, configuration: "Configuration") -> bool:
-        return all(
-            node in self.nodes for node in self._running_locations(configuration)
-        )
+        return self.nodes.issuperset(self._running_locations(configuration))
 
     def explain(self, configuration: "Configuration") -> Optional[str]:
         outside = sorted(

@@ -75,6 +75,10 @@ from .planner import ReconfigurationPlanner
 #: affects tie-breaking between plans of nearly identical costs).
 _MAX_OBJECTIVE_RANGE = 120_000
 
+#: What :func:`complete_states` returns: the wanted state of every VM, and
+#: the VMs whose wanted state is not the observed one.
+CompletedStates = tuple[dict[str, VMState], Sequence[str]]
+
 
 def complete_states(
     current: Configuration, target_states: Mapping[str, VMState]
@@ -82,12 +86,14 @@ def complete_states(
     """The state wanted of every VM of ``current`` (``keepVMState``: a VM
     ``target_states`` does not name keeps the observed one; a name
     ``current`` does not know is ignored), in registration order, and the
-    VMs whose wanted state is not the observed one."""
+    VMs whose wanted state is not the observed one, in the same order.  One
+    pass over ``current``, each VM looked up in ``target_states``: a zone's
+    completion reads the zone, whatever the size of the decision."""
     states = current.states()
     changed = [
         name
-        for name, wanted in target_states.items()
-        if states.get(name, wanted) is not wanted
+        for name, state in states.items()
+        if target_states.get(name, state) is not state
     ]
     for name in changed:
         states[name] = target_states[name]
@@ -191,6 +197,7 @@ class ContextSwitchOptimizer:
         constraints: Sequence["PlacementConstraint"] = (),
         frozen: AbstractSet[str] = frozenset(),
         deadline: Optional[float] = None,
+        completed: Optional[CompletedStates] = None,
     ) -> OptimizationResult:
         """Compute an optimized target configuration and its plan; raise
         :class:`~repro.model.errors.PlanningError` when the search finds no
@@ -219,12 +226,24 @@ class ContextSwitchOptimizer:
             means the constructor's ``timeout`` from now.  The engines that
             wrap this one (:mod:`repro.scale.parallel`, :mod:`repro.repair`)
             make it once and hand every solve of the round the same value.
+        completed:
+            ``target_states`` completed over ``current`` — the ``(states,
+            changed)`` pair :meth:`_complete_states` returns; ``None`` means
+            complete them here.  The engines that wrap this one complete
+            them once per round and hand every solve the same pair.
         """
         if deadline is None:
             deadline = time.monotonic() + self.timeout
-        states, changed = self._complete_states(current, target_states)
+        if completed is None:
+            completed = self._complete_states(current, target_states)
+        states, changed = completed
         assignment, statistics, improving = self.search_assignment(
-            current, target_states, constraints, frozen=frozen, deadline=deadline
+            current,
+            target_states,
+            constraints,
+            frozen=frozen,
+            deadline=deadline,
+            completed=completed,
         )
         if assignment is None:
             raise PlanningError("the optimizer found no viable assignment")
@@ -288,6 +307,7 @@ class ContextSwitchOptimizer:
         constraints: Sequence["PlacementConstraint"] = (),
         frozen: AbstractSet[str] = frozenset(),
         deadline: Optional[float] = None,
+        completed: Optional[CompletedStates] = None,
     ) -> tuple[Optional[dict[str, str]], SearchStatistics, list[int]]:
         """Run only the CP search and return a VM -> node *name* assignment.
 
@@ -296,9 +316,13 @@ class ContextSwitchOptimizer:
         worker processes, where each zone's assignment is merged into one
         global target before a single planner pass.  Returns ``(None,
         statistics, improving)`` when no viable assignment was found.
-        ``deadline`` is when the search must stop, as in :meth:`optimize`.
+        ``deadline`` is when the search must stop and ``completed`` the
+        completed states, as in :meth:`optimize` (the search reads the
+        states only).
         """
-        states, _ = self._complete_states(current, target_states)
+        if completed is None:
+            completed = self._complete_states(current, target_states)
+        states = completed[0]
         running = VMState.RUNNING
         running_vms = [name for name, state in states.items() if state is running]
         assignment, statistics, improving = self._search(

@@ -23,7 +23,11 @@ usage zeroed, removed from the name map and the cached sets) and a node
 re-added under the same name gets a fresh, strictly larger slot.  Slot order
 therefore always matches the configuration's node-registration order, which
 is what keeps the incremental violation list byte-identical to the full
-scan's."""
+scan's.
+
+Copies are copy-on-write (:meth:`LoadColumns.copy`): a copy shares its
+columns with the original until one of the two writes them, so a copy that
+is only read allocates none."""
 
 from __future__ import annotations
 
@@ -47,6 +51,8 @@ class LoadColumns:
         "_total_usage_mem",
         "_total_cap_cpu",
         "_total_cap_mem",
+        "_layout_shared",
+        "_loads_shared",
     )
 
     def __init__(self) -> None:
@@ -68,6 +74,14 @@ class LoadColumns:
         self._total_usage_mem = 0
         self._total_cap_cpu = 0
         self._total_cap_mem = 0
+        #: Copy-on-write, one flag per group of columns written together:
+        #: the *layout* (``_index``, ``_names``, the capacity columns,
+        #: ``_alive`` — written by :meth:`add` / :meth:`drop` only) and the
+        #: *loads* (the usage columns, ``dirty``, ``_overloaded``).  True
+        #: while the group may be shared with a copy; the first write takes
+        #: this side's own.
+        self._layout_shared = False
+        self._loads_shared = False
 
     # ------------------------------------------------------------------ #
     # interning                                                           #
@@ -78,6 +92,10 @@ class LoadColumns:
 
         The fresh slot is marked dirty so the next incremental scan examines
         it — a zero-capacity node is overloaded by a single busy VM."""
+        if self._layout_shared:
+            self._own_layout()
+        if self._loads_shared:
+            self._own_loads()
         slot = len(self._names)
         self._cpu_usage.append(0)
         self._mem_usage.append(0)
@@ -95,6 +113,10 @@ class LoadColumns:
         """Tombstone a node's slot: unmap the name, zero its columns and
         evict it from the dirty/overloaded caches so nothing stale survives
         a later re-add of the same name (which gets a *fresh* slot)."""
+        if self._layout_shared:
+            self._own_layout()
+        if self._loads_shared:
+            self._own_loads()
         slot = self._index.pop(name)
         self._total_cap_cpu -= self._cpu_cap[slot]
         self._total_cap_mem -= self._mem_cap[slot]
@@ -126,6 +148,8 @@ class LoadColumns:
 
     def add_load(self, name: str, cpu: int, memory: int) -> None:
         """Apply a load delta to a node and mark it dirty."""
+        if self._loads_shared:
+            self._own_loads()
         slot = self._index[name]
         self._cpu_usage[slot] += cpu
         self._mem_usage[slot] += memory
@@ -168,22 +192,26 @@ class LoadColumns:
         """Every overloaded live slot, in slot (= registration) order.
 
         Resynchronizes the cached overloaded set and clears the dirty set —
-        a full scan subsumes any pending incremental work."""
+        a full scan subsumes any pending incremental work (both sets are
+        replaced, not written, so a copy sharing them is left alone)."""
         slots = [s for s in range(len(self._names)) if self._is_overloaded(s)]
         self._overloaded = set(slots)
-        self.dirty.clear()
+        self.dirty = set()
         return slots
 
     def overloaded_dirty(self) -> List[int]:
         """The same list as :meth:`overloaded_full`, computed by re-examining
         only the slots touched since the previous scan (O(changed) plus the
         size of the answer)."""
-        for slot in self.dirty:
-            if self._is_overloaded(slot):
-                self._overloaded.add(slot)
-            else:
-                self._overloaded.discard(slot)
-        self.dirty.clear()
+        if self.dirty:
+            if self._loads_shared:
+                self._own_loads()
+            for slot in self.dirty:
+                if self._is_overloaded(slot):
+                    self._overloaded.add(slot)
+                else:
+                    self._overloaded.discard(slot)
+            self.dirty.clear()
         return sorted(self._overloaded)
 
     # ------------------------------------------------------------------ #
@@ -191,21 +219,33 @@ class LoadColumns:
     # ------------------------------------------------------------------ #
 
     def copy(self) -> "LoadColumns":
+        """A copy that shares every column with this one until either side
+        writes it (O(1))."""
         clone = LoadColumns.__new__(LoadColumns)
-        clone._index = dict(self._index)
-        clone._names = list(self._names)
-        clone._cpu_usage = list(self._cpu_usage)
-        clone._mem_usage = list(self._mem_usage)
-        clone._cpu_cap = list(self._cpu_cap)
-        clone._mem_cap = list(self._mem_cap)
-        clone._alive = list(self._alive)
-        clone.dirty = set(self.dirty)
-        clone._overloaded = set(self._overloaded)
-        clone._total_usage_cpu = self._total_usage_cpu
-        clone._total_usage_mem = self._total_usage_mem
-        clone._total_cap_cpu = self._total_cap_cpu
-        clone._total_cap_mem = self._total_cap_mem
+        for name in LoadColumns.__slots__:
+            setattr(clone, name, getattr(self, name))
+        self._layout_shared = self._loads_shared = True
+        clone._layout_shared = clone._loads_shared = True
         return clone
+
+    def _own_layout(self) -> None:
+        """Take this side's own layout, the first node to join or leave
+        after a copy."""
+        self._index = dict(self._index)
+        self._names = list(self._names)
+        self._cpu_cap = list(self._cpu_cap)
+        self._mem_cap = list(self._mem_cap)
+        self._alive = list(self._alive)
+        self._layout_shared = False
+
+    def _own_loads(self) -> None:
+        """Take this side's own load columns and scan caches, the first load
+        change after a copy."""
+        self._cpu_usage = list(self._cpu_usage)
+        self._mem_usage = list(self._mem_usage)
+        self.dirty = set(self.dirty)
+        self._overloaded = set(self._overloaded)
+        self._loads_shared = False
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (

@@ -21,6 +21,14 @@ in a dirty set, so
   re-examines only the nodes mutated since the previous scan and returns the
   *complete* current violation list, identical to the full scan.
 
+Copies are *copy-on-write*: :meth:`Configuration.copy` is O(1) — the copy
+shares every map (and the load columns) with its original — and the first
+write on either side takes that side's own copy of the maps it writes, one
+group at a time: the node and VM descriptions, the assignment (placement,
+states, suspend images and their indices).  A copy that is only read — a
+plan's source — allocates no map; one that re-places VMs — the planner's
+working state, a target — copies the assignment and nothing else.
+
 The naive dict-walk implementations are retained in
 ``tests/properties/reference_configuration.py`` as the differential-test
 oracle (``tests/properties/test_configuration_equivalence.py`` drives both in
@@ -74,7 +82,8 @@ class Configuration:
     The class is mutable — decision modules and planners build configurations
     incrementally — but exposes :meth:`copy` so temporary configurations can be
     derived cheaply, mirroring the iterative constructions of Sections 3.2
-    and 4.1.
+    and 4.1: a copy shares every map with its original until one of the two
+    writes it (see the module docstring).
     """
 
     def __init__(
@@ -111,6 +120,14 @@ class Configuration:
         #: per-node index reproduces the historical dict-walk order exactly.
         self._placement_rank: dict[str, int] = {}
         self._rank_counter = 0
+        #: Copy-on-write, one flag per group of maps written together: the
+        #: descriptions (``_nodes``, ``_vms``, ``_vm_index``) and the
+        #: assignment (``_placement``, ``_placement_rank``, ``_states``,
+        #: ``_images``, ``_image_members``, ``_members``).  True while the
+        #: group may be shared with a copy: a mutator tests the flag of each
+        #: group it writes and takes its own copy of a shared one first.
+        self._descriptions_shared = False
+        self._assignment_shared = False
         for node in nodes:
             self.add_node(node)
         for vm in vms:
@@ -123,6 +140,10 @@ class Configuration:
     def add_node(self, node: Node) -> None:
         if node.name in self._nodes:
             raise DuplicateElementError(f"node {node.name!r} already registered")
+        if self._descriptions_shared:
+            self._own_descriptions()
+        if self._assignment_shared:
+            self._own_assignment()
         self._nodes[node.name] = node
         self._columns.add(node.name, node.cpu_capacity, node.memory_capacity)
         self._members[node.name] = set()
@@ -131,6 +152,10 @@ class Configuration:
     def add_vm(self, vm: VirtualMachine, state: VMState = VMState.WAITING) -> None:
         if vm.name in self._vms:
             raise DuplicateElementError(f"VM {vm.name!r} already registered")
+        if self._descriptions_shared:
+            self._own_descriptions()
+        if self._assignment_shared:
+            self._own_assignment()
         self._vm_index[vm.name] = len(self._vms)
         self._vms[vm.name] = vm
         self._states[vm.name] = state
@@ -147,6 +172,10 @@ class Configuration:
                 f"VM {name!r} is not the last registered: only the latest "
                 "registration can be taken back"
             )
+        if self._descriptions_shared:
+            self._own_descriptions()
+        if self._assignment_shared:
+            self._own_assignment()
         self._unplace(name)
         self._drop_image(name)
         del self._states[name]
@@ -158,6 +187,8 @@ class Configuration:
         touching its placement or state."""
         if vm.name not in self._vms:
             raise UnknownVMError(vm.name)
+        if self._descriptions_shared:
+            self._own_descriptions()
         host = self._placement.get(vm.name)
         if host is not None:
             old = self._vms[vm.name]
@@ -191,6 +222,10 @@ class Configuration:
                 f"suspend images {sorted(imaged)} must be displaced before "
                 "the node can be removed"
             )
+        if self._descriptions_shared:
+            self._own_descriptions()
+        if self._assignment_shared:
+            self._own_assignment()
         del self._nodes[name]
         del self._members[name]
         self._owned.discard(name)
@@ -341,10 +376,33 @@ class Configuration:
     # state changes                                                       #
     # ------------------------------------------------------------------ #
 
+    def _own_descriptions(self) -> None:
+        """Take this configuration's own node and VM descriptions (the
+        first registration or demand change after a copy)."""
+        self._nodes = dict(self._nodes)
+        self._vms = dict(self._vms)
+        self._vm_index = dict(self._vm_index)
+        self._descriptions_shared = False
+
+    def _own_assignment(self) -> None:
+        """Take this configuration's own assignment maps (the first state or
+        placement change after a copy).  The per-node running sets stay
+        shared: :meth:`_running_on` takes them apart one node at a time."""
+        self._placement = dict(self._placement)
+        self._placement_rank = dict(self._placement_rank)
+        self._states = dict(self._states)
+        self._images = dict(self._images)
+        self._image_members = {
+            node: set(vms) for node, vms in self._image_members.items()
+        }
+        self._members = dict(self._members)
+        self._assignment_shared = False
+
     def _running_on(self, node_name: str) -> Set[str]:
         """The node's running set, to be changed: this configuration's own
         from here on (its first change after a copy takes the set apart
-        from the one the copy still reads)."""
+        from the one the copy still reads).  The caller owns the assignment
+        maps already."""
         if node_name not in self._owned:
             self._members[node_name] = set(self._members[node_name])
             self._owned.add(node_name)
@@ -372,6 +430,8 @@ class Configuration:
         """Place a VM in the RUNNING state on ``node_name``."""
         vm = self.vm(vm_name)
         self.node(node_name)
+        if self._assignment_shared:
+            self._own_assignment()
         previous = self._placement.get(vm_name)
         if previous is None:
             self._placement[vm_name] = node_name
@@ -392,6 +452,8 @@ class Configuration:
         """Suspend a VM; its image stays on ``image_node`` (defaults to the
         node it was running on)."""
         self.vm(vm_name)
+        if self._assignment_shared:
+            self._own_assignment()
         if image_node is None:
             image_node = self._placement.get(vm_name)
         if image_node is not None:
@@ -404,12 +466,16 @@ class Configuration:
 
     def set_waiting(self, vm_name: str) -> None:
         self.vm(vm_name)
+        if self._assignment_shared:
+            self._own_assignment()
         self._states[vm_name] = VMState.WAITING
         self._unplace(vm_name)
         self._drop_image(vm_name)
 
     def set_terminated(self, vm_name: str) -> None:
         self.vm(vm_name)
+        if self._assignment_shared:
+            self._own_assignment()
         self._states[vm_name] = VMState.TERMINATED
         self._unplace(vm_name)
         self._drop_image(vm_name)
@@ -420,6 +486,8 @@ class Configuration:
         then list them as if they had been placed one after the other (a
         packer probes by decreasing demand but commits in the order it was
         handed)."""
+        if self._assignment_shared:
+            self._own_assignment()
         for name in vm_names:
             self._placement[name] = self._placement.pop(name)
             self._placement_rank[name] = self._rank_counter
@@ -435,6 +503,8 @@ class Configuration:
         source = self._placement[vm_name]
         if source == destination:
             return
+        if self._assignment_shared:
+            self._own_assignment()
         vm = self._vms[vm_name]
         self._placement[vm_name] = destination
         self._running_on(source).discard(vm_name)
@@ -527,22 +597,29 @@ class Configuration:
     # ------------------------------------------------------------------ #
 
     def copy(self) -> "Configuration":
-        clone = type(self)()
-        clone._nodes = dict(self._nodes)
-        clone._vms = dict(self._vms)
-        clone._placement = dict(self._placement)
-        clone._images = dict(self._images)
-        clone._states = dict(self._states)
-        clone._vm_index = dict(self._vm_index)
+        """An O(1) copy: it shares every map with this configuration, and
+        each side takes its own copy of a group of maps on its first write
+        to it."""
+        # Attributes are set one by one, in the constructor's order: reading
+        # ``__dict__`` would turn both objects' attribute reads into plain
+        # dict lookups for the rest of their lives.
+        clone = type(self).__new__(type(self))
+        clone._nodes = self._nodes
+        clone._vms = self._vms
+        clone._placement = self._placement
+        clone._images = self._images
+        clone._states = self._states
+        clone._vm_index = self._vm_index
         clone._columns = self._columns.copy()
+        clone._members = self._members
         # Both sides now read the same running sets: neither owns one.
-        clone._members = dict(self._members)
+        clone._owned = set()
         self._owned = set()
-        clone._image_members = {
-            node: set(vms) for node, vms in self._image_members.items()
-        }
-        clone._placement_rank = dict(self._placement_rank)
+        clone._image_members = self._image_members
+        clone._placement_rank = self._placement_rank
         clone._rank_counter = self._rank_counter
+        clone._descriptions_shared = clone._assignment_shared = True
+        self._descriptions_shared = self._assignment_shared = True
         return clone
 
     def same_assignment(self, other: "Configuration") -> bool:

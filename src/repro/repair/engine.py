@@ -268,7 +268,7 @@ class RepairOptimizer:
         marks = sorted(self._marks)
         self._marks.clear()
         deadline = time.monotonic() + self.timeout
-        states, changed = ContextSwitchOptimizer._complete_states(
+        completed = states, changed = ContextSwitchOptimizer._complete_states(
             current, target_states
         )
         must_run = _MustRun(states)
@@ -303,6 +303,7 @@ class RepairOptimizer:
                         constraints=constraints,
                         frozen=frozen,
                         deadline=deadline,
+                        completed=completed,
                     )
                 except PlanningError:
                     attempt_span.set(failed=True)
@@ -325,6 +326,7 @@ class RepairOptimizer:
                 vjob_of_vm=vjob_of_vm,
                 constraints=constraints,
                 deadline=deadline,
+                completed=completed,
             )
         return self._accept(
             result,
@@ -374,7 +376,7 @@ class RepairOptimizer:
         """Remember the accepted assignment and attach the repair telemetry
         (recorded on :class:`~repro.core.context_switch.ContextSwitchReport`
         and aggregated into ``RunResult.metadata["repair_engine"]``)."""
-        self._previous = dict(result.target.iter_placement())
+        self._previous = result.target.placement()
         result.repair = {
             "mode": mode,
             "reason": reason,

@@ -84,7 +84,11 @@ from dataclasses import dataclass
 from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..constraints.base import PlacementConstraint
-from ..core.optimizer import ContextSwitchOptimizer, OptimizationResult
+from ..core.optimizer import (
+    CompletedStates,
+    ContextSwitchOptimizer,
+    OptimizationResult,
+)
 from ..cp import SearchStatistics
 from ..model.configuration import Configuration
 from ..model.errors import PlanningError, SolverError
@@ -248,6 +252,8 @@ def _solve_zone_traced(task: ZoneTask, zone_span: Span) -> ZoneOutcome:
         pinned=len(task.frozen) + len(task.zone.vms) - len(extracted),
     )
     optimizer = ContextSwitchOptimizer(engine=task.engine)
+    # Every VM the zone extracted is to run: its wanted states are complete
+    # as built, and the search reads no list of changed VMs.
     states = dict.fromkeys(extracted, VMState.RUNNING)
     started = time.monotonic()
     assignment, statistics, _ = optimizer.search_assignment(
@@ -256,6 +262,7 @@ def _solve_zone_traced(task: ZoneTask, zone_span: Span) -> ZoneOutcome:
         constraints=task.zone.constraints,
         frozen=task.frozen,
         deadline=started + task.timeout,
+        completed=(states, ()),
     )
     return ZoneOutcome(
         index=task.zone.index,
@@ -353,6 +360,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         constraints: Sequence[PlacementConstraint] = (),
         frozen: AbstractSet[str] = frozenset(),
         deadline: Optional[float] = None,
+        completed: Optional[CompletedStates] = None,
     ) -> OptimizationResult:
         """Same contract as :meth:`ContextSwitchOptimizer.optimize`; the
         result's ``partition_method`` / ``partition_reason`` /
@@ -369,7 +377,9 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         ``answered="incumbent"``."""
         if deadline is None:
             deadline = time.monotonic() + self.timeout
-        states, changed = self._complete_states(current, target_states)
+        if completed is None:
+            completed = self._complete_states(current, target_states)
+        states, changed = completed
         with span("partition") as partition_span:
             decomposition, reused = self._decompose(current, states, constraints)
             partition_span.set(
@@ -443,6 +453,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
             constraints=constraints,
             frozen=frozen,
             deadline=deadline,
+            completed=completed,
         )
         result.partition_reason = reason
         return result

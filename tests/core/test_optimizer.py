@@ -12,7 +12,7 @@ from repro.constraints import (
     violated_constraints,
 )
 from repro.core.context_switch import ClusterContextSwitch
-from repro.core.optimizer import ContextSwitchOptimizer
+from repro.core.optimizer import ContextSwitchOptimizer, complete_states
 from repro.cp import Solver
 from repro.decision.ffd import ffd_target_configuration
 from repro.model.configuration import Configuration
@@ -69,6 +69,29 @@ class TestKeepInPlace:
         assert result.cost == 2048
         assert result.target.state_of("c") is VMState.SLEEPING
         assert result.target.image_location_of("c") == "node-2"
+
+
+class TestStateCompletion:
+    def test_the_observed_vms_are_completed_in_registration_order(self, cluster):
+        # The decision names its VMs in any order, and may name a VM the
+        # configuration does not know: the completion walks the
+        # configuration and ignores the rest.
+        wanted = {
+            "ghost": VMState.RUNNING,
+            "newcomer": VMState.RUNNING,
+            "c": VMState.SLEEPING,
+            "b": VMState.RUNNING,
+        }
+        states, changed = complete_states(cluster, wanted)
+        assert list(states) == list(cluster.vm_names)
+        assert changed == ["c", "newcomer"]
+        assert states["c"] is VMState.SLEEPING
+        assert states["sleepy"] is VMState.SLEEPING
+
+    def test_the_refusal_names_the_first_vm_in_registration_order(self, cluster):
+        wanted = {"c": VMState.WAITING, "a": VMState.WAITING}
+        with pytest.raises(PlanningError, match="'a' is running"):
+            ContextSwitchOptimizer(timeout=5).optimize(cluster, wanted)
 
 
 class TestOverloadResolution:

@@ -9,7 +9,7 @@ from repro.model.errors import (
     UnknownNodeError,
     UnknownVMError,
 )
-from repro.model.node import make_working_nodes
+from repro.model.node import Node, make_working_nodes
 from repro.model.resources import ResourceVector
 from repro.model.vm import VirtualMachine, VMState
 
@@ -170,3 +170,79 @@ class TestCopiesAndComparisons:
         assert loaded_configuration.vms_on("node-0") == ("busy",)
         pairs = {(vm.name, node.name) for vm, node in loaded_configuration.iter_running()}
         assert pairs == {("busy", "node-0"), ("idle", "node-1")}
+
+
+def _forked_fleet() -> Configuration:
+    """Running, sleeping and waiting VMs over four nodes, one of them empty
+    (``spare``) and the last registration waiting (``last``), so every
+    mutator has something to change; every node still dirty."""
+    configuration = Configuration(
+        nodes=[
+            *make_working_nodes(3, cpu_capacity=2, memory_capacity=2048),
+            Node("spare", 2, 2048),
+        ]
+    )
+    for name, memory, cpu in (
+        ("busy", 1024, 1),
+        ("other", 512, 1),
+        ("idle", 512, 0),
+        ("asleep", 512, 1),
+        ("pending", 512, 1),
+        ("last", 256, 0),
+    ):
+        configuration.add_vm(make_vm(name, memory=memory, cpu=cpu))
+    configuration.set_running("busy", "node-0")
+    configuration.set_running("other", "node-0")
+    configuration.set_running("idle", "node-1")
+    configuration.set_sleeping("asleep", "node-1")
+    return configuration
+
+
+#: One call of every mutator, each a write to the maps a copy shares.
+MUTATORS = {
+    "add_node": lambda c: c.add_node(Node("node-9", 2, 2048)),
+    "remove_node": lambda c: c.remove_node("spare"),
+    "add_vm": lambda c: c.add_vm(make_vm("new")),
+    "remove_vm": lambda c: c.remove_vm("last"),
+    "replace_vm": lambda c: c.replace_vm(c.vm("busy").with_cpu_demand(2)),
+    "set_running": lambda c: c.set_running("pending", "node-2"),
+    "set_sleeping": lambda c: c.set_sleeping("busy"),
+    "set_waiting": lambda c: c.set_waiting("asleep"),
+    "set_terminated": lambda c: c.set_terminated("idle"),
+    "migrate": lambda c: c.migrate("busy", "node-2"),
+    "enter_in_order": lambda c: c.enter_in_order(["busy"]),
+    "viability_violations": lambda c: c.viability_violations(only_dirty=True),
+}
+
+
+def _reads(configuration: Configuration) -> tuple:
+    """Everything the reads answer, without a write (no viability scan)."""
+    nodes = configuration.node_names
+    return (
+        configuration.placement(),
+        configuration.states(),
+        {name: configuration.vm(name) for name in configuration.vm_names},
+        nodes,
+        {node: configuration.vms_on(node) for node in nodes},
+        {node: configuration.images_on(node) for node in nodes},
+        {node: configuration.usage_of(node) for node in nodes},
+        configuration.dirty_nodes(),
+    )
+
+
+@pytest.mark.parametrize("written", ["original", "copy"])
+@pytest.mark.parametrize("mutator", sorted(MUTATORS))
+def test_a_write_after_a_copy_leaves_the_other_side_as_it_was(mutator, written):
+    # A copy shares every map with its original until one of the two writes
+    # it: whichever side writes first must take its own copy, never change
+    # what the other reads.
+    original = _forked_fleet()
+    clone = original.copy()
+    target, other = (original, clone) if written == "original" else (clone, original)
+    MUTATORS[mutator](target)
+    untouched = _reads(_forked_fleet())
+    assert _reads(target) != untouched
+    assert _reads(other) == untouched
+    # And the other side's next write is its own too.
+    MUTATORS[mutator](other)
+    assert _reads(other) == _reads(target)

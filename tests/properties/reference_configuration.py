@@ -9,12 +9,17 @@ configuration and a naive one in lockstep through random mutation sequences
 and asserts the answers never diverge.
 
 The class inherits every *mutator* unchanged — state transitions are not what
-the refactor touched — and overrides only the reads, recomputing each answer
-from the placement/state dicts exactly like the historical code did.  It
-lives with the tests because nothing in the shipped package may use it.
+the refactor touched — and overrides the reads, recomputing each answer
+from the placement/state dicts exactly like the historical code did, and
+:meth:`~NaiveConfiguration.copy`, which copies every map on the spot instead
+of sharing it until the first write: a fork of the oracle shares nothing, so
+a write that leaks across a fork of the indexed side shows as a divergence.
+It lives with the tests because nothing in the shipped package may use it.
 """
 
 from __future__ import annotations
+
+import copy
 
 from repro.model.configuration import Configuration, ViabilityViolation
 from repro.model.resources import ResourceVector
@@ -23,6 +28,26 @@ from repro.model.resources import ResourceVector
 class NaiveConfiguration(Configuration):
     """A Configuration whose reads re-walk the placement dicts (the pre-index
     semantics, retained as the differential-testing oracle)."""
+
+    def copy(self) -> "NaiveConfiguration":
+        """Every map copied eagerly: the semantics of a copy before copies
+        shared their maps."""
+        clone = NaiveConfiguration()
+        clone._nodes = dict(self._nodes)
+        clone._vms = dict(self._vms)
+        clone._placement = dict(self._placement)
+        clone._images = dict(self._images)
+        clone._states = dict(self._states)
+        clone._vm_index = dict(self._vm_index)
+        clone._columns = copy.deepcopy(self._columns)
+        clone._members = {node: set(vms) for node, vms in self._members.items()}
+        clone._owned = set(clone._members)
+        clone._image_members = {
+            node: set(vms) for node, vms in self._image_members.items()
+        }
+        clone._placement_rank = dict(self._placement_rank)
+        clone._rank_counter = self._rank_counter
+        return clone
 
     def vms_on(self, node_name: str) -> tuple[str, ...]:
         self.node(node_name)

@@ -7,7 +7,9 @@ pass over the dirty VMs answers at the lower bound before any zone is cut,
 the target, the reconfiguration graph and the plan are built from the VMs
 that change, and the fleet is copied for what has to outlive the round (the
 plan's source, the target), for the planner's working state and for the
-independent checker's walk, and no more.  So the same two restarts cost the
+independent checker's walk, and no more — each copy taking its own maps only
+when it writes them, the assignment maps only — and the wanted states are
+completed once.  So the same two restarts cost the
 same number of per-VM reads on a fleet four times — or ten times — the
 size.  A round the pass cannot answer (a host that must shed VMs) cuts each
 dirty zone around its dirty VMs, with the frozen ones folded into the
@@ -19,10 +21,12 @@ import pytest
 
 import repro.constraints.domains
 import repro.core.graph
+import repro.core.optimizer
 import repro.scale.parallel
 from repro.core.context_switch import ClusterContextSwitch
 from repro.core.planner import ReconfigurationPlanner
 from repro.cp import Solver
+from repro.model.columns import LoadColumns
 from repro.model.configuration import Configuration
 from repro.obs import Tracer
 from repro.testing import fence_groups, make_vm
@@ -32,6 +36,9 @@ RESTARTED = ("vm-0", "vm-1")
 
 COUNTED = (
     "copies",
+    "assignment copies",
+    "description copies",
+    "completions",
     "derivations",
     "builds",
     "partitions",
@@ -58,6 +65,12 @@ def counted(monkeypatch):
         monkeypatch.setattr(owner, name, spy)
 
     count(Configuration, "copy", "copies")
+    # What the copies go on to copy: a copy shares every map until a side
+    # writes it.
+    count(Configuration, "_own_assignment", "assignment copies")
+    count(Configuration, "_own_descriptions", "description copies")
+    count(LoadColumns, "_own_layout", "description copies")
+    count(repro.core.optimizer, "complete_states", "completions")
     count(ReconfigurationPlanner, "build", "builds")
     count(repro.scale.parallel, "partition", "partitions")
     for reader in ("location_of", "state_of", "vm"):
@@ -139,6 +152,18 @@ def _assert_costs_what_changed(counts):
     # The plan's source and the planner's working state, the target, and
     # the checker's one working copy.
     assert counts["copies"] <= 4
+    _assert_copies_and_completions(counts)
+
+
+def _assert_copies_and_completions(counts):
+    # A copy shares every map until it writes one: the plan's source is only
+    # read and copies none, the other copies take the assignment maps, and
+    # no copy takes the nodes or the VM descriptions.
+    assert counts["assignment copies"] == counts["copies"] - 1
+    assert counts["description copies"] == 0
+    # The wanted states are completed once, by the repair engine, for the
+    # attempt, the partitioned layer and every zone below it.
+    assert counts["completions"] == 1
 
 
 def test_a_warm_round_costs_what_changed(large_fleet_factory, counted):
@@ -196,3 +221,4 @@ def test_a_warm_model_holds_the_dirty_vms_only(
     assert counts["partitions"] == 0
     assert counts["domains asked"] == len(dirty)
     assert counts["builds"] == counts["derivations"] == 1
+    _assert_copies_and_completions(counts)
