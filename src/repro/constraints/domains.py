@@ -22,7 +22,7 @@ its :meth:`~RetainedDomains.key` returns.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import filterfalse, repeat
 from operator import is_
 from typing import (
     TYPE_CHECKING,
@@ -30,7 +30,6 @@ from typing import (
     Collection,
     Dict,
     Iterable,
-    List,
     Optional,
     Sequence,
     Tuple,
@@ -43,97 +42,56 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..model.node import Node
 
 
-def _membership_index(
-    constraints: Sequence[PlacementConstraint],
-) -> Tuple[Dict[str, List[PlacementConstraint]], List[PlacementConstraint]]:
-    """Index the catalog by declared VM membership.
-
-    Returns ``(by_vm, universal)``: ``by_vm`` maps each VM name to the
-    constraints that declare it a member (in catalog order), ``universal``
-    holds the constraints with no declared members (``RunningCapacity``, a
-    custom quarantine), which every VM must still ask.
-
-    This relies on the catalog contract that a constraint with declared
-    ``vms`` returns ``None`` from ``allowed_nodes`` for non-members (every
-    :class:`~repro.constraints.base.VMGroupConstraint` gates on ``vm_set``),
-    so non-members never need to ask it — the lazy domains below are exact,
-    which the differential suite pins against that eager oracle.
-    """
-    by_vm: Dict[str, List[PlacementConstraint]] = {}
-    universal: List[PlacementConstraint] = []
-    for constraint in constraints:
-        if constraint.vms:
-            members: Iterable[str] = getattr(
-                constraint, "vm_set", None
-            ) or set(constraint.vms)
-            for vm_name in members:
-                by_vm.setdefault(vm_name, []).append(constraint)
-        else:
-            universal.append(constraint)
-    return by_vm, universal
-
-
-_NO_CONSTRAINTS: Tuple[PlacementConstraint, ...] = ()
-
-
-#: Per-call memo sentinel for "not computed yet" (``None`` is a valid value:
-#: it means "no restriction").
-_UNSET = object()
-
-
 def vm_domains(
     current: "Configuration",
     vms: Iterable[str],
     constraints: Sequence[PlacementConstraint],
 ) -> Dict[str, Optional[AbstractSet[str]]]:
-    """The unary placement domain of every VM in ``vms``: the intersection
-    of each constraint's ``allowed_nodes``, or ``None`` when unrestricted.
+    """The unary placement domain of every VM in ``vms``, keyed in ``vms``
+    order: the intersection of each constraint's ``allowed_nodes``, or
+    ``None`` when unrestricted.
 
-    Lazy on two axes: each VM only asks the constraints it is a member of
-    (plus the member-less universal ones) via :func:`_membership_index` —
-    O(total memberships), not O(VMs x constraints) — and constraints whose
-    restriction is VM-independent
+    One pass per constraint, in catalog order: a constraint that declares
+    members is asked for those of them in ``vms`` only — the catalog
+    contract is that it restricts nobody else (every
+    :class:`~repro.constraints.base.VMGroupConstraint` gates on ``vm_set``)
+    — and a member-less one (``RunningCapacity``, a custom quarantine) for
+    every VM.  A restriction that is the same for every member
     (:attr:`~repro.constraints.base.PlacementConstraint.uniform_restriction`)
-    compute it *once* per call; their members then share one frozen domain
-    object instead of each rebuilding an O(fleet) set.  Callers must treat
-    the returned domains as read-only (every caller only ever reads
-    them).  A restriction is free to name nodes that are not in
-    ``current.node_names``, so "no node left" is decided on the domain a
-    caller builds from it, not on the emptiness of the set."""
-    if not constraints:
-        return dict.fromkeys(vms)
+    is asked once per call, and the VMs it alone restricts share that one
+    frozen set.  Callers must treat the returned domains as read-only
+    (every caller only ever reads them).  A restriction is free to name
+    nodes that are not in ``current.node_names``, so "no node left" is
+    decided on the domain a caller builds from it, not on the emptiness of
+    the set."""
+    domains: Dict[str, Optional[AbstractSet[str]]] = dict.fromkeys(vms)
     node_names = current.node_names
-    by_vm, universal = _membership_index(constraints)
-    domains: Dict[str, Optional[AbstractSet[str]]] = {}
-    memo: Dict[int, Optional[AbstractSet[str]]] = {}
-    for vm_name in vms:
-        allowed: Optional[AbstractSet[str]] = None
-        for constraint in chain(
-            by_vm.get(vm_name, _NO_CONSTRAINTS), universal
-        ):
-            restriction: Optional[AbstractSet[str]]
-            if constraint.uniform_restriction:
-                cached = memo.get(id(constraint), _UNSET)
-                if cached is _UNSET:
-                    computed = constraint.allowed_nodes(
-                        vm_name, node_names, current
-                    )
-                    restriction = (
-                        None if computed is None else frozenset(computed)
-                    )
-                    memo[id(constraint)] = restriction
-                else:
-                    restriction = cached  # type: ignore[assignment]
-            else:
-                restriction = constraint.allowed_nodes(
-                    vm_name, node_names, current
-                )
+    for constraint in constraints:
+        asked: Collection[str] = domains
+        if constraint.vms:
+            asked = domains.keys() & getattr(constraint, "vm_set", constraint.vms)
+        if not asked:
+            continue
+        if constraint.uniform_restriction:
+            computed = constraint.allowed_nodes(
+                next(iter(asked)), node_names, current
+            )
+            if computed is None:
+                continue
+            shared = frozenset(computed)
+            restrictions: Iterable[Optional[AbstractSet[str]]] = repeat(shared)
+        else:
+            restrictions = (
+                constraint.allowed_nodes(vm_name, node_names, current)
+                for vm_name in asked
+            )
+        for vm_name, restriction in zip(asked, restrictions):
             if restriction is None:
                 continue
-            allowed = (
+            allowed = domains[vm_name]
+            domains[vm_name] = (
                 restriction if allowed is None else allowed & restriction
             )
-        domains[vm_name] = allowed
     return domains
 
 
@@ -210,13 +168,14 @@ class RetainedDomains:
     ) -> Dict[str, Optional[AbstractSet[str]]]:
         """The domain of every VM in ``vms`` (and possibly of more VMs:
         callers index it, none iterates it) — what :func:`vm_domains`
-        returns, computed only for the VMs not answered for yet.  A
+        returns, computed only for the VMs not answered for yet (found
+        without a Python loop: every warm call asks about the fleet).  A
         :class:`~repro.constraints.filtering.CandidateFilter` writes into it
         the domain of a VM it was not asked for, which depends on the key
         alone."""
         if self.key(current, constraints) is None:
             return vm_domains(current, vms, constraints)
-        missing = [vm_name for vm_name in vms if vm_name not in self._domains]
+        missing: Collection[str] = list(filterfalse(self._domains.__contains__, vms))
         if missing and len(self._domains) > 2 * max(len(current.vm_names), 512):
             # Departed VMs never leave on their own: start over (the key
             # still holds) rather than let a churning fleet grow the map

@@ -37,9 +37,9 @@ solve that finds nothing raises, as the monolithic one does.
 
 Keep-in-place before the zones: on an *exact* decomposition under a unary
 catalog no home and no domain crosses a zone, so the zones' incumbents
-compose to one pass of their packer over the round's unfrozen VMs, run
-before any zone is cut.  Only a round it misses the lower bound on is solved
-by zones.
+compose to one pass, run before any zone is cut, that reads node loads and
+the few VMs that cannot stay home.  Only a round it misses the lower bound
+on is solved by zones.
 
 Sub-problem extraction: a zone's sub-configuration contains only the zone's
 nodes and VMs.  A zone VM whose current host (or suspend image) lies outside
@@ -392,13 +392,16 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         kept = None
         if decomposition.is_win:
             running = VMState.RUNNING
-            leaving = [
-                vm
-                for vm in changed
-                if states[vm] is not running and current.state_of(vm) is running
-            ]
+            leaving, arriving = [], []
+            for vm in changed:
+                if current.state_of(vm) is running:
+                    leaving.append(vm)
+                elif states[vm] is running:
+                    arriving.append(vm)
             if decomposition.exact and not any(c.relational for c in constraints):
-                kept = self._keep_in_place(current, decomposition, frozen, leaving)
+                kept = self._keep_in_place(
+                    current, decomposition, frozen, leaving, arriving
+                )
             if kept is not None:
                 partition_span.set(answered="incumbent")
             else:
@@ -495,48 +498,77 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         decomposition: PartitionResult,
         frozen: AbstractSet[str],
         leaving: Sequence[str],
+        arriving: Sequence[str],
     ) -> Optional[Tuple[Dict[str, str], SearchStatistics]]:
         """What the zones of an exact ``decomposition`` under a unary catalog
         merge to when each answers with its incumbent at the lower bound, else
-        ``None``: the zones' packer over the unfrozen placed VMs in
-        registration order, each domain in node order, over the capacities
-        a zone's sub-configuration offers.  Its ``cp.solve`` span covers it."""
+        ``None``.  Its ``cp.solve`` span covers it.
+
+        Table 1 prices a stay below a move, so the bound is met exactly when
+        every VM that may stay home does.  Every VM stays but the
+        ``leaving``, the *misplaced* (running outside its domain) and the
+        ``arriving`` ones, of which only a resume onto its image node stays
+        home.  A node has what it offers a zone's sub-configuration left,
+        less its stayers: its free capacity, plus what its leaving and
+        misplaced residents hold, minus the resumes onto it.  The stayers
+        all stay when no node is left short, and a node none of the
+        exceptions touches is short only when it is overloaded.  The
+        homeless are packed by the zones' packer over what is left, in
+        registration order, each domain in node order."""
         tracer = current_tracer()
         started = tracer.now() if tracer is not None else None
-        vms = current.in_registration_order(decomposition.zone_of_vm.keys() - frozen)
-        released = current.load_by_host([*leaving, *vms]) if frozen else None
+        domains = decomposition.domains
+        unfrozen = decomposition.zone_of_vm.keys() - frozen
+        # The unfrozen placed VMs that run, on their hosts: a warm round
+        # reads its few, a cold one the placement (less the leaving VMs).
+        placement = (
+            zip(unfrozen, map(current.location_of, unfrozen))
+            if frozen
+            else current.iter_placement()
+        )
+        hosts = {
+            vm: host
+            for vm, host in placement
+            if host is not None and vm in unfrozen
+        }
+        misplaced = [vm for vm, host in hosts.items() if host not in domains[vm]]
+        shift = current.load_by_host([*leaving, *misplaced])
+        homeless, bound = [], 0
+        for vm in [*misplaced, *arriving]:
+            elsewhere, home, at_home = self._movement_costs(current, vm)
+            if home in domains[vm]:
+                hosts[vm] = home
+                machine = current.vm(vm)
+                load = shift.setdefault(home, [0, 0])
+                load[0] -= machine.cpu_demand
+                load[1] -= machine.memory
+                bound += at_home
+            else:
+                homeless.append(vm)
+                bound += elsewhere
 
-        def capacity(node: str) -> Tuple[int, int]:
-            if released is None:
-                return current.node(node).capacity.as_tuple()
+        def room(node: str) -> Tuple[int, int]:
             free = current.free_capacity(node)
-            cpu, memory = released.get(node, (0, 0))
+            cpu, memory = shift.get(node, (0, 0))
             return free.cpu + cpu, free.memory + memory
 
-        demands, candidates, homes = [], [], []
-        ordered: Dict[int, List[str]] = {}
-        bound = 0
-        for vm in vms:
-            allowed = decomposition.domains[vm]
+        overloaded = [v.node for v in current.viability_violations(only_dirty=True)]
+        if any(min(room(node)) < 0 for node in {*overloaded, *shift}):
+            return None
+        homeless = current.in_registration_order(homeless)
+        candidates, ordered = [], {}
+        for vm in homeless:
+            allowed = domains[vm]
             nodes = ordered.get(id(allowed))
             if nodes is None:
                 nodes = ordered[id(allowed)] = sorted(allowed, key=current.node_index)
-            elsewhere, home, at_home = self._movement_costs(current, vm)
-            if home not in allowed:
-                home = None
-            machine = current.vm(vm)
-            demands.append((machine.cpu_demand, machine.memory))
             candidates.append(nodes)
-            homes.append(home)
-            bound += elsewhere if home is None else at_home
-        hosts = self._incumbent(demands, capacity, candidates, homes)
-        # Table 1 prices a move above a stay: the bound is met exactly when
-        # every VM that may stay home does.
-        if hosts is None or any(
-            home is not None and host != home for host, home in zip(hosts, homes)
-        ):
+        demands = [current.vm(vm).demand.as_tuple() for vm in homeless]
+        packed = self._incumbent(demands, room, candidates, [None] * len(homeless))
+        if packed is None:
             return None
-        return dict(zip(vms, hosts)), self._answered_by_incumbent(bound, started)
+        hosts.update(zip(homeless, packed))
+        return hosts, self._answered_by_incumbent(bound, started)
 
     def _zone_tasks(
         self,

@@ -14,9 +14,13 @@ hand over), with restarts (running VMs observed waiting), departures (running
 VMs wanted sleeping), sleeping VMs whose image lies inside or outside their
 fence, VMs running outside their fence and hosts overloaded by the draw:
 every assignment planned, the target placement and states, the plan pools,
-the costs and the partition outcome are identical.  Two rounds are always
+the costs and the partition outcome are identical.  Six rounds are always
 run: a warm restart that must skip a node full of frozen VMs and take one a
-departure frees, and an overload whose keep-in-place misses the bound.  A spy
+departure frees, an overload whose keep-in-place misses the bound, and the
+node-load cases the pass decides on — a host overloaded by VMs that all
+stay, one a departure frees, a resume onto a full image host and a VM
+outside its fence beside stayers — whose answer (or refusal) and lower
+bound are pinned too, since declining is always equivalent.  A spy
 sees every call of the pass: none on a sharded decomposition, on an
 interference one with a loosely-restricted VM, or under a relational
 catalog — the draws include all three.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.constraints import Ban, Fence, Spread
@@ -34,6 +39,7 @@ from repro.model.configuration import Configuration
 from repro.model.errors import PlanningError
 from repro.model.node import Node
 from repro.model.vm import VirtualMachine, VMState
+from repro.obs import Tracer
 from repro.scale import ParallelOptimizer
 
 MEMORY_CHOICES = (256, 512, 1024)
@@ -176,6 +182,68 @@ def _an_overload_keeping_the_dearer_vm():
     return configuration, catalog, states, set()
 
 
+def _a_host_overloaded_by_stayers():
+    """``x``, ``y`` and ``z`` all keep running on a two-unit ``n0``: no
+    node load lets every stayer stay, so the pass declines."""
+    configuration, catalog, states = _fenced_pair(
+        2,
+        [
+            ("x", 1, 512, "n0", 0),
+            ("y", 1, 512, "n0", 0),
+            ("z", 1, 512, "n0", 0),
+            ("w", 1, 512, "n3", 1),
+        ],
+    )
+    return configuration, catalog, states, set()
+
+
+def _a_host_freed_by_a_departure():
+    """The same overloaded ``n0``, but ``z`` leaves it: what it holds is
+    room again, and every other VM stays."""
+    configuration, catalog, states, frozen = _a_host_overloaded_by_stayers()
+    states["z"] = VMState.SLEEPING
+    return configuration, catalog, states, frozen
+
+
+def _a_resume_onto_a_full_image_host():
+    """``s`` sleeps with its image on ``n0``, which ``x`` fills: resuming
+    it there leaves ``n0`` short, so the pass declines."""
+    configuration, catalog, states = _fenced_pair(
+        1,
+        [
+            ("x", 1, 512, "n0", 0),
+            ("s", 1, 512, None, 0),
+            ("w", 1, 512, "n3", 1),
+        ],
+    )
+    configuration.set_sleeping("s", "n0")
+    return configuration, catalog, states, set()
+
+
+def _a_vm_outside_its_fence_beside_stayers():
+    """``o`` is fenced on ``n0``-``n2`` but runs on ``n3`` beside ``w``:
+    it is homeless, priced one migration, and the others stay."""
+    configuration, catalog, states = _fenced_pair(
+        2,
+        [
+            ("x", 1, 512, "n0", 0),
+            ("o", 1, 1024, "n3", 0),
+            ("w", 1, 512, "n3", 1),
+        ],
+    )
+    return configuration, catalog, states, set()
+
+
+#: The node-load rounds, with the lower bound the pass answers at (``None``
+#: where it declines).
+NODE_LOAD_ROUNDS = [
+    (_a_host_overloaded_by_stayers, None),
+    (_a_host_freed_by_a_departure, 0),
+    (_a_resume_onto_a_full_image_host, None),
+    (_a_vm_outside_its_fence_beside_stayers, 1024),
+]
+
+
 def _solve(instance, keep_in_place):
     """One solve, with the pass (``keep_in_place``) or declining it, and
     every call the pass got."""
@@ -227,6 +295,10 @@ def _solve(instance, keep_in_place):
 @given(rounds())
 @example(_a_warm_restart_between_full_and_freed_nodes())
 @example(_an_overload_keeping_the_dearer_vm())
+@example(_a_host_overloaded_by_stayers())
+@example(_a_host_freed_by_a_departure())
+@example(_a_resume_onto_a_full_image_host())
+@example(_a_vm_outside_its_fence_beside_stayers())
 def test_the_keep_in_place_plans_what_the_zones_plan(instance):
     kept, consulted = _solve(instance, keep_in_place=True)
     zoned, _ = _solve(instance, keep_in_place=False)
@@ -234,3 +306,25 @@ def test_the_keep_in_place_plans_what_the_zones_plan(instance):
     # Only an exact interference decomposition under a unary catalog.
     for method, exact, relational in consulted:
         assert (method, exact, relational) == ("interference", True, False)
+
+
+@pytest.mark.parametrize(
+    "instance, bound",
+    [(build(), bound) for build, bound in NODE_LOAD_ROUNDS],
+    ids=[build.__name__.strip("_") for build, _ in NODE_LOAD_ROUNDS],
+)
+def test_node_loads_decide_the_keep_in_place(instance, bound):
+    # Declining is always safe, so the equivalence above cannot tell a pass
+    # that declines too often: these rounds say which way each one goes.
+    configuration, catalog, states, frozen = instance
+    tracer = Tracer()
+    with tracer.activate():
+        ParallelOptimizer(timeout=10.0, zone_executor="serial").optimize(
+            configuration, states, constraints=catalog, frozen=frozen
+        )
+    (partition_span,) = [s for s in tracer.root.walk() if s.name == "partition"]
+    answered = partition_span.attributes.get("answered") == "incumbent"
+    assert answered == (bound is not None)
+    if answered:
+        (solve,) = [s for s in tracer.root.walk() if s.name == "cp.solve"]
+        assert solve.attributes["root_bound"] == bound
