@@ -84,10 +84,7 @@ class SwitchStatistics:
     count: int
     average_duration: float
     max_duration: float
-    average_cost: float
     max_cost: int
-    total_migrations: int
-    total_suspends: int
     total_resumes: int
     local_resume_fraction: float
 
@@ -95,17 +92,14 @@ class SwitchStatistics:
 def switch_statistics(switches: Sequence[ContextSwitchRecord]) -> SwitchStatistics:
     significant = [s for s in switches if s.action_count > 0]
     if not significant:
-        return SwitchStatistics(0, 0.0, 0.0, 0.0, 0, 0, 0, 0, 0.0)
+        return SwitchStatistics(0, 0.0, 0.0, 0, 0, 0.0)
     resumes = sum(s.resumes for s in significant)
     local = sum(s.local_resumes for s in significant)
     return SwitchStatistics(
         count=len(significant),
         average_duration=mean(s.duration for s in significant),
         max_duration=max(s.duration for s in significant),
-        average_cost=mean(s.cost for s in significant),
         max_cost=max(s.cost for s in significant),
-        total_migrations=sum(s.migrations for s in significant),
-        total_suspends=sum(s.suspends for s in significant),
         total_resumes=resumes,
         local_resume_fraction=(local / resumes) if resumes else 0.0,
     )

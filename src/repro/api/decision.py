@@ -76,21 +76,11 @@ class Decision:
     def fallback_target(self) -> Optional[Configuration]:
         """Fallback target configuration: planned when the optimizing solve
         raises and it honours the catalog.  The first read builds it from
-        ``fallback_builder`` (once: later reads return the same object);
-        assigning it replaces the builder."""
+        ``fallback_builder`` (once: later reads return the same object)."""
         if self.fallback_builder is not None:
             self._fallback_target = self.fallback_builder()
             self.fallback_builder = None
         return self._fallback_target
-
-    @fallback_target.setter
-    def fallback_target(self, target: Optional[Configuration]) -> None:
-        self.fallback_builder = None
-        self._fallback_target = target
-
-    @property
-    def is_noop(self) -> bool:
-        return not self.vm_states
 
 
 @runtime_checkable

@@ -60,10 +60,6 @@ class FaultRecord:
     affected_vjobs: tuple[str, ...] = ()
     detail: str = ""
 
-    @property
-    def detection_delay(self) -> float:
-        return self.detected_at - self.time
-
 
 @dataclass(frozen=True)
 class ConstraintViolationRecord:
@@ -163,13 +159,6 @@ class RunResult:
     trace: dict[str, Any] | None = None
 
     @property
-    def average_switch_duration(self) -> float:
-        significant = [s.duration for s in self.switches if s.action_count]
-        if not significant:
-            return 0.0
-        return sum(significant) / len(significant)
-
-    @property
     def switch_count(self) -> int:
         return sum(1 for s in self.switches if s.action_count)
 
@@ -207,9 +196,6 @@ class RunResult:
     def honoured_constraints(self) -> bool:
         """True when no constraint violation was observed during the run."""
         return not self.constraint_violations
-
-    def completed(self, name: str) -> bool:
-        return name in self.completion_times
 
     # ------------------------------------------------------------------ #
     # JSON round-trip                                                     #

@@ -18,7 +18,7 @@ comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Optional, Sequence
 
 from .. import config
 from ..constraints.base import PlacementConstraint

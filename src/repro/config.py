@@ -65,9 +65,6 @@ RESUME_REMOTE_FACTOR_RSYNC: float = 1.9
 #: Slow-down factor suffered by a busy VM co-located with a local operation.
 INTERFERENCE_FACTOR_LOCAL: float = 1.3
 
-#: Slow-down factor suffered by a busy VM co-located with a remote operation.
-INTERFERENCE_FACTOR_REMOTE: float = 1.5
-
 #: Delay between two pipelined suspend/resume actions of the same vjob
 #: (Section 4.1: "each action is started one second after the previous one").
 VJOB_PIPELINE_DELAY_S: float = 1.0
@@ -112,10 +109,6 @@ class ClusterSpec:
 
     node_count: int
     node_spec: NodeSpec = field(default_factory=NodeSpec)
-
-    @property
-    def total_memory(self) -> int:
-        return self.node_count * self.node_spec.usable_memory
 
 
 #: The 11-node experimental cluster of Sections 2.3 and 5.2.

@@ -27,19 +27,12 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis / IDE resolution only
         Run,
         Stop,
         Suspend,
-        required_resources,
     )
     from .context_switch import ClusterContextSwitch, ContextSwitchReport
-    from .cost import (
-        ActionCost,
-        PlanCost,
-        minimum_possible_cost,
-        plan_cost,
-        total_cost,
-    )
+    from .cost import ActionCost, PlanCost, plan_cost
     from .graph import Edge, ReconfigurationGraph
     from .optimizer import ContextSwitchOptimizer, OptimizationResult
-    from .plan import Pool, ReconfigurationPlan, merge_pools, plan_from_pools
+    from .plan import Pool, ReconfigurationPlan, plan_from_pools
     from .planner import PlannerOptions, ReconfigurationPlanner, build_plan
 
 #: Export name -> defining submodule, resolved on first attribute access.
@@ -51,21 +44,17 @@ _EXPORTS = {
     "Run": "actions",
     "Stop": "actions",
     "Suspend": "actions",
-    "required_resources": "actions",
     "ClusterContextSwitch": "context_switch",
     "ContextSwitchReport": "context_switch",
     "ActionCost": "cost",
     "PlanCost": "cost",
-    "minimum_possible_cost": "cost",
     "plan_cost": "cost",
-    "total_cost": "cost",
     "Edge": "graph",
     "ReconfigurationGraph": "graph",
     "ContextSwitchOptimizer": "optimizer",
     "OptimizationResult": "optimizer",
     "Pool": "plan",
     "ReconfigurationPlan": "plan",
-    "merge_pools": "plan",
     "plan_from_pools": "plan",
     "PlannerOptions": "planner",
     "ReconfigurationPlanner": "planner",

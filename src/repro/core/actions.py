@@ -30,7 +30,6 @@ from typing import Any, Mapping, Optional
 
 from ..model.configuration import Configuration
 from ..model.errors import ExecutionError
-from ..model.resources import ResourceVector
 from ..model.vm import VMState
 
 
@@ -64,9 +63,6 @@ class Action:
 
     def consumes_resources(self) -> bool:
         return self.destination() is not None
-
-    def liberates_resources(self) -> bool:
-        return self.source() is not None
 
     # -- cost (Table 1) ------------------------------------------------------
 
@@ -258,13 +254,6 @@ class Resume(Action):
     def __str__(self) -> str:
         flavour = "local" if self.is_local else "remote"
         return f"resume({self.vm} on {self.destination_node}, {flavour})"
-
-
-def required_resources(action: Action, configuration: Configuration) -> ResourceVector:
-    """Resources the action claims on its destination node (zero if none)."""
-    if not action.consumes_resources():
-        return ResourceVector(0, 0)
-    return configuration.vm(action.vm).demand
 
 
 # --------------------------------------------------------------------- #

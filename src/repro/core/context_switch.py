@@ -13,9 +13,9 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from ..constraints import PlacementConstraint, violated_constraints
-from ..cp.solver import SearchStatistics
+from ..cp.solver import ENGINES, SearchStatistics
 from ..model.configuration import Configuration
-from ..model.errors import PlanningError
+from ..model.errors import PlanningError, SolverError
 from ..model.vm import VMState
 from ..obs import span
 from .cost import PlanCost, plan_cost
@@ -50,11 +50,6 @@ class ContextSwitchReport:
     def total_cost(self) -> int:
         return self.cost.total
 
-    def summary(self) -> dict[str, int]:
-        data = self.plan.summary()
-        data["cost"] = self.total_cost
-        return data
-
 
 #: The composed engines: name -> (incremental repair on top?, the solving
 #: strategy underneath).  Every other name is a propagation engine of the
@@ -86,6 +81,11 @@ class ClusterContextSwitch:
         the full solve on infeasibility.  ``zone_executor`` only applies
         to the partitioned engines, which by default decide per solve
         whether their zones are worth worker processes."""
+        if engine not in ENGINES and engine not in _COMPOSED_ENGINES:
+            raise SolverError(
+                f"unknown engine {engine!r}; expected one of "
+                f"{(*ENGINES, *_COMPOSED_ENGINES)}"
+            )
         self.planner = ReconfigurationPlanner()
         repair, strategy = _COMPOSED_ENGINES.get(engine, (False, engine))
         if strategy == "partitioned":

@@ -80,14 +80,3 @@ def plan_cost(plan: ReconfigurationPlan, configuration: Configuration | None = N
             )
         elapsed += pool_costs[index]
     return PlanCost(actions=tuple(breakdown), pool_costs=tuple(pool_costs))
-
-
-def total_cost(plan: ReconfigurationPlan, configuration: Configuration | None = None) -> int:
-    """Shortcut returning only the scalar cost of a plan."""
-    return plan_cost(plan, configuration).total
-
-
-def minimum_possible_cost(plan: ReconfigurationPlan, configuration: Configuration | None = None) -> int:
-    """Lower bound of any plan performing the same actions: the sum of the
-    local costs, i.e. the cost of a hypothetical plan with a single pool."""
-    return plan_cost(plan, configuration).local_total

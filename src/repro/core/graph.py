@@ -30,14 +30,6 @@ class Edge:
     action: Action
     demand: ResourceVector
 
-    @property
-    def source(self) -> Optional[str]:
-        return self.action.source()
-
-    @property
-    def destination(self) -> Optional[str]:
-        return self.action.destination()
-
 
 @dataclass
 class ReconfigurationGraph:
@@ -90,12 +82,6 @@ class ReconfigurationGraph:
 
     def is_empty(self) -> bool:
         return not self.edges
-
-    def incoming(self, node: str) -> list[Edge]:
-        return [edge for edge in self.edges if edge.destination == node]
-
-    def outgoing(self, node: str) -> list[Edge]:
-        return [edge for edge in self.edges if edge.source == node]
 
     def __len__(self) -> int:
         return len(self.edges)

@@ -134,7 +134,6 @@ class OptimizationResult:
     plan: ReconfigurationPlan
     cost: int
     movement_cost: int
-    fixed_cost: int
     statistics: Optional[SearchStatistics] = None
     improving_costs: list[int] = field(default_factory=list)
     #: How the instance was decomposed: ``"interference"`` or ``"sharded"``
@@ -295,7 +294,6 @@ class ContextSwitchOptimizer:
             movement_cost=sum(
                 self.movement_cost(current, vm, assignment[vm]) for vm in rehosted
             ),
-            fixed_cost=self._fixed_cost(current, states, changed),
             statistics=statistics,
             improving_costs=improving,
         )
@@ -363,21 +361,6 @@ class ContextSwitchOptimizer:
                     "state; suspend or terminate it instead"
                 )
         return states, changed
-
-    @staticmethod
-    def _fixed_cost(
-        current: Configuration,
-        states: Mapping[str, VMState],
-        changed: Sequence[str],
-    ) -> int:
-        """Cost of the actions whose cost does not depend on the placement:
-        the suspends of the VMs that must leave the Running state."""
-        return sum(
-            current.vm(name).memory
-            for name in changed
-            if states[name] is VMState.SLEEPING
-            and current.state_of(name) is VMState.RUNNING
-        )
 
     @staticmethod
     def _movement_costs(

@@ -82,11 +82,6 @@ class ReconfigurationPlan:
     pools: list[Pool] = field(default_factory=list)
     constraint_violations: list = field(default_factory=list)
 
-    @property
-    def honours_constraints(self) -> bool:
-        """True when no intermediate state broke a supplied constraint."""
-        return not self.constraint_violations
-
     # -- construction ---------------------------------------------------------
 
     def append_pool(self, pool: Pool) -> None:
@@ -94,10 +89,6 @@ class ReconfigurationPlan:
             self.pools.append(pool)
 
     # -- basic queries --------------------------------------------------------
-
-    @property
-    def is_empty(self) -> bool:
-        return not any(self.pools)
 
     def actions(self) -> list[Action]:
         return [action for pool in self.pools for action in pool]
@@ -107,12 +98,6 @@ class ReconfigurationPlan:
 
     def count(self, kind: ActionKind) -> int:
         return sum(1 for action in self.actions() if action.kind is kind)
-
-    def pool_of(self, action: Action) -> int:
-        for index, pool in enumerate(self.pools):
-            if action in pool.actions:
-                return index
-        raise PlanningError(f"action {action} is not part of the plan")
 
     def __len__(self) -> int:
         return len(self.pools)
@@ -159,13 +144,6 @@ class ReconfigurationPlan:
             current = next_configuration
         return current
 
-    def is_feasible(self) -> bool:
-        try:
-            self.apply()
-        except PlanningError:
-            return False
-        return True
-
     def check_reaches(self, target: Configuration) -> None:
         """Verify that applying the plan yields the target assignment."""
         result = self.apply()
@@ -188,15 +166,6 @@ class ReconfigurationPlan:
         for index, pool in enumerate(self.pools):
             lines.append(f"  pool {index}: {pool}")
         return "\n".join(lines)
-
-
-def merge_pools(pools: Iterable[Pool]) -> Pool:
-    """Merge several pools into one (used by the vjob-consistency step)."""
-    merged = Pool()
-    for pool in pools:
-        for action in pool:
-            merged.add(action)
-    return merged
 
 
 def plan_from_pools(source: Configuration, pools: Sequence[Sequence[Action]]) -> ReconfigurationPlan:

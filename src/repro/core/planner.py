@@ -20,7 +20,7 @@ apart, sorted by hostname).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Collection, Mapping, Optional, Sequence
 
 from ..constraints.base import PlacementConstraint
@@ -29,7 +29,7 @@ from ..constraints.domains import vm_domains
 from ..model.configuration import Configuration
 from ..model.errors import NoPivotAvailableError, PlanningError
 from ..model.resources import ResourceVector
-from .actions import Action, ActionKind, Migrate, Resume
+from .actions import ActionKind, Migrate, Resume
 from .graph import ReconfigurationGraph
 from .plan import Pool, ReconfigurationPlan, apply_pool_effects
 

@@ -33,10 +33,8 @@ from .solver import (
 )
 from .variables import (
     IntVar,
-    make_int_var,
     make_interval_var,
     make_pinned_var,
-    value_of,
 )
 
 __all__ = [
@@ -62,8 +60,6 @@ __all__ = [
     "prefer_value",
     "static_order",
     "IntVar",
-    "make_int_var",
     "make_interval_var",
     "make_pinned_var",
-    "value_of",
 ]

@@ -43,7 +43,7 @@ domain would become empty or a constraint is certainly violated.
 
 from __future__ import annotations
 
-from typing import Collection, Mapping, NamedTuple, Sequence, Union
+from typing import Collection, Mapping, NamedTuple, Sequence
 
 from ..model.errors import InconsistencyError
 from .variables import IntVar
@@ -107,11 +107,11 @@ class CostTable(NamedTuple):
 class ElementSum(Constraint):
     """``total = sum_i tables[i][vars[i]]``.
 
-    ``tables[i]`` gives every value of ``vars[i]``'s initial domain a
-    non-negative cost, either as a :class:`CostTable` or as a plain mapping
-    that lists them all.  Bound-consistent propagation in both directions:
-    the total is squeezed between the sum of per-variable minima and maxima,
-    and values whose cost would push the sum above ``total.max`` are pruned.
+    ``tables[i]``, a :class:`CostTable`, gives every value of ``vars[i]``'s
+    initial domain a non-negative cost.  Bound-consistent propagation in
+    both directions: the total is squeezed between the sum of per-variable
+    minima and maxima, and values whose cost would push the sum above
+    ``total.max`` are pruned.
     A variable's cost bounds are read off the smaller of its table's
     exceptions and its domain, so a sparse table is bounded in O(1).
 
@@ -132,16 +132,13 @@ class ElementSum(Constraint):
     def __init__(
         self,
         variables: Sequence[IntVar],
-        tables: Sequence[Union[CostTable, Mapping[int, int]]],
+        tables: Sequence[CostTable],
         total: IntVar,
     ):
         if len(variables) != len(tables):
             raise ValueError("one table per variable is required")
         self._vars = list(variables)
-        self._tables = [
-            table if isinstance(table, CostTable) else self._listed(var, table)
-            for var, table in zip(self._vars, tables)
-        ]
+        self._tables = list(tables)
         self._total = total
         #: Constraint compilation may emit degenerate models (e.g. no VM to
         #: place): with no variables the sum is 0, so the only propagation is
@@ -155,16 +152,6 @@ class ElementSum(Constraint):
         #: Trailed: the smallest slack a pruning sweep has run at on the
         #: current branch (the largest regret before any has).
         self._swept = 0
-
-    @staticmethod
-    def _listed(var: IntVar, table: Mapping[int, int]) -> CostTable:
-        """A mapping that lists every value: all exceptions, no default."""
-        missing = [value for value in var.raw_values() if value not in table]
-        if missing:
-            raise ValueError(
-                f"the cost table of {var.name} has no entry for {sorted(missing)}"
-            )
-        return CostTable(0, dict(table))
 
     def variables(self) -> Sequence[IntVar]:
         return [*self._vars, self._total]

@@ -13,8 +13,7 @@ follows the strategy described in Section 4.3 of the paper:
 * a *first-fail* flavoured variable ordering — variables with the largest
   requirements (or smallest domains) are instantiated first — optionally
   wrapped in :class:`ActivityLastConflict`, which branches on the variable of
-  the most recent conflict first and falls back to activity-weighted
-  first-fail;
+  the most recent conflict first and otherwise asks the order it wraps;
 * value ordering that favours a variable's preferred value (its current host)
   to reduce the number of VM movements;
 * branch-and-bound on a single objective variable: every time a solution is
@@ -126,21 +125,20 @@ def static_order(order: Sequence[IntVar]) -> VariableSelector:
 
 
 class ActivityLastConflict:
-    """Last-conflict-first variable selection with an activity fallback.
+    """Last-conflict-first variable selection.
 
     Wraps a ``primary`` selector (typically the paper's static biggest-first
     order).  When the most recent conflict's variable is still free it is
     branched on first — chronological backtracking then stays close to the
     source of the failure instead of thrashing through unrelated variables.
-    Without a primary selector, the fallback picks the free variable with the
-    highest failure activity per remaining value (a weighted first-fail).
+    Otherwise the primary selector picks.
 
     The solver reports failures through :meth:`on_failure` and hands its
     trail to :meth:`bind`; plain callables without those methods keep working
     unchanged.
     """
 
-    def __init__(self, primary: Optional[VariableSelector] = None):
+    def __init__(self, primary: VariableSelector):
         self._primary = primary
         self._last_conflict: Optional[IntVar] = None
 
@@ -148,12 +146,7 @@ class ActivityLastConflict:
         last = self._last_conflict
         if last is not None and not last.is_instantiated:
             return last
-        if self._primary is not None:
-            return self._primary(variables)
-        candidates = [v for v in variables if not v.is_instantiated]
-        if not candidates:
-            return None
-        return max(candidates, key=lambda v: (v.activity / v.size, -v.size, -v.index))
+        return self._primary(variables)
 
     def on_failure(self, var: IntVar) -> None:
         self._last_conflict = var
@@ -290,10 +283,6 @@ class SearchResult:
     #: ``statistics.elapsed - best_solution_at``, is the time spent proving.
     first_solution_at: Optional[float] = None
     best_solution_at: Optional[float] = None
-
-    @property
-    def has_solution(self) -> bool:
-        return self.best is not None
 
     def record_on(self, trace_span: Span) -> None:
         """Put the outcome on the ``cp.solve`` span of the solve it ends:
@@ -514,10 +503,6 @@ class Solver:
                 watchers.setdefault(var.index, []).append(constraint)
         self._watchers = watchers
 
-    @property
-    def engine(self) -> str:
-        return self._engine
-
     # -- public API ----------------------------------------------------------
 
     def solve(
@@ -651,7 +636,6 @@ class Solver:
 
         def record_failure(var: IntVar) -> None:
             stats.backtracks += 1
-            var.activity += 1.0
             if notify_failure is not None:
                 notify_failure(var)
 

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 from .domain import Domain, IntervalDomain
 
@@ -12,11 +12,10 @@ class IntVar:
 
     Every mutation goes through the owning :class:`~repro.cp.solver.Solver`'s
     trail so the search can undo it on backtracking.  The variable itself only
-    exposes read access; ``activity`` is a failure counter maintained by the
-    search for the activity-based fallback heuristic.
+    exposes read access.
     """
 
-    __slots__ = ("name", "domain", "index", "activity")
+    __slots__ = ("name", "domain", "index")
 
     def __init__(
         self,
@@ -29,8 +28,6 @@ class IntVar:
         else:
             self.domain = Domain(values)
         self.index: int = -1
-        #: Number of search failures this variable was involved in.
-        self.activity: float = 0.0
 
     # -- read access ---------------------------------------------------------
 
@@ -67,13 +64,6 @@ class IntVar:
         return f"IntVar({self.name}, {self.domain!r})"
 
 
-def make_int_var(name: str, lower: int, upper: int) -> IntVar:
-    """Create a variable with the contiguous domain ``[lower, upper]``."""
-    if upper < lower:
-        raise ValueError(f"{name}: empty interval [{lower}, {upper}]")
-    return IntVar(name, range(lower, upper + 1))
-
-
 def make_interval_var(name: str, lower: int, upper: int) -> IntVar:
     """Create a variable over an :class:`IntervalDomain` — O(1) bound
     tightening for wide contiguous domains such as the objective."""
@@ -91,8 +81,3 @@ def make_pinned_var(name: str, value: int) -> IntVar:
     the dirty region while global constraints still see the full placement.
     """
     return IntVar(name, (value,))
-
-
-def value_of(var: IntVar, default: Optional[int] = None) -> Optional[int]:
-    """Value of an instantiated variable, or ``default``."""
-    return var.value if var.is_instantiated else default

@@ -12,7 +12,7 @@ from .consolidation import (
     RJSPDecisionModule,
 )
 from .fcfs import FCFSDecisionModule
-from .ffd import ffd_commit, ffd_order, ffd_place, ffd_target_configuration
+from .ffd import ffd_commit, ffd_order, ffd_target_configuration
 from .rjsp import RJSPResult, select_running_vjobs
 from .static import (
     BatchJob,
@@ -36,7 +36,6 @@ __all__ = [
     "FFDDecisionModule",
     "ffd_commit",
     "ffd_order",
-    "ffd_place",
     "ffd_target_configuration",
     "RJSPDecisionModule",
     "RJSPResult",

@@ -11,8 +11,7 @@ FFD is used twice in the paper:
 
 Both go through the one packer, :func:`ffd_commit`: the RJSP selection
 (:mod:`.rjsp`), the FCFS admission (:mod:`.fcfs`) and
-:func:`ffd_target_configuration` hand it the configuration they pack on, and
-:func:`ffd_place` is its non-mutating face.
+:func:`ffd_target_configuration` hand it the configuration they pack on.
 """
 
 from __future__ import annotations
@@ -108,17 +107,6 @@ def ffd_commit(
         placement[vm.name] = node
     trial.enter_in_order(vm.name for vm in vms)
     return placement
-
-
-def ffd_place(
-    configuration: Configuration,
-    vms: Sequence[VirtualMachine],
-    nodes: Optional[Sequence[str]] = None,
-    node_filter: Optional[CandidateFilter] = None,
-) -> Optional[dict[str, str]]:
-    """Where :func:`ffd_commit` would place ``vms``, leaving
-    ``configuration`` untouched (the packing runs on a copy)."""
-    return ffd_commit(configuration.copy(), vms, node_filter, nodes)
 
 
 def ffd_target_configuration(

@@ -93,23 +93,6 @@ class Schedule:
     def running_at(self, time: float) -> list[JobAllocation]:
         return [a for a in self.allocations if a.start <= time < a.end]
 
-    def cpu_usage_at(self, time: float) -> int:
-        return sum(a.job.cpus for a in self.running_at(time))
-
-    def memory_usage_at(self, time: float) -> int:
-        return sum(a.job.memory for a in self.running_at(time))
-
-    def utilization_series(self, step: float = 60.0) -> list[tuple[float, float, float]]:
-        """(time, cpu fraction, memory MB) samples over the whole schedule."""
-        series = []
-        time = 0.0
-        horizon = self.makespan
-        while time <= horizon:
-            cpu = self.cpu_usage_at(time) / self.total_cpus if self.total_cpus else 0.0
-            series.append((time, cpu, float(self.memory_usage_at(time))))
-            time += step
-        return series
-
 
 BackfillPolicy = Literal["none", "easy"]
 
@@ -269,6 +252,10 @@ class StaticRunResult(RunResult):
     schedule: Optional[Schedule] = field(default=None, kw_only=True)
 
 
+#: Seconds between two utilization samples of a static-allocation run.
+SAMPLE_PERIOD_S = 60.0
+
+
 class StaticAllocationSimulator:
     """Simulate the FCFS + static allocation baseline on the same workloads."""
 
@@ -277,12 +264,10 @@ class StaticAllocationSimulator:
         nodes: Sequence[Node],
         workloads: Sequence[VJobWorkload],
         backfilling: str = "easy",
-        sample_period: float = 60.0,
     ) -> None:
         self.nodes = list(nodes)
         self.workloads = list(workloads)
         self.backfilling = backfilling
-        self.sample_period = sample_period
 
     # ------------------------------------------------------------------ #
 
@@ -355,5 +340,5 @@ class StaticAllocationSimulator:
                     memory_used_mb=memory_mb,
                 )
             )
-            time += self.sample_period
+            time += SAMPLE_PERIOD_S
         return samples

@@ -32,7 +32,7 @@ from ..constraints import Ban, Fence, PlacementConstraint, RunningCapacity, Spre
 from ..model.configuration import Configuration
 from ..model.node import Node, NodeRole
 from ..model.queue import VJobQueue
-from ..model.vjob import VJob, VJobState
+from ..model.vjob import VJob
 from ..model.vm import VirtualMachine, VMState
 from ..sim.faults import FaultEvent, FaultKind, FaultSchedule
 from ..workloads.traces import DemandTrace, Phase, VJobWorkload

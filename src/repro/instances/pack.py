@@ -30,7 +30,7 @@ from ..constraints import Fence, RunningCapacity, Spread
 from ..model.node import make_working_nodes
 from ..model.vjob import VJob
 from ..model.vm import VirtualMachine
-from ..sim.faults import FaultSchedule, random_fault_schedule
+from ..sim.faults import random_fault_schedule
 from ..workloads.traces import DemandTrace, Phase, VJobWorkload
 from .format import Instance, InstanceFormatError, load_instance
 

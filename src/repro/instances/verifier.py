@@ -63,9 +63,6 @@ class SubmissionError(Exception):
         self.code = code
         self.message = message
 
-    def to_dict(self) -> dict[str, Any]:
-        return {"error": {"code": self.code, "message": self.message}}
-
 
 @dataclass(frozen=True)
 class VerificationReport:

@@ -161,10 +161,6 @@ class LoadColumns:
         slot = self._index[name]
         return (self._cpu_usage[slot], self._mem_usage[slot])
 
-    def capacity(self, name: str) -> Tuple[int, int]:
-        slot = self._index[name]
-        return (self._cpu_cap[slot], self._mem_cap[slot])
-
     def free(self, name: str) -> Tuple[int, int]:
         slot = self._index[name]
         return (

@@ -61,14 +61,6 @@ class ViabilityViolation:
     capacity: ResourceVector
     usage: ResourceVector
 
-    @property
-    def cpu_excess(self) -> int:
-        return max(0, self.usage.cpu - self.capacity.cpu)
-
-    @property
-    def memory_excess(self) -> int:
-        return max(0, self.usage.memory - self.capacity.memory)
-
     def __str__(self) -> str:
         return (
             f"node {self.node}: usage {self.usage.as_tuple()} exceeds "
@@ -329,11 +321,6 @@ class Configuration:
             name for name, state in self._states.items() if state is VMState.RUNNING
         )
 
-    def sleeping_vms(self) -> tuple[str, ...]:
-        return tuple(
-            name for name, state in self._states.items() if state is VMState.SLEEPING
-        )
-
     def vms_on(self, node_name: str) -> tuple[str, ...]:
         """Names of the VMs currently running on ``node_name``.
 
@@ -586,12 +573,6 @@ class Configuration:
         """A configuration is viable when no node is overloaded (Section 3.2)."""
         return not self.viability_violations(only_dirty=True)
 
-    def check_viable(self) -> None:
-        violations = self.viability_violations(only_dirty=True)
-        if violations:
-            details = "; ".join(str(v) for v in violations)
-            raise NonViableConfigurationError(details)
-
     # ------------------------------------------------------------------ #
     # copies & comparisons                                                #
     # ------------------------------------------------------------------ #
@@ -658,8 +639,3 @@ class Configuration:
     # ------------------------------------------------------------------ #
     # iteration helpers                                                   #
     # ------------------------------------------------------------------ #
-
-    def iter_running(self) -> Iterator[tuple[VirtualMachine, Node]]:
-        """Iterate over (VM, hosting node) pairs for running VMs."""
-        for vm_name, node_name in self._placement.items():
-            yield self._vms[vm_name], self._nodes[node_name]

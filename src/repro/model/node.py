@@ -54,10 +54,6 @@ class Node:
         """Total resource capacity offered to guest VMs."""
         return ResourceVector(self.cpu_capacity, self.memory_capacity)
 
-    @property
-    def is_working_node(self) -> bool:
-        return self.role is NodeRole.WORKING
-
     def __str__(self) -> str:
         return self.name
 

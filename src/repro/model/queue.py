@@ -8,10 +8,10 @@ queue (running + ready vjobs) is considered at every decision round.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from .errors import DuplicateElementError, ModelError
-from .vjob import VJob, VJobState
+from .vjob import VJob
 
 
 class VJobQueue:
@@ -39,14 +39,6 @@ class VJobQueue:
         self._rank[vjob.name] = self._counter
         self._counter += 1
 
-    def remove(self, name: str) -> VJob:
-        try:
-            vjob = self._vjobs.pop(name)
-        except KeyError:
-            raise ModelError(f"unknown vjob {name!r}") from None
-        self._rank.pop(name, None)
-        return vjob
-
     # -- lookups ---------------------------------------------------------------
 
     def __contains__(self, name: str) -> bool:
@@ -61,12 +53,6 @@ class VJobQueue:
         except KeyError:
             raise ModelError(f"unknown vjob {name!r}") from None
 
-    def vjob_of_vm(self, vm_name: str) -> Optional[VJob]:
-        for vjob in self._vjobs.values():
-            if vm_name in vjob.vm_names:
-                return vjob
-        return None
-
     def _sort_key(self, vjob: VJob) -> tuple:
         return (vjob.priority, vjob.submitted_at, self._rank[vjob.name])
 
@@ -77,13 +63,6 @@ class VJobQueue:
     def pending(self) -> list[VJob]:
         """Non-terminated vjobs in priority order — the queue the RJSP scans."""
         return [vjob for vjob in self.ordered() if not vjob.is_terminated]
-
-    def ready(self) -> list[VJob]:
-        """Ready (waiting or sleeping) vjobs in priority order."""
-        return [vjob for vjob in self.ordered() if vjob.is_ready]
-
-    def running(self) -> list[VJob]:
-        return [vjob for vjob in self.ordered() if vjob.state is VJobState.RUNNING]
 
     def terminated(self) -> list[VJob]:
         return [vjob for vjob in self.ordered() if vjob.is_terminated]

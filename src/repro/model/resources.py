@@ -47,17 +47,6 @@ class ResourceVector:
         dimensions."""
         return self.cpu <= capacity.cpu and self.memory <= capacity.memory
 
-    def dominates(self, other: "ResourceVector") -> bool:
-        """Return True when this vector is at least as large as ``other`` on
-        every dimension."""
-        return self.cpu >= other.cpu and self.memory >= other.memory
-
-    def is_non_negative(self) -> bool:
-        return self.cpu >= 0 and self.memory >= 0
-
-    def is_zero(self) -> bool:
-        return self.cpu == 0 and self.memory == 0
-
     # -- helpers ------------------------------------------------------------
 
     def as_tuple(self) -> tuple[int, int]:

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import InvalidStateTransition
-from .resources import ResourceVector
 from .vm import VirtualMachine
 
 
@@ -30,11 +29,6 @@ class VJobState(enum.Enum):
     RUNNING = "running"
     SLEEPING = "sleeping"
     TERMINATED = "terminated"
-
-    @property
-    def is_ready(self) -> bool:
-        """The *Ready* pseudo-state groups the runnable vjobs."""
-        return self in (VJobState.WAITING, VJobState.SLEEPING)
 
 
 #: Allowed transitions of the life cycle.  ``migrate`` does not appear here
@@ -90,21 +84,8 @@ class VJob:
         return tuple(vm.name for vm in self.vms)
 
     @property
-    def total_demand(self) -> ResourceVector:
-        """Aggregate demand of the vjob when all its VMs are running."""
-        return ResourceVector.total(vm.demand for vm in self.vms)
-
-    @property
     def total_memory(self) -> int:
         return sum(vm.memory for vm in self.vms)
-
-    @property
-    def is_ready(self) -> bool:
-        return self.state.is_ready
-
-    @property
-    def is_running(self) -> bool:
-        return self.state is VJobState.RUNNING
 
     @property
     def is_terminated(self) -> bool:
@@ -135,16 +116,6 @@ class VJob:
     def suspend(self) -> None:
         """Running -> Sleeping (the ``suspend`` action on every VM)."""
         self._transition(VJobState.SLEEPING)
-
-    def resume(self) -> None:
-        """Sleeping -> Running (the ``resume`` action on every VM)."""
-        if self.state is not VJobState.SLEEPING:
-            raise InvalidStateTransition(
-                subject=f"vjob {self.name}",
-                current=self.state.value,
-                requested=VJobState.RUNNING.value,
-            )
-        self._transition(VJobState.RUNNING)
 
     def terminate(self) -> None:
         """Any non-terminated state -> Terminated (the ``stop`` action)."""

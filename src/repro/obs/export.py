@@ -21,7 +21,7 @@ properly nest.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from .tracer import Span
 

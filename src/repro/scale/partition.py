@@ -85,10 +85,6 @@ class Zone:
     vms: Tuple[str, ...]
     constraints: Tuple[PlacementConstraint, ...] = ()
 
-    @property
-    def size(self) -> int:
-        return len(self.vms)
-
     def __repr__(self) -> str:
         return (
             f"Zone({self.index}: {len(self.nodes)} nodes, "
@@ -132,11 +128,6 @@ class PartitionResult:
     def zone_of_vm(self) -> Dict[str, int]:
         """Placed VM -> index of the zone that places it."""
         return {vm: zone.index for zone in self.zones for vm in zone.vms}
-
-    @cached_property
-    def zone_of_node(self) -> Dict[str, int]:
-        """Node -> index of the zone it belongs to."""
-        return {node: zone.index for zone in self.zones for node in zone.nodes}
 
 
 class _UnionFind:

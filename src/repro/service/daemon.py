@@ -50,6 +50,9 @@ from .commands import LoopCommandQueue
 from .observer import ServiceObserver
 from .serialize import fault_event_from_dict, workload_from_dict
 
+#: How many finished per-request HTTP spans ``GET /trace`` keeps.
+REQUEST_TRACE_CAPACITY = 256
+
 __all__ = ["OperatorDaemon"]
 
 
@@ -78,7 +81,6 @@ class OperatorDaemon:
         port: int = 8090,
         audit_path: Optional[str] = None,
         telemetry_capacity: int = 512,
-        request_trace_capacity: int = 256,
     ) -> None:
         self.scenario = scenario
         self.host = host
@@ -103,7 +105,7 @@ class OperatorDaemon:
         self._closing = False
         #: Completed per-request HTTP span dicts, newest last (bounded so a
         #: chatty operator cannot grow the daemon without limit).
-        self._request_spans: deque = deque(maxlen=request_trace_capacity)
+        self._request_spans: deque = deque(maxlen=REQUEST_TRACE_CAPACITY)
         self._server: Optional[ThreadingHTTPServer] = None
         self._server_thread: Optional[threading.Thread] = None
 
@@ -172,10 +174,6 @@ class OperatorDaemon:
     def state(self) -> str:
         with self._lock:
             return self._state
-
-    @property
-    def result(self) -> Optional[RunResult]:
-        return self.observer.result
 
     def start_run(self) -> None:
         """Launch the scenario's control loop on a worker thread.

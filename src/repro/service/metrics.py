@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import re
 import threading
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 __all__ = [
     "Counter",
@@ -106,16 +106,6 @@ class Counter(_Metric):
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
 
-    def value(self, **labels: str) -> float:
-        with self._lock:
-            return self._values.get(_label_key(labels), 0.0)
-
-    @property
-    def total(self) -> float:
-        """Sum over every label set."""
-        with self._lock:
-            return sum(self._values.values())
-
     def render(self) -> list[str]:
         lines = self._header()
         with self._lock:
@@ -149,10 +139,6 @@ class Gauge(_Metric):
         key = _label_key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels: str) -> float:
-        with self._lock:
-            return self._values.get(_label_key(labels), 0.0)
 
     def render(self) -> list[str]:
         lines = self._header()
@@ -201,16 +187,6 @@ class Histogram(_Metric):
                     return
             self._counts[-1] += 1
 
-    @property
-    def count(self) -> int:
-        with self._lock:
-            return self._count
-
-    @property
-    def sum(self) -> float:
-        with self._lock:
-            return self._sum
-
     def render(self) -> list[str]:
         lines = self._header()
         with self._lock:
@@ -256,14 +232,6 @@ class MetricsRegistry:
         buckets: Sequence[float] = DEFAULT_BUCKETS,
     ) -> Histogram:
         return self.register(Histogram(name, help_text, buckets))  # type: ignore[return-value]
-
-    def get(self, name: str) -> _Metric:
-        with self._lock:
-            return self._metrics[name]
-
-    def names(self) -> list[str]:
-        with self._lock:
-            return list(self._metrics)
 
     def render(self) -> str:
         """The whole registry in Prometheus text format (0.0.4)."""

@@ -61,8 +61,3 @@ class TelemetryBuffer:
     def __len__(self) -> int:
         with self._lock:
             return len(self._samples)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._samples.clear()
-            self._total = 0

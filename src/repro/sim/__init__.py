@@ -6,7 +6,6 @@ from .executor import (
     ExecutionReport,
     FailedAction,
     PlanExecutor,
-    estimate_duration,
 )
 from .faults import (
     FaultEvent,
@@ -24,12 +23,7 @@ from .hypervisor import (
     TransferMethod,
     remote_factor,
 )
-from .monitoring import (
-    DemandSource,
-    MonitoringService,
-    Observation,
-    constant_demands,
-)
+from .monitoring import DemandSource, MonitoringService, Observation
 
 __all__ = [
     "SimulatedCluster",
@@ -37,7 +31,6 @@ __all__ = [
     "ExecutionReport",
     "FailedAction",
     "PlanExecutor",
-    "estimate_duration",
     "FaultEvent",
     "FaultInjector",
     "FaultKind",
@@ -53,5 +46,4 @@ __all__ = [
     "DemandSource",
     "MonitoringService",
     "Observation",
-    "constant_demands",
 ]

@@ -116,10 +116,6 @@ class ExecutionReport:
     def duration(self) -> float:
         return self.end - self.start
 
-    @property
-    def action_count(self) -> int:
-        return len(self.actions)
-
     def involved_nodes(self) -> set[str]:
         """Nodes touched by the switch — including nodes that only hosted an
         aborted attempt: a vetoed migration still ran its transfer (and a
@@ -134,9 +130,6 @@ class ExecutionReport:
 
     def count(self, kind: ActionKind) -> int:
         return sum(1 for a in self.actions if a.action.kind is kind)
-
-    def failed_count(self, kind: ActionKind) -> int:
-        return sum(1 for f in self.failures if f.action.kind is kind)
 
 
 class PlanExecutor:
@@ -153,11 +146,9 @@ class PlanExecutor:
     def __init__(
         self,
         hypervisor: HypervisorModel = DEFAULT_HYPERVISOR,
-        pipeline_delay: float = config.VJOB_PIPELINE_DELAY_S,
         fault_injector: Optional["FaultInjector"] = None,
     ) -> None:
         self.hypervisor = hypervisor
-        self.pipeline_delay = pipeline_delay
         self.fault_injector = fault_injector
 
     def execute(
@@ -218,7 +209,7 @@ class PlanExecutor:
             for action in ordered:
                 if action.kind in (ActionKind.SUSPEND, ActionKind.RESUME):
                     start = clock + pipeline_offset
-                    pipeline_offset += self.pipeline_delay
+                    pipeline_offset += config.VJOB_PIPELINE_DELAY_S
                 else:
                     start = clock
                 duration = self.hypervisor.action_duration(
@@ -295,32 +286,3 @@ class PlanExecutor:
             )
 
         return report
-
-
-def estimate_duration(
-    plan: ReconfigurationPlan,
-    hypervisor: HypervisorModel = DEFAULT_HYPERVISOR,
-    pipeline_delay: float = config.VJOB_PIPELINE_DELAY_S,
-) -> float:
-    """Duration of a plan without mutating any cluster state.
-
-    Useful to relate the abstract cost of a plan (Section 4.2) to its expected
-    wall-clock duration, as Figure 11 does.
-    """
-    reference = plan.source
-    clock = 0.0
-    for pool in plan.pools:
-        pipeline_offset = 0.0
-        pool_end = clock
-        for action in sorted(
-            pool.actions, key=lambda a: (a.destination() or a.source() or "", a.vm)
-        ):
-            if action.kind in (ActionKind.SUSPEND, ActionKind.RESUME):
-                start = clock + pipeline_offset
-                pipeline_offset += pipeline_delay
-            else:
-                start = clock
-            duration = hypervisor.action_duration(action, reference)
-            pool_end = max(pool_end, start + duration)
-        clock = pool_end
-    return clock

@@ -106,8 +106,7 @@ class FaultSchedule:
             FaultSchedule()
             .node_crash("node-1", at=120.0)
             .node_slowdown("node-2", at=60.0, duration=300.0, factor=2.0)
-            .delayed_boot("node-3", until=240.0)
-            .migration_failure("vjob0.vm1", at=0.0)
+            .add(FaultEvent(0.0, FaultKind.MIGRATION_FAILURE, "vjob0.vm1"))
         )
 
     or draw one from seeded rates with :func:`random_fault_schedule`.
@@ -153,19 +152,6 @@ class FaultSchedule:
                 factor=factor,
                 duration=duration,
             )
-        )
-
-    def migration_failure(self, vm: str, at: float = 0.0) -> "FaultSchedule":
-        """Make the next migration of ``vm`` attempted at or after ``at``
-        abort (one-shot)."""
-        return self.add(
-            FaultEvent(time=at, kind=FaultKind.MIGRATION_FAILURE, target=vm)
-        )
-
-    def delayed_boot(self, node: str, until: float) -> "FaultSchedule":
-        """Keep ``node`` out of the cluster until time ``until``."""
-        return self.add(
-            FaultEvent(time=until, kind=FaultKind.DELAYED_BOOT, target=node)
         )
 
     # ------------------------------------------------------------------ #
@@ -268,8 +254,7 @@ def evict_node(configuration: Configuration, node_name: str) -> NodeEviction:
     sibling VM of an affected vjob so the vjob restarts consistently.
     """
     displaced = tuple(configuration.vms_on(node_name))
-    # O(answer) via the per-node suspend-image index (registration order,
-    # matching the historical sleeping_vms() filter).
+    # O(answer) via the per-node suspend-image index, in registration order.
     lost = configuration.images_on(node_name)
     for vm in displaced + lost:
         configuration.set_waiting(vm)

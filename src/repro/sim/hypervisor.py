@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from .. import config
 from ..model.configuration import Configuration
-from ..core.actions import Action, ActionKind, Migrate, Resume, Run, Stop, Suspend
+from ..core.actions import Action, Migrate, Resume, Run, Stop, Suspend
 
 
 class TransferMethod(enum.Enum):
@@ -105,14 +105,6 @@ class HypervisorModel:
         if isinstance(action, Resume):
             return self.resume_duration(memory, local=action.is_local)
         raise TypeError(f"unknown action type: {action!r}")
-
-    def interference_factor(self, action: Action) -> float:
-        """Slow-down suffered by busy VMs co-located with the action."""
-        if isinstance(action, Resume) and not action.is_local:
-            return config.INTERFERENCE_FACTOR_REMOTE
-        if action.kind in (ActionKind.SUSPEND, ActionKind.RESUME, ActionKind.MIGRATE):
-            return config.INTERFERENCE_FACTOR_LOCAL
-        return 1.0
 
 
 #: Model matching the paper's measurements, used by default everywhere.

@@ -5,8 +5,8 @@ the monitoring head to obtain the CPU and memory consumption of the running
 VMs, and needs about 10 seconds to accumulate fresh information after a
 reconfiguration (Section 3.1).  The simulated service samples a *demand
 source* — typically the workload traces — and reproduces that staleness: an
-observation taken less than ``refresh_delay`` seconds after the previous
-reconfiguration reuses the previous values.
+observation taken less than :data:`repro.config.MONITORING_DELAY_S` seconds
+after the previous reconfiguration reuses the previous values.
 
 An observation is the per-VM demands only.  The control loop writes them into
 the configuration, whose load columns are the one record of each node's load.
@@ -30,29 +30,20 @@ class Observation:
 
     time: float
     cpu_demands: dict[str, int]
-    stale: bool = False
-
-    def demand_of(self, vm_name: str) -> int:
-        return self.cpu_demands.get(vm_name, 0)
 
 
 class MonitoringService:
-    """Samples VM demands with a configurable refresh delay."""
+    """Samples VM demands, ``MONITORING_DELAY_S`` behind a reconfiguration."""
 
-    def __init__(
-        self,
-        demand_source: DemandSource,
-        refresh_delay: float = config.MONITORING_DELAY_S,
-    ) -> None:
+    def __init__(self, demand_source: DemandSource) -> None:
         self._source = demand_source
-        self.refresh_delay = refresh_delay
         self._last_reconfiguration: Optional[float] = None
         self._last_observation: Optional[Observation] = None
 
     def notify_reconfiguration(self, time: float) -> None:
         """Tell the service a context switch just completed; the next
-        observations within ``refresh_delay`` will be flagged stale and reuse
-        the previous values."""
+        observations within ``MONITORING_DELAY_S`` reuse the previous
+        values."""
         self._last_reconfiguration = time
 
     def observe(self, time: float) -> Observation:
@@ -60,26 +51,12 @@ class MonitoringService:
         stale = (
             self._last_reconfiguration is not None
             and self._last_observation is not None
-            and time - self._last_reconfiguration < self.refresh_delay
+            and time - self._last_reconfiguration < config.MONITORING_DELAY_S
         )
         if stale:
             previous = self._last_observation
-            return Observation(
-                time=time, cpu_demands=dict(previous.cpu_demands), stale=True
-            )
+            return Observation(time=time, cpu_demands=dict(previous.cpu_demands))
 
         observation = Observation(time=time, cpu_demands=dict(self._source(time)))
         self._last_observation = observation
         return observation
-
-
-def constant_demands(demands: Mapping[str, int]) -> DemandSource:
-    """A demand source returning the same values at every instant (handy for
-    tests and for the scalability experiments of Section 5.1)."""
-
-    frozen = dict(demands)
-
-    def source(_: float) -> Mapping[str, int]:
-        return frozen
-
-    return source

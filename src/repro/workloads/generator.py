@@ -22,7 +22,6 @@ from ..model.configuration import Configuration
 from ..model.node import Node, make_working_nodes
 from ..model.queue import VJobQueue
 from ..model.vjob import VJobState
-from ..model.vm import VMState
 from .nasgrid import (
     MEMORY_CHOICES_MB,
     Benchmark,
@@ -40,10 +39,6 @@ class GeneratedScenario:
     configuration: Configuration
     queue: VJobQueue
     workloads: list[VJobWorkload] = field(default_factory=list)
-
-    @property
-    def vm_count(self) -> int:
-        return len(self.configuration.vm_names)
 
     def vjob_of_vm(self) -> dict[str, str]:
         mapping: dict[str, str] = {}

@@ -44,11 +44,6 @@ class DemandTrace:
         return sum(phase.duration for phase in self.phases)
 
     @property
-    def compute_time(self) -> float:
-        """Execution time during which the VM requires a processing unit."""
-        return sum(p.duration for p in self.phases if p.cpu_demand > 0)
-
-    @property
     def peak_demand(self) -> int:
         return max(p.cpu_demand for p in self.phases)
 
@@ -71,10 +66,7 @@ class DemandTrace:
         return len(self.phases)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return (
-            f"DemandTrace({len(self.phases)} phases, "
-            f"{self.total_duration:.0f}s total, {self.compute_time:.0f}s compute)"
-        )
+        return f"DemandTrace({len(self.phases)} phases, {self.total_duration:.0f}s)"
 
 
 @dataclass
@@ -99,14 +91,6 @@ class VJobWorkload:
         """Number of processing units the vjob needs when every VM computes
         at once (the static allocation a batch scheduler books)."""
         return sum(trace.peak_demand for trace in self.traces.values())
-
-    @property
-    def average_cpu_demand(self) -> float:
-        """Time-averaged number of busy processing units."""
-        duration = self.duration
-        if duration == 0:
-            return 0.0
-        return sum(t.compute_time for t in self.traces.values()) / duration
 
     def demands_at(self, progress: float) -> dict[str, int]:
         return {name: trace.demand_at(progress) for name, trace in self.traces.items()}

@@ -85,7 +85,6 @@ class TestSwitchStatistics:
         assert stats.average_duration == pytest.approx(162.5)
         assert stats.max_duration == 315.0
         assert stats.max_cost == 4608
-        assert stats.total_migrations == 9
         assert stats.local_resume_fraction == pytest.approx(7 / 9)
 
     def test_empty_switches(self):

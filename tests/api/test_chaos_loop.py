@@ -13,7 +13,7 @@ from repro import FaultSchedule, Scenario
 from repro.api import RecordingObserver
 from repro.model import make_working_nodes
 from repro.model.vjob import VJobState
-from repro.sim.faults import FaultInjector
+from repro.sim.faults import FaultEvent, FaultInjector, FaultKind
 from repro.testing import make_vjob
 from repro.workloads import ChurnGenerator, ProblemClass, VJobWorkload, alternating_trace
 
@@ -97,8 +97,8 @@ class TestCrashDuringMigration:
         w1 = simple_workload("w1", 1, [(60.0, 0), (180.0, 1)])
         schedule = (
             FaultSchedule()
-            .migration_failure("w1.vm0")
-            .migration_failure("w1.vm1")
+            .add(FaultEvent(0.0, FaultKind.MIGRATION_FAILURE, "w1.vm0"))
+            .add(FaultEvent(0.0, FaultKind.MIGRATION_FAILURE, "w1.vm1"))
         )
         result = Scenario(
             nodes=nodes,
@@ -226,7 +226,7 @@ class TestSlowdownAndDelayedBoot:
         nodes = make_working_nodes(2, cpu_capacity=2, memory_capacity=3584)
         schedule = (
             FaultSchedule()
-            .delayed_boot("node-1", until=120.0)
+            .add(FaultEvent(120.0, FaultKind.DELAYED_BOOT, "node-1"))
             .node_crash("node-1", at=60.0)
         )
         scenario = Scenario(
@@ -252,7 +252,9 @@ class TestSlowdownAndDelayedBoot:
             workloads=[w0],
             policy="consolidation",
             optimizer_timeout=OPTIMIZER_TIMEOUT_S,
-            faults=FaultSchedule().delayed_boot("node-1", until=90.0),
+            faults=FaultSchedule().add(
+                FaultEvent(90.0, FaultKind.DELAYED_BOOT, "node-1")
+            ),
         )
         loop = scenario.build()
         # held back at construction time

@@ -240,15 +240,15 @@ class _BreaksTheSpread:
             fallback = decision.fallback_target.copy()
             for vm in SPREAD.vms:
                 fallback.set_running(vm, "node-0")
-            decision.fallback_target = fallback
+            decision.fallback_builder = lambda: fallback
         return decision
 
 
 class _KeepsDecisions:
     """The consolidation policy, keeping each decision with the FFD fallback
     an eager ``decide`` builds on the same inputs, and counting the calls of
-    the decision's fallback builder.  With ``eager``, the decision carries
-    that fallback already built."""
+    the decision's fallback builder.  With ``eager``, the decision's builder
+    hands over that fallback, built already."""
 
     name = "keeps-decisions"
 
@@ -276,7 +276,7 @@ class _KeepsDecisions:
 
         decision.fallback_builder = counted
         if self.eager:
-            decision.fallback_target = eager
+            decision.fallback_builder = lambda: eager
         self.rounds.append((decision, eager))
         return decision
 

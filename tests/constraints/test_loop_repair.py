@@ -17,7 +17,7 @@ from repro.constraints import (
     check_configuration,
 )
 from repro.decision.fcfs import FCFSDecisionModule
-from repro.decision import FFDDecisionModule, ffd_place
+from repro.decision import FFDDecisionModule, ffd_commit
 from repro.model.configuration import Configuration
 from repro.model.node import make_working_nodes
 from repro.model.queue import VJobQueue
@@ -35,7 +35,7 @@ class TestGreedyFiltering:
         vm = make_vm("x", memory=512, cpu=1)
         configuration.add_vm(vm)
         ban = CandidateFilter([Ban(["x"], ["node-0"])], configuration)
-        placement = ffd_place(configuration, [vm], node_filter=ban)
+        placement = ffd_commit(configuration.copy(), [vm], node_filter=ban)
         assert placement == {"x": "node-1"}
 
     def test_ffd_place_fails_when_the_filter_excludes_everything(self):
@@ -45,7 +45,7 @@ class TestGreedyFiltering:
         everywhere = CandidateFilter(
             [Ban(["x"], ["node-0", "node-1"])], configuration
         )
-        assert ffd_place(configuration, [vm], node_filter=everywhere) is None
+        assert ffd_commit(configuration.copy(), [vm], node_filter=everywhere) is None
 
     def test_candidate_filter_needs_the_observed_configuration(self):
         # unary domains are resolved against it: there is no unbound filter
@@ -101,7 +101,7 @@ class TestConstrainedScenarios:
             .observe(observer)
         )
         result = scenario.run()
-        assert result.completed("w")
+        assert "w" in result.completion_times
         assert result.honoured_constraints
         assert result.constraint_violation_counts == {}
         assert result.metadata["constraints"] == [spread.label]
@@ -114,7 +114,7 @@ class TestConstrainedScenarios:
             constraints=[Spread(["w.vm0", "w.vm1"])],
             max_time=3600.0,
         ).run()
-        assert result.completed("w")
+        assert "w" in result.completion_times
         assert result.honoured_constraints
 
     def test_a_reused_module_drops_a_catalog_the_loop_does_not_hold(self):
@@ -231,7 +231,7 @@ class TestCrashRepair:
         result = self.crash_scenario([spread]).run()
         # the vjob was knocked out, repaired, and finished
         assert result.repair_latencies.get("w") is not None
-        assert result.completed("w")
+        assert "w" in result.completion_times
         assert result.unfinished_vjobs == []
         # the catalog was re-applied on the survivors: no violation ever
         assert result.honoured_constraints
@@ -241,7 +241,7 @@ class TestCrashRepair:
             ["w.vm0", "w.vm1"], ["node-0", "node-1"], elastic=True
         )
         result = self.crash_scenario([fence]).run()
-        assert result.completed("w")
+        assert "w" in result.completion_times
         assert result.honoured_constraints
         # the declaration is stable; the repair hook swapped the *active*
         # fence for its shrunken twin
@@ -253,7 +253,7 @@ class TestCrashRepair:
     def test_fully_dead_elastic_fence_retires(self):
         fence = Fence(["w.vm0", "w.vm1"], ["node-0"], elastic=True)
         result = self.crash_scenario([fence]).run()
-        assert result.completed("w")
+        assert "w" in result.completion_times
         # the run stays identifiable as constrained, but nothing remains
         # active to honour or record
         assert result.metadata["constraints"] == [fence.label]

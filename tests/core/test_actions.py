@@ -9,12 +9,10 @@ from repro.core.actions import (
     Run,
     Stop,
     Suspend,
-    required_resources,
 )
 from repro.model.configuration import Configuration
 from repro.model.errors import ExecutionError
 from repro.model.node import make_working_nodes
-from repro.model.resources import ResourceVector
 from repro.model.vm import VMState
 
 from repro.testing import make_vm
@@ -59,9 +57,8 @@ class TestRun:
     def test_resource_effects(self, configuration):
         action = Run(vm="waiting", node="node-2")
         assert action.consumes_resources()
-        assert not action.liberates_resources()
+        assert action.source() is None
         assert action.destination() == "node-2"
-        assert required_resources(action, configuration) == ResourceVector(1, 512)
 
 
 class TestStop:
@@ -78,7 +75,7 @@ class TestStop:
 
     def test_liberates_resources(self, configuration):
         action = Stop(vm="running", node="node-0")
-        assert action.liberates_resources()
+        assert action.source() == "node-0"
         assert not action.consumes_resources()
 
 

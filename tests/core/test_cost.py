@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.actions import Migrate, Resume, Run, Stop, Suspend
-from repro.core.cost import minimum_possible_cost, plan_cost, pool_cost, total_cost
+from repro.core.cost import plan_cost, pool_cost
 from repro.core.plan import Pool, plan_from_pools
 from repro.model.configuration import Configuration
 from repro.model.node import make_working_nodes
@@ -78,7 +78,6 @@ class TestPlanCostModel:
         assert breakdown.pool_costs == (2048, 512)
         # pool 0: suspend 2048 + migrate 1024 ; pool 1: (2048+512) + (2048+0)
         assert breakdown.total == 2048 + 1024 + (2048 + 512) + 2048
-        assert total_cost(plan, configuration) == breakdown.total
 
     def test_local_total_is_a_lower_bound(self, configuration):
         plan = plan_from_pools(
@@ -90,7 +89,6 @@ class TestPlanCostModel:
         )
         breakdown = plan_cost(plan, configuration)
         assert breakdown.local_total == 2048 + 1024
-        assert minimum_possible_cost(plan, configuration) == breakdown.local_total
         assert breakdown.local_total <= breakdown.total
 
     def test_single_pool_plan_has_no_delay_cost(self, configuration):

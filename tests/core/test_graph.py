@@ -108,15 +108,6 @@ def test_terminated_vm_cannot_run_again(current):
         ReconfigurationGraph(current, target)
 
 
-def test_incoming_and_outgoing_edges(current):
-    target = current.copy()
-    target.set_running("r1", "node-2")
-    graph = ReconfigurationGraph(current, target)
-    assert len(graph.outgoing("node-0")) == 1
-    assert len(graph.incoming("node-2")) == 1
-    assert graph.incoming("node-1") == []
-
-
 def test_edges_carry_vm_demand(current):
     target = current.copy()
     target.set_running("r1", "node-2")

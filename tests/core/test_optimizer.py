@@ -45,7 +45,7 @@ class TestKeepInPlace:
     def test_running_vms_stay_put_when_nothing_changes(self, cluster):
         optimizer = ContextSwitchOptimizer(timeout=5)
         result = optimizer.optimize(cluster, {})
-        assert result.plan.is_empty
+        assert result.plan.action_count() == 0
         assert result.cost == 0
         for name in ("a", "b", "c"):
             assert result.target.location_of(name) == cluster.location_of(name)
@@ -65,7 +65,6 @@ class TestKeepInPlace:
     def test_suspend_cost_is_fixed(self, cluster):
         optimizer = ContextSwitchOptimizer(timeout=5)
         result = optimizer.optimize(cluster, {"c": VMState.SLEEPING})
-        assert result.fixed_cost == 2048
         assert result.cost == 2048
         assert result.target.state_of("c") is VMState.SLEEPING
         assert result.target.image_location_of("c") == "node-2"

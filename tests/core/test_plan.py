@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.actions import ActionKind, Migrate, Run, Suspend
-from repro.core.plan import Pool, ReconfigurationPlan, merge_pools, plan_from_pools
+from repro.core.plan import Pool, ReconfigurationPlan, plan_from_pools
 from repro.model.configuration import Configuration
 from repro.model.errors import PlanningError
 from repro.model.node import make_working_nodes
@@ -65,7 +65,6 @@ class TestPlanSemantics:
         )
         with pytest.raises(PlanningError):
             plan.apply()
-        assert not plan.is_feasible()
 
     def test_apply_rejects_conflicting_parallel_consumers(self):
         nodes = make_working_nodes(2, cpu_capacity=2, memory_capacity=2048)
@@ -113,30 +112,15 @@ class TestPlanQueries:
         assert summary["suspend"] == 1
         assert summary["migrate"] == 1
 
-    def test_pool_of(self, configuration):
-        suspend = Suspend(vm="a", node="node-0")
-        migrate = Migrate(vm="b", source_node="node-1", destination_node="node-0")
-        plan = plan_from_pools(configuration, [[suspend], [migrate]])
-        assert plan.pool_of(suspend) == 0
-        assert plan.pool_of(migrate) == 1
-        with pytest.raises(PlanningError):
-            plan.pool_of(Run(vm="a", node="node-0"))
-
     def test_empty_plan(self, configuration):
         plan = ReconfigurationPlan(source=configuration)
-        assert plan.is_empty
+        assert plan.action_count() == 0
         assert plan.apply().same_assignment(configuration)
 
     def test_append_pool_skips_empty_pools(self, configuration):
         plan = ReconfigurationPlan(source=configuration)
         plan.append_pool(Pool())
         assert len(plan) == 0
-
-    def test_merge_pools(self, configuration):
-        merged = merge_pools(
-            [Pool([Suspend(vm="a", node="node-0")]), Pool([Suspend(vm="b", node="node-1")])]
-        )
-        assert len(merged) == 2
 
     def test_str_output_lists_pools(self, configuration):
         plan = plan_from_pools(configuration, [[Suspend(vm="a", node="node-0")]])

@@ -59,7 +59,7 @@ class TestSequentialConstraints:
         configuration.add_vm(make_vm("a", memory=512))
         configuration.set_running("a", "node-0")
         plan = build_plan(configuration, configuration.copy())
-        assert plan.is_empty
+        assert plan.action_count() == 0
 
 
 class TestInterDependentConstraints:

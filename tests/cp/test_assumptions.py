@@ -10,6 +10,7 @@ import pytest
 
 from repro.cp import (
     AllDifferent,
+    CostTable,
     ElementSum,
     Model,
     Solver,
@@ -38,9 +39,11 @@ class TestPinnedVariables:
         free = model.int_var("y", [0, 1, 2])
         model.add_constraint(AllDifferent([pinned, free]))
         cost = model.int_var("cost", range(0, 6))
-        model.add_constraint(ElementSum([free], [{0: 5, 1: 0, 2: 3}], cost))
+        model.add_constraint(
+            ElementSum([free], [CostTable(0, {0: 5, 1: 0, 2: 3})], cost)
+        )
         result = Solver(model).solve(minimize=cost)
-        assert result.has_solution
+        assert result.best is not None
         assert result.best["x"] == 1
         # y in {0, 2} after AllDifferent; costs 5 and 3 -> optimum picks y=2
         assert result.best["y"] == 2
@@ -52,4 +55,4 @@ class TestPinnedVariables:
         b = model.pinned_var("b", 1)
         model.add_constraint(AllDifferent([a, b]))
         result = Solver(model).solve()
-        assert not result.has_solution
+        assert result.best is None

@@ -5,6 +5,7 @@ import pytest
 from repro.cp import (
     AllDifferent,
     AllDifferentExcept,
+    CostTable,
     CountInValuesAtMost,
     ElementSum,
     IntVar,
@@ -12,7 +13,6 @@ from repro.cp import (
     NotEqual,
     Solver,
     VectorPacking,
-    make_int_var,
 )
 from repro.model.errors import InconsistencyError
 
@@ -51,30 +51,30 @@ class TestElementSum:
     def test_total_bounds_are_tightened(self, store):
         x = IntVar("x", [0, 1])
         y = IntVar("y", [0, 1])
-        total = make_int_var("total", 0, 100)
-        tables = [{0: 0, 1: 10}, {0: 5, 1: 20}]
+        total = IntVar("total", range(0, 101))
+        tables = [CostTable(0, {0: 0, 1: 10}), CostTable(0, {0: 5, 1: 20})]
         ElementSum([x, y], tables, total).propagate(store)
         assert total.min == 5 and total.max == 30
 
     def test_expensive_values_are_pruned(self, store):
         x = IntVar("x", [0, 1])
         y = IntVar("y", [0, 1])
-        total = make_int_var("total", 0, 12)
-        tables = [{0: 0, 1: 10}, {0: 5, 1: 20}]
+        total = IntVar("total", range(0, 13))
+        tables = [CostTable(0, {0: 0, 1: 10}), CostTable(0, {0: 5, 1: 20})]
         ElementSum([x, y], tables, total).propagate(store)
         # y = 1 would cost at least 0 + 20 > 12
         assert y.values() == (0,)
 
     def test_inconsistent_bounds_raise(self, store):
         x = IntVar("x", [1])
-        total = make_int_var("total", 0, 5)
+        total = IntVar("total", range(0, 6))
         with pytest.raises(InconsistencyError):
-            ElementSum([x], [{1: 50}], total).propagate(store)
+            ElementSum([x], [CostTable(0, {1: 50})], total).propagate(store)
 
     def test_is_satisfied(self):
         x = IntVar("x", [1])
         total = IntVar("total", [7])
-        assert ElementSum([x], [{1: 7}], total).is_satisfied()
+        assert ElementSum([x], [CostTable(0, {1: 7})], total).is_satisfied()
 
     def test_requires_one_table_per_variable(self):
         with pytest.raises(ValueError):
@@ -135,7 +135,7 @@ class TestAllDifferent:
         variables = [model.int_var(f"v{i}", range(3)) for i in range(3)]
         model.add_constraint(AllDifferent(variables))
         result = Solver(model).solve()
-        assert result.has_solution
+        assert result.best is not None
         values = [result.best[f"v{i}"] for i in range(3)]
         assert sorted(values) == [0, 1, 2]
 

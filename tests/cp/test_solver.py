@@ -8,17 +8,17 @@ import pytest
 from repro.cp import (
     ActivityLastConflict,
     AllDifferent,
+    CostTable,
     CountInValuesAtMost,
     ElementSum,
+    IntVar,
     Model,
     Solver,
     VectorPacking,
     first_fail,
-    make_int_var,
     prefer_value,
     static_order,
 )
-from repro.cp.variables import value_of
 from repro.model.errors import SolverError
 from repro.obs import Tracer
 
@@ -30,25 +30,13 @@ class TestModel:
         with pytest.raises(SolverError):
             model.int_var("x", [0, 1])
 
-    def test_make_int_var_rejects_empty_interval(self):
-        with pytest.raises(ValueError):
-            make_int_var("x", 5, 3)
-
-    def test_value_of_helper(self):
-        model = Model()
-        x = model.int_var("x", [3])
-        y = model.int_var("y", [1, 2])
-        assert value_of(x) == 3
-        assert value_of(y) is None
-        assert value_of(y, default=-1) == -1
-
 
 class TestSatisfaction:
     def test_trivial_problem(self):
         model = Model()
         model.int_var("x", [4])
         result = Solver(model).solve()
-        assert result.has_solution
+        assert result.best is not None
         assert result.best["x"] == 4
 
     def test_unsatisfiable_problem(self):
@@ -58,7 +46,7 @@ class TestSatisfaction:
         model.add_constraint(AllDifferent([x, y]))
         model.add_constraint(CountInValuesAtMost([x, y], {1}, 0))
         result = Solver(model).solve()
-        assert not result.has_solution
+        assert result.best is None
 
     def test_solution_limit(self):
         model = Model()
@@ -88,7 +76,11 @@ class TestMinimization:
             VectorPacking([x0, x1], [(1, 10), (1, 10)], [(1, 20), (1, 20)])
         )
         model.add_constraint(
-            ElementSum([x0, x1], [{0: 0, 1: 10}, {0: 10, 1: 0}], total)
+            ElementSum(
+                [x0, x1],
+                [CostTable(0, {0: 0, 1: 10}), CostTable(0, {0: 10, 1: 0})],
+                total,
+            )
         )
         return model, total
 
@@ -102,7 +94,7 @@ class TestMinimization:
     def test_first_solution_only_mode(self):
         model, total = self._packing_model()
         result = Solver(model).solve(minimize=total, first_solution_only=True)
-        assert result.has_solution
+        assert result.best is not None
         # the first solution is not necessarily the optimum, but it is valid
         assert result.best.objective in (0, 10, 20)
 
@@ -117,7 +109,7 @@ class TestMinimization:
         model, total = self._packing_model()
         result = Solver(model).solve(minimize=total, initial_bound=0)
         # nothing is strictly better than 0, so the search returns no solution
-        assert not result.has_solution
+        assert result.best is None
         assert result.statistics.proven_optimal
 
     def test_initial_bound_allows_improvement(self):
@@ -131,7 +123,7 @@ class TestMinimization:
         total = model.int_var("total", range(0, 100))
         model.add_constraint(AllDifferent(variables))
         model.add_constraint(
-            ElementSum(variables, [{v: v for v in range(8)}] * 8, total)
+            ElementSum(variables, [CostTable(0, {v: v for v in range(8)})] * 8, total)
         )
         result = Solver(model).solve(minimize=total, timeout=0.0)
         assert result.statistics.timed_out
@@ -140,34 +132,34 @@ class TestMinimization:
 
 class TestHeuristics:
     def test_first_fail_picks_smallest_domain(self):
-        a = make_int_var("a", 0, 9)
-        b = make_int_var("b", 0, 1)
+        a = IntVar("a", range(0, 10))
+        b = IntVar("b", range(0, 2))
         assert first_fail([a, b]) is b
 
     def test_first_fail_with_all_instantiated(self):
-        a = make_int_var("a", 1, 1)
+        a = IntVar("a", range(1, 2))
         assert first_fail([a]) is None
 
     def test_static_order_respects_order(self):
-        a = make_int_var("a", 0, 3)
-        b = make_int_var("b", 0, 3)
+        a = IntVar("a", range(0, 4))
+        b = IntVar("b", range(0, 4))
         selector = static_order([b, a])
         assert selector([a, b]) is b
 
     def test_prefer_value_puts_preference_first(self):
-        a = make_int_var("a", 0, 3)
+        a = IntVar("a", range(0, 4))
         selector = prefer_value({"a": 2})
         assert list(selector(a))[0] == 2
 
     def test_prefer_value_ignores_pruned_preference(self):
-        a = make_int_var("a", 0, 3)
+        a = IntVar("a", range(0, 4))
         a.domain.remove(2)
         selector = prefer_value({"a": 2})
         assert 2 not in selector(a)
 
     def test_activity_last_conflict_prefers_conflict_variable(self):
-        a = make_int_var("a", 0, 3)
-        b = make_int_var("b", 0, 3)
+        a = IntVar("a", range(0, 4))
+        b = IntVar("b", range(0, 4))
         selector = ActivityLastConflict(static_order([a, b]))
         assert selector([a, b]) is a
         selector.on_failure(b)
@@ -177,20 +169,12 @@ class TestHeuristics:
         assert selector([a, b]) is a
 
     def test_activity_last_conflict_reset(self):
-        a = make_int_var("a", 0, 3)
-        b = make_int_var("b", 0, 3)
+        a = IntVar("a", range(0, 4))
+        b = IntVar("b", range(0, 4))
         selector = ActivityLastConflict(static_order([a, b]))
         selector.on_failure(b)
         selector.reset()
         assert selector([a, b]) is a
-
-    def test_activity_fallback_picks_highest_activity_density(self):
-        a = make_int_var("a", 0, 3)
-        b = make_int_var("b", 0, 1)
-        a.activity = 1.0
-        b.activity = 4.0
-        selector = ActivityLastConflict()
-        assert selector([a, b]) is b
 
 
 class TestEngines:
@@ -203,7 +187,11 @@ class TestEngines:
             VectorPacking([x0, x1], [(1, 10), (1, 10)], [(1, 20), (1, 20)])
         )
         model.add_constraint(
-            ElementSum([x0, x1], [{0: 0, 1: 10}, {0: 10, 1: 0}], total)
+            ElementSum(
+                [x0, x1],
+                [CostTable(0, {0: 0, 1: 10}), CostTable(0, {0: 10, 1: 0})],
+                total,
+            )
         )
         return model, total
 
@@ -231,7 +219,7 @@ class TestEngines:
         total = model.interval_var("total", 0, 100)
         model.add_constraint(AllDifferent(variables))
         model.add_constraint(
-            ElementSum(variables, [{v: v for v in range(8)}] * 8, total)
+            ElementSum(variables, [CostTable(0, {v: v for v in range(8)})] * 8, total)
         )
         result = Solver(model).solve(minimize=total, node_limit=3)
         assert result.statistics.limit_reached
@@ -253,18 +241,19 @@ class TestEngines:
         assert y.min == 0 and y.max == 4
 
     def test_interval_objective_matches_sparse_objective(self):
+        tables = [
+            CostTable(0, {0: 3, 1: 7}),
+            CostTable(0, {0: 5, 1: 1}),
+            CostTable(0, {0: 2, 1: 9}),
+        ]
         sparse = Model()
         xs = [sparse.int_var(f"x{i}", [0, 1]) for i in range(3)]
         total_sparse = sparse.int_var("total", range(0, 31))
-        sparse.add_constraint(
-            ElementSum(xs, [{0: 3, 1: 7}, {0: 5, 1: 1}, {0: 2, 1: 9}], total_sparse)
-        )
+        sparse.add_constraint(ElementSum(xs, tables, total_sparse))
         dense = Model()
         ys = [dense.int_var(f"x{i}", [0, 1]) for i in range(3)]
         total_dense = dense.interval_var("total", 0, 30)
-        dense.add_constraint(
-            ElementSum(ys, [{0: 3, 1: 7}, {0: 5, 1: 1}, {0: 2, 1: 9}], total_dense)
-        )
+        dense.add_constraint(ElementSum(ys, tables, total_dense))
         a = Solver(sparse).solve(minimize=total_sparse)
         b = Solver(dense).solve(minimize=total_dense)
         assert a.best.objective == b.best.objective == 6
@@ -320,8 +309,8 @@ class TestIterativeSearch:
         assert len(walks[0][1]) == 12
 
     def test_static_order_scans_from_the_start_outside_a_search(self):
-        a = make_int_var("a", 0, 3)
-        b = make_int_var("b", 0, 3)
+        a = IntVar("a", range(0, 4))
+        b = IntVar("b", range(0, 4))
         selector = static_order([a, b])
         a.domain.assign(1)
         assert selector([a, b]) is b
@@ -360,7 +349,11 @@ class TestWhyTheSearchStopped:
         variables = [model.int_var(f"v{i}", range(size)) for i in range(size)]
         total = model.interval_var("total", 0, size * size)
         model.add_constraint(
-            ElementSum(variables, [{v: v for v in range(size)}] * size, total)
+            ElementSum(
+                variables,
+                [CostTable(0, {v: v for v in range(size)})] * size,
+                total,
+            )
         )
         return model, total
 
@@ -369,7 +362,11 @@ class TestWhyTheSearchStopped:
         xs = [model.int_var(f"x{i}", range(6)) for i in range(6)]
         total = model.interval_var("total", 0, 60)
         model.add_constraint(
-            ElementSum(xs, [{v: 0 if v == i else 5 for v in range(6)} for i in range(6)], total)
+            ElementSum(
+                xs,
+                [CostTable(5, {i: 0}) for i in range(6)],
+                total,
+            )
         )
         result = Solver(
             model,
@@ -397,7 +394,11 @@ class TestWhyTheSearchStopped:
             VectorPacking([x0, x1], [(1, 10), (1, 10)], [(1, 10), (1, 10)])
         )
         model.add_constraint(
-            ElementSum([x0, x1], [{0: 0, 1: 10}, {0: 0, 1: 10}], total)
+            ElementSum(
+                [x0, x1],
+                [CostTable(0, {0: 0, 1: 10}), CostTable(0, {0: 0, 1: 10})],
+                total,
+            )
         )
         result = Solver(model).solve(minimize=total)
         assert (result.root_bound, result.best.objective) == (0, 10)

@@ -76,7 +76,7 @@ class TestDecide:
     def test_noop_decision_when_queue_is_empty(self, module):
         configuration = Configuration(nodes=make_working_nodes(1))
         decision = module.decide(configuration, VJobQueue())
-        assert decision.is_noop
+        assert not decision.vm_states
 
     def test_monitoring_demands_are_used(self, module):
         """The monitored demands reach the selection through the observed

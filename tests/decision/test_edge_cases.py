@@ -43,13 +43,13 @@ class TestEmptyQueue:
         decision = module_cls().decide(configuration, VJobQueue())
         assert decision.vm_states == {}
         assert decision.vjob_states == {}
-        assert decision.is_noop
+        assert not decision.vm_states
 
     @pytest.mark.parametrize("module_cls", MODULES)
     def test_empty_queue_with_zero_capacity_nodes(self, module_cls):
         configuration = make_cluster(cpu=0, memory=0)
         decision = module_cls().decide(configuration, VJobQueue())
-        assert decision.is_noop
+        assert not decision.vm_states
 
 
 class TestAllVJobsSuspended:

@@ -139,17 +139,14 @@ class TestSubmissionTimes:
 
 
 class TestScheduleViews:
-    def test_usage_and_utilization_series(self):
+    def test_running_at(self):
         jobs = [
             BatchJob(name="a", cpus=2, duration=100.0, memory=1024),
             BatchJob(name="b", cpus=2, duration=50.0, memory=2048),
         ]
         schedule = FCFSScheduler(total_cpus=4, total_memory=8192).schedule(jobs)
-        assert schedule.cpu_usage_at(25.0) == 4
-        assert schedule.cpu_usage_at(75.0) == 2
-        assert schedule.memory_usage_at(25.0) == 3072
-        series = schedule.utilization_series(step=50.0)
-        assert series[0][1] == 1.0  # both jobs running at t=0
+        assert {a.job.name for a in schedule.running_at(0.0)} == {"a", "b"}
+        assert {a.job.name for a in schedule.running_at(75.0)} == {"a"}
         assert schedule.makespan == 100.0
 
     def test_allocation_of_unknown_job_raises(self):

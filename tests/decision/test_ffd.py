@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.decision.ffd import ffd_order, ffd_place, ffd_target_configuration
+from repro.decision.ffd import ffd_commit, ffd_order, ffd_target_configuration
 from repro.model.configuration import Configuration
 from repro.model.node import make_working_nodes
 from repro.model.vm import VMState
@@ -31,12 +31,12 @@ class TestFFDOrder:
 
 class TestFFDPlace:
     def test_places_on_first_fitting_node(self, configuration):
-        placement = ffd_place(configuration, [make_vm("a", memory=1024, cpu=1)])
+        placement = ffd_commit(configuration, [make_vm("a", memory=1024, cpu=1)])
         assert placement == {"a": "node-0"}
 
     def test_accounts_for_vms_placed_in_same_call(self, configuration):
         vms = [make_vm(f"v{i}", memory=1024, cpu=1) for i in range(4)]
-        placement = ffd_place(configuration, vms)
+        placement = ffd_commit(configuration, vms)
         assert placement is not None
         per_node = {}
         for node in placement.values():
@@ -46,19 +46,15 @@ class TestFFDPlace:
     def test_accounts_for_already_running_vms(self, configuration):
         configuration.add_vm(make_vm("resident", memory=4096, cpu=2))
         configuration.set_running("resident", "node-0")
-        placement = ffd_place(configuration, [make_vm("a", memory=1024, cpu=1)])
+        placement = ffd_commit(configuration, [make_vm("a", memory=1024, cpu=1)])
         assert placement == {"a": "node-1"}
 
     def test_returns_none_when_a_vm_does_not_fit(self, configuration):
-        placement = ffd_place(configuration, [make_vm("huge", memory=8192, cpu=1)])
+        placement = ffd_commit(configuration, [make_vm("huge", memory=8192, cpu=1)])
         assert placement is None
 
-    def test_does_not_mutate_the_input_configuration(self, configuration):
-        ffd_place(configuration, [make_vm("a", memory=1024, cpu=1)])
-        assert "a" not in configuration.vm_names
-
     def test_respects_node_restriction(self, configuration):
-        placement = ffd_place(
+        placement = ffd_commit(
             configuration, [make_vm("a", memory=1024, cpu=1)], nodes=["node-2"]
         )
         assert placement == {"a": "node-2"}
@@ -66,7 +62,7 @@ class TestFFDPlace:
     def test_can_replace_existing_running_vm(self, configuration):
         configuration.add_vm(make_vm("mover", memory=1024, cpu=1))
         configuration.set_running("mover", "node-2")
-        placement = ffd_place(configuration, [configuration.vm("mover")])
+        placement = ffd_commit(configuration, [configuration.vm("mover")])
         assert placement == {"mover": "node-0"}
 
 

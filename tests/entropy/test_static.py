@@ -41,7 +41,7 @@ class TestStaticRun:
     def test_utilization_reflects_actual_demand_not_booking(self):
         nodes = make_working_nodes(2, cpu_capacity=2, memory_capacity=4096)
         workloads = [workload("a", vm_count=4, busy_fraction=0.5)]
-        result = StaticAllocationSimulator(nodes, workloads, sample_period=10.0).run()
+        result = StaticAllocationSimulator(nodes, workloads).run()
         early = result.utilization[0]
         late = [s for s in result.utilization if s.time >= 60.0][0]
         assert early.cpu_used_units == 4       # all VMs computing

@@ -280,12 +280,6 @@ class TestSubmissionErrors:
         )
         assert report.passed
 
-    def test_error_to_dict_is_structured(self):
-        error = SubmissionError("unknown-vm", "no such VM")
-        assert error.to_dict() == {
-            "error": {"code": "unknown-vm", "message": "no such VM"}
-        }
-
 
 NO_OPTIMIZER_PROBE = """
 import json, sys

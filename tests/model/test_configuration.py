@@ -107,7 +107,6 @@ class TestResourceAccounting:
 class TestViability:
     def test_viable_configuration(self, loaded_configuration):
         assert loaded_configuration.is_viable()
-        loaded_configuration.check_viable()
 
     def test_cpu_overload_detected(self, three_nodes):
         """Figure 5(a): two VMs requiring a full CPU on a uniprocessor node."""
@@ -120,10 +119,8 @@ class TestViability:
         violations = configuration.viability_violations()
         assert len(violations) == 1
         assert violations[0].node == "node-0"
-        assert violations[0].cpu_excess == 1
-        assert violations[0].memory_excess == 0
-        with pytest.raises(NonViableConfigurationError):
-            configuration.check_viable()
+        assert violations[0].usage.cpu - violations[0].capacity.cpu == 1
+        assert violations[0].usage.memory <= violations[0].capacity.memory
 
     def test_memory_overload_detected(self, three_nodes):
         configuration = Configuration(nodes=three_nodes)
@@ -132,7 +129,8 @@ class TestViability:
         configuration.set_running("big1", "node-0")
         configuration.set_running("big2", "node-0")
         assert not configuration.is_viable()
-        assert configuration.viability_violations()[0].memory_excess == 512
+        violation = configuration.viability_violations()[0]
+        assert violation.usage.memory - violation.capacity.memory == 512
 
     def test_sleeping_vms_do_not_consume_resources(self, three_nodes):
         configuration = Configuration(nodes=three_nodes)
@@ -166,10 +164,9 @@ class TestCopiesAndComparisons:
         with pytest.raises(TypeError):
             hash(loaded_configuration)
 
-    def test_vms_on_and_iter_running(self, loaded_configuration):
+    def test_vms_on_and_placement(self, loaded_configuration):
         assert loaded_configuration.vms_on("node-0") == ("busy",)
-        pairs = {(vm.name, node.name) for vm, node in loaded_configuration.iter_running()}
-        assert pairs == {("busy", "node-0"), ("idle", "node-1")}
+        assert loaded_configuration.placement() == {"busy": "node-0", "idle": "node-1"}
 
 
 def _forked_fleet() -> Configuration:

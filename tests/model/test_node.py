@@ -13,11 +13,11 @@ class TestNode:
 
     def test_default_role_is_working(self):
         assert Node(name="n1").role is NodeRole.WORKING
-        assert Node(name="n1").is_working_node
+        assert Node(name="n1").role is NodeRole.WORKING
 
     def test_storage_node_is_not_working(self):
         node = Node(name="nfs1", role=NodeRole.STORAGE)
-        assert not node.is_working_node
+        assert node.role is not NodeRole.WORKING
 
     def test_empty_name_rejected(self):
         with pytest.raises(ValueError):

@@ -28,14 +28,6 @@ class TestSubmission:
         assert len(queue) == 2
         assert "a" in queue and "c" not in queue
 
-    def test_remove(self):
-        queue = VJobQueue([vjob("a")])
-        removed = queue.remove("a")
-        assert removed.name == "a"
-        assert "a" not in queue
-        with pytest.raises(ModelError):
-            queue.remove("a")
-
     def test_get_unknown_raises(self):
         with pytest.raises(ModelError):
             VJobQueue().get("nope")
@@ -69,15 +61,6 @@ class TestStateViews:
         assert [v.name for v in queue.pending()] == ["b"]
         assert [v.name for v in queue.terminated()] == ["a"]
 
-    def test_ready_and_running_views(self):
-        a, b, c = vjob("a"), vjob("b"), vjob("c")
-        b.run()
-        c.run()
-        c.suspend()
-        queue = VJobQueue([a, b, c])
-        assert {v.name for v in queue.ready()} == {"a", "c"}
-        assert [v.name for v in queue.running()] == ["b"]
-
     def test_all_terminated(self):
         a, b = vjob("a"), vjob("b")
         queue = VJobQueue([a, b])
@@ -85,9 +68,3 @@ class TestStateViews:
         a.terminate()
         b.terminate()
         assert queue.all_terminated()
-
-    def test_vjob_of_vm(self):
-        a = vjob("a")
-        queue = VJobQueue([a])
-        assert queue.vjob_of_vm("a.vm0") is a
-        assert queue.vjob_of_vm("ghost") is None

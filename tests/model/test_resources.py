@@ -15,7 +15,6 @@ class TestArithmetic:
     def test_subtraction_can_go_negative(self):
         result = ResourceVector(1, 100) - ResourceVector(2, 300)
         assert result == ResourceVector(-1, -200)
-        assert not result.is_non_negative()
 
     def test_scalar_multiplication(self):
         assert ResourceVector(1, 512) * 3 == ResourceVector(3, 1536)
@@ -44,14 +43,6 @@ class TestComparisons:
 
     def test_fits_in_accepts_equality(self):
         assert ResourceVector(2, 1024).fits_in(ResourceVector(2, 1024))
-
-    def test_dominates(self):
-        assert ResourceVector(2, 1024).dominates(ResourceVector(1, 512))
-        assert not ResourceVector(2, 100).dominates(ResourceVector(1, 512))
-
-    def test_is_zero(self):
-        assert ZERO.is_zero()
-        assert not ResourceVector(0, 1).is_zero()
 
 
 class TestHelpers:

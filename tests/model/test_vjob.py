@@ -3,7 +3,6 @@
 import pytest
 
 from repro.model.errors import InvalidStateTransition
-from repro.model.resources import ResourceVector
 from repro.model.vjob import VJob, VJobState, index_vms_by_vjob
 from repro.model.vm import VirtualMachine
 
@@ -24,15 +23,12 @@ class TestLifeCycle:
         vjob = make_vjob()
         vjob.run()
         assert vjob.state is VJobState.RUNNING
-        assert vjob.is_running
 
-    def test_suspend_resume_cycle(self):
+    def test_suspend_from_running(self):
         vjob = make_vjob()
         vjob.run()
         vjob.suspend()
         assert vjob.state is VJobState.SLEEPING
-        vjob.resume()
-        assert vjob.state is VJobState.RUNNING
 
     def test_terminate_from_running(self):
         vjob = make_vjob()
@@ -55,29 +51,15 @@ class TestLifeCycle:
         with pytest.raises(InvalidStateTransition):
             vjob.run()
 
-    def test_ready_pseudo_state_groups_waiting_and_sleeping(self):
-        vjob = make_vjob()
-        assert vjob.is_ready  # waiting
-        vjob.run()
-        assert not vjob.is_ready
-        vjob.suspend()
-        assert vjob.is_ready  # sleeping
-        vjob.resume()
-        vjob.terminate()
-        assert not vjob.is_ready
-
     def test_transition_error_reports_states(self):
         vjob = make_vjob()
         with pytest.raises(InvalidStateTransition) as excinfo:
-            vjob.resume()
+            vjob.suspend()
         assert "waiting" in str(excinfo.value)
-        assert "running" in str(excinfo.value)
+        assert "sleeping" in str(excinfo.value)
 
 
 class TestVJobProperties:
-    def test_total_demand(self):
-        vjob = make_vjob(vm_count=3, memory=1024, cpu=1)
-        assert vjob.total_demand == ResourceVector(3, 3072)
 
     def test_total_memory(self):
         assert make_vjob(vm_count=2, memory=2048).total_memory == 4096

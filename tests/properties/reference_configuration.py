@@ -23,6 +23,7 @@ import copy
 
 from repro.model.configuration import Configuration, ViabilityViolation
 from repro.model.resources import ResourceVector
+from repro.model.vm import VMState
 
 
 class NaiveConfiguration(Configuration):
@@ -61,8 +62,8 @@ class NaiveConfiguration(Configuration):
         self.node(node_name)
         return tuple(
             vm
-            for vm in self.sleeping_vms()
-            if self._images.get(vm) == node_name
+            for vm, state in self._states.items()
+            if state is VMState.SLEEPING and self._images.get(vm) == node_name
         )
 
     def usage_of(self, node_name: str) -> ResourceVector:

@@ -285,7 +285,6 @@ def _solve(instance, keep_in_place):
         "pools": [[str(action) for action in pool] for pool in result.plan.pools],
         "cost": result.cost,
         "movement_cost": result.movement_cost,
-        "fixed_cost": result.fixed_cost,
         "method": result.partition_method,
         "reason": result.partition_reason,
     }, consulted

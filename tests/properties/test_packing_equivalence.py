@@ -242,7 +242,7 @@ def test_trials_stay_identical_vjob_after_vjob(round_inputs):
 @given(constrained_rounds())
 @example(RE_PLACED)
 def test_re_placing_running_vms_matches_the_plain_scan(round_inputs):
-    """``ffd_place`` handed every queued VM, on the observed configuration
+    """``ffd_commit`` handed every queued VM, on the observed configuration
     that already runs some of them: a re-placed VM unloads its host, which
     the first-fit cursors must not skip afterwards.  The running VMs are
     handed between two halves of the others, so a VM of the same demand is
@@ -261,16 +261,11 @@ def test_re_placing_running_vms_matches_the_plain_scan(round_inputs):
     others = [vm for vm in queued if vm not in running]
     vms = others[::2] + running + others[1::2]
     before = _readable(configuration)
-    placed, expected = (
-        place(
-            configuration,
-            vms,
-            node_filter=CandidateFilter(constraints, reference=configuration)
-            if constraints
-            else None,
-        )
-        for place in (ffd.ffd_place, reference_packing.ffd_place)
+    node_filter = (
+        CandidateFilter(constraints, reference=configuration) if constraints else None
     )
+    placed = ffd.ffd_commit(configuration.copy(), vms, node_filter)
+    expected = reference_packing.ffd_place(configuration, vms, node_filter=node_filter)
     assert placed == expected
     assert _readable(configuration) == before
 

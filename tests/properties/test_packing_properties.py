@@ -4,8 +4,8 @@ from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cp import ElementSum, Model, Solver, VectorPacking
-from repro.decision.ffd import ffd_place
+from repro.cp import CostTable, ElementSum, Model, Solver, VectorPacking
+from repro.decision.ffd import ffd_commit
 from repro.model.configuration import Configuration
 from repro.model.node import make_working_nodes
 from repro.model.vm import VirtualMachine
@@ -42,7 +42,7 @@ def test_ffd_placement_respects_capacities(instance):
         VirtualMachine(name=f"vm{i}", memory=memory, cpu_demand=cpu)
         for i, (cpu, memory) in enumerate(demands)
     ]
-    placement = ffd_place(configuration, vms)
+    placement = ffd_commit(configuration.copy(), vms)
     if placement is None:
         return
     # apply the placement and check viability
@@ -62,7 +62,7 @@ def test_cp_packing_solutions_respect_capacities(instance):
     ]
     model.add_constraint(VectorPacking(variables, demands, capacities))
     result = Solver(model).solve()
-    if not result.has_solution:
+    if result.best is None:
         return
     loads = [[0, 0] for _ in capacities]
     for index, var in enumerate(variables):
@@ -112,11 +112,12 @@ def test_branch_and_bound_matches_brute_force_on_small_instances(instance):
     # must cover the worst total or the CP search wrongly proves infeasible
     total = model.int_var("total", range(0, 200 * len(demands) + 1))
     model.add_constraint(VectorPacking(variables, demands, capacities))
-    model.add_constraint(ElementSum(variables, costs, total))
+    tables = [CostTable(0, table) for table in costs]
+    model.add_constraint(ElementSum(variables, tables, total))
     result = Solver(model).solve(minimize=total)
 
     if best is None:
-        assert not result.has_solution
+        assert result.best is None
     else:
-        assert result.has_solution
+        assert result.best is not None
         assert result.best.objective == best

@@ -23,6 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cp import (
     AllDifferent,
+    CostTable,
     CountInValuesAtMost,
     ElementSum,
     Model,
@@ -104,7 +105,8 @@ def _build(instance):
     )
     upper = sum(max(t.values()) for t in instance["tables"])
     total = model.interval_var("total", 0, upper)
-    model.add_constraint(ElementSum(assignment, instance["tables"], total))
+    tables = [CostTable(0, table) for table in instance["tables"]]
+    model.add_constraint(ElementSum(assignment, tables, total))
     if instance["spread"]:
         model.add_constraint(AllDifferent(assignment[:2]))
     if instance["capped"] is not None:
@@ -132,9 +134,9 @@ def test_engines_agree_on_optimum_and_proof(instance):
     model_e, event = _solve(instance, "event")
     model_f, fixpoint = _solve(instance, "fixpoint")
 
-    assert event.has_solution == fixpoint.has_solution
+    assert (event.best is None) == (fixpoint.best is None)
     assert event.statistics.proven_optimal == fixpoint.statistics.proven_optimal
-    if event.has_solution:
+    if event.best is not None:
         assert event.best.objective == fixpoint.best.objective
         # The best solution of either engine satisfies every constraint of
         # its own model (domains were mutated in place during the search, so
@@ -153,8 +155,8 @@ def test_engines_agree_in_satisfaction_mode(instance):
         model, assignment, total = _build(instance)
         solver = Solver(model, variable_selector=static_order(assignment), engine=engine)
         results[engine] = solver.solve()
-    assert results["event"].has_solution == results["fixpoint"].has_solution
-    if results["event"].has_solution:
+    assert (results["event"].best is None) == (results["fixpoint"].best is None)
+    if results["event"].best is not None:
         assert results["event"].best.values == results["fixpoint"].best.values
 
 
@@ -214,7 +216,7 @@ def test_a_proven_optimum_is_the_brute_force_optimum(instance):
                 initial_bound is not None and optimum >= initial_bound
             ):
                 # nothing (strictly better than the incumbent) exists
-                assert not result.has_solution
+                assert result.best is None
                 assert result.statistics.proven_optimal == (initial_bound is not None)
             else:
                 assert result.statistics.proven_optimal

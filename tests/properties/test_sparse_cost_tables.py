@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Collection, Mapping, Sequence
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cp import (
@@ -255,9 +254,3 @@ def test_sparse_tables_prune_like_dense_tables(instance):
         assert _walk(instance, dense=False, engine=engine) == _walk(
             instance, dense=True, engine=engine
         )
-
-
-def test_a_listed_table_must_cover_the_domain():
-    x = IntVar("x", [0, 1, 2])
-    with pytest.raises(ValueError, match=r"\[2\]"):
-        ElementSum([x], [{0: 1, 1: 2}], IntVar("total", range(10)))

@@ -14,6 +14,7 @@ from repro.core.context_switch import ClusterContextSwitch
 from repro.core.optimizer import ContextSwitchOptimizer
 from repro.core.planner import PlannerOptions
 from repro.decision.consolidation import ConsolidationDecisionModule
+from repro.decision.static import StaticAllocationSimulator
 from repro.model.configuration import Configuration
 from repro.model.errors import NoPivotAvailableError, SolverError
 from repro.model.node import make_working_nodes
@@ -29,7 +30,9 @@ from repro.scale import (
 )
 from repro.scale import parallel as parallel_module
 from repro.scale.parallel import ZoneOutcome, ZoneTask
-from repro.cp import Model, SearchStatistics, Solver
+from repro.cp import ActivityLastConflict, Model, SearchStatistics, Solver
+from repro.service import OperatorDaemon
+from repro.sim import MonitoringService, PlanExecutor
 from repro.testing import fence_groups, make_large_fleet, make_vm
 
 FENCE_A = ("node-0", "node-1", "node-2")
@@ -741,6 +744,27 @@ def _zone_task(**options):
         (ClusterContextSwitch, "max_workers"),
         (ParallelOptimizer, "max_workers"),
         (ConsolidationDecisionModule, "period"),
+        pytest.param(
+            functools.partial(MonitoringService, dict),
+            "refresh_delay",
+            id="MonitoringService-refresh_delay",
+        ),
+        (PlanExecutor, "pipeline_delay"),
+        pytest.param(
+            functools.partial(StaticAllocationSimulator, [], []),
+            "sample_period",
+            id="StaticAllocationSimulator-sample_period",
+        ),
+        pytest.param(
+            functools.partial(OperatorDaemon, None),
+            "request_trace_capacity",
+            id="OperatorDaemon-request_trace_capacity",
+        ),
+        pytest.param(
+            lambda primary: ActivityLastConflict(),
+            "primary",
+            id="ActivityLastConflict-primary",
+        ),
     ],
 )
 def test_retired_solver_option_is_rejected(build, option):
@@ -750,6 +774,9 @@ def test_retired_solver_option_is_rejected(build, option):
     and so are the loop, repair and planner knobs nothing ever set, the
     worker count the partitioned engines now work out from their zones, the
     decision period only the loop ever stepped by, the planner options no
-    caller passed down and the strict mode only its own test turned on."""
+    caller passed down, the strict mode only its own test turned on, and the
+    delays, periods and capacities only tests set (constants now).  The
+    last-conflict selector's primary order is required: the activity
+    fallback that ran without one is gone."""
     with pytest.raises(TypeError, match=option):
         build(**{option: None})

@@ -59,7 +59,7 @@ class TestDaemonShutdownMidRun:
         assert getattr(optimizer, "_pool", None) is None
         assert pools and all(pool.shut_down for pool in pools)
         assert multiprocessing.active_children() == []
-        result = daemon.result
+        result = daemon.observer.result
         assert result is not None
         assert result.metadata.get("stopped_early") is True
 

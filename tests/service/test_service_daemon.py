@@ -12,6 +12,7 @@ from repro.service import (
     ServiceError,
     parse_prometheus_text,
 )
+from repro.service import daemon as daemon_module
 from repro.testing import make_workload
 
 
@@ -134,8 +135,8 @@ def test_run_completes_and_serves_everything(client):
     assert client.wait(timeout=120.0) == "completed"
 
     result = client.result()
-    assert result.completed("base")
-    assert result.completed("extra")
+    assert "base" in result.completion_times
+    assert "extra" in result.completion_times
 
     # /metrics parses as Prometheus text and agrees with the result.
     series = parse_prometheus_text(client.metrics_text())
@@ -302,14 +303,15 @@ def test_an_idle_daemon_has_no_result_and_no_run_trace():
 
 
 def test_the_request_span_buffer_keeps_the_newest():
-    daemon = _idle_daemon(request_trace_capacity=2)
-    for index in range(5):
+    daemon = _idle_daemon()
+    capacity = daemon_module.REQUEST_TRACE_CAPACITY
+    for index in range(capacity + 3):
         daemon.record_request_span({"name": "request", "index": index})
     spans = daemon.handle_get("/trace", {})[1]["requests"]
-    assert [span["index"] for span in spans] == [3, 4]
+    assert [span["index"] for span in spans] == list(range(3, capacity + 3))
     # a limit above what is kept returns what is kept
-    spans = daemon.handle_get("/trace", {"limit": ["10"]})[1]["requests"]
-    assert [span["index"] for span in spans] == [3, 4]
+    spans = daemon.handle_get("/trace", {"limit": [str(capacity + 10)]})[1]["requests"]
+    assert len(spans) == capacity
 
 
 def test_trace_limit_zero_returns_no_request_spans():

@@ -29,14 +29,6 @@ def test_snapshot_limit_returns_most_recent():
     assert [s["time"] for s in buffer.snapshot(limit=2)] == [4.0, 5.0]
 
 
-def test_clear_resets_the_buffer():
-    buffer = TelemetryBuffer(capacity=4)
-    buffer.append({"time": 1.0})
-    buffer.clear()
-    assert buffer.snapshot() == []
-    assert buffer.total == 0
-
-
 def test_zero_capacity_is_rejected():
     import pytest
 

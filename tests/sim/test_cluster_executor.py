@@ -2,13 +2,14 @@
 
 import pytest
 
+from repro import config
 from repro.core.actions import ActionKind, Migrate, Resume, Run, Stop, Suspend
 from repro.core.planner import build_plan
 from repro.model.errors import ExecutionError
 from repro.model.node import make_working_nodes
 from repro.model.vm import VMState
 from repro.sim.cluster import SimulatedCluster
-from repro.sim.executor import PlanExecutor, estimate_duration
+from repro.sim.executor import PlanExecutor
 from repro.sim.hypervisor import DEFAULT_HYPERVISOR
 
 from repro.testing import make_vm
@@ -81,7 +82,7 @@ class TestPlanExecutor:
         assert cluster.configuration.same_assignment(target)
         assert report.start == 100.0
         assert report.duration > 0
-        assert report.action_count == 2
+        assert len(report.actions) == 2
         assert report.count(ActionKind.SUSPEND) == 1
         assert report.count(ActionKind.MIGRATE) == 1
         assert report.involved_nodes() == {"node-0", "node-1"}
@@ -101,24 +102,16 @@ class TestPlanExecutor:
         for index in range(3):
             target.set_sleeping(f"v{index}")
         plan = build_plan(cluster.configuration, target, {f"v{index}": "j" for index in range(3)})
-        report = PlanExecutor(pipeline_delay=1.0).execute(plan, cluster)
-        starts = sorted(a.start for a in report.actions)
-        assert starts == [0.0, 1.0, 2.0]
-
-    def test_estimate_duration_matches_execution(self, cluster):
-        target = cluster.configuration.copy()
-        target.set_sleeping("a")
-        plan = build_plan(cluster.configuration, target)
-        estimate = estimate_duration(plan)
         report = PlanExecutor().execute(plan, cluster)
-        assert estimate == pytest.approx(report.duration)
+        starts = sorted(a.start for a in report.actions)
+        delay = config.VJOB_PIPELINE_DELAY_S
+        assert starts == [0.0, delay, 2 * delay]
 
     def test_empty_plan_has_zero_duration(self, cluster):
         plan = build_plan(cluster.configuration, cluster.configuration.copy())
         report = PlanExecutor().execute(plan, cluster)
         assert report.duration == 0.0
-        assert report.action_count == 0
-        assert estimate_duration(plan) == 0.0
+        assert report.actions == []
 
     def test_remote_resume_takes_longer_than_local(self):
         def run_resume(destination):

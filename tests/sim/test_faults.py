@@ -32,8 +32,8 @@ class TestFaultSchedule:
             FaultSchedule()
             .node_crash("node-1", at=120.0)
             .node_slowdown("node-2", at=60.0, duration=300.0, factor=2.0)
-            .migration_failure("vm1", at=30.0)
-            .delayed_boot("node-3", until=240.0)
+            .add(FaultEvent(30.0, FaultKind.MIGRATION_FAILURE, "vm1"))
+            .add(FaultEvent(240.0, FaultKind.DELAYED_BOOT, "node-3"))
         )
         assert len(schedule) == 4
         kinds = [e.kind for e in schedule.ordered()]
@@ -150,7 +150,9 @@ class TestFaultInjector:
         assert injector.slowdown_factor("n", 75.0) == 4.0
 
     def test_scripted_migration_failure_is_one_shot(self):
-        schedule = FaultSchedule().migration_failure("vm1", at=100.0)
+        schedule = FaultSchedule().add(
+            FaultEvent(100.0, FaultKind.MIGRATION_FAILURE, "vm1")
+        )
         injector = FaultInjector(schedule)
         assert not injector.should_fail_migration("vm1", 50.0)
         assert injector.should_fail_migration("vm1", 150.0)
@@ -168,7 +170,9 @@ class TestFaultInjector:
         assert any(draws(9)) and not all(draws(9))
 
     def test_delayed_boot_nodes_listed(self):
-        schedule = FaultSchedule().delayed_boot("late", until=60.0)
+        schedule = FaultSchedule().add(
+            FaultEvent(60.0, FaultKind.DELAYED_BOOT, "late")
+        )
         assert FaultInjector(schedule).delayed_boot_nodes() == ("late",)
 
     def test_same_instant_events_fire_in_scheduling_order(self):
@@ -176,7 +180,7 @@ class TestFaultInjector:
             FaultSchedule()
             .node_crash("b", at=10.0)
             .node_slowdown("a", at=10.0, duration=5.0)
-            .delayed_boot("c", until=5.0)
+            .add(FaultEvent(5.0, FaultKind.DELAYED_BOOT, "c"))
         )
         injector = FaultInjector(schedule)
         assert [e.target for e in injector.fire(10.0)] == ["c", "b", "a"]
@@ -320,7 +324,9 @@ class TestExecutorFaultHooks:
 
     def test_vetoed_migration_leaves_vm_on_source(self):
         cluster, plan = self._cluster_with_migration_plan()
-        injector = FaultInjector(FaultSchedule().migration_failure("vm1"))
+        injector = FaultInjector(
+            FaultSchedule().add(FaultEvent(0.0, FaultKind.MIGRATION_FAILURE, "vm1"))
+        )
         executor = PlanExecutor(fault_injector=injector)
         report = executor.execute(plan, cluster)
         assert report.actions == []

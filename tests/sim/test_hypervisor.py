@@ -111,15 +111,3 @@ class TestActionDispatch:
 
         with pytest.raises(TypeError):
             DEFAULT_HYPERVISOR.action_duration(Fake(), configuration)  # type: ignore[arg-type]
-
-    def test_interference_factors(self):
-        model = DEFAULT_HYPERVISOR
-        local_resume = Resume(vm="v", image_node="a", destination_node="a")
-        remote_resume = Resume(vm="v", image_node="a", destination_node="b")
-        assert model.interference_factor(remote_resume) > model.interference_factor(
-            local_resume
-        )
-        assert model.interference_factor(Run(vm="v", node="a")) == 1.0
-        assert model.interference_factor(
-            Migrate(vm="v", source_node="a", destination_node="b")
-        ) == pytest.approx(config.INTERFERENCE_FACTOR_LOCAL)

@@ -28,7 +28,7 @@ class TestGeneratedScenario:
         return TraceConfigurationGenerator(seed=7).generate(108)
 
     def test_vm_count_is_reached(self, scenario):
-        assert scenario.vm_count >= 108
+        assert len(scenario.configuration.vm_names) >= 108
 
     def test_cluster_shape_matches_section_5_1(self, scenario):
         nodes = scenario.configuration.nodes
@@ -65,7 +65,7 @@ class TestGeneratedScenario:
 
     def test_vjob_of_vm_mapping(self, scenario):
         mapping = scenario.vjob_of_vm()
-        assert len(mapping) == scenario.vm_count
+        assert len(mapping) == len(scenario.configuration.vm_names)
         for workload in scenario.workloads:
             for name in workload.vjob.vm_names:
                 assert mapping[name] == workload.vjob.name

@@ -26,10 +26,9 @@ class TestDemandTrace:
         with pytest.raises(ValueError):
             DemandTrace([])
 
-    def test_total_and_compute_time(self):
+    def test_total_duration(self):
         trace = alternating_trace([(10.0, 0), (20.0, 1), (5.0, 0)])
         assert trace.total_duration == 35.0
-        assert trace.compute_time == 20.0
         assert trace.peak_demand == 1
         assert len(trace) == 3
 
@@ -73,10 +72,9 @@ class TestVJobWorkload:
     def test_duration_is_longest_trace(self):
         assert self._workload().duration == 200.0
 
-    def test_peak_and_average_demand(self):
+    def test_peak_demand(self):
         workload = self._workload()
         assert workload.peak_cpu_demand == 2
-        assert workload.average_cpu_demand == pytest.approx((100.0 + 50.0) / 200.0)
 
     def test_demands_at(self):
         workload = self._workload()

@@ -7,8 +7,12 @@ End-to-end, against the *committed* pack under ``src/repro/instances/pack/``:
    re-saves byte-for-byte, and matches its from-seed rebuild, so the
    shipped files cannot drift from the generators silently.
 2. **CLI** — ``repro-verify`` (via :func:`repro.instances.cli.main`) scores
-   an empty plan against every instance (exit 0), reports a failing plan
-   with exit 1, and rejects garbage with exit 2 and a structured error.
+   an empty plan against every instance (exit 0), rejects garbage with exit
+   2 and a structured error, and drives both submission shapes on the first
+   instance: its FFD baseline plan serialized action by action
+   (:func:`~repro.core.actions.action_to_dict`, exit 0), the same plan
+   naming a VM the instance does not have (exit 2, ``unknown-vm``), and the
+   identity assignment (exit 0 at cost 0).
 3. **Floors** — the committed baseline scoreboard matches a fresh re-run of
    the whole policy grid byte-for-byte and still satisfies the headline
    ordering (consolidation at or under the FFD/FCFS floors).
@@ -50,6 +54,22 @@ def run_cli(*argv: str) -> tuple[int, str]:
     with contextlib.redirect_stdout(buffer):
         code = main(list(argv))
     return code, buffer.getvalue()
+
+
+def baseline_pools(instance) -> list[list[dict]]:
+    """The pools of the FFD baseline's plan on ``instance``, each action
+    serialized with ``action_to_dict`` (the audit-log shape)."""
+    from repro.core.actions import action_to_dict
+    from repro.core.planner import build_plan
+    from repro.decision import FFDDecisionModule
+    from repro.model.vjob import index_vms_by_vjob
+
+    configuration, queue = instance.configuration(), instance.queue()
+    module = FFDDecisionModule()
+    module.use_constraints(instance.constraints)
+    target = module.decide(configuration, queue).target
+    plan = build_plan(configuration, target, index_vms_by_vjob(queue.ordered()))
+    return [[action_to_dict(action) for action in pool] for pool in plan.pools]
 
 
 def main() -> int:
@@ -114,7 +134,42 @@ def main() -> int:
                 f"malformed submission: expected exit 2 with a structured "
                 f"error, got {code}: {out}"
             )
-    print(f"cli: ok ({len(names)} instances scored, garbage rejected)")
+
+        instance_path = PACK_DIR / f"{names[0]}.json"
+        instance = load_instance(instance_path)
+
+        def submit(label: str, document: dict) -> tuple[int, dict]:
+            path = Path(tmp) / f"{label}.json"
+            path.write_text(json.dumps(document))
+            code, out = run_cli(str(instance_path), str(path))
+            return code, json.loads(out)
+
+        pools = baseline_pools(instance)
+        actions = sum(len(pool) for pool in pools)
+        code, report = submit("baseline-plan", {"plan": {"pools": pools}})
+        if not actions or code != 0 or report["actions"] != actions:
+            return fail(
+                f"{names[0]}'s baseline plan ({actions} actions) exited "
+                f"{code}: {report}"
+            )
+        pools[0][0] = {**pools[0][0], "vm": "no-such-vm"}
+        code, report = submit("unknown-vm", {"plan": {"pools": pools}})
+        if code != 2 or report.get("error", {}).get("code") != "unknown-vm":
+            return fail(
+                f"a plan naming an unknown VM: expected exit 2 and an "
+                f"unknown-vm error, got {code}: {report}"
+            )
+        placement = instance.configuration().placement()
+        code, report = submit("identity", {"assignment": {"placement": placement}})
+        if code != 0 or report["kind"] != "assignment" or report["switch_cost"]:
+            return fail(
+                f"the identity assignment on {names[0]} exited {code}: {report}"
+            )
+    print(
+        f"cli: ok ({len(names)} instances scored, garbage rejected, "
+        f"{names[0]}'s {actions}-action baseline plan passed, unknown VM "
+        "refused, identity assignment free)"
+    )
 
     # 3. the baseline floors ----------------------------------------------
     committed_board = load_scoreboard(SCOREBOARD_PATH)
