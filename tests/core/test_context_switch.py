@@ -33,6 +33,16 @@ def test_an_unknown_engine_name_lists_all_five(engine):
         assert repr(name) in message
 
 
+@pytest.mark.parametrize(
+    "engine", ["event", "fixpoint", "partitioned", "repair", "repair-partitioned"]
+)
+def test_every_listed_engine_name_is_accepted(engine, configuration):
+    switcher = ClusterContextSwitch(engine=engine, optimizer_timeout=5)
+    report = switcher.compute(configuration, {"r": VMState.SLEEPING})
+    assert report.total_cost == 1024
+    assert report.plan.apply().same_assignment(report.target)
+
+
 class TestCompute:
     def test_with_optimizer(self, configuration):
         switcher = ClusterContextSwitch(optimizer_timeout=5)

@@ -53,6 +53,17 @@ class TestFFDPlace:
         placement = ffd_commit(configuration, [make_vm("huge", memory=8192, cpu=1)])
         assert placement is None
 
+    def test_a_placement_is_committed_to_the_trial(self, configuration):
+        ffd_commit(configuration, [make_vm("a", memory=1024, cpu=1)])
+        assert configuration.state_of("a") is VMState.RUNNING
+        assert configuration.location_of("a") == "node-0"
+
+    def test_a_failed_call_takes_back_the_vms_it_registered(self, configuration):
+        vms = [make_vm("fits", memory=1024, cpu=1), make_vm("huge", memory=8192, cpu=1)]
+        assert ffd_commit(configuration, vms) is None
+        assert "fits" not in configuration.vm_names
+        assert "huge" not in configuration.vm_names
+
     def test_respects_node_restriction(self, configuration):
         placement = ffd_commit(
             configuration, [make_vm("a", memory=1024, cpu=1)], nodes=["node-2"]
@@ -96,6 +107,15 @@ class TestFFDTargetConfiguration:
         )
         assert target.state_of("a") is VMState.TERMINATED
         assert target.state_of("b") is VMState.WAITING
+
+    def test_does_not_mutate_the_current_configuration(self, configuration):
+        configuration.add_vm(make_vm("a", memory=1024, cpu=1))
+        configuration.set_running("a", "node-2")
+        before = configuration.copy()
+        target = ffd_target_configuration(configuration, {"a": VMState.RUNNING})
+        assert target.location_of("a") == "node-0"
+        assert configuration.same_assignment(before)
+        assert configuration.location_of("a") == "node-2"
 
     def test_returns_none_when_packing_fails(self, configuration):
         configuration.add_vm(make_vm("huge", memory=8192, cpu=1))

@@ -30,6 +30,21 @@ class TestLifeCycle:
         vjob.suspend()
         assert vjob.state is VJobState.SLEEPING
 
+    def test_cannot_suspend_a_sleeping_vjob(self):
+        vjob = make_vjob()
+        vjob.run()
+        vjob.suspend()
+        with pytest.raises(InvalidStateTransition):
+            vjob.suspend()
+        assert vjob.state is VJobState.SLEEPING
+
+    def test_terminate_from_sleeping(self):
+        vjob = make_vjob()
+        vjob.run()
+        vjob.suspend()
+        vjob.terminate()
+        assert vjob.is_terminated
+
     def test_terminate_from_running(self):
         vjob = make_vjob()
         vjob.run()

@@ -125,6 +125,34 @@ def test_the_ledger_lists_what_nothing_outside_tests_reads(tmp_path):
     assert '     31     0  to_dict["lost_key"]' in text
 
 
+def test_docstrings_slots_all_and_write_backs_are_not_reads():
+    readers = _readers()
+    tree = ast.parse(
+        textwrap.dedent(
+            '''\
+            """module"""
+            __all__ = ["exported"]
+
+
+            class Box:
+                """docstring"""
+
+                __slots__ = ("slot",)
+
+                def bump(self):
+                    """counter"""
+                    self.counter += 1
+                    return "kept"
+            '''
+        )
+    )
+    counts = readers.reads(tree)
+    for name in ("module", "exported", "docstring", "slot", "counter"):
+        assert not counts[name], name
+    assert counts["kept"] == counts['"kept"'] == 1
+    assert [w.label for w in readers.writes(tree)] == ["Box.counter"]
+
+
 def _ledger_labels() -> dict[str, list[str]]:
     """Module path (relative to ``src``) -> the labels the committed ledger
     lists for it."""
