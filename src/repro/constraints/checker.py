@@ -20,8 +20,17 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, AbstractSet, Iterator, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    AbstractSet,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+)
 
+from ..obs import span
 from .base import PlacementConstraint
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids a core import cycle)
@@ -113,10 +122,26 @@ def _reads_only(constraint: PlacementConstraint) -> Optional[AbstractSet[str]]:
     return getattr(constraint, "vm_set", None) or frozenset(constraint.vms)
 
 
+def unwritten_answers(
+    settled: Dict[int, Optional[str]],
+    constraints: Sequence[PlacementConstraint],
+    written: AbstractSet[str],
+) -> Dict[int, Optional[str]]:
+    """The answers of ``settled`` (what :func:`check_plan` left in it) that
+    still hold on a source where only the ``written`` VMs may differ: those
+    of the constraints reading none of them."""
+    return {
+        index: answer
+        for index, answer in settled.items()
+        if _reads_only(constraints[index]).isdisjoint(written)
+    }
+
+
 def check_plan(
     plan: "ReconfigurationPlan",
     constraints: Sequence[PlacementConstraint],
     include_source: bool = False,
+    settled: Optional[Dict[int, Optional[str]]] = None,
 ) -> List[Violation]:
     """Validate every intermediate state of ``plan`` (continuous
     satisfaction).
@@ -131,32 +156,58 @@ def check_plan(
     once, on the source: nothing it reads changes from stage to stage, so
     its answer is reported for every stage as the stage-by-stage walk
     (:func:`plan_stages`) would report it.
+
+    ``settled`` is for a caller that checks one plan after another: by
+    position in ``constraints``, the answer (a message, or ``None`` when it
+    holds) a constraint gave on the source, known without asking — an
+    earlier check's, kept while nothing the constraint reads was written
+    (:func:`unwritten_answers`).  A constraint no action touches takes it
+    instead of being asked, and on return ``settled`` holds the source
+    answer of every constraint no action touched, for the next check.
     """
     if not constraints:
         return []
     from ..core.plan import apply_pool_effects  # deferred: core imports us
 
-    source = plan.source
-    violations: List[Violation] = []
-    if include_source:
-        violations.extend(check_configuration(source, constraints, stage=0))
-    if not plan.pools:
-        return violations
-    acted = {action.vm for pool in plan.pools for action in pool}
-    #: Per constraint: whether to ask it of every stage, else what it said
-    #: of the source.
-    asked: List[bool] = []
-    settled: List[Optional[str]] = []
-    for constraint in constraints:
-        read = _reads_only(constraint)
-        ask = read is None or not acted.isdisjoint(read)
-        asked.append(ask)
-        settled.append(None if ask else _violation(constraint, source))
-    state = source.copy()
-    for stage_index, pool in enumerate(plan.pools, start=1):
-        apply_pool_effects(state, pool)
-        for constraint, ask, kept in zip(constraints, asked, settled):
-            message = _violation(constraint, state) if ask else kept
-            if message is not None:
-                violations.append(Violation(constraint.label, message, stage_index))
+    with span("check-plan", stages=len(plan.pools)) as check_span:
+        source = plan.source
+        violations: List[Violation] = []
+        asked = kept = 0
+        if include_source:
+            violations.extend(check_configuration(source, constraints, stage=0))
+            asked += len(constraints)
+        if not plan.pools:
+            check_span.set(asked=asked, kept=kept)
+            return violations
+        if settled is None:
+            settled = {}
+        acted = {action.vm for pool in plan.pools for action in pool}
+        #: Per constraint: whether to ask it of every stage, else what it
+        #: said of the source.
+        ask_each: List[bool] = []
+        answers: List[Optional[str]] = []
+        for index, constraint in enumerate(constraints):
+            read = _reads_only(constraint)
+            ask = read is None or not acted.isdisjoint(read)
+            ask_each.append(ask)
+            if ask:
+                settled.pop(index, None)
+                answers.append(None)
+            elif index in settled:
+                kept += 1
+                answers.append(settled[index])
+            else:
+                asked += 1
+                settled[index] = _violation(constraint, source)
+                answers.append(settled[index])
+        state = source.copy()
+        for stage_index, pool in enumerate(plan.pools, start=1):
+            apply_pool_effects(state, pool)
+            for constraint, ask, answer in zip(constraints, ask_each, answers):
+                if ask:
+                    asked += 1
+                    answer = _violation(constraint, state)
+                if answer is not None:
+                    violations.append(Violation(constraint.label, answer, stage_index))
+        check_span.set(asked=asked, kept=kept)
     return violations

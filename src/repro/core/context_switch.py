@@ -181,7 +181,7 @@ class ClusterContextSwitch:
             current=current,
             target=result.target,
             plan=result.plan,
-            cost=plan_cost(result.plan),
+            cost=result.price,
             repair=result.repair,
             statistics=result.statistics,
         )

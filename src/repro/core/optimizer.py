@@ -20,10 +20,11 @@ constant offset (they do not depend on the placement) and are added after the
 search.  The best assignment found within the timeout is turned into a target
 configuration and a feasible plan by :mod:`repro.core.planner`.
 
-Frozen VMs.  The repair engine (:mod:`repro.repair`) may hand a solve the
-VMs that keep the host they run on.  It owns their precondition — running,
-on a node of the configuration, inside the unary domain, not leaving — and
-nothing here checks it again.
+Frozen VMs.  The repair engine (:mod:`repro.repair`) may hand a solve its
+dirty region, the VMs it re-decides: every other VM that runs and must keep
+running keeps the host it runs on.  It owns the precondition of those frozen
+VMs — running, on a node of the configuration, inside the unary domain, not
+leaving — and nothing here checks it again.
 
 Incumbent first.  "Assign each running VM to its initial location in
 priority" is also a placement one can compute without a solver, and most
@@ -65,7 +66,7 @@ from ..cp import (
     prefer_value,
     static_order,
 )
-from .cost import plan_cost
+from .cost import PlanCost, plan_cost
 from .plan import ReconfigurationPlan
 from .planner import ReconfigurationPlanner
 
@@ -81,20 +82,40 @@ CompletedStates = tuple[dict[str, VMState], Sequence[str]]
 
 
 def complete_states(
-    current: Configuration, target_states: Mapping[str, VMState]
+    current: Configuration,
+    target_states: Mapping[str, VMState],
+    since: Optional[tuple[AbstractSet[str], Sequence[str]]] = None,
 ) -> tuple[dict[str, VMState], list[str]]:
     """The state wanted of every VM of ``current`` (``keepVMState``: a VM
     ``target_states`` does not name keeps the observed one; a name
     ``current`` does not know is ignored), in registration order, and the
     VMs whose wanted state is not the observed one, in the same order.  One
     pass over ``current``, each VM looked up in ``target_states``: a zone's
-    completion reads the zone, whatever the size of the decision."""
+    completion reads the zone, whatever the size of the decision.
+
+    ``since`` is ``(written, changed)`` from a caller that completed the
+    same ``target_states`` over an earlier configuration, ``changed`` being
+    what that completion returned and ``written`` the VMs whose state was
+    written between the two configurations (a change journal): only the
+    written VMs are looked up again, and the copy of the observed states is
+    the one pass over the fleet."""
     states = current.states()
-    changed = [
-        name
-        for name, state in states.items()
-        if target_states.get(name, state) is not state
-    ]
+    if since is None:
+        changed = [
+            name
+            for name, state in states.items()
+            if target_states.get(name, state) is not state
+        ]
+    else:
+        written, before = since
+        still = {name for name in before if name not in written}
+        still.update(
+            name
+            for name in written
+            if (state := states.get(name)) is not None
+            and target_states.get(name, state) is not state
+        )
+        changed = current.in_registration_order(still)
     for name in changed:
         states[name] = target_states[name]
     return states, changed
@@ -132,7 +153,8 @@ class OptimizationResult:
 
     target: Configuration
     plan: ReconfigurationPlan
-    cost: int
+    #: The plan's Table 1 price, computed once per plan.
+    price: PlanCost
     movement_cost: int
     statistics: Optional[SearchStatistics] = None
     improving_costs: list[int] = field(default_factory=list)
@@ -149,6 +171,11 @@ class OptimizationResult:
     #: ``reason``, ``dirty_count``, ``frozen_count``, ``attempts``,
     #: ``reused_zones``); ``None`` when the solve was cold.
     repair: Optional[dict] = None
+
+    @property
+    def cost(self) -> int:
+        """The plan's total Table 1 cost (:attr:`price`)."""
+        return self.price.total
 
 
 class ContextSwitchOptimizer:
@@ -194,9 +221,10 @@ class ContextSwitchOptimizer:
         target_states: Mapping[str, VMState],
         vjob_of_vm: Optional[Mapping[str, str]] = None,
         constraints: Sequence["PlacementConstraint"] = (),
-        frozen: AbstractSet[str] = frozenset(),
+        dirty: Optional[AbstractSet[str]] = None,
         deadline: Optional[float] = None,
         completed: Optional[CompletedStates] = None,
+        settled: Optional[dict[int, Optional[str]]] = None,
     ) -> OptimizationResult:
         """Compute an optimized target configuration and its plan; raise
         :class:`~repro.model.errors.PlanningError` when the search finds no
@@ -216,10 +244,12 @@ class ContextSwitchOptimizer:
             Placement relations (:mod:`repro.constraints`) the target
             configuration must honour, e.g. spreading the VMs of a vjob over
             distinct nodes for high availability.
-        frozen:
-            The VMs that keep the host they run on (the repair engine's
-            frozen region, whose precondition :mod:`repro.repair` owns), so
-            the search only branches over the others.
+        dirty:
+            The VMs to run that this solve re-decides (the repair engine's
+            dirty region); every other VM that runs and must keep running
+            keeps its host — it is *frozen*, a precondition
+            :mod:`repro.repair` owns — so the search only branches over the
+            dirty ones.  ``None`` re-decides every VM.
         deadline:
             The round's deadline, a :func:`time.monotonic` instant; ``None``
             means the constructor's ``timeout`` from now.  The engines that
@@ -230,6 +260,10 @@ class ContextSwitchOptimizer:
             changed)`` pair :meth:`_complete_states` returns; ``None`` means
             complete them here.  The engines that wrap this one complete
             them once per round and hand every solve the same pair.
+        settled:
+            What the repair engine knows of the constraints' answers on
+            ``current`` without asking them, for the plan's check
+            (:func:`~repro.constraints.checker.check_plan`).
         """
         if deadline is None:
             deadline = time.monotonic() + self.timeout
@@ -240,7 +274,7 @@ class ContextSwitchOptimizer:
             current,
             target_states,
             constraints,
-            frozen=frozen,
+            dirty=dirty,
             deadline=deadline,
             completed=completed,
         )
@@ -255,6 +289,7 @@ class ContextSwitchOptimizer:
             improving,
             vjob_of_vm,
             constraints,
+            settled,
         )
 
     def _finish(
@@ -267,6 +302,7 @@ class ContextSwitchOptimizer:
         improving: list[int],
         vjob_of_vm: Optional[Mapping[str, str]],
         constraints: Sequence["PlacementConstraint"],
+        settled: Optional[dict[int, Optional[str]]] = None,
     ) -> OptimizationResult:
         """Turn an assignment into a target, a plan and its price — the one
         path from an assignment (found by one search or merged from zones)
@@ -278,19 +314,24 @@ class ContextSwitchOptimizer:
         # A running VM that keeps its host moves for nothing: only the VMs
         # the placement map does not already show there are placed, planned
         # and priced.
-        placement = current.placement()
+        placement = current.placement_view()
         rehosted = [
             vm for vm, node in assignment.items() if placement.get(vm) != node
         ]
         moved = current.in_registration_order({*changed, *rehosted})
         target = self._build_target(current, states, assignment, moved)
         plan = self.planner.build(
-            current, target, vjob_of_vm, constraints=constraints, changed=moved
+            current,
+            target,
+            vjob_of_vm,
+            constraints=constraints,
+            changed=moved,
+            settled=settled,
         )
         return OptimizationResult(
             target=target,
             plan=plan,
-            cost=plan_cost(plan).total,
+            price=plan_cost(plan),
             movement_cost=sum(
                 self.movement_cost(current, vm, assignment[vm]) for vm in rehosted
             ),
@@ -303,7 +344,7 @@ class ContextSwitchOptimizer:
         current: Configuration,
         target_states: Mapping[str, VMState],
         constraints: Sequence["PlacementConstraint"] = (),
-        frozen: AbstractSet[str] = frozenset(),
+        dirty: Optional[AbstractSet[str]] = None,
         deadline: Optional[float] = None,
         completed: Optional[CompletedStates] = None,
     ) -> tuple[Optional[dict[str, str]], SearchStatistics, list[int]]:
@@ -314,15 +355,23 @@ class ContextSwitchOptimizer:
         worker processes, where each zone's assignment is merged into one
         global target before a single planner pass.  Returns ``(None,
         statistics, improving)`` when no viable assignment was found.
-        ``deadline`` is when the search must stop and ``completed`` the
-        completed states, as in :meth:`optimize` (the search reads the
-        states only).
+        ``dirty`` is what the search re-decides, ``deadline`` when it must
+        stop and ``completed`` the completed states, as in :meth:`optimize`
+        (the search reads the states only).
         """
         if completed is None:
             completed = self._complete_states(current, target_states)
         states = completed[0]
         running = VMState.RUNNING
         running_vms = [name for name, state in states.items() if state is running]
+        frozen: AbstractSet[str] = frozenset()
+        if dirty is not None:
+            placement = current.placement_view()
+            frozen = {
+                name
+                for name in running_vms
+                if name in placement and name not in dirty
+            }
         assignment, statistics, improving = self._search(
             current,
             states,
@@ -346,11 +395,13 @@ class ContextSwitchOptimizer:
 
     @staticmethod
     def _complete_states(
-        current: Configuration, target_states: Mapping[str, VMState]
+        current: Configuration,
+        target_states: Mapping[str, VMState],
+        since: Optional[tuple[AbstractSet[str], Sequence[str]]] = None,
     ) -> tuple[dict[str, VMState], list[str]]:
         """:func:`complete_states`, refusing the one change no plan makes: a
         running VM cannot return to the Waiting state."""
-        states, changed = complete_states(current, target_states)
+        states, changed = complete_states(current, target_states, since)
         for name in changed:
             if (
                 states[name] is VMState.WAITING

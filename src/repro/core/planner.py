@@ -21,7 +21,7 @@ apart, sorted by hostname).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Mapping, Optional, Sequence
+from typing import Collection, Dict, Mapping, Optional, Sequence
 
 from ..constraints.base import PlacementConstraint
 from ..constraints.checker import check_plan
@@ -63,6 +63,7 @@ class ReconfigurationPlanner:
         vjob_of_vm: Optional[Mapping[str, str]] = None,
         constraints: Sequence[PlacementConstraint] = (),
         changed: Optional[Collection[str]] = None,
+        settled: Optional[Dict[int, Optional[str]]] = None,
     ) -> ReconfigurationPlan:
         """Build a feasible plan from ``current`` to ``target``.
 
@@ -80,7 +81,9 @@ class ReconfigurationPlanner:
         ``plan.constraint_violations`` (the control loop keeps running and
         the run reports the violation timeline).  They also steer the one
         placement the planner picks itself: the pivot of a bypass migration
-        (:meth:`_bypass_action`).
+        (:meth:`_bypass_action`).  ``settled`` is what the caller knows of
+        the constraints' answers on ``current``, handed to the check
+        (:func:`~repro.constraints.checker.check_plan`).
         """
         plan = ReconfigurationPlan(source=current.copy())
         # One working configuration, mutated pool by pool, and one edge
@@ -110,7 +113,9 @@ class ReconfigurationPlanner:
         if self.options.enforce_vjob_consistency and vjob_of_vm:
             self._regroup_vjob_resumes(plan, vjob_of_vm)
         if constraints:
-            plan.constraint_violations = check_plan(plan, constraints)
+            plan.constraint_violations = check_plan(
+                plan, constraints, settled=settled
+            )
         return plan
 
     # ------------------------------------------------------------------ #

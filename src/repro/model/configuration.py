@@ -29,6 +29,19 @@ states, suspend images and their indices).  A copy that is only read — a
 plan's source — allocates no map; one that re-places VMs — the planner's
 working state, a target — copies the assignment and nothing else.
 
+Beside copy-on-write, a configuration can keep a *change journal*:
+:meth:`Configuration.mark` starts it and returns a mark, and from then on
+every state, host or suspend-image write names its VM in the journal, which
+belongs to the assignment group (a copy shares it until one side writes, and
+then takes its own with the assignment maps).  :meth:`written_since` answers
+with the VMs written since a mark along the chain of copies that leads to
+this configuration — so a holder that marked one round's input can ask the
+next round's input, wherever it was copied from, what to re-read instead of
+the fleet — or ``None`` when the configuration does not descend from the
+mark or the journal passed :data:`JOURNAL_CAP`.  A configuration nobody
+marked journals nothing (one ``is None`` test per write); demand changes are
+not journaled (the load columns keep the nodes they touch).
+
 The naive dict-walk implementations are retained in
 ``tests/properties/reference_configuration.py`` as the differential-test
 oracle (``tests/properties/test_configuration_equivalence.py`` drives both in
@@ -38,7 +51,8 @@ lockstep under random mutation sequences).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Set
+from types import MappingProxyType
+from typing import AbstractSet, Dict, Iterable, Iterator, Mapping, Optional, Set
 
 from .columns import LoadColumns
 from .errors import (
@@ -51,6 +65,13 @@ from .errors import (
 from .node import Node
 from .resources import ResourceVector
 from .vm import VirtualMachine, VMState
+
+
+#: The most VM names a change journal holds and answers with: past it a
+#: reader would read about as much as a scan of the fleet, so the journal
+#: stops and :meth:`Configuration.written_since` says ``None`` (everything
+#: may have changed).
+JOURNAL_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -120,6 +141,13 @@ class Configuration:
         #: group it writes and takes its own copy of a shared one first.
         self._descriptions_shared = False
         self._assignment_shared = False
+        #: The change journal (see :meth:`mark`): the names of the VMs whose
+        #: state, host or suspend image was written since :attr:`_mark` was
+        #: taken on this configuration or the one it was copied from; ``None``
+        #: when nobody marked it.  It belongs to the assignment group: a copy
+        #: shares it until one side writes.
+        self._journal: Optional[Set[str]] = None
+        self._mark: Optional[object] = None
         for node in nodes:
             self.add_node(node)
         for vm in vms:
@@ -151,6 +179,8 @@ class Configuration:
         self._vm_index[vm.name] = len(self._vms)
         self._vms[vm.name] = vm
         self._states[vm.name] = state
+        if self._journal is not None:
+            self._journal.add(vm.name)
 
     def remove_vm(self, name: str) -> VirtualMachine:
         """Unregister the VM registered last — :meth:`add_vm` undone, its
@@ -172,6 +202,8 @@ class Configuration:
         self._drop_image(name)
         del self._states[name]
         del self._vm_index[name]
+        if self._journal is not None:
+            self._journal.add(name)
         return self._vms.pop(name)
 
     def replace_vm(self, vm: VirtualMachine) -> None:
@@ -349,6 +381,13 @@ class Configuration:
         """Read-only view of the running VM -> node mapping."""
         return dict(self._placement)
 
+    def placement_view(self) -> Mapping[str, str]:
+        """The running VM -> node mapping itself, read-only, in O(1): for a
+        reader done before this configuration's next write (the first write
+        after a copy moves this side to a map of its own, and the view goes
+        on showing the other side's)."""
+        return MappingProxyType(self._placement)
+
     def states(self) -> dict[str, "VMState"]:
         """Read-only copy of the VM -> life-cycle state mapping (one bulk
         copy instead of per-VM :meth:`state_of` calls on hot paths)."""
@@ -383,6 +422,13 @@ class Configuration:
             node: set(vms) for node, vms in self._image_members.items()
         }
         self._members = dict(self._members)
+        if self._journal is not None:
+            if len(self._journal) > JOURNAL_CAP:
+                # Past the cap the journal says nothing a scan would not:
+                # stop keeping it.
+                self._journal = self._mark = None
+            else:
+                self._journal = set(self._journal)
         self._assignment_shared = False
 
     def _running_on(self, node_name: str) -> Set[str]:
@@ -434,6 +480,8 @@ class Configuration:
             self._columns.add_load(node_name, vm.cpu_demand, vm.memory)
         self._states[vm_name] = VMState.RUNNING
         self._drop_image(vm_name)
+        if self._journal is not None:
+            self._journal.add(vm_name)
 
     def set_sleeping(self, vm_name: str, image_node: Optional[str] = None) -> None:
         """Suspend a VM; its image stays on ``image_node`` (defaults to the
@@ -450,6 +498,8 @@ class Configuration:
             self._image_members.setdefault(image_node, set()).add(vm_name)
         self._states[vm_name] = VMState.SLEEPING
         self._unplace(vm_name)
+        if self._journal is not None:
+            self._journal.add(vm_name)
 
     def set_waiting(self, vm_name: str) -> None:
         self.vm(vm_name)
@@ -458,6 +508,8 @@ class Configuration:
         self._states[vm_name] = VMState.WAITING
         self._unplace(vm_name)
         self._drop_image(vm_name)
+        if self._journal is not None:
+            self._journal.add(vm_name)
 
     def set_terminated(self, vm_name: str) -> None:
         self.vm(vm_name)
@@ -466,6 +518,8 @@ class Configuration:
         self._states[vm_name] = VMState.TERMINATED
         self._unplace(vm_name)
         self._drop_image(vm_name)
+        if self._journal is not None:
+            self._journal.add(vm_name)
 
     def enter_in_order(self, vm_names: Iterable[str]) -> None:
         """Make the running VMs ``vm_names`` the latest to have entered the
@@ -498,6 +552,8 @@ class Configuration:
         self._running_on(destination).add(vm_name)
         self._columns.add_load(source, -vm.cpu_demand, -vm.memory)
         self._columns.add_load(destination, vm.cpu_demand, vm.memory)
+        if self._journal is not None:
+            self._journal.add(vm_name)
 
     # ------------------------------------------------------------------ #
     # resource accounting & viability                                     #
@@ -601,7 +657,33 @@ class Configuration:
         clone._rank_counter = self._rank_counter
         clone._descriptions_shared = clone._assignment_shared = True
         self._descriptions_shared = self._assignment_shared = True
+        clone._journal = self._journal
+        clone._mark = self._mark
         return clone
+
+    def mark(self) -> object:
+        """Start the change journal afresh and return its mark: from here on
+        this configuration, and every copy made of it from now on, records
+        the VMs whose state, host or suspend image it writes (a demand
+        change is not recorded: the load columns keep the nodes it touches,
+        :meth:`dirty_nodes`).  A configuration nobody marked records
+        nothing."""
+        self._mark = mark = object()
+        self._journal = set()
+        return mark
+
+    def written_since(self, mark: object) -> Optional[AbstractSet[str]]:
+        """The VMs whose state, host or suspend image was written since
+        ``mark`` — on the configuration it was taken on and on the chain of
+        copies that led from it to this one — or ``None`` when this
+        configuration does not descend from that mark (or was marked again
+        since) or the journal passed :data:`JOURNAL_CAP` names.  A VM written
+        back to what it was is still named: every VM the answer leaves out
+        has the state, host and image it had at the mark."""
+        journal = self._journal
+        if self._mark is not mark or journal is None or len(journal) > JOURNAL_CAP:
+            return None
+        return frozenset(journal)
 
     def same_assignment(self, other: "Configuration") -> bool:
         """True when both configurations give the same state and location to

@@ -15,10 +15,15 @@ the fleet (:func:`dirty_region`, the one body both
    state completion already lists;
 3. **invalidated placements** — running VMs whose current host is no longer
    allowed by the (possibly crash-shrunken) unary constraints, or whose host
-   diverges from the previous assignment: one pass over ``placement()``
-   against the previous assignment and the retained unary domains
+   diverges from the previous assignment, read against the previous
+   assignment and the retained unary domains
    (:class:`~repro.constraints.domains.RetainedDomains` — recomputed only
-   when its key says the catalog or the nodes changed);
+   when its key says the catalog or the nodes changed) for the VMs written
+   since the last round's input (the change journal,
+   :meth:`RetainedDomains.written_since_last
+   <repro.constraints.domains.RetainedDomains.written_since_last>`) and the
+   ones the last plan moved — every running VM when the journal cannot
+   answer;
 4. **relational closure and halo** — any dirty member of a relational group
    dirties the whole group, and ``halo`` rounds of co-host expansion dirty
    the VMs sharing a node with a dirty running VM, read from
@@ -29,8 +34,8 @@ the fleet (:func:`dirty_region`, the one body both
    region with rules 1–3, so rule 4 closes over it too.
 
 Everything else that runs and must keep running is *frozen*: it keeps the
-host it runs on, and the set is handed to the inner optimizer as ``frozen``,
-which folds those VMs into their hosts' residual capacities — under a
+host it runs on.  The set is counted, never listed: the inner optimizer is
+handed the dirty region as ``dirty``, and folds the frozen VMs into their hosts' residual capacities — under a
 catalog too, as long as it holds no relational constraint — so the model it
 builds, and the round, cost what changed rather than the fleet.  The rules
 are the one owner of what a frozen VM is: it runs on a node of the
@@ -42,7 +47,9 @@ so the repair engine accepts exactly the instances the cold solve accepts,
 and raises where it raises.
 
 Retained across rounds: the previous assignment (owner: this engine;
-replaced by every accepted round) and the unary domains (owner:
+updated in place by every accepted round from what it read and moved), what
+the last accepted round completed, moved and asked of its input (read only
+while the change journal answers) and the unary domains (owner:
 :attr:`RepairOptimizer.domains`, shared with the inner optimizer and, in a
 control loop, with the policy; one key in
 :meth:`~repro.constraints.domains.RetainedDomains.key`).
@@ -54,9 +61,22 @@ loop, the policy's filter domains and its selection's trial.
 from __future__ import annotations
 
 import time
-from typing import Container, Iterable, Iterator, Mapping, Optional, Sequence, Set
+from dataclasses import dataclass, field
+from itertools import chain
+from types import MappingProxyType
+from typing import (
+    Container,
+    Dict,
+    Iterable,
+    Iterator,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+)
 
 from ..constraints.base import PlacementConstraint
+from ..constraints.checker import unwritten_answers
 from ..constraints.domains import RetainedDomains, vm_domains
 from ..core.optimizer import ContextSwitchOptimizer, OptimizationResult
 from ..model.configuration import Configuration
@@ -118,14 +138,17 @@ def dirty_region(
     marks: Iterable[str],
     previous: Mapping[str, str],
     halo: int,
+    suspects: Optional[Iterable[str]] = None,
 ) -> Set[str]:
     """The perturbed region of one round (see the module docstring rules),
     read from what moved: ``must_run`` are the VMs that must run,
     ``changed`` the VMs whose wanted state is not the observed one,
     ``placement`` the hosts of the VMs that run, ``domains`` their unary
     domains, ``marks`` the externally flagged perturbations and
-    ``previous`` the assignment of the last accepted round.
-    Deterministic: depends only on its inputs."""
+    ``previous`` the assignment of the last accepted round.  ``suspects``
+    are the VMs whose host may differ from ``previous`` or leave a domain
+    it sat in (what a change journal names); ``None`` reads every running
+    VM.  Deterministic: depends only on its inputs."""
     dirty = {vm for vm in marks if vm in must_run}
     # Arrivals, resumes, crash victims: nothing to freeze.
     dirty.update(vm for vm in changed if vm in must_run)
@@ -133,9 +156,14 @@ def dirty_region(
     # placement was invalidated after the fact (an elastic Fence that shrank
     # when a node crashed): re-decide the VM rather than trusting — or
     # freezing it on a retired domain — its host.
+    hosts: Iterable[tuple[str, str]] = (
+        placement.items()
+        if suspects is None
+        else [(vm, host) for vm in suspects if (host := placement.get(vm)) is not None]
+    )
     dirty.update(
         vm
-        for vm, host in placement.items()
+        for vm, host in hosts
         if (
             previous.get(vm) != host
             or ((allowed := domains[vm]) is not None and host not in allowed)
@@ -183,6 +211,25 @@ def compute_dirty_set(
     )
 
 
+@dataclass
+class _Accepted:
+    """What the last accepted round leaves the next one, read only when the
+    next round's configuration descends from that round's input under the
+    same domains generation (the change journal answers)."""
+
+    #: The wanted states it was handed (a copy, so no caller's later write
+    #: can make an unequal mapping look equal) and the VMs whose wanted
+    #: state was not the observed one.
+    wanted: Mapping[str, VMState]
+    changed: Sequence[str]
+    #: What the plan check asked of its input (``check_plan``'s
+    #: ``settled``).
+    settled: Dict[int, Optional[str]]
+    #: The VMs its plan acts on: those whose state, host or image differs
+    #: between its input and its target.
+    moved: Set[str] = field(default_factory=set)
+
+
 class RepairOptimizer:
     """Drop-in optimizer adding incremental repair on top of ``inner``.
 
@@ -190,7 +237,7 @@ class RepairOptimizer:
     :class:`~repro.core.optimizer.ContextSwitchOptimizer`
     (``engine="repair"``) or a
     :class:`~repro.scale.parallel.ParallelOptimizer`
-    (``engine="repair-partitioned"``); both accept ``frozen`` and a
+    (``engine="repair-partitioned"``); both accept ``dirty`` and a
     ``deadline``.  Each round makes one deadline from this engine's own
     ``timeout`` — the round's budget, a plain attribute a driver may set
     between rounds — and hands it to the attempt and to the full solve
@@ -211,13 +258,15 @@ class RepairOptimizer:
         self.timeout = timeout
         self.halo = halo
         #: The unary domains the dirty rule reads: the inner optimizer's
-        #: own, so a round asks the catalog once for every layer.
+        #: own, so a round asks the catalog once for every layer.  It also
+        #: holds the change journal's mark.
         self.domains: RetainedDomains = (
             inner.domains
             if isinstance(inner, ContextSwitchOptimizer)
             else RetainedDomains()
         )
         self._previous: Optional[dict[str, str]] = None
+        self._last: Optional[_Accepted] = None
         self._marks: Set[str] = set()
 
     # ------------------------------------------------------------------ #
@@ -231,15 +280,20 @@ class RepairOptimizer:
 
     @property
     def previous_assignment(self) -> Optional[Mapping[str, str]]:
-        """The accepted assignment of the last round (``None`` before the
-        first solve — the next call is a cold start)."""
-        return self._previous
+        """A read-only snapshot of the accepted assignment of the last round
+        (``None`` before the first solve — the next call is a cold start).
+        The engine updates its own in place, so the copy is paid by the
+        reader."""
+        if self._previous is None:
+            return None
+        return MappingProxyType(dict(self._previous))
 
     def forget(self) -> None:
         """Drop everything kept from earlier rounds — the previous
         assignment, the unary domains and what was derived under them (in
         a control loop, the policy's too): the next round starts cold."""
         self._previous = None
+        self._last = None
         self.domains.clear()
 
     def close(self) -> None:
@@ -263,28 +317,66 @@ class RepairOptimizer:
         raises: a :class:`~repro.model.errors.PlanningError` from the
         attempt hands the round to the full solve; what the full solve
         raises, and anything else, is the caller's.  A round that raises
-        accepts nothing: the previous assignment stays.
+        accepts nothing: the previous assignment stays, and the next round
+        reads the fleet.
+
+        A warm round whose ``current`` descends from the last round's input
+        reads the VMs written since (the change journal the domains memory
+        marks) and the VMs the last plan moved, instead of the fleet: for
+        the dirty rule's divergence and domain checks, for the state
+        completion (when the wanted states equal the last round's) and for
+        the plan check's source answers.  Anything else reads the fleet.
         """
         marks = sorted(self._marks)
         self._marks.clear()
         deadline = time.monotonic() + self.timeout
+        last, self._last = self._last, None
+        written = self.domains.written_since_last(current, constraints)
+        if last is None:
+            written = None
+        since = None
+        if written is not None and last.wanted == target_states:
+            wanted = last.wanted
+            since = (written, last.changed)
+        else:
+            wanted = dict(target_states)
         completed = states, changed = ContextSwitchOptimizer._complete_states(
-            current, target_states
+            current, target_states, since
         )
         must_run = _MustRun(states)
-        placement = current.placement()
+        placement = current.placement_view()
+        suspects: Optional[Set[str]] = None
+        if written is not None:
+            suspects = written | last.moved
         if self._previous is None:
             # Nothing to freeze: every VM is dirty.
             dirty = set(must_run)
+            frozen_count = 0
         else:
-            dirty = self._dirty_region(
-                current, must_run, changed, placement, constraints, marks
+            with span("dirty-set") as dirty_span:
+                dirty = self._dirty_region(
+                    current, must_run, changed, placement, constraints, marks,
+                    suspects,
+                )
+                dirty_span.set(
+                    scanned=len(placement if suspects is None else suspects),
+                    source="scan" if suspects is None else "journal",
+                )
+            # The frozen region — what runs, must keep running, and is not
+            # dirty (a clean VM that must run does, or it would need
+            # placement) — is counted, never listed: the layers below read
+            # the dirty VMs.
+            frozen_count = len(placement) - sum(
+                1
+                for vm in chain(dirty, (vm for vm in changed if vm not in must_run))
+                if vm in placement
             )
-        # The frozen region: what runs, must keep running, and is not dirty
-        # (a clean VM that must run does, or it would need placement).
-        frozen = placement.keys() - dirty
-        frozen.difference_update(vm for vm in changed if vm not in must_run)
-        if not frozen:
+        settled: Dict[int, Optional[str]] = (
+            {} if written is None
+            else unwritten_answers(last.settled, constraints, written)
+        )
+        record = _Accepted(wanted, changed, settled)
+        if not frozen_count:
             reason = (
                 "cold start (no previous assignment)"
                 if self._previous is None
@@ -293,7 +385,7 @@ class RepairOptimizer:
         else:
             result: Optional[OptimizationResult] = None
             with span(
-                "repair-attempt", dirty=len(dirty), frozen=len(frozen)
+                "repair-attempt", dirty=len(dirty), frozen=frozen_count
             ) as attempt_span:
                 try:
                     result = self.inner.optimize(
@@ -301,19 +393,22 @@ class RepairOptimizer:
                         target_states,
                         vjob_of_vm=vjob_of_vm,
                         constraints=constraints,
-                        frozen=frozen,
+                        dirty=dirty,
                         deadline=deadline,
                         completed=completed,
+                        settled=settled,
                     )
                 except PlanningError:
                     attempt_span.set(failed=True)
             if result is not None:
                 return self._accept(
                     result,
+                    record,
+                    suspects,
                     mode="repair",
                     reason="repaired within the dirty region",
                     dirty_count=len(dirty),
-                    frozen_count=len(frozen),
+                    frozen_count=frozen_count,
                     attempts=1,
                 )
             reason = "the repair attempt found no viable assignment"
@@ -327,14 +422,17 @@ class RepairOptimizer:
                 constraints=constraints,
                 deadline=deadline,
                 completed=completed,
+                settled=settled,
             )
         return self._accept(
             result,
+            record,
+            suspects,
             mode="full",
             reason=reason,
             dirty_count=len(dirty),
             frozen_count=0,
-            attempts=2 if frozen else 1,
+            attempts=2 if frozen_count else 1,
         )
 
     # ------------------------------------------------------------------ #
@@ -349,34 +447,62 @@ class RepairOptimizer:
         placement: Mapping[str, str],
         constraints: Sequence[PlacementConstraint],
         marks: Iterable[str],
+        suspects: Optional[Iterable[str]] = None,
     ) -> Set[str]:
         """The perturbed region of a warm round: :func:`dirty_region` over
-        the retained domains, the previous assignment and :attr:`halo`."""
+        the retained domains, the previous assignment and :attr:`halo`,
+        reading ``suspects`` (``None``: every running VM) for divergence."""
+        if suspects is not None:
+            suspects = [vm for vm in suspects if vm in placement]
         return dirty_region(
             current,
             must_run,
             changed,
             placement,
-            self.domains.of(current, placement, constraints),
+            self.domains.of(
+                current, placement if suspects is None else suspects, constraints
+            ),
             constraints,
             marks,
             self._previous,
             self.halo,
+            suspects,
         )
 
     def _accept(
         self,
         result: OptimizationResult,
+        record: _Accepted,
+        suspects: Optional[Set[str]],
         mode: str,
         reason: str,
         dirty_count: int,
         frozen_count: int,
         attempts: int,
     ) -> OptimizationResult:
-        """Remember the accepted assignment and attach the repair telemetry
-        (recorded on :class:`~repro.core.context_switch.ContextSwitchReport`
-        and aggregated into ``RunResult.metadata["repair_engine"]``)."""
-        self._previous = result.target.placement()
+        """Remember the accepted assignment and what the next round reads
+        instead of the fleet (``record``, whose moved VMs are read off the
+        plan here), and attach the repair telemetry (recorded on
+        :class:`~repro.core.context_switch.ContextSwitchReport` and
+        aggregated into ``RunResult.metadata["repair_engine"]``).
+        ``suspects`` are the VMs the round read instead of the fleet
+        (``None``: it read the fleet)."""
+        record.moved = {action.vm for pool in result.plan.pools for action in pool}
+        accepted = result.target.placement_view()
+        if suspects is None or self._previous is None:
+            self._previous = dict(accepted)
+        else:
+            # What the last round left in ``previous`` is this round's input
+            # but for the suspects, and the target is the input but for the
+            # VMs the plan moves.
+            previous = self._previous
+            for vm in suspects | record.moved:
+                host = accepted.get(vm)
+                if host is None:
+                    previous.pop(vm, None)
+                else:
+                    previous[vm] = host
+        self._last = record
         result.repair = {
             "mode": mode,
             "reason": reason,

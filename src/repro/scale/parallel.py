@@ -48,14 +48,15 @@ movement cost is then a constant (the same for every zone node), so the
 arg-min placement is unaffected and the exact cost is restored by the global
 planning pass.
 
-A warm round costs what changed.  Under ``frozen`` (the repair engine's
-frozen region: VMs that keep the host they run on, inside their domain — so
-inside their zone) the pending zones are found from the VMs that are *not*
-frozen — a zone none of them belongs to is reused without being looked at —
-and a pending zone is *cut* rather than extracted: only its unfrozen VMs
+A warm round costs what changed.  Under ``dirty`` (the repair engine's
+dirty region: the VMs it re-decides; every other VM that runs and must keep
+running is *frozen* — it keeps its host, inside its domain, so inside its
+zone) the pending zones are found from the dirty VMs — a zone none of them
+belongs to is reused without being looked at, and no layer lists the frozen
+ones — and a pending zone is *cut* rather than extracted: only its dirty VMs
 enter the sub-configuration, over nodes whose capacity is what the frozen
-residents leave (the live free capacity plus what the unfrozen residents
-hold), so extraction, model and search scale with the dirty VMs and the
+residents leave (the live free capacity plus what the dirty and leaving
+residents hold), so extraction, model and search scale with the dirty VMs and the
 nodes of their zones.  A zone is extracted whole, frozen VMs and all, only
 when the model has to see them: under a relational constraint in its
 catalog.
@@ -143,11 +144,11 @@ class ZoneTask:
     configuration: Configuration
     engine: str = "event"
     timeout: float = 40.0
-    #: The zone's VMs the repair engine froze on their hosts, for a zone
-    #: extracted whole (a cut zone carries none, its frozen VMs are in the
-    #: capacities; a zone whose VMs are all frozen never reaches a worker —
-    #: see ``_zone_tasks``).
-    frozen: AbstractSet[str] = frozenset()
+    #: The zone's dirty VMs, for a zone extracted whole: its other VMs the
+    #: repair engine froze on their hosts (``None`` for a cut zone, whose
+    #: frozen VMs are in the capacities; a zone with no dirty VM never
+    #: reaches a worker — see ``_zone_tasks``).
+    dirty: Optional[AbstractSet[str]] = None
     #: True when the parent solve is being traced: the worker records a
     #: local :class:`repro.obs.Tracer` and ships the span tree back in
     #: :attr:`ZoneOutcome.trace` for re-parenting.
@@ -246,10 +247,11 @@ def solve_zone(task: ZoneTask) -> ZoneOutcome:
 
 def _solve_zone_traced(task: ZoneTask, zone_span: Span) -> ZoneOutcome:
     extracted = task.configuration.vm_names
+    frozen = 0 if task.dirty is None else len(extracted) - len(task.dirty)
     zone_span.set(
         vms=len(task.zone.vms),
         nodes=len(task.zone.nodes),
-        pinned=len(task.frozen) + len(task.zone.vms) - len(extracted),
+        pinned=frozen + len(task.zone.vms) - len(extracted),
     )
     optimizer = ContextSwitchOptimizer(engine=task.engine)
     # Every VM the zone extracted is to run: its wanted states are complete
@@ -260,7 +262,7 @@ def _solve_zone_traced(task: ZoneTask, zone_span: Span) -> ZoneOutcome:
         task.configuration,
         states,
         constraints=task.zone.constraints,
-        frozen=task.frozen,
+        dirty=task.dirty,
         deadline=started + task.timeout,
         completed=(states, ()),
     )
@@ -358,19 +360,21 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         target_states: Mapping[str, VMState],
         vjob_of_vm: Optional[Mapping[str, str]] = None,
         constraints: Sequence[PlacementConstraint] = (),
-        frozen: AbstractSet[str] = frozenset(),
+        dirty: Optional[AbstractSet[str]] = None,
         deadline: Optional[float] = None,
         completed: Optional[CompletedStates] = None,
+        settled: Optional[Dict[int, Optional[str]]] = None,
     ) -> OptimizationResult:
         """Same contract as :meth:`ContextSwitchOptimizer.optimize`; the
         result's ``partition_method`` / ``partition_reason`` /
         ``zone_reports`` say how the instance was decomposed.
 
-        ``frozen`` composes the repair engine with partitioning: a zone
-        whose VMs are all frozen keeps them where they are (no solver, no
+        ``dirty`` composes the repair engine with partitioning: a zone none
+        of whose VMs is dirty keeps them where they are (no solver, no
         worker), a partially-dirty zone solves around its frozen VMs.  A
         frozen VM sits inside its domain, so the partitioner put it in the
-        zone of its host.
+        zone of its host.  Every layer reads the dirty VMs, never the
+        frozen ones, so a warm round pays for what changed.
 
         A round :meth:`_keep_in_place` answers cuts no zone: its
         ``zone_reports`` is empty, its ``partition`` span says
@@ -400,14 +404,14 @@ class ParallelOptimizer(ContextSwitchOptimizer):
                     arriving.append(vm)
             if decomposition.exact and not any(c.relational for c in constraints):
                 kept = self._keep_in_place(
-                    current, decomposition, frozen, leaving, arriving
+                    current, decomposition, dirty, leaving, arriving
                 )
             if kept is not None:
                 partition_span.set(answered="incumbent")
             else:
                 outcomes = sorted(
                     self._solve_zones(
-                        current, decomposition, deadline, frozen=frozen, leaving=leaving
+                        current, decomposition, deadline, dirty=dirty, leaving=leaving
                     ),
                     key=lambda o: o.index,
                 )
@@ -434,6 +438,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
                     [],
                     vjob_of_vm,
                     constraints,
+                    settled,
                 )
             except PlanningError as error:
                 # The zones answered, but the planner cannot reach their
@@ -454,9 +459,10 @@ class ParallelOptimizer(ContextSwitchOptimizer):
             target_states,
             vjob_of_vm=vjob_of_vm,
             constraints=constraints,
-            frozen=frozen,
+            dirty=dirty,
             deadline=deadline,
             completed=completed,
+            settled=settled,
         )
         result.partition_reason = reason
         return result
@@ -496,7 +502,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         self,
         current: Configuration,
         decomposition: PartitionResult,
-        frozen: AbstractSet[str],
+        dirty: Optional[AbstractSet[str]],
         leaving: Sequence[str],
         arriving: Sequence[str],
     ) -> Optional[Tuple[Dict[str, str], SearchStatistics]]:
@@ -518,14 +524,15 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         tracer = current_tracer()
         started = tracer.now() if tracer is not None else None
         domains = decomposition.domains
-        unfrozen = decomposition.zone_of_vm.keys() - frozen
         # The unfrozen placed VMs that run, on their hosts: a warm round
-        # reads its few, a cold one the placement (less the leaving VMs).
-        placement = (
-            zip(unfrozen, map(current.location_of, unfrozen))
-            if frozen
-            else current.iter_placement()
-        )
+        # reads its few dirty ones, a cold one the placement (less the
+        # leaving VMs).
+        if dirty is None:
+            unfrozen = decomposition.zone_of_vm.keys()
+            placement = current.iter_placement()
+        else:
+            unfrozen = dirty
+            placement = zip(dirty, map(current.location_of, dirty))
         hosts = {
             vm: host
             for vm, host in placement
@@ -574,30 +581,29 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         self,
         current: Configuration,
         decomposition: PartitionResult,
-        frozen: AbstractSet[str] = frozenset(),
+        dirty: Optional[AbstractSet[str]] = None,
         leaving: Sequence[str] = (),
     ) -> Tuple[List[ZoneOutcome], List[ZoneTask]]:
-        """The outcomes of the zones the frozen region leaves nothing to
+        """The outcomes of the zones the dirty region leaves nothing to
         decide in, and one task (its timeout still to be set) per zone to
         solve.
 
-        Repair composition: a zone whose VMs are all frozen is untouched by
-        this round — its VMs stay where they are and it is never shipped to
-        a worker.  The dirty zones are found from the VMs that are *not*
-        frozen, and each is cut around them (:func:`build_zone_configuration`)
-        unless the model has to see its frozen VMs, under a relational
-        constraint.  ``leaving`` are the running VMs that must not keep
-        running: they hold capacity no zone's model counts."""
-        if not frozen:
+        Repair composition: a zone with no dirty VM is untouched by this
+        round — its VMs stay where they are and it is never shipped to a
+        worker.  The dirty zones are found from the dirty VMs, and each is
+        cut around them (:func:`build_zone_configuration`) unless the model
+        has to see its frozen VMs, under a relational constraint.
+        ``leaving`` are the running VMs that must not keep running: they
+        hold capacity no zone's model counts."""
+        if dirty is None:
             return [], [
                 ZoneTask(zone, build_zone_configuration(current, zone), self.engine)
                 for zone in decomposition.zones
             ]
         zone_of_vm = decomposition.zone_of_vm
-        #: The VMs each zone re-places: its placed VMs the round does not
-        #: freeze.
+        #: The VMs each zone re-places: its dirty VMs.
         free: Dict[int, List[str]] = {}
-        for vm in zone_of_vm.keys() - frozen:
+        for vm in dirty:
             free.setdefault(zone_of_vm[vm], []).append(vm)
         #: (cpus, MB) held on each node by residents this round does not
         #: freeze there.
@@ -620,8 +626,8 @@ class ParallelOptimizer(ContextSwitchOptimizer):
                 continue
             if any(constraint.relational for constraint in zone.constraints):
                 whole = build_zone_configuration(current, zone)
-                in_zone = {vm for vm in zone.vms if vm in frozen}
-                tasks.append(ZoneTask(zone, whole, self.engine, frozen=in_zone))
+                in_zone = set(free[zone.index])
+                tasks.append(ZoneTask(zone, whole, self.engine, dirty=in_zone))
                 continue
             dirty = current.in_registration_order(free[zone.index])
             cut = build_zone_configuration(current, zone, dirty, released)
@@ -633,19 +639,23 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         current: Configuration,
         decomposition: PartitionResult,
         deadline: float,
-        frozen: AbstractSet[str] = frozenset(),
+        dirty: Optional[AbstractSet[str]] = None,
         leaving: Sequence[str] = (),
     ) -> List[ZoneOutcome]:
         """Solve the zones of ``decomposition`` by ``deadline`` — the
         round's: the partition and the extraction before the first zone are
         paid out of the same budget."""
-        reused, tasks = self._zone_tasks(current, decomposition, frozen, leaving)
+        reused, tasks = self._zone_tasks(current, decomposition, dirty, leaving)
         if not tasks:
             return reused
 
         if self.zone_executor == "auto":
             worth_a_worker = sum(
-                len(task.configuration.vm_names) - len(task.frozen)
+                (
+                    len(task.configuration.vm_names)
+                    if task.dirty is None
+                    else len(task.dirty)
+                )
                 >= _POOL_ZONE_VMS
                 for task in tasks
             )

@@ -123,7 +123,7 @@ ROUNDS = [
             ("decide", {}),
             ("plan", {}),
         ],
-        "observe decide plan execute",
+        "observe decide plan check-plan execute",
     ),
     (
         {"index": 1, "sim_time": 30.0},
@@ -144,12 +144,12 @@ ROUNDS = [
     (
         {"index": 3, "sim_time": 90.0, "switched": True, "switch_cost": 1024},
         [("observe", {**_OBSERVED, "dirty_nodes": 0}), ("decide", {}), ("plan", {})],
-        "observe decide plan solve full-solve cp.solve execute",
+        "observe decide plan solve full-solve cp.solve check-plan execute",
     ),
     (
         {"index": 4, "sim_time": 120.0, "switched": True, "switch_cost": 0},
         [("observe", {**_OBSERVED, "dirty_nodes": 0}), ("decide", {}), ("plan", {})],
-        "observe decide plan solve full-solve cp.solve execute",
+        "observe decide plan solve dirty-set full-solve cp.solve check-plan execute",
     ),
     (
         {"index": 5, "sim_time": 150.0},
@@ -163,7 +163,7 @@ ROUNDS = [
     (
         {"index": 6, "sim_time": 180.0, "switched": True, "switch_cost": 0},
         [("observe", {**_OBSERVED, "dirty_nodes": 1}), ("decide", {}), ("plan", {})],
-        "observe decide plan solve repair-attempt execute",
+        "observe decide plan solve dirty-set repair-attempt check-plan execute",
     ),
     (
         {"index": 7, "sim_time": 210.0},

@@ -14,6 +14,7 @@ from repro.constraints import (
     plan_stages,
     violated_constraints,
 )
+from repro.constraints.checker import unwritten_answers
 from repro.core.actions import Migrate, Run
 from repro.core.plan import plan_from_pools
 from repro.core.planner import ReconfigurationPlanner, build_plan
@@ -137,3 +138,45 @@ class TestPlannerWiring:
             configuration, target, constraints=[Spread(["a", "b"])]
         )
         assert not plan.constraint_violations
+
+
+class TestSettledAnswers:
+    """``check_plan(..., settled=)``: answers on the source known without
+    asking, kept from one check to the next while nothing a constraint reads
+    was written (``unwritten_answers``)."""
+
+    def _moves_c(self, configuration):
+        target = configuration.copy()
+        target.migrate("c", "node-2")
+        return build_plan(configuration, target)
+
+    def test_an_untouched_constraint_is_asked_once_and_its_answer_kept(
+        self, configuration
+    ):
+        # ``a`` runs outside its fence and no action moves it.
+        fence = Fence(["a"], ["node-1"])
+        settled = {}
+        first = check_plan(self._moves_c(configuration), [fence], settled=settled)
+        assert settled == {0: first[0].message}
+        # The next source wrote nothing ``a``: the answer is taken as kept,
+        # and reported at every stage as if asked.
+        kept = unwritten_answers(settled, [fence], {"b"})
+        assert kept == settled
+        assert check_plan(self._moves_c(configuration), [fence], settled=kept) == first
+
+    def test_a_written_member_is_asked_again(self, configuration):
+        fence = Fence(["a"], ["node-1"])
+        settled = {}
+        assert check_plan(self._moves_c(configuration), [fence], settled=settled)
+        # ``a`` moved into its fence since: the kept answer no longer holds.
+        configuration.migrate("a", "node-1")
+        kept = unwritten_answers(settled, [fence], {"a"})
+        assert kept == {}
+        assert check_plan(self._moves_c(configuration), [fence], settled=kept) == []
+        assert kept == {0: None}
+
+    def test_an_acted_constraint_drops_its_source_answer(self, configuration):
+        ban = Ban(["c"], ["node-0"])
+        settled = {0: None}
+        check_plan(self._moves_c(configuration), [ban], settled=settled)
+        assert settled == {}

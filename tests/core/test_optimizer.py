@@ -345,7 +345,7 @@ class TestOneModelBuilder:
         )
         assignment, statistics, _ = ContextSwitchOptimizer(
             timeout=5
-        ).search_assignment(cluster, states, constraints, frozen=frozen)
+        ).search_assignment(cluster, states, constraints, dirty=states.keys() - frozen)
         assert [len(model.variables) for model in models] == (
             [variables] if variables else []
         )
@@ -382,12 +382,11 @@ class TestOneModelBuilder:
         ):
             zone.replace_vm(make_vm(name, memory=memory, cpu=cpu))
         dirty = list(zone.vms_on("node-0"))
-        frozen = {name for name in zone.vm_names if name not in dirty}
         vacuous = RunningCapacity(zone.node_names, maximum=len(zone.vm_names))
         optimizer = ContextSwitchOptimizer(timeout=30, engine=engine)
-        folded = optimizer.search_assignment(zone, states, catalog, frozen=frozen)
+        folded = optimizer.search_assignment(zone, states, catalog, dirty=set(dirty))
         pinned = optimizer.search_assignment(
-            zone, states, catalog + [vacuous], frozen=frozen
+            zone, states, catalog + [vacuous], dirty=set(dirty)
         )
         assert [len(model.variables) for model in models] == [
             len(dirty) + 1,

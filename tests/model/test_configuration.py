@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.model.configuration
 from repro.model.configuration import Configuration
 from repro.model.errors import (
     DuplicateElementError,
@@ -212,6 +213,24 @@ MUTATORS = {
 }
 
 
+#: The VMs whose state, host or suspend image each mutator writes: what the
+#: change journal must name after it.
+JOURNALED = {
+    "add_node": set(),
+    "remove_node": set(),
+    "add_vm": {"new"},
+    "remove_vm": {"last"},
+    "replace_vm": set(),
+    "set_running": {"pending"},
+    "set_sleeping": {"busy"},
+    "set_waiting": {"asleep"},
+    "set_terminated": {"idle"},
+    "migrate": {"busy"},
+    "enter_in_order": set(),
+    "viability_violations": set(),
+}
+
+
 def _reads(configuration: Configuration) -> tuple:
     """Everything the reads answer, without a write (no viability scan)."""
     nodes = configuration.node_names
@@ -243,3 +262,41 @@ def test_a_write_after_a_copy_leaves_the_other_side_as_it_was(mutator, written):
     # And the other side's next write is its own too.
     MUTATORS[mutator](other)
     assert _reads(other) == _reads(target)
+
+
+@pytest.mark.parametrize("written", ["original", "copy"])
+@pytest.mark.parametrize("mutator", sorted(MUTATORS))
+def test_the_journal_names_what_one_side_writes_on_that_side(mutator, written):
+    # The journal belongs to the assignment maps: after a copy both sides
+    # read the same one until one of them writes, and a write is recorded
+    # on the side that made it.
+    original = _forked_fleet()
+    mark = original.mark()
+    clone = original.copy()
+    target, other = (original, clone) if written == "original" else (clone, original)
+    MUTATORS[mutator](target)
+    assert target.written_since(mark) == JOURNALED[mutator]
+    assert other.written_since(mark) == frozenset()
+    # A copy made now carries what was written so far.
+    assert target.copy().written_since(mark) == JOURNALED[mutator]
+    # A configuration that does not descend from the mark, or that was
+    # marked again since, does not answer for it.
+    assert _forked_fleet().written_since(mark) is None
+    target.mark()
+    assert target.written_since(mark) is None
+
+
+def test_a_journal_past_its_cap_stops(monkeypatch):
+    monkeypatch.setattr(repro.model.configuration, "JOURNAL_CAP", 1)
+    configuration = _forked_fleet()
+    mark = configuration.mark()
+    configuration.set_waiting("busy")
+    assert configuration.written_since(mark) == {"busy"}
+    configuration.set_waiting("idle")
+    # Past the cap it answers nothing, and the first write after a copy
+    # drops it: the configuration journals nothing from there on.
+    assert configuration.written_since(mark) is None
+    clone = configuration.copy()
+    clone.set_waiting("other")
+    assert clone._journal is None
+    assert clone.written_since(mark) is None

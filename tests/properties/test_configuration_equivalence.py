@@ -18,13 +18,17 @@ changes a node) — and asserts after *every* step that
 * ``placement()`` / ``vms_on`` / ``images_on`` / ``states()``
 
 never diverge, and that an operation raising on one side raises the same
-error on the other.
+error on the other.  The drawn sequences also mark the indexed side (its
+change journal): from a mark on, a reference that diffs the oracle's full
+snapshot at the mark against its snapshot now must name no VM the journal
+leaves out, and the journal no VM the ops since the mark did not write —
+on each side of a fork, whichever side was marked.
 """
 
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.model import Configuration, Node, VirtualMachine
 from repro.sim.faults import evict_node
@@ -53,6 +57,7 @@ OPS = (
     "remove_node",
     "re_add_node",
     "fork",
+    "mark",
 )
 
 
@@ -141,6 +146,49 @@ def _apply(configuration, op, a, b, node_universe, vm_universe):
     return None
 
 
+def _written_by(configuration, op, a, b, node_universe, vm_universe):
+    """The VMs ``op`` would write the state, host or image of (a superset:
+    an op that turns out a no-op still names its VM)."""
+    node = node_universe[a % len(node_universe)]
+    vm = vm_universe[b % len(vm_universe)]
+    if op == "add_vm":
+        return {f"extra{a}"}
+    if op == "remove_vm":
+        if b % 2:
+            return set(configuration.vm_names[-1:])
+        return {vm}
+    if op in ("set_running", "migrate", "set_sleeping", "set_waiting", "set_terminated"):
+        return {vm}
+    if op == "crash_evict" and configuration.has_node(node):
+        return {*configuration.vms_on(node), *configuration.images_on(node)}
+    return set()
+
+
+def _snapshot(configuration):
+    """Every VM's state, host and suspend image."""
+    return {
+        vm: (
+            configuration.state_of(vm),
+            configuration.location_of(vm),
+            configuration.image_location_of(vm),
+        )
+        for vm in configuration.vm_names
+    }
+
+
+def _assert_journal(indexed: Configuration, naive: NaiveConfiguration, journal):
+    """The journal names every VM a diff of the full snapshots names, and
+    only VMs the ops since the mark wrote."""
+    if journal is None:
+        return
+    mark, before, written = journal
+    named = indexed.written_since(mark)
+    assert named is not None
+    after = _snapshot(naive)
+    diff = {vm for vm in {*before, *after} if before.get(vm) != after.get(vm)}
+    assert diff <= named <= written
+
+
 def _assert_equivalent(indexed: Configuration, naive: NaiveConfiguration):
     assert indexed.node_names == naive.node_names
     assert indexed.vm_names == naive.vm_names
@@ -176,12 +224,28 @@ def _run_lockstep(sequence):
     #: reads never look at the shared sets) mutated in turn with its
     #: original, so a change leaking across the fork shows on either side.
     fork = None
+    #: Per side, since its last mark: the mark, the oracle's snapshot at
+    #: the mark and the VMs the ops wrote since (``None``: never marked).
+    journal = None
     for step, (kind, a, b) in enumerate(ops):
         if kind == "fork":
-            fork = (indexed.copy(), naive.copy())
+            copied = None
+            if journal is not None:
+                copied = (journal[0], journal[1], set(journal[2]))
+            fork = (indexed.copy(), naive.copy(), copied)
+        elif kind == "mark":
+            old = journal
+            journal = (indexed.mark(), _snapshot(naive), set())
+            if old is not None:
+                assert indexed.written_since(old[0]) is None
+            if fork is not None:
+                # The fork was copied before this mark: it does not descend
+                # from it.
+                assert fork[0].written_since(journal[0]) is None
         else:
             if fork is not None and step % 2:
-                (indexed, naive), fork = fork, (indexed, naive)
+                (indexed, naive, journal), fork = fork, (indexed, naive, journal)
+            written = _written_by(naive, kind, a, b, node_universe, vm_universe)
             raised_indexed = _apply(
                 indexed, kind, a, b, node_universe, vm_universe
             )
@@ -190,15 +254,47 @@ def _run_lockstep(sequence):
                 f"op {kind} diverged: indexed raised {raised_indexed}, "
                 f"naive raised {raised_naive}"
             )
+            if journal is not None and raised_naive is None:
+                journal[2].update(written)
         _assert_equivalent(indexed, naive)
+        _assert_journal(indexed, naive, journal)
         if fork is not None:
-            _assert_equivalent(*fork)
+            _assert_equivalent(*fork[:2])
+            _assert_journal(*fork)
     # A copy must carry consistent caches too.
     _assert_equivalent(indexed.copy(), naive)
 
 
+#: Marks, forks and every journaled mutator on VMs that exist: drawn
+#: operands mostly name VMs that do not.
+_JOURNALED_FORKS = (
+    3,
+    [("vm0", 256, 1), ("vm1", 512, 0)],
+    [
+        ("set_running", 0, 0),
+        ("set_running", 1, 1),
+        ("mark", 0, 0),
+        ("fork", 0, 0),
+        ("migrate", 2, 0),
+        ("migrate", 2, 1),
+        ("set_sleeping", 0, 1),
+        ("mark", 0, 0),
+        ("add_vm", 3, 0),
+        ("crash_evict", 2, 0),
+        ("set_waiting", 0, 1),
+        ("remove_vm", 0, 1),
+        ("fork", 0, 0),
+        ("set_terminated", 0, 0),
+        ("re_add_node", 2, 0),
+        ("set_running", 2, 1),
+        ("set_running", 2, 1),
+    ],
+)
+
+
 @settings(max_examples=225, deadline=None)
 @given(mutation_sequences())
+@example(_JOURNALED_FORKS)
 def test_indexed_configuration_matches_naive_oracle(sequence):
     _run_lockstep(sequence)
 

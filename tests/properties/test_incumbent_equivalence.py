@@ -123,7 +123,7 @@ def solve_recording_bounds(optimizer, configuration, names, catalog, frozen):
     states = dict.fromkeys(names, VMState.RUNNING)
     with mock.patch.object(Solver, "solve", spy):
         assignment, statistics, improving = optimizer.search_assignment(
-            configuration, states, catalog, frozen=frozen
+            configuration, states, catalog, dirty=set(names) - frozen
         )
     return assignment, statistics, improving, bounds
 

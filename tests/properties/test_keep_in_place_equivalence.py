@@ -244,6 +244,14 @@ NODE_LOAD_ROUNDS = [
 ]
 
 
+def _dirty(states, frozen):
+    """What the layers below the repair engine are handed for a frozen
+    region: the VMs to run that are not frozen (``None``: nothing frozen)."""
+    if not frozen:
+        return None
+    return {vm for vm, state in states.items() if state is VMState.RUNNING} - frozen
+
+
 def _solve(instance, keep_in_place):
     """One solve, with the pass (``keep_in_place``) or declining it, and
     every call the pass got."""
@@ -274,7 +282,7 @@ def _solve(instance, keep_in_place):
         optimizer = ParallelOptimizer(timeout=10.0, zone_executor="serial")
         try:
             result = optimizer.optimize(
-                configuration, states, constraints=catalog, frozen=frozen
+                configuration, states, constraints=catalog, dirty=_dirty(states, frozen)
             )
         except PlanningError as error:
             return {"error": type(error).__name__, "planned": planned}, consulted
@@ -319,7 +327,7 @@ def test_node_loads_decide_the_keep_in_place(instance, bound):
     tracer = Tracer()
     with tracer.activate():
         ParallelOptimizer(timeout=10.0, zone_executor="serial").optimize(
-            configuration, states, constraints=catalog, frozen=frozen
+            configuration, states, constraints=catalog, dirty=_dirty(states, frozen)
         )
     (partition_span,) = [s for s in tracer.root.walk() if s.name == "partition"]
     answered = partition_span.attributes.get("answered") == "incumbent"

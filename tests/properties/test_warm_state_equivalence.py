@@ -27,6 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.constraints import Ban, Fence, RunningCapacity, Spread
 from repro.constraints.domains import RetainedDomains
 from repro.core.optimizer import ContextSwitchOptimizer, complete_states
+from repro.core.plan import apply_pool_effects
 from repro.model.configuration import Configuration
 from repro.model.errors import PlanningError
 from repro.model.node import Node
@@ -69,10 +70,17 @@ def _engine(kind):
         inner = ParallelOptimizer(timeout=5.0, zone_executor="serial", shards=2)
     solve = inner.optimize
 
-    def checked(current, target_states, *, constraints=(), frozen=frozenset(), **kw):
-        _assert_frozen_stays(current, target_states, constraints, frozen)
+    def checked(current, target_states, *, constraints=(), dirty=None, **kw):
+        if dirty is not None:
+            states, _ = complete_states(current, target_states)
+            frozen = {
+                vm
+                for vm in current.placement()
+                if states[vm] is VMState.RUNNING and vm not in dirty
+            }
+            _assert_frozen_stays(current, target_states, constraints, frozen)
         return solve(
-            current, target_states, constraints=constraints, frozen=frozen, **kw
+            current, target_states, constraints=constraints, dirty=dirty, **kw
         )
 
     inner.optimize = checked
@@ -143,11 +151,8 @@ def _solve(engine, current, states, catalog, marks):
         return error
 
 
-@pytest.mark.parametrize("kind", ["repair", "repair-partitioned"])
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_a_long_lived_engine_plans_what_a_rebuilt_one_plans(kind, data):
-    draw = data.draw
+def _fleet(draw):
+    """A fleet, its wanted states and a catalog drawn over it."""
     # Even fleets split into two tight halves; five nodes make the second
     # half loose.
     node_count = draw(st.sampled_from((4, 4, 6, 6, 5)))
@@ -167,52 +172,80 @@ def test_a_long_lived_engine_plans_what_a_rebuilt_one_plans(kind, data):
         current.set_running(name, nodes[index % node_count])
     states = {name: VMState.RUNNING for name in vms}
     catalog = _catalog(draw, [*vms, *SPARES], nodes, current.placement())
+    return current, states, catalog
 
+
+def _perturb(draw, current, states, catalog, arrivals):
+    """One drawn event applied to ``current`` (in place): the round's
+    wanted states, catalog and marks, the arrivals so far and the event."""
+    vms = [name for name in current.vm_names if name not in SPARES]
+    nodes = list(current.node_names)
+    running = list(current.placement())
+    marks: list[str] = []
+    event = draw(st.sampled_from(EVENTS))
+    if event == "restart" and running:
+        marks = draw(
+            st.lists(st.sampled_from(running), min_size=1, max_size=2, unique=True)
+        )
+        for vm in marks:
+            current.set_waiting(vm)
+    elif event == "demand" and running:
+        vm = draw(st.sampled_from(running))
+        current.replace_vm(current.vm(vm).with_cpu_demand(draw(st.integers(0, 3))))
+        marks = draw(st.sampled_from(([], [vm])))
+    elif event == "arrival" and arrivals < len(SPARES):
+        name = SPARES[arrivals]
+        arrivals += 1
+        current.add_vm(VirtualMachine(name=name, memory=512, cpu_demand=1))
+        states = {**states, name: VMState.RUNNING}
+        marks = [name]
+    elif event == "departure" and running:
+        vm = draw(st.sampled_from(running))
+        states = {
+            **states,
+            vm: draw(st.sampled_from((VMState.SLEEPING, VMState.TERMINATED))),
+        }
+    elif event == "crash" and len(nodes) > 3:
+        node = draw(st.sampled_from(nodes))
+        marks = [*current.vms_on(node), *current.images_on(node)]
+        for vm in marks:
+            current.set_waiting(vm)
+        current.remove_node(node)
+        catalog = [
+            repaired
+            for repaired in (c.on_node_failure(node) for c in catalog)
+            if repaired is not None
+        ]
+    elif event == "swap":
+        catalog = _catalog(draw, [*vms, *SPARES], nodes, current.placement())
+    return states, catalog, marks, arrivals, event
+
+
+def _settle(outcome, states):
+    """The next round's fleet and wanted states after an accepted round (a
+    VM that left for good is not wanted any more)."""
+    current = outcome.target.copy()
+    states = {
+        name: state
+        for name, state in states.items()
+        if state is not VMState.TERMINATED
+        or current.state_of(name) is not VMState.TERMINATED
+    }
+    return current, states
+
+
+@pytest.mark.parametrize("kind", ["repair", "repair-partitioned"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_long_lived_engine_plans_what_a_rebuilt_one_plans(kind, data):
+    draw = data.draw
+    current, states, catalog = _fleet(draw)
     kept = _engine(kind)
     arrivals = 0
     for _ in range(draw(st.integers(min_value=3, max_value=8))):
-        nodes = list(current.node_names)
-        running = list(current.placement())
-        marks: list[str] = []
-        event = draw(st.sampled_from(EVENTS))
-        if event == "restart" and running:
-            marks = draw(
-                st.lists(st.sampled_from(running), min_size=1, max_size=2, unique=True)
-            )
-            for vm in marks:
-                current.set_waiting(vm)
-        elif event == "demand" and running:
-            vm = draw(st.sampled_from(running))
-            current.replace_vm(
-                current.vm(vm).with_cpu_demand(draw(st.integers(0, 3)))
-            )
-            marks = draw(st.sampled_from(([], [vm])))
-        elif event == "arrival" and arrivals < len(SPARES):
-            name = SPARES[arrivals]
-            arrivals += 1
-            current.add_vm(VirtualMachine(name=name, memory=512, cpu_demand=1))
-            states = {**states, name: VMState.RUNNING}
-            marks = [name]
-        elif event == "departure" and running:
-            vm = draw(st.sampled_from(running))
-            states = {
-                **states,
-                vm: draw(st.sampled_from((VMState.SLEEPING, VMState.TERMINATED))),
-            }
-        elif event == "crash" and len(nodes) > 3:
-            node = draw(st.sampled_from(nodes))
-            marks = [*current.vms_on(node), *current.images_on(node)]
-            for vm in marks:
-                current.set_waiting(vm)
-            current.remove_node(node)
-            catalog = [
-                repaired
-                for repaired in (c.on_node_failure(node) for c in catalog)
-                if repaired is not None
-            ]
-        elif event == "swap":
-            catalog = _catalog(draw, [*vms, *SPARES], nodes, current.placement())
-
+        states, catalog, marks, arrivals, _ = _perturb(
+            draw, current, states, catalog, arrivals
+        )
         previous = kept.previous_assignment
         rebuilt = _engine(kind)
         if previous is not None:
@@ -245,11 +278,96 @@ def test_a_long_lived_engine_plans_what_a_rebuilt_one_plans(kind, data):
         if isinstance(ours, Exception):
             # Nothing was accepted: the fleet stays as observed.
             continue
-        current = ours.target.copy()
-        # A VM that left for good is not wanted any more.
-        states = {
-            name: state
-            for name, state in states.items()
-            if state is not VMState.TERMINATED
-            or current.state_of(name) is not VMState.TERMINATED
-        }
+        current, states = _settle(ours, states)
+
+
+def _rebuilt(configuration):
+    """``configuration`` built again from nothing — the same nodes, VMs,
+    states, hosts, images and orders, but descended from no mark."""
+    rebuilt = Configuration(nodes=configuration.nodes, vms=configuration.vms)
+    for vm, host in configuration.iter_placement():
+        rebuilt.set_running(vm, host)
+    for vm in configuration.vm_names:
+        state = configuration.state_of(vm)
+        if state is VMState.SLEEPING:
+            rebuilt.set_sleeping(vm, configuration.image_location_of(vm))
+        elif state is VMState.TERMINATED:
+            rebuilt.set_terminated(vm)
+    rebuilt.viability_violations()
+    return rebuilt
+
+
+def _recorded(kind):
+    """An engine whose dirty regions, completed states and journal answers
+    are recorded, round by round."""
+    engine = _engine(kind)
+    seen: dict[str, list] = {"dirty": [], "completed": [], "journal": []}
+    region, solve = engine._dirty_region, engine.inner.optimize
+    written_since_last = engine.domains.written_since_last
+
+    def dirty_region(*args, **kwargs):
+        dirty = region(*args, **kwargs)
+        seen["dirty"].append(sorted(dirty))
+        return dirty
+
+    def optimize(*args, completed, **kwargs):
+        states, changed = completed
+        seen["completed"].append((list(states.items()), list(changed)))
+        return solve(*args, completed=completed, **kwargs)
+
+    def journal(*args):
+        written = written_since_last(*args)
+        seen["journal"].append(written)
+        return written
+
+    engine._dirty_region = dirty_region
+    engine.inner.optimize = optimize
+    engine.domains.written_since_last = journal
+    return engine, seen
+
+
+@pytest.mark.parametrize("kind", ["repair", "repair-partitioned"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_journal_path_plans_what_the_scan_path_plans(kind, data):
+    """Two long-lived engines: one handed the same lineage of configurations
+    every round, so it reads the change journal, and one handed the fleet
+    rebuilt every round, so it reads the fleet.  Same dirty regions, same
+    completed states, same plans and violations, round for round.  A plan
+    is carried out, dropped (the next round observes the last one's input
+    again) or stopped after its first pool, as an executor that failed
+    would leave it."""
+    draw = data.draw
+    current, states, catalog = _fleet(draw)
+    journaled, on_journal = _recorded(kind)
+    scanned, on_scan = _recorded(kind)
+    arrivals = 0
+    for index in range(draw(st.integers(min_value=3, max_value=8))):
+        states, catalog, marks, arrivals, event = _perturb(
+            draw, current, states, catalog, arrivals
+        )
+        journaled.mark_dirty(marks)
+        try:
+            ours = journaled.optimize(current, states, constraints=catalog)
+        except PlanningError as error:
+            ours = error
+        journaled_answer = on_journal["journal"][-1]
+        theirs = _solve(scanned, _rebuilt(current), states, catalog, marks)
+        assert _digest(ours) == _digest(theirs)
+        assert on_journal["dirty"] == on_scan["dirty"]
+        assert on_journal["completed"] == on_scan["completed"]
+        assert on_scan["journal"][-1] is None
+        if index and event not in ("crash", "swap") and not isinstance(
+            previous_outcome, Exception
+        ):
+            # Same catalog, same nodes, a configuration descended from the
+            # last round's input: the journal answers.
+            assert journaled_answer is not None
+        previous_outcome = ours
+        if isinstance(ours, Exception):
+            continue
+        carried = draw(st.sampled_from(("out", "out", "dropped", "one pool")))
+        if carried == "out":
+            current, states = _settle(ours, states)
+        elif carried == "one pool" and ours.plan.pools:
+            apply_pool_effects(current, ours.plan.pools[0])

@@ -170,8 +170,8 @@ class _NoFrozenRegionFits:
         self.attempts = []
         self.full_solves = []
 
-    def optimize(self, *args, frozen=frozenset(), deadline=None, **kwargs):
-        if frozen:
+    def optimize(self, *args, dirty=None, deadline=None, **kwargs):
+        if dirty is not None:
             self.attempts.append(deadline)
             self.clock.advance(self.burn)
             raise PlanningError("the frozen region is too tight")
@@ -277,6 +277,23 @@ class TestRepairOptimizer:
         assert set(engine.previous_assignment) == set(names)
         engine.forget()
         assert engine.previous_assignment is None
+
+    def test_previous_assignment_read_before_a_round_is_unchanged_after_it(self):
+        # The engine updates its own assignment in place from what a round
+        # moves: what a reader took before the round stays as it was.
+        engine, current, names = self._warm_engine()
+        before = engine.previous_assignment
+        kept = dict(before)
+        with pytest.raises(TypeError):
+            before["vm0-0"] = "node-5"
+        # ``vm0-0`` is suspended: it leaves the assignment.
+        states = {**_states(names), "vm0-0": VMState.SLEEPING}
+        result = engine.optimize(current, states)
+        assert result.repair["mode"] == "repair"
+        assert dict(before) == kept and "vm0-0" in before
+        after = engine.previous_assignment
+        assert dict(after) == dict(result.target.iter_placement())
+        assert "vm0-0" not in after
 
     def test_marks_are_consumed_by_the_next_solve(self):
         engine, current, names = self._warm_engine()

@@ -9,7 +9,13 @@ that change, and the fleet is copied for what has to outlive the round (the
 plan's source, the target), for the planner's working state and for the
 independent checker's walk, and no more — each copy taking its own maps only
 when it writes them, the assignment maps only — and the wanted states are
-completed once.  So the same two restarts cost the
+completed once.  The round reads what was written since the last one (the
+change journal its domains memory marks) instead of the fleet: the dirty
+rule compares only those VMs with the last assignment, the state completion
+looks up only those, the plan check keeps the answers of the fences none of
+them is in, and the layers below are handed the dirty VMs, never the frozen
+ones; the one read of the fleet left is the copy of the observed states.
+The plan is priced once.  So the same two restarts cost the
 same number of per-VM reads on a fleet four times — or ten times — the
 size.  A round the pass cannot answer (a host that must shed VMs) cuts each
 dirty zone around its dirty VMs, with the frozen ones folded into the
@@ -19,20 +25,27 @@ suite and keeps the warm path from growing back to fleet size.
 
 import pytest
 
+import repro.constraints.checker
 import repro.constraints.domains
+import repro.core.context_switch
 import repro.core.graph
 import repro.core.optimizer
+import repro.model.configuration
+import repro.repair.engine
 import repro.scale.parallel
+from repro.constraints.domains import RetainedDomains
 from repro.core.context_switch import ClusterContextSwitch
 from repro.core.planner import ReconfigurationPlanner
 from repro.cp import Solver
 from repro.model.columns import LoadColumns
 from repro.model.configuration import Configuration
-from repro.obs import Tracer
+from repro.obs import NULL_SPAN, Tracer
 from repro.testing import fence_groups, make_vm
 
 #: One restarted VM in each of two zones (``vm-<i>`` is in zone ``i % zones``).
 RESTARTED = ("vm-0", "vm-1")
+#: The restarts of the round before the counted one, in two other zones.
+PRIMING = ("vm-2", "vm-3")
 
 COUNTED = (
     "copies",
@@ -47,6 +60,13 @@ COUNTED = (
     "edge names",
     "vms extracted",
     "variables",
+    "prices",
+    "placement copies",
+    "placement walks",
+    "state copies",
+    "domain lookups",
+    "dirty handed",
+    "constraint asks",
 )
 
 
@@ -76,6 +96,25 @@ def counted(monkeypatch):
     for reader in ("location_of", "state_of", "vm"):
         count(Configuration, reader, "vm reads")
     count(Configuration, "add_vm", "vms extracted")
+    # The bulk reads of the fleet.
+    count(Configuration, "placement", "placement copies")
+    count(Configuration, "iter_placement", "placement walks")
+    count(Configuration, "states", "state copies")
+    count(
+        RetainedDomains,
+        "of",
+        "domain lookups",
+        lambda self, current, vms, constraints: len(vms),
+    )
+    count(
+        repro.scale.parallel.ParallelOptimizer,
+        "optimize",
+        "dirty handed",
+        lambda *args, dirty=None, **kwargs: -1 if dirty is None else len(dirty),
+    )
+    count(repro.constraints.checker, "_violation", "constraint asks")
+    for module in (repro.core.optimizer, repro.core.context_switch):
+        count(module, "plan_cost", "prices")
     count(
         repro.constraints.domains,
         "vm_domains",
@@ -101,18 +140,24 @@ def counted(monkeypatch):
     return counts
 
 
-def _warm_round(fleet, zones, counted, overload=False):
-    """A cold round, then the counted round that restarts ``RESTARTED`` —
-    or, with ``overload``, in which each of them asks for its whole node,
-    so that its neighbours are dirty too and have to leave."""
+def _warm_round(fleet, zones, counted, overload=False, tracer=None):
+    """A cold round, a warm one that restarts ``PRIMING``, then the counted
+    round that restarts ``RESTARTED`` — or, with ``overload``, in which each
+    of them asks for its whole node, so that its neighbours are dirty too
+    and have to leave."""
     catalog = fence_groups(fleet, groups=zones)
     states = fleet.states()
     with ClusterContextSwitch(
         engine="repair-partitioned", zone_executor="serial", optimizer_timeout=60
     ) as switch:
         # The cold round that leaves the engine its previous assignment,
-        # the domains and the decomposition.
+        # the domains and the decomposition, and a warm one whose plan
+        # check leaves it what the fences said of its input.
         current = switch.compute(fleet, states, constraints=catalog).target
+        for name in PRIMING:
+            current.set_waiting(name)
+        switch.mark_dirty(PRIMING)
+        current = switch.compute(current, states, constraints=catalog).target
         dirty = list(RESTARTED)
         for name in RESTARTED:
             if overload:
@@ -125,7 +170,11 @@ def _warm_round(fleet, zones, counted, overload=False):
         switch.mark_dirty(dirty)
         for key in counted:
             counted[key] = 0
-        report = switch.compute(current, states, constraints=catalog)
+        if tracer is None:
+            report = switch.compute(current, states, constraints=catalog)
+        else:
+            with tracer.activate():
+                report = switch.compute(current, states, constraints=catalog)
     assert report.repair["mode"] == "repair"
     assert report.repair["dirty_count"] == len(dirty)
     # Restarts are answered before the zones, so no zone is reported; an
@@ -134,7 +183,7 @@ def _warm_round(fleet, zones, counted, overload=False):
     assert len(report.repair) == 6
     assert report.plan.action_count() == len(dirty) - overload * len(RESTARTED)
     assert report.plan.constraint_violations == []
-    return dict(counted), dirty
+    return dict(counted), dirty, report
 
 
 def _assert_costs_what_changed(counts):
@@ -153,6 +202,26 @@ def _assert_costs_what_changed(counts):
     # the checker's one working copy.
     assert counts["copies"] <= 4
     _assert_copies_and_completions(counts)
+    _assert_reads_what_was_written(counts)
+
+
+def _assert_reads_what_was_written(counts):
+    # The one read of the fleet a warm round keeps: the copy of the
+    # observed states that the completed states are made of.
+    assert counts["state copies"] == 1
+    assert counts["placement copies"] == counts["placement walks"] == 0
+    # The dirty rule looks up the domains of the running VMs written since
+    # the last round's input or moved by its plan (the re-placed
+    # ``PRIMING``), not of every running VM.
+    assert counts["domain lookups"] == len(PRIMING)
+    # The attempt is handed the dirty VMs, the small side.
+    assert counts["dirty handed"] == len(RESTARTED)
+    # A one-stage plan: the fences of the restarted VMs are asked of that
+    # stage, the fences of ``PRIMING`` (written since) once on the source,
+    # and the others keep what they said of the last round's input.
+    assert counts["constraint asks"] == len(RESTARTED) + len(PRIMING)
+    # One price per plan: the report reads the optimizer's.
+    assert counts["prices"] == 1
 
 
 def _assert_copies_and_completions(counts):
@@ -167,8 +236,8 @@ def _assert_copies_and_completions(counts):
 
 
 def test_a_warm_round_costs_what_changed(large_fleet_factory, counted):
-    small, _ = _warm_round(large_fleet_factory(500, groups=4), 4, counted)
-    large, _ = _warm_round(large_fleet_factory(2_000, groups=16), 16, counted)
+    small, _, _ = _warm_round(large_fleet_factory(500, groups=4), 4, counted)
+    large, _, _ = _warm_round(large_fleet_factory(2_000, groups=16), 16, counted)
     _assert_costs_what_changed(small)
     # Four times the fleet, in zones of the same size: not one more read of
     # a VM's state, host or description, anywhere in the round.
@@ -178,8 +247,8 @@ def test_a_warm_round_costs_what_changed(large_fleet_factory, counted):
 @pytest.mark.slow
 def test_a_warm_round_costs_what_changed_at_5000_vms(large_fleet_factory, counted):
     # Zones five times as big: more nodes to cut, the same VMs to read.
-    small, _ = _warm_round(large_fleet_factory(500, groups=4), 4, counted)
-    large, _ = _warm_round(large_fleet_factory(5_000, groups=8), 8, counted)
+    small, _, _ = _warm_round(large_fleet_factory(500, groups=4), 4, counted)
+    large, _, _ = _warm_round(large_fleet_factory(5_000, groups=8), 8, counted)
     _assert_costs_what_changed(large)
     assert large == small
 
@@ -213,7 +282,7 @@ def test_a_warm_model_holds_the_dirty_vms_only(
     # A host that must shed its other VMs has no keep-in-place answer at the
     # lower bound, so each dirty zone is searched: its model is the dirty
     # VMs and the cost, whatever the size of the zone or of the fleet.
-    counts, dirty = _warm_round(
+    counts, dirty, _ = _warm_round(
         large_fleet_factory(vm_count, groups=zones), zones, counted, overload=True
     )
     assert counts["variables"] == len(dirty) + len(RESTARTED)
@@ -222,3 +291,70 @@ def test_a_warm_model_holds_the_dirty_vms_only(
     assert counts["domains asked"] == len(dirty)
     assert counts["builds"] == counts["derivations"] == 1
     _assert_copies_and_completions(counts)
+
+
+def _spans(tracer, name):
+    return [span.attributes for span in tracer.root.walk() if span.name == name]
+
+
+def _plan(report):
+    return (
+        [[str(action) for action in pool] for pool in report.plan.pools],
+        [str(violation) for violation in report.plan.constraint_violations],
+        report.cost.total,
+        report.repair,
+    )
+
+
+def test_past_the_cap_a_round_reads_the_fleet_and_plans_the_same(
+    large_fleet_factory, counted, monkeypatch
+):
+    fleet = large_fleet_factory(2_000, groups=16)
+    journaled, scanned = Tracer(), Tracer()
+    _, _, ours = _warm_round(fleet, 16, counted, tracer=journaled)
+    # The round read the VMs written since the last round's input (the two
+    # restarts, and the two re-placed by the last plan) and kept what the
+    # twelve fences none of them is in said of it.
+    assert _spans(journaled, "dirty-set") == [
+        {"scanned": len(RESTARTED + PRIMING), "source": "journal"}
+    ]
+    assert _spans(journaled, "check-plan") == [
+        {
+            "stages": 1,
+            "asked": len(RESTARTED + PRIMING),
+            "kept": 16 - len(RESTARTED + PRIMING),
+        }
+    ]
+    # A journal past its cap answers nothing: the round compares every
+    # running VM with the last assignment and asks every fence.
+    monkeypatch.setattr(repro.model.configuration, "JOURNAL_CAP", 1)
+    _, _, theirs = _warm_round(fleet, 16, counted, tracer=scanned)
+    assert _spans(scanned, "dirty-set") == [
+        {"scanned": 2_000 - len(RESTARTED), "source": "scan"}
+    ]
+    assert _spans(scanned, "check-plan") == [{"stages": 1, "asked": 16, "kept": 0}]
+    assert counted["placement walks"] == 0
+    assert _plan(ours) == _plan(theirs)
+
+
+def test_the_round_spans_are_inert_without_a_tracer(
+    large_fleet_factory, counted, monkeypatch
+):
+    entered = []
+    for module in (repro.repair.engine, repro.constraints.checker):
+
+        class recording(module.span):
+            def __enter__(self):
+                handle = super().__enter__()
+                entered.append((self._name, handle))
+                return handle
+
+        monkeypatch.setattr(module, "span", recording)
+    fleet = large_fleet_factory(500, groups=4)
+    _, _, bare = _warm_round(fleet, 4, counted)
+    # Without a tracer each span is the inert one, whose attributes go
+    # nowhere; the round plans as a traced one does.
+    assert {"dirty-set", "check-plan"} <= {name for name, _ in entered}
+    assert all(handle is NULL_SPAN for _, handle in entered)
+    _, _, traced = _warm_round(fleet, 4, counted, tracer=Tracer())
+    assert _plan(bare) == _plan(traced)

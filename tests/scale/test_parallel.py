@@ -538,16 +538,14 @@ class TestExecutorIsDecidedPerSolve:
     """``zone_executor="auto"``: the pool only for two or more pending
     zones worth a worker each, on a host with the cores to overlap them."""
 
-    def _solve(
-        self, frozen=frozenset(), constraints=None, configuration=None, **options
-    ):
+    def _solve(self, dirty=None, constraints=None, configuration=None, **options):
         configuration = configuration or _overloaded()
         with ParallelOptimizer(timeout=5.0, **options) as optimizer:
             return optimizer.optimize(
                 configuration,
                 _states(configuration),
                 constraints=constraints or _fenced_constraints(),
-                frozen=frozen,
+                dirty=dirty,
             )
 
     def test_small_zones_fork_nothing_by_default(self, pools):
@@ -574,13 +572,13 @@ class TestExecutorIsDecidedPerSolve:
         assert pools == []
 
     @pytest.mark.parametrize(
-        "frozen, constraints",
+        "dirty, constraints",
         [
             # 3 + 3 VMs, one of the second zone's frozen by the repair engine
-            ({"vm3"}, None),
+            ({"vm0", "vm1", "vm2", "vm4", "vm5"}, None),
             # 4 + 2 VMs
             (
-                frozenset(),
+                None,
                 [
                     Fence(["vm0", "vm1", "vm2", "vm3"], FENCE_A),
                     Fence(["vm4", "vm5"], FENCE_B),
@@ -590,10 +588,10 @@ class TestExecutorIsDecidedPerSolve:
         ids=["pins-do-not-count", "one-big-zone"],
     )
     def test_one_zone_worth_a_worker_stays_serial(
-        self, monkeypatch, pools, frozen, constraints
+        self, monkeypatch, pools, dirty, constraints
     ):
         _host(monkeypatch, cores=4, pool_zone_vms=3)
-        result = self._solve(frozen=frozen, constraints=constraints)
+        result = self._solve(dirty=dirty, constraints=constraints)
         assert len(result.zone_reports) == 2
         assert pools == []
 
@@ -607,7 +605,7 @@ class TestExecutorIsDecidedPerSolve:
         # answered before the zones.
         configuration = _configuration()
         result = self._solve(
-            frozen=set(configuration.placement()),
+            dirty=set(),
             constraints=[*_fenced_constraints(), Spread(["vm3", "vm4"])],
             configuration=configuration,
         )
