@@ -48,19 +48,16 @@ MIGRATE_PER_MB_S: float = (26.0 - MIGRATE_BASE_S) / 2048.0  # ~0.0107 s/MB
 SUSPEND_LOCAL_BASE_S: float = 8.0
 SUSPEND_LOCAL_PER_MB_S: float = 0.045
 
-#: Remote suspend: local suspend followed by an scp/rsync push of the image.
-#: Roughly twice the local duration (Figure 3b).
-SUSPEND_REMOTE_FACTOR_SCP: float = 2.0
-SUSPEND_REMOTE_FACTOR_RSYNC: float = 1.9
-
 #: Local resume: read the memory image from the local disk.
 RESUME_LOCAL_BASE_S: float = 8.0
 RESUME_LOCAL_PER_MB_S: float = 0.045
 
-#: Remote resume: fetch the image then resume; roughly twice the local
-#: duration (Figure 3c).  A 2 GB remote resume peaks around 3 minutes.
-RESUME_REMOTE_FACTOR_SCP: float = 2.0
-RESUME_REMOTE_FACTOR_RSYNC: float = 1.9
+#: A remote image, for both operations: a remote suspend is the local one
+#: followed by an scp/rsync push of the image (Figure 3b), a remote resume
+#: fetches the image then resumes (Figure 3c; a 2 GB remote resume peaks
+#: around 3 minutes).  Either takes roughly twice the local duration.
+REMOTE_IMAGE_FACTOR_SCP: float = 2.0
+REMOTE_IMAGE_FACTOR_RSYNC: float = 1.9
 
 #: Slow-down factor suffered by a busy VM co-located with a local operation.
 INTERFERENCE_FACTOR_LOCAL: float = 1.3

@@ -46,8 +46,8 @@ class Spread(VMGroupConstraint):
     """The running VMs of the group are hosted on pairwise distinct nodes.
 
     ``collocation_nodes`` (optional) lists nodes where collocation remains
-    acceptable — e.g. a chassis with internal redundancy — compiled into an
-    :class:`~repro.cp.constraints.AllDifferentExcept` propagator.
+    acceptable — e.g. a chassis with internal redundancy — the exceptions
+    of its :class:`~repro.cp.constraints.AllDifferent` propagator.
     """
 
     relational = True
@@ -72,7 +72,7 @@ class Spread(VMGroupConstraint):
                 for name in self.collocation_nodes
                 if name in node_index
             }
-            return [cp.AllDifferentExcept(involved, excepted)]
+            return [cp.AllDifferent(involved, excepted)]
         if len(involved) == 2:
             return [cp.NotEqual(involved[0], involved[1])]
         return [cp.AllDifferent(involved)]

@@ -114,17 +114,15 @@ class RetainedDomains:
     (a capacity change counts), and every constraint reading no placement.
     :attr:`generation` is replaced whenever the key changes, so whatever is
     derived from the same inputs — the RJSP selection's trial, the
-    partitioner's zones — keeps the generation next to it and knows it
-    stale by identity.  A control loop has one, the switch's, which its
-    policy reads too.  Nothing here holds a demand or a placement.
+    partitioner's zones, the repair engine's change-journal mark — keeps
+    the generation next to it and knows it stale by identity.  A control
+    loop has one, the switch's, which its policy reads too.  Nothing here
+    holds a demand, a placement or a mark: the domains and their key only.
     """
 
     _constraints: Optional[Tuple[PlacementConstraint, ...]]
     _nodes: Tuple["Node", ...]
     _domains: Dict[str, Optional[AbstractSet[str]]]
-    #: The change-journal mark :meth:`mark` took, with the generation it
-    #: was taken under.
-    _marked: Optional[Tuple[object, object]]
     #: Replaced whenever the key changes or :meth:`clear` is called.
     generation: object
 
@@ -136,7 +134,6 @@ class RetainedDomains:
         self._constraints = None
         self._nodes = ()
         self._domains = {}
-        self._marked = None
         self.generation = object()
 
     def key(
@@ -163,27 +160,6 @@ class RetainedDomains:
         self._constraints = tuple(constraints)
         self._nodes = nodes
         return self.generation
-
-    def written_since_last(
-        self,
-        current: "Configuration",
-        constraints: Sequence[PlacementConstraint],
-    ) -> Optional[AbstractSet[str]]:
-        """The VMs whose state, host or suspend image was written between
-        the configuration the previous call marked and ``current``, then
-        mark ``current`` for the next call (a change journal,
-        :meth:`~repro.model.configuration.Configuration.mark`; this memory
-        is its one holder).  ``None`` — read the fleet instead — when there
-        was no previous call, ``current`` does not descend from what it
-        marked, the journal passed its cap, or the generation it was marked
-        under no longer answers for these inputs."""
-        marked = self._marked
-        key = self.key(current, constraints)
-        written = None
-        if marked is not None and marked[0] is key:
-            written = current.written_since(marked[1])
-        self._marked = None if key is None else (key, current.mark())
-        return written
 
     def of(
         self,

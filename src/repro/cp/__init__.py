@@ -9,7 +9,6 @@ optimization of the cluster-wide context switch relies on (Section 4.3).
 
 from .constraints import (
     AllDifferent,
-    AllDifferentExcept,
     Constraint,
     CostTable,
     CountInValuesAtMost,
@@ -39,7 +38,6 @@ from .variables import (
 
 __all__ = [
     "AllDifferent",
-    "AllDifferentExcept",
     "Constraint",
     "CostTable",
     "CountInValuesAtMost",

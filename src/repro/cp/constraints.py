@@ -1,23 +1,21 @@
 """Constraints understood by the solver.
 
-Only the constraints the paper's model needs are provided, plus a generic
-one that keeps the solver usable on its own:
+Only the constraints the paper's model needs are provided:
 
 * :class:`ElementSum` — a total variable equal to the sum of per-variable
   lookup tables (the reconfiguration cost estimate of Section 4.3), each
   stored as a :class:`CostTable`: a default cost plus the values that cost
   something else;
 * :class:`VectorPacking` — the 2-dimensional bin-packing constraint relating
-  VM assignment variables to node capacities (Section 3.2);
-* :class:`AllDifferent` — a value-based all-different, handy for tests and
-  for pivot selection experiments.
+  VM assignment variables to node capacities (Section 3.2).
 
 The placement-constraint catalog (:mod:`repro.constraints`) compiles its
 declarative relations into a second family of propagators:
 
 * :class:`NotEqual` — a cheap pairwise disequality (two-VM ``Spread``);
-* :class:`AllDifferentExcept` — all-different where a set of excepted values
-  may repeat (``Spread`` with collocation-tolerant nodes);
+* :class:`AllDifferent` — a value-based all-different where a set of
+  excepted values may repeat (``Spread`` over more VMs, or with
+  collocation-tolerant nodes as the exceptions);
 * :class:`CountInValuesAtMost` — at most ``k`` variables may take a value
   from a watched set (``RunningCapacity``).
 
@@ -481,49 +479,6 @@ class NotEqual(Constraint):
         return self._a.value != self._b.value
 
 
-class AllDifferentExcept(Constraint):
-    """Pairwise-different values, except that values in ``exceptions`` may be
-    shared freely (``Spread`` tolerating collocation on designated nodes)."""
-
-    def __init__(self, variables: Sequence[IntVar], exceptions: Collection[int]):
-        self._vars = list(variables)
-        self._exceptions = frozenset(exceptions)
-
-    def variables(self) -> Sequence[IntVar]:
-        return self._vars
-
-    def propagate(self, store) -> None:
-        assigned: dict[int, IntVar] = {}
-        for var in self._vars:
-            if var.is_instantiated:
-                value = var.value
-                if value in self._exceptions:
-                    continue
-                if value in assigned:
-                    raise InconsistencyError(
-                        f"AllDifferentExcept: {var.name} and "
-                        f"{assigned[value].name} both take {value}"
-                    )
-                assigned[value] = var
-        for var in self._vars:
-            if var.is_instantiated:
-                continue
-            clash = [v for v in assigned if v in var]
-            if clash:
-                store.remove_many(var, clash)
-
-    def is_satisfied(self) -> bool:
-        seen: set[int] = set()
-        for var in self._vars:
-            value = var.value
-            if value in self._exceptions:
-                continue
-            if value in seen:
-                return False
-            seen.add(value)
-        return True
-
-
 class CountInValuesAtMost(Constraint):
     """At most ``maximum`` variables may take a value inside ``watched`` (the
     ``RunningCapacity`` compiler: cap how many VMs run on a node set).
@@ -599,10 +554,13 @@ class CountInValuesAtMost(Constraint):
 
 
 class AllDifferent(Constraint):
-    """Pairwise-different values (value-based propagation)."""
+    """Pairwise-different values (value-based propagation), except that
+    values in ``exceptions`` may be shared freely (``Spread`` tolerating
+    collocation on designated nodes)."""
 
-    def __init__(self, variables: Sequence[IntVar]):
+    def __init__(self, variables: Sequence[IntVar], exceptions: Collection[int] = ()):
         self._vars = list(variables)
+        self._exceptions = frozenset(exceptions)
 
     def variables(self) -> Sequence[IntVar]:
         return self._vars
@@ -612,6 +570,8 @@ class AllDifferent(Constraint):
         for var in self._vars:
             if var.is_instantiated:
                 value = var.value
+                if value in self._exceptions:
+                    continue
                 if value in assigned:
                     raise InconsistencyError(
                         f"AllDifferent: {var.name} and {assigned[value].name} "
@@ -626,5 +586,12 @@ class AllDifferent(Constraint):
                 store.remove_many(var, clash)
 
     def is_satisfied(self) -> bool:
-        values = [v.value for v in self._vars]
-        return len(values) == len(set(values))
+        seen: set[int] = set()
+        for var in self._vars:
+            value = var.value
+            if value in self._exceptions:
+                continue
+            if value in seen:
+                return False
+            seen.add(value)
+        return True

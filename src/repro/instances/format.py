@@ -609,12 +609,12 @@ def save_instance(instance: Instance, path: str | Path) -> str:
     return document["fingerprint"]
 
 
-def load_instance(path: str | Path, verify_fingerprint: bool = True) -> Instance:
+def load_instance(path: str | Path) -> Instance:
     """Load an instance file, checking its embedded fingerprint.
 
-    A missing fingerprint is accepted (hand-authored files); a *wrong* one
-    raises ``fingerprint-mismatch`` unless ``verify_fingerprint`` is off —
-    a tampered or hand-edited pack must not score silently.
+    A missing fingerprint is accepted (hand-authored files: drop the
+    ``fingerprint`` field to edit one); a *wrong* one raises
+    ``fingerprint-mismatch`` — a tampered pack must not score silently.
     """
     text = Path(path).read_text()
     try:
@@ -625,7 +625,7 @@ def load_instance(path: str | Path, verify_fingerprint: bool = True) -> Instance
         ) from None
     instance = instance_from_dict(payload)
     claimed = payload.get("fingerprint")
-    if verify_fingerprint and claimed is not None:
+    if claimed is not None:
         actual = instance.fingerprint
         if claimed != actual:
             raise InstanceFormatError(

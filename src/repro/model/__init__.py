@@ -18,7 +18,7 @@ from .errors import (
 )
 from .node import Node, NodeRole, make_working_nodes
 from .queue import VJobQueue
-from .resources import ResourceVector, ZERO
+from .resources import ResourceVector
 from .vjob import VJob, VJobState, index_vms_by_vjob
 from .vm import VirtualMachine, VMState
 
@@ -43,7 +43,6 @@ __all__ = [
     "make_working_nodes",
     "VJobQueue",
     "ResourceVector",
-    "ZERO",
     "VJob",
     "VJobState",
     "index_vms_by_vjob",

@@ -502,20 +502,17 @@ class Configuration:
             self._journal.add(vm_name)
 
     def set_waiting(self, vm_name: str) -> None:
-        self.vm(vm_name)
-        if self._assignment_shared:
-            self._own_assignment()
-        self._states[vm_name] = VMState.WAITING
-        self._unplace(vm_name)
-        self._drop_image(vm_name)
-        if self._journal is not None:
-            self._journal.add(vm_name)
+        self._set_unplaced(vm_name, VMState.WAITING)
 
     def set_terminated(self, vm_name: str) -> None:
+        self._set_unplaced(vm_name, VMState.TERMINATED)
+
+    def _set_unplaced(self, vm_name: str, state: VMState) -> None:
+        """Give a VM a state that holds neither a host nor an image."""
         self.vm(vm_name)
         if self._assignment_shared:
             self._own_assignment()
-        self._states[vm_name] = VMState.TERMINATED
+        self._states[vm_name] = state
         self._unplace(vm_name)
         self._drop_image(vm_name)
         if self._journal is not None:

@@ -66,7 +66,3 @@ class ResourceVector:
         for vector in vectors:
             acc = acc + vector
         return acc
-
-
-#: A zero demand, used for idle/sleeping VMs which do not consume CPU.
-ZERO = ResourceVector(0, 0)

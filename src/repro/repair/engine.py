@@ -20,10 +20,9 @@ the fleet (:func:`dirty_region`, the one body both
    (:class:`~repro.constraints.domains.RetainedDomains` — recomputed only
    when its key says the catalog or the nodes changed) for the VMs written
    since the last round's input (the change journal,
-   :meth:`RetainedDomains.written_since_last
-   <repro.constraints.domains.RetainedDomains.written_since_last>`) and the
-   ones the last plan moved — every running VM when the journal cannot
-   answer;
+   :meth:`~repro.model.configuration.Configuration.written_since`, marked
+   by this engine) and the ones the last plan moved — every running VM
+   when the journal cannot answer;
 4. **relational closure and halo** — any dirty member of a relational group
    dirties the whole group, and ``halo`` rounds of co-host expansion dirty
    the VMs sharing a node with a dirty running VM, read from
@@ -48,10 +47,10 @@ and raises where it raises.
 
 Retained across rounds: the previous assignment (owner: this engine;
 updated in place by every accepted round from what it read and moved), what
-the last accepted round completed, moved and asked of its input (read only
-while the change journal answers) and the unary domains (owner:
-:attr:`RepairOptimizer.domains`, shared with the inner optimizer and, in a
-control loop, with the policy; one key in
+the last accepted round completed, moved and asked of its input, with the
+journal mark it took on that input (read only while the journal answers),
+and the unary domains (owner: :attr:`RepairOptimizer.domains`, shared with
+the inner optimizer and, in a control loop, with the policy; one key in
 :meth:`~repro.constraints.domains.RetainedDomains.key`).
 :meth:`RepairOptimizer.forget` drops both, and with the domains everything
 keyed on their generation: the inner optimizer's decomposition and, in a
@@ -217,6 +216,11 @@ class _Accepted:
     next round's configuration descends from that round's input under the
     same domains generation (the change journal answers)."""
 
+    #: The domains generation the round ran under and the change-journal
+    #: mark it took on its input (:meth:`Configuration.mark
+    #: <repro.model.configuration.Configuration.mark>`); ``None`` when no
+    #: generation answered for its inputs.
+    journal: Optional[tuple[object, object]]
     #: The wanted states it was handed (a copy, so no caller's later write
     #: can make an unequal mapping look equal) and the VMs whose wanted
     #: state was not the observed one.
@@ -258,8 +262,7 @@ class RepairOptimizer:
         self.timeout = timeout
         self.halo = halo
         #: The unary domains the dirty rule reads: the inner optimizer's
-        #: own, so a round asks the catalog once for every layer.  It also
-        #: holds the change journal's mark.
+        #: own, so a round asks the catalog once for every layer.
         self.domains: RetainedDomains = (
             inner.domains
             if isinstance(inner, ContextSwitchOptimizer)
@@ -321,19 +324,21 @@ class RepairOptimizer:
         reads the fleet.
 
         A warm round whose ``current`` descends from the last round's input
-        reads the VMs written since (the change journal the domains memory
-        marks) and the VMs the last plan moved, instead of the fleet: for
-        the dirty rule's divergence and domain checks, for the state
-        completion (when the wanted states equal the last round's) and for
-        the plan check's source answers.  Anything else reads the fleet.
+        reads the VMs written since (the change journal this engine marks at
+        every round start) and the VMs the last plan moved, instead of the
+        fleet: for the dirty rule's divergence and domain checks, for the
+        state completion (when the wanted states equal the last round's) and
+        for the plan check's source answers.  Anything else reads the fleet.
         """
         marks = sorted(self._marks)
         self._marks.clear()
         deadline = time.monotonic() + self.timeout
         last, self._last = self._last, None
-        written = self.domains.written_since_last(current, constraints)
-        if last is None:
-            written = None
+        generation = self.domains.key(current, constraints)
+        written = None
+        if last is not None and last.journal and last.journal[0] is generation:
+            written = current.written_since(last.journal[1])
+        journal = None if generation is None else (generation, current.mark())
         since = None
         if written is not None and last.wanted == target_states:
             wanted = last.wanted
@@ -375,7 +380,7 @@ class RepairOptimizer:
             {} if written is None
             else unwritten_answers(last.settled, constraints, written)
         )
-        record = _Accepted(wanted, changed, settled)
+        record = _Accepted(journal, wanted, changed, settled)
         if not frozen_count:
             reason = (
                 "cold start (no previous assignment)"

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import json
 import threading
-from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Callable, Dict, Optional
 from urllib.parse import parse_qs, urlparse
@@ -49,6 +48,7 @@ from .audit import replay_plans
 from .commands import LoopCommandQueue
 from .observer import ServiceObserver
 from .serialize import fault_event_from_dict, workload_from_dict
+from .telemetry import TelemetryBuffer
 
 #: How many finished per-request HTTP spans ``GET /trace`` keeps.
 REQUEST_TRACE_CAPACITY = 256
@@ -105,7 +105,7 @@ class OperatorDaemon:
         self._closing = False
         #: Completed per-request HTTP span dicts, newest last (bounded so a
         #: chatty operator cannot grow the daemon without limit).
-        self._request_spans: deque = deque(maxlen=REQUEST_TRACE_CAPACITY)
+        self.request_spans = TelemetryBuffer(REQUEST_TRACE_CAPACITY)
         self._server: Optional[ThreadingHTTPServer] = None
         self._server_thread: Optional[threading.Thread] = None
 
@@ -242,20 +242,6 @@ class OperatorDaemon:
             return tracer.to_dict()
         return None
 
-    def record_request_span(self, span_dict: Dict[str, Any]) -> None:
-        """Store one finished per-request span (called by HTTP threads)."""
-        with self._lock:
-            self._request_spans.append(span_dict)
-
-    def request_spans(
-        self, limit: Optional[int] = None
-    ) -> list[Dict[str, Any]]:
-        with self._lock:
-            spans = list(self._request_spans)
-        if limit is not None and limit >= 0:
-            spans = spans[-limit:] if limit else []
-        return spans
-
     # ------------------------------------------------------------------ #
     # request handling (called from HTTP threads)                         #
     # ------------------------------------------------------------------ #
@@ -308,7 +294,7 @@ class OperatorDaemon:
             return 200, {
                 "state": self.state,
                 "trace": self.run_trace(),
-                "requests": self.request_spans(
+                "requests": self.request_spans.snapshot(
                     limit=_int_param(query, "limit")
                 ),
             }
@@ -416,7 +402,7 @@ class _Handler(BaseHTTPRequestHandler):
             except Exception as error:  # the daemon must outlive a bad request
                 status, body = 500, {"error": repr(error)}
             root.set(status=status)
-        self.operator.record_request_span(tracer.to_dict()["root"])
+        self.operator.request_spans.append(tracer.to_dict()["root"])
         self._reply(status, body)
 
     def do_GET(self) -> None:

@@ -90,18 +90,14 @@ class _Metric:
         ]
 
 
-class Counter(_Metric):
-    """A monotonically increasing value, optionally split by labels."""
-
-    type_name = "counter"
+class _Labelled(_Metric):
+    """One value per label set, rendered one sample line each."""
 
     def __init__(self, name: str, help_text: str) -> None:
         super().__init__(name, help_text)
         self._values: dict[tuple[tuple[str, str], ...], float] = {}
 
     def inc(self, amount: float = 1.0, **labels: str) -> None:
-        if amount < 0:
-            raise ValueError("counters only go up")
         key = _label_key(labels)
         with self._lock:
             self._values[key] = self._values.get(key, 0.0) + amount
@@ -111,7 +107,7 @@ class Counter(_Metric):
         with self._lock:
             items = sorted(self._values.items())
         if not items:
-            # An idle counter still exposes its zero: dashboards can tell
+            # An idle series still exposes its zero: dashboards can tell
             # "never fired" from "metric does not exist".
             lines.append(f"{self.name} 0")
             return lines
@@ -122,36 +118,25 @@ class Counter(_Metric):
         return lines
 
 
-class Gauge(_Metric):
+class Counter(_Labelled):
+    """A monotonically increasing value, optionally split by labels."""
+
+    type_name = "counter"
+
+    def inc(self, amount: float = 1.0, **labels: str) -> None:
+        if amount < 0:
+            raise ValueError("counters only go up")
+        super().inc(amount, **labels)
+
+
+class Gauge(_Labelled):
     """A value that goes up and down (fleet size, viability, queue depth)."""
 
     type_name = "gauge"
 
-    def __init__(self, name: str, help_text: str) -> None:
-        super().__init__(name, help_text)
-        self._values: dict[tuple[tuple[str, str], ...], float] = {}
-
     def set(self, value: float, **labels: str) -> None:
         with self._lock:
             self._values[_label_key(labels)] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: str) -> None:
-        key = _label_key(labels)
-        with self._lock:
-            self._values[key] = self._values.get(key, 0.0) + amount
-
-    def render(self) -> list[str]:
-        lines = self._header()
-        with self._lock:
-            items = sorted(self._values.items())
-        if not items:
-            lines.append(f"{self.name} 0")
-            return lines
-        for key, value in items:
-            lines.append(
-                f"{self.name}{_format_labels(dict(key))} {_format_value(value)}"
-            )
-        return lines
 
 
 class Histogram(_Metric):

@@ -7,7 +7,8 @@ whatever window is still held together with how much history was dropped.
 
 Samples are plain dicts (JSON-ready); the
 :class:`~repro.service.observer.ServiceObserver` appends one per control-loop
-round.
+round, and the daemon keeps its finished per-request HTTP spans
+(``GET /trace``) in a second buffer.
 """
 
 from __future__ import annotations
@@ -18,10 +19,11 @@ from typing import Any, Optional
 
 
 class TelemetryBuffer:
-    """A bounded ring buffer of per-round telemetry samples.
+    """A bounded ring buffer of per-round telemetry samples (or of any
+    JSON-ready dicts, such as request spans).
 
-    Thread-safe: the control-loop thread appends while HTTP handler threads
-    snapshot.  ``total`` counts every sample ever appended; ``dropped`` is
+    Thread-safe: the control-loop or HTTP threads append while HTTP handler
+    threads snapshot.  ``total`` counts every sample ever appended; ``dropped`` is
     how many fell off the back (``total - len(buffer)``).
     """
 

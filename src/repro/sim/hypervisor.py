@@ -38,8 +38,8 @@ class TransferMethod(enum.Enum):
 #: Remote suspend/resume duration factors relative to the local operation.
 _REMOTE_FACTORS = {
     TransferMethod.LOCAL: 1.0,
-    TransferMethod.SCP: config.SUSPEND_REMOTE_FACTOR_SCP,
-    TransferMethod.RSYNC: config.SUSPEND_REMOTE_FACTOR_RSYNC,
+    TransferMethod.SCP: config.REMOTE_IMAGE_FACTOR_SCP,
+    TransferMethod.RSYNC: config.REMOTE_IMAGE_FACTOR_RSYNC,
 }
 
 

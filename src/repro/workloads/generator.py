@@ -21,7 +21,7 @@ from .. import config
 from ..model.configuration import Configuration
 from ..model.node import Node, make_working_nodes
 from ..model.queue import VJobQueue
-from ..model.vjob import VJobState
+from ..model.vjob import VJobState, index_vms_by_vjob
 from .nasgrid import (
     MEMORY_CHOICES_MB,
     Benchmark,
@@ -41,11 +41,7 @@ class GeneratedScenario:
     workloads: list[VJobWorkload] = field(default_factory=list)
 
     def vjob_of_vm(self) -> dict[str, str]:
-        mapping: dict[str, str] = {}
-        for workload in self.workloads:
-            for vm in workload.vjob.vm_names:
-                mapping[vm] = workload.vjob.name
-        return mapping
+        return index_vms_by_vjob(workload.vjob for workload in self.workloads)
 
 
 class TraceConfigurationGenerator:
@@ -53,9 +49,9 @@ class TraceConfigurationGenerator:
 
     def __init__(
         self,
-        node_count: int = 200,
-        node_cpu: int = 2,
-        node_memory: int = 4096,
+        node_count: int = config.TRACE_CLUSTER.node_count,
+        node_cpu: int = config.TRACE_CLUSTER.node_spec.cpu_capacity,
+        node_memory: int = config.TRACE_CLUSTER.node_spec.usable_memory,
         vm_counts_per_vjob: Sequence[int] = (9, 18),
         memory_choices: Sequence[int] = MEMORY_CHOICES_MB,
         seed: Optional[int] = None,

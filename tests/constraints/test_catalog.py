@@ -8,7 +8,6 @@ import pytest
 from repro.constraints import CATALOG, Ban, Fence, RunningCapacity, Spread
 from repro.cp import (
     AllDifferent,
-    AllDifferentExcept,
     CountInValuesAtMost,
     IntVar,
     NotEqual,
@@ -99,13 +98,13 @@ class TestSpread:
         compiled = Spread(["a", "b", "c"]).cp_constraints(variables, NODE_INDEX)
         assert [type(c) for c in compiled] == [AllDifferent]
 
-    def test_collocation_compiles_to_all_different_except(self):
+    def test_collocation_compiles_to_all_different_with_exceptions(self):
         # both members on node-0 (index 0), which tolerates sharing
         variables = {"a": IntVar("a", [0]), "b": IntVar("b", [0])}
         compiled = Spread(["a", "b"], collocation_nodes=["node-0"]).cp_constraints(
             variables, NODE_INDEX
         )
-        assert [type(c) for c in compiled] == [AllDifferentExcept]
+        assert [type(c) for c in compiled] == [AllDifferent]
         assert compiled[0].is_satisfied()
 
     def test_a_lone_placed_member_compiles_to_nothing(self):

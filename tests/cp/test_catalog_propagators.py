@@ -1,7 +1,7 @@
 """Tests of the propagators backing the placement-constraint catalog.
 
-Each propagator (NotEqual, AllDifferentExcept, CountInValuesAtMost) is
-checked by *exhaustive enumeration*:
+Each propagator (NotEqual, AllDifferent with exceptions,
+CountInValuesAtMost) is checked by *exhaustive enumeration*:
 the solver's full solution set — under both the event-driven and the
 naive-fixpoint engines — must equal the brute-forced set of satisfying
 assignments.  This pins both soundness (no spurious solution) and
@@ -17,8 +17,9 @@ import itertools
 
 import pytest
 
+from repro.constraints import Spread
 from repro.cp import (
-    AllDifferentExcept,
+    AllDifferent,
     CountInValuesAtMost,
     ElementSum,
     ENGINES,
@@ -80,7 +81,7 @@ class TestCatalogPropagators:
                 model.int_var(f"x{i}", domain)
                 for i, domain in enumerate(domains)
             ]
-            return variables, AllDifferentExcept(variables, exceptions)
+            return variables, AllDifferent(variables, exceptions)
 
         def ok(solution):
             hard = [v for v in solution if v not in exceptions]
@@ -132,20 +133,42 @@ class TestCatalogPropagators:
 
         assert solve_all(build, engine) == brute_force(domains, lambda s: True)
 
-    def test_all_different_except_without_exceptions_is_all_different(
-        self, engine
+    @pytest.mark.parametrize(
+        "members, collocation, compiled",
+        [
+            (2, (), NotEqual),
+            (2, ("node-2",), AllDifferent),
+            (3, (), AllDifferent),
+            (3, ("node-2",), AllDifferent),
+        ],
+    )
+    def test_spread_compiles_to_one_pairwise_different_propagator(
+        self, engine, members, collocation, compiled
     ):
-        domains = [(0, 1, 2), (0, 1), (1, 2)]
+        # Two members compile to NotEqual; more members, or any collocation
+        # node, to the one AllDifferent, whose exceptions are the collocation
+        # nodes.  Either way the solutions are the Spread's.
+        domains = [(0, 1, 2), (0, 1), (1, 2)][:members]
+        node_index = {f"node-{i}": i for i in range(3)}
+        spread = Spread([f"x{i}" for i in range(members)], collocation)
+        excepted = {node_index[name] for name in collocation}
+        emitted = []
 
         def build(model):
-            variables = [
-                model.int_var(f"x{i}", domain)
+            variables = {
+                f"x{i}": model.int_var(f"x{i}", domain)
                 for i, domain in enumerate(domains)
-            ]
-            return variables, AllDifferentExcept(variables, ())
+            }
+            (constraint,) = spread.cp_constraints(variables, node_index)
+            emitted.append(type(constraint))
+            return list(variables.values()), constraint
 
-        expected = brute_force(domains, lambda s: len(set(s)) == len(s))
-        assert solve_all(build, engine) == expected
+        def ok(solution):
+            hard = [v for v in solution if v not in excepted]
+            return len(hard) == len(set(hard))
+
+        assert solve_all(build, engine) == brute_force(domains, ok)
+        assert emitted == [compiled]
 
     def test_is_satisfied_mirrors_propagation(self, engine):
         # every accepted solution must also pass the instantiated check

@@ -4,7 +4,6 @@ import pytest
 
 from repro.cp import (
     AllDifferent,
-    AllDifferentExcept,
     CostTable,
     CountInValuesAtMost,
     ElementSum,
@@ -169,28 +168,28 @@ class TestNotEqual:
         assert not NotEqual(IntVar("a", [1]), IntVar("b", [1])).is_satisfied()
 
 
-class TestAllDifferentExcept:
+class TestAllDifferentWithExceptions:
     def test_an_excepted_value_is_shared_freely(self, store):
         x = IntVar("x", [0])
         y = IntVar("y", [0, 1])
-        AllDifferentExcept([x, y], {0}).propagate(store)
+        AllDifferent([x, y], {0}).propagate(store)
         assert sorted(y.values()) == [0, 1]
 
     def test_other_values_are_pruned(self, store):
         x = IntVar("x", [1])
         y = IntVar("y", [0, 1])
-        AllDifferentExcept([x, y], {0}).propagate(store)
+        AllDifferent([x, y], {0}).propagate(store)
         assert y.values() == (0,)
 
     def test_a_clash_outside_the_exceptions_raises(self, store):
         x, y = IntVar("x", [1]), IntVar("y", [1])
         with pytest.raises(InconsistencyError):
-            AllDifferentExcept([x, y], {0}).propagate(store)
+            AllDifferent([x, y], {0}).propagate(store)
 
     def test_is_satisfied(self):
         shared = [IntVar("x", [0]), IntVar("y", [0]), IntVar("z", [1])]
-        assert AllDifferentExcept(shared, {0}).is_satisfied()
-        assert not AllDifferentExcept(shared, set()).is_satisfied()
+        assert AllDifferent(shared, {0}).is_satisfied()
+        assert not AllDifferent(shared, set()).is_satisfied()
 
 
 class TestCountInValuesAtMost:

@@ -126,8 +126,6 @@ class TestValidation:
         with pytest.raises(InstanceFormatError) as excinfo:
             load_instance(path)
         assert excinfo.value.code == "fingerprint-mismatch"
-        # the escape hatch still loads it
-        assert load_instance(path, verify_fingerprint=False).seed == 999
 
     def test_unknown_vm_in_initial_state(self):
         with pytest.raises(InstanceFormatError):

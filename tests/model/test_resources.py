@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.model.resources import ResourceVector, ZERO
+from repro.model.resources import ResourceVector
 
 
 class TestArithmetic:
@@ -28,7 +28,7 @@ class TestArithmetic:
         assert ResourceVector.total(vectors) == ResourceVector(3, 350)
 
     def test_total_of_empty_iterable_is_zero(self):
-        assert ResourceVector.total([]) == ZERO
+        assert ResourceVector.total([]) == ResourceVector(0, 0)
 
 
 class TestComparisons:
@@ -57,4 +57,4 @@ class TestHelpers:
             vector.cpu = 5  # type: ignore[misc]
 
     def test_defaults_are_zero(self):
-        assert ResourceVector() == ZERO
+        assert ResourceVector() == ResourceVector(0, 0)

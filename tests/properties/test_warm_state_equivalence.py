@@ -32,6 +32,7 @@ from repro.model.configuration import Configuration
 from repro.model.errors import PlanningError
 from repro.model.node import Node
 from repro.model.vm import VirtualMachine, VMState
+from repro.obs import Tracer
 from repro.repair import RepairOptimizer
 from repro.scale import ParallelOptimizer
 
@@ -299,11 +300,12 @@ def _rebuilt(configuration):
 
 def _recorded(kind):
     """An engine whose dirty regions, completed states and journal answers
-    are recorded, round by round."""
+    are recorded, round by round: the journal answer is the ``source`` of
+    the round's ``dirty-set`` span (``"journal"`` or ``"scan"``; ``None``
+    for a cold round, which has no such span)."""
     engine = _engine(kind)
     seen: dict[str, list] = {"dirty": [], "completed": [], "journal": []}
-    region, solve = engine._dirty_region, engine.inner.optimize
-    written_since_last = engine.domains.written_since_last
+    region, solve, whole = engine._dirty_region, engine.inner.optimize, engine.optimize
 
     def dirty_region(*args, **kwargs):
         dirty = region(*args, **kwargs)
@@ -315,14 +317,26 @@ def _recorded(kind):
         seen["completed"].append((list(states.items()), list(changed)))
         return solve(*args, completed=completed, **kwargs)
 
-    def journal(*args):
-        written = written_since_last(*args)
-        seen["journal"].append(written)
-        return written
+    def traced(*args, **kwargs):
+        tracer = Tracer()
+        try:
+            with tracer.activate():
+                return whole(*args, **kwargs)
+        finally:
+            seen["journal"].append(
+                next(
+                    (
+                        node.attributes["source"]
+                        for node in tracer.root.walk()
+                        if node.name == "dirty-set"
+                    ),
+                    None,
+                )
+            )
 
     engine._dirty_region = dirty_region
     engine.inner.optimize = optimize
-    engine.domains.written_since_last = journal
+    engine.optimize = traced
     return engine, seen
 
 
@@ -356,13 +370,13 @@ def test_the_journal_path_plans_what_the_scan_path_plans(kind, data):
         assert _digest(ours) == _digest(theirs)
         assert on_journal["dirty"] == on_scan["dirty"]
         assert on_journal["completed"] == on_scan["completed"]
-        assert on_scan["journal"][-1] is None
+        assert on_scan["journal"][-1] != "journal"
         if index and event not in ("crash", "swap") and not isinstance(
             previous_outcome, Exception
         ):
             # Same catalog, same nodes, a configuration descended from the
             # last round's input: the journal answers.
-            assert journaled_answer is not None
+            assert journaled_answer == "journal"
         previous_outcome = ours
         if isinstance(ours, Exception):
             continue

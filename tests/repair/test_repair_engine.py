@@ -607,6 +607,38 @@ class TestRetention:
         assert result.repair["mode"] == "repair"
         assert len(partitions) == 1  # the fresh engine's, not the kept one's
 
+    @pytest.mark.parametrize(
+        "between, source",
+        [("nothing", "journal"), ("forget", "scan"), ("catalog swap", "scan")],
+    )
+    def test_forget_and_a_new_generation_make_the_next_round_read_the_fleet(
+        self, between, source
+    ):
+        # The engine keeps the change-journal mark beside the domains
+        # generation it was taken under: forget() drops it, and a new
+        # generation (the same fences as new objects) does not answer.
+        engine, current, states, fences = self._warm()
+        if between == "forget":
+            previous = dict(engine.previous_assignment)
+            engine.forget()
+            # Hand the assignment back so the round is warm.
+            engine._previous = previous
+        elif between == "catalog swap":
+            fences = [Fence(fence.vms, fence.nodes) for fence in fences]
+        current.set_waiting("vm1-1")
+        tracer = Tracer()
+        with tracer.activate():
+            result = self._assert_same_as_fresh(
+                engine, current, states, fences, marks=["vm1-1"]
+            )
+        assert result.repair["mode"] == "repair"
+        # The long-lived engine's round, then the fresh engine's.
+        assert [
+            node.attributes["source"]
+            for node in tracer.root.walk()
+            if node.name == "dirty-set"
+        ] == [source, "scan"]
+
     def test_a_crashed_node_recomputes(self, partitions):
         engine, current, states, fences = self._warm()
         victims = list(current.vms_on("n2"))

@@ -306,7 +306,7 @@ def test_the_request_span_buffer_keeps_the_newest():
     daemon = _idle_daemon()
     capacity = daemon_module.REQUEST_TRACE_CAPACITY
     for index in range(capacity + 3):
-        daemon.record_request_span({"name": "request", "index": index})
+        daemon.request_spans.append({"name": "request", "index": index})
     spans = daemon.handle_get("/trace", {})[1]["requests"]
     assert [span["index"] for span in spans] == list(range(3, capacity + 3))
     # a limit above what is kept returns what is kept
@@ -317,7 +317,7 @@ def test_the_request_span_buffer_keeps_the_newest():
 def test_trace_limit_zero_returns_no_request_spans():
     daemon = _idle_daemon()
     for index in range(3):
-        daemon.record_request_span({"name": "request", "index": index})
+        daemon.request_spans.append({"name": "request", "index": index})
     assert daemon.handle_get("/trace", {"limit": ["0"]})[1]["requests"] == []
     assert daemon.handle_get("/telemetry", {"limit": ["0"]})[1]["samples"] == []
     spans = daemon.handle_get("/trace", {"limit": ["2"]})[1]["requests"]

@@ -57,7 +57,7 @@ class TestFigure3bAnd3c:
         model = DEFAULT_HYPERVISOR
         local = model.suspend_duration(1024, local=True)
         remote = model.suspend_duration(1024, local=False)
-        assert remote == pytest.approx(local * config.SUSPEND_REMOTE_FACTOR_SCP)
+        assert remote == pytest.approx(local * config.REMOTE_IMAGE_FACTOR_SCP)
 
     def test_remote_resume_is_about_twice_the_local_one(self):
         model = DEFAULT_HYPERVISOR

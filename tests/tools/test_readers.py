@@ -1,8 +1,9 @@
 """``tools/readers.py``: the readers ledger, on a toy repository, and the
 committed ledger against ``src/repro``.
 
-The tool lists, per module, the attributes and keys that ``src/`` writes and
-nothing outside ``tests/`` reads, matched by name.  The committed ledger must
+The tool lists, per module, the attributes, keys and module constants that
+``src/`` writes and nothing outside ``tests/`` reads, matched by name (a
+constant's own module is no reader).  The committed ledger must
 name only modules and writes that still exist (line numbers are not
 compared: an unrelated edit does not stale it, a cut does).
 """
@@ -55,13 +56,27 @@ TOY = textwrap.dedent(
 
     def record(result):
         result.metadata["noted"] = True
+
+
+    LIMIT = 3
+    SHARED: int = 4
+    TESTED = 5
+    _PRIVATE = 6
+    lower = 7
+
+
+    def capped(n):
+        return min(n, LIMIT, _PRIVATE, lower)
     '''
 )
 
 USE = textwrap.dedent(
     """\
+    from toy.mod import SHARED
+
+
     def use(box, document):
-        return box.seen + document["read_key"] + getattr(box, "closure")
+        return box.seen + document["read_key"] + getattr(box, "closure") + SHARED
     """
 )
 
@@ -78,8 +93,8 @@ GUIDE = textwrap.dedent(
 
 TEST = textwrap.dedent(
     """\
-    def test_box(box):
-        assert box.dropped == 0 and box.slot == 1
+    def test_box(box, mod):
+        assert box.dropped == 0 and box.slot == 1 and mod.TESTED == 5
     """
 )
 
@@ -106,7 +121,7 @@ def test_the_ledger_lists_what_nothing_outside_tests_reads(tmp_path):
         path.write_text(text)
     outside, inside = readers.count_reads(tmp_path)
     ledger, total = readers.unread(tmp_path / "src" / "toy", outside, inside)
-    assert total == 9
+    assert total == 12
     assert ledger == {
         "toy/__init__.py": [],
         "toy/mod.py": [
@@ -114,14 +129,17 @@ def test_the_ledger_lists_what_nothing_outside_tests_reads(tmp_path):
             (10, "Box.counter", 0),
             (27, "Slots.slot", 1),
             (31, 'to_dict["lost_key"]', 0),
+            # read in its own module only
+            (38, "LIMIT", 0),
+            (40, "TESTED", 1),
         ],
     }
     text = readers.render(ledger, total, ["toy ledger"])
     assert text.splitlines()[:2] == [
         "# toy ledger",
-        "# 4 unread of 9 attributes and keys written, in 1 of 2 modules.",
+        "# 6 unread of 12 attributes, keys and constants written, in 1 of 2 modules.",
     ]
-    assert "toy/mod.py  (4 unread)" in text
+    assert "toy/mod.py  (6 unread)" in text
     assert '     31     0  to_dict["lost_key"]' in text
 
 
@@ -142,14 +160,16 @@ def test_docstrings_slots_all_and_write_backs_are_not_reads():
                 def bump(self):
                     """counter"""
                     self.counter += 1
-                    return "kept"
+                    counter = LIMIT
+                    return "kept", counter
             '''
         )
     )
     counts = readers.reads(tree)
+    # a bare lower-case name is a local, not a read of the attribute
     for name in ("module", "exported", "docstring", "slot", "counter"):
         assert not counts[name], name
-    assert counts["kept"] == counts['"kept"'] == 1
+    assert counts["kept"] == counts['"kept"'] == counts["LIMIT"] == 1
     assert [w.label for w in readers.writes(tree)] == ["Box.counter"]
 
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env python
-"""The readers ledger: which attributes written in ``src/repro`` nothing
-outside ``tests/`` reads.
+"""The readers ledger: which attributes and constants written in
+``src/repro`` nothing outside ``tests/`` reads.
 
 ``tools/reach.py`` lists the functions no entry point runs.  It cannot see
 state that a running function writes and nobody reads: the writer runs.  This
@@ -14,15 +14,19 @@ Writes, in ``src/repro``:
   ``Class.x``;
 * ``….metadata["k"] = …``: the key ``function["k"]``;
 * the string keys of a dict literal, and ``…["k"] = …`` stores, inside a
-  function named ``to_dict`` or ``*_to_dict``: the key ``function["k"]``.
+  function named ``to_dict`` or ``*_to_dict``: the key ``function["k"]``;
+* a public upper-case name assigned at module level (``X = …``): the
+  constant ``X``.
 
 Reads, matched by name in ``src/``, ``benchmarks/``, ``tools/``,
 ``examples/`` and the doctests of ``docs/*.md``, and separately in
 ``tests/``: for an attribute ``x``, every ``.x`` load and every string
 constant ``"x"`` (``getattr``); for a key ``"k"``, every string constant
-``"k"`` that is not itself a write.  An augmented assignment reads only to
-write back, so ``v.x += 1`` is a write.  The names of ``__slots__`` and
-``__all__`` and docstrings are not reads.
+``"k"`` that is not itself a write; for a constant ``X``, the same as for
+an attribute plus every load of the bare name ``X``, outside the module
+that defines it (a module reading its own constant is not a reader).  An
+augmented assignment reads only to write back, so ``v.x += 1`` is a write.
+The names of ``__slots__`` and ``__all__`` and docstrings are not reads.
 
 The match is by name, so it is conservative: a name read anywhere keeps every
 attribute of that name.  What it cannot see is reflection that reads every
@@ -52,12 +56,22 @@ READER_DIRS = ("src", "benchmarks", "tools", "examples")
 
 
 class Write(NamedTuple):
-    """One attribute or key written in a module: its first line, the name a
-    reader must use (``x`` or ``"k"``), and how the ledger shows it."""
+    """One attribute, key or constant written in a module: its first line,
+    the name a reader must use (``x``, ``"k"`` or ``X``), and how the ledger
+    shows it (a constant by its name alone)."""
 
     line: int
     name: str
     label: str
+
+    @property
+    def constant(self) -> bool:
+        """A module-level constant, read only from other modules."""
+        return self.label == self.name
+
+
+def _is_constant(name: str) -> bool:
+    return name.isupper() and not name.startswith("_")
 
 
 def _is_to_dict(name: str) -> bool:
@@ -130,6 +144,13 @@ def _scan(tree: ast.AST) -> Iterator[tuple[int, str, str, ast.AST | None]]:
                 continue
             in_to_dict = function is not None and _is_to_dict(function)
             for target in _targets(child):
+                if (
+                    owner is None
+                    and function is None
+                    and isinstance(target, ast.Name)
+                    and _is_constant(target.id)
+                ):
+                    yield child.lineno, target.id, target.id, None
                 attr = _self_attribute(target, self_name) if self_name else None
                 if attr is not None:
                     yield child.lineno, attr, f"{owner}.{attr}", None
@@ -161,12 +182,19 @@ def writes(tree: ast.Module) -> list[Write]:
 
 def reads(tree: ast.AST) -> Counter[str]:
     """Load sites by name: ``x`` for a ``.x`` load or a string constant
-    ``"x"``, and ``"k"`` for a string constant ``"k"``."""
+    ``"x"``, ``"k"`` for a string constant ``"k"``, and ``X`` for a load of
+    an upper-case bare name ``X``."""
     ignored = _ignored_strings(tree) | {id(key) for *_, key in _scan(tree) if key}
     counts: Counter[str] = Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
             counts[node.attr] += 1
+        elif (
+            isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)
+            and _is_constant(node.id)
+        ):
+            counts[node.id] += 1
         elif (key := _constant_key(node)) is not None and id(node) not in ignored:
             counts[key] += 1
             counts[f'"{key}"'] += 1
@@ -206,15 +234,20 @@ def unread(
     root: Path, outside: Counter[str], inside: Counter[str]
 ) -> tuple[dict[str, list[tuple[int, str, int]]], int]:
     """Per module under ``root`` (path relative to its parent), the writes
-    no load site outside ``tests/`` reads: ``(line, label, test loads)``;
-    and how many writes there are in all."""
+    no load site outside ``tests/`` reads — a constant's own module
+    excluded: ``(line, label, test loads)``; and how many writes there are
+    in all."""
     ledger: dict[str, list[tuple[int, str, int]]] = {}
     total = 0
     for path in sorted(root.rglob("*.py")):
-        found = writes(ast.parse(path.read_text(), str(path)))
+        tree = ast.parse(path.read_text(), str(path))
+        found = writes(tree)
+        own = reads(tree)
         total += len(found)
         ledger[str(path.relative_to(root.parent))] = [
-            (w.line, w.label, inside[w.name]) for w in found if not outside[w.name]
+            (w.line, w.label, inside[w.name])
+            for w in found
+            if outside[w.name] <= (own[w.name] if w.constant else 0)
         ]
     return ledger, total
 
@@ -227,7 +260,7 @@ def render(
     count = sum(len(rows) for rows in ledger.values())
     out = [f"# {line}" if line else "#" for line in header]
     out += [
-        f"# {count} unread of {total} attributes and keys written, in "
+        f"# {count} unread of {total} attributes, keys and constants written, in "
         f"{sum(1 for rows in ledger.values() if rows)} of {len(ledger)} modules.",
         "",
     ]
@@ -247,10 +280,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     outside, inside = count_reads(REPO)
     ledger, total = unread(SRC / "repro", outside, inside)
     header = [
-        "Attributes and keys written in src/repro that nothing outside tests/ reads:",
+        "Attributes, keys and constants written in src/repro that nothing outside tests/ reads:",
         "written by tools/readers.py.",
-        "Columns: line of the first write, load sites in tests/, owner.name or owner[\"key\"].",
-        "Read by name in src/, benchmarks/, tools/, examples/ and the docs/*.md doctests.",
+        "Columns: line of the first write, load sites in tests/, owner.name, owner[\"key\"] or CONSTANT.",
+        "Read by name in src/, benchmarks/, tools/, examples/ and the docs/*.md doctests;",
+        "a constant's own module does not count.",
     ]
     args.out.write_text(render(ledger, total, header) + "\n")
     print(f"readers: {sum(map(len, ledger.values()))} unread; wrote {args.out}")
