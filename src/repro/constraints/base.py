@@ -8,7 +8,9 @@ constraint system:
    :mod:`repro.core.optimizer`: unary relations shrink the domains of the
    assignment variables (:meth:`PlacementConstraint.allowed_nodes`), n-ary
    relations inject dedicated propagators
-   (:meth:`PlacementConstraint.cp_constraints`);
+   (:meth:`PlacementConstraint.cp_constraints`); a repair solve, whose
+   model holds only the VMs it re-places, compiles
+   :meth:`PlacementConstraint.residual` instead;
 2. a **checker** — the constraint validates a concrete
    :class:`~repro.model.configuration.Configuration`
    (:meth:`PlacementConstraint.is_satisfied_by`, with a human-readable
@@ -26,7 +28,7 @@ given the placement built so far?" — see :mod:`repro.constraints.filtering`.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Optional, Sequence, Set
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cp.constraints import Constraint as CPConstraint
@@ -44,7 +46,7 @@ class PlacementConstraint:
 
     #: VMs the relation is scoped to; empty for node-scoped constraints
     #: (``RunningCapacity`` watches every running VM).
-    vms: Tuple[str, ...] = ()
+    vms: tuple[str, ...] = ()
 
     #: Relational constraints couple the placement of several VMs (or of
     #: every VM against a node set) and therefore anchor all the involved
@@ -83,7 +85,7 @@ class PlacementConstraint:
         self,
         variables: Mapping[str, "IntVar"],
         node_index: Mapping[str, int],
-    ) -> List["CPConstraint"]:
+    ) -> list["CPConstraint"]:
         """Solver constraints over the assignment variables of the running
         VMs (empty when the relation is purely unary).
 
@@ -92,6 +94,19 @@ class PlacementConstraint:
         them.
         """
         return []
+
+    def residual(
+        self, current: "Configuration", moving: AbstractSet[str]
+    ) -> Optional["PlacementConstraint"]:
+        """What the relation asks of the VMs a repair solve places when every
+        running VM of ``current`` not in ``moving`` keeps its host, or
+        ``None`` when those stayers alone already break it.
+
+        The solve compiles the residual over the placed VMs only.  The
+        default, the relation itself, is right for a unary relation and for
+        a group the repair engine frees whole or not at all; a relation
+        whose compile reads VMs it does not list must override it."""
+        return self
 
     # -- checker face ----------------------------------------------------------
 
@@ -142,7 +157,7 @@ class PlacementConstraint:
         """Stable display identifier used in violation records and metrics."""
         return repr(self)
 
-    def _running_locations(self, configuration: "Configuration") -> List[str]:
+    def _running_locations(self, configuration: "Configuration") -> list[str]:
         """Hosts of the group's running VMs (VMs absent from the
         configuration or not running are skipped)."""
         return configuration.hosts_of(self.vms)
@@ -177,7 +192,7 @@ class NodeSetConstraint(PlacementConstraint):
                 f"{type(self).__name__} requires at least one node"
             )
 
-    def _sorted_nodes(self) -> List[str]:
+    def _sorted_nodes(self) -> list[str]:
         return sorted(self.nodes)
 
     def __repr__(self) -> str:

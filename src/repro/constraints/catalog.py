@@ -18,7 +18,7 @@ candidate filter the heuristic packers probe with.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Iterable, List, Mapping, Optional, Sequence, Set
+from typing import TYPE_CHECKING, AbstractSet, Any, Iterable, Mapping, Optional, Sequence
 
 from .base import NodeSetConstraint, PlacementConstraint, VMGroupConstraint
 
@@ -60,7 +60,7 @@ class Spread(VMGroupConstraint):
         self,
         variables: Mapping[str, "IntVar"],
         node_index: Mapping[str, int],
-    ) -> List[CPConstraint]:
+    ) -> list[CPConstraint]:
         # VMs that are not being placed have no variable.
         involved = [variables[vm] for vm in self.vms if vm in variables]
         if len(involved) < 2:
@@ -77,20 +77,28 @@ class Spread(VMGroupConstraint):
             return [cp.NotEqual(involved[0], involved[1])]
         return [cp.AllDifferent(involved)]
 
-    def is_satisfied_by(self, configuration: "Configuration") -> bool:
-        locations = [
+    def _exposed(self, configuration: "Configuration", vms: Iterable[str]) -> list[str]:
+        """Hosts of the running VMs among ``vms`` where collocation counts."""
+        return [
             node
-            for node in self._running_locations(configuration)
+            for node in configuration.hosts_of(vms)
             if node not in self.collocation_nodes
         ]
+
+    def residual(
+        self, current: "Configuration", moving: AbstractSet[str]
+    ) -> Optional[PlacementConstraint]:
+        # The group is moved whole or not at all: it asks nothing new of the
+        # moved members, and the staying ones must already be spread.
+        locations = self._exposed(current, (vm for vm in self.vms if vm not in moving))
+        return self if len(locations) == len(set(locations)) else None
+
+    def is_satisfied_by(self, configuration: "Configuration") -> bool:
+        locations = self._exposed(configuration, self.vms)
         return len(locations) == len(set(locations))
 
     def explain(self, configuration: "Configuration") -> Optional[str]:
-        locations = [
-            node
-            for node in self._running_locations(configuration)
-            if node not in self.collocation_nodes
-        ]
+        locations = self._exposed(configuration, self.vms)
         shared = sorted({n for n in locations if locations.count(n) > 1})
         if not shared:
             return None
@@ -128,7 +136,7 @@ class Ban(VMGroupConstraint):
         vm_name: str,
         node_names: Sequence[str],
         configuration: Optional["Configuration"] = None,
-    ) -> Optional[Set[str]]:
+    ) -> Optional[set[str]]:
         if vm_name not in self.vm_set:
             return None
         return {n for n in node_names if n not in self.nodes}
@@ -179,7 +187,7 @@ class Fence(VMGroupConstraint):
         vm_name: str,
         node_names: Sequence[str],
         configuration: Optional["Configuration"] = None,
-    ) -> Optional[Set[str]]:
+    ) -> Optional[set[str]]:
         if vm_name not in self.vm_set:
             return None
         return {n for n in node_names if n in self.nodes}
@@ -229,7 +237,7 @@ class RunningCapacity(NodeSetConstraint):
         self,
         variables: Mapping[str, "IntVar"],
         node_index: Mapping[str, int],
-    ) -> List[CPConstraint]:
+    ) -> list[CPConstraint]:
         everyone = list(variables.values())
         watched = {node_index[n] for n in self.nodes if n in node_index}
         if not everyone or not watched:
@@ -237,16 +245,24 @@ class RunningCapacity(NodeSetConstraint):
         return [_cp().CountInValuesAtMost(everyone, watched, self.maximum)]
 
     def _running_count(
-        self, configuration: "Configuration", ignoring: Optional[str] = None
+        self, configuration: "Configuration", ignoring: AbstractSet[str] = frozenset()
     ) -> int:
-        """Running VMs hosted on the watched set (``ignoring`` skips one
-        VM's own contribution — a re-placement probe must not count the
-        very VM being moved)."""
+        """Running VMs hosted on the watched set, read from the watched
+        nodes' residents (``ignoring`` skips the VMs being moved)."""
         return sum(
-            1
-            for vm, node in configuration.iter_placement()
-            if node in self.nodes and vm != ignoring
+            vm not in ignoring
+            for node in self.nodes
+            if configuration.has_node(node)
+            for vm in configuration.vms_on(node)
         )
+
+    def residual(
+        self, current: "Configuration", moving: AbstractSet[str]
+    ) -> Optional[PlacementConstraint]:
+        # The compile counts every placed VM: the stayers take their seats
+        # out of the bound.
+        room = self.maximum - self._running_count(current, ignoring=moving)
+        return None if room < 0 else RunningCapacity(self.nodes, room)
 
     def is_satisfied_by(self, configuration: "Configuration") -> bool:
         return self._running_count(configuration) <= self.maximum
@@ -268,7 +284,7 @@ class RunningCapacity(NodeSetConstraint):
     ) -> bool:
         if node_name not in self.nodes:
             return True
-        return self._running_count(trial, ignoring=vm_name) < self.maximum
+        return self._running_count(trial, ignoring={vm_name}) < self.maximum
 
     def __repr__(self) -> str:
         return (

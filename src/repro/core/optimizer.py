@@ -24,7 +24,12 @@ Frozen VMs.  The repair engine (:mod:`repro.repair`) may hand a solve its
 dirty region, the VMs it re-decides: every other VM that runs and must keep
 running keeps the host it runs on.  It owns the precondition of those frozen
 VMs — running, on a node of the configuration, inside the unary domain, not
-leaving — and nothing here checks it again.
+leaving, and a relational group frozen whole or not at all — and nothing
+here checks it again.  A frozen VM is never a variable: the solve is a
+*cut* (:func:`extract`), the dirty VMs over nodes offering what the frozen
+ones leave, under what the catalog asks of the dirty VMs once the frozen
+ones stay (:func:`residual_catalog`) — the same cut a partitioned solve
+makes of each of its zones.
 
 Incumbent first.  "Assign each running VM to its initial location in
 priority" is also a placement one can compute without a solver, and most
@@ -49,6 +54,7 @@ from ..constraints import PlacementConstraint
 from ..constraints.domains import RetainedDomains
 from ..model.configuration import Configuration
 from ..model.errors import PlanningError, SolverError
+from ..model.node import Node
 from ..model.vm import VMState
 from ..obs import span as obs_span
 from ..cp import (
@@ -119,6 +125,68 @@ def complete_states(
     for name in changed:
         states[name] = target_states[name]
     return states, changed
+
+
+def extract(
+    current: Configuration,
+    node_names: Sequence[str],
+    vms: Sequence[str],
+    released: Optional[Mapping[str, Sequence[int]]] = None,
+) -> Configuration:
+    """The sub-configuration of ``current`` a solve searches: the nodes
+    ``node_names`` and the VMs ``vms``, in those orders, each VM keeping its
+    current state when the node it runs on (or holding its image) is one of
+    the nodes and degraded to *waiting* otherwise — its movement cost is
+    then the same on every node, so the arg-min placement is unaffected.
+
+    Without ``released`` the nodes keep their capacity.  With it the
+    extraction is a *cut*: ``vms`` are the VMs to re-place and every other
+    VM that runs keeps its host, so a node offers what those leave — its
+    live free capacity plus ``released``, the (cpus, MB) the running VMs
+    that do not keep their host hold on it."""
+    if released is None:
+        nodes = [current.node(name) for name in node_names]
+    else:
+        nodes = []
+        for name in node_names:
+            free = current.free_capacity(name)
+            cpu, memory = released.get(name, (0, 0))
+            role = current.node(name).role
+            nodes.append(Node(name, free.cpu + cpu, free.memory + memory, role))
+    sub = Configuration(nodes=nodes)
+    inside = set(node_names)
+    for vm_name in vms:
+        sub.add_vm(current.vm(vm_name))
+        state = current.state_of(vm_name)
+        if state is VMState.RUNNING:
+            host = current.location_of(vm_name)
+            if host in inside:
+                sub.set_running(vm_name, host)
+        elif state is VMState.SLEEPING:
+            image = current.image_location_of(vm_name)
+            if image in inside:
+                sub.set_sleeping(vm_name, image)
+    return sub
+
+
+def residual_catalog(
+    constraints: Sequence[PlacementConstraint],
+    current: Configuration,
+    moving: AbstractSet[str],
+) -> Optional[list[PlacementConstraint]]:
+    """What ``constraints`` ask of the VMs a cut re-places when every
+    running VM not in ``moving`` keeps its host
+    (:meth:`~repro.constraints.base.PlacementConstraint.residual`), or
+    ``None`` when those stayers alone break one of them.  Only a cut reads
+    it, so no residual reaches a memory keyed on constraint identity (the
+    domains, the partitioner, a kept decomposition)."""
+    catalog = []
+    for constraint in constraints:
+        residual = constraint.residual(current, moving)
+        if residual is None:
+            return None
+        catalog.append(residual)
+    return catalog
 
 
 def apply_state(
@@ -248,8 +316,9 @@ class ContextSwitchOptimizer:
             The VMs to run that this solve re-decides (the repair engine's
             dirty region); every other VM that runs and must keep running
             keeps its host — it is *frozen*, a precondition
-            :mod:`repro.repair` owns — so the search only branches over the
-            dirty ones.  ``None`` re-decides every VM.
+            :mod:`repro.repair` owns — so only the dirty ones are searched,
+            as a one-zone cut (:meth:`_search_cut`).  ``None`` re-decides
+            every VM.
         deadline:
             The round's deadline, a :func:`time.monotonic` instant; ``None``
             means the constructor's ``timeout`` from now.  The engines that
@@ -270,14 +339,19 @@ class ContextSwitchOptimizer:
         if completed is None:
             completed = self._complete_states(current, target_states)
         states, changed = completed
-        assignment, statistics, improving = self.search_assignment(
-            current,
-            target_states,
-            constraints,
-            dirty=dirty,
-            deadline=deadline,
-            completed=completed,
-        )
+        if dirty is None:
+            found = self.search_assignment(
+                current,
+                target_states,
+                constraints,
+                deadline=deadline,
+                completed=completed,
+            )
+        else:
+            found = self._search_cut(
+                current, states, changed, constraints, dirty, deadline
+            )
+        assignment, statistics, improving = found
         if assignment is None:
             raise PlanningError("the optimizer found no viable assignment")
         return self._finish(
@@ -339,54 +413,36 @@ class ContextSwitchOptimizer:
             improving_costs=improving,
         )
 
-    def search_assignment(
+    def _search_cut(
         self,
         current: Configuration,
-        target_states: Mapping[str, VMState],
-        constraints: Sequence["PlacementConstraint"] = (),
-        dirty: Optional[AbstractSet[str]] = None,
-        deadline: Optional[float] = None,
-        completed: Optional[CompletedStates] = None,
+        states: Mapping[str, VMState],
+        changed: Sequence[str],
+        constraints: Sequence["PlacementConstraint"],
+        dirty: AbstractSet[str],
+        deadline: float,
     ) -> tuple[Optional[dict[str, str]], SearchStatistics, list[int]]:
-        """Run only the CP search and return a VM -> node *name* assignment.
-
-        This is the solver core without the planning step — the entry point
-        the partitioned optimizer (:mod:`repro.scale.parallel`) calls inside
-        worker processes, where each zone's assignment is merged into one
-        global target before a single planner pass.  Returns ``(None,
-        statistics, improving)`` when no viable assignment was found.
-        ``dirty`` is what the search re-decides, ``deadline`` when it must
-        stop and ``completed`` the completed states, as in :meth:`optimize`
-        (the search reads the states only).
-        """
-        if completed is None:
-            completed = self._complete_states(current, target_states)
-        states = completed[0]
+        """:meth:`search_assignment` of the dirty VMs alone, cut as a zone
+        is (:func:`~repro.scale.parallel.solve_zone`): the VMs of ``dirty``
+        that must run, over every node, each offering what the frozen VMs
+        leave, under the residual catalog; ``None`` when the frozen VMs
+        alone break a relation.  A fresh optimizer searches it: the cut's
+        capacities would change this one's domains key, and with it
+        everything kept under that key."""
         running = VMState.RUNNING
-        running_vms = [name for name, state in states.items() if state is running]
-        frozen: AbstractSet[str] = frozenset()
-        if dirty is not None:
-            placement = current.placement_view()
-            frozen = {
-                name
-                for name in running_vms
-                if name in placement and name not in dirty
-            }
-        assignment, statistics, improving = self._search(
-            current,
-            states,
-            running_vms,
-            constraints,
-            frozen,
-            time.monotonic() + self.timeout if deadline is None else deadline,
+        vms = current.in_registration_order(
+            [vm for vm in dirty if states.get(vm) is running]
         )
-        if assignment is None:
-            return None, statistics, improving
-        node_names = current.node_names
-        return (
-            {vm: node_names[index] for vm, index in assignment.items()},
-            statistics,
-            improving,
+        moving = {*dirty, *(vm for vm in changed if current.state_of(vm) is running)}
+        catalog = residual_catalog(constraints, current, moving)
+        if catalog is None:
+            return None, SearchStatistics(), []
+        cut = extract(current, current.node_names, vms, current.load_by_host(moving))
+        cut_states = dict.fromkeys(vms, running)
+        return ContextSwitchOptimizer(
+            engine=self.engine, first_solution_only=self.first_solution_only
+        ).search_assignment(
+            cut, cut_states, catalog, deadline=deadline, completed=(cut_states, ())
         )
 
     # ------------------------------------------------------------------ #
@@ -498,75 +554,57 @@ class ContextSwitchOptimizer:
             ).record_on(trace_span)
         return statistics
 
-    def _search(
+    def search_assignment(
         self,
         current: Configuration,
-        states: Mapping[str, VMState],
-        running_vms: list[str],
-        constraints: Sequence["PlacementConstraint"],
-        frozen: AbstractSet[str],
-        deadline: float,
-    ) -> tuple[Optional[dict[str, int]], SearchStatistics, list[int]]:
-        """Answer with the keep-in-place incumbent when it costs the lower
-        bound, run the CP search otherwise; returns (assignment or None,
-        statistics, improving objective values).  Building the model is
-        paid out of the time left until ``deadline`` and the solver gets
-        what remains — nothing once it has passed."""
-        node_names = current.node_names
+        target_states: Mapping[str, VMState],
+        constraints: Sequence["PlacementConstraint"] = (),
+        deadline: Optional[float] = None,
+        completed: Optional[CompletedStates] = None,
+    ) -> tuple[Optional[dict[str, str]], SearchStatistics, list[int]]:
+        """Run only the CP search and return a VM -> node *name* assignment
+        of every VM that must run: the keep-in-place incumbent when it costs
+        the lower bound, the search's best otherwise, ``None`` when no
+        viable assignment was found — with the statistics and the improving
+        objective values.
+
+        This is the solver core without the planning step — the entry point
+        the partitioned optimizer (:mod:`repro.scale.parallel`) calls inside
+        worker processes, where each zone's assignment is merged into one
+        global target before a single planner pass.  ``deadline`` and
+        ``completed`` are as in :meth:`optimize` (the search reads the
+        states only): building the model is paid out of the time left until
+        the deadline and the solver gets what remains — nothing once it has
+        passed.
+        """
+        if deadline is None:
+            deadline = time.monotonic() + self.timeout
+        if completed is None:
+            completed = self._complete_states(current, target_states)
+        running = VMState.RUNNING
+        running_vms = [
+            name for name, state in completed[0].items() if state is running
+        ]
         if not running_vms:
             # Nothing to place: the empty assignment is trivially optimal.
             return {}, SearchStatistics(proven_optimal=True), [0]
 
+        node_names = current.node_names
         node_index = {name: i for i, name in enumerate(node_names)}
-        # The model covers ``model_vms`` over ``capacities``; ``folded`` is
-        # the part of the assignment decided outside it.
-        model_vms = running_vms
         capacities = [current.node(name).capacity.as_tuple() for name in node_names]
-        folded: dict[str, int] = {}
         relational = any(constraint.relational for constraint in constraints)
-        if frozen and not relational:
-            # Repair fast path: the frozen VMs never enter the model — their
-            # demands stay in the capacities of their hosts and their (zero)
-            # movement costs are left out of the objective — so model
-            # building and search both scale with the dirty region, not the
-            # fleet.  A unary catalog (what a fenced zone's scoped catalog
-            # is) compiles to nothing but domains, which the frozen VMs sit
-            # inside by the caller's precondition.  Only a relational
-            # constraint (Spread, RunningCapacity) must see the
-            # frozen placements, so under one they stay in the model as
-            # fixed variables.
-            #
-            # What the frozen VMs leave of a node is its live free capacity
-            # plus what its unfrozen residents hold.
-            placement = current.placement()
-            free_capacity = [
-                list(current.free_capacity(name).as_tuple()) for name in node_names
-            ]
-            released = current.load_by_host(placement.keys() - frozen)
-            for host, (cpu, memory) in released.items():
-                free_capacity[node_index[host]][0] += cpu
-                free_capacity[node_index[host]][1] += memory
-            folded = {
-                vm: node_index[host] for vm, host in placement.items() if vm in frozen
-            }
-            capacities = [tuple(capacity) for capacity in free_capacity]
-            model_vms = [name for name in running_vms if name not in frozen]
-            if not model_vms:
-                # Everything is frozen: the previous placement *is* the
-                # solution.
-                return folded, SearchStatistics(proven_optimal=True), [0]
 
         # Unary placement constraints (Ban/Fence) shrink the domain of
         # the assignment variable before the search even starts.
         # ``vm_domains`` hands the members of one restriction one shared set,
         # so the node list of a restriction is built once and copied per
         # variable.
-        domains = self.domains.of(current, model_vms, constraints)
+        domains = self.domains.of(current, running_vms, constraints)
 
         # What the model is made of, gathered before any model exists: per
         # VM its demand, its Table 1 costs, the nodes it may take (one list
         # shared by the members of one restriction) and the home it may keep.
-        demands = [current.vm(name).demand.as_tuple() for name in model_vms]
+        demands = [current.vm(name).demand.as_tuple() for name in running_vms]
         tables: list[CostTable] = []
         homes: list[Optional[int]] = []
         candidates: list[list[int]] = []
@@ -574,19 +612,13 @@ class ContextSwitchOptimizer:
         #: Every node some variable of the model can take.
         reachable: set[int] = set()
         #: No placement costs less: every VM at the cheapest Table 1 cost its
-        #: domain offers (meaningless under fixed variables, and unused).
+        #: domain offers.
         bound = 0
-        for vm_name in model_vms:
+        for vm_name in running_vms:
             elsewhere, home, at_home = self._movement_costs(current, vm_name)
             tables.append(
                 CostTable(elsewhere, {} if home is None else {node_index[home]: at_home})
             )
-            if vm_name in frozen:
-                # Only under a relational catalog: folded otherwise.
-                candidates.append([node_index[home]])
-                homes.append(None)
-                reachable.add(node_index[home])
-                continue
             allowed = domains[vm_name]
             nodes = node_lists.get(id(allowed))
             if nodes is None:
@@ -630,23 +662,17 @@ class ContextSwitchOptimizer:
             else self._incumbent(demands, capacities.__getitem__, candidates, homes)
         )
 
-        def answer(hosts: Iterable[int]) -> dict[str, int]:
-            """The whole assignment: the folded VMs, then the model's."""
-            return {**folded, **dict(zip(model_vms, hosts))}
-
         if incumbent is not None:
             cost = sum(map(CostTable.cost, tables, incumbent))
             if cost == bound:
-                return answer(incumbent), self._answered_by_incumbent(bound), [cost]
+                answer = dict(zip(running_vms, map(node_names.__getitem__, incumbent)))
+                return answer, self._answered_by_incumbent(bound), [cost]
 
         model = Model()
         assignment_vars: list[IntVar] = []
         preferences: dict[str, int] = {}
         templates: dict[int, Domain] = {}
-        for vm_name, nodes, home in zip(model_vms, candidates, homes):
-            if vm_name in frozen:
-                assignment_vars.append(model.pinned_var(f"x({vm_name})", nodes[0]))
-                continue
+        for vm_name, nodes, home in zip(running_vms, candidates, homes):
             template = templates.get(id(nodes))
             if template is None:
                 template = templates[id(nodes)] = Domain(nodes)
@@ -658,7 +684,7 @@ class ContextSwitchOptimizer:
 
         # Relational placement constraints (Spread/RunningCapacity) become
         # solver constraints over the assignment variables.
-        variables_by_vm = dict(zip(model_vms, assignment_vars))
+        variables_by_vm = dict(zip(running_vms, assignment_vars))
         for constraint in constraints:
             for cp_constraint in constraint.cp_constraints(variables_by_vm, node_index):
                 model.add_constraint(cp_constraint)
@@ -687,7 +713,7 @@ class ContextSwitchOptimizer:
         # First-fail flavoured ordering: the most demanding VMs first
         # (Section 4.3, following Haralick & Elliott).
         order = sorted(
-            range(len(model_vms)),
+            range(len(running_vms)),
             key=lambda i: (demands[i][0], demands[i][1]),
             reverse=True,
         )
@@ -724,10 +750,11 @@ class ContextSwitchOptimizer:
         # before matching it) leaves the incumbent as the answer.
         hosts = incumbent
         if result.best is not None:
-            hosts = [result.best[f"x({vm_name})"] for vm_name in model_vms]
+            hosts = [result.best[f"x({vm_name})"] for vm_name in running_vms]
         if hosts is None:
             return None, result.statistics, improving
-        return answer(hosts), result.statistics, improving
+        answer = dict(zip(running_vms, map(node_names.__getitem__, hosts)))
+        return answer, result.statistics, improving
 
     # ------------------------------------------------------------------ #
     # target construction                                                 #

@@ -30,11 +30,7 @@ from .solver import (
     prefer_value,
     static_order,
 )
-from .variables import (
-    IntVar,
-    make_interval_var,
-    make_pinned_var,
-)
+from .variables import IntVar, make_interval_var
 
 __all__ = [
     "AllDifferent",
@@ -59,5 +55,4 @@ __all__ = [
     "static_order",
     "IntVar",
     "make_interval_var",
-    "make_pinned_var",
 ]

@@ -48,7 +48,7 @@ from ..model.errors import InconsistencyError, SolverError
 from ..obs import NULL_SPAN, Span
 from ..obs import span as obs_span
 from .constraints import Constraint
-from .variables import IntVar, make_interval_var, make_pinned_var
+from .variables import IntVar, make_interval_var
 
 VariableSelector = Callable[[Sequence[IntVar]], Optional[IntVar]]
 ValueSelector = Callable[[IntVar], Sequence[int]]
@@ -207,14 +207,6 @@ class Model:
         """A variable over a contiguous ``[lower, upper]`` domain with O(1)
         bound tightening — use for wide objective domains."""
         return self.add_variable(make_interval_var(name, lower, upper))
-
-    def pinned_var(self, name: str, value: int) -> IntVar:
-        """A frozen variable instantiated at ``value`` (unary domain).
-
-        The repair engine declares one per clean VM: global constraints see
-        the full placement while the search only branches over the dirty
-        region."""
-        return self.add_variable(make_pinned_var(name, value))
 
     def add_constraint(self, constraint: Constraint) -> Constraint:
         self._constraints.append(constraint)

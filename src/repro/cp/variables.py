@@ -71,13 +71,3 @@ def make_interval_var(name: str, lower: int, upper: int) -> IntVar:
         raise ValueError(f"{name}: empty interval [{lower}, {upper}]")
     return IntVar(name, IntervalDomain(lower, upper))
 
-
-def make_pinned_var(name: str, value: int) -> IntVar:
-    """Create a frozen (unary-domain) variable instantiated at ``value``.
-
-    The repair engine uses pinned variables for VMs outside the perturbed
-    region: they participate in packing/cost propagation like any other
-    variable but offer no branching choice, so the search space collapses to
-    the dirty region while global constraints still see the full placement.
-    """
-    return IntVar(name, (value,))

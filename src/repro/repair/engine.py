@@ -34,13 +34,16 @@ the fleet (:func:`dirty_region`, the one body both
 
 Everything else that runs and must keep running is *frozen*: it keeps the
 host it runs on.  The set is counted, never listed: the inner optimizer is
-handed the dirty region as ``dirty``, and folds the frozen VMs into their hosts' residual capacities — under a
-catalog too, as long as it holds no relational constraint — so the model it
-builds, and the round, cost what changed rather than the fleet.  The rules
-are the one owner of what a frozen VM is: it runs on a node of the
-configuration (rule 2), inside its retained unary domain (rule 3), is not
-leaving, and its host is not overloaded (rule 5); the layers below do not
-check it again.  A round makes one attempt on the dirty region; when that
+handed the dirty region as ``dirty`` and searches a cut of it — the dirty
+VMs over nodes offering what the frozen ones leave, under what each
+relation asks once the frozen VMs stay
+(:meth:`~repro.constraints.base.PlacementConstraint.residual`) — so the
+model it builds, and the round, cost what changed rather than the fleet.
+The rules are the one owner of what a frozen VM is: it runs on a node of
+the configuration (rule 2), inside its retained unary domain (rule 3), is
+not leaving, its host is not overloaded (rule 5), and a relational group is
+frozen whole or not at all (rule 4); the layers below do not check it
+again.  A round makes one attempt on the dirty region; when that
 finds nothing, the full monolithic solve runs against the same deadline —
 so the repair engine accepts exactly the instances the cold solve accepts,
 and raises where it raises.
@@ -263,11 +266,7 @@ class RepairOptimizer:
         self.halo = halo
         #: The unary domains the dirty rule reads: the inner optimizer's
         #: own, so a round asks the catalog once for every layer.
-        self.domains: RetainedDomains = (
-            inner.domains
-            if isinstance(inner, ContextSwitchOptimizer)
-            else RetainedDomains()
-        )
+        self.domains: RetainedDomains = inner.domains
         self._previous: Optional[dict[str, str]] = None
         self._last: Optional[_Accepted] = None
         self._marks: Set[str] = set()

@@ -41,25 +41,25 @@ compose to one pass, run before any zone is cut, that reads node loads and
 the few VMs that cannot stay home.  Only a round it misses the lower bound
 on is solved by zones.
 
-Sub-problem extraction: a zone's sub-configuration contains only the zone's
-nodes and VMs.  A zone VM whose current host (or suspend image) lies outside
-the zone is represented as *waiting* in the sub-configuration — its true
-movement cost is then a constant (the same for every zone node), so the
-arg-min placement is unaffected and the exact cost is restored by the global
-planning pass.
+Sub-problem extraction (:func:`repro.core.optimizer.extract`): a zone's
+sub-configuration contains only the zone's nodes and VMs.  A zone VM whose
+current host (or suspend image) lies outside the zone is represented as
+*waiting* in the sub-configuration — its true movement cost is then a
+constant (the same for every zone node), so the arg-min placement is
+unaffected and the exact cost is restored by the global planning pass.
 
 A warm round costs what changed.  Under ``dirty`` (the repair engine's
 dirty region: the VMs it re-decides; every other VM that runs and must keep
 running is *frozen* — it keeps its host, inside its domain, so inside its
 zone) the pending zones are found from the dirty VMs — a zone none of them
 belongs to is reused without being looked at, and no layer lists the frozen
-ones — and a pending zone is *cut* rather than extracted: only its dirty VMs
-enter the sub-configuration, over nodes whose capacity is what the frozen
-residents leave (the live free capacity plus what the dirty and leaving
-residents hold), so extraction, model and search scale with the dirty VMs and the
-nodes of their zones.  A zone is extracted whole, frozen VMs and all, only
-when the model has to see them: under a relational constraint in its
-catalog.
+ones — and every pending zone is *cut*: only its dirty VMs enter the
+sub-configuration, over nodes whose capacity is what the frozen residents
+leave (the live free capacity plus what the dirty and leaving residents
+hold), under what its catalog asks of them once the frozen VMs stay
+(:func:`repro.core.optimizer.residual_catalog`), so extraction, model and
+search scale with the dirty VMs and the nodes of their zones.  A zone whose
+frozen VMs alone break a relation answers no assignment without a solve.
 
 What is kept from one round to the next, each with one owner and one
 invalidation point:
@@ -81,7 +81,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..constraints.base import PlacementConstraint
@@ -89,11 +89,12 @@ from ..core.optimizer import (
     CompletedStates,
     ContextSwitchOptimizer,
     OptimizationResult,
+    extract,
+    residual_catalog,
 )
 from ..cp import SearchStatistics
 from ..model.configuration import Configuration
 from ..model.errors import PlanningError, SolverError
-from ..model.node import Node
 from ..model.vm import VMState
 from ..obs import Span, Tracer, current_span, current_tracer, span
 from .partition import PartitionResult, Zone, partition, placed_vms
@@ -135,7 +136,8 @@ class ZoneTask:
 
     ``configuration`` is the zone's extracted *sub*-configuration
     (:func:`build_zone_configuration`), not the full cluster — workers only
-    ever see their own zone, and of a cut zone only the VMs to re-place.
+    ever see their own zone, and of a cut zone only the VMs to re-place
+    (whose ``zone.constraints`` are then the residual catalog).
     ``timeout`` is relative, seconds from the zone's start: a
     :func:`time.monotonic` instant means nothing in another process.
     """
@@ -144,11 +146,6 @@ class ZoneTask:
     configuration: Configuration
     engine: str = "event"
     timeout: float = 40.0
-    #: The zone's dirty VMs, for a zone extracted whole: its other VMs the
-    #: repair engine froze on their hosts (``None`` for a cut zone, whose
-    #: frozen VMs are in the capacities; a zone with no dirty VM never
-    #: reaches a worker — see ``_zone_tasks``).
-    dirty: Optional[AbstractSet[str]] = None
     #: True when the parent solve is being traced: the worker records a
     #: local :class:`repro.obs.Tracer` and ships the span tree back in
     #: :attr:`ZoneOutcome.trace` for re-parenting.
@@ -184,41 +181,14 @@ def build_zone_configuration(
     dirty: Optional[Sequence[str]] = None,
     released: Optional[Mapping[str, Sequence[int]]] = None,
 ) -> Configuration:
-    """Extract a zone's sub-configuration: its nodes plus its VMs, keeping
-    each VM's current state when the relevant node is inside the zone and
-    degrading to *waiting* otherwise (a constant cost offset — see the
-    module docstring).
-
-    With ``dirty`` — the zone's VMs this round re-places, in zone order —
-    the zone is *cut*: only they are extracted, over nodes that offer what
-    the VMs frozen on them leave, i.e. their live free capacity plus
-    ``released``, the (cpus, MB) held on each node by residents the round
-    does not freeze there (the dirty ones among them)."""
+    """A zone's sub-configuration (:func:`~repro.core.optimizer.extract`):
+    its nodes and VMs, or, with ``dirty`` — the zone's VMs this round
+    re-places, in zone order — the zone *cut* around them, its nodes
+    offering their live free capacity plus ``released``, the (cpus, MB) held
+    on each node by residents the round does not freeze there."""
     if dirty is None:
-        nodes = [current.node(name) for name in zone.nodes]
-        vms: Sequence[str] = zone.vms
-    else:
-        nodes = []
-        for name in zone.nodes:
-            free = current.free_capacity(name)
-            extra_cpu, extra_memory = (released or {}).get(name, (0, 0))
-            cpu, memory = free.cpu + extra_cpu, free.memory + extra_memory
-            nodes.append(Node(name, cpu, memory, current.node(name).role))
-        vms = dirty
-    sub = Configuration(nodes=nodes)
-    inside = set(zone.nodes)
-    for vm_name in vms:
-        sub.add_vm(current.vm(vm_name))
-        state = current.state_of(vm_name)
-        if state is VMState.RUNNING:
-            host = current.location_of(vm_name)
-            if host in inside:
-                sub.set_running(vm_name, host)
-        elif state is VMState.SLEEPING:
-            image = current.image_location_of(vm_name)
-            if image in inside:
-                sub.set_sleeping(vm_name, image)
-    return sub
+        return extract(current, zone.nodes, zone.vms)
+    return extract(current, zone.nodes, dirty, released or {})
 
 
 def solve_zone(task: ZoneTask) -> ZoneOutcome:
@@ -247,11 +217,10 @@ def solve_zone(task: ZoneTask) -> ZoneOutcome:
 
 def _solve_zone_traced(task: ZoneTask, zone_span: Span) -> ZoneOutcome:
     extracted = task.configuration.vm_names
-    frozen = 0 if task.dirty is None else len(extracted) - len(task.dirty)
     zone_span.set(
         vms=len(task.zone.vms),
         nodes=len(task.zone.nodes),
-        pinned=frozen + len(task.zone.vms) - len(extracted),
+        pinned=len(task.zone.vms) - len(extracted),
     )
     optimizer = ContextSwitchOptimizer(engine=task.engine)
     # Every VM the zone extracted is to run: its wanted states are complete
@@ -262,7 +231,6 @@ def _solve_zone_traced(task: ZoneTask, zone_span: Span) -> ZoneOutcome:
         task.configuration,
         states,
         constraints=task.zone.constraints,
-        dirty=task.dirty,
         deadline=started + task.timeout,
         completed=(states, ()),
     )
@@ -584,17 +552,16 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         dirty: Optional[AbstractSet[str]] = None,
         leaving: Sequence[str] = (),
     ) -> Tuple[List[ZoneOutcome], List[ZoneTask]]:
-        """The outcomes of the zones the dirty region leaves nothing to
-        decide in, and one task (its timeout still to be set) per zone to
-        solve.
+        """The outcomes of the zones answered without a solve, and one task
+        (its timeout still to be set) per zone to solve.
 
         Repair composition: a zone with no dirty VM is untouched by this
         round — its VMs stay where they are and it is never shipped to a
         worker.  The dirty zones are found from the dirty VMs, and each is
-        cut around them (:func:`build_zone_configuration`) unless the model
-        has to see its frozen VMs, under a relational constraint.
-        ``leaving`` are the running VMs that must not keep running: they
-        hold capacity no zone's model counts."""
+        cut around them (:func:`build_zone_configuration`) under its
+        residual catalog; one whose frozen VMs alone break a relation
+        answers no assignment.  ``leaving`` are the running VMs that must
+        not keep running: they hold capacity no zone's model counts."""
         if dirty is None:
             return [], [
                 ZoneTask(zone, build_zone_configuration(current, zone), self.engine)
@@ -605,34 +572,36 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         free: Dict[int, List[str]] = {}
         for vm in dirty:
             free.setdefault(zone_of_vm[vm], []).append(vm)
-        #: (cpus, MB) held on each node by residents this round does not
-        #: freeze there.
-        released = current.load_by_host(set(leaving).union(*free.values()))
-        reused: List[ZoneOutcome] = []
+        #: The running VMs that do not keep their host, and the (cpus, MB)
+        #: they hold on each node.
+        moving = set(leaving).union(dirty)
+        released = current.load_by_host(moving)
+        answered: List[ZoneOutcome] = []
         tasks: List[ZoneTask] = []
         for zone in decomposition.zones:
-            if zone.index not in free:
-                reused.append(
+            reused = zone.index not in free
+            catalog = None if reused else residual_catalog(
+                zone.constraints, current, moving
+            )
+            if catalog is None:
+                # Nothing to decide, or nothing its frozen VMs let it decide.
+                answered.append(
                     ZoneOutcome(
                         index=zone.index,
-                        assignment={},
+                        assignment={} if reused else None,
                         statistics=SearchStatistics(),
                         elapsed=0.0,
                         node_count=len(zone.nodes),
                         vm_count=len(zone.vms),
-                        reused=True,
+                        reused=reused,
                     )
                 )
                 continue
-            if any(constraint.relational for constraint in zone.constraints):
-                whole = build_zone_configuration(current, zone)
-                in_zone = set(free[zone.index])
-                tasks.append(ZoneTask(zone, whole, self.engine, dirty=in_zone))
-                continue
-            dirty = current.in_registration_order(free[zone.index])
-            cut = build_zone_configuration(current, zone, dirty, released)
-            tasks.append(ZoneTask(zone, cut, self.engine))
-        return reused, tasks
+            vms = current.in_registration_order(free[zone.index])
+            cut = build_zone_configuration(current, zone, vms, released)
+            residual = replace(zone, constraints=tuple(catalog))
+            tasks.append(ZoneTask(residual, cut, self.engine))
+        return answered, tasks
 
     def _solve_zones(
         self,
@@ -645,19 +614,13 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         """Solve the zones of ``decomposition`` by ``deadline`` — the
         round's: the partition and the extraction before the first zone are
         paid out of the same budget."""
-        reused, tasks = self._zone_tasks(current, decomposition, dirty, leaving)
+        answered, tasks = self._zone_tasks(current, decomposition, dirty, leaving)
         if not tasks:
-            return reused
+            return answered
 
         if self.zone_executor == "auto":
             worth_a_worker = sum(
-                (
-                    len(task.configuration.vm_names)
-                    if task.dirty is None
-                    else len(task.dirty)
-                )
-                >= _POOL_ZONE_VMS
-                for task in tasks
+                len(task.configuration.vm_names) >= _POOL_ZONE_VMS for task in tasks
             )
             workers = min(os.cpu_count() or 1, worth_a_worker)
         else:
@@ -667,7 +630,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
             # gets what the earlier ones left, nothing once it has passed (an
             # out-of-time zone answers with its incumbent or fails into the
             # monolithic re-solve).
-            outcomes = list(reused)
+            outcomes = list(answered)
             for task in tasks:
                 task.timeout = deadline - time.monotonic()
                 outcomes.append(solve_zone(task))
@@ -710,7 +673,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
                     tracer.adopt(
                         parent_span, outcome.trace, offset=submitted_at
                     )
-        return reused + outcomes
+        return answered + outcomes
 
     def close(self) -> None:
         """Shut down the persistent worker pool (idempotent; the optimizer

@@ -208,6 +208,12 @@ class TestRunningCapacity:
         capped = RunningCapacity(["node-0"], 1)
         assert capped.allows("d", "node-3", configuration)
 
+    def test_nodes_the_configuration_lacks_host_nobody(self, configuration):
+        assert RunningCapacity(["node-9"], 0).is_satisfied_by(configuration)
+        assert not RunningCapacity(["node-0", "node-9"], 1).is_satisfied_by(
+            configuration
+        )
+
     def test_zero_maximum_keeps_the_set_empty(self, configuration):
         closed = RunningCapacity(["node-2"], 0)
         assert closed.is_satisfied_by(configuration)
@@ -238,6 +244,55 @@ class TestRunningCapacity:
         foreign = RunningCapacity(["node-9"], 1)
         assert foreign.cp_constraints(variables, NODE_INDEX) == []
         assert RunningCapacity(["node-0"], 1).cp_constraints({}, NODE_INDEX) == []
+
+
+class TestResidual:
+    """What a relation asks of the VMs a repair solve places when every
+    running VM not ``moving`` keeps its host (``a``, ``b`` on node-0, ``c``
+    on node-1, ``d`` waiting)."""
+
+    def test_unary_relations_are_their_own_residual(self, configuration):
+        for constraint in (Ban(["a"], ["node-1"]), Fence(["a", "d"], ["node-0"])):
+            assert constraint.residual(configuration, set()) is constraint
+            assert constraint.residual(configuration, {"a"}) is constraint
+
+    def test_capacity_lowers_its_bound_by_the_stayers(self, configuration):
+        residual = RunningCapacity(["node-0", "node-1"], 4).residual(
+            configuration, {"a", "d"}
+        )
+        assert residual.nodes == frozenset({"node-0", "node-1"})
+        assert residual.maximum == 2
+
+    def test_capacity_keeps_its_bound_when_every_resident_moves(self, configuration):
+        capped = RunningCapacity(["node-0", "node-1"], 4)
+        residual = capped.residual(configuration, {"a", "b", "c"})
+        assert (residual.nodes, residual.maximum) == (capped.nodes, 4)
+
+    def test_capacity_the_stayers_fill_leaves_no_seat(self, configuration):
+        # node-9 is not a node of the configuration: nobody runs there
+        residual = RunningCapacity(["node-1", "node-9"], 1).residual(
+            configuration, {"a"}
+        )
+        assert residual.maximum == 0
+
+    def test_capacity_the_stayers_break_has_no_residual(self, configuration):
+        assert RunningCapacity(["node-0"], 1).residual(configuration, set()) is None
+        assert RunningCapacity(["node-0"], 1).residual(configuration, {"c"}) is None
+
+    def test_spread_with_spread_stayers_is_unchanged(self, configuration):
+        spread = Spread(["a", "c", "d"])
+        assert spread.residual(configuration, set()) is spread
+        # moved whole, the group asks nothing of its stayers
+        pair = Spread(["a", "b"])
+        assert pair.residual(configuration, {"a", "b"}) is pair
+
+    def test_spread_two_stayers_on_one_node_break(self, configuration):
+        assert Spread(["a", "b"]).residual(configuration, set()) is None
+        assert Spread(["a", "b", "c"]).residual(configuration, {"c"}) is None
+
+    def test_spread_stayers_may_share_a_collocation_node(self, configuration):
+        chassis = Spread(["a", "b"], collocation_nodes=["node-0"])
+        assert chassis.residual(configuration, set()) is chassis
 
 
 class TestRepairHookDefaults:

@@ -71,16 +71,15 @@ def test_every_search_of_a_round_reads_one_deadline(monkeypatch, engine, searche
         switch.mark_dirty(["vm0"])
 
     deadlines = []
-    search = ContextSwitchOptimizer._search
+    search = ContextSwitchOptimizer.search_assignment
+    current = _overloaded()
 
-    def spy(self, current, states, running_vms, constraints, frozen, deadline):
+    def spy(self, configuration, *args, deadline, **kwargs):
         deadlines.append(deadline)
-        if frozen:
-            # the repair attempt finds nothing
+        if configuration is not current:
+            # the repair attempt, searched on its cut, finds nothing
             return None, SearchStatistics(), []
-        return search(
-            self, current, states, running_vms, constraints, frozen, deadline
-        )
+        return search(self, configuration, *args, deadline=deadline, **kwargs)
 
     def failed_zone(task):
         return ZoneOutcome(
@@ -90,9 +89,8 @@ def test_every_search_of_a_round_reads_one_deadline(monkeypatch, engine, searche
             elapsed=0.0,
         )
 
-    monkeypatch.setattr(ContextSwitchOptimizer, "_search", spy)
+    monkeypatch.setattr(ContextSwitchOptimizer, "search_assignment", spy)
     monkeypatch.setattr(parallel, "solve_zone", failed_zone)
-    current = _overloaded()
     entered = time.monotonic()
     report = switch.compute(current, _running(current), constraints=CATALOG)
     left = time.monotonic()

@@ -7,7 +7,6 @@ import pytest
 from repro.constraints import (
     Ban,
     Fence,
-    RunningCapacity,
     Spread,
     violated_constraints,
 )
@@ -193,9 +192,8 @@ def solves(monkeypatch):
 
 
 class TestOneModelBuilder:
-    """One builder serves the cold solve, the folded repair fast path and
-    the fixed-variable path: each must keep the frozen VMs on their hosts
-    and honour capacities and the catalog.
+    """One builder serves the cold solve and the repair cut: each must keep
+    the frozen VMs on their hosts and honour capacities and the catalog.
 
     A case gives the host the last accepted round left some VMs on; the
     solve is handed the frozen set the dirty rule — the one owner of what a
@@ -204,16 +202,17 @@ class TestOneModelBuilder:
     and re-placed, never handed over frozen.
 
     ``variables`` is the size of the model that reached a solver — one per
-    VM left to place plus the cost — or 0 when none was built.  Under a
-    catalog without a relational constraint the frozen VMs are folded into
-    the capacities, members of the catalog's groups included, and the
-    keep-in-place incumbent answers whenever it costs the lower bound — on
-    ``cluster`` it always does (everyone stays, ``sleepy`` resumes where its
-    image is or, banned from there, anywhere), so those solves build no
-    model; on ``crowded``, where node-0 must shed a VM, the dirty rule frees
-    both its residents and the model is built around the other folded VMs.
-    One relational constraint keeps every VM in the
-    model and leaves it without an incumbent."""
+    VM left to place plus the cost — or 0 when none was built.  The frozen
+    VMs never enter the model: the repair solve is a cut, the dirty VMs over
+    the capacities the frozen ones leave, members of the catalog's groups
+    included.  Under a unary catalog the keep-in-place incumbent answers
+    whenever it costs the lower bound — on ``cluster`` it always does
+    (everyone stays, ``sleepy`` resumes where its image is or, banned from
+    there, anywhere), so those solves build no model; on ``crowded``, where
+    node-0 must shed a VM, the dirty rule frees both its residents and the
+    model is built around the other frozen VMs.  One relational constraint
+    leaves the cut without an incumbent: its model holds the dirty VMs (a
+    group's members all, by the dirty rule's closure)."""
 
     #: Previous hosts and unary catalogs under which ``cluster`` is answered
     #: by the incumbent; the last column is the model ``crowded`` needs.
@@ -257,16 +256,18 @@ class TestOneModelBuilder:
                 pytest.param(*param.values[:2], 0, id=param.id)
                 for param in _UNARY
             ),
+            # ``c`` frozen: ``a`` is dirty with its group.
             pytest.param(
                 {"a": "node-0", "c": "node-2"},
                 [Spread(["a", "newcomer", "sleepy"])],
-                6,
+                5,
                 id="pins-spread",
             ),
+            # ``a`` and ``c`` frozen: ``b`` is dirty with its group.
             pytest.param(
                 {"a": "node-0", "c": "node-2"},
                 [Fence(["a", "newcomer"], ["node-0", "node-1"]), Spread(["b", "sleepy"])],
-                6,
+                4,
                 id="pins-fence-and-spread",
             ),
             # ``a``, ``b`` and ``c`` frozen; ``sleepy`` and ``newcomer`` are
@@ -343,30 +344,27 @@ class TestOneModelBuilder:
             previous={**placement, **previous},
             halo=0,
         )
-        assignment, statistics, _ = ContextSwitchOptimizer(
-            timeout=5
-        ).search_assignment(cluster, states, constraints, dirty=states.keys() - frozen)
+        result = ContextSwitchOptimizer(timeout=5).optimize(
+            cluster, states, constraints=constraints, dirty=states.keys() - frozen
+        )
+        statistics, target = result.statistics, result.target
         assert [len(model.variables) for model in models] == (
             [variables] if variables else []
         )
         if variables == 0:
             assert statistics.nodes == 0 and statistics.proven_optimal
-        assert set(assignment) == set(cluster.vm_names)
+        assert set(target.placement()) == set(cluster.vm_names)
         for vm in frozen:
-            assert assignment[vm] == placement[vm]
-        target = cluster.copy()
-        for vm, node in assignment.items():
-            target.set_running(vm, node)
+            assert target.location_of(vm) == placement[vm]
         assert target.is_viable()
         assert violated_constraints(target, constraints) == []
         return frozen
 
     @pytest.mark.parametrize("engine", ["event", "fixpoint"])
-    def test_folded_pins_search_like_pinned_variables(self, engine, models):
-        """The same fenced zone solved as is (its frozen VMs folded into the
-        capacities) and with a vacuous relational constraint appended, which
-        keeps them in the model as pinned variables: same tree, same
-        answer."""
+    def test_the_cut_searches_like_one_node_fences(self, engine, models):
+        """The same fenced zone solved as a repair cut (its frozen VMs out
+        of the model) and cold with a one-node ``Fence`` per frozen VM (a
+        singleton domain at its host): same tree, same answer."""
         zone = make_large_fleet(60, groups=1, cached=False)
         states = zone.states()
         catalog = fence_groups(zone, groups=1)
@@ -382,22 +380,28 @@ class TestOneModelBuilder:
         ):
             zone.replace_vm(make_vm(name, memory=memory, cpu=cpu))
         dirty = list(zone.vms_on("node-0"))
-        vacuous = RunningCapacity(zone.node_names, maximum=len(zone.vm_names))
+        pins = [
+            Fence([vm], [host])
+            for vm, host in zone.placement().items()
+            if vm not in dirty
+        ]
         optimizer = ContextSwitchOptimizer(timeout=30, engine=engine)
-        folded = optimizer.search_assignment(zone, states, catalog, dirty=set(dirty))
-        pinned = optimizer.search_assignment(
-            zone, states, catalog + [vacuous], dirty=set(dirty)
+        cut = optimizer.optimize(zone, states, constraints=catalog, dirty=set(dirty))
+        pinned = ContextSwitchOptimizer(timeout=30, engine=engine).optimize(
+            zone, states, constraints=catalog + pins
         )
         assert [len(model.variables) for model in models] == [
             len(dirty) + 1,
             len(zone.vm_names) + 1,
         ]
-        assert folded[0] == pinned[0] and folded[0] is not None
-        assert folded[2] == pinned[2] == [3072, 2560]
-        assert folded[1].backtracks > 0
+        assert cut.target.placement() == pinned.target.placement()
+        assert cut.improving_costs == pinned.improving_costs == [3072, 2560]
+        assert cut.statistics.backtracks > 0
         for counter in ("nodes", "backtracks", "solutions", "proven_optimal"):
-            assert getattr(folded[1], counter) == getattr(pinned[1], counter)
-        assert folded[1].propagations <= pinned[1].propagations
+            assert getattr(cut.statistics, counter) == getattr(
+                pinned.statistics, counter
+            )
+        assert cut.statistics.propagations <= pinned.statistics.propagations
 
 
 class TestColdSolveEffort:

@@ -39,6 +39,35 @@ class TestSatisfaction:
         assert result.best is not None
         assert result.best["x"] == 4
 
+    def test_a_singleton_variable_is_instantiated(self):
+        var = Model().int_var("x", [7])
+        assert var.is_instantiated
+        assert var.value == 7
+        assert var.values() == (7,)
+
+    def test_a_singleton_variable_prunes_through_constraints(self):
+        model = Model()
+        fixed = model.int_var("x", [1])
+        free = model.int_var("y", [0, 1, 2])
+        model.add_constraint(AllDifferent([fixed, free]))
+        cost = model.int_var("cost", range(0, 6))
+        model.add_constraint(
+            ElementSum([free], [CostTable(0, {0: 5, 1: 0, 2: 3})], cost)
+        )
+        result = Solver(model).solve(minimize=cost)
+        assert result.best is not None
+        assert result.best["x"] == 1
+        # y in {0, 2} after AllDifferent; costs 5 and 3 -> optimum picks y=2
+        assert result.best["y"] == 2
+        assert result.best.objective == 3
+
+    def test_contradictory_singletons_are_infeasible_not_an_error(self):
+        model = Model()
+        a = model.int_var("a", [1])
+        b = model.int_var("b", [1])
+        model.add_constraint(AllDifferent([a, b]))
+        assert Solver(model).solve().best is None
+
     def test_unsatisfiable_problem(self):
         model = Model()
         x = model.int_var("x", [0, 1])

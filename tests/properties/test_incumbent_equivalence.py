@@ -1,13 +1,13 @@
 """The incumbent-first solve against the solve that always searches.
 
 Under a catalog that compiles to unary domains only,
-``ContextSwitchOptimizer._search`` computes the keep-in-place repair of the
+``ContextSwitchOptimizer.search_assignment`` computes the keep-in-place repair of the
 observed placement before any model exists, returns it when it costs the
 trivial lower bound and seeds branch-and-bound with it otherwise.  That must
 only ever be an acceleration.  The reference needs no copied builder: one
 vacuous relational constraint (every VM may run on the fleet) makes the same
-optimizer take the path that has no incumbent and no fold — it always
-builds the whole model, pinned VMs included, and searches it.
+optimizer take the path that has no incumbent — it always builds the
+model of the VMs it places, and searches it.
 
 On random instances — running (possibly on an overloaded host), sleeping
 and waiting VMs, all wanted running — crossed with {no catalog, ``Fence``
@@ -27,6 +27,7 @@ their unary domain, on hosts that are not overloaded.
 
 from __future__ import annotations
 
+import time
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -110,9 +111,12 @@ def instances(draw):
     return configuration, names, catalog, frozen
 
 
-def solve_recording_bounds(optimizer, configuration, names, catalog, frozen):
-    """``search_assignment`` plus the ``initial_bound`` of every solver
-    it started."""
+def solve_recording_bounds(optimizer, configuration, names, catalog, frozen=None):
+    """The search placing ``names`` (all wanted running) plus the
+    ``initial_bound`` of every solver it started: the cold
+    ``search_assignment`` when ``frozen`` is ``None``, else the repair cut
+    ``optimize(..., dirty=)`` searches around the ``frozen`` VMs — whose
+    answer names none of them — completed with them on their hosts."""
     bounds = []
     solve = Solver.solve
 
@@ -120,11 +124,21 @@ def solve_recording_bounds(optimizer, configuration, names, catalog, frozen):
         bounds.append(kwargs["initial_bound"])
         return solve(self, **kwargs)
 
-    states = dict.fromkeys(names, VMState.RUNNING)
+    wanted = dict.fromkeys(names, VMState.RUNNING)
     with mock.patch.object(Solver, "solve", spy):
-        assignment, statistics, improving = optimizer.search_assignment(
-            configuration, states, catalog, dirty=set(names) - frozen
-        )
+        if frozen is None:
+            found = optimizer.search_assignment(configuration, wanted, catalog)
+        else:
+            states, changed = optimizer._complete_states(configuration, wanted)
+            dirty = set(names) - frozen
+            deadline = time.monotonic() + optimizer.timeout
+            found = optimizer._search_cut(
+                configuration, states, changed, catalog, dirty, deadline
+            )
+    assignment, statistics, improving = found
+    if assignment is not None and frozen is not None:
+        assert assignment.keys() <= set(names) - frozen
+        assignment.update((vm, configuration.location_of(vm)) for vm in frozen)
     return assignment, statistics, improving, bounds
 
 

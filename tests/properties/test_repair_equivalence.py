@@ -17,17 +17,18 @@ monolithic solve on randomly generated perturbed rounds:
   target never leaves a member on a node outside the shrunken domain
   (satellite: frozen placements invalidated by constraint repair become
   dirty instead of being pinned);
-* **folding is invisible** — under a unary catalog the frozen VMs are
-  subtracted from the capacities instead of entering the model; the search
-  that is left proves the cost it would prove with them pinned inside it,
-  and walks the same tree whenever it starts without an incumbent.
+* **the cut is invisible** — the frozen VMs never enter the model: the
+  repair solve searches the dirty VMs over what the frozen ones leave,
+  under the catalog's residual; it proves the cost the cold solve proves
+  with every frozen VM fenced to its host, and walks the same tree
+  whenever it starts without an incumbent.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
 
-from repro.constraints import Fence, RunningCapacity
+from repro.constraints import Fence, RunningCapacity, Spread
 from repro.constraints.checker import check_configuration, check_plan
 from repro.core.optimizer import ContextSwitchOptimizer
 from repro.cp import ENGINES
@@ -222,58 +223,78 @@ def test_shrunken_fence_members_are_never_pinned_to_retired_nodes(instance):
 
 
 @settings(max_examples=60, deadline=None)
-@given(perturbed_instances(), st.sampled_from(ENGINES))
-def test_folded_pins_search_like_pinned_variables(instance, engine):
-    """No copied oracle: a vacuous relational constraint (every VM may run
-    on the fleet) switches the fold off, so the same optimizer builds the model
-    both ways.  It switches the keep-in-place incumbent off too, so the two
-    trees are the same only when the folded solve had no incumbent either;
-    with one it may stop earlier, or never start, on a placement that costs
-    what the pinned-variable search proves."""
+@given(
+    perturbed_instances(),
+    st.sampled_from(ENGINES),
+    st.sampled_from(("unary", "spread", "capacity")),
+    st.integers(min_value=0, max_value=8),
+)
+def test_the_cut_searches_like_one_node_fences(instance, engine, relation, bound):
+    """No copied oracle: the cold solve with a one-node ``Fence`` per frozen
+    VM — a singleton domain at its host — holds the frozen VMs inside its
+    model, as fixed variables.  A relational catalog leaves both solves
+    without an incumbent.  Under a unary one, a reference incumbent keeps
+    every frozen VM home, and the cut's homes-first packing then succeeds
+    too: the cut starts without an incumbent only when the reference does,
+    and with one it may stop earlier, or never start, on a placement that
+    costs what the reference proves."""
     configuration, names, victims, _halo = instance
     node_names = sorted(configuration.node_names)
-    vacuous = RunningCapacity(node_names, maximum=len(configuration.vm_names))
     for victim in victims:
         configuration.set_waiting(victim)
     # Every other VM is fenced off the last node, unless it is frozen there
     # (a frozen VM sits inside its domain).
-    fence = Fence(
-        [
-            name
-            for name in names[::2]
-            if configuration.location_of(name) != node_names[-1]
-        ],
-        node_names[:-1],
-    )
-    # What the dirty rule freezes: every VM but the victims and the
-    # residents of an overloaded host.
+    catalog = [
+        Fence(
+            [
+                name
+                for name in names[::2]
+                if configuration.location_of(name) != node_names[-1]
+            ],
+            node_names[:-1],
+        )
+    ]
+    if relation == "spread":
+        catalog.append(Spread(names[1::2]))
+    elif relation == "capacity":
+        catalog.append(RunningCapacity(node_names[:2], maximum=bound))
+    # What the dirty rule freezes: every VM but the victims, the residents
+    # of an overloaded host and the groups they belong to.
     frozen = set(names) - compute_dirty_set(
-        configuration, _states(names), names, [fence], halo=0
+        configuration, _states(names), names, catalog, halo=0
     )
-    optimizer = ContextSwitchOptimizer(timeout=10.0, engine=engine)
-    folded, folded_stats, folded_costs, bounds = solve_recording_bounds(
-        optimizer, configuration, names, [fence], frozen
+    pins = [Fence([vm], [configuration.location_of(vm)]) for vm in sorted(frozen)]
+    cut, cut_stats, cut_costs, bounds = solve_recording_bounds(
+        ContextSwitchOptimizer(timeout=10.0, engine=engine),
+        configuration,
+        names,
+        catalog,
+        frozen,
     )
     pinned, pinned_stats, pinned_costs, _ = solve_recording_bounds(
-        optimizer, configuration, names, [fence, vacuous], frozen
+        ContextSwitchOptimizer(timeout=10.0, engine=engine),
+        configuration,
+        names,
+        catalog + pins,
     )
-    assert (folded is None) == (pinned is None)
-    if folded is None:
-        # Refused at build (dirty VMs over-committing what the frozen ones
-        # leave) or searched and failed: folding only ever notices earlier.
-        assert folded_stats.nodes <= pinned_stats.nodes
+    assert (cut is None) == (pinned is None)
+    if cut is None:
+        # Refused before a search (frozen VMs breaking a relation, dirty VMs
+        # over-committing what the frozen ones leave) or searched and
+        # failed: the cut only ever notices earlier.
+        assert cut_stats.nodes <= pinned_stats.nodes
         return
-    assert folded_stats.proven_optimal and pinned_stats.proven_optimal
+    assert cut_stats.proven_optimal and pinned_stats.proven_optimal
 
-    cost = placement_cost(configuration, folded)
+    cost = placement_cost(configuration, cut)
     assert cost == placement_cost(configuration, pinned)
     for vm in frozen:
-        assert folded[vm] == configuration.location_of(vm)
+        assert pinned[vm] == configuration.location_of(vm)
     if bounds == [None]:
         # Searched without an incumbent: the same tree.
-        assert folded == pinned and folded_costs == pinned_costs
+        assert cut == pinned and cut_costs == pinned_costs
         for counter in ("nodes", "backtracks", "solutions"):
-            assert getattr(folded_stats, counter) == getattr(pinned_stats, counter)
+            assert getattr(cut_stats, counter) == getattr(pinned_stats, counter)
     elif not bounds:
         # The incumbent met the bound: no solver was started.
-        assert folded_stats.nodes == 0 and folded_costs == [cost]
+        assert cut_stats.nodes == 0 and cut_costs == [cost]

@@ -3,7 +3,9 @@ solve, composition."""
 
 import pytest
 
-from repro.constraints import Ban, Fence, Spread
+from repro.constraints import Ban, Fence, RunningCapacity, Spread
+from repro.constraints.checker import check_plan
+from repro.constraints.domains import RetainedDomains
 from repro.core.optimizer import ContextSwitchOptimizer, OptimizationResult
 from repro.cp import Solver
 from repro.model.configuration import Configuration
@@ -169,6 +171,7 @@ class _NoFrozenRegionFits:
         self.burn = burn
         self.attempts = []
         self.full_solves = []
+        self.domains = RetainedDomains()
 
     def optimize(self, *args, dirty=None, deadline=None, **kwargs):
         if dirty is not None:
@@ -489,6 +492,7 @@ class TestRepairOptimizer:
 
         class _Inner:
             timeout = 1.0
+            domains = RetainedDomains()
 
             def close(self):
                 closed.append(True)
@@ -526,6 +530,54 @@ class TestPartitionedComposition:
         assert result.repair["reused_zones"] >= 1
         for vm in zone_b:
             assert result.target.location_of(vm) == current.location_of(vm)
+
+
+class TestStayersThatBreakARelation:
+    """A warm round whose frozen VMs alone break a relation — here a catalog
+    handed over after the cold round — cannot be repaired around them: the
+    attempt's cut has no residual, so it searches nothing and the round goes
+    to the full solve, which moves them."""
+
+    @pytest.mark.parametrize(
+        "partitioned", [False, True], ids=["repair", "repair-partitioned"]
+    )
+    @pytest.mark.parametrize(
+        "relation",
+        [
+            pytest.param(RunningCapacity(["n0"], 1), id="capacity"),
+            pytest.param(Spread(["vm0-0", "vm0-1"]), id="spread"),
+        ],
+    )
+    def test_the_round_goes_to_the_full_solve(self, partitioned, relation):
+        configuration, names = _fleet(node_count=6, vms_per_node=2)
+        fences = [
+            Fence([n for n in names if int(n[2]) < 3], ["n0", "n1", "n2"]),
+            Fence([n for n in names if int(n[2]) >= 3], ["n3", "n4", "n5"]),
+        ]
+        inner = (
+            ParallelOptimizer(timeout=5.0, zone_executor="serial")
+            if partitioned
+            else ContextSwitchOptimizer(timeout=5.0)
+        )
+        engine = RepairOptimizer(inner, timeout=5.0)
+        current = engine.optimize(
+            configuration, _states(names), constraints=fences
+        ).target
+        # vm0-0 and vm0-1 stay on n0; the one dirty VM shares their fence.
+        current.set_waiting("vm1-0")
+        engine.mark_dirty(["vm1-0"])
+        catalog = [*fences, relation]
+        tracer = Tracer()
+        with tracer.activate():
+            result = engine.optimize(current, _states(names), constraints=catalog)
+        assert result.repair["mode"] == "full"
+        assert result.repair["attempts"] == 2
+        [attempt] = [s for s in tracer.root.walk() if s.name == "repair-attempt"]
+        assert attempt.attributes["failed"] is True
+        assert not [s for s in attempt.walk() if s.name in ("zone", "cp.solve")]
+        assert check_plan(result.plan, catalog) == []
+        assert relation.is_satisfied_by(result.target)
+        assert result.target.location_of("vm1-0") is not None
 
 
 def _digest(result):

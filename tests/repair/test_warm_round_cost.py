@@ -18,7 +18,7 @@ ones; the one read of the fleet left is the copy of the observed states.
 The plan is priced once.  So the same two restarts cost the
 same number of per-VM reads on a fleet four times — or ten times — the
 size.  A round the pass cannot answer (a host that must shed VMs) cuts each
-dirty zone around its dirty VMs, with the frozen ones folded into the
+dirty zone around its dirty VMs, with the frozen ones left in the
 capacities.  The counts are deterministic, so this runs with the tier-1
 suite and keeps the warm path from growing back to fleet size.
 """

@@ -767,7 +767,9 @@ def _zone_task(**options):
 )
 def test_retired_solver_option_is_rejected(build, option):
     """One way to bound a search (``timeout``; ``Solver.solve(node_limit=)``
-    below the optimizers) and one way to pin a VM (``Model.pinned_var``):
+    below the optimizers) and one way to pin a VM (a singleton domain, what
+    a one-node ``Fence`` compiles to; a repair solve leaves its frozen VMs
+    out of the model):
     the options only the deleted perf sweeps set are gone, not ignored —
     and so are the loop, repair and planner knobs nothing ever set, the
     worker count the partitioned engines now work out from their zones, the
