@@ -3,12 +3,13 @@
 Every control-loop round used to solve the CP model from scratch, even when
 a fault or arrival perturbed only a handful of VMs.  This package adds the
 repair mode BtrPlace pioneered on top of Entropy: seed the model with the
-previous round's assignment, freeze the VMs outside the perturbed region,
-and search the dirty region only — one attempt, then the full monolithic
-solve when it finds nothing, so ``engine="repair"`` is always safe to
-request.  A frozen VM runs on a node of the configuration, inside its unary
-domain, is not leaving, and its host is not overloaded: the dirty rule
-guarantees it and no layer below checks it again.
+previous round's assignment (the observed placement on a first round),
+freeze the VMs outside the perturbed region, and search the dirty region
+only — one attempt, then the full monolithic solve when it finds nothing,
+so ``engine="repair"`` is always safe to request.  A frozen VM runs on a
+node of the configuration, inside its unary domain, is not leaving, and its
+host is not overloaded: the dirty rule guarantees it and no layer below
+checks it again.
 
 * :class:`RepairOptimizer` — the drop-in optimizer wrapping either the
   monolithic :class:`~repro.core.optimizer.ContextSwitchOptimizer`

@@ -1,10 +1,13 @@
 """The repair optimizer: freeze the clean region, solve the dirty one.
 
-The engine keeps the previous round's assignment across calls.  Each round
-it derives the *dirty region* — the VMs whose placement may have to change —
-from five deterministic rules, each read from what moved rather than from
-the fleet (:func:`dirty_region`, the one body both
-:meth:`RepairOptimizer._dirty_region` and :func:`compute_dirty_set` call):
+The engine keeps the previous round's assignment across calls; before its
+first round, and after :meth:`RepairOptimizer.forget`, the observed
+placement stands in for it, so a first round is a round in which nothing
+diverged.  Each round it derives the *dirty region* — the VMs whose
+placement may have to change — from five deterministic rules, each read
+from what moved rather than from the fleet (:func:`dirty_region`, the one
+body both :meth:`RepairOptimizer._dirty_region` and
+:func:`compute_dirty_set` call):
 
 1. **external marks** — VMs the control loop flagged as perturbed this round
    (crashed-node victims, new arrivals, members of violated constraints),
@@ -70,7 +73,6 @@ from typing import (
     Container,
     Dict,
     Iterable,
-    Iterator,
     Mapping,
     Optional,
     Sequence,
@@ -89,18 +91,14 @@ from ..obs import span
 
 class _MustRun:
     """The VMs whose wanted state is Running, as a membership test over the
-    wanted states: a warm round asks it of the few VMs that moved, and only
-    a cold start lists them."""
+    wanted states: a round asks it of the few VMs that moved, never lists
+    them."""
 
     def __init__(self, states: Mapping[str, VMState]) -> None:
         self._states: Mapping = states
 
     def __contains__(self, vm_name: object) -> bool:
         return self._states.get(vm_name) is VMState.RUNNING
-
-    def __iter__(self) -> Iterator[str]:
-        running = VMState.RUNNING
-        return (name for name, state in self._states.items() if state is running)
 
 
 def _relational_closure(
@@ -198,7 +196,8 @@ def compute_dirty_set(
 ) -> Set[str]:
     """:func:`dirty_region` from a round's plain inputs: ``running_vms`` are
     the VMs whose target state is Running; ``previous`` the assignment of
-    the last accepted round, ``None`` for no history (nothing diverges)."""
+    the last accepted round, ``None`` for no history (nothing diverges: the
+    engine's first round)."""
     placement = current.placement()
     return dirty_region(
         current,
@@ -283,7 +282,8 @@ class RepairOptimizer:
     @property
     def previous_assignment(self) -> Optional[Mapping[str, str]]:
         """A read-only snapshot of the accepted assignment of the last round
-        (``None`` before the first solve — the next call is a cold start).
+        (``None`` before the first solve — the next call repairs against
+        the observed placement).
         The engine updates its own in place, so the copy is paid by the
         reader."""
         if self._previous is None:
@@ -293,7 +293,8 @@ class RepairOptimizer:
     def forget(self) -> None:
         """Drop everything kept from earlier rounds — the previous
         assignment, the unary domains and what was derived under them (in
-        a control loop, the policy's too): the next round starts cold."""
+        a control loop, the policy's too): the next round repairs against
+        the observed placement."""
         self._previous = None
         self._last = None
         self.domains.clear()
@@ -352,40 +353,31 @@ class RepairOptimizer:
         suspects: Optional[Set[str]] = None
         if written is not None:
             suspects = written | last.moved
-        if self._previous is None:
-            # Nothing to freeze: every VM is dirty.
-            dirty = set(must_run)
-            frozen_count = 0
-        else:
-            with span("dirty-set") as dirty_span:
-                dirty = self._dirty_region(
-                    current, must_run, changed, placement, constraints, marks,
-                    suspects,
-                )
-                dirty_span.set(
-                    scanned=len(placement if suspects is None else suspects),
-                    source="scan" if suspects is None else "journal",
-                )
-            # The frozen region — what runs, must keep running, and is not
-            # dirty (a clean VM that must run does, or it would need
-            # placement) — is counted, never listed: the layers below read
-            # the dirty VMs.
-            frozen_count = len(placement) - sum(
-                1
-                for vm in chain(dirty, (vm for vm in changed if vm not in must_run))
-                if vm in placement
+        with span("dirty-set") as dirty_span:
+            dirty = self._dirty_region(
+                current, must_run, changed, placement, constraints, marks,
+                suspects,
             )
+            dirty_span.set(
+                scanned=len(placement if suspects is None else suspects),
+                source="scan" if suspects is None else "journal",
+            )
+        # The frozen region — what runs, must keep running, and is not
+        # dirty (a clean VM that must run does, or it would need
+        # placement) — is counted, never listed: the layers below read
+        # the dirty VMs.
+        frozen_count = len(placement) - sum(
+            1
+            for vm in chain(dirty, (vm for vm in changed if vm not in must_run))
+            if vm in placement
+        )
         settled: Dict[int, Optional[str]] = (
             {} if written is None
             else unwritten_answers(last.settled, constraints, written)
         )
         record = _Accepted(journal, wanted, changed, settled)
         if not frozen_count:
-            reason = (
-                "cold start (no previous assignment)"
-                if self._previous is None
-                else "dirty region covers the whole fleet"
-            )
+            reason = "dirty region covers the whole fleet"
         else:
             result: Optional[OptimizationResult] = None
             with span(
@@ -453,8 +445,9 @@ class RepairOptimizer:
         marks: Iterable[str],
         suspects: Optional[Iterable[str]] = None,
     ) -> Set[str]:
-        """The perturbed region of a warm round: :func:`dirty_region` over
-        the retained domains, the previous assignment and :attr:`halo`,
+        """The perturbed region of a round: :func:`dirty_region` over the
+        retained domains, the previous assignment (the observed placement
+        when there is none) and :attr:`halo`,
         reading ``suspects`` (``None``: every running VM) for divergence."""
         if suspects is not None:
             suspects = [vm for vm in suspects if vm in placement]
@@ -468,7 +461,7 @@ class RepairOptimizer:
             ),
             constraints,
             marks,
-            self._previous,
+            placement if self._previous is None else self._previous,
             self.halo,
             suspects,
         )
@@ -493,7 +486,7 @@ class RepairOptimizer:
         (``None``: it read the fleet)."""
         record.moved = {action.vm for pool in result.plan.pools for action in pool}
         accepted = result.target.placement_view()
-        if suspects is None or self._previous is None:
+        if suspects is None:
             self._previous = dict(accepted)
         else:
             # What the last round left in ``previous`` is this round's input
@@ -517,7 +510,7 @@ class RepairOptimizer:
             # the partitioned composition, ``engine="repair-partitioned"``).
             "reused_zones": sum(1 for r in result.zone_reports if r.reused),
         }
-        if mode == "repair" and frozen_count and result.statistics is not None:
+        if mode == "repair":
             # Exhausting the search around the frozen VMs only proves the
             # optimum of the subproblem they leave — never a global claim.
             result.statistics.proven_optimal = False

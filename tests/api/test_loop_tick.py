@@ -144,7 +144,7 @@ ROUNDS = [
     (
         {"index": 3, "sim_time": 90.0, "switched": True, "switch_cost": 1024},
         [("observe", {**_OBSERVED, "dirty_nodes": 0}), ("decide", {}), ("plan", {})],
-        "observe decide plan solve full-solve cp.solve check-plan execute",
+        "observe decide plan solve dirty-set full-solve cp.solve check-plan execute",
     ),
     (
         {"index": 4, "sim_time": 120.0, "switched": True, "switch_cost": 0},

@@ -8,8 +8,13 @@ monolithic solve on randomly generated perturbed rounds:
 * **feasibility agreement** — a perturbed round is repairable exactly when
   the cold solve can place it (a failed attempt ends in the full solve,
   making this an iff);
-* **fallback identity** — when the engine falls back (cold start), its
-  result is exactly the monolithic result on the same instance;
+* **fallback identity** — when nothing is frozen (every VM marked), the
+  engine's full solve is exactly the monolithic result on the same
+  instance;
+* **a first round is a warm round** — a fresh engine repairs against the
+  observed placement: its round is the round of an engine whose memory is
+  that placement, and its dirty region is :func:`compute_dirty_set` with no
+  previous assignment;
 * **plan validity** — every repaired plan reaches a viable target that the
   independent checker accepts, and `check_plan` accepts every intermediate
   state against the active catalog;
@@ -135,13 +140,24 @@ def test_repair_and_cold_solve_agree_on_feasibility(instance):
         assert repaired.target.state_of(victim) is VMState.RUNNING
 
 
+def _round(result):
+    """Everything two engines must agree on for one round."""
+    return (
+        dict(result.target.iter_placement()),
+        [[str(action) for action in pool] for pool in result.plan.pools],
+        result.cost,
+        result.movement_cost,
+    )
+
+
 @settings(max_examples=15, deadline=None)
 @given(perturbed_instances())
-def test_cold_start_fallback_is_identical_to_the_monolithic_result(instance):
+def test_nothing_frozen_is_identical_to_the_monolithic_result(instance):
     configuration, names, _victims, _halo = instance
     engine = RepairOptimizer(
         ContextSwitchOptimizer(timeout=10.0), timeout=10.0
     )
+    engine.mark_dirty(names)
     via_repair = _optimize(engine, configuration, names)
     monolithic = _optimize(
         ContextSwitchOptimizer(timeout=10.0), configuration, names
@@ -150,8 +166,54 @@ def test_cold_start_fallback_is_identical_to_the_monolithic_result(instance):
     if via_repair is None:
         return
     assert via_repair.repair["mode"] == "full"
+    assert via_repair.repair["frozen_count"] == 0
     assert _assignment(via_repair) == _assignment(monolithic)
     assert via_repair.movement_cost == monolithic.movement_cost
+    assert _round(via_repair) == _round(monolithic)
+
+
+@settings(max_examples=25, deadline=None)
+@given(perturbed_instances(), st.booleans())
+def test_a_first_round_is_a_round_against_the_observed_placement(
+    instance, fenced
+):
+    configuration, names, victims, halo = instance
+    for victim in victims:
+        configuration.set_waiting(victim)
+    constraints = (
+        [Fence(list(names[:2]), sorted(configuration.node_names)[:-1])]
+        if fenced
+        else []
+    )
+    fresh, seeded = (
+        RepairOptimizer(
+            ContextSwitchOptimizer(timeout=10.0), timeout=10.0, halo=halo
+        )
+        for _ in range(2)
+    )
+    seeded._previous = dict(configuration.iter_placement())
+    results = []
+    for engine in (fresh, seeded):
+        engine.mark_dirty(victims)
+        results.append(
+            _optimize(engine, configuration.copy(), names, constraints)
+        )
+    first, reference = results
+    assert (first is None) == (reference is None)
+    if first is None:
+        return
+    assert _round(first) == _round(reference)
+    assert first.repair == reference.repair
+    dirty = compute_dirty_set(
+        configuration,
+        _states(names),
+        names,
+        constraints,
+        marks=victims,
+        previous=None,
+        halo=halo,
+    )
+    assert first.repair["dirty_count"] == len(dirty)
 
 
 @settings(max_examples=15, deadline=None)

@@ -190,13 +190,22 @@ class TestRepairOptimizer:
         engine = RepairOptimizer(
             ContextSwitchOptimizer(timeout=timeout), timeout=timeout, halo=halo
         )
-        cold = engine.optimize(configuration, _states(names))
-        assert isinstance(cold, OptimizationResult)
-        assert cold.repair["mode"] == "full"
-        assert "cold start" in cold.repair["reason"]
-        return engine, cold.target, names
+        first = engine.optimize(configuration, _states(names))
+        assert isinstance(first, OptimizationResult)
+        # Nothing marked, waiting or overloaded: against the observed
+        # placement the dirty region is empty and every VM stays frozen.
+        assert first.repair == {
+            "mode": "repair",
+            "reason": "repaired within the dirty region",
+            "dirty_count": 0,
+            "frozen_count": len(names),
+            "attempts": 1,
+            "reused_zones": 0,
+        }
+        assert first.cost == 0 and not first.statistics.proven_optimal
+        return engine, first.target, names
 
-    def test_cold_start_falls_back_to_the_full_solve(self):
+    def test_a_first_round_repairs_against_the_observed_placement(self):
         self._warm_engine()
 
     def test_perturbed_round_repairs_and_freezes_the_clean_region(self):
@@ -389,14 +398,14 @@ class TestRepairOptimizer:
         [
             pytest.param(
                 False,
-                [],
+                ["vm0-0"],
                 5.0,
                 {
-                    "reason": "cold start (no previous assignment)",
-                    "attempts": 1,
-                    "dirty_count": 12,
+                    "reason": "the repair attempt found no viable assignment",
+                    "attempts": 2,
+                    "dirty_count": 1,
                 },
-                id="cold-start",
+                id="first-round-the-attempt-found-nothing",
             ),
             pytest.param(
                 True,
@@ -425,9 +434,9 @@ class TestRepairOptimizer:
     def test_every_way_into_the_full_solve(
         self, clock, warm, marks, timeout, expected
     ):
-        """The three ways :meth:`RepairOptimizer.optimize` reaches the full
-        solve, each with the telemetry and the ``full-solve`` span it
-        records."""
+        """The two ways :meth:`RepairOptimizer.optimize` reaches the full
+        solve — a first round takes them as a later one does — each with
+        the telemetry and the ``full-solve`` span it records."""
         configuration, names = _fleet()
         inner = _NoFrozenRegionFits(clock)
         engine = RepairOptimizer(inner, timeout=timeout, halo=0)
@@ -455,7 +464,7 @@ class TestRepairOptimizer:
             "reason": expected["reason"],
             "dirty": expected["dirty_count"],
         }
-        # a warm round's one attempt, refused
+        # the round's one attempt, refused
         assert [
             s.attributes for s in tracer.root.walk() if s.name == "repair-attempt"
         ] == (
@@ -512,11 +521,12 @@ class TestPartitionedComposition:
         ]
         inner = ParallelOptimizer(timeout=5.0, zone_executor="serial")
         engine = RepairOptimizer(inner, timeout=5.0, halo=0)
-        cold = engine.optimize(
+        first = engine.optimize(
             configuration, _states(names), constraints=fences
         )
-        assert cold.repair["mode"] == "full"
-        current = cold.target
+        assert first.repair["mode"] == "repair"
+        assert first.repair["dirty_count"] == 0
+        current = first.target
         # vm0-0 grows to fill its host, which must shed vm0-1: the round's
         # keep-in-place misses the lower bound, so the zones are solved.
         current.replace_vm(VirtualMachine("vm0-0", memory=4096, cpu_demand=0))
@@ -762,7 +772,10 @@ class TestRetention:
         assert engine.domains.generation is not generation
         partitions.clear()
         result = engine.optimize(current, states, constraints=fences)
-        assert result.repair["reason"] == "cold start (no previous assignment)"
+        # The next round repairs against the observed placement, as a fresh
+        # engine's first round does.
+        assert result.repair["mode"] == "repair"
+        assert result.repair["dirty_count"] == 0
         assert len(partitions) == 1
         assert _digest(result) == _digest(
             self._engine().optimize(current, states, constraints=fences)

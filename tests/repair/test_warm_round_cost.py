@@ -19,8 +19,10 @@ The plan is priced once.  So the same two restarts cost the
 same number of per-VM reads on a fleet four times — or ten times — the
 size.  A round the pass cannot answer (a host that must shed VMs) cuts each
 dirty zone around its dirty VMs, with the frozen ones left in the
-capacities.  The counts are deterministic, so this runs with the tier-1
-suite and keeps the warm path from growing back to fleet size.
+capacities — and so does a fresh engine's first round, which repairs
+against the observed placement instead of solving the fleet.  The counts
+are deterministic, so this runs with the tier-1 suite and keeps the warm
+path from growing back to fleet size.
 """
 
 import pytest
@@ -140,32 +142,40 @@ def counted(monkeypatch):
     return counts
 
 
+def _overload(current):
+    """Make each of ``RESTARTED`` ask for its whole node, so that its
+    neighbours have to leave; the VMs to mark dirty."""
+    dirty = list(RESTARTED)
+    for name in RESTARTED:
+        host = current.location_of(name)
+        capacity = current.node(host).capacity
+        current.replace_vm(make_vm(name, memory=1024, cpu=capacity.cpu))
+        dirty += [vm for vm in current.vms_on(host) if vm != name]
+    return dirty
+
+
 def _warm_round(fleet, zones, counted, overload=False, tracer=None):
-    """A cold round, a warm one that restarts ``PRIMING``, then the counted
-    round that restarts ``RESTARTED`` — or, with ``overload``, in which each
-    of them asks for its whole node, so that its neighbours are dirty too
-    and have to leave."""
+    """A first round, a later one that restarts ``PRIMING``, then the
+    counted round that restarts ``RESTARTED`` — or, with ``overload``, in
+    which each of them asks for its whole node (:func:`_overload`)."""
     catalog = fence_groups(fleet, groups=zones)
     states = fleet.states()
     with ClusterContextSwitch(
         engine="repair-partitioned", zone_executor="serial", optimizer_timeout=60
     ) as switch:
-        # The cold round that leaves the engine its previous assignment,
-        # the domains and the decomposition, and a warm one whose plan
+        # The first round that leaves the engine its previous assignment,
+        # the domains and the decomposition, and a second one whose plan
         # check leaves it what the fences said of its input.
         current = switch.compute(fleet, states, constraints=catalog).target
         for name in PRIMING:
             current.set_waiting(name)
         switch.mark_dirty(PRIMING)
         current = switch.compute(current, states, constraints=catalog).target
-        dirty = list(RESTARTED)
-        for name in RESTARTED:
-            if overload:
-                host = current.location_of(name)
-                capacity = current.node(host).capacity
-                current.replace_vm(make_vm(name, memory=1024, cpu=capacity.cpu))
-                dirty += [vm for vm in current.vms_on(host) if vm != name]
-            else:
+        if overload:
+            dirty = _overload(current)
+        else:
+            dirty = list(RESTARTED)
+            for name in RESTARTED:
                 current.set_waiting(name)
         switch.mark_dirty(dirty)
         for key in counted:
@@ -291,6 +301,48 @@ def test_a_warm_model_holds_the_dirty_vms_only(
     assert counts["domains asked"] == len(dirty)
     assert counts["builds"] == counts["derivations"] == 1
     _assert_copies_and_completions(counts)
+
+
+def _cold_overload(fleet, zones, counted, engine):
+    """The overload of the counted warm round, on a fresh switch's first
+    round: no previous assignment, no kept decomposition or domains."""
+    catalog = fence_groups(fleet, groups=zones)
+    states = fleet.states()
+    dirty = _overload(fleet)
+    for key in counted:
+        counted[key] = 0
+    with ClusterContextSwitch(
+        engine=engine, zone_executor="serial", optimizer_timeout=60
+    ) as switch:
+        switch.mark_dirty(dirty)
+        report = switch.compute(fleet, states, constraints=catalog)
+    assert report.repair["mode"] == "repair"
+    assert report.repair["dirty_count"] == len(dirty)
+    assert report.plan.constraint_violations == []
+    # The model is the dirty VMs and one cost variable per model searched:
+    # a zone per restart, or the one cut of the monolithic engine.
+    models = len(RESTARTED) if engine == "repair-partitioned" else 1
+    assert counted["variables"] == len(dirty) + models
+    assert counted["vms extracted"] == len(dirty)
+
+
+@pytest.mark.parametrize("engine", ["repair", "repair-partitioned"])
+@pytest.mark.parametrize("vm_count, zones", [(500, 4), (2_000, 16)])
+def test_a_cold_model_holds_the_dirty_vms_only(
+    large_fleet_factory, counted, vm_count, zones, engine
+):
+    # A first round is a round against the observed placement: the
+    # overloaded hosts' residents are the model, not their zones.
+    fleet = large_fleet_factory(vm_count, groups=zones)
+    _cold_overload(fleet, zones, counted, engine)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("engine", ["repair", "repair-partitioned"])
+def test_a_cold_model_holds_the_dirty_vms_only_at_5000_vms(
+    large_fleet_factory, counted, engine
+):
+    _cold_overload(large_fleet_factory(5_000, groups=8), 8, counted, engine)
 
 
 def _spans(tracer, name):

@@ -154,8 +154,8 @@ def _traced_churn_solves(repair: bool, seed: int = 1000) -> dict:
     )
     cold = ContextSwitchOptimizer(timeout=30.0, first_solution_only=True)
     optimizer = RepairOptimizer(cold, timeout=30.0) if repair else cold
-    # Warm-up outside the trace: the repair engine's cold start is not a
-    # steady-state round, and the cold side replays identical churn.
+    # Warm-up outside the trace: the first round leaves the repair engine
+    # its previous assignment, and the cold side replays identical churn.
     current = optimizer.optimize(
         configuration, states, vjob_of_vm=vjob_of_vm
     ).target
