@@ -25,15 +25,12 @@ wasted migrations are reported on the :class:`~repro.api.results.RunResult`.
 A round whose decide or plan raises keeps its configuration and is recorded
 once (``metadata["failure_causes"]``, the phase span, a WARNING log).
 
-``engine`` selects how each planning round is solved: ``"event"``, the
-monolithic optimizer; ``"partitioned"`` — the cluster is decomposed into
-independent placement zones, solved on worker processes when they are big
-enough to pay for them (:mod:`repro.scale`), with a transparent monolithic
-re-solve — or the incremental ``"repair"`` / ``"repair-partitioned"`` engines
-(:mod:`repro.repair`).  For the repair engines the loop tracks the VMs each
-round actually perturbed — crash victims, new arrivals, members of violated
-constraints — and hands them to the planner, which freezes everything else
-and re-solves only the dirty region.
+``engine`` selects how each planning round is solved, from the one menu in
+:class:`~repro.core.context_switch.ClusterContextSwitch` (default
+:data:`~repro.core.context_switch.DEFAULT_ENGINE`, the incremental
+``"repair"`` engine).  The loop hands a round nothing but the observed
+configuration: the repair engines read what changed since their last round
+from it.
 
 With ``constraints`` (the :mod:`repro.constraints` catalog), every planning
 round honours the declared placement relations: the optimizer compiles them
@@ -55,7 +52,11 @@ from ..constraints.base import PlacementConstraint
 from ..constraints.checker import check_configuration
 from ..constraints.domains import RetainedDomains
 from ..core.actions import ActionKind, Resume
-from ..core.context_switch import ClusterContextSwitch, ContextSwitchReport
+from ..core.context_switch import (
+    DEFAULT_ENGINE,
+    ClusterContextSwitch,
+    ContextSwitchReport,
+)
 from ..model.errors import PlanningError
 from ..model.node import Node
 from ..model.queue import VJobQueue
@@ -123,7 +124,7 @@ class ControlLoop:
         policy_options: Optional[Mapping[str, Any]] = None,
         period: float = config.DECISION_PERIOD_S,
         optimizer_timeout: float = 10.0,
-        engine: str = "event",
+        engine: str = DEFAULT_ENGINE,
         hypervisor: HypervisorModel = DEFAULT_HYPERVISOR,
         max_time: float = 24 * 3600.0,
         observers: Sequence[LoopObserver] = (),
@@ -165,10 +166,6 @@ class ControlLoop:
         self._submitted: set[str] = set()
         #: vjob name -> time of the crash that knocked it out, until repaired.
         self._repair_pending: dict[str, float] = {}
-        #: VMs perturbed since the last planning round (crash victims, new
-        #: arrivals, members of violated constraints) — the dirty region the
-        #: repair engines re-solve; a no-op hint for the cold engines.
-        self._perturbed: set[str] = set()
         #: Rounds whose decide or plan raised, by exception type.
         self._failures: Counter[str] = Counter()
         #: Per switch, for ``metadata["solver"]`` / ``["repair_engine"]``:
@@ -239,9 +236,6 @@ class ControlLoop:
             if vjob.name not in self._submitted and vjob.submitted_at <= now:
                 self.queue.submit(vjob)
                 self._submitted.add(vjob.name)
-                # New arrivals perturb their own VMs only: the repair
-                # engines place them without re-solving the whole fleet.
-                self._perturbed.update(vjob.vm_names)
 
     def _vjob_of_vm(self) -> dict[str, str]:
         return index_vms_by_vjob(workload.vjob for workload in self.workloads)
@@ -334,7 +328,6 @@ class ControlLoop:
                 if self._all_finished():
                     break
                 decision = self._decide(iteration, now)
-                self._mark_dirty()
                 failed, report = self._plan(decision, vjob_of_vm, iteration, now)
                 # A switch, or no switch needed, is progress.
                 consecutive_failures = consecutive_failures + 1 if failed else 0
@@ -408,14 +401,6 @@ class ControlLoop:
                 return None
         self._notify("on_decision", now, decision)
         return decision
-
-    def _mark_dirty(self) -> None:
-        """Hand the VMs perturbed since the last round to the repair engine
-        (the cold engines ignore the hint).  The engine accumulates marks
-        until its next solve, so nothing is lost when no switch follows."""
-        if self._perturbed:
-            self.switcher.mark_dirty(sorted(self._perturbed))
-            self._perturbed.clear()
 
     def _plan(
         self,
@@ -699,11 +684,9 @@ class ControlLoop:
         iteration — that repetition *is* the timeline)."""
         if not self.constraints:
             return
-        violated_labels: set[str] = set()
         for violation in check_configuration(
             self.cluster.configuration, self.constraints
         ):
-            violated_labels.add(violation.constraint)
             self._record_violation(
                 ConstraintViolationRecord(
                     time=time,
@@ -713,14 +696,6 @@ class ControlLoop:
                 ),
                 result,
             )
-        if violated_labels:
-            # Members of a breached constraint are perturbed: the repair
-            # engines must be free to move them (and compute_dirty_set
-            # additionally re-opens any frozen placement a shrunken
-            # constraint no longer allows).
-            for constraint in self.constraints:
-                if constraint.label in violated_labels:
-                    self._perturbed.update(constraint.vms)
 
     # ------------------------------------------------------------------ #
     # fault handling                                                      #
@@ -804,9 +779,6 @@ class ControlLoop:
             vjob.state = VJobState.WAITING
             self._repair_pending.setdefault(name, crash_time)
             repaired_names.append(name)
-            # Every sibling VM must be replanned together (consistency of
-            # Section 4.1), so the whole vjob joins the dirty region.
-            self._perturbed.update(vjob.vm_names)
         return tuple(repaired_names)
 
     def _record_migration_faults(self, execution, result: RunResult) -> int:
@@ -825,9 +797,6 @@ class ControlLoop:
             ):
                 continue
             aborted += 1
-            # The VM stayed on its source node, diverging from the accepted
-            # plan — mark it so the repair engines replan it next round.
-            self._perturbed.add(failure.action.vm)
             record = FaultRecord(
                 time=failure.start,
                 kind=FaultKind.MIGRATION_FAILURE.value,

@@ -22,6 +22,7 @@ from typing import Any, Optional, Sequence
 
 from .. import config
 from ..constraints.base import PlacementConstraint
+from ..core.context_switch import DEFAULT_ENGINE
 from ..model.node import Node
 from ..obs import Tracer
 from ..sim.faults import FaultInjector, FaultSchedule
@@ -50,17 +51,11 @@ class Scenario:
     and the live cluster are checked continuously, and the violation
     timeline lands on :attr:`RunResult.constraint_violations`.
 
-    ``engine`` selects the solving strategy for every planning round:
-    ``"event"`` (default) is the monolithic optimizer, ``"partitioned"``
-    decomposes the cluster into independent placement zones — solved on
-    worker processes when they are big enough to pay for them
-    (:mod:`repro.scale`) — falling back to the monolithic solve whenever
-    no decomposition exists.  ``"repair"`` and
-    ``"repair-partitioned"`` (:mod:`repro.repair`) replan incrementally:
-    the loop tracks the VMs each round perturbed (crash victims, arrivals,
-    violated-constraint members), the solver freezes everything else and
-    re-solves the dirty region only, falling back to the full solve on
-    infeasibility.
+    ``engine`` selects the solving strategy for every planning round, from
+    the one menu in
+    :class:`~repro.core.context_switch.ClusterContextSwitch` (default
+    :data:`~repro.core.context_switch.DEFAULT_ENGINE`, the incremental
+    ``"repair"`` engine).
 
     ``trace=True`` attaches a :class:`repro.obs.Tracer` to the run: every
     round records observe/decide/plan/solve/execute child spans (zone and
@@ -76,7 +71,7 @@ class Scenario:
     policy_options: dict[str, Any] = field(default_factory=dict)
     period: float = config.DECISION_PERIOD_S
     optimizer_timeout: float = 10.0
-    engine: str = "event"
+    engine: str = DEFAULT_ENGINE
     hypervisor: HypervisorModel = DEFAULT_HYPERVISOR
     max_time: float = 24 * 3600.0
     faults: Optional[FaultSchedule] = None

@@ -60,6 +60,9 @@ _COMPOSED_ENGINES = {
     "repair-partitioned": (True, "partitioned"),
 }
 
+#: The engine a switch, a control loop and a ``Scenario`` run when none is named.
+DEFAULT_ENGINE = "repair"
+
 
 class ClusterContextSwitch:
     """Compute cluster-wide context switches between configurations."""
@@ -67,20 +70,29 @@ class ClusterContextSwitch:
     def __init__(
         self,
         optimizer_timeout: float = 40.0,
-        engine: str = "event",
+        engine: str = DEFAULT_ENGINE,
         zone_executor: str = "auto",
     ) -> None:
-        """``engine`` selects the solving strategy: ``"event"``, the
-        monolithic optimizer; ``"partitioned"``, which decomposes the
-        cluster into independent placement zones solved one by one or
-        concurrently (:mod:`repro.scale.parallel`) and transparently falls
-        back to the monolithic solve when no decomposition exists; or the
-        incremental ``"repair"`` / ``"repair-partitioned"`` engines
-        (:mod:`repro.repair`), which freeze the VMs outside the round's
-        perturbed region and solve the dirty region only, falling back to
-        the full solve on infeasibility.  ``zone_executor`` only applies
-        to the partitioned engines, which by default decide per solve
-        whether their zones are worth worker processes."""
+        """``engine`` selects the solving strategy — the one engine menu,
+        which the control loop and the ``Scenario`` facade pass through:
+
+        * ``"repair"`` (:data:`DEFAULT_ENGINE`) and ``"repair-partitioned"``
+          (:mod:`repro.repair`) keep the previous round's assignment, read
+          what changed since from the configuration (its change journal and
+          the dirty rule: arrivals, crash victims, diverged or misplaced VMs,
+          overloaded hosts), freeze every other VM and solve the dirty
+          region in one attempt, falling back to the full solve when the
+          attempt finds nothing;
+        * ``"event"``, the monolithic optimizer, solved cold every round;
+        * ``"partitioned"``, which decomposes the cluster into independent
+          placement zones solved one by one or concurrently
+          (:mod:`repro.scale.parallel`) and transparently falls back to the
+          monolithic solve when no decomposition exists;
+        * ``"fixpoint"``, the reference propagation engine, solved cold.
+
+        ``zone_executor`` only applies to the partitioned engines, which by
+        default decide per solve whether their zones are worth worker
+        processes."""
         if engine not in ENGINES and engine not in _COMPOSED_ENGINES:
             raise SolverError(
                 f"unknown engine {engine!r}; expected one of "
@@ -118,7 +130,8 @@ class ClusterContextSwitch:
         self.optimizer.close()
 
     def mark_dirty(self, vms) -> None:
-        """Forward the round's perturbed VMs to the repair engine; a no-op
+        """Flag VMs as perturbed where the configuration does not show it
+        (the repair engines read every other perturbation from it); a no-op
         for the cold engines (they re-solve everything anyway)."""
         self.optimizer.mark_dirty(vms)
 

@@ -9,9 +9,10 @@ from what moved rather than from the fleet (:func:`dirty_region`, the one
 body both :meth:`RepairOptimizer._dirty_region` and
 :func:`compute_dirty_set` call):
 
-1. **external marks** — VMs the control loop flagged as perturbed this round
-   (crashed-node victims, new arrivals, members of violated constraints),
-   handed over through :meth:`RepairOptimizer.mark_dirty`;
+1. **external marks** — VMs a caller flagged through
+   :meth:`RepairOptimizer.mark_dirty`: a perturbation the configuration
+   does not show (the control loop flags none — rules 2 and 3 derive its
+   arrivals, crash victims, aborted migrations and unary breaches);
 2. **needs placement** — VMs that must run but are not currently running
    (also covers resumes and failed migrations re-observed as waiting): they
    are among the VMs whose wanted state is not the observed one, which the

@@ -1,8 +1,10 @@
 """Control-loop integration of the repair engine and the accounting fixes:
 repair-latency attribution, honest ``unrepaired_vjobs``, ``request_stop``."""
 
+from repro.api import LoopObserver
 from repro.api.loop import ControlLoop
 from repro.api.scenario import Scenario
+from repro.core.context_switch import DEFAULT_ENGINE
 from repro.model.node import make_working_nodes
 from repro.model.vjob import VJobState
 from repro.service.commands import LoopCommandQueue
@@ -167,11 +169,35 @@ class TestRepairEngineInTheLoop:
         # same vjobs by the same simulated horizon as the cold solve
         assert run("repair") == run("event")
 
+    def test_the_default_engine_repairs_from_a_full_first_round(self):
+        switches = []
+
+        class Switches(LoopObserver):
+            def on_switch(self, record, report):
+                switches.append(report.repair)
+
+        scenario = Scenario(
+            nodes=make_working_nodes(4),
+            workloads=_workloads(count=1),
+            policy="consolidation",
+            optimizer_timeout=2.0,
+            observers=[Switches()],
+        )
+        loop = scenario.build()
+        assert loop.switcher.engine == DEFAULT_ENGINE == "repair"
+        loop.switcher.mark_dirty(["anything"])  # must not raise
+        result = loop.run()
+        assert result.metadata["repair_engine"]["full_rounds"] >= 1
+        # Nothing is placed before the first round: nothing to freeze.
+        assert switches[0]["mode"] == "full"
+        assert switches[0]["frozen_count"] == 0
+
     def test_mark_dirty_is_a_no_op_for_cold_engines(self):
         scenario = Scenario(
             nodes=make_working_nodes(4),
             workloads=_workloads(count=1),
             policy="consolidation",
+            engine="event",
             optimizer_timeout=2.0,
         )
         loop = scenario.build()

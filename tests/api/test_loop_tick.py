@@ -69,9 +69,9 @@ class _SubmitsAt(LoopObserver):
             self.queue.submit_workload(make_workload("op", vm_count=1, duration=60.0))
 
 
-def _run():
+def _scenario(engine="repair"):
+    """The scripted run's scenario and the operator queue it drains."""
     queue = LoopCommandQueue()
-    recorder = RecordingObserver()
     scenario = Scenario(
         nodes=[
             *make_working_nodes(3, cpu_capacity=4, memory_capacity=4096),
@@ -83,17 +83,22 @@ def _run():
         ],
         policy=_Scripted(),
         optimizer_timeout=5.0,
-        engine="repair",
+        engine=engine,
         constraints=[Ban(["a.vm0"], ["node-0"])],
         faults=FaultSchedule()
         .node_crash("node-0", at=100.0)
         .add(FaultEvent(0.0, FaultKind.MIGRATION_FAILURE, "a.vm0")),
-        observers=[recorder, _SubmitsAt(queue, 30.0)],
+        observers=[RecordingObserver(), _SubmitsAt(queue, 30.0)],
         trace=True,
     )
+    return scenario, queue
+
+
+def _run():
+    scenario, queue = _scenario()
     result = scenario.build(command_queue=queue).run()
     assert queue.applied == ["submit_vjob:op"]
-    return result, recorder
+    return result, scenario.observers[0]
 
 
 #: Observer events, one string per round (a round ends at its sample).

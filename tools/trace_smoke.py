@@ -185,10 +185,10 @@ def _traced_churn_solves(repair: bool, seed: int = 1000) -> dict:
             victims = rng.sample(
                 running, min(victims_per_round, len(running))
             )
+            # No mark: a victim is wanted running and does not run, which
+            # the repair engine's dirty rule reads off the configuration.
             for victim in victims:
                 current.set_waiting(victim)
-            if repair:
-                optimizer.mark_dirty(victims)
             with span("round", index=index):
                 with span("solve"):
                     result = optimizer.optimize(
