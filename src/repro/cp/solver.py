@@ -250,6 +250,16 @@ class SearchStatistics:
     limit_reached: bool = False
     elapsed: float = 0.0
 
+    def record_on(self, trace_span: Span) -> None:
+        """Put the search counters on ``trace_span`` as span counters, and
+        whether the search proved its answer or ran out of time as
+        attributes."""
+        trace_span.inc("nodes", self.nodes)
+        trace_span.inc("backtracks", self.backtracks)
+        trace_span.inc("propagations", self.propagations)
+        trace_span.inc("solutions", self.solutions)
+        trace_span.set(proven_optimal=self.proven_optimal, timed_out=self.timed_out)
+
 
 @dataclass
 class SearchResult:
@@ -261,8 +271,8 @@ class SearchResult:
     #: Why the search ended: ``"bound"`` (an accepted solution met
     #: ``root_bound``, so it is optimal and nothing was left to prove),
     #: ``"exhausted"`` (the whole tree was walked), ``"timeout"``,
-    #: ``"node_limit"``, or ``"first"`` (``first_solution_only`` /
-    #: ``solution_limit`` got the solutions they asked for).  A sixth value,
+    #: ``"node_limit"``, or ``"first"`` (``first_solution_only`` got the
+    #: solution it asked for).  A sixth value,
     #: ``"incumbent"``, is written by :mod:`repro.core.optimizer` for a solve
     #: it answered without a search: a placement known beforehand already
     #: cost the lower bound.
@@ -278,16 +288,11 @@ class SearchResult:
 
     def record_on(self, trace_span: Span) -> None:
         """Put the outcome on the ``cp.solve`` span of the solve it ends:
-        the search counters as span counters, why and when it stopped as
-        attributes."""
+        the search statistics (:meth:`SearchStatistics.record_on`), and why
+        and when it stopped as attributes."""
         stats = self.statistics
-        trace_span.inc("nodes", stats.nodes)
-        trace_span.inc("backtracks", stats.backtracks)
-        trace_span.inc("propagations", stats.propagations)
-        trace_span.inc("solutions", stats.solutions)
+        stats.record_on(trace_span)
         trace_span.set(
-            proven_optimal=stats.proven_optimal,
-            timed_out=stats.timed_out,
             stop=self.stop,
             root_bound=self.root_bound,
             first_solution_ms=_ms(self.first_solution_at),
@@ -501,7 +506,6 @@ class Solver:
         self,
         minimize: Optional[IntVar] = None,
         timeout: Optional[float] = None,
-        solution_limit: Optional[int] = None,
         collect_all: bool = False,
         first_solution_only: bool = False,
         initial_bound: Optional[int] = None,
@@ -517,8 +521,6 @@ class Solver:
         timeout:
             Wall-clock budget in seconds; the best solution found so far is
             returned when it expires (the paper uses 40 s in Section 5.1).
-        solution_limit:
-            Stop after this many solutions (satisfaction mode only).
         collect_all:
             Keep every improving/accepted solution in ``all_solutions``.
         first_solution_only:
@@ -544,7 +546,6 @@ class Solver:
             result = self._solve_impl(
                 minimize=minimize,
                 timeout=timeout,
-                solution_limit=solution_limit,
                 collect_all=collect_all,
                 first_solution_only=first_solution_only,
                 initial_bound=initial_bound,
@@ -558,7 +559,6 @@ class Solver:
         self,
         minimize: Optional[IntVar] = None,
         timeout: Optional[float] = None,
-        solution_limit: Optional[int] = None,
         collect_all: bool = False,
         first_solution_only: bool = False,
         initial_bound: Optional[int] = None,
@@ -646,9 +646,7 @@ class Solver:
                 if result.best is None:
                     result.best = solution
                     result.best_solution_at = now
-                if first_solution_only or (
-                    solution_limit is not None and stats.solutions >= solution_limit
-                ):
+                if first_solution_only:
                     result.stop = "first"
                     return True
                 return False

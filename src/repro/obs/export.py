@@ -8,8 +8,8 @@ JSON object format (``{"traceEvents": [...]}``): one complete event
 event (``"ph": "i"``) per span event.  The output loads directly in
 https://ui.perfetto.dev or ``chrome://tracing``.
 
-Subtrees recorded in worker processes (adopted spans, marked with a
-``remote`` attribute by ``repro.scale``) get their own ``tid`` so
+A span marked ``remote`` (``repro.scale`` marks the ``zone`` span it
+records for a zone solved on a worker process) gets its own ``tid`` so
 Perfetto renders concurrent zone solves as parallel tracks instead of
 rejecting overlapping events on one track.
 

@@ -17,11 +17,10 @@ aligned with log lines.  All tree mutation happens under an
 snapshot a live trace (:meth:`Tracer.to_dict`) while the control loop
 is still writing to it.
 
-``contextvars`` do **not** propagate into new threads or worker
-processes: a thread that should trace must enter
-:meth:`Tracer.activate` itself (the control loop does), and worker
-processes build a local :class:`Tracer` whose serialized tree the
-parent re-parents with :meth:`Tracer.adopt`.
+``contextvars`` do **not** propagate into new threads: a thread that
+should trace must enter :meth:`Tracer.activate` itself (the control loop
+does).  Worker processes record nothing; the parent spans what they
+return (``repro.scale`` does, for a pooled zone).
 """
 
 from __future__ import annotations
@@ -142,18 +141,6 @@ class Span:
             cls.from_dict(child) for child in data.get("children", [])
         ]
         return node
-
-    def shift(self, offset: float) -> None:
-        """Translate this subtree's timestamps by ``offset`` seconds —
-        used when adopting a worker-process trace into the parent's
-        timeline."""
-        self.start += offset
-        if self.end is not None:
-            self.end += offset
-        for event in self.events:
-            event["at"] = event.get("at", 0.0) + offset
-        for child in self.children:
-            child.shift(offset)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -332,33 +319,6 @@ class Tracer:
         with self._lock:
             if node.end is None:
                 node.end = self.now()
-
-    # -- worker-trace adoption ------------------------------------------
-
-    def adopt(
-        self,
-        parent: Span,
-        trace: Dict[str, Any],
-        offset: float = 0.0,
-    ) -> Span:
-        """Graft a serialized worker trace (a :meth:`to_dict` document or
-        bare span dict) under ``parent``, translating its timestamps by
-        ``offset`` seconds into this tracer's timeline.
-
-        The alignment is approximate — worker clocks are independent, so
-        ``offset`` is typically the parent's clock reading at submit
-        time — which is documented rather than hidden: the adopted root
-        gains an ``adopted=True`` attribute.
-        """
-        data = trace.get("root", trace)
-        node = Span.from_dict(data)
-        node.shift(offset)
-        node.set(adopted=True)
-        with self._lock:
-            for descendant in node.walk():
-                descendant._tracer = self
-            parent.children.append(node)
-        return node
 
     # -- serialization ---------------------------------------------------
 

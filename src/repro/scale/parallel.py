@@ -13,6 +13,11 @@ exactly as it does its own.  The merged plan is therefore exactly as
 checker-validated as a monolithic one: the planner re-applies the whole
 constraint catalog to every intermediate state.
 
+Tracing: a zone solved in-process opens a ``zone`` span around its
+``cp.solve``.  A worker process records nothing and answers only its
+:class:`ZoneOutcome`; the parent records that zone's ``zone`` span from it
+(``remote``, with the zone's search counters and flags).
+
 Why this is sound: the partitioner guarantees that zone node sets are
 disjoint and that every zone VM's candidate nodes lie inside its zone, so
 
@@ -81,6 +86,7 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextvars import Context
 from dataclasses import dataclass, replace
 from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -96,7 +102,7 @@ from ..cp import SearchStatistics
 from ..model.configuration import Configuration
 from ..model.errors import PlanningError, SolverError
 from ..model.vm import VMState
-from ..obs import Span, Tracer, current_span, current_tracer, span
+from ..obs import current_tracer, span
 from .partition import PartitionResult, Zone, partition, placed_vms
 
 #: Executor kinds accepted by :class:`ParallelOptimizer`.  ``"auto"`` (the
@@ -144,12 +150,7 @@ class ZoneTask:
 
     zone: Zone
     configuration: Configuration
-    engine: str = "event"
     timeout: float = 40.0
-    #: True when the parent solve is being traced: the worker records a
-    #: local :class:`repro.obs.Tracer` and ships the span tree back in
-    #: :attr:`ZoneOutcome.trace` for re-parenting.
-    trace: bool = False
 
 
 @dataclass
@@ -169,10 +170,6 @@ class ZoneOutcome:
     #: where they are (``assignment`` names none of them) without entering a
     #: solver.
     reused: bool = False
-    #: Serialized worker-side span tree (``Tracer.to_dict()``), present only
-    #: when :attr:`ZoneTask.trace` was set and the zone solved in a worker
-    #: process; the parent re-parents it into its own timeline.
-    trace: Optional[dict] = None
 
 
 def build_zone_configuration(
@@ -191,57 +188,49 @@ def build_zone_configuration(
     return extract(current, zone.nodes, dirty, released or {})
 
 
+def _zone_size(zone: Zone, extracted: Sequence[str]) -> Dict[str, int]:
+    """The ``zone`` span's size attributes: ``pinned`` counts the zone's VMs
+    the round froze, those its cut did not extract."""
+    return {
+        "zone": zone.index,
+        "vms": len(zone.vms),
+        "nodes": len(zone.nodes),
+        "pinned": len(zone.vms) - len(extracted),
+    }
+
+
 def solve_zone(task: ZoneTask) -> ZoneOutcome:
-    """Solve one zone; module-level so process pools can import it.
-
-    Tracing composes with both executors: in-process (serial) zones open a
-    ``zone`` span under whatever is already active, while worker processes
-    record a local tracer when :attr:`ZoneTask.trace` is set and ship its
-    tree back in :attr:`ZoneOutcome.trace` for the parent to re-parent.
-    The flag — not the ambient contextvar — decides, because forked
-    workers *inherit* the parent's active span and any span recorded on
-    that copied tracer would be lost with the worker.
-    """
-    if task.trace:
-        tracer = Tracer(name="zone")
-        with tracer.activate() as root:
-            # ``remote`` makes the Chrome exporter give this subtree its
-            # own track, so concurrent zones render side by side.
-            root.set(zone=task.zone.index, remote=True)
-            outcome = _solve_zone_traced(task, root)
-        outcome.trace = tracer.to_dict()
-        return outcome
-    with span("zone", zone=task.zone.index) as zone_span:
-        return _solve_zone_traced(task, zone_span)
-
-
-def _solve_zone_traced(task: ZoneTask, zone_span: Span) -> ZoneOutcome:
+    """Solve one zone under a ``zone`` span; module-level so process pools
+    can import it."""
     extracted = task.configuration.vm_names
-    zone_span.set(
-        vms=len(task.zone.vms),
-        nodes=len(task.zone.nodes),
-        pinned=len(task.zone.vms) - len(extracted),
-    )
-    optimizer = ContextSwitchOptimizer(engine=task.engine)
-    # Every VM the zone extracted is to run: its wanted states are complete
-    # as built, and the search reads no list of changed VMs.
-    states = dict.fromkeys(extracted, VMState.RUNNING)
-    started = time.monotonic()
-    assignment, statistics, _ = optimizer.search_assignment(
-        task.configuration,
-        states,
-        constraints=task.zone.constraints,
-        deadline=started + task.timeout,
-        completed=(states, ()),
-    )
-    return ZoneOutcome(
-        index=task.zone.index,
-        assignment=assignment,
-        statistics=statistics,
-        elapsed=time.monotonic() - started,
-        node_count=len(task.zone.nodes),
-        vm_count=len(task.zone.vms),
-    )
+    with span("zone", **_zone_size(task.zone, extracted)):
+        optimizer = ContextSwitchOptimizer()
+        # Every VM the zone extracted is to run: its wanted states are
+        # complete as built, and the search reads no list of changed VMs.
+        states = dict.fromkeys(extracted, VMState.RUNNING)
+        started = time.monotonic()
+        assignment, statistics, _ = optimizer.search_assignment(
+            task.configuration,
+            states,
+            constraints=task.zone.constraints,
+            deadline=started + task.timeout,
+            completed=(states, ()),
+        )
+        return ZoneOutcome(
+            index=task.zone.index,
+            assignment=assignment,
+            statistics=statistics,
+            elapsed=time.monotonic() - started,
+            node_count=len(task.zone.nodes),
+            vm_count=len(task.zone.vms),
+        )
+
+
+def _solve_zone_in_worker(task: ZoneTask) -> ZoneOutcome:
+    """:func:`solve_zone` in an empty context: a forked worker inherits the
+    parent's active span, and whatever it recorded there would be lost with
+    the worker, so it records nothing and the parent spans the outcome."""
+    return Context().run(solve_zone, task)
 
 
 def merge_statistics(
@@ -282,12 +271,13 @@ def merge_statistics(
 class ParallelOptimizer(ContextSwitchOptimizer):
     """Partition the instance into zones and solve them concurrently.
 
-    The constructor mirrors :class:`ContextSwitchOptimizer` and adds
-    ``zone_executor`` (``"auto"`` decides per solve, from the pending zones
-    and the host's cores, between in-process and the worker pool and sizes
-    the pool; ``"serial"`` / ``"process"`` force one or the other — see
-    :data:`ZONE_EXECUTORS`) and ``shards`` (the shard count of the k-way
-    fallback, 4 by default; ``None`` disables sharding so only
+    The constructor takes :class:`ContextSwitchOptimizer`'s ``timeout`` (the
+    zones and the monolithic re-solve run the ``event`` propagation engine)
+    and adds ``zone_executor`` (``"auto"`` decides per solve, from the
+    pending zones and the host's cores, between in-process and the worker
+    pool and sizes the pool; ``"serial"`` / ``"process"`` force one or the
+    other — see :data:`ZONE_EXECUTORS`) and ``shards`` (the shard count of
+    the k-way fallback, 4 by default; ``None`` disables sharding so only
     constraint-induced partitions are used).
     """
 
@@ -299,7 +289,6 @@ class ParallelOptimizer(ContextSwitchOptimizer):
     def __init__(
         self,
         timeout: float = 40.0,
-        engine: str = "event",
         zone_executor: str = "auto",
         shards: int | str | None = "auto",
     ) -> None:
@@ -308,7 +297,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
                 f"unknown zone executor {zone_executor!r}; expected one of "
                 f"{ZONE_EXECUTORS}"
             )
-        super().__init__(timeout=timeout, engine=engine)
+        super().__init__(timeout=timeout)
         self.zone_executor = zone_executor
         #: Fallback shard count: ``"auto"`` is 4, ``None`` disables the
         #: k-way sharding fallback entirely, an int fixes the count.  The
@@ -564,7 +553,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         not keep running: they hold capacity no zone's model counts."""
         if dirty is None:
             return [], [
-                ZoneTask(zone, build_zone_configuration(current, zone), self.engine)
+                ZoneTask(zone, build_zone_configuration(current, zone))
                 for zone in decomposition.zones
             ]
         zone_of_vm = decomposition.zone_of_vm
@@ -600,7 +589,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
             vms = current.in_registration_order(free[zone.index])
             cut = build_zone_configuration(current, zone, vms, released)
             residual = replace(zone, constraints=tuple(catalog))
-            tasks.append(ZoneTask(residual, cut, self.engine))
+            tasks.append(ZoneTask(residual, cut))
         return answered, tasks
 
     def _solve_zones(
@@ -651,28 +640,25 @@ class ParallelOptimizer(ContextSwitchOptimizer):
             self._pool = ProcessPoolExecutor(max_workers=workers)
             self._pool_size = workers
         tracer = current_tracer()
-        parent_span = current_span()
-        if tracer is not None:
-            for task in tasks:
-                task.trace = True
-        submitted_at = tracer.now() if tracer is not None else 0.0
+        submitted = tracer.now() if tracer is not None else 0.0
         try:
-            outcomes = list(self._pool.map(solve_zone, tasks))
+            outcomes = list(self._pool.map(_solve_zone_in_worker, tasks))
         except BrokenProcessPool:
             # A worker died (killed, out of memory): the pool is unusable,
             # so drop it and let the next solve that needs one respawn it.
             self.close()
             raise
-        if tracer is not None and parent_span is not None:
-            # Worker clocks are independent; aligning each zone tree to the
-            # submit time is approximate (documented by the ``adopted``
-            # attribute the graft sets) but keeps concurrent zones visible
-            # inside the parent solve span.
-            for outcome in sorted(outcomes, key=lambda o: o.index):
-                if outcome.trace is not None:
-                    tracer.adopt(
-                        parent_span, outcome.trace, offset=submitted_at
-                    )
+        if tracer is not None:
+            # The worker's clock is its own: a pooled zone's span starts at
+            # the submit time and lasts what the worker measured.
+            # ``remote`` gives it its own track in the Chrome export, so
+            # concurrent zones render side by side.
+            for task, outcome in zip(tasks, outcomes):
+                size = _zone_size(task.zone, task.configuration.vm_names)
+                with span("zone", remote=True, **size) as zone_span:
+                    outcome.statistics.record_on(zone_span)
+                zone_span.start = submitted
+                zone_span.end = submitted + outcome.elapsed
         return answered + outcomes
 
     def close(self) -> None:

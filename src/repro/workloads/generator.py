@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 from .. import config
 from ..model.configuration import Configuration
@@ -31,6 +31,9 @@ from .nasgrid import (
 )
 from .traces import VJobWorkload
 
+#: The VM counts a generated vjob draws from: the paper's vjobs of 9 or 18.
+_VJOB_SIZES = (9, 18)
+
 
 @dataclass
 class GeneratedScenario:
@@ -45,27 +48,17 @@ class GeneratedScenario:
 
 
 class TraceConfigurationGenerator:
-    """Builds random scenarios matching the Section 5.1 setup."""
+    """Builds random scenarios matching the Section 5.1 setup: vjobs of 9 or
+    18 VMs, each VM drawing its memory from
+    :data:`~repro.workloads.nasgrid.MEMORY_CHOICES_MB`, on ``node_count``
+    nodes of the trace cluster's node size."""
 
     def __init__(
         self,
         node_count: int = config.TRACE_CLUSTER.node_count,
-        node_cpu: int = config.TRACE_CLUSTER.node_spec.cpu_capacity,
-        node_memory: int = config.TRACE_CLUSTER.node_spec.usable_memory,
-        vm_counts_per_vjob: Sequence[int] = (9, 18),
-        memory_choices: Sequence[int] = MEMORY_CHOICES_MB,
         seed: Optional[int] = None,
-        name_prefix: str = "",
     ) -> None:
         self.node_count = node_count
-        self.node_cpu = node_cpu
-        self.node_memory = node_memory
-        self.vm_counts_per_vjob = tuple(vm_counts_per_vjob)
-        self.memory_choices = tuple(memory_choices)
-        #: Prefixed to every node and vjob name, so several generated
-        #: scenarios can be merged into one configuration without name
-        #: collisions (e.g. the partitioning benchmark's multi-zone fixture).
-        self.name_prefix = name_prefix
         #: Seed this generator was built with; every random draw flows through
         #: the private ``random.Random`` below (never the module-global
         #: ``random``), so the same seed always yields the same scenarios.
@@ -77,11 +70,11 @@ class TraceConfigurationGenerator:
     def generate(self, vm_count: int, seed: Optional[int] = None) -> GeneratedScenario:
         """Generate one scenario with about ``vm_count`` VMs."""
         rng = random.Random(seed) if seed is not None else self._rng
+        node_spec = config.TRACE_CLUSTER.node_spec
         nodes = make_working_nodes(
             self.node_count,
-            cpu_capacity=self.node_cpu,
-            memory_capacity=self.node_memory,
-            prefix=f"{self.name_prefix}node",
+            cpu_capacity=node_spec.cpu_capacity,
+            memory_capacity=node_spec.usable_memory,
         )
         configuration = Configuration(nodes=nodes)
         queue = VJobQueue()
@@ -90,16 +83,16 @@ class TraceConfigurationGenerator:
         built = 0
         index = 0
         while built < vm_count:
-            per_vjob = rng.choice(self.vm_counts_per_vjob)
+            per_vjob = rng.choice(_VJOB_SIZES)
             per_vjob = min(per_vjob, vm_count - built) or per_vjob
             spec = NASGridSpec(
                 benchmark=rng.choice(list(Benchmark)),
                 problem_class=rng.choice(list(ProblemClass)),
                 vm_count=per_vjob,
             )
-            memories = [rng.choice(self.memory_choices) for _ in range(per_vjob)]
+            memories = [rng.choice(MEMORY_CHOICES_MB) for _ in range(per_vjob)]
             workload = make_nasgrid_vjob(
-                name=f"{self.name_prefix}vjob{index}",
+                name=f"vjob{index}",
                 spec=spec,
                 memory_mb=memories,
                 priority=index,
@@ -179,9 +172,9 @@ class TraceConfigurationGenerator:
                 workload.vjob.suspend()
 
 
-def paper_vm_counts(points: int = 9, step: int = 54, start: int = 54) -> list[int]:
+def paper_vm_counts() -> list[int]:
     """The VM counts of Figure 10: 54, 108, ..., 486."""
-    return [start + step * i for i in range(points)]
+    return [54 * i for i in range(1, 10)]
 
 
 def paper_cluster_nodes() -> list[Node]:

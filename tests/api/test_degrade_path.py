@@ -200,7 +200,7 @@ class TestFaultInjection:
         # its zones answered from the workers.
         assert len(pools) >= 2
         assert any(
-            span.attributes.get("adopted")
+            span.attributes.get("remote")
             for solve in solves[1:]
             for span in solve.walk()
             if span.name == "zone"

@@ -77,11 +77,12 @@ class TestSatisfaction:
         result = Solver(model).solve()
         assert result.best is None
 
-    def test_solution_limit(self):
+    def test_first_solution_only_stops_a_satisfaction_search(self):
         model = Model()
         model.int_var("x", range(5))
-        result = Solver(model).solve(solution_limit=1, collect_all=True)
+        result = Solver(model).solve(first_solution_only=True, collect_all=True)
         assert len(result.all_solutions) == 1
+        assert result.stop == "first"
 
     def test_statistics_are_populated(self):
         model = Model()

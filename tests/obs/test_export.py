@@ -46,20 +46,11 @@ class TestToChromeTrace:
     def test_remote_subtree_gets_its_own_track(self):
         counter = iter(range(1000))
         tracer = Tracer(clock=lambda: next(counter) * 0.5)
-        with tracer.activate() as root:
-            with span("solve") as solve_span:
-                tracer.adopt(
-                    solve_span,
-                    {
-                        "name": "zone",
-                        "start": 0.0,
-                        "end": 1.0,
-                        "attributes": {"remote": True},
-                        "children": [
-                            {"name": "cp.solve", "start": 0.1, "end": 0.9}
-                        ],
-                    },
-                )
+        with tracer.activate():
+            with span("solve"):
+                with span("zone", remote=True):
+                    with span("cp.solve"):
+                        pass
         document = to_chrome_trace(tracer.to_dict())
         tid_of = {
             e["name"]: e["tid"]

@@ -195,12 +195,12 @@ class TestPartitionedTracing:
         root = load_trace(tracer.to_dict())
         zones = [n for n in root.walk() if n.name == "zone"]
         assert len(zones) == 2
-        assert all(not z.attributes.get("adopted") for z in zones)
+        assert all(not z.attributes.get("remote") for z in zones)
         assert all(
             child.name == "cp.solve" for z in zones for child in z.children
         )
 
-    def test_process_zones_are_adopted_with_their_solver_counters(self):
+    def test_process_zones_are_spanned_with_their_solver_counters(self):
         configuration, states, constraints = _fenced_instance()
         tracer = Tracer()
         with tracer.activate():
@@ -215,23 +215,35 @@ class TestPartitionedTracing:
                 finally:
                     optimizer.close()
         root = load_trace(tracer.to_dict())
+        (solve,) = [n for n in root.walk() if n.name == "solve"]
+        # One ``zone`` span per pooled zone, recorded by the parent under
+        # the span current at submit time; the worker ships no subtree.
         zones = sorted(
             (n for n in root.walk() if n.name == "zone"),
             key=lambda z: z.attributes["zone"],
         )
         assert [z.attributes["zone"] for z in zones] == [0, 1]
-        assert all(z.attributes["adopted"] for z in zones)
-        assert all(z.attributes["remote"] for z in zones)
-        # Worker-side cp.solve spans came back through the pickle boundary
-        # and their counters agree with the merged statistics.
-        solver_nodes = sum(
-            child.counters.get("nodes", 0)
-            for z in zones
-            for child in z.children
-            if child.name == "cp.solve"
-        )
-        assert result.statistics is not None
-        assert solver_nodes == result.statistics.nodes
+        assert all(z in solve.children for z in zones)
+        assert all(z.attributes["remote"] is True for z in zones)
+        assert all(z.children == [] for z in zones)
+        # Each carries what its zone's outcome says.
+        reports = sorted(result.zone_reports, key=lambda o: o.index)
+        assert [o.index for o in reports] == [0, 1]
+        for zone, outcome in zip(zones, reports):
+            stats = outcome.statistics
+            assert zone.counters == {
+                "nodes": stats.nodes,
+                "backtracks": stats.backtracks,
+                "propagations": stats.propagations,
+                "solutions": stats.solutions,
+            }
+            assert zone.attributes["proven_optimal"] is stats.proven_optimal
+            assert zone.attributes["timed_out"] is stats.timed_out
+            assert zone.attributes["vms"] == outcome.vm_count == 3
+            assert zone.attributes["nodes"] == outcome.node_count == 3
+            assert zone.attributes["pinned"] == 0
+            assert zone.duration == pytest.approx(outcome.elapsed)
+        assert sum(z.counters["nodes"] for z in zones) == result.statistics.nodes
         # The export gives each remote zone its own track and still nests.
         document = to_chrome_trace(tracer.to_dict())
         assert validate_chrome_trace(document) == []

@@ -148,49 +148,6 @@ class TestSerialization:
         assert snapshot["root"]["end"] is None
         assert snapshot["version"] == 1
 
-    def test_shift_translates_the_whole_subtree(self):
-        sp = Span("zone", start=1.0)
-        sp.end = 2.0
-        sp.event("mark")
-        child = Span("cp.solve", start=1.25)
-        child.end = 1.75
-        sp.children.append(child)
-        sp.shift(10.0)
-        assert (sp.start, sp.end) == (11.0, 12.0)
-        assert (child.start, child.end) == (11.25, 11.75)
-        assert sp.events[0]["at"] == 11.0
-
-
-class TestAdoption:
-    def test_adopt_grafts_a_worker_trace_with_offset(self):
-        worker = ticking_tracer(step=0.25, name="zone")
-        with worker.activate() as root:
-            root.set(zone=3, remote=True)
-            with span("cp.solve") as sp:
-                sp.inc("nodes", 7)
-        shipped = worker.to_dict()
-
-        parent = ticking_tracer(step=1.0)
-        with parent.activate() as root:
-            with span("solve") as solve_span:
-                adopted = parent.adopt(solve_span, shipped, offset=100.0)
-        assert adopted.name == "zone"
-        assert adopted.attributes["adopted"] is True
-        assert adopted.attributes["zone"] == 3
-        assert adopted.start == 100.0
-        (cp,) = adopted.children
-        assert cp.counters == {"nodes": 7}
-        assert cp.start == 100.25
-        # The graft is reachable from the parent's tree.
-        names = [node.name for node in parent.root.walk()]
-        assert names == ["run", "solve", "zone", "cp.solve"]
-
-    def test_adopt_accepts_a_bare_span_dict(self):
-        parent = ticking_tracer()
-        with parent.activate() as root:
-            node = parent.adopt(root, {"name": "zone", "start": 0.0, "end": 1.0})
-        assert node.name == "zone"
-
 
 class TestThreads:
     def test_context_does_not_leak_into_new_threads(self):

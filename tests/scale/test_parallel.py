@@ -716,10 +716,14 @@ def _zone_task(**options):
         (ParallelOptimizer, "use_greedy_bound"),
         (ParallelOptimizer, "node_limit"),
         (ParallelOptimizer, "first_solution_only"),
+        (ParallelOptimizer, "engine"),
+        (_zone_task, "engine"),
+        (_zone_task, "trace"),
         (_zone_task, "use_greedy_bound"),
         (_zone_task, "node_limit"),
         (_zone_task, "first_solution_only"),
         (Solver(Model()).solve, "assumptions"),
+        (Solver(Model()).solve, "solution_limit"),
         (Scenario, "repair_halo"),
         (Scenario, "monitoring_delay"),
         (Scenario, "max_consecutive_planning_failures"),

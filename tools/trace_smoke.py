@@ -14,7 +14,11 @@ then checks the observability pipeline end to end:
 * the ``repro-trace`` CLI summarizes and exports the written trace file;
 * on the PR 7 churn tier (100 VMs, 10 % churn per round), ``repro-trace
   diff`` of a cold-solve trace against a repair-engine trace reports the
-  repair engine's solve-phase time reduction.
+  repair engine's solve-phase time reduction;
+* a traced partitioned solve on the worker pool (``zone_executor=
+  "process"``, two fenced zones) records one ``remote`` ``zone`` span per
+  pooled zone, carrying that zone's search counters, and its Chrome export
+  passes the validator.
 
 Exit code 0 on success; any failure raises and exits non-zero.
 
@@ -38,9 +42,11 @@ if str(REPO_ROOT / "src") not in sys.path:
     sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.api import Scenario  # noqa: E402
-from repro.constraints import Spread  # noqa: E402
+from repro.constraints import Fence, Spread  # noqa: E402
 from repro.core.optimizer import ContextSwitchOptimizer  # noqa: E402
 from repro.decision import ConsolidationDecisionModule  # noqa: E402
+from repro.model.configuration import Configuration  # noqa: E402
+from repro.model.node import make_working_nodes  # noqa: E402
 from repro.model.vm import VMState  # noqa: E402
 from repro.obs import (  # noqa: E402
     Tracer,
@@ -53,6 +59,8 @@ from repro.obs import (  # noqa: E402
 )
 from repro.obs.cli import main as trace_cli  # noqa: E402
 from repro.repair import RepairOptimizer  # noqa: E402
+from repro.scale import ParallelOptimizer  # noqa: E402
+from repro.testing import make_vm  # noqa: E402
 from repro.workloads import (  # noqa: E402
     ChurnGenerator,
     ProblemClass,
@@ -220,9 +228,58 @@ def churn_tier_diff() -> None:
     )
 
 
+def traced_pool_solve() -> None:
+    """A traced partitioned solve whose two fenced zones run on the worker
+    pool: one ``zone`` span per pooled zone, recorded by the parent from
+    the zone's outcome, and a valid Chrome export."""
+    configuration = Configuration(
+        nodes=make_working_nodes(6, cpu_capacity=2, memory_capacity=4096)
+    )
+    for index in range(6):
+        # vm0 fills node-0 and vm1 joins it there: the host must shed a VM,
+        # so no keep-in-place answers the round and both zones are solved.
+        cpu = 2 if index == 0 else 1
+        configuration.add_vm(make_vm(f"vm{index}", memory=1024, cpu=cpu))
+        configuration.set_running(f"vm{index}", f"node-{index}")
+    configuration.migrate("vm1", "node-0")
+    states = dict.fromkeys(configuration.vm_names, VMState.RUNNING)
+    catalog = [
+        Fence(["vm0", "vm1", "vm2"], ("node-0", "node-1", "node-2")),
+        Fence(["vm3", "vm4", "vm5"], ("node-3", "node-4", "node-5")),
+    ]
+    tracer = Tracer()
+    with tracer.activate():
+        with span("solve", engine="partitioned"):
+            with ParallelOptimizer(timeout=10.0, zone_executor="process") as pooled:
+                result = pooled.optimize(configuration, states, constraints=catalog)
+    document = tracer.to_dict()
+    zones = {
+        z.attributes["zone"]: z
+        for z in load_trace(document).walk()
+        if z.name == "zone"
+    }
+    outcomes = {o.index: o for o in result.zone_reports}
+    assert len(outcomes) >= 2, f"{len(outcomes)} zones solved, expected two"
+    assert sorted(zones) == sorted(outcomes), (
+        f"zone spans {sorted(zones)} for pooled zones {sorted(outcomes)}"
+    )
+    for index, zone in zones.items():
+        assert zone.attributes.get("remote") is True, f"zone {index} not remote"
+        stats = outcomes[index].statistics
+        assert zone.counters.get("nodes", 0) == stats.nodes, (
+            f"zone {index}: span says {zone.counters}, outcome {stats}"
+        )
+    chrome = to_chrome_trace(document)
+    errors = validate_chrome_trace(json.loads(json.dumps(chrome)))
+    assert not errors, f"pooled chrome export invalid: {errors}"
+    print(f"traced pool solve ok: {len(zones)} remote zone spans, "
+          f"{len(chrome['traceEvents'])} chrome events")
+
+
 def main() -> int:
     traced_loop_run()
     churn_tier_diff()
+    traced_pool_solve()
     print("trace smoke ok")
     return 0
 
