@@ -108,9 +108,8 @@ def needs_switch(configuration: Configuration, decision: Decision) -> bool:
     when the current configuration is not viable (e.g. the demand of a running
     VM grew beyond the capacity of its node).
     """
-    for vm_name, state in decision.vm_states.items():
-        if configuration.state_of(vm_name) is not state:
-            return True
+    if configuration.any_state_differs(decision.vm_states):
+        return True
     return not configuration.is_viable()
 
 

@@ -30,6 +30,7 @@ from typing import (
     Sequence,
 )
 
+from ..model.overlay import Overlay
 from ..obs import span
 from .base import PlacementConstraint
 
@@ -97,7 +98,9 @@ def plan_stages(plan: "ReconfigurationPlan") -> Iterator["Configuration"]:
     Stages follow the shared pool end-state convention
     (:func:`repro.core.plan.apply_pool_effects`) without the feasibility
     validation of :meth:`~repro.core.plan.ReconfigurationPlan.apply` — the
-    checker's job is constraint satisfaction, not feasibility.
+    checker's job is constraint satisfaction, not feasibility.  Each stage
+    is a copy of its own, for a caller that keeps them: the reference
+    :func:`check_plan` is held against.
     """
     from ..core.plan import apply_pool_effects  # deferred: core imports us
 
@@ -151,7 +154,9 @@ def check_plan(
     present *before* the plan runs — off by default, because a plan whose
     purpose is to repair a violation necessarily starts violated.
 
-    The stages are walked on one working copy of the source, and a
+    The stages are walked on one overlay of the source
+    (:class:`~repro.model.overlay.Overlay`: the stage is the source plus
+    what the pools so far wrote, and no map of the fleet is copied), and a
     constraint no action of the plan touches (:func:`_reads_only`) is asked
     once, on the source: nothing it reads changes from stage to stage, so
     its answer is reported for every stage as the stage-by-stage walk
@@ -200,7 +205,7 @@ def check_plan(
                 asked += 1
                 settled[index] = _violation(constraint, source)
                 answers.append(settled[index])
-        state = source.copy()
+        state = Overlay(source)
         for stage_index, pool in enumerate(plan.pools, start=1):
             apply_pool_effects(state, pool)
             for constraint, ask, answer in zip(constraints, ask_each, answers):

@@ -177,7 +177,7 @@ class RetainedDomains:
         if self.key(current, constraints) is None:
             return vm_domains(current, vms, constraints)
         missing: Collection[str] = list(filterfalse(self._domains.__contains__, vms))
-        if missing and len(self._domains) > 2 * max(len(current.vm_names), 512):
+        if missing and len(self._domains) > 2 * max(current.vm_count, 512):
             # Departed VMs never leave on their own: start over (the key
             # still holds) rather than let a churning fleet grow the map
             # without bound.  The bound reads the fleet, not this call.

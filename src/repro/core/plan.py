@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Sequence
 
 from ..model.configuration import Configuration
 from ..model.errors import PlanningError
+from ..model.overlay import Overlay
 from ..model.resources import ResourceVector
 from .actions import Action, ActionKind
 
@@ -108,12 +109,18 @@ class ReconfigurationPlan:
     # -- semantics ------------------------------------------------------------
 
     def apply(self, configuration: Configuration | None = None) -> Configuration:
-        """Apply every pool in order and return the resulting configuration.
+        """Apply every pool in order and return the resulting configuration
+        (one copy of ``configuration``, by default the source, written pool
+        by pool).
 
         Raises :class:`PlanningError` if an action is not feasible when its
         pool starts — i.e. the plan violates the sequential constraints.
         """
-        current = (configuration or self.source).copy()
+        return self._walk((configuration or self.source).copy())
+
+    def _walk(self, current: Configuration) -> Configuration:
+        """Apply every pool to ``current`` in place, each checked against
+        the state its pool starts from; returns ``current``."""
         for index, pool in enumerate(self.pools):
             # Every action of the pool must be feasible before the pool starts.
             for action in pool:
@@ -139,14 +146,13 @@ class ReconfigurationPlan:
                         f"pool {index}: the actions targeting node {node} do "
                         "not fit in parallel"
                     )
-            next_configuration = current.copy()
-            apply_pool_effects(next_configuration, pool)
-            current = next_configuration
+            apply_pool_effects(current, pool)
         return current
 
     def check_reaches(self, target: Configuration) -> None:
-        """Verify that applying the plan yields the target assignment."""
-        result = self.apply()
+        """Verify that applying the plan yields the target assignment (the
+        walk is an overlay of the source: nothing is copied)."""
+        result = self._walk(Overlay(self.source))
         if not result.same_assignment(target):
             raise PlanningError("the plan does not reach the expected configuration")
 

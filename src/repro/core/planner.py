@@ -28,6 +28,7 @@ from ..constraints.checker import check_plan
 from ..constraints.domains import vm_domains
 from ..model.configuration import Configuration
 from ..model.errors import NoPivotAvailableError, PlanningError
+from ..model.overlay import Overlay
 from ..model.resources import ResourceVector
 from .actions import ActionKind, Migrate, Resume
 from .graph import ReconfigurationGraph
@@ -86,14 +87,15 @@ class ReconfigurationPlanner:
         (:func:`~repro.constraints.checker.check_plan`).
         """
         plan = ReconfigurationPlan(source=current.copy())
-        # One working configuration, mutated pool by pool, and one edge
-        # list, derived here and shortened by what each pool applied.
-        working = current.copy()
+        # One working configuration, written pool by pool as a delta over
+        # the plan's source, and one edge list, derived here and shortened
+        # by what each pool applied.
+        working = Overlay(plan.source)
         graph = ReconfigurationGraph(working, target, changed=changed)
         max_pools = (
             self.options.max_pools
             if self.options.max_pools is not None
-            else 2 * len(current.vm_names) + 8
+            else 2 * current.vm_count + 8
         )
 
         while not graph.is_empty():

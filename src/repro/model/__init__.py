@@ -17,6 +17,7 @@ from .errors import (
     UnknownVMError,
 )
 from .node import Node, NodeRole, make_working_nodes
+from .overlay import Overlay
 from .queue import VJobQueue
 from .resources import ResourceVector
 from .vjob import VJob, VJobState, index_vms_by_vjob
@@ -25,6 +26,7 @@ from .vm import VirtualMachine, VMState
 __all__ = [
     "LoadColumns",
     "Configuration",
+    "Overlay",
     "ViabilityViolation",
     "DuplicateElementError",
     "ExecutionError",

@@ -26,8 +26,12 @@ shares every map (and the load columns) with its original — and the first
 write on either side takes that side's own copy of the maps it writes, one
 group at a time: the node and VM descriptions, the assignment (placement,
 states, suspend images and their indices).  A copy that is only read — a
-plan's source — allocates no map; one that re-places VMs — the planner's
-working state, a target — copies the assignment and nothing else.
+plan's source — allocates no map; one that re-places VMs — a target —
+copies the assignment and nothing else.  A walk whose result nobody keeps —
+the planner's working state, the constraint checker's stages — copies no
+map at all: it is an :class:`~repro.model.overlay.Overlay`, which reads
+through a configuration frozen as for a copy and keeps its own writes in
+small deltas.
 
 Beside copy-on-write, a configuration can keep a *change journal*:
 :meth:`Configuration.mark` starts it and returns a mark, and from then on
@@ -51,6 +55,7 @@ lockstep under random mutation sequences).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_not
 from types import MappingProxyType
 from typing import AbstractSet, Dict, Iterable, Iterator, Mapping, Optional, Set
 
@@ -276,6 +281,11 @@ class Configuration:
     def vm_names(self) -> tuple[str, ...]:
         return tuple(self._vms)
 
+    @property
+    def vm_count(self) -> int:
+        """How many VMs are registered, without listing them."""
+        return len(self._vms)
+
     def node(self, name: str) -> Node:
         try:
             return self._nodes[name]
@@ -307,6 +317,19 @@ class Configuration:
         if vm_name not in self._vms:
             raise UnknownVMError(vm_name)
         return self._states[vm_name]
+
+    def any_state_differs(self, states: Mapping[str, VMState]) -> bool:
+        """Whether some VM of ``states`` is in another state here — one
+        C-level pass, in ``states`` order: the first VM found in another
+        state answers, and an unregistered VM met before it raises
+        :class:`~repro.model.errors.UnknownVMError`, as :meth:`state_of`
+        asked of each in turn would."""
+        try:
+            return any(
+                map(is_not, map(self._states.__getitem__, states), states.values())
+            )
+        except KeyError as error:
+            raise UnknownVMError(error.args[0]) from None
 
     def location_of(self, vm_name: str) -> Optional[str]:
         """Node hosting a running VM, or ``None`` if the VM is not running."""
@@ -648,15 +671,22 @@ class Configuration:
         clone._members = self._members
         # Both sides now read the same running sets: neither owns one.
         clone._owned = set()
-        self._owned = set()
         clone._image_members = self._image_members
         clone._placement_rank = self._placement_rank
         clone._rank_counter = self._rank_counter
         clone._descriptions_shared = clone._assignment_shared = True
-        self._descriptions_shared = self._assignment_shared = True
+        self._share()
         clone._journal = self._journal
         clone._mark = self._mark
         return clone
+
+    def _share(self) -> None:
+        """Freeze the maps this configuration holds now for a copy or an
+        :class:`~repro.model.overlay.Overlay` that reads them: its next
+        write to any group takes its own maps (the load columns are frozen
+        by copying them, :meth:`LoadColumns.copy`)."""
+        self._owned = set()
+        self._descriptions_shared = self._assignment_shared = True
 
     def mark(self) -> object:
         """Start the change journal afresh and return its mark: from here on
@@ -685,14 +715,9 @@ class Configuration:
     def same_assignment(self, other: "Configuration") -> bool:
         """True when both configurations give the same state and location to
         every VM."""
-        if set(self._vms) != set(other._vms):
-            return False
-        for name in self._vms:
-            if self._states[name] is not other._states[name]:
-                return False
-            if self._placement.get(name) != other._placement.get(name):
-                return False
-        return True
+        return self.states() == other.states() and (
+            self.placement() == other.placement()
+        )
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Configuration):

@@ -609,7 +609,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
 
         if self.zone_executor == "auto":
             worth_a_worker = sum(
-                len(task.configuration.vm_names) >= _POOL_ZONE_VMS for task in tasks
+                task.configuration.vm_count >= _POOL_ZONE_VMS for task in tasks
             )
             workers = min(os.cpu_count() or 1, worth_a_worker)
         else:

@@ -10,7 +10,14 @@ from repro.api import (
     needs_switch,
     stop_terminated_vms,
 )
-from repro.model import Configuration, VJobQueue, VJobState, VMState, make_working_nodes
+from repro.model import (
+    Configuration,
+    UnknownVMError,
+    VJobQueue,
+    VJobState,
+    VMState,
+    make_working_nodes,
+)
 from repro.testing import make_vjob
 
 PAPER_POLICIES = ("consolidation", "fcfs", "ffd", "rjsp")
@@ -245,6 +252,41 @@ class TestSharedHelpers:
         configuration.set_running("first.vm0", "node-0")
         decision = Decision(vm_states={"first.vm0": VMState.RUNNING})
         assert not needs_switch(configuration, decision)
+
+    def test_needs_switch_answers_or_raises_in_wanted_state_order(self):
+        """The first VM in another state answers, even with an unknown VM
+        after it; an unknown VM met first raises, naming it — what asking
+        ``state_of`` of each wanted VM in turn does."""
+        configuration, queue = two_vjob_setup()
+        configuration.set_running("first.vm0", "node-0")
+        viable = configuration.is_viable()
+
+        def in_turn(states):
+            for name, state in states.items():
+                if configuration.state_of(name) is not state:
+                    return True
+            return not viable
+
+        cases = (
+            {"first.vm0": VMState.RUNNING, "first.vm1": VMState.WAITING},
+            {"first.vm0": VMState.WAITING, "ghost": VMState.RUNNING},
+            {"first.vm0": VMState.RUNNING, "ghost": VMState.RUNNING},
+            {"phantom": VMState.WAITING, "ghost": VMState.RUNNING},
+        )
+        answers = []
+        for states in cases:
+            decision = Decision(vm_states=states)
+            try:
+                expected = in_turn(states)
+            except UnknownVMError as error:
+                with pytest.raises(UnknownVMError) as raised:
+                    needs_switch(configuration, decision)
+                assert raised.value.name == error.name
+                answers.append(error.name)
+            else:
+                assert needs_switch(configuration, decision) is expected
+                answers.append(expected)
+        assert answers == [False, True, "ghost", "phantom"]
 
     def test_stop_terminated_vms_only_touches_running_vms(self):
         configuration, queue = two_vjob_setup()

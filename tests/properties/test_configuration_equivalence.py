@@ -23,6 +23,11 @@ change journal): from a mark on, a reference that diffs the oracle's full
 snapshot at the mark against its snapshot now must name no VM the journal
 leaves out, and the journal no VM the ops since the mark did not write —
 on each side of a fork, whichever side was marked.
+
+The overlay lockstep holds an :class:`~repro.model.overlay.Overlay` against a
+copy of the same base: after the same assignment writes, with the base
+written in between, every read the overlay serves equals the same read of
+the copy — orders included — and the base reads as it did.
 """
 
 from __future__ import annotations
@@ -30,7 +35,14 @@ from __future__ import annotations
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.model import Configuration, Node, VirtualMachine
+from repro.model import (
+    Configuration,
+    ModelError,
+    Node,
+    Overlay,
+    VirtualMachine,
+    VMState,
+)
 from repro.sim.faults import evict_node
 
 from reference_configuration import NaiveConfiguration
@@ -367,3 +379,196 @@ def test_large_fleet_incremental_viability_matches_full(large_fleet_factory):
         configuration.replace_vm(vm.with_cpu_demand((index % 3)))
     incremental = configuration.viability_violations(only_dirty=True)
     assert incremental == configuration.viability_violations()
+
+
+# ---------------------------------------------------------------------- #
+# overlays                                                                #
+# ---------------------------------------------------------------------- #
+
+#: The writes an overlay takes: every assignment write of an action, and
+#: marks.
+OVERLAY_OPS = (
+    "set_running",
+    "migrate",
+    "set_sleeping",
+    "set_waiting",
+    "set_terminated",
+    "mark",
+    "base",
+)
+
+
+@st.composite
+def overlay_sequences(draw):
+    """A base built by drawn ops, whether it is marked, and the ops that
+    follow on the overlay and the copy (``base``: the next drawn op goes to
+    the base instead)."""
+    node_count, vms, setup = draw(mutation_sequences())
+    ops = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(OVERLAY_OPS),
+                st.integers(min_value=0, max_value=31),
+                st.integers(min_value=0, max_value=31),
+            ),
+            min_size=1,
+            max_size=30,
+        )
+    )
+    return node_count, vms, setup, draw(st.booleans()), ops
+
+
+def _reads(configuration, vm_universe):
+    """Every read an overlay serves, as one comparable value (each list
+    keeps the order the read answers in)."""
+    names = configuration.vm_names
+    nodes = configuration.node_names
+    probe = configuration.vms[0] if names else None
+    return {
+        "nodes": (nodes, configuration.nodes),
+        "vms": (names, configuration.vm_count, configuration.vms),
+        "placement": list(configuration.placement().items()),
+        "states": list(configuration.states().items()),
+        "per vm": [
+            (
+                configuration.state_of(vm),
+                configuration.location_of(vm),
+                configuration.image_location_of(vm),
+            )
+            for vm in names
+        ],
+        "hosts": (
+            configuration.hosts_of(vm_universe),
+            configuration.hosts_of(vm for vm in reversed(vm_universe)),
+        ),
+        "loads": list(configuration.load_by_host(vm_universe).items()),
+        "order": configuration.in_registration_order(reversed(names)),
+        "per node": [
+            (
+                configuration.free_capacity(node),
+                configuration.vms_on(node),
+                probe is not None and configuration.can_host(node, probe),
+            )
+            for node in nodes
+        ],
+    }
+
+
+def _assert_reads_alike(overlay, copy, vm_universe, marks):
+    assert _reads(overlay, vm_universe) == _reads(copy, vm_universe)
+    assert overlay.same_assignment(copy) and copy.same_assignment(overlay)
+    assert overlay == copy
+    for overlay_mark, copy_mark in marks:
+        assert overlay.written_since(overlay_mark) == copy.written_since(copy_mark)
+
+
+def _run_overlay_lockstep(sequence):
+    node_count, vms, setup, marked, ops = sequence
+    base = _build(Configuration, node_count, vms)
+    node_universe = [f"node-{i}" for i in range(node_count)]
+    vm_universe = [name for name, _, _ in vms] + [f"extra{a}" for a in range(32)]
+    for kind, a, b in setup:
+        if kind not in ("fork", "mark"):
+            _apply(base, kind, a, b, node_universe, vm_universe)
+    #: (the overlay's mark, the copy's), one pair per mark taken.
+    marks = [(base.mark(),) * 2] if marked else []
+    if marked:
+        # Writes after the mark, before the overlay: its journal starts
+        # from the base's.
+        for kind, a, b in setup[-3:]:
+            if kind not in ("fork", "mark", "remove_node", "crash_evict"):
+                _apply(base, kind, a, b, node_universe, vm_universe)
+    overlay, copy = Overlay(base), base.copy()
+    before = _reads(base, vm_universe)
+    _assert_reads_alike(overlay, copy, vm_universe, marks)
+    to_base = False
+    for kind, a, b in ops:
+        if kind == "base":
+            to_base = True
+            continue
+        if to_base:
+            # The base's own writes reach neither the overlay nor the copy.
+            to_base = False
+            if kind in OPS:
+                _apply(base, kind, a, b, node_universe, vm_universe)
+            before = _reads(base, vm_universe)
+        elif kind == "mark":
+            marks.append((overlay.mark(), copy.mark()))
+            assert copy.written_since(marks[-1][0]) is None
+        else:
+            raised = _apply(overlay, kind, a, b, node_universe, vm_universe)
+            assert raised == _apply(copy, kind, a, b, node_universe, vm_universe)
+        _assert_reads_alike(overlay, copy, vm_universe, marks)
+        assert _reads(base, vm_universe) == before
+
+
+#: A marked base with a sleeping VM and a placement order to keep: the
+#: overlay migrates, resumes the sleeping VM, suspends and stops, around a
+#: write of the base.
+_OVERLAY_WALK = (
+    3,
+    [("vm0", 256, 1), ("vm1", 512, 0), ("vm2", 256, 1)],
+    [
+        ("set_running", 1, 1),
+        ("set_sleeping", 0, 1),
+        ("set_running", 0, 0),
+        ("set_running", 0, 2),
+    ],
+    True,
+    [
+        ("migrate", 2, 0),
+        ("set_running", 1, 1),
+        ("base", 0, 0),
+        ("set_waiting", 0, 2),
+        ("set_sleeping", 0, 0),
+        ("mark", 0, 0),
+        ("set_running", 2, 2),
+        ("set_terminated", 0, 1),
+    ],
+)
+
+#: Two VMs that enter the placement on the overlay, the first of them
+#: leaving and entering again: the placement lists it last.
+_OVERLAY_REENTRY = (
+    2,
+    [("vm0", 256, 0), ("vm1", 256, 0)],
+    [],
+    False,
+    [
+        ("set_running", 0, 0),
+        ("set_running", 0, 1),
+        ("set_waiting", 0, 0),
+        ("set_running", 0, 0),
+    ],
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(overlay_sequences())
+@example(_OVERLAY_WALK)
+@example(_OVERLAY_REENTRY)
+def test_an_overlay_reads_as_a_copy_written_the_same_way(sequence):
+    _run_overlay_lockstep(sequence)
+
+
+def test_an_overlay_takes_assignment_writes_only():
+    base = _build(Configuration, 2, [("vm0", 256, 1)])
+    base.set_running("vm0", "node-0")
+    overlay = Overlay(base)
+    vm = base.vm("vm0")
+    for write in (
+        lambda: overlay.add_vm(VirtualMachine(name="vm1", memory=256)),
+        lambda: overlay.remove_vm("vm0"),
+        lambda: overlay.replace_vm(vm.with_cpu_demand(2)),
+        lambda: overlay.add_node(Node(name="node-9", cpu_capacity=1, memory_capacity=1)),
+        lambda: overlay.remove_node("node-1"),
+        overlay.copy,
+        lambda: Overlay(overlay),
+    ):
+        with pytest.raises((ModelError, TypeError)):
+            write()
+    assert overlay.vm_names == ("vm0",) and overlay.node_names == ("node-0", "node-1")
+    # The base is frozen, not locked: its next write takes maps of its own.
+    base.migrate("vm0", "node-1")
+    assert overlay.location_of("vm0") == "node-0"
+

@@ -4,9 +4,11 @@ For arbitrary small scenarios the planner must always produce a plan that
 (a) reaches the requested target assignment, (b) is feasible pool after pool,
 (c) never loses a VM, and (d) regroups the resumes of a vjob in a single pool.
 
-The last section holds :func:`repro.constraints.check_plan` — one working
-copy, a constraint no action touches asked once on the source — against the
-stage-by-stage walk it replaced.
+The last section holds :func:`repro.constraints.check_plan` — one overlay
+of the source walked pool by pool, a constraint no action touches asked once
+on the source — against the stage-by-stage walk it replaced, whose stages
+are copies (:func:`repro.constraints.plan_stages`), and each overlay stage
+against the copied stage it stands for.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from repro.decision.ffd import ffd_target_configuration
 from repro.model.configuration import Configuration
 from repro.model.errors import NoPivotAvailableError, PlanningError
 from repro.model.node import make_working_nodes
+from repro.model.overlay import Overlay
 from repro.model.vm import VirtualMachine, VMState
 
 
@@ -301,6 +304,29 @@ def test_the_scoped_walk_reports_what_the_stage_by_stage_walk_reports(case):
         plan, catalog, include_source
     )
     assert plan.source == before and plan.source.placement() == before.placement()
+
+
+@settings(max_examples=200, deadline=None)
+@given(checked_plans())
+def test_every_overlay_stage_answers_as_its_copied_stage(case):
+    """Walked on one overlay, every stage gives each constraint of the
+    catalog the answer — violation, message, stage number — that the
+    stage's own copy gives it, and the plan's source is left as it was."""
+    plan, catalog, _ = case
+    before = plan.source.copy()
+    overlay = Overlay(plan.source)
+    stages = plan_stages(plan)
+    assert check_configuration(overlay, catalog, 0) == check_configuration(
+        next(stages), catalog, 0
+    )
+    for index, (pool, stage) in enumerate(zip(plan.pools, stages), start=1):
+        apply_pool_effects(overlay, pool)
+        assert check_configuration(overlay, catalog, index) == (
+            check_configuration(stage, catalog, index)
+        )
+        assert overlay.same_assignment(stage)
+    assert check_plan(plan, catalog) == _stage_by_stage(plan, catalog)
+    assert plan.source.same_assignment(before)
 
 
 def test_an_untouched_violation_and_a_root_transition_are_both_reported():

@@ -6,11 +6,12 @@ round before, the dirty region is read from what moved, the keep-in-place
 pass over the dirty VMs answers at the lower bound before any zone is cut,
 the target, the reconfiguration graph and the plan are built from the VMs
 that change, and the fleet is copied for what has to outlive the round (the
-plan's source, the target), for the planner's working state and for the
-independent checker's walk, and no more — each copy taking its own maps only
-when it writes them, the assignment maps only — and the wanted states are
-completed once.  The round reads what was written since the last one (the
-change journal its domains memory marks) instead of the fleet: the dirty
+plan's source, the target) and no more: the planner's working state and the
+independent checker's walk are overlays of the plan's source, which copy no
+map, and of the two copies only the target, which the round writes, takes
+its own assignment maps — and the wanted states are completed once.  The
+round reads what was written since the last one (the change journal its
+domains memory marks) instead of the fleet: the dirty
 rule compares only those VMs with the last assignment, the state completion
 looks up only those, the plan check keeps the answers of the fences none of
 them is in, and the layers below are handed the dirty VMs, never the frozen
@@ -41,6 +42,7 @@ from repro.core.planner import ReconfigurationPlanner
 from repro.cp import Solver
 from repro.model.columns import LoadColumns
 from repro.model.configuration import Configuration
+from repro.model.overlay import Overlay
 from repro.obs import NULL_SPAN, Tracer
 from repro.testing import fence_groups, make_vm
 
@@ -97,6 +99,9 @@ def counted(monkeypatch):
     count(repro.scale.parallel, "partition", "partitions")
     for reader in ("location_of", "state_of", "vm"):
         count(Configuration, reader, "vm reads")
+    # The walks of the plan read through overlays.
+    for reader in ("location_of", "state_of"):
+        count(Overlay, reader, "vm reads")
     count(Configuration, "add_vm", "vms extracted")
     # The bulk reads of the fleet.
     count(Configuration, "placement", "placement copies")
@@ -208,9 +213,9 @@ def _assert_costs_what_changed(counts):
     # One plan, its graph derived once, from the VMs that change.
     assert counts["builds"] == counts["derivations"] == 1
     assert counts["edge names"] == len(RESTARTED)
-    # The plan's source and the planner's working state, the target, and
-    # the checker's one working copy.
-    assert counts["copies"] <= 4
+    # The plan's source and the target; the planner and the checker walk
+    # overlays.
+    assert counts["copies"] <= 2
     _assert_copies_and_completions(counts)
     _assert_reads_what_was_written(counts)
 
@@ -236,9 +241,11 @@ def _assert_reads_what_was_written(counts):
 
 def _assert_copies_and_completions(counts):
     # A copy shares every map until it writes one: the plan's source is only
-    # read and copies none, the other copies take the assignment maps, and
-    # no copy takes the nodes or the VM descriptions.
+    # read and copies none, the target — the one configuration the round
+    # writes that outlives it — takes the assignment maps, the overlays
+    # take none, and no copy takes the nodes or the VM descriptions.
     assert counts["assignment copies"] == counts["copies"] - 1
+    assert counts["assignment copies"] <= 1
     assert counts["description copies"] == 0
     # The wanted states are completed once, by the repair engine, for the
     # attempt, the partitioned layer and every zone below it.

@@ -1,7 +1,8 @@
 """``tools/reach.py``: the reachability collector, on a toy package, and
 the committed ledger against ``src/repro``.
 
-The collector records the code objects its entry points enter and lists,
+The collector records the code objects its entry points enter — in this
+process and in the pool workers it forks — and lists,
 per module, the functions none of them did — a never-run function once,
 with its line count, and nothing it nests.  The committed ledger must name
 only modules and functions that still exist (line numbers are not compared:
@@ -12,9 +13,11 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
+import multiprocessing
 import sys
 import textwrap
 import threading
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[2]
@@ -56,6 +59,10 @@ TOY = textwrap.dedent(
 
     def threaded():
         return 3
+
+
+    def forked():
+        return 4
     '''
 )
 
@@ -84,11 +91,23 @@ def test_the_ledger_lists_what_no_entry_point_ran(tmp_path, monkeypatch):
         worker.start()
         worker.join()
 
+    def in_a_worker():
+        # A forked pool worker, as the partitioned engines start: what it
+        # enters is merged when it exits.
+        context = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+            assert pool.submit(toy.forked).result() == 4
+
     def broken():
         raise RuntimeError("entry point bug")
 
     entered, failures = reach.collect(
-        [("used", toy.used), ("thread", in_a_thread), ("broken", broken)]
+        [
+            ("used", toy.used),
+            ("thread", in_a_thread),
+            ("worker", in_a_worker),
+            ("broken", broken),
+        ]
     )
     assert failures == ["broken: RuntimeError: entry point bug"]
     assert sys.gettrace() is None
