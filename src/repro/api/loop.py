@@ -573,7 +573,6 @@ class ControlLoop:
                         ("dirty_vms", "dirty_count"),
                         ("frozen_vms", "frozen_count"),
                         ("attempts", "attempts"),
-                        ("reused_zones", "reused_zones"),
                     )
                 },
             }

@@ -63,6 +63,15 @@ _COMPOSED_ENGINES = {
 #: The engine a switch, a control loop and a ``Scenario`` run when none is named.
 DEFAULT_ENGINE = "repair"
 
+#: Executor kinds of the partitioned engines' zones
+#: (:class:`~repro.scale.parallel.ParallelOptimizer`), checked under every
+#: engine.  ``"auto"`` (the default) is decided per solve from the zones
+#: about to be solved — see :data:`repro.scale.parallel._POOL_ZONE_VMS`.
+#: ``"serial"`` always runs the zones in-process (deterministic, no
+#: pickling); ``"process"`` always ships two or more pending zones to the
+#: pool, one worker per zone.
+ZONE_EXECUTORS = ("auto", "process", "serial")
+
 
 class ClusterContextSwitch:
     """Compute cluster-wide context switches between configurations."""
@@ -90,13 +99,19 @@ class ClusterContextSwitch:
           monolithic solve when no decomposition exists;
         * ``"fixpoint"``, the reference propagation engine, solved cold.
 
-        ``zone_executor`` only applies to the partitioned engines, which by
+        ``zone_executor`` (one of :data:`ZONE_EXECUTORS`, checked under
+        every engine) only applies to the partitioned engines, which by
         default decide per solve whether their zones are worth worker
         processes."""
         if engine not in ENGINES and engine not in _COMPOSED_ENGINES:
             raise SolverError(
                 f"unknown engine {engine!r}; expected one of "
                 f"{(*ENGINES, *_COMPOSED_ENGINES)}"
+            )
+        if zone_executor not in ZONE_EXECUTORS:
+            raise SolverError(
+                f"unknown zone executor {zone_executor!r}; expected one of "
+                f"{ZONE_EXECUTORS}"
             )
         self.planner = ReconfigurationPlanner()
         repair, strategy = _COMPOSED_ENGINES.get(engine, (False, engine))

@@ -25,11 +25,15 @@ dirty region, the VMs it re-decides: every other VM that runs and must keep
 running keeps the host it runs on.  It owns the precondition of those frozen
 VMs — running, on a node of the configuration, inside the unary domain, not
 leaving, and a relational group frozen whole or not at all — and nothing
-here checks it again.  A frozen VM is never a variable: the solve is a
-*cut* (:func:`extract`), the dirty VMs over nodes offering what the frozen
-ones leave, under what the catalog asks of the dirty VMs once the frozen
-ones stay (:func:`residual_catalog`) — the same cut a partitioned solve
-makes of each of its zones.
+here checks it again.  A frozen VM is never a variable.  The dirty VMs are
+first offered the keep-in-place pass below, which reads node loads and the
+few VMs that cannot stay home; only a round it misses the lower bound on
+builds a model, over one *cut* (:func:`extract`): the dirty VMs over the
+nodes they may take or come from, each offering what the frozen VMs leave,
+under what the catalog asks of the dirty VMs once the frozen ones stay
+(:func:`residual_catalog`).  Both repair engines make this one attempt; the
+partitioned optimizer (:mod:`repro.scale.parallel`) decomposes only the
+whole-fleet solve.
 
 Incumbent first.  "Assign each running VM to its initial location in
 priority" is also a placement one can compute without a solver, and most
@@ -56,7 +60,7 @@ from ..model.configuration import Configuration
 from ..model.errors import PlanningError, SolverError
 from ..model.node import Node
 from ..model.vm import VMState
-from ..obs import span as obs_span
+from ..obs import current_tracer, span as obs_span
 from ..cp import (
     ENGINES,
     ActivityLastConflict,
@@ -189,6 +193,12 @@ def residual_catalog(
     return catalog
 
 
+def _in_node_order(current: Configuration, names: Iterable) -> list[str]:
+    """The nodes of ``current`` among ``names``, in node order (a domain may
+    name nodes the configuration does not hold)."""
+    return sorted(filter(current.has_node, names), key=current.node_index)
+
+
 def apply_state(
     target: Configuration,
     current: Configuration,
@@ -236,8 +246,8 @@ class OptimizationResult:
     zone_reports: list = field(default_factory=list)
     #: The repair engine's telemetry (``mode`` — ``"repair"`` for an accepted
     #: frozen-region solve, ``"full"`` for the full solve —
-    #: ``reason``, ``dirty_count``, ``frozen_count``, ``attempts``,
-    #: ``reused_zones``); ``None`` when the solve was cold.
+    #: ``reason``, ``dirty_count``, ``frozen_count``, ``attempts``);
+    #: ``None`` when the solve was cold.
     repair: Optional[dict] = None
 
     @property
@@ -316,9 +326,9 @@ class ContextSwitchOptimizer:
             The VMs to run that this solve re-decides (the repair engine's
             dirty region); every other VM that runs and must keep running
             keeps its host — it is *frozen*, a precondition
-            :mod:`repro.repair` owns — so only the dirty ones are searched,
-            as a one-zone cut (:meth:`_search_cut`).  ``None`` re-decides
-            every VM.
+            :mod:`repro.repair` owns — so only the dirty ones are kept in
+            place or searched, as one cut (:meth:`_search_cut`).  ``None``
+            re-decides every VM (:meth:`_optimize_whole`).
         deadline:
             The round's deadline, a :func:`time.monotonic` instant; ``None``
             means the constructor's ``timeout`` from now.  The engines that
@@ -338,53 +348,53 @@ class ContextSwitchOptimizer:
             deadline = time.monotonic() + self.timeout
         if completed is None:
             completed = self._complete_states(current, target_states)
-        states, changed = completed
         if dirty is None:
-            found = self.search_assignment(
-                current,
-                target_states,
-                constraints,
-                deadline=deadline,
-                completed=completed,
+            return self._optimize_whole(
+                current, target_states, vjob_of_vm, constraints, deadline,
+                completed, settled,
             )
-        else:
-            found = self._search_cut(
-                current, states, changed, constraints, dirty, deadline
-            )
-        assignment, statistics, improving = found
-        if assignment is None:
-            raise PlanningError("the optimizer found no viable assignment")
-        return self._finish(
-            current,
-            states,
-            changed,
-            assignment,
-            statistics,
-            improving,
-            vjob_of_vm,
-            constraints,
-            settled,
+        found = self._search_cut(current, *completed, constraints, dirty, deadline)
+        return self._finish(current, completed, found, vjob_of_vm, constraints, settled)
+
+    def _optimize_whole(
+        self,
+        current: Configuration,
+        target_states: Mapping[str, VMState],
+        vjob_of_vm: Optional[Mapping[str, str]],
+        constraints: Sequence["PlacementConstraint"],
+        deadline: float,
+        completed: CompletedStates,
+        settled: Optional[dict[int, Optional[str]]],
+    ) -> OptimizationResult:
+        """The whole-fleet step of :meth:`optimize` (``dirty=None``): one
+        search over every VM that must run.  The partitioned optimizer
+        overrides this step alone."""
+        found = self.search_assignment(
+            current, target_states, constraints, deadline=deadline, completed=completed
         )
+        return self._finish(current, completed, found, vjob_of_vm, constraints, settled)
 
     def _finish(
         self,
         current: Configuration,
-        states: Mapping[str, VMState],
-        changed: Sequence[str],
-        assignment: Mapping[str, str],
-        statistics: SearchStatistics,
-        improving: list[int],
+        completed: CompletedStates,
+        found: tuple[Optional[Mapping[str, str]], SearchStatistics, list[int]],
         vjob_of_vm: Optional[Mapping[str, str]],
         constraints: Sequence["PlacementConstraint"],
         settled: Optional[dict[int, Optional[str]]] = None,
     ) -> OptimizationResult:
-        """Turn an assignment into a target, a plan and its price — the one
-        path from an assignment (found by one search or merged from zones)
-        to an :class:`OptimizationResult`.  ``states`` and ``changed`` are
-        what :meth:`_complete_states` returned.  A VM that must run and is
-        absent from ``assignment`` keeps its host, so the target, the plan
-        and the price are built from the VMs that change state or host,
-        whatever the size of the fleet."""
+        """Turn what a search ``found`` — an assignment (from one search, or
+        merged from zones), its statistics and improving costs — into a
+        target, a plan and its price; raise
+        :class:`~repro.model.errors.PlanningError` when it found no
+        assignment.  ``completed`` is what :meth:`_complete_states` returned.
+        A VM that must run and is absent from the assignment keeps its host,
+        so the target, the plan and the price are built from the VMs that
+        change state or host, whatever the size of the fleet."""
+        assignment, statistics, improving = found
+        if assignment is None:
+            raise PlanningError("the optimizer found no viable assignment")
+        states, changed = completed
         # A running VM that keeps its host moves for nothing: only the VMs
         # the placement map does not already show there are placed, planned
         # and priced.
@@ -422,22 +432,49 @@ class ContextSwitchOptimizer:
         dirty: AbstractSet[str],
         deadline: float,
     ) -> tuple[Optional[dict[str, str]], SearchStatistics, list[int]]:
-        """:meth:`search_assignment` of the dirty VMs alone, cut as a zone
-        is (:func:`~repro.scale.parallel.solve_zone`): the VMs of ``dirty``
-        that must run, over every node, each offering what the frozen VMs
-        leave, under the residual catalog; ``None`` when the frozen VMs
-        alone break a relation.  A fresh optimizer searches it: the cut's
-        capacities would change this one's domains key, and with it
-        everything kept under that key."""
+        """The assignment of the VMs of ``dirty`` that must run, the frozen
+        VMs staying: under a unary catalog the keep-in-place pass
+        (:meth:`_keep_in_place`) when it meets the lower bound, else
+        :meth:`search_assignment` of one cut, as a zone is searched
+        (:func:`~repro.scale.parallel.solve_zone`) — those VMs over the
+        nodes they may take or come from (every node when one of them is
+        unrestricted), each offering what the frozen VMs leave, under the
+        residual catalog; ``None`` when the frozen VMs alone break a
+        relation.  A fresh optimizer searches the cut: its capacities would
+        change this one's domains key, and with it everything kept under
+        that key."""
         running = VMState.RUNNING
         vms = current.in_registration_order(
             [vm for vm in dirty if states.get(vm) is running]
         )
-        moving = {*dirty, *(vm for vm in changed if current.state_of(vm) is running)}
+        leaving = [vm for vm in changed if current.state_of(vm) is running]
+        domains = self.domains.of(current, vms, constraints)
+        if vms and not any(constraint.relational for constraint in constraints):
+            hosts, arriving = {}, []
+            for vm in vms:
+                host = current.location_of(vm)
+                if host is None:
+                    arriving.append(vm)
+                else:
+                    hosts[vm] = host
+            kept = self._keep_in_place(current, domains, hosts, leaving, arriving)
+            if kept is not None:
+                return kept
+        moving = {*dirty, *leaving}
         catalog = residual_catalog(constraints, current, moving)
         if catalog is None:
             return None, SearchStatistics(), []
-        cut = extract(current, current.node_names, vms, current.load_by_host(moving))
+        nodes = current.node_names
+        if all(domains[vm] is not None for vm in vms):
+            # The nodes the VMs may take or come from, in node order.
+            names = {
+                current.location_of(vm) or current.image_location_of(vm)
+                for vm in vms
+            }
+            for allowed in {id(domains[vm]): domains[vm] for vm in vms}.values():
+                names.update(allowed)
+            nodes = _in_node_order(current, names)
+        cut = extract(current, nodes, vms, current.load_by_host(moving))
         cut_states = dict.fromkeys(vms, running)
         return ContextSwitchOptimizer(
             engine=self.engine, first_solution_only=self.first_solution_only
@@ -553,6 +590,85 @@ class ContextSwitchOptimizer:
                 best=None, statistics=statistics, stop="incumbent", root_bound=bound
             ).record_on(trace_span)
         return statistics
+
+    def _keep_in_place(
+        self,
+        current: Configuration,
+        domains: Mapping[str, Optional[AbstractSet[str]]],
+        hosts: dict[str, str],
+        leaving: Sequence[str],
+        arriving: Sequence[str],
+    ) -> Optional[tuple[dict[str, str], SearchStatistics, list[int]]]:
+        """The keep-in-place repair of the VMs to place when it costs the
+        lower bound, as a search answers (the assignment, its statistics,
+        its cost), else ``None``.  Its ``cp.solve`` span covers it.
+
+        ``hosts`` are the placed VMs that run, on their hosts (extended into
+        the answer), ``arriving`` the VMs to place that do not run and
+        ``leaving`` the running VMs that must stop; every other VM that runs
+        stays.  ``domains`` are the unary domains of the VMs to place,
+        ``None`` meaning unrestricted; a caller gives it no relational
+        catalog.
+
+        Table 1 prices a stay below a move, so the bound is met exactly when
+        every VM that may stay home does.  Every VM stays but the
+        ``leaving``, the *misplaced* (running outside its domain) and the
+        ``arriving`` ones, of which only a resume onto its image node stays
+        home.  A node has its free capacity left, plus what its leaving and
+        misplaced residents hold, minus the resumes onto it.  The stayers
+        all stay when no node is left short, and a node none of the
+        exceptions touches is short only when it is overloaded.  The
+        homeless are packed by :meth:`_incumbent` over what is left, in
+        registration order, each domain in node order."""
+        tracer = current_tracer()
+        started = tracer.now() if tracer is not None else None
+        misplaced = [
+            vm
+            for vm, host in hosts.items()
+            if (allowed := domains[vm]) is not None and host not in allowed
+        ]
+        shift = current.load_by_host([*leaving, *misplaced])
+        homeless, bound = [], 0
+        for vm in [*misplaced, *arriving]:
+            elsewhere, home, at_home = self._movement_costs(current, vm)
+            allowed = domains[vm]
+            if home is not None and (allowed is None or home in allowed):
+                hosts[vm] = home
+                machine = current.vm(vm)
+                load = shift.setdefault(home, [0, 0])
+                load[0] -= machine.cpu_demand
+                load[1] -= machine.memory
+                bound += at_home
+            else:
+                homeless.append(vm)
+                bound += elsewhere
+
+        def room(node: str) -> tuple[int, int]:
+            free = current.free_capacity(node)
+            cpu, memory = shift.get(node, (0, 0))
+            return free.cpu + cpu, free.memory + memory
+
+        overloaded = [v.node for v in current.viability_violations(only_dirty=True)]
+        if any(min(room(node)) < 0 for node in {*overloaded, *shift}):
+            return None
+        homeless = current.in_registration_order(homeless)
+        candidates, ordered = [], {}
+        for vm in homeless:
+            allowed = domains[vm]
+            nodes = ordered.get(id(allowed))
+            if nodes is None:
+                nodes = ordered[id(allowed)] = (
+                    current.node_names
+                    if allowed is None
+                    else _in_node_order(current, allowed)
+                )
+            candidates.append(nodes)
+        demands = [current.vm(vm).demand.as_tuple() for vm in homeless]
+        packed = self._incumbent(demands, room, candidates, [None] * len(homeless))
+        if packed is None:
+            return None
+        hosts.update(zip(homeless, packed))
+        return hosts, self._answered_by_incumbent(bound, started), [bound]
 
     def search_assignment(
         self,

@@ -15,8 +15,8 @@ checks it again.
   monolithic :class:`~repro.core.optimizer.ContextSwitchOptimizer`
   (``engine="repair"``) or the partitioned
   :class:`~repro.scale.parallel.ParallelOptimizer`
-  (``engine="repair-partitioned"``: repair inside dirty zones only,
-  untouched zones reuse their previous sub-assignment verbatim);
+  (``engine="repair-partitioned"``: the same attempt, with zones for the
+  full solve only);
 * the ``repair`` entry of the returned
   :class:`~repro.core.optimizer.OptimizationResult` — what the engine did
   (mode, dirty/frozen counts, attempts, the reason for a full solve);

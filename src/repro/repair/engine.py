@@ -38,11 +38,14 @@ body both :meth:`RepairOptimizer._dirty_region` and
 
 Everything else that runs and must keep running is *frozen*: it keeps the
 host it runs on.  The set is counted, never listed: the inner optimizer is
-handed the dirty region as ``dirty`` and searches a cut of it — the dirty
-VMs over nodes offering what the frozen ones leave, under what each
-relation asks once the frozen VMs stay
+handed the dirty region as ``dirty``, keeps its VMs in place when that
+meets the lower bound, and otherwise searches one cut of it — the dirty VMs
+over the nodes they may take or come from, each offering what the frozen
+ones leave, under what each relation asks once the frozen VMs stay
 (:meth:`~repro.constraints.base.PlacementConstraint.residual`) — so the
 model it builds, and the round, cost what changed rather than the fleet.
+Both inner optimizers make this one attempt alike; zones serve only the
+partitioned one's full solve.
 The rules are the one owner of what a frozen VM is: it runs on a node of
 the configuration (rule 2), inside its retained unary domain (rule 3), is
 not leaving, its host is not overloaded (rule 5), and a relational group is
@@ -244,11 +247,12 @@ class RepairOptimizer:
     :class:`~repro.core.optimizer.ContextSwitchOptimizer`
     (``engine="repair"``) or a
     :class:`~repro.scale.parallel.ParallelOptimizer`
-    (``engine="repair-partitioned"``); both accept ``dirty`` and a
-    ``deadline``.  Each round makes one deadline from this engine's own
-    ``timeout`` — the round's budget, a plain attribute a driver may set
-    between rounds — and hands it to the attempt and to the full solve
-    alike.
+    (``engine="repair-partitioned"``); both make the attempt on ``dirty``
+    the same way (the keep-in-place pass, then one cut), and differ only in
+    the full solve, which the partitioned one decomposes.  Each round makes
+    one deadline from this engine's own ``timeout`` — the round's budget, a
+    plain attribute a driver may set between rounds — and hands it to the
+    attempt and to the full solve alike.
 
     ``halo`` is the number of co-host expansion rounds applied to the dirty
     region (0 freezes everything but the directly perturbed VMs; larger
@@ -507,9 +511,6 @@ class RepairOptimizer:
             "dirty_count": dirty_count,
             "frozen_count": frozen_count,
             "attempts": attempts,
-            # Zones whose previous sub-assignment was reused verbatim (only
-            # the partitioned composition, ``engine="repair-partitioned"``).
-            "reused_zones": sum(1 for r in result.zone_reports if r.reused),
         }
         if mode == "repair":
             # Exhausting the search around the frozen VMs only proves the

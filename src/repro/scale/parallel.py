@@ -43,7 +43,9 @@ solve that finds nothing raises, as the monolithic one does.
 Keep-in-place before the zones: on an *exact* decomposition under a unary
 catalog no home and no domain crosses a zone, so the zones' incumbents
 compose to one pass, run before any zone is cut, that reads node loads and
-the few VMs that cannot stay home.  Only a round it misses the lower bound
+the few VMs that cannot stay home
+(:meth:`~repro.core.optimizer.ContextSwitchOptimizer._keep_in_place`, the
+pass a repair attempt runs first).  Only a round it misses the lower bound
 on is solved by zones.
 
 Sub-problem extraction (:func:`repro.core.optimizer.extract`): a zone's
@@ -53,18 +55,11 @@ current host (or suspend image) lies outside the zone is represented as
 constant (the same for every zone node), so the arg-min placement is
 unaffected and the exact cost is restored by the global planning pass.
 
-A warm round costs what changed.  Under ``dirty`` (the repair engine's
-dirty region: the VMs it re-decides; every other VM that runs and must keep
-running is *frozen* — it keeps its host, inside its domain, so inside its
-zone) the pending zones are found from the dirty VMs — a zone none of them
-belongs to is reused without being looked at, and no layer lists the frozen
-ones — and every pending zone is *cut*: only its dirty VMs enter the
-sub-configuration, over nodes whose capacity is what the frozen residents
-leave (the live free capacity plus what the dirty and leaving residents
-hold), under what its catalog asks of them once the frozen VMs stay
-(:func:`repro.core.optimizer.residual_catalog`), so extraction, model and
-search scale with the dirty VMs and the nodes of their zones.  A zone whose
-frozen VMs alone break a relation answers no assignment without a solve.
+Zones serve the whole-fleet solve only: this optimizer overrides the
+whole-fleet step of :meth:`~repro.core.optimizer.ContextSwitchOptimizer.optimize`
+and nothing else, so a solve handed the repair engine's dirty region is the
+inherited one — the keep-in-place pass, then one cut of the dirty VMs — and
+cuts no zone.
 
 What is kept from one round to the next, each with one owner and one
 invalidation point:
@@ -87,16 +82,16 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextvars import Context
-from dataclasses import dataclass, replace
-from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..constraints.base import PlacementConstraint
+from ..core.context_switch import ZONE_EXECUTORS
 from ..core.optimizer import (
     CompletedStates,
     ContextSwitchOptimizer,
     OptimizationResult,
     extract,
-    residual_catalog,
 )
 from ..cp import SearchStatistics
 from ..model.configuration import Configuration
@@ -105,19 +100,12 @@ from ..model.vm import VMState
 from ..obs import current_tracer, span
 from .partition import PartitionResult, Zone, partition, placed_vms
 
-#: Executor kinds accepted by :class:`ParallelOptimizer`.  ``"auto"`` (the
-#: default) is decided per solve from the zones about to be solved — see
-#: :data:`_POOL_ZONE_VMS`.  ``"serial"`` always runs the zones in-process
-#: (deterministic, no pickling); ``"process"`` always ships two or more
-#: pending zones to the pool, one worker per zone.
-ZONE_EXECUTORS = ("auto", "process", "serial")
-
 #: The ``"auto"`` rule: the pool is used only when the host has more than
 #: one core *and* at least two of the zones pending in this solve each hold
-#: at least this many unfrozen VMs, and it gets ``min(cores, such zones)``
+#: at least this many VMs, and it gets ``min(cores, such zones)``
 #: workers.  Shipping a zone costs a pickle of its sub-configuration both
-#: ways (and, for a one-shot solve, the fork), so small zones — every warm
-#: repair round, every fenced test fixture — lose to running in-process.
+#: ways (and, for a one-shot solve, the fork), so small zones — every fenced
+#: test fixture — lose to running in-process.
 #: Measured on a 2-core host: cold rounds of the round benchmark's fenced
 #: fleet (one restarted VM a round), p50 ms over three repetitions, serial ->
 #: pool of 2:
@@ -129,10 +117,9 @@ ZONE_EXECUTORS = ("auto", "process", "serial")
 #:    5 000 /   625  (8)       299-350 -> 250-311            260-292 -> 206-207
 #:   20 000 / 2 500  (8)     2304-2489 -> 1646-1647
 #:
-#: and the warm ``fleet-repair`` stream (about 10 pending zones of about 2
-#: unfrozen VMs each) 19.8-21.2 -> 22.9-27.4 ms with a pool.  The pool starts
-#: to pay somewhere between 125- and 312-VM zones; ``docs/PERFORMANCE.md``
-#: says how to re-measure.
+#: The pool starts to pay somewhere between 125- and 312-VM zones;
+#: ``docs/PERFORMANCE.md`` says how to re-measure.  A repair attempt cuts no
+#: zone, so a warm round never reaches this rule.
 _POOL_ZONE_VMS = 256
 
 
@@ -142,8 +129,7 @@ class ZoneTask:
 
     ``configuration`` is the zone's extracted *sub*-configuration
     (:func:`build_zone_configuration`), not the full cluster — workers only
-    ever see their own zone, and of a cut zone only the VMs to re-place
-    (whose ``zone.constraints`` are then the residual catalog).
+    ever see their own zone.
     ``timeout`` is relative, seconds from the zone's start: a
     :func:`time.monotonic` instant means nothing in another process.
     """
@@ -166,44 +152,24 @@ class ZoneOutcome:
     #: The zone's size.
     node_count: int = 0
     vm_count: int = 0
-    #: True when the zone was untouched by the repair round: its VMs stay
-    #: where they are (``assignment`` names none of them) without entering a
-    #: solver.
-    reused: bool = False
 
 
-def build_zone_configuration(
-    current: Configuration,
-    zone: Zone,
-    dirty: Optional[Sequence[str]] = None,
-    released: Optional[Mapping[str, Sequence[int]]] = None,
-) -> Configuration:
+def build_zone_configuration(current: Configuration, zone: Zone) -> Configuration:
     """A zone's sub-configuration (:func:`~repro.core.optimizer.extract`):
-    its nodes and VMs, or, with ``dirty`` — the zone's VMs this round
-    re-places, in zone order — the zone *cut* around them, its nodes
-    offering their live free capacity plus ``released``, the (cpus, MB) held
-    on each node by residents the round does not freeze there."""
-    if dirty is None:
-        return extract(current, zone.nodes, zone.vms)
-    return extract(current, zone.nodes, dirty, released or {})
+    its nodes and VMs."""
+    return extract(current, zone.nodes, zone.vms)
 
 
-def _zone_size(zone: Zone, extracted: Sequence[str]) -> Dict[str, int]:
-    """The ``zone`` span's size attributes: ``pinned`` counts the zone's VMs
-    the round froze, those its cut did not extract."""
-    return {
-        "zone": zone.index,
-        "vms": len(zone.vms),
-        "nodes": len(zone.nodes),
-        "pinned": len(zone.vms) - len(extracted),
-    }
+def _zone_size(zone: Zone) -> Dict[str, int]:
+    """The ``zone`` span's size attributes."""
+    return {"zone": zone.index, "vms": len(zone.vms), "nodes": len(zone.nodes)}
 
 
 def solve_zone(task: ZoneTask) -> ZoneOutcome:
     """Solve one zone under a ``zone`` span; module-level so process pools
     can import it."""
     extracted = task.configuration.vm_names
-    with span("zone", **_zone_size(task.zone, extracted)):
+    with span("zone", **_zone_size(task.zone)):
         optimizer = ContextSwitchOptimizer()
         # Every VM the zone extracted is to run: its wanted states are
         # complete as built, and the search reads no list of changed VMs.
@@ -297,6 +263,12 @@ class ParallelOptimizer(ContextSwitchOptimizer):
                 f"unknown zone executor {zone_executor!r}; expected one of "
                 f"{ZONE_EXECUTORS}"
             )
+        if shards not in ("auto", None) and (
+            type(shards) is not int or shards < 1
+        ):
+            raise SolverError(
+                f"shards must be 'auto', None or an int >= 1, not {shards!r}"
+            )
         super().__init__(timeout=timeout)
         self.zone_executor = zone_executor
         #: Fallback shard count: ``"auto"`` is 4, ``None`` disables the
@@ -311,35 +283,22 @@ class ParallelOptimizer(ContextSwitchOptimizer):
 
     # ------------------------------------------------------------------ #
 
-    def optimize(
+    def _optimize_whole(
         self,
         current: Configuration,
         target_states: Mapping[str, VMState],
-        vjob_of_vm: Optional[Mapping[str, str]] = None,
-        constraints: Sequence[PlacementConstraint] = (),
-        dirty: Optional[AbstractSet[str]] = None,
-        deadline: Optional[float] = None,
-        completed: Optional[CompletedStates] = None,
-        settled: Optional[Dict[int, Optional[str]]] = None,
+        vjob_of_vm: Optional[Mapping[str, str]],
+        constraints: Sequence[PlacementConstraint],
+        deadline: float,
+        completed: CompletedStates,
+        settled: Optional[Dict[int, Optional[str]]],
     ) -> OptimizationResult:
-        """Same contract as :meth:`ContextSwitchOptimizer.optimize`; the
-        result's ``partition_method`` / ``partition_reason`` /
-        ``zone_reports`` say how the instance was decomposed.
-
-        ``dirty`` composes the repair engine with partitioning: a zone none
-        of whose VMs is dirty keeps them where they are (no solver, no
-        worker), a partially-dirty zone solves around its frozen VMs.  A
-        frozen VM sits inside its domain, so the partitioner put it in the
-        zone of its host.  Every layer reads the dirty VMs, never the
-        frozen ones, so a warm round pays for what changed.
-
-        A round :meth:`_keep_in_place` answers cuts no zone: its
-        ``zone_reports`` is empty, its ``partition`` span says
-        ``answered="incumbent"``."""
-        if deadline is None:
-            deadline = time.monotonic() + self.timeout
-        if completed is None:
-            completed = self._complete_states(current, target_states)
+        """The whole-fleet step, by zones: the result's ``partition_method``
+        / ``partition_reason`` / ``zone_reports`` say how the instance was
+        decomposed.  A round the keep-in-place pass answers cuts no zone:
+        its ``zone_reports`` is empty, its ``partition`` span says
+        ``answered="incumbent"``.  No decomposition, a failed zone or an
+        unplannable merge hand the round to the inherited step."""
         states, changed = completed
         with span("partition") as partition_span:
             decomposition, reused = self._decompose(current, states, constraints)
@@ -349,77 +308,67 @@ class ParallelOptimizer(ContextSwitchOptimizer):
                 exact=decomposition.exact,
                 reused=reused,
             )
-        outcomes: List[ZoneOutcome] = []
-        kept = None
+        reason = decomposition.reason
         if decomposition.is_win:
-            running = VMState.RUNNING
-            leaving, arriving = [], []
-            for vm in changed:
-                if current.state_of(vm) is running:
-                    leaving.append(vm)
-                elif states[vm] is running:
-                    arriving.append(vm)
+            outcomes: List[ZoneOutcome] = []
+            found = None
             if decomposition.exact and not any(c.relational for c in constraints):
-                kept = self._keep_in_place(
-                    current, decomposition, dirty, leaving, arriving
+                # No home and no domain crosses a zone: the zones' incumbents
+                # compose to the one pass over every placed VM that runs.
+                running = VMState.RUNNING
+                leaving, arriving = [], []
+                for vm in changed:
+                    if current.state_of(vm) is running:
+                        leaving.append(vm)
+                    elif states[vm] is running:
+                        arriving.append(vm)
+                placed = decomposition.zone_of_vm
+                hosts = {
+                    vm: host for vm, host in current.iter_placement() if vm in placed
+                }
+                found = self._keep_in_place(
+                    current, decomposition.domains, hosts, leaving, arriving
                 )
-            if kept is not None:
+            if found is not None:
                 partition_span.set(answered="incumbent")
             else:
                 outcomes = sorted(
-                    self._solve_zones(
-                        current, decomposition, deadline, dirty=dirty, leaving=leaving
-                    ),
+                    self._solve_zones(current, decomposition, deadline),
                     key=lambda o: o.index,
                 )
-        failed = [o.index for o in outcomes if o.assignment is None]
-        reason = decomposition.reason
-        if failed:
-            reason = f"zones {failed} found no viable assignment"
-        elif decomposition.is_win:
-            # Deterministic merge: zones are index-ordered, assignments are
-            # disjoint by construction; a VM none of them names stays put.
-            merged: dict[str, str] = {}
-            for outcome in outcomes:
-                merged.update(outcome.assignment)
-            statistics = merge_statistics(outcomes, exact=decomposition.exact)
-            if kept is not None:
-                merged, statistics = kept
-            try:
-                result = self._finish(
-                    current,
-                    states,
-                    changed,
-                    merged,
-                    statistics,
-                    [],
-                    vjob_of_vm,
-                    constraints,
-                    settled,
-                )
-            except PlanningError as error:
-                # The zones answered, but the planner cannot reach their
-                # merged target (no pivot for a migration cycle, say): the
-                # monolithic search may pick a target it can.
-                reason = (
-                    "the merged assignment could not be planned "
-                    f"({type(error).__name__}: {error})"
-                )
-            else:
-                result.partition_method = decomposition.method
-                result.zone_reports = outcomes
-                return result
+                failed = [o.index for o in outcomes if o.assignment is None]
+                if failed:
+                    reason = f"zones {failed} found no viable assignment"
+                else:
+                    # Deterministic merge: zones are index-ordered,
+                    # assignments are disjoint by construction.
+                    merged: dict[str, str] = {}
+                    for outcome in outcomes:
+                        merged.update(outcome.assignment)
+                    statistics = merge_statistics(outcomes, exact=decomposition.exact)
+                    found = merged, statistics, []
+            if found is not None:
+                try:
+                    result = self._finish(
+                        current, completed, found, vjob_of_vm, constraints, settled
+                    )
+                except PlanningError as error:
+                    # The zones answered, but the planner cannot reach their
+                    # merged target (no pivot for a migration cycle, say):
+                    # the monolithic search may pick a target it can.
+                    reason = (
+                        "the merged assignment could not be planned "
+                        f"({type(error).__name__}: {error})"
+                    )
+                else:
+                    result.partition_method = decomposition.method
+                    result.zone_reports = outcomes
+                    return result
         # The re-solve runs against the round's deadline: it gets what the
         # partition and the zones left, and nothing past it.
-        result = super().optimize(
-            current,
-            target_states,
-            vjob_of_vm=vjob_of_vm,
-            constraints=constraints,
-            dirty=dirty,
-            deadline=deadline,
-            completed=completed,
-            settled=settled,
+        result = super()._optimize_whole(
+            current, target_states, vjob_of_vm, constraints, deadline,
+            completed, settled,
         )
         result.partition_reason = reason
         return result
@@ -455,158 +404,19 @@ class ParallelOptimizer(ContextSwitchOptimizer):
             self._kept = (key, states, decomposition)
         return decomposition, False
 
-    def _keep_in_place(
-        self,
-        current: Configuration,
-        decomposition: PartitionResult,
-        dirty: Optional[AbstractSet[str]],
-        leaving: Sequence[str],
-        arriving: Sequence[str],
-    ) -> Optional[Tuple[Dict[str, str], SearchStatistics]]:
-        """What the zones of an exact ``decomposition`` under a unary catalog
-        merge to when each answers with its incumbent at the lower bound, else
-        ``None``.  Its ``cp.solve`` span covers it.
-
-        Table 1 prices a stay below a move, so the bound is met exactly when
-        every VM that may stay home does.  Every VM stays but the
-        ``leaving``, the *misplaced* (running outside its domain) and the
-        ``arriving`` ones, of which only a resume onto its image node stays
-        home.  A node has what it offers a zone's sub-configuration left,
-        less its stayers: its free capacity, plus what its leaving and
-        misplaced residents hold, minus the resumes onto it.  The stayers
-        all stay when no node is left short, and a node none of the
-        exceptions touches is short only when it is overloaded.  The
-        homeless are packed by the zones' packer over what is left, in
-        registration order, each domain in node order."""
-        tracer = current_tracer()
-        started = tracer.now() if tracer is not None else None
-        domains = decomposition.domains
-        # The unfrozen placed VMs that run, on their hosts: a warm round
-        # reads its few dirty ones, a cold one the placement (less the
-        # leaving VMs).
-        if dirty is None:
-            unfrozen = decomposition.zone_of_vm.keys()
-            placement = current.iter_placement()
-        else:
-            unfrozen = dirty
-            placement = zip(dirty, map(current.location_of, dirty))
-        hosts = {
-            vm: host
-            for vm, host in placement
-            if host is not None and vm in unfrozen
-        }
-        misplaced = [vm for vm, host in hosts.items() if host not in domains[vm]]
-        shift = current.load_by_host([*leaving, *misplaced])
-        homeless, bound = [], 0
-        for vm in [*misplaced, *arriving]:
-            elsewhere, home, at_home = self._movement_costs(current, vm)
-            if home in domains[vm]:
-                hosts[vm] = home
-                machine = current.vm(vm)
-                load = shift.setdefault(home, [0, 0])
-                load[0] -= machine.cpu_demand
-                load[1] -= machine.memory
-                bound += at_home
-            else:
-                homeless.append(vm)
-                bound += elsewhere
-
-        def room(node: str) -> Tuple[int, int]:
-            free = current.free_capacity(node)
-            cpu, memory = shift.get(node, (0, 0))
-            return free.cpu + cpu, free.memory + memory
-
-        overloaded = [v.node for v in current.viability_violations(only_dirty=True)]
-        if any(min(room(node)) < 0 for node in {*overloaded, *shift}):
-            return None
-        homeless = current.in_registration_order(homeless)
-        candidates, ordered = [], {}
-        for vm in homeless:
-            allowed = domains[vm]
-            nodes = ordered.get(id(allowed))
-            if nodes is None:
-                nodes = ordered[id(allowed)] = sorted(allowed, key=current.node_index)
-            candidates.append(nodes)
-        demands = [current.vm(vm).demand.as_tuple() for vm in homeless]
-        packed = self._incumbent(demands, room, candidates, [None] * len(homeless))
-        if packed is None:
-            return None
-        hosts.update(zip(homeless, packed))
-        return hosts, self._answered_by_incumbent(bound, started)
-
-    def _zone_tasks(
-        self,
-        current: Configuration,
-        decomposition: PartitionResult,
-        dirty: Optional[AbstractSet[str]] = None,
-        leaving: Sequence[str] = (),
-    ) -> Tuple[List[ZoneOutcome], List[ZoneTask]]:
-        """The outcomes of the zones answered without a solve, and one task
-        (its timeout still to be set) per zone to solve.
-
-        Repair composition: a zone with no dirty VM is untouched by this
-        round — its VMs stay where they are and it is never shipped to a
-        worker.  The dirty zones are found from the dirty VMs, and each is
-        cut around them (:func:`build_zone_configuration`) under its
-        residual catalog; one whose frozen VMs alone break a relation
-        answers no assignment.  ``leaving`` are the running VMs that must
-        not keep running: they hold capacity no zone's model counts."""
-        if dirty is None:
-            return [], [
-                ZoneTask(zone, build_zone_configuration(current, zone))
-                for zone in decomposition.zones
-            ]
-        zone_of_vm = decomposition.zone_of_vm
-        #: The VMs each zone re-places: its dirty VMs.
-        free: Dict[int, List[str]] = {}
-        for vm in dirty:
-            free.setdefault(zone_of_vm[vm], []).append(vm)
-        #: The running VMs that do not keep their host, and the (cpus, MB)
-        #: they hold on each node.
-        moving = set(leaving).union(dirty)
-        released = current.load_by_host(moving)
-        answered: List[ZoneOutcome] = []
-        tasks: List[ZoneTask] = []
-        for zone in decomposition.zones:
-            reused = zone.index not in free
-            catalog = None if reused else residual_catalog(
-                zone.constraints, current, moving
-            )
-            if catalog is None:
-                # Nothing to decide, or nothing its frozen VMs let it decide.
-                answered.append(
-                    ZoneOutcome(
-                        index=zone.index,
-                        assignment={} if reused else None,
-                        statistics=SearchStatistics(),
-                        elapsed=0.0,
-                        node_count=len(zone.nodes),
-                        vm_count=len(zone.vms),
-                        reused=reused,
-                    )
-                )
-                continue
-            vms = current.in_registration_order(free[zone.index])
-            cut = build_zone_configuration(current, zone, vms, released)
-            residual = replace(zone, constraints=tuple(catalog))
-            tasks.append(ZoneTask(residual, cut))
-        return answered, tasks
-
     def _solve_zones(
         self,
         current: Configuration,
         decomposition: PartitionResult,
         deadline: float,
-        dirty: Optional[AbstractSet[str]] = None,
-        leaving: Sequence[str] = (),
     ) -> List[ZoneOutcome]:
         """Solve the zones of ``decomposition`` by ``deadline`` — the
         round's: the partition and the extraction before the first zone are
         paid out of the same budget."""
-        answered, tasks = self._zone_tasks(current, decomposition, dirty, leaving)
-        if not tasks:
-            return answered
-
+        tasks = [
+            ZoneTask(zone, build_zone_configuration(current, zone))
+            for zone in decomposition.zones
+        ]
         if self.zone_executor == "auto":
             worth_a_worker = sum(
                 task.configuration.vm_count >= _POOL_ZONE_VMS for task in tasks
@@ -619,7 +429,7 @@ class ParallelOptimizer(ContextSwitchOptimizer):
             # gets what the earlier ones left, nothing once it has passed (an
             # out-of-time zone answers with its incumbent or fails into the
             # monolithic re-solve).
-            outcomes = list(answered)
+            outcomes = []
             for task in tasks:
                 task.timeout = deadline - time.monotonic()
                 outcomes.append(solve_zone(task))
@@ -654,12 +464,11 @@ class ParallelOptimizer(ContextSwitchOptimizer):
             # ``remote`` gives it its own track in the Chrome export, so
             # concurrent zones render side by side.
             for task, outcome in zip(tasks, outcomes):
-                size = _zone_size(task.zone, task.configuration.vm_names)
-                with span("zone", remote=True, **size) as zone_span:
+                with span("zone", remote=True, **_zone_size(task.zone)) as zone_span:
                     outcome.statistics.record_on(zone_span)
                 zone_span.start = submitted
                 zone_span.end = submitted + outcome.elapsed
-        return answered + outcomes
+        return outcomes
 
     def close(self) -> None:
         """Shut down the persistent worker pool (idempotent; the optimizer

@@ -179,7 +179,7 @@ ROUNDS = [
 
 #: SHA-256 of ``json.dumps(result.to_dict())`` without the trace: every
 #: series and the metadata, in key order.
-RESULT_SHA256 = "ef16cd67c9fdc48b3ceaccf4ca66a59734885a7b732614e2403cb67998de74a8"
+RESULT_SHA256 = "42d0cfac7194e442c5ac71909f76b1ce56ebae3d0f495de95fe3ed16fe5f8c8d"
 
 
 class TestTheTick:

@@ -36,6 +36,20 @@ def test_an_unknown_engine_name_lists_all_five(engine):
 @pytest.mark.parametrize(
     "engine", ["event", "fixpoint", "partitioned", "repair", "repair-partitioned"]
 )
+def test_an_unknown_zone_executor_is_refused_under_every_engine(engine):
+    # Only the partitioned engines use the executor, but a typo is a typo
+    # whichever engine it is handed to.
+    with pytest.raises(SolverError) as raised:
+        ClusterContextSwitch(engine=engine, zone_executor="bogus")
+    message = str(raised.value)
+    assert "'bogus'" in message
+    for name in ("auto", "process", "serial"):
+        assert repr(name) in message
+
+
+@pytest.mark.parametrize(
+    "engine", ["event", "fixpoint", "partitioned", "repair", "repair-partitioned"]
+)
 def test_every_listed_engine_name_is_accepted(engine, configuration):
     switcher = ClusterContextSwitch(engine=engine, optimizer_timeout=5)
     report = switcher.compute(configuration, {"r": VMState.SLEEPING})

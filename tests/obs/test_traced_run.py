@@ -241,7 +241,6 @@ class TestPartitionedTracing:
             assert zone.attributes["timed_out"] is stats.timed_out
             assert zone.attributes["vms"] == outcome.vm_count == 3
             assert zone.attributes["nodes"] == outcome.node_count == 3
-            assert zone.attributes["pinned"] == 0
             assert zone.duration == pytest.approx(outcome.elapsed)
         assert sum(z.counters["nodes"] for z in zones) == result.statistics.nodes
         # The export gives each remote zone its own track and still nests.

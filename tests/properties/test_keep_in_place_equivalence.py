@@ -1,13 +1,16 @@
-"""The round's keep-in-place against the zones it stands for.
+"""The round's keep-in-place against the search it stands for.
 
-On an exact decomposition under a catalog with no relational constraint,
-``ParallelOptimizer.optimize`` packs the round's unfrozen placed VMs once,
-keeping each in place where it can, and plans that assignment when it costs
-the lower bound — without cutting a zone.  The zones would have answered the
-same: every placed VM's domain lies inside its zone, so no home and no
-candidate crosses one, and each zone's own keep-in-place packs its VMs in
-the same order over the same capacities.  The reference is the same
-optimizer with the pass declining, which forces the zone path.
+Under a catalog with no relational constraint, one pass
+(``ContextSwitchOptimizer._keep_in_place``) packs the VMs a solve places,
+keeping each in place where it can, and the solve plans that assignment when
+it costs the lower bound, with no model.  On a cold round of an exact
+decomposition the pass stands for the zones: every placed VM's domain lies
+inside its zone, so no home and no candidate crosses one, and each zone's
+own keep-in-place packs its VMs in the same order over the same capacities.
+On a warm round (the repair attempt, handed the dirty VMs) it stands for
+the one cut of the dirty VMs, whose incumbent packs them in the same order
+over what the frozen VMs leave.  The reference is the same optimizer with
+the pass declining, which forces the zones or the cut.
 
 Random fenced fleets, cold and warm (a frozen region the repair engine could
 hand over), with restarts (running VMs observed waiting), departures (running
@@ -21,11 +24,11 @@ node-load cases the pass decides on — a host overloaded by VMs that all
 stay, one a departure frees, a resume onto a full image host and a VM
 outside its fence beside stayers — whose answer (or refusal) and lower
 bound are pinned too, since declining is always equivalent.  A spy
-sees every call of the pass: none on a sharded decomposition, on an
-interference one with a loosely-restricted VM, or under a relational
-catalog — the draws include all three.
+sees every call of the pass: none under a relational catalog, none on a
+cold round's sharded decomposition or interference one with a
+loosely-restricted VM, and none from a warm round's partition, which it
+never runs — the draws include all of them.
 """
-
 from __future__ import annotations
 
 from unittest import mock
@@ -35,6 +38,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.constraints import Ban, Fence, Spread
 from repro.constraints.domains import vm_domains
+from repro.core.optimizer import ContextSwitchOptimizer
 from repro.model.configuration import Configuration
 from repro.model.errors import PlanningError
 from repro.model.node import Node
@@ -254,38 +258,41 @@ def _dirty(states, frozen):
 
 def _solve(instance, keep_in_place):
     """One solve, with the pass (``keep_in_place``) or declining it, and
-    every call the pass got."""
+    what each call of the pass saw: whether the round was warm and, for a
+    cold one, the decomposition the partition span reports."""
     configuration, catalog, states, frozen = instance
-    planned, consulted = [], []
-    real_pass = ParallelOptimizer._keep_in_place
-    real_finish = ParallelOptimizer._finish
+    planned, calls = [], []
+    real_pass = ContextSwitchOptimizer._keep_in_place
+    real_finish = ContextSwitchOptimizer._finish
 
-    def spy(self, current, decomposition, *args):
-        consulted.append(
-            (
-                decomposition.method,
-                decomposition.exact,
-                any(c.relational for c in catalog),
-            )
-        )
-        if keep_in_place:
-            return real_pass(self, current, decomposition, *args)
-        return None
+    def spy(self, *args):
+        calls.append(len(calls))
+        return real_pass(self, *args) if keep_in_place else None
 
-    def finish(self, current, states, changed, assignment, *args):
-        planned.append(dict(assignment))
-        return real_finish(self, current, states, changed, assignment, *args)
+    def finish(self, current, completed, found, *args):
+        if found[0] is not None:
+            planned.append(dict(found[0]))
+        return real_finish(self, current, completed, found, *args)
 
+    dirty = _dirty(states, frozen)
+    tracer = Tracer()
     with mock.patch.object(
-        ParallelOptimizer, "_keep_in_place", spy
-    ), mock.patch.object(ParallelOptimizer, "_finish", finish):
+        ContextSwitchOptimizer, "_keep_in_place", spy
+    ), mock.patch.object(ContextSwitchOptimizer, "_finish", finish):
         optimizer = ParallelOptimizer(timeout=10.0, zone_executor="serial")
         try:
-            result = optimizer.optimize(
-                configuration, states, constraints=catalog, dirty=_dirty(states, frozen)
-            )
+            with tracer.activate():
+                result = optimizer.optimize(
+                    configuration, states, constraints=catalog, dirty=dirty
+                )
         except PlanningError as error:
-            return {"error": type(error).__name__, "planned": planned}, consulted
+            return {"error": type(error).__name__, "planned": planned}, []
+    partitions = [s.attributes for s in tracer.root.walk() if s.name == "partition"]
+    relational = any(c.relational for c in catalog)
+    consulted = [
+        (dirty is not None, relational, [(p["method"], p["exact"]) for p in partitions])
+        for _ in calls
+    ]
     return {
         "planned": planned,
         "placement": dict(result.target.iter_placement()),
@@ -308,11 +315,16 @@ def _solve(instance, keep_in_place):
 @example(_a_vm_outside_its_fence_beside_stayers())
 def test_the_keep_in_place_plans_what_the_zones_plan(instance):
     kept, consulted = _solve(instance, keep_in_place=True)
-    zoned, _ = _solve(instance, keep_in_place=False)
-    assert kept == zoned
-    # Only an exact interference decomposition under a unary catalog.
-    for method, exact, relational in consulted:
-        assert (method, exact, relational) == ("interference", True, False)
+    searched, _ = _solve(instance, keep_in_place=False)
+    assert kept == searched
+    # Only under a unary catalog: a warm round's attempt, which cuts no
+    # zone, or a cold round's exact interference decomposition.
+    for warm, relational, partitions in consulted:
+        assert not relational
+        if warm:
+            assert partitions == []
+        else:
+            assert partitions == [("interference", True)]
 
 
 @pytest.mark.parametrize(

@@ -200,7 +200,6 @@ class TestRepairOptimizer:
             "dirty_count": 0,
             "frozen_count": len(names),
             "attempts": 1,
-            "reused_zones": 0,
         }
         assert first.cost == 0 and not first.statistics.proven_optimal
         return engine, first.target, names
@@ -225,7 +224,6 @@ class TestRepairOptimizer:
             "dirty_count",
             "frozen_count",
             "attempts",
-            "reused_zones",
         }
         assert repair["mode"] == "repair"
         assert repair["attempts"] == 1
@@ -451,7 +449,6 @@ class TestRepairOptimizer:
         assert result.repair == {
             "mode": "full",
             "frozen_count": 0,
-            "reused_zones": 0,
             **expected,
         }
         # one full solve, handed the round's deadline, under one span
@@ -510,36 +507,69 @@ class TestRepairOptimizer:
         assert closed == [True]
 
 
-class TestPartitionedComposition:
-    def test_untouched_zones_are_reused_verbatim(self):
+class TestZonesServeTheFullSolveOnly:
+    """Under ``repair-partitioned`` the attempt is the ``repair`` engine's:
+    the keep-in-place pass, then one cut of the dirty VMs, with no
+    decomposition; only the full solve partitions."""
+
+    @staticmethod
+    def _fenced():
         configuration, names = _fleet(node_count=6, vms_per_node=2)
-        zone_a = [n for n in names if int(n[2]) < 3]
-        zone_b = [n for n in names if int(n[2]) >= 3]
         fences = [
-            Fence(zone_a, ["n0", "n1", "n2"]),
-            Fence(zone_b, ["n3", "n4", "n5"]),
+            Fence([n for n in names if int(n[2]) < 3], ["n0", "n1", "n2"]),
+            Fence([n for n in names if int(n[2]) >= 3], ["n3", "n4", "n5"]),
         ]
-        inner = ParallelOptimizer(timeout=5.0, zone_executor="serial")
-        engine = RepairOptimizer(inner, timeout=5.0, halo=0)
-        first = engine.optimize(
-            configuration, _states(names), constraints=fences
+        engine = RepairOptimizer(
+            ParallelOptimizer(timeout=5.0, zone_executor="serial"), timeout=5.0
         )
-        assert first.repair["mode"] == "repair"
-        assert first.repair["dirty_count"] == 0
-        current = first.target
-        # vm0-0 grows to fill its host, which must shed vm0-1: the round's
-        # keep-in-place misses the lower bound, so the zones are solved.
+        current = engine.optimize(
+            configuration, _states(names), constraints=fences
+        ).target
+        return engine, current, names, fences
+
+    @staticmethod
+    def _traced(engine, current, names, catalog):
+        tracer = Tracer()
+        with tracer.activate():
+            result = engine.optimize(current, _states(names), constraints=catalog)
+        return result, tracer.root
+
+    def test_a_warm_attempt_has_no_partition_or_zone(self):
+        engine, current, names, fences = self._fenced()
+        # vm0-0 grows to fill its host, which must shed vm0-1: the
+        # keep-in-place misses the lower bound, so the attempt searches.
         current.replace_vm(VirtualMachine("vm0-0", memory=4096, cpu_demand=0))
         engine.mark_dirty(["vm0-0"])
-        result = engine.optimize(
-            current, _states(names), constraints=fences
-        )
+        result, root = self._traced(engine, current, names, fences)
         assert result.repair["mode"] == "repair"
         assert result.target.location_of("vm0-1") != "n0"
-        # the untouched fence zone was never shipped to a worker
-        assert result.repair["reused_zones"] >= 1
-        for vm in zone_b:
+        # The other fence's VMs stay where they are, without a zone.
+        for vm in names[6:]:
             assert result.target.location_of(vm) == current.location_of(vm)
+        [attempt] = [s for s in root.walk() if s.name == "repair-attempt"]
+        inside = [s.name for s in attempt.walk()]
+        assert "cp.solve" in inside
+        assert not {"partition", "zone"} & {s.name for s in root.walk()}
+        assert result.zone_reports == []
+        assert result.partition_method == "monolithic"
+
+    def test_a_failed_attempt_partitions_under_the_full_solve(self):
+        engine, current, names, fences = self._fenced()
+        # The frozen vm0-0 and vm0-1 alone break the relation: the attempt
+        # fails with no search, and the full solve is solved by zones.
+        current.set_waiting("vm1-0")
+        engine.mark_dirty(["vm1-0"])
+        catalog = [*fences, RunningCapacity(["n0"], 1)]
+        result, root = self._traced(engine, current, names, catalog)
+        assert result.repair["mode"] == "full"
+        [attempt] = [s for s in root.walk() if s.name == "repair-attempt"]
+        assert attempt.attributes["failed"] is True
+        assert [s.name for s in attempt.walk()] == ["repair-attempt"]
+        [full] = [s for s in root.walk() if s.name == "full-solve"]
+        inside = [s.name for s in full.walk()]
+        assert inside.count("partition") == 1
+        assert inside.count("zone") == len(result.zone_reports) == 2
+        assert result.partition_method == "interference"
 
 
 class TestStayersThatBreakARelation:
@@ -603,15 +633,17 @@ def _digest(result):
 
 
 class TestRetention:
-    """What the engine keeps between rounds is dropped by the key alone:
+    """What the engines keep between rounds is dropped by the key alone:
     after each kind of change the long-lived engine plans the round a fresh
-    engine, handed the same previous assignment, plans."""
+    engine, handed the same previous assignment, plans.  The decomposition
+    serves whole-fleet solves only (a repair attempt cuts no zone), so its
+    cases run the cold ``partitioned`` engine, whose every round reads
+    ``_kept``; the repair engine's own memory runs ``repair-partitioned``."""
 
     @staticmethod
-    def _engine():
-        return RepairOptimizer(
-            ParallelOptimizer(timeout=5.0, zone_executor="serial"), timeout=5.0
-        )
+    def _engine(repair=False):
+        inner = ParallelOptimizer(timeout=5.0, zone_executor="serial")
+        return RepairOptimizer(inner, timeout=5.0) if repair else inner
 
     @pytest.fixture
     def partitions(self, monkeypatch):
@@ -628,9 +660,10 @@ class TestRetention:
         monkeypatch.setattr(parallel, "partition", spy)
         return calls
 
-    def _warm(self, elastic=False):
-        """A fenced fleet after a cold round and one warm round: the engine
-        holds a previous assignment, the domains and the decomposition."""
+    def _warm(self, elastic=False, repair=False):
+        """A fenced fleet after a first round and a second one: the engine
+        holds the domains and the decomposition (the cold engine) or a
+        previous assignment (the repair engine)."""
         configuration, names = _fleet(node_count=6, vms_per_node=2, cpu=4)
         fences = [
             Fence(
@@ -640,18 +673,21 @@ class TestRetention:
                 [n for n in names if int(n[2]) >= 3], ["n3", "n4", "n5"], elastic
             ),
         ]
-        engine = self._engine()
+        engine = self._engine(repair)
         states = _states(names)
         current = engine.optimize(configuration, states, constraints=fences).target
         current.set_waiting("vm4-0")
         engine.mark_dirty(["vm4-0"])
         warm = engine.optimize(current, states, constraints=fences)
-        assert warm.repair["mode"] == "repair"
+        if repair:
+            assert warm.repair["mode"] == "repair"
         return engine, warm.target, states, fences
 
     def _assert_same_as_fresh(self, engine, current, states, fences, marks=()):
-        fresh = self._engine()
-        fresh._previous = dict(engine.previous_assignment)
+        repair = isinstance(engine, RepairOptimizer)
+        fresh = self._engine(repair)
+        if repair:
+            fresh._previous = dict(engine.previous_assignment)
         engine.mark_dirty(marks)
         fresh.mark_dirty(marks)
         kept = engine.optimize(current.copy(), states, constraints=fences)
@@ -663,10 +699,7 @@ class TestRetention:
         engine, current, states, fences = self._warm()
         partitions.clear()
         current.set_waiting("vm1-1")
-        result = self._assert_same_as_fresh(
-            engine, current, states, fences, marks=["vm1-1"]
-        )
-        assert result.repair["mode"] == "repair"
+        self._assert_same_as_fresh(engine, current, states, fences)
         assert len(partitions) == 1  # the fresh engine's, not the kept one's
 
     @pytest.mark.parametrize(
@@ -679,7 +712,7 @@ class TestRetention:
         # The engine keeps the change-journal mark beside the domains
         # generation it was taken under: forget() drops it, and a new
         # generation (the same fences as new objects) does not answer.
-        engine, current, states, fences = self._warm()
+        engine, current, states, fences = self._warm(repair=True)
         if between == "forget":
             previous = dict(engine.previous_assignment)
             engine.forget()
@@ -765,7 +798,10 @@ class TestRetention:
         assert result.target.location_of("vm1-1") != host
 
     def test_forget_drops_everything(self, partitions):
-        engine, current, states, fences = self._warm()
+        engine, current, states, fences = self._warm(repair=True)
+        # A full solve (every VM marked) cuts the zones and keeps them.
+        engine.mark_dirty(states)
+        current = engine.optimize(current, states, constraints=fences).target
         generation = engine.domains.generation
         engine.forget()
         assert engine.previous_assignment is None
@@ -773,10 +809,18 @@ class TestRetention:
         partitions.clear()
         result = engine.optimize(current, states, constraints=fences)
         # The next round repairs against the observed placement, as a fresh
-        # engine's first round does.
+        # engine's first round does, and cuts no zone.
         assert result.repair["mode"] == "repair"
         assert result.repair["dirty_count"] == 0
-        assert len(partitions) == 1
+        assert partitions == []
         assert _digest(result) == _digest(
-            self._engine().optimize(current, states, constraints=fences)
+            self._engine(repair=True).optimize(current, states, constraints=fences)
         )
+        # The next full solve cuts the zones again: the kept decomposition
+        # went with the domains generation.
+        partitions.clear()
+        engine.mark_dirty(states)
+        assert engine.optimize(current, states, constraints=fences).repair[
+            "mode"
+        ] == "full"
+        assert len(partitions) == 1

@@ -1,9 +1,9 @@
 """What a warm ``repair-partitioned`` round costs, in counts, not clocks.
 
 A round that restarts two VMs of a fenced fleet must pay for the two VMs,
-not for the fleet: the decomposition and the unary domains are kept from the
-round before, the dirty region is read from what moved, the keep-in-place
-pass over the dirty VMs answers at the lower bound before any zone is cut,
+not for the fleet: the unary domains are kept from the round before, the
+dirty region is read from what moved, the keep-in-place pass over the dirty
+VMs answers at the lower bound before any model is built,
 the target, the reconfiguration graph and the plan are built from the VMs
 that change, and the fleet is copied for what has to outlive the round (the
 plan's source, the target) and no more: the planner's working state and the
@@ -18,10 +18,11 @@ them is in, and the layers below are handed the dirty VMs, never the frozen
 ones; the one read of the fleet left is the copy of the observed states.
 The plan is priced once.  So the same two restarts cost the
 same number of per-VM reads on a fleet four times — or ten times — the
-size.  A round the pass cannot answer (a host that must shed VMs) cuts each
-dirty zone around its dirty VMs, with the frozen ones left in the
-capacities — and so does a fresh engine's first round, which repairs
-against the observed placement instead of solving the fleet.  The counts
+size.  A round the pass cannot answer (a host that must shed VMs) searches
+one cut of its dirty VMs, with the frozen ones left in the capacities, as
+the ``repair`` engine does — and so does a fresh engine's first round,
+which repairs against the observed placement instead of solving the fleet.
+No zone serves the attempt, so no decomposition is read.  The counts
 are deterministic, so this runs with the tier-1 suite and keeps the warm
 path from growing back to fleet size.
 """
@@ -192,10 +193,7 @@ def _warm_round(fleet, zones, counted, overload=False, tracer=None):
                 report = switch.compute(current, states, constraints=catalog)
     assert report.repair["mode"] == "repair"
     assert report.repair["dirty_count"] == len(dirty)
-    # Restarts are answered before the zones, so no zone is reported; an
-    # overload solves the two dirty zones and reuses the others.
-    assert report.repair["reused_zones"] == (zones - len(RESTARTED)) * overload
-    assert len(report.repair) == 6
+    assert len(report.repair) == 5
     assert report.plan.action_count() == len(dirty) - overload * len(RESTARTED)
     assert report.plan.constraint_violations == []
     return dict(counted), dirty, report
@@ -203,11 +201,11 @@ def _warm_round(fleet, zones, counted, overload=False, tracer=None):
 
 def _assert_costs_what_changed(counts):
     # Each dirty VM boots where the round's keep-in-place puts it, at the
-    # lower bound: no zone is extracted and no model built.
+    # lower bound: no cut is extracted and no model built.
     assert counts["variables"] == 0
     assert counts["vms extracted"] == 0
-    # The decomposition is the kept one, and the domains it read answer for
-    # the restarted VMs: nobody asks the catalog for a domain.
+    # No decomposition is read, and the kept domains answer for the
+    # restarted VMs: nobody asks the catalog for a domain.
     assert counts["partitions"] == 0
     assert counts["domains asked"] == 0
     # One plan, its graph derived once, from the VMs that change.
@@ -227,8 +225,10 @@ def _assert_reads_what_was_written(counts):
     assert counts["placement copies"] == counts["placement walks"] == 0
     # The dirty rule looks up the domains of the running VMs written since
     # the last round's input or moved by its plan (the re-placed
-    # ``PRIMING``), not of every running VM.
-    assert counts["domain lookups"] == len(PRIMING)
+    # ``PRIMING``), not of every running VM; the attempt's keep-in-place
+    # looks up the restarted VMs' (a kept decomposition answered them
+    # when zones served the attempt).
+    assert counts["domain lookups"] == len(PRIMING) + len(RESTARTED)
     # The attempt is handed the dirty VMs, the small side.
     assert counts["dirty handed"] == len(RESTARTED)
     # A one-stage plan: the fences of the restarted VMs are asked of that
@@ -283,11 +283,17 @@ def test_a_cold_round_cuts_no_zone(large_fleet_factory, counted, engine):
         engine=engine, zone_executor="serial", optimizer_timeout=60
     ) as switch:
         report = switch.compute(fleet, states, constraints=catalog)
-    (partition_span,) = [s for s in tracer.root.walk() if s.name == "partition"]
-    assert partition_span.attributes["answered"] == "incumbent"
-    assert partition_span.attributes["exact"]
+    partitions = [s for s in tracer.root.walk() if s.name == "partition"]
+    if engine == "partitioned":
+        (partition_span,) = partitions
+        assert partition_span.attributes["answered"] == "incumbent"
+        assert partition_span.attributes["exact"]
+    else:
+        # A first repair round is an attempt against the observed
+        # placement: its keep-in-place answers before any decomposition.
+        assert partitions == []
     assert report.plan.action_count() == 1
-    assert counted["partitions"] == 1
+    assert counted["partitions"] == len(partitions)
     assert counted["vms extracted"] == 0
     assert counted["variables"] == 0
 
@@ -297,12 +303,12 @@ def test_a_warm_model_holds_the_dirty_vms_only(
     large_fleet_factory, counted, vm_count, zones
 ):
     # A host that must shed its other VMs has no keep-in-place answer at the
-    # lower bound, so each dirty zone is searched: its model is the dirty
-    # VMs and the cost, whatever the size of the zone or of the fleet.
+    # lower bound, so one cut of the dirty VMs is searched: its model is the
+    # dirty VMs and the cost, whatever the size of the zones or of the fleet.
     counts, dirty, _ = _warm_round(
         large_fleet_factory(vm_count, groups=zones), zones, counted, overload=True
     )
-    assert counts["variables"] == len(dirty) + len(RESTARTED)
+    assert counts["variables"] == len(dirty) + 1
     assert counts["vms extracted"] == len(dirty)
     assert counts["partitions"] == 0
     assert counts["domains asked"] == len(dirty)
@@ -326,10 +332,9 @@ def _cold_overload(fleet, zones, counted, engine):
     assert report.repair["mode"] == "repair"
     assert report.repair["dirty_count"] == len(dirty)
     assert report.plan.constraint_violations == []
-    # The model is the dirty VMs and one cost variable per model searched:
-    # a zone per restart, or the one cut of the monolithic engine.
-    models = len(RESTARTED) if engine == "repair-partitioned" else 1
-    assert counted["variables"] == len(dirty) + models
+    # The model is the dirty VMs and the cost variable of the one cut both
+    # engines search.
+    assert counted["variables"] == len(dirty) + 1
     assert counted["vms extracted"] == len(dirty)
 
 

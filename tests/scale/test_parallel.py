@@ -172,6 +172,18 @@ class TestParallelOptimizer:
         with pytest.raises(SolverError):
             ParallelOptimizer(zone_executor="threads")
 
+    @pytest.mark.parametrize("shards", ["eight", 0, -2, 2.0, True])
+    def test_a_shard_count_that_is_not_a_count_is_rejected_at_construction(
+        self, shards
+    ):
+        # Not when the k-way fallback is first reached, rounds later.
+        with pytest.raises(SolverError, match="shards"):
+            ParallelOptimizer(shards=shards)
+
+    @pytest.mark.parametrize("shards, kept", [("auto", 4), (None, None), (1, 1), (3, 3)])
+    def test_every_shard_count_is_accepted(self, shards, kept):
+        assert ParallelOptimizer(shards=shards).shards == kept
+
     def test_sharded_solve_composes(self):
         configuration = _configuration(node_count=4, vm_count=4)
         result = ParallelOptimizer(
@@ -538,14 +550,13 @@ class TestExecutorIsDecidedPerSolve:
     """``zone_executor="auto"``: the pool only for two or more pending
     zones worth a worker each, on a host with the cores to overlap them."""
 
-    def _solve(self, dirty=None, constraints=None, configuration=None, **options):
-        configuration = configuration or _overloaded()
+    def _solve(self, constraints=None, **options):
+        configuration = _overloaded()
         with ParallelOptimizer(timeout=5.0, **options) as optimizer:
             return optimizer.optimize(
                 configuration,
                 _states(configuration),
                 constraints=constraints or _fenced_constraints(),
-                dirty=dirty,
             )
 
     def test_small_zones_fork_nothing_by_default(self, pools):
@@ -572,44 +583,22 @@ class TestExecutorIsDecidedPerSolve:
         assert pools == []
 
     @pytest.mark.parametrize(
-        "dirty, constraints",
+        "constraints",
         [
-            # 3 + 3 VMs, one of the second zone's frozen by the repair engine
-            ({"vm0", "vm1", "vm2", "vm4", "vm5"}, None),
             # 4 + 2 VMs
-            (
-                None,
-                [
-                    Fence(["vm0", "vm1", "vm2", "vm3"], FENCE_A),
-                    Fence(["vm4", "vm5"], FENCE_B),
-                ],
-            ),
+            [
+                Fence(["vm0", "vm1", "vm2", "vm3"], FENCE_A),
+                Fence(["vm4", "vm5"], FENCE_B),
+            ],
         ],
-        ids=["pins-do-not-count", "one-big-zone"],
+        ids=["one-big-zone"],
     )
     def test_one_zone_worth_a_worker_stays_serial(
-        self, monkeypatch, pools, dirty, constraints
+        self, monkeypatch, pools, constraints
     ):
         _host(monkeypatch, cores=4, pool_zone_vms=3)
-        result = self._solve(dirty=dirty, constraints=constraints)
+        result = self._solve(constraints=constraints)
         assert len(result.zone_reports) == 2
-        assert pools == []
-
-    def test_fully_pinned_round_never_reaches_the_rule(self, monkeypatch, pools):
-        def unreachable():
-            raise AssertionError("nothing is pending: nothing to decide")
-
-        monkeypatch.setattr(parallel_module.os, "cpu_count", unreachable)
-        # Everything frozen leaves a keep-in-place nothing to move, so a
-        # ``Spread`` inside the second zone keeps the round from being
-        # answered before the zones.
-        configuration = _configuration()
-        result = self._solve(
-            dirty=set(),
-            constraints=[*_fenced_constraints(), Spread(["vm3", "vm4"])],
-            configuration=configuration,
-        )
-        assert [o.reused for o in result.zone_reports] == [True, True]
         assert pools == []
 
     def test_explicit_executors_override_the_rule(self, monkeypatch, pools):
