@@ -40,13 +40,15 @@ request.  That re-solve gets the same deadline and nothing past it: a round
 the zones starved answers with the keep-in-place incumbent, or raises.  A
 solve that finds nothing raises, as the monolithic one does.
 
-Keep-in-place before the zones: on an *exact* decomposition under a unary
-catalog no home and no domain crosses a zone, so the zones' incumbents
-compose to one pass, run before any zone is cut, that reads node loads and
-the few VMs that cannot stay home
+Keep-in-place before the partition: under a unary catalog whose every
+placed VM has a *tight* domain (:func:`~repro.scale.partition.is_tight`:
+the decomposition would be exact) no home and no domain crosses a zone, so
+the zones' incumbents compose to one pass that reads node loads and the few
+VMs that cannot stay home
 (:meth:`~repro.core.optimizer.ContextSwitchOptimizer._keep_in_place`, the
-pass a repair attempt runs first).  Only a round it misses the lower bound
-on is solved by zones.
+pass a repair attempt runs first).  It runs before the partition is cut: a
+round it answers at the lower bound cuts no partition and no zone, and only
+a round it declines is partitioned and solved by zones.
 
 Sub-problem extraction (:func:`repro.core.optimizer.extract`): a zone's
 sub-configuration contains only the zone's nodes and VMs.  A zone VM whose
@@ -83,7 +85,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextvars import Context
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..constraints.base import PlacementConstraint
 from ..core.context_switch import ZONE_EXECUTORS
@@ -98,7 +100,7 @@ from ..model.configuration import Configuration
 from ..model.errors import PlanningError, SolverError
 from ..model.vm import VMState
 from ..obs import current_tracer, span
-from .partition import PartitionResult, Zone, partition, placed_vms
+from .partition import PartitionResult, Zone, is_tight, partition, placed_vms
 
 #: The ``"auto"`` rule: the pool is used only when the host has more than
 #: one core *and* at least two of the zones pending in this solve each hold
@@ -118,8 +120,9 @@ from .partition import PartitionResult, Zone, partition, placed_vms
 #:   20 000 / 2 500  (8)     2304-2489 -> 1646-1647
 #:
 #: The pool starts to pay somewhere between 125- and 312-VM zones;
-#: ``docs/PERFORMANCE.md`` says how to re-measure.  A repair attempt cuts no
-#: zone, so a warm round never reaches this rule.
+#: ``docs/PERFORMANCE.md`` says how to re-measure.  Those were cold no-op
+#: rounds, which no longer reach a zone: only a round the keep-in-place pass
+#: declines, or a repair full solve, reaches this rule.
 _POOL_ZONE_VMS = 256
 
 
@@ -295,43 +298,55 @@ class ParallelOptimizer(ContextSwitchOptimizer):
     ) -> OptimizationResult:
         """The whole-fleet step, by zones: the result's ``partition_method``
         / ``partition_reason`` / ``zone_reports`` say how the instance was
-        decomposed.  A round the keep-in-place pass answers cuts no zone:
-        its ``zone_reports`` is empty, its ``partition`` span says
-        ``answered="incumbent"``.  No decomposition, a failed zone or an
-        unplannable merge hand the round to the inherited step."""
+        decomposed.  A round the keep-in-place pass answers cuts no zone and
+        no partition: its ``partition_method`` is ``"monolithic"``, its
+        ``zone_reports`` empty.  No decomposition, a failed zone or an
+        unplannable answer hand the round to the inherited step."""
         states, changed = completed
-        with span("partition") as partition_span:
-            decomposition, reused = self._decompose(current, states, constraints)
-            partition_span.set(
-                method=decomposition.method,
-                zones=len(decomposition.zones),
-                exact=decomposition.exact,
-                reused=reused,
+        placed = placed_vms(states)
+        domains = self.domains.of(current, placed, constraints)
+        of_placed = list(map(domains.__getitem__, placed))
+        node_count = len(current.node_names)
+        found = None
+        # The decomposition would be exact under a unary catalog — every
+        # placed VM tight, judged once per domain object — so no home and no
+        # domain would cross a zone, and the zones' incumbents compose to
+        # one pass over the placed VMs.
+        if (
+            placed
+            and not any(c.relational for c in constraints)
+            and all(
+                is_tight(domain, node_count)
+                for domain in dict(zip(map(id, of_placed), of_placed)).values()
             )
-        reason = decomposition.reason
-        if decomposition.is_win:
-            outcomes: List[ZoneOutcome] = []
-            found = None
-            if decomposition.exact and not any(c.relational for c in constraints):
-                # No home and no domain crosses a zone: the zones' incumbents
-                # compose to the one pass over every placed VM that runs.
-                running = VMState.RUNNING
-                leaving, arriving = [], []
-                for vm in changed:
-                    if current.state_of(vm) is running:
-                        leaving.append(vm)
-                    elif states[vm] is running:
-                        arriving.append(vm)
-                placed = decomposition.zone_of_vm
-                hosts = {
-                    vm: host for vm, host in current.iter_placement() if vm in placed
-                }
-                found = self._keep_in_place(
-                    current, decomposition.domains, hosts, leaving, arriving
+        ):
+            running = VMState.RUNNING
+            leaving, arriving = [], []
+            for vm in changed:
+                if current.state_of(vm) is running:
+                    leaving.append(vm)
+                elif states[vm] is running:
+                    arriving.append(vm)
+            placed_set = set(placed)
+            hosts = {
+                vm: host for vm, host in current.iter_placement() if vm in placed_set
+            }
+            found = self._keep_in_place(current, domains, hosts, leaving, arriving)
+        method, outcomes, answer = "monolithic", [], "keep-in-place"
+        reason = ""
+        if found is None:
+            with span("partition") as partition_span:
+                decomposition, reused = self._decompose(
+                    current, states, constraints, domains
                 )
-            if found is not None:
-                partition_span.set(answered="incumbent")
-            else:
+                partition_span.set(
+                    method=decomposition.method,
+                    zones=len(decomposition.zones),
+                    exact=decomposition.exact,
+                    reused=reused,
+                )
+            reason = decomposition.reason
+            if decomposition.is_win:
                 outcomes = sorted(
                     self._solve_zones(current, decomposition, deadline),
                     key=lambda o: o.index,
@@ -347,23 +362,24 @@ class ParallelOptimizer(ContextSwitchOptimizer):
                         merged.update(outcome.assignment)
                     statistics = merge_statistics(outcomes, exact=decomposition.exact)
                     found = merged, statistics, []
-            if found is not None:
-                try:
-                    result = self._finish(
-                        current, completed, found, vjob_of_vm, constraints, settled
-                    )
-                except PlanningError as error:
-                    # The zones answered, but the planner cannot reach their
-                    # merged target (no pivot for a migration cycle, say):
-                    # the monolithic search may pick a target it can.
-                    reason = (
-                        "the merged assignment could not be planned "
-                        f"({type(error).__name__}: {error})"
-                    )
-                else:
-                    result.partition_method = decomposition.method
-                    result.zone_reports = outcomes
-                    return result
+                    method, answer = decomposition.method, "merged"
+        if found is not None:
+            try:
+                result = self._finish(
+                    current, completed, found, vjob_of_vm, constraints, settled
+                )
+            except PlanningError as error:
+                # The pass or the zones answered, but the planner cannot
+                # reach that target (no pivot for a migration cycle, say):
+                # the monolithic search may pick a target it can.
+                reason = (
+                    f"the {answer} assignment could not be planned "
+                    f"({type(error).__name__}: {error})"
+                )
+            else:
+                result.partition_method = method
+                result.zone_reports = outcomes
+                return result
         # The re-solve runs against the round's deadline: it gets what the
         # partition and the zones left, and nothing past it.
         result = super()._optimize_whole(
@@ -380,8 +396,10 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         current: Configuration,
         states: Mapping[str, VMState],
         constraints: Sequence[PlacementConstraint],
+        domains: Mapping[str, Optional[AbstractSet[str]]],
     ) -> Tuple[PartitionResult, bool]:
-        """The round's decomposition, and whether it is the kept one.
+        """The round's decomposition over the placed VMs' ``domains``, and
+        whether it is the kept one.
 
         The kept decomposition answers for this round when it is provably
         the one :func:`partition` would cut again: it was cut under the
@@ -395,7 +413,6 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         kept = self._kept
         if kept is not None and kept[0] is key and kept[1] == states:
             return kept[2], True
-        domains = self.domains.of(current, placed_vms(states), constraints)
         decomposition = partition(
             current, states, constraints, shards=self.shards, domains=domains
         )

@@ -45,7 +45,6 @@ When neither strategy yields at least two non-empty zones the result's
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import (
     AbstractSet,
     Dict,
@@ -67,6 +66,15 @@ from ..model.vm import VMState
 #: and other near-full domains stay *loose*: forcing their whole domain into
 #: one zone would weld almost every node together and kill the partition.
 TIGHT_DOMAIN_FRACTION = 0.5
+
+
+def is_tight(domain: Optional[AbstractSet[str]], node_count: int) -> bool:
+    """Whether a unary domain is *tight* on a fleet of ``node_count`` nodes:
+    non-empty, and at most :data:`TIGHT_DOMAIN_FRACTION` of the nodes (at
+    least one).  ``None`` (unrestricted) is not."""
+    return bool(domain) and len(domain) <= max(
+        1, int(node_count * TIGHT_DOMAIN_FRACTION)
+    )
 
 
 @dataclass(frozen=True)
@@ -123,11 +131,6 @@ class PartitionResult:
         """True when solving per zone beats the monolithic solve: at least
         two non-empty zones, so every sub-model is strictly smaller."""
         return len(self.zones) >= 2
-
-    @cached_property
-    def zone_of_vm(self) -> Dict[str, int]:
-        """Placed VM -> index of the zone that places it."""
-        return {vm: zone.index for zone in self.zones for vm in zone.vms}
 
 
 class _UnionFind:
@@ -203,7 +206,6 @@ def partition(
 
     if domains is None:
         domains = vm_domains(current, placed, constraints)
-    tight_cap = max(1, int(len(node_names) * TIGHT_DOMAIN_FRACTION))
     uf = _UnionFind(node_names)
     touched: Set[str] = set()
     # Registration position of every node, so domains weld in O(d log d)
@@ -213,25 +215,29 @@ def partition(
     # Tight unary domains anchor their nodes together: the VM may need any
     # of them, so they must end up in a single zone.  Whole groups share one
     # domain object-for-object (a Fence restricts every member identically),
-    # so identical domains are only welded once.
+    # so each domain object is judged once and identical domains are only
+    # welded once.
     tight: Dict[str, AbstractSet[str]] = {}
+    verdicts: Dict[int, bool] = {}
     welded: Set[frozenset] = set()
     for vm_name in placed:
         domain = domains[vm_name]
-        if domain is not None and not domain:
-            return PartitionResult(
-                zones=[],
-                method="monolithic",
-                reason=f"VM {vm_name!r} has an empty placement domain",
-            )
-        if domain is not None and len(domain) <= tight_cap:
-            tight[vm_name] = domain
-            key = frozenset(domain)
-            if key not in welded:
+        verdict = verdicts.get(id(domain))
+        if verdict is None:
+            if domain is not None and not domain:
+                return PartitionResult(
+                    zones=[],
+                    method="monolithic",
+                    reason=f"VM {vm_name!r} has an empty placement domain",
+                )
+            verdict = verdicts[id(domain)] = is_tight(domain, len(node_names))
+            if verdict and (key := frozenset(domain)) not in welded:
                 welded.add(key)
                 ordered = sorted(domain, key=node_pos.__getitem__)
                 uf.union_all(ordered)
                 touched.update(ordered)
+        if verdict:
+            tight[vm_name] = domain
 
     # Relational constraints weld the domains of all their placed members
     # (or their watched node set) into one component; a VM group couples

@@ -173,15 +173,15 @@ class TestPartitionedTracing:
                     timeout=5.0, zone_executor="serial"
                 ).optimize(configuration, states, constraints=constraints)
         root = load_trace(tracer.to_dict())
-        (partition_span,) = [n for n in root.walk() if n.name == "partition"]
-        # The partition span says why no zone span follows it.
-        assert partition_span.attributes["answered"] == "incumbent"
-        assert [n for n in root.walk() if n.name == "zone"] == []
+        # The pass answers before any partition is cut: its cp.solve span
+        # is the record, and no partition or zone span is opened.
+        assert [n for n in root.walk() if n.name in ("partition", "zone")] == []
         (solve,) = [n for n in root.walk() if n.name == "cp.solve"]
         assert solve.attributes["stop"] == "incumbent"
         assert solve.counters["nodes"] == 0
         assert solve.counters["solutions"] == 1
-        assert result.partition_method == "interference"
+        assert result.partition_method == "monolithic"
+        assert result.partition_reason == ""
         assert result.zone_reports == []
 
     def test_serial_zones_nest_in_process(self):

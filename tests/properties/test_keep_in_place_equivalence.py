@@ -3,31 +3,36 @@
 Under a catalog with no relational constraint, one pass
 (``ContextSwitchOptimizer._keep_in_place``) packs the VMs a solve places,
 keeping each in place where it can, and the solve plans that assignment when
-it costs the lower bound, with no model.  On a cold round of an exact
-decomposition the pass stands for the zones: every placed VM's domain lies
-inside its zone, so no home and no candidate crosses one, and each zone's
-own keep-in-place packs its VMs in the same order over the same capacities.
-On a warm round (the repair attempt, handed the dirty VMs) it stands for
-the one cut of the dirty VMs, whose incumbent packs them in the same order
-over what the frozen VMs leave.  The reference is the same optimizer with
-the pass declining, which forces the zones or the cut.
+it costs the lower bound, with no model.  On a cold round whose placed VMs
+all have tight domains (so the decomposition would be exact) the pass runs
+before any partition and stands for the zones: no home and no candidate
+crosses one, and each zone's own keep-in-place packs its VMs in the same
+order over the same capacities.  When those domains weld into one component
+there are no zones, and the pass stands for the monolithic search's own
+incumbent, over the same VMs in the same order.  On a warm round (the repair
+attempt, handed the dirty VMs) it stands for the one cut of the dirty VMs,
+whose incumbent packs them in the same order over what the frozen VMs leave.
+The reference is the same optimizer with the pass declining, which forces
+the partition and the zones, the monolithic search or the cut.
 
 Random fenced fleets, cold and warm (a frozen region the repair engine could
 hand over), with restarts (running VMs observed waiting), departures (running
 VMs wanted sleeping), sleeping VMs whose image lies inside or outside their
 fence, VMs running outside their fence and hosts overloaded by the draw:
 every assignment planned, the target placement and states, the plan pools,
-the costs and the partition outcome are identical.  Six rounds are always
-run: a warm restart that must skip a node full of frozen VMs and take one a
-departure frees, an overload whose keep-in-place misses the bound, and the
-node-load cases the pass decides on — a host overloaded by VMs that all
+the costs are identical; only the partition outcome differs, ``"monolithic"``
+where the pass answered.  Seven rounds are always run: a warm restart that
+must skip a node full of frozen VMs and take one a departure frees, an
+overload whose keep-in-place misses the bound, two overlapping fences that
+weld into one component, and the node-load cases the pass decides on — a host overloaded by VMs that all
 stay, one a departure frees, a resume onto a full image host and a VM
 outside its fence beside stayers — whose answer (or refusal) and lower
 bound are pinned too, since declining is always equivalent.  A spy
 sees every call of the pass: none under a relational catalog, none on a
-cold round's sharded decomposition or interference one with a
-loosely-restricted VM, and none from a warm round's partition, which it
-never runs — the draws include all of them.
+cold round with a loosely-restricted VM (whose decomposition would be
+inexact or sharded); a round it answers opens no ``partition`` span, a cold
+round it declines opens one, and a warm round none — the draws include all
+of them.
 """
 from __future__ import annotations
 
@@ -248,6 +253,34 @@ NODE_LOAD_ROUNDS = [
 ]
 
 
+def _welded_fences():
+    """Two tight fences, ``n0``-``n2`` and ``n2``-``n4``, that share ``n2``
+    and weld into one component: no zone, so the whole-fleet search answers
+    the reference.  ``r`` restarts into the first fence, whose ``n0`` is
+    full, and ``d`` leaves the shared node."""
+    configuration = Configuration()
+    for i in range(6):
+        configuration.add_node(Node(f"n{i}", cpu_capacity=2, memory_capacity=2048))
+    for name, memory, host in (
+        ("a", 1024, "n0"),
+        ("b", 1024, "n0"),
+        ("r", 512, None),
+        ("d", 512, "n2"),
+        ("c", 1024, "n2"),
+        ("e", 512, "n4"),
+    ):
+        configuration.add_vm(VirtualMachine(name=name, memory=memory, cpu_demand=1))
+        if host is not None:
+            configuration.set_running(name, host)
+    catalog = [
+        Fence(["a", "b", "r"], ["n0", "n1", "n2"]),
+        Fence(["d", "c", "e"], ["n2", "n3", "n4"]),
+    ]
+    states = dict.fromkeys(configuration.vm_names, VMState.RUNNING)
+    states["d"] = VMState.SLEEPING
+    return configuration, catalog, states, set()
+
+
 def _dirty(states, frozen):
     """What the layers below the repair engine are handed for a frozen
     region: the VMs to run that are not frozen (``None``: nothing frozen)."""
@@ -258,16 +291,18 @@ def _dirty(states, frozen):
 
 def _solve(instance, keep_in_place):
     """One solve, with the pass (``keep_in_place``) or declining it, and
-    what each call of the pass saw: whether the round was warm and, for a
-    cold one, the decomposition the partition span reports."""
+    what each call of the pass saw: whether the round was warm, whether the
+    pass answered, and the decompositions the round's partition spans
+    report."""
     configuration, catalog, states, frozen = instance
     planned, calls = [], []
     real_pass = ContextSwitchOptimizer._keep_in_place
     real_finish = ContextSwitchOptimizer._finish
 
     def spy(self, *args):
-        calls.append(len(calls))
-        return real_pass(self, *args) if keep_in_place else None
+        found = real_pass(self, *args) if keep_in_place else None
+        calls.append(found is not None)
+        return found
 
     def finish(self, current, completed, found, *args):
         if found[0] is not None:
@@ -290,8 +325,13 @@ def _solve(instance, keep_in_place):
     partitions = [s.attributes for s in tracer.root.walk() if s.name == "partition"]
     relational = any(c.relational for c in catalog)
     consulted = [
-        (dirty is not None, relational, [(p["method"], p["exact"]) for p in partitions])
-        for _ in calls
+        (
+            dirty is not None,
+            relational,
+            answered,
+            [(p["method"], p["exact"]) for p in partitions],
+        )
+        for answered in calls
     ]
     return {
         "planned": planned,
@@ -309,6 +349,7 @@ def _solve(instance, keep_in_place):
 @given(rounds())
 @example(_a_warm_restart_between_full_and_freed_nodes())
 @example(_an_overload_keeping_the_dearer_vm())
+@example(_welded_fences())
 @example(_a_host_overloaded_by_stayers())
 @example(_a_host_freed_by_a_departure())
 @example(_a_resume_onto_a_full_image_host())
@@ -316,15 +357,27 @@ def _solve(instance, keep_in_place):
 def test_the_keep_in_place_plans_what_the_zones_plan(instance):
     kept, consulted = _solve(instance, keep_in_place=True)
     searched, _ = _solve(instance, keep_in_place=False)
-    assert kept == searched
+    outcome = ("method", "reason")
+    assert {k: v for k, v in kept.items() if k not in outcome} == {
+        k: v for k, v in searched.items() if k not in outcome
+    }
+    if not any(answered for _, _, answered, _ in consulted):
+        assert kept == searched
     # Only under a unary catalog: a warm round's attempt, which cuts no
-    # zone, or a cold round's exact interference decomposition.
-    for warm, relational, partitions in consulted:
+    # zone, or a cold round whose every placed VM is tight.  A cold round
+    # the pass answers cuts no partition; one it declines cuts one, exact
+    # unless the fences weld into a single component.
+    for warm, relational, answered, partitions in consulted:
         assert not relational
-        if warm:
+        if warm or answered:
             assert partitions == []
         else:
-            assert partitions == [("interference", True)]
+            assert partitions in (
+                [("interference", True)],
+                [("monolithic", False)],
+            )
+        if answered and not warm:
+            assert kept["method"] == "monolithic"
 
 
 @pytest.mark.parametrize(
@@ -341,9 +394,13 @@ def test_node_loads_decide_the_keep_in_place(instance, bound):
         ParallelOptimizer(timeout=10.0, zone_executor="serial").optimize(
             configuration, states, constraints=catalog, dirty=_dirty(states, frozen)
         )
-    (partition_span,) = [s for s in tracer.root.walk() if s.name == "partition"]
-    answered = partition_span.attributes.get("answered") == "incumbent"
+    # The pass answered when its cp.solve span stopped on the incumbent
+    # with no partition cut; it declined when a partition followed it.
+    partitions = [s for s in tracer.root.walk() if s.name == "partition"]
+    solves = [s for s in tracer.root.walk() if s.name == "cp.solve"]
+    answered = partitions == []
     assert answered == (bound is not None)
     if answered:
-        (solve,) = [s for s in tracer.root.walk() if s.name == "cp.solve"]
+        (solve,) = solves
+        assert solve.attributes["stop"] == "incumbent"
         assert solve.attributes["root_bound"] == bound

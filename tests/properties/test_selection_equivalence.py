@@ -296,7 +296,10 @@ def test_a_long_lived_module_selects_what_a_fresh_one_selects(data):
         # the decision just read.
         states, _ = complete_states(configuration, in_loop.vm_states)
         placed = placed_vms(states)
-        decomposition, _ = optimizer._decompose(configuration, states, catalog)
+        decomposition, _ = optimizer._decompose(
+            configuration, states, catalog,
+            optimizer.domains.of(configuration, placed, catalog),
+        )
         expected = partition(configuration, states, catalog, shards=optimizer.shards)
         for attribute in ("zones", "method", "reason", "exact"):
             assert getattr(decomposition, attribute) == getattr(

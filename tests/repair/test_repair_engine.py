@@ -637,8 +637,11 @@ class TestRetention:
     after each kind of change the long-lived engine plans the round a fresh
     engine, handed the same previous assignment, plans.  The decomposition
     serves whole-fleet solves only (a repair attempt cuts no zone), so its
-    cases run the cold ``partitioned`` engine, whose every round reads
-    ``_kept``; the repair engine's own memory runs ``repair-partitioned``."""
+    cases run the cold ``partitioned`` engine, and those that count
+    partitions add a ``Spread`` inside a fence: a relational catalog shuts
+    the keep-in-place pass's gate, so every round partitions and reads
+    ``_kept``.  The repair engine's own memory runs
+    ``repair-partitioned``."""
 
     @staticmethod
     def _engine(repair=False):
@@ -660,10 +663,11 @@ class TestRetention:
         monkeypatch.setattr(parallel, "partition", spy)
         return calls
 
-    def _warm(self, elastic=False, repair=False):
+    def _warm(self, elastic=False, repair=False, spread=False):
         """A fenced fleet after a first round and a second one: the engine
         holds the domains and the decomposition (the cold engine) or a
-        previous assignment (the repair engine)."""
+        previous assignment (the repair engine).  ``spread`` adds a
+        ``Spread`` of two VMs inside the second fence."""
         configuration, names = _fleet(node_count=6, vms_per_node=2, cpu=4)
         fences = [
             Fence(
@@ -673,6 +677,8 @@ class TestRetention:
                 [n for n in names if int(n[2]) >= 3], ["n3", "n4", "n5"], elastic
             ),
         ]
+        if spread:
+            fences.append(Spread(["vm3-0", "vm5-0"]))
         engine = self._engine(repair)
         states = _states(names)
         current = engine.optimize(configuration, states, constraints=fences).target
@@ -696,7 +702,7 @@ class TestRetention:
         return kept
 
     def test_a_quiet_catalog_and_fleet_reuse_the_decomposition(self, partitions):
-        engine, current, states, fences = self._warm()
+        engine, current, states, fences = self._warm(spread=True)
         partitions.clear()
         current.set_waiting("vm1-1")
         self._assert_same_as_fresh(engine, current, states, fences)
@@ -771,7 +777,7 @@ class TestRetention:
         assert result.target.state_of("arrival") is VMState.RUNNING
 
     def test_a_departing_vm_recomputes(self, partitions):
-        engine, current, states, fences = self._warm()
+        engine, current, states, fences = self._warm(spread=True)
         states = {**states, "vm5-1": VMState.TERMINATED}
         current.set_waiting("vm0-1")
         partitions.clear()
@@ -784,7 +790,7 @@ class TestRetention:
     def test_a_demand_change_is_read_live(self, partitions):
         # Nothing kept holds a demand or a free capacity: the overloaded
         # host is solved from the live columns, under the kept zones.
-        engine, current, states, fences = self._warm()
+        engine, current, states, fences = self._warm(spread=True)
         host = current.location_of("vm1-0")
         current.replace_vm(current.vm("vm1-0").with_cpu_demand(4))
         current.replace_vm(current.vm("vm1-1").with_cpu_demand(1))
@@ -798,7 +804,7 @@ class TestRetention:
         assert result.target.location_of("vm1-1") != host
 
     def test_forget_drops_everything(self, partitions):
-        engine, current, states, fences = self._warm(repair=True)
+        engine, current, states, fences = self._warm(repair=True, spread=True)
         # A full solve (every VM marked) cuts the zones and keeps them.
         engine.mark_dirty(states)
         current = engine.optimize(current, states, constraints=fences).target

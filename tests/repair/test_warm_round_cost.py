@@ -273,7 +273,7 @@ def test_a_warm_round_costs_what_changed_at_5000_vms(large_fleet_factory, counte
 @pytest.mark.parametrize("engine", ["partitioned", "repair-partitioned"])
 def test_a_cold_round_cuts_no_zone(large_fleet_factory, counted, engine):
     # A cold round of an exact fenced fleet whose optimum keeps every VM in
-    # place: one partition, then the keep-in-place answers for every zone.
+    # place: the keep-in-place answers before any partition is cut.
     fleet = large_fleet_factory(500, groups=4)
     catalog = fence_groups(fleet, groups=4)
     states = fleet.states()
@@ -283,17 +283,13 @@ def test_a_cold_round_cuts_no_zone(large_fleet_factory, counted, engine):
         engine=engine, zone_executor="serial", optimizer_timeout=60
     ) as switch:
         report = switch.compute(fleet, states, constraints=catalog)
-    partitions = [s for s in tracer.root.walk() if s.name == "partition"]
-    if engine == "partitioned":
-        (partition_span,) = partitions
-        assert partition_span.attributes["answered"] == "incumbent"
-        assert partition_span.attributes["exact"]
-    else:
-        # A first repair round is an attempt against the observed
-        # placement: its keep-in-place answers before any decomposition.
-        assert partitions == []
+    # A first repair round is an attempt against the observed placement, a
+    # partitioned round is the whole fleet: both pass before any partition.
+    assert [s for s in tracer.root.walk() if s.name == "partition"] == []
+    (solve,) = [s for s in tracer.root.walk() if s.name == "cp.solve"]
+    assert solve.attributes["stop"] == "incumbent"
     assert report.plan.action_count() == 1
-    assert counted["partitions"] == len(partitions)
+    assert counted["partitions"] == 0
     assert counted["vms extracted"] == 0
     assert counted["variables"] == 0
 

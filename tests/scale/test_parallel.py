@@ -83,7 +83,9 @@ def _fenced_constraints():
 
 class TestParallelOptimizer:
     def test_partitioned_result_matches_monolithic_objective(self):
-        configuration = _configuration()
+        # An overloaded host: the keep-in-place pass declines and the zones
+        # answer.
+        configuration = _overloaded()
         states = _states(configuration)
         constraints = _fenced_constraints()
         partitioned = ParallelOptimizer(
@@ -391,14 +393,18 @@ class TestZoneMachinery:
         self, monkeypatch, clock
     ):
         # An overloaded host: the zones solve and their assignments merge.
-        _assert_first_target_unplannable(monkeypatch, _overloaded(), clock)
+        _assert_first_target_unplannable(
+            monkeypatch, _overloaded(), clock, "merged"
+        )
 
     def test_an_unplannable_keep_in_place_goes_to_the_monolithic_solve(
         self, monkeypatch, clock
     ):
-        # The round's keep-in-place answers before the zones; its target
-        # takes the merged assignment's way out.
-        _assert_first_target_unplannable(monkeypatch, _configuration(), clock)
+        # The round's keep-in-place answers before any partition; its
+        # target takes the same way out, under its own name.
+        _assert_first_target_unplannable(
+            monkeypatch, _configuration(), clock, "keep-in-place"
+        )
 
     def test_queued_waves_carve_the_timeout(self, monkeypatch):
         configuration = _overloaded()
@@ -471,9 +477,10 @@ def _record_deadlines(monkeypatch, optimizer):
     return seen
 
 
-def _assert_first_target_unplannable(monkeypatch, configuration, clock):
-    """The first target the partitioned solve plans cannot be planned: the
-    round goes to the monolithic re-solve, on what the round left over."""
+def _assert_first_target_unplannable(monkeypatch, configuration, clock, answer):
+    """The first target the partitioned solve plans, the ``answer`` one,
+    cannot be planned: the round goes to the monolithic re-solve, on what
+    the round left over."""
     states = _states(configuration)
     constraints = _fenced_constraints()
     optimizer = ParallelOptimizer(timeout=5.0, zone_executor="serial")
@@ -500,7 +507,7 @@ def _assert_first_target_unplannable(monkeypatch, configuration, clock):
     assert result.partition_method == "monolithic"
     assert result.zone_reports == []
     assert result.partition_reason == (
-        "the merged assignment could not be planned "
+        f"the {answer} assignment could not be planned "
         "(NoPivotAvailableError: no pivot for the merged target)"
     )
     assert result.target.same_assignment(monolithic.target)
