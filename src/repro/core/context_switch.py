@@ -83,20 +83,23 @@ class ClusterContextSwitch:
         zone_executor: str = "auto",
     ) -> None:
         """``engine`` selects the solving strategy — the one engine menu,
-        which the control loop and the ``Scenario`` facade pass through:
+        which the control loop and the ``Scenario`` facade pass through.
+        Every engine solves the whole fleet in one step: the keep-in-place
+        pass over every VM that must run, then, when it misses the lower
+        bound, a search.
 
         * ``"repair"`` (:data:`DEFAULT_ENGINE`) and ``"repair-partitioned"``
           (:mod:`repro.repair`) keep the previous round's assignment, read
           what changed since from the configuration (its change journal and
           the dirty rule: arrivals, crash victims, diverged or misplaced VMs,
           overloaded hosts), freeze every other VM and solve the dirty
-          region in one attempt, falling back to the full solve when the
-          attempt finds nothing;
+          region in one attempt, falling back to the whole-fleet step when
+          the attempt finds nothing;
         * ``"event"``, the monolithic optimizer, solved cold every round;
-        * ``"partitioned"``, which decomposes the cluster into independent
-          placement zones solved one by one or concurrently
+        * ``"partitioned"``, whose search decomposes the cluster into
+          independent placement zones solved one by one or concurrently
           (:mod:`repro.scale.parallel`) and transparently falls back to the
-          monolithic solve when no decomposition exists;
+          monolithic search when no decomposition exists;
         * ``"fixpoint"``, the reference propagation engine, solved cold.
 
         ``zone_executor`` (one of :data:`ZONE_EXECUTORS`, checked under

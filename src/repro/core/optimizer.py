@@ -20,21 +20,6 @@ constant offset (they do not depend on the placement) and are added after the
 search.  The best assignment found within the timeout is turned into a target
 configuration and a feasible plan by :mod:`repro.core.planner`.
 
-Frozen VMs.  The repair engine (:mod:`repro.repair`) may hand a solve its
-dirty region, the VMs it re-decides: every other VM that runs and must keep
-running keeps the host it runs on.  It owns the precondition of those frozen
-VMs — running, on a node of the configuration, inside the unary domain, not
-leaving, and a relational group frozen whole or not at all — and nothing
-here checks it again.  A frozen VM is never a variable.  The dirty VMs are
-first offered the keep-in-place pass below, which reads node loads and the
-few VMs that cannot stay home; only a round it misses the lower bound on
-builds a model, over one *cut* (:func:`extract`): the dirty VMs over the
-nodes they may take or come from, each offering what the frozen VMs leave,
-under what the catalog asks of the dirty VMs once the frozen ones stay
-(:func:`residual_catalog`).  Both repair engines make this one attempt; the
-partitioned optimizer (:mod:`repro.scale.parallel`) decomposes only the
-whole-fleet solve.
-
 Incumbent first.  "Assign each running VM to its initial location in
 priority" is also a placement one can compute without a solver, and most
 rounds leave most VMs where they are.  So unless the catalog holds a
@@ -45,6 +30,23 @@ next to the trivial lower bound (every VM at the cheapest Table 1 cost its
 domain offers).  When the repair costs the bound it is returned as the proved
 optimum and no model is built; when it costs more it bounds the search from
 above and is the answer if the budget ends before anything cheaper is found.
+
+Frozen VMs.  The repair engine (:mod:`repro.repair`) may hand a solve its
+dirty region, the VMs it re-decides: every other VM that runs and must keep
+running keeps the host it runs on.  It owns the precondition of those frozen
+VMs — running, on a node of the configuration, inside the unary domain, not
+leaving, and a relational group frozen whole or not at all — and nothing
+here checks it again.  A frozen VM is never a variable.  The dirty VMs are
+placed by the keep-in-place pass
+(:meth:`ContextSwitchOptimizer._keep_in_place`, which reads node loads and
+the few VMs that cannot stay home); only a round it misses the lower bound
+on builds a model, over one *cut* (:func:`extract`): the dirty VMs over the
+nodes they may take or come from, each offering what the frozen VMs leave,
+under what the catalog asks of them once the frozen ones stay
+(:func:`residual_catalog`), with the domains the round holds.  Without a
+dirty region the pass places every VM that must run, and one search follows
+when it declines; the partitioned optimizer (:mod:`repro.scale.parallel`)
+searches by zones instead.
 """
 
 from __future__ import annotations
@@ -89,6 +91,10 @@ _MAX_OBJECTIVE_RANGE = 120_000
 #: What :func:`complete_states` returns: the wanted state of every VM, and
 #: the VMs whose wanted state is not the observed one.
 CompletedStates = tuple[dict[str, VMState], Sequence[str]]
+
+#: What a search answers: the node of every VM it placed (``None`` when it
+#: found no viable assignment), its statistics and the improving costs.
+Found = tuple[Optional[dict[str, str]], SearchStatistics, list[int]]
 
 
 def complete_states(
@@ -183,7 +189,7 @@ def residual_catalog(
     (:meth:`~repro.constraints.base.PlacementConstraint.residual`), or
     ``None`` when those stayers alone break one of them.  Only a cut reads
     it, so no residual reaches a memory keyed on constraint identity (the
-    domains, the partitioner, a kept decomposition)."""
+    domains)."""
     catalog = []
     for constraint in constraints:
         residual = constraint.residual(current, moving)
@@ -237,10 +243,9 @@ class OptimizationResult:
     statistics: Optional[SearchStatistics] = None
     improving_costs: list[int] = field(default_factory=list)
     #: How the instance was decomposed: ``"interference"`` or ``"sharded"``
-    #: when a partitioned engine solved it by zones, ``"monolithic"`` (with
-    #: the partitioner's ``partition_reason``, if one was asked) otherwise.
+    #: when a partitioned engine solved it by zones, ``"monolithic"``
+    #: otherwise.
     partition_method: str = "monolithic"
-    partition_reason: str = ""
     #: One :class:`~repro.scale.parallel.ZoneOutcome` per zone, in zone
     #: order; empty unless a partitioned engine solved the instance by zones.
     zone_reports: list = field(default_factory=list)
@@ -328,17 +333,16 @@ class ContextSwitchOptimizer:
             keeps its host — it is *frozen*, a precondition
             :mod:`repro.repair` owns — so only the dirty ones are kept in
             place or searched, as one cut (:meth:`_search_cut`).  ``None``
-            re-decides every VM (:meth:`_optimize_whole`).
+            re-decides every VM that must run, in the whole-fleet step.
         deadline:
             The round's deadline, a :func:`time.monotonic` instant; ``None``
-            means the constructor's ``timeout`` from now.  The engines that
-            wrap this one (:mod:`repro.scale.parallel`, :mod:`repro.repair`)
-            make it once and hand every solve of the round the same value.
+            means the constructor's ``timeout`` from now.  The repair engine
+            makes it once and hands every solve of the round the same value.
         completed:
             ``target_states`` completed over ``current`` — the ``(states,
             changed)`` pair :meth:`_complete_states` returns; ``None`` means
-            complete them here.  The engines that wrap this one complete
-            them once per round and hand every solve the same pair.
+            complete them here.  The repair engine completes them once per
+            round and hands every solve the same pair.
         settled:
             What the repair engine knows of the constraints' answers on
             ``current`` without asking them, for the plan's check
@@ -348,37 +352,59 @@ class ContextSwitchOptimizer:
             deadline = time.monotonic() + self.timeout
         if completed is None:
             completed = self._complete_states(current, target_states)
-        if dirty is None:
-            return self._optimize_whole(
-                current, target_states, vjob_of_vm, constraints, deadline,
-                completed, settled,
+        states, changed = completed
+        running = VMState.RUNNING
+        leaving = [vm for vm in changed if current.state_of(vm) is running]
+        if dirty is not None:
+            found = self._search_cut(
+                current, states, leaving, constraints, dirty, deadline
             )
-        found = self._search_cut(current, *completed, constraints, dirty, deadline)
+        else:
+            vms = [vm for vm, state in states.items() if state is running]
+            domains = self.domains.of(current, vms, constraints)
+            found = None
+            if self._may_keep_in_place(current, vms, domains):
+                found = self._keep_in_place(current, vms, leaving, domains, constraints)
+            if found is None:
+                return self._search_whole(
+                    current, states, vms, domains, constraints, deadline,
+                    lambda found: self._finish(
+                        current, completed, found, vjob_of_vm, constraints, settled
+                    ),
+                )
         return self._finish(current, completed, found, vjob_of_vm, constraints, settled)
 
-    def _optimize_whole(
+    def _may_keep_in_place(
         self,
         current: Configuration,
-        target_states: Mapping[str, VMState],
-        vjob_of_vm: Optional[Mapping[str, str]],
+        vms: Sequence[str],
+        domains: Mapping[str, Optional[AbstractSet[str]]],
+    ) -> bool:
+        """Whether the whole-fleet step offers ``vms``, every VM that must
+        run, to :meth:`_keep_in_place` before it searches."""
+        return True
+
+    def _search_whole(
+        self,
+        current: Configuration,
+        states: Mapping[str, VMState],
+        vms: Sequence[str],
+        domains: Mapping[str, Optional[AbstractSet[str]]],
         constraints: Sequence["PlacementConstraint"],
         deadline: float,
-        completed: CompletedStates,
-        settled: Optional[dict[int, Optional[str]]],
+        finish: Callable[[Found], OptimizationResult],
     ) -> OptimizationResult:
-        """The whole-fleet step of :meth:`optimize` (``dirty=None``): one
-        search over every VM that must run.  The partitioned optimizer
-        overrides this step alone."""
-        found = self.search_assignment(
-            current, target_states, constraints, deadline=deadline, completed=completed
-        )
-        return self._finish(current, completed, found, vjob_of_vm, constraints, settled)
+        """The search of the whole-fleet step, once the pass declined: one
+        search over ``vms``, the VMs that must run (of the completed
+        ``states``), with their ``domains``; ``finish`` plans what it found
+        (:meth:`_finish`)."""
+        return finish(self._search(current, vms, domains, constraints, deadline))
 
     def _finish(
         self,
         current: Configuration,
         completed: CompletedStates,
-        found: tuple[Optional[Mapping[str, str]], SearchStatistics, list[int]],
+        found: Found,
         vjob_of_vm: Optional[Mapping[str, str]],
         constraints: Sequence["PlacementConstraint"],
         settled: Optional[dict[int, Optional[str]]] = None,
@@ -427,39 +453,30 @@ class ContextSwitchOptimizer:
         self,
         current: Configuration,
         states: Mapping[str, VMState],
-        changed: Sequence[str],
+        leaving: Sequence[str],
         constraints: Sequence["PlacementConstraint"],
         dirty: AbstractSet[str],
         deadline: float,
-    ) -> tuple[Optional[dict[str, str]], SearchStatistics, list[int]]:
+    ) -> Found:
         """The assignment of the VMs of ``dirty`` that must run, the frozen
-        VMs staying: under a unary catalog the keep-in-place pass
-        (:meth:`_keep_in_place`) when it meets the lower bound, else
-        :meth:`search_assignment` of one cut, as a zone is searched
+        VMs staying and the ``leaving`` ones stopping: the keep-in-place
+        pass (:meth:`_keep_in_place`) when it meets the lower bound, else
+        the search of one cut, as a zone is searched
         (:func:`~repro.scale.parallel.solve_zone`) — those VMs over the
         nodes they may take or come from (every node when one of them is
         unrestricted), each offering what the frozen VMs leave, under the
         residual catalog; ``None`` when the frozen VMs alone break a
-        relation.  A fresh optimizer searches the cut: its capacities would
-        change this one's domains key, and with it everything kept under
-        that key."""
+        relation.  The cut is searched with the domains this optimizer
+        holds: a residual restricts the dirty VMs as its relation does, and
+        the cut holds every node of ``current`` their domains name."""
         running = VMState.RUNNING
         vms = current.in_registration_order(
             [vm for vm in dirty if states.get(vm) is running]
         )
-        leaving = [vm for vm in changed if current.state_of(vm) is running]
         domains = self.domains.of(current, vms, constraints)
-        if vms and not any(constraint.relational for constraint in constraints):
-            hosts, arriving = {}, []
-            for vm in vms:
-                host = current.location_of(vm)
-                if host is None:
-                    arriving.append(vm)
-                else:
-                    hosts[vm] = host
-            kept = self._keep_in_place(current, domains, hosts, leaving, arriving)
-            if kept is not None:
-                return kept
+        kept = self._keep_in_place(current, vms, leaving, domains, constraints)
+        if kept is not None:
+            return kept
         moving = {*dirty, *leaving}
         catalog = residual_catalog(constraints, current, moving)
         if catalog is None:
@@ -475,12 +492,7 @@ class ContextSwitchOptimizer:
                 names.update(allowed)
             nodes = _in_node_order(current, names)
         cut = extract(current, nodes, vms, current.load_by_host(moving))
-        cut_states = dict.fromkeys(vms, running)
-        return ContextSwitchOptimizer(
-            engine=self.engine, first_solution_only=self.first_solution_only
-        ).search_assignment(
-            cut, cut_states, catalog, deadline=deadline, completed=(cut_states, ())
-        )
+        return self._search(cut, vms, domains, catalog, deadline)
 
     # ------------------------------------------------------------------ #
     # model construction                                                  #
@@ -594,34 +606,44 @@ class ContextSwitchOptimizer:
     def _keep_in_place(
         self,
         current: Configuration,
-        domains: Mapping[str, Optional[AbstractSet[str]]],
-        hosts: dict[str, str],
+        vms: Sequence[str],
         leaving: Sequence[str],
-        arriving: Sequence[str],
-    ) -> Optional[tuple[dict[str, str], SearchStatistics, list[int]]]:
-        """The keep-in-place repair of the VMs to place when it costs the
-        lower bound, as a search answers (the assignment, its statistics,
-        its cost), else ``None``.  Its ``cp.solve`` span covers it.
+        domains: Mapping[str, Optional[AbstractSet[str]]],
+        constraints: Sequence["PlacementConstraint"],
+    ) -> Optional[Found]:
+        """The keep-in-place repair of ``vms``, the VMs to place (in
+        registration order), when it costs the lower bound, as a search
+        answers (the assignment, its statistics, its cost), else ``None``.
+        Its ``cp.solve`` span covers it.
 
-        ``hosts`` are the placed VMs that run, on their hosts (extended into
-        the answer), ``arriving`` the VMs to place that do not run and
-        ``leaving`` the running VMs that must stop; every other VM that runs
-        stays.  ``domains`` are the unary domains of the VMs to place,
-        ``None`` meaning unrestricted; a caller gives it no relational
-        catalog.
+        ``leaving`` are the running VMs that must stop; every other VM that
+        runs and is not in ``vms`` stays.  ``domains`` holds the unary
+        domain of each VM to place, ``None`` meaning unrestricted.  The
+        pass reads unary domains only: it declines a relational catalog, and
+        an empty ``vms`` (nothing to place).
 
         Table 1 prices a stay below a move, so the bound is met exactly when
         every VM that may stay home does.  Every VM stays but the
         ``leaving``, the *misplaced* (running outside its domain) and the
-        ``arriving`` ones, of which only a resume onto its image node stays
-        home.  A node has its free capacity left, plus what its leaving and
-        misplaced residents hold, minus the resumes onto it.  The stayers
-        all stay when no node is left short, and a node none of the
-        exceptions touches is short only when it is overloaded.  The
+        *arriving* ones (not running), of which only a resume onto its image
+        node stays home.  A node has its free capacity left, plus what its
+        leaving and misplaced residents hold, minus the resumes onto it.
+        The stayers all stay when no node is left short, and a node none of
+        the exceptions touches is short only when it is overloaded.  The
         homeless are packed by :meth:`_incumbent` over what is left, in
         registration order, each domain in node order."""
+        if not vms or any(constraint.relational for constraint in constraints):
+            return None
         tracer = current_tracer()
         started = tracer.now() if tracer is not None else None
+        placement = current.placement_view()
+        hosts, arriving = {}, []
+        for vm in vms:
+            host = placement.get(vm)
+            if host is None:
+                arriving.append(vm)
+            else:
+                hosts[vm] = host
         misplaced = [
             vm
             for vm, host in hosts.items()
@@ -677,7 +699,7 @@ class ContextSwitchOptimizer:
         constraints: Sequence["PlacementConstraint"] = (),
         deadline: Optional[float] = None,
         completed: Optional[CompletedStates] = None,
-    ) -> tuple[Optional[dict[str, str]], SearchStatistics, list[int]]:
+    ) -> Found:
         """Run only the CP search and return a VM -> node *name* assignment
         of every VM that must run: the keep-in-place incumbent when it costs
         the lower bound, the search's best otherwise, ``None`` when no
@@ -697,10 +719,21 @@ class ContextSwitchOptimizer:
             deadline = time.monotonic() + self.timeout
         if completed is None:
             completed = self._complete_states(current, target_states)
-        running = VMState.RUNNING
-        running_vms = [
-            name for name, state in completed[0].items() if state is running
-        ]
+        vms = [vm for vm, state in completed[0].items() if state is VMState.RUNNING]
+        domains = self.domains.of(current, vms, constraints)
+        return self._search(current, vms, domains, constraints, deadline)
+
+    def _search(
+        self,
+        current: Configuration,
+        running_vms: Sequence[str],
+        domains: Mapping[str, Optional[AbstractSet[str]]],
+        constraints: Sequence["PlacementConstraint"],
+        deadline: float,
+    ) -> Found:
+        """:meth:`search_assignment` of ``running_vms``, the VMs that must
+        run (in registration order), whose unary ``domains`` the caller
+        holds."""
         if not running_vms:
             # Nothing to place: the empty assignment is trivially optimal.
             return {}, SearchStatistics(proven_optimal=True), [0]
@@ -709,13 +742,6 @@ class ContextSwitchOptimizer:
         node_index = {name: i for i, name in enumerate(node_names)}
         capacities = [current.node(name).capacity.as_tuple() for name in node_names]
         relational = any(constraint.relational for constraint in constraints)
-
-        # Unary placement constraints (Ban/Fence) shrink the domain of
-        # the assignment variable before the search even starts.
-        # ``vm_domains`` hands the members of one restriction one shared set,
-        # so the node list of a restriction is built once and copied per
-        # variable.
-        domains = self.domains.of(current, running_vms, constraints)
 
         # What the model is made of, gathered before any model exists: per
         # VM its demand, its Table 1 costs, the nodes it may take (one list

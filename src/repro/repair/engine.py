@@ -44,8 +44,9 @@ over the nodes they may take or come from, each offering what the frozen
 ones leave, under what each relation asks once the frozen VMs stay
 (:meth:`~repro.constraints.base.PlacementConstraint.residual`) — so the
 model it builds, and the round, cost what changed rather than the fleet.
-Both inner optimizers make this one attempt alike; zones serve only the
-partitioned one's full solve.
+Both inner optimizers make this one attempt alike; the full solve is their
+whole-fleet step — the same pass over every VM that must run, then the
+search, by zones in the partitioned one.
 The rules are the one owner of what a frozen VM is: it runs on a node of
 the configuration (rule 2), inside its retained unary domain (rule 3), is
 not leaving, its host is not overloaded (rule 5), and a relational group is
@@ -63,8 +64,8 @@ and the unary domains (owner: :attr:`RepairOptimizer.domains`, shared with
 the inner optimizer and, in a control loop, with the policy; one key in
 :meth:`~repro.constraints.domains.RetainedDomains.key`).
 :meth:`RepairOptimizer.forget` drops both, and with the domains everything
-keyed on their generation: the inner optimizer's decomposition and, in a
-loop, the policy's filter domains and its selection's trial.
+keyed on their generation: in a loop, the policy's filter domains and its
+selection's trial.
 """
 
 from __future__ import annotations

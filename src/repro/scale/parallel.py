@@ -35,20 +35,10 @@ share it, so a partitioned round stays within the per-round time budget the
 monolithic engine honours.  When the partitioner finds no decomposition — or
 any zone turns out infeasible by the deadline, or the planner cannot reach
 the merged target (a ``PlanningError``) — the optimizer re-solves with the
-inherited monolithic solve, so ``engine="partitioned"`` is always safe to
+inherited monolithic search, so ``engine="partitioned"`` is always safe to
 request.  That re-solve gets the same deadline and nothing past it: a round
 the zones starved answers with the keep-in-place incumbent, or raises.  A
 solve that finds nothing raises, as the monolithic one does.
-
-Keep-in-place before the partition: under a unary catalog whose every
-placed VM has a *tight* domain (:func:`~repro.scale.partition.is_tight`:
-the decomposition would be exact) no home and no domain crosses a zone, so
-the zones' incumbents compose to one pass that reads node loads and the few
-VMs that cannot stay home
-(:meth:`~repro.core.optimizer.ContextSwitchOptimizer._keep_in_place`, the
-pass a repair attempt runs first).  It runs before the partition is cut: a
-round it answers at the lower bound cuts no partition and no zone, and only
-a round it declines is partitioned and solved by zones.
 
 Sub-problem extraction (:func:`repro.core.optimizer.extract`): a zone's
 sub-configuration contains only the zone's nodes and VMs.  A zone VM whose
@@ -57,24 +47,17 @@ current host (or suspend image) lies outside the zone is represented as
 constant (the same for every zone node), so the arg-min placement is
 unaffected and the exact cost is restored by the global planning pass.
 
-Zones serve the whole-fleet solve only: this optimizer overrides the
-whole-fleet step of :meth:`~repro.core.optimizer.ContextSwitchOptimizer.optimize`
-and nothing else, so a solve handed the repair engine's dirty region is the
-inherited one — the keep-in-place pass, then one cut of the dirty VMs — and
-cuts no zone.
-
-What is kept from one round to the next, each with one owner and one
-invalidation point:
-
-* the unary domains — :attr:`ParallelOptimizer.domains`, a
-  :class:`~repro.constraints.domains.RetainedDomains` (key: the constraint
-  objects, the node descriptions, every restriction placement-independent;
-  in a control loop the policy's candidate filter reads the same one);
-* the decomposition — :attr:`ParallelOptimizer._kept`, reused while it was
-  cut under the generation that key returns, the completed target states
-  are the same and the partition is exact (every placed VM tight, so no
-  zone read a placement, a demand or a capacity); everything else is re-cut by
-  :func:`~repro.scale.partition.partition` as before.
+Zones serve the whole-fleet step of
+:meth:`~repro.core.optimizer.ContextSwitchOptimizer.optimize` only, of which
+this optimizer overrides two things: whether the keep-in-place pass may
+answer first — only when every placed VM has a *tight* domain
+(:func:`~repro.scale.partition.is_tight`): the decomposition would be exact,
+so no home and no domain crosses a zone and the zones' incumbents compose to
+that one pass — and the search when it declines.  A round the pass answers
+cuts no zone (an answer the planner cannot reach raises, as it does in the
+monolithic optimizer); a solve handed the repair engine's dirty region is
+the inherited attempt.  Nothing is kept across rounds but the unary domains
+(:attr:`ParallelOptimizer.domains`, inherited) and the worker pool.
 """
 
 from __future__ import annotations
@@ -85,13 +68,13 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextvars import Context
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import AbstractSet, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..constraints.base import PlacementConstraint
 from ..core.context_switch import ZONE_EXECUTORS
 from ..core.optimizer import (
-    CompletedStates,
     ContextSwitchOptimizer,
+    Found,
     OptimizationResult,
     extract,
 )
@@ -100,7 +83,7 @@ from ..model.configuration import Configuration
 from ..model.errors import PlanningError, SolverError
 from ..model.vm import VMState
 from ..obs import current_tracer, span
-from .partition import PartitionResult, Zone, is_tight, partition, placed_vms
+from .partition import PartitionResult, Zone, is_tight, partition
 
 #: The ``"auto"`` rule: the pool is used only when the host has more than
 #: one core *and* at least two of the zones pending in this solve each hold
@@ -279,147 +262,74 @@ class ParallelOptimizer(ContextSwitchOptimizer):
         #: persistent worker pool (``_pool``) is forked lazily by the first
         #: solve that uses it and reused across rounds — see :meth:`close`.
         self.shards = 4 if shards == "auto" else shards
-        #: The last exact decomposition, with what it is a function of: the
-        #: generation of :attr:`domains` it was cut under and the completed
-        #: target states (see :meth:`_decompose`).
-        self._kept: Optional[Tuple[object, Mapping[str, VMState], PartitionResult]] = None
 
     # ------------------------------------------------------------------ #
 
-    def _optimize_whole(
+    def _may_keep_in_place(
         self,
         current: Configuration,
-        target_states: Mapping[str, VMState],
-        vjob_of_vm: Optional[Mapping[str, str]],
-        constraints: Sequence[PlacementConstraint],
-        deadline: float,
-        completed: CompletedStates,
-        settled: Optional[Dict[int, Optional[str]]],
-    ) -> OptimizationResult:
-        """The whole-fleet step, by zones: the result's ``partition_method``
-        / ``partition_reason`` / ``zone_reports`` say how the instance was
-        decomposed.  A round the keep-in-place pass answers cuts no zone and
-        no partition: its ``partition_method`` is ``"monolithic"``, its
-        ``zone_reports`` empty.  No decomposition, a failed zone or an
-        unplannable answer hand the round to the inherited step."""
-        states, changed = completed
-        placed = placed_vms(states)
-        domains = self.domains.of(current, placed, constraints)
-        of_placed = list(map(domains.__getitem__, placed))
+        vms: Sequence[str],
+        domains: Mapping[str, Optional[AbstractSet[str]]],
+    ) -> bool:
+        """Only when every VM to place is *tight* (:func:`is_tight`, judged
+        once per domain object): the decomposition would then be exact."""
         node_count = len(current.node_names)
-        found = None
-        # The decomposition would be exact under a unary catalog — every
-        # placed VM tight, judged once per domain object — so no home and no
-        # domain would cross a zone, and the zones' incumbents compose to
-        # one pass over the placed VMs.
-        if (
-            placed
-            and not any(c.relational for c in constraints)
-            and all(
-                is_tight(domain, node_count)
-                for domain in dict(zip(map(id, of_placed), of_placed)).values()
-            )
-        ):
-            running = VMState.RUNNING
-            leaving, arriving = [], []
-            for vm in changed:
-                if current.state_of(vm) is running:
-                    leaving.append(vm)
-                elif states[vm] is running:
-                    arriving.append(vm)
-            placed_set = set(placed)
-            hosts = {
-                vm: host for vm, host in current.iter_placement() if vm in placed_set
-            }
-            found = self._keep_in_place(current, domains, hosts, leaving, arriving)
-        method, outcomes, answer = "monolithic", [], "keep-in-place"
-        reason = ""
-        if found is None:
-            with span("partition") as partition_span:
-                decomposition, reused = self._decompose(
-                    current, states, constraints, domains
-                )
-                partition_span.set(
-                    method=decomposition.method,
-                    zones=len(decomposition.zones),
-                    exact=decomposition.exact,
-                    reused=reused,
-                )
-            reason = decomposition.reason
-            if decomposition.is_win:
-                outcomes = sorted(
-                    self._solve_zones(current, decomposition, deadline),
-                    key=lambda o: o.index,
-                )
-                failed = [o.index for o in outcomes if o.assignment is None]
-                if failed:
-                    reason = f"zones {failed} found no viable assignment"
-                else:
-                    # Deterministic merge: zones are index-ordered,
-                    # assignments are disjoint by construction.
-                    merged: dict[str, str] = {}
-                    for outcome in outcomes:
-                        merged.update(outcome.assignment)
-                    statistics = merge_statistics(outcomes, exact=decomposition.exact)
-                    found = merged, statistics, []
-                    method, answer = decomposition.method, "merged"
-        if found is not None:
-            try:
-                result = self._finish(
-                    current, completed, found, vjob_of_vm, constraints, settled
-                )
-            except PlanningError as error:
-                # The pass or the zones answered, but the planner cannot
-                # reach that target (no pivot for a migration cycle, say):
-                # the monolithic search may pick a target it can.
-                reason = (
-                    f"the {answer} assignment could not be planned "
-                    f"({type(error).__name__}: {error})"
-                )
-            else:
-                result.partition_method = method
-                result.zone_reports = outcomes
-                return result
-        # The re-solve runs against the round's deadline: it gets what the
-        # partition and the zones left, and nothing past it.
-        result = super()._optimize_whole(
-            current, target_states, vjob_of_vm, constraints, deadline,
-            completed, settled,
-        )
-        result.partition_reason = reason
-        return result
+        distinct = {id(domain): domain for domain in map(domains.__getitem__, vms)}
+        return all(is_tight(domain, node_count) for domain in distinct.values())
 
-    # ------------------------------------------------------------------ #
-
-    def _decompose(
+    def _search_whole(
         self,
         current: Configuration,
         states: Mapping[str, VMState],
-        constraints: Sequence[PlacementConstraint],
+        vms: Sequence[str],
         domains: Mapping[str, Optional[AbstractSet[str]]],
-    ) -> Tuple[PartitionResult, bool]:
-        """The round's decomposition over the placed VMs' ``domains``, and
-        whether it is the kept one.
-
-        The kept decomposition answers for this round when it is provably
-        the one :func:`partition` would cut again: it was cut under the
-        generation the domains' key returns now (same constraint objects,
-        same node descriptions, none of them reading a placement —
-        :meth:`RetainedDomains.key`), the completed target states are equal
-        (so the same VMs are placed), and it was exact — every placed VM
-        tight, so no VM was anchored by its host, its demand or a node's
-        headroom."""
-        key = self.domains.key(current, constraints)
-        kept = self._kept
-        if kept is not None and kept[0] is key and kept[1] == states:
-            return kept[2], True
-        decomposition = partition(
-            current, states, constraints, shards=self.shards, domains=domains
+        constraints: Sequence[PlacementConstraint],
+        deadline: float,
+        finish: Callable[[Found], OptimizationResult],
+    ) -> OptimizationResult:
+        """The search by zones: the result's ``partition_method`` and
+        ``zone_reports`` say how the instance was decomposed.  No
+        decomposition, a failed zone or a merged assignment the planner
+        cannot reach hand the round to the inherited search."""
+        with span("partition") as partition_span:
+            decomposition = partition(
+                current, states, constraints, shards=self.shards, domains=domains
+            )
+            partition_span.set(
+                method=decomposition.method,
+                zones=len(decomposition.zones),
+                exact=decomposition.exact,
+            )
+        if decomposition.is_win:
+            outcomes = sorted(
+                self._solve_zones(current, decomposition, deadline),
+                key=lambda o: o.index,
+            )
+            if all(outcome.assignment is not None for outcome in outcomes):
+                # Deterministic merge: zones are index-ordered, assignments
+                # are disjoint by construction.
+                merged = {
+                    vm: node for o in outcomes for vm, node in o.assignment.items()
+                }
+                statistics = merge_statistics(outcomes, exact=decomposition.exact)
+                try:
+                    result = finish((merged, statistics, []))
+                except PlanningError:
+                    # The planner cannot reach the merged target (no pivot
+                    # for a migration cycle, say): the monolithic search may
+                    # pick a target it can.
+                    pass
+                else:
+                    result.partition_method = decomposition.method
+                    result.zone_reports = outcomes
+                    return result
+        # The monolithic search runs against the round's deadline: it gets
+        # what the partition and the zones left, and nothing past it.
+        return super()._search_whole(
+            current, states, vms, domains, constraints, deadline, finish
         )
-        self._kept = None
-        if key is not None and decomposition.is_win and decomposition.exact:
-            self._kept = (key, states, decomposition)
-        return decomposition, False
+
+    # ------------------------------------------------------------------ #
 
     def _solve_zones(
         self,

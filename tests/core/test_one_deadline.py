@@ -71,15 +71,15 @@ def test_every_search_of_a_round_reads_one_deadline(monkeypatch, engine, searche
         switch.mark_dirty(["vm0"])
 
     deadlines = []
-    search = ContextSwitchOptimizer.search_assignment
+    search = ContextSwitchOptimizer._search
     current = _overloaded()
 
-    def spy(self, configuration, *args, deadline, **kwargs):
+    def spy(self, configuration, vms, domains, constraints, deadline):
         deadlines.append(deadline)
         if configuration is not current:
             # the repair attempt, searched on its cut, finds nothing
             return None, SearchStatistics(), []
-        return search(self, configuration, *args, deadline=deadline, **kwargs)
+        return search(self, configuration, vms, domains, constraints, deadline)
 
     def failed_zone(task):
         return ZoneOutcome(
@@ -89,7 +89,7 @@ def test_every_search_of_a_round_reads_one_deadline(monkeypatch, engine, searche
             elapsed=0.0,
         )
 
-    monkeypatch.setattr(ContextSwitchOptimizer, "search_assignment", spy)
+    monkeypatch.setattr(ContextSwitchOptimizer, "_search", spy)
     monkeypatch.setattr(parallel, "solve_zone", failed_zone)
     entered = time.monotonic()
     report = switch.compute(current, _running(current), constraints=CATALOG)

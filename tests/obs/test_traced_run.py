@@ -181,7 +181,6 @@ class TestPartitionedTracing:
         assert solve.counters["nodes"] == 0
         assert solve.counters["solutions"] == 1
         assert result.partition_method == "monolithic"
-        assert result.partition_reason == ""
         assert result.zone_reports == []
 
     def test_serial_zones_nest_in_process(self):

@@ -15,6 +15,8 @@ scan of every running VM's host; the rule reads the dirty-node index.
 
 from __future__ import annotations
 
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
 from repro.constraints import (
@@ -24,11 +26,15 @@ from repro.constraints import (
     RunningCapacity,
     Spread,
 )
+from repro.constraints.domains import vm_domains
+from repro.core.optimizer import ContextSwitchOptimizer
 from repro.model.configuration import Configuration
+from repro.model.errors import PlanningError
 from repro.model.node import Node
 from repro.model.vm import VirtualMachine, VMState
-from repro.repair import compute_dirty_set
+from repro.repair import RepairOptimizer, compute_dirty_set
 from repro.repair.engine import _relational_closure
+from repro.scale import ParallelOptimizer
 
 
 class Quarantine(PlacementConstraint):
@@ -192,3 +198,36 @@ def constrained_rounds(draw):
 @given(constrained_rounds())
 def test_dirty_set_matches_the_per_constraint_sweep(round_inputs):
     assert compute_dirty_set(*round_inputs) == _dirty_set_oracle(*round_inputs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(constrained_rounds(), st.booleans())
+def test_every_search_is_handed_the_domains_of_what_it_searches(
+    round_inputs, zones
+):
+    # A repair attempt searches its cut with the domains the round holds
+    # for the fleet, asking no catalog again.  Under every relation drawn
+    # here — the member-less quarantine restricts over the node names it is
+    # handed, the capacity bound's residual is a new object — those are the
+    # domains computed over the cut under the residual catalog; the
+    # whole-fleet searches and the zones are held to the same rule.
+    configuration, states, _, constraints, marks, previous, halo = round_inputs
+    inner = (
+        ParallelOptimizer(timeout=5.0, zone_executor="serial")
+        if zones
+        else ContextSwitchOptimizer(timeout=5.0)
+    )
+    engine = RepairOptimizer(inner, timeout=5.0, halo=halo)
+    engine._previous = previous
+    engine.mark_dirty(marks)
+    real = ContextSwitchOptimizer._search
+
+    def search(self, current, vms, domains, catalog, deadline):
+        assert {vm: domains[vm] for vm in vms} == vm_domains(current, vms, catalog)
+        return real(self, current, vms, domains, catalog, deadline)
+
+    with mock.patch.object(ContextSwitchOptimizer, "_search", search):
+        try:
+            engine.optimize(configuration, states, constraints=constraints)
+        except PlanningError:
+            pass  # no viable assignment: what was searched is checked

@@ -50,6 +50,7 @@ from repro.model.node import Node
 from repro.model.vm import VirtualMachine, VMState
 from repro.obs import Tracer
 from repro.scale import ParallelOptimizer
+from repro.scale.partition import is_tight
 
 MEMORY_CHOICES = (256, 512, 1024)
 #: Mostly fenced fleets (exact decompositions); a loose ``Ban`` on one VM
@@ -59,8 +60,9 @@ CATALOGS = ("fenced",) * 5 + ("loose-member", "spread", "sharded")
 
 
 @st.composite
-def rounds(draw):
-    """A fleet, its catalog, the wanted states and a frozen region."""
+def rounds(draw, kinds=CATALOGS):
+    """A fleet, its catalog (one of ``kinds``), the wanted states and a
+    frozen region."""
     sizes = draw(st.lists(st.integers(2, 3), min_size=2, max_size=3))
     node_count = sum(sizes) + draw(st.integers(0, 2))
     configuration = Configuration()
@@ -102,8 +104,10 @@ def rounds(draw):
             configuration.set_sleeping(vm.name, draw(st.sampled_from(nodes)))
         states[vm.name] = wanted
 
-    kind = draw(st.sampled_from(CATALOGS))
-    if kind == "sharded":
+    kind = draw(st.sampled_from(kinds))
+    if kind == "empty":
+        catalog = []
+    elif kind == "sharded":
         catalog = [Ban(configuration.vm_names[:1], node_names[:1])]
     else:
         if kind == "loose-member":
@@ -289,15 +293,26 @@ def _dirty(states, frozen):
     return {vm for vm, state in states.items() if state is VMState.RUNNING} - frozen
 
 
-def _solve(instance, keep_in_place):
-    """One solve, with the pass (``keep_in_place``) or declining it, and
-    what each call of the pass saw: whether the round was warm, whether the
-    pass answered, and the decompositions the round's partition spans
-    report."""
+def _partitioned():
+    return ParallelOptimizer(timeout=10.0, zone_executor="serial")
+
+
+def _monolithic():
+    return ContextSwitchOptimizer(timeout=10.0)
+
+
+def _solve(instance, keep_in_place, make=_partitioned, whole=False):
+    """One solve by a fresh optimizer (``make``), with the pass
+    (``keep_in_place``) or declining it, handed the frozen region unless
+    ``whole``; and what the round showed: whether each call of the pass
+    answered, and the decompositions its partition spans report.  Every
+    search is handed the domains :func:`vm_domains` computes over what it
+    searches — a cut under its residual catalog too."""
     configuration, catalog, states, frozen = instance
     planned, calls = [], []
     real_pass = ContextSwitchOptimizer._keep_in_place
     real_finish = ContextSwitchOptimizer._finish
+    real_search = ContextSwitchOptimizer._search
 
     def spy(self, *args):
         found = real_pass(self, *args) if keep_in_place else None
@@ -309,30 +324,31 @@ def _solve(instance, keep_in_place):
             planned.append(dict(found[0]))
         return real_finish(self, current, completed, found, *args)
 
-    dirty = _dirty(states, frozen)
+    def search(self, current, vms, domains, constraints, deadline):
+        assert {vm: domains[vm] for vm in vms} == vm_domains(current, vms, constraints)
+        return real_search(self, current, vms, domains, constraints, deadline)
+
+    dirty = None if whole else _dirty(states, frozen)
     tracer = Tracer()
     with mock.patch.object(
         ContextSwitchOptimizer, "_keep_in_place", spy
-    ), mock.patch.object(ContextSwitchOptimizer, "_finish", finish):
-        optimizer = ParallelOptimizer(timeout=10.0, zone_executor="serial")
+    ), mock.patch.object(
+        ContextSwitchOptimizer, "_finish", finish
+    ), mock.patch.object(ContextSwitchOptimizer, "_search", search):
         try:
             with tracer.activate():
-                result = optimizer.optimize(
+                result = make().optimize(
                     configuration, states, constraints=catalog, dirty=dirty
                 )
         except PlanningError as error:
-            return {"error": type(error).__name__, "planned": planned}, []
-    partitions = [s.attributes for s in tracer.root.walk() if s.name == "partition"]
-    relational = any(c.relational for c in catalog)
-    consulted = [
-        (
-            dirty is not None,
-            relational,
-            answered,
-            [(p["method"], p["exact"]) for p in partitions],
-        )
-        for answered in calls
+            result = error
+    partitions = [
+        (s.attributes["method"], s.attributes["exact"])
+        for s in tracer.root.walk()
+        if s.name == "partition"
     ]
+    if isinstance(result, PlanningError):
+        return {"error": type(result).__name__, "planned": planned}, calls, partitions
     return {
         "planned": planned,
         "placement": dict(result.target.iter_placement()),
@@ -341,8 +357,17 @@ def _solve(instance, keep_in_place):
         "cost": result.cost,
         "movement_cost": result.movement_cost,
         "method": result.partition_method,
-        "reason": result.partition_reason,
-    }, consulted
+    }, calls, partitions
+
+
+def _assert_same_plans(kept, searched, calls):
+    """The pass changes no plan: only the partition outcome may differ, and
+    only where the pass answered."""
+    assert {k: v for k, v in kept.items() if k != "method"} == {
+        k: v for k, v in searched.items() if k != "method"
+    }
+    if not any(calls):
+        assert kept == searched
 
 
 @settings(max_examples=200, deadline=None)
@@ -355,29 +380,54 @@ def _solve(instance, keep_in_place):
 @example(_a_resume_onto_a_full_image_host())
 @example(_a_vm_outside_its_fence_beside_stayers())
 def test_the_keep_in_place_plans_what_the_zones_plan(instance):
-    kept, consulted = _solve(instance, keep_in_place=True)
-    searched, _ = _solve(instance, keep_in_place=False)
-    outcome = ("method", "reason")
-    assert {k: v for k, v in kept.items() if k not in outcome} == {
-        k: v for k, v in searched.items() if k not in outcome
-    }
-    if not any(answered for _, _, answered, _ in consulted):
-        assert kept == searched
-    # Only under a unary catalog: a warm round's attempt, which cuts no
-    # zone, or a cold round whose every placed VM is tight.  A cold round
-    # the pass answers cuts no partition; one it declines cuts one, exact
-    # unless the fences weld into a single component.
-    for warm, relational, answered, partitions in consulted:
-        assert not relational
-        if warm or answered:
-            assert partitions == []
-        else:
-            assert partitions in (
-                [("interference", True)],
-                [("monolithic", False)],
-            )
-        if answered and not warm:
-            assert kept["method"] == "monolithic"
+    kept, calls, partitions = _solve(instance, keep_in_place=True)
+    searched, _, _ = _solve(instance, keep_in_place=False)
+    _assert_same_plans(kept, searched, calls)
+    configuration, catalog, states, frozen = instance
+    warm = _dirty(states, frozen) is not None
+    relational = any(c.relational for c in catalog)
+    placed = [vm for vm, state in states.items() if state is VMState.RUNNING]
+    tight = all(
+        is_tight(domain, len(configuration.node_names))
+        for domain in vm_domains(configuration, placed, catalog).values()
+    )
+    # The round is offered to the pass once: a warm round's attempt always,
+    # a cold round only when its every placed VM is tight.  It declines a
+    # relational catalog.
+    assert len(calls) == (1 if warm or tight else 0)
+    if relational:
+        assert not any(calls)
+    # A round the pass answers, or a warm one, cuts no partition; a cold
+    # unary round it declines cuts one, exact unless the fences weld into a
+    # single component.
+    if warm or any(calls):
+        assert partitions == []
+    elif calls and not relational:
+        assert partitions in ([("interference", True)], [("monolithic", False)])
+    if any(calls) and not warm and "error" not in kept:
+        assert kept["method"] == "monolithic"
+
+
+@settings(max_examples=200, deadline=None)
+@given(rounds(kinds=CATALOGS + ("empty",)))
+@example(_an_overload_keeping_the_dearer_vm())
+@example(_welded_fences())
+@example(_a_host_overloaded_by_stayers())
+@example(_a_host_freed_by_a_departure())
+@example(_a_resume_onto_a_full_image_host())
+@example(_a_vm_outside_its_fence_beside_stayers())
+def test_the_whole_fleet_keep_in_place_plans_what_the_search_plans(instance):
+    # The monolithic optimizer's whole-fleet step, no zones: the pass stands
+    # for the search's own incumbent, over the same VMs in the same order.
+    kept, calls, partitions = _solve(instance, True, _monolithic, whole=True)
+    searched, _, _ = _solve(instance, False, _monolithic, whole=True)
+    _assert_same_plans(kept, searched, calls)
+    # Every round is offered to the pass, once; a relational catalog
+    # declined.
+    assert len(calls) == 1
+    if any(c.relational for c in instance[1]):
+        assert calls == [False]
+    assert partitions == []
 
 
 @pytest.mark.parametrize(

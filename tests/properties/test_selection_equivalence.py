@@ -21,9 +21,9 @@ placed VMs after every decision), and a module built afresh every round.
 Round for round, every field of the three selections (dict order included)
 and the decisions' VM and vjob states must be equal, every domain a
 long-lived module's filter or the optimizer reads must be what
-:func:`~repro.constraints.domains.vm_domains` computes afresh, and every
-decomposition the optimizer returns — kept from an earlier round or not —
-must be what :func:`~repro.scale.partition.partition` cuts afresh.
+:func:`~repro.constraints.domains.vm_domains` computes afresh, and the
+decomposition :func:`~repro.scale.partition.partition` cuts over the
+optimizer's domains must be the one it cuts computing its own.
 
 The capacity event is the one only the node *descriptions* tell apart: a
 key that compares node names instead must keep failing this property.
@@ -296,9 +296,9 @@ def test_a_long_lived_module_selects_what_a_fresh_one_selects(data):
         # the decision just read.
         states, _ = complete_states(configuration, in_loop.vm_states)
         placed = placed_vms(states)
-        decomposition, _ = optimizer._decompose(
-            configuration, states, catalog,
-            optimizer.domains.of(configuration, placed, catalog),
+        decomposition = partition(
+            configuration, states, catalog, shards=optimizer.shards,
+            domains=optimizer.domains.of(configuration, placed, catalog),
         )
         expected = partition(configuration, states, catalog, shards=optimizer.shards)
         for attribute in ("zones", "method", "reason", "exact"):

@@ -1,16 +1,16 @@
 """What an engine keeps between rounds never shows in its answers.
 
-The warm engines retain the previous assignment, the unary domains
-(:class:`repro.constraints.domains.RetainedDomains`) and — partitioned — the
-decomposition, each reused only while it is provably a function of inputs
-that did not change.  The property runs streams of rounds — restarts, demand
-changes, arrivals, departures, node crashes with the constraints' repair
-hook, catalog swaps, under every catalog relation that shapes a domain or a
-zone — through one long-lived engine and through an engine rebuilt before
-every round and handed nothing but the previous assignment, which therefore
-recomputes everything.  Round for round they must give the same target, the
-same pools action for action, the same cost, the same ``repair`` telemetry
-and the same constraint violations.
+The warm engines retain the previous assignment and the unary domains
+(:class:`repro.constraints.domains.RetainedDomains`), each reused only while
+it is provably a function of inputs that did not change.  The property runs
+streams of rounds — restarts, demand changes, arrivals, departures, node
+crashes with the constraints' repair hook, catalog swaps, under every
+catalog relation that shapes a domain or a zone — through one long-lived
+engine and through an engine rebuilt before every round and handed nothing
+but the previous assignment, which therefore recomputes everything.  Round
+for round they must give the same target, the same pools action for action,
+the same cost, the same ``repair`` telemetry and the same constraint
+violations.
 
 The dirty region itself is held against the rules stated over every running
 VM (``_dirty_set_oracle``) on every warm round.  And the attempt the repair
@@ -104,7 +104,8 @@ def _catalog(draw, vms, nodes, hosts):
     relations = draw(st.lists(st.sampled_from(RELATIONS), max_size=3))
     if draw(st.booleans()) and relations[:1] not in (["fence"], ["elastic"]):
         # Half of the streams run on a fenced fleet: every VM tight, the
-        # shape that makes an exact decomposition, the one that is kept.
+        # shape that makes an exact decomposition, the one the whole-fleet
+        # keep-in-place pass may answer for.
         relations.insert(0, draw(st.sampled_from(("fence", "elastic"))))
     for relation in relations:
         if relation in ("fence", "elastic"):

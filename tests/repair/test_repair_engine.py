@@ -635,13 +635,13 @@ def _digest(result):
 class TestRetention:
     """What the engines keep between rounds is dropped by the key alone:
     after each kind of change the long-lived engine plans the round a fresh
-    engine, handed the same previous assignment, plans.  The decomposition
-    serves whole-fleet solves only (a repair attempt cuts no zone), so its
-    cases run the cold ``partitioned`` engine, and those that count
-    partitions add a ``Spread`` inside a fence: a relational catalog shuts
-    the keep-in-place pass's gate, so every round partitions and reads
-    ``_kept``.  The repair engine's own memory runs
-    ``repair-partitioned``."""
+    engine, handed the same previous assignment, plans.  Zones serve
+    whole-fleet solves only (a repair attempt cuts no zone), so the cases
+    that count partitions run the cold ``partitioned`` engine and add a
+    ``Spread`` inside a fence: a relational catalog shuts the keep-in-place
+    pass, so every round partitions — the long-lived engine as often as the
+    fresh one, since no decomposition is kept.  The repair engine's own
+    memory runs ``repair-partitioned``."""
 
     @staticmethod
     def _engine(repair=False):
@@ -665,9 +665,8 @@ class TestRetention:
 
     def _warm(self, elastic=False, repair=False, spread=False):
         """A fenced fleet after a first round and a second one: the engine
-        holds the domains and the decomposition (the cold engine) or a
-        previous assignment (the repair engine).  ``spread`` adds a
-        ``Spread`` of two VMs inside the second fence."""
+        holds the domains and, the repair engine, a previous assignment.
+        ``spread`` adds a ``Spread`` of two VMs inside the second fence."""
         configuration, names = _fleet(node_count=6, vms_per_node=2, cpu=4)
         fences = [
             Fence(
@@ -701,12 +700,12 @@ class TestRetention:
         assert _digest(kept) == _digest(anew)
         return kept
 
-    def test_a_quiet_catalog_and_fleet_reuse_the_decomposition(self, partitions):
+    def test_a_quiet_catalog_and_fleet_cut_the_zones_again(self, partitions):
         engine, current, states, fences = self._warm(spread=True)
         partitions.clear()
         current.set_waiting("vm1-1")
         self._assert_same_as_fresh(engine, current, states, fences)
-        assert len(partitions) == 1  # the fresh engine's, not the kept one's
+        assert len(partitions) == 2  # each engine cuts its own
 
     @pytest.mark.parametrize(
         "between, source",
@@ -789,7 +788,7 @@ class TestRetention:
 
     def test_a_demand_change_is_read_live(self, partitions):
         # Nothing kept holds a demand or a free capacity: the overloaded
-        # host is solved from the live columns, under the kept zones.
+        # host is solved from the live columns.
         engine, current, states, fences = self._warm(spread=True)
         host = current.location_of("vm1-0")
         current.replace_vm(current.vm("vm1-0").with_cpu_demand(4))
@@ -799,13 +798,13 @@ class TestRetention:
         result = self._assert_same_as_fresh(
             engine, current, states, fences, marks=["vm1-0"]
         )
-        assert len(partitions) == 1  # the fresh engine's only
+        assert len(partitions) == 2  # each engine cuts its own
         assert result.target.is_viable()
         assert result.target.location_of("vm1-1") != host
 
     def test_forget_drops_everything(self, partitions):
         engine, current, states, fences = self._warm(repair=True, spread=True)
-        # A full solve (every VM marked) cuts the zones and keeps them.
+        # A full solve (every VM marked) cuts the zones.
         engine.mark_dirty(states)
         current = engine.optimize(current, states, constraints=fences).target
         generation = engine.domains.generation
@@ -822,8 +821,7 @@ class TestRetention:
         assert _digest(result) == _digest(
             self._engine(repair=True).optimize(current, states, constraints=fences)
         )
-        # The next full solve cuts the zones again: the kept decomposition
-        # went with the domains generation.
+        # The next full solve cuts the zones again.
         partitions.clear()
         engine.mark_dirty(states)
         assert engine.optimize(current, states, constraints=fences).repair[

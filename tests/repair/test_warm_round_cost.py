@@ -226,8 +226,7 @@ def _assert_reads_what_was_written(counts):
     # The dirty rule looks up the domains of the running VMs written since
     # the last round's input or moved by its plan (the re-placed
     # ``PRIMING``), not of every running VM; the attempt's keep-in-place
-    # looks up the restarted VMs' (a kept decomposition answered them
-    # when zones served the attempt).
+    # looks up the restarted VMs'.
     assert counts["domain lookups"] == len(PRIMING) + len(RESTARTED)
     # The attempt is handed the dirty VMs, the small side.
     assert counts["dirty handed"] == len(RESTARTED)
@@ -307,14 +306,15 @@ def test_a_warm_model_holds_the_dirty_vms_only(
     assert counts["variables"] == len(dirty) + 1
     assert counts["vms extracted"] == len(dirty)
     assert counts["partitions"] == 0
-    assert counts["domains asked"] == len(dirty)
+    # The cut is searched with the domains the round already holds.
+    assert counts["domains asked"] == 0
     assert counts["builds"] == counts["derivations"] == 1
     _assert_copies_and_completions(counts)
 
 
 def _cold_overload(fleet, zones, counted, engine):
     """The overload of the counted warm round, on a fresh switch's first
-    round: no previous assignment, no kept decomposition or domains."""
+    round: no previous assignment, no kept domains."""
     catalog = fence_groups(fleet, groups=zones)
     states = fleet.states()
     dirty = _overload(fleet)

@@ -17,8 +17,9 @@ from repro.decision.consolidation import ConsolidationDecisionModule
 from repro.decision.static import StaticAllocationSimulator
 from repro.model.configuration import Configuration
 from repro.model.errors import NoPivotAvailableError, SolverError
-from repro.model.node import make_working_nodes
+from repro.model.node import Node, make_working_nodes
 from repro.model.vm import VMState
+from repro.obs import Tracer
 from repro.repair import RepairOptimizer
 from repro.scale import (
     ParallelOptimizer,
@@ -138,7 +139,6 @@ class TestParallelOptimizer:
         ).optimize(configuration, _states(configuration))
         assert result.partition_method == "monolithic"
         assert result.zone_reports == []
-        assert result.partition_reason
         assert result.target.is_viable()
 
     def test_relational_spanning_zones_falls_back(self):
@@ -345,7 +345,6 @@ class TestZoneMachinery:
             configuration, states, constraints=_fenced_constraints()
         )
         assert result.partition_method == "monolithic"
-        assert "found no viable assignment" in result.partition_reason
         # the fallback ran on what the two failed zones left over of the
         # round's deadline, not on a second full budget; the optimizer's own
         # timeout was never touched
@@ -392,19 +391,63 @@ class TestZoneMachinery:
     def test_an_unplannable_merge_goes_to_the_monolithic_solve(
         self, monkeypatch, clock
     ):
-        # An overloaded host: the zones solve and their assignments merge.
-        _assert_first_target_unplannable(
-            monkeypatch, _overloaded(), clock, "merged"
-        )
+        # An overloaded host: the zones solve and their assignments merge,
+        # but the planner cannot reach the merged target.
+        configuration = _overloaded()
+        states = _states(configuration)
+        constraints = _fenced_constraints()
+        optimizer = ParallelOptimizer(timeout=5.0, zone_executor="serial")
+        original = optimizer.planner.build
+        merged = []
 
-    def test_an_unplannable_keep_in_place_goes_to_the_monolithic_solve(
-        self, monkeypatch, clock
-    ):
-        # The round's keep-in-place answers before any partition; its
-        # target takes the same way out, under its own name.
-        _assert_first_target_unplannable(
-            monkeypatch, _configuration(), clock, "keep-in-place"
+        def build(current, target, *args, **kwargs):
+            # The first target planned is the zones' merged one; planning
+            # it takes a second.
+            if not merged:
+                merged.append(target)
+                clock.advance(1.0)
+                raise NoPivotAvailableError("no pivot for the merged target")
+            return original(current, target, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer.planner, "build", build)
+        seen = _record_deadlines(monkeypatch, optimizer)
+        started = clock.now
+        result = optimizer.optimize(configuration, states, constraints=constraints)
+        monolithic = ContextSwitchOptimizer(timeout=5.0).optimize(
+            configuration, states, constraints=constraints
         )
+        assert len(merged) == 1
+        assert result.partition_method == "monolithic"
+        assert result.zone_reports == []
+        assert result.target.same_assignment(monolithic.target)
+        assert result.cost == monolithic.cost
+        # the re-solve ran on what the zones and the failed plan left over of
+        # the round's deadline, as after a failed zone
+        assert seen == [started + 5.0]
+        assert seen[0] - clock.now == pytest.approx(4.0)
+
+    def test_an_unplannable_keep_in_place_raises(self):
+        # Two one-VM nodes whose VMs are each fenced onto the other: the
+        # keep-in-place answers the swap at the lower bound before any
+        # partition, and no node can take a VM of the migration cycle.  Any
+        # search answers the same swap, so the error surfaces and no second
+        # solve follows.
+        configuration = Configuration(
+            nodes=[Node(f"n{i}", cpu_capacity=1, memory_capacity=1024) for i in (0, 1)]
+        )
+        for name, host in (("x", "n0"), ("y", "n1")):
+            configuration.add_vm(make_vm(name, memory=1024, cpu=1))
+            configuration.set_running(name, host)
+        catalog = [Fence(["x"], ["n1"]), Fence(["y"], ["n0"])]
+        tracer = Tracer()
+        with tracer.activate(), pytest.raises(NoPivotAvailableError):
+            ParallelOptimizer(timeout=5.0, zone_executor="serial").optimize(
+                configuration, _states(configuration), constraints=catalog
+            )
+        spans = [s for s in tracer.root.walk() if s.name in ("cp.solve", "partition")]
+        assert [(s.name, s.attributes["stop"]) for s in spans] == [
+            ("cp.solve", "incumbent")
+        ]
 
     def test_queued_waves_carve_the_timeout(self, monkeypatch):
         configuration = _overloaded()
@@ -465,57 +508,16 @@ def _failed(task):
 
 
 def _record_deadlines(monkeypatch, optimizer):
-    """Every ``deadline`` the monolithic solve of ``optimizer`` is handed."""
+    """Every ``deadline`` the monolithic search of ``optimizer`` is handed."""
     seen = []
-    search = optimizer.search_assignment
+    search = optimizer._search
 
-    def spy(*args, **kwargs):
-        seen.append(kwargs["deadline"])
-        return search(*args, **kwargs)
+    def spy(current, vms, domains, constraints, deadline):
+        seen.append(deadline)
+        return search(current, vms, domains, constraints, deadline)
 
-    monkeypatch.setattr(optimizer, "search_assignment", spy)
+    monkeypatch.setattr(optimizer, "_search", spy)
     return seen
-
-
-def _assert_first_target_unplannable(monkeypatch, configuration, clock, answer):
-    """The first target the partitioned solve plans, the ``answer`` one,
-    cannot be planned: the round goes to the monolithic re-solve, on what
-    the round left over."""
-    states = _states(configuration)
-    constraints = _fenced_constraints()
-    optimizer = ParallelOptimizer(timeout=5.0, zone_executor="serial")
-    original = optimizer.planner.build
-    merged = []
-
-    def build(current, target, *args, **kwargs):
-        # The first target planned is the zones' merged one (or the
-        # keep-in-place that stands for it); planning it takes a second.
-        if not merged:
-            merged.append(target)
-            clock.advance(1.0)
-            raise NoPivotAvailableError("no pivot for the merged target")
-        return original(current, target, *args, **kwargs)
-
-    monkeypatch.setattr(optimizer.planner, "build", build)
-    seen = _record_deadlines(monkeypatch, optimizer)
-    started = clock.now
-    result = optimizer.optimize(configuration, states, constraints=constraints)
-    monolithic = ContextSwitchOptimizer(timeout=5.0).optimize(
-        configuration, states, constraints=constraints
-    )
-    assert len(merged) == 1
-    assert result.partition_method == "monolithic"
-    assert result.zone_reports == []
-    assert result.partition_reason == (
-        f"the {answer} assignment could not be planned "
-        "(NoPivotAvailableError: no pivot for the merged target)"
-    )
-    assert result.target.same_assignment(monolithic.target)
-    assert result.cost == monolithic.cost
-    # the re-solve ran on what the zones and the failed plan left over of
-    # the round's deadline, as after a failed zone
-    assert seen == [started + 5.0]
-    assert seen[0] - clock.now == pytest.approx(4.0)
 
 
 class _InProcessPool:
