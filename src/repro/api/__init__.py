@@ -21,7 +21,6 @@ This package is the single entry point for building and running experiments:
 from .decision import (
     Decision,
     DecisionModule,
-    empty_configuration,
     needs_switch,
     stop_terminated_vms,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "FaultRecord",
     "Decision",
     "DecisionModule",
-    "empty_configuration",
     "needs_switch",
     "stop_terminated_vms",
     "LoopObserver",

@@ -113,12 +113,6 @@ def needs_switch(configuration: Configuration, decision: Decision) -> bool:
     return not configuration.is_viable()
 
 
-def empty_configuration(configuration: Configuration) -> Configuration:
-    """A configuration over the same (frozen, hence shared) nodes with no VM
-    — the blank slate policies use for trial packings."""
-    return Configuration(nodes=configuration.nodes)
-
-
 def stop_terminated_vms(
     configuration: Configuration,
     queue: VJobQueue,

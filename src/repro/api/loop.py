@@ -62,7 +62,7 @@ from ..model.node import Node
 from ..model.queue import VJobQueue
 from ..model.vjob import VJobState, index_vms_by_vjob
 from ..model.vm import VMState
-from ..obs import Span, Tracer, span
+from ..obs import NULL_SPAN, Span, Tracer, span
 from ..sim.cluster import SimulatedCluster
 from ..sim.executor import PlanExecutor
 from ..sim.faults import FaultEvent, FaultInjector, FaultKind, evict_node
@@ -399,6 +399,14 @@ class ControlLoop:
             except Exception as error:
                 self._round_failed(decide_span, "decide", error, index, now)
                 return None
+            if decide_span is not NULL_SPAN:
+                # What a policy's retained selection packed again.
+                selection = getattr(self.decision_module, "selection", None)
+                if selection is not None:
+                    decide_span.set(
+                        repacked_vjobs=selection.repacked_vjobs,
+                        repacked_vms=selection.repacked_vms,
+                    )
         self._notify("on_decision", now, decision)
         return decision
 

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, AbstractSet, Iterable, Mapping, Optional, Sequ
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cp.constraints import Constraint as CPConstraint
     from ..cp.variables import IntVar
+    from ..decision.ffd import PackingTrial
     from ..model.configuration import Configuration
 
 
@@ -126,7 +127,7 @@ class PlacementConstraint:
         self,
         vm_name: str,
         node_name: str,
-        trial: "Configuration",
+        trial: "PackingTrial",
     ) -> bool:
         """May ``vm_name`` be placed on ``node_name`` given the partial
         placement already committed to ``trial``?
@@ -134,7 +135,8 @@ class PlacementConstraint:
         The relational face of the heuristic packers (FFD / FCFS): only
         asked of constraints with :attr:`relational` set, and only about
         nodes inside the VM's :meth:`allowed_nodes` domain, so a unary
-        relation never overrides it.  The default accepts every candidate.
+        relation never overrides it (``trial`` reads as a configuration
+        running the VMs placed so far).  The default accepts every candidate.
         """
         return True
 

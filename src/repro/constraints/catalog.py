@@ -25,6 +25,7 @@ from .base import NodeSetConstraint, PlacementConstraint, VMGroupConstraint
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..cp.constraints import Constraint as CPConstraint
     from ..cp.variables import IntVar
+    from ..decision.ffd import PackingTrial
     from ..model.configuration import Configuration
 
 
@@ -108,7 +109,7 @@ class Spread(VMGroupConstraint):
         self,
         vm_name: str,
         node_name: str,
-        trial: "Configuration",
+        trial: "PackingTrial",
     ) -> bool:
         if vm_name not in self.vm_set or node_name in self.collocation_nodes:
             return True
@@ -280,7 +281,7 @@ class RunningCapacity(NodeSetConstraint):
         self,
         vm_name: str,
         node_name: str,
-        trial: "Configuration",
+        trial: "PackingTrial",
     ) -> bool:
         if node_name not in self.nodes:
             return True

@@ -26,6 +26,7 @@ from .base import PlacementConstraint
 from .domains import vm_domains
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..decision.ffd import PackingTrial
     from ..model.configuration import Configuration
 
 
@@ -93,7 +94,7 @@ class CandidateFilter:
         return cached[2]
 
     def __call__(
-        self, vm_name: str, node_name: str, trial: "Configuration"
+        self, vm_name: str, node_name: str, trial: "PackingTrial"
     ) -> bool:
         """May ``vm_name`` join ``node_name`` given what ``trial`` already
         places?  ``node_name`` must come from :meth:`candidates`."""

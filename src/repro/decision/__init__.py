@@ -12,7 +12,7 @@ from .consolidation import (
     RJSPDecisionModule,
 )
 from .fcfs import FCFSDecisionModule
-from .ffd import ffd_commit, ffd_order, ffd_target_configuration
+from .ffd import PackingTrial, ffd_commit, ffd_order, ffd_target_configuration
 from .rjsp import RJSPResult, select_running_vjobs
 from .static import (
     BatchJob,
@@ -34,6 +34,7 @@ __all__ = [
     "StaticAllocationSimulator",
     "StaticRunResult",
     "FFDDecisionModule",
+    "PackingTrial",
     "ffd_commit",
     "ffd_order",
     "ffd_target_configuration",

@@ -8,13 +8,13 @@ and a vjob that does not fit follows the one rule
 
 from __future__ import annotations
 
-from ..api.decision import Decision, empty_configuration, stop_terminated_vms
+from ..api.decision import Decision, stop_terminated_vms
 from ..model.configuration import Configuration
 from ..model.queue import VJobQueue
 from ..model.vjob import VJob, VJobState
 from ..model.vm import VirtualMachine, VMState
 from .consolidation import ConstraintAwarePolicy
-from .ffd import ffd_commit
+from .ffd import PackingTrial, ffd_commit
 from .rjsp import reject_vjob
 from .static import BackfillPolicy
 
@@ -69,7 +69,7 @@ class FCFSDecisionModule(ConstraintAwarePolicy):
         feasible placement exists — aggregate free capacity alone is not
         enough for the planner to succeed.
         """
-        trial = empty_configuration(configuration)
+        trial = PackingTrial(configuration.nodes)
         node_filter = self.node_filter(configuration)
 
         vm_states: dict[str, VMState] = {}
@@ -89,8 +89,7 @@ class FCFSDecisionModule(ConstraintAwarePolicy):
                     booked = self._booked_vm(configuration, vm)
                     location = configuration.location_of(vm.name)
                     if location is not None:
-                        trial.add_vm(booked)
-                        trial.set_running(vm.name, location)
+                        trial.place(booked, location)
                         vm_states[vm.name] = VMState.RUNNING
                     else:
                         placeless.append(booked)

@@ -30,14 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import MutableMapping, Optional, Sequence
 
-from ..api.decision import empty_configuration
 from ..constraints import CandidateFilter, PlacementConstraint
 from ..constraints.domains import RetainedDomains
 from ..model.configuration import Configuration
 from ..model.queue import VJobQueue
 from ..model.vjob import VJob, VJobState
 from ..model.vm import VirtualMachine, VMState
-from .ffd import ffd_commit
+from .ffd import PackingTrial, ffd_commit
 
 
 @dataclass
@@ -103,10 +102,14 @@ class RetainedSelection:
 
     domains: RetainedDomains
     _generation: Optional[object]
-    #: The trial: every VM of the accepted entries, registered in queue order.
-    trial: Optional[Configuration]
+    #: The trial: every VM of the accepted entries, placed in queue order.
+    trial: Optional[PackingTrial]
     #: One per packed vjob, in queue order.
     entries: list[_Packed]
+    #: How many vjobs, and how many of their VMs, the last :meth:`packed`
+    #: packed again (the rest it kept).
+    repacked_vjobs: int
+    repacked_vms: int
 
     def __init__(self) -> None:
         self.domains = RetainedDomains()
@@ -117,6 +120,7 @@ class RetainedSelection:
         self._generation = None
         self.trial = None
         self.entries = []
+        self.repacked_vjobs = self.repacked_vms = 0
 
     def packed(
         self,
@@ -132,12 +136,12 @@ class RetainedSelection:
         key = self.domains.key(configuration, constraints)
         if key is None:
             self.clear()
-            trial, entries = empty_configuration(configuration), []
+            trial, entries = PackingTrial(configuration.nodes), []
         else:
             if key is not self._generation:
                 self.clear()
                 self._generation = key
-                self.trial = empty_configuration(configuration)
+                self.trial = PackingTrial(configuration.nodes)
             trial, entries = self.trial, self.entries
         kept = 0
         for (name, vms), entry in zip(pending, entries):
@@ -145,12 +149,12 @@ class RetainedSelection:
                 break
             kept += 1
         try:
-            # Take the later accepted vjobs back off the trial, last
-            # registered first, so it reads as a packing of the prefix alone.
+            # Take the later accepted vjobs back off the trial, last placed
+            # first, so it reads as a packing of the prefix alone.
             for entry in reversed(entries[kept:]):
                 if entry.placement is not None:
                     for vm in reversed(entry.vms):
-                        trial.remove_vm(vm.name)
+                        trial.take_back(vm.name)
             del entries[kept:]
             # One map of first-fit cursors for the vjobs packed from here:
             # the take-back above unloaded the trial.
@@ -162,6 +166,8 @@ class RetainedSelection:
             # A packing cut short leaves a trial no entry list describes.
             self.clear()
             raise
+        self.repacked_vjobs = len(pending) - kept
+        self.repacked_vms = sum(len(vms) for _, vms in pending[kept:])
         return entries
 
 

@@ -57,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import is_not
 from types import MappingProxyType
-from typing import AbstractSet, Dict, Iterable, Iterator, Mapping, Optional, Set
+from typing import AbstractSet, Dict, Iterable, Mapping, Optional, Set
 
 from .columns import LoadColumns
 from .errors import (
@@ -186,30 +186,6 @@ class Configuration:
         self._states[vm.name] = state
         if self._journal is not None:
             self._journal.add(vm.name)
-
-    def remove_vm(self, name: str) -> VirtualMachine:
-        """Unregister the VM registered last — :meth:`add_vm` undone, its
-        host and image released: a trial packing takes back the VMs of a
-        vjob that does not fit.  Only the last one may go, so the
-        registration ranks stay dense."""
-        if name not in self._vms:
-            raise UnknownVMError(name)
-        if self._vm_index[name] != len(self._vms) - 1:
-            raise ModelError(
-                f"VM {name!r} is not the last registered: only the latest "
-                "registration can be taken back"
-            )
-        if self._descriptions_shared:
-            self._own_descriptions()
-        if self._assignment_shared:
-            self._own_assignment()
-        self._unplace(name)
-        self._drop_image(name)
-        del self._states[name]
-        del self._vm_index[name]
-        if self._journal is not None:
-            self._journal.add(name)
-        return self._vms.pop(name)
 
     def replace_vm(self, vm: VirtualMachine) -> None:
         """Update the description of a VM (e.g. a new CPU demand) without
@@ -416,11 +392,6 @@ class Configuration:
         copy instead of per-VM :meth:`state_of` calls on hot paths)."""
         return dict(self._states)
 
-    def iter_placement(self) -> Iterator[tuple[str, str]]:
-        """Iterate (running VM, hosting node) pairs without copying — for
-        hot read-only checks (e.g. greedy constraint filtering)."""
-        return iter(self._placement.items())
-
     # ------------------------------------------------------------------ #
     # state changes                                                       #
     # ------------------------------------------------------------------ #
@@ -540,19 +511,6 @@ class Configuration:
         self._drop_image(vm_name)
         if self._journal is not None:
             self._journal.add(vm_name)
-
-    def enter_in_order(self, vm_names: Iterable[str]) -> None:
-        """Make the running VMs ``vm_names`` the latest to have entered the
-        placement map, in that order: :meth:`placement` and :meth:`vms_on`
-        then list them as if they had been placed one after the other (a
-        packer probes by decreasing demand but commits in the order it was
-        handed)."""
-        if self._assignment_shared:
-            self._own_assignment()
-        for name in vm_names:
-            self._placement[name] = self._placement.pop(name)
-            self._placement_rank[name] = self._rank_counter
-            self._rank_counter += 1
 
     def migrate(self, vm_name: str, destination: str) -> None:
         """Move a running VM to ``destination`` (state unchanged)."""

@@ -103,7 +103,7 @@ class Overlay(Configuration):
             "remove on a configuration"
         )
 
-    add_node = add_vm = remove_vm = replace_vm = remove_node = _refuse  # type: ignore[assignment]
+    add_node = add_vm = replace_vm = remove_node = _refuse  # type: ignore[assignment]
 
     def copy(self) -> Configuration:
         raise ModelError("an overlay is not copied: walk a copy to keep the result")

@@ -106,7 +106,7 @@ class PartitionResult:
 
     ``method`` is ``"interference"`` (constraint-induced components),
     ``"sharded"`` (the k-way fallback) or ``"monolithic"`` (no decomposition
-    found — solve globally); ``reason`` explains a monolithic outcome.
+    found — solve globally).
 
     ``exact`` is True only when the decomposition restricts *nothing*: every
     placed VM's full placement domain lies inside its zone, so per-zone
@@ -118,7 +118,6 @@ class PartitionResult:
 
     zones: List[Zone]
     method: str
-    reason: str = ""
     exact: bool = False
     #: The unary placement domain of every placed VM, as the decomposition
     #: read it.
@@ -200,9 +199,7 @@ def partition(
     node_names = list(current.node_names)
     placed = placed_vms(target_states)
     if len(placed) < 2 or len(node_names) < 2:
-        return PartitionResult(
-            zones=[], method="monolithic", reason="nothing to decompose"
-        )
+        return PartitionResult(zones=[], method="monolithic")
 
     if domains is None:
         domains = vm_domains(current, placed, constraints)
@@ -225,11 +222,7 @@ def partition(
         verdict = verdicts.get(id(domain))
         if verdict is None:
             if domain is not None and not domain:
-                return PartitionResult(
-                    zones=[],
-                    method="monolithic",
-                    reason=f"VM {vm_name!r} has an empty placement domain",
-                )
+                return PartitionResult(zones=[], method="monolithic")
             verdict = verdicts[id(domain)] = is_tight(domain, len(node_names))
             if verdict and (key := frozenset(domain)) not in welded:
                 welded.add(key)
@@ -255,14 +248,8 @@ def partition(
             members = []
         for vm_name in members:
             if vm_name not in tight:
-                return PartitionResult(
-                    zones=[],
-                    method="monolithic",
-                    reason=(
-                        f"{constraint.label} couples VM {vm_name!r}, whose "
-                        "placement domain is unrestricted"
-                    ),
-                )
+                # It couples a VM whose domain is unrestricted.
+                return PartitionResult(zones=[], method="monolithic")
             group |= tight[vm_name]
         if len(group) >= 2:
             ordered = sorted(group, key=node_pos.__getitem__)
@@ -323,25 +310,15 @@ def partition(
                     if domain is None or domain & zone_sets[i]
                 ]
                 if not candidates:
-                    return PartitionResult(
-                        zones=[],
-                        method="monolithic",
-                        reason=(
-                            f"VM {vm_name!r} fits no single zone "
-                            "(loose domain straddles components)"
-                        ),
-                    )
+                    # A loose domain straddles the components.
+                    return PartitionResult(zones=[], method="monolithic")
                 index = max(candidates, key=lambda i: (headroom[i], -i))
         zone_vms[index].append(vm_name)
         headroom[index] -= current.vm(vm_name).memory
 
     zones = _materialize(skeletons, zone_vms, constraints)
     if len(zones) < 2:
-        return PartitionResult(
-            zones=zones,
-            method="monolithic",
-            reason="the interference graph is a single component",
-        )
+        return PartitionResult(zones=zones, method="monolithic")
     # Exact only when nothing was restricted: every placed VM is tight, so
     # its whole domain lies inside its zone and per-zone optima compose into
     # the global optimum.  A heuristically anchored loose VM is a domain
@@ -369,14 +346,7 @@ def _shard(
     *exact* — cross-shard migrations are forbidden by construction.
     """
     if shards is None or shards < 2:
-        return PartitionResult(
-            zones=[],
-            method="monolithic",
-            reason=(
-                "no constraint tightly structures the fleet and sharding "
-                "is off"
-            ),
-        )
+        return PartitionResult(zones=[], method="monolithic")
     count = min(shards, len(node_names))
     base, extra = divmod(len(node_names), count)
     skeletons: List[List[str]] = []
@@ -415,11 +385,7 @@ def _shard(
 
     zones = _materialize(skeletons, zone_vms, constraints)
     if len(zones) < 2:
-        return PartitionResult(
-            zones=zones,
-            method="monolithic",
-            reason="sharding left all the VMs in one shard",
-        )
+        return PartitionResult(zones=zones, method="monolithic")
     return PartitionResult(zones=zones, method="sharded", domains=domains)
 
 

@@ -125,17 +125,18 @@ class TestChurnBound:
         assert memory.key(configuration, catalog) is generation
 
     def test_departed_vms_do_not_grow_the_map_without_bound(self):
-        configuration = Configuration(nodes=make_working_nodes(10))
+        nodes = make_working_nodes(10)
+        configuration = Configuration(nodes=nodes)
         catalog = [RunningCapacity(configuration.node_names, 1000)]
         memory = RetainedDomains()
         generation = memory.key(configuration, catalog)
         for wave in range(30):
+            # The same nodes, and none of the last wave's VMs.
+            configuration = Configuration(nodes=nodes)
             names = [f"w{wave}.{index}" for index in range(100)]
             for name in names:
                 configuration.add_vm(VirtualMachine(name=name, memory=256))
             domains = memory.of(configuration, names, catalog)
             assert len(domains) <= 2 * 512 + 100
-            for name in reversed(names):
-                configuration.remove_vm(name)
         # Starting over drops domains, not the key.
         assert memory.key(configuration, catalog) is generation

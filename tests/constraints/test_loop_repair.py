@@ -18,6 +18,7 @@ from repro.constraints import (
 )
 from repro.decision.fcfs import FCFSDecisionModule
 from repro.decision import FFDDecisionModule, ffd_commit
+from repro.decision.ffd import PackingTrial
 from repro.model.configuration import Configuration
 from repro.model.node import make_working_nodes
 from repro.model.queue import VJobQueue
@@ -35,7 +36,7 @@ class TestGreedyFiltering:
         vm = make_vm("x", memory=512, cpu=1)
         configuration.add_vm(vm)
         ban = CandidateFilter([Ban(["x"], ["node-0"])], configuration)
-        placement = ffd_commit(configuration.copy(), [vm], node_filter=ban)
+        placement = ffd_commit(PackingTrial(configuration.nodes), [vm], node_filter=ban)
         assert placement == {"x": "node-1"}
 
     def test_ffd_place_fails_when_the_filter_excludes_everything(self):
@@ -45,7 +46,9 @@ class TestGreedyFiltering:
         everywhere = CandidateFilter(
             [Ban(["x"], ["node-0", "node-1"])], configuration
         )
-        assert ffd_commit(configuration.copy(), [vm], node_filter=everywhere) is None
+        assert ffd_commit(
+            PackingTrial(configuration.nodes), [vm], node_filter=everywhere
+        ) is None
 
     def test_candidate_filter_needs_the_observed_configuration(self):
         # unary domains are resolved against it: there is no unbound filter

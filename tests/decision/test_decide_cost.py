@@ -6,11 +6,13 @@ every VM was placed twice by each packing (on a throw-away copy of the
 trial, then on the trial), the FFD target packed a copy of a copy, the
 selection and the FFD target each built a candidate filter (a fleet-wide
 ``vm_domains`` call apiece) and the blank trial re-created every frozen
-``Node``.  A cold decision now builds one filter, copies nothing and places
-each VM the selection probes once.  The FFD fallback target is built on
-its first read (a round only reads it when its solve failed): one copy of
-the observed configuration, each VM that must run placed once, and nothing
-on a second read.  The packer's first-fit cursors skip the nodes a demand
+``Node``.  A cold decision now builds one filter, copies nothing, writes
+nothing to any ``Configuration`` and places each VM the selection probes
+once on its ``PackingTrial`` (free capacities and a placement).  The FFD
+fallback target is built on its first read (a round only reads it when its
+solve failed): each VM that must run placed once on a blank trial, one
+copy of the observed configuration that the answer is written into, and
+nothing on a second read.  The packer's first-fit cursors skip the nodes a demand
 already found full, so a decision probes little more than it places.
 
 The module keeps its selection's trial between decisions: a second
@@ -30,6 +32,7 @@ import repro.constraints.domains
 import repro.constraints.filtering
 from repro.constraints import CandidateFilter, Fence, PlacementConstraint
 from repro.decision import ConsolidationDecisionModule
+from repro.decision.ffd import PackingTrial
 from repro.model import Configuration, Node, VJobQueue, make_working_nodes
 from repro.model.vjob import VJobState
 from repro.model.vm import VMState
@@ -101,16 +104,31 @@ KEYS = (
     "fleet domains",
     "copies",
     "nodes",
-    "set_running",
+    "configuration writes",
+    "place",
     "can_host",
-    "remove_vm",
+    "take_back",
+)
+
+#: Every ``Configuration`` method that writes.
+WRITERS = (
+    "add_node",
+    "add_vm",
+    "replace_vm",
+    "remove_node",
+    "set_running",
+    "set_sleeping",
+    "set_waiting",
+    "set_terminated",
+    "migrate",
+    "mark",
 )
 
 
 @pytest.fixture
 def spies(monkeypatch):
     """Spy on the calls a decision makes: ``counts`` by key, plus the names
-    ``remove_vm`` took back, in call order."""
+    the trial took back, in call order."""
     counts = dict.fromkeys(KEYS, 0)
     removed = []
     fleet_size = [0]
@@ -142,13 +160,15 @@ def spies(monkeypatch):
         )
     count(Configuration, "copy", "copies")
     count(Node, "__post_init__", "nodes")
-    count(Configuration, "set_running", "set_running")
-    count(Configuration, "can_host", "can_host")
+    for writer in WRITERS:
+        count(Configuration, writer, "configuration writes")
+    count(PackingTrial, "place", "place")
+    count(PackingTrial, "can_host", "can_host")
     count(
-        Configuration,
-        "remove_vm",
-        "remove_vm",
-        lambda configuration, name: removed.append(name) is None,
+        PackingTrial,
+        "take_back",
+        "take_back",
+        lambda trial, name: removed.append(name) is None,
     )
     return counts, removed, reset
 
@@ -186,17 +206,21 @@ def test_one_decision_builds_one_filter_and_places_each_vm_once(
     accepted = 9 * len(running)
     probed = sum(len(vjob.vms) for vjob in queue.pending())
     assert counts["filters"] == counts["fleet domains"] == (1 if catalog else 0)
-    # The decision copies nothing: the fallback target is not built yet.
-    assert counts["copies"] == 0
+    # The decision copies and writes nothing: the fallback target is not
+    # built yet, and the selection packs on its trial.
+    assert counts["copies"] == counts["configuration writes"] == 0
     assert counts["nodes"] == 0
     # Each VM the selection probes is placed at most once on the trial (a
-    # rejected vjob's are taken back, not placed again).
-    assert accepted <= counts["set_running"] <= probed
-    assert counts["remove_vm"] == probed - accepted
+    # rejected vjob's are taken back, not placed again): what a rejected
+    # vjob placed before one of its VMs fit nowhere is given back, and
+    # only that (the Configuration trial unregistered every VM of it).
+    assert accepted <= counts["place"] <= probed
+    assert counts["take_back"] == counts["place"] - accepted
     assert counts["can_host"] == PROBES[fleet][0]
 
-    # The first read builds the fallback: one copy, each VM that must run
-    # placed once on it, no second filter.
+    # The first read builds the fallback: each VM that must run placed once
+    # on a blank trial, one copy that the answer is written into, no second
+    # filter.
     reset(len(configuration.vm_names))
     target = decision.fallback_target
     must_run = [
@@ -209,7 +233,8 @@ def test_one_decision_builds_one_filter_and_places_each_vm_once(
         "copies": 1,
     }
     assert counts["nodes"] == 0
-    assert counts["set_running"] == len(must_run)
+    assert counts["place"] == len(must_run)
+    assert counts["take_back"] == 0
     assert counts["can_host"] == PROBES[fleet][1]
 
     # A second read returns the same configuration and builds nothing.
@@ -233,8 +258,10 @@ def test_a_warm_decision_packs_only_from_the_first_vjob_that_changed(
     reset(len(configuration.vm_names))
     warm = module.decide(configuration, queue)
     _same_selection(warm, cold)
-    assert counts["set_running"] == counts["can_host"] == 0
-    assert counts["remove_vm"] == counts["copies"] == counts["nodes"] == 0
+    assert counts["place"] == counts["can_host"] == 0
+    assert counts["take_back"] == counts["copies"] == counts["nodes"] == 0
+    assert counts["configuration writes"] == 0
+    assert module.selection.repacked_vjobs == module.selection.repacked_vms == 0
     assert counts["filters"] == (1 if catalog else 0)
     assert counts["fleet domains"] == 0
 
@@ -256,16 +283,25 @@ def test_a_warm_decision_packs_only_from_the_first_vjob_that_changed(
         if vjob.name in selected
         for vm in reversed(vjob.vms)
     ]
-    # Then each vjob from k on that does not fit any more takes its own
-    # VMs back, as a cold packing does.
-    rejected = [
+    # Then each vjob from k on that does not fit any more gives back what
+    # it placed, as a cold packing does.
+    selection = repacked.metadata["rjsp"]
+    rejected = {
         vm.name
         for vjob in pending[k:]
-        if vjob.name in repacked.metadata["rjsp"].rejected
-        for vm in reversed(vjob.vms)
-    ]
-    assert removed == taken_back + rejected
-    assert 0 < counts["set_running"] <= sum(len(vjob.vms) for vjob in pending[k:])
+        if vjob.name in selection.rejected
+        for vm in vjob.vms
+    }
+    kept = sum(
+        len(vjob.vms) for vjob in pending[k:] if vjob.name in selection.accepted
+    )
+    assert removed[: len(taken_back)] == taken_back
+    given_back = removed[len(taken_back) :]
+    assert set(given_back) <= rejected
+    assert len(given_back) == len(set(given_back)) == counts["place"] - kept
+    assert 0 < counts["place"] <= sum(len(vjob.vms) for vjob in pending[k:])
+    assert module.selection.repacked_vjobs == len(pending) - k
+    assert module.selection.repacked_vms == sum(len(vjob.vms) for vjob in pending[k:])
     assert counts["copies"] == counts["nodes"] == 0
     _same_selection(repacked, _policy(catalog).decide(observed, queue))
 

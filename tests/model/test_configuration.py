@@ -172,8 +172,8 @@ class TestCopiesAndComparisons:
 
 def _forked_fleet() -> Configuration:
     """Running, sleeping and waiting VMs over four nodes, one of them empty
-    (``spare``) and the last registration waiting (``last``), so every
-    mutator has something to change; every node still dirty."""
+    (``spare``), so every mutator has something to change; every node
+    still dirty."""
     configuration = Configuration(
         nodes=[
             *make_working_nodes(3, cpu_capacity=2, memory_capacity=2048),
@@ -186,7 +186,6 @@ def _forked_fleet() -> Configuration:
         ("idle", 512, 0),
         ("asleep", 512, 1),
         ("pending", 512, 1),
-        ("last", 256, 0),
     ):
         configuration.add_vm(make_vm(name, memory=memory, cpu=cpu))
     configuration.set_running("busy", "node-0")
@@ -201,14 +200,12 @@ MUTATORS = {
     "add_node": lambda c: c.add_node(Node("node-9", 2, 2048)),
     "remove_node": lambda c: c.remove_node("spare"),
     "add_vm": lambda c: c.add_vm(make_vm("new")),
-    "remove_vm": lambda c: c.remove_vm("last"),
     "replace_vm": lambda c: c.replace_vm(c.vm("busy").with_cpu_demand(2)),
     "set_running": lambda c: c.set_running("pending", "node-2"),
     "set_sleeping": lambda c: c.set_sleeping("busy"),
     "set_waiting": lambda c: c.set_waiting("asleep"),
     "set_terminated": lambda c: c.set_terminated("idle"),
     "migrate": lambda c: c.migrate("busy", "node-2"),
-    "enter_in_order": lambda c: c.enter_in_order(["busy"]),
     "viability_violations": lambda c: c.viability_violations(only_dirty=True),
 }
 
@@ -219,14 +216,12 @@ JOURNALED = {
     "add_node": set(),
     "remove_node": set(),
     "add_vm": {"new"},
-    "remove_vm": {"last"},
     "replace_vm": set(),
     "set_running": {"pending"},
     "set_sleeping": {"busy"},
     "set_waiting": {"asleep"},
     "set_terminated": {"idle"},
     "migrate": {"busy"},
-    "enter_in_order": set(),
     "viability_violations": set(),
 }
 

@@ -96,6 +96,21 @@ class TestTracedControlLoop:
             for s in traced_result.switches
         )
 
+    def test_decide_spans_say_what_the_selection_packed_again(
+        self, traced_result
+    ):
+        root = load_trace(traced_result.to_dict())
+        repacked = [
+            (node.attributes["repacked_vjobs"], node.attributes["repacked_vms"])
+            for node in root.walk()
+            if node.name == "decide"
+        ]
+        assert all(vjobs <= vms for vjobs, vms in repacked)
+        assert all((vjobs == 0) == (vms == 0) for vjobs, vms in repacked)
+        # Rounds whose queue did not change re-pack nothing; others do.
+        assert (0, 0) in repacked
+        assert any(vms for _, vms in repacked)
+
     def test_chrome_export_is_schema_valid(self, traced_result):
         document = to_chrome_trace(traced_result.to_dict())
         reparsed = json.loads(json.dumps(document))

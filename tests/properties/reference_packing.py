@@ -1,4 +1,5 @@
-"""The copy-based packers the decision layer shipped before it packed in place.
+"""The copy-based packers the decision layer shipped before it packed in place,
+on a ``Configuration`` trial.
 
 ``ffd_place`` copied the trial, packed the copy and threw it away;
 ``ffd_commit`` then applied the same placement a second time on the trial
@@ -6,13 +7,13 @@ itself; ``ffd_target_configuration`` emptied a copy of the observed
 configuration, let ``ffd_place`` copy it again and restated the
 ``keepVMState`` completion and the wanted-state application of
 :mod:`repro.core.optimizer`.  :func:`repro.decision.ffd.ffd_commit` now places
-each VM once, on the configuration it is handed, takes back what it
-registered when a VM fits nowhere, and skips the nodes its first-fit cursors
-know are full.  These bodies are the *oracle* of
+each VM once, on a :class:`~repro.decision.ffd.PackingTrial` that holds only
+free capacities and a placement, takes back what it placed when a VM fits
+nowhere, and skips the nodes its first-fit cursors know are full.  These bodies, on a
+:class:`ConfigurationTrial`, are the *oracle* of
 ``test_packing_equivalence.py``, which drives both in lockstep: same
-placements, same trials (registration and placement *order* included), same
-targets.  They live with the tests because nothing in the shipped package may
-use them.
+placements, same trials (placement *order* included), same targets.  They
+live with the tests because nothing in the shipped package may use them.
 """
 
 from __future__ import annotations
@@ -23,6 +24,19 @@ from repro.constraints import CandidateFilter, PlacementConstraint
 from repro.decision.ffd import ffd_order
 from repro.model.configuration import Configuration
 from repro.model.vm import VirtualMachine, VMState
+
+
+class ConfigurationTrial(Configuration):
+    """The trial the packers below pack on: a configuration over the nodes,
+    with the one write a policy makes on a trial besides packing (FCFS
+    mirrors the VMs that run where they run)."""
+
+    def __init__(self, nodes) -> None:
+        super().__init__(nodes=nodes)
+
+    def place(self, vm: VirtualMachine, node_name: str) -> None:
+        self.add_vm(vm)
+        self.set_running(vm.name, node_name)
 
 
 def ffd_place(

@@ -63,9 +63,7 @@ def partition_reference(
     node_names = list(current.node_names)
     placed = placed_vms(target_states)
     if len(placed) < 2 or len(node_names) < 2:
-        return PartitionResult(
-            zones=[], method="monolithic", reason="nothing to decompose"
-        )
+        return PartitionResult(zones=[], method="monolithic")
 
     domains = vm_domains_reference(current, placed, constraints)
     tight_cap = max(1, int(len(node_names) * TIGHT_DOMAIN_FRACTION))
@@ -77,11 +75,7 @@ def partition_reference(
     for vm_name in placed:
         domain = domains[vm_name]
         if domain is not None and not domain:
-            return PartitionResult(
-                zones=[],
-                method="monolithic",
-                reason=f"VM {vm_name!r} has an empty placement domain",
-            )
+            return PartitionResult(zones=[], method="monolithic")
         if domain is not None and len(domain) <= tight_cap:
             tight[vm_name] = domain
             key = frozenset(domain)
@@ -103,14 +97,7 @@ def partition_reference(
             members = []
         for vm_name in members:
             if vm_name not in tight:
-                return PartitionResult(
-                    zones=[],
-                    method="monolithic",
-                    reason=(
-                        f"{constraint.label} couples VM {vm_name!r}, whose "
-                        "placement domain is unrestricted"
-                    ),
-                )
+                return PartitionResult(zones=[], method="monolithic")
             group |= tight[vm_name]
         if len(group) >= 2:
             ordered = [n for n in node_names if n in group]
@@ -171,25 +158,14 @@ def partition_reference(
                     if domain is None or domain & set(nodes)
                 ]
                 if not candidates:
-                    return PartitionResult(
-                        zones=[],
-                        method="monolithic",
-                        reason=(
-                            f"VM {vm_name!r} fits no single zone "
-                            "(loose domain straddles components)"
-                        ),
-                    )
+                    return PartitionResult(zones=[], method="monolithic")
                 index = max(candidates, key=lambda i: (headroom[i], -i))
         zone_vms[index].append(vm_name)
         headroom[index] -= current.vm(vm_name).memory
 
     zones = _materialize_reference(skeletons, zone_vms, constraints)
     if len(zones) < 2:
-        return PartitionResult(
-            zones=zones,
-            method="monolithic",
-            reason="the interference graph is a single component",
-        )
+        return PartitionResult(zones=zones, method="monolithic")
     exact = all(vm_name in tight for vm_name in placed)
     return PartitionResult(zones=zones, method="interference", exact=exact)
 
@@ -203,14 +179,7 @@ def _shard_reference(
     constraints: Sequence[PlacementConstraint],
 ) -> PartitionResult:
     if shards is None or shards < 2:
-        return PartitionResult(
-            zones=[],
-            method="monolithic",
-            reason=(
-                "no constraint tightly structures the fleet and sharding "
-                "is off"
-            ),
-        )
+        return PartitionResult(zones=[], method="monolithic")
     count = min(shards, len(node_names))
     base, extra = divmod(len(node_names), count)
     skeletons: List[List[str]] = []
@@ -246,11 +215,7 @@ def _shard_reference(
 
     zones = _materialize_reference(skeletons, zone_vms, constraints)
     if len(zones) < 2:
-        return PartitionResult(
-            zones=zones,
-            method="monolithic",
-            reason="sharding left all the VMs in one shard",
-        )
+        return PartitionResult(zones=zones, method="monolithic")
     return PartitionResult(zones=zones, method="sharded")
 
 

@@ -120,7 +120,7 @@ def _digest(result):
     found the assignment and the decomposition that did not."""
     statistics = result.statistics
     return {
-        "placement": dict(result.target.iter_placement()),
+        "placement": result.target.placement(),
         "states": result.target.states(),
         "pools": [[str(action) for action in pool] for pool in result.plan.pools],
         "cost": result.cost,

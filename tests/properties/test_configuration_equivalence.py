@@ -57,9 +57,7 @@ MAX_VMS = 8
 #: drawn sequence stays meaningful as nodes crash and come back.
 OPS = (
     "add_vm",
-    "remove_vm",
     "set_running",
-    "enter_in_order",
     "migrate",
     "set_sleeping",
     "set_waiting",
@@ -126,14 +124,8 @@ def _apply(configuration, op, a, b, node_universe, vm_universe):
                     cpu_demand=a % 3,
                 )
             )
-        elif kind == "remove_vm":
-            # Only the last registration can be taken back: aim at it half
-            # of the time, at any VM (an error on both sides) otherwise.
-            configuration.remove_vm(configuration.vm_names[-1] if b % 2 else vm)
         elif kind == "set_running":
             configuration.set_running(vm, node)
-        elif kind == "enter_in_order":
-            configuration.enter_in_order(reversed(configuration.vms_on(node)))
         elif kind == "migrate":
             configuration.migrate(vm, node)
         elif kind == "set_sleeping":
@@ -165,10 +157,6 @@ def _written_by(configuration, op, a, b, node_universe, vm_universe):
     vm = vm_universe[b % len(vm_universe)]
     if op == "add_vm":
         return {f"extra{a}"}
-    if op == "remove_vm":
-        if b % 2:
-            return set(configuration.vm_names[-1:])
-        return {vm}
     if op in ("set_running", "migrate", "set_sleeping", "set_waiting", "set_terminated"):
         return {vm}
     if op == "crash_evict" and configuration.has_node(node):
@@ -294,7 +282,6 @@ _JOURNALED_FORKS = (
         ("add_vm", 3, 0),
         ("crash_evict", 2, 0),
         ("set_waiting", 0, 1),
-        ("remove_vm", 0, 1),
         ("fork", 0, 0),
         ("set_terminated", 0, 0),
         ("re_add_node", 2, 0),
@@ -558,7 +545,6 @@ def test_an_overlay_takes_assignment_writes_only():
     vm = base.vm("vm0")
     for write in (
         lambda: overlay.add_vm(VirtualMachine(name="vm1", memory=256)),
-        lambda: overlay.remove_vm("vm0"),
         lambda: overlay.replace_vm(vm.with_cpu_demand(2)),
         lambda: overlay.add_node(Node(name="node-9", cpu_capacity=1, memory_capacity=1)),
         lambda: overlay.remove_node("node-1"),

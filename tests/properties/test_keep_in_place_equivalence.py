@@ -351,7 +351,7 @@ def _solve(instance, keep_in_place, make=_partitioned, whole=False):
         return {"error": type(result).__name__, "planned": planned}, calls, partitions
     return {
         "planned": planned,
-        "placement": dict(result.target.iter_placement()),
+        "placement": result.target.placement(),
         "states": result.target.states(),
         "pools": [[str(action) for action in pool] for pool in result.plan.pools],
         "cost": result.cost,

@@ -2,32 +2,36 @@
 
 :func:`repro.decision.ffd.ffd_commit` used to copy the trial, pack the copy,
 throw it away and place everything a second time; the FFD target packed a
-copy of a copy.  It now places each VM once on the configuration it is
-handed and takes back (unplaces *and* unregisters) what it registered when a
-VM fits nowhere, and the three RJSP-based policies share one ``decide`` that
-builds one candidate filter for the selection and the FFD target.  Goldens,
-the scoreboard and the audit replay need the same decisions byte for byte,
-and two things nothing else pins are easy to lose on the way:
+copy of a copy.  It now places each VM once on a
+:class:`~repro.decision.ffd.PackingTrial` — free capacities and a
+placement — and gives back what it placed when a VM fits nowhere, and the
+three RJSP-based policies share one ``decide`` that builds one candidate
+filter for the selection and the FFD target.  Goldens, the scoreboard and
+the audit replay need the same decisions byte for byte, and two things
+nothing else pins are easy to lose on the way:
 
 * ``vms_on`` / ``placement()`` list VMs in the order they *entered* the
   placement map, and the planner walks them — so the order a trial's or a
   target's VMs enter it must stay what it was (the order handed, not the
   decreasing-demand order the probes run in);
-* a rejected vjob's VMs were never registered in the trial — an undo that
-  left them registered as Waiting would show through ``has_vm`` /
-  ``vm_names`` and any ``allows`` that walks the trial.
+* a rejected vjob's VMs leave no trace in the trial — a take-back that
+  left one placed, or some of its load behind, would show through
+  ``has_vm`` / ``vms_on``, any ``allows`` that walks the trial and every
+  later probe.
 
 The packer also skips, per domain and demand, the nodes it already found
-full (first-fit cursors), and resets them wherever load drops: a VM
-re-placed off its host, a failed packing, a selection's take-back.  The
-oracle is ``reference_packing.py`` (the former bodies, verbatim: a plain
-scan from the first node).  The rounds are those of
+full (first-fit cursors), and resets them wherever load drops: a failed
+packing, a selection's take-back.  The oracle is ``reference_packing.py``
+(the former bodies, verbatim: a plain scan from the first node, on a
+``Configuration`` trial that the policies build instead of a
+``PackingTrial`` while it runs).  The rounds are those of
 ``test_greedy_filter_equivalence.py``: random fleets and queues under
 catalogs of the four relations, running vjobs with stragglers (the VMs
 FCFS's first pass mirrors into the trial before any packing), vjobs the
 observed configuration does not know, monitored demands written into the
-configuration, a few demand classes on small nodes; plus one pinned round
-per reset, each of which a packer that skipped that reset gets wrong.
+configuration, a few demand classes on small nodes; plus pinned rounds: a
+failed call and a veto, each of which a packer that skipped a cursor rule
+gets wrong, and two relations that read the trial across vjobs.
 """
 
 from __future__ import annotations
@@ -37,16 +41,17 @@ from unittest import mock
 
 from hypothesis import example, given, settings
 
-from repro.api.decision import empty_configuration
-from repro.constraints import CandidateFilter, Spread
+from repro.constraints import CandidateFilter, RunningCapacity, Spread
 from repro.decision import consolidation, fcfs, ffd, rjsp
+from repro.decision.ffd import PackingTrial
 from repro.model.configuration import Configuration
 from repro.model.node import Node
 from repro.model.queue import VJobQueue
-from repro.model.vjob import VJob, VJobState
+from repro.model.vjob import VJob
 from repro.model.vm import VirtualMachine
 
 import reference_packing
+from reference_packing import ConfigurationTrial
 from test_greedy_filter_equivalence import constrained_rounds
 
 
@@ -66,11 +71,9 @@ def _readable(configuration):
     )
 
 
-def _pinned_round(vjobs, running=(), constraints=()):
+def _pinned_round(vjobs, constraints=()):
     """A round over three 2-CPU nodes: ``vjobs`` maps each vjob name to
-    the ``(cpu, memory)`` of its VMs, in priority order; ``running`` maps
-    a VM to the node it runs on (its vjob then runs)."""
-    running = dict(running)
+    the ``(cpu, memory)`` of its VMs, in priority order."""
     configuration = Configuration(
         nodes=[
             Node(name=f"n{i}", cpu_capacity=2, memory_capacity=2048)
@@ -91,9 +94,6 @@ def _pinned_round(vjobs, running=(), constraints=()):
         )
         for vm in vjob.vms:
             configuration.add_vm(vm)
-            if vm.name in running:
-                configuration.set_running(vm.name, running[vm.name])
-                vjob.state = VJobState.RUNNING
         queue.submit(vjob)
     return configuration, queue, list(constraints), "none"
 
@@ -109,21 +109,50 @@ VETOED = _pinned_round(
     {"a": [(1, 512), (1, 512)], "b": [(1, 512)]},
     constraints=[Spread(["a.vm0", "a.vm1"])],
 )
-#: n0 runs ``r.vm0`` and ``r.vm1`` and is full: ``a``'s VM is probed
-#: there first, then ``r.vm0`` leaves it and ``r.vm1`` may stay.
-RE_PLACED = _pinned_round(
-    {"a": [(1, 512)], "r": [(1, 512), (1, 512)], "c": [(1, 512)]},
-    running={"r.vm0": "n0", "r.vm1": "n0"},
+#: n0 has room for ``b``'s VM, but one seat, which ``a`` took: the veto
+#: counts the trial's ``vms_on``.
+SEAT_TAKEN = _pinned_round(
+    {"a": [(1, 512)], "b": [(1, 512)]},
+    constraints=[RunningCapacity(["n0"], 1)],
+)
+#: ``b``'s VM may not join ``a``'s on n0: the veto reads where the trial
+#: placed a VM of another vjob.
+SPREAD_ACROSS_VJOBS = _pinned_round(
+    {"a": [(1, 512)], "b": [(1, 512)]},
+    constraints=[Spread(["a.vm0", "b.vm0"])],
 )
 
 
 @contextlib.contextmanager
 def _copy_based():
-    """Swap the former packer in under the selection and the admission."""
-    with mock.patch.object(
-        rjsp, "ffd_commit", reference_packing.ffd_commit
-    ), mock.patch.object(fcfs, "ffd_commit", reference_packing.ffd_commit):
+    """Swap the former packer, on a configuration trial, in under the
+    selection and the admission."""
+    with contextlib.ExitStack() as stack:
+        for module in (rjsp, fcfs):
+            stack.enter_context(
+                mock.patch.object(module, "ffd_commit", reference_packing.ffd_commit)
+            )
+            stack.enter_context(
+                mock.patch.object(module, "PackingTrial", ConfigurationTrial)
+            )
         yield
+
+
+def _trial_reads(trial, vm_names):
+    """Everything a later probe (or a policy) can read of a trial, orders
+    included: the placement, each node's VMs and free capacity, and which
+    of ``vm_names`` it holds."""
+    nodes = trial.node_names
+    if isinstance(trial, PackingTrial):
+        free = list(zip(trial.free_cpu, trial.free_memory))
+    else:
+        free = [trial.free_capacity(node).as_tuple() for node in nodes]
+    return (
+        list(trial.placement().items()),
+        [trial.vms_on(node) for node in nodes],
+        free,
+        [trial.has_vm(name) for name in vm_names],
+    )
 
 
 def _selection_and_booking(configuration, queue, constraints, backfilling):
@@ -149,6 +178,8 @@ def _selection_and_booking(configuration, queue, constraints, backfilling):
 @given(constrained_rounds())
 @example(FAILED_CALL)
 @example(VETOED)
+@example(SEAT_TAKEN)
+@example(SPREAD_ACROSS_VJOBS)
 def test_selection_and_admission_match_the_copy_based_packer(round_inputs):
     shipped = _selection_and_booking(*round_inputs)
     with _copy_based():
@@ -198,6 +229,8 @@ def test_ffd_target_matches_the_copy_of_a_copy(round_inputs):
 @given(constrained_rounds())
 @example(FAILED_CALL)
 @example(VETOED)
+@example(SEAT_TAKEN)
+@example(SPREAD_ACROSS_VJOBS)
 def test_trials_stay_identical_vjob_after_vjob(round_inputs):
     """Both packers in lockstep over one queue, each on its own trial — which
     first mirrors the running VMs where they are, like FCFS's first pass —
@@ -205,20 +238,23 @@ def test_trials_stay_identical_vjob_after_vjob(round_inputs):
     rejected one left no trace in either.  The shipped packer shares one map
     of first-fit cursors across the queue, as the selection does."""
     configuration, queue, constraints, _ = round_inputs
-    trials = (empty_configuration(configuration), empty_configuration(configuration))
+    trials = (
+        PackingTrial(configuration.nodes),
+        ConfigurationTrial(configuration.nodes),
+    )
     packers = (ffd.ffd_commit, reference_packing.ffd_commit)
     # A filter caches the domains it resolved: one each.
     filters = [
         CandidateFilter(constraints, reference=configuration) if constraints else None
         for _ in trials
     ]
+    names = [vm.name for vjob in queue.pending() for vm in vjob.vms]
     cursors = {}
     mirrored = set()
-    for name, node in configuration.iter_placement():
+    for name, node in configuration.placement().items():
         mirrored.add(name)
         for trial in trials:
-            trial.add_vm(configuration.vm(name))
-            trial.set_running(name, node)
+            trial.place(configuration.vm(name), node)
     for vjob in queue.pending():
         vms = []
         for vm in vjob.vms:
@@ -227,47 +263,15 @@ def test_trials_stay_identical_vjob_after_vjob(round_inputs):
             if configuration.has_vm(vm.name):
                 vm = configuration.vm(vm.name)
             vms.append(vm)
-        before = _readable(trials[0])
+        before = _trial_reads(trials[0], names)
         placed, expected = (
             packer(trial, vms, node_filter, cursors=cursors)
             for packer, trial, node_filter in zip(packers, trials, filters)
         )
         assert placed == expected
-        assert _readable(trials[0]) == _readable(trials[1])
+        assert _trial_reads(trials[0], names) == _trial_reads(trials[1], names)
         if placed is None:
-            assert _readable(trials[0]) == before
-
-
-@settings(max_examples=200, deadline=None)
-@given(constrained_rounds())
-@example(RE_PLACED)
-def test_re_placing_running_vms_matches_the_plain_scan(round_inputs):
-    """``ffd_commit`` handed every queued VM, on the observed configuration
-    that already runs some of them: a re-placed VM unloads its host, which
-    the first-fit cursors must not skip afterwards.  The running VMs are
-    handed between two halves of the others, so a VM of the same demand is
-    probed before each and another after it."""
-    configuration, queue, constraints, _ = round_inputs
-    queued = [
-        configuration.vm(vm.name) if configuration.has_vm(vm.name) else vm
-        for vjob in queue.pending()
-        for vm in vjob.vms
-    ]
-    running = [
-        vm
-        for vm in queued
-        if configuration.has_vm(vm.name) and configuration.location_of(vm.name)
-    ]
-    others = [vm for vm in queued if vm not in running]
-    vms = others[::2] + running + others[1::2]
-    before = _readable(configuration)
-    node_filter = (
-        CandidateFilter(constraints, reference=configuration) if constraints else None
-    )
-    placed = ffd.ffd_commit(configuration.copy(), vms, node_filter)
-    expected = reference_packing.ffd_place(configuration, vms, node_filter=node_filter)
-    assert placed == expected
-    assert _readable(configuration) == before
+            assert _trial_reads(trials[0], names) == before
 
 
 def _two_node_queue():
@@ -294,22 +298,23 @@ def _two_node_queue():
 
 def test_a_rejected_vjob_between_accepted_ones_leaves_no_trace():
     configuration, queue = _two_node_queue()
-    trial = empty_configuration(configuration)
+    trial = PackingTrial(configuration.nodes)
     a, b, c = (vjob.vms for vjob in queue.pending())
+    names = [vm.name for vms in (a, b, c) for vm in vms]
 
     # Handed small-then-big, probed big-then-small, entered as handed.
     assert ffd.ffd_commit(trial, a) == {"a.vm1": "n0", "a.vm0": "n0"}
     assert list(trial.placement()) == ["a.vm0", "a.vm1"]
     assert trial.vms_on("n0") == ("a.vm0", "a.vm1")
-    before = _readable(trial)
+    before = _trial_reads(trial, names)
 
     # b.vm1 and b.vm2 land on n1 before b.vm0 finds no CPU left anywhere.
     assert ffd.ffd_commit(trial, b) is None
-    assert _readable(trial) == before
+    assert _trial_reads(trial, names) == before
     assert not any(trial.has_vm(vm.name) for vm in b)
 
     assert ffd.ffd_commit(trial, c) == {"c.vm0": "n1"}
-    assert trial.vm_names == ("a.vm0", "a.vm1", "c.vm0")
+    assert list(trial.placement()) == ["a.vm0", "a.vm1", "c.vm0"]
 
     selection = rjsp.select_running_vjobs(configuration, queue)
     assert (selection.accepted, selection.rejected) == (["a", "c"], ["b"])

@@ -5,7 +5,7 @@ from __future__ import annotations
 from hypothesis import given, settings, strategies as st
 
 from repro.cp import CostTable, ElementSum, Model, Solver, VectorPacking
-from repro.decision.ffd import ffd_commit
+from repro.decision.ffd import PackingTrial, ffd_commit
 from repro.model.configuration import Configuration
 from repro.model.node import make_working_nodes
 from repro.model.vm import VirtualMachine
@@ -42,7 +42,7 @@ def test_ffd_placement_respects_capacities(instance):
         VirtualMachine(name=f"vm{i}", memory=memory, cpu_demand=cpu)
         for i, (cpu, memory) in enumerate(demands)
     ]
-    placement = ffd_commit(configuration.copy(), vms)
+    placement = ffd_commit(PackingTrial(configuration.nodes), vms)
     if placement is None:
         return
     # apply the placement and check viability

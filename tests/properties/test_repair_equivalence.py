@@ -143,7 +143,7 @@ def test_repair_and_cold_solve_agree_on_feasibility(instance):
 def _round(result):
     """Everything two engines must agree on for one round."""
     return (
-        dict(result.target.iter_placement()),
+        result.target.placement(),
         [[str(action) for action in pool] for pool in result.plan.pools],
         result.cost,
         result.movement_cost,
@@ -191,7 +191,7 @@ def test_a_first_round_is_a_round_against_the_observed_placement(
         )
         for _ in range(2)
     )
-    seeded._previous = dict(configuration.iter_placement())
+    seeded._previous = configuration.placement()
     results = []
     for engine in (fresh, seeded):
         engine.mark_dirty(victims)

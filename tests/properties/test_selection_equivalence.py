@@ -301,7 +301,7 @@ def test_a_long_lived_module_selects_what_a_fresh_one_selects(data):
             domains=optimizer.domains.of(configuration, placed, catalog),
         )
         expected = partition(configuration, states, catalog, shards=optimizer.shards)
-        for attribute in ("zones", "method", "reason", "exact"):
+        for attribute in ("zones", "method", "exact"):
             assert getattr(decomposition, attribute) == getattr(
                 expected, attribute
             )

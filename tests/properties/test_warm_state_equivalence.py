@@ -136,7 +136,7 @@ def _digest(outcome):
     if isinstance(outcome, Exception):
         return type(outcome).__name__
     return {
-        "placement": dict(outcome.target.iter_placement()),
+        "placement": outcome.target.placement(),
         "states": outcome.target.states(),
         "pools": [[str(action) for action in pool] for pool in outcome.plan.pools],
         "cost": outcome.cost,
@@ -287,7 +287,7 @@ def _rebuilt(configuration):
     """``configuration`` built again from nothing — the same nodes, VMs,
     states, hosts, images and orders, but descended from no mark."""
     rebuilt = Configuration(nodes=configuration.nodes, vms=configuration.vms)
-    for vm, host in configuration.iter_placement():
+    for vm, host in configuration.placement().items():
         rebuilt.set_running(vm, host)
     for vm in configuration.vm_names:
         state = configuration.state_of(vm)

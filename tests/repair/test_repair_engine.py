@@ -302,7 +302,7 @@ class TestRepairOptimizer:
         assert result.repair["mode"] == "repair"
         assert dict(before) == kept and "vm0-0" in before
         after = engine.previous_assignment
-        assert dict(after) == dict(result.target.iter_placement())
+        assert dict(after) == result.target.placement()
         assert "vm0-0" not in after
 
     def test_marks_are_consumed_by_the_next_solve(self):
@@ -439,7 +439,7 @@ class TestRepairOptimizer:
         inner = _NoFrozenRegionFits(clock)
         engine = RepairOptimizer(inner, timeout=timeout, halo=0)
         if warm:
-            engine._previous = dict(configuration.iter_placement())
+            engine._previous = configuration.placement()
             configuration.set_waiting("vm0-0")
         engine.mark_dirty(names if marks == "all" else marks)
         tracer = Tracer()
@@ -469,9 +469,7 @@ class TestRepairOptimizer:
             if expected["attempts"] == 2
             else []
         )
-        assert engine.previous_assignment == dict(
-            result.target.iter_placement()
-        )
+        assert engine.previous_assignment == result.target.placement()
 
     def test_a_starved_attempt_leaves_the_full_solve_the_same_deadline(
         self, clock
@@ -482,7 +480,7 @@ class TestRepairOptimizer:
         configuration, names = _fleet()
         inner = _NoFrozenRegionFits(clock, burn=7.0)
         engine = RepairOptimizer(inner, timeout=5.0, halo=0)
-        engine._previous = dict(configuration.iter_placement())
+        engine._previous = configuration.placement()
         configuration.set_waiting("vm0-0")
         engine.mark_dirty(["vm0-0"])
         started = clock.now
@@ -623,7 +621,7 @@ class TestStayersThatBreakARelation:
 def _digest(result):
     """Everything two engines must agree on for one round."""
     return {
-        "placement": dict(result.target.iter_placement()),
+        "placement": result.target.placement(),
         "states": result.target.states(),
         "pools": [[str(action) for action in pool] for pool in result.plan.pools],
         "cost": result.cost,

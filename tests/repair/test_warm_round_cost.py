@@ -67,7 +67,6 @@ COUNTED = (
     "variables",
     "prices",
     "placement copies",
-    "placement walks",
     "state copies",
     "domain lookups",
     "dirty handed",
@@ -106,7 +105,6 @@ def counted(monkeypatch):
     count(Configuration, "add_vm", "vms extracted")
     # The bulk reads of the fleet.
     count(Configuration, "placement", "placement copies")
-    count(Configuration, "iter_placement", "placement walks")
     count(Configuration, "states", "state copies")
     count(
         RetainedDomains,
@@ -222,7 +220,7 @@ def _assert_reads_what_was_written(counts):
     # The one read of the fleet a warm round keeps: the copy of the
     # observed states that the completed states are made of.
     assert counts["state copies"] == 1
-    assert counts["placement copies"] == counts["placement walks"] == 0
+    assert counts["placement copies"] == 0
     # The dirty rule looks up the domains of the running VMs written since
     # the last round's input or moved by its plan (the re-placed
     # ``PRIMING``), not of every running VM; the attempt's keep-in-place
@@ -393,7 +391,7 @@ def test_past_the_cap_a_round_reads_the_fleet_and_plans_the_same(
         {"scanned": 2_000 - len(RESTARTED), "source": "scan"}
     ]
     assert _spans(scanned, "check-plan") == [{"stages": 1, "asked": 16, "kept": 0}]
-    assert counted["placement walks"] == 0
+    assert counted["placement copies"] == 0
     assert _plan(ours) == _plan(theirs)
 
 
