@@ -278,13 +278,6 @@ class ControlLoop:
     # main loop                                                           #
     # ------------------------------------------------------------------ #
 
-    def close(self) -> None:
-        """Release the planning engine's resources (the partitioned engine
-        keeps a worker-process pool across rounds).  Idempotent — called
-        automatically when :meth:`run` finishes, so campaigns that build
-        many loops never accumulate worker processes."""
-        self.switcher.close()
-
     def request_stop(self) -> None:
         """Ask a running loop to stop at the next iteration boundary.
 
@@ -292,22 +285,18 @@ class ControlLoop:
         plain attribute written once, and :meth:`run` checks it exactly where
         it drains the command queue, so the loop finishes the in-flight
         iteration (its switch, samples and bookkeeping stay consistent) and
-        then returns normally — :meth:`run`'s ``finally`` still calls
-        :meth:`close`, so no worker pool leaks.  Runs cut short this way set
+        then returns normally.  Runs cut short this way set
         ``metadata["stopped_early"]``."""
         self._stop_requested = True
 
     def run(self) -> RunResult:
-        try:
-            if self.tracer is None:
-                return self._run_iterations()
-            with self.tracer.activate() as root:
-                root.set(policy=self.policy_name, engine=self.switcher.engine)
-                result = self._run_iterations()
-            result.trace = self.tracer.to_dict()
-            return result
-        finally:
-            self.close()
+        if self.tracer is None:
+            return self._run_iterations()
+        with self.tracer.activate() as root:
+            root.set(policy=self.policy_name, engine=self.switcher.engine)
+            result = self._run_iterations()
+        result.trace = self.tracer.to_dict()
+        return result
 
     def _run_iterations(self) -> RunResult:
         """The fixed tick of Section 3.1: every round runs the steps below in

@@ -4,7 +4,9 @@ The :class:`ClusterContextSwitch` facade ties the pieces of Section 4 together:
 the decision module supplies the desired state of each VM, the optimizer picks
 a cheap viable placement, the planner sequences the actions into pools, and the
 cost model prices the resulting plan.  This is the object the Entropy control
-loop (:mod:`repro.api.loop`) manipulates at every iteration.
+loop (:mod:`repro.api.loop`) manipulates at every iteration.  Every engine
+solves in the calling process, as the paper's manager does (§4.3), so a
+switch holds no resource between rounds.
 """
 
 from __future__ import annotations
@@ -63,14 +65,10 @@ _COMPOSED_ENGINES = {
 #: The engine a switch, a control loop and a ``Scenario`` run when none is named.
 DEFAULT_ENGINE = "repair"
 
-#: Executor kinds of the partitioned engines' zones
-#: (:class:`~repro.scale.parallel.ParallelOptimizer`), checked under every
-#: engine.  ``"auto"`` (the default) is decided per solve from the zones
-#: about to be solved — see :data:`repro.scale.parallel._POOL_ZONE_VMS`.
-#: ``"serial"`` always runs the zones in-process (deterministic, no
-#: pickling); ``"process"`` always ships two or more pending zones to the
-#: pool, one worker per zone.
-ZONE_EXECUTORS = ("auto", "process", "serial")
+#: Executor kinds of the partitioned engines' zones, checked under every
+#: engine: ``"serial"``, the zones solved in-process one after another, is
+#: the only one left (:mod:`repro.scale.parallel`).
+ZONE_EXECUTORS = ("serial",)
 
 
 class ClusterContextSwitch:
@@ -80,7 +78,7 @@ class ClusterContextSwitch:
         self,
         optimizer_timeout: float = 40.0,
         engine: str = DEFAULT_ENGINE,
-        zone_executor: str = "auto",
+        zone_executor: str = "serial",
     ) -> None:
         """``engine`` selects the solving strategy — the one engine menu,
         which the control loop and the ``Scenario`` facade pass through.
@@ -97,15 +95,14 @@ class ClusterContextSwitch:
           the attempt finds nothing;
         * ``"event"``, the monolithic optimizer, solved cold every round;
         * ``"partitioned"``, whose search decomposes the cluster into
-          independent placement zones solved one by one or concurrently
+          independent placement zones solved one by one
           (:mod:`repro.scale.parallel`) and transparently falls back to the
           monolithic search when no decomposition exists;
         * ``"fixpoint"``, the reference propagation engine, solved cold.
 
-        ``zone_executor`` (one of :data:`ZONE_EXECUTORS`, checked under
-        every engine) only applies to the partitioned engines, which by
-        default decide per solve whether their zones are worth worker
-        processes."""
+        ``zone_executor`` must be one of :data:`ZONE_EXECUTORS` under every
+        engine; it names how the partitioned engines run their zones, and
+        there is one way left."""
         if engine not in ENGINES and engine not in _COMPOSED_ENGINES:
             raise SolverError(
                 f"unknown engine {engine!r}; expected one of "
@@ -122,9 +119,7 @@ class ClusterContextSwitch:
             # Deferred import: repro.scale builds on repro.core.
             from ..scale.parallel import ParallelOptimizer
 
-            self.optimizer = ParallelOptimizer(
-                timeout=optimizer_timeout, zone_executor=zone_executor
-            )
+            self.optimizer = ParallelOptimizer(timeout=optimizer_timeout)
         else:
             self.optimizer = ContextSwitchOptimizer(
                 timeout=optimizer_timeout, engine=strategy
@@ -141,23 +136,14 @@ class ClusterContextSwitch:
     # ------------------------------------------------------------------ #
 
     def close(self) -> None:
-        """Release solver resources — the partitioned engine keeps the
-        worker-process pool it forked, if any, across rounds.  Idempotent,
-        and the switch remains usable afterwards (the next solve that needs
-        the pool respawns it); a no-op for the monolithic engines."""
-        self.optimizer.close()
+        """A no-op, kept for callers that still call it: no engine holds
+        anything to release."""
 
     def mark_dirty(self, vms) -> None:
         """Flag VMs as perturbed where the configuration does not show it
         (the repair engines read every other perturbation from it); a no-op
         for the cold engines (they re-solve everything anyway)."""
         self.optimizer.mark_dirty(vms)
-
-    def __enter__(self) -> "ClusterContextSwitch":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
     # ------------------------------------------------------------------ #
 

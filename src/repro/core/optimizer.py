@@ -289,14 +289,11 @@ class ContextSwitchOptimizer:
     # public API                                                          #
     # ------------------------------------------------------------------ #
 
-    def close(self) -> None:
-        """Part of the surface every optimizer offers
-        :class:`~repro.core.context_switch.ClusterContextSwitch`; the
-        monolithic optimizer holds nothing to release."""
-
     def mark_dirty(self, vms: Iterable[str]) -> None:
-        """Part of the same surface: only the repair engine uses the
-        round's perturbed VMs, a cold solve re-decides every VM anyway."""
+        """Part of the surface every optimizer offers
+        :class:`~repro.core.context_switch.ClusterContextSwitch`: only the
+        repair engine uses the round's perturbed VMs, a cold solve
+        re-decides every VM anyway."""
 
     def optimize(
         self,
@@ -707,9 +704,9 @@ class ContextSwitchOptimizer:
         objective values.
 
         This is the solver core without the planning step — the entry point
-        the partitioned optimizer (:mod:`repro.scale.parallel`) calls inside
-        worker processes, where each zone's assignment is merged into one
-        global target before a single planner pass.  ``deadline`` and
+        the partitioned optimizer (:mod:`repro.scale.parallel`) calls for
+        each zone, whose assignments are merged into one global target
+        before a single planner pass.  ``deadline`` and
         ``completed`` are as in :meth:`optimize` (the search reads the
         states only): building the model is paid out of the time left until
         the deadline and the solver gets what remains — nothing once it has

@@ -2,7 +2,7 @@
 
 A zero-dependency hierarchical tracer (:class:`Tracer` / :class:`Span`)
 threaded through the whole stack: control-loop rounds, CP solves,
-partitioned zone workers, repair attempts, plan execution, and
+partitioned zone solves, repair attempts, plan execution, and
 operator-daemon requests.  Traces attach to ``RunResult`` documents,
 export to Chrome trace-event JSON (Perfetto), and summarize/diff via
 the ``repro-trace`` CLI.  See ``docs/OBSERVABILITY.md``.

@@ -8,10 +8,8 @@ JSON object format (``{"traceEvents": [...]}``): one complete event
 event (``"ph": "i"``) per span event.  The output loads directly in
 https://ui.perfetto.dev or ``chrome://tracing``.
 
-A span marked ``remote`` (``repro.scale`` marks the ``zone`` span it
-records for a zone solved on a worker process) gets its own ``tid`` so
-Perfetto renders concurrent zone solves as parallel tracks instead of
-rejecting overlapping events on one track.
+Every span is drawn on one track (``tid`` 1): the spans of one process
+nest, and every solve, zones included, runs in the process that traces it.
 
 :func:`validate_chrome_trace` is the schema/nesting check used by the
 test suite and ``tools/trace_smoke.py``: it verifies required keys,
@@ -69,11 +67,8 @@ def to_chrome_trace(
             "args": {"name": process_name},
         }
     ]
-    next_tid = [1]
 
-    def emit(node: Span, tid: int) -> None:
-        if node.attributes.get("remote"):
-            tid = next_tid[0] = next_tid[0] + 1
+    for node in root.walk():
         end = node.end if node.end is not None else horizon
         args: Dict[str, Any] = {}
         args.update(node.attributes)
@@ -83,7 +78,7 @@ def to_chrome_trace(
                 "ph": "X",
                 "name": node.name,
                 "pid": pid,
-                "tid": tid,
+                "tid": 1,
                 "ts": node.start * _US,
                 "dur": max(0.0, end - node.start) * _US,
                 "args": args,
@@ -95,16 +90,12 @@ def to_chrome_trace(
                     "ph": "i",
                     "name": event["name"],
                     "pid": pid,
-                    "tid": tid,
+                    "tid": 1,
                     "ts": event.get("at", node.start) * _US,
                     "s": "t",
                     "args": dict(event.get("attributes", {})),
                 }
             )
-        for child in node.children:
-            emit(child, tid)
-
-    emit(root, 1)
     return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 

@@ -19,8 +19,7 @@ is still writing to it.
 
 ``contextvars`` do **not** propagate into new threads: a thread that
 should trace must enter :meth:`Tracer.activate` itself (the control loop
-does).  Worker processes record nothing; the parent spans what they
-return (``repro.scale`` does, for a pooled zone).
+does).
 """
 
 from __future__ import annotations

@@ -305,9 +305,6 @@ class RepairOptimizer:
         self._last = None
         self.domains.clear()
 
-    def close(self) -> None:
-        self.inner.close()
-
     # ------------------------------------------------------------------ #
     # solving                                                             #
     # ------------------------------------------------------------------ #

@@ -12,8 +12,7 @@ The package has two layers (see ``docs/PERFORMANCE.md`` for the guide and
    zone node sets are disjoint and every zone VM's candidates stay inside
    its zone, so per-zone solutions compose into a valid global placement.
 2. **Parallel optimizer** (:mod:`repro.scale.parallel`) — solve the zones
-   (in-process, or concurrently on a process pool when they are big enough
-   to pay for it) by the round's one deadline, merge the
+   in-process, one after another, by the round's one deadline, merge the
    assignments deterministically, and run one global planner pass; falls
    back to the monolithic optimizer whenever partitioning yields no win.
    Reachable from the facade as ``Scenario(engine="partitioned")``.
@@ -32,7 +31,6 @@ from ..constraints.domains import vm_domains
 from .parallel import (
     ParallelOptimizer,
     ZoneOutcome,
-    ZoneTask,
     build_zone_configuration,
     merge_statistics,
     solve_zone,
@@ -51,7 +49,6 @@ __all__ = [
     "placed_vms",
     "vm_domains",
     "ParallelOptimizer",
-    "ZoneTask",
     "ZoneOutcome",
     "build_zone_configuration",
     "solve_zone",

@@ -132,10 +132,8 @@ class OperatorDaemon:
         """Stop serving and wind down an in-flight run.
 
         A running control loop is asked to stop at its next iteration
-        boundary (:meth:`ControlLoop.request_stop`) and joined, so its
-        planning engine is released deterministically — a partitioned or
-        repair run must never leak its worker-process pool past the daemon's
-        lifetime.  Idempotent."""
+        boundary (:meth:`ControlLoop.request_stop`) and joined, so no run
+        outlives the daemon.  Idempotent."""
         if self._server is not None:
             self._server.shutdown()
             self._server.server_close()
@@ -150,11 +148,6 @@ class OperatorDaemon:
             loop.request_stop()
         if thread is not None:
             thread.join(timeout=30.0)
-        if loop is not None:
-            # run() already closed the loop on its way out; this is the
-            # belt-and-braces for a run thread that never reached run()
-            # (close() is idempotent).
-            loop.close()
 
     def __enter__(self) -> "OperatorDaemon":
         return self.start()
@@ -201,7 +194,7 @@ class OperatorDaemon:
                     closing = self._closing
                 if closing:
                     # close() raced the build: stop before the first
-                    # iteration so run() releases the loop immediately.
+                    # iteration so run() returns immediately.
                     loop.request_stop()
                 loop.run()
             except Exception as error:

@@ -14,15 +14,12 @@ import functools
 import importlib.util
 import json
 import logging
-import os
 from pathlib import Path
 
 import pytest
 
 from repro import Scenario
-from repro.api import loop as loop_module
-from repro.constraints import Fence, Spread, violated_constraints
-from repro.core.context_switch import ClusterContextSwitch
+from repro.constraints import Spread, violated_constraints
 from repro.core.planner import ReconfigurationPlanner
 from repro.cp import VectorPacking
 from repro.decision.consolidation import ConsolidationDecisionModule
@@ -30,7 +27,6 @@ from repro.decision.ffd import ffd_target_configuration
 from repro.model import make_working_nodes
 from repro.model.errors import NoPivotAvailableError, PlanningError
 from repro.obs import load_trace
-from repro.scale import parallel as parallel_module
 from repro.service import ServiceObserver
 from repro.testing import make_workload
 
@@ -160,70 +156,6 @@ class TestFaultInjection:
         assert solve.attributes["cause"] == cause
         assert "error" not in solve.attributes
         _assert_recovered(result)
-
-    def test_a_killed_zone_worker_degrades_and_the_pool_respawns(
-        self, monkeypatch, tmp_path
-    ):
-        monkeypatch.setattr(
-            loop_module,
-            "ClusterContextSwitch",
-            functools.partial(ClusterContextSwitch, zone_executor="process"),
-        )
-        monkeypatch.setattr(_KillOnce, "marker", str(tmp_path / "killed"))
-        monkeypatch.setattr(parallel_module, "solve_zone", _KillOnce.solve_zone)
-        pools = []
-        original = parallel_module.ProcessPoolExecutor
-
-        def spawn(*args, **kwargs):
-            pools.append(original(*args, **kwargs))
-            return pools[-1]
-
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", spawn)
-        fences = [
-            Fence(["a.vm0", "a.vm1", "c.vm0"], ["node-0", "node-1"]),
-            Fence(["b.vm0", "b.vm1", "c.vm1"], ["node-2", "node-3"]),
-        ]
-        # ``SPREAD`` couples two VMs of the first zone: under a relational
-        # constraint no keep-in-place answers a round before its zones, so
-        # every solve ships its zones to the pool.
-        result = _scenario(
-            constraints=[*fences, SPREAD],
-            engine="partitioned",
-            workloads=_workloads(True),
-        ).run()
-        assert os.path.exists(_KillOnce.marker)
-        solves = _spans(result, "solve")
-        assert solves[0].attributes["cause"] == "BrokenProcessPool"
-        assert result.switches[0].used_fallback
-        assert result.metadata["planning_failures"] == 0
-        # The broken pool was closed: a later solve forked a new one and
-        # its zones answered from the workers.
-        assert len(pools) >= 2
-        assert any(
-            span.attributes.get("remote")
-            for solve in solves[1:]
-            for span in solve.walk()
-            if span.name == "zone"
-        )
-        _assert_recovered(result)
-        assert set(result.completion_times) == {"a", "b", "c"}
-
-
-class _KillOnce:
-    """``solve_zone`` whose first caller across every worker dies."""
-
-    marker = ""
-
-    @staticmethod
-    def solve_zone(task):
-        try:
-            os.close(os.open(_KillOnce.marker, os.O_CREAT | os.O_EXCL))
-        except FileExistsError:
-            return _SOLVE_ZONE(task)
-        os._exit(1)
-
-
-_SOLVE_ZONE = parallel_module.solve_zone
 
 
 class _BreaksTheSpread:

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
-
 import pytest
 
 from repro.core import optimizer
 from repro.cp import Solver
 from repro.model import Configuration, Node, make_working_nodes
 from repro.repair import engine
-from repro.scale import parallel
 from repro.testing import make_large_fleet, make_vm
 
 
@@ -76,28 +73,6 @@ def models(monkeypatch):
     return built
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """Every worker pool the partitioned engine built, in order — real
-    pools, each knowing its ``workers`` and whether it was ``shut_down``."""
-    built = []
-
-    class RecordingPool(ProcessPoolExecutor):
-        shut_down = False
-
-        def __init__(self, max_workers):
-            super().__init__(max_workers=max_workers)
-            self.workers = max_workers
-            built.append(self)
-
-        def shutdown(self, *args, **kwargs):
-            super().shutdown(*args, **kwargs)
-            self.shut_down = True
-
-    monkeypatch.setattr(parallel, "ProcessPoolExecutor", RecordingPool)
-    return built
-
-
 class FakeClock:
     """A :func:`time.monotonic` that stands still until a test advances it."""
 
@@ -114,9 +89,10 @@ class FakeClock:
 @pytest.fixture
 def clock(monkeypatch):
     """One :class:`FakeClock` read by every layer that makes or reads a
-    round's deadline — the optimizer, the partitioned engine, the repair
-    engine.  The solver keeps the real clock: it is handed a timeout."""
+    round's deadline — the optimizer (the partitioned engine's too) and the
+    repair engine.  The solver keeps the real clock: it is handed a
+    timeout."""
     fake = FakeClock()
-    for module in (optimizer, parallel, engine):
+    for module in (optimizer, engine):
         monkeypatch.setattr(module, "time", fake)
     return fake

@@ -36,15 +36,16 @@ def test_an_unknown_engine_name_lists_all_five(engine):
 @pytest.mark.parametrize(
     "engine", ["event", "fixpoint", "partitioned", "repair", "repair-partitioned"]
 )
-def test_an_unknown_zone_executor_is_refused_under_every_engine(engine):
+@pytest.mark.parametrize("executor", ["bogus", "auto", "process"])
+def test_an_unknown_zone_executor_is_refused_under_every_engine(engine, executor):
     # Only the partitioned engines use the executor, but a typo is a typo
-    # whichever engine it is handed to.
+    # whichever engine it is handed to; "auto" and "process" are refused
+    # like any other name that is not "serial".
     with pytest.raises(SolverError) as raised:
-        ClusterContextSwitch(engine=engine, zone_executor="bogus")
+        ClusterContextSwitch(engine=engine, zone_executor=executor)
     message = str(raised.value)
-    assert "'bogus'" in message
-    for name in ("auto", "process", "serial"):
-        assert repr(name) in message
+    assert repr(executor) in message
+    assert "('serial',)" in message
 
 
 @pytest.mark.parametrize(

@@ -63,7 +63,7 @@ def _running(configuration):
 )
 def test_every_search_of_a_round_reads_one_deadline(monkeypatch, engine, searches):
     switch = ClusterContextSwitch(
-        optimizer_timeout=BUDGET, engine=engine, zone_executor="serial"
+        optimizer_timeout=BUDGET, engine=engine
     )
     if engine.startswith("repair"):
         # A cold round first, so the spied one is warm and freezes a region.
@@ -81,12 +81,9 @@ def test_every_search_of_a_round_reads_one_deadline(monkeypatch, engine, searche
             return None, SearchStatistics(), []
         return search(self, configuration, vms, domains, constraints, deadline)
 
-    def failed_zone(task):
+    def failed_zone(zone, configuration, deadline):
         return ZoneOutcome(
-            index=task.zone.index,
-            assignment=None,
-            statistics=SearchStatistics(),
-            elapsed=0.0,
+            index=zone.index, assignment=None, statistics=SearchStatistics()
         )
 
     monkeypatch.setattr(ContextSwitchOptimizer, "_search", spy)

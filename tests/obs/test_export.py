@@ -43,25 +43,6 @@ class TestToChromeTrace:
         assert instants[0]["s"] == "t"
         assert instants[0]["args"] == {"detail": 1}
 
-    def test_remote_subtree_gets_its_own_track(self):
-        counter = iter(range(1000))
-        tracer = Tracer(clock=lambda: next(counter) * 0.5)
-        with tracer.activate():
-            with span("solve"):
-                with span("zone", remote=True):
-                    with span("cp.solve"):
-                        pass
-        document = to_chrome_trace(tracer.to_dict())
-        tid_of = {
-            e["name"]: e["tid"]
-            for e in document["traceEvents"]
-            if e["ph"] == "X"
-        }
-        assert tid_of["run"] == tid_of["solve"] == 1
-        assert tid_of["zone"] != 1
-        assert tid_of["cp.solve"] == tid_of["zone"]
-        assert validate_chrome_trace(document) == []
-
     def test_open_spans_clamp_to_the_horizon(self):
         counter = iter(range(1000))
         tracer = Tracer(clock=lambda: next(counter) * 0.5)

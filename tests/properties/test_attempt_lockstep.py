@@ -159,7 +159,7 @@ def test_both_repair_engines_make_the_same_attempt(stream):
     engines = (
         RepairOptimizer(ContextSwitchOptimizer(timeout=10.0), timeout=10.0),
         RepairOptimizer(
-            ParallelOptimizer(timeout=10.0, zone_executor="serial"), timeout=10.0
+            ParallelOptimizer(timeout=10.0), timeout=10.0
         ),
     )
     currents = [configuration.copy(), configuration.copy()]

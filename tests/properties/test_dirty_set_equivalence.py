@@ -213,7 +213,7 @@ def test_every_search_is_handed_the_domains_of_what_it_searches(
     # whole-fleet searches and the zones are held to the same rule.
     configuration, states, _, constraints, marks, previous, halo = round_inputs
     inner = (
-        ParallelOptimizer(timeout=5.0, zone_executor="serial")
+        ParallelOptimizer(timeout=5.0)
         if zones
         else ContextSwitchOptimizer(timeout=5.0)
     )

@@ -294,7 +294,7 @@ def _dirty(states, frozen):
 
 
 def _partitioned():
-    return ParallelOptimizer(timeout=10.0, zone_executor="serial")
+    return ParallelOptimizer(timeout=10.0)
 
 
 def _monolithic():
@@ -441,7 +441,7 @@ def test_node_loads_decide_the_keep_in_place(instance, bound):
     configuration, catalog, states, frozen = instance
     tracer = Tracer()
     with tracer.activate():
-        ParallelOptimizer(timeout=10.0, zone_executor="serial").optimize(
+        ParallelOptimizer(timeout=10.0).optimize(
             configuration, states, constraints=catalog, dirty=_dirty(states, frozen)
         )
     # The pass answered when its cp.solve span stopped on the incumbent

@@ -98,7 +98,7 @@ def test_partitioned_and_monolithic_agree(instance):
         ContextSwitchOptimizer(timeout=10.0), configuration, fences
     )
     partitioned = _optimize(
-        ParallelOptimizer(timeout=10.0, zone_executor="serial"),
+        ParallelOptimizer(timeout=10.0),
         configuration,
         fences,
     )
@@ -159,7 +159,7 @@ def test_sharded_fallback_composes(instance):
         ContextSwitchOptimizer(timeout=10.0), configuration, ()
     )
     sharded = _optimize(
-        ParallelOptimizer(timeout=10.0, zone_executor="serial", shards=2),
+        ParallelOptimizer(timeout=10.0, shards=2),
         configuration,
         (),
     )
@@ -187,7 +187,7 @@ def test_sharded_fallback_enforces_loose_bans(instance):
         ContextSwitchOptimizer(timeout=10.0), configuration, (ban,)
     )
     sharded = _optimize(
-        ParallelOptimizer(timeout=10.0, zone_executor="serial", shards=2),
+        ParallelOptimizer(timeout=10.0, shards=2),
         configuration,
         (ban,),
     )

@@ -182,7 +182,7 @@ def test_a_long_lived_module_selects_what_a_fresh_one_selects(data):
     catalog = _catalog(draw, vm_names, list(configuration.node_names))
 
     kept = ConsolidationDecisionModule()
-    optimizer = ParallelOptimizer(zone_executor="serial")
+    optimizer = ParallelOptimizer()
     shared = ConsolidationDecisionModule()
     shared.domains = optimizer.domains
     arrivals = joins = 0

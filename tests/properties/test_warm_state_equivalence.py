@@ -68,7 +68,7 @@ def _engine(kind):
     if kind == "repair":
         inner = ContextSwitchOptimizer(timeout=5.0)
     else:
-        inner = ParallelOptimizer(timeout=5.0, zone_executor="serial", shards=2)
+        inner = ParallelOptimizer(timeout=5.0, shards=2)
     solve = inner.optimize
 
     def checked(current, target_states, *, constraints=(), dirty=None, **kw):

@@ -347,9 +347,7 @@ class TestRepairOptimizer:
         return current, names
 
     def test_no_engine_timeout_is_written_during_solve(self, monkeypatch):
-        inner = ParallelOptimizer(
-            timeout=5.0, shards=None, zone_executor="serial"
-        )
+        inner = ParallelOptimizer(timeout=5.0, shards=None)
         engine = RepairOptimizer(inner, timeout=5.0)
         written = []
 
@@ -374,7 +372,7 @@ class TestRepairOptimizer:
         # partitioned engine's monolithic path — under the round's 0.2 s,
         # not the 10 s the inner engine was constructed with
         engine = RepairOptimizer(
-            ParallelOptimizer(timeout=10.0, shards=None, zone_executor="serial"),
+            ParallelOptimizer(timeout=10.0, shards=None),
             timeout=0.2,
         )
         current, names = self._unpartitionable_round(engine)
@@ -491,19 +489,6 @@ class TestRepairOptimizer:
         assert result.statistics.proven_optimal and result.cost == 0
         assert result.target.is_viable()
 
-    def test_close_forwards_to_the_inner_optimizer(self):
-        closed = []
-
-        class _Inner:
-            timeout = 1.0
-            domains = RetainedDomains()
-
-            def close(self):
-                closed.append(True)
-
-        RepairOptimizer(_Inner()).close()
-        assert closed == [True]
-
 
 class TestZonesServeTheFullSolveOnly:
     """Under ``repair-partitioned`` the attempt is the ``repair`` engine's:
@@ -518,7 +503,7 @@ class TestZonesServeTheFullSolveOnly:
             Fence([n for n in names if int(n[2]) >= 3], ["n3", "n4", "n5"]),
         ]
         engine = RepairOptimizer(
-            ParallelOptimizer(timeout=5.0, zone_executor="serial"), timeout=5.0
+            ParallelOptimizer(timeout=5.0), timeout=5.0
         )
         current = engine.optimize(
             configuration, _states(names), constraints=fences
@@ -593,7 +578,7 @@ class TestStayersThatBreakARelation:
             Fence([n for n in names if int(n[2]) >= 3], ["n3", "n4", "n5"]),
         ]
         inner = (
-            ParallelOptimizer(timeout=5.0, zone_executor="serial")
+            ParallelOptimizer(timeout=5.0)
             if partitioned
             else ContextSwitchOptimizer(timeout=5.0)
         )
@@ -643,7 +628,7 @@ class TestRetention:
 
     @staticmethod
     def _engine(repair=False):
-        inner = ParallelOptimizer(timeout=5.0, zone_executor="serial")
+        inner = ParallelOptimizer(timeout=5.0)
         return RepairOptimizer(inner, timeout=5.0) if repair else inner
 
     @pytest.fixture

@@ -164,31 +164,29 @@ def _warm_round(fleet, zones, counted, overload=False, tracer=None):
     which each of them asks for its whole node (:func:`_overload`)."""
     catalog = fence_groups(fleet, groups=zones)
     states = fleet.states()
-    with ClusterContextSwitch(
-        engine="repair-partitioned", zone_executor="serial", optimizer_timeout=60
-    ) as switch:
-        # The first round that leaves the engine its previous assignment,
-        # the domains and the decomposition, and a second one whose plan
-        # check leaves it what the fences said of its input.
-        current = switch.compute(fleet, states, constraints=catalog).target
-        for name in PRIMING:
+    switch = ClusterContextSwitch(engine="repair-partitioned", optimizer_timeout=60)
+    # The first round that leaves the engine its previous assignment,
+    # the domains and the decomposition, and a second one whose plan
+    # check leaves it what the fences said of its input.
+    current = switch.compute(fleet, states, constraints=catalog).target
+    for name in PRIMING:
+        current.set_waiting(name)
+    switch.mark_dirty(PRIMING)
+    current = switch.compute(current, states, constraints=catalog).target
+    if overload:
+        dirty = _overload(current)
+    else:
+        dirty = list(RESTARTED)
+        for name in RESTARTED:
             current.set_waiting(name)
-        switch.mark_dirty(PRIMING)
-        current = switch.compute(current, states, constraints=catalog).target
-        if overload:
-            dirty = _overload(current)
-        else:
-            dirty = list(RESTARTED)
-            for name in RESTARTED:
-                current.set_waiting(name)
-        switch.mark_dirty(dirty)
-        for key in counted:
-            counted[key] = 0
-        if tracer is None:
+    switch.mark_dirty(dirty)
+    for key in counted:
+        counted[key] = 0
+    if tracer is None:
+        report = switch.compute(current, states, constraints=catalog)
+    else:
+        with tracer.activate():
             report = switch.compute(current, states, constraints=catalog)
-        else:
-            with tracer.activate():
-                report = switch.compute(current, states, constraints=catalog)
     assert report.repair["mode"] == "repair"
     assert report.repair["dirty_count"] == len(dirty)
     assert len(report.repair) == 5
@@ -276,9 +274,8 @@ def test_a_cold_round_cuts_no_zone(large_fleet_factory, counted, engine):
     states = fleet.states()
     fleet.set_waiting(RESTARTED[0])
     tracer = Tracer()
-    with tracer.activate(), ClusterContextSwitch(
-        engine=engine, zone_executor="serial", optimizer_timeout=60
-    ) as switch:
+    switch = ClusterContextSwitch(engine=engine, optimizer_timeout=60)
+    with tracer.activate():
         report = switch.compute(fleet, states, constraints=catalog)
     # A first repair round is an attempt against the observed placement, a
     # partitioned round is the whole fleet: both pass before any partition.
@@ -318,11 +315,9 @@ def _cold_overload(fleet, zones, counted, engine):
     dirty = _overload(fleet)
     for key in counted:
         counted[key] = 0
-    with ClusterContextSwitch(
-        engine=engine, zone_executor="serial", optimizer_timeout=60
-    ) as switch:
-        switch.mark_dirty(dirty)
-        report = switch.compute(fleet, states, constraints=catalog)
+    switch = ClusterContextSwitch(engine=engine, optimizer_timeout=60)
+    switch.mark_dirty(dirty)
+    report = switch.compute(fleet, states, constraints=catalog)
     assert report.repair["mode"] == "repair"
     assert report.repair["dirty_count"] == len(dirty)
     assert report.plan.constraint_violations == []

@@ -88,10 +88,8 @@ def _cold_round(fleet, zones, counted):
     fleet.set_waiting(RESTARTED)
     for key in counted:
         counted[key] = 0
-    with ClusterContextSwitch(
-        engine="partitioned", zone_executor="serial", optimizer_timeout=60
-    ) as switch:
-        report = switch.compute(fleet, states, constraints=catalog)
+    switch = ClusterContextSwitch(engine="partitioned", optimizer_timeout=60)
+    report = switch.compute(fleet, states, constraints=catalog)
     # Answered by the pass: no partition, no search node anywhere.
     assert counted["partitions"] == 0
     assert report.statistics.nodes == 0
@@ -140,10 +138,8 @@ def test_a_cold_round_the_pass_declines_partitions_once(
         fleet.vm(overloaded).with_cpu_demand(fleet.node(host).capacity.cpu)
     )
     states = fleet.states()
-    with ClusterContextSwitch(
-        engine="partitioned", zone_executor="serial", optimizer_timeout=60
-    ) as switch:
-        report = switch.compute(fleet, states, constraints=catalog)
+    switch = ClusterContextSwitch(engine="partitioned", optimizer_timeout=60)
+    report = switch.compute(fleet, states, constraints=catalog)
     assert counted["partitions"] == 1
     assert report.target.is_viable()
     assert report.plan.action_count() >= 1

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import functools
-import multiprocessing
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import ControlLoop, Scenario
 from repro.constraints import Ban, Fence, Spread
 from repro.constraints.checker import check_plan, violated_constraints
@@ -30,7 +35,7 @@ from repro.scale import (
     solve_zone,
 )
 from repro.scale import parallel as parallel_module
-from repro.scale.parallel import ZoneOutcome, ZoneTask
+from repro.scale.parallel import ZoneOutcome
 from repro.cp import ActivityLastConflict, Model, SearchStatistics, Solver
 from repro.service import OperatorDaemon
 from repro.sim import MonitoringService, PlanExecutor
@@ -89,9 +94,9 @@ class TestParallelOptimizer:
         configuration = _overloaded()
         states = _states(configuration)
         constraints = _fenced_constraints()
-        partitioned = ParallelOptimizer(
-            timeout=5.0, zone_executor="serial"
-        ).optimize(configuration, states, constraints=constraints)
+        partitioned = ParallelOptimizer(timeout=5.0).optimize(
+            configuration, states, constraints=constraints
+        )
         monolithic = ContextSwitchOptimizer(timeout=5.0).optimize(
             configuration, states, constraints=constraints
         )
@@ -104,9 +109,9 @@ class TestParallelOptimizer:
     def test_merged_plan_is_checker_clean_and_reaches_target(self):
         configuration = _configuration()
         constraints = _fenced_constraints()
-        result = ParallelOptimizer(
-            timeout=5.0, zone_executor="serial"
-        ).optimize(configuration, _states(configuration), constraints=constraints)
+        result = ParallelOptimizer(timeout=5.0).optimize(
+            configuration, _states(configuration), constraints=constraints
+        )
         assert check_plan(result.plan, constraints) == []
         result.plan.check_reaches(result.target)
         assert result.target.is_viable()
@@ -116,9 +121,7 @@ class TestParallelOptimizer:
         # ``vm2`` is left unfenced: its loose domain is anchored to the zone
         # of its host, so the decomposition is not exact and no round-wide
         # keep-in-place stands for the zones.
-        result = ParallelOptimizer(
-            timeout=5.0, zone_executor="serial"
-        ).optimize(
+        result = ParallelOptimizer(timeout=5.0).optimize(
             configuration,
             _states(configuration),
             constraints=[Fence(["vm0", "vm1"], FENCE_A), _fenced_constraints()[1]],
@@ -134,9 +137,9 @@ class TestParallelOptimizer:
 
     def test_monolithic_fallback_when_no_partition(self):
         configuration = _configuration()
-        result = ParallelOptimizer(
-            timeout=5.0, zone_executor="serial", shards=None
-        ).optimize(configuration, _states(configuration))
+        result = ParallelOptimizer(timeout=5.0, shards=None).optimize(
+            configuration, _states(configuration)
+        )
         assert result.partition_method == "monolithic"
         assert result.zone_reports == []
         assert result.target.is_viable()
@@ -144,35 +147,15 @@ class TestParallelOptimizer:
     def test_relational_spanning_zones_falls_back(self):
         configuration = _configuration()
         constraints = [*_fenced_constraints(), Spread(["vm0", "vm3"])]
-        result = ParallelOptimizer(
-            timeout=5.0, zone_executor="serial"
-        ).optimize(configuration, _states(configuration), constraints=constraints)
+        result = ParallelOptimizer(timeout=5.0).optimize(
+            configuration, _states(configuration), constraints=constraints
+        )
         assert result.partition_method == "monolithic"
         # the monolithic solve still honours the whole catalog
         assert (
             result.target.location_of("vm0")
             != result.target.location_of("vm3")
         )
-
-    def test_process_executor_agrees_with_serial(self):
-        configuration = _configuration()
-        constraints = _fenced_constraints()
-        states = _states(configuration)
-        with ParallelOptimizer(
-            timeout=5.0, zone_executor="process"
-        ) as optimizer:
-            via_process = optimizer.optimize(
-                configuration, states, constraints=constraints
-            )
-        via_serial = ParallelOptimizer(
-            timeout=5.0, zone_executor="serial"
-        ).optimize(configuration, states, constraints=constraints)
-        assert via_process.cost == via_serial.cost
-        assert via_process.target.same_assignment(via_serial.target)
-
-    def test_unknown_zone_executor_rejected(self):
-        with pytest.raises(SolverError):
-            ParallelOptimizer(zone_executor="threads")
 
     @pytest.mark.parametrize("shards", ["eight", 0, -2, 2.0, True])
     def test_a_shard_count_that_is_not_a_count_is_rejected_at_construction(
@@ -188,9 +171,9 @@ class TestParallelOptimizer:
 
     def test_sharded_solve_composes(self):
         configuration = _configuration(node_count=4, vm_count=4)
-        result = ParallelOptimizer(
-            timeout=5.0, zone_executor="serial", shards=2
-        ).optimize(configuration, _states(configuration))
+        result = ParallelOptimizer(timeout=5.0, shards=2).optimize(
+            configuration, _states(configuration)
+        )
         assert result.partition_method == "sharded"
         result.plan.check_reaches(result.target)
         assert result.target.is_viable()
@@ -201,9 +184,9 @@ class TestParallelOptimizer:
         # is not merely recorded as a violation by the planner.
         configuration = _configuration()
         ban = Ban(["vm0"], ["node-0"])
-        result = ParallelOptimizer(
-            timeout=5.0, zone_executor="serial", shards=2
-        ).optimize(configuration, _states(configuration), constraints=[ban])
+        result = ParallelOptimizer(timeout=5.0, shards=2).optimize(
+            configuration, _states(configuration), constraints=[ban]
+        )
         assert result.target.location_of("vm0") != "node-0"
         assert check_plan(result.plan, [ban]) == []
         if result.partition_method == "sharded":
@@ -212,9 +195,9 @@ class TestParallelOptimizer:
 
     def test_sharded_solve_never_claims_optimality(self):
         configuration = _configuration(node_count=4, vm_count=4)
-        result = ParallelOptimizer(
-            timeout=5.0, zone_executor="serial", shards=2
-        ).optimize(configuration, _states(configuration))
+        result = ParallelOptimizer(timeout=5.0, shards=2).optimize(
+            configuration, _states(configuration)
+        )
         assert result.partition_method == "sharded"
         assert not result.statistics.proven_optimal
 
@@ -223,9 +206,9 @@ class TestParallelOptimizer:
         # zone solve fails, the global solve (without the zone restriction
         # heuristics) must also respect the fence and answer on its own.
         configuration = _configuration(node_count=4, vm_count=4, cpu=2)
-        result = ParallelOptimizer(
-            timeout=5.0, zone_executor="serial"
-        ).optimize(configuration, _states(configuration), constraints=())
+        result = ParallelOptimizer(timeout=5.0).optimize(
+            configuration, _states(configuration), constraints=()
+        )
         assert result.target.is_viable()
 
 
@@ -249,11 +232,9 @@ class TestZoneMachinery:
         configuration = _configuration()
         zone = Zone(index=0, nodes=FENCE_A, vms=("vm0", "vm1", "vm2"))
         outcome = solve_zone(
-            ZoneTask(
-                zone=zone,
-                configuration=build_zone_configuration(configuration, zone),
-                timeout=5.0,
-            )
+            zone,
+            build_zone_configuration(configuration, zone),
+            time.monotonic() + 5.0,
         )
         assert outcome.assignment is not None
         assert set(outcome.assignment) == {"vm0", "vm1", "vm2"}
@@ -266,7 +247,6 @@ class TestZoneMachinery:
             statistics=SearchStatistics(
                 nodes=10, backtracks=1, proven_optimal=True, elapsed=0.1
             ),
-            elapsed=0.1,
         )
         slow = ZoneOutcome(
             index=1,
@@ -275,26 +255,36 @@ class TestZoneMachinery:
                 nodes=20, backtracks=4, proven_optimal=False, elapsed=0.5,
                 timed_out=True,
             ),
-            elapsed=0.5,
         )
         merged = merge_statistics([fast, slow])
         assert merged.nodes == 30
         assert merged.backtracks == 5
         assert not merged.proven_optimal
         assert merged.timed_out
-        assert merged.elapsed == 0.5
 
     def test_merge_statistics_empty(self):
         merged = merge_statistics([])
         assert not merged.proven_optimal
         assert merged.elapsed == 0.0
 
+    def test_merge_statistics_adds_up_the_zones_time(self):
+        """Zones run one after another: the merged search took the sum of
+        their times, not the slowest one's."""
+        outcomes = [
+            ZoneOutcome(
+                index=index,
+                assignment={},
+                statistics=SearchStatistics(elapsed=elapsed),
+            )
+            for index, elapsed in enumerate((0.25, 0.5, 0.125))
+        ]
+        assert merge_statistics(outcomes).elapsed == 0.875
+
     def test_merge_statistics_inexact_partition_clears_optimality(self):
         proven = ZoneOutcome(
             index=0,
             assignment={},
             statistics=SearchStatistics(proven_optimal=True, elapsed=0.1),
-            elapsed=0.1,
         )
         # every zone proved its local optimum, but the decomposition was a
         # domain restriction (sharded / heuristic anchoring): the merged
@@ -315,13 +305,13 @@ class TestZoneMachinery:
 
         recorded = []
 
-        def slow_zone(task):
-            recorded.append(task.timeout)
+        def slow_zone(zone, configuration, deadline):
+            recorded.append(deadline - clock.now)
             clock.advance(0.2)
-            return _failed(task)
+            return _failed(zone)
 
         monkeypatch.setattr(parallel_module, "solve_zone", slow_zone)
-        optimizer = ParallelOptimizer(zone_executor="serial")
+        optimizer = ParallelOptimizer()
         optimizer._solve_zones(configuration, decomposition, clock.now + 0.3)
         # the first zone gets the whole budget, the second only what the
         # first left over — not another full timeout
@@ -333,12 +323,12 @@ class TestZoneMachinery:
         configuration = _overloaded()
         states = _states(configuration)
 
-        def failing_zone(task):
+        def failing_zone(zone, configuration, deadline):
             clock.advance(0.15)
-            return _failed(task)
+            return _failed(zone)
 
         monkeypatch.setattr(parallel_module, "solve_zone", failing_zone)
-        optimizer = ParallelOptimizer(timeout=0.5, zone_executor="serial")
+        optimizer = ParallelOptimizer(timeout=0.5)
         seen = _record_deadlines(monkeypatch, optimizer)
         started = clock.now
         result = optimizer.optimize(
@@ -362,15 +352,15 @@ class TestZoneMachinery:
         recorded = []
         real = parallel_module.solve_zone
 
-        def burning_zone(task):
-            recorded.append(task.timeout)
+        def burning_zone(zone, configuration, deadline):
+            recorded.append(deadline - clock.now)
             if len(recorded) > 1:
-                return real(task)
+                return real(zone, configuration, deadline)
             clock.advance(0.6)
-            return _failed(task)
+            return _failed(zone)
 
         monkeypatch.setattr(parallel_module, "solve_zone", burning_zone)
-        optimizer = ParallelOptimizer(timeout=0.5, zone_executor="serial")
+        optimizer = ParallelOptimizer(timeout=0.5)
         seen = _record_deadlines(monkeypatch, optimizer)
         started = clock.now
         result = optimizer.optimize(
@@ -396,7 +386,7 @@ class TestZoneMachinery:
         configuration = _overloaded()
         states = _states(configuration)
         constraints = _fenced_constraints()
-        optimizer = ParallelOptimizer(timeout=5.0, zone_executor="serial")
+        optimizer = ParallelOptimizer(timeout=5.0)
         original = optimizer.planner.build
         merged = []
 
@@ -441,41 +431,13 @@ class TestZoneMachinery:
         catalog = [Fence(["x"], ["n1"]), Fence(["y"], ["n0"])]
         tracer = Tracer()
         with tracer.activate(), pytest.raises(NoPivotAvailableError):
-            ParallelOptimizer(timeout=5.0, zone_executor="serial").optimize(
+            ParallelOptimizer(timeout=5.0).optimize(
                 configuration, _states(configuration), constraints=catalog
             )
         spans = [s for s in tracer.root.walk() if s.name in ("cp.solve", "partition")]
         assert [(s.name, s.attributes["stop"]) for s in spans] == [
             ("cp.solve", "incumbent")
         ]
-
-    def test_queued_waves_carve_the_timeout(self, monkeypatch):
-        configuration = _overloaded()
-        pairs = [("node-0", "node-1"), ("node-2", "node-3"), ("node-4", "node-5")]
-        constraints = [
-            Fence([f"vm{2 * i}", f"vm{2 * i + 1}"], pair)
-            for i, pair in enumerate(pairs)
-        ]
-        recorded = _record_zone_timeouts(monkeypatch)
-        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", _InProcessPool)
-        _host(monkeypatch, cores=2, pool_zone_vms=1)
-        with ParallelOptimizer(timeout=8.0) as optimizer:
-            result = optimizer.optimize(
-                configuration, _states(configuration), constraints=constraints
-            )
-        assert len(result.zone_reports) == 3
-        # three zones on two workers queue in two waves: each gets half of
-        # what is left of the call's wall-clock budget, keeping the round
-        # inside the budget
-        assert len(set(recorded)) == 1 and 3.9 < recorded[0] <= 4.0
-        recorded.clear()
-        _host(monkeypatch, cores=4, pool_zone_vms=1)
-        with ParallelOptimizer(timeout=8.0) as optimizer:
-            optimizer.optimize(
-                configuration, _states(configuration), constraints=constraints
-            )
-        # a worker per zone: they overlap, each gets the whole of it
-        assert len(set(recorded)) == 1 and 7.9 < recorded[0] <= 8.0
 
     def test_the_budget_covers_the_partition(self, monkeypatch, clock):
         """The deadline is taken before the partition, and the serial zones
@@ -488,23 +450,18 @@ class TestZoneMachinery:
             return real(*args, **kwargs)
 
         monkeypatch.setattr(parallel_module, "partition", slow_partition)
-        recorded = _record_zone_timeouts(monkeypatch)
+        recorded = _record_time_left(monkeypatch, clock)
         configuration = _overloaded()
-        result = ParallelOptimizer(timeout=0.5, zone_executor="serial").optimize(
+        result = ParallelOptimizer(timeout=0.5).optimize(
             configuration, _states(configuration), constraints=_fenced_constraints()
         )
         assert result.partition_method == "interference"
         assert recorded == [pytest.approx(0.3)] * 2
 
 
-def _failed(task):
+def _failed(zone):
     """The outcome of a zone that found nothing."""
-    return ZoneOutcome(
-        index=task.zone.index,
-        assignment=None,
-        statistics=SearchStatistics(),
-        elapsed=0.0,
-    )
+    return ZoneOutcome(index=zone.index, assignment=None, statistics=SearchStatistics())
 
 
 def _record_deadlines(monkeypatch, optimizer):
@@ -520,111 +477,17 @@ def _record_deadlines(monkeypatch, optimizer):
     return seen
 
 
-class _InProcessPool:
-    """A worker pool that runs its tasks where it stands."""
-
-    def __init__(self, max_workers):
-        self.workers = max_workers
-
-    def map(self, function, tasks):
-        return [function(task) for task in tasks]
-
-    def shutdown(self):
-        pass
-
-
-def _record_zone_timeouts(monkeypatch):
-    """Every ``ZoneTask.timeout`` handed to ``solve_zone``, in order."""
+def _record_time_left(monkeypatch, clock):
+    """The time left to its deadline when each zone starts, in order."""
     recorded = []
     real = parallel_module.solve_zone
 
-    def spy(task):
-        recorded.append(task.timeout)
-        return real(task)
+    def spy(zone, configuration, deadline):
+        recorded.append(deadline - clock.now)
+        return real(zone, configuration, deadline)
 
     monkeypatch.setattr(parallel_module, "solve_zone", spy)
     return recorded
-
-
-def _sizes(pools):
-    return [pool.workers for pool in pools]
-
-
-def _host(monkeypatch, cores, pool_zone_vms):
-    monkeypatch.setattr(parallel_module.os, "cpu_count", lambda: cores)
-    monkeypatch.setattr(parallel_module, "_POOL_ZONE_VMS", pool_zone_vms)
-
-
-class TestExecutorIsDecidedPerSolve:
-    """``zone_executor="auto"``: the pool only for two or more pending
-    zones worth a worker each, on a host with the cores to overlap them."""
-
-    def _solve(self, constraints=None, **options):
-        configuration = _overloaded()
-        with ParallelOptimizer(timeout=5.0, **options) as optimizer:
-            return optimizer.optimize(
-                configuration,
-                _states(configuration),
-                constraints=constraints or _fenced_constraints(),
-            )
-
-    def test_small_zones_fork_nothing_by_default(self, pools):
-        before = multiprocessing.active_children()
-        result = self._solve()
-        assert result.partition_method == "interference"
-        assert pools == []
-        assert multiprocessing.active_children() == before
-
-    def test_zones_worth_a_worker_share_one_pool(self, monkeypatch, pools):
-        _host(monkeypatch, cores=4, pool_zone_vms=1)
-        pooled = self._solve()
-        assert _sizes(pools) == [2]  # min(4 cores, 2 zones)
-        serial = self._solve(zone_executor="serial")
-        assert len(pools) == 1
-        assert [o.assignment for o in pooled.zone_reports] == [
-            o.assignment for o in serial.zone_reports
-        ]
-        assert pooled.cost == serial.cost
-
-    def test_pool_is_no_wider_than_the_host(self, monkeypatch, pools):
-        _host(monkeypatch, cores=1, pool_zone_vms=1)
-        self._solve()
-        assert pools == []
-
-    @pytest.mark.parametrize(
-        "constraints",
-        [
-            # 4 + 2 VMs
-            [
-                Fence(["vm0", "vm1", "vm2", "vm3"], FENCE_A),
-                Fence(["vm4", "vm5"], FENCE_B),
-            ],
-        ],
-        ids=["one-big-zone"],
-    )
-    def test_one_zone_worth_a_worker_stays_serial(
-        self, monkeypatch, pools, constraints
-    ):
-        _host(monkeypatch, cores=4, pool_zone_vms=3)
-        result = self._solve(constraints=constraints)
-        assert len(result.zone_reports) == 2
-        assert pools == []
-
-    def test_explicit_executors_override_the_rule(self, monkeypatch, pools):
-        _host(monkeypatch, cores=4, pool_zone_vms=1)
-        self._solve(zone_executor="serial")
-        assert pools == []
-        _host(monkeypatch, cores=1, pool_zone_vms=256)
-        self._solve(zone_executor="process")
-        assert _sizes(pools) == [2]  # one worker per pending zone
-
-
-class _FakePool:
-    def __init__(self):
-        self.shut_down = False
-
-    def shutdown(self):
-        self.shut_down = True
 
 
 class TestPartitionedEngineWiring:
@@ -636,47 +499,22 @@ class TestPartitionedEngineWiring:
         assert isinstance(switch.optimizer, PO)
         assert switch.engine == "partitioned"
 
-    def test_cluster_context_switch_close_shuts_the_pool(self):
-        from repro.core.context_switch import ClusterContextSwitch
-
-        pool = _FakePool()
-        with ClusterContextSwitch(engine="partitioned") as switch:
-            switch.optimizer._pool = pool
-        assert pool.shut_down
-        assert switch.optimizer._pool is None
-        switch.close()  # idempotent
-
-    def test_cluster_context_switch_close_is_a_noop_for_monolithic(self):
-        from repro.core.context_switch import ClusterContextSwitch
-
-        switch = ClusterContextSwitch(engine="event")
+    @pytest.mark.parametrize(
+        "engine", ["event", "fixpoint", "partitioned", "repair", "repair-partitioned"]
+    )
+    def test_cluster_context_switch_close_is_a_noop(self, engine):
+        # The round benchmark's loop drivers close the switch a loop built
+        # before swapping in their own: any engine takes it, and still solves.
+        configuration = _overloaded()
+        switch = ClusterContextSwitch(engine=engine, optimizer_timeout=5.0)
         switch.close()
-
-    def test_control_loop_close_releases_the_partitioned_pool(self):
-        from repro.testing import make_workload
-
-        loop = Scenario(
-            nodes=make_working_nodes(4, cpu_capacity=2, memory_capacity=4096),
-            workloads=[make_workload("job")],
-            engine="partitioned",
-        ).build()
-        pool = _FakePool()
-        loop.switcher.optimizer._pool = pool
-        loop.close()
-        assert pool.shut_down
-        assert loop.switcher.optimizer._pool is None
-
-    def test_control_loop_run_closes_the_switcher(self, monkeypatch):
-        from repro.testing import make_workload
-
-        loop = Scenario(
-            nodes=make_working_nodes(4, cpu_capacity=2, memory_capacity=4096),
-            workloads=[make_workload("job")],
-        ).build()
-        closed = []
-        monkeypatch.setattr(loop, "close", lambda: closed.append(True))
-        loop.run()
-        assert closed
+        switch.close()
+        report = switch.compute(
+            configuration,
+            _states(configuration),
+            constraints=_fenced_constraints(),
+        )
+        assert report.target.is_viable()
 
     def test_scenario_engine_knob_reaches_the_switcher(self):
         from repro.scale.parallel import ParallelOptimizer as PO
@@ -700,10 +538,54 @@ class TestPartitionedEngineWiring:
         assert isinstance(loop.switcher.optimizer, ParallelOptimizer)
 
 
-def _zone_task(**options):
-    configuration = _configuration()
+_FORK_FREE = """
+import sys
+
+import repro
+from repro.core.context_switch import ClusterContextSwitch
+from repro.obs import Tracer
+from repro.testing import fence_groups, make_large_fleet, make_vm
+
+configuration = make_large_fleet(512, groups=2, cached=False)
+# vm-254 fills its node: the keep-in-place pass declines and both zones
+# are solved.
+configuration.replace_vm(make_vm("vm-254", memory=1024, cpu=12))
+switch = ClusterContextSwitch(engine="partitioned", optimizer_timeout=20)
+tracer = Tracer()
+with tracer.activate():
+    switch.compute(
+        configuration,
+        configuration.states(),
+        constraints=fence_groups(configuration, groups=2),
+    )
+zones = [s.attributes["vms"] for s in tracer.root.walk() if s.name == "zone"]
+assert zones == [256, 256], zones
+assert "concurrent.futures.process" not in sys.modules
+import multiprocessing
+
+assert multiprocessing.active_children() == []
+"""
+
+
+def test_a_partitioned_round_of_big_zones_forks_nothing():
+    """Zones of 256 VMs and more run in-process too: in a fresh
+    interpreter, ``import repro`` and a ``partitioned`` round over two
+    such zones load no process pool and leave no child process."""
+    source = str(Path(repro.__file__).resolve().parents[1])
+    completed = subprocess.run(
+        [sys.executable, "-c", _FORK_FREE],
+        env={**os.environ, "PYTHONPATH": source},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+
+
+def _zone_solve(**options):
     zone = Zone(index=0, nodes=FENCE_A, vms=("vm0", "vm1", "vm2"))
-    return ZoneTask(zone=zone, configuration=configuration, **options)
+    configuration = build_zone_configuration(_configuration(), zone)
+    return solve_zone(zone, configuration, time.monotonic() + 5.0, **options)
 
 
 @pytest.mark.parametrize(
@@ -715,11 +597,11 @@ def _zone_task(**options):
         (ParallelOptimizer, "node_limit"),
         (ParallelOptimizer, "first_solution_only"),
         (ParallelOptimizer, "engine"),
-        (_zone_task, "engine"),
-        (_zone_task, "trace"),
-        (_zone_task, "use_greedy_bound"),
-        (_zone_task, "node_limit"),
-        (_zone_task, "first_solution_only"),
+        (_zone_solve, "engine"),
+        (_zone_solve, "trace"),
+        (_zone_solve, "use_greedy_bound"),
+        (_zone_solve, "node_limit"),
+        (_zone_solve, "first_solution_only"),
         (Solver(Model()).solve, "assumptions"),
         (Solver(Model()).solve, "solution_limit"),
         (Scenario, "repair_halo"),
@@ -743,6 +625,7 @@ def _zone_task(**options):
         (ControlLoop, "max_workers"),
         (ClusterContextSwitch, "max_workers"),
         (ParallelOptimizer, "max_workers"),
+        (ParallelOptimizer, "zone_executor"),
         (ConsolidationDecisionModule, "period"),
         pytest.param(
             functools.partial(MonitoringService, dict),
@@ -774,7 +657,8 @@ def test_retired_solver_option_is_rejected(build, option):
     out of the model):
     the options only the deleted perf sweeps set are gone, not ignored —
     and so are the loop, repair and planner knobs nothing ever set, the
-    worker count the partitioned engines now work out from their zones, the
+    worker count and the zone executor of the partitioned engines (their
+    zones run in-process, one after another), the
     decision period only the loop ever stepped by, the planner options no
     caller passed down, the strict mode only its own test turned on, and the
     delays, periods and capacities only tests set (constants now).  The

@@ -2,7 +2,7 @@
 the committed ledger against ``src/repro``.
 
 The collector records the code objects its entry points enter — in this
-process and in the pool workers it forks — and lists,
+process and in its threads — and lists,
 per module, the functions none of them did — a never-run function once,
 with its line count, and nothing it nests.  The committed ledger must name
 only modules and functions that still exist (line numbers are not compared:
@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import importlib
 import importlib.util
-import multiprocessing
 import sys
 import textwrap
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[2]
@@ -59,10 +57,6 @@ TOY = textwrap.dedent(
 
     def threaded():
         return 3
-
-
-    def forked():
-        return 4
     '''
 )
 
@@ -91,13 +85,6 @@ def test_the_ledger_lists_what_no_entry_point_ran(tmp_path, monkeypatch):
         worker.start()
         worker.join()
 
-    def in_a_worker():
-        # A forked pool worker, as the partitioned engines start: what it
-        # enters is merged when it exits.
-        context = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
-            assert pool.submit(toy.forked).result() == 4
-
     def broken():
         raise RuntimeError("entry point bug")
 
@@ -105,7 +92,6 @@ def test_the_ledger_lists_what_no_entry_point_ran(tmp_path, monkeypatch):
         [
             ("used", toy.used),
             ("thread", in_a_thread),
-            ("worker", in_a_worker),
             ("broken", broken),
         ]
     )

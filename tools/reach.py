@@ -7,13 +7,9 @@ A stdlib collector (``sys.settrace`` plus ``threading.settrace``: the
 while the entry points below run, then lists, per module of ``src/repro``,
 the functions none of them entered, with their line counts.  The trace
 function only watches function entries (it turns line tracing off for every
-frame), so the run costs a small multiple of the bare one.  A process forked
-by ``multiprocessing`` — a zone worker of the partitioned engines' pool —
-traces itself too: a hook registered with
-``multiprocessing.util.register_after_fork`` restarts the tracer in the
-child and registers a ``multiprocessing`` finalizer that writes what the
-child entered to a per-pid file, which the collector merges.  Subprocesses
-started another way (``subprocess``, a ``spawn`` context) are not seen.
+frame), so the run costs a small multiple of the bare one.  Nothing in
+``src/repro`` starts a process; a subprocess an entry point starts itself is
+not seen.
 
 Entry points, in order:
 
@@ -42,10 +38,8 @@ import json
 import os
 import runpy
 import sys
-import tempfile
 import threading
 import time
-from multiprocessing import util as mp_util
 from pathlib import Path
 from types import CodeType
 from typing import Callable, Iterable, Iterator, Sequence
@@ -71,8 +65,8 @@ TOOLS = ("trace_smoke.py", "verify_smoke.py", "check_docs.py", "service_smoke.py
 #: One entry point: a label and what to call.
 Entry = tuple[str, Callable[[], object]]
 
-#: What identifies a function entered, in this process or in a forked one:
-#: ``(file name, first line, qualified name)`` of its code object.
+#: What identifies a function entered: ``(file name, first line, qualified
+#: name)`` of its code object.
 Key = tuple[str, int, str]
 
 
@@ -80,54 +74,29 @@ def _key(code: CodeType) -> Key:
     return (code.co_filename, code.co_firstlineno, code.co_qualname)
 
 
-def _spill(entered: set[CodeType], spool: str) -> None:
-    """Write the keys of what a forked process entered to its file in
-    ``spool`` (a ``multiprocessing`` finalizer: it runs as the child exits)."""
-    sys.settrace(None)
-    path = os.path.join(spool, f"{os.getpid()}.json")
-    with open(path, "w") as out:
-        json.dump([_key(code) for code in entered], out)
-
-
 def collect(entries: Iterable[Entry]) -> tuple[set[Key], list[str]]:
     """Run every entry point under the tracer; returns the keys of the
-    functions entered — here and in the processes ``multiprocessing``
-    forked meanwhile — and one line per entry point that raised (the
-    others still run)."""
+    functions entered and one line per entry point that raised (the others
+    still run)."""
     entered: set[CodeType] = set()
     enter = entered.add
 
     def tracer(frame, event, arg):
         enter(frame.f_code)
 
-    def traced_child(_hook: object) -> None:
-        # In a child just forked: record from here on what it enters, and
-        # hand it over on its way out.
-        entered.clear()
+    failures = []
+    for label, run in entries:
         threading.settrace(tracer)
         sys.settrace(tracer)
-        mp_util.Finalize(None, _spill, args=(entered, spool), exitpriority=0)
-
-    failures = []
-    with tempfile.TemporaryDirectory(prefix="reach-") as spool:
-        # Registered while the hook lives (the registry holds it weakly):
-        # until this call returns.
-        mp_util.register_after_fork(traced_child, traced_child)
-        for label, run in entries:
-            threading.settrace(tracer)
-            sys.settrace(tracer)
-            try:
-                run()
-            except BaseException as error:  # SystemExit(0) included: a script's end
-                if not (isinstance(error, SystemExit) and error.code in (0, None)):
-                    failures.append(f"{label}: {type(error).__name__}: {error}")
-            finally:
-                sys.settrace(None)
-                threading.settrace(None)
-        keys = {_key(code) for code in entered}
-        for path in Path(spool).glob("*.json"):
-            keys.update(tuple(key) for key in json.loads(path.read_text()))
-    return keys, failures
+        try:
+            run()
+        except BaseException as error:  # SystemExit(0) included: a script's end
+            if not (isinstance(error, SystemExit) and error.code in (0, None)):
+                failures.append(f"{label}: {type(error).__name__}: {error}")
+        finally:
+            sys.settrace(None)
+            threading.settrace(None)
+    return {_key(code) for code in entered}, failures
 
 
 def _functions(code: CodeType) -> Iterator[CodeType]:

@@ -15,10 +15,10 @@ then checks the observability pipeline end to end:
 * on the PR 7 churn tier (100 VMs, 10 % churn per round), ``repro-trace
   diff`` of a cold-solve trace against a repair-engine trace reports the
   repair engine's solve-phase time reduction;
-* a traced partitioned solve on the worker pool (``zone_executor=
-  "process"``, two fenced zones) records one ``remote`` ``zone`` span per
-  pooled zone, carrying that zone's search counters, and its Chrome export
-  passes the validator.
+* a traced partitioned solve over two fenced zones records one ``zone``
+  span per zone under its ``solve`` span, each holding the zone's
+  ``cp.solve`` span with the zone's search counters, and its Chrome export
+  draws them on one track and passes the validator.
 
 Exit code 0 on success; any failure raises and exits non-zero.
 
@@ -228,10 +228,11 @@ def churn_tier_diff() -> None:
     )
 
 
-def traced_pool_solve() -> None:
-    """A traced partitioned solve whose two fenced zones run on the worker
-    pool: one ``zone`` span per pooled zone, recorded by the parent from
-    the zone's outcome, and a valid Chrome export."""
+def traced_zone_solve() -> None:
+    """A traced partitioned solve over two fenced zones, in-process: one
+    ``zone`` span per zone under ``solve``, each holding its ``cp.solve``
+    span, whose ``nodes`` counter is the zone's outcome, and a valid Chrome
+    export on one track."""
     configuration = Configuration(
         nodes=make_working_nodes(6, cpu_capacity=2, memory_capacity=4096)
     )
@@ -250,36 +251,38 @@ def traced_pool_solve() -> None:
     tracer = Tracer()
     with tracer.activate():
         with span("solve", engine="partitioned"):
-            with ParallelOptimizer(timeout=10.0, zone_executor="process") as pooled:
-                result = pooled.optimize(configuration, states, constraints=catalog)
+            result = ParallelOptimizer(timeout=10.0).optimize(
+                configuration, states, constraints=catalog
+            )
     document = tracer.to_dict()
-    zones = {
-        z.attributes["zone"]: z
-        for z in load_trace(document).walk()
-        if z.name == "zone"
-    }
+    (solve,) = [s for s in load_trace(document).walk() if s.name == "solve"]
+    zones = {z.attributes["zone"]: z for z in solve.children if z.name == "zone"}
     outcomes = {o.index: o for o in result.zone_reports}
     assert len(outcomes) >= 2, f"{len(outcomes)} zones solved, expected two"
     assert sorted(zones) == sorted(outcomes), (
-        f"zone spans {sorted(zones)} for pooled zones {sorted(outcomes)}"
+        f"zone spans {sorted(zones)} for zones {sorted(outcomes)}"
     )
     for index, zone in zones.items():
-        assert zone.attributes.get("remote") is True, f"zone {index} not remote"
+        searches = [c for c in zone.children if c.name == "cp.solve"]
+        assert searches, f"zone {index} holds no cp.solve span"
+        nodes = sum(c.counters.get("nodes", 0) for c in searches)
         stats = outcomes[index].statistics
-        assert zone.counters.get("nodes", 0) == stats.nodes, (
-            f"zone {index}: span says {zone.counters}, outcome {stats}"
+        assert nodes == stats.nodes, (
+            f"zone {index}: cp.solve says {nodes} nodes, outcome {stats}"
         )
     chrome = to_chrome_trace(document)
     errors = validate_chrome_trace(json.loads(json.dumps(chrome)))
-    assert not errors, f"pooled chrome export invalid: {errors}"
-    print(f"traced pool solve ok: {len(zones)} remote zone spans, "
+    assert not errors, f"zone solve chrome export invalid: {errors}"
+    tracks = {e["tid"] for e in chrome["traceEvents"] if e["ph"] == "X"}
+    assert tracks == {1}, f"spans drawn on tracks {sorted(tracks)}, expected one"
+    print(f"traced zone solve ok: {len(zones)} zone spans, "
           f"{len(chrome['traceEvents'])} chrome events")
 
 
 def main() -> int:
     traced_loop_run()
     churn_tier_diff()
-    traced_pool_solve()
+    traced_zone_solve()
     print("trace smoke ok")
     return 0
 
