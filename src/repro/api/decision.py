@@ -121,14 +121,12 @@ def stop_terminated_vms(
     """Mark the still-running VMs of terminated vjobs for termination.
 
     Every policy must release the resources of completed vjobs; this shared
-    pass adds the required ``TERMINATED`` entries to ``vm_states`` (in place)
-    and returns it.
+    pass adds the required ``TERMINATED`` entries to ``vm_states`` (in place,
+    in queue order) and returns it: one
+    :meth:`~repro.model.configuration.Configuration.running_among` read per
+    terminated vjob.
     """
     for vjob in queue.terminated():
-        for vm in vjob.vms:
-            if (
-                configuration.has_vm(vm.name)
-                and configuration.state_of(vm.name) is VMState.RUNNING
-            ):
-                vm_states[vm.name] = VMState.TERMINATED
+        for vm_name in configuration.running_among(vjob.vm_names):
+            vm_states[vm_name] = VMState.TERMINATED
     return vm_states

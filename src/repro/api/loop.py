@@ -44,6 +44,7 @@ survivors.  Observed breaches land on the
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from typing import Any, Mapping, Optional, Sequence, Union
 
@@ -113,6 +114,72 @@ def resolve_policy(
     return policy, policy_label(policy)
 
 
+class _Demands:
+    """The loop's demand cache: what every VM's trace demands at its vjob's
+    progress, the sum per vjob, each vjob's duration, and the demands that
+    differ from what the last fresh observation took.
+
+    Progress moves in :meth:`ControlLoop._advance` only, and never back: it
+    refreshes the vjobs it advanced, and a vjob's traces are read again
+    only once its progress reaches the end of the earliest phase one of
+    them was in.  The observation carries the changes, the sample sums the
+    per-vjob totals and the finish test reads the duration — no step walks
+    the traces of the vjobs that did not move."""
+
+    def __init__(self) -> None:
+        #: VM -> its trace's demand at its vjob's progress.
+        self._of_vm: dict[str, int] = {}
+        #: vjob -> the sum of its VMs' demands.
+        self.of_vjob: dict[str, int] = {}
+        #: vjob -> the progress at which its longest trace ends.
+        self.duration: dict[str, float] = {}
+        #: vjob -> the progress up to which none of its VMs' demands change.
+        self._until: dict[str, float] = {}
+        #: VM -> the demand the configuration holds: the last one an
+        #: observation took, or the one the VM was registered with.
+        self._observed: dict[str, Optional[int]] = {}
+        #: VM -> its demand, for the VMs where it differs from ``_observed``.
+        self._changes: dict[str, int] = {}
+
+    def add(self, workload: VJobWorkload) -> None:
+        """A workload at progress 0, its VMs registered at their
+        descriptions' demands."""
+        registered = {vm.name: vm.cpu_demand for vm in workload.vjob.vms}
+        for vm_name in workload.traces:
+            self._of_vm[vm_name] = self._observed[vm_name] = registered.get(vm_name)
+        self.duration[workload.vjob.name] = workload.duration
+        self._read(workload, 0.0)
+
+    def refresh(self, workload: VJobWorkload, progress: float) -> None:
+        """The demands of ``workload`` at ``progress``."""
+        if progress >= self._until[workload.vjob.name]:
+            self._read(workload, progress)
+
+    def _read(self, workload: VJobWorkload, progress: float) -> None:
+        of_vm, observed, changes = self._of_vm, self._observed, self._changes
+        total, until = 0, math.inf
+        for vm_name, trace in workload.traces.items():
+            demand, end = trace.demand_until(progress)
+            if demand != of_vm[vm_name]:
+                of_vm[vm_name] = demand
+                if demand != observed[vm_name]:
+                    changes[vm_name] = demand
+                else:
+                    # Back where the configuration holds it.
+                    changes.pop(vm_name, None)
+            total += demand
+            until = min(until, end)
+        self.of_vjob[workload.vjob.name] = total
+        self._until[workload.vjob.name] = until
+
+    def take_changes(self) -> dict[str, int]:
+        """The changes, handed to an observation (which writes them) and
+        forgotten here."""
+        changes, self._changes = self._changes, {}
+        self._observed.update(changes)
+        return changes
+
+
 class ControlLoop:
     """Run one decision policy over a simulated cluster and its workloads."""
 
@@ -134,7 +201,7 @@ class ControlLoop:
         command_queue: Optional[Any] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self.workloads = list(workloads)
+        self.workloads: list[VJobWorkload] = []
         self.period = period
         self.max_time = max_time
         self.hypervisor = hypervisor
@@ -163,6 +230,7 @@ class ControlLoop:
         self.cluster = SimulatedCluster(nodes=nodes)
         self.queue = VJobQueue()
         self.progress: dict[str, float] = {}
+        self._demands = _Demands()
         self._submitted: set[str] = set()
         #: vjob name -> time of the crash that knocked it out, until repaired.
         self._repair_pending: dict[str, float] = {}
@@ -184,9 +252,7 @@ class ControlLoop:
                     )
 
         stale = [
-            w.vjob.name
-            for w in self.workloads
-            if w.vjob.state is not VJobState.WAITING
+            w.vjob.name for w in workloads if w.vjob.state is not VJobState.WAITING
         ]
         if stale:
             raise ValueError(
@@ -194,10 +260,8 @@ class ControlLoop:
                 "run mutates vjob state, so each run needs freshly-built "
                 "workloads"
             )
-        for workload in self.workloads:
-            self.progress[workload.vjob.name] = 0.0
-            for vm in workload.vjob.vms:
-                self.cluster.add_vm(vm)
+        for workload in workloads:
+            self.add_workload(workload)
 
         self.decision_module, self.policy_name = resolve_policy(
             policy, policy_options
@@ -221,14 +285,29 @@ class ControlLoop:
     # workload plumbing                                                   #
     # ------------------------------------------------------------------ #
 
+    def add_workload(self, workload: VJobWorkload) -> None:
+        """Admit one workload — the one admission path, taken by the
+        constructor and by the operator's mid-run submission
+        (:meth:`~repro.service.commands.LoopCommandQueue.submit_workload`):
+        its VMs join the cluster in the Waiting state, its progress starts
+        at 0 and its VMs' demands enter the loop's demand cache, so the next
+        fresh observation writes them.  The vjob joins the queue at the
+        first round at or after its ``submitted_at``."""
+        vjob = workload.vjob
+        if vjob.name in self.progress:
+            raise ValueError(f"vjob {vjob.name!r} is already submitted")
+        if vjob.state is not VJobState.WAITING:
+            raise ValueError(f"vjob {vjob.name!r} is not in its initial WAITING state")
+        for vm in vjob.vms:
+            self.cluster.add_vm(vm)
+        self.workloads.append(workload)
+        self.progress[vjob.name] = 0.0
+        self._demands.add(workload)
+
     def _demand_source(self, _time: float) -> dict[str, int]:
-        """Current CPU demand of every VM, derived from the vjob progress."""
-        demands: dict[str, int] = {}
-        for workload in self.workloads:
-            progress = self.progress[workload.vjob.name]
-            for vm_name, trace in workload.traces.items():
-                demands[vm_name] = trace.demand_at(progress)
-        return demands
+        """The monitoring service's source: the demands that changed since
+        the last fresh observation took them (see :class:`_Demands`)."""
+        return self._demands.take_changes()
 
     def _submit_pending(self, now: float) -> None:
         for workload in self.workloads:
@@ -263,12 +342,12 @@ class ControlLoop:
 
     def _mark_finished_vjobs(self, now: float, result: RunResult) -> None:
         """Vjobs whose traces are exhausted signal the loop to stop them."""
+        duration = self._demands.duration
         for workload in self.workloads:
             vjob = workload.vjob
-            if vjob.is_terminated or vjob.name not in self._submitted:
-                continue
-            if vjob.state is VJobState.RUNNING and workload.is_finished(
-                self.progress[vjob.name]
+            if (
+                vjob.state is VJobState.RUNNING
+                and self.progress[vjob.name] >= duration[vjob.name]
             ):
                 vjob.terminate()
                 result.completion_times.setdefault(vjob.name, now)
@@ -357,12 +436,15 @@ class ControlLoop:
                 self._apply_fault(event, now, result)
 
     def _observe(self, now: float) -> None:
-        """(i) Observe: write every VM's fresh CPU demand into the
-        configuration — the one place the decision reads it from.  Only the
-        nodes dirtied since the previous round (demand updates, migrations,
-        faults) are re-examined for viability."""
+        """(i) Observe: write the CPU demands a fresh observation carries —
+        those that changed since the previous fresh one — into the
+        configuration, the one place the decision reads them from; a stale
+        observation's values are there already.  Only the nodes dirtied
+        since the previous round (demand updates, migrations, faults) are
+        re-examined for viability."""
         with span("observe") as observe_span:
-            demands = self.monitoring.observe(now).cpu_demands
+            observation = self.monitoring.observe(now)
+            demands = observation.cpu_demands if observation.fresh else {}
             for vm_name, demand in demands.items():
                 self.cluster.update_demand(vm_name, demand)
             configuration = self.cluster.configuration
@@ -475,11 +557,11 @@ class ControlLoop:
         """Sample utilization after the switch."""
         configuration = self.cluster.configuration
         usage = configuration.total_usage()
+        of_vjob = self._demands.of_vjob
         demand_units = sum(
-            trace.demand_at(self.progress[workload.vjob.name])
+            of_vjob[workload.vjob.name]
             for workload in self.workloads
             if workload.vjob.name in self._submitted and not workload.vjob.is_terminated
-            for trace in workload.traces.values()
         )
         sample = UtilizationSample(
             time=now,
@@ -502,32 +584,35 @@ class ControlLoop:
         the remaining part of the interval progresses at full speed.  On top
         of that, a vjob with a VM on a fault-slowed node advances the whole
         interval ``slowdown_factor`` times slower (the worst factor across
-        its VMs' hosts).
+        its VMs' hosts).  A vjob's hosts are read only when the round
+        switched some node or a slowdown is in force (one injector query).
+
+        Progress moves here and nowhere else, so this is where the demand
+        cache of every vjob it advanced is refreshed.
         """
         step = max(self.period, switch_duration)
         configuration = self.cluster.configuration
         factor = config.INTERFERENCE_FACTOR_LOCAL
+        switched = involved_nodes if switch_duration > 0 else set()
+        slowdowns = self.faults.slowdowns_at(now) if self.faults is not None else {}
         for workload in self.workloads:
             vjob = workload.vjob
             if vjob.state is not VJobState.RUNNING:
                 continue
             slowed = False
             fault_slowdown = 1.0
-            for vm_name in vjob.vm_names:
-                host = configuration.location_of(vm_name)
-                if host is None:
-                    continue
-                if switch_duration > 0 and host in involved_nodes:
-                    slowed = True
-                if self.faults is not None:
-                    fault_slowdown = max(
-                        fault_slowdown, self.faults.slowdown_factor(host, now)
-                    )
+            if switched or slowdowns:
+                for host in configuration.hosts_of(vjob.vm_names):
+                    if host in switched:
+                        slowed = True
+                    fault_slowdown = max(fault_slowdown, slowdowns.get(host, 1.0))
             if slowed:
                 effective = (step - switch_duration) + switch_duration / factor
             else:
                 effective = step
-            self.progress[vjob.name] += effective / fault_slowdown
+            progress = self.progress[vjob.name] + effective / fault_slowdown
+            self.progress[vjob.name] = progress
+            self._demands.refresh(workload, progress)
         return now + step
 
     def _finish(self, result: RunResult, now: float) -> RunResult:
@@ -727,7 +812,7 @@ class ControlLoop:
             else:
                 detail = "node already present; ignored"
         # NODE_SLOWDOWN needs no application step: the injector answers
-        # slowdown_factor() queries for the whole window.  The record below
+        # slowdowns_at() queries for the whole window.  The record below
         # still marks the window opening on the fault timeline.
         record = FaultRecord(
             time=event.time,

@@ -171,17 +171,6 @@ class RetainedSelection:
         return entries
 
 
-def _observed_vms(
-    configuration: Configuration, vjob: VJob
-) -> tuple[VirtualMachine, ...]:
-    """The vjob's VMs as this round observes them: the configuration's
-    description (at the monitored demand) when it knows the VM."""
-    return tuple(
-        configuration.vm(vm.name) if configuration.has_vm(vm.name) else vm
-        for vm in vjob.vms
-    )
-
-
 def select_running_vjobs(
     configuration: Configuration,
     queue: VJobQueue,
@@ -219,7 +208,9 @@ def select_running_vjobs(
     vjobs = queue.pending()
     entries = (retained or RetainedSelection()).packed(
         configuration,
-        [(vjob.name, _observed_vms(configuration, vjob)) for vjob in vjobs],
+        # The vjob's VMs as this round observes them: the configuration's
+        # description (at the monitored demand) when it knows the VM.
+        [(vjob.name, configuration.described(vjob.vms)) for vjob in vjobs],
         constraints,
         node_filter,
     )

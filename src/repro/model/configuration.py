@@ -55,7 +55,8 @@ lockstep under random mutation sequences).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import is_not
+from itertools import compress, repeat
+from operator import attrgetter, is_, is_not
 from types import MappingProxyType
 from typing import AbstractSet, Dict, Iterable, Mapping, Optional, Set
 
@@ -341,6 +342,22 @@ class Configuration:
                 load[0] += vm.cpu_demand
                 load[1] += vm.memory
         return loads
+
+    def running_among(self, vm_names: Iterable[str]) -> list[str]:
+        """The running VMs among ``vm_names``, in that order (a VM that is
+        not registered is skipped) — one C-level pass over the states."""
+        if not isinstance(vm_names, (tuple, list)):
+            vm_names = tuple(vm_names)
+        running = map(is_, map(self._states.get, vm_names), repeat(VMState.RUNNING))
+        return list(compress(vm_names, running))
+
+    def described(self, vms: Iterable[VirtualMachine]) -> tuple[VirtualMachine, ...]:
+        """Each of ``vms`` as this configuration describes it (e.g. at the
+        observed demand), or as given when it is not registered — one
+        C-level pass over the descriptions."""
+        if not isinstance(vms, (tuple, list)):
+            vms = tuple(vms)
+        return tuple(map(self._vms.get, map(attrgetter("name"), vms), vms))
 
     def in_registration_order(self, vm_names: Iterable[str]) -> list[str]:
         """``vm_names`` sorted the way :attr:`vm_names` lists them, in

@@ -16,7 +16,8 @@ An overlay serves the reads and writes a plan walk makes: every assignment
 write of an action (:func:`repro.core.plan.apply_pool_effects`), the reads
 of the actions' feasibility tests and of the planner (descriptions, states,
 hosts, suspend images, free capacity, the state and placement maps), and
-those of the constraints' checker faces (``hosts_of``, ``vms_on``).  Each
+those of the constraints' checker faces (``hosts_of``, ``vms_on``) and the
+decision's ``running_among``.  Each
 answers what the same read of a copy of the base answers after the same
 writes (``tests/properties/test_configuration_equivalence.py`` holds the two
 in lockstep); :meth:`~repro.model.configuration.Configuration.mark` and
@@ -35,6 +36,8 @@ over the delta.
 
 from __future__ import annotations
 
+from itertools import compress, repeat
+from operator import is_
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Set
 
 from .configuration import JOURNAL_CAP, Configuration
@@ -146,6 +149,15 @@ class Overlay(Configuration):
 
     def hosts_of(self, vm_names: Iterable[str]) -> list[str]:
         return [host for host in self._hosts(vm_names)[1] if host is not None]
+
+    def running_among(self, vm_names: Iterable[str]) -> list[str]:
+        if not isinstance(vm_names, (tuple, list)):
+            vm_names = tuple(vm_names)
+        states: Iterator[Optional[VMState]] = map(self._base_states.get, vm_names)
+        if self._delta_states:
+            states = map(self._delta_states.get, vm_names, states)
+        running = map(is_, states, repeat(VMState.RUNNING))
+        return list(compress(vm_names, running))
 
     def load_by_host(self, vm_names: Iterable[str]) -> Dict[str, list[int]]:
         loads: Dict[str, list[int]] = {}

@@ -8,6 +8,7 @@ queue (running + ready vjobs) is considered at every decision round.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Iterable, Iterator
 
 from .errors import DuplicateElementError, ModelError
@@ -21,12 +22,18 @@ class VJobQueue:
     Selection Problem: ascending ``(priority, submitted_at, insertion rank)``.
     Terminated vjobs stay in the queue (so statistics can be computed) but are
     excluded from :meth:`pending`.
+
+    The key is read once, at :meth:`submit`, which inserts the vjob at its
+    place: the views below walk that order and sort nothing.  A vjob's
+    ``priority`` or ``submitted_at`` written after its submission does not
+    move it (the operator daemon bumps ``submitted_at`` *before* it submits).
     """
 
     def __init__(self, vjobs: Iterable[VJob] = ()) -> None:
         self._vjobs: dict[str, VJob] = {}
-        self._rank: dict[str, int] = {}
-        self._counter = 0
+        #: Every vjob in priority order, and its key at submission.
+        self._order: list[VJob] = []
+        self._keys: list[tuple[int, float, int]] = []
         for vjob in vjobs:
             self.submit(vjob)
 
@@ -35,9 +42,13 @@ class VJobQueue:
     def submit(self, vjob: VJob) -> None:
         if vjob.name in self._vjobs:
             raise DuplicateElementError(f"vjob {vjob.name!r} already submitted")
+        # The rank is the insertion count: a later submission goes after
+        # every vjob it ties with.
+        key = (vjob.priority, vjob.submitted_at, len(self._vjobs))
         self._vjobs[vjob.name] = vjob
-        self._rank[vjob.name] = self._counter
-        self._counter += 1
+        place = bisect_right(self._keys, key)
+        self._keys.insert(place, key)
+        self._order.insert(place, vjob)
 
     # -- lookups ---------------------------------------------------------------
 
@@ -53,19 +64,16 @@ class VJobQueue:
         except KeyError:
             raise ModelError(f"unknown vjob {name!r}") from None
 
-    def _sort_key(self, vjob: VJob) -> tuple:
-        return (vjob.priority, vjob.submitted_at, self._rank[vjob.name])
-
     def ordered(self) -> list[VJob]:
         """Every vjob in priority order, terminated ones included."""
-        return sorted(self._vjobs.values(), key=self._sort_key)
+        return list(self._order)
 
     def pending(self) -> list[VJob]:
         """Non-terminated vjobs in priority order — the queue the RJSP scans."""
-        return [vjob for vjob in self.ordered() if not vjob.is_terminated]
+        return [vjob for vjob in self._order if not vjob.is_terminated]
 
     def terminated(self) -> list[VJob]:
-        return [vjob for vjob in self.ordered() if vjob.is_terminated]
+        return [vjob for vjob in self._order if vjob.is_terminated]
 
     def all_terminated(self) -> bool:
         return all(vjob.is_terminated for vjob in self._vjobs.values())

@@ -17,7 +17,6 @@ from __future__ import annotations
 import threading
 from typing import TYPE_CHECKING, Any, Callable, List, Tuple
 
-from ..model.vjob import VJobState
 from ..sim.faults import FaultEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -57,26 +56,18 @@ class LoopCommandQueue:
         """Enqueue a :class:`~repro.workloads.traces.VJobWorkload` for
         mid-run submission.
 
-        Applied at the next iteration boundary: the vjob's VMs join the
-        cluster in the Waiting state and the vjob is submitted at the current
-        simulated time (an earlier ``submitted_at`` is bumped — a vjob cannot
-        arrive in the past).
+        Applied at the next iteration boundary through
+        :meth:`ControlLoop.add_workload <repro.api.loop.ControlLoop.add_workload>`:
+        the vjob's VMs join the cluster in the Waiting state and the vjob is
+        submitted at the current simulated time (an earlier ``submitted_at``
+        is bumped — a vjob cannot arrive in the past).
         """
 
         def apply(loop: "ControlLoop", now: float) -> None:
-            vjob = workload.vjob
-            existing = {w.vjob.name for w in loop.workloads}
-            if vjob.name in existing:
-                raise ValueError(f"vjob {vjob.name!r} is already submitted")
-            if vjob.state is not VJobState.WAITING:
-                raise ValueError(
-                    f"vjob {vjob.name!r} is not in its initial WAITING state"
-                )
-            vjob.submitted_at = max(vjob.submitted_at, now)
-            for vm in vjob.vms:
-                loop.cluster.add_vm(vm)
-            loop.workloads.append(workload)
-            loop.progress[vjob.name] = 0.0
+            loop.add_workload(workload)
+            # The loop submits the vjob to its queue later in this round,
+            # and the queue reads its key then.
+            workload.vjob.submitted_at = max(workload.vjob.submitted_at, now)
 
         self.call(apply, label=f"submit_vjob:{workload.vjob.name}")
 

@@ -269,7 +269,7 @@ class FaultInjector:
     ordered by time, then by scheduling order; the loop calls :meth:`fire`
     once per iteration and applies whatever became due.  The executor
     consults :meth:`should_fail_migration` per migration attempt and the
-    progress accounting consults :meth:`slowdown_factor` per node.
+    progress accounting consults :meth:`slowdowns_at` once per round.
 
     One injector serves exactly one run — it is as stateful as the workloads.
     :meth:`Scenario.build <repro.api.scenario.Scenario.build>` therefore
@@ -346,13 +346,22 @@ class FaultInjector:
             due.append(heapq.heappop(self._pending)[2])
         return due
 
+    def slowdowns_at(self, time: float) -> dict[str, float]:
+        """The nodes whose progress is slowed at ``time``, each with its
+        factor (> 1; the worst of its windows open at ``time``): empty when
+        no slowdown is in force, so one query tells a round whether any
+        host needs asking."""
+        slowed: dict[str, float] = {}
+        for event in self._slowdowns:
+            if event.time <= time < event.end:
+                slowed[event.target] = max(
+                    slowed.get(event.target, 1.0), event.factor
+                )
+        return slowed
+
     def slowdown_factor(self, node_name: str, time: float) -> float:
         """Progress slow-down applying to ``node_name`` at ``time`` (>= 1)."""
-        factor = 1.0
-        for event in self._slowdowns:
-            if event.target == node_name and event.time <= time < event.end:
-                factor = max(factor, event.factor)
-        return factor
+        return self.slowdowns_at(time).get(node_name, 1.0)
 
     def should_fail_migration(self, vm_name: str, time: float) -> bool:
         """Whether the migration of ``vm_name`` starting at ``time`` aborts.

@@ -9,7 +9,10 @@ observation taken less than :data:`repro.config.MONITORING_DELAY_S` seconds
 after the previous reconfiguration reuses the previous values.
 
 An observation is the per-VM demands only.  The control loop writes them into
-the configuration, whose load columns are the one record of each node's load.
+the configuration, whose load columns are the one record of each node's load;
+its source reports only the demands that changed since the previous fresh
+observation, so a stale observation — whose values the configuration already
+holds — writes nothing (:attr:`Observation.fresh`).
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ class Observation:
 
     time: float
     cpu_demands: dict[str, int]
+    #: False when the values are the previous observation's, reused inside
+    #: the refresh delay.
+    fresh: bool = True
 
 
 class MonitoringService:
@@ -55,7 +61,9 @@ class MonitoringService:
         )
         if stale:
             previous = self._last_observation
-            return Observation(time=time, cpu_demands=dict(previous.cpu_demands))
+            return Observation(
+                time=time, cpu_demands=dict(previous.cpu_demands), fresh=False
+            )
 
         observation = Observation(time=time, cpu_demands=dict(self._source(time)))
         self._last_observation = observation

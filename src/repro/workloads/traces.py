@@ -10,6 +10,7 @@ trace is indexed by *progress time* rather than wall-clock time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -50,14 +51,21 @@ class DemandTrace:
     def demand_at(self, progress: float) -> int:
         """CPU demand once the VM has accumulated ``progress`` seconds of
         execution (0 beyond the end of the trace)."""
+        return self.demand_until(progress)[0]
+
+    def demand_until(self, progress: float) -> tuple[int, float]:
+        """The demand at ``progress`` and the progress up to which it holds:
+        the end of its phase (``inf`` beyond the end of the trace), so a
+        reader whose progress only grows asks again only once it gets
+        there."""
         if progress < 0:
             raise ValueError("progress must be non-negative")
         elapsed = 0.0
         for phase in self.phases:
             elapsed += phase.duration
             if progress < elapsed:
-                return phase.cpu_demand
-        return 0
+                return phase.cpu_demand, elapsed
+        return 0, math.inf
 
     def is_finished(self, progress: float) -> bool:
         return progress >= self.total_duration

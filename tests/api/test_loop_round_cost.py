@@ -1,0 +1,156 @@
+"""What a loop round's bookkeeping costs, in counts, not clocks.
+
+A round used to recompute the whole fleet whatever changed: every VM's
+demand twice (the observation and the utilization sample), an
+``update_demand`` per VM, every running VM's host, and a sort of the queue
+on every ``pending()`` / ``terminated()`` call — on the Sec. 5.2 campaign
+112 ``demand_at`` and 72 ``update_demand`` calls a round for 0.56 demands
+that changed.  A round now walks what moved: ``_advance`` refreshes the
+demands of the vjobs it advanced (reading a vjob's traces again only once
+its progress leaves the phases they were in), an observation writes the
+changed ones,
+hosts are read only when the round switched a node or a slowdown is in
+force, and the queue keeps its order from ``submit``.  The counts are
+deterministic, so this runs with the tier-1 suite.
+"""
+
+from __future__ import annotations
+
+import builtins
+
+import pytest
+
+import repro.model.queue
+from repro import FaultSchedule, Scenario
+from repro.api.loop import ControlLoop
+from repro.model.configuration import Configuration
+from repro.model.vjob import VJobState
+from repro.sim.cluster import SimulatedCluster
+from repro.workloads import paper_cluster_nodes, paper_experiment_vjobs
+from repro.workloads.traces import DemandTrace
+
+
+def _campaign(faults=None):
+    """The Sec. 5.2 campaign (11 nodes, 8 vjobs of 9 VMs)."""
+    return Scenario(
+        nodes=paper_cluster_nodes(),
+        workloads=paper_experiment_vjobs(8, 9),
+        engine="event",
+        optimizer_timeout=3.0,
+        faults=faults,
+    )
+
+
+def _faulted():
+    """The campaign with two slowdown windows, a node crash and migration
+    failures."""
+    nodes = [node.name for node in paper_cluster_nodes()]
+    faults = FaultSchedule(migration_failure_rate=0.9, seed=5)
+    faults.node_slowdown(nodes[1], at=300.0, duration=400.0, factor=2.0)
+    faults.node_slowdown(nodes[4], at=1500.0, duration=90.0, factor=1.5)
+    faults.node_crash(nodes[7], at=900.0)
+    return _campaign(faults)
+
+
+@pytest.fixture
+def rounds(monkeypatch):
+    """One record of counts per round, opened by each ``_observe``."""
+    records: list[dict] = []
+    in_advance = [False]
+
+    def spy(owner, name, before):
+        original = getattr(owner, name)
+
+        def spied(*args, **kwargs):
+            before(*args, **kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spied)
+
+    def open_round(loop, now):
+        records.append(
+            dict.fromkeys(
+                ("trace_reads", "update_demand", "changed", "host_reads", "sorts"),
+                0,
+            )
+        )
+
+    def count(key):
+        def before(*args, **kwargs):
+            if records:
+                records[-1][key] += 1
+
+        return before
+
+    def update(cluster, vm_name, demand):
+        records[-1]["update_demand"] += 1
+        records[-1]["changed"] += cluster.configuration.vm(vm_name).cpu_demand != demand
+
+    def host_read(*args):
+        records[-1]["host_reads"] += in_advance[0]
+
+    spy(ControlLoop, "_observe", open_round)
+    # ``demand_at`` reads through it.
+    spy(DemandTrace, "demand_until", count("trace_reads"))
+    spy(SimulatedCluster, "update_demand", update)
+    spy(Configuration, "location_of", host_read)
+    spy(Configuration, "hosts_of", host_read)
+
+    advance = ControlLoop._advance
+
+    def spied_advance(loop, now, switch_duration, involved_nodes):
+        record = records[-1]
+        record["advanced_vms"] = sum(
+            len(workload.traces)
+            for workload in loop.workloads
+            if workload.vjob.state is VJobState.RUNNING
+        )
+        record["switched"] = switch_duration > 0 and bool(involved_nodes)
+        record["slowed"] = bool(loop.faults and loop.faults.slowdowns_at(now))
+        in_advance[0] = True
+        try:
+            return advance(loop, now, switch_duration, involved_nodes)
+        finally:
+            in_advance[0] = False
+
+    monkeypatch.setattr(ControlLoop, "_advance", spied_advance)
+
+    def counted_sorted(*args, **kwargs):
+        if records:
+            records[-1]["sorts"] += 1
+        return builtins.sorted(*args, **kwargs)
+
+    monkeypatch.setattr(repro.model.queue, "sorted", counted_sorted, raising=False)
+    return records
+
+
+@pytest.mark.parametrize("scenario", [_campaign, _faulted])
+def test_a_round_walks_what_moved(scenario, rounds):
+    result = scenario().run()
+    assert result.metadata["final_viable"] and not result.unfinished_vjobs
+    # The last round notices that every vjob is done and stops: no advance.
+    advanced = [record for record in rounds if "advanced_vms" in record]
+    assert len(advanced) == len(rounds) - 1 > 100
+    for record in advanced:
+        # Trace reads: only for the VMs of the vjobs advanced.
+        assert record["trace_reads"] <= record["advanced_vms"]
+        # update_demand: only for the VMs whose demand changed.
+        assert record["update_demand"] == record["changed"]
+        # The hosts are read only when the round switched or slowed a node.
+        if not (record["switched"] or record["slowed"]):
+            assert record["host_reads"] == 0
+        # The queue keeps its order: nothing sorts it.
+        assert record["sorts"] == 0
+    assert sum(record["update_demand"] for record in rounds) < len(rounds)
+    # Most rounds leave every advanced vjob inside the phases it was in.
+    assert 4 * sum(record["trace_reads"] for record in rounds) < sum(
+        record["advanced_vms"] for record in advanced
+    )
+    assert any(record["host_reads"] for record in advanced)
+    if scenario is _faulted:
+        kinds = {fault.kind for fault in result.faults}
+        assert {"node_slowdown", "node_crash", "migration_failure"} <= kinds
+        assert any(
+            record["slowed"] and not record["switched"] and record["host_reads"]
+            for record in advanced
+        )

@@ -116,15 +116,26 @@ EVENTS = [
     "iteration vjob_completed run_end",
 ]
 
-_OBSERVED = {"demand_updates": 5, "overloaded": 0}
+def _observed(demand_updates, dirty_nodes):
+    return {
+        "demand_updates": demand_updates,
+        "dirty_nodes": dirty_nodes,
+        "overloaded": 0,
+    }
+
 
 #: Per round: the ``round`` span's attributes, the loop's phase spans with
-#: theirs, and every span name below the round, depth first.
+#: theirs, and every span name below the round, depth first.  An
+#: observation carries the demands that changed since the previous fresh
+#: one: the VMs whose trace ended (b's two at 120 s, a's two at 180 s), none
+#: when no demand moved (every VM, the operator's too, is registered at the
+#: demand its trace starts with) and none on the stale round (210 s, inside
+#: the refresh delay after the 180 s switch).
 ROUNDS = [
     (
         {"index": 0, "sim_time": 0.0, "switched": True, "switch_cost": 0},
         [
-            ("observe", {"demand_updates": 4, "dirty_nodes": 4, "overloaded": 0}),
+            ("observe", _observed(0, 4)),
             ("decide", {}),
             ("plan", {}),
         ],
@@ -133,7 +144,7 @@ ROUNDS = [
     (
         {"index": 1, "sim_time": 30.0},
         [
-            ("observe", {"demand_updates": 4, "dirty_nodes": 1, "overloaded": 0}),
+            ("observe", _observed(0, 1)),
             ("decide", {}),
         ],
         "observe decide",
@@ -141,25 +152,25 @@ ROUNDS = [
     (
         {"index": 2, "sim_time": 60.0},
         [
-            ("observe", {**_OBSERVED, "dirty_nodes": 0}),
+            ("observe", _observed(0, 0)),
             ("decide", {"failed": True, "error": "RuntimeError"}),
         ],
         "observe decide",
     ),
     (
         {"index": 3, "sim_time": 90.0, "switched": True, "switch_cost": 1024},
-        [("observe", {**_OBSERVED, "dirty_nodes": 0}), ("decide", {}), ("plan", {})],
+        [("observe", _observed(0, 0)), ("decide", {}), ("plan", {})],
         "observe decide plan solve dirty-set full-solve cp.solve check-plan execute",
     ),
     (
         {"index": 4, "sim_time": 120.0, "switched": True, "switch_cost": 0},
-        [("observe", {**_OBSERVED, "dirty_nodes": 0}), ("decide", {}), ("plan", {})],
+        [("observe", _observed(2, 0)), ("decide", {}), ("plan", {})],
         "observe decide plan solve dirty-set full-solve cp.solve check-plan execute",
     ),
     (
         {"index": 5, "sim_time": 150.0},
         [
-            ("observe", {**_OBSERVED, "dirty_nodes": 1}),
+            ("observe", _observed(0, 1)),
             ("decide", {}),
             ("plan", {"failed": True, "error": "PlanningError"}),
         ],
@@ -167,12 +178,12 @@ ROUNDS = [
     ),
     (
         {"index": 6, "sim_time": 180.0, "switched": True, "switch_cost": 0},
-        [("observe", {**_OBSERVED, "dirty_nodes": 1}), ("decide", {}), ("plan", {})],
+        [("observe", _observed(2, 1)), ("decide", {}), ("plan", {})],
         "observe decide plan solve dirty-set repair-attempt check-plan execute",
     ),
     (
         {"index": 7, "sim_time": 210.0},
-        [("observe", {**_OBSERVED, "dirty_nodes": 1})],
+        [("observe", _observed(0, 1))],
         "observe",
     ),
 ]

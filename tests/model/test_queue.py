@@ -1,6 +1,7 @@
 """Tests of the FCFS vjob queue."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.model.errors import DuplicateElementError, ModelError
 from repro.model.queue import VJobQueue
@@ -68,3 +69,42 @@ class TestStateViews:
         a.terminate()
         b.terminate()
         assert queue.all_terminated()
+
+
+class TestKeptOrder:
+    """The queue keeps its order from ``submit`` instead of sorting on every
+    view: each view equals a sort on ``(priority, submitted_at, rank)``."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, 2),
+                st.sampled_from([0.0, 30.0, 60.0]),
+                st.booleans(),
+            ),
+            max_size=12,
+        )
+    )
+    def test_views_equal_a_sort_on_the_key(self, draws):
+        queue = VJobQueue()
+        submitted = []
+        for rank, (priority, time, finished) in enumerate(draws):
+            job = vjob(f"j{rank}", priority=priority, submitted_at=time)
+            queue.submit(job)
+            submitted.append((priority, time, rank, job))
+            if finished:
+                job.terminate()
+            expected = [job for *_, job in sorted(submitted, key=lambda e: e[:3])]
+            assert queue.ordered() == list(queue) == expected
+            assert queue.pending() == [j for j in expected if not j.is_terminated]
+            assert queue.terminated() == [j for j in expected if j.is_terminated]
+
+    def test_the_key_is_read_at_submit(self):
+        # The operator daemon bumps a late vjob's submitted_at before it is
+        # submitted; a write after submission does not move a vjob.
+        early, late = vjob("early", submitted_at=0.0), vjob("late", submitted_at=0.0)
+        late.submitted_at = 90.0
+        queue = VJobQueue([late, early])
+        assert [v.name for v in queue.ordered()] == ["early", "late"]
+        early.priority = 9
+        assert [v.name for v in queue.ordered()] == ["early", "late"]

@@ -201,6 +201,17 @@ def _assert_equivalent(indexed: Configuration, naive: NaiveConfiguration):
         assert indexed.free_capacity(node) == naive.free_capacity(node)
         assert indexed.vms_on(node) == naive.vms_on(node)
         assert indexed.images_on(node) == naive.images_on(node)
+    # The bulk reads of a decision, against the oracle's per-VM reads; an
+    # unregistered name is skipped, an unregistered VM described as given.
+    names = [*reversed(naive.vm_names), "unregistered"]
+    assert indexed.running_among(names) == [
+        name for name in names[:-1] if naive.state_of(name) is VMState.RUNNING
+    ]
+    stranger = VirtualMachine("unregistered", memory=256)
+    assert indexed.described([*naive.vms, stranger]) == (
+        *map(naive.vm, naive.vm_names),
+        stranger,
+    )
     # Incremental first: if the dirty bookkeeping ever went stale the
     # incremental list would diverge from the naive full recomputation.
     incremental = indexed.viability_violations(only_dirty=True)
@@ -428,6 +439,11 @@ def _reads(configuration, vm_universe):
             configuration.hosts_of(vm_universe),
             configuration.hosts_of(vm for vm in reversed(vm_universe)),
         ),
+        "running": (
+            configuration.running_among(vm_universe),
+            configuration.running_among(vm for vm in reversed(vm_universe)),
+        ),
+        "described": configuration.described(configuration.vms),
         "loads": list(configuration.load_by_host(vm_universe).items()),
         "order": configuration.in_registration_order(reversed(names)),
         "per node": [

@@ -1,0 +1,159 @@
+"""The loop observes what the traces demand — stated against the
+specification, not a copy of the loop.
+
+The control loop keeps its demand cache as a delta: ``_advance`` refreshes
+the vjobs it moved, and an observation carries only the demands that changed
+since the previous fresh one.  The property holds the live configuration to
+the rule the paper's monitoring states (Section 3.1): after every observe,
+each VM's CPU demand is its trace's demand at its vjob's progress *as of the
+last fresh observation* — a stale one, inside the refresh delay after a
+switch, keeps the values it had; a VM that joined since the last fresh
+observation keeps the demand it was registered with.  The runs draw stale
+windows (the period and the VM sizes set how long a switch takes), node
+crashes, slowdowns, migration failures and mid-run submissions over the
+operator's command queue.
+"""
+
+from __future__ import annotations
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from repro import FaultSchedule, Scenario, config
+from repro.api import LoopObserver
+from repro.model.errors import PlanningError
+from repro.model import make_working_nodes
+from repro.service.commands import LoopCommandQueue
+from repro.testing import make_vjob
+from repro.workloads.traces import VJobWorkload, alternating_trace
+
+_PHASES = st.lists(
+    st.tuples(st.sampled_from([10.0, 25.0, 40.0, 70.0]), st.integers(0, 2)),
+    min_size=1,
+    max_size=4,
+)
+
+
+@st.composite
+def _workload(draw, name, submitted_at=0.0):
+    vm_count = draw(st.integers(1, 3))
+    vjob = make_vjob(
+        name,
+        vm_count=vm_count,
+        memory=draw(st.sampled_from([256, 1024, 2048])),
+        priority=draw(st.integers(0, 2)),
+    )
+    vjob.submitted_at = submitted_at
+    traces = {vm.name: alternating_trace(draw(_PHASES)) for vm in vjob.vms}
+    return VJobWorkload(vjob=vjob, traces=traces)
+
+
+@st.composite
+def _runs(draw):
+    """A scenario, and the ``(sample time, workload)`` submissions the
+    operator queues during it."""
+    node_count = draw(st.integers(2, 4))
+    arrivals = st.sampled_from([0.0, 0.0, 45.0, 90.0])
+    workloads = [
+        draw(_workload(f"j{index}", draw(arrivals)))
+        for index in range(draw(st.integers(1, 4)))
+    ]
+    names = [f"node-{index}" for index in range(node_count)]
+    faults = FaultSchedule(
+        migration_failure_rate=draw(st.sampled_from([0.0, 0.3, 0.6])),
+        seed=draw(st.integers(0, 99)),
+    )
+    if draw(st.booleans()):
+        faults.node_crash(
+            draw(st.sampled_from(names)), at=draw(st.sampled_from([30.0, 95.0]))
+        )
+    for _ in range(draw(st.integers(0, 2))):
+        faults.node_slowdown(
+            draw(st.sampled_from(names)),
+            at=draw(st.sampled_from([0.0, 20.0, 60.0])),
+            duration=draw(st.sampled_from([15.0, 50.0, 120.0])),
+            factor=draw(st.sampled_from([1.5, 3.0])),
+        )
+    submissions = [
+        (draw(st.sampled_from([0.0, 30.0, 60.0, 120.0])), draw(_workload(f"op{i}")))
+        for i in range(draw(st.integers(0, 2)))
+    ]
+    scenario = Scenario(
+        nodes=make_working_nodes(node_count, cpu_capacity=2, memory_capacity=4096),
+        workloads=workloads,
+        period=draw(st.sampled_from([5.0, 12.0, 30.0])),
+        optimizer_timeout=1.0,
+        max_time=900.0,
+        faults=faults,
+    )
+    return scenario, submissions
+
+
+class _Specification(LoopObserver):
+    """Checks every observation against the traces, and queues the
+    operator's submissions at the samples they were drawn for."""
+
+    def __init__(self, commands, submissions):
+        self.commands = commands
+        self.submissions = list(submissions)
+        self.loop = None
+        self.reconfigured = None
+        self.last_fresh = None
+        self.observations = self.fresh = 0
+
+    def on_run_start(self, loop):
+        self.loop = loop
+
+    def on_switch(self, record, report):
+        self.reconfigured = record.time + record.duration
+
+    def on_sample(self, sample):
+        for time, workload in list(self.submissions):
+            if time <= sample.time:
+                self.commands.submit_workload(workload)
+                self.submissions.remove((time, workload))
+
+    def on_iteration(self, now, configuration):
+        # The monitoring rule: stale inside the refresh delay after the
+        # end of the last switch, once something was observed.
+        stale = (
+            self.last_fresh is not None
+            and self.reconfigured is not None
+            and now - self.reconfigured < config.MONITORING_DELAY_S
+        )
+        if not stale:
+            self.last_fresh = dict(self.loop.progress)
+            self.fresh += 1
+        self.observations += 1
+        for workload in self.loop.workloads:
+            progress = self.last_fresh.get(workload.vjob.name)
+            for vm in workload.vjob.vms:
+                expected = (
+                    vm.cpu_demand
+                    if progress is None
+                    else workload.traces[vm.name].demand_at(progress)
+                )
+                assert configuration.vm(vm.name).cpu_demand == expected, (
+                    now,
+                    vm.name,
+                )
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+@given(_runs())
+def test_every_observation_writes_the_traces_at_the_last_fresh_progress(run):
+    scenario, submissions = run
+    commands = LoopCommandQueue()
+    specification = _Specification(commands, submissions)
+    scenario.observers.append(specification)
+    try:
+        scenario.build(command_queue=commands).run()
+    except PlanningError:
+        # A drawn fleet the planner gives up on: every observation up to
+        # there was checked, which is what this property is about.
+        pass
+    assert commands.errors == []
+    assert specification.fresh >= 1

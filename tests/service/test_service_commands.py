@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import LoopObserver
 from repro.api.scenario import Scenario
 from repro.model.node import make_working_nodes
 from repro.service.commands import LoopCommandQueue
@@ -29,6 +30,38 @@ def test_queued_workload_is_submitted_and_completes():
     assert queue.applied == ["submit_vjob:late"]
     assert queue.errors == []
     assert queue.pending == 0
+
+
+class _SubmitsAfter(LoopObserver):
+    """Queues ``workload`` at the sample taken at ``time``, and records the
+    demand the live configuration holds for ``vm`` at every observation."""
+
+    def __init__(self, queue, time, workload, vm):
+        self.queue, self.time, self.workload, self.vm = queue, time, workload, vm
+        self.seen = []
+
+    def on_sample(self, sample):
+        if sample.time == self.time:
+            self.queue.submit_workload(self.workload)
+
+    def on_iteration(self, now, configuration):
+        if configuration.has_vm(self.vm):
+            self.seen.append((now, configuration.vm(self.vm).cpu_demand))
+
+
+def test_a_vjob_submitted_mid_run_has_its_demands_observed_at_once():
+    # The VM is registered at 1 cpu and its trace starts idle: the first
+    # observation after the command applied must write 0, then 1 once the
+    # idle phase is over.
+    queue = LoopCommandQueue()
+    late = make_workload("late", vm_count=1, duration=60.0, idle_head=45.0)
+    recorder = _SubmitsAfter(queue, 60.0, late, "late.vm0")
+    result = fast_scenario(observers=[recorder]).build(command_queue=queue).run()
+    assert queue.applied == ["submit_vjob:late"] and queue.errors == []
+    assert late.vjob.submitted_at == 90.0
+    assert recorder.seen[0] == (90.0, 0)
+    assert (150.0, 1) in recorder.seen
+    assert "late" in result.completion_times
 
 
 def test_queued_fault_fires_during_the_run():
