@@ -44,7 +44,7 @@ survivors.  Observed breaches land on the
 from __future__ import annotations
 
 import logging
-import math
+from bisect import insort
 from collections import Counter
 from typing import Any, Mapping, Optional, Sequence, Union
 
@@ -61,7 +61,7 @@ from ..core.context_switch import (
 from ..model.errors import PlanningError
 from ..model.node import Node
 from ..model.queue import VJobQueue
-from ..model.vjob import VJobState, index_vms_by_vjob
+from ..model.vjob import VJobState
 from ..model.vm import VMState
 from ..obs import NULL_SPAN, Span, Tracer, span
 from ..sim.cluster import SimulatedCluster
@@ -114,72 +114,6 @@ def resolve_policy(
     return policy, policy_label(policy)
 
 
-class _Demands:
-    """The loop's demand cache: what every VM's trace demands at its vjob's
-    progress, the sum per vjob, each vjob's duration, and the demands that
-    differ from what the last fresh observation took.
-
-    Progress moves in :meth:`ControlLoop._advance` only, and never back: it
-    refreshes the vjobs it advanced, and a vjob's traces are read again
-    only once its progress reaches the end of the earliest phase one of
-    them was in.  The observation carries the changes, the sample sums the
-    per-vjob totals and the finish test reads the duration — no step walks
-    the traces of the vjobs that did not move."""
-
-    def __init__(self) -> None:
-        #: VM -> its trace's demand at its vjob's progress.
-        self._of_vm: dict[str, int] = {}
-        #: vjob -> the sum of its VMs' demands.
-        self.of_vjob: dict[str, int] = {}
-        #: vjob -> the progress at which its longest trace ends.
-        self.duration: dict[str, float] = {}
-        #: vjob -> the progress up to which none of its VMs' demands change.
-        self._until: dict[str, float] = {}
-        #: VM -> the demand the configuration holds: the last one an
-        #: observation took, or the one the VM was registered with.
-        self._observed: dict[str, Optional[int]] = {}
-        #: VM -> its demand, for the VMs where it differs from ``_observed``.
-        self._changes: dict[str, int] = {}
-
-    def add(self, workload: VJobWorkload) -> None:
-        """A workload at progress 0, its VMs registered at their
-        descriptions' demands."""
-        registered = {vm.name: vm.cpu_demand for vm in workload.vjob.vms}
-        for vm_name in workload.traces:
-            self._of_vm[vm_name] = self._observed[vm_name] = registered.get(vm_name)
-        self.duration[workload.vjob.name] = workload.duration
-        self._read(workload, 0.0)
-
-    def refresh(self, workload: VJobWorkload, progress: float) -> None:
-        """The demands of ``workload`` at ``progress``."""
-        if progress >= self._until[workload.vjob.name]:
-            self._read(workload, progress)
-
-    def _read(self, workload: VJobWorkload, progress: float) -> None:
-        of_vm, observed, changes = self._of_vm, self._observed, self._changes
-        total, until = 0, math.inf
-        for vm_name, trace in workload.traces.items():
-            demand, end = trace.demand_until(progress)
-            if demand != of_vm[vm_name]:
-                of_vm[vm_name] = demand
-                if demand != observed[vm_name]:
-                    changes[vm_name] = demand
-                else:
-                    # Back where the configuration holds it.
-                    changes.pop(vm_name, None)
-            total += demand
-            until = min(until, end)
-        self.of_vjob[workload.vjob.name] = total
-        self._until[workload.vjob.name] = until
-
-    def take_changes(self) -> dict[str, int]:
-        """The changes, handed to an observation (which writes them) and
-        forgotten here."""
-        changes, self._changes = self._changes, {}
-        self._observed.update(changes)
-        return changes
-
-
 class ControlLoop:
     """Run one decision policy over a simulated cluster and its workloads."""
 
@@ -208,7 +142,7 @@ class ControlLoop:
         self.observers = list(observers)
         self.faults = fault_injector
         self.sla_factor = sla_factor
-        #: Operator command queue (duck-typed: ``drain(loop, now) -> bool``),
+        #: Operator command queue (duck-typed: ``drain(loop, now)``),
         #: drained at the top of every iteration so external producers — the
         #: :mod:`repro.service` daemon's HTTP handlers — submit vjobs and
         #: inject faults at well-defined points of simulated time.
@@ -230,8 +164,16 @@ class ControlLoop:
         self.cluster = SimulatedCluster(nodes=nodes)
         self.queue = VJobQueue()
         self.progress: dict[str, float] = {}
-        self._demands = _Demands()
-        self._submitted: set[str] = set()
+        #: The demand cache, observed behind each reconfiguration.
+        self.monitoring = MonitoringService()
+        #: VM -> its vjob, for every admitted VM.
+        self._vjob_of_vm: dict[str, str] = {}
+        #: id(workload) -> its place in the admission order.
+        self._admitted: dict[int, int] = {}
+        #: Admitted, not yet submitted; and submitted, not terminated — both
+        #: in admission order, so a round walks only these.
+        self._arriving: list[VJobWorkload] = []
+        self._live: list[VJobWorkload] = []
         #: vjob name -> time of the crash that knocked it out, until repaired.
         self._repair_pending: dict[str, float] = {}
         #: Rounds whose decide or plan raised, by exception type.
@@ -279,7 +221,6 @@ class ControlLoop:
         self.executor = PlanExecutor(
             hypervisor=hypervisor, fault_injector=fault_injector
         )
-        self.monitoring = MonitoringService(demand_source=self._demand_source)
 
     # ------------------------------------------------------------------ #
     # workload plumbing                                                   #
@@ -289,10 +230,11 @@ class ControlLoop:
         """Admit one workload — the one admission path, taken by the
         constructor and by the operator's mid-run submission
         (:meth:`~repro.service.commands.LoopCommandQueue.submit_workload`):
-        its VMs join the cluster in the Waiting state, its progress starts
-        at 0 and its VMs' demands enter the loop's demand cache, so the next
-        fresh observation writes them.  The vjob joins the queue at the
-        first round at or after its ``submitted_at``."""
+        its VMs join the cluster in the Waiting state and the VM→vjob
+        index, its progress starts at 0 and its VMs' demands enter the
+        monitoring service, so the next fresh observation writes them.  The
+        vjob joins the queue at the first round at or after its
+        ``submitted_at``."""
         vjob = workload.vjob
         if vjob.name in self.progress:
             raise ValueError(f"vjob {vjob.name!r} is already submitted")
@@ -300,50 +242,55 @@ class ControlLoop:
             raise ValueError(f"vjob {vjob.name!r} is not in its initial WAITING state")
         for vm in vjob.vms:
             self.cluster.add_vm(vm)
+            self._vjob_of_vm[vm.name] = vjob.name
+        self._admitted[id(workload)] = len(self.workloads)
         self.workloads.append(workload)
+        self._arriving.append(workload)
         self.progress[vjob.name] = 0.0
-        self._demands.add(workload)
-
-    def _demand_source(self, _time: float) -> dict[str, int]:
-        """The monitoring service's source: the demands that changed since
-        the last fresh observation took them (see :class:`_Demands`)."""
-        return self._demands.take_changes()
+        self.monitoring.add(workload)
 
     def _submit_pending(self, now: float) -> None:
-        for workload in self.workloads:
-            vjob = workload.vjob
-            if vjob.name not in self._submitted and vjob.submitted_at <= now:
-                self.queue.submit(vjob)
-                self._submitted.add(vjob.name)
-
-    def _vjob_of_vm(self) -> dict[str, str]:
-        return index_vms_by_vjob(workload.vjob for workload in self.workloads)
+        """The arriving vjobs due at ``now`` join the queue and go live."""
+        arriving, rank = [], self._admitted
+        for workload in self._arriving:
+            if workload.vjob.submitted_at <= now:
+                self.queue.submit(workload.vjob)
+                insort(self._live, workload, key=lambda w: rank[id(w)])
+            else:
+                arriving.append(workload)
+        self._arriving = arriving
 
     # ------------------------------------------------------------------ #
     # state synchronisation                                               #
     # ------------------------------------------------------------------ #
 
     def _sync_vjob_states(self) -> None:
-        """Align the life-cycle state of every submitted vjob with the state
-        of its VMs in the cluster configuration."""
+        """Align the life-cycle state of every live vjob with the state of
+        its VMs in the cluster configuration; a vjob whose VMs are all
+        stopped is terminated and leaves the live list."""
         configuration = self.cluster.configuration
-        for vjob in self.queue.ordered():
-            if vjob.is_terminated:
-                continue
+        live = []
+        for workload in self._live:
+            vjob = workload.vjob
             states = {configuration.state_of(vm) for vm in vjob.vm_names}
             if states == {VMState.TERMINATED}:
                 vjob.state = VJobState.TERMINATED
-            elif VMState.RUNNING in states:
+                continue
+            if VMState.RUNNING in states:
                 vjob.state = VJobState.RUNNING
             elif VMState.SLEEPING in states:
                 vjob.state = VJobState.SLEEPING
             else:
                 vjob.state = VJobState.WAITING
+            live.append(workload)
+        self._live = live
 
     def _mark_finished_vjobs(self, now: float, result: RunResult) -> None:
-        """Vjobs whose traces are exhausted signal the loop to stop them."""
-        duration = self._demands.duration
-        for workload in self.workloads:
+        """Vjobs whose traces are exhausted signal the loop to stop them;
+        they leave the live list."""
+        duration = self.monitoring.duration
+        live = []
+        for workload in self._live:
             vjob = workload.vjob
             if (
                 vjob.state is VJobState.RUNNING
@@ -352,6 +299,9 @@ class ControlLoop:
                 vjob.terminate()
                 result.completion_times.setdefault(vjob.name, now)
                 self._notify("on_vjob_completed", vjob.name, now)
+            else:
+                live.append(workload)
+        self._live = live
 
     # ------------------------------------------------------------------ #
     # main loop                                                           #
@@ -383,12 +333,10 @@ class ControlLoop:
         configuration kept (:meth:`_round_failed`) and the next one retries."""
         result = RunResult(makespan=0.0, policy=self.policy_name)
         now, iteration, consecutive_failures = 0.0, 0, 0
-        vjob_of_vm = self._vjob_of_vm()
         self._notify("on_run_start", self)
         while now < self.max_time and not self._stop_requested:
             with span("round", index=iteration, sim_time=now) as round_span:
-                if self._drain_commands(now):
-                    vjob_of_vm = self._vjob_of_vm()
+                self._drain_commands(now)
                 self._submit_pending(now)
                 self._fire_faults(now, result)
                 self._observe(now)
@@ -396,7 +344,7 @@ class ControlLoop:
                 if self._all_finished():
                     break
                 decision = self._decide(iteration, now)
-                failed, report = self._plan(decision, vjob_of_vm, iteration, now)
+                failed, report = self._plan(decision, iteration, now)
                 # A switch, or no switch needed, is progress.
                 consecutive_failures = consecutive_failures + 1 if failed else 0
                 if consecutive_failures >= _MAX_CONSECUTIVE_PLANNING_FAILURES:
@@ -422,11 +370,11 @@ class ControlLoop:
     # the steps of a round, in tick order                                 #
     # ------------------------------------------------------------------ #
 
-    def _drain_commands(self, now: float) -> bool:
+    def _drain_commands(self, now: float) -> None:
         """Operator commands first, so what the queue submits or injects
-        lands at a round boundary and runs stay deterministic.  True when a
-        command applied."""
-        return self.commands is not None and self.commands.drain(self, now)
+        lands at a round boundary and runs stay deterministic."""
+        if self.commands is not None:
+            self.commands.drain(self, now)
 
     def _fire_faults(self, now: float, result: RunResult) -> None:
         """Faults scheduled since the previous round are detected now
@@ -439,12 +387,11 @@ class ControlLoop:
         """(i) Observe: write the CPU demands a fresh observation carries —
         those that changed since the previous fresh one — into the
         configuration, the one place the decision reads them from; a stale
-        observation's values are there already.  Only the nodes dirtied
+        observation carries nothing.  Only the nodes dirtied
         since the previous round (demand updates, migrations, faults) are
         re-examined for viability."""
         with span("observe") as observe_span:
-            observation = self.monitoring.observe(now)
-            demands = observation.cpu_demands if observation.fresh else {}
+            demands = self.monitoring.observe(now) or {}
             for vm_name, demand in demands.items():
                 self.cluster.update_demand(vm_name, demand)
             configuration = self.cluster.configuration
@@ -456,8 +403,7 @@ class ControlLoop:
             self._notify("on_iteration", now, configuration)
 
     def _all_finished(self) -> bool:
-        submitted = len(self._submitted) == len(self.workloads)
-        return submitted and self.queue.all_terminated()
+        return not (self._arriving or self._live)
 
     def _decide(self, index: int, now: float) -> Optional[Decision]:
         """(ii) Decide: the policy's decision over the observed configuration,
@@ -484,7 +430,6 @@ class ControlLoop:
     def _plan(
         self,
         decision: Optional[Decision],
-        vjob_of_vm: Mapping[str, str],
         index: int,
         now: float,
     ) -> tuple[bool, Optional[ContextSwitchReport]]:
@@ -505,14 +450,14 @@ class ControlLoop:
                     report = self.switcher.plan_to(
                         configuration,
                         decision.target,
-                        vjob_of_vm,
+                        self._vjob_of_vm,
                         constraints=self.constraints,
                     )
                 else:
                     report = self.switcher.compute(
                         configuration,
                         decision.vm_states,
-                        vjob_of_vm=vjob_of_vm,
+                        vjob_of_vm=self._vjob_of_vm,
                         # A builder: the fallback is built only if the
                         # solve raises.
                         fallback_target=lambda: decision.fallback_target,
@@ -557,12 +502,8 @@ class ControlLoop:
         """Sample utilization after the switch."""
         configuration = self.cluster.configuration
         usage = configuration.total_usage()
-        of_vjob = self._demands.of_vjob
-        demand_units = sum(
-            of_vjob[workload.vjob.name]
-            for workload in self.workloads
-            if workload.vjob.name in self._submitted and not workload.vjob.is_terminated
-        )
+        of_vjob = self.monitoring.of_vjob
+        demand_units = sum(of_vjob[workload.vjob.name] for workload in self._live)
         sample = UtilizationSample(
             time=now,
             cpu_demand_units=demand_units,
@@ -583,19 +524,19 @@ class ControlLoop:
         down during the switch window (Section 2.3 measured a 1.3-1.5x factor);
         the remaining part of the interval progresses at full speed.  On top
         of that, a vjob with a VM on a fault-slowed node advances the whole
-        interval ``slowdown_factor`` times slower (the worst factor across
-        its VMs' hosts).  A vjob's hosts are read only when the round
+        interval slower by the slowdown's factor (the worst across its VMs'
+        hosts).  A vjob's hosts are read only when the round
         switched some node or a slowdown is in force (one injector query).
 
-        Progress moves here and nowhere else, so this is where the demand
-        cache of every vjob it advanced is refreshed.
+        Progress moves here and nowhere else, so this is where the
+        monitoring service refreshes every vjob it advanced.
         """
         step = max(self.period, switch_duration)
         configuration = self.cluster.configuration
         factor = config.INTERFERENCE_FACTOR_LOCAL
         switched = involved_nodes if switch_duration > 0 else set()
         slowdowns = self.faults.slowdowns_at(now) if self.faults is not None else {}
-        for workload in self.workloads:
+        for workload in self._live:
             vjob = workload.vjob
             if vjob.state is not VJobState.RUNNING:
                 continue
@@ -612,7 +553,7 @@ class ControlLoop:
                 effective = step
             progress = self.progress[vjob.name] + effective / fault_slowdown
             self.progress[vjob.name] = progress
-            self._demands.refresh(workload, progress)
+            self.monitoring.refresh(workload, progress)
         return now + step
 
     def _finish(self, result: RunResult, now: float) -> RunResult:
@@ -620,12 +561,7 @@ class ControlLoop:
         result.makespan = (
             max(result.completion_times.values()) if result.completion_times else now
         )
-        result.unfinished_vjobs = sorted(
-            workload.vjob.name
-            for workload in self.workloads
-            if workload.vjob.name in self._submitted
-            and not workload.vjob.is_terminated
-        )
+        result.unfinished_vjobs = sorted(workload.vjob.name for workload in self._live)
         result.sla_violations = self._sla_violations(result)
         result.metadata["final_viable"] = self.cluster.configuration.is_viable()
         result.metadata["simulated_time"] = now
@@ -837,7 +773,7 @@ class ControlLoop:
         """
         configuration = self.cluster.configuration
         eviction = evict_node(configuration, node_name)
-        vjob_of_vm = self._vjob_of_vm()
+        vjob_of_vm = self._vjob_of_vm
         affected = sorted(
             {
                 vjob_of_vm[vm]

@@ -147,7 +147,7 @@ class Scenario:
         Use this when the experiment needs access to the live simulation
         state (queue, cluster configuration) after the run.
 
-        ``command_queue`` (duck-typed, ``drain(loop, now) -> bool``) lets an
+        ``command_queue`` (duck-typed, ``drain(loop, now)``) lets an
         operator — the :mod:`repro.service` daemon, or a test — submit vjobs
         and inject faults at iteration boundaries while the loop runs.
         """

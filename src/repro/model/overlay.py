@@ -16,8 +16,7 @@ An overlay serves the reads and writes a plan walk makes: every assignment
 write of an action (:func:`repro.core.plan.apply_pool_effects`), the reads
 of the actions' feasibility tests and of the planner (descriptions, states,
 hosts, suspend images, free capacity, the state and placement maps), and
-those of the constraints' checker faces (``hosts_of``, ``vms_on``) and the
-decision's ``running_among``.  Each
+those of the constraints' checker faces (``hosts_of``, ``vms_on``).  Each
 answers what the same read of a copy of the base answers after the same
 writes (``tests/properties/test_configuration_equivalence.py`` holds the two
 in lockstep); :meth:`~repro.model.configuration.Configuration.mark` and
@@ -26,7 +25,7 @@ descriptions with its base and refuses to change them (registrations,
 demand changes, node removals raise :class:`~repro.model.errors.ModelError`),
 and it is not copied: a caller that keeps the result of a walk walks a copy.
 A read it does not serve — the load totals, the viability scan, the suspend
-images per node — raises :class:`AttributeError`.
+images per node, a decision's ``running_among`` — raises :class:`AttributeError`.
 
 The reads that walk a member list — :meth:`Overlay.hosts_of`, asked by every
 ``Fence`` and ``Ban`` of a plan check, and :meth:`Overlay.load_by_host` —
@@ -36,8 +35,6 @@ over the delta.
 
 from __future__ import annotations
 
-from itertools import compress, repeat
-from operator import is_
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Set
 
 from .configuration import JOURNAL_CAP, Configuration
@@ -149,15 +146,6 @@ class Overlay(Configuration):
 
     def hosts_of(self, vm_names: Iterable[str]) -> list[str]:
         return [host for host in self._hosts(vm_names)[1] if host is not None]
-
-    def running_among(self, vm_names: Iterable[str]) -> list[str]:
-        if not isinstance(vm_names, (tuple, list)):
-            vm_names = tuple(vm_names)
-        states: Iterator[Optional[VMState]] = map(self._base_states.get, vm_names)
-        if self._delta_states:
-            states = map(self._delta_states.get, vm_names, states)
-        running = map(is_, states, repeat(VMState.RUNNING))
-        return list(compress(vm_names, running))
 
     def load_by_host(self, vm_names: Iterable[str]) -> Dict[str, list[int]]:
         loads: Dict[str, list[int]] = {}

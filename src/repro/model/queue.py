@@ -75,9 +75,6 @@ class VJobQueue:
     def terminated(self) -> list[VJob]:
         return [vjob for vjob in self._order if vjob.is_terminated]
 
-    def all_terminated(self) -> bool:
-        return all(vjob.is_terminated for vjob in self._vjobs.values())
-
     def __iter__(self) -> Iterator[VJob]:
         return iter(self.ordered())
 

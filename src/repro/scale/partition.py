@@ -44,7 +44,7 @@ When neither strategy yields at least two non-empty zones the result's
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     AbstractSet,
     Dict,
@@ -119,11 +119,6 @@ class PartitionResult:
     zones: List[Zone]
     method: str
     exact: bool = False
-    #: The unary placement domain of every placed VM, as the decomposition
-    #: read it.
-    domains: Mapping[str, Optional[AbstractSet[str]]] = field(
-        default_factory=dict, repr=False
-    )
 
     @property
     def is_win(self) -> bool:
@@ -324,9 +319,7 @@ def partition(
     # the global optimum.  A heuristically anchored loose VM is a domain
     # restriction — the merged solution stays valid but loses optimality.
     exact = all(vm_name in tight for vm_name in placed)
-    return PartitionResult(
-        zones=zones, method="interference", exact=exact, domains=domains
-    )
+    return PartitionResult(zones=zones, method="interference", exact=exact)
 
 
 def _shard(
@@ -386,7 +379,7 @@ def _shard(
     zones = _materialize(skeletons, zone_vms, constraints)
     if len(zones) < 2:
         return PartitionResult(zones=zones, method="monolithic")
-    return PartitionResult(zones=zones, method="sharded", domains=domains)
+    return PartitionResult(zones=zones, method="sharded")
 
 
 def _materialize(

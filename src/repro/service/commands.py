@@ -100,16 +100,13 @@ class LoopCommandQueue:
         with self._lock:
             return len(self._pending)
 
-    def drain(self, loop: "ControlLoop", now: float) -> bool:
+    def drain(self, loop: "ControlLoop", now: float) -> None:
         """Apply every queued command against ``loop`` at time ``now``.
 
-        Returns True when at least one command was applied successfully (the
-        loop then refreshes its derived VM-to-vjob mapping).  A failing
-        command is recorded on :attr:`errors` and skipped.
+        A failing command is recorded on :attr:`errors` and skipped.
         """
         with self._lock:
             commands, self._pending = self._pending, []
-        changed = False
         for label, command in commands:
             try:
                 command(loop, now)
@@ -117,7 +114,5 @@ class LoopCommandQueue:
                 with self._lock:
                     self.errors.append((label, repr(error)))
             else:
-                changed = True
                 with self._lock:
                     self.applied.append(label)
-        return changed

@@ -23,7 +23,7 @@ from .hypervisor import (
     TransferMethod,
     remote_factor,
 )
-from .monitoring import DemandSource, MonitoringService, Observation
+from .monitoring import MonitoringService
 
 __all__ = [
     "SimulatedCluster",
@@ -43,7 +43,5 @@ __all__ = [
     "HypervisorModel",
     "TransferMethod",
     "remote_factor",
-    "DemandSource",
     "MonitoringService",
-    "Observation",
 ]

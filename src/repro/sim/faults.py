@@ -359,10 +359,6 @@ class FaultInjector:
                 )
         return slowed
 
-    def slowdown_factor(self, node_name: str, time: float) -> float:
-        """Progress slow-down applying to ``node_name`` at ``time`` (>= 1)."""
-        return self.slowdowns_at(time).get(node_name, 1.0)
-
     def should_fail_migration(self, vm_name: str, time: float) -> bool:
         """Whether the migration of ``vm_name`` starting at ``time`` aborts.
 

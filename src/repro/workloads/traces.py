@@ -67,9 +67,6 @@ class DemandTrace:
                 return phase.cpu_demand, elapsed
         return 0, math.inf
 
-    def is_finished(self, progress: float) -> bool:
-        return progress >= self.total_duration
-
     def __len__(self) -> int:
         return len(self.phases)
 
@@ -102,9 +99,6 @@ class VJobWorkload:
 
     def demands_at(self, progress: float) -> dict[str, int]:
         return {name: trace.demand_at(progress) for name, trace in self.traces.items()}
-
-    def is_finished(self, progress: float) -> bool:
-        return all(trace.is_finished(progress) for trace in self.traces.values())
 
 
 def constant_trace(duration: float, cpu_demand: int = 1) -> DemandTrace:

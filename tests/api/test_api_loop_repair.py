@@ -54,8 +54,8 @@ class TestInjectedFaultTimestamps:
             )
         )
         # without re-stamping the window [0, 50) would already be over
-        assert injector.slowdown_factor("n0", 120.0) == 2.0
-        assert injector.slowdown_factor("n0", 160.0) == 1.0
+        assert injector.slowdowns_at(120.0).get("n0", 1.0) == 2.0
+        assert injector.slowdowns_at(160.0).get("n0", 1.0) == 1.0
 
 
 class TestRepairLatencyAccounting:

@@ -58,10 +58,10 @@ class MarkingLoop(ControlLoop):
         return constraint.vms
 
     def _submit_pending(self, now):
-        before = set(self._submitted)
+        arriving = [w for w in self.workloads if w.vjob.name not in self.queue]
         super()._submit_pending(now)
-        for workload in self.workloads:
-            if workload.vjob.name in self._submitted - before:
+        for workload in arriving:
+            if workload.vjob.name in self.queue:
                 self.perturbed.update(workload.vjob.vm_names)
 
     def _crash_node(self, node_name, crash_time):

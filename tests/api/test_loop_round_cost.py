@@ -10,8 +10,10 @@ demands of the vjobs it advanced (reading a vjob's traces again only once
 its progress leaves the phases they were in), an observation writes the
 changed ones,
 hosts are read only when the round switched a node or a slowdown is in
-force, and the queue keeps its order from ``submit``.  The counts are
-deterministic, so this runs with the tier-1 suite.
+force, and the queue keeps its order from ``submit``.  The steps that walk
+vjobs walk the loop's two lists — the admitted vjobs not yet submitted, and
+the live ones — so no step visits a vjob it has nothing to do with.  The
+counts are deterministic, so this runs with the tier-1 suite.
 """
 
 from __future__ import annotations
@@ -27,7 +29,11 @@ from repro.model.configuration import Configuration
 from repro.model.vjob import VJobState
 from repro.sim.cluster import SimulatedCluster
 from repro.workloads import paper_cluster_nodes, paper_experiment_vjobs
-from repro.workloads.traces import DemandTrace
+from repro.workloads.traces import DemandTrace, VJobWorkload
+
+#: The steps that walk vjobs, and the vjobs none of them may visit: a
+#: submitted one for the submit step, a terminated one for the others.
+_WALKS = ("_submit_pending", "_mark_finished_vjobs", "_sample", "_advance")
 
 
 def _campaign(faults=None):
@@ -50,6 +56,49 @@ def _faulted():
     faults.node_slowdown(nodes[4], at=1500.0, duration=90.0, factor=1.5)
     faults.node_crash(nodes[7], at=900.0)
     return _campaign(faults)
+
+
+@pytest.fixture
+def visits(monkeypatch):
+    """One ``(step, vjobs it must skip, visits to them)`` record per call of
+    a step of :data:`_WALKS`; a visit is a read of ``workload.vjob``."""
+    records: list[list] = []
+    active = [None]
+
+    def read(workload):
+        vjob = workload.__dict__["vjob"]
+        if active[0] is not None:
+            record, skipped = active[0]
+            record[2] += vjob.name in skipped
+        return vjob
+
+    def write(workload, vjob):
+        workload.__dict__["vjob"] = vjob
+
+    monkeypatch.setattr(VJobWorkload, "vjob", property(read, write), raising=False)
+
+    def walking(name):
+        original = getattr(ControlLoop, name)
+
+        def walked(loop, *args):
+            skipped = {
+                vjob.name
+                for vjob in loop.queue
+                if name == "_submit_pending" or vjob.is_terminated
+            }
+            record = [name, len(skipped), 0]
+            records.append(record)
+            active[0] = (record, skipped)
+            try:
+                return original(loop, *args)
+            finally:
+                active[0] = None
+
+        monkeypatch.setattr(ControlLoop, name, walked)
+
+    for name in _WALKS:
+        walking(name)
+    return records
 
 
 @pytest.fixture
@@ -154,3 +203,17 @@ def test_a_round_walks_what_moved(scenario, rounds):
             record["slowed"] and not record["switched"] and record["host_reads"]
             for record in advanced
         )
+
+
+@pytest.mark.parametrize("scenario", [_campaign, _faulted])
+def test_a_round_visits_no_vjob_it_is_done_with(scenario, visits):
+    """The submit step visits no submitted vjob; the finish test, the
+    sample and the advance visit no terminated one."""
+    result = scenario().run()
+    assert not result.unfinished_vjobs
+    for name in _WALKS:
+        calls = [record for record in visits if record[0] == name]
+        assert len(calls) > 100
+        assert [record[2] for record in calls] == [0] * len(calls), name
+        # Not vacuous: most calls had such vjobs to skip.
+        assert sum(record[1] > 0 for record in calls) > len(calls) // 2, name

@@ -208,7 +208,7 @@ class TestExperimentBuilder:
             )
         ).build()
         result = loop.run()
-        assert loop.queue.all_terminated()
+        assert all(vjob.is_terminated for vjob in loop.queue)
         assert loop.cluster.configuration.is_viable()
         assert result.metadata["final_viable"] is True
 

@@ -62,14 +62,6 @@ class TestStateViews:
         assert [v.name for v in queue.pending()] == ["b"]
         assert [v.name for v in queue.terminated()] == ["a"]
 
-    def test_all_terminated(self):
-        a, b = vjob("a"), vjob("b")
-        queue = VJobQueue([a, b])
-        assert not queue.all_terminated()
-        a.terminate()
-        b.terminate()
-        assert queue.all_terminated()
-
 
 class TestKeptOrder:
     """The queue keeps its order from ``submit`` instead of sorting on every

@@ -12,6 +12,14 @@ observation keeps the demand it was registered with.  The runs draw stale
 windows (the period and the VM sizes set how long a switch takes), node
 crashes, slowdowns, migration failures and mid-run submissions over the
 operator's command queue.
+
+After every round the loop's own records of its vjobs are held to their
+definitions over ``loop.workloads``: the arriving list (admitted, not yet
+submitted) and the live one (submitted, not terminated), both in admission
+order, and the VM→vjob index that admission keeps.  Some runs draw an
+operator command that stops every VM of a running vjob, under a policy that
+keeps stopped VMs stopped, so the state sync after the next switch retires
+that vjob.
 """
 
 from __future__ import annotations
@@ -19,11 +27,14 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import FaultSchedule, Scenario, config
-from repro.api import LoopObserver
+from repro.api import LoopObserver, get_decision_module
 from repro.model.errors import PlanningError
+from repro.model.queue import VJobQueue
 from repro.model import make_working_nodes
+from repro.model.vjob import VJobState, index_vms_by_vjob
+from repro.model.vm import VMState
 from repro.service.commands import LoopCommandQueue
-from repro.testing import make_vjob
+from repro.testing import make_vjob, make_workload
 from repro.workloads.traces import VJobWorkload, alternating_trace
 
 _PHASES = st.lists(
@@ -47,10 +58,44 @@ def _workload(draw, name, submitted_at=0.0):
     return VJobWorkload(vjob=vjob, traces=traces)
 
 
+class _StoppedStayStopped:
+    """The default policy over the queue without the unfinished vjobs whose
+    VMs an operator stopped: it would otherwise ask to run them again, which
+    no plan can, and keep their room."""
+
+    name = "consolidation"
+
+    def __init__(self):
+        self.policy = get_decision_module("consolidation")
+
+    def use_constraints(self, constraints):
+        self.policy.use_constraints(constraints)
+
+    def decide(self, configuration, queue):
+        def stopped(vjob):
+            return not vjob.is_terminated and all(
+                configuration.state_of(vm) is VMState.TERMINATED
+                for vm in vjob.vm_names
+            )
+
+        kept = VJobQueue(vjob for vjob in queue if not stopped(vjob))
+        return self.policy.decide(configuration, kept)
+
+
+def _stop_a_running_vjob(loop, now):
+    """The operator stops every VM of the first running vjob."""
+    for vjob in loop.queue:
+        if vjob.state is VJobState.RUNNING:
+            for vm_name in vjob.vm_names:
+                loop.cluster.configuration.set_terminated(vm_name)
+            return
+
+
 @st.composite
 def _runs(draw):
-    """A scenario, and the ``(sample time, workload)`` submissions the
-    operator queues during it."""
+    """A scenario, the ``(sample time, workload)`` submissions the operator
+    queues during it, and the sample time of its stop command (or
+    ``None``)."""
     node_count = draw(st.integers(2, 4))
     arrivals = st.sampled_from([0.0, 0.0, 45.0, 90.0])
     workloads = [
@@ -77,6 +122,7 @@ def _runs(draw):
         (draw(st.sampled_from([0.0, 30.0, 60.0, 120.0])), draw(_workload(f"op{i}")))
         for i in range(draw(st.integers(0, 2)))
     ]
+    stop_at = draw(st.sampled_from([None, None, 30.0, 60.0]))
     scenario = Scenario(
         nodes=make_working_nodes(node_count, cpu_capacity=2, memory_capacity=4096),
         workloads=workloads,
@@ -84,17 +130,21 @@ def _runs(draw):
         optimizer_timeout=1.0,
         max_time=900.0,
         faults=faults,
+        policy="consolidation" if stop_at is None else _StoppedStayStopped(),
     )
-    return scenario, submissions
+    return scenario, submissions, stop_at
 
 
 class _Specification(LoopObserver):
     """Checks every observation against the traces, and queues the
     operator's submissions at the samples they were drawn for."""
 
-    def __init__(self, commands, submissions):
+    def __init__(self, commands, submissions, stop_at=None):
         self.commands = commands
         self.submissions = list(submissions)
+        self.stop_at = stop_at
+        #: vjobs the state sync retired: terminated, never completed.
+        self.retired = set()
         self.loop = None
         self.reconfigured = None
         self.last_fresh = None
@@ -107,10 +157,36 @@ class _Specification(LoopObserver):
         self.reconfigured = record.time + record.duration
 
     def on_sample(self, sample):
+        self.check_vjob_records()
         for time, workload in list(self.submissions):
             if time <= sample.time:
                 self.commands.submit_workload(workload)
                 self.submissions.remove((time, workload))
+        if self.stop_at is not None and self.stop_at <= sample.time:
+            self.commands.call(_stop_a_running_vjob, label="stop")
+            self.stop_at = None
+
+    def on_run_end(self, result):
+        self.check_vjob_records()
+        self.retired = {
+            vjob.name
+            for vjob in self.loop.queue
+            if vjob.is_terminated and vjob.name not in result.completion_times
+        }
+
+    def check_vjob_records(self):
+        """The loop's lists and index, against their definitions."""
+        loop = self.loop
+        workloads, queue = loop.workloads, loop.queue
+        assert [w.vjob.name for w in loop._arriving] == [
+            w.vjob.name for w in workloads if w.vjob.name not in queue
+        ]
+        assert [w.vjob.name for w in loop._live] == [
+            w.vjob.name
+            for w in workloads
+            if w.vjob.name in queue and not w.vjob.is_terminated
+        ]
+        assert loop._vjob_of_vm == index_vms_by_vjob(w.vjob for w in workloads)
 
     def on_iteration(self, now, configuration):
         # The monitoring rule: stale inside the refresh delay after the
@@ -145,9 +221,9 @@ class _Specification(LoopObserver):
 )
 @given(_runs())
 def test_every_observation_writes_the_traces_at_the_last_fresh_progress(run):
-    scenario, submissions = run
+    scenario, submissions, stop_at = run
     commands = LoopCommandQueue()
-    specification = _Specification(commands, submissions)
+    specification = _Specification(commands, submissions, stop_at)
     scenario.observers.append(specification)
     try:
         scenario.build(command_queue=commands).run()
@@ -157,3 +233,21 @@ def test_every_observation_writes_the_traces_at_the_last_fresh_progress(run):
         pass
     assert commands.errors == []
     assert specification.fresh >= 1
+
+
+
+def test_a_vjob_whose_vms_the_operator_stopped_is_retired_by_the_sync():
+    """Two nodes run two of three vjobs; the operator stops the first at
+    60 s, the third runs in the freed room, and the state sync after that
+    switch terminates the stopped vjob, which never completes."""
+    commands = LoopCommandQueue()
+    specification = _Specification(commands, (), stop_at=60.0)
+    Scenario(
+        nodes=make_working_nodes(2, cpu_capacity=2, memory_capacity=4096),
+        workloads=[make_workload(f"w{i}", duration=300.0) for i in range(3)],
+        optimizer_timeout=1.0,
+        policy=_StoppedStayStopped(),
+        observers=[specification],
+    ).build(command_queue=commands).run()
+    assert commands.applied == ["stop"] and commands.errors == []
+    assert specification.retired == {"w0"}

@@ -305,10 +305,6 @@ def test_a_long_lived_module_selects_what_a_fresh_one_selects(data):
             assert getattr(decomposition, attribute) == getattr(
                 expected, attribute
             )
-        # A monolithic outcome records no domain.
-        assert {name: decomposition.domains.get(name) for name in placed} == {
-            name: expected.domains.get(name) for name in placed
-        }
         engine_domains = optimizer.domains.of(configuration, placed, catalog)
         assert {name: engine_domains[name] for name in placed} == vm_domains(
             configuration, placed, catalog

@@ -628,7 +628,7 @@ def _zone_solve(**options):
         (ParallelOptimizer, "zone_executor"),
         (ConsolidationDecisionModule, "period"),
         pytest.param(
-            functools.partial(MonitoringService, dict),
+            MonitoringService,
             "refresh_delay",
             id="MonitoringService-refresh_delay",
         ),

@@ -134,11 +134,11 @@ class TestFaultInjector:
     def test_slowdown_factor_window(self):
         schedule = FaultSchedule().node_slowdown("n", at=100.0, duration=50.0, factor=3.0)
         injector = FaultInjector(schedule)
-        assert injector.slowdown_factor("n", 99.0) == 1.0
-        assert injector.slowdown_factor("n", 100.0) == 3.0
-        assert injector.slowdown_factor("n", 149.0) == 3.0
-        assert injector.slowdown_factor("n", 150.0) == 1.0
-        assert injector.slowdown_factor("other", 120.0) == 1.0
+        assert injector.slowdowns_at(99.0).get("n", 1.0) == 1.0
+        assert injector.slowdowns_at(100.0).get("n", 1.0) == 3.0
+        assert injector.slowdowns_at(149.0).get("n", 1.0) == 3.0
+        assert injector.slowdowns_at(150.0).get("n", 1.0) == 1.0
+        assert injector.slowdowns_at(120.0).get("other", 1.0) == 1.0
 
     def test_overlapping_slowdowns_take_the_worst_factor(self):
         schedule = (
@@ -147,7 +147,7 @@ class TestFaultInjector:
             .node_slowdown("n", at=50.0, duration=100.0, factor=4.0)
         )
         injector = FaultInjector(schedule)
-        assert injector.slowdown_factor("n", 75.0) == 4.0
+        assert injector.slowdowns_at(75.0).get("n", 1.0) == 4.0
 
     def test_scripted_migration_failure_is_one_shot(self):
         schedule = FaultSchedule().add(

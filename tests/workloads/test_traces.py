@@ -44,12 +44,6 @@ class TestDemandTrace:
         with pytest.raises(ValueError):
             constant_trace(10.0).demand_at(-1.0)
 
-    def test_is_finished(self):
-        trace = constant_trace(100.0)
-        assert not trace.is_finished(99.0)
-        assert trace.is_finished(100.0)
-        assert trace.is_finished(1000.0)
-
     def test_constant_trace(self):
         trace = constant_trace(60.0, cpu_demand=2)
         assert trace.total_duration == 60.0
@@ -80,11 +74,6 @@ class TestVJobWorkload:
         workload = self._workload()
         assert workload.demands_at(75.0) == {"j.vm0": 1, "j.vm1": 1}
         assert workload.demands_at(150.0) == {"j.vm0": 0, "j.vm1": 0}
-
-    def test_is_finished(self):
-        workload = self._workload()
-        assert not workload.is_finished(150.0)
-        assert workload.is_finished(200.0)
 
     def test_missing_trace_rejected(self):
         vms = [VirtualMachine(name="j.vm0", memory=512, vjob="j")]
