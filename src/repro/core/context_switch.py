@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from ..constraints import PlacementConstraint, violated_constraints
-from ..cp.solver import ENGINES, SearchStatistics
+from ..cp.solver import SearchStatistics
 from ..model.configuration import Configuration
 from ..model.errors import PlanningError, SolverError
 from ..model.vm import VMState
@@ -53,10 +53,10 @@ class ContextSwitchReport:
         return self.cost.total
 
 
-#: The composed engines: name -> (incremental repair on top?, the solving
-#: strategy underneath).  Every other name is a propagation engine of the
-#: monolithic optimizer, solved cold.
-_COMPOSED_ENGINES = {
+#: The engine menu: name -> (incremental repair on top?, the solving
+#: strategy underneath: the monolithic optimizer or the partitioned one).
+_ENGINE_MENU = {
+    "event": (False, "event"),
     "partitioned": (False, "partitioned"),
     "repair": (True, "event"),
     "repair-partitioned": (True, "partitioned"),
@@ -97,16 +97,16 @@ class ClusterContextSwitch:
         * ``"partitioned"``, whose search decomposes the cluster into
           independent placement zones solved one by one
           (:mod:`repro.scale.parallel`) and transparently falls back to the
-          monolithic search when no decomposition exists;
-        * ``"fixpoint"``, the reference propagation engine, solved cold.
+          monolithic search when no decomposition exists.
+
+        Every search runs the one propagation path of :mod:`repro.cp`.
 
         ``zone_executor`` must be one of :data:`ZONE_EXECUTORS` under every
         engine; it names how the partitioned engines run their zones, and
         there is one way left."""
-        if engine not in ENGINES and engine not in _COMPOSED_ENGINES:
+        if engine not in _ENGINE_MENU:
             raise SolverError(
-                f"unknown engine {engine!r}; expected one of "
-                f"{(*ENGINES, *_COMPOSED_ENGINES)}"
+                f"unknown engine {engine!r}; expected one of {tuple(_ENGINE_MENU)}"
             )
         if zone_executor not in ZONE_EXECUTORS:
             raise SolverError(
@@ -114,16 +114,14 @@ class ClusterContextSwitch:
                 f"{ZONE_EXECUTORS}"
             )
         self.planner = ReconfigurationPlanner()
-        repair, strategy = _COMPOSED_ENGINES.get(engine, (False, engine))
+        repair, strategy = _ENGINE_MENU[engine]
         if strategy == "partitioned":
             # Deferred import: repro.scale builds on repro.core.
             from ..scale.parallel import ParallelOptimizer
 
             self.optimizer = ParallelOptimizer(timeout=optimizer_timeout)
         else:
-            self.optimizer = ContextSwitchOptimizer(
-                timeout=optimizer_timeout, engine=strategy
-            )
+            self.optimizer = ContextSwitchOptimizer(timeout=optimizer_timeout)
         if repair:
             # Deferred import: repro.repair builds on repro.core and scale.
             from ..repair import RepairOptimizer

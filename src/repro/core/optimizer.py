@@ -64,7 +64,6 @@ from ..model.node import Node
 from ..model.vm import VMState
 from ..obs import current_tracer, span as obs_span
 from ..cp import (
-    ENGINES,
     ActivityLastConflict,
     CostTable,
     Domain,
@@ -270,16 +269,15 @@ class ContextSwitchOptimizer:
         first_solution_only: bool = False,
         engine: str = "event",
     ) -> None:
-        """``engine`` selects the propagation engine (``"event"`` or the
-        naive ``"fixpoint"`` reference)."""
-        if engine not in ENGINES:
+        """``engine`` names the one propagation path, ``"event"``; any other
+        name raises.  It is kept only for callers that still pass it."""
+        if engine != "event":
             raise SolverError(
-                f"unknown propagation engine {engine!r}; expected one of {ENGINES}"
+                f"unknown propagation engine {engine!r}; expected 'event'"
             )
         self.timeout = timeout
         self.planner = ReconfigurationPlanner()
         self.first_solution_only = first_solution_only
-        self.engine = engine
         #: The unary domains this optimizer's models, the partitioner, the
         #: repair engine wrapped around it and, in a control loop, the
         #: policy all read — kept across rounds while their key holds.
@@ -592,7 +590,7 @@ class ContextSwitchOptimizer:
         ``cp.solve`` span with ``stop="incumbent"``, from tracer time
         ``since`` if given) and return its statistics."""
         statistics = SearchStatistics(solutions=1, proven_optimal=True)
-        with obs_span("cp.solve", engine=self.engine) as trace_span:
+        with obs_span("cp.solve") as trace_span:
             if since is not None:
                 trace_span.start = since
             SearchResult(
@@ -871,7 +869,6 @@ class ContextSwitchOptimizer:
             model,
             variable_selector=ActivityLastConflict(static_order(ordered_vars)),
             value_selector=prefer_value(preferences),
-            engine=self.engine,
         )
         result = solver.solve(
             minimize=total_var,

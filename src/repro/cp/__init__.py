@@ -18,7 +18,6 @@ from .constraints import (
 )
 from .domain import Domain, IntervalDomain
 from .solver import (
-    ENGINES,
     ActivityLastConflict,
     Model,
     SearchResult,
@@ -42,7 +41,6 @@ __all__ = [
     "VectorPacking",
     "Domain",
     "IntervalDomain",
-    "ENGINES",
     "ActivityLastConflict",
     "Model",
     "SearchResult",

@@ -22,17 +22,14 @@ declarative relations into a second family of propagators:
 Propagation is *event-driven*: each constraint declares a scheduling
 ``priority`` (cheap propagators drain first) and whether it is ``idempotent``
 (its own prunings cannot enable further prunings by itself, so the store need
-not requeue it for self-inflicted events).  A constraint implements:
-
-* ``propagate(store)`` — stateless propagation from scratch.  Used by the
-  naive-fixpoint reference engine and by unit tests; always correct.
-* ``register(store)`` / ``propagate_events(store, dirty)`` — the incremental
-  protocol of the event engine.  ``register`` (re)builds internal counters at
-  the start of a search; ``propagate_events`` receives the model indices of
-  the watched variables whose domain changed since the last call and updates
-  the counters by deltas, undoing them on backtrack through
-  ``store.record_undo``.  The default implementation falls back to the
-  stateless ``propagate``.
+not requeue it for self-inflicted events).  A constraint implements
+``variables()``, ``register(store)`` and ``propagate_events(store, dirty)``:
+``register`` (re)builds internal counters at the start of a search;
+``propagate_events`` receives the model indices of the watched variables
+whose domain changed since the last call and updates the counters by deltas,
+undoing them on backtrack through ``store.record_undo``.  The three catalog
+propagators keep no counters and filter from scratch whatever ``dirty``
+says.
 
 ``store`` exposes the domain mutations that are recorded on the solver trail.
 Propagation raises :class:`~repro.model.errors.InconsistencyError` when a
@@ -58,22 +55,11 @@ class Constraint:
     def variables(self) -> Sequence[IntVar]:
         raise NotImplementedError
 
-    def propagate(self, store) -> None:
-        """Filter the domains of the constraint's variables from scratch."""
-        raise NotImplementedError
-
     def register(self, store) -> None:
-        """(Re)build incremental state at the start of an event-driven search."""
+        """(Re)build incremental state at the start of a search."""
 
     def propagate_events(self, store, dirty: Collection[int]) -> None:
-        """Incremental filtering given the model indices of changed variables.
-
-        The default falls back to full propagation, which is always sound.
-        """
-        self.propagate(store)
-
-    def is_satisfied(self) -> bool:
-        """Check the constraint on fully instantiated variables."""
+        """Filter the domains given the model indices of changed variables."""
         raise NotImplementedError
 
 
@@ -113,7 +99,7 @@ class ElementSum(Constraint):
     A variable's cost bounds are read off the smaller of its table's
     exceptions and its domain, so a sparse table is bounded in O(1).
 
-    Event mode keeps the per-variable cost bounds and their sums as trailed
+    It keeps the per-variable cost bounds and their sums as trailed
     counters: a domain event re-derives the bounds of the touched variable
     only.  The value pruning is a sweep over the variables, run only when it
     can find something: the slack ``total.max - lower`` has to be below the
@@ -177,31 +163,6 @@ class ElementSum(Constraint):
             [v for v in var.raw_values() if exceptions.get(v, default) > budget],
         )
 
-    def propagate(self, store) -> None:
-        if self._empty:
-            if 0 not in self._total:
-                raise InconsistencyError(
-                    "ElementSum: empty variable list forces total = 0"
-                )
-            store.remove_below(self._total, 0)
-            store.remove_above(self._total, 0)
-            return
-        bounds = [self._cost_bounds(i) for i in range(len(self._vars))]
-        lower = sum(b[0] for b in bounds)
-        upper = sum(b[1] for b in bounds)
-        if lower > self._total.max or upper < self._total.min:
-            raise InconsistencyError("ElementSum: cost bounds incompatible with total")
-        store.remove_below(self._total, lower)
-        store.remove_above(self._total, upper)
-
-        # Prune assignment values that would exceed the total upper bound.
-        slack = self._total.max - lower
-        for i, (lo, hi) in enumerate(bounds):
-            if hi - lo > slack:
-                self._prune(store, i, slack + lo)
-
-    # -- event-driven protocol -------------------------------------------------
-
     def register(self, store) -> None:
         self._index_of = {var.index: i for i, var in enumerate(self._vars)}
         bounds = [self._cost_bounds(i) for i in range(len(self._vars))]
@@ -226,7 +187,12 @@ class ElementSum(Constraint):
 
     def propagate_events(self, store, dirty: Collection[int]) -> None:
         if self._empty:
-            self.propagate(store)
+            if 0 not in self._total:
+                raise InconsistencyError(
+                    "ElementSum: empty variable list forces total = 0"
+                )
+            store.remove_below(self._total, 0)
+            store.remove_above(self._total, 0)
             return
         for model_index in dirty:
             i = self._index_of.get(model_index)
@@ -257,12 +223,6 @@ class ElementSum(Constraint):
             if hi[i] - lo[i] > slack:
                 self._prune(store, i, slack + lo[i])
 
-    def is_satisfied(self) -> bool:
-        return (
-            sum(self._tables[i].cost(v.value) for i, v in enumerate(self._vars))
-            == self._total.value
-        )
-
 
 class VectorPacking(Constraint):
     """Two-dimensional bin-packing of VMs onto nodes (Section 3.2).
@@ -274,7 +234,7 @@ class VectorPacking(Constraint):
     room, and fails when committed load exceeds a capacity — the behaviour the
     paper obtains from Choco's packing / multi-knapsack constraints.
 
-    Event mode maintains the free capacity of every node and the set of
+    It maintains the free capacity of every node and the set of
     not-yet-committed items incrementally: committing an item on assignment
     is an O(1) load delta (undone on backtrack), and only the nodes whose
     free capacity shrank re-check the pending items — and only when what is
@@ -283,8 +243,8 @@ class VectorPacking(Constraint):
     """
 
     priority = 2
-    # propagate_events runs its own internal worklist to fixpoint (a pruning
-    # that instantiates an item is committed in the same call).
+    # propagate_events runs its own internal worklist until nothing changes
+    # (a pruning that instantiates an item is committed in the same call).
     idempotent = True
 
     def __init__(
@@ -310,60 +270,12 @@ class VectorPacking(Constraint):
     def variables(self) -> Sequence[IntVar]:
         return self._vars
 
-    def propagate(self, store) -> None:
-        if not self._vars:
-            # Degenerate compilation output (no item to pack): trivially
-            # satisfied, nothing to filter.
-            return
-        node_count = len(self._capacities)
-        committed_cpu = [0] * node_count
-        committed_mem = [0] * node_count
-        pending: list[int] = []
-
-        for index, var in enumerate(self._vars):
-            if var.is_instantiated:
-                node = var.value
-                if not 0 <= node < node_count:
-                    raise InconsistencyError(
-                        f"assignment {var.name} targets unknown node {node}"
-                    )
-                committed_cpu[node] += self._demands[index][0]
-                committed_mem[node] += self._demands[index][1]
-            else:
-                pending.append(index)
-
-        free_cpu = [0] * node_count
-        free_mem = [0] * node_count
-        for node in range(node_count):
-            cpu_cap, mem_cap = self._capacities[node]
-            if committed_cpu[node] > cpu_cap or committed_mem[node] > mem_cap:
-                raise InconsistencyError(
-                    f"node {node} overloaded: committed "
-                    f"({committed_cpu[node]}, {committed_mem[node]}) > "
-                    f"capacity {(cpu_cap, mem_cap)}"
-                )
-            free_cpu[node] = cpu_cap - committed_cpu[node]
-            free_mem[node] = mem_cap - committed_mem[node]
-
-        for index in pending:
-            cpu, mem = self._demands[index]
-            var = self._vars[index]
-            to_remove = [
-                node
-                for node in var.raw_values()
-                if cpu > free_cpu[node] or mem > free_mem[node]
-            ]
-            if to_remove:
-                store.remove_many(var, to_remove)
-
-    # -- event-driven protocol -------------------------------------------------
-
     def register(self, store) -> None:
         self._index_of = {var.index: i for i, var in enumerate(self._vars)}
         self._free = [list(capacity) for capacity in self._capacities]
         self._pending = set(range(len(self._vars)))
         # The first propagation re-checks every node so that items that do
-        # not fit an *empty* node are pruned like the reference engine does.
+        # not fit even an *empty* node are pruned at the root.
         self._primed = False
 
     def _release(self, i: int, node: int, cpu: int, mem: int):
@@ -427,24 +339,11 @@ class VectorPacking(Constraint):
                         if var.is_instantiated:
                             worklist.append(i)
 
-    def is_satisfied(self) -> bool:
-        node_count = len(self._capacities)
-        loads = [[0, 0] for _ in range(node_count)]
-        for index, var in enumerate(self._vars):
-            node = var.value
-            loads[node][0] += self._demands[index][0]
-            loads[node][1] += self._demands[index][1]
-        return all(
-            loads[j][0] <= self._capacities[j][0]
-            and loads[j][1] <= self._capacities[j][1]
-            for j in range(node_count)
-        )
-
 
 class NotEqual(Constraint):
     """``a != b`` — the cheapest disequality, used for two-VM ``Spread``.
 
-    Propagation runs to its own local fixpoint (pruning ``b`` may instantiate
+    Propagation runs until nothing changes (pruning ``b`` may instantiate
     it, which in turn prunes ``a``), so the constraint is genuinely idempotent
     and never needs requeueing for self-inflicted events.
     """
@@ -459,7 +358,7 @@ class NotEqual(Constraint):
     def variables(self) -> Sequence[IntVar]:
         return [self._a, self._b]
 
-    def propagate(self, store) -> None:
+    def propagate_events(self, store, dirty: Collection[int]) -> None:
         a, b = self._a, self._b
         while True:
             if a.is_instantiated and b.is_instantiated:
@@ -474,9 +373,6 @@ class NotEqual(Constraint):
                 store.remove(a, b.value)
             else:
                 return
-
-    def is_satisfied(self) -> bool:
-        return self._a.value != self._b.value
 
 
 class CountInValuesAtMost(Constraint):
@@ -516,7 +412,7 @@ class CountInValuesAtMost(Constraint):
 
         store.record_undo(undo)
 
-    def propagate(self, store) -> None:
+    def propagate_events(self, store, dirty: Collection[int]) -> None:
         if self._entailed:
             return
         watched = self._watched
@@ -547,11 +443,6 @@ class CountInValuesAtMost(Constraint):
             # count cannot grow in this subtree.
             self._mark_entailed(store)
 
-    def is_satisfied(self) -> bool:
-        return (
-            sum(1 for var in self._vars if var.value in self._watched) <= self._max
-        )
-
 
 class AllDifferent(Constraint):
     """Pairwise-different values (value-based propagation), except that
@@ -565,7 +456,7 @@ class AllDifferent(Constraint):
     def variables(self) -> Sequence[IntVar]:
         return self._vars
 
-    def propagate(self, store) -> None:
+    def propagate_events(self, store, dirty: Collection[int]) -> None:
         assigned: dict[int, IntVar] = {}
         for var in self._vars:
             if var.is_instantiated:
@@ -584,14 +475,3 @@ class AllDifferent(Constraint):
             clash = [v for v in assigned if v in var]
             if clash:
                 store.remove_many(var, clash)
-
-    def is_satisfied(self) -> bool:
-        seen: set[int] = set()
-        for var in self._vars:
-            value = var.value
-            if value in self._exceptions:
-                continue
-            if value in seen:
-                return False
-            seen.add(value)
-        return True

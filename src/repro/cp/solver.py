@@ -30,10 +30,11 @@ bookkeeping — the variable selector is asked first (completeness is only
 checked when it has nothing left to offer) and :func:`static_order` keeps a
 trailed cursor instead of rescanning its order at every node.
 
-The previous solver generation re-propagated *every* constraint to a fixpoint
-after *every* decision; that behaviour is retained as the ``"fixpoint"``
-reference engine so equivalence can be property-tested
-(``tests/properties/test_propagation_equivalence.py``).
+This is the one propagation path.  The first solver generation re-ran
+*every* constraint from scratch after *every* decision until nothing changed;
+that behaviour survives only under ``tests/`` (``reference_propagation.py``,
+one constraint wrapping a whole model and searched by this solver), where the
+property suites hold the two to the same search trees.
 """
 
 from __future__ import annotations
@@ -54,11 +55,6 @@ VariableSelector = Callable[[Sequence[IntVar]], Optional[IntVar]]
 ValueSelector = Callable[[IntVar], Sequence[int]]
 #: ``_Store.record_undo`` as a selector's :meth:`bind` receives it.
 RecordUndo = Callable[[Callable[[], None]], None]
-
-#: Known propagation engines: ``"event"`` wakes only the constraints watching
-#: a changed variable; ``"fixpoint"`` re-propagates every constraint after
-#: every decision (the pre-event-engine reference behaviour).
-ENGINES = ("event", "fixpoint")
 
 #: Number of priority buckets in the propagation queue.
 _PRIORITY_LEVELS = 4
@@ -323,19 +319,15 @@ class _Store:
     _ERAS = itertools.count(1)
 
     __slots__ = (
-        "_trail", "_levels", "_watchers", "_era", "_event_mode",
+        "_trail", "_levels", "_watchers", "_era",
         "_buckets", "_queued", "_dirty", "_active", "events",
     )
 
-    def __init__(self, watchers: dict[int, list[Constraint]], event_mode: bool = True):
+    def __init__(self, watchers: dict[int, list[Constraint]]):
         self._trail: list[tuple] = []
         self._levels: list[int] = []
         self._watchers = watchers
         self._era = next(_Store._ERAS)
-        #: False for the fixpoint reference engine: watchers are still woken
-        #: (the pre-event-engine behaviour) but no dirty-set bookkeeping is
-        #: done, so the reference timings carry no event-engine overhead.
-        self._event_mode = event_mode
         self._buckets = tuple(deque() for _ in range(_PRIORITY_LEVELS))
         self._queued: set[int] = set()
         self._dirty: dict[int, set[int]] = {}
@@ -383,10 +375,6 @@ class _Store:
     def _changed(self, var: IntVar) -> None:
         self.events += 1
         index = var.index
-        if not self._event_mode:
-            for constraint in self._watchers.get(index, ()):
-                self.schedule(constraint)
-            return
         active = self._active
         for constraint in self._watchers.get(index, ()):
             if constraint is active and constraint.idempotent:
@@ -466,13 +454,9 @@ class Solver:
         Branching heuristics; the defaults are first-fail over ascending
         values, the optimizer wraps them in the paper's biggest-first order
         plus :class:`ActivityLastConflict`.
-    engine:
-        Propagation engine — ``"event"`` (default) wakes only the
-        constraints watching a changed variable through the
-        priority-bucketed queue; ``"fixpoint"`` re-propagates every
-        constraint after every decision (the first-generation reference
-        behaviour, retained so equivalence can be property-tested).  Both
-        engines walk identical search trees.
+
+    A domain change wakes only the constraints watching the changed
+    variable, through the priority-bucketed queue.
 
     Effort is bounded per :meth:`solve` call via ``timeout`` (wall-clock)
     and ``node_limit`` (deterministic search-tree cap) — see
@@ -484,16 +468,10 @@ class Solver:
         model: Model,
         variable_selector: VariableSelector = first_fail,
         value_selector: ValueSelector = ascending_values,
-        engine: str = "event",
     ) -> None:
-        if engine not in ENGINES:
-            raise SolverError(
-                f"unknown propagation engine {engine!r}; expected one of {ENGINES}"
-            )
         self._model = model
         self._variable_selector = variable_selector
         self._value_selector = value_selector
-        self._engine = engine
         watchers: dict[int, list[Constraint]] = {}
         for constraint in model.constraints:
             for var in constraint.variables():
@@ -542,7 +520,7 @@ class Solver:
         # improving-objective timeline as timestamped span events.  With no
         # active tracer the span is the shared no-op and costs one
         # contextvar read.
-        with obs_span("cp.solve", engine=self._engine) as trace_span:
+        with obs_span("cp.solve") as trace_span:
             result = self._solve_impl(
                 minimize=minimize,
                 timeout=timeout,
@@ -565,8 +543,7 @@ class Solver:
         node_limit: Optional[int] = None,
         trace_span: Span = NULL_SPAN,
     ) -> SearchResult:
-        event = self._engine == "event"
-        store = _Store(self._watchers, event_mode=event)
+        store = _Store(self._watchers)
         stats = SearchStatistics()
         result = SearchResult(best=None, statistics=stats)
         start = time.monotonic()
@@ -594,34 +571,26 @@ class Solver:
             objective = minimize.value if minimize is not None else None
             return Solution(values=values, objective=objective)
 
-        def propagate() -> bool:
+        def drain() -> bool:
             """Drain the propagation queue; False on inconsistency.
 
-            In event mode only the constraints woken by domain events run, and
-            they receive the indices of their changed variables; in fixpoint
-            mode every constraint is rescheduled and re-propagated from
-            scratch (the pre-event-engine reference behaviour).
+            Only the constraints woken by domain events run, and they receive
+            the indices of their changed variables.
             """
             try:
                 if minimize is not None and best_cost is not None:
                     store.remove_above(minimize, best_cost - 1)
-                if not event:
-                    for constraint in constraints:
-                        store.schedule(constraint)
                 while True:
                     constraint = store.pop_constraint()
                     if constraint is None:
                         return True
                     stats.propagations += 1
                     dirty = store.take_dirty(constraint)
-                    if event:
-                        store._active = constraint
-                        try:
-                            constraint.propagate_events(store, dirty)
-                        finally:
-                            store._active = None
-                    else:
-                        constraint.propagate(store)
+                    store._active = constraint
+                    try:
+                        constraint.propagate_events(store, dirty)
+                    finally:
+                        store._active = None
             except InconsistencyError:
                 store.clear_queue()
                 return False
@@ -705,7 +674,7 @@ class Solver:
                             store.pop_level()
                             record_failure(var)
                             continue
-                        if propagate():
+                        if drain():
                             break
                         record_failure(var)
                         store.pop_level()
@@ -726,14 +695,13 @@ class Solver:
         try:
             if bind_selector is not None:
                 bind_selector(store.record_undo)
-            if event:
-                for constraint in constraints:
-                    constraint.register(store)
-                    store.mark_dirty(
-                        constraint, (var.index for var in constraint.variables())
-                    )
-                    store.schedule(constraint)
-            if propagate():
+            for constraint in constraints:
+                constraint.register(store)
+                store.mark_dirty(
+                    constraint, (var.index for var in constraint.variables())
+                )
+                store.schedule(constraint)
+            if drain():
                 if minimize is not None:
                     result.root_bound = minimize.min
                 search()

@@ -111,8 +111,9 @@ def _relational_closure(
     constraints: Sequence[PlacementConstraint],
     placed: Container[str],
 ) -> None:
-    """Dirty any relational group with a dirty member (in place, to a
-    fixpoint: two ``Spread`` groups may chain through a shared member)."""
+    """Dirty any relational group with a dirty member (in place, until
+    nothing changes: two ``Spread`` groups may chain through a shared
+    member)."""
     changed = True
     while changed:
         changed = False

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.api import ControlLoop, Scenario
 from repro.constraints import Spread
 from repro.core.context_switch import ClusterContextSwitch
 from repro.model.configuration import Configuration
@@ -23,19 +24,34 @@ def configuration():
     return configuration
 
 
-@pytest.mark.parametrize("engine", ["partition", "", "Event"])
-def test_an_unknown_engine_name_lists_all_five(engine):
+ENGINES = ["event", "partitioned", "repair", "repair-partitioned"]
+
+
+@pytest.mark.parametrize("engine", ["partition", "", "Event", "fixpoint"])
+def test_an_unknown_engine_name_lists_all_four(engine):
+    # "fixpoint" named the reference propagation engine, which now lives
+    # under tests/ only: it is refused like any other unknown name.
     with pytest.raises(SolverError) as raised:
         ClusterContextSwitch(engine=engine)
     message = str(raised.value)
     assert repr(engine) in message
-    for name in ("event", "fixpoint", "partitioned", "repair", "repair-partitioned"):
-        assert repr(name) in message
+    menu = message.split("expected one of", 1)[1]
+    assert "fixpoint" not in menu
+    for name in ENGINES:
+        assert repr(name) in menu
 
 
-@pytest.mark.parametrize(
-    "engine", ["event", "fixpoint", "partitioned", "repair", "repair-partitioned"]
-)
+@pytest.mark.parametrize("entry", ["Scenario", "ControlLoop"])
+def test_the_loop_entry_points_refuse_the_retired_engine(entry):
+    nodes = make_working_nodes(2, cpu_capacity=2, memory_capacity=4096)
+    with pytest.raises(SolverError, match="'fixpoint'"):
+        if entry == "Scenario":
+            Scenario(nodes=nodes, workloads=[], engine="fixpoint").build()
+        else:
+            ControlLoop(nodes, [], engine="fixpoint")
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize("executor", ["bogus", "auto", "process"])
 def test_an_unknown_zone_executor_is_refused_under_every_engine(engine, executor):
     # Only the partitioned engines use the executor, but a typo is a typo
@@ -48,9 +64,7 @@ def test_an_unknown_zone_executor_is_refused_under_every_engine(engine, executor
     assert "('serial',)" in message
 
 
-@pytest.mark.parametrize(
-    "engine", ["event", "fixpoint", "partitioned", "repair", "repair-partitioned"]
-)
+@pytest.mark.parametrize("engine", ENGINES)
 def test_every_listed_engine_name_is_accepted(engine, configuration):
     switcher = ClusterContextSwitch(engine=engine, optimizer_timeout=5)
     report = switcher.compute(configuration, {"r": VMState.SLEEPING})

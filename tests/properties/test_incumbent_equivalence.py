@@ -31,11 +31,12 @@ import time
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
+from reference_propagation import SOLVERS, propagation
 
 from repro.constraints import Ban, Fence, RunningCapacity, violated_constraints
 from repro.constraints.domains import vm_domains
 from repro.core.optimizer import ContextSwitchOptimizer
-from repro.cp import ENGINES, Solver
+from repro.cp import Solver
 from repro.model.configuration import Configuration
 from repro.model.node import Node, make_working_nodes
 from repro.model.vm import VirtualMachine, VMState
@@ -161,19 +162,20 @@ def _assert_plannable(configuration, names, catalog, frozen, assignment):
 
 
 @settings(max_examples=150, deadline=None)
-@given(instances(), st.sampled_from(ENGINES))
+@given(instances(), st.sampled_from(tuple(SOLVERS)))
 def test_incumbent_first_agrees_with_the_solve_that_always_searches(instance, engine):
     configuration, names, catalog, frozen = instance
     vacuous = RunningCapacity(
         configuration.node_names, maximum=len(configuration.vm_names)
     )
-    optimizer = ContextSwitchOptimizer(timeout=10.0, engine=engine)
-    assignment, statistics, improving, bounds = solve_recording_bounds(
-        optimizer, configuration, names, catalog, frozen
-    )
-    reference, reference_stats, _, reference_bounds = solve_recording_bounds(
-        optimizer, configuration, names, catalog + [vacuous], frozen
-    )
+    optimizer = ContextSwitchOptimizer(timeout=10.0)
+    with propagation(engine):
+        assignment, statistics, improving, bounds = solve_recording_bounds(
+            optimizer, configuration, names, catalog, frozen
+        )
+        reference, reference_stats, _, reference_bounds = solve_recording_bounds(
+            optimizer, configuration, names, catalog + [vacuous], frozen
+        )
     # The reference never has an incumbent, and searches unless the build
     # already refused the instance.
     assert reference_bounds in ([None], [])

@@ -1,7 +1,9 @@
 """Propagation-engine equivalence properties.
 
-The event-driven engine (incremental propagators, priority queue, trailed
-counters) and the retained naive-fixpoint reference engine must be
+The shipped event-driven solver (incremental propagators, priority queue,
+trailed counters) and the retained naive-fixpoint reference
+(``reference_propagation.py``: the same solver over one constraint that
+re-runs every from-scratch propagator until nothing changes) must be
 observationally identical on the RJSP-style models the optimizer builds:
 same satisfiability, same optimum, same proof-of-optimality status, and a
 returned solution that satisfies every constraint.  Any mismatch means an
@@ -20,6 +22,7 @@ from __future__ import annotations
 from itertools import product
 
 from hypothesis import given, settings, strategies as st
+from reference_propagation import SOLVERS, is_satisfied
 
 from repro.cp import (
     AllDifferent,
@@ -27,7 +30,6 @@ from repro.cp import (
     CountInValuesAtMost,
     ElementSum,
     Model,
-    Solver,
     VectorPacking,
     prefer_value,
     static_order,
@@ -116,11 +118,10 @@ def _build(instance):
 
 def _solve(instance, engine):
     model, assignment, total = _build(instance)
-    solver = Solver(
+    solver = SOLVERS[engine](
         model,
         variable_selector=static_order(assignment),
         value_selector=prefer_value(instance["preferences"]),
-        engine=engine,
     )
     result = solver.solve(
         minimize=total, initial_bound=instance["initial_bound"], collect_all=True
@@ -144,7 +145,7 @@ def test_engines_agree_on_optimum_and_proof(instance):
         for model, result in ((model_e, event), (model_f, fixpoint)):
             for var in model.variables:
                 var.domain.assign(result.best[var.name])
-            assert all(c.is_satisfied() for c in model.constraints)
+            assert all(is_satisfied(c) for c in model.constraints)
 
 
 @settings(max_examples=60, deadline=None)
@@ -153,7 +154,7 @@ def test_engines_agree_in_satisfaction_mode(instance):
     results = {}
     for engine in ("event", "fixpoint"):
         model, assignment, total = _build(instance)
-        solver = Solver(model, variable_selector=static_order(assignment), engine=engine)
+        solver = SOLVERS[engine](model, variable_selector=static_order(assignment))
         results[engine] = solver.solve()
     assert (results["event"].best is None) == (results["fixpoint"].best is None)
     if results["event"].best is not None:

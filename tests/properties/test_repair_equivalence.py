@@ -32,11 +32,11 @@ monolithic solve on randomly generated perturbed rounds:
 from __future__ import annotations
 
 from hypothesis import given, settings, strategies as st
+from reference_propagation import SOLVERS, propagation
 
 from repro.constraints import Fence, RunningCapacity, Spread
 from repro.constraints.checker import check_configuration, check_plan
 from repro.core.optimizer import ContextSwitchOptimizer
-from repro.cp import ENGINES
 from repro.model.configuration import Configuration
 from repro.model.errors import PlanningError
 from repro.model.node import Node
@@ -287,7 +287,7 @@ def test_shrunken_fence_members_are_never_pinned_to_retired_nodes(instance):
 @settings(max_examples=60, deadline=None)
 @given(
     perturbed_instances(),
-    st.sampled_from(ENGINES),
+    st.sampled_from(tuple(SOLVERS)),
     st.sampled_from(("unary", "spread", "capacity")),
     st.integers(min_value=0, max_value=8),
 )
@@ -326,19 +326,20 @@ def test_the_cut_searches_like_one_node_fences(instance, engine, relation, bound
         configuration, _states(names), names, catalog, halo=0
     )
     pins = [Fence([vm], [configuration.location_of(vm)]) for vm in sorted(frozen)]
-    cut, cut_stats, cut_costs, bounds = solve_recording_bounds(
-        ContextSwitchOptimizer(timeout=10.0, engine=engine),
-        configuration,
-        names,
-        catalog,
-        frozen,
-    )
-    pinned, pinned_stats, pinned_costs, _ = solve_recording_bounds(
-        ContextSwitchOptimizer(timeout=10.0, engine=engine),
-        configuration,
-        names,
-        catalog + pins,
-    )
+    with propagation(engine):
+        cut, cut_stats, cut_costs, bounds = solve_recording_bounds(
+            ContextSwitchOptimizer(timeout=10.0),
+            configuration,
+            names,
+            catalog,
+            frozen,
+        )
+        pinned, pinned_stats, pinned_costs, _ = solve_recording_bounds(
+            ContextSwitchOptimizer(timeout=10.0),
+            configuration,
+            names,
+            catalog + pins,
+        )
     assert (cut is None) == (pinned is None)
     if cut is None:
         # Refused before a search (frozen VMs breaking a relation, dirty VMs

@@ -7,7 +7,9 @@ exceptions and guards its pruning sweep with an O(1) test.
 per value, bounds by scanning the domain, a sweep on every run behind a
 trailed pointer into the values sorted by cost — kept here as the oracle.
 Two searches that differ only in which of the two they post must see the same
-domains after every propagation, under both engines.
+domains after every propagation, under both the shipped solver and the
+retained naive-fixpoint reference (``reference_propagation.py``, which runs
+``DenseElementSum.propagate`` as its from-scratch body).
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 from typing import Collection, Mapping, Sequence
 
 from hypothesis import given, settings, strategies as st
+from reference_propagation import SOLVERS
 
 from repro.cp import (
     Constraint,
@@ -22,7 +25,6 @@ from repro.cp import (
     ElementSum,
     IntVar,
     Model,
-    Solver,
     VectorPacking,
     static_order,
 )
@@ -231,11 +233,10 @@ def _walk(instance, dense: bool, engine: str):
         log.append(([x.values() for x in xs], total.min, total.max))
         return var.values()
 
-    result = Solver(
+    result = SOLVERS[engine](
         model,
         variable_selector=static_order(xs),
         value_selector=values,
-        engine=engine,
     ).solve(
         minimize=total, initial_bound=instance["initial_bound"], collect_all=True
     )
@@ -250,7 +251,7 @@ def _walk(instance, dense: bool, engine: str):
 @settings(max_examples=150, deadline=None)
 @given(priced_packings())
 def test_sparse_tables_prune_like_dense_tables(instance):
-    for engine in ("event", "fixpoint"):
+    for engine in SOLVERS:
         assert _walk(instance, dense=False, engine=engine) == _walk(
             instance, dense=True, engine=engine
         )

@@ -500,7 +500,7 @@ class TestPartitionedEngineWiring:
         assert switch.engine == "partitioned"
 
     @pytest.mark.parametrize(
-        "engine", ["event", "fixpoint", "partitioned", "repair", "repair-partitioned"]
+        "engine", ["event", "partitioned", "repair", "repair-partitioned"]
     )
     def test_cluster_context_switch_close_is_a_noop(self, engine):
         # The round benchmark's loop drivers close the switch a loop built
@@ -602,6 +602,9 @@ def _zone_solve(**options):
         (_zone_solve, "use_greedy_bound"),
         (_zone_solve, "node_limit"),
         (_zone_solve, "first_solution_only"),
+        pytest.param(
+            functools.partial(Solver, Model()), "engine", id="Solver-engine"
+        ),
         (Solver(Model()).solve, "assumptions"),
         (Solver(Model()).solve, "solution_limit"),
         (Scenario, "repair_halo"),
@@ -663,6 +666,8 @@ def test_retired_solver_option_is_rejected(build, option):
     caller passed down, the strict mode only its own test turned on, and the
     delays, periods and capacities only tests set (constants now).  The
     last-conflict selector's primary order is required: the activity
-    fallback that ran without one is gone."""
+    fallback that ran without one is gone.  The solver has one propagation
+    path: its first-generation reference lives under ``tests/``
+    (``reference_propagation.py``) and needs no option."""
     with pytest.raises(TypeError, match=option):
         build(**{option: None})
