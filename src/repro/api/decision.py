@@ -124,9 +124,13 @@ def stop_terminated_vms(
     pass adds the required ``TERMINATED`` entries to ``vm_states`` (in place,
     in queue order) and returns it: one
     :meth:`~repro.model.configuration.Configuration.running_among` read per
-    terminated vjob.
+    vjob of :meth:`~repro.model.queue.VJobQueue.stopping`, which drops each
+    vjob none of whose VMs runs (a TERMINATED VM never runs again).
     """
-    for vjob in queue.terminated():
-        for vm_name in configuration.running_among(vjob.vm_names):
+    for vjob in queue.stopping():
+        running = configuration.running_among(vjob.vm_names)
+        if not running:
+            queue.stopped(vjob)
+        for vm_name in running:
             vm_states[vm_name] = VMState.TERMINATED
     return vm_states

@@ -142,10 +142,11 @@ class ControlLoop:
         self.observers = list(observers)
         self.faults = fault_injector
         self.sla_factor = sla_factor
-        #: Operator command queue (duck-typed: ``drain(loop, now)``),
-        #: drained at the top of every iteration so external producers — the
-        #: :mod:`repro.service` daemon's HTTP handlers — submit vjobs and
-        #: inject faults at well-defined points of simulated time.
+        #: Operator command queue (duck-typed: ``drain(loop, now)`` returns
+        #: how many commands it ran), drained at the top of every iteration
+        #: so external producers — the :mod:`repro.service` daemon's HTTP
+        #: handlers — submit vjobs and inject faults at well-defined points
+        #: of simulated time.
         self.commands = command_queue
         #: Span tracer (:mod:`repro.obs`) producing the per-round phase
         #: breakdown; ``None`` keeps every instrumented path at its no-op
@@ -176,6 +177,8 @@ class ControlLoop:
         self._live: list[VJobWorkload] = []
         #: vjob name -> time of the crash that knocked it out, until repaired.
         self._repair_pending: dict[str, float] = {}
+        #: vjobs the reconcile terminated (VMs stopped from outside the loop).
+        self._stopped: list[str] = []
         #: Rounds whose decide or plan raised, by exception type.
         self._failures: Counter[str] = Counter()
         #: Per switch, for ``metadata["solver"]`` / ``["repair_engine"]``:
@@ -261,20 +264,29 @@ class ControlLoop:
         self._arriving = arriving
 
     # ------------------------------------------------------------------ #
-    # state synchronisation                                               #
+    # vjob state                                                          #
     # ------------------------------------------------------------------ #
 
-    def _sync_vjob_states(self) -> None:
-        """Align the life-cycle state of every live vjob with the state of
-        its VMs in the cluster configuration; a vjob whose VMs are all
-        stopped is terminated and leaves the live list."""
+    def _reconcile(self) -> None:
+        """Derive every live vjob's state from its VMs (Section 4.1), after
+        each step that writes VM states outside a plan: execute, a command
+        drain that ran a command, a node crash.  By the partial-stop rule
+        (``docs/ARCHITECTURE.md``) a vjob with a TERMINATED VM is
+        terminated: its idle VMs are stopped here, its running ones by the
+        next decision."""
         configuration = self.cluster.configuration
         live = []
         for workload in self._live:
             vjob = workload.vjob
-            states = {configuration.state_of(vm) for vm in vjob.vm_names}
-            if states == {VMState.TERMINATED}:
+            states = set(map(configuration.state_of, vjob.vm_names))
+            if VMState.TERMINATED in states:
                 vjob.state = VJobState.TERMINATED
+                for vm_name in vjob.vm_names:
+                    # Waiting and sleeping VMs stop without a driver action.
+                    state = configuration.state_of(vm_name)
+                    if state is VMState.WAITING or state is VMState.SLEEPING:
+                        configuration.set_terminated(vm_name)
+                self._stopped.append(vjob.name)
                 continue
             if VMState.RUNNING in states:
                 vjob.state = VJobState.RUNNING
@@ -372,9 +384,10 @@ class ControlLoop:
 
     def _drain_commands(self, now: float) -> None:
         """Operator commands first, so what the queue submits or injects
-        lands at a round boundary and runs stay deterministic."""
-        if self.commands is not None:
-            self.commands.drain(self, now)
+        lands at a round boundary and runs stay deterministic; a drain that
+        ran a command (which may have written VM states) reconciles."""
+        if self.commands is not None and self.commands.drain(self, now):
+            self._reconcile()
 
     def _fire_faults(self, now: float, result: RunResult) -> None:
         """Faults scheduled since the previous round are detected now
@@ -494,7 +507,7 @@ class ControlLoop:
         self._notify("on_switch", record, report)
         finished = now + execution.duration
         self.monitoring.notify_reconfiguration(finished)
-        self._sync_vjob_states()
+        self._reconcile()
         self._check_repairs(finished, result)
         return execution.duration, execution.involved_nodes()
 
@@ -570,6 +583,9 @@ class ControlLoop:
             result.metadata["failure_causes"] = dict(sorted(self._failures.items()))
         if self._stop_requested:
             result.metadata["stopped_early"] = True
+        if self._stopped:
+            # Neither completed nor unfinished: stopped from outside.
+            result.metadata["stopped_vjobs"] = sorted(self._stopped)
         if rounds := self._solver_rounds:
             # Per-round CP search statistics: partitioned engines report
             # counters merged across zones, so monolithic and decomposed runs
@@ -730,6 +746,7 @@ class ControlLoop:
             self._repair_constraints(event.target)
             if self.cluster.configuration.has_node(event.target):
                 affected = self._crash_node(event.target, event.time)
+                self._reconcile()
             elif event.target in self._delayed_nodes:
                 # The node died before it ever booted: cancel the pending
                 # boot so it does not later join the fleet alive.
@@ -762,7 +779,8 @@ class ControlLoop:
         self._notify("on_fault", record)
 
     def _crash_node(self, node_name: str, crash_time: float) -> tuple[str, ...]:
-        """Kill a node; the vjobs it hosted fall back to Waiting entirely.
+        """Kill a node; the VMs of the vjobs it hosted fall back to Waiting
+        entirely (the reconcile that follows makes those vjobs Waiting).
 
         The consistency requirement of Section 4.1 (all the VMs of a vjob
         run together) extends to failures: losing one VM invalidates the
@@ -786,14 +804,9 @@ class ControlLoop:
             vjob = self.queue.get(name) if name in self.queue else None
             if vjob is None or vjob.is_terminated:
                 continue
+            # A live vjob holds no TERMINATED VM (the reconcile).
             for vm in vjob.vm_names:
-                if configuration.has_vm(vm) and configuration.state_of(
-                    vm
-                ) is not VMState.TERMINATED:
-                    configuration.set_waiting(vm)
-            # Exogenous transition: a crash may force Running -> Waiting,
-            # which the life-cycle state machine (Figure 2) has no edge for.
-            vjob.state = VJobState.WAITING
+                configuration.set_waiting(vm)
             self._repair_pending.setdefault(name, crash_time)
             repaired_names.append(name)
         return tuple(repaired_names)

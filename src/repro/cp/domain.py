@@ -18,15 +18,18 @@ Two representations are provided:
   operations are O(1) regardless of the width of the interval, which matters
   because the objective domain can span five to six figures.
 
-Both expose the same mutation API (mutations return the number of removed
-values) plus ``mark()``/``restore_to(token)`` used by the solver trail.
-Propagation raises :class:`~repro.model.errors.InconsistencyError` when a
-mutation would empty the domain.
+Both answer the reads :class:`~repro.cp.variables.IntVar` makes (size,
+membership, bounds, values), the bound mutations (``remove_above``,
+``remove_below``, ``assign``; mutations return the number of removed
+values) and ``mark()``/``restore_to(token)`` used by the solver trail;
+only :class:`Domain` takes value removals.  Propagation raises
+:class:`~repro.model.errors.InconsistencyError` when a mutation would empty
+the domain.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from ..model.errors import InconsistencyError
 
@@ -57,9 +60,6 @@ class Domain:
     def __contains__(self, value: int) -> bool:
         pos = self._pos.get(value)
         return pos is not None and pos < self._size
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self._values[: self._size]))
 
     def _bounds(self) -> tuple[int, int]:
         if self._minmax_rev != self._rev:
@@ -198,20 +198,15 @@ class Domain:
     def remove_below(self, bound: int) -> int:
         return self.remove_many([v for v in self._values[: self._size] if v < bound])
 
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        if self._size <= 8:
-            return f"Domain({sorted(self._values[: self._size])})"
-        return f"Domain([{self.min}..{self.max}], size={self._size})"
-
 
 class IntervalDomain:
     """A contiguous domain ``[lo, hi]`` with O(1) bound tightening.
 
     Used for the branch-and-bound objective variable, whose domain can span
     :math:`10^5` values: the sparse set would pay O(width) on every bound
-    update, the interval pays O(1).  Only operations expressible on bounds are
-    supported — removing an interior value raises ``ValueError`` because the
-    representation cannot encode a hole.
+    update, the interval pays O(1).  Only bound mutations are supported: the
+    representation cannot encode a hole, and no propagator removes values
+    from the objective.
     """
 
     __slots__ = ("_lo", "_hi", "_rev", "trail_stamp")
@@ -231,9 +226,6 @@ class IntervalDomain:
 
     def __contains__(self, value: int) -> bool:
         return self._lo <= value <= self._hi
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(range(self._lo, self._hi + 1))
 
     @property
     def min(self) -> int:
@@ -259,9 +251,6 @@ class IntervalDomain:
     def raw_values(self) -> tuple[int, ...]:
         return self.values()
 
-    def copy(self) -> "IntervalDomain":
-        return IntervalDomain(self._lo, self._hi)
-
     # -- trail support --------------------------------------------------------
 
     def mark(self) -> tuple[int, int]:
@@ -272,50 +261,6 @@ class IntervalDomain:
         self._rev += 1
 
     # -- mutations -------------------------------------------------------------
-
-    def remove(self, value: int) -> int:
-        if value < self._lo or value > self._hi:
-            return 0
-        if self._lo == self._hi:
-            raise InconsistencyError(f"removing {value} empties the domain")
-        if value == self._lo:
-            self._lo += 1
-        elif value == self._hi:
-            self._hi -= 1
-        else:
-            raise ValueError(
-                "IntervalDomain cannot remove an interior value; use a Domain"
-            )
-        self._rev += 1
-        return 1
-
-    def remove_many(self, values: Iterable[int]) -> int:
-        """Peel values off the edges.  Atomic: the domain is only mutated
-        once the whole batch is known to be expressible on bounds (interior
-        holes raise ``ValueError`` *before* any change)."""
-        pending = sorted({v for v in values if self._lo <= v <= self._hi})
-        if not pending:
-            return 0
-        new_lo = self._lo
-        i = 0
-        while i < len(pending) and pending[i] == new_lo:
-            new_lo += 1
-            i += 1
-        new_hi = self._hi
-        j = len(pending) - 1
-        while j >= i and pending[j] == new_hi:
-            new_hi -= 1
-            j -= 1
-        if j >= i:
-            raise ValueError(
-                "IntervalDomain cannot remove interior values; use a Domain"
-            )
-        if new_lo > new_hi:
-            raise InconsistencyError("removal empties the domain")
-        removed = (new_lo - self._lo) + (self._hi - new_hi)
-        self._lo, self._hi = new_lo, new_hi
-        self._rev += 1
-        return removed
 
     def assign(self, value: int) -> int:
         if value < self._lo or value > self._hi:
@@ -349,6 +294,3 @@ class IntervalDomain:
         self._lo = bound
         self._rev += 1
         return removed
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"IntervalDomain([{self._lo}..{self._hi}])"

@@ -707,8 +707,7 @@ class Solver:
                 search()
         finally:
             # Unwind every level so the model's domains are restored even when
-            # a propagator raises something other than InconsistencyError
-            # (e.g. an unsupported interior removal on an IntervalDomain).
+            # a propagator raises something other than InconsistencyError.
             while store._levels:
                 store.pop_level()
             if bind_selector is not None:

@@ -61,7 +61,7 @@ class IntVar:
         return value in self.domain
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
-        return f"IntVar({self.name}, {self.domain!r})"
+        return f"IntVar({self.name}, [{self.min}..{self.max}], size={self.size})"
 
 
 def make_interval_var(name: str, lower: int, upper: int) -> IntVar:

@@ -8,7 +8,7 @@ queue (running + ready vjobs) is considered at every decision round.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import insort
 from typing import Iterable, Iterator
 
 from .errors import DuplicateElementError, ModelError
@@ -27,13 +27,18 @@ class VJobQueue:
     place: the views below walk that order and sort nothing.  A vjob's
     ``priority`` or ``submitted_at`` written after its submission does not
     move it (the operator daemon bumps ``submitted_at`` *before* it submits).
+    The views walk only the vjobs not yet seen terminated, and move those
+    that terminated since to :meth:`stopping` until :meth:`stopped`.
     """
 
     def __init__(self, vjobs: Iterable[VJob] = ()) -> None:
         self._vjobs: dict[str, VJob] = {}
-        #: Every vjob in priority order, and its key at submission.
+        #: Every vjob's key at submission; in that order, every vjob, those
+        #: not seen terminated, and the terminated ones that may run a VM.
+        self._key: dict[str, tuple[int, float, int]] = {}
         self._order: list[VJob] = []
-        self._keys: list[tuple[int, float, int]] = []
+        self._pending: list[VJob] = []
+        self._stopping: list[VJob] = []
         for vjob in vjobs:
             self.submit(vjob)
 
@@ -44,11 +49,15 @@ class VJobQueue:
             raise DuplicateElementError(f"vjob {vjob.name!r} already submitted")
         # The rank is the insertion count: a later submission goes after
         # every vjob it ties with.
-        key = (vjob.priority, vjob.submitted_at, len(self._vjobs))
+        self._key[vjob.name] = (vjob.priority, vjob.submitted_at, len(self._vjobs))
         self._vjobs[vjob.name] = vjob
-        place = bisect_right(self._keys, key)
-        self._keys.insert(place, key)
-        self._order.insert(place, vjob)
+        insort(self._order, vjob, key=self._key_of)
+        insort(self._pending, vjob, key=self._key_of)
+
+    def stopped(self, vjob: VJob) -> None:
+        """None of ``vjob``'s VMs runs any more: it leaves :meth:`stopping`
+        (a TERMINATED VM never runs again)."""
+        self._stopping.remove(vjob)
 
     # -- lookups ---------------------------------------------------------------
 
@@ -70,13 +79,30 @@ class VJobQueue:
 
     def pending(self) -> list[VJob]:
         """Non-terminated vjobs in priority order — the queue the RJSP scans."""
-        return [vjob for vjob in self._order if not vjob.is_terminated]
+        self._sweep()
+        return list(self._pending)
 
-    def terminated(self) -> list[VJob]:
-        return [vjob for vjob in self._order if vjob.is_terminated]
+    def stopping(self) -> list[VJob]:
+        """Terminated vjobs that may still run a VM, in priority order."""
+        self._sweep()
+        return list(self._stopping)
 
     def __iter__(self) -> Iterator[VJob]:
         return iter(self.ordered())
+
+    def _key_of(self, vjob: VJob) -> tuple[int, float, int]:
+        return self._key[vjob.name]
+
+    def _sweep(self) -> None:
+        """Move the vjobs terminated since the last view out of the
+        pending ones, into :meth:`stopping`."""
+        pending = self._pending
+        kept = [vjob for vjob in pending if not vjob.is_terminated]
+        if len(kept) < len(pending):
+            for vjob in pending:
+                if vjob.is_terminated:
+                    insort(self._stopping, vjob, key=self._key_of)
+            self._pending = kept
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         states = {}

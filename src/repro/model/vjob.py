@@ -68,6 +68,8 @@ class VJob:
         if not self.name:
             raise ValueError("a vjob requires a non-empty name")
         self.vms = tuple(self.vms)
+        #: The names of :attr:`vms`, in order (``vms`` is fixed here).
+        self.vm_names: tuple[str, ...] = tuple(vm.name for vm in self.vms)
         if not self.vms:
             raise ValueError(f"vjob {self.name!r} requires at least one VM")
         for vm in self.vms:
@@ -78,10 +80,6 @@ class VJob:
                 )
 
     # -- derived views -------------------------------------------------------
-
-    @property
-    def vm_names(self) -> tuple[str, ...]:
-        return tuple(vm.name for vm in self.vms)
 
     @property
     def total_memory(self) -> int:

@@ -100,8 +100,9 @@ class LoopCommandQueue:
         with self._lock:
             return len(self._pending)
 
-    def drain(self, loop: "ControlLoop", now: float) -> None:
-        """Apply every queued command against ``loop`` at time ``now``.
+    def drain(self, loop: "ControlLoop", now: float) -> int:
+        """Apply every queued command against ``loop`` at time ``now``;
+        return how many ran (the loop then reconciles its vjobs).
 
         A failing command is recorded on :attr:`errors` and skipped.
         """
@@ -116,3 +117,4 @@ class LoopCommandQueue:
             else:
                 with self._lock:
                     self.applied.append(label)
+        return len(commands)

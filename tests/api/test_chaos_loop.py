@@ -355,8 +355,9 @@ class TestInjectorLifecycle:
         assert [f.target for f in result.faults] == ["node-2"]
 
     def test_crashed_vjob_state_is_waiting_until_replanned(self):
-        """White-box: the crash handler resets the whole vjob consistently."""
-        from repro.api import ControlLoop
+        """White-box: the crash handler resets the whole vjob consistently
+        (the crash writes its VMs, the reconcile after it the vjob)."""
+        from repro.api import ControlLoop, RunResult
 
         nodes = make_working_nodes(2, cpu_capacity=2, memory_capacity=3584)
         workload = simple_workload("w0", 0, [(600.0, 1)])
@@ -374,8 +375,10 @@ class TestInjectorLifecycle:
             configuration.set_running(vm, f"node-{index}")
         workload.vjob.run()
 
-        affected = loop._crash_node("node-0", crash_time=42.0)
-        assert affected == ("w0",)
+        result = RunResult(makespan=0.0, policy="consolidation")
+        crash = FaultEvent(time=42.0, kind=FaultKind.NODE_CRASH, target="node-0")
+        loop._apply_fault(crash, 42.0, result)
+        assert result.faults[0].affected_vjobs == ("w0",)
         assert workload.vjob.state is VJobState.WAITING
         for vm in workload.vjob.vm_names:
             assert configuration.state_of(vm).value == "waiting"

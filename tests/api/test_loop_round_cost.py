@@ -12,21 +12,30 @@ changed ones,
 hosts are read only when the round switched a node or a slowdown is in
 force, and the queue keeps its order from ``submit``.  The steps that walk
 vjobs walk the loop's two lists — the admitted vjobs not yet submitted, and
-the live ones — so no step visits a vjob it has nothing to do with.  The
-counts are deterministic, so this runs with the tier-1 suite.
+the live ones — so no step visits a vjob it has nothing to do with.  A
+vjob's state is derived from its VMs only after a step that wrote VM states
+outside a plan (the execute step, a command drain that ran a command, a node
+crash), and a decision visits a terminated vjob only until it sees none of
+its VMs running.  The counts are deterministic, so this runs with the tier-1
+suite.
 """
 
 from __future__ import annotations
 
 import builtins
+from collections import Counter
 
 import pytest
 
+import repro.decision.consolidation
 import repro.model.queue
 from repro import FaultSchedule, Scenario
+from repro.api import LoopObserver
 from repro.api.loop import ControlLoop
 from repro.model.configuration import Configuration
 from repro.model.vjob import VJobState
+from repro.model.vm import VMState
+from repro.service.commands import LoopCommandQueue
 from repro.sim.cluster import SimulatedCluster
 from repro.workloads import paper_cluster_nodes, paper_experiment_vjobs
 from repro.workloads.traces import DemandTrace, VJobWorkload
@@ -217,3 +226,100 @@ def test_a_round_visits_no_vjob_it_is_done_with(scenario, visits):
         assert [record[2] for record in calls] == [0] * len(calls), name
         # Not vacuous: most calls had such vjobs to skip.
         assert sum(record[1] > 0 for record in calls) > len(calls) // 2, name
+
+
+def _stop_the_first_running_vjob(loop, now):
+    """The operator stops every VM of the first running vjob."""
+    for vjob in loop.queue:
+        if vjob.state is VJobState.RUNNING:
+            for vm_name in vjob.vm_names:
+                loop.cluster.configuration.set_terminated(vm_name)
+            return
+
+
+class _Operator(LoopObserver):
+    """Queues an operator stop at the first sample at or after 600 s, and a
+    command that writes nothing at the first one after 1200 s."""
+
+    def __init__(self, commands):
+        self.commands = commands
+        self.due = [
+            (600.0, _stop_the_first_running_vjob),
+            (1200.0, lambda loop, now: None),
+        ]
+
+    def on_sample(self, sample):
+        if self.due and self.due[0][0] <= sample.time:
+            self.commands.call(self.due.pop(0)[1])
+
+
+def _operated():
+    """The faulted campaign, with an operator stop and a no-op command."""
+    commands = LoopCommandQueue()
+    scenario = _faulted().observe(_Operator(commands))
+    return scenario.build(command_queue=commands).run(), commands
+
+
+def test_a_decision_visits_no_vjob_it_saw_stopped(monkeypatch):
+    """``stop_terminated_vms`` visits a terminated vjob until a decision
+    finds none of its VMs running: a vjob whose VMs were all stopped before
+    the previous decision is visited 0 times."""
+    calls = []
+    original = repro.decision.consolidation.stop_terminated_vms
+
+    def spied(configuration, queue, vm_states):
+        stopped = {
+            vjob.name
+            for vjob in queue
+            if vjob.is_terminated
+            and all(
+                configuration.state_of(vm) is VMState.TERMINATED
+                for vm in vjob.vm_names
+            )
+        }
+        visited = {vjob.name for vjob in queue.stopping()}
+        calls.append((stopped, visited))
+        return original(configuration, queue, vm_states)
+
+    monkeypatch.setattr(repro.decision.consolidation, "stop_terminated_vms", spied)
+    result, _ = _operated()
+    assert result.metadata["stopped_vjobs"] and len(calls) > 100
+    for (stopped_before, _), (_, visited) in zip(calls, calls[1:]):
+        assert not stopped_before & visited
+    # Not vacuous: vjobs were visited, and most decisions had finished
+    # vjobs to skip.
+    assert sum(len(visited) for _, visited in calls) > 0
+    assert sum(bool(stopped) for stopped, _ in calls) > len(calls) // 2
+
+
+def test_the_reconcile_runs_only_after_a_vm_state_write(monkeypatch):
+    """One reconcile per execute step, per command drain that ran a command
+    and per node crash, and none on any other round."""
+    rounds: list[Counter] = []
+
+    def spy(owner, name):
+        original = getattr(owner, name)
+
+        def spied(*args):
+            if name == "_drain_commands":
+                # The first step of a round opens its record.
+                rounds.append(Counter())
+            value = original(*args)
+            rounds[-1][name] += 1 if name != "drain" else bool(value)
+            return value
+
+        monkeypatch.setattr(owner, name, spied)
+
+    for name in ("_drain_commands", "_reconcile", "_execute", "_crash_node"):
+        spy(ControlLoop, name)
+    spy(LoopCommandQueue, "drain")
+    result, commands = _operated()
+    assert len(commands.applied) == 2 and result.metadata["stopped_vjobs"]
+    for record in rounds:
+        assert record["_reconcile"] == (
+            record["_execute"] + record["_crash_node"] + record["drain"]
+        )
+    assert sum(record["drain"] for record in rounds) == 2
+    assert sum(record["_crash_node"] for record in rounds) == 1
+    # Not a per-round walk: most rounds neither switch nor take a command.
+    assert 2 * sum(record["_reconcile"] > 0 for record in rounds) < len(rounds)

@@ -18,9 +18,6 @@ class TestConstruction:
         domain = Domain([5, 1, 9])
         assert domain.min == 1 and domain.max == 9
 
-    def test_iteration_is_sorted(self):
-        assert list(Domain([3, 1, 2])) == [1, 2, 3]
-
     def test_values_and_raw_values(self):
         domain = Domain([3, 1])
         assert domain.values() == (1, 3)
@@ -148,30 +145,6 @@ class TestIntervalDomain:
         assert domain.is_singleton and domain.value == 4
         with pytest.raises(InconsistencyError):
             IntervalDomain(0, 3).assign(7)
-
-    def test_edge_removal_and_interior_rejection(self):
-        domain = IntervalDomain(0, 5)
-        assert domain.remove(0) == 1
-        assert domain.remove(5) == 1
-        assert domain.min == 1 and domain.max == 4
-        with pytest.raises(ValueError):
-            domain.remove(2)
-
-    def test_remove_many_peels_both_edges(self):
-        domain = IntervalDomain(0, 9)
-        assert domain.remove_many([0, 1, 9, 12]) == 3
-        assert domain.min == 2 and domain.max == 8
-
-    def test_remove_many_interior_is_atomic(self):
-        """An inexpressible batch must raise before any mutation."""
-        domain = IntervalDomain(0, 9)
-        with pytest.raises(ValueError):
-            domain.remove_many([0, 1, 5])
-        assert domain.min == 0 and domain.max == 9
-
-    def test_remove_many_emptying_raises(self):
-        with pytest.raises(InconsistencyError):
-            IntervalDomain(0, 2).remove_many([0, 1, 2])
 
     def test_mark_restore(self):
         domain = IntervalDomain(0, 100)

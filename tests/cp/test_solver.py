@@ -9,6 +9,7 @@ from reference_propagation import SOLVERS
 from repro.cp import (
     ActivityLastConflict,
     AllDifferent,
+    Constraint,
     CostTable,
     CountInValuesAtMost,
     ElementSum,
@@ -254,12 +255,23 @@ class TestEngines:
 
     def test_domains_restored_when_a_propagator_raises(self):
         """Non-InconsistencyError exceptions must unwind the whole trail."""
+
+        class PruneThenRaise(Constraint):
+            def __init__(self, x, y):
+                self._vars = [x, y]
+
+            def variables(self):
+                return self._vars
+
+            def propagate_events(self, store, dirty):
+                store.remove(self._vars[0], 0)
+                store.remove_above(self._vars[1], 2)
+                raise ValueError("a propagator bug")
+
         model = Model()
         x = model.int_var("x", [0, 2])
         y = model.interval_var("y", 0, 4)
-        # AllDifferent over an interval variable triggers an interior removal
-        # (removing 2 from [0..4]), which IntervalDomain rejects.
-        model.add_constraint(AllDifferent([x, y]))
+        model.add_constraint(PruneThenRaise(x, y))
         solver = Solver(model)
         with pytest.raises(ValueError):
             solver.solve()

@@ -60,7 +60,16 @@ class TestStateViews:
         queue = VJobQueue([a, b])
         a.terminate()
         assert [v.name for v in queue.pending()] == ["b"]
-        assert [v.name for v in queue.terminated()] == ["a"]
+        assert [v.name for v in queue.stopping()] == ["a"]
+
+    def test_a_stopped_vjob_leaves_the_stopping_view(self):
+        a, b = vjob("a"), vjob("b")
+        queue = VJobQueue([a, b])
+        a.terminate()
+        b.terminate()
+        queue.stopped(queue.stopping()[0])
+        assert queue.stopping() == [b]
+        assert queue.ordered() == [a, b] and queue.pending() == []
 
 
 class TestKeptOrder:
@@ -89,7 +98,8 @@ class TestKeptOrder:
             expected = [job for *_, job in sorted(submitted, key=lambda e: e[:3])]
             assert queue.ordered() == list(queue) == expected
             assert queue.pending() == [j for j in expected if not j.is_terminated]
-            assert queue.terminated() == [j for j in expected if j.is_terminated]
+            # Nothing said a terminated vjob runs no VM any more.
+            assert queue.stopping() == [j for j in expected if j.is_terminated]
 
     def test_the_key_is_read_at_submit(self):
         # The operator daemon bumps a late vjob's submitted_at before it is

@@ -17,19 +17,20 @@ After every round the loop's own records of its vjobs are held to their
 definitions over ``loop.workloads``: the arriving list (admitted, not yet
 submitted) and the live one (submitted, not terminated), both in admission
 order, and the VM→vjob index that admission keeps.  Some runs draw an
-operator command that stops every VM of a running vjob, under a policy that
-keeps stopped VMs stopped, so the state sync after the next switch retires
-that vjob.
+operator command that stops every VM, or one VM, of a running vjob, under
+the default policy: the reconcile after that drain terminates the vjob
+(the partial-stop rule of ``docs/ARCHITECTURE.md``), and no decision asks
+to run a TERMINATED VM.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import FaultSchedule, Scenario, config
-from repro.api import LoopObserver, get_decision_module
+from repro.api import LoopObserver
 from repro.model.errors import PlanningError
-from repro.model.queue import VJobQueue
 from repro.model import make_working_nodes
 from repro.model.vjob import VJobState, index_vms_by_vjob
 from repro.model.vm import VMState
@@ -58,30 +59,6 @@ def _workload(draw, name, submitted_at=0.0):
     return VJobWorkload(vjob=vjob, traces=traces)
 
 
-class _StoppedStayStopped:
-    """The default policy over the queue without the unfinished vjobs whose
-    VMs an operator stopped: it would otherwise ask to run them again, which
-    no plan can, and keep their room."""
-
-    name = "consolidation"
-
-    def __init__(self):
-        self.policy = get_decision_module("consolidation")
-
-    def use_constraints(self, constraints):
-        self.policy.use_constraints(constraints)
-
-    def decide(self, configuration, queue):
-        def stopped(vjob):
-            return not vjob.is_terminated and all(
-                configuration.state_of(vm) is VMState.TERMINATED
-                for vm in vjob.vm_names
-            )
-
-        kept = VJobQueue(vjob for vjob in queue if not stopped(vjob))
-        return self.policy.decide(configuration, kept)
-
-
 def _stop_a_running_vjob(loop, now):
     """The operator stops every VM of the first running vjob."""
     for vjob in loop.queue:
@@ -91,10 +68,18 @@ def _stop_a_running_vjob(loop, now):
             return
 
 
+def _stop_one_vm_of_a_running_vjob(loop, now):
+    """The operator stops the last VM of the first running vjob."""
+    for vjob in loop.queue:
+        if vjob.state is VJobState.RUNNING:
+            loop.cluster.configuration.set_terminated(vjob.vm_names[-1])
+            return
+
+
 @st.composite
 def _runs(draw):
     """A scenario, the ``(sample time, workload)`` submissions the operator
-    queues during it, and the sample time of its stop command (or
+    queues during it, and ``(sample time, command)`` of its stop (or
     ``None``)."""
     node_count = draw(st.integers(2, 4))
     arrivals = st.sampled_from([0.0, 0.0, 45.0, 90.0])
@@ -122,7 +107,12 @@ def _runs(draw):
         (draw(st.sampled_from([0.0, 30.0, 60.0, 120.0])), draw(_workload(f"op{i}")))
         for i in range(draw(st.integers(0, 2)))
     ]
-    stop_at = draw(st.sampled_from([None, None, 30.0, 60.0]))
+    stop_at = draw(st.sampled_from([30.0, None, 60.0, None]))
+    if stop_at is not None:
+        stop_at = (
+            stop_at,
+            draw(st.sampled_from([_stop_a_running_vjob, _stop_one_vm_of_a_running_vjob])),
+        )
     scenario = Scenario(
         nodes=make_working_nodes(node_count, cpu_capacity=2, memory_capacity=4096),
         workloads=workloads,
@@ -130,7 +120,6 @@ def _runs(draw):
         optimizer_timeout=1.0,
         max_time=900.0,
         faults=faults,
-        policy="consolidation" if stop_at is None else _StoppedStayStopped(),
     )
     return scenario, submissions, stop_at
 
@@ -143,8 +132,10 @@ class _Specification(LoopObserver):
         self.commands = commands
         self.submissions = list(submissions)
         self.stop_at = stop_at
-        #: vjobs the state sync retired: terminated, never completed.
+        #: vjobs the reconcile retired: terminated, never completed.
         self.retired = set()
+        #: Per decision, the TERMINATED VMs it asks to run.
+        self.asked_to_run_stopped = []
         self.loop = None
         self.reconfigured = None
         self.last_fresh = None
@@ -152,6 +143,15 @@ class _Specification(LoopObserver):
 
     def on_run_start(self, loop):
         self.loop = loop
+
+    def on_decision(self, now, decision):
+        configuration = self.loop.cluster.configuration
+        self.asked_to_run_stopped.extend(
+            vm
+            for vm, state in decision.vm_states.items()
+            if state is VMState.RUNNING
+            and configuration.state_of(vm) is VMState.TERMINATED
+        )
 
     def on_switch(self, record, report):
         self.reconfigured = record.time + record.duration
@@ -162,8 +162,8 @@ class _Specification(LoopObserver):
             if time <= sample.time:
                 self.commands.submit_workload(workload)
                 self.submissions.remove((time, workload))
-        if self.stop_at is not None and self.stop_at <= sample.time:
-            self.commands.call(_stop_a_running_vjob, label="stop")
+        if self.stop_at is not None and self.stop_at[0] <= sample.time:
+            self.commands.call(self.stop_at[1], label="stop")
             self.stop_at = None
 
     def on_run_end(self, result):
@@ -233,21 +233,32 @@ def test_every_observation_writes_the_traces_at_the_last_fresh_progress(run):
         pass
     assert commands.errors == []
     assert specification.fresh >= 1
+    assert specification.asked_to_run_stopped == []
 
 
-
-def test_a_vjob_whose_vms_the_operator_stopped_is_retired_by_the_sync():
-    """Two nodes run two of three vjobs; the operator stops the first at
-    60 s, the third runs in the freed room, and the state sync after that
-    switch terminates the stopped vjob, which never completes."""
+@pytest.mark.parametrize(
+    "stop", [_stop_a_running_vjob, _stop_one_vm_of_a_running_vjob]
+)
+def test_a_vjob_whose_vms_the_operator_stopped_is_retired_by_the_reconcile(stop):
+    """Two nodes run two of three vjobs; the operator stops the first (all
+    its VMs, or one) at 60 s, the reconcile after that drain terminates it,
+    and the third runs in the freed room under the default policy; the
+    stopped vjob never completes."""
     commands = LoopCommandQueue()
-    specification = _Specification(commands, (), stop_at=60.0)
-    Scenario(
-        nodes=make_working_nodes(2, cpu_capacity=2, memory_capacity=4096),
-        workloads=[make_workload(f"w{i}", duration=300.0) for i in range(3)],
-        optimizer_timeout=1.0,
-        policy=_StoppedStayStopped(),
-        observers=[specification],
-    ).build(command_queue=commands).run()
+    specification = _Specification(commands, (), stop_at=(60.0, stop))
+    result = (
+        Scenario(
+            nodes=make_working_nodes(2, cpu_capacity=2, memory_capacity=4096),
+            workloads=[make_workload(f"w{i}", duration=300.0) for i in range(3)],
+            optimizer_timeout=1.0,
+            observers=[specification],
+        )
+        .build(command_queue=commands)
+        .run()
+    )
     assert commands.applied == ["stop"] and commands.errors == []
     assert specification.retired == {"w0"}
+    assert result.metadata["stopped_vjobs"] == ["w0"]
+    assert result.metadata["planning_failures"] == 0
+    assert sorted(result.completion_times) == ["w1", "w2"]
+    assert specification.asked_to_run_stopped == []
